@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sfi/internal/latch"
@@ -555,6 +554,125 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error
 	return RunCampaignWith(ctx, first, cfg)
 }
 
+// draw is one source's slice of an epoch: bits of one deterministic sequence
+// in sequence order. key names the sampling stratum the bits were drawn
+// from; "" is the pooled uniform sample. res holds the results in sequence
+// order — batches own disjoint positions, so workers fill it without
+// synchronization.
+//
+// batches is the draw's dispatch plan. A bit-parallel backend
+// (engine.BatchBackend) classifies up to BatchSize injections per model
+// pass, so the unit of dispatch is a batch of sequence positions rather than
+// one position. The plan is a pure function of the bits (planBatches groups
+// them by each bit's deterministic checkpoint phase), so Reports stay
+// identical across worker counts — and, by the scalar-equivalence guarantee,
+// identical to the scalar path bit for bit. Scalar backends get one-position
+// batches and per-injection dispatch.
+type draw struct {
+	key     string
+	bits    []int
+	batches [][]int
+	res     []Result
+}
+
+// job is the dispatch unit: one batch (positions into d.bits) of one draw.
+type job struct {
+	d   *draw
+	pos []int
+}
+
+// source is where a campaign's draws come from. Every campaign is a
+// sequence of epochs and every epoch an ordered list of draws; the three
+// campaign shapes differ only here:
+//
+//   - a uniform campaign or pooled shard is one epoch with one keyless draw;
+//   - a stratum shard is one epoch with one keyed draw;
+//   - a Neyman campaign asks the planner (SamplePlan.NextEpoch) for the next
+//     epoch's draws at every barrier, over the settled report.
+type source struct {
+	total int                           // injections the campaign can run (Progress.Total)
+	pops  map[string]int                // Neyman campaigns: the plan's per-stratum census
+	next  func(settled *Report) []*draw // the next epoch; returns nil once the campaign is over
+}
+
+// newSource validates cfg's sampling fields and builds the campaign's draw
+// source; attrs describing the sample go on sp.
+func newSource(first *Runner, cfg CampaignConfig, runSp, sp *obs.Span) (*source, error) {
+	phases, batchSize := first.Backend().Phases(), first.BatchSize()
+	newDraw := func(key string, bits []int) *draw {
+		return &draw{key: key, bits: bits, batches: planBatches(bits, phases, batchSize), res: make([]Result, len(bits))}
+	}
+	if cfg.Alloc.Stratified() && cfg.Stratum == "" {
+		if cfg.Shard != nil {
+			return nil, fmt.Errorf("core: a stratified campaign cannot take a pooled shard range (shards of stratified campaigns carry a stratum)")
+		}
+		plan := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter)
+		if len(plan.Strata) == 0 {
+			return nil, fmt.Errorf("core: stratified campaign over an empty population")
+		}
+		sp.AttrInt("flips", int64(cfg.Flips)).
+			AttrInt("strata", int64(len(plan.Strata))).
+			AttrInt("population", int64(plan.TotalBits()))
+		// Each epoch extends every allocated stratum's prefix of its own
+		// deterministic sequence.
+		drawn := make(map[string]int, len(plan.Strata))
+		remaining, epochNo := cfg.Flips, 0
+		next := func(settled *Report) []*draw {
+			shares, allocated := plan.NextEpoch(cfg.Flips, cfg.Alloc, cfg.Stop.Rule(), settled.ByStratum, drawn, remaining)
+			if allocated == 0 {
+				return nil
+			}
+			cfg.Obs.Trace.RecordJSON(obs.AllocationEvent{Kind: "allocate", Epoch: epochNo, Budget: allocated, Shares: shares})
+			cfg.Obs.Tracer.StartSpan("allocate", "core", runSp.Context()).
+				AttrInt("epoch", int64(epochNo)).AttrInt("budget", int64(allocated)).End()
+			var draws []*draw
+			for _, sh := range shares {
+				if sh.Next > 0 {
+					lo := drawn[sh.Stratum]
+					draws = append(draws, newDraw(sh.Stratum, plan.Stratum(sh.Stratum).Bits[lo:lo+sh.Next]))
+					drawn[sh.Stratum] = lo + sh.Next
+				}
+			}
+			remaining -= allocated
+			epochNo++
+			return draws
+		}
+		return &source{total: cfg.Flips, pops: plan.Populations(), next: next}, nil
+	}
+
+	// One epoch over one deterministic sequence — the pooled sample, or one
+	// stratum's own sequence (so any [Lo, Hi) of any stratum is reproducible
+	// independently of every other stratum: the plan's prefix-stability
+	// contract) — narrowed to the shard range when there is one.
+	var bits []int
+	what := "flips"
+	if cfg.Stratum != "" {
+		stratum := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter).Stratum(cfg.Stratum)
+		if stratum == nil {
+			return nil, fmt.Errorf("core: unknown sampling stratum %q", cfg.Stratum)
+		}
+		bits, what = stratum.Bits, "bits of stratum "+cfg.Stratum
+	} else {
+		bits = SampleCampaignBits(first.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
+	}
+	if s := cfg.Shard; s != nil {
+		if s.Lo < 0 || s.Hi > len(bits) || s.Lo >= s.Hi {
+			return nil, fmt.Errorf("core: shard [%d,%d) out of range for %d %s", s.Lo, s.Hi, len(bits), what)
+		}
+		bits = bits[s.Lo:s.Hi]
+	}
+	only := []*draw{newDraw(cfg.Stratum, bits)}
+	sp.AttrInt("flips", int64(cfg.Flips)).
+		AttrInt("injections", int64(len(bits))).
+		AttrInt("batches", int64(len(only[0].batches)))
+	next := func(*Report) []*draw {
+		epoch := only
+		only = nil
+		return epoch
+	}
+	return &source{total: len(bits), next: next}, nil
+}
+
 // RunCampaignWith runs a campaign on an already-built prototype runner,
 // which must have been constructed from cfg.Runner. It is the shard
 // execution primitive for distributed workers: building and warming the
@@ -562,6 +680,17 @@ func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error
 // and runs every leased shard against it (clones are still created per
 // campaign worker as usual). The prototype's observability attachments are
 // reset to cfg.Obs on every call.
+//
+// This is the one campaign executor: every shape of campaign (see source)
+// runs through the same worker pool, observability goroutines, dispatch
+// loop, error handling and report build. Each epoch is dispatched over the
+// pool and fully drained — the epoch barrier — before its results are
+// folded into the report and anything is evaluated or re-allocated, so stop
+// decisions and allocations read settled counts only and the report is
+// deterministic across worker counts. The one exception is the pooled
+// draw of a uniform StopOnConverge campaign, which may stop mid-epoch: its
+// single epoch is the whole budget, so a barrier-only rule could never stop
+// it early.
 func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*Report, error) {
 	if cfg.Flips < 1 {
 		return nil, fmt.Errorf("core: campaign needs at least one flip")
@@ -575,72 +704,31 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		return nil, fmt.Errorf("core: campaign of %d flips exceeds the filtered population of %d bits",
 			cfg.Flips, total)
 	}
-	// A stratified campaign runs the epoch-allocating executor; a stratum
-	// shard (a distributed worker's slice of one stratum's sequence) falls
-	// through to the ordinary machinery over the stratum's bits.
-	if cfg.Alloc.Stratified() && cfg.Stratum == "" {
-		return runStratified(ctx, first, cfg)
-	}
+	cfg.Stop = cfg.Alloc.ArmStop(cfg.Stop)
 	// Campaign tracing: campaign.run encloses the whole local run; its
-	// children are the sample/plan span, one span per bit-parallel batch
-	// pass (recorded by the runners), and the merge span. All tracer and
-	// span calls are nil-safe, so the untraced path takes no branches
-	// beyond these calls themselves.
+	// children are the sample/plan span, one allocate span per Neyman epoch,
+	// one span per bit-parallel batch pass (recorded by the runners), and
+	// the merge span. All tracer and span calls are nil-safe, so the
+	// untraced path takes no branches beyond these calls themselves.
 	runSp := cfg.Obs.Tracer.StartSpan("campaign.run", "core", cfg.Obs.Parent)
 	sampleSp := cfg.Obs.Tracer.StartSpan("sample", "core", runSp.Context())
-	var bits []int
-	if cfg.Stratum != "" {
-		// One stratum's deterministic sequence: Shard indexes it directly,
-		// so any [Lo, Hi) of any stratum is reproducible independently of
-		// every other stratum (the plan's prefix-stability contract).
-		stratum := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter).Stratum(cfg.Stratum)
-		if stratum == nil {
-			return nil, fmt.Errorf("core: unknown sampling stratum %q", cfg.Stratum)
-		}
-		bits = stratum.Bits
-		if cfg.Shard != nil {
-			s := *cfg.Shard
-			if s.Lo < 0 || s.Hi > len(bits) || s.Lo >= s.Hi {
-				return nil, fmt.Errorf("core: shard [%d,%d) out of range for stratum %s of %d bits",
-					s.Lo, s.Hi, cfg.Stratum, len(bits))
-			}
-			bits = bits[s.Lo:s.Hi]
-		}
-	} else {
-		bits = SampleCampaignBits(first.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
-		if cfg.Shard != nil {
-			s := *cfg.Shard
-			if s.Lo < 0 || s.Hi > cfg.Flips || s.Lo >= s.Hi {
-				return nil, fmt.Errorf("core: shard [%d,%d) out of range for %d flips", s.Lo, s.Hi, cfg.Flips)
-			}
-			bits = bits[s.Lo:s.Hi]
-		}
+	src, err := newSource(first, cfg, runSp, sampleSp)
+	if err != nil {
+		return nil, err
 	}
-	// Batch planning: a bit-parallel backend (engine.BatchBackend)
-	// classifies up to BatchSize injections per model pass, so the unit of
-	// dispatch is a batch of sample positions rather than one position.
-	// The plan is a pure function of the bit sample (grouping by each
-	// bit's deterministic checkpoint phase), so Reports stay identical
-	// across worker counts — and, by the scalar-equivalence guarantee,
-	// identical to the scalar path bit for bit. Scalar backends get
-	// one-position batches and the original per-injection dispatch.
-	batchSize := first.BatchSize()
-	batched := batchSize > 1
-	if !batched {
-		batchSize = 1
-	}
-	batches := planBatches(bits, first.Backend().Phases(), batchSize)
-	sampleSp.AttrInt("flips", int64(cfg.Flips)).
-		AttrInt("injections", int64(len(bits))).
-		AttrInt("batches", int64(len(batches))).
-		End()
+	sampleSp.End()
+	batched := first.BatchSize() > 1
+	rep := newReport()
+	epoch := src.next(rep)
+	jobs := epochJobs(epoch)
 
+	// The pool is sized to the first epoch; no later one draws more injections.
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(batches) {
-		workers = len(batches)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
 
 	// Observability: each worker records into its own collector (no shared
@@ -674,54 +762,49 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	first.SetSpan(cfg.Obs.Tracer, runSp.Context())
 
 	// Adaptive statistical stop: workers stream every classified outcome
-	// into a shared sequential-interval estimator. The dispatch loop polls
-	// it between dispatches and, on a hit, lets in-flight batches settle
-	// (pending == 0) before confirming over the exact counts — a late
-	// result can move a class's fraction and re-widen its interval, so
-	// only settled counts may seal the decision. That makes the final
-	// report's convergence evaluation agree with the stop decision by
-	// construction (the dist coordinator gets the same property from
-	// sealing completed shards only).
+	// into a shared sequential-interval estimator (per sampling stratum too,
+	// for a Neyman campaign), and the dispatch loop consults it over settled
+	// counts only — a late result can move a class's fraction and re-widen
+	// its interval. That makes the final report's convergence evaluation
+	// agree with the stop decision by construction (the dist coordinator
+	// gets the same property from sealing completed shards only).
 	var est *stats.Estimator
-	var pending atomic.Int64
-	var stopMon, monDone chan struct{}
 	// seen dedups convergence events; only the monitor goroutine touches
 	// it while workers run, the final emission only after the monitor has
 	// stopped.
 	seen := make(map[string]bool)
 	if cfg.Stop.Enabled() {
 		est = stats.NewEstimator(outcomeNames(), cfg.Stop.Rule())
+		est.TrackStrata(src.pops)
 	}
 
-	results := make([]Result, len(bits))
 	var wg sync.WaitGroup
-	next := make(chan int)
+	// inflight counts dispatched, unsettled batches. Only the dispatch loop
+	// Adds and Waits, so waiting on it while dispatch is paused is the
+	// settle point.
+	var inflight sync.WaitGroup
+	next := make(chan job)
 	errCh := make(chan error, workers)
 
 	worker := func(r *Runner) {
 		defer wg.Done()
-		for bi := range next {
-			batch := batches[bi]
+		for j := range next {
+			d := j.d
 			if !batched {
-				res := r.RunInjection(bits[batch[0]])
-				results[batch[0]] = res
-				if est != nil {
-					est.Observe(int(res.Outcome), res.Unit, res.LatchType.String())
+				res := r.RunInjection(d.bits[j.pos[0]])
+				d.res[j.pos[0]] = res
+				est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
+			} else {
+				group := make([]int, len(j.pos))
+				for i, pos := range j.pos {
+					group[i] = d.bits[pos]
 				}
-				pending.Add(-1)
-				continue
-			}
-			group := make([]int, len(batch))
-			for j, pos := range batch {
-				group[j] = bits[pos]
-			}
-			for j, res := range r.RunInjectionBatch(group) {
-				results[batch[j]] = res
-				if est != nil {
-					est.Observe(int(res.Outcome), res.Unit, res.LatchType.String())
+				for i, res := range r.RunInjectionBatch(group) {
+					d.res[j.pos[i]] = res
+					est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
 				}
 			}
-			pending.Add(-1)
+			inflight.Done()
 		}
 	}
 
@@ -748,7 +831,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 				case <-stopProg:
 					return
 				case <-t.C:
-					p := ProgressFrom(mergedSnapshot(), len(bits), workers, start)
+					p := ProgressFrom(mergedSnapshot(), src.total, workers, start)
 					p.Convergence = est.Snapshot(false)
 					cfg.Obs.Progress(p)
 				}
@@ -763,6 +846,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// campaign-wide stop event is withheld here and emitted by the final
 	// pass over the authoritative evaluation instead, so its n matches
 	// the report exactly.
+	var stopMon, monDone chan struct{}
 	if est != nil {
 		stopMon = make(chan struct{})
 		monDone = make(chan struct{})
@@ -813,45 +897,54 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 
 	// Fail-fast dispatch: stop handing out work the moment a worker
-	// reports a start failure, the context is cancelled, or the stop rule
-	// is confirmed over settled counts. Convergence is the one
-	// *successful* early exit: in-flight batches run to completion and
-	// the report covers exactly the dispatched prefix of the sample.
+	// reports a start failure or the context is cancelled. Convergence is
+	// the one *successful* early exit: in-flight batches run to completion
+	// and the report covers exactly what was dispatched.
 	var errs []error
-	dispatched := len(batches)
 	stopOnConverge := est != nil && cfg.Stop.StopOnConverge
 	// Re-confirming on the same counts would spin; only re-check after a
 	// failed confirmation once new samples have landed.
 	confirmFailedAt := int64(-1)
 dispatch:
-	for i := 0; i < len(batches); {
-		if stopOnConverge && est.Total() != confirmFailedAt && est.Converged() {
-			// Tentative hit on the live view, which lags in-flight
-			// batches: wait for them to settle, then confirm over the
-			// exact counts. Dispatch is paused, so pending only drains.
-			for pending.Load() > 0 {
-				time.Sleep(100 * time.Microsecond)
+	for len(jobs) > 0 {
+		midEpochStop := stopOnConverge && epoch[0].key == ""
+		for i := 0; i < len(jobs); {
+			if midEpochStop && est.Total() != confirmFailedAt && est.Converged() {
+				// Tentative hit on the live view, which lags in-flight
+				// batches: let them settle, then confirm over the exact
+				// counts. The rest of the draw stays undispatched.
+				inflight.Wait()
+				if est.Converged() {
+					break
+				}
+				confirmFailedAt = est.Total()
+				continue
 			}
-			if est.Converged() {
-				dispatched = i
+			inflight.Add(1)
+			select {
+			case e := <-errCh:
+				inflight.Done()
+				errs = append(errs, e)
 				break dispatch
+			case <-ctx.Done():
+				inflight.Done()
+				errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
+				break dispatch
+			case next <- jobs[i]:
+				i++
 			}
-			confirmFailedAt = est.Total()
-			continue
 		}
-		select {
-		case e := <-errCh:
-			errs = append(errs, e)
-			dispatched = i
-			break dispatch
-		case <-ctx.Done():
-			errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
-			dispatched = i
-			break dispatch
-		case next <- i:
-			pending.Add(1)
-			i++
+		// The epoch barrier: every dispatched batch settles before counts
+		// are evaluated or re-allocated — the determinism contract.
+		inflight.Wait()
+		for _, d := range epoch {
+			rep.addDraw(d, cfg.KeepResults)
 		}
+		if stopOnConverge && est.Converged() {
+			break
+		}
+		epoch = src.next(rep)
+		jobs = epochJobs(epoch)
 	}
 	close(next)
 	wg.Wait()
@@ -891,37 +984,6 @@ drain:
 	}
 
 	mergeSp := cfg.Obs.Tracer.StartSpan("merge", "core", runSp.Context())
-	rep := newReport()
-	if dispatched == len(batches) {
-		for _, res := range results {
-			rep.add(res, cfg.KeepResults)
-		}
-	} else {
-		// Early stop: only the dispatched batches' sample positions were
-		// executed (undispatched positions hold the invalid zero Result).
-		// Aggregate in sample-position order so kept Results stay in the
-		// campaign's deterministic dispatch order.
-		done := make([]bool, len(results))
-		for bi := 0; bi < dispatched; bi++ {
-			for _, pos := range batches[bi] {
-				done[pos] = true
-			}
-		}
-		for pos, res := range results {
-			if done[pos] {
-				rep.add(res, cfg.KeepResults)
-			}
-		}
-	}
-	if cfg.Stratum != "" {
-		// The whole shard draws from one stratum; merging shard reports
-		// accumulates these rows into the campaign's per-stratum breakdown.
-		row := make(map[Outcome]int, len(rep.Counts))
-		for o, n := range rep.Counts {
-			row[o] = n
-		}
-		rep.ByStratum = map[string]map[Outcome]int{cfg.Stratum: row}
-	}
 	rep.Workers = workers
 	if collect {
 		rep.Metrics = mergedSnapshot()
@@ -929,8 +991,13 @@ drain:
 	if cfg.Stop.Enabled() {
 		// The authoritative evaluation: exact aggregate counts (the
 		// monitor's live view lags in-flight batches), with per-unit and
-		// per-type strata.
-		rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule())
+		// per-type strata — and, for a Neyman campaign, every sampling
+		// stratum of the plan.
+		if src.pops != nil {
+			rep.Convergence = rep.ComputeConvergenceStrata(cfg.Stop.Rule(), src.pops)
+		} else {
+			rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule())
+		}
 		// Final convergence events over that evaluation: a fast campaign
 		// can finish before the monitor's first tick, and the stop event
 		// must carry the settled n. The monitor has stopped, so seen is
@@ -941,7 +1008,7 @@ drain:
 	if cfg.Obs.Progress != nil {
 		// One final, complete update (the ticker goroutine has stopped, so
 		// this never races with a periodic call).
-		p := ProgressFrom(rep.Metrics, len(bits), workers, start)
+		p := ProgressFrom(rep.Metrics, src.total, workers, start)
 		p.Convergence = rep.Convergence
 		cfg.Obs.Progress(p)
 	}
@@ -949,6 +1016,46 @@ drain:
 		runSp.AttrInt("injections", int64(rep.Total)).AttrInt("workers", int64(workers)).End()
 	}
 	return rep, nil
+}
+
+// epochJobs flattens an epoch's draws into its dispatch order: draw by
+// draw, each draw's batches in plan order.
+func epochJobs(draws []*draw) []job {
+	var jobs []job
+	for _, d := range draws {
+		for _, pos := range d.batches {
+			jobs = append(jobs, job{d, pos})
+		}
+	}
+	return jobs
+}
+
+// addDraw folds a settled draw into the report in sequence order, so kept
+// Results stay in the campaign's deterministic dispatch order. Positions
+// never dispatched (a mid-epoch stop) still hold the invalid zero Result
+// and are skipped. A keyed draw also feeds its stratum's ByStratum row —
+// merging stratum-shard reports accumulates those rows into the campaign's
+// per-stratum breakdown.
+func (r *Report) addDraw(d *draw, keep bool) {
+	var row map[Outcome]int
+	if d.key != "" {
+		if r.ByStratum == nil {
+			r.ByStratum = make(map[string]map[Outcome]int)
+		}
+		if row = r.ByStratum[d.key]; row == nil {
+			row = make(map[Outcome]int)
+			r.ByStratum[d.key] = row
+		}
+	}
+	for _, res := range d.res {
+		if res.Outcome == 0 {
+			continue
+		}
+		r.add(res, keep)
+		if row != nil {
+			row[res.Outcome]++
+		}
+	}
 }
 
 // emitConvergenceEvents records each class's first margin crossing — and,

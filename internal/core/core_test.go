@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,6 +149,33 @@ func TestStickyLiveFaultEscalatesToCheckstop(t *testing.T) {
 	res := r.RunInjection(bit)
 	if res.Outcome != Checkstop && res.Outcome != Hang {
 		t.Errorf("permanent stuck-at outcome %v, want checkstop (or hang)", res.Outcome)
+	}
+}
+
+// TestStickyErrSrcFaultClassifies: rut.err.src holds the first-error
+// checker ID in an injectable 8-bit latch, so a held flip can leave it
+// naming a checker that does not exist. The verdict must report that as an
+// invalid checker, not index out of range.
+func TestStickyErrSrcFaultClassifies(t *testing.T) {
+	cfg := fastRunnerConfig()
+	cfg.Mode = engine.Sticky
+	cfg.StickyCycles = 0
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := 0
+	for b := 0; b < 8; b++ {
+		res := r.RunInjection(findBit(t, r.DB(), "rut.err.src", 0, b))
+		if res.Outcome < Vanished || res.Outcome > SDC {
+			t.Errorf("bit %d: outcome %v", b, res.Outcome)
+		}
+		if strings.HasPrefix(res.FirstChecker, "invalid-checker-") {
+			invalid++
+		}
+	}
+	if invalid == 0 {
+		t.Error("no rut.err.src stuck-at named an out-of-range checker; the regression is not exercised")
 	}
 }
 
@@ -374,6 +402,12 @@ func TestRunnerCloneEquivalence(t *testing.T) {
 	}
 }
 
+// allocModes are the allocation policies the executor-behaviour tests run
+// under: fail-fast, joined errors, cancellation and the final progress
+// update are one code path and must hold for uniform and Neyman campaigns
+// alike.
+var allocModes = []AllocConfig{{Mode: AllocUniform}, {Mode: AllocNeyman}}
+
 // TestCampaignWorkerStartFailFast forces a worker constructor error and
 // checks the campaign aborts with it instead of draining all injections.
 func TestCampaignWorkerStartFailFast(t *testing.T) {
@@ -384,22 +418,27 @@ func TestCampaignWorkerStartFailFast(t *testing.T) {
 	}
 	defer func() { newWorkerRunner = old }()
 
-	cfg := fastCampaignConfig()
-	cfg.Workers = 4
-	cfg.Flips = 4000 // large enough that draining it all would be obvious
-	done := make(chan struct{})
-	var err error
-	go func() {
-		_, err = RunCampaign(cfg)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("campaign did not fail fast")
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want wrapped sentinel", err)
+	for _, alloc := range allocModes {
+		t.Run(alloc.Mode, func(t *testing.T) {
+			cfg := fastCampaignConfig()
+			cfg.Alloc = alloc
+			cfg.Workers = 4
+			cfg.Flips = 4000 // large enough that draining it all would be obvious
+			done := make(chan struct{})
+			var err error
+			go func() {
+				_, err = RunCampaign(cfg)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("campaign did not fail fast")
+			}
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("err = %v, want wrapped sentinel", err)
+			}
+		})
 	}
 }
 

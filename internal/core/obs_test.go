@@ -138,50 +138,55 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // fast progress callback — the -race exercise for the progress path — and
 // checks the final update is complete and consistent.
 func TestCampaignProgressCallback(t *testing.T) {
-	cfg := fastCampaignConfig()
-	cfg.Flips = 60
-	cfg.Workers = 4
-	cfg.Obs.ProgressEvery = time.Millisecond
-	var mu sync.Mutex
-	var calls int
-	var last Progress
-	cfg.Obs.Progress = func(p Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if p.Done < last.Done {
-			t.Errorf("progress went backwards: %d -> %d", last.Done, p.Done)
-		}
-		if p.Done > p.Total {
-			t.Errorf("done %d > total %d", p.Done, p.Total)
-		}
-		last = p
-	}
-	rep, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls == 0 {
-		t.Fatal("progress callback never fired")
-	}
-	if last.Done != rep.Total || last.Total != rep.Total {
-		t.Errorf("final progress %d/%d, want %d/%d", last.Done, last.Total, rep.Total, rep.Total)
-	}
-	if last.Workers != 4 || rep.Workers != 4 {
-		t.Errorf("workers: progress %d, report %d, want 4", last.Workers, rep.Workers)
-	}
-	var mix uint64
-	for _, n := range last.Outcomes {
-		mix += n
-	}
-	if int(mix) != rep.Total {
-		t.Errorf("final outcome mix sums to %d, want %d", mix, rep.Total)
-	}
-	// Progress implies metrics: the report carries the snapshot.
-	if rep.Metrics == nil {
-		t.Error("progress-enabled campaign returned no metrics snapshot")
+	for _, alloc := range allocModes {
+		t.Run(alloc.Mode, func(t *testing.T) {
+			cfg := fastCampaignConfig()
+			cfg.Alloc = alloc
+			cfg.Flips = 60
+			cfg.Workers = 4
+			cfg.Obs.ProgressEvery = time.Millisecond
+			var mu sync.Mutex
+			var calls int
+			var last Progress
+			cfg.Obs.Progress = func(p Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				if p.Done < last.Done {
+					t.Errorf("progress went backwards: %d -> %d", last.Done, p.Done)
+				}
+				if p.Done > p.Total {
+					t.Errorf("done %d > total %d", p.Done, p.Total)
+				}
+				last = p
+			}
+			rep, err := RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if calls == 0 {
+				t.Fatal("progress callback never fired")
+			}
+			if last.Done != rep.Total || last.Total != rep.Total {
+				t.Errorf("final progress %d/%d, want %d/%d", last.Done, last.Total, rep.Total, rep.Total)
+			}
+			if last.Workers != 4 || rep.Workers != 4 {
+				t.Errorf("workers: progress %d, report %d, want 4", last.Workers, rep.Workers)
+			}
+			var mix uint64
+			for _, n := range last.Outcomes {
+				mix += n
+			}
+			if int(mix) != rep.Total {
+				t.Errorf("final outcome mix sums to %d, want %d", mix, rep.Total)
+			}
+			// Progress implies metrics: the report carries the snapshot.
+			if rep.Metrics == nil {
+				t.Error("progress-enabled campaign returned no metrics snapshot")
+			}
+		})
 	}
 }
 
@@ -236,23 +241,29 @@ func TestCampaignAllWorkerErrorsSurfaced(t *testing.T) {
 	}
 	defer func() { newWorkerRunner = old }()
 
-	cfg := fastCampaignConfig()
-	cfg.Workers = 4
-	cfg.Flips = 4000
-	_, err := RunCampaign(cfg)
-	if err == nil {
-		t.Fatal("no error from all-workers-failed campaign")
-	}
-	if !errors.Is(err, sentinelA) || !errors.Is(err, sentinelB) {
-		t.Fatalf("joined error missing a distinct failure: %v", err)
-	}
-	// Duplicate messages are deduplicated: each worker's message is unique
-	// (it carries the worker index), so here every reported one appears once.
-	msg := err.Error()
-	for _, w := range []string{"worker 1", "worker 2", "worker 3"} {
-		if strings.Count(msg, w) > 1 {
-			t.Errorf("worker error %q duplicated in %q", w, msg)
-		}
+	for _, alloc := range allocModes {
+		t.Run(alloc.Mode, func(t *testing.T) {
+			cfg := fastCampaignConfig()
+			cfg.Alloc = alloc
+			cfg.Workers = 4
+			cfg.Flips = 4000
+			_, err := RunCampaign(cfg)
+			if err == nil {
+				t.Fatal("no error from all-workers-failed campaign")
+			}
+			if !errors.Is(err, sentinelA) || !errors.Is(err, sentinelB) {
+				t.Fatalf("joined error missing a distinct failure: %v", err)
+			}
+			// Duplicate messages are deduplicated: each worker's message is
+			// unique (it carries the worker index), so here every reported
+			// one appears once.
+			msg := err.Error()
+			for _, w := range []string{"worker 1", "worker 2", "worker 3"} {
+				if strings.Count(msg, w) > 1 {
+					t.Errorf("worker error %q duplicated in %q", w, msg)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"sfi/internal/latch"
+	"sfi/internal/stats"
 )
 
 // This file is the stratified refactor of the campaign sampling contract.
@@ -140,4 +141,49 @@ func PlanStratumShards(lo, n, shardSize int) []ShardRange {
 		out[i].Hi += lo
 	}
 	return out
+}
+
+// ArmStop returns stop as a campaign under this allocation evaluates it:
+// stratified allocation makes the per-stratum margins the stoppable target,
+// so the rule's Strata gate is armed for the estimator, the stop decision
+// and the final report evaluation alike. It is the one place the gate is
+// set — the local executor and the distributed coordinator (before it
+// derives its journal header and worker-facing spec) both go through it.
+func (a AllocConfig) ArmStop(stop StopConfig) StopConfig {
+	if a.Stratified() && stop.Enabled() {
+		stop.Strata = true
+	}
+	return stop
+}
+
+// NextEpoch is the allocation-epoch decision of a stratified campaign — the
+// one copy, shared by the local executor and the distributed coordinator.
+// A flips-injection budget is spent in alloc's epochs of ceil(flips/epochs)
+// injections (the last may be short); at each epoch boundary the Neyman
+// allocator splits the epoch's budget across the plan's strata from their
+// settled outcome counts (settled, keyed like Report.ByStratum), the
+// sequence prefix each has already drawn, and the budget still remaining.
+// It returns the per-stratum shares in plan order and the injections they
+// allocate; allocated == 0 means the campaign is over — the budget is spent
+// or every stratum's population is exhausted. A pure function: nothing but
+// its arguments decides the result, which is what lets a coordinator
+// restarted over its journal re-plan identically.
+func (p *SamplePlan) NextEpoch(flips int, alloc AllocConfig, rule stats.StopRule,
+	settled map[string]map[Outcome]int, drawn map[string]int, remaining int) (shares []stats.StratumShare, allocated int) {
+	budget := min(remaining, (flips+alloc.epochs()-1)/alloc.epochs())
+	if budget <= 0 {
+		return nil, 0
+	}
+	states := make([]stats.StratumState, len(p.Strata))
+	for i, s := range p.Strata {
+		c := stratumFromRow(settled[s.Key])
+		states[i] = stats.StratumState{
+			Key: s.Key, Population: len(s.Bits), Drawn: drawn[s.Key], Total: c.Total, Counts: c.Counts,
+		}
+	}
+	shares = rule.Allocate(outcomeNames(), states, budget)
+	for _, sh := range shares {
+		allocated += sh.Next
+	}
+	return shares, allocated
 }

@@ -144,10 +144,15 @@ func TestReportMergeNilAndEmpty(t *testing.T) {
 func TestRunCampaignContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := fastCampaignConfig()
-	cfg.Flips = 40
-	if _, err := RunCampaignContext(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	for _, alloc := range allocModes {
+		t.Run(alloc.Mode, func(t *testing.T) {
+			cfg := fastCampaignConfig()
+			cfg.Alloc = alloc
+			cfg.Flips = 40
+			if _, err := RunCampaignContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 

@@ -161,11 +161,11 @@ type Coordinator struct {
 	// journal replay re-plans identically.
 	plan         *core.SamplePlan
 	strataPops   map[string]int
-	drawn        map[string]int              // per-stratum sequence prefix already planned
-	sealedStrata map[string]map[string]int64 // per-stratum outcome counts over completed shards
-	epoch        int                         // next allocation epoch ordinal
-	budgetLeft   int                         // campaign injections not yet allocated
-	replaying    bool                        // journal replay in progress: suppress boundary decisions
+	drawn        map[string]int                  // per-stratum sequence prefix already planned
+	sealedStrata map[string]map[core.Outcome]int // per-stratum outcome counts over completed shards
+	epoch        int                             // next allocation epoch ordinal
+	budgetLeft   int                             // campaign injections not yet allocated
+	replaying    bool                            // journal replay in progress: suppress boundary decisions
 
 	stopReaper chan struct{}
 	reaperDone chan struct{}
@@ -189,12 +189,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err := cfg.Campaign.Alloc.Validate(); err != nil {
 		return nil, err
 	}
-	// Stratified allocation makes the per-stratum margins the stoppable
-	// target, exactly as the local executor does. Armed before the journal
-	// header and the worker-facing spec are derived, so both are stable.
-	if cfg.Campaign.Alloc.Stratified() && cfg.Campaign.Stop.Enabled() {
-		cfg.Campaign.Stop.Strata = true
-	}
+	// Armed before the journal header and the worker-facing spec are
+	// derived, so both are stable.
+	cfg.Campaign.Stop = cfg.Campaign.Alloc.ArmStop(cfg.Campaign.Stop)
 	if cfg.ShardSize <= 0 {
 		cfg.ShardSize = (cfg.Campaign.Flips + 63) / 64
 	}
@@ -241,7 +238,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.strataPops = c.plan.Populations()
 		c.drawn = make(map[string]int, len(c.plan.Strata))
-		c.sealedStrata = make(map[string]map[string]int64, len(c.plan.Strata))
+		c.sealedStrata = make(map[string]map[core.Outcome]int, len(c.plan.Strata))
 		c.budgetLeft = cfg.Campaign.Flips
 	} else {
 		for id, r := range core.PlanShards(cfg.Campaign.Flips, cfg.ShardSize) {
@@ -495,11 +492,11 @@ func (c *Coordinator) markDoneLocked(s *shard, rep *core.Report) {
 		for key, row := range rep.ByStratum {
 			d := c.sealedStrata[key]
 			if d == nil {
-				d = make(map[string]int64, len(row))
+				d = make(map[core.Outcome]int, len(row))
 				c.sealedStrata[key] = d
 			}
 			for o, n := range row {
-				d[o.String()] += int64(n)
+				d[o] += n
 			}
 		}
 	}
@@ -540,24 +537,6 @@ func (c *Coordinator) sealedConvergenceLocked() *stats.Convergence {
 		rep.Merge(s.report)
 	}
 	return rep.ComputeConvergenceStrata(c.cfg.Campaign.Stop.Rule(), c.strataPops)
-}
-
-// strataStatesLocked assembles the allocator's per-stratum view from the
-// sealed counts, in plan order.
-func (c *Coordinator) strataStatesLocked() []stats.StratumState {
-	keys := c.plan.Keys()
-	out := make([]stats.StratumState, len(keys))
-	for i, k := range keys {
-		s := stats.StratumState{Key: k, Population: c.strataPops[k], Drawn: c.drawn[k]}
-		if row := c.sealedStrata[k]; len(row) > 0 {
-			s.Counts = row
-			for _, n := range row {
-				s.Total += n
-			}
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // planEpochLocked turns an allocation's shares into shard leases, each a
@@ -615,21 +594,8 @@ func (c *Coordinator) epochBoundaryLocked() {
 			return
 		}
 	}
-	rule := stop.Rule()
-	epochs := c.cfg.Campaign.Alloc.Epochs
-	if epochs <= 0 {
-		epochs = core.DefaultAllocEpochs
-	}
-	epochBudget := (c.cfg.Campaign.Flips + epochs - 1) / epochs
-	eb := min(c.budgetLeft, epochBudget)
-	allocated := 0
-	var shares []stats.StratumShare
-	if eb > 0 {
-		shares = rule.Allocate(outcomeClasses(), c.strataStatesLocked(), eb)
-		for _, sh := range shares {
-			allocated += sh.Next
-		}
-	}
+	shares, allocated := c.plan.NextEpoch(c.cfg.Campaign.Flips, c.cfg.Campaign.Alloc, stop.Rule(),
+		c.sealedStrata, c.drawn, c.budgetLeft)
 	if allocated == 0 {
 		// Budget spent, or every (unconverged) stratum's population is
 		// exhausted: the campaign is complete.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -267,6 +268,106 @@ func TestJournalRestart(t *testing.T) {
 	}
 	if rep.Total != 30 {
 		t.Fatalf("resumed campaign total %d, want 30", rep.Total)
+	}
+}
+
+// TestJournalTornTailSurvivesRestarts: a crash mid-append leaves a torn last
+// line. The restart must cut it off before appending — a record glued onto
+// the fragment would be unreadable on the restart after that, taking every
+// later shard with it — so two restarts later the journal still replays
+// every shard to the undisturbed report. Damage followed by intact records
+// is not a torn tail and must refuse to open.
+func TestJournalTornTailSurvivesRestarts(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 40
+	// Distinct per-shard reports, so a dropped shard shows in the counts.
+	wire := func(id int) *WireReport {
+		w := fakeWire(10)
+		w.Counts = map[string]int{"vanished": 9 - id, "corrected": 1 + id}
+		return w
+	}
+	// run opens a coordinator over journal, checks how many shards the
+	// replay recovered, then leases and completes n more.
+	run := func(journal string, n int, wantDone int) (*Coordinator, func()) {
+		t.Helper()
+		c, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(c.Handler())
+		if p := c.Progress(); p.Done != wantDone {
+			t.Fatalf("coordinator over %s replayed %d shards, want %d", journal, p.Done, wantDone)
+		}
+		for i := 0; i < n; i++ {
+			var l leaseResponse
+			if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
+				t.Fatalf("lease: status %d", s)
+			}
+			if s := rawPost(t, srv.URL+"/v1/complete",
+				completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wire(l.Shard.ID)}, nil); s != http.StatusOK {
+				t.Fatalf("complete shard %d: status %d", l.Shard.ID, s)
+			}
+		}
+		return c, func() { srv.Close(); c.Close() }
+	}
+	wait := func(c *Coordinator) []byte {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rep, err := c.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	dir := t.TempDir()
+	c, stop := run(filepath.Join(dir, "undisturbed"), 4, 0)
+	want := wait(c)
+	stop()
+
+	journal := filepath.Join(dir, "torn")
+	_, stop = run(journal, 2, 0)
+	stop()
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"shard":2,"report":{"total":10,"cou`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	_, stop = run(journal, 1, 2) // first restart: the torn shard reruns
+	stop()
+	c, stop = run(journal, 1, 3) // second restart: nothing was lost to the tear
+	if got := wait(c); !bytes.Equal(got, want) {
+		t.Errorf("report after a torn tail and two restarts differs from the undisturbed run:\n got %s\nwant %s", got, want)
+	}
+	stop()
+	c, stop = run(journal, 0, 4) // and the finished journal replays whole
+	if got := wait(c); !bytes.Equal(got, want) {
+		t.Errorf("replayed report differs from the undisturbed run:\n got %s\nwant %s", got, want)
+	}
+	stop()
+
+	// Mid-file corruption: damage line 3 of the finished journal in place.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines[2] = append([]byte("#"), lines[2]...)
+	if err := os.WriteFile(journal, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}); err == nil {
+		c.Close()
+		t.Error("journal with a corrupt line before intact ones was accepted")
 	}
 }
 

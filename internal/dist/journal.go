@@ -22,7 +22,8 @@ import (
 // already marked done, every recorded allocation re-applied verbatim (in
 // order — an allocation is a function of the sealed counts before it), and
 // the stop decision, if one was reached, honored verbatim. A torn final
-// line (crash mid-append) is ignored on replay — that work simply reruns.
+// line (crash mid-append) is cut off on replay — that work simply reruns —
+// while damage followed by intact records refuses to open.
 
 type journalHeader struct {
 	V    int    `json:"v"`
@@ -90,6 +91,9 @@ type journal struct {
 // different campaign over it would merge unrelated shards.
 func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []replayEntry, error) {
 	var entries []replayEntry
+	// good is the offset just past the last complete, parseable line: what
+	// replay recovered, and where the next append must start.
+	good := 0
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err) || (err == nil && len(data) == 0):
@@ -97,7 +101,7 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 	case err != nil:
 		return nil, nil, fmt.Errorf("dist: read journal: %w", err)
 	default:
-		lines := bytes.Split(data, []byte("\n"))
+		lines := bytes.SplitAfter(data, []byte("\n"))
 		var got journalHeader
 		if err := json.Unmarshal(lines[0], &got); err != nil {
 			return nil, nil, fmt.Errorf("dist: journal %s: bad header: %w", path, err)
@@ -106,15 +110,32 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 			return nil, nil, fmt.Errorf("dist: journal %s belongs to a different campaign plan (%+v, want %+v)",
 				path, got, hdr)
 		}
+		// A line is whole only once its newline is on disk: a crash
+		// mid-append leaves a prefix, which may even parse.
+		nl := []byte("\n")
+		off, torn := len(lines[0]), 0 // torn: number of the first damaged line, 0 = none
+		if bytes.HasSuffix(lines[0], nl) {
+			good = off
+		} else {
+			torn = 1
+		}
 		for i, line := range lines[1:] {
+			off += len(line)
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
 			var e journalEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				// Torn tail from a crash mid-append: rerun that work.
-				log.Warn("journal torn tail ignored", "path", path, "line", i+2)
-				break
+			if !bytes.HasSuffix(line, nl) || json.Unmarshal(line, &e) != nil {
+				if torn == 0 {
+					torn = i + 2
+				}
+				continue
+			}
+			if torn != 0 {
+				// Damage with intact records after it is not a torn tail;
+				// dropping those records would silently change the report.
+				return nil, nil, fmt.Errorf("dist: journal %s: line %d is corrupt but line %d after it is intact; refusing to resume",
+					path, torn, i+2)
 			}
 			re := replayEntry{shard: e.Shard, stop: e.Stop, alloc: e.Alloc}
 			if e.Report != nil {
@@ -125,6 +146,11 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 				re.report = rep
 			}
 			entries = append(entries, re)
+			good = off
+		}
+		if torn != 0 {
+			// Torn tail from a crash mid-append: rerun that work.
+			log.Warn("journal torn tail dropped", "path", path, "line", torn)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -132,7 +158,16 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 		return nil, nil, fmt.Errorf("dist: open journal: %w", err)
 	}
 	j := &journal{f: f}
-	if len(data) == 0 {
+	// Cut the file back to the last whole line before anything is appended:
+	// a record glued onto a torn fragment would be unreadable on the next
+	// restart, and everything after it with it.
+	if good < len(data) {
+		if err := f.Truncate(int64(good)); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("dist: truncate journal torn tail: %w", err)
+		}
+	}
+	if good == 0 {
 		if err := j.writeLine(hdr); err != nil {
 			f.Close()
 			return nil, nil, err

@@ -164,7 +164,7 @@ func (c *Coordinator) Status() Status {
 				Planned:    c.drawn[key],
 			}
 			for _, n := range c.sealedStrata[key] {
-				row.Sealed += n
+				row.Sealed += int64(n)
 			}
 			av.Strata = append(av.Strata, row)
 		}

@@ -236,7 +236,13 @@ func (b *Backend) Verdict() engine.Verdict {
 	}
 	if id, cyc, ok := c.FirstError(); ok {
 		v.Detected = true
-		v.FirstChecker = c.CheckerByID(id).Name
+		// id is read from rut.err.src, an injectable latch: a held flip can
+		// leave it naming no checker at all.
+		if chk := c.Checkers(); id < len(chk) {
+			v.FirstChecker = chk[id].Name
+		} else {
+			v.FirstChecker = fmt.Sprintf("invalid-checker-%d", id)
+		}
 		v.DetectCycle = cyc
 	}
 	return v
