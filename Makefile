@@ -3,7 +3,7 @@ GO ?= go
 # `make bench BENCH=BENCH_pr10.json`.
 BENCH ?= BENCH_pr10.json
 
-.PHONY: build bins test race vet bench overhead smoke ci
+.PHONY: build bins test race vet fmt bench overhead smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any file is not gofmt-clean; `gofmt -l .` names them.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # The -race pass targets the packages that exercise concurrent model copies
 # and cross-process coordination: internal/core (campaign fan-out over
@@ -59,4 +63,4 @@ overhead:
 smoke:
 	$(GO) test -count=1 -run TestLoopbackSubmitConvergeReport ./internal/server
 
-ci: vet build bins test race overhead smoke
+ci: vet fmt build bins test race overhead smoke

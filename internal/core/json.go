@@ -12,11 +12,11 @@ import (
 
 // reportJSON is the stable wire format of a Report.
 type reportJSON struct {
-	Total     int                           `json:"total"`
-	Counts    map[string]int                `json:"counts"`
-	Fractions map[string]float64            `json:"fractions"`
-	ByUnit    map[string]map[string]int     `json:"by_unit"`
-	ByType    map[string]map[string]int     `json:"by_type"`
+	Total     int                       `json:"total"`
+	Counts    map[string]int            `json:"counts"`
+	Fractions map[string]float64        `json:"fractions"`
+	ByUnit    map[string]map[string]int `json:"by_unit"`
+	ByType    map[string]map[string]int `json:"by_type"`
 	// ByStratum is present only for stratified campaigns (sampling-stratum
 	// rows keyed "UNIT/latch-class"), so uniform report JSON stays
 	// byte-identical.
