@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sfi/internal/engine"
 	"sfi/internal/obs"
 )
 
@@ -32,6 +33,33 @@ const (
 	goldenAllocateSpans    = "6aa498f1b2fac08de752162d80d9dbfbdfca98d461f27de3fcfbf26da2dfc315"
 	goldenAwanStratum      = "df8e4cfe21c27a021745487e9010057163e161dd2ad15c52e2bf741628a913f3"
 )
+
+// Digests of the injection modes and machine configurations the toggle rows
+// above never reach — the sticky force, the span flip and the monitored
+// run's raw and no-recovery exits — plus per-result digests: the report JSON
+// drops vanished results, so only these pin the cycle count of the common
+// case. Recorded while p6lite still drove the model through internal/emu.
+const (
+	goldenP6liteSticky200    = "c5ababab295a04a7fe9e0450d655dcf72743472c651176dd2c3d5ab95616553d"
+	goldenP6liteStickyPerm   = "b4752067189ad9c8b593667565a6f38fb559d4cd4eea4bf20540f79e44cd9205"
+	goldenP6liteSpan3        = "7052e7ebddc2f2014bb9570c7d21a1402e597c0d87d2df24218407cc75c83162"
+	goldenP6liteRaw          = "953fad40cf50c26541fd9388f40b22081f852fe3d016a2ab35a53f867b60f455"
+	goldenP6liteNoRecovery   = "f3f4a13d94ef28a50077fc74d0889be3e890390954aa4cde4e61711b8cbb4171"
+	goldenP6liteToggleRes    = "0545dbd1b1f7a8083c8102ff6e2c54214717a2a59c8269d6691bd6f5cf727dd7"
+	goldenP6liteSticky200Res = "517bf944336cacb96c955f99f5821ea35d5b58ee8c6e6531d2e1e091961df316"
+	goldenP6liteSpan3Res     = "ec5ade415d8ed61db92d4f64ad3cf34e0ee634de8e65158a536a122e356c9228"
+)
+
+// resultsDigest is the SHA-256 over every kept Result, vanished ones
+// included, one line each.
+func resultsDigest(rep *Report) string {
+	h := sha256.New()
+	for _, r := range rep.Results {
+		fmt.Fprintf(h, "%d %s %d %d %d %v %s %d\n", r.Bit, r.Outcome, r.Cycles, r.TestEnds,
+			r.Recoveries, r.Detected, r.FirstChecker, r.DetectLatency)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // reportDigest is the SHA-256 of the report's stable wire JSON.
 func reportDigest(t *testing.T, rep *Report) string {
@@ -59,24 +87,45 @@ func TestGoldenReportDigests(t *testing.T) {
 		// is exhausted a few epochs in (200 of 400 flips on p6lite, 45 of
 		// 120 on awan), so the campaign must stop before the budget is spent.
 		early bool
+		// wantResults, when set, pins resultsDigest of the kept Results.
+		wantResults string
 	}{
-		{"p6lite/uniform", "p6lite", goldenP6liteUniform, func(c *CampaignConfig) {}, false},
+		{"p6lite/uniform", "p6lite", goldenP6liteUniform, func(c *CampaignConfig) {}, false, goldenP6liteToggleRes},
 		{"p6lite/neyman", "p6lite", goldenP6liteNeyman, func(c *CampaignConfig) {
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 3}
-		}, false},
+		}, false, ""},
+		{"p6lite/sticky-200", "p6lite", goldenP6liteSticky200, func(c *CampaignConfig) {
+			c.Runner.Mode = engine.Sticky
+			c.Runner.StickyCycles = 200
+		}, false, goldenP6liteSticky200Res},
+		{"p6lite/sticky-permanent", "p6lite", goldenP6liteStickyPerm, func(c *CampaignConfig) {
+			c.Runner.Mode = engine.Sticky
+		}, false, ""},
+		{"p6lite/span3", "p6lite", goldenP6liteSpan3, func(c *CampaignConfig) {
+			// 200 flips: in the default 120 no flipped neighbour changes a
+			// result, so the row would only repeat the toggle digests.
+			c.Flips = 200
+			c.Runner.SpanBits = 3
+		}, false, goldenP6liteSpan3Res},
+		{"p6lite/raw", "p6lite", goldenP6liteRaw, func(c *CampaignConfig) {
+			c.Runner.CheckersOn = false
+		}, false, ""},
+		{"p6lite/no-recovery", "p6lite", goldenP6liteNoRecovery, func(c *CampaignConfig) {
+			c.Runner.RecoveryOn = false
+		}, false, ""},
 		{"p6lite/neyman-stop", "p6lite", goldenP6liteNeymanStop, func(c *CampaignConfig) {
 			c.Flips = 400
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 8}
 			c.Stop = StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
-		}, true},
-		{"awan/uniform", "awan", goldenAwanUniform, func(c *CampaignConfig) {}, false},
+		}, true, ""},
+		{"awan/uniform", "awan", goldenAwanUniform, func(c *CampaignConfig) {}, false, ""},
 		{"awan/neyman", "awan", goldenAwanNeyman, func(c *CampaignConfig) {
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 3}
-		}, false},
+		}, false, ""},
 		{"awan/neyman-stop", "awan", goldenAwanNeymanStop, func(c *CampaignConfig) {
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 8}
 			c.Stop = StopConfig{TargetMargin: 0.5, MinPerClass: 10, StopOnConverge: true}
-		}, true},
+		}, true, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
@@ -96,6 +145,15 @@ func TestGoldenReportDigests(t *testing.T) {
 				}
 				if got := reportDigest(t, rep); got != tc.want {
 					t.Errorf("workers=%d: report digest %s, want %s", workers, got, tc.want)
+				}
+				if tc.wantResults == "" {
+					continue
+				}
+				if len(rep.Results) != rep.Total {
+					t.Fatalf("workers=%d: kept %d results of %d", workers, len(rep.Results), rep.Total)
+				}
+				if got := resultsDigest(rep); got != tc.wantResults {
+					t.Errorf("workers=%d: results digest %s, want %s", workers, got, tc.wantResults)
 				}
 			}
 		})
