@@ -19,7 +19,6 @@ import (
 	"math/rand/v2"
 
 	"sfi/internal/avp"
-	"sfi/internal/emu"
 	"sfi/internal/proc"
 	"sfi/internal/stats"
 )
@@ -101,18 +100,17 @@ func Run(cfg Config) (*Report, error) {
 	}
 	c := proc.New(cfg.Proc)
 	c.Mem().LoadProgram(0, prog.Words)
-	eng := emu.New(c)
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xbea3))
 
 	// Warm to steady state and checkpoint (the "system restart" image
 	// used after fatal events, as the real rig power-cycled the machine).
 	ends := 0
 	for ends < 2*cfg.AVP.Testcases {
-		if eng.Step().TestEnd {
+		if c.Step().TestEnd {
 			ends++
 		}
 	}
-	eng.SaveCheckpoint()
+	ckpt := c.SaveCheckpoint()
 	nextTC := ends % cfg.AVP.Testcases
 	baseRecov := c.Recoveries
 
@@ -165,7 +163,7 @@ func Run(cfg Config) (*Report, error) {
 
 	restart := func() {
 		harvest()
-		eng.Reload()
+		c.RestoreCheckpoint(ckpt)
 		lastRecov = c.Recoveries
 		lastArrayCorr = arrayCorr()
 	}
@@ -179,7 +177,7 @@ func Run(cfg Config) (*Report, error) {
 	lastCompleted := c.Completed
 
 	for delivered < cfg.Strikes || deadline < cfg.SettleCycles {
-		ev := eng.Step()
+		ev := c.Step()
 		rep.Cycles++
 		if delivered >= cfg.Strikes {
 			deadline++

@@ -163,6 +163,46 @@ func (r *Runner) classify(bit int, st engine.RunStats, v engine.Verdict, sdc boo
 	return res
 }
 
+// record feeds one classified injection to the attached metrics collector
+// and trace sink. ns is the wall time charged to the injection. The scalar
+// path supplies its restore time and has the FIR polled; a batch lane has
+// only its share of the pass, and its FIR bits are not separable.
+func (r *Runner) record(res Result, t0 time.Time, ckIdx, delay int, ns uint64, restoreNs, propagateNs int64, pollFIR bool) {
+	if r.obs != nil {
+		r.obs.ObserveInjection(ns)
+		r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
+		if res.Detected {
+			r.obs.ObserveDetect(res.DetectLatency)
+		}
+	}
+	if r.trace == nil {
+		return
+	}
+	var fir []string
+	if pollFIR {
+		fir = r.be.FIRNames()
+	}
+	r.trace.Record(&obs.TraceEvent{
+		TS:            t0.UnixNano(),
+		Bit:           res.Bit,
+		Group:         res.Group,
+		Unit:          res.Unit,
+		LatchType:     res.LatchType.String(),
+		Checkpoint:    ckIdx,
+		DelayCycles:   delay,
+		RestoreNs:     restoreNs,
+		PropagateNs:   propagateNs,
+		Cycles:        res.Cycles,
+		TestEnds:      res.TestEnds,
+		Outcome:       res.Outcome.String(),
+		Detected:      res.Detected,
+		FirstChecker:  res.FirstChecker,
+		DetectLatency: res.DetectLatency,
+		Recoveries:    res.Recoveries,
+		FIR:           fir,
+	})
+}
+
 // RunInjection reloads a phase-determined checkpoint, injects a single bit
 // flip and observes the machine, returning the classified result.
 func (r *Runner) RunInjection(bit int) Result {
@@ -222,33 +262,8 @@ func (r *Runner) RunInjection(bit int) Result {
 	}
 	res := r.classify(bit, run, r.be.Verdict(), sdc, injectCycle)
 
-	if r.obs != nil {
-		r.obs.ObserveInjection(uint64(time.Since(t0).Nanoseconds()))
-		r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
-		if res.Detected {
-			r.obs.ObserveDetect(res.DetectLatency)
-		}
-	}
-	if r.trace != nil {
-		r.trace.Record(&obs.TraceEvent{
-			TS:            t0.UnixNano(),
-			Bit:           res.Bit,
-			Group:         res.Group,
-			Unit:          res.Unit,
-			LatchType:     res.LatchType.String(),
-			Checkpoint:    ckIdx,
-			DelayCycles:   delay,
-			RestoreNs:     restoreNs,
-			PropagateNs:   propagateNs,
-			Cycles:        res.Cycles,
-			TestEnds:      res.TestEnds,
-			Outcome:       res.Outcome.String(),
-			Detected:      res.Detected,
-			FirstChecker:  res.FirstChecker,
-			DetectLatency: res.DetectLatency,
-			Recoveries:    res.Recoveries,
-			FIR:           r.be.FIRNames(),
-		})
+	if observed {
+		r.record(res, t0, ckIdx, delay, uint64(time.Since(t0).Nanoseconds()), restoreNs, propagateNs, true)
 	}
 	return res
 }
@@ -326,31 +341,8 @@ func (r *Runner) RunInjectionBatch(bits []int) []Result {
 	for i, br := range brs {
 		res := r.classify(bits[i], br.Stats, br.Verdict, br.SDC, br.InjectCycle)
 		out[i] = res
-		if r.obs != nil {
-			r.obs.ObserveInjection(shareNs)
-			r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
-			if res.Detected {
-				r.obs.ObserveDetect(res.DetectLatency)
-			}
-		}
-		if r.trace != nil {
-			r.trace.Record(&obs.TraceEvent{
-				TS:            t0.UnixNano(),
-				Bit:           res.Bit,
-				Group:         res.Group,
-				Unit:          res.Unit,
-				LatchType:     res.LatchType.String(),
-				Checkpoint:    ckIdx,
-				DelayCycles:   injs[i].Delay,
-				PropagateNs:   int64(shareNs),
-				Cycles:        res.Cycles,
-				TestEnds:      res.TestEnds,
-				Outcome:       res.Outcome.String(),
-				Detected:      res.Detected,
-				FirstChecker:  res.FirstChecker,
-				DetectLatency: res.DetectLatency,
-				Recoveries:    res.Recoveries,
-			})
+		if observed {
+			r.record(res, t0, ckIdx, injs[i].Delay, shareNs, 0, int64(shareNs), false)
 		}
 	}
 	return out

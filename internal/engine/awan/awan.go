@@ -243,12 +243,6 @@ func (b *Backend) ReloadPhase(p int) {
 	}
 }
 
-// TakeCheckpoint captures the value plane and workload tracking.
-func (b *Backend) TakeCheckpoint() engine.Checkpoint { return b.snapshot() }
-
-// Reload restores a TakeCheckpoint snapshot.
-func (b *Backend) Reload(ck engine.Checkpoint) { b.restore(ck.(gateCkpt)) }
-
 // stepStim drives the stimulus for the current workload position and
 // clocks the netlist, advancing the workload tracking — the lane-neutral
 // core of Step, shared with the bit-parallel RunBatch loop. It reports

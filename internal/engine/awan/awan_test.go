@@ -136,12 +136,12 @@ func TestCloneEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip: TakeCheckpoint/Reload must restore the full
+// TestCheckpointRoundTrip: snapshot/restore must restore the full
 // observable machine state, including workload position.
 func TestCheckpointRoundTrip(t *testing.T) {
 	b := newBackend(t)
 	b.ReloadPhase(2)
-	ck := b.TakeCheckpoint()
+	ck := b.snapshot()
 	cycle, op := b.Cycle(), b.op
 
 	// Corrupt heavily, then reload.
@@ -149,7 +149,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Run(30, nil)
-	b.Reload(ck)
+	b.restore(ck)
 
 	if b.Cycle() != cycle || b.op != op {
 		t.Fatalf("reload restored cycle %d op %d, want %d %d", b.Cycle(), b.op, cycle, op)
@@ -157,7 +157,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if b.errSeen || b.stickyOn {
 		t.Fatal("reload kept error/sticky state")
 	}
-	if got := b.eng.Snapshot(); !reflect.DeepEqual(got, ck.(gateCkpt).vals) {
+	if got := b.eng.Snapshot(); !reflect.DeepEqual(got, ck.vals) {
 		t.Fatal("reload did not restore the value plane")
 	}
 	// And the restored machine still runs clean.

@@ -4,7 +4,7 @@
 // enumerate state bits, checkpoint/reload, inject, clock, observe — and
 // this package states exactly that contract as the Backend interface, plus
 // a config-driven registry so campaigns select a model fidelity by name:
-// the latch-accurate "p6lite" core model (internal/emu + internal/proc) or
+// the latch-accurate "p6lite" core model (internal/proc under the AVP) or
 // the gate-level "awan" netlist engine (internal/awan). Everything above
 // this seam — sampling, sharding, warm-clone workers, dirty-restore
 // checkpoints, metrics/trace/progress, distributed execution — is backend
@@ -92,9 +92,6 @@ type Verdict struct {
 	Corrected bool
 }
 
-// Checkpoint is an opaque backend-defined model snapshot.
-type Checkpoint any
-
 // Backend is one injectable machine model. A Backend is single-goroutine
 // (campaigns give every worker its own via Clone); construction leaves it
 // warmed to workload steady state with a set of phased checkpoints spread
@@ -107,12 +104,9 @@ type Backend interface {
 
 	// Phases returns the number of phased checkpoints; ReloadPhase
 	// restores the model (and the backend's workload tracking) to one of
-	// them. TakeCheckpoint/Reload are the generic save/restore pair for
-	// callers managing their own snapshots.
+	// them, clearing any sticky force.
 	Phases() int
 	ReloadPhase(p int)
-	TakeCheckpoint() Checkpoint
-	Reload(ck Checkpoint)
 
 	// Step clocks one machine cycle, maintaining any sticky force.
 	Step() Event

@@ -23,12 +23,12 @@ func BenchmarkRestoreCheckpoint(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := be.(*Backend)
-	c := r.eng.Core()
+	c := r.core
 	ck := r.ckpts[0].ck
 	perturb := func() {
 		c.DB().Flip(0)
 		for i := 0; i < 200; i++ {
-			r.eng.Step()
+			c.Step()
 		}
 	}
 	b.Run("dirty", func(b *testing.B) {

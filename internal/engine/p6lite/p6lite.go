@@ -1,17 +1,19 @@
 // Package p6lite adapts the latch-accurate POWER6-style core model
-// (internal/proc driven by internal/emu under the AVP workload) as the
-// default engine backend. Construction generates the AVP, warms the model
-// to workload steady state, installs the dirty-tracking restore baseline
-// and captures one phased checkpoint per testcase boundary; verification
-// barriers are AVP testends, checked against the program's golden
-// signatures and memory digests.
+// (internal/proc under the AVP workload) as the default engine backend —
+// the analogue of the paper's Awan accelerator plus its controlling host.
+// Construction generates the AVP, warms the model to workload steady state,
+// installs the dirty-tracking restore baseline and captures one phased
+// checkpoint per testcase boundary. The backend schedules latch-bit faults
+// (toggle and sticky mode) and clocks the model while monitoring the fault
+// isolation registers and machine events; verification barriers are AVP
+// testends, checked against the program's golden signatures and memory
+// digests.
 package p6lite
 
 import (
 	"fmt"
 
 	"sfi/internal/avp"
-	"sfi/internal/emu"
 	"sfi/internal/engine"
 	"sfi/internal/latch"
 	"sfi/internal/obs"
@@ -39,11 +41,16 @@ type phasedCheckpoint struct {
 	nextTC int // testcase index expected at the next testend barrier
 }
 
-// Backend owns one emulated core model warmed for repeated injections.
+// Backend owns one core model warmed for repeated injections.
 type Backend struct {
 	cfg  engine.Config
-	eng  *emu.Engine
+	core *proc.Core
 	prog *avp.Program
+
+	// obs is the optional metrics collector (nil = off). Cycle accounting
+	// is batched per monitored Run rather than per Step, so the per-cycle
+	// hot path carries no instrumentation at all.
+	obs *obs.Metrics
 
 	ckpts     []phasedCheckpoint
 	baseRecov uint64
@@ -54,6 +61,12 @@ type Backend struct {
 	// lastActivity is the recovery count at injection time, the baseline
 	// for the quiesce busy check.
 	lastActivity uint64
+
+	// Active sticky force, if any.
+	stickyOn    bool
+	stickyBit   int
+	stickyVal   bool
+	stickyUntil uint64 // cycle bound; 0 = forever
 }
 
 // New builds, warms and checkpoints a backend.
@@ -69,7 +82,6 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	c.Mem().LoadProgram(0, prog.Words)
 	c.SetCheckersEnabled(cfg.CheckersOn)
 	c.SetRecoveryEnabled(cfg.RecoveryOn)
-	eng := emu.New(c)
 
 	// Warm: two full passes reach AVP steady state (memory and registers
 	// in their periodic regime).
@@ -79,7 +91,7 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		if guard > 50_000_000 {
 			return nil, fmt.Errorf("p6lite: warm-up did not converge")
 		}
-		if eng.Step().TestEnd {
+		if c.Step().TestEnd {
 			ends++
 		}
 	}
@@ -89,21 +101,21 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	c.InstallRestoreBaseline()
 	b := &Backend{
 		cfg:       cfg,
-		eng:       eng,
+		core:      c,
 		prog:      prog,
 		baseRecov: c.Recoveries,
 	}
 	// One checkpoint per testcase boundary across a third full pass.
 	for i := 0; i < cfg.AVP.Testcases; i++ {
 		b.ckpts = append(b.ckpts, phasedCheckpoint{
-			ck:     eng.TakeCheckpoint(),
+			ck:     c.SaveCheckpoint(),
 			nextTC: ends % cfg.AVP.Testcases,
 		})
 		for guard := 0; ; guard++ {
 			if guard > 50_000_000 {
 				return nil, fmt.Errorf("p6lite: checkpoint pass did not converge")
 			}
-			if eng.Step().TestEnd {
+			if c.Step().TestEnd {
 				ends++
 				break
 			}
@@ -122,90 +134,132 @@ func (b *Backend) Clone() engine.Backend {
 	c := proc.New(b.cfg.Proc)
 	c.SetCheckersEnabled(b.cfg.CheckersOn)
 	c.SetRecoveryEnabled(b.cfg.RecoveryOn)
-	c.AdoptBaselineFrom(b.eng.Core())
-	eng := emu.New(c)
+	c.AdoptBaselineFrom(b.core)
 	nb := &Backend{
 		cfg:       b.cfg,
-		eng:       eng,
+		core:      c,
 		prog:      b.prog,
 		ckpts:     b.ckpts,
 		baseRecov: b.baseRecov,
-		nextTC:    b.ckpts[0].nextTC,
 	}
 	// Synchronize counters and capture state with a (dirty-path) reload.
-	eng.ReloadFrom(b.ckpts[0].ck)
+	nb.ReloadPhase(0)
 	return nb
 }
 
 // Core exposes the underlying model (bench and experiment access; the
 // campaign layer stays behind the Backend interface).
-func (b *Backend) Core() *proc.Core { return b.eng.Core() }
+func (b *Backend) Core() *proc.Core { return b.core }
 
 // Program exposes the AVP running on the model.
 func (b *Backend) Program() *avp.Program { return b.prog }
 
 // DB exposes the model's latch database.
-func (b *Backend) DB() *latch.DB { return b.eng.Core().DB() }
+func (b *Backend) DB() *latch.DB { return b.core.DB() }
 
 // Phases returns the phased-checkpoint count (one per AVP testcase).
 func (b *Backend) Phases() int { return len(b.ckpts) }
 
-// ReloadPhase restores phased checkpoint p and its testcase tracking.
+// ReloadPhase restores phased checkpoint p and its testcase tracking,
+// clearing any sticky force.
 func (b *Backend) ReloadPhase(p int) {
 	ph := b.ckpts[p]
-	b.eng.ReloadFrom(ph.ck)
+	b.core.RestoreCheckpoint(ph.ck)
+	b.stickyOn = false
 	b.nextTC = ph.nextTC
 }
 
-// ckpt pairs a model checkpoint with its barrier tracking.
-type ckpt struct {
-	ck     *proc.ModelCheckpoint
-	nextTC int
-}
-
-// TakeCheckpoint captures the model state and barrier tracking.
-func (b *Backend) TakeCheckpoint() engine.Checkpoint {
-	return ckpt{ck: b.eng.TakeCheckpoint(), nextTC: b.nextTC}
-}
-
-// Reload restores a TakeCheckpoint snapshot.
-func (b *Backend) Reload(c engine.Checkpoint) {
-	k := c.(ckpt)
-	b.eng.ReloadFrom(k.ck)
-	b.nextTC = k.nextTC
+// clock steps the model one cycle and re-applies an active sticky force.
+func (b *Backend) clock() proc.Event {
+	ev := b.core.Step()
+	if b.stickyOn {
+		if b.stickyUntil != 0 && b.core.Cycle >= b.stickyUntil {
+			b.stickyOn = false
+		} else {
+			b.core.DB().Poke(b.stickyBit, b.stickyVal)
+		}
+	}
+	return ev
 }
 
 // Step clocks one cycle, rotating the expected-testcase index at barriers.
 func (b *Backend) Step() engine.Event {
-	ev := b.eng.Step()
+	ev := b.clock()
 	if ev.TestEnd {
 		b.nextTC = (b.nextTC + 1) % b.cfg.AVP.Testcases
 	}
 	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
 }
 
-// Inject applies the fault and snapshots the recovery count as the quiesce
-// baseline for CheckBarrier's busy test.
+// Inject applies a fault at the current cycle: the bit (and the rest of its
+// span) is flipped, and in sticky mode the flipped value is re-forced after
+// every subsequent cycle until the duration expires. It also snapshots the
+// recovery count as the quiesce baseline for CheckBarrier's busy test.
 func (b *Backend) Inject(inj engine.Injection) error {
-	if err := b.eng.Inject(inj); err != nil {
-		return err
+	db := b.core.DB()
+	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
+		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
-	b.lastActivity = b.eng.Core().Recoveries
+	v := db.Flip(inj.Bit)
+	for i := 1; i < inj.Span && inj.Bit+i < db.TotalBits(); i++ {
+		db.Flip(inj.Bit + i)
+	}
+	if inj.Mode == engine.Sticky {
+		b.stickyOn = true
+		b.stickyBit = inj.Bit
+		b.stickyVal = v
+		b.stickyUntil = 0
+		if inj.Duration > 0 {
+			b.stickyUntil = b.core.Cycle + uint64(inj.Duration)
+		}
+	}
+	b.lastActivity = b.core.Recoveries
 	return nil
 }
 
-// Run clocks up to maxCycles under the emulation engine's monitored run
-// (checkstop, hang and forward-progress watchdogs included).
+// Run clocks up to maxCycles, invoking onBarrier at every testend (if
+// non-nil; returning false from the callback stops the run). The run also
+// stops on halt, checkstop, a detected hang, or harness-level loss of
+// forward progress (nothing completed for 2×HangLimit cycles). The barrier
+// callback, not Run, rotates the expected testcase (see CheckBarrier).
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
-	st := b.eng.Run(maxCycles, onBarrier)
-	return engine.RunStats{
-		Cycles:     st.Cycles,
-		Barriers:   st.TestEnds,
-		Halted:     st.Halted,
-		Checkstop:  st.Checkstop,
-		Hang:       st.Hang,
-		NoProgress: st.NoProgress,
+	var st engine.RunStats
+	c := b.core
+	lastCompleted := c.Completed
+	lastProgressCycle := c.Cycle
+	harnessLimit := uint64(2 * c.Config().HangLimit)
+
+	for i := 0; i < maxCycles; i++ {
+		ev := b.clock()
+		st.Cycles++
+		if c.Completed != lastCompleted {
+			lastCompleted = c.Completed
+			lastProgressCycle = c.Cycle
+		}
+		if ev.TestEnd {
+			st.Barriers++
+			if onBarrier != nil && !onBarrier() {
+				break
+			}
+		}
+		switch {
+		case ev.Halted:
+			st.Halted = true
+		case c.Checkstopped():
+			st.Checkstop = true
+		case c.HangDetected():
+			st.Hang = true
+		case c.Cycle-lastProgressCycle > harnessLimit:
+			st.NoProgress = true
+		default:
+			continue
+		}
+		break
 	}
+	if b.obs != nil {
+		b.obs.ObserveRun(st.Cycles)
+	}
+	return st
 }
 
 // CheckBarrier verifies architected state against the retiring testcase's
@@ -214,7 +268,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 func (b *Backend) CheckBarrier() engine.BarrierCheck {
 	tc := b.prog.Testcases[b.nextTC]
 	b.nextTC = (b.nextTC + 1) % b.cfg.AVP.Testcases
-	c := b.eng.Core()
+	c := b.core
 	st := c.ArchState()
 	sigOK := st.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked
 	memOK := c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
@@ -228,7 +282,7 @@ func (b *Backend) CheckBarrier() engine.BarrierCheck {
 // Verdict polls the machine-check state: checkstop, first-error trace,
 // recovery count since construction, and correction evidence.
 func (b *Backend) Verdict() engine.Verdict {
-	c := b.eng.Core()
+	c := b.core
 	v := engine.Verdict{
 		Checkstop:  c.Checkstopped(),
 		Recoveries: c.Recoveries - b.baseRecov,
@@ -248,11 +302,26 @@ func (b *Backend) Verdict() engine.Verdict {
 	return v
 }
 
-// FIRNames returns the names of the checkers whose FIR bits are set.
-func (b *Backend) FIRNames() []string { return b.eng.FIRNames() }
+// FIRNames returns the names of the checkers whose fault-isolation-register
+// bits are currently set — the FIR poll the paper's host does after each
+// injection, used for structured trace events.
+func (b *Backend) FIRNames() []string {
+	var out []string
+	for _, ch := range b.core.Checkers() {
+		if b.core.FIRBit(ch.ID) {
+			out = append(out, ch.Name)
+		}
+	}
+	return out
+}
 
 // Cycle returns the current machine cycle.
-func (b *Backend) Cycle() uint64 { return b.eng.Core().Cycle }
+func (b *Backend) Cycle() uint64 { return b.core.Cycle }
 
-// SetObs attaches a metrics collector to the engine and core.
-func (b *Backend) SetObs(m *obs.Metrics) { b.eng.SetObs(m) }
+// SetObs attaches a metrics collector to the backend and its core (nil
+// detaches, the default). Monitored runs then record their cycle counts
+// and the core times its checkpoint restores.
+func (b *Backend) SetObs(m *obs.Metrics) {
+	b.obs = m
+	b.core.SetObs(m)
+}

@@ -1,91 +1,80 @@
-package emu
+package p6lite
 
 import (
 	"testing"
 
-	"sfi/internal/avp"
 	"sfi/internal/bits"
+	"sfi/internal/engine"
 	"sfi/internal/isa"
 	"sfi/internal/mem"
 	"sfi/internal/proc"
 )
 
-func newEngine(t *testing.T) (*Engine, *avp.Program) {
+// newBackend builds a small warmed backend: four testcases, so four phased
+// checkpoints.
+func newBackend(t *testing.T) *Backend {
 	t.Helper()
-	cfg := avp.DefaultConfig()
-	cfg.Testcases = 4
-	cfg.BodyOps = 10
-	p := avp.MustGenerate(cfg)
-	core := proc.New(proc.DefaultConfig())
-	core.Mem().LoadProgram(0, p.Words)
-	e := New(core)
-	// Warm to steady state: two full passes.
-	ends := 0
-	for ends < 2*cfg.Testcases {
-		if e.Step().TestEnd {
-			ends++
-		}
+	cfg := engine.DefaultConfig()
+	cfg.AVP.Testcases = 4
+	cfg.AVP.BodyOps = 10
+	be, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return e, p
+	return be.(*Backend)
 }
 
-func TestCheckpointReloadDeterminism(t *testing.T) {
-	e, _ := newEngine(t)
-	e.SaveCheckpoint()
+// findBit returns the logical index of bit bitInEntry of the first entry of
+// the named latch group.
+func findBit(t *testing.T, b *Backend, group string, bitInEntry int) int {
+	t.Helper()
+	db := b.DB()
+	for i := 0; i < db.TotalBits(); i++ {
+		if g, _, bie := db.Locate(i); g.Name == group && bie == bitInEntry {
+			return i
+		}
+	}
+	t.Fatalf("no bit %d in group %q", bitInEntry, group)
+	return -1
+}
 
+func TestReloadPhaseDeterminism(t *testing.T) {
+	b := newBackend(t)
 	sigOf := func() []uint64 {
+		b.ReloadPhase(1)
 		var sigs []uint64
 		for len(sigs) < 6 {
-			if ev := e.Step(); ev.TestEnd {
-				sigs = append(sigs, ev.Signature)
+			if b.Step().Barrier {
+				st := b.Core().ArchState()
+				sigs = append(sigs, st.Signature())
 			}
 		}
 		return sigs
 	}
-	a := sigOf()
-	e.Reload()
-	b := sigOf()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("signature %d differs after reload: %#x vs %#x", i, a[i], b[i])
+	first, second := sigOf(), sigOf()
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("signature %d differs after reload: %#x vs %#x", i, first[i], second[i])
 		}
 	}
-}
-
-func TestReloadWithoutCheckpointPanics(t *testing.T) {
-	e := New(proc.New(proc.DefaultConfig()))
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on Reload without checkpoint")
-		}
-	}()
-	e.Reload()
 }
 
 func TestInjectRangeError(t *testing.T) {
-	e, _ := newEngine(t)
-	if err := e.Inject(Injection{Bit: -1, Mode: Toggle}); err == nil {
+	b := newBackend(t)
+	if err := b.Inject(engine.Injection{Bit: -1, Mode: engine.Toggle}); err == nil {
 		t.Error("no error for negative bit")
 	}
-	if err := e.Inject(Injection{Bit: 1 << 30, Mode: Toggle}); err == nil {
+	if err := b.Inject(engine.Injection{Bit: 1 << 30, Mode: engine.Toggle}); err == nil {
 		t.Error("no error for out-of-range bit")
 	}
 }
 
 func TestToggleInjectionFlipsOnce(t *testing.T) {
-	e, _ := newEngine(t)
-	db := e.Core().DB()
-	g, _ := db.GroupByName("prv.trace")
-	_ = g
-	// Pick a quiet bit (spare mode latches are never rewritten by logic).
-	var bit int
-	for b := 0; b < db.TotalBits(); b++ {
-		if gg, _, _ := db.Locate(b); gg.Name == "prv.mode.spare" {
-			bit = b
-			break
-		}
-	}
-	if err := e.Inject(Injection{Bit: bit, Mode: Toggle}); err != nil {
+	b := newBackend(t)
+	db := b.DB()
+	// A quiet bit: spare mode latches are never rewritten by logic.
+	bit := findBit(t, b, "prv.mode.spare", 0)
+	if err := b.Inject(engine.Injection{Bit: bit, Mode: engine.Toggle}); err != nil {
 		t.Fatal(err)
 	}
 	if !db.Peek(bit) {
@@ -93,34 +82,23 @@ func TestToggleInjectionFlipsOnce(t *testing.T) {
 	}
 	// Nothing forces it back: flipping again restores it.
 	db.Flip(bit)
-	e.Step()
+	b.Step()
 	if db.Peek(bit) {
 		t.Error("toggle mode kept forcing the bit")
 	}
 }
 
 func TestStickyInjectionHolds(t *testing.T) {
-	e, _ := newEngine(t)
-	db := e.Core().DB()
+	b := newBackend(t)
+	db := b.DB()
 	// A live, constantly rewritten latch: the hang counter.
-	g, ok := db.GroupByName("prv.hang.cnt")
-	if !ok {
-		t.Fatal("no hang counter group")
-	}
-	_ = g
-	var bit int
-	for b := 0; b < db.TotalBits(); b++ {
-		if gg, _, bb := db.Locate(b); gg.Name == "prv.hang.cnt" && bb == 9 {
-			bit = b
-			break
-		}
-	}
-	if err := e.Inject(Injection{Bit: bit, Mode: Sticky, Duration: 20}); err != nil {
+	bit := findBit(t, b, "prv.hang.cnt", 9)
+	if err := b.Inject(engine.Injection{Bit: bit, Mode: engine.Sticky, Duration: 20}); err != nil {
 		t.Fatal(err)
 	}
 	want := db.Peek(bit)
 	for i := 0; i < 15; i++ {
-		e.Step()
+		b.Step()
 		if db.Peek(bit) != want {
 			t.Fatalf("sticky bit released at step %d", i)
 		}
@@ -128,80 +106,75 @@ func TestStickyInjectionHolds(t *testing.T) {
 	// After the duration the force is gone; the logic rewrites the
 	// counter every cycle, so the bit returns to normal counting.
 	for i := 0; i < 30; i++ {
-		e.Step()
+		b.Step()
 	}
-	if e.stickyOn {
+	if b.stickyOn {
 		t.Error("sticky force still active past its duration")
+	}
+}
+
+func TestReloadPhaseClearsStickyForce(t *testing.T) {
+	b := newBackend(t)
+	bit := findBit(t, b, "prv.hang.cnt", 9)
+	if err := b.Inject(engine.Injection{Bit: bit, Mode: engine.Sticky}); err != nil {
+		t.Fatal(err)
+	}
+	b.ReloadPhase(0)
+	if b.stickyOn {
+		t.Error("permanent sticky force survived a phase reload")
 	}
 }
 
 func TestRunStopsOnHalt(t *testing.T) {
 	core := proc.New(proc.DefaultConfig())
 	core.Mem().LoadProgram(0, isa.MustAssemble("addi r1, r0, 5\nhalt"))
-	e := New(core)
-	st := e.Run(100000, nil)
+	b := &Backend{core: core}
+	st := b.Run(100000, nil)
 	if !st.Halted {
 		t.Fatalf("run did not report halt: %+v", st)
 	}
 }
 
-func TestRunCountsTestEnds(t *testing.T) {
-	e, p := newEngine(t)
+func TestRunCountsBarriers(t *testing.T) {
+	b := newBackend(t)
 	n := 0
-	st := e.Run(1_000_000, func() bool {
+	st := b.Run(1_000_000, func() bool {
 		n++
 		return n < 5
 	})
-	if st.TestEnds != 5 || n != 5 {
-		t.Errorf("testends = %d (callback %d), want 5", st.TestEnds, n)
+	if st.Barriers != 5 || n != 5 {
+		t.Errorf("barriers = %d (callback %d), want 5", st.Barriers, n)
 	}
-	_ = p
 }
 
 func TestRunDetectsCheckstop(t *testing.T) {
-	e, _ := newEngine(t)
-	db := e.Core().DB()
-	var bit int
-	for b := 0; b < db.TotalBits(); b++ {
-		if gg, _, _ := db.Locate(b); gg.Name == "prv.fir" {
-			bit = b
-			break
-		}
-	}
-	if err := e.Inject(Injection{Bit: bit, Mode: Toggle}); err != nil {
+	b := newBackend(t)
+	if err := b.Inject(engine.Injection{Bit: findBit(t, b, "prv.fir", 0), Mode: engine.Toggle}); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Run(10000, nil)
+	st := b.Run(10000, nil)
 	if !st.Checkstop {
 		t.Errorf("run did not report checkstop: %+v", st)
+	}
+	if len(b.FIRNames()) == 0 {
+		t.Error("FIR poll names no checker after a FIR bit was set")
 	}
 }
 
 func TestRunDetectsNoProgress(t *testing.T) {
-	e, _ := newEngine(t)
+	b := newBackend(t)
 	// Freeze the IFU via its clock enable and mask every checker so the
 	// watchdog cannot intervene: the harness itself must notice.
-	e.Core().SetCheckersEnabled(false)
-	db := e.Core().DB()
-	for b := 0; b < db.TotalBits(); b++ {
-		if gg, _, bb := db.Locate(b); gg.Name == "prv.mode.hanglim" && bb == 11 {
-			db.Poke(b, false) // hang limit 2048 -> 0: watchdog disabled
-			break
-		}
-	}
-	for b := 0; b < db.TotalBits(); b++ {
-		if gg, _, bb := db.Locate(b); gg.Name == "prv.mode.clock" && bb == 0 {
-			db.Poke(b, false) // IFU clock off
-			break
-		}
-	}
-	st := e.Run(100000, nil)
+	b.Core().SetCheckersEnabled(false)
+	b.DB().Poke(findBit(t, b, "prv.mode.hanglim", 11), false) // hang limit 2048 -> 0: watchdog disabled
+	b.DB().Poke(findBit(t, b, "prv.mode.clock", 0), false)    // IFU clock off
+	st := b.Run(100000, nil)
 	if !st.NoProgress {
 		t.Errorf("harness did not detect loss of progress: %+v", st)
 	}
 }
 
-// captureState snapshots everything RestoreCheckpoint is responsible for.
+// fullState is everything a checkpoint restore is responsible for.
 type fullState struct {
 	latches    []uint64
 	mem        *mem.Memory
@@ -263,44 +236,35 @@ func diffStates(t *testing.T, a, b fullState) {
 func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 	cases := []struct {
 		name string
-		inj  Injection
+		inj  engine.Injection
 	}{
-		{"toggle", Injection{Mode: Toggle}},
-		{"sticky", Injection{Mode: Sticky, Duration: 200}},
-		{"span3", Injection{Mode: Toggle, Span: 3}},
+		{"toggle", engine.Injection{Mode: engine.Toggle}},
+		{"sticky", engine.Injection{Mode: engine.Sticky, Duration: 200}},
+		{"span3", engine.Injection{Mode: engine.Toggle, Span: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, _ := newEngine(t)
-			c := e.Core()
-			c.InstallRestoreBaseline()
-			ck1 := e.TakeCheckpoint()
-			for i := 0; i < 700; i++ {
-				e.Step()
-			}
-			ck2 := e.TakeCheckpoint()
-
-			for runIdx, ck := range []*proc.ModelCheckpoint{ck2, ck1, ck2} {
+			b := newBackend(t)
+			c := b.Core()
+			for runIdx, phase := range []int{2, 0, 2} {
 				// Perturb: inject into a latch that is live during the
 				// AVP (a GPR word) and run a window.
-				g, ok := c.DB().GroupByName("fxu.gpr")
-				if !ok {
-					t.Fatal("no fxu.gpr group")
-				}
 				inj := tc.inj
-				inj.Bit = gprBit(c, g.Name, 2+runIdx)
-				if err := e.Inject(inj); err != nil {
+				inj.Bit = gprBit(c, "fxu.gpr", 2+runIdx)
+				if err := b.Inject(inj); err != nil {
 					t.Fatal(err)
 				}
-				e.Run(2_000, nil)
+				b.Run(2_000, nil)
 
 				// Dirty path (RestoreCheckpoint picks it: baselines match).
-				e.ReloadFrom(ck)
+				b.ReloadPhase(phase)
 				dirty := captureState(c)
 				// Full path from an arbitrary dirtied state.
-				e.Inject(Injection{Bit: inj.Bit, Mode: Toggle})
-				e.Run(500, nil)
-				c.RestoreCheckpointFull(ck)
+				if err := b.Inject(engine.Injection{Bit: inj.Bit, Mode: engine.Toggle}); err != nil {
+					t.Fatal(err)
+				}
+				b.Run(500, nil)
+				c.RestoreCheckpointFull(b.ckpts[phase].ck)
 				full := captureState(c)
 				diffStates(t, dirty, full)
 			}
