@@ -27,7 +27,7 @@ fmt:
 # and cross-process coordination: internal/core (campaign fan-out over
 # cloned runners), internal/engine and its backends (the registry plus the
 # p6lite/awan models that campaign workers clone concurrently),
-# internal/emu, internal/awan (the gate engine cloned per worker),
+# internal/awan (the gate engine cloned per worker),
 # internal/dist (the loopback coordinator+worker integration tests, HTTP
 # leases, fleet aggregation), internal/obs (concurrent metrics collectors,
 # fleet snapshot merging, trace sinks), internal/stats (the lock-free
@@ -35,7 +35,7 @@ fmt:
 # (the single-flight image cache cloned into concurrent campaigns) and
 # internal/server (the multi-campaign scheduler and its executors).
 race:
-	$(GO) test -race ./internal/core ./internal/engine/... ./internal/emu ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server
+	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server
 
 # bench runs every benchmark once for a quick smoke, then has sfi-bench
 # re-measure the headline numbers and emit the machine-readable record to

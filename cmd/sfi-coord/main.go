@@ -123,30 +123,8 @@ type coordArgs struct {
 	quiet            bool
 }
 
-func filterSpec(unit, typ, macro string) (dist.FilterSpec, error) {
-	set := 0
-	var f dist.FilterSpec
-	if unit != "" {
-		f = dist.FilterSpec{Kind: "unit", Arg: unit}
-		set++
-	}
-	if typ != "" {
-		f = dist.FilterSpec{Kind: "type", Arg: typ}
-		set++
-	}
-	if macro != "" {
-		f = dist.FilterSpec{Kind: "prefix", Arg: macro}
-		set++
-	}
-	if set > 1 {
-		return f, fmt.Errorf("use at most one of -unit, -type, -macro")
-	}
-	_, err := f.Filter()
-	return f, err
-}
-
 func run(addr string, a coordArgs) error {
-	filter, err := filterSpec(a.unit, a.typ, a.macro)
+	filter, err := dist.FilterFromFlags(a.unit, a.typ, a.macro)
 	if err != nil {
 		return err
 	}

@@ -59,7 +59,7 @@ func clientSubmit(args []string) error {
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	filter, err := filterArgs(*unit, *typ, *macro)
+	filter, err := dist.FilterFromFlags(*unit, *typ, *macro)
 	if err != nil {
 		return err
 	}
@@ -200,30 +200,6 @@ func clientCancel(args []string) error {
 	}
 	fmt.Println("cancelled", id)
 	return nil
-}
-
-// filterArgs mirrors the local path's exclusive -unit/-type/-macro rule in
-// wire form.
-func filterArgs(unit, typ, macro string) (dist.FilterSpec, error) {
-	set := 0
-	var f dist.FilterSpec
-	if unit != "" {
-		f = dist.FilterSpec{Kind: "unit", Arg: unit}
-		set++
-	}
-	if typ != "" {
-		f = dist.FilterSpec{Kind: "type", Arg: typ}
-		set++
-	}
-	if macro != "" {
-		f = dist.FilterSpec{Kind: "prefix", Arg: macro}
-		set++
-	}
-	if set > 1 {
-		return f, fmt.Errorf("use at most one of -unit, -type, -macro")
-	}
-	_, err := f.Filter()
-	return f, err
 }
 
 // decodeClient checks the status code and decodes the JSON body.

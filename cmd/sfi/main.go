@@ -478,14 +478,9 @@ func reportUnits(rep *sfi.Report) []string {
 // the real lease/heartbeat/complete protocol over HTTP. The merged report
 // is identical (same seed → same outcomes) to the local path's.
 func runDist(a campaignArgs, cfg sfi.CampaignConfig) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) {
-	var fs dist.FilterSpec
-	switch {
-	case a.unit != "":
-		fs = dist.FilterSpec{Kind: "unit", Arg: a.unit}
-	case a.typ != "":
-		fs = dist.FilterSpec{Kind: "type", Arg: a.typ}
-	case a.macro != "":
-		fs = dist.FilterSpec{Kind: "prefix", Arg: a.macro}
+	fs, err := dist.FilterFromFlags(a.unit, a.typ, a.macro)
+	if err != nil {
+		return nil, 0, nil, err
 	}
 	// Split the machine's cores across the loopback workers unless the
 	// user pinned a per-shard worker count.

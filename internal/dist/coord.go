@@ -198,6 +198,11 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
 	}
+	if cfg.LeaseTTL < time.Millisecond {
+		// Leases carry the TTL in whole milliseconds: anything shorter
+		// reaches the workers as ttl_ms 0.
+		return nil, fmt.Errorf("dist: LeaseTTL %v is below the 1ms lease resolution", cfg.LeaseTTL)
+	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}

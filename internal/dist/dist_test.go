@@ -442,3 +442,67 @@ func TestWireReportRoundTrip(t *testing.T) {
 		t.Fatal("decoded a report with an unknown outcome")
 	}
 }
+
+// TestZeroTTLLeaseRejected: the lease TTL arrives off the network and paces
+// the worker's heartbeat ticker, so a lease carrying ttl_ms < 1 must come
+// back as an error (and a /v1/fail hand-back), not a ticker panic; and the
+// coordinator must not mint such leases from a sub-millisecond LeaseTTL.
+func TestZeroTTLLeaseRejected(t *testing.T) {
+	failed := make(chan failRequest, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, leaseResponse{Shard: ShardLease{ID: 3, Lo: 0, Hi: 4}, Campaign: testSpec(), TTLMs: 0})
+	})
+	mux.HandleFunc("/v1/fail", func(w http.ResponseWriter, r *http.Request) {
+		var req failRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		failed <- req
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, ID: "w0"}); err == nil {
+		t.Fatal("worker accepted a lease with ttl_ms 0")
+	} else if ctx.Err() != nil {
+		t.Fatalf("worker did not reject the lease before timeout: %v", err)
+	}
+	select {
+	case req := <-failed:
+		if req.Shard != 3 || req.Worker != "w0" {
+			t.Errorf("hand-back names shard %d worker %q, want 3 w0", req.Shard, req.Worker)
+		}
+	default:
+		t.Error("worker did not hand the shard back with /v1/fail")
+	}
+
+	if _, err := NewCoordinator(CoordConfig{Campaign: testSpec(), LeaseTTL: 500 * time.Microsecond}); err == nil {
+		t.Error("NewCoordinator accepted a sub-millisecond LeaseTTL")
+	}
+}
+
+func TestFilterFromFlags(t *testing.T) {
+	for _, tc := range []struct {
+		unit, typ, macro string
+		want             FilterSpec
+		wantErr          bool
+	}{
+		{want: FilterSpec{}},
+		{unit: "FXU", want: FilterSpec{Kind: "unit", Arg: "FXU"}},
+		{typ: "FUNC", want: FilterSpec{Kind: "type", Arg: "FUNC"}},
+		{macro: "lsu.stq", want: FilterSpec{Kind: "prefix", Arg: "lsu.stq"}},
+		{typ: "NOSUCH", wantErr: true},
+		{unit: "FXU", macro: "lsu.stq", wantErr: true},
+	} {
+		got, err := FilterFromFlags(tc.unit, tc.typ, tc.macro)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("FilterFromFlags(%q, %q, %q): err %v, want error %v", tc.unit, tc.typ, tc.macro, err, tc.wantErr)
+		}
+		if err == nil && got != tc.want {
+			t.Errorf("FilterFromFlags(%q, %q, %q) = %+v, want %+v", tc.unit, tc.typ, tc.macro, got, tc.want)
+		}
+	}
+}

@@ -52,6 +52,31 @@ func (f FilterSpec) Filter() (latch.Filter, error) {
 	}
 }
 
+// FilterFromFlags builds the spec for the commands' -unit/-type/-macro
+// flags: at most one of the three may be set, and a latch type must name a
+// known type.
+func FilterFromFlags(unit, typ, macro string) (FilterSpec, error) {
+	set := 0
+	var f FilterSpec
+	if unit != "" {
+		f = FilterSpec{Kind: "unit", Arg: unit}
+		set++
+	}
+	if typ != "" {
+		f = FilterSpec{Kind: "type", Arg: typ}
+		set++
+	}
+	if macro != "" {
+		f = FilterSpec{Kind: "prefix", Arg: macro}
+		set++
+	}
+	if set > 1 {
+		return f, fmt.Errorf("use at most one of -unit, -type, -macro")
+	}
+	_, err := f.Filter()
+	return f, err
+}
+
 // CampaignSpec is the serializable description of a campaign — everything
 // a worker needs to reproduce its slice of the deterministic sample. It is
 // the wire twin of core.CampaignConfig minus the process-local parts

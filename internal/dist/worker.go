@@ -253,6 +253,13 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	log := w.log.With("shard", sh.ID)
 	log.Info("shard leased", "lo", sh.Lo, "hi", sh.Hi, "stratum", sh.Stratum)
 
+	// The TTL comes off the network and paces the heartbeat ticker, which
+	// panics on a non-positive interval.
+	if lease.TTLMs < 1 {
+		err := fmt.Errorf("dist: worker %s: lease for shard %d carries ttl_ms %d", id, sh.ID, lease.TTLMs)
+		w.fail(sh.ID, err)
+		return err
+	}
 	ccfg, err := lease.Campaign.CampaignConfig(sh)
 	if err != nil {
 		w.fail(sh.ID, err)
