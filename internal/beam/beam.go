@@ -91,9 +91,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Strikes < 1 {
 		return nil, fmt.Errorf("beam: need at least one strike")
 	}
-	if cfg.AVP.MemBytes != cfg.Proc.MemBytes {
-		cfg.AVP.MemBytes = cfg.Proc.MemBytes
-	}
+	cfg.AVP.MemBytes = cfg.Proc.MemBytes
 	prog, err := avp.Generate(cfg.AVP)
 	if err != nil {
 		return nil, err

@@ -168,12 +168,10 @@ func (r *Runner) classify(bit int, st engine.RunStats, v engine.Verdict, sdc boo
 // path supplies its restore time and has the FIR polled; a batch lane has
 // only its share of the pass, and its FIR bits are not separable.
 func (r *Runner) record(res Result, t0 time.Time, ckIdx, delay int, ns uint64, restoreNs, propagateNs int64, pollFIR bool) {
-	if r.obs != nil {
-		r.obs.ObserveInjection(ns)
-		r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
-		if res.Detected {
-			r.obs.ObserveDetect(res.DetectLatency)
-		}
+	r.obs.ObserveInjection(ns) // nil-safe, like every Metrics method
+	r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
+	if res.Detected {
+		r.obs.ObserveDetect(res.DetectLatency)
 	}
 	if r.trace == nil {
 		return
@@ -328,20 +326,17 @@ func (r *Runner) RunInjectionBatch(bits []int) []Result {
 		}
 		sp.End()
 	}
-	// The pass's wall time is shared work: attribute an equal share to
-	// each injection so rate and busy metrics stay comparable with the
-	// scalar path.
-	var shareNs uint64
-	if observed {
-		shareNs = uint64(time.Since(t0).Nanoseconds()) / uint64(len(bits))
-	}
-	r.obs.ObserveBatch(uint64(len(bits)))
-
 	out := make([]Result, len(bits))
 	for i, br := range brs {
-		res := r.classify(bits[i], br.Stats, br.Verdict, br.SDC, br.InjectCycle)
-		out[i] = res
-		if observed {
+		out[i] = r.classify(bits[i], br.Stats, br.Verdict, br.SDC, br.InjectCycle)
+	}
+	if observed {
+		// The pass's wall time is shared work: attribute an equal share to
+		// each injection so rate and busy metrics stay comparable with the
+		// scalar path.
+		shareNs := uint64(time.Since(t0).Nanoseconds()) / uint64(len(bits))
+		r.obs.ObserveBatch(uint64(len(bits)))
+		for i, res := range out {
 			r.record(res, t0, ckIdx, injs[i].Delay, shareNs, 0, int64(shareNs), false)
 		}
 	}

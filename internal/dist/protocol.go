@@ -56,19 +56,13 @@ func (f FilterSpec) Filter() (latch.Filter, error) {
 // flags: at most one of the three may be set, and a latch type must name a
 // known type.
 func FilterFromFlags(unit, typ, macro string) (FilterSpec, error) {
-	set := 0
 	var f FilterSpec
-	if unit != "" {
-		f = FilterSpec{Kind: "unit", Arg: unit}
-		set++
-	}
-	if typ != "" {
-		f = FilterSpec{Kind: "type", Arg: typ}
-		set++
-	}
-	if macro != "" {
-		f = FilterSpec{Kind: "prefix", Arg: macro}
-		set++
+	set := 0
+	for _, c := range []FilterSpec{{"unit", unit}, {"type", typ}, {"prefix", macro}} {
+		if c.Arg != "" {
+			f = c
+			set++
+		}
 	}
 	if set > 1 {
 		return f, fmt.Errorf("use at most one of -unit, -type, -macro")

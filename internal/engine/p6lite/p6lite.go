@@ -56,7 +56,7 @@ type Backend struct {
 	baseRecov uint64
 
 	// nextTC is the testcase index expected at the next testend barrier;
-	// Step and CheckBarrier rotate it as barriers retire.
+	// Step rotates it as barriers retire.
 	nextTC int
 	// lastActivity is the recovery count at injection time, the baseline
 	// for the quiesce busy check.
@@ -71,9 +71,7 @@ type Backend struct {
 
 // New builds, warms and checkpoints a backend.
 func New(cfg engine.Config) (engine.Backend, error) {
-	if cfg.AVP.MemBytes != cfg.Proc.MemBytes {
-		cfg.AVP.MemBytes = cfg.Proc.MemBytes
-	}
+	cfg.AVP.MemBytes = cfg.Proc.MemBytes
 	prog, err := avp.Generate(cfg.AVP)
 	if err != nil {
 		return nil, err
@@ -85,14 +83,10 @@ func New(cfg engine.Config) (engine.Backend, error) {
 
 	// Warm: two full passes reach AVP steady state (memory and registers
 	// in their periodic regime).
-	warmEnds := 2 * cfg.AVP.Testcases
-	ends := 0
-	for guard := 0; ends < warmEnds; guard++ {
-		if guard > 50_000_000 {
-			return nil, fmt.Errorf("p6lite: warm-up did not converge")
-		}
-		if c.Step().TestEnd {
-			ends++
+	n := cfg.AVP.Testcases
+	for ends := 0; ends < 2*n; ends++ {
+		if err := runToTestEnd(c); err != nil {
+			return nil, err
 		}
 	}
 	// Install the dirty-tracking restore baseline at steady state: the
@@ -106,22 +100,23 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		baseRecov: c.Recoveries,
 	}
 	// One checkpoint per testcase boundary across a third full pass.
-	for i := 0; i < cfg.AVP.Testcases; i++ {
-		b.ckpts = append(b.ckpts, phasedCheckpoint{
-			ck:     c.SaveCheckpoint(),
-			nextTC: ends % cfg.AVP.Testcases,
-		})
-		for guard := 0; ; guard++ {
-			if guard > 50_000_000 {
-				return nil, fmt.Errorf("p6lite: checkpoint pass did not converge")
-			}
-			if c.Step().TestEnd {
-				ends++
-				break
-			}
+	for tc := 0; tc < n; tc++ {
+		b.ckpts = append(b.ckpts, phasedCheckpoint{ck: c.SaveCheckpoint(), nextTC: tc})
+		if err := runToTestEnd(c); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// runToTestEnd clocks a fault-free core to its next testend barrier.
+func runToTestEnd(c *proc.Core) error {
+	for guard := 0; guard < 50_000_000; guard++ {
+		if c.Step().TestEnd {
+			return nil
+		}
+	}
+	return fmt.Errorf("p6lite: warm-up did not reach a testend")
 }
 
 // Clone duplicates a warmed backend without re-generating the AVP or
@@ -151,9 +146,6 @@ func (b *Backend) Clone() engine.Backend {
 // campaign layer stays behind the Backend interface).
 func (b *Backend) Core() *proc.Core { return b.core }
 
-// Program exposes the AVP running on the model.
-func (b *Backend) Program() *avp.Program { return b.prog }
-
 // DB exposes the model's latch database.
 func (b *Backend) DB() *latch.DB { return b.core.DB() }
 
@@ -169,8 +161,9 @@ func (b *Backend) ReloadPhase(p int) {
 	b.nextTC = ph.nextTC
 }
 
-// clock steps the model one cycle and re-applies an active sticky force.
-func (b *Backend) clock() proc.Event {
+// Step clocks one cycle, re-applying an active sticky force and rotating
+// the expected-testcase index at barriers.
+func (b *Backend) Step() engine.Event {
 	ev := b.core.Step()
 	if b.stickyOn {
 		if b.stickyUntil != 0 && b.core.Cycle >= b.stickyUntil {
@@ -179,14 +172,8 @@ func (b *Backend) clock() proc.Event {
 			b.core.DB().Poke(b.stickyBit, b.stickyVal)
 		}
 	}
-	return ev
-}
-
-// Step clocks one cycle, rotating the expected-testcase index at barriers.
-func (b *Backend) Step() engine.Event {
-	ev := b.clock()
 	if ev.TestEnd {
-		b.nextTC = (b.nextTC + 1) % b.cfg.AVP.Testcases
+		b.nextTC = (b.nextTC + 1) % len(b.prog.Testcases)
 	}
 	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
 }
@@ -220,8 +207,7 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // Run clocks up to maxCycles, invoking onBarrier at every testend (if
 // non-nil; returning false from the callback stops the run). The run also
 // stops on halt, checkstop, a detected hang, or harness-level loss of
-// forward progress (nothing completed for 2×HangLimit cycles). The barrier
-// callback, not Run, rotates the expected testcase (see CheckBarrier).
+// forward progress (nothing completed for 2×HangLimit cycles).
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
 	c := b.core
@@ -230,13 +216,13 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	harnessLimit := uint64(2 * c.Config().HangLimit)
 
 	for i := 0; i < maxCycles; i++ {
-		ev := b.clock()
+		ev := b.Step()
 		st.Cycles++
 		if c.Completed != lastCompleted {
 			lastCompleted = c.Completed
 			lastProgressCycle = c.Cycle
 		}
-		if ev.TestEnd {
+		if ev.Barrier {
 			st.Barriers++
 			if onBarrier != nil && !onBarrier() {
 				break
@@ -256,18 +242,16 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 		}
 		break
 	}
-	if b.obs != nil {
-		b.obs.ObserveRun(st.Cycles)
-	}
+	b.obs.ObserveRun(st.Cycles) // nil-safe
 	return st
 }
 
-// CheckBarrier verifies architected state against the retiring testcase's
+// CheckBarrier verifies architected state against the retired testcase's
 // golden signature and memory digest, and reports whether recovery
 // activity happened since the previous barrier.
 func (b *Backend) CheckBarrier() engine.BarrierCheck {
-	tc := b.prog.Testcases[b.nextTC]
-	b.nextTC = (b.nextTC + 1) % b.cfg.AVP.Testcases
+	n := len(b.prog.Testcases)
+	tc := b.prog.Testcases[(b.nextTC+n-1)%n] // the one Step just retired
 	c := b.core
 	st := c.ArchState()
 	sigOK := st.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked

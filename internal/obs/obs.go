@@ -2,7 +2,7 @@
 // metrics (outcome counters per unit and latch type, latency and cycle
 // histograms), structured per-injection trace events, and exporters
 // (expvar, Prometheus text). It sits below every other internal package —
-// proc, emu and core all accept an optional *Metrics — and the whole layer
+// proc, the engine backends and core all accept an optional *Metrics — and the whole layer
 // is off by default: every Metrics method is nil-safe, so uninstrumented
 // runs pay only a nil pointer test on the hot path (guarded by the
 // overhead benchmark and the make ci overhead gate).
