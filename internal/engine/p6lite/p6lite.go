@@ -240,7 +240,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 		default:
 			continue
 		}
-		break
+		break // a stop condition fired
 	}
 	b.obs.ObserveRun(st.Cycles) // nil-safe
 	return st
