@@ -2,8 +2,10 @@ GO ?= go
 # Output file for the `bench` record; override per PR, e.g.
 # `make bench BENCH=BENCH_pr10.json`.
 BENCH ?= BENCH_pr10.json
+# How long `make fuzz` runs each fuzz target.
+FUZZTIME ?= 10s
 
-.PHONY: build bins test race vet fmt bench overhead smoke ci
+.PHONY: build bins test race vet fmt fuzz bench overhead smoke ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +39,12 @@ fmt:
 race:
 	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server
 
+# fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
+# only replays their seed corpora). FuzzSECDED checks the word-wise SECDED
+# code against the bit-serial oracle on arbitrary stored words.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
+
 # bench runs every benchmark once for a quick smoke, then has sfi-bench
 # re-measure the headline numbers and emit the machine-readable record to
 # $(BENCH).
@@ -63,4 +71,4 @@ overhead:
 smoke:
 	$(GO) test -count=1 -run TestLoopbackSubmitConvergeReport ./internal/server
 
-ci: vet fmt build bins test race overhead smoke
+ci: vet fmt build bins test race fuzz overhead smoke

@@ -62,9 +62,11 @@ type Backend struct {
 	// for the quiesce busy check.
 	lastActivity uint64
 
-	// Active sticky force, if any.
+	// Active sticky force, if any. The forced bit is resolved to its
+	// storage word once, at injection, so the per-cycle re-force is one
+	// masked word access.
 	stickyOn    bool
-	stickyBit   int
+	stickyBit   latch.BitRef
 	stickyVal   bool
 	stickyUntil uint64 // cycle bound; 0 = forever
 }
@@ -169,7 +171,7 @@ func (b *Backend) Step() engine.Event {
 		if b.stickyUntil != 0 && b.core.Cycle >= b.stickyUntil {
 			b.stickyOn = false
 		} else {
-			b.core.DB().Poke(b.stickyBit, b.stickyVal)
+			b.stickyBit.Set(b.stickyVal)
 		}
 	}
 	if ev.TestEnd {
@@ -187,13 +189,14 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
 		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
-	v := db.Flip(inj.Bit)
+	first := db.BitRef(inj.Bit)
+	v := first.Flip()
 	for i := 1; i < inj.Span && inj.Bit+i < db.TotalBits(); i++ {
 		db.Flip(inj.Bit + i)
 	}
 	if inj.Mode == engine.Sticky {
 		b.stickyOn = true
-		b.stickyBit = inj.Bit
+		b.stickyBit = first
 		b.stickyVal = v
 		b.stickyUntil = 0
 		if inj.Duration > 0 {

@@ -12,6 +12,7 @@ package latch
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 )
@@ -141,7 +142,7 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 	db.byName[name] = g
 	db.total += entries * width
 	db.words = append(db.words, make([]uint64, entries)...)
-	return Array{db: db, g: g}
+	return Array{db: db, g: g, off: g.physOff, n: entries, mask: mask(width)}
 }
 
 // Freeze finalizes registration. Further Register calls panic.
@@ -174,12 +175,6 @@ func (db *DB) Locate(bit int) (g *Group, entry, bitInEntry int) {
 	return g, rel / g.Width, rel % g.Width
 }
 
-// Peek reads a logical latch bit.
-func (db *DB) Peek(bit int) bool {
-	g, e, b := db.Locate(bit)
-	return db.words[g.physOff+e]&(1<<uint(b)) != 0
-}
-
 // touch marks storage word w's block dirty (no-op without a baseline). It
 // is small enough to inline into the latch-write hot path.
 func (db *DB) touch(w int) {
@@ -188,32 +183,48 @@ func (db *DB) touch(w int) {
 	}
 }
 
-// Poke writes a logical latch bit. Rewriting the held value is a no-op
-// (see Reg.Set).
-func (db *DB) Poke(bit int, v bool) {
-	g, e, b := db.Locate(bit)
-	w := g.physOff + e
-	old := db.words[w]
-	nw := old &^ (1 << uint(b))
-	if v {
-		nw = old | 1<<uint(b)
-	}
-	if nw == old {
-		return
-	}
-	db.words[w] = nw
-	db.touch(w)
+// BitRef is a resolved handle to one logical latch bit: Locate's search is
+// paid once, when the handle is made, so a caller that returns to the same
+// bit every cycle (a sticky fault's re-force) touches only the storage
+// word. Like Reg it holds the word's index, never a copy of its value.
+type BitRef struct {
+	db   *DB
+	w    int    // storage word index
+	mask uint64 // the single bit within the word
 }
+
+// BitRef resolves a logical bit index to a handle.
+func (db *DB) BitRef(bit int) BitRef {
+	g, e, b := db.Locate(bit)
+	return BitRef{db: db, w: g.physOff + e, mask: 1 << uint(b)}
+}
+
+// Get reads the bit.
+func (r BitRef) Get() bool { return r.db.words[r.w]&r.mask != 0 }
+
+// Set writes the bit. Rewriting the held value is a no-op (see Reg.Set).
+func (r BitRef) Set(v bool) {
+	if r.Get() != v {
+		r.Flip()
+	}
+}
+
+// Flip inverts the bit and returns the new value.
+func (r BitRef) Flip() bool {
+	r.db.words[r.w] ^= r.mask
+	r.db.touch(r.w)
+	return r.Get()
+}
+
+// Peek reads a logical latch bit.
+func (db *DB) Peek(bit int) bool { return db.BitRef(bit).Get() }
+
+// Poke writes a logical latch bit.
+func (db *DB) Poke(bit int, v bool) { db.BitRef(bit).Set(v) }
 
 // Flip inverts a logical latch bit and returns the new value. This is the
 // injection primitive ("flip chosen latch bits" in the paper's Figure 1).
-func (db *DB) Flip(bit int) bool {
-	g, e, b := db.Locate(bit)
-	w := g.physOff + e
-	db.words[w] ^= 1 << uint(b)
-	db.touch(w)
-	return db.words[w]&(1<<uint(b)) != 0
-}
+func (db *DB) Flip(bit int) bool { return db.BitRef(bit).Flip() }
 
 // Snapshot returns a copy of all latch state (a model checkpoint).
 func (db *DB) Snapshot() []uint64 {
@@ -422,30 +433,32 @@ func (db *DB) SampleBits(rng *rand.Rand, n int, f Filter) []int {
 }
 
 // Reg is a handle to one entry of a latch group; all model state access goes
-// through Reg so that injected bit flips are visible to the logic.
+// through Reg so that injected bit flips are visible to the logic. Every
+// access reads or writes the live storage word; only the word's index and
+// the width mask are resolved ahead of time, when the handle is made. (An
+// index rather than a pointer: registration re-allocates the storage slice
+// until Freeze.)
 type Reg struct {
-	db  *DB
-	g   *Group
-	idx int
+	db   *DB
+	w    int    // storage word index
+	mask uint64 // low Width bits
 }
 
 // Get reads the latch value.
-func (r Reg) Get() uint64 {
-	return r.db.words[r.g.physOff+r.idx] & mask(r.g.Width)
-}
+func (r Reg) Get() uint64 { return r.db.words[r.w] & r.mask }
 
 // Set writes the latch value (extra high bits are dropped). Rewriting the
 // value already held is a no-op: most latch writes each cycle are holds
 // (idle FSMs, regenerated parity), and skipping them keeps both the store
 // and the dirty-tracking mark off the hot path.
 func (r Reg) Set(v uint64) {
-	w := r.g.physOff + r.idx
-	v &= mask(r.g.Width)
-	if r.db.words[w] == v {
+	v &= r.mask
+	p := &r.db.words[r.w]
+	if *p == v {
 		return
 	}
-	r.db.words[w] = v
-	r.db.touch(w)
+	*p = v
+	r.db.touch(r.w)
 }
 
 // GetBit reads one bit of the latch.
@@ -474,27 +487,36 @@ func (r Reg) SetField(lo, width int, v uint64) {
 }
 
 // Width returns the latch width in bits.
-func (r Reg) Width() int { return r.g.Width }
+func (r Reg) Width() int { return bits.Len64(r.mask) }
 
-// Group returns the group this handle belongs to.
-func (r Reg) Group() *Group { return r.g }
-
-// Array is a handle to a multi-entry latch group.
+// Array is a handle to a multi-entry latch group, with the group's storage
+// offset, entry count and width mask resolved at registration.
 type Array struct {
-	db *DB
-	g  *Group
+	db   *DB
+	g    *Group
+	off  int // storage word index of entry 0
+	n    int
+	mask uint64
 }
 
 // Entry returns the handle for entry i.
 func (a Array) Entry(i int) Reg {
-	if i < 0 || i >= a.g.Entries {
-		panic(fmt.Sprintf("latch: entry %d out of range [0,%d) in %s", i, a.g.Entries, a.g.Name))
+	if uint(i) >= uint(a.n) {
+		a.badEntry(i)
 	}
-	return Reg{db: a.db, g: a.g, idx: i}
+	return Reg{db: a.db, w: a.off + i, mask: a.mask}
+}
+
+// badEntry formats Entry's out-of-range panic out of line, so Entry itself
+// stays small enough to inline.
+//
+//go:noinline
+func (a Array) badEntry(i int) {
+	panic(fmt.Sprintf("latch: entry %d out of range [0,%d) in %s", i, a.n, a.g.Name))
 }
 
 // Len returns the number of entries.
-func (a Array) Len() int { return a.g.Entries }
+func (a Array) Len() int { return a.n }
 
 // Group returns the group this handle belongs to.
 func (a Array) Group() *Group { return a.g }

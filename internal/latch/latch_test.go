@@ -1,6 +1,7 @@
 package latch
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -414,4 +415,63 @@ func TestAdoptBaseline(t *testing.T) {
 	if !snapsEqual(db.Snapshot(), src.Snapshot()) {
 		t.Fatal("clone after delta restore does not match source")
 	}
+}
+
+// A handle made before later registrations re-allocate the storage slice
+// must still reach the live word afterwards.
+func TestHandleSurvivesLaterRegistration(t *testing.T) {
+	db := NewDB()
+	first := db.Register("IFU", Func, "first", 12)
+	first.Set(0xabc)
+	for i := 0; i < 64; i++ {
+		db.RegisterArray("FXU", RegFile, fmt.Sprintf("grow%d", i), 64, 64)
+	}
+	db.Freeze()
+	if first.Get() != 0xabc {
+		t.Fatalf("handle lost its value across re-allocation: %#x", first.Get())
+	}
+	first.Set(0x123)
+	if !db.Peek(0) || db.Peek(2) {
+		t.Error("write through an early handle missed the live storage")
+	}
+}
+
+// A BitRef stays bound to its bit: a held value can be re-forced through it
+// after the word is overwritten or restored, and its writes are tracked for
+// delta restore like any other.
+func TestBitRefReforce(t *testing.T) {
+	db, _, gpr := buildTestDB()
+	db.SetBaseline()
+	clean := db.CaptureDelta()
+	ref := db.BitRef(48 + 64*5 + 13) // gpr[5] bit 13
+	if !ref.Flip() || !ref.Get() || gpr.Entry(5).Get() != 1<<13 {
+		t.Fatal("Flip through a BitRef not visible through the handle")
+	}
+	gpr.Entry(5).Set(0xff) // the logic overwrites the word
+	if ref.Get() {
+		t.Fatal("BitRef reads a stale value")
+	}
+	ref.Set(true)
+	if gpr.Entry(5).Get() != 0xff|1<<13 {
+		t.Errorf("re-force disturbed the other bits: %#x", gpr.Entry(5).Get())
+	}
+	db.RestoreDelta(clean)
+	if ref.Get() || gpr.Entry(5).Get() != 0 {
+		t.Error("BitRef write escaped dirty tracking")
+	}
+}
+
+var sinkReg uint64
+
+// BenchmarkRegGetSet times the latch access pair the model's next-state
+// logic is made of: read one array entry, write another, through handles.
+func BenchmarkRegGetSet(b *testing.B) {
+	db, pc, gpr := buildTestDB()
+	db.SetBaseline()
+	for i := 0; i < b.N; i++ {
+		v := gpr.Entry(i & 31).Get()
+		gpr.Entry((i + 1) & 31).Set(v + uint64(i))
+		pc.Set(pc.Get() + 4)
+	}
+	sinkReg = pc.Get()
 }

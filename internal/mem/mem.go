@@ -7,7 +7,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 )
 
@@ -240,22 +239,20 @@ func (m *Memory) Equal(o *Memory) bool {
 	return true
 }
 
-// Digest returns a 64-bit FNV-1a hash of the contents, used by the AVP to
-// compare final memory state against the golden model cheaply.
-func (m *Memory) Digest() uint64 {
-	h := fnv.New64a()
-	h.Write(m.data)
-	return h.Sum64()
-}
-
-// DigestRange hashes the bytes in [lo, hi) after wrapping, used to check
-// just a testcase's data area.
+// DigestRange hashes the doublewords covering [lo, hi) after wrapping (lo is
+// rounded down to a doubleword, hi up), used to check just a testcase's
+// data area at every verification barrier. It folds one doubleword per
+// step with the xor / multiply-by-odd / xorshift mix of the architected
+// signature (proc.ArchSnapshot.Signature). Each step is a bijection of the
+// running state, so two memories that differ in exactly one doubleword of
+// the range never share a digest. The digest is compared only against
+// digests this same function produced and is never stored or exchanged.
 func (m *Memory) DigestRange(lo, hi uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(0x9e3779b97f4a7c15)
 	for a := lo &^ 7; a < hi; a += 8 {
-		binary.LittleEndian.PutUint64(b[:], m.Read64(a))
-		h.Write(b[:])
+		h ^= m.Read64(a)
+		h *= 0x100000001b3
+		h ^= h >> 29
 	}
-	return h.Sum64()
+	return h
 }

@@ -4,6 +4,7 @@ import (
 	mathbits "math/bits"
 
 	"sfi/internal/isa"
+	"sfi/internal/latch"
 )
 
 // Unit indices into the pervasive clock-enable register, Units order.
@@ -265,7 +266,7 @@ func (c *Core) readFPR(r uint8) uint64 {
 }
 
 // readSPR reads CR/LR/CTR through the SPR parity checker.
-func (c *Core) readSPR(reg, par interface{ Get() uint64 }) uint64 {
+func (c *Core) readSPR(reg, par latch.Reg) uint64 {
 	v := reg.Get()
 	if parity64(v)^c.polarity(c.idu.mode, 1) != par.Get() {
 		c.fail(ChkIDUSPRPar)

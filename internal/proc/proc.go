@@ -14,6 +14,7 @@ package proc
 
 import (
 	"math"
+	mathbits "math/bits"
 
 	"sfi/internal/array"
 	"sfi/internal/latch"
@@ -383,12 +384,4 @@ func (c *Core) polarity(modeRing latch.Reg, k int) uint64 {
 	return 0
 }
 
-func parity64(v uint64) uint64 {
-	v ^= v >> 32
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return v & 1
-}
+func parity64(v uint64) uint64 { return uint64(mathbits.OnesCount64(v) & 1) }

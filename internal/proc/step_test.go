@@ -1,0 +1,83 @@
+package proc
+
+import (
+	"testing"
+
+	"sfi/internal/avp"
+)
+
+// newAVPCore returns a core running the default AVP in its periodic regime
+// (two warm passes, as the p6lite backend does), and the testcase count of
+// one pass.
+func newAVPCore(tb testing.TB) (*Core, int) {
+	tb.Helper()
+	cfg := avp.DefaultConfig()
+	prog, err := avp.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := New(DefaultConfig())
+	c.Mem().LoadProgram(0, prog.Words)
+	for pass := 0; pass < 2; pass++ {
+		runPass(tb, c, cfg.Testcases)
+	}
+	return c, cfg.Testcases
+}
+
+// runPass clocks the core through n testend barriers.
+func runPass(tb testing.TB, c *Core, n int) {
+	for guard := 0; n > 0; guard++ {
+		if guard > 1_000_000 || c.Checkstopped() {
+			tb.Fatalf("pass did not complete (cycle %d, checkstop %v)", c.Cycle, c.Checkstopped())
+		}
+		if c.Step().TestEnd {
+			n--
+		}
+	}
+}
+
+// TestStepZeroAllocs pins the per-cycle path allocation-free: a campaign
+// clocks the model hundreds of millions of times, so a single boxed value
+// per cycle is a measurable tax. The second case covers the recovery
+// sequencer and the checkpoint-array reads, which a fault-free pass never
+// enters.
+func TestStepZeroAllocs(t *testing.T) {
+	c, n := newAVPCore(t)
+	if a := testing.AllocsPerRun(3, func() { runPass(t, c, n) }); a != 0 {
+		t.Errorf("fault-free pass: %v allocs, want 0", a)
+	}
+
+	// r13 holds the testcase data base: each testcase sets it first and
+	// then reads it on every load and store, so a flip a few cycles into
+	// a testcase is caught by GPR parity at once.
+	g, _ := c.DB().GroupByName("fxu.gpr")
+	bit := g.Offset() + 13*g.Width + 5
+	before := c.Recoveries
+	a := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 40; i++ {
+			c.Step()
+		}
+		c.DB().Flip(bit)
+		runPass(t, c, n)
+	})
+	if got := c.Recoveries - before; got != 4 { // 1 warm-up + 3 measured runs
+		t.Fatalf("%d recoveries over 4 flipped passes, want one each", got)
+	}
+	if a != 0 {
+		t.Errorf("pass with one RUT recovery: %v allocs, want 0", a)
+	}
+}
+
+// BenchmarkStep times one fault-free model cycle under the default AVP,
+// the unit every injection's cost is a multiple of.
+func BenchmarkStep(b *testing.B) {
+	c, _ := newAVPCore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+	if c.Checkstopped() {
+		b.Fatal("fault-free run checkstopped")
+	}
+}
