@@ -220,23 +220,26 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Dur
 
 	var capture *lineCapture
 	var tw io.Writer
-	sample := w.cfg.TraceSample
+	opts := obs.TraceOptions{Sample: w.cfg.TraceSample}
 	if w.cfg.TraceAttach > 0 {
 		capture = &lineCapture{max: w.cfg.TraceAttach}
 		tw = capture
 		if w.cfg.TraceW != nil {
 			tw = io.MultiWriter(w.cfg.TraceW, capture)
-		} else if shardSize := sh.Hi - sh.Lo; sample <= 1 && shardSize > w.cfg.TraceAttach {
-			// Attachment-only tracing: stride the samples across the shard
-			// instead of marshalling every injection just to keep the
-			// first 32.
-			sample = shardSize / w.cfg.TraceAttach
+		} else {
+			// Attachment-only tracing: stop marshalling once the capture
+			// is full, and stride the samples across the shard instead of
+			// keeping just the first 32.
+			opts.Max = w.cfg.TraceAttach
+			if shardSize := sh.Hi - sh.Lo; opts.Sample <= 1 && shardSize > w.cfg.TraceAttach {
+				opts.Sample = shardSize / w.cfg.TraceAttach
+			}
 		}
 	} else if w.cfg.TraceW != nil {
 		tw = w.cfg.TraceW
 	}
 	if tw != nil {
-		ccfg.Obs.Trace = obs.NewTraceSink(tw, obs.TraceOptions{Sample: sample})
+		ccfg.Obs.Trace = obs.NewTraceSink(tw, opts)
 	}
 	return capture
 }

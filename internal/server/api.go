@@ -125,9 +125,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if cs := s.CoordStatus(id); cs != nil {
 		out.Coord = cs
 	}
-	if doc, ok := s.Trace(id); ok && doc.Spans > 0 {
-		out.TraceID = doc.TraceID
-		out.Latency = &doc.Attribution
+	if sum, ok := s.traceSummary(id); ok && sum.spans > 0 {
+		out.TraceID = sum.traceID
+		out.Latency = sum.latency
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -280,4 +280,25 @@ func (s *Server) eventsSink(id string) (*obs.TraceSink, func(), error) {
 		f.Close()  //nolint:errcheck
 	}
 	return sink, flush, nil
+}
+
+// storedSpans reads back the spans mirrored into a campaign's events JSONL
+// (the file interleaves them with shard events, which carry no span ID).
+// A torn last line — a crash mid-write — ends the read.
+func (s *Server) storedSpans(id string) []obs.Span {
+	f, err := os.Open(s.st.EventsPath(id))
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	var spans []obs.Span
+	for dec := json.NewDecoder(bufio.NewReader(f)); ; {
+		var sp obs.Span
+		if err := dec.Decode(&sp); err != nil {
+			return spans
+		}
+		if sp.SpanID != "" {
+			spans = append(spans, sp)
+		}
+	}
 }

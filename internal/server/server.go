@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -166,7 +167,9 @@ type Server struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
-	tracers   map[string]*campaignTrace
+	tracers   map[string]*campaignTrace // unsettled campaigns only
+	settled   map[string]settledTrace   // what is kept of a settled campaign's trace
+	spanAgg   map[string]obs.HistSnapshot
 	queue     *fairQueue
 	running   map[string]*execution
 	active    int
@@ -210,6 +213,78 @@ func (s *Server) traceLocked(c *Campaign) *campaignTrace {
 	return ct
 }
 
+// settledTrace is what the server keeps in memory of a settled campaign's
+// trace: its identity and latency attribution, a fixed few hundred bytes
+// against the ~220 KB a 64-flip campaign's live tracer holds. The spans
+// themselves live on in the campaign's events JSONL, and their per-layer
+// histograms in Server.spanAgg.
+type settledTrace struct {
+	traceID string
+	spans   int
+	latency *obs.Attribution
+}
+
+// summarize reduces a tracer to its settledTrace row.
+func summarize(tr *obs.Tracer) settledTrace {
+	doc := tr.Doc()
+	st := settledTrace{traceID: doc.TraceID, spans: doc.Spans}
+	if doc.Spans > 0 {
+		latency := doc.Attribution // a copy: a pointer into the doc would pin the whole tree
+		st.latency = &latency
+	}
+	return st
+}
+
+// mirrorTrace opens the campaign's events JSONL and points its tracer at
+// it: first the spans that finished before the file was open (the queue
+// wait, or all of a campaign that settles without running), then every
+// later one as it finishes. The JSONL is what serves the trace once the
+// tracer is retired. It returns the sink, for the shard events that share
+// the file, and a stop function that detaches the tracer and closes it.
+func (s *Server) mirrorTrace(id string, tr *obs.Tracer) (*obs.TraceSink, func(), error) {
+	events, closeEvents, err := s.eventsSink(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, sp := range tr.Spans() {
+		events.RecordJSON(&sp)
+	}
+	tr.SetSink(events)
+	return events, func() {
+		tr.SetSink(nil)
+		closeEvents()
+	}, nil
+}
+
+// retireTrace releases a settled campaign's tracer, keeping its summary
+// row and folding its per-layer histograms into the server-wide aggregate.
+// Every span must already be in the campaign's events JSONL.
+func (s *Server) retireTrace(id string, ct *campaignTrace) {
+	sum := summarize(ct.tracer)
+	hists := ct.tracer.LayerSnapshots()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.tracers, id)
+	s.settled[id] = sum
+	for layer, snap := range hists {
+		m := s.spanAgg[layer]
+		m.Merge(snap)
+		s.spanAgg[layer] = m
+	}
+}
+
+// retireUnrunTrace retires the trace of a campaign that settled without
+// ever running (a dedup hit, a queued cancel): its few spans never saw an
+// events sink, so they are written out first.
+func (s *Server) retireUnrunTrace(id string, ct *campaignTrace) {
+	if _, stop, err := s.mirrorTrace(id, ct.tracer); err != nil {
+		s.log.Error("campaign trace persist failed", "campaign", id, "err", err)
+	} else {
+		stop()
+	}
+	s.retireTrace(id, ct)
+}
+
 // New opens (or reopens) a campaign server over a store directory,
 // recovers persisted campaigns — queued and interrupted-running ones
 // re-enter the queue in submission order and resume from their journals —
@@ -245,6 +320,8 @@ func New(cfg Config) (*Server, error) {
 		shutdown:  cancel,
 		campaigns: make(map[string]*Campaign),
 		tracers:   make(map[string]*campaignTrace),
+		settled:   make(map[string]settledTrace),
+		spanAgg:   make(map[string]obs.HistSnapshot),
 		queue:     newFairQueue(cfg.TenantWeights),
 		running:   make(map[string]*execution),
 		wake:      make(chan struct{}, 1),
@@ -374,6 +451,7 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	}
 	c.Seq = s.seq
 	s.seq++
+	var unrun *campaignTrace // set when the campaign settles right here, without running
 	if hash, ok := s.st.ReportHash(c.Digest); ok {
 		// Content-addressed dedup: an identical spec already produced a
 		// report; serve it without running a single injection.
@@ -382,9 +460,9 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 		c.Dedup = true
 		c.ReportHash = hash
 		c.FinishedAt = &now
-		ct := s.traceLocked(c)
-		ct.root.Attr("dedup", "true").Attr("state", StateDone).End()
-		ct.root = nil
+		unrun = s.traceLocked(c)
+		unrun.root.Attr("dedup", "true").Attr("state", StateDone).End()
+		unrun.root = nil
 	} else {
 		c.State = StateQueued
 		s.queue.push(c.Tenant, c.ID)
@@ -395,6 +473,9 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	snap := *c
 	s.mu.Unlock()
 
+	if unrun != nil {
+		s.retireUnrunTrace(c.ID, unrun)
+	}
 	if err := s.st.SaveCampaign(c.ID, snap); err != nil {
 		return Campaign{}, err
 	}
@@ -420,7 +501,8 @@ func (s *Server) Cancel(id string) error {
 		now := time.Now()
 		c.State = StateCancelled
 		c.FinishedAt = &now
-		if ct := s.tracers[id]; ct != nil {
+		ct := s.tracers[id]
+		if ct != nil {
 			if ct.queue != nil {
 				ct.queue.End()
 				ct.queue = nil
@@ -432,6 +514,9 @@ func (s *Server) Cancel(id string) error {
 		}
 		snap := *c
 		s.mu.Unlock()
+		if ct != nil {
+			s.retireUnrunTrace(id, ct)
+		}
 		s.log.Info("queued campaign cancelled", "campaign", id)
 		return s.st.SaveCampaign(id, snap)
 	case StateRunning:
@@ -503,18 +588,32 @@ func (s *Server) CoordStatus(id string) *dist.Status {
 	return &st
 }
 
-// Trace returns a campaign's span-tree document: the spans recorded so
-// far, assembled into a tree with the critical path marked and latency
-// attribution computed. ok=false when the campaign is unknown or has no
-// trace (e.g. it finished under a previous process).
+// Trace returns a campaign's span-tree document, assembled into a tree with
+// the critical path marked and latency attribution computed: from the live
+// tracer (the spans recorded so far) until the campaign settles, from the
+// spans mirrored into its events JSONL afterwards — which also serves
+// campaigns that finished under a previous process. ok=false when the
+// campaign is unknown or no span of it was ever recorded.
 func (s *Server) Trace(id string) (*obs.TraceDoc, bool) {
 	s.mu.Lock()
+	known := s.campaigns[id] != nil
 	ct := s.tracers[id]
+	traceID := s.settled[id].traceID
 	s.mu.Unlock()
-	if ct == nil {
+	if ct != nil {
+		return ct.tracer.Doc(), true
+	}
+	if !known {
 		return nil, false
 	}
-	return ct.tracer.Doc(), true
+	spans := s.storedSpans(id)
+	if len(spans) == 0 {
+		return nil, false
+	}
+	if traceID == "" {
+		traceID = spans[0].TraceID
+	}
+	return obs.BuildTraceDoc(traceID, spans, 0), true
 }
 
 // TraceSummary is one row of GET /v1/traces: a campaign's trace identity
@@ -528,49 +627,50 @@ type TraceSummary struct {
 	Latency  *obs.Attribution `json:"latency,omitempty"`
 }
 
+// traceSummary returns a campaign's trace identity and latency
+// attribution: the retained row once settled, computed from the live
+// tracer before. ok=false when the campaign has no trace in this process.
+func (s *Server) traceSummary(id string) (settledTrace, bool) {
+	s.mu.Lock()
+	ct := s.tracers[id]
+	sum, ok := s.settled[id]
+	s.mu.Unlock()
+	if ct != nil {
+		return summarize(ct.tracer), true
+	}
+	return sum, ok
+}
+
 // Traces lists every traced campaign, newest submission first.
 func (s *Server) Traces() []TraceSummary {
-	type row struct {
-		c  Campaign
-		ct *campaignTrace
-	}
-	s.mu.Lock()
-	rows := make([]row, 0, len(s.tracers))
-	for id, ct := range s.tracers {
-		if c := s.campaigns[id]; c != nil {
-			rows = append(rows, row{*c, ct})
+	campaigns := s.List()
+	out := make([]TraceSummary, 0, len(campaigns))
+	for _, c := range campaigns {
+		if sum, ok := s.traceSummary(c.ID); ok {
+			out = append(out, TraceSummary{
+				Campaign: c.ID,
+				Tenant:   c.Tenant,
+				State:    c.State,
+				TraceID:  sum.traceID,
+				Spans:    sum.spans,
+				Latency:  sum.latency,
+			})
 		}
-	}
-	s.mu.Unlock()
-	slices.SortFunc(rows, func(a, b row) int { return int(b.c.Seq - a.c.Seq) })
-	out := make([]TraceSummary, 0, len(rows))
-	for _, r := range rows {
-		sum := TraceSummary{
-			Campaign: r.c.ID,
-			Tenant:   r.c.Tenant,
-			State:    r.c.State,
-			TraceID:  r.ct.tracer.TraceID(),
-			Spans:    len(r.ct.tracer.Spans()),
-		}
-		if sum.Spans > 0 {
-			doc := r.ct.tracer.Doc()
-			sum.Latency = &doc.Attribution
-		}
-		out = append(out, sum)
 	}
 	return out
 }
 
-// spanHists merges the per-layer span-duration histograms across every
-// campaign tracer — the server-wide latency shape per tracing layer.
+// spanHists merges the per-layer span-duration histograms of every
+// campaign, settled (the running aggregate) and live (their tracers) — the
+// server-wide latency shape per tracing layer.
 func (s *Server) spanHists() map[string]obs.HistSnapshot {
 	s.mu.Lock()
+	merged := maps.Clone(s.spanAgg)
 	tracers := make([]*obs.Tracer, 0, len(s.tracers))
 	for _, ct := range s.tracers {
 		tracers = append(tracers, ct.tracer)
 	}
 	s.mu.Unlock()
-	merged := make(map[string]obs.HistSnapshot)
 	for _, tr := range tracers {
 		for layer, snap := range tr.LayerSnapshots() {
 			m := merged[layer]
@@ -673,9 +773,20 @@ func (s *Server) startLocked(c *Campaign) {
 // server shutdown) and persists the outcome.
 func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	defer s.wg.Done()
+	defer exec.cancel(nil) // detach ctx from the server's, or each campaign leaves a child behind
 	s.persist(c)
 	s.log.Info("campaign started", "campaign", c.ID, "tenant", c.Tenant)
-	err := s.runCampaign(ctx, c, exec)
+
+	// The events JSONL takes the shard events and a mirror of every span.
+	// It stays open until the root span has settled into it: once the
+	// tracer is retired, that file is the campaign's trace.
+	s.mu.Lock()
+	ct := s.traceLocked(c)
+	s.mu.Unlock()
+	events, stopMirror, err := s.mirrorTrace(c.ID, ct.tracer)
+	if err == nil {
+		err = s.runCampaign(ctx, c, exec, ct, events)
+	}
 
 	s.mu.Lock()
 	now := time.Now()
@@ -699,7 +810,8 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	}
 	// Settle the root span (except on shutdown-requeue: the campaign isn't
 	// over, it just moves to the next process).
-	if ct := s.tracers[c.ID]; ct != nil && ct.root != nil && c.State != StateQueued {
+	settled := c.State != StateQueued
+	if settled && ct.root != nil {
 		ct.root.Attr("state", c.State).AttrInt("injections", int64(c.Injections)).End()
 		ct.root = nil
 	}
@@ -708,6 +820,12 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	snap := *c
 	s.mu.Unlock()
 
+	if stopMirror != nil {
+		stopMirror()
+	}
+	if settled {
+		s.retireTrace(c.ID, ct)
+	}
 	if serr := s.st.SaveCampaign(c.ID, snap); serr != nil {
 		s.log.Error("campaign record persist failed", "campaign", c.ID, "err", serr)
 	}
@@ -728,24 +846,10 @@ func (s *Server) persist(c *Campaign) {
 // runCampaign executes one campaign: a journal-backed dist coordinator
 // plus one embedded worker speaking the real lease protocol over the
 // in-process transport, with prototypes served from the warm image cache.
-func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution) (err error) {
-	events, flushEvents, err := s.eventsSink(c.ID)
-	if err != nil {
-		return err
-	}
-	defer flushEvents()
-
-	// The campaign's spans: the executor span covers this whole function
-	// (scheduling overhead around it is the root's own self-time), and the
-	// events sink mirrors every span into the campaign's JSONL next to the
-	// shard events. Detach the sink before flushEvents closes the file —
-	// the root span outlives this function.
-	s.mu.Lock()
-	ct := s.traceLocked(c)
-	s.mu.Unlock()
+func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, ct *campaignTrace, events *obs.TraceSink) (err error) {
+	// The executor span covers this whole function (scheduling overhead
+	// around it is the root's own self-time).
 	tr := ct.tracer
-	tr.SetSink(events)
-	defer tr.SetSink(nil)
 	execSp := tr.StartSpan("executor", "server", ct.root.Context())
 	defer func() {
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -229,5 +231,126 @@ func TestTraceNotFound(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("trace of unknown campaign: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// spanNames flattens a trace tree into its span names.
+func spanNames(n *obs.SpanNode) []string {
+	names := []string{n.Name}
+	for _, ch := range n.Children {
+		names = append(names, spanNames(ch)...)
+	}
+	return names
+}
+
+// TestSettledTraceServedFromEvents: once a campaign settles its tracer is
+// released and the trace is rebuilt from the spans mirrored into its
+// events JSONL — complete with the root and queue-wait spans, which finish
+// outside the executor — with the retained summary row agreeing with it.
+// That holds for a campaign that ran, for a dedup hit that never did, and
+// for a fresh server process over the same store.
+func TestSettledTraceServedFromEvents(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, nil)
+	ran, err := s.Submit(tinySpec("a", 3, 24, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, ran.ID, StateDone, 30*time.Second)
+	dup, err := s.Submit(tinySpec("a", 3, 24, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Dedup {
+		t.Fatal("re-submission was not a dedup hit")
+	}
+	// waitState returns as soon as the state flips; the tracer is retired
+	// a moment later.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		live := len(s.tracers)
+		s.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tracers still held after every campaign settled", live)
+		}
+	}
+
+	doc, ok := s.Trace(ran.ID)
+	if !ok || doc.Root == nil {
+		t.Fatal("settled campaign has no trace")
+	}
+	if doc.Root.Name != "campaign" || doc.Root.Attrs["state"] != StateDone {
+		t.Errorf("root = %s %v, want the settled campaign span", doc.Root.Name, doc.Root.Attrs)
+	}
+	names := spanNames(doc.Root)
+	for _, want := range []string{"queue.wait", "executor", "merge", "shard.run"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("stored trace lacks a %q span (has %v)", want, names)
+		}
+	}
+	sum, ok := s.traceSummary(ran.ID)
+	if !ok || sum.traceID != doc.TraceID || sum.spans != doc.Spans ||
+		sum.latency == nil || *sum.latency != doc.Attribution {
+		t.Errorf("summary %+v (latency %+v) disagrees with the stored trace: id %s, %d spans, %+v",
+			sum, sum.latency, doc.TraceID, doc.Spans, doc.Attribution)
+	}
+
+	ddoc, ok := s.Trace(dup.ID)
+	if !ok || ddoc.Root == nil || ddoc.Root.Attrs["dedup"] != "true" {
+		t.Errorf("dedup hit's trace = %+v, want its lone root span", ddoc)
+	}
+	if rows := s.Traces(); len(rows) != 2 || rows[0].Campaign != dup.ID || rows[1].Spans != doc.Spans {
+		t.Errorf("traces = %+v, want the dedup hit then the run", rows)
+	}
+
+	s.Close()
+	s2 := newTestServer(t, dir, nil)
+	doc2, ok := s2.Trace(ran.ID)
+	if !ok || doc2.TraceID != doc.TraceID || doc2.Spans != doc.Spans {
+		t.Errorf("trace after restart = %+v, want the same %d spans", doc2, doc.Spans)
+	}
+}
+
+// TestSettledCampaignsReleaseTheirTracers is the retention bound: a
+// long-lived server must not grow by a trace per campaign. 200 campaigns
+// (every fourth a dedup hit) may leave at most 20 KB of live heap each —
+// the campaign record and its summary row — where a held tracer alone is
+// an order of magnitude more.
+func TestSettledCampaignsReleaseTheirTracers(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	run := func(from, to int) {
+		for i := from; i < to; i++ {
+			seed := uint64(1000 + i)
+			if i%4 == 3 {
+				seed-- // exact re-submission of the previous spec
+			}
+			c, err := s.Submit(tinySpec("t", seed, 64, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, c.ID, StateDone, 30*time.Second)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(0, 8) // warm the image cache, the store and the runtime's pools
+	before := heap()
+	const n = 200
+	run(8, 8+n)
+	after := heap()
+	var perCampaign int64
+	if after > before {
+		perCampaign = int64(after-before) / n
+	}
+	t.Logf("live heap %d -> %d bytes over %d campaigns: %d bytes each", before, after, n, perCampaign)
+	if perCampaign > 20<<10 {
+		t.Errorf("%d bytes of live heap retained per settled campaign, want < 20 KB", perCampaign)
 	}
 }
