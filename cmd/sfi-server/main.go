@@ -86,7 +86,7 @@ func main() {
 		addr      = flag.String("addr", ":8440", "listen address for the campaign REST API")
 		dir       = flag.String("store", "sfi-store", "content-addressed store directory (reports, journals, campaign records)")
 		maxConc   = flag.Int("max-campaigns", 2, "campaigns running concurrently; the rest queue")
-		shardSize = flag.Int("shard-size", 0, "default injections per shard for campaigns that don't set one (0 = ~64 shards)")
+		shardSize = flag.Int("shard-size", 0, "default injections per shard for campaigns that don't set one (0 = ~64 shards of at least 16)")
 		leaseTTL  = flag.Duration("lease-ttl", 2*time.Second, "shard lease TTL of embedded campaign coordinators")
 		cacheSize = flag.Int("image-cache", 4, "warm checkpoint images kept for cloning into campaigns")
 		logLevel  = flag.String("log-level", "info", "event log level (debug, info, warn, error)")

@@ -59,7 +59,8 @@ type Config struct {
 	TenantWeights map[string]float64
 
 	// ShardSize is the default injections-per-shard for campaigns that
-	// don't set their own (0 = the dist default, ~64 shards).
+	// don't set their own (0 = the dist default, ~64 shards, but at
+	// least 16 injections a shard).
 	ShardSize int
 
 	// LeaseTTL is the shard lease TTL of embedded campaign coordinators
@@ -409,12 +410,25 @@ func (s *Server) specDigest(spec Spec) string {
 	}{c, s.shardSize(spec)})
 }
 
-// shardSize resolves a spec's effective injections-per-shard.
+// minShardSize is the smallest shard the server cuts on its own. A shard
+// costs a lease, a completion and a journal fsync whatever it holds, about
+// as much as three p6lite injections. The floor only binds under 1024
+// flips, where the embedded worker runs the campaign alone, so finer
+// shards would buy no balance: they would move the campaign's time from
+// the model to the disk, and make it as unsteady as the disk is.
+const minShardSize = 16
+
+// shardSize resolves a spec's effective injections-per-shard: the spec's,
+// else the server's, else the dist default of ~64 shards per campaign but
+// no shard under minShardSize.
 func (s *Server) shardSize(spec Spec) int {
 	if spec.ShardSize > 0 {
 		return spec.ShardSize
 	}
-	return s.cfg.ShardSize
+	if s.cfg.ShardSize > 0 {
+		return s.cfg.ShardSize
+	}
+	return max((spec.Campaign.Flips+63)/64, minShardSize)
 }
 
 // Submit validates and enqueues a campaign. If the store already holds a

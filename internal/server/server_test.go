@@ -238,6 +238,36 @@ func TestReportDedup(t *testing.T) {
 	}
 }
 
+// TestDefaultShardSize pins what the server cuts a campaign into when
+// nobody says: ~64 shards, but none under minShardSize, with the spec's
+// size and then the server's taking precedence. An explicit size equal to
+// the default shares its spec digest, and so its report.
+func TestDefaultShardSize(t *testing.T) {
+	def := newTestServer(t, t.TempDir(), nil)
+	cfg := newTestServer(t, t.TempDir(), func(c *Config) { c.ShardSize = 5 })
+	for _, tc := range []struct {
+		s                 *Server
+		flips, spec, want int
+	}{
+		{def, 8, 0, 16},
+		{def, 64, 0, 16},
+		{def, 1024, 0, 16},
+		{def, 1025, 0, 17},
+		{def, 6400, 0, 100},
+		{def, 64, 3, 3},
+		{cfg, 64, 0, 5},
+		{cfg, 64, 3, 3},
+	} {
+		if got := tc.s.shardSize(tinySpec("t", 1, tc.flips, tc.spec)); got != tc.want {
+			t.Errorf("shardSize(flips %d, spec size %d, server size %d) = %d, want %d",
+				tc.flips, tc.spec, tc.s.cfg.ShardSize, got, tc.want)
+		}
+	}
+	if a, b := def.specDigest(tinySpec("t", 1, 64, 0)), def.specDigest(tinySpec("t", 1, 64, 16)); a != b {
+		t.Errorf("default and explicit shard size 16 digest differently: %s, %s", a, b)
+	}
+}
+
 // TestImageCacheShared runs two campaigns that differ only in seed: they
 // share one warm checkpoint image, so the second boots from a clone.
 func TestImageCacheShared(t *testing.T) {
