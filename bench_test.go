@@ -1,11 +1,6 @@
 package sfi
 
-import (
-	"io"
-	"testing"
-
-	"sfi/internal/obs"
-)
+import "testing"
 
 // The benchmark harness: one bench per table and figure of the paper's
 // evaluation (the numbers each run prints are recorded in EXPERIMENTS.md),
@@ -249,77 +244,6 @@ func BenchmarkAblationRecoveryOff(b *testing.B) {
 		}
 		b.ReportMetric(100*r.Fraction(Checkstop), "checkstop-pct")
 	}
-}
-
-// BenchmarkInjection measures single-injection throughput (reload, flip,
-// observe, classify) — the quantity that makes SFI practical compared with
-// software simulation.
-func BenchmarkInjection(b *testing.B) {
-	r, err := NewRunner(benchRunner())
-	if err != nil {
-		b.Fatal(err)
-	}
-	total := r.DB().TotalBits()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RunInjection((i * 7919) % total)
-	}
-}
-
-// BenchmarkInjectionObserved measures the same single-injection loop with
-// the observability layer fully on — metrics collection plus a JSONL trace
-// into a discarding sink. The delta against BenchmarkInjection is the
-// instrumentation overhead budget documented in DESIGN.md (<5%) and gated
-// by make ci (cmd/sfi-bench -guard).
-func BenchmarkInjectionObserved(b *testing.B) {
-	r, err := NewRunner(benchRunner())
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, len(Outcomes)+1)
-	for _, o := range Outcomes {
-		names[int(o)] = o.String()
-	}
-	m := obs.New(names)
-	sink := obs.NewTraceSink(io.Discard, obs.TraceOptions{})
-	r.SetObs(m, sink)
-	total := r.DB().TotalBits()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RunInjection((i * 7919) % total)
-	}
-	if got := m.Snapshot().Injections; got != uint64(b.N) {
-		b.Fatalf("metrics recorded %d injections, ran %d", got, b.N)
-	}
-}
-
-// BenchmarkCampaignThroughput measures end-to-end campaign speed —
-// injections classified per second, the quantity the paper's whole argument
-// rests on ("multiple concurrent copies of the simulation environment can
-// be run"). The default path warms one prototype and clones it per worker;
-// the fresh-workers sub-bench is the seed behaviour (every worker
-// re-generates and re-warms its own model) kept for comparison.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	// Workers is pinned (rather than left at GOMAXPROCS) so the per-worker
-	// start-up cost is exercised the same way on any machine.
-	base := CampaignConfig{Runner: benchRunner(), Seed: 12, Flips: 400, Workers: 4, KeepResults: false}
-	run := func(b *testing.B, cfg CampaignConfig) {
-		total := 0
-		for i := 0; i < b.N; i++ {
-			rep, err := RunCampaign(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += rep.Total
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "inj/s")
-	}
-	b.Run("warm-clones", func(b *testing.B) { run(b, base) })
-	b.Run("fresh-workers", func(b *testing.B) {
-		cfg := base
-		cfg.NoClone = true
-		run(b, cfg)
-	})
 }
 
 // BenchmarkAblationMultiBitUpset sweeps the injected cluster size. The

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sfi/internal/engine"
 	"sfi/internal/latch"
 	"sfi/internal/obs"
 	"sfi/internal/stats"
@@ -40,12 +41,6 @@ type CampaignConfig struct {
 	// false for very large campaigns to save memory; aggregates are
 	// always kept).
 	KeepResults bool
-
-	// NoClone makes every worker build its own runner from scratch
-	// (re-generating the AVP and re-running the warm-up) instead of
-	// cloning the warmed prototype. Kept as the slow reference path for
-	// benchmarking campaign start-up cost.
-	NoClone bool
 
 	// Obs configures campaign observability (metrics, injection traces,
 	// live progress). The zero value is fully off and costs ~nothing.
@@ -377,9 +372,6 @@ func (r *Report) add(res Result, keep bool) {
 // newWorkerRunner builds the model for one extra campaign worker. It is a
 // package variable so tests can force a worker start failure.
 var newWorkerRunner = func(proto *Runner, cfg CampaignConfig) (*Runner, error) {
-	if cfg.NoClone {
-		return NewRunner(cfg.Runner)
-	}
 	return proto.Clone(), nil
 }
 
@@ -526,11 +518,11 @@ func SampleCampaignBits(db *latch.DB, seed uint64, flips int, f latch.Filter) []
 // RunCampaign executes a campaign: it samples Flips latch bits from the
 // filtered population and classifies every injection, fanning the work out
 // over concurrent model copies. The AVP is generated and warmed once, in
-// the prototype runner; the other workers are warm clones of it (unless
-// NoClone is set). A worker that fails to start aborts the campaign: the
-// dispatcher stops handing out injections as soon as the first failure is
-// reported, and every distinct worker error is surfaced in the returned
-// (joined) error so multi-worker failures aren't masked by the first one.
+// the prototype runner; the other workers are warm clones of it. A worker
+// that fails to start aborts the campaign: the dispatcher stops handing out
+// injections as soon as the first failure is reported, and every distinct
+// worker error is surfaced in the returned (joined) error so multi-worker
+// failures aren't masked by the first one.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	return RunCampaignContext(context.Background(), cfg)
 }
@@ -579,6 +571,15 @@ type draw struct {
 type job struct {
 	d   *draw
 	pos []int
+}
+
+// bits returns the latch bits the job injects, in lane order.
+func (j job) bits() []int {
+	out := make([]int, len(j.pos))
+	for i, pos := range j.pos {
+		out[i] = j.d.bits[pos]
+	}
+	return out
 }
 
 // source is where a campaign's draws come from. Every campaign is a
@@ -786,25 +787,40 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	next := make(chan job)
 	errCh := make(chan error, workers)
 
+	// runJob classifies one batch. A panic below it (PRs 11 and 13 each
+	// found a model indexing a table with injected state) becomes an error
+	// naming what replays it.
+	runJob := func(r *Runner, j job) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("core: injection into bit(s) %v panicked (seed %d, backend %s): %v",
+					j.bits(), cfg.Seed, engine.Resolve(cfg.Runner.Backend), p)
+			}
+		}()
+		d := j.d
+		if !batched {
+			res := r.RunInjection(d.bits[j.pos[0]])
+			d.res[j.pos[0]] = res
+			est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
+			return nil
+		}
+		for i, res := range r.RunInjectionBatch(j.bits()) {
+			d.res[j.pos[i]] = res
+			est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
+		}
+		return nil
+	}
+	// A failed job still settles, so no barrier waits on it; it ends its
+	// worker (the model's state is unknown) and fails the campaign.
 	worker := func(r *Runner) {
 		defer wg.Done()
 		for j := range next {
-			d := j.d
-			if !batched {
-				res := r.RunInjection(d.bits[j.pos[0]])
-				d.res[j.pos[0]] = res
-				est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
-			} else {
-				group := make([]int, len(j.pos))
-				for i, pos := range j.pos {
-					group[i] = d.bits[pos]
-				}
-				for i, res := range r.RunInjectionBatch(group) {
-					d.res[j.pos[i]] = res
-					est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
-				}
-			}
+			err := runJob(r, j)
 			inflight.Done()
+			if err != nil {
+				errCh <- err
+				return
+			}
 		}
 	}
 
@@ -869,12 +885,9 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// (value planes, counters), so the prototype may not start injecting
 	// until every extra worker has finished cloning from it. Clones are
 	// still taken concurrently with each other — they only read the
-	// prototype — and the NoClone path builds from scratch without touching
-	// it, so only the cloning path gates the prototype's start.
+	// prototype.
 	var cloning sync.WaitGroup
-	if !cfg.NoClone {
-		cloning.Add(workers - 1)
-	}
+	cloning.Add(workers - 1)
 	go func() {
 		cloning.Wait()
 		worker(first)
@@ -882,9 +895,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	for w := 1; w < workers; w++ {
 		go func() {
 			r, err := newWorkerRunner(first, cfg)
-			if !cfg.NoClone {
-				cloning.Done()
-			}
+			cloning.Done()
 			if err != nil {
 				errCh <- fmt.Errorf("core: worker %d failed to start: %w", w, err)
 				wg.Done()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -76,6 +77,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	cfg.Flips = 100
 	cfg.Workers = 4
 	cfg.Obs.Metrics = true
+	cfg.Obs.Tracer = obs.NewTracer(cfg.Seed)
 	rep, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +85,10 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	snap := rep.Metrics
 	if snap == nil {
 		t.Fatal("no metrics snapshot on report")
+	}
+	// Spans follow structure, never injections: campaign.run, sample, merge.
+	if got := cfg.Obs.Tracer.Total(); got != 3 {
+		t.Errorf("%d scalar injections recorded %d spans, want 3", rep.Total, got)
 	}
 	if snap.Injections != uint64(rep.Total) {
 		t.Errorf("metrics injections %d, report total %d", snap.Injections, rep.Total)
@@ -204,6 +210,44 @@ func TestCampaignObservabilityOffByDefault(t *testing.T) {
 	}
 }
 
+// TestObservabilityAllocs pins "free when off, cheap when on" by counting
+// allocations, not timing them: over a fixed pass of injections on a warm
+// runner, metrics allocate exactly what the bare path does, and the JSONL
+// trace adds the event and its encoded line. The traced mean sits a
+// fraction above two per injection (a FIR name list on the few that raise
+// one; a line re-grown when its length lands on an allocator size class)
+// and must stay under three.
+func TestObservabilityAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts under the race detector, so encoding/json allocates more")
+	}
+	r, err := NewRunner(fastRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	pass := func() {
+		for i := 0; i < n; i++ {
+			r.RunInjection((i * 7919) % r.DB().TotalBits())
+		}
+	}
+	// AllocsPerRun counts the whole process, where a runtime goroutine adds
+	// a stray now and then; its integer mean over five passes drops them.
+	measure := func(m *obs.Metrics, sink *obs.TraceSink) float64 {
+		r.SetObs(m, sink)
+		return testing.AllocsPerRun(5, pass)
+	}
+	m, sink := obs.New(outcomeNames()), obs.NewTraceSink(io.Discard, obs.TraceOptions{})
+	off, metrics, traced := measure(nil, nil), measure(m, nil), measure(m, sink)
+	if m.Snapshot().Injections != 12*n || sink.Recorded() != 6*n {
+		t.Fatalf("measured passes ran unobserved: %d injections counted, %d traced", m.Snapshot().Injections, sink.Recorded())
+	}
+	if metrics != off || traced >= off+3*n {
+		t.Errorf("allocations per injection: %.2f off, %.2f with metrics (want equal), %.2f with metrics+trace (want < off+3)",
+			off/n, metrics/n, traced/n)
+	}
+}
+
 // TestCampaignTraceSampling: a sampling sink records every Nth injection.
 func TestCampaignTraceSampling(t *testing.T) {
 	var buf syncBuffer
@@ -266,6 +310,9 @@ func TestCampaignAllWorkerErrorsSurfaced(t *testing.T) {
 		})
 	}
 }
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
 
 // syncBuffer is a mutex-guarded bytes.Buffer (the trace sink serializes
 // writes, but String() may race with late writers in misuse scenarios; the

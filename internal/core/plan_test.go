@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sfi/internal/stats"
 )
 
 // TestBuildSamplePlanPure: a sample plan must be a pure function of
@@ -203,6 +205,63 @@ func TestStratifiedEpochBudget(t *testing.T) {
 			t.Errorf("epochs=%d: stratified campaign not deterministic across reruns", epochs)
 		}
 	}
+}
+
+// TestNeymanBeatsUniformToStratumCoverage pairs two ways of reaching the
+// same stoppable target — every sampling stratum within the margin or its
+// census exhausted — and requires Neyman allocation to need strictly fewer
+// injections. The uniform side replays the pooled sample one injection at a
+// time and stops at coverage; the Neyman side is a real adaptive campaign.
+// Small strata part them: uniform sampling hits a 32-latch GPTR stratum
+// once per ~2000 draws, the allocator walks its census. Both counts are pure
+// functions of (seed, config): 44357 vs 6000 when written.
+func TestNeymanBeatsUniformToStratumCoverage(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("replays tens of thousands of injections")
+	}
+	cfg := DefaultCampaignConfig()
+	cfg.Runner.AVP.Testcases, cfg.Runner.AVP.BodyOps = 4, 12 // counts, not times: only shortens the run
+	cfg.Seed, cfg.Flips, cfg.Workers, cfg.KeepResults = 7, 12000, 2, false
+	cfg.Stop = StopConfig{TargetMargin: 0.10, StopOnConverge: true, Strata: true}
+	cfg.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 12}
+	r, err := NewRunner(cfg.Runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, rule, db := outcomeNames(), cfg.Stop.Rule(), r.DB()
+	pops := BuildSamplePlan(db, cfg.Seed, nil).Populations()
+
+	// Drawn without replacement, so the census bounds it: coverage is certain.
+	est := stats.NewEstimator(names, rule)
+	est.TrackStrata(pops)
+	uniform := 0
+	for _, bit := range SampleCampaignBits(db, cfg.Seed, db.TotalBits(), nil) {
+		res := r.RunInjection(bit)
+		est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), StratumKey(res.Unit, res.LatchType))
+		if uniform++; est.Converged() {
+			break
+		}
+	}
+	if !est.Converged() {
+		t.Fatalf("uniform sampling missed stratum coverage after its full %d-bit census", uniform)
+	}
+
+	rep, err := RunCampaignWith(context.Background(), r, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Convergence == nil || !rep.Convergence.Converged {
+		t.Fatalf("Neyman campaign missed stratum coverage within its %d-injection budget", cfg.Flips)
+	}
+	for key, pop := range pops {
+		if counts := stratumFromRow(rep.ByStratum[key]); !rule.StratumConverged(names, counts, pop) {
+			t.Errorf("Neyman campaign stopped with stratum %s uncovered (%d of %d drawn)", key, counts.Total, pop)
+		}
+	}
+	if rep.Total >= uniform {
+		t.Errorf("Neyman allocation saved nothing: %d vs uniform %d injections to coverage", rep.Total, uniform)
+	}
+	t.Logf("injections to stratum coverage: Neyman %d, uniform %d", rep.Total, uniform)
 }
 
 // BuildSamplePlanFromConfig returns the per-stratum census of cfg's plan.

@@ -847,9 +847,9 @@ func (c *Coordinator) TraceDoc() *obs.TraceDoc {
 func (c *Coordinator) writeCoordMetrics(w http.ResponseWriter) {
 	p := c.Progress()
 	fmt.Fprintf(w, "# TYPE sfi_coord_shards gauge\n")
-	for state, n := range map[string]int{"done": p.Done, "leased": p.Leased, "pending": p.Pending} {
-		fmt.Fprintf(w, "sfi_coord_shards{state=%q} %d\n", state, n)
-	}
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"done\"} %d\n", p.Done)
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"leased\"} %d\n", p.Leased)
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"pending\"} %d\n", p.Pending)
 	fmt.Fprintf(w, "# TYPE sfi_coord_lease_grants_total counter\nsfi_coord_lease_grants_total %d\n", p.Grants)
 	fmt.Fprintf(w, "# TYPE sfi_coord_requeues_total counter\nsfi_coord_requeues_total %d\n", p.Requeues)
 	obs.WriteHistPrometheus(w, "sfi", "coord_shard_completion_ms", c.completionMs.Snapshot())

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,12 +280,22 @@ func TestHeartbeatDeltaAggregation(t *testing.T) {
 		t.Fatalf("worker view %+v, want 4 injections", w)
 	}
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// Nothing moves between these scrapes, so they must be the same bytes,
+	// line order included: two orderings of the three shard-state lines
+	// coincide one time in six, hence eight scrapes.
+	var body []byte
+	for i := 0; i < 8; i++ {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if i > 0 && !bytes.Equal(again, body) {
+			t.Fatalf("/metrics scrape %d of an idle coordinator differs from the one before:\n%s\nbefore:\n%s", i, again, body)
+		}
+		body = again
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	for _, want := range []string{
 		"sfi_injections_total 4",
 		`sfi_outcome_total{outcome="vanished"} 4`,
@@ -318,6 +330,43 @@ func TestHeartbeatDeltaAggregation(t *testing.T) {
 	st = c.Status()
 	if w := st.Workers["w"]; w.Injections != 10 || w.ShardsDone != 1 {
 		t.Fatalf("worker view after complete %+v, want 10 injections, 1 shard done", w)
+	}
+}
+
+// TestShardCostIndependentOfSize pins what fleet observability costs the
+// control plane, by count: a shard is one lease, one completion, a
+// heartbeat per TTL/3 it runs for (none here: the TTL outlasts the run) and
+// at most TraceAttach attached trace lines — however many injections it
+// holds. One more request is the lease poll that learns the campaign is over.
+func TestShardCostIndependentOfSize(t *testing.T) {
+	const attach = 4
+	for _, size := range []int{12, 48} {
+		var traceBuf syncBuffer
+		spec := testSpec()
+		spec.Flips = 96
+		c, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: size, LeaseTTL: 10 * time.Minute,
+			ShardTrace: obs.NewTraceSink(&traceBuf, obs.TraceOptions{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var requests atomic.Int64
+		handler := c.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			handler.ServeHTTP(w, r)
+		}))
+		err = RunWorker(context.Background(), WorkerConfig{Coordinator: srv.URL, ID: "w", TraceAttach: attach})
+		srv.Close()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := spec.Flips / size
+		lines := bytes.Count(traceBuf.bytes(), []byte(`"injection":`))
+		if requests.Load() != int64(2*shards+1) || lines != attach*shards {
+			t.Errorf("%d shards of %d cost %d requests and %d attached trace lines, want %d and %d",
+				shards, size, requests.Load(), lines, 2*shards+1, attach*shards)
+		}
 	}
 }
 

@@ -86,12 +86,6 @@ type WorkerConfig struct {
 	// this worker is currently executing — the hook worker-local debug
 	// endpoints hang off.
 	OnProgress func(ShardLease, core.Progress)
-
-	// NoObs runs shards without metrics collection or heartbeat metric
-	// deltas. The coordinator's fleet view then only counts completed
-	// shards (by Report totals). Exists for the overhead benchmark; fleet
-	// runs leave it false.
-	NoObs bool
 }
 
 // Worker leases shards from a coordinator and executes them. The
@@ -202,11 +196,9 @@ func (lc *lineCapture) Write(p []byte) (int, error) {
 // the injection trace (local writer and/or bounded completion
 // attachment).
 func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Duration, live *atomic.Pointer[obs.Snapshot]) *lineCapture {
-	if w.cfg.NoObs {
-		return nil
-	}
 	// Shard reports always carry metrics: the coordinator's /metrics view
-	// converges on the merge of them, and the measured overhead is <5%.
+	// converges on the merge of them, and collecting them allocates nothing
+	// per injection (core's TestObservabilityAllocs).
 	ccfg.Obs.Metrics = true
 	// Refresh the live snapshot about twice per heartbeat so piggybacked
 	// deltas stay current without per-injection merging.
@@ -292,7 +284,12 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 		// and already decorrelated from every other tracer in the trace
 		// (a shard ordinal would collide with the coordinator's own
 		// seq-derived stream whenever the ordinals coincide).
-		pid, _ := strconv.ParseUint(pctx.SpanID, 16, 64)
+		pid, err := strconv.ParseUint(pctx.SpanID, 16, 64)
+		if err != nil { // unreachable: ParseTraceparent admits 16 hex digits only
+			err = fmt.Errorf("dist: worker %s: lease traceparent span id: %w", id, err)
+			w.fail(sh.ID, err)
+			return err
+		}
 		tracer = obs.NewTracer(lease.Campaign.Seed ^ engine.Splitmix64(pid))
 		tracer.SetTraceID(pctx.TraceID)
 		shardSp = tracer.StartSpan("shard.run", "worker", pctx).

@@ -56,14 +56,21 @@ func (c SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent decodes a W3C traceparent header value back into a
-// SpanContext. Unknown versions are accepted as long as the field shape
-// holds; malformed strings report ok=false.
+// SpanContext. The value comes off the network (the dist lease) and its ids
+// are parsed as hex and stamped on every span minted under them, so both
+// must be what trace-context allows: lowercase hex of the exact width, not
+// all zero. Unknown versions and flags are accepted.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	parts := strings.Split(s, "-")
-	if len(parts) < 3 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	if len(parts) < 3 || !validTraceID(parts[1], 32) || !validTraceID(parts[2], 16) {
 		return SpanContext{}, false
 	}
 	return SpanContext{TraceID: parts[1], SpanID: parts[2]}, true
+}
+
+// validTraceID reports whether id is n lowercase hex digits, not all zero.
+func validTraceID(id string, n int) bool {
+	return len(id) == n && strings.Trim(id, "0123456789abcdef") == "" && strings.Trim(id, "0") != ""
 }
 
 // Span is one timed operation in a campaign's causal tree. The exported

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +47,12 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !ok || got != sp.Context() {
 		t.Errorf("round trip: got %+v ok=%v, want %+v", got, ok, sp.Context())
 	}
-	for _, bad := range []string{"", "00", "00-short-beef-01", "junk"} {
+	const tid, sid = "0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"
+	for _, bad := range []string{
+		"", "00", "00-short-beef-01", "junk",
+		"00-" + tid + "-b7ad6b716920333g-01", "00-" + tid + "-B7AD6B7169203331-01", // non-hex, uppercase
+		"00-" + strings.Repeat("0", 32) + "-" + sid + "-01", "00-" + tid + "-0000000000000000-01", // all zero
+	} {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Errorf("ParseTraceparent(%q) accepted a malformed value", bad)
 		}
@@ -54,6 +60,24 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if (SpanContext{}).Traceparent() != "" {
 		t.Error("zero context rendered a traceparent")
 	}
+}
+
+// FuzzParseTraceparent: no wire value panics the parser, and what it accepts
+// survives its own wire form and has a span id a worker can seed from.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b716920333g-01")
+	f.Add("cc-00000000000000000000000000000001-0000000000000001")
+	f.Fuzz(func(t *testing.T, s string) {
+		ctx, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		again, ok := ParseTraceparent(ctx.Traceparent())
+		if _, err := strconv.ParseUint(ctx.SpanID, 16, 64); err != nil || !ok || again != ctx {
+			t.Fatalf("ParseTraceparent(%q) = %+v: span id hex error %v, re-parses to %+v ok=%v", s, ctx, err, again, ok)
+		}
+	})
 }
 
 // TestTracerNilSafe locks the no-branch instrumentation contract: every
