@@ -40,10 +40,13 @@ race:
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED
 # code against the bit-serial oracle on arbitrary stored words;
 # FuzzParseTraceparent feeds arbitrary lease traceparent strings to the
-# parser a worker trusts for its tracer seed and trace id.
+# parser a worker trusts for its tracer seed and trace id; FuzzEarlyExit
+# runs arbitrary injections through p6lite's Run and through the stepped
+# oracle it must be indistinguishable from.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzEarlyExit -fuzztime $(FUZZTIME) ./internal/engine/p6lite
 
 # bench runs every go benchmark once as a smoke, then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in

@@ -207,6 +207,42 @@ func (p *Protected) RestoreDelta(d *Delta) {
 	}
 }
 
+// Matches reports whether the raw cells equal snap's, where snap is a
+// Snapshot and d the Delta captured with it (the two forms a checkpoint
+// holds). With a baseline it reads only what can differ: a clean entry
+// equals the baseline, and snap equals the baseline outside d's entries, so
+// the dirty entries and d's entries cover every possible difference.
+// Without a baseline (or with a nil d) every entry is compared. The
+// counters are not part of the comparison.
+func (p *Protected) Matches(snap []bits.ECCWord, d *Delta) bool {
+	if len(snap) != len(p.cells) {
+		panic(fmt.Sprintf("array: snapshot size %d != %d in %s", len(snap), len(p.cells), p.name))
+	}
+	if p.base == nil || d == nil {
+		for e := range p.cells {
+			if p.cells[e] != snap[e] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, e := range d.idx {
+		if p.cells[e] != snap[e] {
+			return false
+		}
+	}
+	for w, b := range p.dirty {
+		for b != 0 {
+			e := w*64 + mbits.TrailingZeros64(b)
+			b &= b - 1
+			if p.cells[e] != snap[e] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ResetCounters zeroes the error counters.
 func (p *Protected) ResetCounters() {
 	p.Corrected = 0

@@ -140,6 +140,35 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	}
 }
 
+// TestEarlyExitCount pins the p6lite early exit against golden by counts,
+// on one fixed 500-flip campaign of the default configuration. The cycles
+// observed are what they were when every one of them was stepped (the
+// value of the commit before the early exit), so reports cannot have
+// moved; the cycles the model was clocked through are at most 55% of them,
+// which is the saving. Both are exact and repeat on any host.
+func TestEarlyExitCount(t *testing.T) {
+	cfg := DefaultCampaignConfig()
+	cfg.Flips = 500
+	cfg.Seed = 18
+	cfg.Workers = 1
+	cfg.Obs.Metrics = true
+	rep, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const observed = 348668
+	m := rep.Metrics
+	if m.Cycles != observed {
+		t.Errorf("observed %d cycles, want %d: the observation windows moved", m.Cycles, observed)
+	}
+	if m.SteppedCycles == 0 || m.SteppedCycles*100 > observed*55 {
+		t.Errorf("stepped %d of %d observed cycles (%.1f%%), want (0, 55%%]",
+			m.SteppedCycles, observed, 100*float64(m.SteppedCycles)/observed)
+	}
+	t.Logf("stepped %d of %d observed cycles (%.1f%%)",
+		m.SteppedCycles, m.Cycles, 100*float64(m.SteppedCycles)/observed)
+}
+
 // TestCampaignProgressCallback runs a cloned multi-worker campaign with a
 // fast progress callback — the -race exercise for the progress path — and
 // checks the final update is complete and consistent.

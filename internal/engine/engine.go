@@ -57,7 +57,7 @@ type Event struct {
 
 // RunStats summarizes a monitored run.
 type RunStats struct {
-	Cycles     uint64 // cycles actually clocked
+	Cycles     uint64 // cycles observed (a backend may replay fault-free ones rather than clock them)
 	Barriers   int    // verification barriers retired
 	Halted     bool
 	Checkstop  bool
@@ -114,9 +114,12 @@ type Backend interface {
 	// Inject applies a fault at the current cycle.
 	Inject(inj Injection) error
 
-	// Run clocks up to maxCycles, invoking onBarrier at every
+	// Run observes up to maxCycles, invoking onBarrier at every
 	// verification barrier (returning false from the callback stops the
 	// run); it also stops on checkstop, halt, hang or loss of progress.
+	// A backend need not clock the cycles it can prove fault-free, as
+	// long as stats, callbacks, CheckBarrier, Verdict and Cycle are what
+	// clocking them would have produced.
 	Run(maxCycles int, onBarrier func() bool) RunStats
 
 	// CheckBarrier compares architected state against the workload's
@@ -131,7 +134,7 @@ type Backend interface {
 	// bits are currently set, for structured trace events.
 	FIRNames() []string
 
-	// Cycle returns the current machine cycle.
+	// Cycle returns the current machine cycle, as observed.
 	Cycle() uint64
 
 	// Clone duplicates a warmed backend without re-running warm-up,

@@ -24,7 +24,7 @@ func BenchmarkRestoreCheckpoint(b *testing.B) {
 	}
 	r := be.(*Backend)
 	c := r.core
-	ck := r.ckpts[0].ck
+	ck := r.ckpts[0]
 	perturb := func() {
 		c.DB().Flip(0)
 		for i := 0; i < 200; i++ {

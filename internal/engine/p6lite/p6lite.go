@@ -8,6 +8,12 @@
 // isolation registers and machine events; verification barriers are AVP
 // testends, checked against the program's golden signatures and memory
 // digests.
+//
+// A monitored run stops clocking once the model is back on the fault-free
+// trajectory construction recorded — because the flip touched only idle
+// latches, or because the state at a testend equals that barrier's
+// checkpoint — and replays the recorded barriers to its caller instead
+// (DESIGN.md "Early exit against golden").
 package p6lite
 
 import (
@@ -35,12 +41,6 @@ func census(cfg engine.Config) (*latch.DB, error) {
 	return proc.New(cfg.Proc).DB(), nil
 }
 
-// phasedCheckpoint is a model snapshot taken at one point of the AVP pass.
-type phasedCheckpoint struct {
-	ck     *proc.ModelCheckpoint
-	nextTC int // testcase index expected at the next testend barrier
-}
-
 // Backend owns one core model warmed for repeated injections.
 type Backend struct {
 	cfg  engine.Config
@@ -52,20 +52,47 @@ type Backend struct {
 	// hot path carries no instrumentation at all.
 	obs *obs.Metrics
 
-	ckpts     []phasedCheckpoint
+	// The fault-free trajectory, recorded by New and shared read-only with
+	// clones. ckpts[j] is the model after j testends of the third warm-up
+	// pass: ckpts[:phases] are the phased checkpoints ReloadPhase restores,
+	// and every entry is what Run compares the live model with at testend j.
+	// barriers[j] is the cycle of testend j; it runs QuiesceExit+1 testends
+	// past the last checkpoint, so that a run which re-converges at any
+	// checkpointed testend can be replayed to the end of its quiesce count.
+	ckpts     []*proc.ModelCheckpoint
+	barriers  []uint64
 	baseRecov uint64
 
-	// nextTC is the testcase index expected at the next testend barrier;
-	// Step rotates it as barriers retire.
-	nextTC int
+	// barrier is the number of testends observed since ckpts[0] (stepped or
+	// replayed): the retired testcase is barrier-1 modulo the program's
+	// count, and while golden holds it indexes ckpts and barriers.
+	barrier int
+	// golden: every latch outside idle groups, every array cell and all of
+	// memory are on the recorded trajectory at observed cycle Cycle() and
+	// testend count barrier. ReloadPhase establishes it, a flip of a
+	// non-idle bit ends it, and a testend at which the model equals
+	// ckpts[barrier] re-establishes it. It vouches only for changes made
+	// through this type: a caller that writes the model through DB() or
+	// Core() after a ReloadPhase must reload again before it trusts Run.
+	golden bool
+	// ahead is the number of cycles Run has observed by replay without
+	// clocking the model; catchUp clocks them when something needs the
+	// model itself (a Step, an Inject, a barrier past the record).
+	ahead uint64
+	// stepped counts the cycles clocked on Run's behalf since Run last
+	// reported to obs, catch-ups included.
+	stepped uint64
+
 	// lastActivity is the recovery count at injection time, the baseline
 	// for the quiesce busy check.
 	lastActivity uint64
 
 	// Active sticky force, if any. The forced bit is resolved to its
 	// storage word once, at injection, so the per-cycle re-force is one
-	// masked word access.
+	// masked word access. stickyIdle: the forced bit is in an idle group,
+	// so the force cannot keep the model off the fault-free trajectory.
 	stickyOn    bool
+	stickyIdle  bool
 	stickyBit   latch.BitRef
 	stickyVal   bool
 	stickyUntil uint64 // cycle bound; 0 = forever
@@ -101,13 +128,22 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		prog:      prog,
 		baseRecov: c.Recoveries,
 	}
-	// One checkpoint per testcase boundary across a third full pass.
-	for tc := 0; tc < n; tc++ {
-		b.ckpts = append(b.ckpts, phasedCheckpoint{ck: c.SaveCheckpoint(), nextTC: tc})
+	// One checkpoint per testcase boundary across a third full pass, its
+	// end included, then the barrier cycles of a quiesce count beyond it.
+	b.ckpts = append(b.ckpts, c.SaveCheckpoint())
+	b.barriers = append(b.barriers, c.Cycle)
+	for end := 1; end <= n+cfg.QuiesceExit+1; end++ {
 		if err := runToTestEnd(c); err != nil {
 			return nil, err
 		}
+		if end <= n {
+			b.ckpts = append(b.ckpts, c.SaveCheckpoint())
+		}
+		b.barriers = append(b.barriers, c.Cycle)
 	}
+	// Leave the model where the third pass ended.
+	c.RestoreCheckpoint(b.ckpts[n])
+	b.barrier = n
 	return b, nil
 }
 
@@ -137,6 +173,7 @@ func (b *Backend) Clone() engine.Backend {
 		core:      c,
 		prog:      b.prog,
 		ckpts:     b.ckpts,
+		barriers:  b.barriers,
 		baseRecov: b.baseRecov,
 	}
 	// Synchronize counters and capture state with a (dirty-path) reload.
@@ -152,20 +189,37 @@ func (b *Backend) Core() *proc.Core { return b.core }
 func (b *Backend) DB() *latch.DB { return b.core.DB() }
 
 // Phases returns the phased-checkpoint count (one per AVP testcase).
-func (b *Backend) Phases() int { return len(b.ckpts) }
+func (b *Backend) Phases() int { return len(b.prog.Testcases) }
 
 // ReloadPhase restores phased checkpoint p and its testcase tracking,
 // clearing any sticky force.
 func (b *Backend) ReloadPhase(p int) {
-	ph := b.ckpts[p]
-	b.core.RestoreCheckpoint(ph.ck)
+	b.core.RestoreCheckpoint(b.ckpts[p])
 	b.stickyOn = false
-	b.nextTC = ph.nextTC
+	b.barrier = p
+	b.golden = true
+	b.ahead = 0
 }
 
-// Step clocks one cycle, re-applying an active sticky force and rotating
-// the expected-testcase index at barriers.
+// Step clocks one cycle, re-applying an active sticky force and counting
+// the testends that retire.
 func (b *Backend) Step() engine.Event {
+	if b.ahead != 0 {
+		b.catchUp()
+	}
+	return b.step()
+}
+
+func (b *Backend) step() engine.Event {
+	ev := b.clock()
+	if ev.TestEnd {
+		b.barrier++
+	}
+	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
+}
+
+// clock steps the core and maintains the sticky force.
+func (b *Backend) clock() proc.Event {
 	ev := b.core.Step()
 	if b.stickyOn {
 		if b.stickyUntil != 0 && b.core.Cycle >= b.stickyUntil {
@@ -174,10 +228,16 @@ func (b *Backend) Step() engine.Event {
 			b.stickyBit.Set(b.stickyVal)
 		}
 	}
-	if ev.TestEnd {
-		b.nextTC = (b.nextTC + 1) % len(b.prog.Testcases)
+	return ev
+}
+
+// catchUp clocks the cycles Run observed by replay, so that the model
+// itself is at Cycle(). Their testends are already counted.
+func (b *Backend) catchUp() {
+	b.stepped += b.ahead
+	for ; b.ahead > 0; b.ahead-- {
+		b.clock()
 	}
-	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
 }
 
 // Inject applies a fault at the current cycle: the bit (and the rest of its
@@ -189,13 +249,19 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
 		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
+	b.catchUp()
+	g, _, _ := db.Locate(inj.Bit)
+	b.golden = b.golden && g.Idle
 	first := db.BitRef(inj.Bit)
 	v := first.Flip()
 	for i := 1; i < inj.Span && inj.Bit+i < db.TotalBits(); i++ {
 		db.Flip(inj.Bit + i)
+		gi, _, _ := db.Locate(inj.Bit + i)
+		b.golden = b.golden && gi.Idle
 	}
 	if inj.Mode == engine.Sticky {
 		b.stickyOn = true
+		b.stickyIdle = g.Idle
 		b.stickyBit = first
 		b.stickyVal = v
 		b.stickyUntil = 0
@@ -207,10 +273,20 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	return nil
 }
 
-// Run clocks up to maxCycles, invoking onBarrier at every testend (if
+// Run observes up to maxCycles, invoking onBarrier at every testend (if
 // non-nil; returning false from the callback stops the run). The run also
 // stops on halt, checkstop, a detected hang, or harness-level loss of
 // forward progress (nothing completed for 2×HangLimit cycles).
+//
+// While the model is on the recorded fault-free trajectory (golden) Run does
+// not clock it: it advances the observed cycle to the next recorded testend,
+// counts it and calls onBarrier, exactly as stepping there would have — a
+// fault-free machine fires no stop condition, CheckBarrier answers for the
+// barrier being replayed, and the window clips a replayed testcase as it
+// clips a stepped one. Past the end of the record the model is caught up and
+// clocked again, so a callback that never stops still sees every barrier.
+// What Verdict reads afterwards (FIRs, checkstop, first-error capture,
+// recovery and correction counts) a fault-free continuation does not change.
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
 	c := b.core
@@ -218,8 +294,26 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	lastProgressCycle := c.Cycle
 	harnessLimit := uint64(2 * c.Config().HangLimit)
 
-	for i := 0; i < maxCycles; i++ {
-		ev := b.Step()
+	for window := uint64(max(maxCycles, 0)); st.Cycles < window; {
+		if b.golden && b.barrier+1 < len(b.barriers) {
+			d := b.barriers[b.barrier+1] - b.Cycle()
+			if left := window - st.Cycles; d > left {
+				st.Cycles, b.ahead = window, b.ahead+left
+				break
+			}
+			st.Cycles, b.ahead = st.Cycles+d, b.ahead+d
+			b.barrier++
+			st.Barriers++
+			if onBarrier != nil && !onBarrier() {
+				break
+			}
+			continue
+		}
+		if b.ahead != 0 {
+			b.catchUp() // the record ran out under a callback still going
+		}
+		ev := b.step()
+		b.stepped++
 		st.Cycles++
 		if c.Completed != lastCompleted {
 			lastCompleted = c.Completed
@@ -230,6 +324,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 			if onBarrier != nil && !onBarrier() {
 				break
 			}
+			b.golden = b.golden || b.atCheckpoint()
 		}
 		switch {
 		case ev.Halted:
@@ -246,24 +341,40 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 		break // a stop condition fired
 	}
 	b.obs.ObserveRun(st.Cycles) // nil-safe
+	b.obs.ObserveStepped(b.stepped)
+	b.stepped = 0
 	return st
+}
+
+// atCheckpoint reports whether the model, having just retired a testend, is
+// in the state the fault-free pass was in at that testend. A live sticky
+// force on a non-idle bit rules it out: the state may be equal now and the
+// force still push it off next cycle.
+func (b *Backend) atCheckpoint() bool {
+	return b.barrier < len(b.ckpts) && !(b.stickyOn && !b.stickyIdle) &&
+		b.core.AtCheckpoint(b.ckpts[b.barrier])
 }
 
 // CheckBarrier verifies architected state against the retired testcase's
 // golden signature and memory digest, and reports whether recovery
-// activity happened since the previous barrier.
+// activity happened since the previous barrier. A replayed barrier (the
+// model is behind the observed cycle) is a fault-free one: its state is the
+// golden state, and the recovery count cannot have moved.
 func (b *Backend) CheckBarrier() engine.BarrierCheck {
-	n := len(b.prog.Testcases)
-	tc := b.prog.Testcases[(b.nextTC+n-1)%n] // the one Step just retired
 	c := b.core
-	st := c.ArchState()
-	sigOK := st.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked
-	memOK := c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
+	ok := b.ahead != 0
+	if !ok {
+		n := len(b.prog.Testcases)
+		tc := b.prog.Testcases[(b.barrier+n-1)%n] // the one Step just retired
+		st := c.ArchState()
+		ok = st.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked &&
+			c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
+	}
 	busy := c.Recoveries != b.lastActivity || c.InRecovery()
 	if busy {
 		b.lastActivity = c.Recoveries
 	}
-	return engine.BarrierCheck{StateOK: sigOK && memOK, Busy: busy}
+	return engine.BarrierCheck{StateOK: ok, Busy: busy}
 }
 
 // Verdict polls the machine-check state: checkstop, first-error trace,
@@ -302,8 +413,9 @@ func (b *Backend) FIRNames() []string {
 	return out
 }
 
-// Cycle returns the current machine cycle.
-func (b *Backend) Cycle() uint64 { return b.core.Cycle }
+// Cycle returns the current machine cycle as observed: the model's own
+// cycle plus the cycles Run replayed without clocking it.
+func (b *Backend) Cycle() uint64 { return b.core.Cycle + b.ahead }
 
 // SetObs attaches a metrics collector to the backend and its core (nil
 // detaches, the default). Monitored runs then record their cycle counts

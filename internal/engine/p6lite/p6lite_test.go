@@ -1,11 +1,14 @@
 package p6lite
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"sfi/internal/bits"
 	"sfi/internal/engine"
 	"sfi/internal/isa"
+	"sfi/internal/latch"
 	"sfi/internal/mem"
 	"sfi/internal/proc"
 )
@@ -264,7 +267,7 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 					t.Fatal(err)
 				}
 				b.Run(500, nil)
-				c.RestoreCheckpointFull(b.ckpts[phase].ck)
+				c.RestoreCheckpointFull(b.ckpts[phase])
 				full := captureState(c)
 				diffStates(t, dirty, full)
 			}
@@ -283,4 +286,303 @@ func gprBit(c *proc.Core, group string, entry int) int {
 		off += g.Bits()
 	}
 	panic("group not found")
+}
+
+// steppedRun is Run as it was before the early exit against golden: it
+// clocks every cycle it observes through b.Step and never replays. It is
+// the oracle Run is compared with.
+func (b *Backend) steppedRun(maxCycles int, onBarrier func() bool) engine.RunStats {
+	var st engine.RunStats
+	c := b.core
+	lastCompleted := c.Completed
+	lastProgressCycle := c.Cycle
+	harnessLimit := uint64(2 * c.Config().HangLimit)
+
+	for i := 0; i < maxCycles; i++ {
+		ev := b.Step()
+		st.Cycles++
+		if c.Completed != lastCompleted {
+			lastCompleted = c.Completed
+			lastProgressCycle = c.Cycle
+		}
+		if ev.Barrier {
+			st.Barriers++
+			if onBarrier != nil && !onBarrier() {
+				break
+			}
+		}
+		switch {
+		case ev.Halted:
+			st.Halted = true
+		case c.Checkstopped():
+			st.Checkstop = true
+		case c.HangDetected():
+			st.Hang = true
+		case c.Cycle-lastProgressCycle > harnessLimit:
+			st.NoProgress = true
+		default:
+			continue
+		}
+		break // a stop condition fired
+	}
+	return st
+}
+
+// observation is everything the campaign layer takes from one injection.
+type observation struct {
+	stats    engine.RunStats
+	verdict  engine.Verdict
+	sdc      bool
+	calls    int    // barrier callbacks made
+	endCycle uint64 // Cycle() after the run
+	fir      string
+}
+
+// observe drives the scalar injection protocol of core.Runner on b: reload,
+// delay, inject, then a monitored run through run (b.Run or b.steppedRun)
+// under the quiesce callback. quiesce < 0 installs a callback that never
+// stops the run.
+func observe(t *testing.T, b *Backend, run func(int, func() bool) engine.RunStats,
+	phase, delay int, inj engine.Injection, window, quiesce int) observation {
+	t.Helper()
+	b.ReloadPhase(phase)
+	for i := 0; i < delay; i++ {
+		b.Step()
+	}
+	if err := b.Inject(inj); err != nil {
+		t.Fatal(err)
+	}
+	var o observation
+	clean := 0
+	o.stats = run(window, func() bool {
+		o.calls++
+		chk := b.CheckBarrier()
+		switch {
+		case !chk.StateOK:
+			o.sdc = true
+			return false
+		case quiesce < 0:
+			return true
+		case chk.Busy:
+			clean = 0
+			return true
+		}
+		clean++
+		return quiesce == 0 || clean < quiesce
+	})
+	o.verdict = b.Verdict()
+	o.endCycle = b.Cycle()
+	o.fir = fmt.Sprint(b.FIRNames())
+	return o
+}
+
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
+// pair is a backend and an independent clone of it: one runs the early-exit
+// Run, the other the stepped oracle, so neither sees the other's state.
+type pair struct{ fast, slow *Backend }
+
+func newPair(t testing.TB, cfg engine.Config) pair {
+	t.Helper()
+	be, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pair{be.(*Backend), be.Clone().(*Backend)}
+}
+
+// same runs one injection both ways and fails on any difference.
+func (p pair) same(t *testing.T, phase, delay int, inj engine.Injection, window, quiesce int) {
+	t.Helper()
+	got := observe(t, p.fast, p.fast.Run, phase, delay, inj, window, quiesce)
+	want := observe(t, p.slow, p.slow.steppedRun, phase, delay, inj, window, quiesce)
+	if got != want {
+		t.Fatalf("phase %d delay %d %+v window %d quiesce %d:\n run     %+v\n stepped %+v",
+			phase, delay, inj, window, quiesce, got, want)
+	}
+}
+
+// schedule spreads a bit's injection instant the way core.Runner does.
+func schedule(bit, phases int) (phase, delay int) {
+	h := engine.Splitmix64(uint64(bit))
+	return int(h % uint64(phases)), int((h >> 16) % 197)
+}
+
+// injectionShapes are the four fault shapes the campaigns use.
+var injectionShapes = []engine.Injection{
+	{Mode: engine.Toggle},
+	{Mode: engine.Sticky},
+	{Mode: engine.Sticky, Duration: 200},
+	{Mode: engine.Toggle, Span: 3},
+}
+
+// TestEarlyExitMatchesStepped is the differential proof that replaying the
+// fault-free record is indistinguishable from stepping it: over a uniform
+// sample of the population, every fault shape and the three checker and
+// recovery configurations, Run and the stepped oracle return the same
+// RunStats, Verdict, SDC flag, callback count, end cycle and FIR poll.
+func TestEarlyExitMatchesStepped(t *testing.T) {
+	bits := 2000
+	if testing.Short() || raceDetector {
+		bits = 200 // one goroutine: the race detector has nothing to find here
+	}
+	configs := []struct {
+		name string
+		mut  func(*engine.Config)
+	}{
+		{"checkers", func(*engine.Config) {}},
+		{"raw", func(c *engine.Config) { c.CheckersOn = false }},
+		{"no-recovery", func(c *engine.Config) { c.RecoveryOn = false }},
+	}
+	for ci, cf := range configs {
+		t.Run(cf.name, func(t *testing.T) {
+			cfg := engine.DefaultConfig()
+			cf.mut(&cfg)
+			p := newPair(t, cfg)
+			rng := rand.New(rand.NewPCG(18, uint64(ci)))
+			for _, bit := range p.fast.DB().SampleBits(rng, bits, nil) {
+				phase, delay := schedule(bit, p.fast.Phases())
+				for _, inj := range injectionShapes {
+					inj.Bit = bit
+					p.same(t, phase, delay, inj, cfg.Window, cfg.QuiesceExit)
+				}
+			}
+		})
+	}
+}
+
+// TestEarlyExitOutlastsRecord covers the callbacks the recorded barriers
+// cannot satisfy: one that never stops (the window ends the run, mid
+// testcase) and QuiesceExit = 0, whose record is one testend long. Both must
+// still see what stepping shows them, barrier for barrier.
+func TestEarlyExitOutlastsRecord(t *testing.T) {
+	bits := 300
+	if testing.Short() || raceDetector {
+		bits = 60
+	}
+	cfg := engine.DefaultConfig()
+	never := newPair(t, cfg)
+	cfg.QuiesceExit = 0
+	fixed := newPair(t, cfg)
+	rng := rand.New(rand.NewPCG(18, 99))
+	for i, bit := range never.fast.DB().SampleBits(rng, bits, nil) {
+		phase, delay := schedule(bit, never.fast.Phases())
+		inj := injectionShapes[i%len(injectionShapes)]
+		inj.Bit = bit
+		never.same(t, phase, delay, inj, 3000+i, -1)
+		fixed.same(t, phase, delay, inj, 3000+i, 0)
+	}
+}
+
+// TestRunAfterEarlyExit checks that a run which exited early leaves a
+// backend that can be driven on: a second Run, and Steps after it, see the
+// barriers a stepped model sees.
+func TestRunAfterEarlyExit(t *testing.T) {
+	p := newPair(t, engine.DefaultConfig())
+	bit := findBit(t, p.fast, "fxu.t1.gpr", 5) // idle: the first Run replays from the flip
+	for _, b := range []*Backend{p.fast, p.slow} {
+		b.ReloadPhase(1)
+		if err := b.Inject(engine.Injection{Bit: bit, Mode: engine.Toggle}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := func() bool { return false }
+	for i, window := range []int{100000, 150, 100000} {
+		got, want := p.fast.Run(window, stop), p.slow.steppedRun(window, stop)
+		if got != want || p.fast.Cycle() != p.slow.Cycle() {
+			t.Fatalf("run %d: %+v at cycle %d, stepped %+v at cycle %d",
+				i, got, p.fast.Cycle(), want, p.slow.Cycle())
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if got, want := p.fast.Step(), p.slow.Step(); got != want {
+			t.Fatalf("step %d after the runs: %+v, stepped %+v", i, got, want)
+		}
+	}
+	diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
+}
+
+// FuzzEarlyExit feeds arbitrary injections to the same oracle.
+func FuzzEarlyExit(f *testing.F) {
+	f.Add(uint32(0), false, uint8(1), uint16(0), uint8(0))
+	f.Add(uint32(21909), true, uint8(1), uint16(0), uint8(17))   // rut.err.cycle, held
+	f.Add(uint32(40000), true, uint8(3), uint16(200), uint8(90)) // span from a sticky bit
+	f.Add(uint32(73700), false, uint8(9), uint16(0), uint8(196)) // span clipped at the population edge
+	var p pair
+	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration uint16, delay uint8) {
+		if p.fast == nil {
+			p = newPair(t, engine.DefaultConfig())
+		}
+		inj := engine.Injection{
+			Bit:      int(bit) % p.fast.DB().TotalBits(),
+			Mode:     engine.Toggle,
+			Span:     int(span % 16),
+			Duration: int(duration),
+		}
+		if sticky {
+			inj.Mode = engine.Sticky
+		}
+		phase, _ := schedule(inj.Bit, p.fast.Phases())
+		p.same(t, phase, int(delay), inj, 50_000, 2)
+	})
+}
+
+// idleWords marks the storage words (one per group entry, in registration
+// order) that belong to idle groups.
+func idleWords(db *latch.DB) []bool {
+	var idle []bool
+	for _, g := range db.Groups() {
+		for e := 0; e < g.Entries; e++ {
+			idle = append(idle, g.Idle)
+		}
+	}
+	return idle
+}
+
+// liveState is captureState with the idle latch words blanked: the state the
+// model can read.
+func liveState(c *proc.Core) fullState {
+	st := captureState(c)
+	for w, idle := range idleWords(c.DB()) {
+		if idle {
+			st.latches[w] = 0
+		}
+	}
+	return st
+}
+
+// TestIdleMeansIdle is the behavioural half of the RegisterIdle contract:
+// a flip in an idle group, at any cycle of any phase, leaves every latch
+// outside idle groups, every array cell and every memory byte exactly where
+// a fault-free model has them a full testcase later.
+func TestIdleMeansIdle(t *testing.T) {
+	p := newPair(t, engine.DefaultConfig())
+	db := p.fast.DB()
+	idle := func(g *latch.Group) bool { return g.Idle }
+	rng := rand.New(rand.NewPCG(18, 7))
+	for phase := 0; phase < p.fast.Phases(); phase++ {
+		for _, bit := range db.SampleBits(rng, 40, idle) {
+			at := rng.IntN(400)
+			p.fast.ReloadPhase(phase)
+			p.slow.ReloadPhase(phase)
+			ends := 0
+			for cyc := 0; ends < 2; cyc++ { // into the next testcase and through all of it
+				if cyc == at {
+					db.Flip(bit)
+				}
+				ev := p.fast.Step()
+				if ev != p.slow.Step() {
+					t.Fatalf("phase %d bit %d at %d: events differ at cycle %d", phase, bit, at, cyc)
+				}
+				if ev.Barrier && cyc >= at {
+					ends++
+				}
+			}
+			if db.Peek(bit) == p.slow.DB().Peek(bit) {
+				t.Fatalf("phase %d bit %d: the flip did not survive", phase, bit)
+			}
+			diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
+		}
+	}
 }

@@ -58,6 +58,10 @@ type Group struct {
 	Entries int
 	Width   int
 
+	// Idle marks a group registered with RegisterIdle: the model holds no
+	// handle to it, so no model code can read or write its bits.
+	Idle bool
+
 	logOff  int // dense logical bit offset of entry 0 bit 0
 	physOff int // word index of entry 0
 }
@@ -143,6 +147,16 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 	db.total += entries * width
 	db.words = append(db.words, make([]uint64, entries)...)
 	return Array{db: db, g: g, off: g.physOff, n: entries, mask: mask(width)}
+}
+
+// RegisterIdle adds a latch group that is architecturally present but that
+// the model never reads or writes. It returns no handle, so "nothing reads
+// this latch" is enforced by the type system rather than by convention: the
+// bits are still part of the population (sampled, flipped, snapshotted), but
+// a flip confined to idle groups cannot change what the model does, and
+// Matches leaves idle words out of its comparison.
+func (db *DB) RegisterIdle(unit string, kind Type, name string, entries, width int) {
+	db.RegisterArray(unit, kind, name, entries, width).g.Idle = true
 }
 
 // Freeze finalizes registration. Further Register calls panic.
@@ -352,6 +366,48 @@ func (db *DB) RestoreDelta(d *Delta) {
 		db.words[w] = d.val[i]
 		db.dirty[w>>dirtyShift] = 1
 	}
+}
+
+// wordIdle reports whether storage word w belongs to an idle group.
+func (db *DB) wordIdle(w int) bool {
+	i := sort.Search(len(db.groups), func(i int) bool {
+		return db.groups[i].physOff > w
+	}) - 1
+	return db.groups[i].Idle
+}
+
+// Matches reports whether the latch image equals snap outside idle groups,
+// where snap is a Snapshot and d the Delta captured with it (the two forms
+// a checkpoint holds). With a baseline it reads only what can differ: a
+// clean word equals the baseline, and snap equals the baseline outside d,
+// so the dirty blocks and d's words cover every possible difference — the
+// cost is that of RestoreDelta, not of the database. Without a baseline (or
+// with a nil d) every word is compared.
+func (db *DB) Matches(snap []uint64, d *Delta) bool {
+	if len(snap) != len(db.words) {
+		panic(fmt.Sprintf("latch: snapshot size %d != %d", len(snap), len(db.words)))
+	}
+	same := func(lo, hi int) bool {
+		for w := lo; w < hi; w++ {
+			if db.words[w] != snap[w] && !db.wordIdle(w) {
+				return false
+			}
+		}
+		return true
+	}
+	if db.base == nil || d == nil {
+		return same(0, len(db.words))
+	}
+	for _, w := range d.idx {
+		if !same(int(w), int(w)+1) {
+			return false
+		}
+	}
+	eq := true
+	db.forEachDirtyBlock(func(b int) {
+		eq = eq && same(db.blockBounds(b))
+	})
+	return eq
 }
 
 // Filter selects latch groups (nil selects everything).

@@ -475,3 +475,59 @@ func BenchmarkRegGetSet(b *testing.B) {
 	}
 	sinkReg = pc.Get()
 }
+
+// TestMatches checks the dirty-set comparison against a snapshot and its
+// delta, case by case: it must see a difference wherever one can hide (a
+// dirty word, a word of the delta that is clean in the live image), and it
+// must not see idle groups at all.
+func TestMatches(t *testing.T) {
+	build := func() (*DB, Reg, Array, int) {
+		db := NewDB()
+		pc := db.Register("IFU", Func, "ifu.pc", 48)
+		db.RegisterIdle("IFU", Func, "ifu.t1.pc", 4, 48)
+		gpr := db.RegisterArray("FXU", RegFile, "fxu.gpr", 32, 64)
+		db.Freeze()
+		return db, pc, gpr, 48 // logical bit 48: ifu.t1.pc entry 0 bit 0
+	}
+	for _, baseline := range []bool{true, false} {
+		db, pc, gpr, idleBit := build()
+		if g, _ := db.GroupByName("ifu.t1.pc"); !g.Idle || g.Bits() != 4*48 {
+			t.Fatalf("RegisterIdle made %+v", g)
+		}
+		var base, d *Delta
+		if baseline {
+			db.SetBaseline()
+			base = db.CaptureDelta()
+		}
+		pc.Set(0x40)
+		gpr.Entry(20).Set(7)
+		snap := db.Snapshot()
+		if baseline {
+			d = db.CaptureDelta()
+		}
+		check := func(what string, want bool) {
+			t.Helper()
+			if got := db.Matches(snap, d); got != want {
+				t.Errorf("baseline %v, %s: Matches = %v, want %v", baseline, what, got, want)
+			}
+		}
+		check("untouched", true)
+		db.Flip(idleBit)
+		db.Flip(idleBit + 3*48 + 47)
+		check("idle bits flipped", true)
+		gpr.Entry(31).Set(1)
+		check("live word changed in a block the snapshot left clean", false)
+		gpr.Entry(31).Set(0)
+		check("changed back", true)
+		gpr.Entry(20).Set(8)
+		check("delta word changed", false)
+		if baseline {
+			// Back at the baseline, nothing is dirty: only the delta's own
+			// words show that the snapshot is somewhere else.
+			db.RestoreDelta(base)
+			check("live image clean, snapshot not", false)
+			db.RestoreDelta(d)
+			check("restored", true)
+		}
+	}
+}

@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -228,15 +229,36 @@ func (m *Memory) forEachDirty(fn func(page int)) {
 
 // Equal reports whether two memories have identical size and contents.
 func (m *Memory) Equal(o *Memory) bool {
-	if len(m.data) != len(o.data) {
+	return bytes.Equal(m.data, o.data)
+}
+
+// Matches reports whether the contents equal img's, where img is a Clone
+// and d the Delta captured with it (the two forms a checkpoint holds). With
+// a baseline it reads only what can differ: a clean page equals the
+// baseline, and img equals the baseline outside d's pages, so the dirty
+// pages and d's pages cover every possible difference. Without a baseline
+// (or with a nil d) it is Equal.
+func (m *Memory) Matches(img *Memory, d *Delta) bool {
+	if m.base == nil || d == nil {
+		return m.Equal(img)
+	}
+	if len(m.data) != len(img.data) {
 		return false
 	}
-	for i := range m.data {
-		if m.data[i] != o.data[i] {
+	same := func(p int) bool {
+		lo, hi := m.pageBounds(p)
+		return bytes.Equal(m.data[lo:hi], img.data[lo:hi])
+	}
+	for _, p := range d.pages {
+		if !same(int(p)) {
 			return false
 		}
 	}
-	return true
+	eq := true
+	m.forEachDirty(func(p int) {
+		eq = eq && same(p)
+	})
+	return eq
 }
 
 // DigestRange hashes the doublewords covering [lo, hi) after wrapping (lo is

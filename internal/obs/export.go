@@ -41,6 +41,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer, prefix string) error {
 	counter("injections_total", s.Injections)
 	counter("restores_total", s.Restores)
 	counter("cycles_total", s.Cycles)
+	counter("stepped_cycles_total", s.SteppedCycles)
 	counter("busy_ns_total", s.BusyNs)
 	counter("batches_total", s.Batches)
 

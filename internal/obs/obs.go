@@ -24,7 +24,8 @@ type Metrics struct {
 
 	injections atomic.Uint64
 	restores   atomic.Uint64
-	cycles     atomic.Uint64 // cycles clocked during observed propagation windows
+	cycles     atomic.Uint64 // cycles observed in propagation windows
+	stepped    atomic.Uint64 // of those, the cycles a model was actually clocked through
 	busyNs     atomic.Uint64 // wall nanoseconds spent inside RunInjection
 	batches    atomic.Uint64 // bit-parallel batched passes completed
 
@@ -96,6 +97,17 @@ func (m *Metrics) ObserveRun(cycles uint64) {
 	m.propagateCycles.Observe(cycles)
 }
 
+// ObserveStepped records how many of the observed cycles a backend really
+// clocked its model through. The p6lite backend reports it: the difference
+// from Cycles is what its early exit against golden replayed from the
+// fault-free record instead of stepping.
+func (m *Metrics) ObserveStepped(cycles uint64) {
+	if m == nil {
+		return
+	}
+	m.stepped.Add(cycles)
+}
+
 // ObserveBatch records one completed bit-parallel batched pass and the
 // number of fault lanes it carried — batch efficiency shows up as the
 // lane-occupancy histogram staying near the backend's lane capacity.
@@ -149,6 +161,7 @@ func (m *Metrics) Snapshot() *Snapshot {
 	s.Injections = m.injections.Load()
 	s.Restores = m.restores.Load()
 	s.Cycles = m.cycles.Load()
+	s.SteppedCycles = m.stepped.Load()
 	s.BusyNs = m.busyNs.Load()
 	s.Batches = m.batches.Load()
 	for code := range m.outcomes {
@@ -187,8 +200,11 @@ type Snapshot struct {
 	Injections uint64 `json:"injections"`
 	Restores   uint64 `json:"restores"`
 	Cycles     uint64 `json:"cycles"`
-	BusyNs     uint64 `json:"busy_ns"`
-	Batches    uint64 `json:"batches"`
+	// SteppedCycles is the part of Cycles a model was clocked through
+	// (reported by the p6lite backend only; see Metrics.ObserveStepped).
+	SteppedCycles uint64 `json:"stepped_cycles"`
+	BusyNs        uint64 `json:"busy_ns"`
+	Batches       uint64 `json:"batches"`
 
 	Outcomes map[string]uint64            `json:"outcomes"`
 	ByUnit   map[string]map[string]uint64 `json:"by_unit,omitempty"`
@@ -219,6 +235,7 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.Injections += o.Injections
 	s.Restores += o.Restores
 	s.Cycles += o.Cycles
+	s.SteppedCycles += o.SteppedCycles
 	s.BusyNs += o.BusyNs
 	s.Batches += o.Batches
 	mergeCounts := func(dst, src map[string]uint64) map[string]uint64 {
@@ -278,6 +295,7 @@ func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 	d.Injections = sub64(s.Injections, prev.Injections)
 	d.Restores = sub64(s.Restores, prev.Restores)
 	d.Cycles = sub64(s.Cycles, prev.Cycles)
+	d.SteppedCycles = sub64(s.SteppedCycles, prev.SteppedCycles)
 	d.BusyNs = sub64(s.BusyNs, prev.BusyNs)
 	d.Batches = sub64(s.Batches, prev.Batches)
 	subCounts := func(cur, old map[string]uint64) map[string]uint64 {
@@ -311,7 +329,7 @@ func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
 // delta of an idle interval).
 func (s *Snapshot) Empty() bool {
 	return s == nil || (s.Injections == 0 && s.Restores == 0 && s.Cycles == 0 &&
-		s.BusyNs == 0 && s.Batches == 0 &&
+		s.SteppedCycles == 0 && s.BusyNs == 0 && s.Batches == 0 &&
 		len(s.Outcomes) == 0 && len(s.ByUnit) == 0 && len(s.ByType) == 0 &&
 		s.InjectionNs.Count == 0 && s.RestoreNs.Count == 0 &&
 		s.PropagateCycles.Count == 0 && s.DetectCycles.Count == 0 &&

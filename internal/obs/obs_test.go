@@ -173,6 +173,7 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 	m.ObserveInjection(1)
 	m.ObserveRestore(1)
 	m.ObserveRun(1)
+	m.ObserveStepped(1)
 	m.ObserveDetect(1)
 	m.IncOutcome(1, "LSU", "FUNC")
 	s := m.Snapshot()
@@ -266,6 +267,7 @@ func TestWritePrometheus(t *testing.T) {
 	m.ObserveInjection(5000)
 	m.ObserveRestore(900)
 	m.ObserveRun(1200)
+	m.ObserveStepped(450)
 	var buf bytes.Buffer
 	if err := m.Snapshot().WritePrometheus(&buf, "sfi"); err != nil {
 		t.Fatal(err)
@@ -273,6 +275,8 @@ func TestWritePrometheus(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sfi_injections_total 1",
+		"sfi_cycles_total 1200",
+		"sfi_stepped_cycles_total 450",
 		`sfi_outcome_total{outcome="vanished"} 1`,
 		`sfi_outcome_total{outcome="corrected"} 1`,
 		`sfi_unit_outcome_total{unit="LSU",outcome="corrected"} 1`,
@@ -306,6 +310,7 @@ func fillSnapshot(n int, base uint64) *Snapshot {
 		m.ObserveInjection(base + uint64(i))
 		m.ObserveRestore(base + uint64(i)/2)
 		m.ObserveRun(100 + base + uint64(i))
+		m.ObserveStepped(40 + base + uint64(i))
 		m.IncOutcome(0, "FXU", "FUNC")
 		if i%2 == 0 {
 			m.IncOutcome(4, "LSU", "REGFILE")

@@ -409,3 +409,81 @@ func TestLatchPopulationShape(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleInventoryPinned lists the groups registered with RegisterIdle and
+// pins their number and their bits for the default configuration: moving a
+// group between the live and the idle inventory changes which flips a
+// campaign may skip stepping, and must show up as a diff here.
+func TestIdleInventoryPinned(t *testing.T) {
+	count := func(cfg Config) (groups, bits int) {
+		for _, g := range New(cfg).DB().Groups() {
+			if g.Idle {
+				groups++
+				bits += g.Bits()
+				t.Logf("idle: %-4s %-16s %5d bits", g.Unit, g.Name, g.Bits())
+			}
+		}
+		return groups, bits
+	}
+	if groups, bits := count(DefaultConfig()); groups != 39 || bits != 44468 {
+		t.Errorf("default configuration: %d idle groups holding %d bits, want 39 holding 44468", groups, bits)
+	}
+	if groups, bits := count(nestConfig()); groups != 42 || bits != 44468+3*16*64 {
+		t.Errorf("with the periphery: %d idle groups holding %d bits, want 42 holding %d", groups, bits, 44468+3*16*64)
+	}
+}
+
+// TestAtCheckpoint perturbs each kind of state a checkpoint holds, one at a
+// time, on the shared-baseline path and on the full-compare path: only a
+// flip confined to an idle group leaves the machine "at" the checkpoint.
+func TestAtCheckpoint(t *testing.T) {
+	for _, baseline := range []bool{true, false} {
+		c := newNestLoopedCore(t)
+		if baseline {
+			c.InstallRestoreBaseline()
+			run(c, 300)
+		}
+		ck := c.SaveCheckpoint()
+		check := func(what string, want bool) {
+			t.Helper()
+			if got := c.AtCheckpoint(ck); got != want {
+				t.Errorf("baseline %v, %s: AtCheckpoint = %v, want %v", baseline, what, got, want)
+			}
+			c.RestoreCheckpoint(ck)
+			if !c.AtCheckpoint(ck) {
+				t.Fatalf("baseline %v, after %s: not at the checkpoint just restored", baseline, what)
+			}
+		}
+		check("untouched", true)
+		flipGroupBit(t, c, "fxu.t1.gpr", 3, 9)
+		flipGroupBit(t, c, "nest.dma", 0, 0)
+		check("idle latches flipped", true)
+		flipGroupBit(t, c, "ifu.bht", 1000, 1)
+		check("live latch flipped", false)
+		c.nest.l2Data.FlipBit(3, 70)
+		check("array check bit flipped", false)
+		c.Mem().Write32(0x20000, 1)
+		check("memory word written", false)
+		c.Completed++
+		check("completion count moved", false)
+		run(c, 1)
+		check("one cycle later", false)
+		// Bookkeeping the next-state logic never reads does not count.
+		c.Recoveries++
+		c.checkers[ChkIFUPCPar].Fired++
+		c.lsu.dcData.Corrected++
+		check("error bookkeeping moved", true)
+
+		// A checkpoint of another baseline is compared in full.
+		other := newNestLoopedCore(t)
+		other.InstallRestoreBaseline()
+		run(other, 300)
+		if baseline && !other.AtCheckpoint(ck) {
+			t.Error("an identically driven core is not at the checkpoint")
+		}
+		run(other, 1)
+		if other.AtCheckpoint(ck) {
+			t.Error("a core one cycle further is at the checkpoint")
+		}
+	}
+}

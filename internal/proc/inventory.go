@@ -426,64 +426,65 @@ func (c *Core) buildInventory() {
 // effectively did), the second fixed-point pipe, deep front-end buffers and
 // out-of-order-assist structures unused by the in-order flow. These latches
 // hold no live data, so flips in them vanish — they are the bulk of the
-// architecture-level derating the paper measures.
+// architecture-level derating the paper measures. They are registered with
+// RegisterIdle, which hands back no handle: the model cannot read them.
 func (c *Core) buildColdInventory() {
 	db := c.db
 
 	u := UnitIFU
-	db.RegisterArray(u, latch.Func, "ifu.ibuf.ir", 32, 34) // deep instr buffer
-	db.RegisterArray(u, latch.Func, "ifu.ibuf.pc", 32, 48)
-	db.RegisterArray(u, latch.Func, "ifu.t1.fb.ir", fbEntries, 34) // thread-1 fetch buffer
-	db.RegisterArray(u, latch.Func, "ifu.t1.fb.pc", fbEntries, 48)
-	db.Register(u, latch.Func, "ifu.t1.pc", 64)
-	db.RegisterArray(u, latch.Func, "ifu.bht2", 2048, 2) // second BHT bank
-	db.RegisterArray(u, latch.Func, "ifu.btac", 32, 60)  // branch target cache
+	db.RegisterIdle(u, latch.Func, "ifu.ibuf.ir", 32, 34) // deep instr buffer
+	db.RegisterIdle(u, latch.Func, "ifu.ibuf.pc", 32, 48)
+	db.RegisterIdle(u, latch.Func, "ifu.t1.fb.ir", fbEntries, 34) // thread-1 fetch buffer
+	db.RegisterIdle(u, latch.Func, "ifu.t1.fb.pc", fbEntries, 48)
+	db.RegisterIdle(u, latch.Func, "ifu.t1.pc", 1, 64)
+	db.RegisterIdle(u, latch.Func, "ifu.bht2", 2048, 2) // second BHT bank
+	db.RegisterIdle(u, latch.Func, "ifu.btac", 32, 60)  // branch target cache
 
 	u = UnitIDU
-	db.RegisterArray(u, latch.Func, "idu.iq.ir", 16, 34) // issue queue
-	db.RegisterArray(u, latch.Func, "idu.iq.pc", 16, 48)
-	db.RegisterArray(u, latch.Func, "idu.ucode.seq", 32, 64) // microcode sequencer state
-	db.RegisterArray(u, latch.Func, "idu.gct", 16, 64)       // group completion table
-	db.RegisterArray(u, latch.Func, "idu.crk", 16, 64)       // instruction-crack buffers
-	db.Register(u, latch.Func, "idu.t1.d1", 64)
-	db.Register(u, latch.Func, "idu.t1.d1x", 18)
-	db.Register(u, latch.Func, "idu.t1.d2", 64)
-	db.Register(u, latch.Func, "idu.t1.d2x", 18)
-	db.RegisterArray(u, latch.RegFile, "idu.t1.spr", 3, 64) // thread-1 CR/LR/CTR
+	db.RegisterIdle(u, latch.Func, "idu.iq.ir", 16, 34) // issue queue
+	db.RegisterIdle(u, latch.Func, "idu.iq.pc", 16, 48)
+	db.RegisterIdle(u, latch.Func, "idu.ucode.seq", 32, 64) // microcode sequencer state
+	db.RegisterIdle(u, latch.Func, "idu.gct", 16, 64)       // group completion table
+	db.RegisterIdle(u, latch.Func, "idu.crk", 16, 64)       // instruction-crack buffers
+	db.RegisterIdle(u, latch.Func, "idu.t1.d1", 1, 64)
+	db.RegisterIdle(u, latch.Func, "idu.t1.d1x", 1, 18)
+	db.RegisterIdle(u, latch.Func, "idu.t1.d2", 1, 64)
+	db.RegisterIdle(u, latch.Func, "idu.t1.d2x", 1, 18)
+	db.RegisterIdle(u, latch.RegFile, "idu.t1.spr", 3, 64) // thread-1 CR/LR/CTR
 
 	u = UnitFXU
-	db.RegisterArray(u, latch.RegFile, "fxu.t1.gpr", 32, 64) // thread-1 GPRs
-	db.RegisterArray(u, latch.RegFile, "fxu.t1.gpr.par", 32, 1)
-	db.RegisterArray(u, latch.Func, "fxu.fx1", 16, 64)  // second FX pipe latches
-	db.RegisterArray(u, latch.Func, "fxu.hist", 32, 64) // result history buffer
-	db.RegisterArray(u, latch.Func, "fxu.rsv", 48, 64)  // issue staging / reservation
+	db.RegisterIdle(u, latch.RegFile, "fxu.t1.gpr", 32, 64) // thread-1 GPRs
+	db.RegisterIdle(u, latch.RegFile, "fxu.t1.gpr.par", 32, 1)
+	db.RegisterIdle(u, latch.Func, "fxu.fx1", 16, 64)  // second FX pipe latches
+	db.RegisterIdle(u, latch.Func, "fxu.hist", 32, 64) // result history buffer
+	db.RegisterIdle(u, latch.Func, "fxu.rsv", 48, 64)  // issue staging / reservation
 
 	u = UnitFPU
-	db.RegisterArray(u, latch.RegFile, "fpu.t1.fpr", 32, 64) // thread-1 FPRs
-	db.RegisterArray(u, latch.RegFile, "fpu.t1.fpr.par", 32, 1)
+	db.RegisterIdle(u, latch.RegFile, "fpu.t1.fpr", 32, 64) // thread-1 FPRs
+	db.RegisterIdle(u, latch.RegFile, "fpu.t1.fpr.par", 32, 1)
 	// VMX vector register file (two threads), idle: the AVP issues no
 	// vector instructions.
-	db.RegisterArray(u, latch.RegFile, "fpu.vmx.vr.lo", 32, 64)
-	db.RegisterArray(u, latch.RegFile, "fpu.vmx.vr.hi", 32, 64)
-	db.RegisterArray(u, latch.Func, "fpu.pipe2", 10, 64) // second FP pipe latches
+	db.RegisterIdle(u, latch.RegFile, "fpu.vmx.vr.lo", 32, 64)
+	db.RegisterIdle(u, latch.RegFile, "fpu.vmx.vr.hi", 32, 64)
+	db.RegisterIdle(u, latch.Func, "fpu.pipe2", 10, 64) // second FP pipe latches
 
 	u = UnitLSU
-	db.RegisterArray(u, latch.Func, "lsu.lrq.addr", 24, 64) // load reorder queue
-	db.RegisterArray(u, latch.Func, "lsu.lrq.data", 24, 64)
-	db.RegisterArray(u, latch.Func, "lsu.lrq.ctl", 24, 10)
-	db.RegisterArray(u, latch.Func, "lsu.t1.stq.addr", stqEntries, 64)
-	db.RegisterArray(u, latch.Func, "lsu.t1.stq.data", stqEntries, 64)
-	db.RegisterArray(u, latch.Func, "lsu.t1.stq.ctl", stqEntries, 10)
-	db.RegisterArray(u, latch.Func, "lsu.slb", 64, 40)   // segment lookasides
-	db.RegisterArray(u, latch.Func, "lsu.pftab", 32, 64) // prefetch pattern tables
-	db.RegisterArray(u, latch.Func, "lsu.dcdir", 128, 8) // directory state shadows
+	db.RegisterIdle(u, latch.Func, "lsu.lrq.addr", 24, 64) // load reorder queue
+	db.RegisterIdle(u, latch.Func, "lsu.lrq.data", 24, 64)
+	db.RegisterIdle(u, latch.Func, "lsu.lrq.ctl", 24, 10)
+	db.RegisterIdle(u, latch.Func, "lsu.t1.stq.addr", stqEntries, 64)
+	db.RegisterIdle(u, latch.Func, "lsu.t1.stq.data", stqEntries, 64)
+	db.RegisterIdle(u, latch.Func, "lsu.t1.stq.ctl", stqEntries, 10)
+	db.RegisterIdle(u, latch.Func, "lsu.slb", 64, 40)   // segment lookasides
+	db.RegisterIdle(u, latch.Func, "lsu.pftab", 32, 64) // prefetch pattern tables
+	db.RegisterIdle(u, latch.Func, "lsu.dcdir", 128, 8) // directory state shadows
 
 	u = UnitRUT
-	db.RegisterArray(u, latch.Func, "rut.esc", 8, 64) // error-escalation staging
+	db.RegisterIdle(u, latch.Func, "rut.esc", 8, 64) // error-escalation staging
 
 	u = UnitPRV
-	db.RegisterArray(u, latch.Func, "prv.dbgbus", 16, 64) // debug bus staging
-	db.RegisterArray(u, latch.Func, "prv.pmctrl", 8, 64)  // power-management state
+	db.RegisterIdle(u, latch.Func, "prv.dbgbus", 16, 64) // debug bus staging
+	db.RegisterIdle(u, latch.Func, "prv.pmctrl", 8, 64)  // power-management state
 }
 
 // unitRings returns each unit's (mode ring segment 0, gptr segment 0)

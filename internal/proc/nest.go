@@ -57,9 +57,9 @@ func (c *Core) buildNestInventory() {
 	c.nest.gptr = db.RegisterArray(u, latch.GPTR, "nest.gptr", 2, 64)
 	// Cold periphery structures: snoop/coherence machinery idle in this
 	// single-core configuration, and DMA engines with no I/O traffic.
-	db.RegisterArray(u, latch.Func, "nest.snoop", 16, 64)
-	db.RegisterArray(u, latch.Func, "nest.dma", 16, 64)
-	db.RegisterArray(u, latch.Func, "nest.iobuf", 16, 64)
+	db.RegisterIdle(u, latch.Func, "nest.snoop", 16, 64)
+	db.RegisterIdle(u, latch.Func, "nest.dma", 16, 64)
+	db.RegisterIdle(u, latch.Func, "nest.iobuf", 16, 64)
 	c.nest.l2Tag = array.New("nest.l2.tag", l2Lines)
 	c.nest.l2Data = array.New("nest.l2.data", l2Lines*lineWords)
 }
