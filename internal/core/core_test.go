@@ -113,6 +113,31 @@ func TestInjectionIntoRingIntegrityCheckstops(t *testing.T) {
 	}
 }
 
+// TestStickyErrCycleLatencyBounded holds a stuck-at on high bits of
+// rut.err.cycle, the latch the first-error capture cycle is read back from.
+// The capture parity checker stops the machine at once, and the cycle it
+// reports is the forced one, far outside the run: the latency must be
+// bounded by what was observed, not taken from the faulted register.
+func TestStickyErrCycleLatencyBounded(t *testing.T) {
+	cfg := DefaultRunnerConfig()
+	cfg.Mode = engine.Sticky
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{40, 63} {
+		bit := findBit(t, r.DB(), "rut.err.cycle", 0, b)
+		res := r.RunInjection(bit)
+		if res.Outcome != Checkstop || !res.Detected {
+			t.Fatalf("bit %d (rut.err.cycle[%d]): %+v, want a detected checkstop", bit, b, res)
+		}
+		if res.DetectLatency > res.Cycles {
+			t.Errorf("bit %d (rut.err.cycle[%d]): detect latency %d in a run of %d cycles",
+				bit, b, res.DetectLatency, res.Cycles)
+		}
+	}
+}
+
 func TestInjectionLiveGPRTraced(t *testing.T) {
 	// Sweep several live-register bits; at least one must be caught and
 	// traced to the GPR parity checker with a recovery.

@@ -146,7 +146,13 @@ func (r *Runner) classify(bit int, st engine.RunStats, v engine.Verdict, sdc boo
 	if v.Detected {
 		res.Detected = true
 		res.FirstChecker = v.FirstChecker
-		res.DetectLatency = v.DetectCycle - injectCycle
+		// The capture cycle is read back from an injectable latch: a fault
+		// held on it reports a cycle the run never saw. Detection happened
+		// inside the window, so the window bounds the latency.
+		res.DetectLatency = st.Cycles
+		if d := v.DetectCycle - injectCycle; v.DetectCycle >= injectCycle && d <= st.Cycles {
+			res.DetectLatency = d
+		}
 	}
 	switch {
 	case v.Checkstop:
