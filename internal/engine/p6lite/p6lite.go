@@ -89,10 +89,8 @@ type Backend struct {
 
 	// Active sticky force, if any. The forced bit is resolved to its
 	// storage word once, at injection, so the per-cycle re-force is one
-	// masked word access. stickyIdle: the forced bit is in an idle group,
-	// so the force cannot keep the model off the fault-free trajectory.
+	// masked word access.
 	stickyOn    bool
-	stickyIdle  bool
 	stickyBit   latch.BitRef
 	stickyVal   bool
 	stickyUntil uint64 // cycle bound; 0 = forever
@@ -250,18 +248,19 @@ func (b *Backend) Inject(inj engine.Injection) error {
 		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
 	b.catchUp()
-	g, _, _ := db.Locate(inj.Bit)
-	b.golden = b.golden && g.Idle
 	first := db.BitRef(inj.Bit)
 	v := first.Flip()
 	for i := 1; i < inj.Span && inj.Bit+i < db.TotalBits(); i++ {
 		db.Flip(inj.Bit + i)
-		gi, _, _ := db.Locate(inj.Bit + i)
-		b.golden = b.golden && gi.Idle
+	}
+	// The model stays on the fault-free trajectory only if every flipped
+	// bit (the held one is the first) is one it cannot read.
+	for i := 0; b.golden && i < max(inj.Span, 1) && inj.Bit+i < db.TotalBits(); i++ {
+		g, _, _ := db.Locate(inj.Bit + i)
+		b.golden = g.Idle
 	}
 	if inj.Mode == engine.Sticky {
 		b.stickyOn = true
-		b.stickyIdle = g.Idle
 		b.stickyBit = first
 		b.stickyVal = v
 		b.stickyUntil = 0
@@ -348,10 +347,11 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 
 // atCheckpoint reports whether the model, having just retired a testend, is
 // in the state the fault-free pass was in at that testend. A live sticky
-// force on a non-idle bit rules it out: the state may be equal now and the
-// force still push it off next cycle.
+// force rules it out: the state may be equal now and the force still push
+// it off next cycle. (A force on an idle bit could not, but then the model
+// never left the trajectory, unless the span reached into a live group.)
 func (b *Backend) atCheckpoint() bool {
-	return b.barrier < len(b.ckpts) && !(b.stickyOn && !b.stickyIdle) &&
+	return b.barrier < len(b.ckpts) && !b.stickyOn &&
 		b.core.AtCheckpoint(b.ckpts[b.barrier])
 }
 

@@ -466,6 +466,8 @@ func TestAtCheckpoint(t *testing.T) {
 		check("memory word written", false)
 		c.Completed++
 		check("completion count moved", false)
+		c.Cycle++
+		check("cycle count moved", false)
 		run(c, 1)
 		check("one cycle later", false)
 		// Bookkeeping the next-state logic never reads does not count.
