@@ -27,6 +27,18 @@ const (
 	goldenNeymanStopAllocs   = "0d06771a8a3ecf94ac8a0b8ae477d6c2f4d29d018daf1f7eca12a1c67b0370e3"
 )
 
+// Recorded before the coordinator ran uniform campaigns as one keyless epoch
+// (PR 19): what a uniform campaign's mid-epoch stop writes, and that a
+// uniform campaign whose rule holds only once its last shard lands is
+// complete, not stopped. Both runs use one worker, so shards complete in
+// ledger order and the journal is a pure function of the spec.
+const (
+	goldenUniformStopReport  = "f6d3d8f3ff5a661c8c2bfbdd5037cb33f76c70fd70f8e2db8bad93deaec26478"
+	goldenUniformStopJournal = "f7f8d46542526d008807eb218be157e860bbcf8f9473393929318cfd8ab5f828" // header line + {"shard":-1} line
+	goldenUniformStopTotal   = 60
+	goldenUniformLastShard   = "8ad048fa7c4270c64f8cbff08aa983056c0de960b4ae0691de2099985811eff9"
+)
+
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
@@ -75,6 +87,167 @@ func TestGoldenLoopbackDigests(t *testing.T) {
 			}
 			if got := digest(allocs); got != tc.wantA {
 				t.Errorf("digest of %d allocation lines %s, want %s", n, got, tc.wantA)
+			}
+		})
+	}
+}
+
+// journalLines returns the journal's header line followed by every line
+// starting with prefix.
+func journalLines(t *testing.T, path, prefix string) (lines []byte, n int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if i == 0 {
+			lines = append(lines, line...)
+		} else if bytes.HasPrefix(line, []byte(prefix)) {
+			lines = append(lines, line...)
+			n++
+		}
+	}
+	return lines, n
+}
+
+// TestGoldenUniformStop pins a uniform campaign's mid-epoch stop: the report,
+// the decision's n, and the journal's header and stop line byte for byte.
+func TestGoldenUniformStop(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	spec := adaptiveSpec()
+	spec.Stop.TargetMargin = 0.2 // tight enough that several shards with a mixed outcome count seal first
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
+	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	wire, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(wire); got != goldenUniformStopReport {
+		t.Errorf("report digest %s, want %s (total %d)", got, goldenUniformStopReport, rep.Total)
+	}
+	if d := c.StopDecision(); d == nil || d.Total != goldenUniformStopTotal {
+		t.Errorf("stop decision %+v, want one over n=%d", d, goldenUniformStopTotal)
+	}
+	lines, stops := journalLines(t, journal, `{"shard":-1,`)
+	if stops != 1 {
+		t.Errorf("journal holds %d stop lines, want 1", stops)
+	}
+	if got := digest(lines); got != goldenUniformStopJournal {
+		t.Errorf("digest of journal header + stop line %s, want %s:\n%s", got, goldenUniformStopJournal, lines)
+	}
+	if _, allocs := journalLines(t, journal, `{"shard":-2,`); allocs != 0 {
+		t.Errorf("uniform journal holds %d allocation lines", allocs)
+	}
+}
+
+// TestGoldenUniformConvergedAtLastShard: the rule needs every injection of
+// the budget, so it first holds when the last shard lands — and then the
+// campaign is complete, not stopped early: no stop line, no stop decision.
+func TestGoldenUniformConvergedAtLastShard(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 24
+	spec.Stop = core.StopConfig{TargetMargin: 0.999, MinPerClass: 24, StopOnConverge: true}
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12, Journal: journal})
+	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	if rep.Total != spec.Flips || rep.Convergence == nil || !rep.Convergence.Converged {
+		t.Fatalf("report total %d convergence %+v, want the whole budget and a converged rule", rep.Total, rep.Convergence)
+	}
+	wire, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(wire); got != goldenUniformLastShard {
+		t.Errorf("report digest %s, want %s", got, goldenUniformLastShard)
+	}
+	if d := c.StopDecision(); d != nil {
+		t.Errorf("complete campaign carries a stop decision: %+v", d)
+	}
+	if p := c.Progress(); p.StoppedEarly || p.Done != p.Shards {
+		t.Errorf("progress %+v, want every shard done and no early stop", p)
+	}
+	if _, stops := journalLines(t, journal, `{"shard":-1,`); stops != 0 {
+		t.Errorf("complete campaign's journal holds %d stop lines", stops)
+	}
+}
+
+// journalSkeleton is a journal with every shard-report line cut down to its
+// shard id (reports carry wall-clock metrics): the header, the order shards
+// completed in, and every allocation and stop line byte for byte.
+func journalSkeleton(data []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if i := bytes.Index(line, []byte(`,"report":`)); i >= 0 && bytes.HasPrefix(line, []byte(`{"shard":`)) {
+			line = append(bytes.Clone(line[:i]), '\n')
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestParentJournalsResume resumes journals written by the commit before the
+// coordinator's epoch refactor (98f5ed4; testdata/parent-*.journal, one
+// worker each, specs as in the golden tests above). Replayed whole, each
+// settles with no worker to the report its campaign produced live; cut back
+// to its first half — mid-epoch for the Neyman ones, before the stop line for
+// the stopped ones — one worker finishes it to that same report, and to the
+// parent's journal line for line.
+func TestParentJournalsResume(t *testing.T) {
+	uniformStop := adaptiveSpec()
+	uniformStop.Stop.TargetMargin = 0.2
+	neymanStop := stratifiedSpec()
+	neymanStop.Flips = 180
+	neymanStop.Alloc.Epochs = 6
+	neymanStop.Stop = core.StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
+	for _, tc := range []struct {
+		name      string
+		spec      CampaignSpec
+		shardSize int
+		want      string
+		stopped   bool
+	}{
+		{"uniform", testSpec(), 12, goldenLoopbackUniform, false},
+		{"uniform-stop", uniformStop, 10, goldenUniformStopReport, true},
+		{"neyman", stratifiedSpec(), 10, goldenLoopbackNeyman, false},
+		{"neyman-stop", neymanStop, 10, goldenLoopbackNeymanStop, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parent, err := os.ReadFile(filepath.Join("testdata", "parent-"+tc.name+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(parent, []byte("\n"))
+			for _, keep := range []int{len(lines), len(lines) / 2} {
+				journal := filepath.Join(t.TempDir(), "journal.jsonl")
+				if err := os.WriteFile(journal, bytes.Join(lines[:keep], nil), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c, srv := startCoord(t, CoordConfig{Campaign: tc.spec, ShardSize: tc.shardSize, Journal: journal})
+				workers := 1
+				if keep == len(lines) {
+					workers = 0 // nothing left to run
+				}
+				rep := runStratifiedFleet(t, c, srv.URL, workers)
+				wire, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digest(wire); got != tc.want {
+					t.Errorf("resumed from %d of %d lines: report digest %s, want %s (total %d)",
+						keep, len(lines), got, tc.want, rep.Total)
+				}
+				if stopped := c.StopDecision() != nil; stopped != tc.stopped {
+					t.Errorf("resumed from %d of %d lines: stopped early %v, want %v", keep, len(lines), stopped, tc.stopped)
+				}
+				got, err := os.ReadFile(journal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := journalSkeleton(got), journalSkeleton(parent); !bytes.Equal(got, want) {
+					t.Errorf("resumed from %d of %d lines: journal differs from the parent's:\n got %s\nwant %s",
+						keep, len(lines), got, want)
+				}
 			}
 		})
 	}
