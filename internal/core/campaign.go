@@ -1004,11 +1004,7 @@ drain:
 		// monitor's live view lags in-flight batches), with per-unit and
 		// per-type strata — and, for a Neyman campaign, every sampling
 		// stratum of the plan.
-		if src.pops != nil {
-			rep.Convergence = rep.ComputeConvergenceStrata(cfg.Stop.Rule(), src.pops)
-		} else {
-			rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule())
-		}
+		rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule(), src.pops)
 		// Final convergence events over that evaluation: a fast campaign
 		// can finish before the monitor's first tick, and the stop event
 		// must carry the settled n. The monitor has stopped, so seen is

@@ -108,7 +108,14 @@ func (r *Report) ConfidenceIntervals(z float64) map[Outcome]Interval {
 // the authoritative post-campaign evaluation (the live estimator's view
 // lags in-flight work) and the sealed-counts decision basis distributed
 // coordinators stop on. Returns nil for a disabled rule.
-func (r *Report) ComputeConvergence(rule stats.StopRule) *stats.Convergence {
+//
+// populations is a stratified campaign's per-stratum census (nil for every
+// other campaign): each of its strata is additionally evaluated over the
+// report's ByStratum row against the rule (an exhausted stratum is
+// converged whatever its widths), and — when the rule's Strata gate is
+// armed — the stratum verdicts fold into the overall one. Strata the
+// campaign never drew from still gate the verdict, with zero counts.
+func (r *Report) ComputeConvergence(rule stats.StopRule, populations map[string]int) *stats.Convergence {
 	if !rule.Enabled() {
 		return nil
 	}
@@ -127,29 +134,11 @@ func (r *Report) ComputeConvergence(rule stats.StopRule) *stats.Convergence {
 		byType[t.String()] = stratumFromRow(row)
 	}
 	c.AddStrata(rule, classes, byUnit, byType)
-	return c
-}
-
-// ComputeConvergenceStrata is ComputeConvergence for stratified campaigns:
-// it additionally evaluates every sampling stratum of the report's
-// ByStratum breakdown against the rule, given the plan's per-stratum
-// census populations (an exhausted stratum is converged whatever its
-// widths), and — when the rule's Strata gate is armed — folds the
-// stratum verdicts into the overall one. Strata the campaign never drew
-// from still gate the verdict: they appear with zero counts.
-func (r *Report) ComputeConvergenceStrata(rule stats.StopRule, populations map[string]int) *stats.Convergence {
-	c := r.ComputeConvergence(rule)
-	if c == nil {
-		return nil
-	}
 	strata := make(map[string]stats.StratumCounts, len(populations))
 	for key := range populations {
-		strata[key] = stats.StratumCounts{}
+		strata[key] = stratumFromRow(r.ByStratum[key])
 	}
-	for key, row := range r.ByStratum {
-		strata[key] = stratumFromRow(row)
-	}
-	c.AddSampleStrata(rule, outcomeNames(), strata, populations)
+	c.AddSampleStrata(rule, classes, strata, populations)
 	return c
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -107,9 +108,10 @@ type workerStats struct {
 	failures   int // /v1/fail reports
 }
 
-// Coordinator owns a campaign's shard ledger and serves the lease
-// protocol. All state transitions happen under one mutex; the HTTP
-// handlers, the lease reaper and Wait share it.
+// Coordinator owns a campaign's shard ledger and answers the lease
+// protocol's calls, from its HTTP handlers or from a worker in the same
+// process (RunWorker). All state transitions happen under one mutex; the
+// calls, the lease reaper and Wait share it.
 type Coordinator struct {
 	cfg CoordConfig
 	log *slog.Logger
@@ -139,41 +141,33 @@ type Coordinator struct {
 	workers  map[string]*workerStats
 	started  time.Time
 	err      error
-	finished chan struct{} // closed once done==len(shards), the stop rule fires, or err is set
+	finished chan struct{} // closed once the campaign completes, the stop rule fires, or err is set
 	journal  *journal
 
-	// Adaptive-stop state. The decision basis is sealedCounts/sealedTotal —
-	// outcome counts summed over *completed* shard reports only, never live
-	// heartbeat deltas — so whether the rule fires is a pure function of
-	// which shards completed, and a journal replay reaches the same verdict.
-	sealedTotal   int64
-	sealedCounts  map[string]int64
-	stoppedEarly  bool
-	stopEval      *stats.Convergence // the decision stopped on (nil until then)
-	stopJournaled bool               // stop line already durable (written or replayed)
+	// sealed is the decision basis of every stop and allocation: the counts
+	// of the *completed* shard reports, merged — never live heartbeat deltas
+	// — so each decision is a pure function of which shards completed, and a
+	// journal replay reaches the same one.
+	sealed       *core.Report
+	stoppedEarly bool
+	stopEval     *stats.Convergence // the decision stopped on (nil until then)
 
-	// Stratified-allocation state (nil plan for uniform campaigns). The
-	// shard ledger grows per allocation epoch: each epoch boundary — all
-	// shards planned so far settled — the Neyman allocator splits the next
-	// epoch's budget across the plan's strata from the sealed per-stratum
-	// counts and the resulting shards join the queue. Like the stop rule,
-	// every allocation is a pure function of which shards completed, so a
-	// journal replay re-plans identically.
-	plan         *core.SamplePlan
-	strataPops   map[string]int
-	drawn        map[string]int                  // per-stratum sequence prefix already planned
-	sealedStrata map[string]map[core.Outcome]int // per-stratum outcome counts over completed shards
-	epoch        int                             // next allocation epoch ordinal
-	budgetLeft   int                             // campaign injections not yet allocated
-	replaying    bool                            // journal replay in progress: suppress boundary decisions
+	// The campaign's epochs. Every campaign is a sequence of epochs over the
+	// one shard ledger, and whenever every shard planned so far has settled
+	// the next epoch's shards join it (decideLocked). Without a plan the
+	// campaign is one epoch of keyless shards, planned at construction. With
+	// one, the Neyman allocator splits each epoch's budget across the plan's
+	// strata from the sealed per-stratum counts, and the allocation is
+	// journaled before any of its shards can be leased.
+	plan       *core.SamplePlan
+	strataPops map[string]int
+	drawn      map[string]int // per-stratum sequence prefix already planned
+	epoch      int            // next allocation epoch ordinal
+	budgetLeft int            // campaign injections not yet allocated
 
 	stopReaper chan struct{}
 	reaperDone chan struct{}
 }
-
-// stratified reports whether the campaign allocates its budget across
-// sampling strata.
-func (c *Coordinator) stratified() bool { return c.plan != nil }
 
 // NewCoordinator plans the campaign's shards, replays the journal if one
 // is configured and present, and starts the lease reaper. Callers must
@@ -210,15 +204,15 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg.Log = obs.NopLogger()
 	}
 	c := &Coordinator{
-		cfg:          cfg,
-		log:          cfg.Log.With("seed", cfg.Campaign.Seed, "flips", cfg.Campaign.Flips),
-		fleet:        obs.NewFleet(),
-		workers:      make(map[string]*workerStats),
-		started:      time.Now(),
-		finished:     make(chan struct{}),
-		stopReaper:   make(chan struct{}),
-		reaperDone:   make(chan struct{}),
-		sealedCounts: make(map[string]int64),
+		cfg:        cfg,
+		log:        cfg.Log.With("seed", cfg.Campaign.Seed, "flips", cfg.Campaign.Flips),
+		fleet:      obs.NewFleet(),
+		workers:    make(map[string]*workerStats),
+		started:    time.Now(),
+		finished:   make(chan struct{}),
+		stopReaper: make(chan struct{}),
+		reaperDone: make(chan struct{}),
+		sealed:     &core.Report{},
 	}
 	if cfg.Tracer != nil {
 		c.spanParent = cfg.Parent
@@ -243,9 +237,10 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.strataPops = c.plan.Populations()
 		c.drawn = make(map[string]int, len(c.plan.Strata))
-		c.sealedStrata = make(map[string]map[core.Outcome]int, len(c.plan.Strata))
 		c.budgetLeft = cfg.Campaign.Flips
 	} else {
+		// The keyless epoch is a function of the fields the journal header
+		// binds, so it is planned here, before replay, and never journaled.
 		for id, r := range core.PlanShards(cfg.Campaign.Flips, cfg.ShardSize) {
 			c.shards = append(c.shards, &shard{
 				ShardLease: ShardLease{ID: id, Lo: r.Lo, Hi: r.Hi},
@@ -272,13 +267,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	if c.stratified() && !c.stoppedEarly && c.err == nil && c.done == len(c.shards) {
-		// Fresh campaign (bootstrap epoch 0), or the journal ended exactly
-		// on a settled epoch without recording the next allocation: plan it
-		// now. Deterministic either way — the allocation is a function of
-		// the sealed counts replayed above.
-		c.epochBoundaryLocked()
-	}
+	// A fresh plan's first epoch, the epoch after a journal that ended on a
+	// settled one, or the end of a campaign the journal holds whole.
+	c.decideLocked()
 	// (Re)queue whatever the journal and bootstrap didn't already settle,
 	// in shard order.
 	c.queue = c.queue[:0]
@@ -295,35 +286,32 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// replayLocked applies recovered journal entries. The stop decision (the
-// journal's final decision line, when present) is honored before anything
-// else so no replayed completion re-evaluates the rule; allocations and
-// reports then apply in file order, which for stratified campaigns is the
-// only order that reproduces the ledger — each allocation extended the
-// per-stratum sequences from the sealed counts before it.
+// replayLocked applies recovered journal entries in file order — for a
+// campaign with a plan the only order that reproduces the ledger, since each
+// allocation extended the per-stratum sequences from the sealed counts
+// before it. Decisions are not re-derived here: a journaled allocation or
+// stop is applied verbatim, and whatever the journal leaves open is decided
+// once, after the replay.
 func (c *Coordinator) replayLocked(entries []replayEntry) error {
-	c.replaying = true
-	defer func() { c.replaying = false }()
 	recovered := 0
 	for _, e := range entries {
-		if e.stop != nil {
-			c.stoppedEarly = true
-			c.stopEval = e.stop
-			c.stopJournaled = true
-		}
-	}
-	for _, e := range entries {
 		switch {
+		case e.stop != nil:
+			c.stoppedEarly, c.stopEval = true, e.stop
 		case e.alloc != nil:
-			if !c.stratified() {
+			if c.plan == nil {
 				return fmt.Errorf("dist: journal records an allocation epoch but the campaign is not stratified")
 			}
 			c.applyAllocLocked(*e.alloc)
 		case e.report != nil:
-			if e.shard < 0 || e.shard >= len(c.shards) {
+			s := c.shardByID(e.shard)
+			if s == nil {
 				return fmt.Errorf("dist: journal names shard %d outside the %d-shard plan", e.shard, len(c.shards))
 			}
-			c.markDoneLocked(c.shards[e.shard], e.report)
+			if err := s.covers(e.report); err != nil {
+				return fmt.Errorf("dist: journal: %w", err)
+			}
+			c.settleLocked(s, e.report)
 			recovered++
 		}
 	}
@@ -442,36 +430,42 @@ func (c *Coordinator) requeueLocked(s *shard, why string) {
 }
 
 func (c *Coordinator) failLocked(err error) {
-	if c.err == nil && !c.stoppedEarly && c.done < len(c.shards) {
+	if !c.overLocked() {
 		c.err = err
 		c.log.Error("campaign failed", "err", err)
 		c.finishLocked()
 	}
 }
 
-// finishLocked closes the finished channel exactly once. Completion, the
-// convergence stop and failure all funnel through it.
+// finishLocked closes the finished channel. Completion, the convergence
+// stop and failure all funnel through it, each once and only while the
+// campaign is not yet over (overLocked).
 func (c *Coordinator) finishLocked() {
-	select {
-	case <-c.finished:
-	default:
-		if c.rootSp != nil {
-			c.rootSp.AttrInt("shards_done", int64(c.done)).End()
-			c.rootSp = nil
-		}
-		close(c.finished)
+	if c.rootSp != nil {
+		c.rootSp.AttrInt("shards_done", int64(c.done)).End()
+		c.rootSp = nil
 	}
+	close(c.finished)
 }
 
-func (c *Coordinator) markDoneLocked(s *shard, rep *core.Report) {
+// covers checks that a report is one of this shard: as many injections as
+// the lease.
+func (s *shard) covers(rep *core.Report) error {
+	if rep.Total != s.Hi-s.Lo {
+		return fmt.Errorf("dist: shard %d report covers %d injections, want %d", s.ID, rep.Total, s.Hi-s.Lo)
+	}
+	return nil
+}
+
+// settleLocked marks a shard done with its report and seals the report's
+// counts. It decides nothing: live completions call decideLocked next,
+// journal replay does not.
+func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 	if s.status == shardDone {
 		return
 	}
 	if s.span != nil {
-		if rep != nil {
-			s.span.AttrInt("injections", int64(rep.Total))
-		}
-		s.span.End()
+		s.span.AttrInt("injections", int64(rep.Total)).End()
 		s.span = nil
 	}
 	s.status = shardDone
@@ -481,92 +475,97 @@ func (c *Coordinator) markDoneLocked(s *shard, rep *core.Report) {
 	// snapshot: the fleet view now counts this shard's injections exactly
 	// once, and converges to the merged-report snapshot when the campaign
 	// completes.
-	var final *obs.Snapshot
-	if rep != nil {
-		final = rep.Metrics
-	}
-	c.fleet.Seal(s.fleetKey(), final)
+	c.fleet.Seal(s.fleetKey(), rep.Metrics)
 	c.done++
-	if (c.cfg.Campaign.Stop.Enabled() || c.stratified()) && rep != nil {
-		c.sealedTotal += int64(rep.Total)
-		for o, n := range rep.Counts {
-			c.sealedCounts[o.String()] += int64(n)
-		}
+	counts := *rep
+	counts.Results, counts.Metrics = nil, nil
+	c.sealed.Merge(&counts)
+}
+
+// decideLocked is the campaign's one decision point, over sealed counts
+// only: stop on convergence, or — once every shard planned so far has
+// settled — plan the next epoch, or finish. A keyless epoch differs from a
+// planned one in three ways that journals and reports depend on:
+//
+//  1. It may stop mid-epoch. It is the whole budget, so a rule consulted at
+//     epoch boundaries only could never stop it; and its stop line has always
+//     carried the pooled classes alone, without breakdowns.
+//  2. It is never journaled (NewCoordinator plans it).
+//  3. When its last shard settles the campaign is complete, not stopped
+//     early, even if the rule holds at that instant: nothing was saved.
+func (c *Coordinator) decideLocked() {
+	if c.overLocked() {
+		return
 	}
-	if c.stratified() && rep != nil {
-		for key, row := range rep.ByStratum {
-			d := c.sealedStrata[key]
-			if d == nil {
-				d = make(map[core.Outcome]int, len(row))
-				c.sealedStrata[key] = d
-			}
-			for o, n := range row {
-				d[o] += n
-			}
+	settled := c.done == len(c.shards)
+	if stop := c.cfg.Campaign.Stop; stop.StopOnConverge {
+		var eval *stats.Convergence
+		switch {
+		case c.plan == nil && !settled:
+			pooled := core.Report{Total: c.sealed.Total, Counts: c.sealed.Counts}
+			eval = pooled.ComputeConvergence(stop.Rule(), nil)
+		case c.plan != nil && settled:
+			eval = c.sealed.ComputeConvergence(stop.Rule(), c.strataPops)
 		}
-	}
-	if c.done == len(c.shards) && c.err == nil {
-		if c.stratified() {
-			// An allocation-epoch boundary, not (necessarily) the end: the
-			// stop rule and the next allocation are evaluated here, over
-			// fully settled counts only — never mid-epoch — so the campaign
-			// is a pure function of which shards completed. Replay applies
-			// journaled decisions instead of re-deriving them.
-			if !c.replaying {
-				c.epochBoundaryLocked()
-			}
+		if eval != nil && eval.Converged {
+			c.convergeLocked(eval)
 			return
 		}
+	}
+	if !settled {
+		return
+	}
+	rec := c.nextEpochLocked()
+	if rec == nil {
 		c.log.Info("campaign complete",
-			"shards", len(c.shards), "grants", c.grants, "requeues", c.requeues,
+			"shards", len(c.shards), "epochs", c.epoch, "grants", c.grants,
+			"requeues", c.requeues, "budget_left", c.budgetLeft,
 			"elapsed", time.Since(c.started).Round(time.Millisecond))
 		c.finishLocked()
 		return
 	}
-	if !c.stratified() && c.cfg.Campaign.Stop.Enabled() && c.cfg.Campaign.Stop.StopOnConverge &&
-		!c.stoppedEarly && c.err == nil {
-		eval := c.cfg.Campaign.Stop.Rule().Eval(outcomeClasses(), c.sealedCounts, c.sealedTotal)
-		if eval.Converged {
-			c.convergeLocked(eval)
+	// Durable before any of its shards can be leased: a restarted coordinator
+	// extends the same per-stratum sequences instead of re-deriving them
+	// against a half-settled ledger.
+	if c.journal != nil {
+		if err := c.journal.appendAlloc(*rec); err != nil {
+			c.failLocked(fmt.Errorf("dist: journal allocation record: %w", err))
+			return
 		}
 	}
+	c.applyAllocLocked(*rec)
 }
 
-// sealedConvergenceLocked evaluates the stopping rule over the merged
-// sealed shard reports, stratum margins included — the stratified
-// campaign's decision basis. Only called at epoch boundaries, when every
-// planned shard is settled.
-func (c *Coordinator) sealedConvergenceLocked() *stats.Convergence {
-	rep := &core.Report{}
-	for _, s := range c.shards {
-		rep.Merge(s.report)
+// nextEpochLocked plans the epoch after a settled ledger: the allocator's
+// split of the next slice of budget over the sealed per-stratum counts, each
+// stratum's share cut into ShardSize-bounded leases that continue the
+// stratum's drawn prefix. nil means the campaign is complete: it has no plan
+// (its keyless epoch was all of it), the budget is spent, or every
+// unconverged stratum's population is exhausted.
+func (c *Coordinator) nextEpochLocked() *allocRecord {
+	if c.plan == nil {
+		return nil
 	}
-	return rep.ComputeConvergenceStrata(c.cfg.Campaign.Stop.Rule(), c.strataPops)
-}
-
-// planEpochLocked turns an allocation's shares into shard leases, each a
-// ShardSize-bounded slice of one stratum's sequence, extending the
-// stratum's drawn prefix.
-func (c *Coordinator) planEpochLocked(shares []stats.StratumShare) []ShardLease {
-	var leases []ShardLease
+	spec := c.cfg.Campaign
+	shares, allocated := c.plan.NextEpoch(spec.Flips, spec.Alloc, spec.Stop.Rule(),
+		c.sealed.ByStratum, c.drawn, c.budgetLeft)
+	if allocated == 0 {
+		return nil
+	}
+	rec := &allocRecord{Epoch: c.epoch, Budget: allocated, Shares: shares}
 	id := len(c.shards)
 	for _, sh := range shares {
-		if sh.Next == 0 {
-			continue
-		}
-		lo := c.drawn[sh.Stratum]
-		for _, r := range core.PlanStratumShards(lo, sh.Next, c.cfg.ShardSize) {
-			leases = append(leases, ShardLease{ID: id, Lo: r.Lo, Hi: r.Hi, Stratum: sh.Stratum})
+		for _, r := range core.PlanStratumShards(c.drawn[sh.Stratum], sh.Next, c.cfg.ShardSize) {
+			rec.Shards = append(rec.Shards, ShardLease{ID: id, Lo: r.Lo, Hi: r.Hi, Stratum: sh.Stratum})
 			id++
 		}
-		c.drawn[sh.Stratum] = lo + sh.Next
 	}
-	return leases
+	return rec
 }
 
 // applyAllocLocked extends the shard ledger with one allocation epoch's
-// planned shards (freshly allocated or replayed from the journal) and
-// queues them.
+// planned shards (freshly allocated or replayed from the journal), queues
+// them and advances each stratum's drawn prefix past them.
 func (c *Coordinator) applyAllocLocked(rec allocRecord) {
 	for _, l := range rec.Shards {
 		c.shards = append(c.shards, &shard{ShardLease: l})
@@ -586,46 +585,6 @@ func (c *Coordinator) applyAllocLocked(rec allocRecord) {
 		"budget", rec.Budget, "strata", len(rec.Shares), "shards", len(rec.Shards))
 }
 
-// epochBoundaryLocked runs a stratified campaign's settled-ledger decision
-// point: evaluate the stop rule over sealed counts, then either stop,
-// finish (budget spent or every stratum exhausted), or journal and queue
-// the next allocation epoch.
-func (c *Coordinator) epochBoundaryLocked() {
-	stop := c.cfg.Campaign.Stop
-	if stop.Enabled() && len(c.shards) > 0 {
-		eval := c.sealedConvergenceLocked()
-		if stop.StopOnConverge && !c.stoppedEarly && eval.Converged {
-			c.convergeLocked(eval)
-			return
-		}
-	}
-	shares, allocated := c.plan.NextEpoch(c.cfg.Campaign.Flips, c.cfg.Campaign.Alloc, stop.Rule(),
-		c.sealedStrata, c.drawn, c.budgetLeft)
-	if allocated == 0 {
-		// Budget spent, or every (unconverged) stratum's population is
-		// exhausted: the campaign is complete.
-		c.log.Info("campaign complete",
-			"shards", len(c.shards), "epochs", c.epoch, "grants", c.grants,
-			"requeues", c.requeues, "budget_left", c.budgetLeft,
-			"elapsed", time.Since(c.started).Round(time.Millisecond))
-		c.finishLocked()
-		return
-	}
-	rec := allocRecord{Epoch: c.epoch, Budget: allocated, Shares: shares,
-		Shards: c.planEpochLocked(shares)}
-	// planEpochLocked advanced drawn; applyAllocLocked must not re-advance
-	// (it only catches up during replay) — Hi never exceeds drawn here.
-	if c.journal != nil {
-		if err := c.journal.appendAlloc(rec); err != nil {
-			c.err = fmt.Errorf("dist: journal allocation record: %w", err)
-			c.log.Error("campaign failed", "err", c.err)
-			c.finishLocked()
-			return
-		}
-	}
-	c.applyAllocLocked(rec)
-}
-
 // convergeLocked stops the campaign on a sealed-counts convergence verdict:
 // journal the decision first (so a restart honors it rather than re-running
 // the race between remaining shards and the rule), then seal the ledger.
@@ -633,12 +592,11 @@ func (c *Coordinator) epochBoundaryLocked() {
 // heartbeat and lease polls with 410 Gone, and workers abandon their
 // in-flight shards.
 func (c *Coordinator) convergeLocked(eval *stats.Convergence) {
-	if c.journal != nil && !c.stopJournaled {
+	if c.journal != nil {
 		if err := c.journal.appendStop(eval); err != nil {
 			c.failLocked(fmt.Errorf("dist: journal stop record: %w", err))
 			return
 		}
-		c.stopJournaled = true
 	}
 	c.stoppedEarly = true
 	c.stopEval = eval
@@ -658,8 +616,15 @@ func (c *Coordinator) convergeLocked(eval *stats.Convergence) {
 	c.finishLocked()
 }
 
+// overLocked reports whether the campaign has finished: completed, stopped
+// on convergence, or failed.
 func (c *Coordinator) overLocked() bool {
-	return c.err != nil || c.stoppedEarly || c.done == len(c.shards)
+	select {
+	case <-c.finished:
+		return true
+	default:
+		return false
+	}
 }
 
 // outcomeClasses is the tracked outcome classes in reporting order.
@@ -696,11 +661,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
 		rep.Merge(s.report)
 	}
 	if stop := c.cfg.Campaign.Stop; stop.Enabled() {
-		if c.stratified() {
-			rep.Convergence = rep.ComputeConvergenceStrata(stop.Rule(), c.strataPops)
-		} else {
-			rep.Convergence = rep.ComputeConvergence(stop.Rule())
-		}
+		rep.Convergence = rep.ComputeConvergence(stop.Rule(), c.strataPops)
 	}
 	return rep, nil
 }
@@ -735,11 +696,16 @@ func (c *Coordinator) Progress() Progress {
 		Requeues: c.requeues,
 		Total:    c.cfg.Campaign.Flips,
 		Failed:   c.err != nil,
-		Outcomes: make(map[string]int),
+		Outcomes: make(map[string]int, len(c.sealed.Counts)),
+
+		Injections:   c.sealed.Total,
+		StoppedEarly: c.stoppedEarly,
 	}
-	p.StoppedEarly = c.stoppedEarly
 	if c.err != nil {
 		p.Error = c.err.Error()
+	}
+	for o, n := range c.sealed.Counts {
+		p.Outcomes[o.String()] = n
 	}
 	for _, s := range c.shards {
 		switch s.status {
@@ -747,14 +713,6 @@ func (c *Coordinator) Progress() Progress {
 			p.Leased++
 		case shardPending:
 			p.Pending++
-		case shardDone:
-			if s.report == nil {
-				continue
-			}
-			p.Injections += s.report.Total
-			for o, n := range s.report.Counts {
-				p.Outcomes[o.String()] += n
-			}
 		}
 	}
 	return p
@@ -810,10 +768,34 @@ func (c *Coordinator) StopDecision() *stats.Convergence {
 //	                    per-class confidence-interval gauges, Prometheus text
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/lease", c.handleLease)
-	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /v1/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/fail", c.handleFail)
+	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
+		var req leaseRequest
+		if decodeRequest(w, r, &req) {
+			resp, status, err := c.lease(r.Context(), req)
+			writeReply(w, status, err, resp)
+		}
+	})
+	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
+		var req heartbeatRequest
+		if decodeRequest(w, r, &req) {
+			status, err := c.heartbeat(req)
+			writeReply(w, status, err, heartbeatResponse{TTLMs: c.cfg.LeaseTTL.Milliseconds()})
+		}
+	})
+	mux.HandleFunc("POST /v1/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req completeRequest
+		if decodeRequest(w, r, &req) {
+			status, err := c.complete(req)
+			writeReply(w, status, err, nil)
+		}
+	})
+	mux.HandleFunc("POST /v1/fail", func(w http.ResponseWriter, r *http.Request) {
+		var req failRequest
+		if decodeRequest(w, r, &req) {
+			status, err := c.fail(req)
+			writeReply(w, status, err, nil)
+		}
+	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.Status())
 	})
@@ -868,29 +850,26 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerStats {
 	return ws
 }
 
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+// The four calls of the lease protocol (the coordinator interface in
+// worker.go). The HTTP handlers and a worker running in this process call
+// the same methods; each answers with the protocol's status code and, when
+// it refuses a request, the reason.
+
+func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse, int, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
 	c.touchWorkerLocked(req.Worker, now)
 	c.sweepLocked(now)
 	if c.overLocked() {
-		c.mu.Unlock()
-		w.WriteHeader(http.StatusGone)
-		return
+		return nil, http.StatusGone, nil
 	}
 	// Pop the next shard that is still pending (a queued shard can have
 	// been settled out of band, e.g. a stale owner's late completion).
 	var s *shard
 	for s == nil {
 		if len(c.queue) == 0 {
-			c.mu.Unlock()
-			w.WriteHeader(http.StatusNoContent)
-			return
+			return nil, http.StatusNoContent, nil
 		}
 		s = c.shards[c.queue[0]]
 		c.queue = c.queue[1:]
@@ -913,35 +892,26 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		AttrInt("attempt", int64(s.attempts))
 	c.shardEvent(s, "lease", nil)
 	c.log.Debug("lease granted", "shard", s.ID, "worker", req.Worker, "attempt", s.attempts)
-	resp := leaseResponse{
+	return &leaseResponse{
 		Shard:       s.ShardLease,
 		Campaign:    c.cfg.Campaign,
 		TTLMs:       c.cfg.LeaseTTL.Milliseconds(),
 		Traceparent: s.span.Context().Traceparent(),
-	}
-	c.mu.Unlock()
-	writeJSON(w, resp)
+	}, http.StatusOK, nil
 }
 
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.overLocked() {
-		w.WriteHeader(http.StatusGone)
-		return
+		return http.StatusGone, nil
 	}
 	s := c.shardByID(req.Shard)
 	if s == nil || s.status != shardLeased || s.owner != req.Worker {
 		// The lease expired and may already be re-granted: the worker must
 		// abandon the shard (its eventual /v1/complete would still be
 		// accepted — results are deterministic — but stopping saves work).
-		w.WriteHeader(http.StatusConflict)
-		return
+		return http.StatusConflict, nil
 	}
 	now := time.Now()
 	// A heartbeat that arrives far later than the worker's TTL/3 schedule
@@ -966,57 +936,44 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		ws.busyNs += req.Delta.BusyNs
 		c.fleet.Observe(s.fleetKey(), req.Delta)
 	}
-	writeJSON(w, heartbeatResponse{TTLMs: c.cfg.LeaseTTL.Milliseconds()})
+	return http.StatusOK, nil
 }
 
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) complete(req completeRequest) (int, error) {
 	if req.Report == nil {
-		http.Error(w, "dist: complete without report", http.StatusBadRequest)
-		return
+		return http.StatusBadRequest, errors.New("dist: complete without report")
 	}
 	rep, err := req.Report.Report()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return http.StatusBadRequest, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.shardByID(req.Shard)
 	if s == nil {
-		http.Error(w, fmt.Sprintf("dist: unknown shard %d", req.Shard), http.StatusBadRequest)
-		return
+		return http.StatusBadRequest, fmt.Errorf("dist: unknown shard %d", req.Shard)
 	}
 	// Idempotent: re-delivery of a completed shard (worker retrying a
 	// complete whose response it lost, or a stale owner finishing after
 	// its lease was re-granted) is acknowledged and discarded.
 	if s.status == shardDone {
-		w.WriteHeader(http.StatusOK)
-		return
+		return http.StatusOK, nil
 	}
 	// A late completion after the campaign failed or converged must not
 	// reopen the ledger: the stop decision is a function of the shards
 	// sealed at decision time.
-	if c.err != nil || c.stoppedEarly {
-		w.WriteHeader(http.StatusGone)
-		return
+	if c.overLocked() {
+		return http.StatusGone, nil
 	}
-	if rep.Total != s.Hi-s.Lo {
-		http.Error(w, fmt.Sprintf("dist: shard %d report covers %d injections, want %d",
-			s.ID, rep.Total, s.Hi-s.Lo), http.StatusBadRequest)
-		return
+	if err := s.covers(rep); err != nil {
+		return http.StatusBadRequest, err
 	}
 	if c.journal != nil {
 		if err := c.journal.append(s.ID, req.Report); err != nil {
 			// Journal loss is a coordinator-side failure; the worker's
 			// result is fine, so fail the campaign rather than the request.
 			c.failLocked(fmt.Errorf("dist: journal append: %w", err))
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return http.StatusInternalServerError, err
 		}
 	}
 	now := time.Now()
@@ -1057,8 +1014,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	for _, sp := range req.Spans {
 		c.cfg.Tracer.Add(sp)
 	}
-	c.markDoneLocked(s, rep)
-	w.WriteHeader(http.StatusOK)
+	c.settleLocked(s, rep)
+	c.decideLocked()
+	return http.StatusOK, nil
 }
 
 // attachedTrace wraps one worker-attached injection trace line with its
@@ -1069,29 +1027,22 @@ type attachedTrace struct {
 	Injection json.RawMessage `json:"injection"`
 }
 
-func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
-	var req failRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) fail(req failRequest) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.overLocked() {
-		w.WriteHeader(http.StatusGone)
-		return
+		return http.StatusGone, nil
 	}
 	s := c.shardByID(req.Shard)
 	if s == nil || s.status != shardLeased || s.owner != req.Worker {
-		w.WriteHeader(http.StatusConflict)
-		return
+		return http.StatusConflict, nil
 	}
 	c.log.Warn("shard failed by worker", "shard", s.ID, "worker", req.Worker, "err", req.Error)
 	c.shardEvent(s, "failed", func(ev *obs.ShardEvent) { ev.Detail = req.Error })
 	ws := c.touchWorkerLocked(req.Worker, time.Now())
 	ws.failures++
 	c.requeueLocked(s, fmt.Sprintf("worker %q reported: %s", req.Worker, req.Error))
-	w.WriteHeader(http.StatusOK)
+	return http.StatusOK, nil
 }
 
 func (c *Coordinator) shardByID(id int) *shard {
@@ -1106,6 +1057,29 @@ func sub64(a, b uint64) uint64 {
 		return 0
 	}
 	return a - b
+}
+
+// decodeRequest reads one request document, answering 400 itself when the
+// body is not one.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
+	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// writeReply answers a protocol call over HTTP: its status, with the reason
+// when it was refused and doc (if any) when it succeeded.
+func writeReply(w http.ResponseWriter, status int, err error, doc any) {
+	switch {
+	case err != nil:
+		http.Error(w, err.Error(), status)
+	case status == http.StatusOK && doc != nil:
+		writeJSON(w, doc)
+	default:
+		w.WriteHeader(status)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

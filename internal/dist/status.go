@@ -151,7 +151,7 @@ func (c *Coordinator) Status() Status {
 		st.Convergence = snap.Convergence(outcomeClasses(), stop.Rule(), false)
 	}
 	st.StoppedEarly = c.stoppedEarly
-	if c.stratified() {
+	if c.plan != nil {
 		av := &AllocationView{
 			Mode:       c.cfg.Campaign.Alloc.Mode,
 			Epochs:     c.epoch,
@@ -163,7 +163,7 @@ func (c *Coordinator) Status() Status {
 				Population: c.strataPops[key],
 				Planned:    c.drawn[key],
 			}
-			for _, n := range c.sealedStrata[key] {
+			for _, n := range c.sealed.ByStratum[key] {
 				row.Sealed += int64(n)
 			}
 			av.Strata = append(av.Strata, row)

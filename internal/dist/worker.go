@@ -96,6 +96,7 @@ type WorkerConfig struct {
 // it.
 type worker struct {
 	cfg   WorkerConfig
+	coord coordinator
 	log   *slog.Logger
 	retry *backoff // lease-poll backoff while the coordinator is unreachable
 
@@ -105,19 +106,44 @@ type worker struct {
 	protoCfg core.RunnerConfig
 }
 
-// RunWorker runs the worker loop until the coordinator reports the
-// campaign over (nil), ctx is cancelled (ctx error), or a shard fails
-// locally in a way that retrying cannot fix.
+// coordinator is what a worker needs of a coordinator: the four calls of the
+// lease protocol, made over HTTP (httpCoordinator) or on a *Coordinator in
+// this process. Each answers with the protocol's status — 200, 204 no work
+// right now, 409 lease not held, 410 campaign over, 4xx/5xx refused, which
+// may come with the coordinator's reason — or with status 0 and the error
+// that kept the call from reaching the coordinator.
+type coordinator interface {
+	lease(ctx context.Context, req leaseRequest) (*leaseResponse, int, error)
+	heartbeat(req heartbeatRequest) (int, error)
+	complete(req completeRequest) (int, error)
+	fail(req failRequest) (int, error)
+}
+
+// RunWorker runs the worker loop against the coordinator at cfg.Coordinator
+// until the coordinator reports the campaign over (nil), ctx is cancelled
+// (ctx error), or a shard fails locally in a way that retrying cannot fix.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
+	client := cfg.Client
+	if client == nil {
+		client = &http.Client{Timeout: 30 * time.Second}
+	}
+	return runWorker(ctx, cfg, httpCoordinator{base: cfg.Coordinator, client: client})
+}
+
+// RunWorker is RunWorker against this coordinator, by direct call: what a
+// process embedding both runs instead of serving Handler to itself.
+// cfg.Coordinator and cfg.Client are not used.
+func (c *Coordinator) RunWorker(ctx context.Context, cfg WorkerConfig) error {
+	return runWorker(ctx, cfg, c)
+}
+
+func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 	if cfg.ID == "" {
 		host, _ := os.Hostname()
 		cfg.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 250 * time.Millisecond
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
@@ -133,18 +159,19 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	}
 	w := &worker{
 		cfg:   cfg,
+		coord: coord,
 		log:   cfg.Log.With("worker", cfg.ID),
 		retry: newBackoff(cfg.PollEvery, cfg.PollMax),
 	}
 	for {
-		lease, status, err := w.lease(ctx)
-		if err == nil {
+		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID})
+		if status != 0 {
 			// Any response — even 204 no-work — means the coordinator is
 			// back; drop the backoff to the base poll period.
 			w.retry.reset()
 		}
 		switch {
-		case err != nil:
+		case status == 0:
 			// Coordinator unreachable (it may be restarting): back off
 			// exponentially with jitter so a fleet that lost its
 			// coordinator together doesn't re-poll in lockstep; ctx bounds
@@ -324,8 +351,8 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 						hb.Delta = d
 					}
 				}
-				status, err := w.post("/v1/heartbeat", hb, nil)
-				if err != nil {
+				status, _ := w.coord.heartbeat(hb)
+				if status == 0 {
 					continue // transient; the lease survives until TTL
 				}
 				if status != http.StatusOK {
@@ -397,13 +424,11 @@ func (w *worker) complete(shardID int, rep *core.Report, capture *lineCapture, t
 	}
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
-		status, err := w.post("/v1/complete", req, nil)
-		if err != nil {
+		status, err := w.coord.complete(req)
+		switch status {
+		case 0:
 			lastErr = err
 			time.Sleep(w.cfg.PollEvery)
-			continue
-		}
-		switch status {
 		case http.StatusOK, http.StatusGone:
 			return nil
 		default:
@@ -416,41 +441,57 @@ func (w *worker) complete(shardID int, rep *core.Report, capture *lineCapture, t
 // fail gives a shard back early (best-effort; lease expiry covers us if
 // it doesn't get through).
 func (w *worker) fail(shardID int, cause error) {
-	w.post("/v1/fail", failRequest{Worker: w.cfg.ID, Shard: shardID, Error: cause.Error()}, nil)
+	w.coord.fail(failRequest{Worker: w.cfg.ID, Shard: shardID, Error: cause.Error()}) //nolint:errcheck // best-effort
 }
 
-func (w *worker) lease(ctx context.Context) (*leaseResponse, int, error) {
+// httpCoordinator makes the protocol's calls on a remote coordinator's
+// Handler, as HTTP+JSON posts.
+type httpCoordinator struct {
+	base   string // the coordinator's base URL
+	client *http.Client
+}
+
+func (h httpCoordinator) lease(ctx context.Context, req leaseRequest) (*leaseResponse, int, error) {
 	var resp leaseResponse
-	status, err := w.postCtx(ctx, "/v1/lease", leaseRequest{Worker: w.cfg.ID}, &resp)
-	if err != nil || status != http.StatusOK {
+	status, err := h.post(ctx, "/v1/lease", req, &resp)
+	if status != http.StatusOK {
 		return nil, status, err
 	}
 	return &resp, status, nil
 }
 
-func (w *worker) post(path string, body, out any) (int, error) {
-	return w.postCtx(context.Background(), path, body, out)
+// The calls about a held shard are not bound to the worker's context: a
+// worker that is shutting down still hands its shard back.
+func (h httpCoordinator) heartbeat(req heartbeatRequest) (int, error) {
+	return h.post(context.Background(), "/v1/heartbeat", req, nil)
 }
 
-func (w *worker) postCtx(ctx context.Context, path string, body, out any) (int, error) {
+func (h httpCoordinator) complete(req completeRequest) (int, error) {
+	return h.post(context.Background(), "/v1/complete", req, nil)
+}
+
+func (h httpCoordinator) fail(req failRequest) (int, error) {
+	return h.post(context.Background(), "/v1/fail", req, nil)
+}
+
+func (h httpCoordinator) post(ctx context.Context, path string, body, out any) (int, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.cfg.Coordinator+path, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.Client.Do(req)
+	resp, err := h.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK && out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
+			return 0, err
 		}
 	}
 	return resp.StatusCode, nil

@@ -858,8 +858,8 @@ func (s *Server) persist(c *Campaign) {
 }
 
 // runCampaign executes one campaign: a journal-backed dist coordinator
-// plus one embedded worker speaking the real lease protocol over the
-// in-process transport, with prototypes served from the warm image cache.
+// plus one embedded worker making the lease protocol's calls on it
+// directly, with prototypes served from the warm image cache.
 func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, ct *campaignTrace, events *obs.TraceSink) (err error) {
 	// The executor span covers this whole function (scheduling overhead
 	// around it is the root's own self-time).
@@ -914,13 +914,11 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 	defer cancelWait(nil)
 	workerDone := make(chan error, 1)
 	go func() {
-		werr := dist.RunWorker(ctx, dist.WorkerConfig{
-			Coordinator: "http://inproc",
-			Client:      inprocClient(coord.Handler()),
-			ID:          "server-" + c.ID,
-			PollEvery:   s.cfg.PollEvery,
-			NewRunner:   factory,
-			Log:         s.log.With("campaign", c.ID),
+		werr := coord.RunWorker(ctx, dist.WorkerConfig{
+			ID:        "server-" + c.ID,
+			PollEvery: s.cfg.PollEvery,
+			NewRunner: factory,
+			Log:       s.log.With("campaign", c.ID),
 		})
 		if werr != nil && ctx.Err() == nil {
 			cancelWait(fmt.Errorf("server: embedded worker: %w", werr))
