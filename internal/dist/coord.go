@@ -449,10 +449,22 @@ func (c *Coordinator) finishLocked() {
 }
 
 // covers checks that a report is one of this shard: as many injections as
-// the lease.
+// the lease, attributed to the lease's stratum and to no other. The
+// per-stratum rows feed the allocator and the stratum intervals, so a
+// mis-attributed report would silently bias both.
 func (s *shard) covers(rep *core.Report) error {
 	if rep.Total != s.Hi-s.Lo {
 		return fmt.Errorf("dist: shard %d report covers %d injections, want %d", s.ID, rep.Total, s.Hi-s.Lo)
+	}
+	rows, attributed := 0, rep.Total // a keyless shard: no row, nothing to attribute
+	if s.Stratum != "" {
+		rows, attributed = 1, 0
+		for _, n := range rep.ByStratum[s.Stratum] {
+			attributed += n
+		}
+	}
+	if len(rep.ByStratum) != rows || attributed != rep.Total {
+		return fmt.Errorf("dist: shard %d report must attribute its %d injections to stratum %q alone", s.ID, rep.Total, s.Stratum)
 	}
 	return nil
 }

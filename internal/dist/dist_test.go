@@ -73,6 +73,51 @@ func fakeWire(size int) *WireReport {
 	}
 }
 
+// fakeWireFor is fakeWire for one lease: a stratum shard's report attributes
+// its injections to the lease's stratum.
+func fakeWireFor(l ShardLease) *WireReport {
+	w := fakeWire(l.Hi - l.Lo)
+	if l.Stratum != "" {
+		w.ByStratum = map[string]map[string]int{l.Stratum: w.Counts}
+	}
+	return w
+}
+
+// ledgerModes are the two epoch sources a coordinator's one ledger runs:
+// the ledger's lease, requeue, completion and journal behaviour must not
+// depend on which one planned its shards.
+var ledgerModes = []struct {
+	name  string
+	alloc core.AllocConfig
+}{
+	{"uniform", core.AllocConfig{}},
+	{"neyman", core.AllocConfig{Mode: core.AllocNeyman, Epochs: 2}},
+}
+
+// leaseAndComplete plays an honest worker by hand: it leases up to n shards
+// (n < 0: until the campaign is over) and completes each with a fabricated
+// report, returning the leases it was granted.
+func leaseAndComplete(t *testing.T, url string, n int) []ShardLease {
+	t.Helper()
+	var got []ShardLease
+	for n < 0 || len(got) < n {
+		var l leaseResponse
+		switch s := rawPost(t, url+"/v1/lease", leaseRequest{Worker: "w"}, &l); s {
+		case http.StatusOK:
+		case http.StatusGone:
+			return got
+		default:
+			t.Fatalf("lease %d: status %d", len(got), s)
+		}
+		if s := rawPost(t, url+"/v1/complete",
+			completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)}, nil); s != http.StatusOK {
+			t.Fatalf("complete shard %d: status %d", l.Shard.ID, s)
+		}
+		got = append(got, l.Shard)
+	}
+	return got
+}
+
 // TestLoopbackEquivalence is the subsystem's consistency acceptance test:
 // a 4-worker distributed campaign must produce outcome totals — per-unit
 // and per-type included — identical to the same-seed single-process run,
@@ -142,83 +187,91 @@ func TestLoopbackEquivalence(t *testing.T) {
 // re-queued and completed by a surviving worker, and the campaign must
 // still finish completely.
 func TestDeadWorkerShardRequeued(t *testing.T) {
-	spec := testSpec()
-	spec.Flips = 24
-	c, srv := startCoord(t, CoordConfig{
-		Campaign:  spec,
-		ShardSize: 12,
-		LeaseTTL:  300 * time.Millisecond,
-	})
+	for _, mode := range ledgerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Flips = 24
+			spec.Alloc = mode.alloc
+			c, srv := startCoord(t, CoordConfig{
+				Campaign:  spec,
+				ShardSize: 12,
+				LeaseTTL:  300 * time.Millisecond,
+			})
 
-	// The zombie takes shard 0 and dies.
-	var zl leaseResponse
-	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "zombie"}, &zl); s != http.StatusOK {
-		t.Fatalf("zombie lease: status %d", s)
-	}
+			// The zombie takes shard 0 and dies.
+			var zl leaseResponse
+			if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "zombie"}, &zl); s != http.StatusOK {
+				t.Fatalf("zombie lease: status %d", s)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "survivor", PollEvery: 20 * time.Millisecond,
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				done <- RunWorker(ctx, WorkerConfig{
+					Coordinator: srv.URL, ID: "survivor", PollEvery: 20 * time.Millisecond,
+				})
+			}()
+			rep, err := c.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("survivor: %v", err)
+			}
+			if rep.Total != spec.Flips {
+				t.Fatalf("campaign total %d, want %d", rep.Total, spec.Flips)
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			s0 := c.shards[zl.Shard.ID]
+			if s0.attempts < 2 {
+				t.Errorf("abandoned shard re-leased %d times, want >= 2", s0.attempts)
+			}
+			if s0.status != shardDone {
+				t.Errorf("abandoned shard not completed")
+			}
 		})
-	}()
-	rep, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
-	if rep.Total != spec.Flips {
-		t.Fatalf("campaign total %d, want %d", rep.Total, spec.Flips)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s0 := c.shards[zl.Shard.ID]
-	if s0.attempts < 2 {
-		t.Errorf("abandoned shard re-leased %d times, want >= 2", s0.attempts)
-	}
-	if s0.status != shardDone {
-		t.Errorf("abandoned shard not completed")
 	}
 }
 
 // TestCompleteIdempotent delivers the same shard report twice (a worker
 // retrying a complete whose ack it lost); the shard must count once.
 func TestCompleteIdempotent(t *testing.T) {
-	spec := testSpec()
-	spec.Flips = 20
-	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
+	for _, mode := range ledgerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Flips = 20
+			spec.Alloc = mode.alloc
+			c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
 
-	var l leaseResponse
-	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
-		t.Fatalf("lease: status %d", s)
-	}
-	req := completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWire(10)}
-	for i := 0; i < 2; i++ {
-		if s := rawPost(t, srv.URL+"/v1/complete", req, nil); s != http.StatusOK {
-			t.Fatalf("complete #%d: status %d", i+1, s)
-		}
-	}
-	p := c.Progress()
-	if p.Done != 1 || p.Injections != 10 {
-		t.Fatalf("after double complete: done %d, injections %d; want 1, 10", p.Done, p.Injections)
-	}
+			var l leaseResponse
+			if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
+				t.Fatalf("lease: status %d", s)
+			}
+			size := l.Shard.Hi - l.Shard.Lo
+			req := completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)}
+			for i := 0; i < 2; i++ {
+				if s := rawPost(t, srv.URL+"/v1/complete", req, nil); s != http.StatusOK {
+					t.Fatalf("complete #%d: status %d", i+1, s)
+				}
+			}
+			p := c.Progress()
+			if p.Done != 1 || p.Injections != size {
+				t.Fatalf("after double complete: done %d, injections %d; want 1, %d", p.Done, p.Injections, size)
+			}
 
-	// Finish the other shard and confirm the merge counted shard 0 once.
-	var l2 leaseResponse
-	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l2); s != http.StatusOK {
-		t.Fatalf("lease 2: status %d", s)
-	}
-	rawPost(t, srv.URL+"/v1/complete", completeRequest{Worker: "w", Shard: l2.Shard.ID, Report: fakeWire(10)}, nil)
-	rep, err := c.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != 20 || rep.Counts[core.Corrected] != 2 {
-		t.Fatalf("merged: total %d corrected %d; want 20, 2", rep.Total, rep.Counts[core.Corrected])
+			// Finish the other shards and confirm the merge counted the first once
+			// (every fabricated report holds one corrected injection).
+			rest := leaseAndComplete(t, srv.URL, -1)
+			rep, err := c.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Total != 20 || rep.Counts[core.Corrected] != 1+len(rest) {
+				t.Fatalf("merged: total %d corrected %d; want 20, %d", rep.Total, rep.Counts[core.Corrected], 1+len(rest))
+			}
+		})
 	}
 }
 
@@ -226,48 +279,43 @@ func TestCompleteIdempotent(t *testing.T) {
 // durably complete; its successor over the same journal must resume with
 // those shards done and finish from there.
 func TestJournalRestart(t *testing.T) {
-	spec := testSpec()
-	spec.Flips = 30
-	journal := filepath.Join(t.TempDir(), "campaign.journal")
-	cfg := CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}
+	for _, mode := range ledgerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Flips = 30
+			spec.Alloc = mode.alloc
+			journal := filepath.Join(t.TempDir(), "campaign.journal")
+			cfg := CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}
 
-	c1, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(c1.Handler())
-	for i := 0; i < 2; i++ {
-		var l leaseResponse
-		if s := rawPost(t, srv1.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
-			t.Fatalf("lease %d: status %d", i, s)
-		}
-		if s := rawPost(t, srv1.URL+"/v1/complete",
-			completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWire(10)}, nil); s != http.StatusOK {
-			t.Fatalf("complete %d: status %d", i, s)
-		}
-	}
-	srv1.Close()
-	c1.Close() // the "kill": no graceful campaign finish
+			c1, err := NewCoordinator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv1 := httptest.NewServer(c1.Handler())
+			injections := 0
+			for _, l := range leaseAndComplete(t, srv1.URL, 2) {
+				injections += l.Hi - l.Lo
+			}
+			srv1.Close()
+			c1.Close() // the "kill": no graceful campaign finish
 
-	c2, srv2 := startCoord(t, cfg)
-	p := c2.Progress()
-	if p.Done != 2 || p.Injections != 20 {
-		t.Fatalf("restarted coordinator: done %d injections %d; want 2, 20", p.Done, p.Injections)
-	}
-	var l leaseResponse
-	if s := rawPost(t, srv2.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
-		t.Fatalf("post-restart lease: status %d", s)
-	}
-	if got, want := l.Shard.ID, 2; got != want {
-		t.Fatalf("post-restart lease handed shard %d, want the unfinished shard %d", got, want)
-	}
-	rawPost(t, srv2.URL+"/v1/complete", completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWire(10)}, nil)
-	rep, err := c2.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != 30 {
-		t.Fatalf("resumed campaign total %d, want 30", rep.Total)
+			c2, srv2 := startCoord(t, cfg)
+			p := c2.Progress()
+			if p.Done != 2 || p.Injections != injections {
+				t.Fatalf("restarted coordinator: done %d injections %d; want 2, %d", p.Done, p.Injections, injections)
+			}
+			rest := leaseAndComplete(t, srv2.URL, -1)
+			if got, want := rest[0].ID, 2; got != want {
+				t.Fatalf("post-restart lease handed shard %d, want the unfinished shard %d", got, want)
+			}
+			rep, err := c2.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Total != 30 {
+				t.Fatalf("resumed campaign total %d, want 30", rep.Total)
+			}
+		})
 	}
 }
 
@@ -391,23 +439,28 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 // TestShardAttemptsExhausted: a shard abandoned MaxAttempts times fails
 // the whole campaign (bounded retries, then campaign-level error).
 func TestShardAttemptsExhausted(t *testing.T) {
-	spec := testSpec()
-	spec.Flips = 10
-	c, srv := startCoord(t, CoordConfig{
-		Campaign:    spec,
-		ShardSize:   10,
-		LeaseTTL:    100 * time.Millisecond,
-		MaxAttempts: 1,
-	})
-	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "zombie"}, &leaseResponse{}); s != http.StatusOK {
-		t.Fatalf("lease: status %d", s)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := c.Wait(ctx); err == nil {
-		t.Fatal("campaign succeeded despite an exhausted shard")
-	} else if ctx.Err() != nil {
-		t.Fatalf("campaign did not fail before timeout: %v", err)
+	for _, mode := range ledgerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Flips = 10
+			spec.Alloc = mode.alloc
+			c, srv := startCoord(t, CoordConfig{
+				Campaign:    spec,
+				ShardSize:   10,
+				LeaseTTL:    100 * time.Millisecond,
+				MaxAttempts: 1,
+			})
+			if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "zombie"}, &leaseResponse{}); s != http.StatusOK {
+				t.Fatalf("lease: status %d", s)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if _, err := c.Wait(ctx); err == nil {
+				t.Fatal("campaign succeeded despite an exhausted shard")
+			} else if ctx.Err() != nil {
+				t.Fatalf("campaign did not fail before timeout: %v", err)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -255,5 +256,89 @@ func TestJournalBindsAllocPolicy(t *testing.T) {
 	uniform.Alloc = core.AllocConfig{}
 	if _, err := NewCoordinator(CoordConfig{Campaign: uniform, ShardSize: 10, Journal: journal}); err == nil {
 		t.Error("uniform coordinator accepted a stratified campaign's journal")
+	}
+}
+
+// TestCompleteRejectsMisattributedReport: a shard report's per-stratum rows
+// feed the allocator and the stratum intervals, so a report must attribute
+// its injections to its lease's stratum — all of them, and to no other — and
+// a keyless shard's report to none. Anything else is refused with 400, and a
+// journal holding such a line refuses to replay.
+func TestCompleteRejectsMisattributedReport(t *testing.T) {
+	for _, mode := range ledgerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			spec := testSpec()
+			spec.Alloc = mode.alloc
+			journal := filepath.Join(t.TempDir(), "journal.jsonl")
+			cfg := CoordConfig{Campaign: spec, ShardSize: 12, Journal: journal}
+			c, err := NewCoordinator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(c.Handler())
+			defer srv.Close()
+			var l leaseResponse
+			if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
+				t.Fatalf("lease: status %d", s)
+			}
+			good := fakeWireFor(l.Shard)
+			other := "NOSUCH/FUNC"
+			size := l.Shard.Hi - l.Shard.Lo
+			bad := map[string]map[string]map[string]int{
+				"a stratum on a keyless shard": {other: good.Counts},
+			}
+			if key := l.Shard.Stratum; key != "" {
+				bad = map[string]map[string]map[string]int{
+					"no stratum":       nil,
+					"another stratum":  {other: good.Counts},
+					"a second stratum": {key: good.Counts, other: {}},
+					"a short row":      {key: {"vanished": size - 1}},
+				}
+			}
+			for name, rows := range bad {
+				w := *good
+				w.ByStratum = rows
+				if s := rawPost(t, srv.URL+"/v1/complete",
+					completeRequest{Worker: "w", Shard: l.Shard.ID, Report: &w}, nil); s != http.StatusBadRequest {
+					t.Errorf("report with %s: status %d, want 400", name, s)
+				}
+			}
+			if p := c.Progress(); p.Done != 0 {
+				t.Fatalf("%d shards done after only refused reports", p.Done)
+			}
+			if s := rawPost(t, srv.URL+"/v1/complete",
+				completeRequest{Worker: "w", Shard: l.Shard.ID, Report: good}, nil); s != http.StatusOK {
+				t.Fatalf("well-attributed report: status %d", s)
+			}
+			c.Close()
+
+			// The same defect in a journal line.
+			data, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, to := `"by_stratum":{"`+l.Shard.Stratum+`"`, `"by_stratum":{"`+other+`"`
+			if l.Shard.Stratum == "" {
+				from, to = `,"by_type":`, `,"by_stratum":{"`+other+`":{"vanished":11,"corrected":1}},"by_type":`
+			}
+			if !strings.Contains(string(data), from) {
+				t.Fatalf("journal has no %s to damage:\n%s", from, data)
+			}
+			if err := os.WriteFile(journal, []byte(strings.Replace(string(data), from, to, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c2, err := NewCoordinator(cfg); err == nil {
+				c2.Close()
+				t.Error("a journal line attributing a shard to the wrong stratum was replayed")
+			}
+			if err := os.WriteFile(journal, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c3, err := NewCoordinator(cfg)
+			if err != nil {
+				t.Fatalf("the undamaged journal no longer replays: %v", err)
+			}
+			c3.Close()
+		})
 	}
 }
