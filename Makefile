@@ -32,7 +32,9 @@ fmt:
 # fleet snapshot merging, trace sinks), internal/stats (the lock-free
 # convergence estimator campaign workers feed concurrently), internal/store
 # (the single-flight image cache cloned into concurrent campaigns) and
-# internal/server (the multi-campaign scheduler and its executors).
+# internal/server (the multi-campaign scheduler and its executors, whose
+# embedded worker hands its coordinator request values, not copies: lease,
+# heartbeat and shard-report documents are shared across the two).
 race:
 	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server
 
@@ -42,11 +44,16 @@ race:
 # FuzzParseTraceparent feeds arbitrary lease traceparent strings to the
 # parser a worker trusts for its tracer seed and trace id; FuzzEarlyExit
 # runs arbitrary injections through p6lite's Run and through the stepped
-# oracle it must be indistinguishable from.
+# oracle it must be indistinguishable from; FuzzCoordinatorRequests posts
+# scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
+# coordinator and requires a restart over its journal to reach the same
+# ledger (its inputs are kilobytes, so minimizing each interesting one is
+# capped at 20 runs — the default minute apiece would be the whole budget).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzEarlyExit -fuzztime $(FUZZTIME) ./internal/engine/p6lite
+	$(GO) test -run '^$$' -fuzz FuzzCoordinatorRequests -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
 
 # bench runs every go benchmark once as a smoke, then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in

@@ -309,7 +309,7 @@ func (c *Coordinator) replayLocked(entries []replayEntry) error {
 				return fmt.Errorf("dist: journal names shard %d outside the %d-shard plan", e.shard, len(c.shards))
 			}
 			if err := s.covers(e.report); err != nil {
-				return fmt.Errorf("dist: journal: %w", err)
+				return fmt.Errorf("journal %s: %w", c.cfg.Journal, err)
 			}
 			c.settleLocked(s, e.report)
 			recovered++

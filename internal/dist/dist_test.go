@@ -182,6 +182,63 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 }
 
+// TestDirectWorkersShareHeartbeats runs workers that call the coordinator
+// directly (Coordinator.RunWorker) on shards long enough, under a lease short
+// enough, that heartbeats carry metric deltas while the shards run: the
+// coordinator then reads lease, heartbeat and report values the workers
+// built, not JSON copies of them, which `make race` checks. The report must
+// be the one an HTTP fleet produces.
+func TestDirectWorkersShareHeartbeats(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 3000
+	spec.KeepResults = false
+	run := func(direct bool) (rep *core.Report, sawLive bool) {
+		cfg := CoordConfig{Campaign: spec, ShardSize: 1500}
+		if direct {
+			cfg.LeaseTTL, cfg.MaxAttempts = 90*time.Millisecond, 100
+		}
+		c, srv := startCoord(t, cfg)
+		url := srv.URL
+		if direct {
+			url = ""
+		}
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				for _, sv := range c.Status().ShardsV {
+					sawLive = sawLive || sv.LiveInjections > 0
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}()
+		rep = runStratifiedFleet(t, c, url, 2)
+		close(stop)
+		<-polled
+		return rep, sawLive
+	}
+	want, _ := run(false)
+	got, sawLive := run(true)
+	if !sawLive {
+		t.Error("no heartbeat delta reached the coordinator while a shard ran")
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("direct workers' report differs from the HTTP fleet's:\n got %s\nwant %s", gotJSON, wantJSON)
+	}
+}
+
 // TestDeadWorkerShardRequeued kills a worker mid-shard (it leases and then
 // vanishes without heartbeats); the lease must expire, the shard must be
 // re-queued and completed by a surviving worker, and the campaign must

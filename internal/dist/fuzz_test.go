@@ -1,0 +1,132 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"sfi/internal/core"
+)
+
+// fuzzPaths are the four POST handlers; a script line's first byte picks one.
+var fuzzPaths = []string{"/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/fail"}
+
+// fuzzCoordConfig is a small journaling campaign over one unit's latches
+// (a handful of strata, so a Neyman ledger can settle whole epochs and meet
+// its stop rule within a short script).
+func fuzzCoordConfig(neyman bool, minPerClass uint8, journal string) CoordConfig {
+	spec := testSpec()
+	spec.Flips = 24
+	spec.Filter = FilterSpec{Kind: "unit", Arg: "FXU"}
+	if neyman {
+		spec.Alloc = core.AllocConfig{Mode: core.AllocNeyman, Epochs: 3}
+	}
+	if minPerClass > 0 {
+		spec.Stop = core.StopConfig{TargetMargin: 0.999, MinPerClass: int(minPerClass), StopOnConverge: true}
+	}
+	return CoordConfig{Campaign: spec, ShardSize: 4, Journal: journal}
+}
+
+// fuzzPost sends one body to one handler, no socket involved.
+func fuzzPost(c *Coordinator, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// fuzzSeedScript plays an honest worker against a coordinator by hand and
+// returns the documents it sent as a script — the exchange of the loopback
+// tests — followed by hostile variants of them: shard ids outside the
+// ledger, a report for the wrong stratum, numerics no field should take.
+func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
+	c, err := NewCoordinator(fuzzCoordConfig(neyman, minPerClass, filepath.Join(f.TempDir(), "journal")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer c.Close()
+	var script [][]byte
+	send := func(path int, doc any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		script = append(script, append([]byte{byte(path)}, body...))
+		return fuzzPost(c, fuzzPaths[path], body)
+	}
+	var l leaseResponse
+	rec := send(0, leaseRequest{Worker: "w"})
+	for rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &l); err != nil {
+			f.Fatal(err)
+		}
+		send(1, heartbeatRequest{Worker: "w", Shard: l.Shard.ID})
+		wrong := fakeWireFor(l.Shard)
+		wrong.ByStratum = map[string]map[string]int{"LSU/FUNC": wrong.Counts}
+		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wrong})
+		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)})
+		rec = send(0, leaseRequest{Worker: "w"})
+	}
+	send(3, failRequest{Worker: "w", Shard: 0, Error: "boom"})
+	send(1, heartbeatRequest{Worker: "w", Shard: -1})
+	send(2, completeRequest{Worker: "w", Shard: 1 << 40, Report: fakeWire(4)})
+	script = append(script,
+		[]byte("\x02"+`{"worker":"w","shard":1,"report":{"total":-4,"counts":{"vanished":-4}}}`),
+		[]byte("\x01"+`{"worker":"w","shard":2,"ttl_ms":-1,"delta":{"injections":18446744073709551615}}`),
+		[]byte("\x03"+`{"worker":"w","shard":1e99,"error":"x"}`))
+	return bytes.Join(script, []byte("\n"))
+}
+
+// FuzzCoordinatorRequests drives arbitrary request bodies through the four
+// POST handlers of a journaling coordinator. Whatever arrives: no panic,
+// only the protocol's statuses, never more shards done than planned — and a
+// coordinator restarted over the journal this one wrote reaches the same
+// ledger, so nothing a request made the coordinator decide went unrecorded
+// and nothing it refused was written.
+func FuzzCoordinatorRequests(f *testing.F) {
+	for _, neyman := range []bool{false, true} {
+		for _, minPerClass := range []uint8{0, 3, 8} {
+			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass))
+		}
+	}
+	f.Fuzz(func(t *testing.T, neyman bool, minPerClass uint8, script []byte) {
+		cfg := fuzzCoordConfig(neyman, minPerClass, filepath.Join(t.TempDir(), "journal"))
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(script, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			path := fuzzPaths[int(line[0])%len(fuzzPaths)]
+			switch code := fuzzPost(c, path, line[1:]).Code; code {
+			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusConflict, http.StatusGone:
+			default:
+				t.Errorf("POST %s %q: status %d", path, line[1:], code)
+			}
+		}
+		live := c.Progress()
+		c.Close()
+		if live.Done > live.Shards || live.Injections > cfg.Campaign.Flips {
+			t.Fatalf("ledger overran its plan: %+v", live)
+		}
+
+		c2, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatalf("the journal this coordinator wrote does not replay: %v", err)
+		}
+		defer c2.Close()
+		replayed := c2.Progress()
+		// Grants, requeues and leases die with the process; a failed campaign
+		// (attempts exhausted) gets its attempts back.
+		live.Grants, live.Requeues, live.Failed, live.Error = 0, 0, false, ""
+		live.Pending, live.Leased = live.Pending+live.Leased, 0
+		if !reflect.DeepEqual(live, replayed) {
+			t.Errorf("replayed ledger differs:\n  live %+v\nreplay %+v", live, replayed)
+		}
+	})
+}

@@ -60,33 +60,35 @@ func TestGoldenLoopbackDigests(t *testing.T) {
 		{"neyman-stop", adaptive, 10, goldenLoopbackNeymanStop, goldenNeymanStopAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			journal := filepath.Join(t.TempDir(), "journal.jsonl")
-			c, srv := startCoord(t, CoordConfig{Campaign: tc.spec, ShardSize: tc.shardSize, Journal: journal})
-			rep := runStratifiedFleet(t, c, srv.URL, 3)
-			wire, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := digest(wire); got != tc.wantReport {
-				t.Errorf("report digest %s, want %s (total %d)", got, tc.wantReport, rep.Total)
-			}
-			if tc.wantA == "" {
-				return
-			}
-			data, err := os.ReadFile(journal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var allocs []byte
-			n := 0
-			for _, line := range bytes.SplitAfter(data, []byte("\n")) {
-				if bytes.HasPrefix(line, []byte(`{"shard":-2,`)) {
-					allocs = append(allocs, line...)
-					n++
-				}
-			}
-			if got := digest(allocs); got != tc.wantA {
-				t.Errorf("digest of %d allocation lines %s, want %s", n, got, tc.wantA)
+			// The digests were recorded over HTTP. Workers calling the
+			// coordinator directly, handing it their request values instead of
+			// JSON copies, must reach the same bytes.
+			for _, transport := range []string{"http", "direct"} {
+				t.Run(transport, func(t *testing.T) {
+					journal := filepath.Join(t.TempDir(), "journal.jsonl")
+					cfg := CoordConfig{Campaign: tc.spec, ShardSize: tc.shardSize, Journal: journal}
+					c, srv := startCoord(t, cfg)
+					url := srv.URL
+					if transport == "direct" {
+						url = ""
+					}
+					rep := runStratifiedFleet(t, c, url, 3)
+					wire, err := json.Marshal(rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := digest(wire); got != tc.wantReport {
+						t.Errorf("report digest %s, want %s (total %d)", got, tc.wantReport, rep.Total)
+					}
+					if tc.wantA == "" {
+						return
+					}
+					allocs, n := journalLines(t, journal, `{"shard":-2,`)
+					allocs = allocs[bytes.IndexByte(allocs, '\n')+1:] // drop the header line
+					if got := digest(allocs); got != tc.wantA {
+						t.Errorf("digest of %d allocation lines %s, want %s", n, got, tc.wantA)
+					}
+				})
 			}
 		})
 	}

@@ -26,8 +26,9 @@ func stratifiedSpec() CampaignSpec {
 	return spec
 }
 
-// runStratifiedFleet drives a distributed stratified campaign to its end
-// with n loopback workers and returns the merged report.
+// runStratifiedFleet drives a distributed campaign to its end with n workers
+// — over HTTP to url, or calling c directly when url is "" — and returns the
+// merged report.
 func runStratifiedFleet(t *testing.T, c *Coordinator, url string, n int) *core.Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -35,11 +36,16 @@ func runStratifiedFleet(t *testing.T, c *Coordinator, url string, n int) *core.R
 	workerErr := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
+			cfg := WorkerConfig{
 				Coordinator: url,
 				ID:          fmt.Sprintf("w%d", i),
 				PollEvery:   10 * time.Millisecond,
-			})
+			}
+			if url == "" {
+				workerErr <- c.RunWorker(ctx, cfg)
+			} else {
+				workerErr <- RunWorker(ctx, cfg)
+			}
 		}(i)
 	}
 	rep, err := c.Wait(ctx)

@@ -932,21 +932,9 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 		return err
 	}
 
-	// Canonical report document: metrics stripped (timing histograms are
-	// nondeterministic), everything else a pure function of the spec —
-	// which is what makes the content address a dedup key and a resumed
-	// run byte-identical to an uninterrupted one.
 	mergeSp := tr.StartSpan("merge", "server", execSp.Context())
-	wire := dist.EncodeReport(rep)
-	wire.Metrics = nil
 	stopped := coord.StopDecision() != nil
-	doc := ReportDoc{
-		SpecDigest:   c.Digest,
-		Report:       wire,
-		Convergence:  rep.Convergence,
-		StoppedEarly: stopped,
-	}
-	data, err := json.Marshal(doc)
+	data, err := reportDoc(c.Digest, rep, stopped)
 	if err != nil {
 		return err
 	}
@@ -962,6 +950,21 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 	c.StoppedEarly = stopped
 	s.mu.Unlock()
 	return nil
+}
+
+// reportDoc renders a campaign's canonical report document: metrics
+// stripped (timing histograms are nondeterministic), everything else a pure
+// function of the spec — which is what makes the content address a dedup
+// key and a resumed run byte-identical to an uninterrupted one.
+func reportDoc(digest string, rep *core.Report, stoppedEarly bool) ([]byte, error) {
+	wire := dist.EncodeReport(rep)
+	wire.Metrics = nil
+	return json.Marshal(ReportDoc{
+		SpecDigest:   digest,
+		Report:       wire,
+		Convergence:  rep.Convergence,
+		StoppedEarly: stoppedEarly,
+	})
 }
 
 // newID returns a fresh 16-hex-char campaign id.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -470,5 +471,66 @@ func TestServerRestartResumes(t *testing.T) {
 	}
 	if !bytes.Equal(resumedDoc, controlDoc) {
 		t.Fatal("resumed report is not byte-identical to the uninterrupted control run")
+	}
+}
+
+// TestServerMatchesDistLoopback: the server's embedded worker calls its
+// coordinator directly, a remote worker reaches one over HTTP+JSON. The
+// same spec must yield the same report document either way, byte for byte —
+// which fails the day the direct path and the wire path diverge (a field
+// the wire drops, a decision only one of them makes).
+func TestServerMatchesDistLoopback(t *testing.T) {
+	uniform := tinySpec("t", 23, 96, 16)
+	uniform.Campaign.KeepResults = true
+	neyman := tinySpec("t", 29, 320, 16)
+	neyman.Campaign.Alloc = core.AllocConfig{Mode: core.AllocNeyman, Epochs: 8}
+	// Converges — and stops — with half of its eight epochs unspent.
+	neyman.Campaign.Stop = core.StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
+	for name, spec := range map[string]Spec{"uniform": uniform, "neyman": neyman} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestServer(t, t.TempDir(), nil)
+			c, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = waitState(t, s, c.ID, StateDone, 60*time.Second)
+			served, _, err := s.Report(c.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			coord, err := dist.NewCoordinator(dist.CoordConfig{Campaign: spec.Campaign, ShardSize: spec.ShardSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			ts := httptest.NewServer(coord.Handler())
+			defer ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			workerErr := make(chan error, 1)
+			go func() {
+				workerErr <- dist.RunWorker(ctx, dist.WorkerConfig{Coordinator: ts.URL, PollEvery: time.Millisecond})
+			}()
+			rep, err := coord.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-workerErr; err != nil {
+				t.Fatal(err)
+			}
+			stopped := coord.StopDecision() != nil
+			wired, err := reportDoc(c.Digest, rep, stopped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(served, wired) {
+				t.Errorf("report documents differ:\nserver: %s\n  dist: %s", served, wired)
+			}
+			if c.StoppedEarly != stopped || c.Injections != rep.Total || stopped != (name == "neyman") {
+				t.Errorf("server ran %d injections (stopped early %v), the loopback fleet %d (%v)",
+					c.Injections, c.StoppedEarly, rep.Total, stopped)
+			}
+		})
 	}
 }
