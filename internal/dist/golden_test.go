@@ -84,7 +84,6 @@ func TestGoldenLoopbackDigests(t *testing.T) {
 						return
 					}
 					allocs, n := journalLines(t, journal, `{"shard":-2,`)
-					allocs = allocs[bytes.IndexByte(allocs, '\n')+1:] // drop the header line
 					if got := digest(allocs); got != tc.wantA {
 						t.Errorf("digest of %d allocation lines %s, want %s", n, got, tc.wantA)
 					}
@@ -94,20 +93,20 @@ func TestGoldenLoopbackDigests(t *testing.T) {
 	}
 }
 
-// journalLines returns the journal's header line followed by every line
-// starting with prefix.
-func journalLines(t *testing.T, path, prefix string) (lines []byte, n int) {
+// journalLines returns, in file order, the journal lines that start with one
+// of the prefixes, and how many there are.
+func journalLines(t *testing.T, path string, prefixes ...string) (lines []byte, n int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range bytes.SplitAfter(data, []byte("\n")) {
-		if i == 0 {
-			lines = append(lines, line...)
-		} else if bytes.HasPrefix(line, []byte(prefix)) {
-			lines = append(lines, line...)
-			n++
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		for _, prefix := range prefixes {
+			if bytes.HasPrefix(line, []byte(prefix)) {
+				lines = append(lines, line...)
+				n++
+			}
 		}
 	}
 	return lines, n
@@ -131,9 +130,9 @@ func TestGoldenUniformStop(t *testing.T) {
 	if d := c.StopDecision(); d == nil || d.Total != goldenUniformStopTotal {
 		t.Errorf("stop decision %+v, want one over n=%d", d, goldenUniformStopTotal)
 	}
-	lines, stops := journalLines(t, journal, `{"shard":-1,`)
-	if stops != 1 {
-		t.Errorf("journal holds %d stop lines, want 1", stops)
+	lines, n := journalLines(t, journal, `{"v":`, `{"shard":-1,`)
+	if n != 2 {
+		t.Errorf("journal holds %d header and stop lines, want one of each", n)
 	}
 	if got := digest(lines); got != goldenUniformStopJournal {
 		t.Errorf("digest of journal header + stop line %s, want %s:\n%s", got, goldenUniformStopJournal, lines)

@@ -441,7 +441,7 @@ func (w *worker) complete(shardID int, rep *core.Report, capture *lineCapture, t
 // fail gives a shard back early (best-effort; lease expiry covers us if
 // it doesn't get through).
 func (w *worker) fail(shardID int, cause error) {
-	w.coord.fail(failRequest{Worker: w.cfg.ID, Shard: shardID, Error: cause.Error()}) //nolint:errcheck // best-effort
+	w.coord.fail(failRequest{Worker: w.cfg.ID, Shard: shardID, Error: cause.Error()})
 }
 
 // httpCoordinator makes the protocol's calls on a remote coordinator's
