@@ -40,8 +40,10 @@ race:
 
 # fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED
-# code against the bit-serial oracle on arbitrary stored words;
-# FuzzParseTraceparent feeds arbitrary lease traceparent strings to the
+# code against the bit-serial oracle on arbitrary stored words; FuzzStore
+# drives arbitrary write/snapshot/restore/delta/adopt scripts through the
+# dirty-tracked store under latches, memory and arrays, against plain
+# slices; FuzzParseTraceparent feeds arbitrary lease traceparent strings to the
 # parser a worker trusts for its tracer seed and trace id; FuzzEarlyExit
 # runs arbitrary injections through p6lite's Run and through the stepped
 # oracle it must be indistinguishable from; FuzzCoordinatorRequests posts
@@ -51,6 +53,7 @@ race:
 # capped at 20 runs — the default minute apiece would be the whole budget).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
+	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzEarlyExit -fuzztime $(FUZZTIME) ./internal/engine/p6lite
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorRequests -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist

@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"sfi/internal/bits"
@@ -138,18 +139,9 @@ func TestQuickAnySingleFlipCorrected(t *testing.T) {
 	}
 }
 
-func cellsEqual(a, b []bits.ECCWord) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
+// TestDeltaRestoreMatchesSnapshot: a mutation through any public primitive
+// marks its entry, so a delta captures it and a delta restore reverts it.
+// (What the store does with the marks is internal/dirty's test.)
 func TestDeltaRestoreMatchesSnapshot(t *testing.T) {
 	p := New("t", 100)
 	p.Write(1, 0x11)
@@ -158,21 +150,18 @@ func TestDeltaRestoreMatchesSnapshot(t *testing.T) {
 		t.Fatal("baseline not installed")
 	}
 	ckA := p.CaptureDelta()
-	if ckA.Entries() != 0 {
-		t.Fatalf("baseline delta has %d entries", ckA.Entries())
-	}
 	// Advance through every mutation primitive and checkpoint.
 	p.Write(1, 0x22)
 	p.FlipBit(7, 3)
 	p.FlipBit(7, 3) // flip back: entry still marked dirty, value clean
 	p.Write(64, 0x33)
 	ckB := p.CaptureDelta()
-	wantB := p.Snapshot()
+	wantB := slices.Clone(p.Cells)
 	for e := 0; e < p.Entries(); e++ {
 		p.Write(e, 0xee)
 	}
 	p.RestoreDelta(ckB)
-	if !cellsEqual(p.Snapshot(), wantB) {
+	if !slices.Equal(p.Cells, wantB) {
 		t.Fatal("delta restore to B does not match snapshot")
 	}
 	p.RestoreDelta(ckA)
@@ -188,12 +177,12 @@ func TestDeltaTracksReadRepair(t *testing.T) {
 	p.SetBaseline()
 	p.FlipBit(2, 5)
 	ck := p.CaptureDelta()
-	want := p.Snapshot()
+	want := slices.Clone(p.Cells)
 	if _, res := p.Read(2); res != bits.ECCCorrected {
 		t.Fatal("expected corrected read")
 	}
 	p.RestoreDelta(ck)
-	if !cellsEqual(p.Snapshot(), want) {
+	if !slices.Equal(p.Cells, want) {
 		t.Fatal("delta restore did not revert the read-repair")
 	}
 }
@@ -206,36 +195,32 @@ func TestAdoptBaseline(t *testing.T) {
 	ck := src.CaptureDelta()
 
 	p := New("t", 32)
-	p.AdoptBaseline(src)
+	p.AdoptBaseline(src.Baseline())
 	if v, _ := p.Read(4); v != 0xaa {
 		t.Fatalf("adopted baseline [4] = %#x", v)
 	}
 	p.RestoreDelta(ck)
-	if !cellsEqual(p.Snapshot(), src.Snapshot()) {
+	if !slices.Equal(p.Cells, src.Cells) {
 		t.Fatal("clone after delta restore does not match source")
 	}
 }
 
-// TestMatches checks the dirty-entry comparison against a snapshot and its
-// delta. Raw cells are compared, so a flipped check bit is a difference
+// TestMatches checks the comparison against a snapshot. Raw cells are
+// compared, so a flipped check bit is a difference
 // even though the word still decodes to the same data.
 func TestMatches(t *testing.T) {
 	for _, baseline := range []bool{true, false} {
 		p := New("t", 100)
 		p.Write(1, 0x11)
-		var base, d *Delta
 		if baseline {
 			p.SetBaseline()
-			base = p.CaptureDelta()
 		}
+		base := p.Snapshot()
 		p.Write(70, 0x22)
 		snap := p.Snapshot()
-		if baseline {
-			d = p.CaptureDelta()
-		}
 		check := func(what string, want bool) {
 			t.Helper()
-			if got := p.Matches(snap, d); got != want {
+			if got := p.Matches(snap, nil); got != want {
 				t.Errorf("baseline %v, %s: Matches = %v, want %v", baseline, what, got, want)
 			}
 		}
@@ -247,9 +232,9 @@ func TestMatches(t *testing.T) {
 		p.Write(70, 0x23)
 		check("delta entry changed", false)
 		if baseline {
-			p.RestoreDelta(base)
+			p.Restore(base)
 			check("live array clean, snapshot not", false)
-			p.RestoreDelta(d)
+			p.Restore(snap)
 			check("restored", true)
 		}
 		p.Corrected = 9

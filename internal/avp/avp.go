@@ -118,6 +118,9 @@ func Generate(cfg Config) (*Program, error) {
 	if cfg.Testcases*dataPerTC > 0x18000 {
 		return nil, fmt.Errorf("avp: %d testcases exceed the data area", cfg.Testcases)
 	}
+	if end := dataBase + cfg.Testcases*dataPerTC; cfg.MemBytes < end || cfg.MemBytes&(cfg.MemBytes-1) != 0 {
+		return nil, fmt.Errorf("avp: MemBytes %d is not a power of two holding the data area's end %#x", cfg.MemBytes, end)
+	}
 	g := &progGen{cfg: cfg, rng: rand.New(rand.NewPCG(cfg.Seed, 0xa1f))}
 	words := g.emitProgram()
 

@@ -102,105 +102,69 @@ func TestCheckedALUTripleFlipMayEscape(t *testing.T) {
 	}
 }
 
+// TestMacroCampaignOnCheckedALU flips every latch of the checked ALU in
+// turn, three times each under fresh operands, and sorts each flip by what
+// the design made of it: detected (the residue error output rose), masked
+// (the result register still holds the sum) or silent (a wrong result and no
+// error). A result-register flip must never be silent.
 func TestMacroCampaignOnCheckedALU(t *testing.T) {
 	nl := NewNetlist()
 	alu := nl.BuildCheckedALU("alu", 12)
 	e := MustCompile(nl)
-
-	var wantSum uint64
-	cfg := MacroCampaignConfig{
-		Stimulus: func(e *Engine, rng *rand.Rand) {
-			a := rng.Uint64() & 0xfff
-			b := rng.Uint64() & 0xfff
-			wantSum = (a + b) & 0xfff
-			loadOpRaw(e, alu, a, b)
-		},
-		Observe: func(e *Engine, rng *rand.Rand) bool {
+	if n := len(nl.Latches()); n != 12*3+2 { // a, b, res buses + 2 residue latches
+		t.Fatalf("%d latches", n)
+	}
+	inResult := make(map[int]bool)
+	for _, l := range alu.Result {
+		inResult[l] = true
+	}
+	rng := rand.New(rand.NewPCG(11, 0xaa7a))
+	detected, silent := 0, 0
+	for _, l := range nl.Latches() {
+		for trial := 0; trial < 3; trial++ {
+			a, b := rng.Uint64()&0xfff, rng.Uint64()&0xfff
+			loadOp(e, alu, a, b)
+			e.FlipLatch(l)
 			e.Eval()
-			return e.BusValue(alu.Result) == wantSum
-		},
-		ErrOut:         alu.ErrOut,
-		TrialsPerLatch: 3,
-		Seed:           11,
-	}
-	rep, err := RunMacroCampaign(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trials != 3*(12*3+2) { // a, b, res buses + 2 residue latches
-		t.Fatalf("trials = %d", rep.Trials)
-	}
-	// Result-register flips must be detected, never silent.
-	for name, out := range rep.ByLatch {
-		if len(name) >= 7 && name[:7] == "alu.res" && name[4] == 'r' {
-			if out == MacroSilent {
-				t.Errorf("latch %s: silent corruption escaped the residue checker", name)
+			switch {
+			case e.Value(alu.ErrOut):
+				detected++
+			case e.BusValue(alu.Result) != (a+b)&0xfff:
+				silent++
+				if inResult[l] {
+					t.Errorf("latch %d: a result flip escaped the residue checker", l)
+				}
 			}
 		}
 	}
-	if rep.Coverage < 0.5 {
-		t.Errorf("checker coverage %.2f implausibly low", rep.Coverage)
-	}
-	if rep.String() == "" {
-		t.Error("empty rendering")
+	if detected == 0 || detected < silent {
+		t.Errorf("%d flips detected, %d silent: checker coverage implausibly low", detected, silent)
 	}
 }
 
-// loadOpRaw is loadOp without *testing.T plumbing, for campaign callbacks.
-func loadOpRaw(e *Engine, alu *CheckedALU, a, b uint64) {
-	e.SetInputBus(alu.InA, a)
-	e.SetInputBus(alu.InB, b)
-	e.SetInput(alu.Load, true)
-	e.Step()
-	e.SetInput(alu.Load, false)
-	e.Step()
-}
-
-func TestMacroCampaignNeedsCallbacks(t *testing.T) {
-	nl := NewNetlist()
-	nl.Counter("c", 4)
-	e := MustCompile(nl)
-	if _, err := RunMacroCampaign(e, MacroCampaignConfig{}); err == nil {
-		t.Error("no error for missing callbacks")
-	}
-}
-
-// TestMacroCampaignUnprotectedCounter: flips in an unchecked macro are
-// never detected; whether they are masked or silent depends on the
-// correctness predicate.
+// TestMacroCampaignUnprotectedCounter: a flip in a macro with no checker is
+// never detected, and it does corrupt: three cycles on, the count is not
+// what the fault-free counter would hold.
 func TestMacroCampaignUnprotectedCounter(t *testing.T) {
 	nl := NewNetlist()
 	q := nl.Counter("cnt", 6)
-	err := nl.Const(false) // no checker at all
+	errOut := nl.Const(false) // no checker at all
 	e := MustCompile(nl)
-
-	var expected uint64
-	cfg := MacroCampaignConfig{
-		Stimulus: func(e *Engine, rng *rand.Rand) {
-			// Run the counter to a random phase.
-			n := rng.IntN(20)
-			for i := 0; i < n; i++ {
-				e.Step()
+	rng := rand.New(rand.NewPCG(13, 0xaa7a))
+	for _, l := range nl.Latches() {
+		for n := rng.IntN(20); n > 0; n-- { // run to a random phase
+			e.Step()
+		}
+		want := (e.BusValue(q) + 3) & 63
+		e.FlipLatch(l)
+		for i := 0; i < 3; i++ {
+			e.Step()
+			if e.Value(errOut) {
+				t.Fatalf("latch %d: an unprotected counter produced a detection", l)
 			}
-			expected = (e.BusValue(q) + 3) & 63
-		},
-		Observe: func(e *Engine, rng *rand.Rand) bool {
-			e.Step()
-			e.Step()
-			e.Step()
-			return e.BusValue(q) == expected
-		},
-		ErrOut: err,
-		Seed:   13,
-	}
-	rep, err2 := RunMacroCampaign(e, cfg)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if rep.Counts[MacroDetected] != 0 {
-		t.Error("unprotected counter produced detections")
-	}
-	if rep.Counts[MacroSilent] == 0 {
-		t.Error("no silent corruption in an unprotected counter")
+		}
+		if e.BusValue(q) == want {
+			t.Errorf("latch %d: the flip did not corrupt the count", l)
+		}
 	}
 }

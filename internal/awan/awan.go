@@ -117,12 +117,6 @@ func (n *Netlist) Not(a int) int { return n.add(node{kind: KindNot, a: a}) }
 // Mux adds a 2:1 multiplexer: s ? b : a.
 func (n *Netlist) Mux(a, b, s int) int { return n.add(node{kind: KindMux, a: a, b: b, s: s}) }
 
-// NodeByName looks up a named node.
-func (n *Netlist) NodeByName(name string) (int, bool) {
-	id, ok := n.byName[name]
-	return id, ok
-}
-
 // Latches returns the ids of all latch nodes in creation order.
 func (n *Netlist) Latches() []int {
 	var out []int

@@ -14,10 +14,10 @@ func TestGatesEvaluate(t *testing.T) {
 	or := nl.Or(a, b)
 	xor := nl.Xor(a, b)
 	not := nl.Not(a)
-	mux := nl.Mux(a, b, nl.Input("s"))
+	s := nl.Input("s")
+	mux := nl.Mux(a, b, s)
 	e := MustCompile(nl)
 
-	s, _ := nl.NodeByName("s")
 	for _, tc := range []struct{ a, b, s bool }{
 		{false, false, false}, {true, false, false},
 		{false, true, true}, {true, true, true},

@@ -22,30 +22,3 @@ func Residue3(v uint64) uint8 {
 	}
 	return uint8(v)
 }
-
-// AddResidue3 predicts the mod-3 residue of the wrapped 64-bit sum a+b from
-// the operand residues and the adder's carry-out. The wrapped sum is the
-// full sum minus carry·2^64, and 2^64 ≡ 1 (mod 3), so the carry subtracts
-// one from the predicted residue — exactly the correction a hardware residue
-// checker applies using the adder's carry-out signal.
-func AddResidue3(ra, rb uint8, carryOut bool) uint8 {
-	r := (ra + rb) % 3
-	if carryOut {
-		r = (r + 2) % 3 // subtract 1 mod 3
-	}
-	return r
-}
-
-// SubResidue3 predicts the mod-3 residue of the wrapped 64-bit difference
-// a-b from the operand residues and the subtractor's borrow-out (the wrapped
-// difference is the full difference plus borrow·2^64 ≡ +1 mod 3).
-func SubResidue3(ra, rb uint8, borrowOut bool) uint8 {
-	r := (ra + 3 - rb) % 3
-	if borrowOut {
-		r = (r + 1) % 3
-	}
-	return r
-}
-
-// MulResidue3 predicts the mod-3 residue of a*b from operand residues.
-func MulResidue3(ra, rb uint8) uint8 { return (ra * rb) % 3 }

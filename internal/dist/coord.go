@@ -183,6 +183,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err := cfg.Campaign.Alloc.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Campaign.Runner.Validate(); err != nil {
+		return nil, fmt.Errorf("dist: campaign runner: %w", err)
+	}
 	// Armed before the journal header and the worker-facing spec are
 	// derived, so both are stable.
 	cfg.Campaign.Stop = cfg.Campaign.Alloc.ArmStop(cfg.Campaign.Stop)

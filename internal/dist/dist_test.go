@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -591,6 +592,26 @@ func TestZeroTTLLeaseRejected(t *testing.T) {
 
 	if _, err := NewCoordinator(CoordConfig{Campaign: testSpec(), LeaseTTL: 500 * time.Microsecond}); err == nil {
 		t.Error("NewCoordinator accepted a sub-millisecond LeaseTTL")
+	}
+}
+
+// TestCoordinatorRejectsUnbuildableRunner: a campaign whose runner config no
+// model can be built from (a spec decoded from partial JSON) is refused when
+// the coordinator is made, with the field named, before any census or
+// worker build is attempted from it.
+func TestCoordinatorRejectsUnbuildableRunner(t *testing.T) {
+	for want, mut := range map[string]func(*CampaignSpec){
+		"Window":        func(s *CampaignSpec) { s.Runner = core.RunnerConfig{} },
+		"Proc.MemBytes": func(s *CampaignSpec) { s.Runner.Proc.MemBytes = 0; s.Alloc.Mode = core.AllocNeyman },
+	} {
+		spec := testSpec()
+		mut(&spec)
+		if c, err := NewCoordinator(CoordConfig{Campaign: spec}); err == nil {
+			c.Close()
+			t.Errorf("NewCoordinator accepted a runner with a bad %s", want)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

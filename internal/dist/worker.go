@@ -34,14 +34,11 @@ type WorkerConfig struct {
 	Workers int
 
 	// PollEvery is the lease re-poll period while no shard is available
-	// (default 250ms).
+	// (default 250ms). While the coordinator is unreachable the polls back
+	// off: the wait starts at PollEvery, doubles per consecutive failure
+	// with ±25% jitter up to pollBackoffCap periods, and resets to
+	// PollEvery on any successful response.
 	PollEvery time.Duration
-
-	// PollMax caps the exponential backoff of lease polls while the
-	// coordinator is unreachable (default 8×PollEvery). Backoff starts at
-	// PollEvery, doubles per consecutive failure with ±25% jitter, and
-	// resets to PollEvery on any successful response.
-	PollMax time.Duration
 
 	// NewRunner overrides how the worker builds its prototype runner from
 	// a campaign's runner spec (nil = core.NewRunner). A server embedding
@@ -137,6 +134,10 @@ func (c *Coordinator) RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return runWorker(ctx, cfg, c)
 }
 
+// pollBackoffCap is where the backoff of failed lease polls stops doubling,
+// in poll periods.
+const pollBackoffCap = 8
+
 func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 	if cfg.ID == "" {
 		host, _ := os.Hostname()
@@ -154,14 +155,11 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 	if cfg.SpanAttach == 0 {
 		cfg.SpanAttach = 512
 	}
-	if cfg.PollMax <= 0 {
-		cfg.PollMax = 8 * cfg.PollEvery
-	}
 	w := &worker{
 		cfg:   cfg,
 		coord: coord,
 		log:   cfg.Log.With("worker", cfg.ID),
-		retry: newBackoff(cfg.PollEvery, cfg.PollMax),
+		retry: newBackoff(cfg.PollEvery, pollBackoffCap*cfg.PollEvery),
 	}
 	for {
 		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID})

@@ -10,9 +10,8 @@
 // operation boundary is a verification barrier at which the result
 // registers are compared against golden sums computed from the stimulus
 // formula. A residue-check error output firing is terminal — the
-// gate-level analogue of a checkstop — which keeps the MacroOutcome
-// folding (masked→vanished, detected→checkstop, silent→sdc) consistent
-// with full campaign classification.
+// gate-level analogue of a checkstop — so a flip the macro masks, detects
+// or silently corrupts classifies as vanished, checkstop or sdc.
 package awan
 
 import (

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"sfi/internal/avp"
 	"sfi/internal/proc"
 )
@@ -64,6 +66,37 @@ type AwanConfig struct {
 	Width int `json:",omitempty"`
 	// Lanes is the number of checked-ALU instances (default 32).
 	Lanes int `json:",omitempty"`
+}
+
+// Validate rejects a config no backend can be built from, naming the field.
+// A config arrives off the wire (dist.CampaignSpec embeds it), where a
+// missing object decodes to zeros, so the server and the coordinator call
+// this before anything is built from one. Proc is checked for the backend
+// that reads it; AVP and Awan are checked by the backends' own constructors,
+// which return errors.
+func (c Config) Validate() error {
+	if c.Window < 1 {
+		return fmt.Errorf("engine: Window %d < 1", c.Window)
+	}
+	if c.Mode != Toggle && c.Mode != Sticky {
+		return fmt.Errorf("engine: Mode %d is neither toggle (%d) nor sticky (%d)", c.Mode, Toggle, Sticky)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"QuiesceExit", c.QuiesceExit}, {"StickyCycles", c.StickyCycles}, {"SpanBits", c.SpanBits}, {"BatchLanes", c.BatchLanes},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("engine: %s %d < 0", f.name, f.v)
+		}
+	}
+	if Resolve(c.Backend) == DefaultBackend {
+		if err := c.Proc.Validate(); err != nil {
+			return fmt.Errorf("engine: Proc.%w", err)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns the standard SFI configuration (the p6lite core

@@ -86,3 +86,47 @@ func TestSplitmix64KnownVector(t *testing.T) {
 		t.Fatal("splitmix64 collided on adjacent inputs")
 	}
 }
+
+// TestConfigValidate: a config decoded from an empty or partial JSON object
+// is refused with the offending field named; the p6lite model's fields are
+// read only for the backend that uses them.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string // "" = accepted
+	}{
+		{"zero", func(c *Config) { *c = Config{} }, "Window"},
+		{"zero awan", func(c *Config) { *c = Config{Backend: "awan"} }, "Window"},
+		{"mode", func(c *Config) { c.Mode = 0 }, "Mode"},
+		{"negative span", func(c *Config) { c.SpanBits = -1 }, "SpanBits"},
+		{"no memory", func(c *Config) { c.Proc.MemBytes = 0 }, "Proc.MemBytes"},
+		{"odd memory", func(c *Config) { c.Proc.MemBytes = 3000 }, "Proc.MemBytes"},
+		{"no hang limit", func(c *Config) { c.Proc.HangLimit = 0 }, "Proc.HangLimit"},
+		{"negative penalty", func(c *Config) { c.Proc.MissPenalty = -1 }, "Proc.MissPenalty"},
+		{"awan ignores Proc", func(c *Config) { c.Backend = "awan"; c.Proc.MemBytes = 0 }, ""},
+	} {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v does not name %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestNewReportsFactoryPanic: a backend constructor that panics costs its
+// caller an error, not the process.
+func TestNewReportsFactoryPanic(t *testing.T) {
+	Register("engine-test-panics", func(Config) (Backend, error) { panic("size 0 is not a power of two") })
+	be, err := New(Config{Backend: "engine-test-panics"})
+	if be != nil || err == nil || !strings.Contains(err.Error(), "size 0 is not a power of two") {
+		t.Fatalf("New = %v, %v; want an error carrying the panic", be, err)
+	}
+}

@@ -3,6 +3,7 @@ package p6lite
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"sfi/internal/bits"
@@ -191,7 +192,7 @@ type fullState struct {
 
 func captureState(c *proc.Core) fullState {
 	st := fullState{
-		latches:    c.DB().Snapshot(),
+		latches:    slices.Clone(c.DB().Cells),
 		mem:        c.Mem().Clone(),
 		cycle:      c.Cycle,
 		completed:  c.Completed,
@@ -200,7 +201,7 @@ func captureState(c *proc.Core) fullState {
 		halted:     c.Halted(),
 	}
 	for _, p := range c.Arrays() {
-		st.arrays = append(st.arrays, p.Snapshot())
+		st.arrays = append(st.arrays, slices.Clone(p.Cells))
 	}
 	return st
 }

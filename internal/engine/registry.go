@@ -57,9 +57,16 @@ func Backends() []string {
 	return names
 }
 
-// New builds the backend selected by cfg.Backend.
-func New(cfg Config) (Backend, error) {
+// New builds the backend selected by cfg.Backend. A factory that panics on
+// a config Validate let through is reported as an error: a build runs on
+// behalf of one campaign, inside processes that serve many.
+func New(cfg Config) (be Backend, err error) {
 	name := Resolve(cfg.Backend)
+	defer func() {
+		if r := recover(); r != nil {
+			be, err = nil, fmt.Errorf("engine: building backend %q panicked: %v", name, r)
+		}
+	}()
 	regMu.RLock()
 	f := registry[name]
 	regMu.RUnlock()

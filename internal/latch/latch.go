@@ -10,11 +10,12 @@
 package latch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
+
+	"sfi/internal/dirty"
 )
 
 // Type is the scan-chain latch class from the paper: FUNC and REGFILE
@@ -77,32 +78,24 @@ func (g *Group) Offset() int { return g.logOff }
 // DB is the latch database. Register groups during model construction, then
 // Freeze; injection and snapshotting operate on the frozen database.
 //
-// When a restore baseline is installed (SetBaseline), every latch write also
-// marks the storage word dirty, and delta snapshots captured against that
-// baseline restore in time proportional to the words actually touched —
-// see DESIGN.md "Dirty-tracking checkpoint restore".
+// The storage words are a dirty.Store: every latch write marks its block of
+// 8 words (one cache line), and the store's baseline, snapshot, restore and
+// delta methods are the database's — see DESIGN.md "Checkpoint restore".
 type DB struct {
-	words  []uint64
+	dirty.Store[uint64]
 	groups []*Group
 	byName map[string]*Group
 	total  int
 	frozen bool
-
-	// base is the baseline latch image, immutable once installed (shared
-	// read-only by cloned databases). dirty has one byte per block of 8
-	// storage words, set when the block may differ from base: a plain
-	// byte store keeps the latch-write hot path free of read-modify-write
-	// bitmap traffic.
-	base  []uint64
-	dirty []byte
 }
 
-// dirtyShift: 8 storage words (one cache line) per dirty-map byte.
-const dirtyShift = 3
+// blockShift: the storage words are dirty-tracked 8 (one cache line) to a
+// block.
+const blockShift = 3
 
 // NewDB returns an empty latch database.
 func NewDB() *DB {
-	return &DB{byName: make(map[string]*Group)}
+	return &DB{Store: dirty.New[uint64](0, blockShift), byName: make(map[string]*Group)}
 }
 
 func mask(width int) uint64 {
@@ -140,12 +133,12 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 		Entries: entries,
 		Width:   width,
 		logOff:  db.total,
-		physOff: len(db.words),
+		physOff: len(db.Cells),
 	}
 	db.groups = append(db.groups, g)
 	db.byName[name] = g
 	db.total += entries * width
-	db.words = append(db.words, make([]uint64, entries)...)
+	db.Cells = append(db.Cells, make([]uint64, entries)...)
 	return Array{db: db, g: g, off: g.physOff, n: entries, mask: mask(width)}
 }
 
@@ -189,14 +182,6 @@ func (db *DB) Locate(bit int) (g *Group, entry, bitInEntry int) {
 	return g, rel / g.Width, rel % g.Width
 }
 
-// touch marks storage word w's block dirty (no-op without a baseline). It
-// is small enough to inline into the latch-write hot path.
-func (db *DB) touch(w int) {
-	if db.dirty != nil {
-		db.dirty[w>>dirtyShift] = 1
-	}
-}
-
 // BitRef is a resolved handle to one logical latch bit: Locate's search is
 // paid once, when the handle is made, so a caller that returns to the same
 // bit every cycle (a sticky fault's re-force) touches only the storage
@@ -214,7 +199,7 @@ func (db *DB) BitRef(bit int) BitRef {
 }
 
 // Get reads the bit.
-func (r BitRef) Get() bool { return r.db.words[r.w]&r.mask != 0 }
+func (r BitRef) Get() bool { return r.db.Cells[r.w]&r.mask != 0 }
 
 // Set writes the bit. Rewriting the held value is a no-op (see Reg.Set).
 func (r BitRef) Set(v bool) {
@@ -225,8 +210,8 @@ func (r BitRef) Set(v bool) {
 
 // Flip inverts the bit and returns the new value.
 func (r BitRef) Flip() bool {
-	r.db.words[r.w] ^= r.mask
-	r.db.touch(r.w)
+	r.db.Cells[r.w] ^= r.mask
+	r.db.Touch(r.w >> blockShift)
 	return r.Get()
 }
 
@@ -240,134 +225,6 @@ func (db *DB) Poke(bit int, v bool) { db.BitRef(bit).Set(v) }
 // injection primitive ("flip chosen latch bits" in the paper's Figure 1).
 func (db *DB) Flip(bit int) bool { return db.BitRef(bit).Flip() }
 
-// Snapshot returns a copy of all latch state (a model checkpoint).
-func (db *DB) Snapshot() []uint64 {
-	s := make([]uint64, len(db.words))
-	copy(s, db.words)
-	return s
-}
-
-// Restore overwrites all latch state from a snapshot taken on the same
-// database shape. With a baseline installed every word is conservatively
-// marked dirty so later delta restores stay correct.
-func (db *DB) Restore(snap []uint64) {
-	if len(snap) != len(db.words) {
-		panic(fmt.Sprintf("latch: snapshot size %d != %d", len(snap), len(db.words)))
-	}
-	copy(db.words, snap)
-	for i := range db.dirty {
-		db.dirty[i] = 1
-	}
-}
-
-// SetBaseline snapshots the current latch image as the restore baseline and
-// starts block-granular dirty tracking against it.
-func (db *DB) SetBaseline() {
-	db.base = append([]uint64(nil), db.words...)
-	db.dirty = make([]byte, (len(db.words)+7)>>dirtyShift)
-}
-
-// HasBaseline reports whether dirty tracking is active.
-func (db *DB) HasBaseline() bool { return db.base != nil }
-
-// AdoptBaseline shares src's baseline (read-only) and resets this database's
-// latch image to it with a clean dirty bitmap. Shapes must match (same
-// registration sequence).
-func (db *DB) AdoptBaseline(src *DB) {
-	if src.base == nil {
-		panic("latch: AdoptBaseline from a database without a baseline")
-	}
-	if len(db.words) != len(src.base) {
-		panic(fmt.Sprintf("latch: adopt size mismatch %d != %d", len(db.words), len(src.base)))
-	}
-	db.base = src.base
-	copy(db.words, db.base)
-	db.dirty = make([]byte, (len(db.words)+7)>>dirtyShift)
-}
-
-// Delta is a sparse latch snapshot: the storage words (index and value) that
-// differed from the baseline at capture time. Immutable after capture.
-type Delta struct {
-	idx []int32
-	val []uint64
-}
-
-// Words returns the number of storage words recorded in the delta.
-func (d *Delta) Words() int { return len(d.idx) }
-
-// blockBounds returns the word range [lo, hi) of dirty block b.
-func (db *DB) blockBounds(b int) (lo, hi int) {
-	lo = b << dirtyShift
-	hi = lo + 1<<dirtyShift
-	if hi > len(db.words) {
-		hi = len(db.words)
-	}
-	return lo, hi
-}
-
-// forEachDirtyBlock calls fn for every dirty block index in ascending
-// order, scanning the byte map eight entries at a time.
-func (db *DB) forEachDirtyBlock(fn func(block int)) {
-	d := db.dirty
-	i := 0
-	for ; i+8 <= len(d); i += 8 {
-		if binary.LittleEndian.Uint64(d[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if d[j] != 0 {
-				fn(j)
-			}
-		}
-	}
-	for ; i < len(d); i++ {
-		if d[i] != 0 {
-			fn(i)
-		}
-	}
-}
-
-// CaptureDelta records the words that differ from the baseline (scanning
-// only the blocks marked dirty). It panics without a baseline.
-func (db *DB) CaptureDelta() *Delta {
-	if db.base == nil {
-		panic("latch: CaptureDelta without a baseline")
-	}
-	d := &Delta{}
-	db.forEachDirtyBlock(func(b int) {
-		lo, hi := db.blockBounds(b)
-		for w := lo; w < hi; w++ {
-			if db.words[w] != db.base[w] {
-				d.idx = append(d.idx, int32(w))
-				d.val = append(d.val, db.words[w])
-			}
-		}
-	})
-	return d
-}
-
-// RestoreDelta rewrites the latch image to exactly the state captured in d:
-// dirty blocks revert to the baseline, then the delta's words are applied
-// and stay marked dirty. Cost is proportional to blocks touched since the
-// last restore plus the delta size — not the database size.
-func (db *DB) RestoreDelta(d *Delta) {
-	if db.base == nil {
-		panic("latch: RestoreDelta without a baseline")
-	}
-	db.forEachDirtyBlock(func(b int) {
-		lo, hi := db.blockBounds(b)
-		copy(db.words[lo:hi], db.base[lo:hi])
-	})
-	for i := range db.dirty {
-		db.dirty[i] = 0
-	}
-	for i, w32 := range d.idx {
-		w := int(w32)
-		db.words[w] = d.val[i]
-		db.dirty[w>>dirtyShift] = 1
-	}
-}
-
 // wordIdle reports whether storage word w belongs to an idle group.
 func (db *DB) wordIdle(w int) bool {
 	i := sort.Search(len(db.groups), func(i int) bool {
@@ -376,38 +233,10 @@ func (db *DB) wordIdle(w int) bool {
 	return db.groups[i].Idle
 }
 
-// Matches reports whether the latch image equals snap outside idle groups,
-// where snap is a Snapshot and d the Delta captured with it (the two forms
-// a checkpoint holds). With a baseline it reads only what can differ: a
-// clean word equals the baseline, and snap equals the baseline outside d,
-// so the dirty blocks and d's words cover every possible difference — the
-// cost is that of RestoreDelta, not of the database. Without a baseline (or
-// with a nil d) every word is compared.
-func (db *DB) Matches(snap []uint64, d *Delta) bool {
-	if len(snap) != len(db.words) {
-		panic(fmt.Sprintf("latch: snapshot size %d != %d", len(snap), len(db.words)))
-	}
-	same := func(lo, hi int) bool {
-		for w := lo; w < hi; w++ {
-			if db.words[w] != snap[w] && !db.wordIdle(w) {
-				return false
-			}
-		}
-		return true
-	}
-	if db.base == nil || d == nil {
-		return same(0, len(db.words))
-	}
-	for _, w := range d.idx {
-		if !same(int(w), int(w)+1) {
-			return false
-		}
-	}
-	eq := true
-	db.forEachDirtyBlock(func(b int) {
-		eq = eq && same(db.blockBounds(b))
-	})
-	return eq
+// Matches reports whether the latch image equals img outside idle groups
+// (dirty.Store.Matches with the idle words left out).
+func (db *DB) Matches(img *dirty.Image[uint64]) bool {
+	return db.Store.Matches(img, db.wordIdle)
 }
 
 // Filter selects latch groups (nil selects everything).
@@ -501,7 +330,7 @@ type Reg struct {
 }
 
 // Get reads the latch value.
-func (r Reg) Get() uint64 { return r.db.words[r.w] & r.mask }
+func (r Reg) Get() uint64 { return r.db.Cells[r.w] & r.mask }
 
 // Set writes the latch value (extra high bits are dropped). Rewriting the
 // value already held is a no-op: most latch writes each cycle are holds
@@ -509,12 +338,12 @@ func (r Reg) Get() uint64 { return r.db.words[r.w] & r.mask }
 // and the dirty-tracking mark off the hot path.
 func (r Reg) Set(v uint64) {
 	v &= r.mask
-	p := &r.db.words[r.w]
+	p := &r.db.Cells[r.w]
 	if *p == v {
 		return
 	}
 	*p = v
-	r.db.touch(r.w)
+	r.db.Touch(r.w >> blockShift)
 }
 
 // GetBit reads one bit of the latch.

@@ -81,9 +81,9 @@ func TestCloneEqualCopyFrom(t *testing.T) {
 	if c.Equal(m) {
 		t.Fatal("diverged memories reported equal")
 	}
-	m.CopyFrom(c)
+	m.RestoreFull(c.Snapshot()) // copy from c
 	if !c.Equal(m) {
-		t.Fatal("CopyFrom did not converge")
+		t.Fatal("a full restore of c's snapshot did not converge")
 	}
 	if New(256).Equal(m) {
 		t.Fatal("different sizes reported equal")
@@ -206,6 +206,9 @@ func TestQuickWrite32Halves(t *testing.T) {
 	}
 }
 
+// TestDeltaRestoreMatchesBaseline: a write through either store primitive
+// marks its page, so a delta captures it and a delta restore reverts it.
+// (What the store does with the marks is internal/dirty's test.)
 func TestDeltaRestoreMatchesBaseline(t *testing.T) {
 	m := New(64 * 1024)
 	m.Write64(0x100, 0x1111)
@@ -216,12 +219,9 @@ func TestDeltaRestoreMatchesBaseline(t *testing.T) {
 	}
 	// Checkpoint A: the baseline state itself (empty delta).
 	ckA := m.CaptureDelta()
-	if ckA.Pages() != 0 {
-		t.Fatalf("baseline delta has %d pages", ckA.Pages())
-	}
 	// Advance and checkpoint B.
 	m.Write64(0x100, 0x3333)
-	m.Write64(0xa008, 0x4444)
+	m.Write32(0xa008, 0x4444)
 	ckB := m.CaptureDelta()
 	want := m.Clone()
 	// Dirty a bunch of other pages, then delta-restore B.
@@ -243,8 +243,8 @@ func TestDeltaRestoreMatchesBaseline(t *testing.T) {
 }
 
 func TestDeltaRestoreAfterFullCopy(t *testing.T) {
-	// CopyFrom conservatively dirties everything; a delta restore after it
-	// must still reproduce the captured state exactly.
+	// A full restore conservatively dirties everything; a delta restore
+	// after it must still reproduce the captured state exactly.
 	m := New(32 * 1024)
 	m.SetBaseline()
 	m.Write64(0x2000, 7)
@@ -252,10 +252,13 @@ func TestDeltaRestoreAfterFullCopy(t *testing.T) {
 	want := m.Clone()
 	other := New(32 * 1024)
 	other.Write64(0x40, 0xdead)
-	m.CopyFrom(other)
+	m.Restore(other.Snapshot())
+	if got := m.Read64(0x40); got != 0xdead {
+		t.Fatalf("full restore from another memory: [0x40] = %#x", got)
+	}
 	m.RestoreDelta(ck)
 	if !m.Equal(want) {
-		t.Fatal("delta restore after CopyFrom diverged")
+		t.Fatal("delta restore after a full restore diverged")
 	}
 }
 
@@ -267,7 +270,7 @@ func TestAdoptBaseline(t *testing.T) {
 	ck := src.CaptureDelta()
 
 	m := New(16 * 1024)
-	m.AdoptBaseline(src)
+	m.AdoptBaseline(src.Baseline())
 	if got := m.Read64(0x800); got != 42 {
 		t.Fatalf("adopted baseline [0x800] = %d", got)
 	}
@@ -300,26 +303,22 @@ func TestCaptureDeltaWithoutBaselinePanics(t *testing.T) {
 	New(1024).CaptureDelta()
 }
 
-// TestMatches checks the dirty-page comparison against a clone and its
-// delta: a difference in a dirty page, and one in a page of the delta that
-// is clean in the live memory, are both seen.
+// TestMatches checks the comparison against a snapshot: a difference in a
+// dirty page, and one in a page of the snapshot's delta that is clean in the
+// live memory, are both seen.
 func TestMatches(t *testing.T) {
 	for _, baseline := range []bool{true, false} {
 		m := New(64 * 1024)
 		m.Write64(0x100, 0x1111)
-		var base, d *Delta
 		if baseline {
 			m.SetBaseline()
-			base = m.CaptureDelta()
 		}
+		base := m.Snapshot()
 		m.Write64(0x8000, 0x2222)
-		img := m.Clone()
-		if baseline {
-			d = m.CaptureDelta()
-		}
+		img := m.Snapshot()
 		check := func(what string, want bool) {
 			t.Helper()
-			if got := m.Matches(img, d); got != want {
+			if got := m.Matches(img, nil); got != want {
 				t.Errorf("baseline %v, %s: Matches = %v, want %v", baseline, what, got, want)
 			}
 		}
@@ -331,12 +330,12 @@ func TestMatches(t *testing.T) {
 		m.Write32(0x8004, 1)
 		check("delta page changed", false)
 		if baseline {
-			m.RestoreDelta(base)
+			m.Restore(base)
 			check("live memory clean, image not", false)
-			m.RestoreDelta(d)
+			m.Restore(img)
 			check("restored", true)
 		}
-		if m.Matches(New(32*1024), nil) {
+		if m.Matches(New(32*1024).Snapshot(), nil) {
 			t.Error("memories of different sizes match")
 		}
 	}

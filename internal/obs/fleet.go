@@ -88,18 +88,3 @@ func (f *Fleet) Snapshot() *Snapshot {
 	}
 	return s
 }
-
-// Source returns an independent copy of one live source's accumulation
-// (nil if the source has no live contribution).
-func (f *Fleet) Source(source string) *Snapshot {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	acc := f.live[source]
-	if acc == nil {
-		return nil
-	}
-	return acc.Clone()
-}

@@ -416,20 +416,24 @@ func TestFleetDiscard(t *testing.T) {
 	}
 }
 
+// TestFleetSourceIsolation: the fleet shares no storage with its sources or
+// its readers. A delta mutated after it was observed, and a view mutated
+// after it was handed out, leave the fleet's count alone, and discarding one
+// source leaves another's contribution in place.
 func TestFleetSourceIsolation(t *testing.T) {
 	f := NewFleet()
-	f.Observe("a", fillSnapshot(3, 5))
-	// Source returns a copy: mutating it must not corrupt the fleet.
-	src := f.Source("a")
-	if src == nil || src.Injections != 3 {
-		t.Fatalf("Source(a) = %+v, want 3 injections", src)
+	delta := fillSnapshot(3, 5)
+	f.Observe("a", delta)
+	f.Observe("b", fillSnapshot(2, 5))
+	delta.Injections = 999
+	view := f.Snapshot()
+	if view.Injections != 5 {
+		t.Fatalf("fleet corrupted through an observed delta: %d injections", view.Injections)
 	}
-	src.Injections = 999
+	view.Injections = 999
+	f.Discard("b")
 	if got := f.Snapshot().Injections; got != 3 {
-		t.Fatalf("fleet corrupted through Source copy: %d injections", got)
-	}
-	if f.Source("ghost") != nil {
-		t.Error("Source of unknown key not nil")
+		t.Fatalf("after discarding b: %d injections, want a's 3", got)
 	}
 }
 

@@ -129,20 +129,6 @@ func (s *Span) End() {
 	s.tr.add(*s)
 }
 
-// EndAt stamps the duration against an explicit end time (spans whose
-// boundaries are taken from recorded campaign timestamps rather than
-// "now").
-func (s *Span) EndAt(t time.Time) {
-	if s == nil || s.tr == nil {
-		return
-	}
-	s.DurNs = t.Sub(s.start).Nanoseconds()
-	if s.DurNs < 0 {
-		s.DurNs = 0
-	}
-	s.tr.add(*s)
-}
-
 // tracerRingCap bounds the in-memory span ring: enough for the structural
 // spans of a large campaign (root, queue, image, executor, per-shard,
 // per-batch) while keeping a long-lived server at a fixed footprint. The

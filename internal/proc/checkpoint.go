@@ -3,16 +3,9 @@ package proc
 import (
 	"time"
 
-	"sfi/internal/array"
 	"sfi/internal/bits"
-	"sfi/internal/latch"
-	"sfi/internal/mem"
+	"sfi/internal/dirty"
 )
-
-// baselineToken identifies one InstallRestoreBaseline call. A checkpoint's
-// delta form is only valid against the baseline it was captured from; cores
-// that share a token (via AdoptBaselineFrom) share the baseline image.
-type baselineToken struct{ _ byte }
 
 // ModelCheckpoint is a full snapshot of the machine — latches, protected
 // arrays, memory and run counters. The emulation engine saves one after
@@ -22,24 +15,17 @@ type baselineToken struct{ _ byte }
 //
 // A checkpoint is immutable after capture and may be shared: multiple
 // engines (e.g. cloned campaign workers) can reload from one snapshot
-// concurrently. When the core had a restore baseline installed at capture
-// time, the checkpoint additionally carries sparse deltas against that
-// baseline, and RestoreCheckpoint on a core sharing the same baseline
+// concurrently. Each store's image remembers the restore baseline it was
+// captured against, so RestoreCheckpoint on a core sharing that baseline
 // rewrites only the state that actually differs — the dirty fast path.
 type ModelCheckpoint struct {
-	latches    []uint64
-	arrays     [][]bits.ECCWord
-	memory     *mem.Memory
+	latches    *dirty.Image[uint64]
+	arrays     []*dirty.Image[bits.ECCWord]
+	memory     *dirty.Image[byte]
 	cycle      uint64
 	completed  uint64
 	recoveries uint64
 	halted     bool
-
-	// Dirty-restore fast path (nil base when no baseline was installed).
-	base        *baselineToken
-	latchDelta  *latch.Delta
-	memDelta    *mem.Delta
-	arrayDeltas []*array.Delta
 }
 
 // InstallRestoreBaseline snapshots the current state as the restore
@@ -50,7 +36,6 @@ type ModelCheckpoint struct {
 // workload warm-up); installing a fresh baseline invalidates the fast path
 // of previously captured checkpoints (they fall back to the full copy).
 func (c *Core) InstallRestoreBaseline() {
-	c.baseline = &baselineToken{}
 	c.db.SetBaseline()
 	c.mem.SetBaseline()
 	for _, p := range c.arrays {
@@ -70,21 +55,18 @@ func (c *Core) AdoptBaselineFrom(src *Core) {
 	if c.cfg != src.cfg {
 		panic("proc: AdoptBaselineFrom across different configurations")
 	}
-	c.baseline = src.baseline
-	c.db.AdoptBaseline(src.db)
-	c.mem.AdoptBaseline(src.mem)
+	c.db.AdoptBaseline(src.db.Baseline())
+	c.mem.AdoptBaseline(src.mem.Baseline())
 	for i, p := range c.arrays {
-		p.AdoptBaseline(src.arrays[i])
+		p.AdoptBaseline(src.arrays[i].Baseline())
 	}
 }
 
-// SaveCheckpoint captures the complete model state. With a restore baseline
-// installed it also captures the sparse delta form enabling the dirty
-// restore fast path.
+// SaveCheckpoint captures the complete model state.
 func (c *Core) SaveCheckpoint() *ModelCheckpoint {
 	ck := &ModelCheckpoint{
 		latches:    c.db.Snapshot(),
-		memory:     c.mem.Clone(),
+		memory:     c.mem.Snapshot(),
 		cycle:      c.Cycle,
 		completed:  c.Completed,
 		recoveries: c.Recoveries,
@@ -93,23 +75,14 @@ func (c *Core) SaveCheckpoint() *ModelCheckpoint {
 	for _, p := range c.arrays {
 		ck.arrays = append(ck.arrays, p.Snapshot())
 	}
-	if c.baseline != nil {
-		ck.base = c.baseline
-		ck.latchDelta = c.db.CaptureDelta()
-		ck.memDelta = c.mem.CaptureDelta()
-		for _, p := range c.arrays {
-			ck.arrayDeltas = append(ck.arrayDeltas, p.CaptureDelta())
-		}
-	}
 	return ck
 }
 
 // RestoreCheckpoint reloads the model from a checkpoint taken on the same
-// configuration, clearing error counters and capture state. When the
-// checkpoint carries a delta against this core's installed baseline, only
-// the state that differs (words/pages/entries dirtied since the last
-// restore, plus the checkpoint's own delta) is rewritten; otherwise the
-// full-copy slow path runs.
+// configuration, clearing error counters and capture state. A store whose
+// image was captured against its installed baseline rewrites only what
+// differs (words/pages/entries dirtied since the last restore, plus the
+// image's own delta); otherwise it takes the full copy.
 func (c *Core) RestoreCheckpoint(ck *ModelCheckpoint) {
 	if c.obs == nil {
 		c.restoreModelCheckpoint(ck)
@@ -121,27 +94,22 @@ func (c *Core) RestoreCheckpoint(ck *ModelCheckpoint) {
 }
 
 func (c *Core) restoreModelCheckpoint(ck *ModelCheckpoint) {
-	if ck.base != nil && ck.base == c.baseline {
-		c.db.RestoreDelta(ck.latchDelta)
-		c.mem.RestoreDelta(ck.memDelta)
-		for i, p := range c.arrays {
-			p.RestoreDelta(ck.arrayDeltas[i])
-		}
-		c.finishRestore(ck)
-		return
-	}
-	c.RestoreCheckpointFull(ck)
-}
-
-// RestoreCheckpointFull reloads the model through the full-copy slow path,
-// ignoring any delta the checkpoint carries. It is the correctness baseline
-// the dirty path is verified against (see the differential tests) and the
-// fallback when baselines don't match.
-func (c *Core) RestoreCheckpointFull(ck *ModelCheckpoint) {
 	c.db.Restore(ck.latches)
-	c.mem.CopyFrom(ck.memory)
+	c.mem.Restore(ck.memory)
 	for i, p := range c.arrays {
 		p.Restore(ck.arrays[i])
+	}
+	c.finishRestore(ck)
+}
+
+// RestoreCheckpointFull reloads the model by full copy, whatever baseline
+// the checkpoint was captured against. It is the correctness baseline the
+// dirty path is verified against (see the differential tests).
+func (c *Core) RestoreCheckpointFull(ck *ModelCheckpoint) {
+	c.db.RestoreFull(ck.latches)
+	c.mem.RestoreFull(ck.memory)
+	for i, p := range c.arrays {
+		p.RestoreFull(ck.arrays[i])
 	}
 	c.finishRestore(ck)
 }
@@ -159,27 +127,15 @@ func (c *Core) AtCheckpoint(ck *ModelCheckpoint) bool {
 	if c.Cycle != ck.cycle || c.Completed != ck.completed || c.halted != ck.halted {
 		return false
 	}
-	// The deltas mean something only against the baseline they were
-	// captured from; without it every word, entry and byte is compared.
-	var ld *latch.Delta
-	var md *mem.Delta
-	shared := ck.base != nil && ck.base == c.baseline
-	if shared {
-		ld, md = ck.latchDelta, ck.memDelta
-	}
-	if !c.db.Matches(ck.latches, ld) {
+	if !c.db.Matches(ck.latches) {
 		return false
 	}
 	for i, p := range c.arrays {
-		var ad *array.Delta
-		if shared {
-			ad = ck.arrayDeltas[i]
-		}
-		if !p.Matches(ck.arrays[i], ad) {
+		if !p.Matches(ck.arrays[i], nil) {
 			return false
 		}
 	}
-	return c.mem.Matches(ck.memory, md)
+	return c.mem.Matches(ck.memory, nil)
 }
 
 // finishRestore resets counters and capture state common to both restore

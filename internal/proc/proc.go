@@ -13,6 +13,7 @@
 package proc
 
 import (
+	"fmt"
 	"math"
 	mathbits "math/bits"
 
@@ -66,6 +67,30 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects parameters no core can be built or clocked with, naming
+// the field: a config may come off the wire, where a missing object decodes
+// to zeros.
+func (c Config) Validate() error {
+	if c.MemBytes < 8 || c.MemBytes&(c.MemBytes-1) != 0 {
+		return fmt.Errorf("MemBytes %d is not a power of two >= 8", c.MemBytes)
+	}
+	if c.HangLimit < 1 {
+		return fmt.Errorf("HangLimit %d < 1", c.HangLimit)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MissPenalty", c.MissPenalty}, {"ERATPenalty", c.ERATPenalty}, {"RecoveryCycles", c.RecoveryCycles},
+		{"RetryLimit", c.RetryLimit}, {"NestPenalty", c.NestPenalty},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d < 0", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Event is a machine-visible occurrence during a cycle, reported by Step.
 type Event struct {
 	TestEnd   bool   // a testend barrier completed this cycle
@@ -102,11 +127,6 @@ type Core struct {
 	// obs is the optional metrics collector (nil = observability off, the
 	// default; see SetObs). With it set, checkpoint restores are timed.
 	obs *obs.Metrics
-
-	// baseline identifies the installed restore baseline for the
-	// dirty-tracking checkpoint fast path (nil until
-	// InstallRestoreBaseline; shared by cloned cores).
-	baseline *baselineToken
 
 	// pending errors posted by checkers during the current cycle
 	pendErr []pendingError
@@ -166,8 +186,7 @@ func (c *Core) SetObs(m *obs.Metrics) { c.obs = m }
 // invalid, scan rings at their init values, PC = 0. Memory is untouched.
 func (c *Core) Reset() {
 	// Zero every latch, then apply scan-ring init values.
-	snap := make([]uint64, len(c.db.Snapshot()))
-	c.db.Restore(snap)
+	c.db.Fill(0)
 	c.initScanRings()
 	c.resetArrays()
 	// Idle states for the one-hot machines.

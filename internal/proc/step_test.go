@@ -81,3 +81,51 @@ func BenchmarkStep(b *testing.B) {
 		b.Fatal("fault-free run checkstopped")
 	}
 }
+
+// BenchmarkRestoreCheckpoint times the reload every injection starts with,
+// by the dirty path and by the full copy it is tested against. Each
+// iteration first dirties the model the way an injection does (a flip and a
+// short run, untimed), so the dirty path pays for a realistic dirty set.
+func BenchmarkRestoreCheckpoint(b *testing.B) {
+	c, _ := newAVPCore(b)
+	c.InstallRestoreBaseline()
+	ck := c.SaveCheckpoint()
+	for _, path := range []struct {
+		name    string
+		restore func(*ModelCheckpoint)
+	}{{"dirty", c.RestoreCheckpoint}, {"full", c.RestoreCheckpointFull}} {
+		b.Run(path.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c.DB().Flip(0)
+				for s := 0; s < 200; s++ {
+					c.Step()
+				}
+				b.StartTimer()
+				path.restore(ck)
+			}
+		})
+	}
+}
+
+// BenchmarkAtCheckpoint times the comparison an injection makes at a testend
+// to learn that it is back on the fault-free trajectory, in the case that
+// costs most: the model has run a whole testcase since its reload (untimed)
+// and is in the state of the next checkpoint, so every dirty block is read.
+func BenchmarkAtCheckpoint(b *testing.B) {
+	c, _ := newAVPCore(b)
+	c.InstallRestoreBaseline()
+	from := c.SaveCheckpoint()
+	runPass(b, c, 1)
+	next := c.SaveCheckpoint()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c.RestoreCheckpoint(from)
+		runPass(b, c, 1)
+		b.StartTimer()
+		if !c.AtCheckpoint(next) {
+			b.Fatal("a fault-free testcase did not end at the next checkpoint")
+		}
+	}
+}

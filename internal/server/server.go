@@ -68,9 +68,6 @@ type Config struct {
 	// and bounds resume loss).
 	LeaseTTL time.Duration
 
-	// PollEvery is the embedded worker's lease poll period (default 2ms).
-	PollEvery time.Duration
-
 	// ImageCacheSize bounds the warm checkpoint-image cache (default 4
 	// images).
 	ImageCacheSize int
@@ -300,9 +297,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Second
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 2 * time.Millisecond
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
@@ -410,6 +404,11 @@ func (s *Server) specDigest(spec Spec) string {
 	}{c, s.shardSize(spec)})
 }
 
+// pollEvery is the embedded worker's lease poll period. Its polls are
+// direct calls on the campaign's own coordinator, so the period only bounds
+// how long the worker idles after an epoch boundary or a requeue.
+const pollEvery = 2 * time.Millisecond
+
 // minShardSize is the smallest shard the server cuts on its own. A shard
 // costs a lease, a completion and a journal fsync whatever it holds, about
 // as much as three p6lite injections. The floor only binds under 1024
@@ -447,6 +446,9 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	backend := engine.Resolve(spec.Campaign.Runner.Backend)
 	if !slices.Contains(engine.Backends(), backend) {
 		return Campaign{}, fmt.Errorf("server: unknown backend %q (registered: %v)", backend, engine.Backends())
+	}
+	if err := spec.Campaign.Runner.Validate(); err != nil {
+		return Campaign{}, fmt.Errorf("server: campaign.runner: %w", err)
 	}
 
 	c := &Campaign{
@@ -916,7 +918,7 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 	go func() {
 		werr := coord.RunWorker(ctx, dist.WorkerConfig{
 			ID:        "server-" + c.ID,
-			PollEvery: s.cfg.PollEvery,
+			PollEvery: pollEvery,
 			NewRunner: factory,
 			Log:       s.log.With("campaign", c.ID),
 		})

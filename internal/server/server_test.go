@@ -13,6 +13,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/dist"
+	"sfi/internal/engine"
 	_ "sfi/internal/engine/p6lite" // default backend for real campaign runs
 )
 
@@ -47,7 +48,6 @@ func newTestServer(t *testing.T, dir string, mut func(*Config)) *Server {
 	cfg := Config{
 		Dir:           dir,
 		MaxConcurrent: 2,
-		PollEvery:     time.Millisecond,
 		LeaseTTL:      time.Second,
 	}
 	if mut != nil {
@@ -532,5 +532,67 @@ func TestServerMatchesDistLoopback(t *testing.T) {
 					c.Injections, c.StoppedEarly, rep.Total, stopped)
 			}
 		})
+	}
+}
+
+// postSpec submits a raw JSON spec through the server's handler and returns
+// the status code and the decoded campaign record (or error document).
+func postSpec(t *testing.T, h http.Handler, body string) (int, Campaign, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", strings.NewReader(body)))
+	var doc struct {
+		Campaign
+		Err string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("submit answered %d with %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	return rec.Code, doc.Campaign, doc.Err
+}
+
+func init() {
+	engine.Register("server-test-panics", func(engine.Config) (engine.Backend, error) {
+		panic("size 0 is not a power of two")
+	})
+}
+
+// TestUnbuildableRunnerCostsOneCampaign: a runner config off the wire that
+// no model can be built from is a 400 naming the field, and one whose build
+// panics anyway fails its own campaign; either way the server goes on to
+// finish another tenant's campaign.
+func TestUnbuildableRunnerCostsOneCampaign(t *testing.T) {
+	s := newTestServer(t, t.TempDir(), nil)
+	h := s.Handler()
+
+	code, _, msg := postSpec(t, h, `{"campaign":{"flips":8,"runner":{}}}`)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "Window") {
+		t.Fatalf(`"runner":{} answered %d %q, want 400 naming Window`, code, msg)
+	}
+	partial, _ := json.Marshal(tinySpec("a", 1, 8, 8))
+	partial = bytes.Replace(partial, []byte(`"MemBytes":262144`), []byte(`"MemBytes":0`), 1)
+	code, _, msg = postSpec(t, h, string(partial))
+	if code != http.StatusBadRequest || !strings.Contains(msg, "Proc.MemBytes") {
+		t.Fatalf("MemBytes 0 answered %d %q, want 400 naming Proc.MemBytes", code, msg)
+	}
+
+	bad := tinySpec("a", 2, 8, 8)
+	bad.Campaign.Runner.Backend = "server-test-panics"
+	body, _ := json.Marshal(bad)
+	code, c, msg := postSpec(t, h, string(body))
+	if code != http.StatusCreated {
+		t.Fatalf("submit answered %d %q, want 201", code, msg)
+	}
+	if c = waitState(t, s, c.ID, StateFailed, 30*time.Second); !strings.Contains(c.Error, "panicked") {
+		t.Errorf("failed campaign's error = %q, want the build's panic", c.Error)
+	}
+
+	good, _ := json.Marshal(tinySpec("b", 3, 8, 8))
+	code, c, msg = postSpec(t, h, string(good))
+	if code != http.StatusCreated {
+		t.Fatalf("second tenant's submit answered %d %q, want 201", code, msg)
+	}
+	if c = waitState(t, s, c.ID, StateDone, 30*time.Second); c.Injections != 8 {
+		t.Errorf("second tenant's campaign ran %d injections, want 8", c.Injections)
 	}
 }

@@ -152,19 +152,3 @@ func gammaIncLowerReg(a, x float64) float64 {
 		return 1 - q
 	}
 }
-
-// Proportions converts category counts into fractions of their total.
-func Proportions(counts []int) []float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	out := make([]float64, len(counts))
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
-	}
-	return out
-}

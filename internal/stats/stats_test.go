@@ -127,17 +127,6 @@ func TestQuickPValueMonotone(t *testing.T) {
 	}
 }
 
-func TestProportions(t *testing.T) {
-	ps := Proportions([]int{1, 3})
-	if ps[0] != 0.25 || ps[1] != 0.75 {
-		t.Errorf("Proportions = %v", ps)
-	}
-	ps = Proportions([]int{0, 0})
-	if ps[0] != 0 || ps[1] != 0 {
-		t.Error("empty counts should be zeros")
-	}
-}
-
 // Property: RelStdDev of a binomial sample shrinks with sample size, the
 // statistical backbone of Figure 2.
 func TestRelStdDevShrinksWithSampleSize(t *testing.T) {
