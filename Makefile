@@ -2,7 +2,7 @@ GO ?= go
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: build bins test race vet fmt fuzz bench smoke ci
+.PHONY: build bins test race vet fmt fuzz bench smoke lines ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,17 @@ bench:
 # converge, and pull the report, events, status and metrics back out.
 smoke:
 	$(GO) test -count=1 -run TestLoopbackSubmitConvergeReport ./internal/server
+
+# lines prints non-test and test Go line counts per package directory, then
+# the tree's totals: the number a CHANGES.md entry that claims a reduction
+# quotes before and after.
+lines:
+	@find . -name '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; sub("/[^/]*$$", "", d); dirs[d] = 1; \
+		if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nn += $$1 } } \
+		END { for (d in dirs) printf "%-28s %7d %7d\n", d, n[d], t[d]; \
+		printf "%-28s %7d %7d\n", "~total", nn, tt }' | sort | \
+		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
 
 # ci holds no wall-clock gate: what observability, lanes, the image cache,
 # the adaptive stop and Neyman allocation must cost or save is pinned by

@@ -10,7 +10,7 @@
 // latency attribution), GET /v1/trace (the campaign's causal span tree —
 // coordinator shard spans plus the worker-side spans carried home on shard
 // completions — with the critical path marked), GET /metrics (live
-// fleet-wide Prometheus metrics, merged from worker heartbeat deltas and
+// fleet-wide Prometheus metrics, merged from worker heartbeat snapshots and
 // completed-shard snapshots, plus per-layer span histograms) and
 // GET /progress.
 // Lifecycle events (lease grants, requeues, completions) go to stderr as

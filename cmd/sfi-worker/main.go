@@ -1,10 +1,10 @@
 // Command sfi-worker executes shards of a distributed fault-injection
 // campaign on behalf of an sfi-coord coordinator. It polls for shard
 // leases, builds and warms the model once, runs each leased shard over the
-// warm-clone worker pool, heartbeats while it works — piggybacking metric
-// deltas that feed the coordinator's live fleet view — and posts the shard
-// report (with a sampled trace segment attached) back. It exits cleanly
-// when the coordinator declares the campaign over.
+// warm-clone worker pool, heartbeats while it works — piggybacking the
+// shard's metrics so far, the coordinator's live fleet view — and posts
+// the shard report (with a sampled trace segment attached) back. It exits
+// cleanly when the coordinator declares the campaign over.
 //
 // Lifecycle events go to stderr as structured JSON logs; -http serves
 // worker-local debug views (/debug/pprof, /debug/vars, /metrics,

@@ -183,6 +183,22 @@ func (s *liveState) snapshot() *sfi.MetricsSnapshot {
 }
 
 func run(a campaignArgs) error {
+	// -dist returns through runDist, which wires none of these: say so
+	// instead of exiting 0 with nothing written or served.
+	if a.dist > 0 {
+		for _, f := range []struct {
+			set         bool
+			flag, where string
+		}{
+			{a.trace != "", "-trace", "sfi-worker -trace (per worker) or sfi-coord -shard-trace (sampled per shard)"},
+			{a.traceSample > 1, "-trace-sample", "sfi-worker -trace-sample"},
+			{a.httpAddr != "", "-http", "sfi-worker -http (per worker) or the coordinator's own /metrics and /v1/status"},
+		} {
+			if f.set {
+				return fmt.Errorf("%s has no effect with -dist: in a fleet that output is %s", f.flag, f.where)
+			}
+		}
+	}
 	cfg := sfi.DefaultCampaignConfig()
 	cfg.Flips = a.flips
 	cfg.Seed = a.seed

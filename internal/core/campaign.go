@@ -759,8 +759,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 	// Unconditional: also detaches any collector a previous campaign on a
 	// reused prototype (RunCampaignWith) left behind.
-	first.SetObs(workerObs(0), cfg.Obs.Trace)
-	first.SetSpan(cfg.Obs.Tracer, runSp.Context())
+	first.Observe(workerObs(0), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 
 	// Adaptive statistical stop: workers stream every classified outcome
 	// into a shared sequential-interval estimator (per sampling stratum too,
@@ -901,8 +900,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 				wg.Done()
 				return
 			}
-			r.SetObs(workerObs(w), cfg.Obs.Trace)
-			r.SetSpan(cfg.Obs.Tracer, runSp.Context())
+			r.Observe(workerObs(w), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 			worker(r)
 		}()
 	}
@@ -951,7 +949,10 @@ dispatch:
 		for _, d := range epoch {
 			rep.addDraw(d, cfg.KeepResults)
 		}
-		if stopOnConverge && est.Converged() {
+		// The barrier is decided over the folded report, by the evaluation
+		// the report prints and a coordinator's epoch boundary uses; the
+		// estimator is the live view and the mid-epoch poll.
+		if stopOnConverge && rep.ComputeConvergence(cfg.Stop.Rule(), src.pops).Converged {
 			break
 		}
 		epoch = src.next(rep)

@@ -263,7 +263,7 @@ func TestObservabilityAllocs(t *testing.T) {
 	// AllocsPerRun counts the whole process, where a runtime goroutine adds
 	// a stray now and then; its integer mean over five passes drops them.
 	measure := func(m *obs.Metrics, sink *obs.TraceSink) float64 {
-		r.SetObs(m, sink)
+		r.Observe(m, sink, nil, obs.SpanContext{})
 		return testing.AllocsPerRun(5, pass)
 	}
 	m, sink := obs.New(outcomeNames()), obs.NewTraceSink(io.Discard, obs.TraceOptions{})

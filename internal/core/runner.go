@@ -52,15 +52,13 @@ type Runner struct {
 	cfg RunnerConfig
 	be  engine.Backend
 
-	// Observability (nil = off, the default): obs collects metrics, trace
-	// records per-injection lifecycle events. Set via SetObs; clones do not
-	// inherit them (each campaign worker gets its own collector).
-	obs   *obs.Metrics
-	trace *obs.TraceSink
-
-	// Campaign tracing (nil = off): tracer records one causal span per
-	// bit-parallel batch pass, parented under spanCtx. Set via SetSpan;
-	// clones do not inherit it.
+	// Observability (each nil = off, the default; set together by Observe):
+	// obs collects metrics, trace records per-injection lifecycle events,
+	// tracer records one causal span per bit-parallel batch pass, parented
+	// under spanCtx. Clones do not inherit them (each campaign worker gets
+	// its own collector).
+	obs     *obs.Metrics
+	trace   *obs.TraceSink
 	tracer  *obs.Tracer
 	spanCtx obs.SpanContext
 }
@@ -83,25 +81,16 @@ func (r *Runner) Backend() engine.Backend { return r.be }
 // DB exposes the backend's latch population for sampling and metadata.
 func (r *Runner) DB() *latch.DB { return r.be.DB() }
 
-// SetObs attaches a metrics collector and/or trace sink to the runner (nil
-// detaches either; the default is fully off). The collector is threaded
-// down into the backend so restore latencies and propagation cycle counts
-// are captured at their source.
-func (r *Runner) SetObs(m *obs.Metrics, trace *obs.TraceSink) {
-	r.obs = m
-	r.trace = trace
-	r.be.SetObs(m)
-}
-
-// SetSpan attaches a campaign tracer: each bit-parallel batch pass then
-// records one "batch" span (lane occupancy, restore/run split, quiesce
-// exits) parented under parent. Nil detaches (the default). The scalar
-// per-injection path is deliberately not spanned — injection lifecycle
-// detail already flows through the trace sink, and a span per injection
-// would put allocation on the hot path.
-func (r *Runner) SetSpan(tr *obs.Tracer, parent obs.SpanContext) {
-	r.tracer = tr
-	r.spanCtx = parent
+// Observe attaches the runner's observers; nil detaches any of them (the
+// default is fully off). Every injection is folded into m and offered to
+// trace by record, the one place an injection is measured — the backend
+// sees none of them. With a tracer, each bit-parallel batch pass records
+// one "batch" span (lane occupancy, restore/run split, quiesce exits)
+// parented under parent. The scalar per-injection path is deliberately not
+// spanned — injection lifecycle detail already flows through the trace
+// sink, and a span per injection would put allocation on the hot path.
+func (r *Runner) Observe(m *obs.Metrics, trace *obs.TraceSink, tr *obs.Tracer, parent obs.SpanContext) {
+	r.obs, r.trace, r.tracer, r.spanCtx = m, trace, tr, parent
 }
 
 // Clone duplicates a warmed runner without re-running warm-up and
@@ -170,20 +159,22 @@ func (r *Runner) classify(bit int, st engine.RunStats, v engine.Verdict, sdc boo
 }
 
 // record feeds one classified injection to the attached metrics collector
-// and trace sink. ns is the wall time charged to the injection. The scalar
-// path supplies its restore time and has the FIR polled; a batch lane has
-// only its share of the pass, and its FIR bits are not separable.
-func (r *Runner) record(res Result, t0 time.Time, ckIdx, delay int, ns uint64, restoreNs, propagateNs int64, pollFIR bool) {
-	r.obs.ObserveInjection(ns) // nil-safe, like every Metrics method
-	r.obs.IncOutcome(int(res.Outcome), res.Unit, res.LatchType.String())
-	if res.Detected {
-		r.obs.ObserveDetect(res.DetectLatency)
-	}
+// and trace sink. ns is the wall time charged to the injection and stepped
+// the cycles its backend says it clocked. The scalar path supplies its
+// restore time and has the FIR polled; a batch lane has only its share of
+// the pass (whose one restore ObserveBatch counted), and its FIR bits are
+// not separable.
+func (r *Runner) record(res Result, stepped uint64, t0 time.Time, ckIdx, delay int, ns uint64, restoreNs, propagateNs int64, lane bool) {
+	r.obs.Fold(obs.Injection{ // nil-safe, like every Metrics method
+		WallNs: ns, RestoreNs: uint64(restoreNs), Cycles: res.Cycles, Stepped: stepped,
+		Outcome: int(res.Outcome), Unit: res.Unit, LatchType: res.LatchType.String(),
+		Detected: res.Detected, DetectLat: res.DetectLatency, Lane: lane,
+	})
 	if r.trace == nil {
 		return
 	}
 	var fir []string
-	if pollFIR {
+	if !lane {
 		fir = r.be.FIRNames()
 	}
 	r.trace.Record(&obs.TraceEvent{
@@ -267,7 +258,7 @@ func (r *Runner) RunInjection(bit int) Result {
 	res := r.classify(bit, run, r.be.Verdict(), sdc, injectCycle)
 
 	if observed {
-		r.record(res, t0, ckIdx, delay, uint64(time.Since(t0).Nanoseconds()), restoreNs, propagateNs, true)
+		r.record(res, run.Stepped, t0, ckIdx, delay, uint64(time.Since(t0).Nanoseconds()), restoreNs, propagateNs, false)
 	}
 	return res
 }
@@ -319,12 +310,16 @@ func (r *Runner) RunInjectionBatch(bits []int) []Result {
 	if err != nil {
 		panic(err) // bits come from the database's own sampling
 	}
+	var st engine.BatchStats
+	rep, reports := r.be.(engine.BatchStatsReporter)
+	if reports {
+		st = rep.LastBatchStats()
+	}
 	if sp != nil {
 		sp.AttrInt("lanes", int64(len(bits))).
 			AttrInt("max_lanes", int64(bb.MaxBatch())).
 			AttrInt("checkpoint", int64(ckIdx))
-		if rep, ok := r.be.(engine.BatchStatsReporter); ok {
-			st := rep.LastBatchStats()
+		if reports {
 			sp.AttrInt("restore_ns", st.RestoreNs).
 				AttrInt("cycles", int64(st.Cycles)).
 				AttrInt("barriers", int64(st.Barriers)).
@@ -341,9 +336,9 @@ func (r *Runner) RunInjectionBatch(bits []int) []Result {
 		// each injection so rate and busy metrics stay comparable with the
 		// scalar path.
 		shareNs := uint64(time.Since(t0).Nanoseconds()) / uint64(len(bits))
-		r.obs.ObserveBatch(uint64(len(bits)))
+		r.obs.ObserveBatch(uint64(len(bits)), uint64(st.RestoreNs))
 		for i, res := range out {
-			r.record(res, t0, ckIdx, injs[i].Delay, shareNs, 0, int64(shareNs), false)
+			r.record(res, brs[i].Stats.Stepped, t0, ckIdx, injs[i].Delay, shareNs, 0, int64(shareNs), true)
 		}
 	}
 	return out

@@ -185,12 +185,12 @@ func TestStatusConvergenceSchema(t *testing.T) {
 	if code := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &lease); code != http.StatusOK {
 		t.Fatalf("lease: status %d", code)
 	}
-	// A heartbeat delta feeds the live fleet view the status block reads.
-	delta := obs.NewSnapshot()
-	delta.Injections = 5
-	delta.Outcomes = map[string]uint64{"vanished": 4, "sdc": 1}
+	// A heartbeat snapshot feeds the live fleet view the status block reads.
+	snap := obs.NewSnapshot()
+	snap.Injections = 5
+	snap.Outcomes = map[string]uint64{"vanished": 4, "sdc": 1}
 	if code := rawPost(t, srv.URL+"/v1/heartbeat",
-		heartbeatRequest{Worker: "w", Shard: lease.Shard.ID, Delta: delta}, nil); code != http.StatusOK {
+		heartbeatRequest{Worker: "w", Shard: lease.Shard.ID, Metrics: snap}, nil); code != http.StatusOK {
 		t.Fatalf("heartbeat: status %d", code)
 	}
 

@@ -89,7 +89,7 @@ type shard struct {
 
 	leasedAt time.Time // grant time of the current lease
 	lastBeat time.Time // last heartbeat of the current lease (zero until one arrives)
-	liveInj  uint64    // injections reported via heartbeat deltas this lease
+	liveInj  uint64    // injections in the newest heartbeat snapshot of this lease
 
 	span *obs.Span // the current lease's "shard" span (nil untraced)
 }
@@ -98,12 +98,11 @@ type shard struct {
 func (s *shard) fleetKey() string { return fmt.Sprintf("shard-%d", s.ID) }
 
 // workerStats is the coordinator's per-worker ledger, fed by lease grants,
-// heartbeat deltas and completions.
+// heartbeat snapshots and completions.
 type workerStats struct {
 	firstSeen  time.Time
 	lastSeen   time.Time
 	injections uint64 // classified injections credited to this worker
-	busyNs     uint64 // wall nanoseconds its model copies spent injecting
 	shardsDone int
 	failures   int // /v1/fail reports
 }
@@ -116,8 +115,9 @@ type Coordinator struct {
 	cfg CoordConfig
 	log *slog.Logger
 
-	// fleet is the live fleet-wide metrics view: heartbeat deltas of
-	// in-flight shards plus the exact final snapshots of completed ones.
+	// fleet is the live fleet-wide metrics view: the newest heartbeat
+	// snapshot of each in-flight shard plus the exact final snapshots of
+	// completed ones.
 	// It has its own lock and is deliberately outside mu — /metrics
 	// scrapes never contend with the lease path.
 	fleet *obs.Fleet
@@ -145,7 +145,7 @@ type Coordinator struct {
 	journal  *journal
 
 	// sealed is the decision basis of every stop and allocation: the counts
-	// of the *completed* shard reports, merged — never live heartbeat deltas
+	// of the *completed* shard reports, merged — never heartbeat snapshots
 	// — so each decision is a pure function of which shards completed, and a
 	// journal replay reaches the same one.
 	sealed       *core.Report
@@ -369,7 +369,7 @@ func (c *Coordinator) shardEvent(s *shard, kind string, mut func(*obs.ShardEvent
 	if mut != nil {
 		mut(ev)
 	}
-	c.cfg.ShardTrace.RecordShard(ev)
+	c.cfg.ShardTrace.RecordJSON(ev)
 }
 
 // sweepLocked expires overdue leases. A shard that has used all its
@@ -443,9 +443,9 @@ func (c *Coordinator) finishLocked() {
 }
 
 // covers checks that a report is one of this shard: as many injections as
-// the lease, attributed to the lease's stratum and to no other. The
-// per-stratum rows feed the allocator and the stratum intervals, so a
-// mis-attributed report would silently bias both.
+// the lease, in its metrics too, attributed to the lease's stratum and to no
+// other. The per-stratum rows feed the allocator and the stratum intervals,
+// so a mis-attributed report would silently bias both.
 func (s *shard) covers(rep *core.Report) error {
 	if rep.Total != s.Hi-s.Lo {
 		return fmt.Errorf("dist: shard %d report covers %d injections, want %d", s.ID, rep.Total, s.Hi-s.Lo)
@@ -459,6 +459,10 @@ func (s *shard) covers(rep *core.Report) error {
 	}
 	if len(rep.ByStratum) != rows || attributed != rep.Total {
 		return fmt.Errorf("dist: shard %d report must attribute its %d injections to stratum %q alone", s.ID, rep.Total, s.Stratum)
+	}
+	// Sealed into the fleet view as is, where the status and the rate read it.
+	if m := rep.Metrics; m != nil && m.Injections != uint64(rep.Total) {
+		return fmt.Errorf("dist: shard %d report's metrics count %d injections, the report %d", s.ID, m.Injections, rep.Total)
 	}
 	return nil
 }
@@ -477,10 +481,9 @@ func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 	s.status = shardDone
 	s.owner = ""
 	s.report = rep
-	// Replace the shard's live heartbeat deltas with its exact final
-	// snapshot: the fleet view now counts this shard's injections exactly
-	// once, and converges to the merged-report snapshot when the campaign
-	// completes.
+	// Replace the shard's live heartbeat snapshot with its exact final one:
+	// the fleet view now counts this shard's injections exactly once, and
+	// converges to the merged-report snapshot when the campaign completes.
 	c.fleet.Seal(s.fleetKey(), rep.Metrics)
 	c.done++
 	counts := *rep
@@ -724,17 +727,17 @@ func (c *Coordinator) Progress() Progress {
 	return p
 }
 
-// FleetSnapshot returns the live fleet-wide metrics view: heartbeat
-// deltas of in-flight shards plus the exact final snapshots of completed
-// shards. Once the campaign completes it equals the merged Report's
-// snapshot counter for counter.
+// FleetSnapshot returns the live fleet-wide metrics view: the newest
+// heartbeat snapshots of in-flight shards plus the exact final snapshots of
+// completed shards. Once the campaign completes it equals the merged
+// Report's snapshot counter for counter.
 func (c *Coordinator) FleetSnapshot() *obs.Snapshot {
 	return c.fleet.Snapshot()
 }
 
 // Convergence is the live fleet-wide confidence-interval evaluation over
 // the fleet metrics view (sealed completed-shard snapshots plus heartbeat
-// deltas of in-flight shards). It feeds the progress line, /v1/status and
+// snapshots of in-flight shards). It feeds the progress line, /v1/status and
 // /metrics; the stop *decision* is made over sealed counts only. Nil
 // without a stop rule.
 func (c *Coordinator) Convergence() *stats.Convergence {
@@ -830,6 +833,12 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 		// accepted — results are deterministic — but stopping saves work).
 		return http.StatusConflict, nil
 	}
+	// The snapshot comes off the network and feeds the status, the rate
+	// and the progress line: what it counts is bounded by the lease.
+	if m := req.Metrics; m != nil && m.Injections > uint64(s.Hi-s.Lo) {
+		return http.StatusBadRequest, fmt.Errorf("dist: heartbeat for shard %d reports %d injections, its lease covers %d",
+			s.ID, m.Injections, s.Hi-s.Lo)
+	}
 	now := time.Now()
 	// A heartbeat that arrives far later than the worker's TTL/3 schedule
 	// marks a struggling worker or a congested path — record the gap
@@ -847,11 +856,12 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 	s.lastBeat = now
 	s.deadline = now.Add(c.cfg.LeaseTTL)
 	ws := c.touchWorkerLocked(req.Worker, now)
-	if req.Delta != nil && !req.Delta.Empty() {
-		s.liveInj += req.Delta.Injections
-		ws.injections += req.Delta.Injections
-		ws.busyNs += req.Delta.BusyNs
-		c.fleet.Observe(s.fleetKey(), req.Delta)
+	// The snapshot is cumulative and the newest one wins, so a heartbeat
+	// replayed, lost or overtaken by a later one miscounts nothing.
+	if m := req.Metrics; m != nil && m.Injections >= s.liveInj {
+		ws.injections += m.Injections - s.liveInj
+		s.liveInj = m.Injections
+		c.fleet.Observe(s.fleetKey(), m)
 	}
 	return http.StatusOK, nil
 }
@@ -896,14 +906,11 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	now := time.Now()
 	ws := c.touchWorkerLocked(req.Worker, now)
 	ws.shardsDone++
-	// Credit the completing worker with whatever the heartbeat deltas
-	// hadn't already reported (the tail of the shard, or all of it when
-	// the shard outran its first heartbeat).
-	if rep.Metrics != nil {
-		ws.injections += sub64(rep.Metrics.Injections, s.liveInj)
-	} else {
-		ws.injections += sub64(uint64(rep.Total), s.liveInj)
-	}
+	// Credit the completing worker with what the lease's heartbeats hadn't
+	// already reported (the tail of the shard, or all of it when the shard
+	// outran its first heartbeat): covers and the heartbeat bound put
+	// liveInj within the lease.
+	ws.injections += uint64(rep.Total) - s.liveInj
 	var latency time.Duration
 	if s.status == shardLeased && s.owner == req.Worker && !s.leasedAt.IsZero() {
 		latency = now.Sub(s.leasedAt)
@@ -967,11 +974,4 @@ func (c *Coordinator) shardByID(id int) *shard {
 		return nil
 	}
 	return c.shards[id]
-}
-
-func sub64(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
 }

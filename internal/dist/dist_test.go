@@ -185,7 +185,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 
 // TestDirectWorkersShareHeartbeats runs workers that call the coordinator
 // directly (Coordinator.RunWorker) on shards long enough, under a lease short
-// enough, that heartbeats carry metric deltas while the shards run: the
+// enough, that heartbeats carry metric snapshots while the shards run: the
 // coordinator then reads lease, heartbeat and report values the workers
 // built, not JSON copies of them, which `make race` checks. The report must
 // be the one an HTTP fleet produces.
@@ -225,7 +225,7 @@ func TestDirectWorkersShareHeartbeats(t *testing.T) {
 	want, _ := run(false)
 	got, sawLive := run(true)
 	if !sawLive {
-		t.Error("no heartbeat delta reached the coordinator while a shard ran")
+		t.Error("no heartbeat snapshot reached the coordinator while a shard ran")
 	}
 	wantJSON, err := json.Marshal(want)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sfi/internal/core"
+	"sfi/internal/obs"
 )
 
 // fuzzPaths are the four POST handlers; a script line's first byte picks one.
@@ -41,7 +42,8 @@ func fuzzPost(c *Coordinator, path string, body []byte) *httptest.ResponseRecord
 // fuzzSeedScript plays an honest worker against a coordinator by hand and
 // returns the documents it sent as a script — the exchange of the loopback
 // tests — followed by hostile variants of them: shard ids outside the
-// ledger, a report for the wrong stratum, numerics no field should take.
+// ledger, a report for the wrong stratum, metrics counting more injections
+// than the lease holds, numerics no field should take.
 func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
 	c, err := NewCoordinator(fuzzCoordConfig(neyman, minPerClass, filepath.Join(f.TempDir(), "journal")))
 	if err != nil {
@@ -63,9 +65,14 @@ func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
 		if err := json.Unmarshal(rec.Body.Bytes(), &l); err != nil {
 			f.Fatal(err)
 		}
-		send(1, heartbeatRequest{Worker: "w", Shard: l.Shard.ID})
+		size := uint64(l.Shard.Hi - l.Shard.Lo)
+		send(1, heartbeatRequest{Worker: "w", Shard: l.Shard.ID, Metrics: &obs.Snapshot{Injections: size - 1}})
+		send(1, heartbeatRequest{Worker: "w", Shard: l.Shard.ID, Metrics: &obs.Snapshot{Injections: size + 1}})
 		wrong := fakeWireFor(l.Shard)
 		wrong.ByStratum = map[string]map[string]int{"LSU/FUNC": wrong.Counts}
+		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wrong})
+		wrong = fakeWireFor(l.Shard)
+		wrong.Metrics = &obs.Snapshot{Injections: size + 1}
 		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wrong})
 		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)})
 		rec = send(0, leaseRequest{Worker: "w"})
@@ -76,13 +83,15 @@ func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
 	script = append(script,
 		[]byte("\x02"+`{"worker":"w","shard":1,"report":{"total":-4,"counts":{"vanished":-4}}}`),
 		[]byte("\x01"+`{"worker":"w","shard":2,"ttl_ms":-1,"delta":{"injections":18446744073709551615}}`),
+		[]byte("\x01"+`{"worker":"w","shard":2,"metrics":{"injections":1000000000000000000}}`),
 		[]byte("\x03"+`{"worker":"w","shard":1e99,"error":"x"}`))
 	return bytes.Join(script, []byte("\n"))
 }
 
 // FuzzCoordinatorRequests drives arbitrary request bodies through the four
 // POST handlers of a journaling coordinator. Whatever arrives: no panic,
-// only the protocol's statuses, never more shards done than planned — and a
+// only the protocol's statuses, never more shards done than planned nor
+// more injections in the fleet view than the campaign has flips — and a
 // coordinator restarted over the journal this one wrote reaches the same
 // ledger, so nothing a request made the coordinator decide went unrecorded
 // and nothing it refused was written.
@@ -109,10 +118,10 @@ func FuzzCoordinatorRequests(f *testing.F) {
 				t.Errorf("POST %s %q: status %d", path, line[1:], code)
 			}
 		}
-		live := c.Progress()
+		live, fleet := c.Progress(), c.FleetSnapshot().Injections
 		c.Close()
-		if live.Done > live.Shards || live.Injections > cfg.Campaign.Flips {
-			t.Fatalf("ledger overran its plan: %+v", live)
+		if live.Done > live.Shards || live.Injections > cfg.Campaign.Flips || fleet > uint64(cfg.Campaign.Flips) {
+			t.Fatalf("ledger overran its plan: %+v, %d injections in the fleet view", live, fleet)
 		}
 
 		c2, err := NewCoordinator(cfg)

@@ -16,8 +16,8 @@ import (
 //
 //	POST /v1/lease      lease the next pending shard (204 = none pending,
 //	                    410 = campaign over)
-//	POST /v1/heartbeat  extend a held lease, optionally carrying a metrics
-//	                    delta (409 = lease lost)
+//	POST /v1/heartbeat  extend a held lease, optionally carrying the shard's
+//	                    metrics snapshot so far (409 = lease lost)
 //	POST /v1/complete   deliver a shard report (idempotent)
 //	POST /v1/fail       give a shard back after a worker-side error
 //	GET  /v1/status     full fleet status, JSON (per-shard state machine,
@@ -25,8 +25,8 @@ import (
 //	GET  /v1/trace      the campaign's causal span tree with critical path
 //	                    and latency attribution, JSON (empty untraced)
 //	GET  /progress      campaign progress, JSON
-//	GET  /metrics       live fleet-wide metrics (in-flight shard deltas +
-//	                    completed shard snapshots) plus coordinator shard
+//	GET  /metrics       live fleet-wide metrics (in-flight and completed
+//	                    shard snapshots) plus coordinator shard
 //	                    latency histograms and — for adaptive campaigns —
 //	                    per-class confidence-interval gauges, Prometheus text
 func (c *Coordinator) Handler() http.Handler {

@@ -242,11 +242,16 @@ func (b *syncBuffer) bytes() []byte {
 	return bytes.Clone(b.buf.Bytes())
 }
 
-// TestHeartbeatDeltaAggregation drives the wire protocol by hand: fleet
-// status and /metrics must reflect fabricated heartbeat deltas while the
-// shard is in flight, and completion must replace them with the exact
-// final snapshot (no double counting).
-func TestHeartbeatDeltaAggregation(t *testing.T) {
+// TestHeartbeatLastValue drives the wire protocol by hand. A heartbeat
+// carries its shard's cumulative snapshot, and the newest one is the shard's
+// whole contribution to every live view: the same heartbeat twice, a
+// heartbeat lost between two others and an older snapshot arriving after a
+// newer one all leave the status, /metrics, the worker's credit and the
+// shard's live count at the newest snapshot. A body from a worker older
+// than the snapshot field (increments under "delta") extends the lease and
+// changes no view, a snapshot counting more than its lease covers is
+// refused, and completion seals the exact final.
+func TestHeartbeatLastValue(t *testing.T) {
 	spec := testSpec()
 	spec.Flips = 20
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
@@ -255,81 +260,118 @@ func TestHeartbeatDeltaAggregation(t *testing.T) {
 	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
 		t.Fatalf("lease: status %d", s)
 	}
-
-	delta := obs.NewSnapshot()
-	delta.Injections = 4
-	delta.Restores = 4
-	delta.Outcomes["vanished"] = 4
-	if s := rawPost(t, srv.URL+"/v1/heartbeat",
-		heartbeatRequest{Worker: "w", Shard: l.Shard.ID, Delta: delta}, nil); s != http.StatusOK {
-		t.Fatalf("heartbeat: status %d", s)
+	snap := func(n uint64) *obs.Snapshot {
+		s := obs.NewSnapshot()
+		s.Injections, s.Restores, s.Outcomes["vanished"] = n, n, n
+		return s
 	}
-
-	st := c.Status()
-	if st.Injections != 4 {
-		t.Fatalf("live injections %d, want 4 from the heartbeat delta", st.Injections)
-	}
-	if st.States["heartbeating"] != 1 || st.States["queued"] != 1 {
-		t.Fatalf("states %v, want 1 heartbeating + 1 queued", st.States)
-	}
-	sv := st.ShardsV[l.Shard.ID]
-	if sv.State != "heartbeating" || sv.LiveInjections != 4 || sv.Worker != "w" {
-		t.Fatalf("shard view %+v, want heartbeating with 4 live injections by w", sv)
-	}
-	if w := st.Workers["w"]; w.Injections != 4 {
-		t.Fatalf("worker view %+v, want 4 injections", w)
-	}
-
-	// Nothing moves between these scrapes, so they must be the same bytes,
-	// line order included: two orderings of the three shard-state lines
-	// coincide one time in six, hence eight scrapes.
-	var body []byte
-	for i := 0; i < 8; i++ {
-		resp, err := http.Get(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if i > 0 && !bytes.Equal(again, body) {
-			t.Fatalf("/metrics scrape %d of an idle coordinator differs from the one before:\n%s\nbefore:\n%s", i, again, body)
-		}
-		body = again
-	}
-	for _, want := range []string{
-		"sfi_injections_total 4",
-		`sfi_outcome_total{outcome="vanished"} 4`,
-		`sfi_coord_shards{state="leased"} 1`,
-		"sfi_coord_lease_grants_total 1",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics missing %q", want)
+	beat := func(label string, metrics string, want int) {
+		t.Helper()
+		body := json.RawMessage(fmt.Sprintf(`{"worker":"w","shard":%d,%s}`, l.Shard.ID, metrics))
+		if s := rawPost(t, srv.URL+"/v1/heartbeat", body, nil); s != want {
+			t.Fatalf("%s: heartbeat status %d, want %d", label, s, want)
 		}
 	}
+	beatSnap := func(label string, n uint64) {
+		t.Helper()
+		data, _ := json.Marshal(snap(n))
+		beat(label, `"metrics":`+string(data), http.StatusOK)
+	}
+	// Nothing moves between the scrapes of one call, so they must be the
+	// same bytes, line order included: two orderings of the three
+	// shard-state lines coincide one time in six, hence eight scrapes.
+	scrape := func() []byte {
+		t.Helper()
+		var body []byte
+		for i := 0; i < 8; i++ {
+			resp, err := http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if i > 0 && !bytes.Equal(again, body) {
+				t.Fatalf("/metrics scrape %d of an idle coordinator differs from the one before:\n%s\nbefore:\n%s", i, again, body)
+			}
+			body = again
+		}
+		return body
+	}
+	// views checks every live view against a newest snapshot of n
+	// injections and returns the /metrics bytes.
+	views := func(label string, n uint64) []byte {
+		t.Helper()
+		st := c.Status()
+		sv := st.ShardsV[l.Shard.ID]
+		if st.Injections != n || sv.LiveInjections != n || st.Workers["w"].Injections != n || st.Outcomes["vanished"] != n {
+			t.Fatalf("%s: status counts %d injections (%v), shard view %+v, worker view %+v; want %d everywhere",
+				label, st.Injections, st.Outcomes, sv, st.Workers["w"], n)
+		}
+		if sv.State != "heartbeating" || sv.Worker != "w" || st.States["heartbeating"] != 1 || st.States["queued"] != 1 {
+			t.Fatalf("%s: shard view %+v in states %v, want 1 heartbeating by w + 1 queued", label, sv, st.States)
+		}
+		if got := c.FleetSnapshot(); !reflect.DeepEqual(got, snap(n)) {
+			t.Fatalf("%s: fleet view %+v, want the newest snapshot", label, got)
+		}
+		body := scrape()
+		for _, want := range []string{
+			fmt.Sprintf("sfi_injections_total %d\n", n),
+			fmt.Sprintf(`sfi_outcome_total{outcome="vanished"} %d`, n),
+			`sfi_coord_shards{state="leased"} 1`,
+			"sfi_coord_lease_grants_total 1",
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Errorf("%s: /metrics missing %q", label, want)
+			}
+		}
+		return body
+	}
+	same := func(label string, n uint64, want []byte) {
+		t.Helper()
+		if got := views(label, n); !bytes.Equal(got, want) {
+			t.Errorf("%s: /metrics moved:\n%s\nbefore:\n%s", label, got, want)
+		}
+	}
 
-	// Complete the shard with a final snapshot larger than the delta sum:
-	// sealing must replace the live deltas, not add to them.
+	beatSnap("first", 4)
+	at4 := views("first", 4)
+	beatSnap("replayed", 4)
+	same("replayed", 4, at4)
+	// The snapshots of 5 and 6 injections never arrive.
+	beatSnap("after a gap", 7)
+	at7 := views("after a gap", 7)
+	beatSnap("overtaken", 4)
+	same("overtaken", 7, at7)
+	beat("delta only", `"delta":{"injections":3,"outcomes":{"vanished":3}}`, http.StatusOK)
+	same("delta only", 7, at7)
+	beat("over the lease", `"metrics":{"injections":11}`, http.StatusBadRequest)
+	beat("far over the lease", `"metrics":{"injections":1000000000000000000}`, http.StatusBadRequest)
+	same("refused", 7, at7)
+
+	// Complete the shard: sealing replaces the live snapshot with the exact
+	// final — which a report may not inflate either.
 	final := obs.NewSnapshot()
-	final.Injections = 10
+	final.Injections = 1e18
 	final.Restores = 10
 	final.Outcomes["vanished"] = 9
 	final.Outcomes["corrected"] = 1
 	wire := fakeWire(10)
 	wire.Metrics = final
-	if s := rawPost(t, srv.URL+"/v1/complete",
-		completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wire}, nil); s != http.StatusOK {
+	done := completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wire}
+	if s := rawPost(t, srv.URL+"/v1/complete", done, nil); s != http.StatusBadRequest {
+		t.Fatalf("complete with metrics counting 1e18 injections in a 10-injection report: status %d, want 400", s)
+	}
+	same("refused completion", 7, at7)
+	final.Injections = 10
+	if s := rawPost(t, srv.URL+"/v1/complete", done, nil); s != http.StatusOK {
 		t.Fatalf("complete: status %d", s)
 	}
-	snap := c.FleetSnapshot()
-	if snap.Injections != 10 {
-		t.Fatalf("fleet injections after seal: %d, want exactly 10 (no delta double count)", snap.Injections)
+	if got := c.FleetSnapshot(); !reflect.DeepEqual(got, final) {
+		t.Fatalf("fleet view after seal: %+v, want exactly the final snapshot", got)
 	}
-	if snap.Outcomes["vanished"] != 9 || snap.Outcomes["corrected"] != 1 {
-		t.Fatalf("fleet outcomes after seal: %v, want vanished 9 corrected 1", snap.Outcomes)
-	}
-	st = c.Status()
-	if w := st.Workers["w"]; w.Injections != 10 || w.ShardsDone != 1 {
-		t.Fatalf("worker view after complete %+v, want 10 injections, 1 shard done", w)
+	st := c.Status()
+	if w := st.Workers["w"]; w.Injections != 10 || w.ShardsDone != 1 || st.Injections != 10 {
+		t.Fatalf("after complete: worker view %+v, %d fleet injections; want 10 injections, 1 shard done", w, st.Injections)
 	}
 }
 

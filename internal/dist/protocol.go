@@ -295,13 +295,14 @@ type (
 		// coordinator-side heartbeat forensics (gap events) correlate with
 		// the worker's spans.
 		Traceparent string `json:"traceparent,omitempty"`
-		// Delta is the piggybacked metrics increment since the worker's
-		// previous heartbeat for this shard (obs.Snapshot.Sub of successive
-		// cumulative snapshots; nil when the worker has nothing new or runs
-		// with observability off). The coordinator accumulates deltas into
-		// its live fleet view; the shard's completion report replaces them
-		// with the exact final snapshot.
-		Delta *obs.Snapshot `json:"delta,omitempty"`
+		// Metrics is the shard's cumulative metrics snapshot so far (nil
+		// until the shard's first progress tick). It replaces the shard's
+		// entry in the coordinator's live fleet view, as the completion
+		// report's exact final snapshot will in turn, so heartbeats are
+		// idempotent and a lost one needs no recovery. (Workers before PR 21
+		// sent increments under "delta"; neither side reads the other's
+		// field, which costs that shard's in-flight tier of the live view.)
+		Metrics *obs.Snapshot `json:"metrics,omitempty"`
 	}
 	heartbeatResponse struct {
 		TTLMs int64 `json:"ttl_ms"`

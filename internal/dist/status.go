@@ -25,7 +25,7 @@ type Status struct {
 	Requeues int `json:"requeues"`
 
 	// Injections counts classified injections fleet-wide: completed
-	// shards exactly, in-flight shards as of their last heartbeat delta.
+	// shards exactly, in-flight shards as of their newest heartbeat.
 	Injections uint64 `json:"injections"`
 	Total      int    `json:"injections_total"`
 
@@ -113,8 +113,8 @@ type ShardView struct {
 
 // WorkerView is one worker's row in the status.
 type WorkerView struct {
-	// Injections credited to this worker (heartbeat deltas plus
-	// completion top-ups).
+	// Injections credited to this worker (heartbeat-reported progress
+	// plus completion top-ups).
 	Injections uint64  `json:"injections"`
 	Rate       float64 `json:"rate_per_sec"`
 	ShardsDone int     `json:"shards_done"`

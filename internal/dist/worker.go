@@ -217,16 +217,15 @@ func (lc *lineCapture) Write(p []byte) (int, error) {
 }
 
 // shardObs wires a shard's observability: metrics collection, the live
-// snapshot the heartbeat loop reads deltas from, the OnProgress hook, and
-// the injection trace (local writer and/or bounded completion
-// attachment).
+// snapshot the heartbeat loop sends, the OnProgress hook, and the injection
+// trace (local writer and/or bounded completion attachment).
 func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Duration, live *atomic.Pointer[obs.Snapshot]) *lineCapture {
 	// Shard reports always carry metrics: the coordinator's /metrics view
 	// converges on the merge of them, and collecting them allocates nothing
 	// per injection (core's TestObservabilityAllocs).
 	ccfg.Obs.Metrics = true
-	// Refresh the live snapshot about twice per heartbeat so piggybacked
-	// deltas stay current without per-injection merging.
+	// Refresh the live snapshot about twice per heartbeat so the piggybacked
+	// one stays current without per-injection merging.
 	ccfg.Obs.ProgressEvery = ttl / 6
 	ccfg.Obs.Progress = func(p core.Progress) {
 		live.Store(p.Metrics)
@@ -262,9 +261,9 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Dur
 }
 
 // runShard executes one leased shard: heartbeats in the background
-// (piggybacking metric deltas), runs the shard campaign against the
-// (reused) prototype, and reports the result with a sampled trace segment
-// attached. Losing the lease cancels the shard promptly and returns nil —
+// (piggybacking the shard's metrics so far), runs the shard campaign
+// against the (reused) prototype, and reports the result with a sampled
+// trace segment attached. Losing the lease cancels the shard promptly and returns nil —
 // the shard is someone else's now. A shard execution error is handed back
 // with /v1/fail so the coordinator can re-queue without waiting for the
 // lease to expire.
@@ -327,38 +326,28 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	// Heartbeat from lease grant until the shard finishes, covering the
 	// (expensive, once-per-process) prototype build below as well as the
 	// run itself; a refused heartbeat (lease lost, campaign over) cancels
-	// the in-flight shard. Each heartbeat carries the metrics delta since
-	// the last acknowledged one, building the coordinator's live fleet
-	// view.
+	// the in-flight shard. Each heartbeat carries the shard's newest
+	// cumulative snapshot, which neither side writes to once it is stored:
+	// a coordinator in this process reads the very same value.
 	shardCtx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
 		t := time.NewTicker(ttl / 3)
 		defer t.Stop()
-		var lastSent *obs.Snapshot
 		for {
 			select {
 			case <-shardCtx.Done():
 				return
 			case <-t.C:
-				hb := heartbeatRequest{Worker: id, Shard: sh.ID, Traceparent: tp}
-				cur := live.Load()
-				if cur != nil {
-					if d := cur.Sub(lastSent); !d.Empty() {
-						hb.Delta = d
-					}
-				}
-				status, _ := w.coord.heartbeat(hb)
+				status, _ := w.coord.heartbeat(heartbeatRequest{
+					Worker: id, Shard: sh.ID, Traceparent: tp, Metrics: live.Load()})
 				if status == 0 {
 					continue // transient; the lease survives until TTL
 				}
 				if status != http.StatusOK {
 					cancel(errLeaseLost)
 					return
-				}
-				if cur != nil {
-					lastSent = cur
 				}
 			}
 		}

@@ -16,12 +16,10 @@ package awan
 
 import (
 	"fmt"
-	"time"
 
 	gate "sfi/internal/awan"
 	"sfi/internal/engine"
 	"sfi/internal/latch"
-	"sfi/internal/obs"
 )
 
 // Name is the backend's registry name.
@@ -110,7 +108,6 @@ type Backend struct {
 	bit2node []int
 
 	ckpts []gateCkpt
-	obs   *obs.Metrics
 
 	cycle   uint64
 	op      int // workload operation index
@@ -231,16 +228,7 @@ func (b *Backend) Phases() int { return len(b.ckpts) }
 
 // ReloadPhase restores phased checkpoint p, clearing error and sticky
 // state.
-func (b *Backend) ReloadPhase(p int) {
-	var t0 time.Time
-	if b.obs != nil {
-		t0 = time.Now()
-	}
-	b.restore(b.ckpts[p])
-	if b.obs != nil {
-		b.obs.ObserveRestore(uint64(time.Since(t0).Nanoseconds()))
-	}
-}
+func (b *Backend) ReloadPhase(p int) { b.restore(b.ckpts[p]) }
 
 // stepStim drives the stimulus for the current workload position and
 // clocks the netlist, advancing the workload tracking — the lane-neutral
@@ -331,14 +319,6 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // a residue-check detection (the gate-level checkstop). The design has no
 // speculative control flow, so hang and no-progress never fire.
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
-	st := b.run(maxCycles, onBarrier)
-	if b.obs != nil {
-		b.obs.ObserveRun(st.Cycles)
-	}
-	return st
-}
-
-func (b *Backend) run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
 	for i := 0; i < maxCycles; i++ {
 		ev := b.Step()
@@ -408,10 +388,6 @@ func (b *Backend) Clone() engine.Backend {
 	nb.eng = b.eng.Clone()
 	nb.golden = make([]uint64, b.lanes)
 	copy(nb.golden, b.golden)
-	nb.obs = nil
 	nb.restore(b.ckpts[0])
 	return &nb
 }
-
-// SetObs attaches a metrics collector (restore latencies, run cycles).
-func (b *Backend) SetObs(m *obs.Metrics) { b.obs = m }

@@ -100,7 +100,6 @@ func (b *Backend) RunBatch(p int, injs []engine.BatchInjection, window, quiesce 
 			v.DetectCycle = errCycle[k]
 		}
 		res[k-1] = engine.BatchResult{Stats: st, Verdict: v, SDC: sdc, InjectCycle: injectCycle[k]}
-		b.obs.ObserveRun(st.Cycles)
 		active &^= 1 << uint(k)
 		stickyOn &^= 1 << uint(k)
 	}

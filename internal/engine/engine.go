@@ -11,10 +11,7 @@
 // agnostic and inherited by every backend for free.
 package engine
 
-import (
-	"sfi/internal/latch"
-	"sfi/internal/obs"
-)
+import "sfi/internal/latch"
 
 // Mode selects how long an injected fault is forced.
 type Mode int
@@ -58,6 +55,7 @@ type Event struct {
 // RunStats summarizes a monitored run.
 type RunStats struct {
 	Cycles     uint64 // cycles observed (a backend may replay fault-free ones rather than clock them)
+	Stepped    uint64 // cycles clocked on the run's behalf, when the backend tells them apart (p6lite)
 	Barriers   int    // verification barriers retired
 	Halted     bool
 	Checkstop  bool
@@ -145,9 +143,6 @@ type Backend interface {
 	// mid-run is not (campaign fan-out holds the prototype until every
 	// worker has cloned).
 	Clone() Backend
-
-	// SetObs attaches a metrics collector (nil detaches, the default).
-	SetObs(m *obs.Metrics)
 }
 
 // BatchInjection is one fault lane of a batched pass: the injection itself

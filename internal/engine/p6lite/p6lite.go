@@ -22,7 +22,6 @@ import (
 	"sfi/internal/avp"
 	"sfi/internal/engine"
 	"sfi/internal/latch"
-	"sfi/internal/obs"
 	"sfi/internal/proc"
 )
 
@@ -46,11 +45,6 @@ type Backend struct {
 	cfg  engine.Config
 	core *proc.Core
 	prog *avp.Program
-
-	// obs is the optional metrics collector (nil = off). Cycle accounting
-	// is batched per monitored Run rather than per Step, so the per-cycle
-	// hot path carries no instrumentation at all.
-	obs *obs.Metrics
 
 	// The fault-free trajectory, recorded by New and shared read-only with
 	// clones. ckpts[j] is the model after j testends of the third warm-up
@@ -80,7 +74,7 @@ type Backend struct {
 	// model itself (a Step, an Inject, a barrier past the record).
 	ahead uint64
 	// stepped counts the cycles clocked on Run's behalf since Run last
-	// reported to obs, catch-ups included.
+	// reported them (RunStats.Stepped), catch-ups included.
 	stepped uint64
 
 	// lastActivity is the recovery count at injection time, the baseline
@@ -339,9 +333,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 		}
 		break // a stop condition fired
 	}
-	b.obs.ObserveRun(st.Cycles) // nil-safe
-	b.obs.ObserveStepped(b.stepped)
-	b.stepped = 0
+	st.Stepped, b.stepped = b.stepped, 0
 	return st
 }
 
@@ -416,11 +408,3 @@ func (b *Backend) FIRNames() []string {
 // Cycle returns the current machine cycle as observed: the model's own
 // cycle plus the cycles Run replayed without clocking it.
 func (b *Backend) Cycle() uint64 { return b.core.Cycle + b.ahead }
-
-// SetObs attaches a metrics collector to the backend and its core (nil
-// detaches, the default). Monitored runs then record their cycle counts
-// and the core times its checkpoint restores.
-func (b *Backend) SetObs(m *obs.Metrics) {
-	b.obs = m
-	b.core.SetObs(m)
-}

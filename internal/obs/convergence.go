@@ -32,8 +32,8 @@ func (s *Snapshot) Convergence(classes []string, rule stats.StopRule, strata boo
 }
 
 // Convergence evaluates rule over the fleet's current aggregate view —
-// sealed (exact) completed-shard snapshots plus live heartbeat deltas from
-// in-flight shards. Nil-safe (returns nil).
+// sealed (exact) completed-shard snapshots plus the newest heartbeat
+// snapshots of in-flight shards. Nil-safe (returns nil).
 func (f *Fleet) Convergence(classes []string, rule stats.StopRule, strata bool) *stats.Convergence {
 	if f == nil {
 		return nil

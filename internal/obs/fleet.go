@@ -4,19 +4,19 @@ import "sync"
 
 // Fleet aggregates metrics streamed in from many remote sources — one per
 // in-flight shard of a distributed campaign — into a single live
-// fleet-wide Snapshot. Each source contributes incremental deltas
-// (Snapshot.Sub of successive cumulative snapshots, piggybacked on worker
-// heartbeats) while it runs, and a final authoritative snapshot when it
-// completes.
+// fleet-wide Snapshot. Each source reports its cumulative snapshot so far
+// (piggybacked on worker heartbeats) while it runs, and a final
+// authoritative snapshot when it completes.
 //
 // The aggregation keeps two pools: sealed (the merged final snapshots of
-// completed sources — exact) and live (per-source accumulated deltas —
-// monitoring-grade). Sealing a source with its final snapshot *replaces*
-// its live accumulation, so deltas already merged are never counted twice
-// and the fleet view converges to the exact merged total the moment the
-// last source seals. Discarding a source (shard lease expired; its work
-// will be redone elsewhere) drops its live contribution so abandoned
-// partial work never pollutes the converged view.
+// completed sources — exact) and live (each running source's latest
+// snapshot — monitoring-grade). A source's every report *replaces* the one
+// before it, the final one included, so nothing is counted twice, a
+// repeated or lost report changes nothing, and the fleet view converges to
+// the exact merged total the moment the last source seals. Discarding a
+// source (shard lease expired; its work will be redone elsewhere) drops
+// its live contribution so abandoned partial work never pollutes the
+// converged view.
 type Fleet struct {
 	mu     sync.Mutex
 	sealed *Snapshot
@@ -28,26 +28,23 @@ func NewFleet() *Fleet {
 	return &Fleet{sealed: NewSnapshot(), live: make(map[string]*Snapshot)}
 }
 
-// Observe accumulates one delta from a live source.
-func (f *Fleet) Observe(source string, delta *Snapshot) {
-	if f == nil || delta == nil {
+// Observe makes cur, a copy of which the fleet keeps, the live source's
+// contribution to the view.
+func (f *Fleet) Observe(source string, cur *Snapshot) {
+	if f == nil || cur == nil {
 		return
 	}
+	own := NewSnapshot()
+	own.Merge(cur)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	acc := f.live[source]
-	if acc == nil {
-		acc = NewSnapshot()
-		f.live[source] = acc
-	}
-	acc.Merge(delta)
+	f.live[source] = own
 }
 
-// Seal finishes a source: its live delta accumulation is dropped and
-// replaced by final, the source's authoritative cumulative snapshot (so
-// heartbeat deltas and the final report are never double-counted). A nil
-// final keeps the live accumulation instead — the best information
-// available when a source completes without reporting metrics.
+// Seal finishes a source: its live snapshot is dropped and replaced by
+// final, the source's authoritative cumulative snapshot. A nil final keeps
+// the live one instead — the best information available when a source
+// completes without reporting metrics.
 func (f *Fleet) Seal(source string, final *Snapshot) {
 	if f == nil {
 		return
@@ -61,7 +58,7 @@ func (f *Fleet) Seal(source string, final *Snapshot) {
 	delete(f.live, source)
 }
 
-// Discard drops a live source's accumulated deltas without sealing —
+// Discard drops a live source's snapshot without sealing —
 // the shard was abandoned and its injections will be redone (and counted)
 // by another lease.
 func (f *Fleet) Discard(source string) {
@@ -74,7 +71,7 @@ func (f *Fleet) Discard(source string) {
 }
 
 // Snapshot returns the current fleet-wide view: sealed plus every live
-// accumulation, merged into an independent copy.
+// snapshot, merged into an independent copy.
 func (f *Fleet) Snapshot() *Snapshot {
 	s := NewSnapshot()
 	if f == nil {

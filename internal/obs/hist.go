@@ -65,27 +65,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 	s.Sum += o.Sum
 }
 
-// Sub returns this snapshot minus an earlier snapshot of the same
-// histogram — the per-bucket delta between two points in time. Counters
-// only grow, so a shrunk counter (snapshots from different collectors)
-// clamps to zero instead of wrapping.
-func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
-	var d HistSnapshot
-	for i := range s.Buckets {
-		d.Buckets[i] = sub64(s.Buckets[i], o.Buckets[i])
-	}
-	d.Count = sub64(s.Count, o.Count)
-	d.Sum = sub64(s.Sum, o.Sum)
-	return d
-}
-
-func sub64(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
 // Mean returns the mean of the observed values (0 when empty).
 func (s *HistSnapshot) Mean() float64 {
 	if s.Count == 0 {

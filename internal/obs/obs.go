@@ -1,11 +1,12 @@
 // Package obs is the campaign observability layer: lock-cheap atomic
 // metrics (outcome counters per unit and latch type, latency and cycle
 // histograms), structured per-injection trace events, and exporters
-// (expvar, Prometheus text). It sits below every other internal package —
-// proc, the engine backends and core all accept an optional *Metrics — and the whole layer
-// is off by default: every Metrics method is nil-safe, so uninstrumented
-// runs pay only a nil pointer test on the hot path (guarded by the
-// overhead benchmark and the make ci overhead gate).
+// (expvar, Prometheus text). The machine models know nothing of it: one
+// injection is measured in one place, core.Runner.record, which folds it
+// into an optional *Metrics and offers it to an optional *TraceSink. The
+// whole layer is off by default: every Metrics method is nil-safe, so
+// uninstrumented runs pay only a nil pointer test on the hot path (what
+// it may cost when on is pinned by count, DESIGN.md "Gates").
 package obs
 
 import (
@@ -34,7 +35,7 @@ type Metrics struct {
 	byType   sync.Map        // latch-type name -> *[]atomic.Uint64
 
 	injectionNs     Hist // whole-injection latency (restore..classify), ns
-	restoreNs       Hist // checkpoint-restore latency, ns (timed in proc)
+	restoreNs       Hist // checkpoint-restore latency, ns
 	propagateCycles Hist // cycles per observed propagation window
 	detectCycles    Hist // cycles from flip to first checker detection
 	laneOccupancy   Hist // injections carried per batched pass
@@ -69,84 +70,69 @@ func (m *Metrics) vec(mp *sync.Map, key string) []atomic.Uint64 {
 	return *v.(*[]atomic.Uint64)
 }
 
-// ObserveInjection records one completed injection's wall latency.
-func (m *Metrics) ObserveInjection(ns uint64) {
-	if m == nil {
-		return
-	}
-	m.injections.Add(1)
-	m.busyNs.Add(ns)
-	m.injectionNs.Observe(ns)
+// Injection is everything one classified injection contributes to a
+// collector: what the campaign runner measured around it and how it was
+// classified.
+type Injection struct {
+	WallNs    uint64 // wall time charged to the injection, restore to classify
+	RestoreNs uint64 // its checkpoint restore (unused for a Lane)
+	Cycles    uint64 // cycles observed in its propagation window
+	Stepped   uint64 // of those, the cycles the model was clocked through
+	Outcome   int    // outcome code
+	Unit      string
+	LatchType string
+	Detected  bool   // some checker saw the fault...
+	DetectLat uint64 // ...this many cycles after the flip
+	// Lane marks an injection that rode a bit-parallel batched pass: the
+	// pass restored once for all its lanes, and ObserveBatch counts that.
+	Lane bool
 }
 
-// ObserveRestore records one checkpoint-restore latency.
-func (m *Metrics) ObserveRestore(ns uint64) {
-	if m == nil {
-		return
-	}
-	m.restores.Add(1)
-	m.restoreNs.Observe(ns)
-}
-
-// ObserveRun records the cycle count of one observed propagation window.
-func (m *Metrics) ObserveRun(cycles uint64) {
-	if m == nil {
-		return
-	}
-	m.cycles.Add(cycles)
-	m.propagateCycles.Observe(cycles)
-}
-
-// ObserveStepped records how many of the observed cycles a backend really
-// clocked its model through. The p6lite backend reports it: the difference
-// from Cycles is what its early exit against golden replayed from the
-// fault-free record instead of stepping.
-func (m *Metrics) ObserveStepped(cycles uint64) {
-	if m == nil {
-		return
-	}
-	m.stepped.Add(cycles)
-}
-
-// ObserveBatch records one completed bit-parallel batched pass and the
-// number of fault lanes it carried — batch efficiency shows up as the
-// lane-occupancy histogram staying near the backend's lane capacity.
-func (m *Metrics) ObserveBatch(lanes uint64) {
+// ObserveBatch records one completed bit-parallel batched pass: the fault
+// lanes it carried — batch efficiency shows up as the lane-occupancy
+// histogram staying near the backend's lane capacity — and the one
+// checkpoint restore its lanes shared.
+func (m *Metrics) ObserveBatch(lanes, restoreNs uint64) {
 	if m == nil {
 		return
 	}
 	m.batches.Add(1)
 	m.laneOccupancy.Observe(lanes)
+	m.restores.Add(1)
+	m.restoreNs.Observe(restoreNs)
 }
 
-// ObserveDetect records a cycles-to-first-detection latency.
-func (m *Metrics) ObserveDetect(cycles uint64) {
+// Fold counts one classified injection. Stepped is what a backend with an
+// early exit (p6lite) really clocked; the difference from Cycles it
+// replayed from its fault-free record.
+func (m *Metrics) Fold(in Injection) {
 	if m == nil {
 		return
 	}
-	m.detectCycles.Observe(cycles)
-}
-
-// IncOutcome counts one classified injection under its outcome code, unit
-// and latch-type.
-func (m *Metrics) IncOutcome(code int, unit, latchType string) {
-	if m == nil {
-		return
+	m.injections.Add(1)
+	m.busyNs.Add(in.WallNs)
+	m.injectionNs.Observe(in.WallNs)
+	if !in.Lane {
+		m.restores.Add(1)
+		m.restoreNs.Observe(in.RestoreNs)
 	}
-	if code >= 0 && code < len(m.outcomes) {
-		m.outcomes[code].Add(1)
+	m.cycles.Add(in.Cycles)
+	m.propagateCycles.Observe(in.Cycles)
+	m.stepped.Add(in.Stepped)
+	if in.Detected {
+		m.detectCycles.Observe(in.DetectLat)
 	}
-	if unit != "" {
-		row := m.vec(&m.byUnit, unit)
-		if code >= 0 && code < len(row) {
-			row[code].Add(1)
+	inc := func(row []atomic.Uint64) {
+		if in.Outcome >= 0 && in.Outcome < len(row) {
+			row[in.Outcome].Add(1)
 		}
 	}
-	if latchType != "" {
-		row := m.vec(&m.byType, latchType)
-		if code >= 0 && code < len(row) {
-			row[code].Add(1)
-		}
+	inc(m.outcomes)
+	if in.Unit != "" {
+		inc(m.vec(&m.byUnit, in.Unit))
+	}
+	if in.LatchType != "" {
+		inc(m.vec(&m.byType, in.LatchType))
 	}
 }
 
@@ -201,7 +187,7 @@ type Snapshot struct {
 	Restores   uint64 `json:"restores"`
 	Cycles     uint64 `json:"cycles"`
 	// SteppedCycles is the part of Cycles a model was clocked through
-	// (reported by the p6lite backend only; see Metrics.ObserveStepped).
+	// (reported by the p6lite backend only; see Metrics.Fold).
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	BusyNs        uint64 `json:"busy_ns"`
 	Batches       uint64 `json:"batches"`
@@ -268,70 +254,4 @@ func (s *Snapshot) Merge(o *Snapshot) {
 	s.PropagateCycles.Merge(o.PropagateCycles)
 	s.DetectCycles.Merge(o.DetectCycles)
 	s.LaneOccupancy.Merge(o.LaneOccupancy)
-}
-
-// Clone returns an independent deep copy of the snapshot.
-func (s *Snapshot) Clone() *Snapshot {
-	c := NewSnapshot()
-	c.Merge(s)
-	return c
-}
-
-// Sub returns this snapshot minus prev, an earlier snapshot of the same
-// (monotonically growing) collector — the wire delta a distributed worker
-// piggybacks on heartbeats. Accumulating every delta from one collector
-// reproduces its cumulative snapshot exactly: for any counter,
-// sum(delta_i) = final - initial. prev may be nil (the delta is then the
-// whole snapshot). Counters that shrank (mismatched snapshots) clamp to
-// zero; zero-valued map entries are omitted from the delta.
-func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {
-	d := NewSnapshot()
-	if s == nil {
-		return d
-	}
-	if prev == nil {
-		prev = NewSnapshot()
-	}
-	d.Injections = sub64(s.Injections, prev.Injections)
-	d.Restores = sub64(s.Restores, prev.Restores)
-	d.Cycles = sub64(s.Cycles, prev.Cycles)
-	d.SteppedCycles = sub64(s.SteppedCycles, prev.SteppedCycles)
-	d.BusyNs = sub64(s.BusyNs, prev.BusyNs)
-	d.Batches = sub64(s.Batches, prev.Batches)
-	subCounts := func(cur, old map[string]uint64) map[string]uint64 {
-		out := make(map[string]uint64)
-		for k, v := range cur {
-			if dv := sub64(v, old[k]); dv > 0 {
-				out[k] = dv
-			}
-		}
-		return out
-	}
-	d.Outcomes = subCounts(s.Outcomes, prev.Outcomes)
-	subVecs := func(cur, old map[string]map[string]uint64, dst map[string]map[string]uint64) {
-		for k, row := range cur {
-			if drow := subCounts(row, old[k]); len(drow) > 0 {
-				dst[k] = drow
-			}
-		}
-	}
-	subVecs(s.ByUnit, prev.ByUnit, d.ByUnit)
-	subVecs(s.ByType, prev.ByType, d.ByType)
-	d.InjectionNs = s.InjectionNs.Sub(prev.InjectionNs)
-	d.RestoreNs = s.RestoreNs.Sub(prev.RestoreNs)
-	d.PropagateCycles = s.PropagateCycles.Sub(prev.PropagateCycles)
-	d.DetectCycles = s.DetectCycles.Sub(prev.DetectCycles)
-	d.LaneOccupancy = s.LaneOccupancy.Sub(prev.LaneOccupancy)
-	return d
-}
-
-// Empty reports whether the snapshot carries no observations at all (the
-// delta of an idle interval).
-func (s *Snapshot) Empty() bool {
-	return s == nil || (s.Injections == 0 && s.Restores == 0 && s.Cycles == 0 &&
-		s.SteppedCycles == 0 && s.BusyNs == 0 && s.Batches == 0 &&
-		len(s.Outcomes) == 0 && len(s.ByUnit) == 0 && len(s.ByType) == 0 &&
-		s.InjectionNs.Count == 0 && s.RestoreNs.Count == 0 &&
-		s.PropagateCycles.Count == 0 && s.DetectCycles.Count == 0 &&
-		s.LaneOccupancy.Count == 0)
 }

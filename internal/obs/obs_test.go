@@ -127,13 +127,9 @@ func TestMetricsSnapshotMergeAcrossWorkers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				code := 1 + (i+w)%5
-				m.IncOutcome(code, "LSU", "FUNC")
-				m.ObserveInjection(uint64(1000 + i))
-				m.ObserveRestore(uint64(i))
-				m.ObserveRun(uint64(i % 512))
-				if code == 2 {
-					m.ObserveDetect(uint64(i % 64))
-				}
+				m.Fold(Injection{Outcome: code, Unit: "LSU", LatchType: "FUNC",
+					WallNs: uint64(1000 + i), RestoreNs: uint64(i), Cycles: uint64(i % 512),
+					Detected: code == 2, DetectLat: uint64(i % 64)})
 			}
 		}(ms[w], w)
 	}
@@ -170,12 +166,8 @@ func TestMetricsSnapshotMergeAcrossWorkers(t *testing.T) {
 
 func TestNilMetricsIsNoOp(t *testing.T) {
 	var m *Metrics
-	m.ObserveInjection(1)
-	m.ObserveRestore(1)
-	m.ObserveRun(1)
-	m.ObserveStepped(1)
-	m.ObserveDetect(1)
-	m.IncOutcome(1, "LSU", "FUNC")
+	m.Fold(Injection{Outcome: 1, Unit: "LSU", LatchType: "FUNC", WallNs: 1, Cycles: 1, Detected: true})
+	m.ObserveBatch(1, 1)
 	s := m.Snapshot()
 	if s.Injections != 0 || len(s.Outcomes) != 0 {
 		t.Error("nil metrics recorded something")
@@ -262,19 +254,17 @@ func TestTraceSinkWriteError(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	m := New(testOutcomes)
-	m.IncOutcome(1, "IFU", "FUNC")
-	m.IncOutcome(2, "LSU", "MODE")
-	m.ObserveInjection(5000)
-	m.ObserveRestore(900)
-	m.ObserveRun(1200)
-	m.ObserveStepped(450)
+	m.Fold(Injection{Outcome: 1, Unit: "IFU", LatchType: "FUNC",
+		WallNs: 5000, RestoreNs: 900, Cycles: 1200, Stepped: 450})
+	// A batch lane: the pass's restore is ObserveBatch's to count, not its.
+	m.Fold(Injection{Outcome: 2, Unit: "LSU", LatchType: "MODE", Lane: true})
 	var buf bytes.Buffer
 	if err := m.Snapshot().WritePrometheus(&buf, "sfi"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"sfi_injections_total 1",
+		"sfi_injections_total 2",
 		"sfi_cycles_total 1200",
 		"sfi_stepped_cycles_total 450",
 		`sfi_outcome_total{outcome="vanished"} 1`,
@@ -283,7 +273,7 @@ func TestWritePrometheus(t *testing.T) {
 		`sfi_latchtype_outcome_total{type="FUNC",outcome="vanished"} 1`,
 		`sfi_restore_ns_bucket{le="+Inf"} 1`,
 		"sfi_restore_ns_sum 900",
-		"sfi_injection_ns_count 1",
+		"sfi_injection_ns_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prometheus dump missing %q\n%s", want, out)
@@ -295,7 +285,7 @@ func TestSnapshotMergeEmpty(t *testing.T) {
 	s := NewSnapshot()
 	s.Merge(nil)
 	m := New(testOutcomes)
-	m.IncOutcome(1, "IFU", "FUNC")
+	m.Fold(Injection{Outcome: 1, Unit: "IFU", LatchType: "FUNC"})
 	s.Merge(m.Snapshot())
 	if s.Outcomes["vanished"] != 1 {
 		t.Error("merge into empty snapshot lost counts")
@@ -307,70 +297,32 @@ func TestSnapshotMergeEmpty(t *testing.T) {
 func fillSnapshot(n int, base uint64) *Snapshot {
 	m := New([]string{"vanished", "corrected", "hang", "checkstop", "sdc"})
 	for i := 0; i < n; i++ {
-		m.ObserveInjection(base + uint64(i))
-		m.ObserveRestore(base + uint64(i)/2)
-		m.ObserveRun(100 + base + uint64(i))
-		m.ObserveStepped(40 + base + uint64(i))
-		m.IncOutcome(0, "FXU", "FUNC")
+		in := Injection{WallNs: base + uint64(i), RestoreNs: base + uint64(i)/2,
+			Cycles: 100 + base + uint64(i), Stepped: 40 + base + uint64(i), Unit: "FXU", LatchType: "FUNC"}
 		if i%2 == 0 {
-			m.IncOutcome(4, "LSU", "REGFILE")
-			m.ObserveDetect(7 + base)
+			in.Outcome, in.Unit, in.LatchType = 4, "LSU", "REGFILE"
+			in.Detected, in.DetectLat = true, 7+base
 		}
+		m.Fold(in)
 	}
 	return m.Snapshot()
 }
 
-func TestSnapshotSubDelta(t *testing.T) {
-	prev := fillSnapshot(3, 10)
-	cur := prev.Clone()
-	cur.Merge(fillSnapshot(5, 50))
-
-	d := cur.Sub(prev)
-	// Delta plus prev must reproduce cur exactly: Sub is the inverse of
-	// Merge for monotone counters.
-	back := prev.Clone()
-	back.Merge(d)
-	if !reflect.DeepEqual(back, cur) {
-		t.Fatalf("prev + (cur - prev) != cur:\n%+v\n%+v", back, cur)
-	}
-	// Subtracting from itself leaves nothing.
-	if z := cur.Sub(cur); !z.Empty() {
-		t.Fatalf("cur - cur not empty: %+v", z)
-	}
-	// nil prev means "everything is new".
-	if all := cur.Sub(nil); !reflect.DeepEqual(all, cur.Clone()) {
-		t.Fatalf("cur - nil != cur")
-	}
-	// Zero-valued map entries are omitted so deltas marshal small.
-	if _, ok := d.Outcomes["hang"]; ok {
-		t.Error("delta carries a zero outcome entry")
-	}
-}
-
-func TestSnapshotEmpty(t *testing.T) {
-	if !NewSnapshot().Empty() {
-		t.Error("fresh snapshot not Empty")
-	}
-	s := NewSnapshot()
-	s.Outcomes["vanished"] = 1
-	if s.Empty() {
-		t.Error("snapshot with an outcome reported Empty")
-	}
-}
-
 // TestFleetSealExactness is the no-double-count property the live fleet
-// view depends on: accumulate deltas for a source, then seal it with the
-// exact final snapshot — the fleet total must equal the finals alone, with
-// the deltas fully replaced.
+// view depends on: a source's every snapshot replaces the one before, and
+// sealing it with the exact final snapshot replaces the last — the fleet
+// total must equal the finals alone.
 func TestFleetSealExactness(t *testing.T) {
 	f := NewFleet()
 
-	// Source A: two deltas, then a final that (as in real shards) covers
-	// slightly more than the deltas reported.
+	// Source A: two snapshots, the second one twice, then a final that (as
+	// in real shards) covers more than the last one reported.
 	f.Observe("a", fillSnapshot(2, 5))
-	f.Observe("a", fillSnapshot(3, 9))
-	if got := f.Snapshot().Injections; got != 5 {
-		t.Fatalf("live fleet injections %d, want 5", got)
+	for i := 0; i < 2; i++ {
+		f.Observe("a", fillSnapshot(5, 5))
+		if got := f.Snapshot(); !reflect.DeepEqual(got, fillSnapshot(5, 5)) {
+			t.Fatalf("live fleet view %+v, want source a's newest snapshot", got)
+		}
 	}
 	finalA := fillSnapshot(7, 5)
 	f.Seal("a", finalA)
@@ -380,19 +332,19 @@ func TestFleetSealExactness(t *testing.T) {
 	finalB := fillSnapshot(4, 100)
 	f.Seal("b", finalB)
 
-	want := finalA.Clone()
+	want := fillSnapshot(7, 5)
 	want.Merge(finalB)
 	if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sealed fleet view differs from merged finals:\n%+v\n%+v", got, want)
 	}
 
-	// Seal with nil final keeps the accumulated deltas (a source whose
-	// exact total never arrives still counts what it reported).
+	// Seal with nil final keeps the live snapshot (a source whose exact
+	// total never arrives still counts what it reported).
 	f.Observe("c", fillSnapshot(2, 40))
 	f.Seal("c", nil)
 	want.Merge(fillSnapshot(2, 40))
 	if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("nil-final seal dropped the live deltas:\n%+v\n%+v", got, want)
+		t.Fatalf("nil-final seal dropped the live snapshot:\n%+v\n%+v", got, want)
 	}
 }
 
@@ -411,13 +363,13 @@ func TestFleetDiscard(t *testing.T) {
 	nilFleet.Observe("x", fillSnapshot(1, 1))
 	nilFleet.Seal("x", nil)
 	nilFleet.Discard("x")
-	if s := nilFleet.Snapshot(); s == nil || !s.Empty() {
+	if s := nilFleet.Snapshot(); !reflect.DeepEqual(s, NewSnapshot()) {
 		t.Fatalf("nil fleet snapshot = %+v, want empty", s)
 	}
 }
 
 // TestFleetSourceIsolation: the fleet shares no storage with its sources or
-// its readers. A delta mutated after it was observed, and a view mutated
+// its readers. A snapshot mutated after it was observed, and a view mutated
 // after it was handed out, leave the fleet's count alone, and discarding one
 // source leaves another's contribution in place.
 func TestFleetSourceIsolation(t *testing.T) {
@@ -447,7 +399,7 @@ func TestShardEventJSONL(t *testing.T) {
 	sink.Record(&TraceEvent{Bit: 2, Outcome: "vanished"}) // sampled out
 	// ...but lifecycle events always land.
 	for i := 0; i < 3; i++ {
-		sink.RecordShard(&ShardEvent{Kind: "lease", Shard: i, Worker: "w", Attempt: 1})
+		sink.RecordJSON(&ShardEvent{Kind: "lease", Shard: i, Worker: "w", Attempt: 1})
 	}
 	sink.RecordJSON(map[string]any{"custom": true})
 

@@ -107,17 +107,11 @@ type ShardEvent struct {
 	Detail    string `json:"detail,omitempty"`
 }
 
-// RecordShard writes one shard-lifecycle event. Shard events are rare
-// (a handful per shard) so they bypass the sink's sampling and Max
-// budget; they share the writer, the serialization lock and the latched
-// error with injection events.
-func (s *TraceSink) RecordShard(ev *ShardEvent) {
-	s.RecordJSON(ev)
-}
-
 // RecordJSON writes any marshalable value as one unsampled JSONL line —
-// the escape hatch for event shapes beyond the injection lifecycle (shard
-// events, worker-attached trace segments).
+// every event shape beyond the injection lifecycle (shard, allocation and
+// convergence events, worker-attached trace segments). Such events are rare,
+// so they bypass the sink's sampling and Max budget; they share the writer,
+// the serialization lock and the latched error with injection events.
 func (s *TraceSink) RecordJSON(v any) {
 	if s == nil {
 		return

@@ -1,8 +1,6 @@
 package proc
 
 import (
-	"time"
-
 	"sfi/internal/bits"
 	"sfi/internal/dirty"
 )
@@ -84,16 +82,6 @@ func (c *Core) SaveCheckpoint() *ModelCheckpoint {
 // differs (words/pages/entries dirtied since the last restore, plus the
 // image's own delta); otherwise it takes the full copy.
 func (c *Core) RestoreCheckpoint(ck *ModelCheckpoint) {
-	if c.obs == nil {
-		c.restoreModelCheckpoint(ck)
-		return
-	}
-	start := time.Now()
-	c.restoreModelCheckpoint(ck)
-	c.obs.ObserveRestore(uint64(time.Since(start).Nanoseconds()))
-}
-
-func (c *Core) restoreModelCheckpoint(ck *ModelCheckpoint) {
 	c.db.Restore(ck.latches)
 	c.mem.Restore(ck.memory)
 	for i, p := range c.arrays {

@@ -20,7 +20,6 @@ import (
 	"sfi/internal/array"
 	"sfi/internal/latch"
 	"sfi/internal/mem"
-	"sfi/internal/obs"
 )
 
 // Unit names, matching the paper's Figures 3 and 4.
@@ -124,10 +123,6 @@ type Core struct {
 
 	halted bool
 
-	// obs is the optional metrics collector (nil = observability off, the
-	// default; see SetObs). With it set, checkpoint restores are timed.
-	obs *obs.Metrics
-
 	// pending errors posted by checkers during the current cycle
 	pendErr []pendingError
 
@@ -175,12 +170,6 @@ func (c *Core) Mem() *mem.Memory { return c.mem }
 
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
-
-// SetObs attaches a metrics collector to the core (nil detaches, the
-// default). With a collector attached, checkpoint restores are timed into
-// its restore-latency histogram; with nil the hot path pays only this
-// pointer's nil test.
-func (c *Core) SetObs(m *obs.Metrics) { c.obs = m }
 
 // Reset puts the machine into its power-on state: pipeline empty, caches
 // invalid, scan rings at their init values, PC = 0. Memory is untouched.
