@@ -67,9 +67,14 @@ bench:
 
 # smoke is the campaign-service end-to-end gate: boot an sfi-server over a
 # fresh store, submit an adaptive campaign over real HTTP, watch it
-# converge, and pull the report, events, status and metrics back out.
-smoke:
+# converge, and pull the report, events, status and metrics back out. Then
+# the front doors, from the binaries `bins` linked: `bin/sfi -h`,
+# `bin/sfi-coord -h` and `bin/sfi submit -h` must each list every flag
+# dist.CampaignFlags registers, so a campaign flag added to one command and
+# not the others fails here.
+smoke: bins
 	$(GO) test -count=1 -run TestLoopbackSubmitConvergeReport ./internal/server
+	SFI_BIN=$(CURDIR)/bin $(GO) test -count=1 -run TestFrontDoorsShareCampaignFlags ./cmd/sfi
 
 # lines prints non-test and test Go line counts per package directory, then
 # the tree's totals: the number a CHANGES.md entry that claims a reduction

@@ -25,6 +25,8 @@
 //	sfi-coord -addr :8430 -flips 20000 -backend awan    # gate-level fleet
 //	sfi-coord -addr :8430 -flips 200000 -margin 1 -stop-on-converge
 //	                                    # adaptive: stop when every class CI ≤ 1 point
+//	sfi-coord -addr :8430 -flips 20000 -sticky -duration 200 -raw
+//	                                    # any campaign sfi runs: the flags are shared
 //
 // Then, on each machine:
 //
@@ -52,82 +54,55 @@ import (
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", ":8430", "listen address for the worker/lease API and fleet views")
-		flips     = flag.Int("flips", 10000, "number of latch bits to inject")
-		seed      = flag.Uint64("seed", 1, "sampling seed")
-		backend   = flag.String("backend", "", "engine backend workers inject into (p6lite, awan; empty = p6lite)")
-		lanes     = flag.Int("lanes", 0, "simulation-lane word width for batch-capable backends (awan): 64 packs 63 faults per model pass, 1 forces the scalar path, 0 = backend maximum")
-		unit      = flag.String("unit", "", "target one unit")
-		typ       = flag.String("type", "", "target one latch type")
-		macro     = flag.String("macro", "", "target latch groups by name prefix")
-		keep      = flag.Bool("keep-results", false, "retain per-injection results in the merged report")
-		shardSize = flag.Int("shard-size", 0, "injections per shard (0 = ~64 shards)")
-
-		// Adaptive statistical stopping rule (evaluated coordinator-side
-		// over sealed completed-shard counts).
-		margin     = flag.Float64("margin", 0, "evaluate per-class confidence intervals and report convergence once every outcome class's interval is at most this many percentage points wide (0 = off)")
-		confidence = flag.Float64("confidence", 0.95, "confidence level for the -margin intervals")
-		stopConv   = flag.Bool("stop-on-converge", false, "seal the campaign and cancel outstanding leases as soon as the -margin rule converges over completed shards")
-		allocate   = flag.String("allocate", "uniform", "budget allocation across unit×latch-type sampling strata: uniform (pooled sample) or neyman (per-epoch Neyman re-allocation; with -margin, every stratum must converge)")
-		epochs     = flag.Int("alloc-epochs", 0, "allocation epochs a -allocate neyman campaign re-plans at (0 = default)")
-		ttl        = flag.Duration("lease-ttl", 10*time.Second, "shard lease TTL; workers heartbeat at TTL/3")
-		attempts   = flag.Int("max-attempts", 3, "lease grants per shard before the campaign fails")
-		journal    = flag.String("journal", "", "completed-shard journal for coordinator restart ('' = none)")
-		shardTr    = flag.String("shard-trace", "auto", "shard-lifecycle trace JSONL file ('auto' = journal + .trace when -journal is set, '' = off)")
-		jsonOut    = flag.Bool("json", false, "emit the merged report as JSON")
-		progress   = flag.Bool("progress", true, "live fleet progress line on stderr")
-		logLevel   = flag.String("log-level", "info", "event log level (debug, info, warn, error)")
-		logText    = flag.Bool("log-text", false, "logfmt-style text event logs instead of JSON")
-		httpAddr   = flag.String("http", "", "extra debug listener: /debug/vars (expvar) and /debug/pprof")
-		quiet      = flag.Bool("quiet", false, "no progress line, warnings and errors only")
-	)
+	// The campaign's own flags are dist.CampaignFlags', shared with sfi and
+	// sfi submit; the rest are the coordinator's transport, journal and
+	// observability.
+	spec := dist.CampaignFlags(flag.CommandLine, 10000)
+	var a coordArgs
+	addr := flag.String("addr", ":8430", "listen address for the worker/lease API and fleet views")
+	flag.BoolVar(&a.keep, "keep-results", false, "retain per-injection results in the merged report")
+	flag.IntVar(&a.shardSize, "shard-size", 0, "injections per shard (0 = ~64 shards)")
+	flag.DurationVar(&a.ttl, "lease-ttl", 10*time.Second, "shard lease TTL; workers heartbeat at TTL/3")
+	flag.IntVar(&a.attempts, "max-attempts", 3, "lease grants per shard before the campaign fails")
+	flag.StringVar(&a.journal, "journal", "", "completed-shard journal for coordinator restart ('' = none)")
+	flag.StringVar(&a.shardTrace, "shard-trace", "auto", "shard-lifecycle trace JSONL file ('auto' = journal + .trace when -journal is set, '' = off)")
+	flag.BoolVar(&a.jsonOut, "json", false, "emit the merged report as JSON")
+	flag.BoolVar(&a.progress, "progress", true, "live fleet progress line on stderr")
+	flag.StringVar(&a.logLevel, "log-level", "info", "event log level (debug, info, warn, error)")
+	flag.BoolVar(&a.logText, "log-text", false, "logfmt-style text event logs instead of JSON")
+	flag.StringVar(&a.httpAddr, "http", "", "extra debug listener: /debug/vars (expvar) and /debug/pprof")
+	flag.BoolVar(&a.quiet, "quiet", false, "no progress line, warnings and errors only")
 	flag.Parse()
 
-	if err := run(*addr, coordArgs{
-		flips: *flips, seed: *seed, backend: *backend, lanes: *lanes, unit: *unit, typ: *typ, macro: *macro,
-		keep: *keep, shardSize: *shardSize, ttl: *ttl, attempts: *attempts,
-		margin: *margin, confidence: *confidence, stopConv: *stopConv,
-		allocate: *allocate, epochs: *epochs,
-		journal: *journal, shardTrace: *shardTr, jsonOut: *jsonOut,
-		progress: *progress, logLevel: *logLevel, logText: *logText,
-		httpAddr: *httpAddr, quiet: *quiet,
-	}); err != nil {
+	var err error
+	if a.spec, err = spec(); err == nil {
+		err = run(*addr, a)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfi-coord:", err)
 		os.Exit(1)
 	}
 }
 
+// coordArgs is one sfi-coord invocation: the campaign (spec, as the shared
+// campaign flags spell it) and the coordinator's own flags.
 type coordArgs struct {
-	flips            int
-	seed             uint64
-	backend          string
-	lanes            int
-	unit, typ, macro string
-	keep             bool
-	shardSize        int
-	margin           float64
-	confidence       float64
-	stopConv         bool
-	allocate         string
-	epochs           int
-	ttl              time.Duration
-	attempts         int
-	journal          string
-	shardTrace       string
-	jsonOut          bool
-	progress         bool
-	logLevel         string
-	logText          bool
-	httpAddr         string
-	quiet            bool
+	spec       dist.CampaignSpec
+	keep       bool
+	shardSize  int
+	ttl        time.Duration
+	attempts   int
+	journal    string
+	shardTrace string
+	jsonOut    bool
+	progress   bool
+	logLevel   string
+	logText    bool
+	httpAddr   string
+	quiet      bool
 }
 
 func run(addr string, a coordArgs) error {
-	filter, err := dist.FilterFromFlags(a.unit, a.typ, a.macro)
-	if err != nil {
-		return err
-	}
 	level, err := obs.ParseLogLevel(a.logLevel)
 	if err != nil {
 		return err
@@ -140,53 +115,9 @@ func run(addr string, a coordArgs) error {
 	}
 	log := obs.NewLogger(os.Stderr, level, !a.logText)
 
-	runner := sfi.DefaultRunnerConfig()
-	if a.backend != "" {
-		known := false
-		for _, b := range sfi.Backends() {
-			if b == a.backend {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown backend %q (have %v)", a.backend, sfi.Backends())
-		}
-		runner.Backend = a.backend
-	}
-	if a.lanes > 0 {
-		runner.BatchLanes = a.lanes
-	}
-
-	var stopRule sfi.StopConfig
-	if a.margin > 0 {
-		stopRule = sfi.StopConfig{
-			TargetMargin:   a.margin / 100,
-			Confidence:     a.confidence,
-			StopOnConverge: a.stopConv,
-		}
-	} else if a.stopConv {
-		return fmt.Errorf("-stop-on-converge needs a -margin")
-	}
-
-	// "uniform" normalizes to the zero AllocConfig so uniform campaigns'
-	// wire specs and journal headers stay byte-identical to pre-allocation
-	// versions.
-	var alloc sfi.AllocConfig
-	if a.allocate != "" && a.allocate != sfi.AllocUniform {
-		alloc = sfi.AllocConfig{Mode: a.allocate, Epochs: a.epochs}
-	}
-
+	a.spec.KeepResults = a.keep
 	cfg := dist.CoordConfig{
-		Campaign: dist.CampaignSpec{
-			Runner:      runner,
-			Seed:        a.seed,
-			Flips:       a.flips,
-			Filter:      filter,
-			KeepResults: a.keep,
-			Stop:        stopRule,
-			Alloc:       alloc,
-		},
+		Campaign:    a.spec,
 		ShardSize:   a.shardSize,
 		LeaseTTL:    a.ttl,
 		MaxAttempts: a.attempts,
@@ -194,7 +125,7 @@ func run(addr string, a coordArgs) error {
 		Log:         log,
 		// Campaign tracing is always on: spans are per-shard and per-batch,
 		// so a whole campaign costs a few thousand ring entries.
-		Tracer: sfi.NewTracer(a.seed),
+		Tracer: sfi.NewTracer(a.spec.Seed),
 	}
 
 	if a.shardTrace == "auto" {
@@ -310,7 +241,7 @@ func run(addr string, a coordArgs) error {
 			"other_ms", int64(at.OtherMs), "spans", doc.Spans, "trace", doc.TraceID)
 	}
 	if d := coord.StopDecision(); d != nil {
-		log.Info("converged early", "injections", d.Total, "budget", a.flips,
+		log.Info("converged early", "injections", d.Total, "budget", a.spec.Flips,
 			"widest_class", d.WidestClass, "widest_width", d.WidestWidth,
 			"target_margin", d.TargetMargin)
 	}

@@ -14,7 +14,6 @@ import (
 	"os"
 	"time"
 
-	"sfi"
 	"sfi/internal/dist"
 	"sfi/internal/server"
 )
@@ -43,49 +42,19 @@ func clientSubmit(args []string) error {
 	var (
 		serverURL = fs.String("server", "http://localhost:8440", "campaign server base URL")
 		tenant    = fs.String("tenant", "", "tenant the campaign is scheduled under (fair-share weight; empty = default)")
-		flips     = fs.Int("flips", 10000, "number of latch bits to inject")
-		seed      = fs.Uint64("seed", 1, "sampling seed")
-		backend   = fs.String("backend", "", "engine backend (p6lite, awan; empty = p6lite)")
-		lanes     = fs.Int("lanes", 0, "simulation-lane word width for batch-capable backends")
-		unit      = fs.String("unit", "", "target one unit")
-		typ       = fs.String("type", "", "target one latch type")
-		macro     = fs.String("macro", "", "target latch groups by name prefix")
 		keep      = fs.Bool("keep-results", false, "retain per-injection results in the report")
 		shardSize = fs.Int("shard-size", 0, "injections per shard (0 = server default)")
-		margin    = fs.Float64("margin", 0, "adaptive stop: target per-class CI width in percentage points (0 = off)")
-		conf      = fs.Float64("confidence", 0.95, "confidence level for the -margin intervals")
-		stopConv  = fs.Bool("stop-on-converge", false, "stop the campaign once the -margin rule converges")
 		wait      = fs.Bool("wait", false, "poll until the campaign settles and print the final record")
 	)
+	campaign := dist.CampaignFlags(fs, 10000)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	filter, err := dist.FilterFromFlags(*unit, *typ, *macro)
-	if err != nil {
+	spec := server.Spec{Tenant: *tenant, ShardSize: *shardSize}
+	var err error
+	if spec.Campaign, err = campaign(); err != nil {
 		return err
 	}
-	runner := sfi.DefaultRunnerConfig()
-	runner.Backend = *backend
-	if *lanes > 0 {
-		runner.BatchLanes = *lanes
-	}
-	var stop sfi.StopConfig
-	if *margin > 0 {
-		stop = sfi.StopConfig{TargetMargin: *margin / 100, Confidence: *conf, StopOnConverge: *stopConv}
-	} else if *stopConv {
-		return fmt.Errorf("-stop-on-converge needs a -margin")
-	}
-	spec := server.Spec{
-		Tenant: *tenant,
-		Campaign: dist.CampaignSpec{
-			Runner:      runner,
-			Seed:        *seed,
-			Flips:       *flips,
-			Filter:      filter,
-			KeepResults: *keep,
-			Stop:        stop,
-		},
-		ShardSize: *shardSize,
-	}
+	spec.Campaign.KeepResults = *keep
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return err

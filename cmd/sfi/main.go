@@ -27,6 +27,7 @@
 // Campaign-service verbs against a running sfi-server:
 //
 //	sfi submit -server http://host:8440 -flips 100000 -margin 1 -stop-on-converge
+//	sfi submit -server http://host:8440 -flips 50000 -sticky -allocate neyman
 //	sfi status -server http://host:8440 [id]
 //	sfi report -server http://host:8440 <id>
 //	sfi cancel -server http://host:8440 <id>
@@ -62,89 +63,51 @@ func main() {
 		}
 		return
 	}
-	var (
-		flips    = flag.Int("flips", 1000, "number of latch bits to inject")
-		seed     = flag.Uint64("seed", 1, "sampling seed")
-		backend  = flag.String("backend", "", "engine backend to inject into (p6lite, awan; empty = p6lite)")
-		unit     = flag.String("unit", "", "target one unit (IFU, IDU, FXU, FPU, LSU, RUT, Core)")
-		typ      = flag.String("type", "", "target one latch type (FUNC, REGFILE, GPTR, MODE)")
-		macro    = flag.String("macro", "", "target latch groups by name prefix")
-		sticky   = flag.Bool("sticky", false, "sticky (stuck-at) injection instead of toggle")
-		duration = flag.Int("duration", 0, "sticky fault duration in cycles (0 = permanent)")
-		span     = flag.Int("span", 1, "adjacent bits per injection (multi-bit upsets)")
-		raw      = flag.Bool("raw", false, "mask every hardware checker (Table 3 Raw mode)")
-		noRec    = flag.Bool("no-recovery", false, "disable the recovery unit")
-		window   = flag.Int("window", 0, "observation window in cycles (0 = default)")
-		fixed    = flag.Bool("fixed-window", false, "disable quiesce early exit (paper's fixed 500k-cycle style)")
-		nest     = flag.Bool("nest", false, "enable the core periphery (L2 + memory controller)")
-		workers  = flag.Int("workers", 0, "concurrent model copies (0 = GOMAXPROCS)")
-		lanes    = flag.Int("lanes", 0, "simulation-lane word width for batch-capable backends (awan): 64 packs 63 faults per model pass, 1 forces the scalar path, 0 = backend maximum")
-		detail   = flag.Bool("detail", false, "print confidence intervals, latency stats and checker coverage")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		causes   = flag.Bool("causes", false, "print cause-effect traces of non-vanished injections")
-		units    = flag.Bool("units", false, "also print the per-unit breakdown")
-		types    = flag.Bool("types", false, "also print the per-latch-type breakdown")
+	// The campaign's own flags are dist.CampaignFlags', shared with sfi-coord
+	// and sfi submit; the rest say where this process runs it and what it
+	// prints.
+	spec := dist.CampaignFlags(flag.CommandLine, 1000)
+	var a campaignArgs
+	flag.IntVar(&a.workers, "workers", 0, "concurrent model copies (0 = GOMAXPROCS)")
+	flag.BoolVar(&a.detail, "detail", false, "print confidence intervals, latency stats and checker coverage")
+	flag.BoolVar(&a.jsonOut, "json", false, "emit the report as JSON")
+	flag.BoolVar(&a.causes, "causes", false, "print cause-effect traces of non-vanished injections")
+	flag.BoolVar(&a.units, "units", false, "also print the per-unit breakdown")
+	flag.BoolVar(&a.types, "types", false, "also print the per-latch-type breakdown")
 
-		// Adaptive statistical stopping rule.
-		margin     = flag.Float64("margin", 0, "evaluate per-class confidence intervals and report convergence once every outcome class's interval is at most this many percentage points wide (0 = off)")
-		confidence = flag.Float64("confidence", 0.95, "confidence level for the -margin intervals")
-		stopConv   = flag.Bool("stop-on-converge", false, "stop the campaign as soon as the -margin rule converges instead of running the whole -flips budget")
-		allocate   = flag.String("allocate", "uniform", "budget allocation across unit×latch-type sampling strata: uniform (pooled sample) or neyman (per-epoch Neyman re-allocation; with -margin, every stratum must converge)")
-		epochs     = flag.Int("alloc-epochs", 0, "allocation epochs a -allocate neyman campaign re-plans at (0 = default)")
+	// Distributed smoke mode.
+	flag.IntVar(&a.dist, "dist", 0, "run the campaign through an in-process coordinator with this many loopback workers (exercises the sfi-coord/sfi-worker protocol)")
+	flag.IntVar(&a.shardSize, "shard-size", 0, "injections per shard in -dist mode (0 = ~64 shards)")
 
-		// Distributed smoke mode.
-		distN     = flag.Int("dist", 0, "run the campaign through an in-process coordinator with this many loopback workers (exercises the sfi-coord/sfi-worker protocol)")
-		shardSize = flag.Int("shard-size", 0, "injections per shard in -dist mode (0 = ~64 shards)")
-
-		// Observability.
-		trace    = flag.String("trace", "", "write one JSONL lifecycle event per injection to this file")
-		traceSmp = flag.Int("trace-sample", 1, "record every Nth injection in the -trace stream")
-		metrics  = flag.String("metrics", "", "write a Prometheus-style metrics dump to this file ('-' = stdout)")
-		httpAddr = flag.String("http", "", "serve /debug/vars (expvar), /debug/pprof, /metrics and /progress on this address while the campaign runs")
-		progress = flag.Bool("progress", true, "render live progress to stderr")
-	)
+	// Observability.
+	flag.StringVar(&a.trace, "trace", "", "write one JSONL lifecycle event per injection to this file")
+	flag.IntVar(&a.traceSample, "trace-sample", 1, "record every Nth injection in the -trace stream")
+	flag.StringVar(&a.metrics, "metrics", "", "write a Prometheus-style metrics dump to this file ('-' = stdout)")
+	flag.StringVar(&a.httpAddr, "http", "", "serve /debug/vars (expvar), /debug/pprof, /metrics and /progress on this address while the campaign runs")
+	flag.BoolVar(&a.progress, "progress", true, "render live progress to stderr")
 	flag.Parse()
 
-	if err := run(campaignArgs{
-		flips: *flips, seed: *seed, backend: *backend, unit: *unit, typ: *typ, macro: *macro,
-		sticky: *sticky, duration: *duration, span: *span, raw: *raw, noRec: *noRec,
-		window: *window, fixed: *fixed, workers: *workers, lanes: *lanes, nest: *nest,
-		detail: *detail, jsonOut: *jsonOut, causes: *causes, units: *units, types: *types,
-		margin: *margin, confidence: *confidence, stopConv: *stopConv,
-		allocate: *allocate, epochs: *epochs,
-		dist: *distN, shardSize: *shardSize,
-		trace: *trace, traceSample: *traceSmp, metrics: *metrics,
-		httpAddr: *httpAddr, progress: *progress,
-	}); err != nil {
+	var err error
+	if a.spec, err = spec(); err == nil {
+		err = run(a)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfi:", err)
 		os.Exit(1)
 	}
 }
 
+// campaignArgs is one sfi invocation: the campaign (spec, as the shared
+// campaign flags spell it) and this command's own placement, output and
+// observability flags.
 type campaignArgs struct {
-	flips            int
-	seed             uint64
-	backend          string
-	unit, typ, macro string
-	sticky           bool
-	duration         int
-	span             int
-	raw, noRec       bool
-	window           int
-	fixed            bool
-	workers          int
-	lanes            int
-	nest             bool
-	detail           bool
-	jsonOut          bool
-	causes           bool
-	units, types     bool
+	spec dist.CampaignSpec
 
-	margin     float64
-	confidence float64
-	stopConv   bool
-	allocate   string
-	epochs     int
+	workers      int
+	detail       bool
+	jsonOut      bool
+	causes       bool
+	units, types bool
 
 	dist      int
 	shardSize int
@@ -199,112 +162,24 @@ func run(a campaignArgs) error {
 			}
 		}
 	}
-	cfg := sfi.DefaultCampaignConfig()
-	cfg.Flips = a.flips
-	cfg.Seed = a.seed
-	cfg.Workers = a.workers
-	cfg.KeepResults = true
-	if a.backend != "" {
-		known := false
-		for _, b := range sfi.Backends() {
-			if b == a.backend {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown backend %q (have %v)", a.backend, sfi.Backends())
-		}
-		cfg.Runner.Backend = a.backend
-	}
-	cfg.Runner.CheckersOn = !a.raw
-	cfg.Runner.RecoveryOn = !a.noRec
-	if a.sticky {
-		cfg.Runner.Mode = sfi.Sticky
-		cfg.Runner.StickyCycles = a.duration
-	}
-	if a.span > 1 {
-		cfg.Runner.SpanBits = a.span
-	}
-	if a.window > 0 {
-		cfg.Runner.Window = a.window
-	}
-	if a.fixed {
-		cfg.Runner.QuiesceExit = 0
-	}
-	if a.lanes > 0 {
-		cfg.Runner.BatchLanes = a.lanes
-	}
-	if a.nest {
-		cfg.Runner.Proc.EnableNest = true
-	}
-	if a.margin > 0 {
-		// The flag speaks percentage points (matching every rendered
-		// percentage); the rule works in fractions.
-		cfg.Stop = sfi.StopConfig{
-			TargetMargin:   a.margin / 100,
-			Confidence:     a.confidence,
-			StopOnConverge: a.stopConv,
-		}
-	} else if a.stopConv {
-		return fmt.Errorf("-stop-on-converge needs a -margin")
-	}
-	// "uniform" normalizes to the zero AllocConfig so uniform campaigns
-	// stay byte-identical to pre-allocation versions.
-	if a.allocate != "" && a.allocate != sfi.AllocUniform {
-		cfg.Alloc = sfi.AllocConfig{Mode: a.allocate, Epochs: a.epochs}
-	}
-
-	filters := 0
-	if a.unit != "" {
-		// The p6lite unit list is only authoritative for the default
-		// backend; other backends bring their own unit vocabulary and the
-		// campaign's population guard rejects a filter that matches nothing.
-		if a.backend == "" || a.backend == sfi.BackendP6Lite {
-			found := a.unit == sfi.UnitNEST && a.nest
-			for _, u := range sfi.Units {
-				if u == a.unit {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("unknown unit %q (have %v; NEST needs -nest)", a.unit, sfi.Units)
-			}
-		}
-		cfg.Filter = sfi.ByUnit(a.unit)
-		filters++
-	}
-	if a.typ != "" {
-		var t sfi.LatchType
-		for _, lt := range sfi.LatchTypes {
-			if lt.String() == a.typ {
-				t = lt
-			}
-		}
-		if t == 0 {
-			return fmt.Errorf("unknown latch type %q", a.typ)
-		}
-		cfg.Filter = sfi.ByType(t)
-		filters++
-	}
-	if a.macro != "" {
-		cfg.Filter = sfi.ByGroupPrefix(a.macro)
-		filters++
-	}
-	if filters > 1 {
-		return fmt.Errorf("use at most one of -unit, -type, -macro")
-	}
+	a.spec.KeepResults = true
+	a.spec.ShardWorkers = a.workers
 
 	// Distributed smoke mode: run the same campaign through an in-process
 	// coordinator and N loopback workers — the full sfi-coord/sfi-worker
 	// lease protocol over real HTTP, one process.
 	if a.dist > 0 {
-		rep, elapsed, doc, err := runDist(a, cfg)
+		rep, elapsed, doc, err := runDist(a)
 		if err != nil {
 			return err
 		}
 		return emit(a, rep, elapsed, doc)
+	}
+	// The local run is the spec's whole-campaign configuration: what a
+	// worker builds for a shard, without the shard range.
+	cfg, err := a.spec.CampaignConfig(nil)
+	if err != nil {
+		return err
 	}
 
 	// Observability: metrics are always collected (the end-of-run summary
@@ -493,33 +368,17 @@ func reportUnits(rep *sfi.Report) []string {
 // in-process coordinator on a loopback listener and a.dist workers driving
 // the real lease/heartbeat/complete protocol over HTTP. The merged report
 // is identical (same seed → same outcomes) to the local path's.
-func runDist(a campaignArgs, cfg sfi.CampaignConfig) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) {
-	fs, err := dist.FilterFromFlags(a.unit, a.typ, a.macro)
-	if err != nil {
-		return nil, 0, nil, err
-	}
+func runDist(a campaignArgs) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) {
+	spec := a.spec
 	// Split the machine's cores across the loopback workers unless the
 	// user pinned a per-shard worker count.
-	shardWorkers := cfg.Workers
-	if shardWorkers <= 0 {
-		shardWorkers = runtime.GOMAXPROCS(0) / a.dist
-		if shardWorkers < 1 {
-			shardWorkers = 1
-		}
+	if spec.ShardWorkers <= 0 {
+		spec.ShardWorkers = max(runtime.GOMAXPROCS(0)/a.dist, 1)
 	}
 	coord, err := dist.NewCoordinator(dist.CoordConfig{
-		Campaign: dist.CampaignSpec{
-			Runner:       cfg.Runner,
-			Seed:         cfg.Seed,
-			Flips:        cfg.Flips,
-			Filter:       fs,
-			KeepResults:  cfg.KeepResults,
-			ShardWorkers: shardWorkers,
-			Stop:         cfg.Stop,
-			Alloc:        cfg.Alloc,
-		},
+		Campaign:  spec,
 		ShardSize: a.shardSize,
-		Tracer:    sfi.NewTracer(cfg.Seed),
+		Tracer:    sfi.NewTracer(spec.Seed),
 	})
 	if err != nil {
 		return nil, 0, nil, err
@@ -533,7 +392,7 @@ func runDist(a campaignArgs, cfg sfi.CampaignConfig) (*sfi.Report, time.Duration
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "distributed smoke: coordinator on http://%s, %d loopback workers × %d model copies\n",
-		ln.Addr(), a.dist, shardWorkers)
+		ln.Addr(), a.dist, spec.ShardWorkers)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -581,7 +440,7 @@ func runDist(a campaignArgs, cfg sfi.CampaignConfig) (*sfi.Report, time.Duration
 	}
 	if d := coord.StopDecision(); d != nil {
 		fmt.Fprintf(os.Stderr, "converged early: %d of %d injections (widest class %s at %.2f%%, target %.2f%%)\n",
-			d.Total, cfg.Flips, d.WidestClass, 100*d.WidestWidth, 100*d.TargetMargin)
+			d.Total, spec.Flips, d.WidestClass, 100*d.WidestWidth, 100*d.TargetMargin)
 	}
 	// Workers exit on their own once the coordinator answers 410.
 	for i := 0; i < a.dist; i++ {

@@ -23,7 +23,7 @@ func TestDistRefusesLocalObservability(t *testing.T) {
 	} {
 		a := tc.args
 		// A backend no process has: reaching campaign set-up would fail on it.
-		a.flips, a.dist, a.backend = 50, 2, "no-such-backend"
+		a.spec.Flips, a.dist, a.spec.Runner.Backend = 50, 2, "no-such-backend"
 		err := run(a)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) || !strings.Contains(err.Error(), tc.where) {
 			t.Errorf("run(%+v) = %v, want a refusal naming %q and %q", tc.args, err, tc.flag, tc.where)

@@ -1,6 +1,7 @@
 package bits
 
 import (
+	mathbits "math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -45,10 +46,13 @@ func refSyndrome(data uint64) uint8 {
 	return syndrome
 }
 
+// refParity64 is the parity of a 64-bit word: true for an odd number of ones.
+func refParity64(w uint64) bool { return mathbits.OnesCount64(w)%2 == 1 }
+
 func refEncodeSECDED(data uint64) ECCWord {
 	check := refSyndrome(data) & 0x7f
 	// Overall parity over data plus the 7 Hamming check bits.
-	if ParityOf64(data) != (refPopcount8(check)%2 == 1) {
+	if refParity64(data) != (refPopcount8(check)%2 == 1) {
 		check |= 0x80
 	}
 	return ECCWord{Data: data, Check: check}
@@ -56,7 +60,7 @@ func refEncodeSECDED(data uint64) ECCWord {
 
 func refDecodeSECDED(w ECCWord) (uint64, ECCResult) {
 	syndrome := (w.Check ^ refSyndrome(w.Data)) & 0x7f
-	oddErrors := ParityOf64(w.Data) != (refPopcount8(w.Check)%2 == 1)
+	oddErrors := refParity64(w.Data) != (refPopcount8(w.Check)%2 == 1)
 	switch {
 	case syndrome == 0 && !oddErrors:
 		return w.Data, ECCClean

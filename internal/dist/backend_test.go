@@ -88,7 +88,7 @@ func TestAwanLoopbackEquivalence(t *testing.T) {
 		}
 	}
 
-	ccfg, err := spec.CampaignConfig(ShardLease{Lo: 0, Hi: spec.Flips})
+	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAwanDistBatchScalarEquivalence(t *testing.T) {
 
 	scalarSpec := spec
 	scalarSpec.Runner.BatchLanes = 1
-	ccfg, err := scalarSpec.CampaignConfig(ShardLease{Lo: 0, Hi: spec.Flips})
+	ccfg, err := scalarSpec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestWireReportRoundTripBothBackends(t *testing.T) {
 				spec = testSpec()
 			}
 			spec.Flips = 16
-			ccfg, err := spec.CampaignConfig(ShardLease{Lo: 0, Hi: spec.Flips})
+			ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,18 +173,8 @@ type Coordinator struct {
 // is configured and present, and starts the lease reaper. Callers must
 // Close it.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
-	if cfg.Campaign.Flips < 1 {
-		return nil, fmt.Errorf("dist: campaign needs at least one flip")
-	}
-	filter, err := cfg.Campaign.Filter.Filter()
-	if err != nil {
+	if err := cfg.Campaign.Validate(); err != nil {
 		return nil, err
-	}
-	if err := cfg.Campaign.Alloc.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Campaign.Runner.Validate(); err != nil {
-		return nil, fmt.Errorf("dist: campaign runner: %w", err)
 	}
 	// Armed before the journal header and the worker-facing spec are
 	// derived, so both are stable.
@@ -234,6 +224,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
+		filter, _ := cfg.Campaign.Filter.Filter() // Validate built it once already
 		c.plan = core.BuildSamplePlan(db, cfg.Campaign.Seed, filter)
 		if len(c.plan.Strata) == 0 {
 			return nil, fmt.Errorf("dist: stratified campaign over an empty population")
@@ -250,16 +241,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 	}
 	if cfg.Journal != "" {
-		j, entries, err := openJournal(cfg.Journal, journalHeader{
-			V:         1,
-			Seed:      cfg.Campaign.Seed,
-			Backend:   engine.Resolve(cfg.Campaign.Runner.Backend),
-			Flips:     cfg.Campaign.Flips,
-			ShardSize: cfg.ShardSize,
-			Filter:    cfg.Campaign.Filter,
-			Stop:      cfg.Campaign.Stop,
-			Alloc:     cfg.Campaign.Alloc,
-		}, c.log)
+		j, entries, err := openJournal(cfg.Journal, cfg.Campaign.journalHeader(cfg.ShardSize), c.log)
 		if err != nil {
 			return nil, err
 		}
@@ -351,10 +333,28 @@ func (c *Coordinator) reaper() {
 	}
 }
 
-// shardEvent emits one lifecycle event to the shard trace (no-op without
-// a configured sink).
+// emit says one coordinator event once: as a JSONL line on the shard trace
+// and, from the same value, as a log record.
+func (c *Coordinator) emit(level slog.Level, msg string, ev any) {
+	c.cfg.ShardTrace.RecordJSON(ev)
+	if c.log.Enabled(context.Background(), level) {
+		c.log.LogAttrs(context.Background(), level, msg, obs.EventAttrs(ev)...)
+	}
+}
+
+// shardEvent is the one call per shard-lifecycle transition. A grant is
+// routine (debug), a completion or a requeue is progress (info), anything
+// else — expired, heartbeat_gap, failed, exhausted — is a shard in trouble
+// (warn). With no sink and a logger below that level it builds nothing.
 func (c *Coordinator) shardEvent(s *shard, kind string, mut func(*obs.ShardEvent)) {
-	if c.cfg.ShardTrace == nil {
+	level := slog.LevelWarn
+	switch kind {
+	case "lease":
+		level = slog.LevelDebug
+	case "completed", "requeued":
+		level = slog.LevelInfo
+	}
+	if c.cfg.ShardTrace == nil && !c.log.Enabled(context.Background(), level) {
 		return
 	}
 	ev := &obs.ShardEvent{
@@ -369,7 +369,7 @@ func (c *Coordinator) shardEvent(s *shard, kind string, mut func(*obs.ShardEvent
 	if mut != nil {
 		mut(ev)
 	}
-	c.cfg.ShardTrace.RecordJSON(ev)
+	c.emit(level, "shard "+kind, ev)
 }
 
 // sweepLocked expires overdue leases. A shard that has used all its
@@ -380,9 +380,6 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		if s.status != shardLeased || now.Before(s.deadline) {
 			continue
 		}
-		c.log.Warn("lease expired",
-			"shard", s.ID, "worker", s.owner, "attempt", s.attempts,
-			"silence", now.Sub(c.lastSignalLocked(s)).Round(time.Millisecond))
 		c.shardEvent(s, "expired", func(ev *obs.ShardEvent) {
 			ev.GapMs = now.Sub(c.lastSignalLocked(s)).Milliseconds()
 		})
@@ -419,7 +416,6 @@ func (c *Coordinator) requeueLocked(s *shard, why string) {
 		return
 	}
 	c.shardEvent(s, "requeued", func(ev *obs.ShardEvent) { ev.Detail = why })
-	c.log.Info("shard requeued", "shard", s.ID, "attempt", s.attempts, "why", why)
 	c.queue = append(c.queue, s.ID)
 }
 
@@ -585,13 +581,9 @@ func (c *Coordinator) applyAllocLocked(rec allocRecord) {
 	}
 	c.budgetLeft -= rec.Budget
 	c.epoch = rec.Epoch + 1
-	if c.cfg.ShardTrace != nil {
-		c.cfg.ShardTrace.RecordJSON(obs.AllocationEvent{
-			Kind: "allocate", Epoch: rec.Epoch, Budget: rec.Budget, Shares: rec.Shares,
-		})
-	}
-	c.log.Info("allocation epoch planned", "epoch", rec.Epoch,
-		"budget", rec.Budget, "strata", len(rec.Shares), "shards", len(rec.Shards))
+	c.emit(slog.LevelInfo, "allocation epoch planned", obs.AllocationEvent{
+		Kind: "allocate", Epoch: rec.Epoch, Budget: rec.Budget, Shares: rec.Shares,
+	})
 }
 
 // convergeLocked stops the campaign on a sealed-counts convergence verdict:
@@ -609,19 +601,13 @@ func (c *Coordinator) convergeLocked(eval *stats.Convergence) {
 	}
 	c.stoppedEarly = true
 	c.stopEval = eval
-	c.log.Info("campaign converged, stopping early",
-		"sealed_injections", eval.Total, "shards_done", c.done, "shards", len(c.shards),
-		"widest_class", eval.WidestClass, "widest_width", eval.WidestWidth,
-		"target_margin", eval.TargetMargin)
-	if c.cfg.ShardTrace != nil {
-		c.cfg.ShardTrace.RecordJSON(obs.ConvergenceEvent{
-			Kind:         "fleet_stop",
-			N:            eval.Total,
-			Width:        eval.WidestWidth,
-			TargetMargin: eval.TargetMargin,
-			Confidence:   eval.Confidence,
-		})
-	}
+	c.emit(slog.LevelInfo, "campaign converged, stopping early", obs.ConvergenceEvent{
+		Kind:         "fleet_stop",
+		N:            eval.Total,
+		Width:        eval.WidestWidth,
+		TargetMargin: eval.TargetMargin,
+		Confidence:   eval.Confidence,
+	})
 	c.finishLocked()
 }
 
@@ -811,7 +797,6 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 		Attr("worker", req.Worker).
 		AttrInt("attempt", int64(s.attempts))
 	c.shardEvent(s, "lease", nil)
-	c.log.Debug("lease granted", "shard", s.ID, "worker", req.Worker, "attempt", s.attempts)
 	return &leaseResponse{
 		Shard:       s.ShardLease,
 		Campaign:    c.cfg.Campaign,
@@ -850,8 +835,6 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 			// Correlate the gap with the worker's span tree.
 			ev.Detail = req.Traceparent
 		})
-		c.log.Warn("heartbeat gap", "shard", s.ID, "worker", req.Worker,
-			"gap", gap.Round(time.Millisecond))
 	}
 	s.lastBeat = now
 	s.deadline = now.Add(c.cfg.LeaseTTL)
@@ -920,9 +903,6 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 		ev.Worker = req.Worker
 		ev.LatencyMs = latency.Milliseconds()
 	})
-	c.log.Info("shard completed", "shard", s.ID, "worker", req.Worker,
-		"injections", rep.Total, "latency", latency.Round(time.Millisecond),
-		"done", c.done+1, "shards", len(c.shards))
 	// Forward the worker's sampled trace segment into the shard trace,
 	// each line wrapped with its shard/worker provenance.
 	if c.cfg.ShardTrace != nil {
@@ -961,7 +941,6 @@ func (c *Coordinator) fail(req failRequest) (int, error) {
 	if s == nil || s.status != shardLeased || s.owner != req.Worker {
 		return http.StatusConflict, nil
 	}
-	c.log.Warn("shard failed by worker", "shard", s.ID, "worker", req.Worker, "err", req.Error)
 	c.shardEvent(s, "failed", func(ev *obs.ShardEvent) { ev.Detail = req.Error })
 	ws := c.touchWorkerLocked(req.Worker, time.Now())
 	ws.failures++

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sfi/internal/core"
+	"sfi/internal/engine"
 )
 
 // testSpec is a real (model-executing) campaign small enough for tests.
@@ -149,7 +150,7 @@ func TestLoopbackEquivalence(t *testing.T) {
 		}
 	}
 
-	ccfg, err := spec.CampaignConfig(ShardLease{Lo: 0, Hi: spec.Flips})
+	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +479,10 @@ func TestJournalTornTailSurvivesRestarts(t *testing.T) {
 }
 
 // TestJournalRejectsForeignCampaign: resuming a different campaign over an
-// existing journal must fail loudly instead of merging unrelated shards.
+// existing journal must fail loudly, naming the header field that differs,
+// instead of merging unrelated shards. The fault model is part of the
+// campaign: a toggle, checkers-on journal resumed by a sticky, raw or
+// results-keeping campaign would hand back the toggle report as its own.
 func TestJournalRejectsForeignCampaign(t *testing.T) {
 	spec := testSpec()
 	spec.Flips = 30
@@ -488,10 +492,34 @@ func TestJournalRejectsForeignCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Close()
-	spec.Seed = 99
-	if _, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}); err == nil {
-		t.Fatal("coordinator accepted a journal from a different campaign")
+	for _, tc := range []struct {
+		field string
+		mut   func(*CoordConfig)
+	}{
+		{"seed", func(c *CoordConfig) { c.Campaign.Seed = 99 }},
+		{"shard_size", func(c *CoordConfig) { c.ShardSize = 15 }},
+		{"model", func(c *CoordConfig) { c.Campaign.Runner.Mode = engine.Sticky }},
+		{"model", func(c *CoordConfig) { c.Campaign.Runner.CheckersOn = false }},
+		{"model", func(c *CoordConfig) { c.Campaign.Runner.Window = 20_000 }},
+		{"model", func(c *CoordConfig) { c.Campaign.KeepResults = !c.Campaign.KeepResults }},
+	} {
+		cfg := CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}
+		tc.mut(&cfg)
+		if c, err := NewCoordinator(cfg); err == nil {
+			c.Close()
+			t.Errorf("coordinator accepted a journal from a campaign with another %s", tc.field)
+		} else if !strings.HasSuffix(err.Error(), "differs in "+tc.field) {
+			t.Errorf("refusal %q does not name header field %q alone", err, tc.field)
+		}
 	}
+	// Nothing a refused restart did keeps the campaign itself from resuming,
+	// under either spelling of what does not change its results.
+	spec.ShardWorkers = 3
+	c2, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
+	if err != nil {
+		t.Fatalf("the journal's own campaign was refused: %v", err)
+	}
+	c2.Close()
 }
 
 // TestShardAttemptsExhausted: a shard abandoned MaxAttempts times fails
@@ -611,29 +639,6 @@ func TestCoordinatorRejectsUnbuildableRunner(t *testing.T) {
 			t.Errorf("NewCoordinator accepted a runner with a bad %s", want)
 		} else if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
-		}
-	}
-}
-
-func TestFilterFromFlags(t *testing.T) {
-	for _, tc := range []struct {
-		unit, typ, macro string
-		want             FilterSpec
-		wantErr          bool
-	}{
-		{want: FilterSpec{}},
-		{unit: "FXU", want: FilterSpec{Kind: "unit", Arg: "FXU"}},
-		{typ: "FUNC", want: FilterSpec{Kind: "type", Arg: "FUNC"}},
-		{macro: "lsu.stq", want: FilterSpec{Kind: "prefix", Arg: "lsu.stq"}},
-		{typ: "NOSUCH", wantErr: true},
-		{unit: "FXU", macro: "lsu.stq", wantErr: true},
-	} {
-		got, err := FilterFromFlags(tc.unit, tc.typ, tc.macro)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("FilterFromFlags(%q, %q, %q): err %v, want error %v", tc.unit, tc.typ, tc.macro, err, tc.wantErr)
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("FilterFromFlags(%q, %q, %q) = %+v, want %+v", tc.unit, tc.typ, tc.macro, got, tc.want)
 		}
 	}
 }

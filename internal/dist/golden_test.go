@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sfi/internal/core"
+	"sfi/internal/engine"
 )
 
 // Golden digests of distributed campaigns, recorded before the coordinator's
@@ -134,6 +135,13 @@ func TestGoldenUniformStop(t *testing.T) {
 	if n != 2 {
 		t.Errorf("journal holds %d header and stop lines, want one of each", n)
 	}
+	// The header's fault-model binding is the one field newer than the
+	// recorded digest: cut out, the two lines are the recorded bytes.
+	model := `,"model":"` + engine.ImageDigest(spec.Runner) + `"`
+	if !bytes.Contains(lines, []byte(model+"}\n")) {
+		t.Errorf("journal header does not end in %s:\n%s", model, lines)
+	}
+	lines = bytes.Replace(lines, []byte(model), nil, 1)
 	if got := digest(lines); got != goldenUniformStopJournal {
 		t.Errorf("digest of journal header + stop line %s, want %s:\n%s", got, goldenUniformStopJournal, lines)
 	}

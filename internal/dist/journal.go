@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"reflect"
+	"strings"
 
 	"sfi/internal/core"
 	"sfi/internal/stats"
@@ -43,6 +45,27 @@ type journalHeader struct {
 	// reason. The zero value (uniform) keeps old journals resumable:
 	// their headers decode to the zero value and still compare equal.
 	Alloc core.AllocConfig `json:"alloc,omitzero"`
+	// Model binds what the fields above leave out of the campaign's results:
+	// the fault model and machine sizing (engine.ImageDigest of the runner
+	// config) and whether shard reports keep per-injection results. A toggle
+	// journal resumed by a sticky campaign would otherwise hand back the
+	// toggle report as its own. Journals written before the field existed
+	// carry none and resume as they always did, bound by the fields above.
+	Model string `json:"model,omitempty"`
+}
+
+// differs names the header fields, by their journal names, on which a
+// journal's header and the restarted campaign's disagree.
+func (h journalHeader) differs(want journalHeader) []string {
+	var names []string
+	got, exp := reflect.ValueOf(h), reflect.ValueOf(want)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Interface() != exp.Field(i).Interface() {
+			name, _, _ := strings.Cut(got.Type().Field(i).Tag.Get("json"), ",")
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // allocRecord is one allocation-epoch decision: the budget the Neyman
@@ -106,9 +129,13 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 		if err := json.Unmarshal(lines[0], &got); err != nil {
 			return nil, nil, fmt.Errorf("dist: journal %s: bad header: %w", path, err)
 		}
-		if got != hdr {
-			return nil, nil, fmt.Errorf("dist: journal %s belongs to a different campaign plan (%+v, want %+v)",
-				path, got, hdr)
+		want := hdr
+		if got.Model == "" {
+			want.Model = ""
+		}
+		if diff := got.differs(want); len(diff) > 0 {
+			return nil, nil, fmt.Errorf("dist: journal %s belongs to a different campaign: its header differs in %s",
+				path, strings.Join(diff, ", "))
 		}
 		// A line is whole only once its newline is on disk: a crash
 		// mid-append leaves a prefix, which may even parse.

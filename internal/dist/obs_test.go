@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -60,7 +62,7 @@ func TestLoopbackSnapshotEquivalence(t *testing.T) {
 		t.Fatal("merged distributed report has no metrics snapshot")
 	}
 
-	ccfg, err := spec.CampaignConfig(ShardLease{Lo: 0, Hi: spec.Flips})
+	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func shardTraceEvents(t *testing.T, data []byte) map[string][]obs.ShardEvent {
 // grant, the expiry, the requeue with its attempt count, and the
 // surviving worker's completion with a latency.
 func TestDeadWorkerRequeueTraced(t *testing.T) {
-	var traceBuf syncBuffer
+	var traceBuf, logBuf syncBuffer
 	sink := obs.NewTraceSink(&traceBuf, obs.TraceOptions{})
 
 	spec := testSpec()
@@ -159,6 +161,7 @@ func TestDeadWorkerRequeueTraced(t *testing.T) {
 		ShardSize:  12,
 		LeaseTTL:   300 * time.Millisecond,
 		ShardTrace: sink,
+		Log:        obs.NewLogger(&logBuf, slog.LevelDebug, true),
 	})
 
 	var zl leaseResponse
@@ -214,6 +217,37 @@ func TestDeadWorkerRequeueTraced(t *testing.T) {
 		if ev.LatencyMs < 0 {
 			t.Errorf("shard %d completion latency %dms < 0", ev.Shard, ev.LatencyMs)
 		}
+	}
+	// Each transition is said once, to the trace and to the log from the same
+	// value: the log holds the trace's events, field for field, each at the
+	// level its kind carries.
+	levels := map[string]string{"lease": "DEBUG", "completed": "INFO", "requeued": "INFO", "expired": "WARN"}
+	say := func(level, kind string, ev obs.ShardEvent) string {
+		return fmt.Sprintf("%s %s shard=%d [%d,%d) worker=%q attempt=%d gap=%d latency=%d detail=%q",
+			level, kind, ev.Shard, ev.Lo, ev.Hi, ev.Worker, ev.Attempt, ev.GapMs, ev.LatencyMs, ev.Detail)
+	}
+	var traced, logged []string
+	for kind, evs := range events {
+		for _, ev := range evs {
+			traced = append(traced, say(levels[kind], kind, ev))
+		}
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(logBuf.bytes()), []byte("\n")) {
+		var rec struct {
+			Level, Msg string
+			obs.ShardEvent
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line %s: %v", line, err)
+		}
+		if kind, ok := strings.CutPrefix(rec.Msg, "shard "); ok {
+			logged = append(logged, say(rec.Level, kind, rec.ShardEvent))
+		}
+	}
+	slices.Sort(traced)
+	slices.Sort(logged)
+	if !slices.Equal(traced, logged) {
+		t.Errorf("shard trace and log disagree:\ntrace %q\nlog   %q", traced, logged)
 	}
 	// The requeue discarded the zombie's (empty) live contribution: the
 	// converged fleet view counts every injection exactly once.

@@ -52,82 +52,6 @@ func (f FilterSpec) Filter() (latch.Filter, error) {
 	}
 }
 
-// FilterFromFlags builds the spec for the commands' -unit/-type/-macro
-// flags: at most one of the three may be set, and a latch type must name a
-// known type.
-func FilterFromFlags(unit, typ, macro string) (FilterSpec, error) {
-	var f FilterSpec
-	set := 0
-	for _, c := range []FilterSpec{{"unit", unit}, {"type", typ}, {"prefix", macro}} {
-		if c.Arg != "" {
-			f = c
-			set++
-		}
-	}
-	if set > 1 {
-		return f, fmt.Errorf("use at most one of -unit, -type, -macro")
-	}
-	_, err := f.Filter()
-	return f, err
-}
-
-// CampaignSpec is the serializable description of a campaign — everything
-// a worker needs to reproduce its slice of the deterministic sample. It is
-// the wire twin of core.CampaignConfig minus the process-local parts
-// (filter closure, observability callbacks, shard range).
-type CampaignSpec struct {
-	Runner      core.RunnerConfig `json:"runner"`
-	Seed        uint64            `json:"seed"`
-	Flips       int               `json:"flips"`
-	Filter      FilterSpec        `json:"filter"`
-	KeepResults bool              `json:"keep_results,omitempty"`
-
-	// ShardWorkers is the number of concurrent model copies a worker
-	// process fans each shard out over (0 = GOMAXPROCS). A worker's own
-	// configuration may override it.
-	ShardWorkers int `json:"shard_workers,omitempty"`
-
-	// Stop is the campaign's adaptive stopping rule. Workers always run
-	// their shards to the end of the leased range — only the coordinator
-	// evaluates convergence, over sealed completed-shard counts, and it
-	// cancels outstanding leases by answering heartbeats with 410 once the
-	// rule fires. Keeping the decision off the workers makes it a pure
-	// function of which shards completed, so a journal replay reaches the
-	// same verdict.
-	Stop core.StopConfig `json:"stop,omitempty"`
-
-	// Alloc selects the campaign's budget allocation across sampling
-	// strata. Under AllocNeyman the coordinator plans shards per
-	// allocation epoch — each shard a slice of one stratum's sequence,
-	// carried on the lease — and re-allocates at epoch boundaries over
-	// sealed counts. Workers stay allocation-agnostic: a stratum shard is
-	// an ordinary campaign over a different deterministic bit slice. The
-	// zero value (uniform) keeps the wire format byte-identical.
-	Alloc core.AllocConfig `json:"alloc,omitzero"`
-}
-
-// CampaignConfig materializes the spec into a runnable configuration for
-// one leased shard. A lease with a Stratum scopes the shard range to that
-// stratum's deterministic sequence (stratified campaigns); otherwise the
-// range indexes the pooled uniform sample as always.
-func (s CampaignSpec) CampaignConfig(lease ShardLease) (core.CampaignConfig, error) {
-	f, err := s.Filter.Filter()
-	if err != nil {
-		return core.CampaignConfig{}, err
-	}
-	shard := core.ShardRange{Lo: lease.Lo, Hi: lease.Hi}
-	return core.CampaignConfig{
-		Runner:      s.Runner,
-		Seed:        s.Seed,
-		Flips:       s.Flips,
-		Filter:      f,
-		KeepResults: s.KeepResults,
-		Workers:     s.ShardWorkers,
-		Shard:       &shard,
-		Stratum:     lease.Stratum,
-	}, nil
-}
-
 // WireReport is the lossless wire encoding of a core.Report. (The Report
 // type's own MarshalJSON is a human-facing export that drops vanished
 // results and cannot be unmarshalled; shard transport and the journal need

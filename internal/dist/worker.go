@@ -279,7 +279,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 		w.fail(sh.ID, err)
 		return err
 	}
-	ccfg, err := lease.Campaign.CampaignConfig(sh)
+	ccfg, err := lease.Campaign.CampaignConfig(&sh)
 	if err != nil {
 		w.fail(sh.ID, err)
 		return err

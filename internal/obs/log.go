@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"reflect"
 	"strings"
 )
 
@@ -43,4 +44,24 @@ func ParseLogLevel(s string) (slog.Level, error) {
 // default for library components, so call sites never nil-check.
 func NopLogger() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
+}
+
+// EventAttrs renders a JSONL trace event (ShardEvent, AllocationEvent,
+// ConvergenceEvent) as log attributes: its fields under their JSONL names,
+// minus the ones its encoding omits and minus the discriminator and the
+// timestamp, which a log record states as its message and time. A component
+// that says a transition to its trace and to its log derives the second from
+// the first, so the two cannot disagree.
+func EventAttrs(ev any) []slog.Attr {
+	v := reflect.Indirect(reflect.ValueOf(ev))
+	attrs := make([]slog.Attr, 0, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		f, sf := v.Field(i), v.Type().Field(i)
+		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if sf.Name == "Kind" || sf.Name == "TS" || (opts == "omitempty" && f.IsZero()) {
+			continue
+		}
+		attrs = append(attrs, slog.Any(name, f.Interface()))
+	}
+	return attrs
 }

@@ -222,9 +222,8 @@ type settledTrace struct {
 	latency *obs.Attribution
 }
 
-// summarize reduces a tracer to its settledTrace row.
-func summarize(tr *obs.Tracer) settledTrace {
-	doc := tr.Doc()
+// summarize reduces a trace document to its settledTrace row.
+func summarize(doc *obs.TraceDoc) settledTrace {
 	st := settledTrace{traceID: doc.TraceID, spans: doc.Spans}
 	if doc.Spans > 0 {
 		latency := doc.Attribution // a copy: a pointer into the doc would pin the whole tree
@@ -258,7 +257,7 @@ func (s *Server) mirrorTrace(id string, tr *obs.Tracer) (*obs.TraceSink, func(),
 // row and folding its per-layer histograms into the server-wide aggregate.
 // Every span must already be in the campaign's events JSONL.
 func (s *Server) retireTrace(id string, ct *campaignTrace) {
-	sum := summarize(ct.tracer)
+	sum := summarize(ct.tracer.Doc())
 	hists := ct.tracer.LayerSnapshots()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -392,16 +391,11 @@ func (s *Server) poke() {
 	}
 }
 
-// specDigest computes the spec's content address with the backend name
-// and effective shard size resolved, so trivially-equal submissions
-// ("" vs "p6lite", explicit vs default shard size) share one report.
+// specDigest is the spec's content address at its effective shard size, so
+// trivially-equal submissions (explicit vs default shard size, and "" vs
+// "p6lite", which CampaignSpec.Digest resolves) share one report.
 func (s *Server) specDigest(spec Spec) string {
-	c := spec.Campaign
-	c.Runner.Backend = engine.Resolve(c.Runner.Backend)
-	return store.Digest(struct {
-		Campaign  dist.CampaignSpec `json:"campaign"`
-		ShardSize int               `json:"shard_size"`
-	}{c, s.shardSize(spec)})
+	return spec.Campaign.Digest(s.shardSize(spec))
 }
 
 // pollEvery is the embedded worker's lease poll period. Its polls are
@@ -437,18 +431,8 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
 	}
-	if spec.Campaign.Flips < 1 {
-		return Campaign{}, fmt.Errorf("server: campaign needs at least one flip")
-	}
-	if _, err := spec.Campaign.Filter.Filter(); err != nil {
+	if err := spec.Campaign.Validate(); err != nil {
 		return Campaign{}, err
-	}
-	backend := engine.Resolve(spec.Campaign.Runner.Backend)
-	if !slices.Contains(engine.Backends(), backend) {
-		return Campaign{}, fmt.Errorf("server: unknown backend %q (registered: %v)", backend, engine.Backends())
-	}
-	if err := spec.Campaign.Runner.Validate(); err != nil {
-		return Campaign{}, fmt.Errorf("server: campaign.runner: %w", err)
 	}
 
 	c := &Campaign{
@@ -644,17 +628,32 @@ type TraceSummary struct {
 }
 
 // traceSummary returns a campaign's trace identity and latency
-// attribution: the retained row once settled, computed from the live
-// tracer before. ok=false when the campaign has no trace in this process.
+// attribution: computed from the live tracer until the campaign settles,
+// the retained row after. A campaign that settled under a previous process
+// has no row yet: its first query reads the spans back from its events
+// JSONL and keeps their summary. ok=false when no span of it exists.
 func (s *Server) traceSummary(id string) (settledTrace, bool) {
 	s.mu.Lock()
 	ct := s.tracers[id]
 	sum, ok := s.settled[id]
+	c := s.campaigns[id]
+	over := c != nil && c.State != StateQueued && c.State != StateRunning
 	s.mu.Unlock()
 	if ct != nil {
-		return summarize(ct.tracer), true
+		return summarize(ct.tracer.Doc()), true
 	}
-	return sum, ok
+	if ok || !over {
+		return sum, ok
+	}
+	doc, ok := s.Trace(id)
+	if !ok {
+		return sum, false
+	}
+	sum = summarize(doc)
+	s.mu.Lock()
+	s.settled[id] = sum
+	s.mu.Unlock()
+	return sum, true
 }
 
 // Traces lists every traced campaign, newest submission first.

@@ -267,6 +267,29 @@ func TestDefaultShardSize(t *testing.T) {
 	if a, b := def.specDigest(tinySpec("t", 1, 64, 0)), def.specDigest(tinySpec("t", 1, 64, 16)); a != b {
 		t.Errorf("default and explicit shard size 16 digest differently: %s, %s", a, b)
 	}
+
+	// Dedup must survive an upgrade: a stored report is found under the
+	// digest the server computed when it ran the campaign. Recorded at the
+	// commit before the digest moved to dist.CampaignSpec.Digest.
+	uniform := Spec{Campaign: dist.CampaignSpec{Runner: core.DefaultRunnerConfig(), Seed: 7, Flips: 640}}
+	neyman := Spec{Tenant: "t", ShardSize: 50, Campaign: dist.CampaignSpec{
+		Runner: core.DefaultRunnerConfig(), Seed: 9, Flips: 2000,
+		Filter: dist.FilterSpec{Kind: "unit", Arg: "FXU"},
+		Stop:   core.StopConfig{TargetMargin: 0.02, Confidence: 0.95, StopOnConverge: true},
+		Alloc:  core.AllocConfig{Mode: core.AllocNeyman, Epochs: 8},
+	}}
+	neyman.Campaign.Runner.Backend = "p6lite"
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{uniform, "5ceff9d01760bdc4ac363260a5f1da418eb30a7b67dbaa059433b3682224578b"},
+		{neyman, "ee853925af17210e475f1c9ed5f11c6d727d5a8b3a11c7b985f883f8564d112b"},
+	} {
+		if got := def.specDigest(tc.spec); got != tc.want {
+			t.Errorf("specDigest(%+v) = %s, want the recorded %s", tc.spec, got, tc.want)
+		}
+	}
 }
 
 // TestImageCacheShared runs two campaigns that differ only in seed: they

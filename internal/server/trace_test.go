@@ -306,11 +306,33 @@ func TestSettledTraceServedFromEvents(t *testing.T) {
 		t.Errorf("traces = %+v, want the dedup hit then the run", rows)
 	}
 
+	rows := s.Traces()
 	s.Close()
 	s2 := newTestServer(t, dir, nil)
 	doc2, ok := s2.Trace(ran.ID)
 	if !ok || doc2.TraceID != doc.TraceID || doc2.Spans != doc.Spans {
 		t.Errorf("trace after restart = %+v, want the same %d spans", doc2, doc.Spans)
+	}
+	// The summaries come back with the spans: the list and the status of a
+	// campaign settled under the previous process read as they did there,
+	// from one pass over its events kept as the campaign's row.
+	if rows2 := s2.Traces(); !reflect.DeepEqual(rows2, rows) {
+		t.Errorf("traces after restart = %+v, want %+v", rows2, rows)
+	}
+	s2.mu.Lock()
+	_, kept := s2.settled[ran.ID]
+	s2.mu.Unlock()
+	if !kept {
+		t.Error("the recovered summary row was not kept")
+	}
+	rec := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/campaigns/"+ran.ID+"/status", nil))
+	var st CampaignStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.TraceID != doc.TraceID || st.Latency == nil || *st.Latency != doc.Attribution {
+		t.Errorf("status after restart: trace %q latency %+v, want %q %+v", st.TraceID, st.Latency, doc.TraceID, doc.Attribution)
 	}
 }
 
