@@ -50,13 +50,18 @@ race:
 # scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
 # coordinator and requires a restart over its journal to reach the same
 # ledger (its inputs are kilobytes, so minimizing each interesting one is
-# capped at 20 runs — the default minute apiece would be the whole budget).
+# capped at 20 runs — the default minute apiece would be the whole budget);
+# FuzzCompiledNetlist decodes arbitrary bytes into a small netlist and a
+# script of stimulus, per-lane flips and forces, and holds awan's compiled
+# program (64-lane and through the scalar facade), its Snapshot/Restore and
+# its Clone to the netlist interpreter kept in oracle_test.go.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzEarlyExit -fuzztime $(FUZZTIME) ./internal/engine/p6lite
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorRequests -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzCompiledNetlist -fuzztime $(FUZZTIME) ./internal/awan
 
 # bench runs every go benchmark once as a smoke, then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in

@@ -8,10 +8,13 @@
 // targeted SFI studies on gate-accurate logic.
 package awan
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind is a netlist node type.
-type Kind int
+type Kind uint8
 
 // Node kinds.
 const (
@@ -54,6 +57,20 @@ type node struct {
 	d       int // latch next-state input (latches only)
 	name    string
 	val     bool // constants: the value
+}
+
+// arity is the number of operands a gate kind reads (a, then b, then s);
+// 0 for the sources, which the program never evaluates.
+func (k Kind) arity() int {
+	switch k {
+	case KindNot:
+		return 1
+	case KindAnd, KindOr, KindXor:
+		return 2
+	case KindMux:
+		return 3
+	}
+	return 0
 }
 
 // Netlist is a design under construction.
@@ -131,9 +148,8 @@ func (n *Netlist) Latches() []int {
 // Gates returns the number of combinational gates.
 func (n *Netlist) Gates() int {
 	g := 0
-	for _, nd := range n.nodes {
-		switch nd.kind {
-		case KindAnd, KindOr, KindXor, KindNot, KindMux:
+	for i := range n.nodes {
+		if n.nodes[i].kind.arity() > 0 {
 			g++
 		}
 	}
@@ -156,15 +172,42 @@ func broadcast(v bool) uint64 {
 	return 0
 }
 
-// Engine is a compiled netlist ready for cycle simulation: the levelized
-// boolean program plus the value plane. The scalar facade (SetInput, Value,
-// FlipLatch, SetLatch) broadcasts across all lanes, so single-fault users
-// never see the lanes; the *Lanes methods address individual lanes for
-// bit-parallel batched injection.
+// program is the compiled boolean program, one instruction per gate in
+// dependency order, as a struct of arrays: instruction i is
+//
+//	vals[dst[i]] = op[i](vals[a[i]], vals[b[i]], vals[s[i]])
+//
+// with operands that are value-plane indices (node ids); b is unread by
+// KindNot and s by everything but KindMux. Five flat arrays rather than one
+// array of 20-byte structs: a run through reads 17 bytes a gate, and the
+// struct form measured 6-18% slower (EXPERIMENTS.md "Bit-parallel awan lanes").
+type program struct {
+	op           []Kind
+	dst, a, b, s []int32
+}
+
+func (p *program) emit(op Kind, dst, a, b, s int) {
+	p.op = append(p.op, op)
+	p.dst = append(p.dst, int32(dst))
+	p.a = append(p.a, int32(a))
+	p.b = append(p.b, int32(b))
+	p.s = append(p.s, int32(s))
+}
+
+// Engine is a compiled netlist ready for cycle simulation: the boolean
+// program as one flat instruction stream, the latch clocking lists, and the
+// value plane. It keeps nothing of the Netlist it was compiled from beyond
+// a kind byte per node, so the build-time graph (nodes, names) is garbage
+// once Compile returns. The scalar facade (SetInput, Value, FlipLatch,
+// SetLatch) broadcasts across all lanes, so single-fault users never see
+// the lanes; the *Lanes methods address individual lanes for bit-parallel
+// batched injection.
 type Engine struct {
-	nl      *Netlist
-	program []int // combinational node ids in dependency order
-	latches []int
+	prog  program // one run through is one machine cycle's combinational logic
+	kinds []Kind  // per node, for the facade's argument checks
+	state []int32 // the nodes a Snapshot holds: latches in creation order, then inputs
+	next  []int32 // next[i] is the node latch state[i] clocks from
+
 	vals    []uint64 // one word per node: bit k = lane k's value
 	scratch []uint64 // latch next-state buffer, reused across Steps
 }
@@ -173,66 +216,74 @@ type Engine struct {
 // error if any latch lacks a next-state input or the combinational logic
 // has a cycle.
 func Compile(nl *Netlist) (*Engine, error) {
-	for id, nd := range nl.nodes {
-		if nd.kind == KindLatch && nd.d < 0 {
-			return nil, fmt.Errorf("awan: latch %q (node %d) has no next-state input", nd.name, id)
-		}
-	}
-	// Topological sort over combinational dependencies (latches, inputs
-	// and constants are sources).
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make([]int, len(nl.nodes))
-	var program []int
-	var visit func(id int) error
-	visit = func(id int) error {
-		nd := nl.nodes[id]
-		switch nd.kind {
-		case KindInput, KindConst, KindLatch:
-			return nil
-		}
-		switch state[id] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("awan: combinational cycle through node %d (%v)", id, nd.kind)
-		}
-		state[id] = visiting
-		deps := []int{nd.a}
-		switch nd.kind {
-		case KindAnd, KindOr, KindXor:
-			deps = append(deps, nd.b)
-		case KindMux:
-			deps = append(deps, nd.b, nd.s)
-		}
-		for _, d := range deps {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[id] = done
-		program = append(program, id)
-		return nil
-	}
-	for id := range nl.nodes {
-		if err := visit(id); err != nil {
-			return nil, err
-		}
+	if len(nl.nodes) > math.MaxInt32 {
+		return nil, fmt.Errorf("awan: %d nodes exceed the program's 32-bit operand range", len(nl.nodes))
 	}
 	e := &Engine{
-		nl:      nl,
-		program: program,
-		latches: nl.Latches(),
-		vals:    make([]uint64, len(nl.nodes)),
+		kinds: make([]Kind, len(nl.nodes)),
+		vals:  make([]uint64, len(nl.nodes)),
 	}
-	e.scratch = make([]uint64, len(e.latches))
-	// Constants are sources: pin their values once.
+	var inputs []int32
 	for id, nd := range nl.nodes {
-		if nd.kind == KindConst {
+		e.kinds[id] = nd.kind
+		switch nd.kind {
+		case KindLatch:
+			if nd.d < 0 {
+				return nil, fmt.Errorf("awan: latch %q (node %d) has no next-state input", nd.name, id)
+			}
+			e.state = append(e.state, int32(id))
+			e.next = append(e.next, int32(nd.d))
+		case KindInput:
+			inputs = append(inputs, int32(id))
+		case KindConst:
+			// Constants are sources: pinned once, never re-evaluated.
 			e.vals[id] = broadcast(nd.val)
+		}
+	}
+	e.state = append(e.state, inputs...)
+	e.scratch = make([]uint64, len(e.next))
+
+	// Topological sort over combinational dependencies (latches, inputs
+	// and constants are sources): a depth-first walk on an explicit stack,
+	// emitting a gate once all of its operands have been. mark[id] is 0 for
+	// an unvisited gate, 1+k while it is on the stack with k operands
+	// already descended into, and done after it is emitted.
+	const done = 0xff
+	mark := make([]uint8, len(nl.nodes))
+	gates := nl.Gates()
+	e.prog = program{
+		op:  make([]Kind, 0, gates),
+		dst: make([]int32, 0, gates),
+		a:   make([]int32, 0, gates),
+		b:   make([]int32, 0, gates),
+		s:   make([]int32, 0, gates),
+	}
+	var stack []int32
+	for root := range nl.nodes {
+		if nl.nodes[root].kind.arity() == 0 || mark[root] == done {
+			continue
+		}
+		mark[root] = 1
+		stack = append(stack[:0], int32(root))
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			nd := &nl.nodes[id]
+			if k := int(mark[id]) - 1; k < nd.kind.arity() {
+				mark[id]++
+				dep := [3]int{nd.a, nd.b, nd.s}[k]
+				switch {
+				case nl.nodes[dep].kind.arity() == 0 || mark[dep] == done:
+				case mark[dep] != 0:
+					return nil, fmt.Errorf("awan: combinational cycle through node %d (%v)", dep, nl.nodes[dep].kind)
+				default:
+					mark[dep] = 1
+					stack = append(stack, int32(dep))
+				}
+				continue
+			}
+			mark[id] = done
+			stack = stack[:len(stack)-1]
+			e.prog.emit(nd.kind, int(id), nd.a, nd.b, nd.s)
 		}
 	}
 	return e, nil
@@ -250,7 +301,7 @@ func MustCompile(nl *Netlist) *Engine {
 // SetInput drives a primary input across all lanes (stimulus is common to
 // the golden lane and every fault lane).
 func (e *Engine) SetInput(id int, v bool) {
-	if e.nl.nodes[id].kind != KindInput {
+	if e.kinds[id] != KindInput {
 		panic(fmt.Sprintf("awan: node %d is not an input", id))
 	}
 	e.vals[id] = broadcast(v)
@@ -270,7 +321,7 @@ func (e *Engine) LaneValue(id, lane int) bool { return e.vals[id]>>uint(lane)&1 
 // FlipLatch injects a fault: it inverts latch id's current state in every
 // lane (the scalar path, where all lanes carry the same simulation).
 func (e *Engine) FlipLatch(id int) {
-	if e.nl.nodes[id].kind != KindLatch {
+	if e.kinds[id] != KindLatch {
 		panic(fmt.Sprintf("awan: node %d is not a latch", id))
 	}
 	e.vals[id] = ^e.vals[id]
@@ -280,7 +331,7 @@ func (e *Engine) FlipLatch(id int) {
 // the batched-injection port: each fault lane gets its own flip while lane 0
 // keeps the golden state.
 func (e *Engine) FlipLatchLanes(id int, mask uint64) {
-	if e.nl.nodes[id].kind != KindLatch {
+	if e.kinds[id] != KindLatch {
 		panic(fmt.Sprintf("awan: node %d is not a latch", id))
 	}
 	e.vals[id] ^= mask
@@ -288,7 +339,7 @@ func (e *Engine) FlipLatchLanes(id int, mask uint64) {
 
 // SetLatch forces latch id's state in every lane.
 func (e *Engine) SetLatch(id int, v bool) {
-	if e.nl.nodes[id].kind != KindLatch {
+	if e.kinds[id] != KindLatch {
 		panic(fmt.Sprintf("awan: node %d is not a latch", id))
 	}
 	e.vals[id] = broadcast(v)
@@ -297,7 +348,7 @@ func (e *Engine) SetLatch(id int, v bool) {
 // SetLatchLanes forces latch id's state to v in exactly the lanes set in
 // mask, leaving the other lanes untouched (per-lane sticky fault forcing).
 func (e *Engine) SetLatchLanes(id int, v bool, mask uint64) {
-	if e.nl.nodes[id].kind != KindLatch {
+	if e.kinds[id] != KindLatch {
 		panic(fmt.Sprintf("awan: node %d is not a latch", id))
 	}
 	if v {
@@ -311,23 +362,23 @@ func (e *Engine) SetLatchLanes(id int, v bool, mask uint64) {
 // boolean function is a single bitwise word operation, advancing all 64
 // lanes in one pass.
 func (e *Engine) Eval() {
-	vals := e.vals
-	for _, id := range e.program {
-		nd := &e.nl.nodes[id]
-		switch nd.kind {
+	vals, op := e.vals, e.prog.op
+	// Equal lengths, said so the compiler can see it: the instruction index
+	// needs no bounds check in any of the five arrays.
+	dst, a, b, s := e.prog.dst[:len(op)], e.prog.a[:len(op)], e.prog.b[:len(op)], e.prog.s[:len(op)]
+	for i, o := range op {
+		switch o {
 		case KindAnd:
-			vals[id] = vals[nd.a] & vals[nd.b]
+			vals[dst[i]] = vals[a[i]] & vals[b[i]]
 		case KindOr:
-			vals[id] = vals[nd.a] | vals[nd.b]
+			vals[dst[i]] = vals[a[i]] | vals[b[i]]
 		case KindXor:
-			vals[id] = vals[nd.a] ^ vals[nd.b]
+			vals[dst[i]] = vals[a[i]] ^ vals[b[i]]
 		case KindNot:
-			vals[id] = ^vals[nd.a]
+			vals[dst[i]] = ^vals[a[i]]
 		case KindMux:
-			s := vals[nd.s]
-			vals[id] = s&vals[nd.b] | ^s&vals[nd.a]
-		case KindConst:
-			vals[id] = broadcast(nd.val)
+			sel := vals[s[i]]
+			vals[dst[i]] = sel&vals[b[i]] | ^sel&vals[a[i]]
 		}
 	}
 }
@@ -336,47 +387,53 @@ func (e *Engine) Eval() {
 // clock every latch from its next-state input.
 func (e *Engine) Step() {
 	e.Eval()
-	next := e.scratch
-	for i, id := range e.latches {
-		next[i] = e.vals[e.nl.nodes[id].d]
+	vals, next := e.vals, e.scratch
+	for i, d := range e.next {
+		next[i] = vals[d]
 	}
-	for i, id := range e.latches {
-		e.vals[id] = next[i]
+	for i, v := range next {
+		vals[e.state[i]] = v
 	}
 }
 
 // ProgramLength returns the number of boolean-function instructions per
 // cycle.
-func (e *Engine) ProgramLength() int { return len(e.program) }
+func (e *Engine) ProgramLength() int { return len(e.prog.op) }
 
-// Snapshot copies the full value plane (latches, inputs and combinational
-// values, all lanes) — a gate-level model checkpoint. The returned slice is
+// Snapshot copies the state nodes — every latch and input, all lanes — a
+// gate-level model checkpoint. Combinational values are a function of those
+// and constants never change, so neither is carried. The returned slice is
 // owned by the caller and stays valid across further simulation.
 func (e *Engine) Snapshot() []uint64 {
-	snap := make([]uint64, len(e.vals))
-	copy(snap, e.vals)
+	snap := make([]uint64, len(e.state))
+	for i, id := range e.state {
+		snap[i] = e.vals[id]
+	}
 	return snap
 }
 
-// Restore overwrites the value plane from a Snapshot. The snapshot is read
-// only, so one immutable snapshot can restore many engine clones.
+// Restore loads the state nodes from a Snapshot and re-evaluates the
+// combinational logic from them, so the whole value plane is a function of
+// the snapshot alone and nothing of the run it replaces survives. The
+// snapshot is read only, so one immutable snapshot can restore many engine
+// clones.
 func (e *Engine) Restore(snap []uint64) {
-	if len(snap) != len(e.vals) {
-		panic(fmt.Sprintf("awan: restore snapshot of %d values into %d-node engine",
-			len(snap), len(e.vals)))
+	if len(snap) != len(e.state) {
+		panic(fmt.Sprintf("awan: restore snapshot of %d values into engine with %d state nodes",
+			len(snap), len(e.state)))
 	}
-	copy(e.vals, snap)
+	for i, id := range e.state {
+		e.vals[id] = snap[i]
+	}
+	e.Eval()
 }
 
 // Clone returns an independent engine over the same compiled design: the
-// immutable netlist, program and latch list are shared, the value plane is
-// copied. Clone and original can then be stepped concurrently.
+// immutable program, kind bytes and state lists are shared, the value plane
+// is copied. Clone and original can then be stepped concurrently.
 func (e *Engine) Clone() *Engine {
-	return &Engine{
-		nl:      e.nl,
-		program: e.program,
-		latches: e.latches,
-		vals:    e.Snapshot(),
-		scratch: make([]uint64, len(e.latches)),
-	}
+	c := *e
+	c.vals = append([]uint64(nil), e.vals...)
+	c.scratch = make([]uint64, len(e.scratch))
+	return &c
 }

@@ -230,3 +230,76 @@ func TestBatchSizeConfig(t *testing.T) {
 		t.Errorf("p6lite BatchSize=%d, want 0", got)
 	}
 }
+
+// TestAwanLockstepLedger pins what a gate-level campaign clocks against what
+// its faults needed, for the campaign the awan_lanes workload runs first
+// (seed 1001, 840 flips, Width 64 x Lanes 16, 63 fault lanes a pass). All
+// three counts are derived here, from the per-lane BatchResults and the
+// pass's cycle count; the product keeps no counter for any of them.
+//
+//   - lockstep: machine cycles clocked, every pass walking the whole design
+//     from its checkpoint until its last lane retires. This is the
+//     campaign's cost (at one Eval each), and ROADMAP 3(c) — stepping only
+//     the ALU cones that hold an armed lane, replaying a golden latch record
+//     elsewhere — is the PR that may lower it. Compiling the program did
+//     not: it made each of these cycles cheaper.
+//   - armed: of those, cycles in which any lane was between its flip and its
+//     verdict. The rest is the lockstep walk to each lane's flip cycle.
+//   - needed: ALU-cycles in which an ALU held an armed lane's fault, out of
+//     lockstep x 16 ALU-cycles evaluated. A fault perturbs one ALU of 16.
+func TestAwanLockstepLedger(t *testing.T) {
+	const alus, width = 16, 64
+	rc := DefaultRunnerConfig()
+	rc.Backend = "awan"
+	rc.Awan = engine.AwanConfig{Width: width, Lanes: alus}
+	r, err := NewRunner(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb := r.Backend().(engine.BatchBackend)
+	bits := SampleCampaignBits(r.DB(), 1001, 840, nil)
+
+	var lockstep, armed, needed, injCycles, stepped uint64
+	for _, batch := range planBatches(bits, r.Backend().Phases(), r.BatchSize()) {
+		phase := -1
+		injs := make([]engine.BatchInjection, len(batch))
+		for i, pos := range batch {
+			var delay int
+			phase, delay = injectionSchedule(bits[pos], r.Backend().Phases())
+			injs[i] = engine.BatchInjection{Inj: engine.Injection{Bit: bits[pos], Mode: engine.Toggle}, Delay: delay}
+		}
+		res, err := bb.RunBatch(phase, injs, rc.Window, rc.QuiesceExit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lockstep += uint64(r.Backend().(engine.BatchStatsReporter).LastBatchStats().Cycles)
+
+		// anyLane[c] / inALU[a][c]: some lane was armed at absolute cycle c
+		// (with its fault in ALU a).
+		anyLane := map[uint64]bool{}
+		var inALU [alus]map[uint64]bool
+		for i, br := range res {
+			alu := injs[i].Inj.Bit / (3*width + 2)
+			if inALU[alu] == nil {
+				inALU[alu] = map[uint64]bool{}
+			}
+			for c := br.InjectCycle; c < br.InjectCycle+br.Stats.Cycles; c++ {
+				anyLane[c] = true
+				inALU[alu][c] = true
+			}
+			injCycles += br.Stats.Cycles
+			stepped += br.Stats.Stepped
+		}
+		armed += uint64(len(anyLane))
+		for _, m := range inALU {
+			needed += uint64(len(m))
+		}
+	}
+	if stepped != injCycles {
+		t.Errorf("lanes report %d stepped of %d observed cycles; nothing is replayed on this backend", stepped, injCycles)
+	}
+	if lockstep != 3101 || armed != 1269 || needed != 1633 {
+		t.Errorf("lockstep %d armed %d needed %d of %d ALU-cycles, want 3101 / 1269 / 1633 of 49616",
+			lockstep, armed, needed, lockstep*alus)
+	}
+}

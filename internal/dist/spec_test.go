@@ -163,6 +163,7 @@ func TestValidateIsTheOneCheck(t *testing.T) {
 		"unknown filter":     func(s *CampaignSpec) { s.Filter.Kind = "bogus" },
 		"unknown latch type": func(s *CampaignSpec) { s.Filter = FilterSpec{Kind: "type", Arg: "NOSUCH"} },
 		"unknown alloc mode": func(s *CampaignSpec) { s.Alloc.Mode = "bogus" },
+		"a billion ALUs":     func(s *CampaignSpec) { s.Runner.Backend = "awan"; s.Runner.Awan.Lanes = 1_000_000_000 },
 		"stop without margin": func(s *CampaignSpec) {
 			s.Stop.StopOnConverge = true
 		},

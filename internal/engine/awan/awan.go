@@ -30,39 +30,54 @@ func init() {
 	engine.RegisterCensus(Name, census)
 }
 
-// census enumerates the latch population without compiling or warming the
-// netlist: it builds the checked-ALU macros (structure only) and registers
-// the same buses in the same order New does, so bit indices and stratum
-// populations agree with the full backend.
-func census(cfg engine.Config) (*latch.DB, error) {
-	width, lanes := cfg.Awan.Width, cfg.Awan.Lanes
-	if width == 0 {
-		width = 16
+// design is the structure census and New share: the netlist of checked-ALU
+// macros cfg sizes, and the latch database mirroring its injectable
+// population — one group per register bus, registered in the order bit2node
+// is filled, so logical bit i is netlist node bit2node[i].
+type design struct {
+	width    int
+	nl       *gate.Netlist
+	alus     []*gate.CheckedALU
+	db       *latch.DB
+	bit2node []int
+}
+
+func build(cfg engine.Config) (*design, error) {
+	sz, err := cfg.Awan.Sized()
+	if err != nil {
+		return nil, err
 	}
-	if lanes == 0 {
-		lanes = 32
-	}
-	if width < 1 || width > 64 {
-		return nil, fmt.Errorf("awan: ALU width %d out of range [1,64]", width)
-	}
-	if lanes < 1 {
-		return nil, fmt.Errorf("awan: lane count %d < 1", lanes)
-	}
-	nl := gate.NewNetlist()
-	db := latch.NewDB()
-	for l := 0; l < lanes; l++ {
-		alu := nl.BuildCheckedALU(fmt.Sprintf("alu%d", l), width)
+	d := &design{width: sz.Width, nl: gate.NewNetlist(), db: latch.NewDB()}
+	for l := 0; l < sz.Lanes; l++ {
 		name := fmt.Sprintf("alu%d", l)
-		reg := func(suffix string, kind latch.Type, bus gate.Bus) {
-			db.RegisterArray("ALU", kind, name+suffix, 1, len(bus))
+		alu := d.nl.BuildCheckedALU(name, sz.Width)
+		d.alus = append(d.alus, alu)
+		for _, r := range []struct {
+			suffix string
+			kind   latch.Type
+			bus    gate.Bus
+		}{
+			{".a", latch.RegFile, alu.RegA},
+			{".b", latch.RegFile, alu.RegB},
+			{".res", latch.Func, alu.Result},
+			{".rsd", latch.Func, alu.ResPred},
+		} {
+			d.db.RegisterArray("ALU", r.kind, name+r.suffix, 1, len(r.bus))
+			d.bit2node = append(d.bit2node, r.bus...)
 		}
-		reg(".a", latch.RegFile, alu.RegA)
-		reg(".b", latch.RegFile, alu.RegB)
-		reg(".res", latch.Func, alu.Result)
-		reg(".rsd", latch.Func, alu.ResPred)
 	}
-	db.Freeze()
-	return db, nil
+	d.db.Freeze()
+	return d, nil
+}
+
+// census enumerates the latch population without compiling or warming the
+// netlist.
+func census(cfg engine.Config) (*latch.DB, error) {
+	d, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.db, nil
 }
 
 // stimSeed seeds the deterministic operand stream. Like the AVP, the
@@ -79,10 +94,10 @@ const phases = 8
 // every register with live workload data.
 const warmOps = 4
 
-// gateCkpt is a gate-level model snapshot plus workload tracking. The
-// value plane is the engine's full 64-lane word plane; checkpoints are
-// captured from a clean (fault-free) machine, so every lane of a restored
-// plane starts bit-identical to the golden lane.
+// gateCkpt is a gate-level model snapshot plus workload tracking. vals is
+// the engine's state nodes (latches and inputs, all 64 lanes of each);
+// checkpoints are captured from a clean (fault-free) machine, so every lane
+// of a restored plane starts bit-identical to the golden lane.
 type gateCkpt struct {
 	vals    []uint64
 	op      int
@@ -92,10 +107,8 @@ type gateCkpt struct {
 
 // Backend owns one compiled netlist warmed for repeated injections.
 type Backend struct {
-	cfg   engine.Config
-	width int
-	lanes int
-	mask  uint64
+	cfg  engine.Config
+	mask uint64 // the operand width's low bits
 
 	eng  *gate.Engine
 	alus []*gate.CheckedALU
@@ -134,53 +147,23 @@ type Backend struct {
 
 // New builds, warms and checkpoints a gate-level backend.
 func New(cfg engine.Config) (engine.Backend, error) {
-	width, lanes := cfg.Awan.Width, cfg.Awan.Lanes
-	if width == 0 {
-		width = 16
-	}
-	if lanes == 0 {
-		lanes = 32
-	}
-	if width < 1 || width > 64 {
-		return nil, fmt.Errorf("awan: ALU width %d out of range [1,64]", width)
-	}
-	if lanes < 1 {
-		return nil, fmt.Errorf("awan: lane count %d < 1", lanes)
-	}
-	b := &Backend{
-		cfg:   cfg,
-		width: width,
-		lanes: lanes,
-		mask:  ^uint64(0) >> uint(64-width),
-	}
-	nl := gate.NewNetlist()
-	for l := 0; l < lanes; l++ {
-		b.alus = append(b.alus, nl.BuildCheckedALU(fmt.Sprintf("alu%d", l), width))
-	}
-	eng, err := gate.Compile(nl)
+	d, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	b.eng = eng
-
-	// The latch database mirrors the design's injectable population, one
-	// group per register bus, registered in the same order bit2node is
-	// built so logical bit i maps to bit2node[i].
-	db := latch.NewDB()
-	for l, alu := range b.alus {
-		name := fmt.Sprintf("alu%d", l)
-		reg := func(suffix string, kind latch.Type, bus gate.Bus) {
-			db.RegisterArray("ALU", kind, name+suffix, 1, len(bus))
-			b.bit2node = append(b.bit2node, bus...)
-		}
-		reg(".a", latch.RegFile, alu.RegA)
-		reg(".b", latch.RegFile, alu.RegB)
-		reg(".res", latch.Func, alu.Result)
-		reg(".rsd", latch.Func, alu.ResPred)
+	eng, err := gate.Compile(d.nl)
+	if err != nil {
+		return nil, err
 	}
-	db.Freeze()
-	b.db = db
-	b.golden = make([]uint64, lanes)
+	b := &Backend{
+		cfg:      cfg,
+		mask:     ^uint64(0) >> uint(64-d.width),
+		eng:      eng,
+		alus:     d.alus,
+		db:       d.db,
+		bit2node: d.bit2node,
+		golden:   make([]uint64, len(d.alus)),
+	}
 
 	// Warm: fill every register with live workload data, then capture one
 	// checkpoint per operation boundary.
@@ -323,6 +306,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	for i := 0; i < maxCycles; i++ {
 		ev := b.Step()
 		st.Cycles++
+		st.Stepped++ // nothing is replayed on this backend: every observed cycle is clocked
 		if ev.Barrier {
 			st.Barriers++
 			if onBarrier != nil && !onBarrier() {
@@ -386,8 +370,7 @@ func (b *Backend) Cycle() uint64 { return b.cycle }
 func (b *Backend) Clone() engine.Backend {
 	nb := *b
 	nb.eng = b.eng.Clone()
-	nb.golden = make([]uint64, b.lanes)
-	copy(nb.golden, b.golden)
+	nb.golden = append([]uint64(nil), b.golden...)
 	nb.restore(b.ckpts[0])
 	return &nb
 }

@@ -210,3 +210,30 @@ func TestStickyDurationExpires(t *testing.T) {
 		t.Fatal("sticky force still armed after its duration expired")
 	}
 }
+
+// TestCensusIsTheBackendsPopulation: census and New build the design
+// through one helper, so the census names the same groups over the same
+// bits as the warmed backend's database, and both refuse an out-of-bounds
+// size with what Config.Validate says.
+func TestCensusIsTheBackendsPopulation(t *testing.T) {
+	db, err := engine.Census(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := db.Groups(), newBackend(t).DB().Groups(); !reflect.DeepEqual(got, want) {
+		t.Errorf("census groups %+v, backend groups %+v", got, want)
+	}
+
+	cfg := testConfig()
+	cfg.Awan.Lanes = 1_000_000_000
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("Validate accepted a billion ALUs")
+	}
+	if _, err := engine.New(cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("New says %v, Validate %v", err, want)
+	}
+	if _, err := engine.Census(cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("Census says %v, Validate %v", err, want)
+	}
+}

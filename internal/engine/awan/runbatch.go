@@ -87,8 +87,10 @@ func (b *Backend) RunBatch(p int, injs []engine.BatchInjection, window, quiesce 
 	t := 0        // cycles stepped since the reload
 
 	stop := func(k int, sdc, checkstop bool) {
+		cycles := uint64(t - delay[k])
 		st := engine.RunStats{
-			Cycles:    uint64(t - delay[k]),
+			Cycles:    cycles,
+			Stepped:   cycles, // as in the scalar Run: observed is clocked
 			Barriers:  barriers - barrierAt[k],
 			Checkstop: checkstop,
 		}

@@ -64,16 +64,50 @@ type Config struct {
 type AwanConfig struct {
 	// Width is the ALU operand width in bits (default 16, max 64).
 	Width int `json:",omitempty"`
-	// Lanes is the number of checked-ALU instances (default 32).
+	// Lanes is the number of checked-ALU instances (default 32, max
+	// MaxAwanLanes, and at most MaxAwanBits of population).
 	Lanes int `json:",omitempty"`
+}
+
+// Bounds on the gate-level design. Its size arrives off the wire and the
+// backend builds Lanes ALUs of ~30 gates per operand bit before it injects
+// anything, so the size is checked before a netlist node exists.
+const (
+	MaxAwanLanes = 1024
+	MaxAwanBits  = 1 << 16
+)
+
+// Sized returns a with the defaults filled in, or an error naming the field
+// that puts the design out of bounds. It is the one place the defaults and
+// the bounds are spelled: Config.Validate, the awan backend's constructor
+// and its census all call it.
+func (a AwanConfig) Sized() (AwanConfig, error) {
+	if a.Width == 0 {
+		a.Width = 16
+	}
+	if a.Lanes == 0 {
+		a.Lanes = 32
+	}
+	if a.Width < 1 || a.Width > 64 {
+		return a, fmt.Errorf("engine: Awan.Width %d out of range [1,64]", a.Width)
+	}
+	if a.Lanes < 1 || a.Lanes > MaxAwanLanes {
+		return a, fmt.Errorf("engine: Awan.Lanes %d out of range [1,%d]", a.Lanes, MaxAwanLanes)
+	}
+	if bits := a.Lanes * (3*a.Width + 2); bits > MaxAwanBits {
+		return a, fmt.Errorf("engine: Awan.Lanes %d x Width %d is a population of %d latch bits, over %d",
+			a.Lanes, a.Width, bits, MaxAwanBits)
+	}
+	return a, nil
 }
 
 // Validate rejects a config no backend can be built from, naming the field.
 // A config arrives off the wire (dist.CampaignSpec embeds it), where a
 // missing object decodes to zeros, so the server and the coordinator call
 // this before anything is built from one. Proc is checked for the backend
-// that reads it; AVP and Awan are checked by the backends' own constructors,
-// which return errors.
+// that reads it; Awan is a size, so it is bounded whichever backend is
+// named; AVP is checked by the backends' own constructors, which return
+// errors.
 func (c Config) Validate() error {
 	if c.Window < 1 {
 		return fmt.Errorf("engine: Window %d < 1", c.Window)
@@ -90,6 +124,9 @@ func (c Config) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("engine: %s %d < 0", f.name, f.v)
 		}
+	}
+	if _, err := c.Awan.Sized(); err != nil {
+		return err
 	}
 	if Resolve(c.Backend) == DefaultBackend {
 		if err := c.Proc.Validate(); err != nil {

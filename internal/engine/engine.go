@@ -55,7 +55,7 @@ type Event struct {
 // RunStats summarizes a monitored run.
 type RunStats struct {
 	Cycles     uint64 // cycles observed (a backend may replay fault-free ones rather than clock them)
-	Stepped    uint64 // cycles clocked on the run's behalf, when the backend tells them apart (p6lite)
+	Stepped    uint64 // cycles clocked on the run's behalf: Cycles on awan, fewer on p6lite, which replays
 	Barriers   int    // verification barriers retired
 	Halted     bool
 	Checkstop  bool

@@ -108,6 +108,12 @@ func TestConfigValidate(t *testing.T) {
 		{"no hang limit", func(c *Config) { c.Proc.HangLimit = 0 }, "Proc.HangLimit"},
 		{"negative penalty", func(c *Config) { c.Proc.MissPenalty = -1 }, "Proc.MissPenalty"},
 		{"awan ignores Proc", func(c *Config) { c.Backend = "awan"; c.Proc.MemBytes = 0 }, ""},
+		{"awan defaults", func(c *Config) { c.Backend = "awan"; c.Awan = AwanConfig{} }, ""},
+		{"awan largest", func(c *Config) { c.Awan = AwanConfig{Width: 62, Lanes: 348} }, ""},
+		{"a billion ALUs", func(c *Config) { c.Backend = "awan"; c.Awan.Lanes = 1_000_000_000 }, "Awan.Lanes"},
+		{"negative lanes", func(c *Config) { c.Awan.Lanes = -1 }, "Awan.Lanes"},
+		{"wide ALU", func(c *Config) { c.Awan.Width = 65 }, "Awan.Width"},
+		{"population", func(c *Config) { c.Awan = AwanConfig{Width: 64, Lanes: 1024} }, "population"},
 	} {
 		cfg := DefaultConfig()
 		tc.mut(&cfg)

@@ -186,8 +186,8 @@ type Snapshot struct {
 	Injections uint64 `json:"injections"`
 	Restores   uint64 `json:"restores"`
 	Cycles     uint64 `json:"cycles"`
-	// SteppedCycles is the part of Cycles a model was clocked through
-	// (reported by the p6lite backend only; see Metrics.Fold).
+	// SteppedCycles is the part of Cycles a model was clocked through: all
+	// of them on awan, fewer on p6lite (see Metrics.Fold).
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	BusyNs        uint64 `json:"busy_ns"`
 	Batches       uint64 `json:"batches"`

@@ -598,10 +598,21 @@ func TestUnbuildableRunnerCostsOneCampaign(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(msg, "Proc.MemBytes") {
 		t.Fatalf("MemBytes 0 answered %d %q, want 400 naming Proc.MemBytes", code, msg)
 	}
+	huge := tinySpec("a", 1, 8, 8)
+	huge.Campaign.Runner.Backend = "awan"
+	huge.Campaign.Runner.Awan.Lanes = 1_000_000_000
+	body, _ := json.Marshal(huge)
+	code, _, msg = postSpec(t, h, string(body))
+	if want := huge.Campaign.Validate(); code != http.StatusBadRequest || want == nil || !strings.Contains(msg, want.Error()) {
+		t.Fatalf("a billion ALUs answered %d %q, want 400 saying what Validate says (%v)", code, msg, want)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d campaigns recorded after three refused submissions", n)
+	}
 
 	bad := tinySpec("a", 2, 8, 8)
 	bad.Campaign.Runner.Backend = "server-test-panics"
-	body, _ := json.Marshal(bad)
+	body, _ = json.Marshal(bad)
 	code, c, msg := postSpec(t, h, string(body))
 	if code != http.StatusCreated {
 		t.Fatalf("submit answered %d %q, want 201", code, msg)
