@@ -45,8 +45,10 @@ race:
 # dirty-tracked store under latches, memory and arrays, against plain
 # slices; FuzzParseTraceparent feeds arbitrary lease traceparent strings to the
 # parser a worker trusts for its tracer seed and trace id; FuzzEarlyExit
-# runs arbitrary injections through p6lite's Run and through the stepped
-# oracle it must be indistinguishable from; FuzzCoordinatorRequests posts
+# runs arbitrary injections (delay, fault, lazy Steps, a second flip) through
+# p6lite's Step/Inject/Run, which clock no cycle they can prove fault-free, and
+# through the oracle that clocks every one and they must be indistinguishable
+# from; FuzzCoordinatorRequests posts
 # scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
 # coordinator and requires a restart over its journal to reach the same
 # ledger (its inputs are kilobytes, so minimizing each interesting one is

@@ -144,8 +144,10 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // on one fixed 500-flip campaign of the default configuration. The cycles
 // observed are what they were when every one of them was stepped (the
 // value of the commit before the early exit), so reports cannot have
-// moved; the cycles the model was clocked through are at most 55% of them,
-// which is the saving. Both are exact and repeat on any host.
+// moved; the cycles the model was clocked through are at most 30% of them,
+// which is the saving (a flip no model code can read clocks none, and the
+// delay before any flip is no part of the count). Both are exact and repeat
+// on any host.
 func TestEarlyExitCount(t *testing.T) {
 	cfg := DefaultCampaignConfig()
 	cfg.Flips = 500
@@ -161,8 +163,8 @@ func TestEarlyExitCount(t *testing.T) {
 	if m.Cycles != observed {
 		t.Errorf("observed %d cycles, want %d: the observation windows moved", m.Cycles, observed)
 	}
-	if m.SteppedCycles == 0 || m.SteppedCycles*100 > observed*55 {
-		t.Errorf("stepped %d of %d observed cycles (%.1f%%), want (0, 55%%]",
+	if m.SteppedCycles == 0 || m.SteppedCycles*100 > observed*30 {
+		t.Errorf("stepped %d of %d observed cycles (%.1f%%), want (0, 30%%]",
 			m.SteppedCycles, observed, 100*float64(m.SteppedCycles)/observed)
 	}
 	t.Logf("stepped %d of %d observed cycles (%.1f%%)",
@@ -241,8 +243,9 @@ func TestCampaignObservabilityOffByDefault(t *testing.T) {
 
 // TestObservabilityAllocs pins "free when off, cheap when on" by counting
 // allocations, not timing them: over a fixed pass of injections on a warm
-// runner, metrics allocate exactly what the bare path does, and the JSONL
-// trace adds the event and its encoded line. The traced mean sits a
+// runner the bare path allocates nothing at all (the barrier callback is
+// bound once, on the Runner), metrics allocate exactly as much, and the
+// JSONL trace adds the event and its encoded line. The traced mean sits a
 // fraction above two per injection (a FIR name list on the few that raise
 // one; a line re-grown when its length lands on an allocator size class)
 // and must stay under three.
@@ -271,8 +274,8 @@ func TestObservabilityAllocs(t *testing.T) {
 	if m.Snapshot().Injections != 12*n || sink.Recorded() != 6*n {
 		t.Fatalf("measured passes ran unobserved: %d injections counted, %d traced", m.Snapshot().Injections, sink.Recorded())
 	}
-	if metrics != off || traced >= off+3*n {
-		t.Errorf("allocations per injection: %.2f off, %.2f with metrics (want equal), %.2f with metrics+trace (want < off+3)",
+	if off != 0 || metrics != off || traced >= off+3*n {
+		t.Errorf("allocations per injection: %.2f off (want 0), %.2f with metrics (want equal), %.2f with metrics+trace (want < off+3)",
 			off/n, metrics/n, traced/n)
 	}
 }

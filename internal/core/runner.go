@@ -52,6 +52,12 @@ type Runner struct {
 	cfg RunnerConfig
 	be  engine.Backend
 
+	// The scalar path's barrier callback and the state it keeps across one
+	// run: bound once, by newRunner, so that an injection allocates nothing.
+	onBarrier func() bool
+	sdc       bool // architected state diverged at a barrier
+	cleanEnds int  // consecutive barriers with no error activity
+
 	// Observability (each nil = off, the default; set together by Observe):
 	// obs collects metrics, trace records per-injection lifecycle events,
 	// tracer records one causal span per bit-parallel batch pass, parented
@@ -71,7 +77,30 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, be: be}, nil
+	return newRunner(cfg, be), nil
+}
+
+func newRunner(cfg RunnerConfig, be engine.Backend) *Runner {
+	r := &Runner{cfg: cfg, be: be}
+	r.onBarrier = r.quiesce
+	return r
+}
+
+// quiesce is the barrier callback of a monitored run: it stops the run on
+// incorrect architected state, and otherwise after QuiesceExit consecutive
+// clean barriers with no new error activity in between (never, at 0).
+func (r *Runner) quiesce() bool {
+	chk := r.be.CheckBarrier()
+	if !chk.StateOK {
+		r.sdc = true
+		return false
+	}
+	if chk.Busy {
+		r.cleanEnds = 0
+		return true
+	}
+	r.cleanEnds++
+	return r.cfg.QuiesceExit == 0 || r.cleanEnds < r.cfg.QuiesceExit
 }
 
 // Backend exposes the runner's engine backend (for backend-specific
@@ -98,7 +127,7 @@ func (r *Runner) Observe(m *obs.Metrics, trace *obs.TraceSink, tr *obs.Tracer, p
 // workload with the prototype but owns all mutable model state, so
 // prototype and clones can run injections concurrently.
 func (r *Runner) Clone() *Runner {
-	return &Runner{cfg: r.cfg, be: r.be.Clone()}
+	return newRunner(r.cfg, r.be.Clone())
 }
 
 // splitmix64 deterministically assigns each injection its workload phase,
@@ -227,35 +256,17 @@ func (r *Runner) RunInjection(bit int) Result {
 		panic(err) // bits come from the database's own sampling
 	}
 
-	sdc := false
-	cleanEnds := 0
-
-	onBarrier := func() bool {
-		chk := r.be.CheckBarrier()
-		if !chk.StateOK {
-			sdc = true
-			return false // incorrect architected state: stop
-		}
-		// Quiesce-based early exit: consecutive clean barriers with no
-		// new error activity in between.
-		if chk.Busy {
-			cleanEnds = 0
-			return true
-		}
-		cleanEnds++
-		return r.cfg.QuiesceExit == 0 || cleanEnds < r.cfg.QuiesceExit
-	}
-
+	r.sdc, r.cleanEnds = false, 0
 	var p0 time.Time
 	if observed {
 		p0 = time.Now()
 	}
-	run := r.be.Run(r.cfg.Window, onBarrier)
+	run := r.be.Run(r.cfg.Window, r.onBarrier)
 	var propagateNs int64
 	if observed {
 		propagateNs = time.Since(p0).Nanoseconds()
 	}
-	res := r.classify(bit, run, r.be.Verdict(), sdc, injectCycle)
+	res := r.classify(bit, run, r.be.Verdict(), r.sdc, injectCycle)
 
 	if observed {
 		r.record(res, run.Stepped, t0, ckIdx, delay, uint64(time.Since(t0).Nanoseconds()), restoreNs, propagateNs, false)

@@ -106,7 +106,10 @@ type Backend interface {
 	Phases() int
 	ReloadPhase(p int)
 
-	// Step clocks one machine cycle, maintaining any sticky force.
+	// Step observes one machine cycle, maintaining any sticky force. Like
+	// Run, a backend need not clock a cycle it can prove fault-free, as
+	// long as the Event, Cycle and every later Run are what clocking it
+	// would have produced.
 	Step() Event
 
 	// Inject applies a fault at the current cycle.

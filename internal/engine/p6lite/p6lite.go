@@ -9,11 +9,13 @@
 // testends, checked against the program's golden signatures and memory
 // digests.
 //
-// A monitored run stops clocking once the model is back on the fault-free
-// trajectory construction recorded — because the flip touched only idle
-// latches, or because the state at a testend equals that barrier's
-// checkpoint — and replays the recorded barriers to its caller instead
-// (DESIGN.md "Early exit against golden").
+// The backend clocks no cycle on the fault-free trajectory construction
+// recorded: the delay from a phased checkpoint to the injection instant is
+// observed, not clocked, unless the flip lands on a latch the model can read;
+// a flip confined to never-read latches leaves the model at its checkpoint;
+// and a monitored run stops clocking once the state at a testend equals that
+// barrier's checkpoint. In each case the recorded barriers are replayed to
+// the caller instead (DESIGN.md "Early exit against golden").
 package p6lite
 
 import (
@@ -61,20 +63,24 @@ type Backend struct {
 	// replayed): the retired testcase is barrier-1 modulo the program's
 	// count, and while golden holds it indexes ckpts and barriers.
 	barrier int
-	// golden: every latch outside idle groups, every array cell and all of
-	// memory are on the recorded trajectory at observed cycle Cycle() and
-	// testend count barrier. ReloadPhase establishes it, a flip of a
-	// non-idle bit ends it, and a testend at which the model equals
+	// golden: every latch outside never-read groups, every array cell and
+	// all of memory are on the recorded trajectory at observed cycle Cycle()
+	// and testend count barrier. ReloadPhase establishes it, a flip of a bit
+	// the model can read ends it, and a testend at which the model equals
 	// ckpts[barrier] re-establishes it. It vouches only for changes made
 	// through this type: a caller that writes the model through DB() or
-	// Core() after a ReloadPhase must reload again before it trusts Run.
+	// Core() after a ReloadPhase must reload again before it trusts Step or
+	// Run.
 	golden bool
-	// ahead is the number of cycles Run has observed by replay without
-	// clocking the model; catchUp clocks them when something needs the
-	// model itself (a Step, an Inject, a barrier past the record).
-	ahead uint64
+	// ahead is the number of cycles Step and Run have observed by replay
+	// without clocking the model, so the model itself is at Cycle()-ahead;
+	// catchUp clocks them when something needs the model (a flip it can
+	// read, a barrier past the record). unbilled of them were observed by
+	// Step: the delay before an injection, which is no part of a run.
+	ahead, unbilled uint64
 	// stepped counts the cycles clocked on Run's behalf since Run last
-	// reported them (RunStats.Stepped), catch-ups included.
+	// reported them (RunStats.Stepped), catch-ups of its own replays
+	// included.
 	stepped uint64
 
 	// lastActivity is the recovery count at injection time, the baseline
@@ -190,18 +196,31 @@ func (b *Backend) ReloadPhase(p int) {
 	b.stickyOn = false
 	b.barrier = p
 	b.golden = true
-	b.ahead = 0
+	b.ahead, b.unbilled = 0, 0
 }
 
-// Step clocks one cycle, re-applying an active sticky force and counting
-// the testends that retire.
+// Step observes one cycle. While the model is on the recorded trajectory
+// and the record lasts it is not clocked: the cycle is counted, and a
+// recorded testend is reported, exactly as clocking would have — a
+// fault-free cycle fires no other event. Otherwise the model is caught up
+// and clocked, re-applying an active sticky force.
 func (b *Backend) Step() engine.Event {
+	if b.golden && b.barrier+1 < len(b.barriers) {
+		b.ahead++
+		b.unbilled++
+		if b.Cycle() < b.barriers[b.barrier+1] {
+			return engine.Event{}
+		}
+		b.barrier++
+		return engine.Event{Barrier: true}
+	}
 	if b.ahead != 0 {
 		b.catchUp()
 	}
 	return b.step()
 }
 
+// step clocks one cycle and counts the testend it retires.
 func (b *Backend) step() engine.Event {
 	ev := b.clock()
 	if ev.TestEnd {
@@ -223,35 +242,43 @@ func (b *Backend) clock() proc.Event {
 	return ev
 }
 
-// catchUp clocks the cycles Run observed by replay, so that the model
-// itself is at Cycle(). Their testends are already counted.
+// catchUp clocks the cycles observed by replay, so that the model itself is
+// at Cycle(). Their testends are already counted; those Run observed are
+// billed to it.
 func (b *Backend) catchUp() {
-	b.stepped += b.ahead
+	b.stepped += b.ahead - b.unbilled
+	b.unbilled = 0
 	for ; b.ahead > 0; b.ahead-- {
 		b.clock()
 	}
 }
 
-// Inject applies a fault at the current cycle: the bit (and the rest of its
-// span) is flipped, and in sticky mode the flipped value is re-forced after
-// every subsequent cycle until the duration expires. It also snapshots the
-// recovery count as the quiesce baseline for CheckBarrier's busy test.
+// Inject applies a fault at the current observed cycle: the bit (and the rest
+// of its span) is flipped, and in sticky mode the flipped value is re-forced
+// after every subsequent cycle until the duration expires. It also snapshots
+// the recovery count as the quiesce baseline for CheckBarrier's busy test.
 func (b *Backend) Inject(inj engine.Injection) error {
 	db := b.core.DB()
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
 		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
-	b.catchUp()
+	// A flip commutes with any number of cycles exactly when no cycle reads
+	// it. If every flipped bit (the held one is the first) is one the model
+	// cannot read, the model stays on the fault-free trajectory and need not
+	// even be at the injection instant: the flip goes into the model as it
+	// is. Otherwise the cycles observed so far are clocked first.
+	span := min(max(inj.Span, 1), db.TotalBits()-inj.Bit)
+	for i := 0; i < span; i++ {
+		if g, _, _ := db.Locate(inj.Bit + i); !g.NeverRead() {
+			b.catchUp()
+			b.golden = false
+			break
+		}
+	}
 	first := db.BitRef(inj.Bit)
 	v := first.Flip()
-	for i := 1; i < inj.Span && inj.Bit+i < db.TotalBits(); i++ {
+	for i := 1; i < span; i++ {
 		db.Flip(inj.Bit + i)
-	}
-	// The model stays on the fault-free trajectory only if every flipped
-	// bit (the held one is the first) is one it cannot read.
-	for i := 0; b.golden && i < max(inj.Span, 1) && inj.Bit+i < db.TotalBits(); i++ {
-		g, _, _ := db.Locate(inj.Bit + i)
-		b.golden = g.Idle
 	}
 	if inj.Mode == engine.Sticky {
 		b.stickyOn = true
@@ -259,7 +286,7 @@ func (b *Backend) Inject(inj engine.Injection) error {
 		b.stickyVal = v
 		b.stickyUntil = 0
 		if inj.Duration > 0 {
-			b.stickyUntil = b.core.Cycle + uint64(inj.Duration)
+			b.stickyUntil = b.Cycle() + uint64(inj.Duration)
 		}
 	}
 	b.lastActivity = b.core.Recoveries
@@ -271,9 +298,9 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // stops on halt, checkstop, a detected hang, or harness-level loss of
 // forward progress (nothing completed for 2×HangLimit cycles).
 //
-// While the model is on the recorded fault-free trajectory (golden) Run does
-// not clock it: it advances the observed cycle to the next recorded testend,
-// counts it and calls onBarrier, exactly as stepping there would have — a
+// While the model is on the recorded fault-free trajectory (golden) Run, like
+// Step, does not clock it: it advances the observed cycle to the next recorded
+// testend, counts it and calls onBarrier, exactly as stepping there would have — a
 // fault-free machine fires no stop condition, CheckBarrier answers for the
 // barrier being replayed, and the window clips a replayed testcase as it
 // clips a stepped one. Past the end of the record the model is caught up and
@@ -340,8 +367,8 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 // atCheckpoint reports whether the model, having just retired a testend, is
 // in the state the fault-free pass was in at that testend. A live sticky
 // force rules it out: the state may be equal now and the force still push
-// it off next cycle. (A force on an idle bit could not, but then the model
-// never left the trajectory, unless the span reached into a live group.)
+// it off next cycle. (A force on a never-read bit could not, but then the
+// model never left the trajectory, unless the span reached into a live group.)
 func (b *Backend) atCheckpoint() bool {
 	return b.barrier < len(b.ckpts) && !b.stickyOn &&
 		b.core.AtCheckpoint(b.ckpts[b.barrier])

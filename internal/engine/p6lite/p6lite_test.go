@@ -28,18 +28,15 @@ func newBackend(t *testing.T) *Backend {
 	return be.(*Backend)
 }
 
-// findBit returns the logical index of bit bitInEntry of the first entry of
-// the named latch group.
-func findBit(t *testing.T, b *Backend, group string, bitInEntry int) int {
+// findBit returns the logical index of the named latch group's bit off,
+// counted from bit 0 of its first entry.
+func findBit(t testing.TB, b *Backend, group string, off int) int {
 	t.Helper()
-	db := b.DB()
-	for i := 0; i < db.TotalBits(); i++ {
-		if g, _, bie := db.Locate(i); g.Name == group && bie == bitInEntry {
-			return i
-		}
+	g, ok := b.DB().GroupByName(group)
+	if !ok || off >= g.Bits() {
+		t.Fatalf("no bit %d in group %q", off, group)
 	}
-	t.Fatalf("no bit %d in group %q", bitInEntry, group)
-	return -1
+	return g.Offset() + off
 }
 
 func TestReloadPhaseDeterminism(t *testing.T) {
@@ -48,7 +45,7 @@ func TestReloadPhaseDeterminism(t *testing.T) {
 		b.ReloadPhase(1)
 		var sigs []uint64
 		for len(sigs) < 6 {
-			if b.Step().Barrier {
+			if b.eagerStep().Barrier { // the signature is read off the model itself
 				st := b.Core().ArchState()
 				sigs = append(sigs, st.Signature())
 			}
@@ -254,7 +251,7 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 				// Perturb: inject into a latch that is live during the
 				// AVP (a GPR word) and run a window.
 				inj := tc.inj
-				inj.Bit = gprBit(c, "fxu.gpr", 2+runIdx)
+				inj.Bit = findBit(t, b, "fxu.gpr", (2+runIdx)*64)
 				if err := b.Inject(inj); err != nil {
 					t.Fatal(err)
 				}
@@ -276,21 +273,19 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 	}
 }
 
-// gprBit returns the logical bit index of bit 0 of the named group's entry
-// (logical offsets are dense in registration order).
-func gprBit(c *proc.Core, group string, entry int) int {
-	off := 0
-	for _, g := range c.DB().Groups() {
-		if g.Name == group {
-			return off + entry*g.Width
-		}
-		off += g.Bits()
-	}
-	panic("group not found")
+// eagerStep is Step as it was before any cycle was replayed: it clocks the
+// model through the cycle whatever could be proved about it, and gives up
+// golden, so that nothing after it replays either. It is the oracle's only
+// clock: an oracle that stepped through Step would defer the very cycles
+// the differential is there to check.
+func (b *Backend) eagerStep() engine.Event {
+	b.catchUp()
+	b.golden = false
+	return b.step()
 }
 
 // steppedRun is Run as it was before the early exit against golden: it
-// clocks every cycle it observes through b.Step and never replays. It is
+// clocks every cycle it observes through eagerStep and never replays. It is
 // the oracle Run is compared with.
 func (b *Backend) steppedRun(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
@@ -300,7 +295,7 @@ func (b *Backend) steppedRun(maxCycles int, onBarrier func() bool) engine.RunSta
 	harnessLimit := uint64(2 * c.Config().HangLimit)
 
 	for i := 0; i < maxCycles; i++ {
-		ev := b.Step()
+		ev := b.eagerStep()
 		st.Cycles++
 		if c.Completed != lastCompleted {
 			lastCompleted = c.Completed
@@ -339,31 +334,58 @@ func sansStepped(st engine.RunStats) engine.RunStats {
 
 // observation is everything the campaign layer takes from one injection.
 type observation struct {
-	stats    engine.RunStats
-	verdict  engine.Verdict
-	sdc      bool
-	calls    int    // barrier callbacks made
-	endCycle uint64 // Cycle() after the run
-	fir      string
+	stats       engine.RunStats
+	verdict     engine.Verdict
+	sdc         bool
+	calls       int    // barrier callbacks made
+	injectCycle uint64 // Cycle() at the (last) injection
+	stepEnds    int    // barriers reported by Step before it
+	endCycle    uint64 // Cycle() after the run
+	fir         string
+}
+
+// shot is one trip through the injection protocol: the phased checkpoint,
+// the delay, the fault, and optionally a second toggle flip of bit then
+// after gap more Steps (gap == 0: none) — the second Inject finds the model
+// wherever the first and the lazy Steps left it.
+type shot struct {
+	phase, delay int
+	inj          engine.Injection
+	gap, then    int
 }
 
 // observe drives the scalar injection protocol of core.Runner on b: reload,
-// delay, inject, then a monitored run through run (b.Run or b.steppedRun)
-// under the quiesce callback. quiesce < 0 installs a callback that never
-// stops the run.
-func observe(t *testing.T, b *Backend, run func(int, func() bool) engine.RunStats,
-	phase, delay int, inj engine.Injection, window, quiesce int) observation {
+// delay, inject, then a monitored run under the quiesce callback. The eager
+// side is the oracle: every cycle clocked, by eagerStep and steppedRun.
+// quiesce < 0 installs a callback that never stops the run.
+func observe(t *testing.T, b *Backend, eager bool, s shot, window, quiesce int) observation {
 	t.Helper()
-	b.ReloadPhase(phase)
-	for i := 0; i < delay; i++ {
-		b.Step()
-	}
-	if err := b.Inject(inj); err != nil {
-		t.Fatal(err)
+	step, run := b.Step, b.Run
+	if eager {
+		step, run = b.eagerStep, b.steppedRun
 	}
 	var o observation
+	steps := func(n int) {
+		for i := 0; i < n; i++ {
+			if step().Barrier {
+				o.stepEnds++
+			}
+		}
+	}
+	b.ReloadPhase(s.phase)
+	steps(s.delay)
+	if err := b.Inject(s.inj); err != nil {
+		t.Fatal(err)
+	}
+	if s.gap > 0 {
+		steps(s.gap)
+		if err := b.Inject(engine.Injection{Bit: s.then, Mode: engine.Toggle}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.injectCycle = b.Cycle()
 	clean := 0
-	o.stats = sansStepped(run(window, func() bool {
+	o.stats = run(window, func() bool {
 		o.calls++
 		chk := b.CheckBarrier()
 		switch {
@@ -378,7 +400,7 @@ func observe(t *testing.T, b *Backend, run func(int, func() bool) engine.RunStat
 		}
 		clean++
 		return quiesce == 0 || clean < quiesce
-	}))
+	})
 	o.verdict = b.Verdict()
 	o.endCycle = b.Cycle()
 	o.fir = fmt.Sprint(b.FIRNames())
@@ -401,14 +423,14 @@ func newPair(t testing.TB, cfg engine.Config) pair {
 	return pair{be.(*Backend), be.Clone().(*Backend)}
 }
 
-// same runs one injection both ways and fails on any difference.
-func (p pair) same(t *testing.T, phase, delay int, inj engine.Injection, window, quiesce int) {
+// same runs one shot both ways and fails on any difference.
+func (p pair) same(t *testing.T, s shot, window, quiesce int) {
 	t.Helper()
-	got := observe(t, p.fast, p.fast.Run, phase, delay, inj, window, quiesce)
-	want := observe(t, p.slow, p.slow.steppedRun, phase, delay, inj, window, quiesce)
+	got := observe(t, p.fast, false, s, window, quiesce)
+	want := observe(t, p.slow, true, s, window, quiesce)
+	got.stats = sansStepped(got.stats)
 	if got != want {
-		t.Fatalf("phase %d delay %d %+v window %d quiesce %d:\n run     %+v\n stepped %+v",
-			phase, delay, inj, window, quiesce, got, want)
+		t.Fatalf("%+v window %d quiesce %d:\n run     %+v\n stepped %+v", s, window, quiesce, got, want)
 	}
 }
 
@@ -454,7 +476,7 @@ func TestEarlyExitMatchesStepped(t *testing.T) {
 				phase, delay := schedule(bit, p.fast.Phases())
 				for _, inj := range injectionShapes {
 					inj.Bit = bit
-					p.same(t, phase, delay, inj, cfg.Window, cfg.QuiesceExit)
+					p.same(t, shot{phase: phase, delay: delay, inj: inj}, cfg.Window, cfg.QuiesceExit)
 				}
 			}
 		})
@@ -479,14 +501,16 @@ func TestEarlyExitOutlastsRecord(t *testing.T) {
 		phase, delay := schedule(bit, never.fast.Phases())
 		inj := injectionShapes[i%len(injectionShapes)]
 		inj.Bit = bit
-		never.same(t, phase, delay, inj, 3000+i, -1)
-		fixed.same(t, phase, delay, inj, 3000+i, 0)
+		s := shot{phase: phase, delay: delay, inj: inj}
+		never.same(t, s, 3000+i, -1)
+		fixed.same(t, s, 3000+i, 0)
 	}
 }
 
 // TestRunAfterEarlyExit checks that a run which exited early leaves a
 // backend that can be driven on: a second Run, and Steps after it, see the
-// barriers a stepped model sees.
+// barriers a stepped model sees, and once the model is caught up with what
+// was observed it is where the stepped one is.
 func TestRunAfterEarlyExit(t *testing.T) {
 	p := newPair(t, engine.DefaultConfig())
 	bit := findBit(t, p.fast, "fxu.t1.gpr", 5) // idle: the first Run replays from the flip
@@ -505,93 +529,259 @@ func TestRunAfterEarlyExit(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if got, want := p.fast.Step(), p.slow.Step(); got != want {
+		if got, want := p.fast.Step(), p.slow.eagerStep(); got != want {
 			t.Fatalf("step %d after the runs: %+v, stepped %+v", i, got, want)
 		}
 	}
+	if p.fast.ahead == 0 {
+		t.Fatal("the fast side clocked every cycle: nothing was replayed")
+	}
+	p.fast.catchUp()
 	diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
 }
 
-// FuzzEarlyExit feeds arbitrary injections to the same oracle.
-func FuzzEarlyExit(f *testing.F) {
-	f.Add(uint32(0), false, uint8(1), uint16(0), uint8(0))
-	f.Add(uint32(21909), true, uint8(1), uint16(0), uint8(17))   // rut.err.cycle, held
-	f.Add(uint32(40000), true, uint8(3), uint16(200), uint8(90)) // span from a sticky bit
-	f.Add(uint32(73700), false, uint8(9), uint16(0), uint8(196)) // span clipped at the population edge
-	var p pair
-	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration uint16, delay uint8) {
-		if p.fast == nil {
-			p = newPair(t, engine.DefaultConfig())
+// neverRead reports whether every bit inj flips is one the model cannot read.
+func neverRead(db *latch.DB, inj engine.Injection) bool {
+	for i := 0; i < max(inj.Span, 1) && inj.Bit+i < db.TotalBits(); i++ {
+		if g, _, _ := db.Locate(inj.Bit + i); !g.NeverRead() {
+			return false
 		}
-		inj := engine.Injection{
-			Bit:      int(bit) % p.fast.DB().TotalBits(),
-			Mode:     engine.Toggle,
-			Span:     int(span % 16),
-			Duration: int(duration),
+	}
+	return true
+}
+
+// TestClockedCycleCount pins what an injection is charged, in the model's
+// own clocked cycles: none at all when every flipped bit is never-read (the
+// model stays at the phased checkpoint from ReloadPhase to after Run), and
+// otherwise the delay plus RunStats.Stepped — so Stepped holds no delay
+// cycle, and no cycle is clocked that is neither.
+func TestClockedCycleCount(t *testing.T) {
+	bits := 2000
+	if testing.Short() || raceDetector {
+		bits = 200
+	}
+	cfg := engine.DefaultConfig()
+	be, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := be.(*Backend)
+	free, all := 0, 0
+	rng := rand.New(rand.NewPCG(18, 0))
+	for _, bit := range b.DB().SampleBits(rng, bits, nil) {
+		phase, delay := schedule(bit, b.Phases())
+		for _, inj := range injectionShapes {
+			inj.Bit = bit
+			o := observe(t, b, false, shot{phase: phase, delay: delay, inj: inj}, cfg.Window, cfg.QuiesceExit)
+			moved := b.core.Cycle - b.barriers[phase] // barriers[p] is the cycle of ckpts[p]
+			want := uint64(delay) + o.stats.Stepped
+			if neverRead(b.DB(), inj) {
+				want = 0
+				free++
+			}
+			if moved != want || want == 0 && o.stats.Stepped != 0 {
+				t.Fatalf("bit %d delay %d %+v: the model was clocked %d cycles, Stepped = %d, want %d clocked",
+					bit, delay, inj, moved, o.stats.Stepped, want)
+			}
+			all++
+		}
+	}
+	t.Logf("%d of %d injections clocked nothing", free, all)
+	if free*100 < all*65 {
+		t.Errorf("%d of %d injections confined to never-read groups, want at least 65%%", free, all)
+	}
+}
+
+// FuzzEarlyExit feeds arbitrary shots to the same oracle.
+func FuzzEarlyExit(f *testing.F) {
+	p := newPair(f, engine.DefaultConfig())
+	bit := func(group string, off int) uint32 { return uint32(findBit(f, p.fast, group, off)) }
+	onTestend := func(bit uint32) uint16 { // the delay that ends on the first recorded testend
+		phase, _ := schedule(int(bit), p.fast.Phases())
+		return uint16(p.fast.barriers[phase+1] - p.fast.barriers[phase])
+	}
+	toEnd := uint16(p.fast.barriers[len(p.fast.barriers)-1] - p.fast.barriers[0]) // off the record from any phase
+	f.Add(uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint32(21909), true, uint8(1), uint16(0), uint16(17), uint16(0), uint32(0))   // rut.err.cycle, held
+	f.Add(uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0)) // span from a sticky bit
+	f.Add(uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0)) // span clipped at the population edge
+	// The lazy delay and the never-read groups.
+	f.Add(bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // write-only, held for 200
+	f.Add(bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0))               // never-read into live prv.mode.spare
+	f.Add(bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into write-only rut.hist
+	f.Add(bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
+	f.Add(bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                  // never-read, delay 196
+	f.Add(bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0)) // live, at a recorded testend
+	f.Add(bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // never-read, same
+	f.Add(bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
+	f.Add(bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
+	f.Add(bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
+	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
+		total := p.fast.DB().TotalBits()
+		s := shot{
+			delay: int(delay % 1024),
+			inj: engine.Injection{
+				Bit:      int(bit) % total,
+				Mode:     engine.Toggle,
+				Span:     int(span % 16),
+				Duration: int(duration),
+			},
+			gap:  int(gap % 8192),
+			then: int(then) % total,
 		}
 		if sticky {
-			inj.Mode = engine.Sticky
+			s.inj.Mode = engine.Sticky
 		}
-		phase, _ := schedule(inj.Bit, p.fast.Phases())
-		p.same(t, phase, int(delay), inj, 50_000, 2)
+		s.phase, _ = schedule(s.inj.Bit, p.fast.Phases())
+		p.same(t, s, 50_000, 2)
 	})
 }
 
-// idleWords marks the storage words (one per group entry, in registration
-// order) that belong to idle groups.
-func idleWords(db *latch.DB) []bool {
-	var idle []bool
-	for _, g := range db.Groups() {
-		for e := 0; e < g.Entries; e++ {
-			idle = append(idle, g.Idle)
-		}
-	}
-	return idle
-}
-
-// liveState is captureState with the idle latch words blanked: the state the
-// model can read.
+// liveState is captureState with the never-read latch words blanked: the
+// state the model can read.
 func liveState(c *proc.Core) fullState {
 	st := captureState(c)
-	for w, idle := range idleWords(c.DB()) {
-		if idle {
-			st.latches[w] = 0
+	w := 0
+	for _, g := range c.DB().Groups() {
+		for e := 0; e < g.Entries; e++ {
+			if g.NeverRead() {
+				st.latches[w] = 0
+			}
+			w++ // storage is one word per entry, in registration order
 		}
 	}
 	return st
 }
 
-// TestIdleMeansIdle is the behavioural half of the RegisterIdle contract:
-// a flip in an idle group, at any cycle of any phase, leaves every latch
-// outside idle groups, every array cell and every memory byte exactly where
-// a fault-free model has them a full testcase later.
+// neverReadTrial steps two backends in the same state eagerly, side by side,
+// through two testends past cycle at (or limit cycles, for a machine that
+// stops retiring them), letting disturb loose on a's latch database after
+// cycle at. Every Event, every CheckBarrier and, at the end, Verdict, FIR
+// poll and all state outside never-read groups must be equal; what names the
+// trial in a failure.
+func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, disturb func(db *latch.DB)) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Log(what)
+		}
+	}()
+	ends := 0
+	for cyc := 0; ends < 2 && cyc < limit; cyc++ {
+		if cyc == at {
+			disturb(a.DB())
+		}
+		ev := a.eagerStep()
+		if ev != b.eagerStep() {
+			t.Fatalf("events differ at cycle %d", cyc)
+		}
+		if ev.Barrier {
+			if ca, cb := a.CheckBarrier(), b.CheckBarrier(); ca != cb {
+				t.Fatalf("barrier checks differ at cycle %d: %+v, undisturbed %+v", cyc, ca, cb)
+			}
+			if cyc >= at {
+				ends++
+			}
+		}
+	}
+	if va, vb := a.Verdict(), b.Verdict(); va != vb {
+		t.Fatalf("verdicts differ: %+v, undisturbed %+v", va, vb)
+	}
+	if fa, fb := a.FIRNames(), b.FIRNames(); !slices.Equal(fa, fb) {
+		t.Fatalf("FIR polls differ: %v, undisturbed %v", fa, fb)
+	}
+	diffStates(t, liveState(a.Core()), liveState(b.Core()))
+}
+
+// TestIdleMeansIdle is the behavioural half of the never-read contract, one
+// bit at a time: a flip in a never-read group, at any cycle of any phase,
+// leaves every latch outside those groups, every array cell and every memory
+// byte exactly where a fault-free model has them a full testcase later.
 func TestIdleMeansIdle(t *testing.T) {
 	p := newPair(t, engine.DefaultConfig())
 	db := p.fast.DB()
-	idle := func(g *latch.Group) bool { return g.Idle }
 	rng := rand.New(rand.NewPCG(18, 7))
 	for phase := 0; phase < p.fast.Phases(); phase++ {
-		for _, bit := range db.SampleBits(rng, 40, idle) {
-			at := rng.IntN(400)
+		for _, bit := range db.SampleBits(rng, 40, (*latch.Group).NeverRead) {
 			p.fast.ReloadPhase(phase)
 			p.slow.ReloadPhase(phase)
-			ends := 0
-			for cyc := 0; ends < 2; cyc++ { // into the next testcase and through all of it
-				if cyc == at {
-					db.Flip(bit)
-				}
-				ev := p.fast.Step()
-				if ev != p.slow.Step() {
-					t.Fatalf("phase %d bit %d at %d: events differ at cycle %d", phase, bit, at, cyc)
-				}
-				if ev.Barrier && cyc >= at {
-					ends++
-				}
+			what := fmt.Sprintf("phase %d bit %d", phase, bit)
+			neverReadTrial(t, what, p.fast, p.slow, rng.IntN(400), 5000, func(db *latch.DB) { db.Flip(bit) })
+			// Nothing writes an idle group either: its flip is still there.
+			if g, _, _ := db.Locate(bit); g.Idle && db.Peek(bit) == p.slow.DB().Peek(bit) {
+				t.Fatalf("%s: the flip did not survive", what)
 			}
-			if db.Peek(bit) == p.slow.DB().Peek(bit) {
-				t.Fatalf("phase %d bit %d: the flip did not survive", phase, bit)
-			}
-			diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
 		}
+	}
+}
+
+// TestNeverReadUnderFaults is the same contract with the machine off the
+// fault-free trajectory, where the error paths run — recovery, checkstop,
+// hang, silent corruption with the checkers masked, escalation with
+// recovery off, the periphery's queues: both backends carry the same live
+// fault, and one of them has every never-read bit scrambled at a random
+// cycle. If any model code read one of those groups, on any path, the two
+// would part.
+func TestNeverReadUnderFaults(t *testing.T) {
+	const hangCycles = 8000 // 3 x HangLimit and the recovery attempts between
+	cases := []struct {
+		name   string
+		mut    func(*engine.Config)
+		group  string
+		bit    int
+		inj    engine.Injection
+		expect func(b *Backend) bool
+	}{
+		{"recovery", nil, "fxu.mode", 24, engine.Injection{Mode: engine.Toggle},
+			func(b *Backend) bool { v := b.Verdict(); return v.Recoveries > 0 && !v.Checkstop }},
+		{"recovery-storm", nil, "fxu.gpr", 64*3 + 17, engine.Injection{Mode: engine.Sticky, Duration: 200},
+			func(b *Backend) bool { return b.Verdict().Detected }},
+		{"checkstop", nil, "lsu.mode", 5, engine.Injection{Mode: engine.Toggle},
+			func(b *Backend) bool { return b.Verdict().Checkstop }},
+		{"hang", nil, "ifu.mode", 18, engine.Injection{Mode: engine.Toggle},
+			func(b *Backend) bool { return b.Core().HangDetected() }},
+		{"raw", func(c *engine.Config) { c.CheckersOn = false }, "fxu.gpr", 64*3 + 17, engine.Injection{Mode: engine.Sticky},
+			func(b *Backend) bool { return !b.Verdict().Detected }},
+		{"no-recovery", func(c *engine.Config) { c.RecoveryOn = false }, "fxu.mode", 24, engine.Injection{Mode: engine.Toggle},
+			func(b *Backend) bool { return b.Verdict().Checkstop }},
+		{"periphery", func(c *engine.Config) { c.Proc.EnableNest = true }, "nest.mode", 2, engine.Injection{Mode: engine.Toggle},
+			func(b *Backend) bool { return slices.Contains(b.FIRNames(), "ring.nest") }},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := engine.DefaultConfig()
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			p := newPair(t, cfg)
+			inj := tc.inj
+			inj.Bit = findBit(t, p.fast, tc.group, tc.bit)
+			rng := rand.New(rand.NewPCG(18, uint64(ci)))
+			scramble := func(db *latch.DB) {
+				for _, g := range db.Groups() {
+					for i := 0; g.NeverRead() && i < g.Bits(); i++ {
+						if rng.Uint64()&1 != 0 {
+							db.Flip(g.Offset() + i)
+						}
+					}
+				}
+			}
+			for trial := 0; trial < 6; trial++ {
+				phase, delay := rng.IntN(p.fast.Phases()), rng.IntN(197)
+				for _, b := range []*Backend{p.fast, p.slow} {
+					b.ReloadPhase(phase)
+					for i := 0; i < delay; i++ {
+						b.eagerStep()
+					}
+					if err := b.Inject(inj); err != nil {
+						t.Fatal(err)
+					}
+				}
+				neverReadTrial(t, fmt.Sprintf("trial %d", trial), p.fast, p.slow, rng.IntN(600), hangCycles, scramble)
+				if !tc.expect(p.slow) {
+					t.Fatalf("trial %d: the live fault did not do what the case is named for: %+v", trial, p.slow.Verdict())
+				}
+			}
+		})
 	}
 }

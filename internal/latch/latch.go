@@ -62,6 +62,10 @@ type Group struct {
 	// Idle marks a group registered with RegisterIdle: the model holds no
 	// handle to it, so no model code can read or write its bits.
 	Idle bool
+	// WriteOnly marks a group registered with RegisterWriteOnly or
+	// RegisterRing: the model's handle to it has no method that returns its
+	// contents.
+	WriteOnly bool
 
 	logOff  int // dense logical bit offset of entry 0 bit 0
 	physOff int // word index of entry 0
@@ -69,6 +73,12 @@ type Group struct {
 
 // Bits returns the number of latch bits in the group.
 func (g *Group) Bits() int { return g.Entries * g.Width }
+
+// NeverRead reports whether no model code can read the group's bits: it is
+// idle or write-only. What such a group holds decides nothing outside the
+// never-read groups, so a flip there commutes with any number of clocked
+// cycles, and Matches leaves these groups out of its comparison.
+func (g *Group) NeverRead() bool { return g.Idle || g.WriteOnly }
 
 // Offset returns the group's dense logical bit offset — the logical index
 // of entry 0 bit 0, so the group spans logical bits [Offset, Offset+Bits).
@@ -146,10 +156,62 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 // the model never reads or writes. It returns no handle, so "nothing reads
 // this latch" is enforced by the type system rather than by convention: the
 // bits are still part of the population (sampled, flipped, snapshotted), but
-// a flip confined to idle groups cannot change what the model does, and
-// Matches leaves idle words out of its comparison.
+// a flip confined to idle groups cannot change what the model does (see
+// Group.NeverRead).
 func (db *DB) RegisterIdle(unit string, kind Type, name string, entries, width int) {
 	db.RegisterArray(unit, kind, name, entries, width).g.Idle = true
+}
+
+// WriteOnly is a handle to a latch group the model updates but never
+// consults (performance counters, capture buffers, state that rides along
+// for debug). It has no method that returns the group's contents, so
+// "nothing reads this latch" holds by construction, as it does for
+// RegisterIdle: the bits are sampled, flipped and snapshotted, and a flip
+// confined to them cannot change what the model does anywhere else.
+type WriteOnly struct{ a Array }
+
+// RegisterWriteOnly adds a latch group of entries × width bits that the
+// model only writes, and returns its write-only handle.
+func (db *DB) RegisterWriteOnly(unit string, kind Type, name string, entries, width int) WriteOnly {
+	a := db.RegisterArray(unit, kind, name, entries, width)
+	a.g.WriteOnly = true
+	return WriteOnly{a}
+}
+
+// Set writes entry i.
+func (w WriteOnly) Set(i int, v uint64) { w.a.Entry(i).Set(v) }
+
+// Add adds d to entry i, wrapping at the group's width.
+func (w WriteOnly) Add(i int, d uint64) {
+	r := w.a.Entry(i)
+	r.Set(r.Get() + d)
+}
+
+// Len returns the number of entries.
+func (w WriteOnly) Len() int { return w.a.n }
+
+// Ring is a push-only handle to a circular capture buffer and its cursor:
+// two write-only groups, the cursor consulted by Push alone to pick the
+// entry it overwrites.
+type Ring struct {
+	buf Array
+	ptr Reg
+}
+
+// RegisterRing adds a capture buffer of entries × width bits under name and
+// its cursor under ptrName, and returns the push-only handle to both.
+func (db *DB) RegisterRing(unit string, kind Type, name, ptrName string, entries, width int) Ring {
+	buf := db.RegisterWriteOnly(unit, kind, name, entries, width)
+	ptr := db.RegisterWriteOnly(unit, kind, ptrName, 1, bits.Len(uint(entries-1)))
+	return Ring{buf: buf.a, ptr: ptr.a.Entry(0)}
+}
+
+// Push writes v at the cursor and advances it. A cursor corrupted past the
+// last entry wraps.
+func (r Ring) Push(v uint64) {
+	i := int(r.ptr.Get()) % r.buf.n
+	r.buf.Entry(i).Set(v)
+	r.ptr.Set(uint64(i+1) % uint64(r.buf.n))
 }
 
 // Freeze finalizes registration. Further Register calls panic.
@@ -225,18 +287,19 @@ func (db *DB) Poke(bit int, v bool) { db.BitRef(bit).Set(v) }
 // injection primitive ("flip chosen latch bits" in the paper's Figure 1).
 func (db *DB) Flip(bit int) bool { return db.BitRef(bit).Flip() }
 
-// wordIdle reports whether storage word w belongs to an idle group.
-func (db *DB) wordIdle(w int) bool {
+// wordNeverRead reports whether storage word w belongs to a never-read
+// group.
+func (db *DB) wordNeverRead(w int) bool {
 	i := sort.Search(len(db.groups), func(i int) bool {
 		return db.groups[i].physOff > w
 	}) - 1
-	return db.groups[i].Idle
+	return db.groups[i].NeverRead()
 }
 
-// Matches reports whether the latch image equals img outside idle groups
-// (dirty.Store.Matches with the idle words left out).
+// Matches reports whether the latch image equals img outside never-read
+// groups (dirty.Store.Matches with their words left out).
 func (db *DB) Matches(img *dirty.Image[uint64]) bool {
-	return db.Store.Matches(img, db.wordIdle)
+	return db.Store.Matches(img, db.wordNeverRead)
 }
 
 // Filter selects latch groups (nil selects everything).

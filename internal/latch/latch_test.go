@@ -2,6 +2,9 @@ package latch
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -472,20 +475,27 @@ func BenchmarkRegGetSet(b *testing.B) {
 // TestMatches checks the comparison against a snapshot case by case: it
 // must see a difference wherever one can hide (a dirty word, a word of the
 // snapshot's delta that is clean in the live image), and it must not see
-// idle groups at all.
+// never-read groups, idle or write-only, at all.
 func TestMatches(t *testing.T) {
-	build := func() (*DB, Reg, Array, int) {
+	build := func() (*DB, Reg, Array, WriteOnly, int) {
 		db := NewDB()
 		pc := db.Register("IFU", Func, "ifu.pc", 48)
 		db.RegisterIdle("IFU", Func, "ifu.t1.pc", 4, 48)
 		gpr := db.RegisterArray("FXU", RegFile, "fxu.gpr", 32, 64)
+		perf := db.RegisterWriteOnly("FXU", Func, "fxu.perf", 2, 64)
 		db.Freeze()
-		return db, pc, gpr, 48 // logical bit 48: ifu.t1.pc entry 0 bit 0
+		return db, pc, gpr, perf, 48 // logical bit 48: ifu.t1.pc entry 0 bit 0
 	}
 	for _, baseline := range []bool{true, false} {
-		db, pc, gpr, idleBit := build()
-		if g, _ := db.GroupByName("ifu.t1.pc"); !g.Idle || g.Bits() != 4*48 {
+		db, pc, gpr, perf, idleBit := build()
+		if g, _ := db.GroupByName("ifu.t1.pc"); !g.Idle || !g.NeverRead() || g.Bits() != 4*48 {
 			t.Fatalf("RegisterIdle made %+v", g)
+		}
+		if g, _ := db.GroupByName("fxu.perf"); g.Idle || !g.NeverRead() {
+			t.Fatalf("RegisterWriteOnly made %+v", g)
+		}
+		if g, _ := db.GroupByName("fxu.gpr"); g.NeverRead() {
+			t.Fatalf("RegisterArray made %+v", g)
 		}
 		if baseline {
 			db.SetBaseline()
@@ -504,6 +514,9 @@ func TestMatches(t *testing.T) {
 		db.Flip(idleBit)
 		db.Flip(idleBit + 3*48 + 47)
 		check("idle bits flipped", true)
+		perf.Add(1, 5)
+		db.Flip(idleBit + 4*48 + 32*64 + 3)
+		check("write-only words written and flipped", true)
 		gpr.Entry(31).Set(1)
 		check("live word changed in a block the snapshot left clean", false)
 		gpr.Entry(31).Set(0)
@@ -518,5 +531,103 @@ func TestMatches(t *testing.T) {
 			db.Restore(snap)
 			check("restored", true)
 		}
+	}
+}
+
+// TestWriteOnlyHandles drives the two handle types that cannot read, watching
+// their groups through the database: Set and Add land in the addressed entry
+// and wrap at the width, Push walks the ring and wraps a corrupted cursor,
+// and every write is dirty-tracked.
+func TestWriteOnlyHandles(t *testing.T) {
+	db := NewDB()
+	perf := db.RegisterWriteOnly("PRV", Func, "prv.perf", 3, 8)
+	ring := db.RegisterRing("PRV", Func, "prv.trace", "prv.trace.ptr", 5, 16)
+	db.Freeze()
+	cell := func(group string, e int) *uint64 {
+		g, ok := db.GroupByName(group)
+		if !ok {
+			t.Fatalf("no group %q", group)
+		}
+		return &db.Cells[g.physOff+e]
+	}
+	word := func(group string, e int) uint64 { return *cell(group, e) }
+	if g, _ := db.GroupByName("prv.trace.ptr"); !g.WriteOnly || g.Bits() != 3 {
+		t.Fatalf("ring cursor registered as %+v, want 3 write-only bits", g)
+	}
+	if perf.Len() != 3 {
+		t.Errorf("Len = %d", perf.Len())
+	}
+	db.SetBaseline()
+	clean := db.CaptureDelta()
+
+	perf.Set(1, 0x1fe)
+	perf.Add(1, 3)
+	perf.Add(2, 1)
+	if word("prv.perf", 0) != 0 || word("prv.perf", 1) != 1 || word("prv.perf", 2) != 1 {
+		t.Errorf("perf = %#x %#x %#x, want 0 1 1 (8-bit wrap)", word("prv.perf", 0), word("prv.perf", 1), word("prv.perf", 2))
+	}
+	for v := uint64(10); v < 16; v++ { // six pushes into five entries
+		ring.Push(v)
+	}
+	for e, want := range []uint64{15, 11, 12, 13, 14} {
+		if got := word("prv.trace", e); got != want {
+			t.Errorf("trace[%d] = %d, want %d", e, got, want)
+		}
+	}
+	if word("prv.trace.ptr", 0) != 1 {
+		t.Errorf("cursor = %d, want 1", word("prv.trace.ptr", 0))
+	}
+	*cell("prv.trace.ptr", 0) = 7 // a flip past the last entry
+	ring.Push(99)
+	if word("prv.trace", 2) != 99 || word("prv.trace.ptr", 0) != 3 {
+		t.Errorf("corrupted cursor: trace[2] = %d, cursor = %d, want 99 and 3", word("prv.trace", 2), word("prv.trace.ptr", 0))
+	}
+	db.RestoreDelta(clean)
+	if !slices.Equal(db.Cells, make([]uint64, len(db.Cells))) {
+		t.Errorf("a write-only write escaped dirty tracking: %v", db.Cells)
+	}
+}
+
+// TestWriteOnlyCannotRead is the type half of the never-read proof: no
+// method of WriteOnly or Ring, exported or not, returns anything but an
+// entry count, and neither type has a field another package could reach, so
+// model code holding one has no expression that yields the group's contents.
+func TestWriteOnlyCannotRead(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "latch.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv == nil {
+				return false
+			}
+			recv, _ := n.Recv.List[0].Type.(*ast.Ident)
+			if recv == nil || recv.Name != "WriteOnly" && recv.Name != "Ring" {
+				return false
+			}
+			methods++
+			if n.Type.Results != nil && n.Name.Name != "Len" {
+				t.Errorf("%s.%s returns a value: a write-only handle must not read", recv.Name, n.Name.Name)
+			}
+		case *ast.TypeSpec:
+			st, ok := n.Type.(*ast.StructType)
+			if !ok || n.Name.Name != "WriteOnly" && n.Name.Name != "Ring" {
+				return true
+			}
+			for _, fld := range st.Fields.List {
+				for _, name := range fld.Names {
+					if name.IsExported() {
+						t.Errorf("%s.%s is exported: it hands out a readable handle", n.Name.Name, name.Name)
+					}
+				}
+			}
+		}
+		return true
+	})
+	if methods != 4 {
+		t.Errorf("found %d methods on WriteOnly and Ring, want Set, Add, Len and Push", methods)
 	}
 }

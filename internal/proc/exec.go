@@ -235,7 +235,7 @@ func (c *Core) exFinalize(in isa.Inst) bool {
 		}
 		lsu.ldRes.Set(v)
 		lsu.ldPar.Set(parity64(v) ^ c.polarity(lsu.mode, 2))
-		lsu.perf.Entry(0).Set(lsu.perf.Entry(0).Get() + 1)
+		lsu.perf.Add(0, 1)
 		return true
 	}
 
@@ -526,10 +526,8 @@ func (c *Core) wbCycle() Event {
 	if p := c.rut.progress.Get(); p < 255 {
 		c.rut.progress.Set(p + 1)
 	}
-	tp := int(c.prv.trcPtr.Get()) % traceDepth
-	c.prv.trace.Entry(tp).Set(fxu.wbNPC.Get())
-	c.prv.trcPtr.Set(uint64(tp+1) % traceDepth)
-	fxu.perf.Entry(0).Set(fxu.perf.Entry(0).Get() + 1)
+	c.prv.trace.Push(fxu.wbNPC.Get())
+	fxu.perf.Add(0, 1)
 
 	switch in.Op {
 	case isa.OpTESTEND:

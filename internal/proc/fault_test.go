@@ -410,26 +410,38 @@ func TestLatchPopulationShape(t *testing.T) {
 	}
 }
 
-// TestIdleInventoryPinned lists the groups registered with RegisterIdle and
-// pins their number and their bits for the default configuration: moving a
-// group between the live and the idle inventory changes which flips a
-// campaign may skip stepping, and must show up as a diff here.
+// TestIdleInventoryPinned lists the groups no model code can read — those
+// registered with RegisterIdle (no handle) and those behind a write-only
+// handle — and pins their number and their bits: moving a group into or out
+// of the never-read inventory changes which flips a campaign may skip
+// clocking, and must show up as a diff here.
 func TestIdleInventoryPinned(t *testing.T) {
-	count := func(cfg Config) (groups, bits int) {
+	count := func(cfg Config) (groups, bits, idleBits int) {
 		for _, g := range New(cfg).DB().Groups() {
-			if g.Idle {
-				groups++
-				bits += g.Bits()
-				t.Logf("idle: %-4s %-16s %5d bits", g.Unit, g.Name, g.Bits())
+			if !g.NeverRead() {
+				continue
 			}
+			groups++
+			bits += g.Bits()
+			kind := "write-only"
+			if g.Idle {
+				kind = "idle"
+				idleBits += g.Bits()
+			}
+			t.Logf("%-10s %-4s %-16s %5d bits", kind, g.Unit, g.Name, g.Bits())
 		}
-		return groups, bits
+		return groups, bits, idleBits
 	}
-	if groups, bits := count(DefaultConfig()); groups != 39 || bits != 44468 {
-		t.Errorf("default configuration: %d idle groups holding %d bits, want 39 holding 44468", groups, bits)
+	// 39 cold groups (44,468 bits), 11 spare or unused groups of the live
+	// units (2,568) and 12 write-only groups (6,647).
+	if groups, bits, idle := count(DefaultConfig()); groups != 62 || bits != 53683 || idle != 47036 {
+		t.Errorf("default configuration: %d never-read groups holding %d bits (%d idle), want 62 holding 53683 (47036 idle)", groups, bits, idle)
 	}
-	if groups, bits := count(nestConfig()); groups != 42 || bits != 44468+3*16*64 {
-		t.Errorf("with the periphery: %d idle groups holding %d bits, want 42 holding %d", groups, bits, 44468+3*16*64)
+	// The periphery adds three cold groups, nest.seq, nest.mode.spare and
+	// the write-only nest.perf.
+	if groups, bits, idle := count(nestConfig()); groups != 68 || bits != 57147 || idle != 47036+3*16*64+8+128 {
+		t.Errorf("with the periphery: %d never-read groups holding %d bits (%d idle), want 68 holding 57147 (%d idle)",
+			groups, bits, idle, 47036+3*16*64+8+128)
 	}
 }
 

@@ -58,10 +58,8 @@ type ifuState struct {
 	icFSM  latch.Reg   // icache miss state
 	icCnt  latch.Reg   // refill countdown
 	icAddr latch.Reg   // refill address
-	thrCnt latch.Reg   // fetch throttle countdown
-	perf   latch.Array
-	mode   latch.Reg // MODE scan ring (4x64 pieces)
-	mode2  latch.Array
+	perf   latch.WriteOnly
+	mode   latch.Reg // MODE scan ring (segment 0; the spare segments are idle)
 	gptr   latch.Array
 
 	icTag  *array.Protected
@@ -88,12 +86,10 @@ type iduState struct {
 	ctr    latch.Reg
 	ctrPar latch.Reg
 
-	dispFSM latch.Reg   // one-hot dispatch state
-	dacTbl  latch.Array // decode-assist patch table (scan-loaded, spare)
-	ucSeq   latch.Reg
-	perf    latch.Array
+	dispFSM latch.Reg // one-hot dispatch state
+	ucSeq   latch.WriteOnly
+	perf    latch.WriteOnly
 	mode    latch.Reg
-	mode2   latch.Array
 	gptr    latch.Array
 }
 
@@ -120,8 +116,8 @@ type fxuState struct {
 
 	divFSM latch.Reg
 	divCnt latch.Reg
-	exPred latch.Reg // branch predicted-taken bit riding with the EX slot
-	exPNPC latch.Reg // predicted (then actual) next fetch address
+	exPred latch.WriteOnly // branch predicted-taken bit riding with the EX slot
+	exPNPC latch.Reg       // predicted (then actual) next fetch address
 
 	// WB stage slot.
 	wbIR    latch.Reg
@@ -133,27 +129,24 @@ type fxuState struct {
 	wbFPar  latch.Reg
 	wbNPC   latch.Reg // architected next PC for the checkpoint
 
-	perf  latch.Array
-	mode  latch.Reg
-	mode2 latch.Array
-	gptr  latch.Array
+	perf latch.WriteOnly
+	mode latch.Reg
+	gptr latch.Array
 }
 
 type fpuState struct {
 	fpr    latch.Array
 	fprPar latch.Array
 
-	p1a   latch.Reg // pipeline stage operand/result latches
-	p1b   latch.Reg
-	p2    latch.Reg
-	p3    latch.Reg
-	p4    latch.Reg
-	pPar  latch.Reg // staged parity, one bit per stage
-	fsm   latch.Reg // one-hot pipe state
-	perf  latch.Array
-	mode  latch.Reg
-	mode2 latch.Array
-	gptr  latch.Array
+	p1a  latch.Reg // pipeline stage operand/result latches
+	p1b  latch.Reg
+	p2   latch.Reg
+	p3   latch.Reg
+	p4   latch.Reg
+	pPar latch.Reg // staged parity, one bit per stage
+	fsm  latch.Reg // one-hot pipe state
+	mode latch.Reg
+	gptr latch.Array
 }
 
 type lsuState struct {
@@ -171,23 +164,20 @@ type lsuState struct {
 	eratPar latch.Array // entry parity over vpn^ppn
 	eratPtr latch.Reg   // replacement pointer
 
-	lmqAddr latch.Array // load miss queue
-	lmqCtl  latch.Array
+	lmqCtl latch.WriteOnly // load miss queue control (cleared on recovery)
 
 	dcFSM  latch.Reg
 	dcCnt  latch.Reg
 	dcAddr latch.Reg
 
-	ea      latch.Reg // effective address latch
-	eaPar   latch.Reg
-	ldRes   latch.Reg
-	ldPar   latch.Reg
-	pfQueue latch.Array // prefetch stream registers (performance only)
+	ea    latch.Reg // effective address latch
+	eaPar latch.Reg
+	ldRes latch.Reg
+	ldPar latch.Reg
 
-	perf  latch.Array
-	mode  latch.Reg
-	mode2 latch.Array
-	gptr  latch.Array
+	perf latch.WriteOnly
+	mode latch.Reg
+	gptr latch.Array
 
 	dcTag  *array.Protected
 	dcData *array.Protected
@@ -197,11 +187,11 @@ type rutState struct {
 	fsm      latch.Reg // one-hot recovery sequencer
 	retryCnt latch.Reg
 	waitCnt  latch.Reg
-	errSrc   latch.Reg   // checker id of the first error of this incident
-	errCycle latch.Reg   // cycle of the first error
-	progress latch.Reg   // completions since last recovery (saturating)
-	capPar   latch.Reg   // parity over the capture/sequencing registers
-	hist     latch.Array // error-capture history buffer (write-only trace)
+	errSrc   latch.Reg       // checker id of the first error of this incident
+	errCycle latch.Reg       // cycle of the first error
+	progress latch.Reg       // completions since last recovery (saturating)
+	capPar   latch.Reg       // parity over the capture/sequencing registers
+	hist     latch.WriteOnly // error-capture history buffer
 	mode     latch.Reg
 	gptr     latch.Array
 
@@ -227,11 +217,9 @@ type prvState struct {
 	ringPar latch.Array // stored parity for each unit's ring segments
 	scanCtl latch.Reg
 	scanPar latch.Reg
-	abist   latch.Array
-	trace   latch.Array // debug trace array of completion PCs (write-only)
-	trcPtr  latch.Reg
-	thermal latch.Array
-	perf    latch.Array
+	trace   latch.Ring // debug trace array of completion PCs, and its cursor
+	thermal latch.WriteOnly
+	perf    latch.WriteOnly
 	mode2   latch.Array // spare pervasive mode bits
 	gptr    latch.Array
 
@@ -265,10 +253,10 @@ func (c *Core) buildInventory() {
 	c.ifu.icFSM = db.Register(u, latch.Func, "ifu.ic.fsm", 4)
 	c.ifu.icCnt = db.Register(u, latch.Func, "ifu.ic.cnt", 8)
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
-	c.ifu.thrCnt = db.Register(u, latch.Func, "ifu.thr.cnt", 8)
-	c.ifu.perf = db.RegisterArray(u, latch.Func, "ifu.perf", 4, 64)
+	db.RegisterIdle(u, latch.Func, "ifu.thr.cnt", 1, 8) // fetch throttle countdown
+	c.ifu.perf = db.RegisterWriteOnly(u, latch.Func, "ifu.perf", 4, 64)
 	c.ifu.mode = db.Register(u, latch.Mode, "ifu.mode", 64)
-	c.ifu.mode2 = db.RegisterArray(u, latch.Mode, "ifu.mode.spare", 3, 64)
+	db.RegisterIdle(u, latch.Mode, "ifu.mode.spare", 3, 64)
 	c.ifu.gptr = db.RegisterArray(u, latch.GPTR, "ifu.gptr", 2, 64)
 	c.ifu.icTag = array.New("ifu.ic.tag", icLines)
 	c.ifu.icData = array.New("ifu.ic.data", icLines*lineWords)
@@ -292,11 +280,11 @@ func (c *Core) buildInventory() {
 	c.idu.ctr = db.Register(u, latch.RegFile, "idu.ctr", 64)
 	c.idu.ctrPar = db.Register(u, latch.RegFile, "idu.ctr.par", 1)
 	c.idu.dispFSM = db.Register(u, latch.Func, "idu.disp.fsm", 8)
-	c.idu.dacTbl = db.RegisterArray(u, latch.Mode, "idu.dac.tbl", 64, 16)
-	c.idu.ucSeq = db.Register(u, latch.Func, "idu.uc.seq", 16)
-	c.idu.perf = db.RegisterArray(u, latch.Func, "idu.perf", 2, 64)
+	db.RegisterIdle(u, latch.Mode, "idu.dac.tbl", 64, 16) // decode-assist patch table (scan-loaded, spare)
+	c.idu.ucSeq = db.RegisterWriteOnly(u, latch.Func, "idu.uc.seq", 1, 16)
+	c.idu.perf = db.RegisterWriteOnly(u, latch.Func, "idu.perf", 2, 64)
 	c.idu.mode = db.Register(u, latch.Mode, "idu.mode", 64)
-	c.idu.mode2 = db.RegisterArray(u, latch.Mode, "idu.mode.spare", 3, 64)
+	db.RegisterIdle(u, latch.Mode, "idu.mode.spare", 3, 64)
 	c.idu.gptr = db.RegisterArray(u, latch.GPTR, "idu.gptr", 2, 64)
 
 	// ---- FXU ----
@@ -317,7 +305,7 @@ func (c *Core) buildInventory() {
 	c.fxu.resRsd = db.Register(u, latch.Func, "fxu.res.rsd", 2)
 	c.fxu.divFSM = db.Register(u, latch.Func, "fxu.div.fsm", 8)
 	c.fxu.divCnt = db.Register(u, latch.Func, "fxu.div.cnt", 8)
-	c.fxu.exPred = db.Register(u, latch.Func, "fxu.ex.pred", 1)
+	c.fxu.exPred = db.RegisterWriteOnly(u, latch.Func, "fxu.ex.pred", 1, 1)
 	c.fxu.exPNPC = db.Register(u, latch.Func, "fxu.ex.pnpc", 48)
 	c.fxu.wbIR = db.Register(u, latch.Func, "fxu.wb.ir", 32)
 	c.fxu.wbIRPar = db.Register(u, latch.Func, "fxu.wb.ir.par", 1)
@@ -327,9 +315,9 @@ func (c *Core) buildInventory() {
 	c.fxu.wbFRes = db.Register(u, latch.Func, "fxu.wb.fres", 64)
 	c.fxu.wbFPar = db.Register(u, latch.Func, "fxu.wb.fpar", 1)
 	c.fxu.wbNPC = db.Register(u, latch.Func, "fxu.wb.npc", 48)
-	c.fxu.perf = db.RegisterArray(u, latch.Func, "fxu.perf", 2, 64)
+	c.fxu.perf = db.RegisterWriteOnly(u, latch.Func, "fxu.perf", 2, 64)
 	c.fxu.mode = db.Register(u, latch.Mode, "fxu.mode", 64)
-	c.fxu.mode2 = db.RegisterArray(u, latch.Mode, "fxu.mode.spare", 2, 64)
+	db.RegisterIdle(u, latch.Mode, "fxu.mode.spare", 2, 64)
 	c.fxu.gptr = db.RegisterArray(u, latch.GPTR, "fxu.gptr", 2, 64)
 
 	// ---- FPU ----
@@ -343,9 +331,9 @@ func (c *Core) buildInventory() {
 	c.fpu.p4 = db.Register(u, latch.Func, "fpu.p4", 64)
 	c.fpu.pPar = db.Register(u, latch.Func, "fpu.p.par", 4)
 	c.fpu.fsm = db.Register(u, latch.Func, "fpu.fsm", 8)
-	c.fpu.perf = db.RegisterArray(u, latch.Func, "fpu.perf", 2, 64)
+	db.RegisterIdle(u, latch.Func, "fpu.perf", 2, 64) // no FPU event is counted
 	c.fpu.mode = db.Register(u, latch.Mode, "fpu.mode", 64)
-	c.fpu.mode2 = db.RegisterArray(u, latch.Mode, "fpu.mode.spare", 1, 64)
+	db.RegisterIdle(u, latch.Mode, "fpu.mode.spare", 1, 64)
 	c.fpu.gptr = db.RegisterArray(u, latch.GPTR, "fpu.gptr", 1, 64)
 
 	// ---- LSU ----
@@ -362,8 +350,8 @@ func (c *Core) buildInventory() {
 	c.lsu.eratCtl = db.RegisterArray(u, latch.Func, "lsu.erat.ctl", eratSize, 4)
 	c.lsu.eratPar = db.RegisterArray(u, latch.Func, "lsu.erat.par", eratSize, 1)
 	c.lsu.eratPtr = db.Register(u, latch.Func, "lsu.erat.ptr", 6)
-	c.lsu.lmqAddr = db.RegisterArray(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64)
-	c.lsu.lmqCtl = db.RegisterArray(u, latch.Func, "lsu.lmq.ctl", lmqEntries, 8)
+	db.RegisterIdle(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64) // load miss queue
+	c.lsu.lmqCtl = db.RegisterWriteOnly(u, latch.Func, "lsu.lmq.ctl", lmqEntries, 8)
 	c.lsu.dcFSM = db.Register(u, latch.Func, "lsu.dc.fsm", 4)
 	c.lsu.dcCnt = db.Register(u, latch.Func, "lsu.dc.cnt", 8)
 	c.lsu.dcAddr = db.Register(u, latch.Func, "lsu.dc.addr", 64)
@@ -371,10 +359,10 @@ func (c *Core) buildInventory() {
 	c.lsu.eaPar = db.Register(u, latch.Func, "lsu.ea.par", 1)
 	c.lsu.ldRes = db.Register(u, latch.Func, "lsu.ld.res", 64)
 	c.lsu.ldPar = db.Register(u, latch.Func, "lsu.ld.par", 1)
-	c.lsu.pfQueue = db.RegisterArray(u, latch.Func, "lsu.pf", 4, 64)
-	c.lsu.perf = db.RegisterArray(u, latch.Func, "lsu.perf", 3, 64)
+	db.RegisterIdle(u, latch.Func, "lsu.pf", 4, 64) // prefetch stream registers
+	c.lsu.perf = db.RegisterWriteOnly(u, latch.Func, "lsu.perf", 3, 64)
 	c.lsu.mode = db.Register(u, latch.Mode, "lsu.mode", 64)
-	c.lsu.mode2 = db.RegisterArray(u, latch.Mode, "lsu.mode.spare", 3, 64)
+	db.RegisterIdle(u, latch.Mode, "lsu.mode.spare", 3, 64)
 	c.lsu.gptr = db.RegisterArray(u, latch.GPTR, "lsu.gptr", 2, 64)
 	c.lsu.dcTag = array.New("lsu.dc.tag", dcLines)
 	c.lsu.dcData = array.New("lsu.dc.data", dcLines*lineWords)
@@ -388,7 +376,7 @@ func (c *Core) buildInventory() {
 	c.rut.errCycle = db.Register(u, latch.Func, "rut.err.cycle", 64)
 	c.rut.progress = db.Register(u, latch.Func, "rut.progress", 8)
 	c.rut.capPar = db.Register(u, latch.Func, "rut.cap.par", 1)
-	c.rut.hist = db.RegisterArray(u, latch.Func, "rut.hist", 16, 64)
+	c.rut.hist = db.RegisterWriteOnly(u, latch.Func, "rut.hist", 16, 64)
 	c.rut.mode = db.Register(u, latch.Mode, "rut.mode", 64)
 	c.rut.gptr = db.RegisterArray(u, latch.GPTR, "rut.gptr", 1, 32)
 	c.rut.ckptGPR = array.New("rut.ckpt.gpr", 32)
@@ -410,11 +398,10 @@ func (c *Core) buildInventory() {
 	c.prv.ringPar = db.RegisterArray(u, latch.Func, "prv.ring.par", 16, 1)
 	c.prv.scanCtl = db.Register(u, latch.Func, "prv.scan.ctl", 64)
 	c.prv.scanPar = db.Register(u, latch.Func, "prv.scan.par", 1)
-	c.prv.abist = db.RegisterArray(u, latch.Func, "prv.abist", 2, 64)
-	c.prv.trace = db.RegisterArray(u, latch.Func, "prv.trace", traceDepth, 64)
-	c.prv.trcPtr = db.Register(u, latch.Func, "prv.trace.ptr", 6)
-	c.prv.thermal = db.RegisterArray(u, latch.Func, "prv.thermal", 4, 64)
-	c.prv.perf = db.RegisterArray(u, latch.Func, "prv.perf", 8, 64)
+	db.RegisterIdle(u, latch.Func, "prv.abist", 2, 64)
+	c.prv.trace = db.RegisterRing(u, latch.Func, "prv.trace", "prv.trace.ptr", traceDepth, 64)
+	c.prv.thermal = db.RegisterWriteOnly(u, latch.Func, "prv.thermal", 4, 64)
+	c.prv.perf = db.RegisterWriteOnly(u, latch.Func, "prv.perf", 8, 64)
 	c.prv.mode2 = db.RegisterArray(u, latch.Mode, "prv.mode.spare", 6, 64)
 	c.prv.gptr = db.RegisterArray(u, latch.GPTR, "prv.gptr", 8, 64)
 	c.prv.scrubPtr = db.Register(u, latch.Func, "prv.scrub.ptr", 16)

@@ -31,10 +31,8 @@ type nestState struct {
 	rqPtr  latch.Reg   // allocation pointer
 
 	credits latch.Reg // memory-channel credit counter
-	seq     latch.Reg // controller sequencing state
-	perf    latch.Array
+	perf    latch.WriteOnly
 	mode    latch.Reg
-	mode2   latch.Array
 	gptr    latch.Array
 
 	l2Tag  *array.Protected
@@ -50,10 +48,10 @@ func (c *Core) buildNestInventory() {
 	c.nest.rqPar = db.RegisterArray(u, latch.Func, "nest.rq.par", rqEntries, 1)
 	c.nest.rqPtr = db.Register(u, latch.Func, "nest.rq.ptr", 3)
 	c.nest.credits = db.Register(u, latch.Func, "nest.credits", 8)
-	c.nest.seq = db.Register(u, latch.Func, "nest.seq", 8)
-	c.nest.perf = db.RegisterArray(u, latch.Func, "nest.perf", 4, 64)
+	db.RegisterIdle(u, latch.Func, "nest.seq", 1, 8) // controller sequencing state
+	c.nest.perf = db.RegisterWriteOnly(u, latch.Func, "nest.perf", 4, 64)
 	c.nest.mode = db.Register(u, latch.Mode, "nest.mode", 64)
-	c.nest.mode2 = db.RegisterArray(u, latch.Mode, "nest.mode.spare", 2, 64)
+	db.RegisterIdle(u, latch.Mode, "nest.mode.spare", 2, 64)
 	c.nest.gptr = db.RegisterArray(u, latch.GPTR, "nest.gptr", 2, 64)
 	// Cold periphery structures: snoop/coherence machinery idle in this
 	// single-core configuration, and DMA engines with no I/O traffic.
@@ -138,7 +136,7 @@ func (c *Core) nestAllocRQ(addr uint64, ifetch bool) {
 	if n := c.nest.credits.Get(); n > 0 {
 		c.nest.credits.Set(n - 1)
 	}
-	c.nest.perf.Entry(0).Set(c.nest.perf.Entry(0).Get() + 1)
+	c.nest.perf.Add(0, 1)
 }
 
 // nestRetireRQ frees the oldest valid request (called when a refill

@@ -282,7 +282,7 @@ func (c *Core) handleErrors() {
 		c.rut.errSrc.Set(uint64(worst.ID))
 		c.rut.errCycle.Set(c.Cycle)
 		h := int(c.rut.errCycle.Get()) % c.rut.hist.Len()
-		c.rut.hist.Entry(h).Set(uint64(worst.ID)<<32 | c.Cycle&0xffffffff)
+		c.rut.hist.Set(h, uint64(worst.ID)<<32|c.Cycle&0xffffffff)
 	}
 	if worst.Action == ActionCheckstop {
 		c.checkstop()

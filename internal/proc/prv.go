@@ -88,9 +88,9 @@ func (c *Core) prvCycle() {
 	c.scrubCycle()
 
 	// Free-running counters.
-	prv.perf.Entry(0).Set(prv.perf.Entry(0).Get() + 1)
+	prv.perf.Add(0, 1)
 	if c.Cycle%16 == 0 {
-		prv.thermal.Entry(0).Set(prv.thermal.Entry(0).Get() + 1)
+		prv.thermal.Add(0, 1)
 	}
 }
 
