@@ -34,9 +34,13 @@ fmt:
 # (the single-flight image cache cloned into concurrent campaigns) and
 # internal/server (the multi-campaign scheduler and its executors, whose
 # embedded worker hands its coordinator request values, not copies: lease,
-# heartbeat and shard-report documents are shared across the two).
+# heartbeat and shard-report documents are shared across the two), and
+# internal/latch, internal/dirty and internal/proc, where what every clone of
+# a p6lite backend reads at once lives: the access log, the sparse checkpoint
+# images and their baseline (p6lite's TestClonesShareTheRecord runs the
+# clones; core's campaign tests fan them out).
 race:
-	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server
+	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server ./internal/latch ./internal/dirty ./internal/proc
 
 # fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED

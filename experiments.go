@@ -1,9 +1,11 @@
 package sfi
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"sfi/internal/core"
 	"sfi/internal/latch"
 	"sfi/internal/stats"
 )
@@ -211,7 +213,8 @@ type Fig3Result struct {
 // RunFig3 reproduces Figure 3: targeted fault injection into each
 // micro-architectural unit.
 func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
-	// Probe the population once.
+	// One warmed runner: it is probed for the population, and every unit's
+	// campaign runs on it.
 	probe, err := NewRunner(cfg.Runner)
 	if err != nil {
 		return nil, err
@@ -231,7 +234,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		if flips > bits {
 			flips = bits
 		}
-		rep, err := RunCampaign(CampaignConfig{
+		rep, err := core.RunCampaignWith(context.Background(), probe, CampaignConfig{
 			Runner:      cfg.Runner,
 			Seed:        cfg.Seed + uint64(len(out.PerUnit)),
 			Flips:       flips,
@@ -378,7 +381,7 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		if flips > bits {
 			flips = bits
 		}
-		rep, err := RunCampaign(CampaignConfig{
+		rep, err := core.RunCampaignWith(context.Background(), probe, CampaignConfig{
 			Runner:      cfg.Runner,
 			Seed:        cfg.Seed + uint64(i),
 			Flips:       flips,

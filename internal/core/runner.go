@@ -217,6 +217,7 @@ func (r *Runner) record(res Result, stepped uint64, t0 time.Time, ckIdx, delay i
 		RestoreNs:     restoreNs,
 		PropagateNs:   propagateNs,
 		Cycles:        res.Cycles,
+		Stepped:       stepped,
 		TestEnds:      res.TestEnds,
 		Outcome:       res.Outcome.String(),
 		Detected:      res.Detected,

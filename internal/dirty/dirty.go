@@ -180,22 +180,24 @@ func (s *Store[T]) RestoreDelta(d *Delta[T]) {
 	}
 }
 
-// Image is a checkpoint of a store: the full contents and, when the store
-// had a baseline, that baseline and the delta against it. Immutable, so
+// Image is a checkpoint of a store. Captured against a baseline it is sparse:
+// the baseline (shared, not copied) and the delta against it determine the
+// contents, so a set of checkpoints costs its deltas rather than a copy of the
+// store each. Without a baseline it holds the full contents. Immutable, so
 // concurrent stores restore from one image.
 type Image[T comparable] struct {
-	cells []T
-	base  *Baseline[T]
+	n     int          // cells in the store it was taken from
+	cells []T          // the full contents; nil when base is set
+	base  *Baseline[T] // with delta, the contents of an image taken on a baseline
 	delta *Delta[T]
 }
 
 // Snapshot captures the contents.
 func (s *Store[T]) Snapshot() *Image[T] {
-	img := &Image[T]{cells: slices.Clone(s.Cells), base: s.base}
-	if s.base != nil {
-		img.delta = s.CaptureDelta()
+	if s.base == nil {
+		return &Image[T]{n: len(s.Cells), cells: slices.Clone(s.Cells)}
 	}
-	return img
+	return &Image[T]{n: len(s.Cells), base: s.base, delta: s.CaptureDelta()}
 }
 
 // shares reports whether img's delta is against this store's baseline.
@@ -213,41 +215,70 @@ func (s *Store[T]) Restore(img *Image[T]) {
 	s.RestoreFull(img)
 }
 
-// RestoreFull copies all of img in, whatever baseline it has, and marks
-// every block dirty so that later delta restores stay exact. It is the
+// RestoreFull rebuilds all of img in the store, whatever baseline it has, and
+// marks every block dirty so that later delta restores stay exact. It is the
 // oracle the delta path is tested against.
 func (s *Store[T]) RestoreFull(img *Image[T]) {
-	if len(img.cells) != len(s.Cells) {
-		panic(fmt.Sprintf("dirty: image size %d != %d", len(img.cells), len(s.Cells)))
+	if img.n != len(s.Cells) {
+		panic(fmt.Sprintf("dirty: image size %d != %d", img.n, len(s.Cells)))
 	}
-	copy(s.Cells, img.cells)
+	if img.base == nil {
+		copy(s.Cells, img.cells)
+	} else {
+		copy(s.Cells, img.base.cells)
+		off := 0
+		for _, b := range img.delta.blocks {
+			lo, hi := s.bounds(int(b))
+			off += copy(s.Cells[lo:hi], img.delta.cells[off:])
+		}
+	}
 	s.touchAll()
 }
 
 // Matches reports whether the contents equal img's, leaving out the cells
 // skip selects (nil selects none). Against a shared baseline it reads only
 // what can differ: a clean block equals the baseline, and img equals the
-// baseline outside its delta, so the dirty blocks and the delta's blocks
-// cover every possible difference — the cost is RestoreDelta's.
+// baseline outside its delta, so the dirty blocks and the delta's blocks —
+// walked as one ascending merge — cover every possible difference, and the
+// cost is RestoreDelta's.
 func (s *Store[T]) Matches(img *Image[T], skip func(i int) bool) bool {
-	if len(img.cells) != len(s.Cells) {
+	if img.n != len(s.Cells) {
 		return false
 	}
-	if !s.shares(img) {
+	if img.base == nil {
 		return equal(s.Cells, img.cells, 0, skip)
 	}
-	for _, b := range img.delta.blocks {
-		if s.dirty[b] != 0 {
-			continue // compared below
+	// img's block b is the head of its delta if that is b, else the
+	// baseline's; same is asked about blocks in ascending order.
+	blocks, cells := img.delta.blocks, img.delta.cells
+	same := func(b int) bool {
+		lo, hi := s.bounds(b)
+		want := img.base.cells[lo:hi]
+		if len(blocks) > 0 && int(blocks[0]) == b {
+			want, blocks, cells = cells[:hi-lo], blocks[1:], cells[hi-lo:]
 		}
-		lo, hi := s.bounds(int(b))
-		if !equal(s.Cells[lo:hi], img.cells[lo:hi], lo, skip) {
+		return equal(s.Cells[lo:hi], want, lo, skip)
+	}
+	if !s.shares(img) {
+		for lo := 0; lo < len(s.Cells); lo += 1 << s.shift {
+			if !same(lo >> s.shift) {
+				return false
+			}
+		}
+		return true
+	}
+	for b := range s.dirtyBlocks {
+		for len(blocks) > 0 && int(blocks[0]) < b {
+			if !same(int(blocks[0])) {
+				return false
+			}
+		}
+		if !same(b) {
 			return false
 		}
 	}
-	for b := range s.dirtyBlocks {
-		lo, hi := s.bounds(b)
-		if !equal(s.Cells[lo:hi], img.cells[lo:hi], lo, skip) {
+	for len(blocks) > 0 {
+		if !same(int(blocks[0])) {
 			return false
 		}
 	}

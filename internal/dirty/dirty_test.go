@@ -165,6 +165,13 @@ func runScript[T comparable](t *testing.T, n int, shift uint, script []byte, val
 // the first.
 var fullThenDelta = []byte{7, 0, 0, 0, 0, 1, 5, 0, 0, 2, 0, 0, 0, 0, 9, 0, 1, 2, 2, 0, 0, 4, 1, 0, 6, 0, 0, 3, 0, 0}
 
+// shortLastBlock puts the 37-cell shape's short last block in a sparse image
+// and takes every path that reads one: baseline, write cell 36, snapshot,
+// write elsewhere, full restore (rebuilt from baseline and delta), delta
+// restore, then the same image against a newer baseline and against the
+// other store, which shares none.
+var shortLastBlock = []byte{7, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0, 5, 4, 0, 0, 3, 0, 0, 0, 0, 9, 7, 0, 0, 4, 0, 0, 9, 0, 0, 4, 0, 0}
+
 // TestStoreModel drives random write / snapshot / restore / full-restore /
 // delta / rebaseline / adopt sequences against the plain-slice model, for
 // every shape.
@@ -172,6 +179,7 @@ func TestStoreModel(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			sh.run(t, fullThenDelta)
+			sh.run(t, shortLastBlock)
 			rng := rand.New(rand.NewPCG(20, uint64(len(sh.name))))
 			for range 40 {
 				script := make([]byte, 3*150)
@@ -190,6 +198,7 @@ func FuzzStore(f *testing.F) {
 	for i := range shapes {
 		f.Add(append([]byte{byte(i)}, fullThenDelta...))
 	}
+	f.Add(append([]byte{0}, shortLastBlock...))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 || len(script) > 1+3*200 {
 			return
@@ -226,6 +235,24 @@ func TestDeltaIsSparse(t *testing.T) {
 	s.RestoreDelta(d)
 	if want := []byte{0, 0, 1, 0, 1}; !slices.Equal(s.dirty, want) {
 		t.Fatalf("after a delta restore the marks are %v, want %v", s.dirty, want)
+	}
+}
+
+// TestImageIsSparse pins what a set of checkpoints costs: an image taken on a
+// baseline holds that baseline by reference and its delta, and no copy of
+// the store.
+func TestImageIsSparse(t *testing.T) {
+	s := New[uint64](37, 3)
+	if img := s.Snapshot(); len(img.cells) != 37 || img.base != nil {
+		t.Fatalf("image without a baseline holds %d cells, want all 37", len(img.cells))
+	}
+	s.SetBaseline()
+	s.Cells[36] = 7
+	s.Touch(36 >> 3)
+	img := s.Snapshot()
+	if img.cells != nil || img.base != s.Baseline() || len(img.delta.cells) != 5 {
+		t.Fatalf("image on a baseline holds %d cells and a delta of %d, want none and the 5-cell last block",
+			len(img.cells), len(img.delta.cells))
 	}
 }
 

@@ -13,7 +13,10 @@
 // recorded: the delay from a phased checkpoint to the injection instant is
 // observed, not clocked, unless the flip lands on a latch the model can read;
 // a flip confined to never-read latches leaves the model at its checkpoint;
-// and a monitored run stops clocking once the state at a testend equals that
+// a flip in a tracked group (the register files, predictor, ERAT and store
+// queue) stays out of the model until the cycle the recorded run first reads
+// the flipped word, and for good if it overwrites the word first; and a
+// monitored run stops clocking once the state at a testend equals that
 // barrier's checkpoint. In each case the recorded barriers are replayed to
 // the caller instead (DESIGN.md "Early exit against golden").
 package p6lite
@@ -55,8 +58,12 @@ type Backend struct {
 	// barriers[j] is the cycle of testend j; it runs QuiesceExit+1 testends
 	// past the last checkpoint, so that a run which re-converges at any
 	// checkpointed testend can be replayed to the end of its quiesce count.
+	// log is that pass's access log of the tracked latch groups: the model's
+	// reads and overwrites of every word, and the harness's own reads of the
+	// signature registers at each testend.
 	ckpts     []*proc.ModelCheckpoint
 	barriers  []uint64
+	log       *latch.AccessLog
 	baseRecov uint64
 
 	// barrier is the number of testends observed since ckpts[0] (stepped or
@@ -65,13 +72,24 @@ type Backend struct {
 	barrier int
 	// golden: every latch outside never-read groups, every array cell and
 	// all of memory are on the recorded trajectory at observed cycle Cycle()
-	// and testend count barrier. ReloadPhase establishes it, a flip of a bit
-	// the model can read ends it, and a testend at which the model equals
-	// ckpts[barrier] re-establishes it. It vouches only for changes made
-	// through this type: a caller that writes the model through DB() or
-	// Core() after a ReloadPhase must reload again before it trusts Step or
-	// Run.
+	// and testend count barrier — but for a deferred flip, below. ReloadPhase
+	// establishes it, a flip going into a bit the model can read ends it, and
+	// a testend at which the model equals ckpts[barrier] re-establishes it.
+	// It vouches only for changes made through this type: a caller that
+	// writes the model through DB() or Core() after a ReloadPhase must reload
+	// again before it trusts Step or Run.
 	golden bool
+	// deferred: Inject has kept the toggle fault pend, made at observed cycle
+	// flipAt, out of the model. Every bit of it is in a never-read or a
+	// tracked group, and the recorded run reads no flipped word before cycle
+	// liveAt (latch.Never: not at all, or not before overwriting it), so up
+	// to there the faulty run is the recorded one and replay goes on. A run
+	// that wants cycle liveAt, or the end of the record, or another Inject,
+	// has catchUp clock the model to flipAt, flip it there, and go on live.
+	// liveAt is latch.Never when nothing is deferred.
+	deferred       bool
+	pend           engine.Injection
+	flipAt, liveAt uint64
 	// ahead is the number of cycles Step and Run have observed by replay
 	// without clocking the model, so the model itself is at Cycle()-ahead;
 	// catchUp clocks them when something needs the model (a flip it can
@@ -82,6 +100,11 @@ type Backend struct {
 	// reported them (RunStats.Stepped), catch-ups of its own replays
 	// included.
 	stepped uint64
+	// progress is the cycle of the last instruction completion clock saw
+	// since ReloadPhase, catch-ups included: Run's loss-of-progress watchdog
+	// counts from it, so a run that replayed first is timed like one that
+	// stepped.
+	progress uint64
 
 	// lastActivity is the recovery count at injection time, the baseline
 	// for the quiesce busy check.
@@ -127,18 +150,27 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		baseRecov: c.Recoveries,
 	}
 	// One checkpoint per testcase boundary across a third full pass, its
-	// end included, then the barrier cycles of a quiesce count beyond it.
+	// end included, then the barrier cycles of a quiesce count beyond it;
+	// and, over the same cycles, the access log of the tracked groups. The
+	// harness checks the retired testcase's signature at every testend, as
+	// CheckBarrier will, so its reads are in the log beside the model's.
 	b.ckpts = append(b.ckpts, c.SaveCheckpoint())
 	b.barriers = append(b.barriers, c.Cycle)
+	c.DB().Record(&c.Cycle)
 	for end := 1; end <= n+cfg.QuiesceExit+1; end++ {
 		if err := runToTestEnd(c); err != nil {
 			return nil, err
+		}
+		tc := prog.Testcases[(end-1)%n]
+		if c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) != tc.SigMasked {
+			return nil, fmt.Errorf("p6lite: the fault-free pass fails its own signature check at testend %d", end)
 		}
 		if end <= n {
 			b.ckpts = append(b.ckpts, c.SaveCheckpoint())
 		}
 		b.barriers = append(b.barriers, c.Cycle)
 	}
+	b.log = c.DB().StopRecording()
 	// Leave the model where the third pass ended.
 	c.RestoreCheckpoint(b.ckpts[n])
 	b.barrier = n
@@ -172,6 +204,7 @@ func (b *Backend) Clone() engine.Backend {
 		prog:      b.prog,
 		ckpts:     b.ckpts,
 		barriers:  b.barriers,
+		log:       b.log,
 		baseRecov: b.baseRecov,
 	}
 	// Synchronize counters and capture state with a (dirty-path) reload.
@@ -196,16 +229,22 @@ func (b *Backend) ReloadPhase(p int) {
 	b.stickyOn = false
 	b.barrier = p
 	b.golden = true
-	b.ahead, b.unbilled = 0, 0
+	b.deferred, b.liveAt = false, latch.Never
+	b.ahead, b.unbilled, b.progress = 0, 0, 0
 }
 
-// Step observes one cycle. While the model is on the recorded trajectory
-// and the record lasts it is not clocked: the cycle is counted, and a
-// recorded testend is reported, exactly as clocking would have — a
-// fault-free cycle fires no other event. Otherwise the model is caught up
-// and clocked, re-applying an active sticky force.
+// onRecord reports whether the model is on the recorded trajectory with a
+// recorded testend still ahead of it.
+func (b *Backend) onRecord() bool { return b.golden && b.barrier+1 < len(b.barriers) }
+
+// Step observes one cycle. While the model is on the recorded trajectory,
+// the record lasts and no deferred flip is read in the cycle, it is not
+// clocked: the cycle is counted, and a recorded testend is reported, exactly
+// as clocking would have — a fault-free cycle fires no other event.
+// Otherwise the model is caught up and clocked, re-applying an active sticky
+// force.
 func (b *Backend) Step() engine.Event {
-	if b.golden && b.barrier+1 < len(b.barriers) {
+	if b.onRecord() && b.Cycle()+1 < b.liveAt {
 		b.ahead++
 		b.unbilled++
 		if b.Cycle() < b.barriers[b.barrier+1] {
@@ -214,9 +253,7 @@ func (b *Backend) Step() engine.Event {
 		b.barrier++
 		return engine.Event{Barrier: true}
 	}
-	if b.ahead != 0 {
-		b.catchUp()
-	}
+	b.catchUp()
 	return b.step()
 }
 
@@ -229,9 +266,13 @@ func (b *Backend) step() engine.Event {
 	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
 }
 
-// clock steps the core and maintains the sticky force.
+// clock steps the core, notes a completion and maintains the sticky force.
 func (b *Backend) clock() proc.Event {
+	done := b.core.Completed
 	ev := b.core.Step()
+	if b.core.Completed != done {
+		b.progress = b.core.Cycle
+	}
 	if b.stickyOn {
 		if b.stickyUntil != 0 && b.core.Cycle >= b.stickyUntil {
 			b.stickyOn = false
@@ -243,14 +284,44 @@ func (b *Backend) clock() proc.Event {
 }
 
 // catchUp clocks the cycles observed by replay, so that the model itself is
-// at Cycle(). Their testends are already counted; those Run observed are
-// billed to it.
+// at Cycle(), putting a deferred flip into it at the cycle it was made — which
+// takes the model off the record. Their testends are already counted; those
+// Run observed are billed to it.
 func (b *Backend) catchUp() {
 	b.stepped += b.ahead - b.unbilled
 	b.unbilled = 0
-	for ; b.ahead > 0; b.ahead-- {
-		b.clock()
+	if b.deferred {
+		b.clockAhead(b.flipAt - b.core.Cycle)
+		b.flip(b.pend)
+		b.deferred, b.liveAt, b.golden = false, latch.Never, false
 	}
+	b.clockAhead(b.ahead)
+}
+
+// clockAhead clocks n of the cycles the model is behind.
+func (b *Backend) clockAhead(n uint64) {
+	for ; n > 0; n-- {
+		b.clock()
+		b.ahead--
+	}
+}
+
+// span returns the number of bits inj flips: its span, clipped to the
+// population.
+func (b *Backend) span(inj engine.Injection) int {
+	return min(max(inj.Span, 1), b.core.DB().TotalBits()-inj.Bit)
+}
+
+// flip inverts inj's bits in the model, as it is, and returns the first bit
+// and its new value.
+func (b *Backend) flip(inj engine.Injection) (first latch.BitRef, v bool) {
+	db := b.core.DB()
+	first = db.BitRef(inj.Bit)
+	v = first.Flip()
+	for i, n := 1, b.span(inj); i < n; i++ {
+		db.Flip(inj.Bit + i)
+	}
+	return first, v
 }
 
 // Inject applies a fault at the current observed cycle: the bit (and the rest
@@ -262,31 +333,51 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
 		return fmt.Errorf("p6lite: injection bit %d out of range [0,%d)", inj.Bit, db.TotalBits())
 	}
+	if b.deferred {
+		b.catchUp() // a second fault: the first goes into the model
+	}
 	// A flip commutes with any number of cycles exactly when no cycle reads
-	// it. If every flipped bit (the held one is the first) is one the model
-	// cannot read, the model stays on the fault-free trajectory and need not
-	// even be at the injection instant: the flip goes into the model as it
-	// is. Otherwise the cycles observed so far are clocked first.
-	span := min(max(inj.Span, 1), db.TotalBits()-inj.Bit)
-	for i := 0; i < span; i++ {
-		if g, _, _ := db.Locate(inj.Bit + i); !g.NeverRead() {
-			b.catchUp()
-			b.golden = false
-			break
+	// it. live is the first cycle whose clocking can tell the faulty run from
+	// the recorded one: never for a bit the model cannot read; for a toggled
+	// bit of a tracked word, on the record, the cycle the record first reads
+	// the word, unless it overwrites it first; the next one for anything
+	// else. The fault is as live as its first-read bit (a held fault holds
+	// the first of them).
+	now, live, tracked := b.Cycle(), latch.Never, false
+	for i, n := 0, b.span(inj); i < n && live > now; i++ {
+		g, e, _ := db.Locate(inj.Bit + i)
+		switch {
+		case g.NeverRead():
+		case g.Tracked && inj.Mode == engine.Toggle && b.onRecord():
+			tracked = true
+			live = min(live, b.log.LiveAt(g, e, now))
+		default:
+			live = now
 		}
 	}
-	first := db.BitRef(inj.Bit)
-	v := first.Flip()
-	for i := 1; i < span; i++ {
-		db.Flip(inj.Bit + i)
+	switch {
+	case live == now:
+		// The cycles observed so far are clocked first, and the model
+		// leaves the record.
+		b.catchUp()
+		b.golden = false
+	case tracked:
+		// The model stays on the record up to cycle live, and the flip
+		// stays out of it.
+		b.deferred, b.pend, b.flipAt, b.liveAt = true, inj, now, live
+		b.lastActivity = b.core.Recoveries
+		return nil
 	}
+	// Into the model as it is: a never-read flip need not even find it at
+	// the injection instant.
+	first, v := b.flip(inj)
 	if inj.Mode == engine.Sticky {
 		b.stickyOn = true
 		b.stickyBit = first
 		b.stickyVal = v
 		b.stickyUntil = 0
 		if inj.Duration > 0 {
-			b.stickyUntil = b.Cycle() + uint64(inj.Duration)
+			b.stickyUntil = now + uint64(inj.Duration)
 		}
 	}
 	b.lastActivity = b.core.Recoveries
@@ -303,42 +394,42 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // testend, counts it and calls onBarrier, exactly as stepping there would have — a
 // fault-free machine fires no stop condition, CheckBarrier answers for the
 // barrier being replayed, and the window clips a replayed testcase as it
-// clips a stepped one. Past the end of the record the model is caught up and
-// clocked again, so a callback that never stops still sees every barrier.
+// clips a stepped one. Past the end of the record, or from the cycle before
+// the record reads a deferred flip, the model is caught up and clocked again,
+// so a callback that never stops still sees every barrier and a flip is in
+// the model by the time anything can read it.
 // What Verdict reads afterwards (FIRs, checkstop, first-error capture,
 // recovery and correction counts) a fault-free continuation does not change.
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
 	c := b.core
-	lastCompleted := c.Completed
-	lastProgressCycle := c.Cycle
+	start := b.Cycle()
 	harnessLimit := uint64(2 * c.Config().HangLimit)
 
 	for window := uint64(max(maxCycles, 0)); st.Cycles < window; {
-		if b.golden && b.barrier+1 < len(b.barriers) {
+		if b.onRecord() {
+			// To the next recorded testend or the end of the window, if no
+			// deferred flip is read on the way.
 			d := b.barriers[b.barrier+1] - b.Cycle()
-			if left := window - st.Cycles; d > left {
-				st.Cycles, b.ahead = window, b.ahead+left
-				break
+			if n := min(d, window-st.Cycles); b.Cycle()+n < b.liveAt {
+				st.Cycles, b.ahead = st.Cycles+n, b.ahead+n
+				if n < d {
+					break
+				}
+				b.barrier++
+				st.Barriers++
+				if onBarrier != nil && !onBarrier() {
+					break
+				}
+				continue
 			}
-			st.Cycles, b.ahead = st.Cycles+d, b.ahead+d
-			b.barrier++
-			st.Barriers++
-			if onBarrier != nil && !onBarrier() {
-				break
-			}
-			continue
 		}
-		if b.ahead != 0 {
-			b.catchUp() // the record ran out under a callback still going
-		}
+		// The record ran out under a callback still going, or a deferred
+		// flip is about to be read.
+		b.catchUp()
 		ev := b.step()
 		b.stepped++
 		st.Cycles++
-		if c.Completed != lastCompleted {
-			lastCompleted = c.Completed
-			lastProgressCycle = c.Cycle
-		}
 		if ev.Barrier {
 			st.Barriers++
 			if onBarrier != nil && !onBarrier() {
@@ -353,7 +444,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 			st.Checkstop = true
 		case c.HangDetected():
 			st.Hang = true
-		case c.Cycle-lastProgressCycle > harnessLimit:
+		case c.Cycle-max(b.progress, start) > harnessLimit:
 			st.NoProgress = true
 		default:
 			continue
@@ -385,8 +476,7 @@ func (b *Backend) CheckBarrier() engine.BarrierCheck {
 	if !ok {
 		n := len(b.prog.Testcases)
 		tc := b.prog.Testcases[(b.barrier+n-1)%n] // the one Step just retired
-		st := c.ArchState()
-		ok = st.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked &&
+		ok = c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked &&
 			c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
 	}
 	busy := c.Recoveries != b.lastActivity || c.InRecovery()

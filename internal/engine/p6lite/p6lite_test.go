@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
 	"testing"
 
 	"sfi/internal/bits"
@@ -505,6 +506,200 @@ func TestEarlyExitOutlastsRecord(t *testing.T) {
 		never.same(t, s, 3000+i, -1)
 		fixed.same(t, s, 3000+i, 0)
 	}
+	// A flip the record never reads is still out of the model when the record
+	// ends under it: the run must put it in where it was made and go on live.
+	for _, p := range []pair{never, fixed} {
+		last := p.fast.Phases() - 1
+		for i, group := range trackedGroups {
+			dead, ok := p.fast.deadBit(group)
+			if !ok {
+				continue
+			}
+			s := shot{phase: last, delay: 40 + i, inj: engine.Injection{Bit: int(dead), Mode: engine.Toggle}}
+			p.same(t, s, 3000, -1)
+			if b := p.fast; b.deferred || b.golden || b.ahead != 0 || !b.DB().Peek(s.inj.Bit) {
+				t.Fatalf("%s: after a run off the end of the record deferred=%v golden=%v ahead=%d bit=%v, want the flip in a caught-up model",
+					group, b.deferred, b.golden, b.ahead, b.DB().Peek(s.inj.Bit))
+			}
+		}
+	}
+}
+
+// TestDeferredFlip follows the def-use rule step by step on the flips the
+// fuzz seeds place around the record's own accesses: what Inject decides,
+// when the model is first clocked, and that a flip nothing reads before it is
+// overwritten, or before the run ends, clocks no cycle at all.
+func TestDeferredFlip(t *testing.T) {
+	b := newPair(t, engine.DefaultConfig()).fast
+	moved := func(phase int) uint64 { return b.core.Cycle - b.barriers[phase] }
+	inject := func(bit uint32, delay uint16, inj engine.Injection) (phase int) {
+		t.Helper()
+		inj.Bit = int(bit)
+		phase, _ = schedule(inj.Bit, b.Phases())
+		b.ReloadPhase(phase)
+		for i := 0; i < int(delay); i++ {
+			b.Step()
+		}
+		if err := b.Inject(inj); err != nil {
+			t.Fatal(err)
+		}
+		return phase
+	}
+	quiesce := func() func() bool {
+		clean := 0
+		return func() bool {
+			chk := b.CheckBarrier()
+			if !chk.StateOK {
+				return false
+			}
+			if chk.Busy {
+				clean = 0
+				return true
+			}
+			clean++
+			return clean < b.cfg.QuiesceExit
+		}
+	}
+	toggle := engine.Injection{Mode: engine.Toggle}
+
+	for _, group := range []string{"ifu.bht", "fxu.gpr", "lsu.erat.ctl", "lsu.stq.data"} {
+		bit, d, ok := b.nearAccess(group, false)
+		if !ok {
+			t.Fatalf("the record never reads %s", group)
+		}
+		// Two cycles before the read: deferred, one cycle replayed, then the
+		// model is clocked to the flip, flipped and clocked on.
+		phase := inject(bit, d-2, toggle)
+		readAt := b.barriers[phase] + uint64(d)
+		if !b.deferred || !b.golden || b.liveAt != readAt || moved(phase) != 0 {
+			t.Fatalf("%s: deferred=%v golden=%v liveAt=%d, model %d cycles on, want a deferred flip live at %d and the model at its checkpoint",
+				group, b.deferred, b.golden, b.liveAt, moved(phase), readAt)
+		}
+		before := b.DB().Peek(int(bit))
+		b.Step()
+		if !b.deferred || moved(phase) != 0 || b.DB().Peek(int(bit)) != before {
+			t.Fatalf("%s: the cycle before the read clocked the model %d cycles", group, moved(phase))
+		}
+		b.Step()
+		if b.deferred || b.golden || moved(phase) != uint64(d) {
+			t.Fatalf("%s: the cycle of the read left deferred=%v golden=%v, model %d cycles on, want %d",
+				group, b.deferred, b.golden, moved(phase), d)
+		}
+		// A held fault is never deferred.
+		inject(bit, d-2, engine.Injection{Mode: engine.Sticky})
+		if b.deferred || b.golden {
+			t.Fatalf("%s: a sticky fault was deferred", group)
+		}
+	}
+
+	for _, group := range []string{"fxu.gpr", "lsu.stq.addr", "lsu.stq.data"} { // the predictor reads what it overwrites
+		bit, d, ok := b.nearAccess(group, true)
+		if !ok {
+			t.Fatalf("the record never overwrites %s", group)
+		}
+		// The cycle before the word is overwritten: never live.
+		phase := inject(bit, d-1, toggle)
+		if !b.deferred || b.liveAt != latch.Never {
+			t.Fatalf("%s: deferred=%v liveAt=%d, want a flip that is never read", group, b.deferred, b.liveAt)
+		}
+		if st := b.Run(b.cfg.Window, quiesce()); st.Stepped != 0 || moved(phase) != 0 || st.Barriers != b.cfg.QuiesceExit {
+			t.Fatalf("%s: %+v with the model clocked %d cycles, want a run replayed whole", group, st, moved(phase))
+		}
+		// A second fault puts the first into the model where it was made.
+		phase = inject(bit, d-1, toggle)
+		for i := 0; i < 7; i++ {
+			b.Step()
+		}
+		if err := b.Inject(engine.Injection{Bit: findBit(t, b, "prv.thermal", 1), Mode: engine.Toggle}); err != nil {
+			t.Fatal(err)
+		}
+		if b.deferred || b.golden || moved(phase) != uint64(d-1)+7 {
+			t.Fatalf("%s: a second Inject left deferred=%v golden=%v, model %d cycles on", group, b.deferred, b.golden, moved(phase))
+		}
+	}
+
+	// The harness reads the retired testcase's signature registers at its
+	// testend, and no others.
+	for _, in := range []bool{true, false} {
+		bit, d, ok := b.signatureBit("fxu.gpr", in)
+		if !ok {
+			t.Fatalf("no GPR with signature membership %v", in)
+		}
+		phase := inject(bit, d-1, toggle)
+		testend := b.barriers[phase+1]
+		if !b.deferred || in && b.liveAt > testend || !in && b.liveAt == testend {
+			t.Fatalf("in signature %v: deferred=%v liveAt=%d, testend at %d", in, b.deferred, b.liveAt, testend)
+		}
+		inject(bit, d, toggle) // after the testend's check: it is not that one that reads it
+		if !b.deferred || b.liveAt <= testend {
+			t.Fatalf("in signature %v, flipped at the testend: deferred=%v liveAt=%d, testend at %d", in, b.deferred, b.liveAt, testend)
+		}
+	}
+
+	// A span is as live as its first-read bit.
+	phase := inject(uint32(findBit(t, b, "fxu.gpr", 32*64-2)), 30, engine.Injection{Mode: engine.Toggle, Span: 4})
+	if b.deferred || b.golden || moved(phase) != 30 {
+		t.Fatalf("a span into fxu.gpr.par: deferred=%v golden=%v, model %d cycles on", b.deferred, b.golden, moved(phase))
+	}
+}
+
+// TestClonesShareTheRecord runs the same injections on four clones at once,
+// each on its own goroutine: they share one access log, one set of sparse
+// checkpoint images and one baseline, read-only. Every clone must defer the
+// flips the record lets it defer, and all must see what a lone backend sees.
+func TestClonesShareTheRecord(t *testing.T) {
+	cfg := engine.DefaultConfig()
+	proto := newPair(t, cfg).fast
+	var shots []shot
+	for _, group := range trackedGroups {
+		bits := []uint32{uint32(findBit(t, proto, group, 1))}
+		if dead, ok := proto.deadBit(group); ok {
+			bits = append(bits, dead)
+		}
+		for _, bit := range bits {
+			phase, delay := schedule(int(bit), proto.Phases())
+			shots = append(shots, shot{phase: phase, delay: delay, inj: engine.Injection{Bit: int(bit), Mode: engine.Toggle}})
+		}
+	}
+	type outcome struct {
+		obs  []observation
+		free int // injections that clocked nothing
+	}
+	run := func(b *Backend) outcome {
+		var out outcome
+		for _, s := range shots {
+			o := observe(t, b, false, s, cfg.Window, cfg.QuiesceExit)
+			out.obs = append(out.obs, o)
+			if o.stats.Stepped == 0 && b.core.Cycle == b.barriers[s.phase] {
+				out.free++
+			}
+		}
+		return out
+	}
+	clones := make([]*Backend, 4)
+	for i := range clones {
+		clones[i] = proto.Clone().(*Backend)
+	}
+	want := run(proto)
+	if want.free < 5 {
+		t.Fatalf("%d of %d injections clocked nothing, want at least the five groups' never-accessed words", want.free, len(shots))
+	}
+	got := make([]outcome, len(clones))
+	var wg sync.WaitGroup
+	for i, b := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(b)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i].free != want.free || !slices.Equal(got[i].obs, want.obs) {
+			t.Errorf("clone %d: %d injections clocked nothing, the prototype %d; observations equal: %v",
+				i, got[i].free, want.free, slices.Equal(got[i].obs, want.obs))
+		}
+	}
 }
 
 // TestRunAfterEarlyExit checks that a run which exited early leaves a
@@ -540,10 +735,10 @@ func TestRunAfterEarlyExit(t *testing.T) {
 	diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
 }
 
-// neverRead reports whether every bit inj flips is one the model cannot read.
-func neverRead(db *latch.DB, inj engine.Injection) bool {
+// confined reports whether every bit inj flips is in a group sel selects.
+func confined(db *latch.DB, inj engine.Injection, sel func(*latch.Group) bool) bool {
 	for i := 0; i < max(inj.Span, 1) && inj.Bit+i < db.TotalBits(); i++ {
-		if g, _, _ := db.Locate(inj.Bit + i); !g.NeverRead() {
+		if g, _, _ := db.Locate(inj.Bit + i); !sel(g) {
 			return false
 		}
 	}
@@ -551,10 +746,12 @@ func neverRead(db *latch.DB, inj engine.Injection) bool {
 }
 
 // TestClockedCycleCount pins what an injection is charged, in the model's
-// own clocked cycles: none at all when every flipped bit is never-read (the
-// model stays at the phased checkpoint from ReloadPhase to after Run), and
-// otherwise the delay plus RunStats.Stepped — so Stepped holds no delay
-// cycle, and no cycle is clocked that is neither.
+// own clocked cycles. None at all when every flipped bit is never-read: the
+// model stays at the phased checkpoint from ReloadPhase to after Run. None
+// either when a toggle confined to never-read and tracked groups is not read
+// by the recorded run before the injection's run ends: the flip never goes
+// into the model. Otherwise the delay plus RunStats.Stepped — so Stepped
+// holds no delay cycle, and no cycle is clocked that is neither.
 func TestClockedCycleCount(t *testing.T) {
 	bits := 2000
 	if testing.Short() || raceDetector {
@@ -566,7 +763,7 @@ func TestClockedCycleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := be.(*Backend)
-	free, all := 0, 0
+	free, toggles, freeToggles, all := 0, 0, 0, 0
 	rng := rand.New(rand.NewPCG(18, 0))
 	for _, bit := range b.DB().SampleBits(rng, bits, nil) {
 		phase, delay := schedule(bit, b.Phases())
@@ -575,7 +772,9 @@ func TestClockedCycleCount(t *testing.T) {
 			o := observe(t, b, false, shot{phase: phase, delay: delay, inj: inj}, cfg.Window, cfg.QuiesceExit)
 			moved := b.core.Cycle - b.barriers[phase] // barriers[p] is the cycle of ckpts[p]
 			want := uint64(delay) + o.stats.Stepped
-			if neverRead(b.DB(), inj) {
+			deferrable := inj.Mode == engine.Toggle &&
+				confined(b.DB(), inj, func(g *latch.Group) bool { return g.NeverRead() || g.Tracked })
+			if confined(b.DB(), inj, (*latch.Group).NeverRead) || deferrable && moved == 0 {
 				want = 0
 				free++
 			}
@@ -584,11 +783,20 @@ func TestClockedCycleCount(t *testing.T) {
 					bit, delay, inj, moved, o.stats.Stepped, want)
 			}
 			all++
+			if inj.Mode == engine.Toggle && inj.Span <= 1 {
+				toggles++
+				if want == 0 {
+					freeToggles++
+				}
+			}
 		}
 	}
-	t.Logf("%d of %d injections clocked nothing", free, all)
-	if free*100 < all*65 {
-		t.Errorf("%d of %d injections confined to never-read groups, want at least 65%%", free, all)
+	t.Logf("%d of %d injections clocked nothing, %d of %d single-bit toggles", free, all, freeToggles, toggles)
+	if freeToggles*100 < toggles*85 {
+		t.Errorf("%d of %d toggle injections clocked nothing, want at least 85%%", freeToggles, toggles)
+	}
+	if free*100 < all*75 {
+		t.Errorf("%d of %d injections of any shape clocked nothing, want at least 65%%", free, all)
 	}
 }
 
@@ -616,6 +824,39 @@ func FuzzEarlyExit(f *testing.F) {
 	f.Add(bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
 	f.Add(bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
 	f.Add(bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
+	// The tracked groups: flips placed around the record's own accesses.
+	for _, group := range trackedGroups {
+		// The default AVP issues no floating-point operation and reloads no
+		// ERAT entry in steady state: those groups have only some of these.
+		if b, d, ok := p.fast.nearAccess(group, false); ok {
+			f.Add(b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
+			f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // read in the next cycle
+			f.Add(b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // just after the read
+			f.Add(b, true, uint8(1), uint16(0), d-2, uint16(0), uint32(0))  // held: stays on the clocked path
+		}
+		if b, d, ok := p.fast.nearAccess(group, true); ok {
+			f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
+			f.Add(b, false, uint8(2), uint16(0), d-1, uint16(0), uint32(0)) // and the bit beside it
+		}
+		if dead, ok := p.fast.deadBit(group); ok {
+			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                // never read
+			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(300), bit("prv.hang.cnt", 3)) // then a live Inject
+			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(300), dead+1)                 // then another dead one
+			f.Add(dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))             // Steps off the end of the record
+		}
+	}
+	for _, group := range []string{"fxu.gpr", "fpu.fpr"} {
+		for _, in := range []bool{true, false} { // in and out of the retired testcase's signature
+			if b, d, ok := p.fast.signatureBit(group, in); ok {
+				f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // the cycle before the testend
+				f.Add(b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // at it, after its check
+			}
+		}
+	}
+	f.Add(bit("fxu.gpr", 32*64-2), false, uint8(4), uint16(0), uint16(30), uint16(0), uint32(0))      // tracked into live fxu.gpr.par
+	f.Add(bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))  // tracked into live lsu.erat.par
+	f.Add(bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0)) // tracked into tracked lsu.stq.data
+	f.Add(bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))         // live into tracked ifu.bht
 	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
 		total := p.fast.DB().TotalBits()
 		s := shot{
@@ -635,6 +876,60 @@ func FuzzEarlyExit(f *testing.F) {
 		s.phase, _ = schedule(s.inj.Bit, p.fast.Phases())
 		p.same(t, s, 50_000, 2)
 	})
+}
+
+// trackedGroups are the latch groups behind latch.Tracked handles.
+var trackedGroups = []string{"ifu.bht", "fxu.gpr", "fpu.fpr", "lsu.erat.vpn", "lsu.erat.ppn", "lsu.erat.ctl", "lsu.stq.addr", "lsu.stq.data"}
+
+// nearAccess finds a word of a tracked group that the record reads (def
+// false) or overwrites (def true) between 3 and 900 cycles after the phased
+// checkpoint its first bit is scheduled at, and returns that bit and the
+// distance.
+func (b *Backend) nearAccess(group string, def bool) (bit uint32, delay uint16, ok bool) {
+	g, _ := b.DB().GroupByName(group)
+	for e := 0; e < g.Entries; e++ {
+		bit := g.Offset() + e*g.Width
+		phase, _ := schedule(bit, b.Phases())
+		for c, d := range b.log.Accesses(g, e) {
+			if at := int64(c) - int64(b.barriers[phase]); d == def && at >= 3 && at < 900 {
+				return uint32(bit), uint16(at), true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// deadBit returns the first bit of a tracked group's last word that the
+// record never accesses; the store queue and the ERAT's valid bits have none.
+func (b *Backend) deadBit(group string) (bit uint32, ok bool) {
+	g, _ := b.DB().GroupByName(group)
+next:
+	for e := g.Entries - 1; e >= 0; e-- {
+		for range b.log.Accesses(g, e) {
+			continue next
+		}
+		return uint32(g.Offset() + e*g.Width), true
+	}
+	return 0, false
+}
+
+// signatureBit finds a bit of a register file that is (in) or is not in the
+// signature mask of the testcase that retires first after the phased
+// checkpoint the bit is scheduled at, and the distance to that testend.
+func (b *Backend) signatureBit(group string, in bool) (bit uint32, delay uint16, ok bool) {
+	g, _ := b.DB().GroupByName(group)
+	for i := 0; i < g.Bits(); i++ {
+		phase, _ := schedule(g.Offset()+i, b.Phases())
+		tc := b.prog.Testcases[phase]
+		mask := tc.GPRMask
+		if group == "fpu.fpr" {
+			mask = tc.FPRMask
+		}
+		if mask>>(i/g.Width)&1 != 0 == in {
+			return uint32(g.Offset() + i), uint16(b.barriers[phase+1] - b.barriers[phase]), true
+		}
+	}
+	return 0, 0, false
 }
 
 // liveState is captureState with the never-read latch words blanked: the

@@ -66,9 +66,13 @@ type Group struct {
 	// RegisterRing: the model's handle to it has no method that returns its
 	// contents.
 	WriteOnly bool
+	// Tracked marks a group registered with RegisterTracked: the model's one
+	// handle to it can log every read and overwrite of each of its words.
+	Tracked bool
 
-	logOff  int // dense logical bit offset of entry 0 bit 0
-	physOff int // word index of entry 0
+	logOff   int // dense logical bit offset of entry 0 bit 0
+	physOff  int // word index of entry 0
+	trackOff int // access-log index of entry 0 (tracked groups)
 }
 
 // Bits returns the number of latch bits in the group.
@@ -97,6 +101,9 @@ type DB struct {
 	byName map[string]*Group
 	total  int
 	frozen bool
+
+	tracked int       // words in tracked groups: the access log's index space
+	rec     recording // the access log being taken, if one is
 }
 
 // blockShift: the storage words are dirty-tracked 8 (one cache line) to a

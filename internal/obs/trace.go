@@ -27,6 +27,7 @@ type TraceEvent struct {
 	RestoreNs   int64  `json:"restore_ns"`
 	PropagateNs int64  `json:"propagate_ns"`
 	Cycles      uint64 `json:"cycles"`   // cycles observed post-flip
+	Stepped     uint64 `json:"stepped"`  // of those, the cycles the model was clocked through: 0 = replayed whole
 	TestEnds    int    `json:"testends"` // AVP barriers passed
 
 	// Classification.

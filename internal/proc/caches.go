@@ -106,13 +106,13 @@ func (c *Core) eratParity(vpn, ppn uint64) uint64 {
 func (c *Core) eratLookup(ea uint64) (pa uint64, ok bool) {
 	vpn := (ea >> 12) & ((1 << 28) - 1)
 	for i := 0; i < eratSize; i++ {
-		if c.lsu.eratCtl.Entry(i).Get()&1 == 0 {
+		if c.lsu.eratCtl.Get(i)&1 == 0 {
 			continue
 		}
-		if c.lsu.eratVPN.Entry(i).Get() != vpn {
+		if c.lsu.eratVPN.Get(i) != vpn {
 			continue
 		}
-		ppn := c.lsu.eratPPN.Entry(i).Get()
+		ppn := c.lsu.eratPPN.Get(i)
 		if c.eratParity(vpn, ppn) != c.lsu.eratPar.Entry(i).Get() {
 			if c.fail(ChkLSUERATPar) {
 				return 0, false
@@ -128,9 +128,9 @@ func (c *Core) eratLookup(ea uint64) (pa uint64, ok bool) {
 func (c *Core) eratReloadDone(ea uint64) {
 	vpn := (ea >> 12) & ((1 << 28) - 1)
 	i := int(c.lsu.eratPtr.Get()) % eratSize
-	c.lsu.eratVPN.Entry(i).Set(vpn)
-	c.lsu.eratPPN.Entry(i).Set(vpn)
-	c.lsu.eratCtl.Entry(i).Set(1)
+	c.lsu.eratVPN.Set(i, vpn)
+	c.lsu.eratPPN.Set(i, vpn)
+	c.lsu.eratCtl.Set(i, 1)
 	c.lsu.eratPar.Entry(i).Set(c.eratParity(vpn, vpn))
 	c.lsu.eratPtr.Set(uint64(i+1) % eratSize)
 }

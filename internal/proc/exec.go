@@ -194,8 +194,8 @@ func (c *Core) stqInsert(in isa.Inst) {
 	if in.Op == isa.OpSTW {
 		ctl |= 4
 	}
-	lsu.stqAddr.Entry(t).Set(pa)
-	lsu.stqData.Entry(t).Set(data)
+	lsu.stqAddr.Set(t, pa)
+	lsu.stqData.Set(t, data)
 	lsu.stqCtl.Entry(t).Set(ctl)
 	lsu.stqParA.Entry(t).Set(parity64(pa) ^ pol)
 	lsu.stqParD.Entry(t).Set(parity64(data) ^ pol)
@@ -355,12 +355,12 @@ func (c *Core) verifyBranch(in isa.Inst) {
 			actual = (pc + uint64(int64(in.Imm)*4)) & (1<<48 - 1)
 		}
 		// Train the branch history table.
-		e := c.ifu.bht.Entry(bhtIndex(pc))
-		n := e.Get()
+		i := bhtIndex(pc)
+		n := c.ifu.bht.Get(i)
 		if taken && n < 3 {
-			e.Set(n + 1)
+			c.ifu.bht.Set(i, n+1)
 		} else if !taken && n > 0 {
-			e.Set(n - 1)
+			c.ifu.bht.Set(i, n-1)
 		}
 	case isa.OpBDNZ:
 		taken = fxu.opA.Get()-1 != 0
@@ -484,7 +484,7 @@ func (c *Core) wbCycle() Event {
 	// Architected register writes + checkpoint.
 	if wrG != 0 {
 		polG := c.polarity(fxu.mode, 0)
-		fxu.gpr.Entry(int(in.RT)).Set(res)
+		fxu.gpr.Set(int(in.RT), res)
 		fxu.gprPar.Entry(int(in.RT)).Set(parity64(res) ^ polG)
 		c.rut.ckptGPR.Write(int(in.RT), res)
 	}
@@ -496,7 +496,7 @@ func (c *Core) wbCycle() Event {
 			}
 		}
 		polF := c.polarity(c.fpu.mode, 0)
-		c.fpu.fpr.Entry(int(in.RT)).Set(fres)
+		c.fpu.fpr.Set(int(in.RT), fres)
 		c.fpu.fprPar.Entry(int(in.RT)).Set(parity64(fres) ^ polF)
 		c.rut.ckptFPR.Write(int(in.RT), fres)
 	}
@@ -532,8 +532,6 @@ func (c *Core) wbCycle() Event {
 	switch in.Op {
 	case isa.OpTESTEND:
 		ev.TestEnd = true
-		st := c.ArchState()
-		ev.Signature = st.Signature()
 	case isa.OpHALT:
 		ev.Halted = true
 		c.halted = true
@@ -565,8 +563,8 @@ func (c *Core) stqDrain() bool {
 		lsu.stqHead.Set(uint64(h+1) % stqEntries)
 		return true
 	}
-	addr := lsu.stqAddr.Entry(h).Get()
-	data := lsu.stqData.Entry(h).Get()
+	addr := lsu.stqAddr.Get(h)
+	data := lsu.stqData.Get(h)
 	if parity64(addr)^pol != lsu.stqParA.Entry(h).Get() ||
 		parity64(data)^pol != lsu.stqParD.Entry(h).Get() {
 		if c.fail(ChkLSUSTQPar) {

@@ -118,8 +118,8 @@ func TestSTQValidEntryFlipCaughtByContinuousChecker(t *testing.T) {
 	// must catch it even though the entry would never drain.
 	e := (int(c.lsu.stqTail.Get()) + 7) % stqEntries
 	pol := c.polarity(c.lsu.mode, 1)
-	c.lsu.stqAddr.Entry(e).Set(0x4000)
-	c.lsu.stqData.Entry(e).Set(99)
+	c.lsu.stqAddr.Set(e, 0x4000)
+	c.lsu.stqData.Set(e, 99)
 	c.lsu.stqParA.Entry(e).Set(parity64(0x4000) ^ pol)
 	c.lsu.stqParD.Entry(e).Set(parity64(99) ^ pol)
 	c.lsu.stqCtl.Entry(e).Set(3)
@@ -136,7 +136,7 @@ func TestERATFlipRecoversViaContinuousChecker(t *testing.T) {
 	// Find a valid ERAT entry and corrupt its PPN.
 	found := -1
 	for i := 0; i < eratSize; i++ {
-		if c.lsu.eratCtl.Entry(i).Get()&1 != 0 {
+		if c.lsu.eratCtl.Get(i)&1 != 0 {
 			found = i
 			break
 		}
@@ -293,7 +293,7 @@ func TestCheckpointArrayStrikeIsCorrected(t *testing.T) {
 
 func TestRecoveryRestoresArchitectedState(t *testing.T) {
 	c := newLoopedCore(t)
-	goldenR4 := c.fxu.gpr.Entry(4).Get()
+	goldenR4 := c.fxu.gpr.Get(4)
 	_ = goldenR4
 	// Corrupt a live register, let recovery run, then confirm the machine
 	// still produces consistent results (r3 == r2 after each iteration's
@@ -304,8 +304,8 @@ func TestRecoveryRestoresArchitectedState(t *testing.T) {
 		t.Fatal("expected a clean recovery")
 	}
 	run(c, 500)
-	r2 := c.fxu.gpr.Entry(2).Get()
-	r3 := c.fxu.gpr.Entry(3).Get()
+	r2 := c.fxu.gpr.Get(2)
+	r3 := c.fxu.gpr.Get(3)
 	if r2 != r3 && r3 != 0 {
 		// r3 lags r2 by at most one iteration; allow r3 == r2-3 as well.
 		if r3 != r2-3 {

@@ -54,10 +54,10 @@ type ifuState struct {
 	fbHead latch.Reg
 	fbTail latch.Reg
 	fbCnt  latch.Reg
-	bht    latch.Array // 2-bit branch history counters (unprotected)
-	icFSM  latch.Reg   // icache miss state
-	icCnt  latch.Reg   // refill countdown
-	icAddr latch.Reg   // refill address
+	bht    latch.Tracked // 2-bit branch history counters (unprotected)
+	icFSM  latch.Reg     // icache miss state
+	icCnt  latch.Reg     // refill countdown
+	icAddr latch.Reg     // refill address
 	perf   latch.WriteOnly
 	mode   latch.Reg // MODE scan ring (segment 0; the spare segments are idle)
 	gptr   latch.Array
@@ -94,8 +94,8 @@ type iduState struct {
 }
 
 type fxuState struct {
-	gpr    latch.Array // 32 x 64 general purpose registers
-	gprPar latch.Array // per-register parity
+	gpr    latch.Tracked // 32 x 64 general purpose registers
+	gprPar latch.Array   // per-register parity
 
 	// EX stage slot (shared by all execution classes; the FXU owns the
 	// issue/execute sequencing latches in this model).
@@ -135,7 +135,7 @@ type fxuState struct {
 }
 
 type fpuState struct {
-	fpr    latch.Array
+	fpr    latch.Tracked
 	fprPar latch.Array
 
 	p1a  latch.Reg // pipeline stage operand/result latches
@@ -150,19 +150,19 @@ type fpuState struct {
 }
 
 type lsuState struct {
-	stqAddr latch.Array
-	stqData latch.Array
+	stqAddr latch.Tracked
+	stqData latch.Tracked
 	stqCtl  latch.Array // bit0 valid, bit1 valid-duplicate, bit2 word-size
 	stqParA latch.Array
 	stqParD latch.Array
 	stqHead latch.Reg
 	stqTail latch.Reg
 
-	eratVPN latch.Array // 28-bit virtual page numbers
-	eratPPN latch.Array // 28-bit physical page numbers
-	eratCtl latch.Array // bit0 valid
-	eratPar latch.Array // entry parity over vpn^ppn
-	eratPtr latch.Reg   // replacement pointer
+	eratVPN latch.Tracked // 28-bit virtual page numbers
+	eratPPN latch.Tracked // 28-bit physical page numbers
+	eratCtl latch.Tracked // bit0 valid
+	eratPar latch.Array   // entry parity over vpn^ppn
+	eratPtr latch.Reg     // replacement pointer
 
 	lmqCtl latch.WriteOnly // load miss queue control (cleared on recovery)
 
@@ -249,7 +249,7 @@ func (c *Core) buildInventory() {
 	c.ifu.fbHead = db.Register(u, latch.Func, "ifu.fb.head", 3)
 	c.ifu.fbTail = db.Register(u, latch.Func, "ifu.fb.tail", 3)
 	c.ifu.fbCnt = db.Register(u, latch.Func, "ifu.fb.cnt", 4)
-	c.ifu.bht = db.RegisterArray(u, latch.Func, "ifu.bht", bhtEntries, 2)
+	c.ifu.bht = db.RegisterTracked(u, latch.Func, "ifu.bht", bhtEntries, 2)
 	c.ifu.icFSM = db.Register(u, latch.Func, "ifu.ic.fsm", 4)
 	c.ifu.icCnt = db.Register(u, latch.Func, "ifu.ic.cnt", 8)
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
@@ -289,7 +289,7 @@ func (c *Core) buildInventory() {
 
 	// ---- FXU ----
 	u = UnitFXU
-	c.fxu.gpr = db.RegisterArray(u, latch.RegFile, "fxu.gpr", 32, 64)
+	c.fxu.gpr = db.RegisterTracked(u, latch.RegFile, "fxu.gpr", 32, 64)
 	c.fxu.gprPar = db.RegisterArray(u, latch.RegFile, "fxu.gpr.par", 32, 1)
 	c.fxu.exIR = db.Register(u, latch.Func, "fxu.ex.ir", 32)
 	c.fxu.exIRPar = db.Register(u, latch.Func, "fxu.ex.ir.par", 1)
@@ -322,7 +322,7 @@ func (c *Core) buildInventory() {
 
 	// ---- FPU ----
 	u = UnitFPU
-	c.fpu.fpr = db.RegisterArray(u, latch.RegFile, "fpu.fpr", 32, 64)
+	c.fpu.fpr = db.RegisterTracked(u, latch.RegFile, "fpu.fpr", 32, 64)
 	c.fpu.fprPar = db.RegisterArray(u, latch.RegFile, "fpu.fpr.par", 32, 1)
 	c.fpu.p1a = db.Register(u, latch.Func, "fpu.p1a", 64)
 	c.fpu.p1b = db.Register(u, latch.Func, "fpu.p1b", 64)
@@ -338,16 +338,16 @@ func (c *Core) buildInventory() {
 
 	// ---- LSU ----
 	u = UnitLSU
-	c.lsu.stqAddr = db.RegisterArray(u, latch.Func, "lsu.stq.addr", stqEntries, 64)
-	c.lsu.stqData = db.RegisterArray(u, latch.Func, "lsu.stq.data", stqEntries, 64)
+	c.lsu.stqAddr = db.RegisterTracked(u, latch.Func, "lsu.stq.addr", stqEntries, 64)
+	c.lsu.stqData = db.RegisterTracked(u, latch.Func, "lsu.stq.data", stqEntries, 64)
 	c.lsu.stqCtl = db.RegisterArray(u, latch.Func, "lsu.stq.ctl", stqEntries, 8)
 	c.lsu.stqParA = db.RegisterArray(u, latch.Func, "lsu.stq.par.a", stqEntries, 1)
 	c.lsu.stqParD = db.RegisterArray(u, latch.Func, "lsu.stq.par.d", stqEntries, 1)
 	c.lsu.stqHead = db.Register(u, latch.Func, "lsu.stq.head", 5)
 	c.lsu.stqTail = db.Register(u, latch.Func, "lsu.stq.tail", 5)
-	c.lsu.eratVPN = db.RegisterArray(u, latch.Func, "lsu.erat.vpn", eratSize, 28)
-	c.lsu.eratPPN = db.RegisterArray(u, latch.Func, "lsu.erat.ppn", eratSize, 28)
-	c.lsu.eratCtl = db.RegisterArray(u, latch.Func, "lsu.erat.ctl", eratSize, 4)
+	c.lsu.eratVPN = db.RegisterTracked(u, latch.Func, "lsu.erat.vpn", eratSize, 28)
+	c.lsu.eratPPN = db.RegisterTracked(u, latch.Func, "lsu.erat.ppn", eratSize, 28)
+	c.lsu.eratCtl = db.RegisterTracked(u, latch.Func, "lsu.erat.ctl", eratSize, 4)
 	c.lsu.eratPar = db.RegisterArray(u, latch.Func, "lsu.erat.par", eratSize, 1)
 	c.lsu.eratPtr = db.Register(u, latch.Func, "lsu.erat.ptr", 6)
 	db.RegisterIdle(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64) // load miss queue

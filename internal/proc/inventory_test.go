@@ -1,13 +1,17 @@
 package proc
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"sfi/internal/latch"
 )
 
 // deadHandles returns, as "struct.field", every latch-handle field of a unit
@@ -175,5 +179,97 @@ func (p *prvState) set() { p.fir.Entry(0).Set(1) }
 	}
 	if dead, want := deadHandles([]*ast.File{f}), []string{"lsuState.pf", "prvState.abist"}; !slices.Equal(dead, want) {
 		t.Errorf("lint found %v in the sample model, want %v", dead, want)
+	}
+}
+
+// TestTrackedGroupsOnlyThroughTrackedHandles is the reach half of the def-use
+// proof: walking everything a built Core can reach, the storage words of a
+// tracked group sit behind exactly one handle, a latch.Tracked, and behind no
+// Reg, Array or write-only handle that would read or write them without the
+// access log seeing it. (The database itself reaches every word; it is the
+// harness's way in, not the model's.)
+func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableNest = true
+	c := New(cfg)
+
+	var groupOf []*latch.Group // storage word -> group: one word per entry, registration order
+	for _, g := range c.DB().Groups() {
+		for e := 0; e < g.Entries; e++ {
+			groupOf = append(groupOf, g)
+		}
+	}
+	var (
+		dbType      = reflect.TypeOf((*latch.DB)(nil))
+		regType     = reflect.TypeOf(latch.Reg{})
+		arrayType   = reflect.TypeOf(latch.Array{})
+		trackedType = reflect.TypeOf(latch.Tracked{})
+	)
+	handles := map[string]int{} // tracked group -> Tracked handles reaching it
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Type() {
+		case dbType:
+			return
+		case trackedType:
+			g := groupOf[v.FieldByName("lo").Int()]
+			if !g.Tracked || int(v.FieldByName("hi").Int()-v.FieldByName("lo").Int()) != g.Entries {
+				t.Errorf("%s: a tracked handle over %s, which is not a tracked group", path, g.Name)
+			}
+			handles[g.Name]++
+			return
+		case regType:
+			if g := groupOf[v.FieldByName("w").Int()]; g.Tracked {
+				t.Errorf("%s: an untracked handle to a word of tracked group %s", path, g.Name)
+			}
+			return
+		case arrayType:
+			if g := groupOf[v.FieldByName("off").Int()]; g.Tracked {
+				t.Errorf("%s: an untracked handle to tracked group %s", path, g.Name)
+			}
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if v.IsNil() {
+				return
+			}
+			if v.Kind() == reflect.Pointer {
+				if seen[v.Pointer()] {
+					return
+				}
+				seen[v.Pointer()] = true
+			}
+			walk(v.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Func:
+			if !v.IsNil() {
+				t.Errorf("%s: a func value could close over a handle the walk cannot see", path)
+			}
+		}
+	}
+	walk(reflect.ValueOf(c), "Core")
+
+	want := []string{"fpu.fpr", "fxu.gpr", "ifu.bht", "lsu.erat.ctl", "lsu.erat.ppn", "lsu.erat.vpn", "lsu.stq.addr", "lsu.stq.data"}
+	var tracked []string
+	for _, g := range c.DB().Groups() {
+		if g.Tracked {
+			tracked = append(tracked, g.Name)
+			if handles[g.Name] != 1 {
+				t.Errorf("tracked group %s is behind %d tracked handles, want 1", g.Name, handles[g.Name])
+			}
+		}
+	}
+	slices.Sort(tracked)
+	if !slices.Equal(tracked, want) {
+		t.Errorf("tracked groups %v, want %v", tracked, want)
 	}
 }

@@ -225,7 +225,7 @@ func (c *Core) d1Cycle() {
 		pred = 1
 		c.redirectFetch(pnpc)
 	case isa.OpBC:
-		if c.ifu.bht.Entry(bhtIndex(pc)).Get() >= 2 {
+		if c.ifu.bht.Get(bhtIndex(pc)) >= 2 {
 			pnpc = (pc + uint64(int64(in.Imm)*4)) & (1<<48 - 1)
 			pred = 1
 			c.redirectFetch(pnpc)
@@ -249,7 +249,7 @@ func (c *Core) d1Cycle() {
 
 // readGPR reads a general purpose register through the parity checker.
 func (c *Core) readGPR(r uint8) uint64 {
-	v := c.fxu.gpr.Entry(int(r)).Get()
+	v := c.fxu.gpr.Get(int(r))
 	if parity64(v)^c.polarity(c.fxu.mode, 0) != c.fxu.gprPar.Entry(int(r)).Get() {
 		c.fail(ChkFXUGPRPar)
 	}
@@ -258,7 +258,7 @@ func (c *Core) readGPR(r uint8) uint64 {
 
 // readFPR reads a floating point register through the parity checker.
 func (c *Core) readFPR(r uint8) uint64 {
-	v := c.fpu.fpr.Entry(int(r)).Get()
+	v := c.fpu.fpr.Get(int(r))
 	if parity64(v)^c.polarity(c.fpu.mode, 0) != c.fpu.fprPar.Entry(int(r)).Get() {
 		c.fail(ChkFPUFPRPar)
 	}

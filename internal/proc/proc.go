@@ -92,9 +92,8 @@ func (c Config) Validate() error {
 
 // Event is a machine-visible occurrence during a cycle, reported by Step.
 type Event struct {
-	TestEnd   bool   // a testend barrier completed this cycle
-	Signature uint64 // architected signature at the barrier
-	Halted    bool   // halt completed
+	TestEnd bool // a testend barrier completed this cycle
+	Halted  bool // halt completed
 }
 
 // Core is the P6LITE processor model.
@@ -306,14 +305,36 @@ func (c *Core) checkstop() {
 func (c *Core) ArchState() ArchSnapshot {
 	var s ArchSnapshot
 	for i := 0; i < 32; i++ {
-		s.GPR[i] = c.fxu.gpr.Entry(i).Get()
-		s.FPR[i] = c.fpu.fpr.Entry(i).Get()
+		s.GPR[i] = c.fxu.gpr.Get(i)
+		s.FPR[i] = c.fpu.fpr.Get(i)
 	}
 	s.CR0 = uint8(c.idu.cr.Get())
 	s.LR = c.idu.lr.Get()
 	s.CTR = c.idu.ctr.Get()
 	s.PC = c.ifu.pc.Get()
 	return s
+}
+
+// MaskedSignature is ArchState().MaskedSignature(...) reading no GPR or FPR
+// outside the masks: the verification a harness does at a testend, through
+// the register files' tracked handles. Taken at every testend of a recorded
+// pass, it puts the harness's own reads into the access log beside the
+// model's, so a register the retired testcase's signature leaves out is one
+// no reader saw there.
+func (c *Core) MaskedSignature(gprMask, fprMask uint32, sprMask uint8) uint64 {
+	var s ArchSnapshot
+	for i := 0; i < 32; i++ {
+		if gprMask&(1<<uint(i)) != 0 {
+			s.GPR[i] = c.fxu.gpr.Get(i)
+		}
+		if fprMask&(1<<uint(i)) != 0 {
+			s.FPR[i] = c.fpu.fpr.Get(i)
+		}
+	}
+	s.CR0 = uint8(c.idu.cr.Get())
+	s.LR = c.idu.lr.Get()
+	s.CTR = c.idu.ctr.Get()
+	return s.MaskedSignature(gprMask, fprMask, sprMask)
 }
 
 // ArchSnapshot mirrors archsim.State's register content without importing

@@ -213,7 +213,8 @@ func TestCoreTestEndSignatureMatchesGolden(t *testing.T) {
 	for i := 0; i < 100000 && !c.Halted(); i++ {
 		ev := c.Step()
 		if ev.TestEnd {
-			coreSigs = append(coreSigs, ev.Signature)
+			st := c.ArchState()
+			coreSigs = append(coreSigs, st.Signature())
 		}
 	}
 	if len(coreSigs) != len(goldenSigs) {

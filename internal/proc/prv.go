@@ -110,8 +110,8 @@ func (c *Core) scanSTQ() {
 		return
 	}
 	pol := c.polarity(lsu.mode, 1)
-	if parity64(lsu.stqAddr.Entry(i).Get())^pol != lsu.stqParA.Entry(i).Get() ||
-		parity64(lsu.stqData.Entry(i).Get())^pol != lsu.stqParD.Entry(i).Get() {
+	if parity64(lsu.stqAddr.Get(i))^pol != lsu.stqParA.Entry(i).Get() ||
+		parity64(lsu.stqData.Get(i))^pol != lsu.stqParD.Entry(i).Get() {
 		c.fail(ChkLSUSTQPar)
 	}
 }
@@ -120,11 +120,11 @@ func (c *Core) scanSTQ() {
 func (c *Core) scanERAT() {
 	lsu := &c.lsu
 	i := int(c.Cycle) % eratSize
-	if lsu.eratCtl.Entry(i).Get()&1 == 0 {
+	if lsu.eratCtl.Get(i)&1 == 0 {
 		return
 	}
-	vpn := lsu.eratVPN.Entry(i).Get()
-	ppn := lsu.eratPPN.Entry(i).Get()
+	vpn := lsu.eratVPN.Get(i)
+	ppn := lsu.eratPPN.Get(i)
 	if c.eratParity(vpn, ppn) != lsu.eratPar.Entry(i).Get() {
 		c.fail(ChkLSUERATPar)
 	}

@@ -97,7 +97,7 @@ func (c *Core) restoreCheckpoint() {
 		if !ok {
 			return
 		}
-		c.fxu.gpr.Entry(i).Set(v)
+		c.fxu.gpr.Set(i, v)
 		c.fxu.gprPar.Entry(i).Set(parity64(v) ^ polG)
 	}
 	polF := c.polarity(c.fpu.mode, 0)
@@ -106,7 +106,7 @@ func (c *Core) restoreCheckpoint() {
 		if !ok {
 			return
 		}
-		c.fpu.fpr.Entry(i).Set(v)
+		c.fpu.fpr.Set(i, v)
 		c.fpu.fprPar.Entry(i).Set(parity64(v) ^ polF)
 	}
 	polS := c.polarity(c.idu.mode, 1)
@@ -162,7 +162,7 @@ func (c *Core) flushPipeline() {
 	lsu.stqHead.Set(0)
 	lsu.stqTail.Set(0)
 	for i := 0; i < eratSize; i++ {
-		lsu.eratCtl.Entry(i).Set(0)
+		lsu.eratCtl.Set(i, 0)
 	}
 	for i := 0; i < lmqEntries; i++ {
 		lsu.lmqCtl.Set(i, 0)
