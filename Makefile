@@ -2,7 +2,7 @@ GO ?= go
 # How long `make fuzz` runs each fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: build bins test race vet fmt fuzz bench smoke lines ci
+.PHONY: build bins test race vet fmt fuzz bench smoke lines cmp ci
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,47 @@ lines:
 		END { for (d in dirs) printf "%-28s %7d %7d\n", d, n[d], t[d]; \
 		printf "%-28s %7d %7d\n", "~total", nn, tt }' | sort | \
 		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
+
+# cmp holds the working tree's reports to PARENT's byte for byte: it builds
+# sfi from a detached worktree of PARENT (default HEAD: the uncommitted change
+# against its base) and from the working tree, runs both over CMP_SHAPES and
+# names the first shape whose `sfi -json` differs. It is the check a change to
+# the engines, the campaign loop or the transports describes in CHANGES.md.
+# Not part of ci: it needs a parent ref. It needs no network. A uniform
+# `-margin N -stop-on-converge` is not on the list: it stops mid-epoch on a
+# live view that lags the worker, so its total moves by one or two between
+# two runs of one binary (with `-allocate neyman` the stop is at an epoch
+# barrier and repeats). The fixed-window shape costs ~20 ms an injection and
+# awan's default design has 1,600 bits, so each shape sets its own -flips.
+PARENT ?= HEAD
+CMP_FLAGS = -json -progress=false -seed 7
+CMP_SHAPES = \
+	-flips 600| \
+	-flips 600 -sticky| \
+	-flips 600 -sticky -duration 200| \
+	-flips 600 -span 3| \
+	-flips 600 -raw -no-recovery| \
+	-flips 600 -nest| \
+	-flips 600 -nest -unit NEST| \
+	-flips 100 -fixed-window -window 20000| \
+	-flips 600 -workers 4| \
+	-flips 600 -dist 4| \
+	-flips 600 -margin 5| \
+	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
+	-flips 400 -backend awan| \
+	-flips 400 -backend awan -lanes 1
+cmp:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/parent" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add -q --detach "$$tmp/parent" $(PARENT); \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/sfi.parent" ./cmd/sfi); \
+	$(GO) build -o "$$tmp/sfi.tree" ./cmd/sfi; \
+	echo '$(CMP_SHAPES)' | tr '|' '\n' | while read -r shape; do \
+		"$$tmp/sfi.parent" $(CMP_FLAGS) $$shape > "$$tmp/parent.json"; \
+		"$$tmp/sfi.tree" $(CMP_FLAGS) $$shape > "$$tmp/tree.json"; \
+		cmp -s "$$tmp/parent.json" "$$tmp/tree.json" || { echo "cmp: sfi $(CMP_FLAGS) $$shape differs from $(PARENT)"; exit 1; }; \
+		echo "same  sfi $(CMP_FLAGS) $$shape"; \
+	done
 
 # ci holds no wall-clock gate: what observability, lanes, the image cache,
 # the adaptive stop and Neyman allocation must cost or save is pinned by

@@ -204,42 +204,3 @@ func TestAdoptBaseline(t *testing.T) {
 		t.Fatal("clone after delta restore does not match source")
 	}
 }
-
-// TestMatches checks the comparison against a snapshot. Raw cells are
-// compared, so a flipped check bit is a difference
-// even though the word still decodes to the same data.
-func TestMatches(t *testing.T) {
-	for _, baseline := range []bool{true, false} {
-		p := New("t", 100)
-		p.Write(1, 0x11)
-		if baseline {
-			p.SetBaseline()
-		}
-		base := p.Snapshot()
-		p.Write(70, 0x22)
-		snap := p.Snapshot()
-		check := func(what string, want bool) {
-			t.Helper()
-			if got := p.Matches(snap, nil); got != want {
-				t.Errorf("baseline %v, %s: Matches = %v, want %v", baseline, what, got, want)
-			}
-		}
-		check("untouched", true)
-		p.FlipBit(5, 66)
-		check("check bit flipped in an entry the snapshot left clean", false)
-		p.FlipBit(5, 66)
-		check("flipped back", true)
-		p.Write(70, 0x23)
-		check("delta entry changed", false)
-		if baseline {
-			p.Restore(base)
-			check("live array clean, snapshot not", false)
-			p.Restore(snap)
-			check("restored", true)
-		}
-		p.Corrected = 9
-		if baseline {
-			check("counters differ", true)
-		}
-	}
-}

@@ -854,30 +854,18 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		}()
 	}
 
-	// The convergence monitor: poll the estimator on a short ticker (a
-	// snapshot is a handful of float ops) and record class-level — and,
-	// observe-only, campaign-level — convergence transitions as JSONL
-	// events as they happen. When StopOnConverge is armed the
-	// campaign-wide stop event is withheld here and emitted by the final
-	// pass over the authoritative evaluation instead, so its n matches
+	// The convergence monitor exists for the trace sink alone: with one it
+	// records class-level — and, observe-only, campaign-level — convergence
+	// transitions as JSONL events as they happen; without one nothing would
+	// read its evaluations, so it is not started. When StopOnConverge is
+	// armed the campaign-wide stop event is withheld here and emitted by the
+	// final pass over the authoritative evaluation instead, so its n matches
 	// the report exactly.
 	var stopMon, monDone chan struct{}
-	if est != nil {
+	if est != nil && cfg.Obs.Trace != nil {
 		stopMon = make(chan struct{})
 		monDone = make(chan struct{})
-		go func() {
-			defer close(monDone)
-			t := time.NewTicker(5 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopMon:
-					return
-				case <-t.C:
-					emitConvergenceEvents(cfg.Obs.Trace, est.Snapshot(false), seen, !cfg.Stop.StopOnConverge)
-				}
-			}
-		}()
+		go watchConvergence(cfg.Obs.Trace, est, seen, !cfg.Stop.StopOnConverge, stopMon, monDone)
 	}
 
 	// Worker start order: Clone reads the prototype's live model state
@@ -1062,6 +1050,23 @@ func (r *Report) addDraw(d *draw, keep bool) {
 		r.add(res, keep)
 		if row != nil {
 			row[res.Outcome]++
+		}
+	}
+}
+
+// watchConvergence polls the estimator on a short ticker (every sampling
+// stratum's intervals on a Neyman campaign) and records the transitions it
+// sees, until stop is closed; it closes done on the way out.
+func watchConvergence(trace *obs.TraceSink, est *stats.Estimator, seen map[string]bool, allowStop bool, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(5 * time.Millisecond)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			emitConvergenceEvents(trace, est.Snapshot(false), seen, allowStop)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -105,30 +106,57 @@ func TestFixedNReportUnchanged(t *testing.T) {
 	}
 }
 
+// monitorRunning reports whether any goroutine is in the convergence monitor.
+func monitorRunning() bool {
+	buf := make([]byte, 1<<16)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("core.watchConvergence"))
+}
+
 // Adaptive campaigns emit JSONL convergence events: one per class margin
 // crossing plus the stop decision, and the progress view carries the live
-// interval evaluation.
+// interval evaluation. The monitor that polls the estimator for those events
+// runs only when there is a sink to write them to.
 func TestAdaptiveConvergenceEventsAndProgress(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewTraceSink(&buf, obs.TraceOptions{Sample: 1 << 30}) // mute injection events
 	cfg := fastCampaignConfig()
-	cfg.Flips = 2000
+	cfg.Flips = 6000
 	cfg.Workers = 2
-	cfg.Stop = StopConfig{TargetMargin: 0.30, MinPerClass: 25, StopOnConverge: true}
-	cfg.Obs.Trace = sink
-	var sawConvergence bool
+	// A margin some 700 injections reach: the campaign outlasts many ticks.
+	cfg.Stop = StopConfig{TargetMargin: 0.05, MinPerClass: 25, StopOnConverge: true}
+	var sawConvergence, sawMonitor bool
 	cfg.Obs.Progress = func(p Progress) {
 		if p.Convergence != nil {
 			sawConvergence = true
 		}
+		sawMonitor = sawMonitor || monitorRunning()
 	}
-	cfg.Obs.ProgressEvery = 10 * time.Millisecond
+	cfg.Obs.ProgressEvery = time.Millisecond
+	// The detector finds a monitor when there is one...
+	stop, done := make(chan struct{}), make(chan struct{})
+	go watchConvergence(nil, nil, nil, false, stop, done)
+	for !monitorRunning() {
+		runtime.Gosched() // until it has started
+	}
+	close(stop)
+	<-done
+	// ...and a campaign with no sink never starts one.
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if sawMonitor {
+		t.Error("no trace sink, and the convergence monitor was running")
+	}
+	cfg.Obs.Trace = sink
 	rep, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sawConvergence {
 		t.Error("no progress callback carried a convergence view")
+	}
+	if monitorRunning() {
+		t.Error("the convergence monitor outlived its campaign")
 	}
 	var stops, classEvents int
 	for _, line := range strings.Split(buf.String(), "\n") {

@@ -151,7 +151,7 @@ func (s *Store[T]) CaptureDelta() *Delta[T] {
 	d := &Delta[T]{}
 	for b := range s.dirtyBlocks {
 		lo, hi := s.bounds(b)
-		if !equal(s.Cells[lo:hi], s.base.cells[lo:hi], lo, nil) {
+		if !equal(s.Cells[lo:hi], s.base.cells[lo:hi]) {
 			d.blocks = append(d.blocks, int32(b))
 			d.cells = append(d.cells, s.Cells[lo:hi]...)
 		}
@@ -200,15 +200,10 @@ func (s *Store[T]) Snapshot() *Image[T] {
 	return &Image[T]{n: len(s.Cells), base: s.base, delta: s.CaptureDelta()}
 }
 
-// shares reports whether img's delta is against this store's baseline.
-func (s *Store[T]) shares(img *Image[T]) bool {
-	return s.base != nil && s.base == img.base
-}
-
 // Restore rewrites the contents to img's: by delta when img was captured
 // against this store's baseline, by full copy otherwise.
 func (s *Store[T]) Restore(img *Image[T]) {
-	if s.shares(img) {
+	if s.base != nil && s.base == img.base {
 		s.RestoreDelta(img.delta)
 		return
 	}
@@ -235,68 +230,13 @@ func (s *Store[T]) RestoreFull(img *Image[T]) {
 	s.touchAll()
 }
 
-// Matches reports whether the contents equal img's, leaving out the cells
-// skip selects (nil selects none). Against a shared baseline it reads only
-// what can differ: a clean block equals the baseline, and img equals the
-// baseline outside its delta, so the dirty blocks and the delta's blocks —
-// walked as one ascending merge — cover every possible difference, and the
-// cost is RestoreDelta's.
-func (s *Store[T]) Matches(img *Image[T], skip func(i int) bool) bool {
-	if img.n != len(s.Cells) {
-		return false
-	}
-	if img.base == nil {
-		return equal(s.Cells, img.cells, 0, skip)
-	}
-	// img's block b is the head of its delta if that is b, else the
-	// baseline's; same is asked about blocks in ascending order.
-	blocks, cells := img.delta.blocks, img.delta.cells
-	same := func(b int) bool {
-		lo, hi := s.bounds(b)
-		want := img.base.cells[lo:hi]
-		if len(blocks) > 0 && int(blocks[0]) == b {
-			want, blocks, cells = cells[:hi-lo], blocks[1:], cells[hi-lo:]
-		}
-		return equal(s.Cells[lo:hi], want, lo, skip)
-	}
-	if !s.shares(img) {
-		for lo := 0; lo < len(s.Cells); lo += 1 << s.shift {
-			if !same(lo >> s.shift) {
-				return false
-			}
-		}
-		return true
-	}
-	for b := range s.dirtyBlocks {
-		for len(blocks) > 0 && int(blocks[0]) < b {
-			if !same(int(blocks[0])) {
-				return false
-			}
-		}
-		if !same(b) {
-			return false
-		}
-	}
-	for len(blocks) > 0 {
-		if !same(int(blocks[0])) {
-			return false
-		}
-	}
-	return true
-}
-
-// equal reports whether a and b, two stores' cells from index lo on, are
-// equal outside skip. A run of 64 cells or more — a memory page — goes 64
-// cells to a comparison while it is equal (a generic loop over bytes was
-// 2.4 µs a page, this 0.4), and cell by cell from the first difference on.
-func equal[T comparable](a, b []T, lo int, skip func(i int) bool) bool {
+// equal reports whether a and b, one block of two stores, are equal. A run
+// of 64 cells or more — a memory page — goes 64 cells to a comparison while
+// it is equal (a generic loop over bytes was 2.4 µs a page, this 0.4), and
+// cell by cell from the first difference on.
+func equal[T comparable](a, b []T) bool {
 	for len(a) >= 64 && *(*[64]T)(a) == *(*[64]T)(b) {
-		a, b, lo = a[64:], b[64:], lo+64
+		a, b = a[64:], b[64:]
 	}
-	for i := range a {
-		if a[i] != b[i] && (skip == nil || !skip(lo+i)) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a, b)
 }

@@ -26,10 +26,6 @@ type model[T comparable] struct {
 	bases   map[*Baseline[T]][]T
 }
 
-// skipped is the Matches hook under test: every fifth cell is left out of
-// the comparison, as latch.DB leaves idle words out.
-func skipped(i int) bool { return i%5 == 3 }
-
 func newModel[T comparable](t *testing.T, n int, shift uint, val func(byte) T) *model[T] {
 	m := &model[T]{t: t, val: val, bases: map[*Baseline[T]][]T{}}
 	for k := range m.st {
@@ -106,19 +102,6 @@ func (m *model[T]) check() {
 			lo, hi := s.bounds(b)
 			if s.dirty[b] == 0 && !slices.Equal(live[lo:hi], m.bases[s.base][lo:hi]) {
 				m.t.Fatalf("store %d: clean block %d differs from the baseline", k, b)
-			}
-		}
-		for j, img := range m.imgs {
-			want := m.imgWant[j]
-			if got := s.Matches(img, nil); got != slices.Equal(live, want) {
-				m.t.Fatalf("store %d: Matches(image %d) = %v, contents %v, image %v", k, j, got, live, want)
-			}
-			same := true
-			for i := range live {
-				same = same && (live[i] == want[i] || skipped(i))
-			}
-			if got := s.Matches(img, skipped); got != same {
-				m.t.Fatalf("store %d: Matches(image %d, skip) = %v, contents %v, image %v", k, j, got, live, want)
 			}
 		}
 	}
@@ -276,8 +259,5 @@ func TestMisuse(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-	if s := New[uint64](8, 3); s.Matches(based.Snapshot(), nil) {
-		t.Error("stores of different sizes match")
 	}
 }

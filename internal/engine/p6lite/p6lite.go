@@ -15,10 +15,9 @@
 // a flip confined to never-read latches leaves the model at its checkpoint;
 // a flip in a tracked group (the register files, predictor, ERAT and store
 // queue) stays out of the model until the cycle the recorded run first reads
-// the flipped word, and for good if it overwrites the word first; and a
-// monitored run stops clocking once the state at a testend equals that
-// barrier's checkpoint. In each case the recorded barriers are replayed to
-// the caller instead (DESIGN.md "Early exit against golden").
+// the flipped word, and for good if it overwrites the word first. In each
+// case the recorded barriers are replayed to the caller instead, and a model
+// once off the record stays off it (DESIGN.md "Early exit against golden").
 package p6lite
 
 import (
@@ -52,15 +51,13 @@ type Backend struct {
 	prog *avp.Program
 
 	// The fault-free trajectory, recorded by New and shared read-only with
-	// clones. ckpts[j] is the model after j testends of the third warm-up
-	// pass: ckpts[:phases] are the phased checkpoints ReloadPhase restores,
-	// and every entry is what Run compares the live model with at testend j.
-	// barriers[j] is the cycle of testend j; it runs QuiesceExit+1 testends
-	// past the last checkpoint, so that a run which re-converges at any
-	// checkpointed testend can be replayed to the end of its quiesce count.
-	// log is that pass's access log of the tracked latch groups: the model's
-	// reads and overwrites of every word, and the harness's own reads of the
-	// signature registers at each testend.
+	// clones. ckpts[p] is the model after p testends of the third warm-up
+	// pass, the phased checkpoint ReloadPhase(p) restores. barriers[j] is the
+	// cycle of testend j of that pass and the testends that follow it, as far
+	// as New says a run on the record can be asked for them. log is the same
+	// cycles' access log of the tracked latch groups: the model's reads and
+	// overwrites of every word, and the harness's own reads of the signature
+	// registers at each testend.
 	ckpts     []*proc.ModelCheckpoint
 	barriers  []uint64
 	log       *latch.AccessLog
@@ -68,13 +65,13 @@ type Backend struct {
 
 	// barrier is the number of testends observed since ckpts[0] (stepped or
 	// replayed): the retired testcase is barrier-1 modulo the program's
-	// count, and while golden holds it indexes ckpts and barriers.
+	// count, and while golden holds it indexes barriers.
 	barrier int
 	// golden: every latch outside never-read groups, every array cell and
 	// all of memory are on the recorded trajectory at observed cycle Cycle()
 	// and testend count barrier — but for a deferred flip, below. ReloadPhase
-	// establishes it, a flip going into a bit the model can read ends it, and
-	// a testend at which the model equals ckpts[barrier] re-establishes it.
+	// alone establishes it and a flip going into a bit the model can read
+	// ends it: a model that has left the record does not re-join it.
 	// It vouches only for changes made through this type: a caller that
 	// writes the model through DB() or Core() after a ReloadPhase must reload
 	// again before it trusts Step or Run.
@@ -149,15 +146,18 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		prog:      prog,
 		baseRecov: c.Recoveries,
 	}
-	// One checkpoint per testcase boundary across a third full pass, its
-	// end included, then the barrier cycles of a quiesce count beyond it;
-	// and, over the same cycles, the access log of the tracked groups. The
-	// harness checks the retired testcase's signature at every testend, as
-	// CheckBarrier will, so its reads are in the log beside the model's.
+	// One checkpoint per testcase boundary of a third full pass, and over the
+	// same cycles the testend cycles and the access log of the tracked
+	// groups. The harness checks the retired testcase's signature at every
+	// testend, as CheckBarrier will, so its reads are in the log beside the
+	// model's. The record ends at testend n+QuiesceExit: a run on it is the
+	// fault-free run, which quiesces QuiesceExit testends after an injection
+	// a campaign makes before testend n+1 (phase n-1 at the latest, less than
+	// a testcase later). A run that wants more is clocked from there on.
 	b.ckpts = append(b.ckpts, c.SaveCheckpoint())
 	b.barriers = append(b.barriers, c.Cycle)
 	c.DB().Record(&c.Cycle)
-	for end := 1; end <= n+cfg.QuiesceExit+1; end++ {
+	for end := 1; end <= n+cfg.QuiesceExit; end++ {
 		if err := runToTestEnd(c); err != nil {
 			return nil, err
 		}
@@ -165,15 +165,15 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		if c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) != tc.SigMasked {
 			return nil, fmt.Errorf("p6lite: the fault-free pass fails its own signature check at testend %d", end)
 		}
-		if end <= n {
+		if end < n {
 			b.ckpts = append(b.ckpts, c.SaveCheckpoint())
 		}
 		b.barriers = append(b.barriers, c.Cycle)
 	}
 	b.log = c.DB().StopRecording()
-	// Leave the model where the third pass ended.
-	c.RestoreCheckpoint(b.ckpts[n])
-	b.barrier = n
+	// Leave the model at phase 0, and not golden: what a caller does to a new
+	// backend's model before its first ReloadPhase is not on the record.
+	c.RestoreCheckpoint(b.ckpts[0])
 	return b, nil
 }
 
@@ -233,25 +233,39 @@ func (b *Backend) ReloadPhase(p int) {
 	b.ahead, b.unbilled, b.progress = 0, 0, 0
 }
 
+// replay observes up to limit cycles of the record without clocking the
+// model: as far as the next recorded testend, which it counts and reports.
+// It observes none if they would take in the cycle that reads a deferred
+// flip, the model is off the record or the record has run out: the caller
+// then catches up and clocks.
+func (b *Backend) replay(limit uint64) (n uint64, testend bool) {
+	if !b.onRecord() {
+		return 0, false
+	}
+	toEnd := b.barriers[b.barrier+1] - b.Cycle()
+	if n = min(toEnd, limit); b.Cycle()+n >= b.liveAt {
+		return 0, false
+	}
+	b.ahead += n
+	if n == toEnd {
+		b.barrier++
+	}
+	return n, n == toEnd
+}
+
 // onRecord reports whether the model is on the recorded trajectory with a
 // recorded testend still ahead of it.
 func (b *Backend) onRecord() bool { return b.golden && b.barrier+1 < len(b.barriers) }
 
-// Step observes one cycle. While the model is on the recorded trajectory,
-// the record lasts and no deferred flip is read in the cycle, it is not
+// Step observes one cycle. While the model is on the record it is not
 // clocked: the cycle is counted, and a recorded testend is reported, exactly
 // as clocking would have — a fault-free cycle fires no other event.
 // Otherwise the model is caught up and clocked, re-applying an active sticky
 // force.
 func (b *Backend) Step() engine.Event {
-	if b.onRecord() && b.Cycle()+1 < b.liveAt {
-		b.ahead++
+	if n, testend := b.replay(1); n != 0 {
 		b.unbilled++
-		if b.Cycle() < b.barriers[b.barrier+1] {
-			return engine.Event{}
-		}
-		b.barrier++
-		return engine.Event{Barrier: true}
+		return engine.Event{Barrier: testend}
 	}
 	b.catchUp()
 	return b.step()
@@ -389,44 +403,37 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // stops on halt, checkstop, a detected hang, or harness-level loss of
 // forward progress (nothing completed for 2×HangLimit cycles).
 //
-// While the model is on the recorded fault-free trajectory (golden) Run, like
-// Step, does not clock it: it advances the observed cycle to the next recorded
-// testend, counts it and calls onBarrier, exactly as stepping there would have — a
+// Run is two loops in sequence. While the model is on the record it is not
+// clocked: the observed cycle goes to the next recorded testend, which is
+// counted and handed to onBarrier exactly as stepping there would have — a
 // fault-free machine fires no stop condition, CheckBarrier answers for the
 // barrier being replayed, and the window clips a replayed testcase as it
-// clips a stepped one. Past the end of the record, or from the cycle before
-// the record reads a deferred flip, the model is caught up and clocked again,
-// so a callback that never stops still sees every barrier and a flip is in
-// the model by the time anything can read it.
+// clips a stepped one. Where the record runs out under a callback still
+// going, or the cycle before it reads a deferred flip, the model is caught up
+// and clocked for the rest of the run, so a callback that never stops still
+// sees every barrier and a flip is in the model before anything can read it.
 // What Verdict reads afterwards (FIRs, checkstop, first-error capture,
 // recovery and correction counts) a fault-free continuation does not change.
-func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
-	var st engine.RunStats
-	c := b.core
-	start := b.Cycle()
-	harnessLimit := uint64(2 * c.Config().HangLimit)
-
-	for window := uint64(max(maxCycles, 0)); st.Cycles < window; {
-		if b.onRecord() {
-			// To the next recorded testend or the end of the window, if no
-			// deferred flip is read on the way.
-			d := b.barriers[b.barrier+1] - b.Cycle()
-			if n := min(d, window-st.Cycles); b.Cycle()+n < b.liveAt {
-				st.Cycles, b.ahead = st.Cycles+n, b.ahead+n
-				if n < d {
-					break
-				}
-				b.barrier++
-				st.Barriers++
-				if onBarrier != nil && !onBarrier() {
-					break
-				}
-				continue
+func (b *Backend) Run(maxCycles int, onBarrier func() bool) (st engine.RunStats) {
+	defer func() { st.Stepped, b.stepped = b.stepped, 0 }()
+	start, window := b.Cycle(), uint64(max(maxCycles, 0))
+	for st.Cycles < window {
+		n, testend := b.replay(window - st.Cycles)
+		if n == 0 {
+			b.catchUp()
+			break
+		}
+		st.Cycles += n
+		if testend {
+			st.Barriers++
+			if onBarrier != nil && !onBarrier() {
+				return st
 			}
 		}
-		// The record ran out under a callback still going, or a deferred
-		// flip is about to be read.
-		b.catchUp()
+	}
+	c := b.core
+	harnessLimit := uint64(2 * c.Config().HangLimit)
+	for st.Cycles < window {
 		ev := b.step()
 		b.stepped++
 		st.Cycles++
@@ -435,7 +442,6 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 			if onBarrier != nil && !onBarrier() {
 				break
 			}
-			b.golden = b.golden || b.atCheckpoint()
 		}
 		switch {
 		case ev.Halted:
@@ -451,18 +457,7 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) engine.RunStats {
 		}
 		break // a stop condition fired
 	}
-	st.Stepped, b.stepped = b.stepped, 0
 	return st
-}
-
-// atCheckpoint reports whether the model, having just retired a testend, is
-// in the state the fault-free pass was in at that testend. A live sticky
-// force rules it out: the state may be equal now and the force still push
-// it off next cycle. (A force on a never-read bit could not, but then the
-// model never left the trajectory, unless the span reached into a live group.)
-func (b *Backend) atCheckpoint() bool {
-	return b.barrier < len(b.ckpts) && !b.stickyOn &&
-		b.core.AtCheckpoint(b.ckpts[b.barrier])
 }
 
 // CheckBarrier verifies architected state against the retired testcase's

@@ -2,6 +2,9 @@ package p6lite
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -486,7 +489,7 @@ func TestEarlyExitMatchesStepped(t *testing.T) {
 
 // TestEarlyExitOutlastsRecord covers the callbacks the recorded barriers
 // cannot satisfy: one that never stops (the window ends the run, mid
-// testcase) and QuiesceExit = 0, whose record is one testend long. Both must
+// testcase) and QuiesceExit = 0, whose record ends with the third pass. Both must
 // still see what stepping shows them, barrier for barrier.
 func TestEarlyExitOutlastsRecord(t *testing.T) {
 	bits := 300
@@ -797,6 +800,88 @@ func TestClockedCycleCount(t *testing.T) {
 	}
 	if free*100 < all*75 {
 		t.Errorf("%d of %d injections of any shape clocked nothing, want at least 65%%", free, all)
+	}
+}
+
+// TestGoldenSetOnlyByReload holds the replay rule to one direction: the model
+// leaves the record once and does not re-join it. In the source, golden is
+// given the value true in one place, ReloadPhase; and over the injections of
+// TestClockedCycleCount a backend that is on the record after Run was on it
+// after Inject.
+func TestGoldenSetOnlyByReload(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "p6lite.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets []string // the functions that give golden anything but the constant false
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel, _ := lhs.(*ast.SelectorExpr)
+					v, _ := n.Rhs[min(i, len(n.Rhs)-1)].(*ast.Ident)
+					if sel != nil && sel.Sel.Name == "golden" && (v == nil || v.Name != "false") {
+						sets = append(sets, fn.Name.Name)
+					}
+				}
+			case *ast.KeyValueExpr:
+				if k, _ := n.Key.(*ast.Ident); k != nil && k.Name == "golden" {
+					sets = append(sets, fn.Name.Name)
+				}
+			}
+			return true
+		})
+	}
+	if !slices.Equal(sets, []string{"ReloadPhase"}) {
+		t.Errorf("golden is set in %v, want once, in ReloadPhase", sets)
+	}
+
+	bits := 2000
+	if testing.Short() || raceDetector {
+		bits = 200
+	}
+	cfg := engine.DefaultConfig()
+	b := newPair(t, cfg).fast
+	left := 0
+	rng := rand.New(rand.NewPCG(18, 0))
+	for _, bit := range b.DB().SampleBits(rng, bits, nil) {
+		phase, delay := schedule(bit, b.Phases())
+		for _, inj := range injectionShapes {
+			inj.Bit = bit
+			b.ReloadPhase(phase)
+			for i := 0; i < delay; i++ {
+				b.Step()
+			}
+			if !b.golden {
+				t.Fatalf("bit %d: the delay took the model off the record", bit)
+			}
+			if err := b.Inject(inj); err != nil {
+				t.Fatal(err)
+			}
+			injected, clean := b.golden, 0
+			b.Run(cfg.Window, func() bool {
+				chk := b.CheckBarrier()
+				if chk.Busy {
+					clean = -1
+				}
+				clean++
+				return chk.StateOK && clean < cfg.QuiesceExit
+			})
+			if b.golden && !injected {
+				t.Fatalf("bit %d %+v: off the record after Inject, on it after Run", bit, inj)
+			}
+			if !b.golden {
+				left++
+			}
+		}
+	}
+	if left == 0 {
+		t.Error("no injection left the record: nothing was tested")
 	}
 }
 

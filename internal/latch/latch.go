@@ -81,7 +81,7 @@ func (g *Group) Bits() int { return g.Entries * g.Width }
 // NeverRead reports whether no model code can read the group's bits: it is
 // idle or write-only. What such a group holds decides nothing outside the
 // never-read groups, so a flip there commutes with any number of clocked
-// cycles, and Matches leaves these groups out of its comparison.
+// cycles.
 func (g *Group) NeverRead() bool { return g.Idle || g.WriteOnly }
 
 // Offset returns the group's dense logical bit offset — the logical index
@@ -293,21 +293,6 @@ func (db *DB) Poke(bit int, v bool) { db.BitRef(bit).Set(v) }
 // Flip inverts a logical latch bit and returns the new value. This is the
 // injection primitive ("flip chosen latch bits" in the paper's Figure 1).
 func (db *DB) Flip(bit int) bool { return db.BitRef(bit).Flip() }
-
-// wordNeverRead reports whether storage word w belongs to a never-read
-// group.
-func (db *DB) wordNeverRead(w int) bool {
-	i := sort.Search(len(db.groups), func(i int) bool {
-		return db.groups[i].physOff > w
-	}) - 1
-	return db.groups[i].NeverRead()
-}
-
-// Matches reports whether the latch image equals img outside never-read
-// groups (dirty.Store.Matches with their words left out).
-func (db *DB) Matches(img *dirty.Image[uint64]) bool {
-	return db.Store.Matches(img, db.wordNeverRead)
-}
 
 // Filter selects latch groups (nil selects everything).
 type Filter func(g *Group) bool

@@ -302,41 +302,3 @@ func TestCaptureDeltaWithoutBaselinePanics(t *testing.T) {
 	}()
 	New(1024).CaptureDelta()
 }
-
-// TestMatches checks the comparison against a snapshot: a difference in a
-// dirty page, and one in a page of the snapshot's delta that is clean in the
-// live memory, are both seen.
-func TestMatches(t *testing.T) {
-	for _, baseline := range []bool{true, false} {
-		m := New(64 * 1024)
-		m.Write64(0x100, 0x1111)
-		if baseline {
-			m.SetBaseline()
-		}
-		base := m.Snapshot()
-		m.Write64(0x8000, 0x2222)
-		img := m.Snapshot()
-		check := func(what string, want bool) {
-			t.Helper()
-			if got := m.Matches(img, nil); got != want {
-				t.Errorf("baseline %v, %s: Matches = %v, want %v", baseline, what, got, want)
-			}
-		}
-		check("untouched", true)
-		m.Write64(0x3008, 5)
-		check("byte changed in a page the image left clean", false)
-		m.Write64(0x3008, 0)
-		check("changed back", true)
-		m.Write32(0x8004, 1)
-		check("delta page changed", false)
-		if baseline {
-			m.Restore(base)
-			check("live memory clean, image not", false)
-			m.Restore(img)
-			check("restored", true)
-		}
-		if m.Matches(New(32*1024).Snapshot(), nil) {
-			t.Error("memories of different sizes match")
-		}
-	}
-}

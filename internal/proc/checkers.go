@@ -200,6 +200,3 @@ func (c *Core) FirstError() (id int, cycle uint64, ok bool) {
 	}
 	return int(c.rut.errSrc.Get()), c.rut.errCycle.Get(), true
 }
-
-// CheckerByID returns the checker with the given ID.
-func (c *Core) CheckerByID(id int) *Checker { return c.checkers[id] }

@@ -102,30 +102,6 @@ func (c *Core) RestoreCheckpointFull(ck *ModelCheckpoint) {
 	c.finishRestore(ck)
 }
 
-// AtCheckpoint reports whether the machine is in the state ck captured:
-// every latch outside idle groups, every array cell, all of memory, and the
-// counters the next-state logic and a monitored run read (Cycle, Completed,
-// halted). From such a state the machine does what it did after ck was
-// taken. The Go-side bookkeeping (Recoveries, firstErrSeen, checker Fired
-// counts, array error counters) is left out: the model only ever
-// increments it when an error is posted, and never reads it to decide what
-// a fault-free cycle does. On a core sharing ck's baseline the comparison
-// reads only dirty state and ck's deltas, like RestoreCheckpoint.
-func (c *Core) AtCheckpoint(ck *ModelCheckpoint) bool {
-	if c.Cycle != ck.cycle || c.Completed != ck.completed || c.halted != ck.halted {
-		return false
-	}
-	if !c.db.Matches(ck.latches) {
-		return false
-	}
-	for i, p := range c.arrays {
-		if !p.Matches(ck.arrays[i], nil) {
-			return false
-		}
-	}
-	return c.mem.Matches(ck.memory, nil)
-}
-
 // finishRestore resets counters and capture state common to both restore
 // paths.
 func (c *Core) finishRestore(ck *ModelCheckpoint) {

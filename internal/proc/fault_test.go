@@ -251,7 +251,7 @@ func TestCheckersMaskedNoRecovery(t *testing.T) {
 		t.Error("masked checkers still acted on an error")
 	}
 	// The checker saw the error even though it was masked.
-	if c.CheckerByID(ChkFXUGPRPar).Fired == 0 {
+	if c.Checkers()[ChkFXUGPRPar].Fired == 0 {
 		t.Error("masked checker did not observe the error")
 	}
 }
@@ -442,62 +442,5 @@ func TestIdleInventoryPinned(t *testing.T) {
 	if groups, bits, idle := count(nestConfig()); groups != 68 || bits != 57147 || idle != 47036+3*16*64+8+128 {
 		t.Errorf("with the periphery: %d never-read groups holding %d bits (%d idle), want 68 holding 57147 (%d idle)",
 			groups, bits, idle, 47036+3*16*64+8+128)
-	}
-}
-
-// TestAtCheckpoint perturbs each kind of state a checkpoint holds, one at a
-// time, on the shared-baseline path and on the full-compare path: only a
-// flip confined to an idle group leaves the machine "at" the checkpoint.
-func TestAtCheckpoint(t *testing.T) {
-	for _, baseline := range []bool{true, false} {
-		c := newNestLoopedCore(t)
-		if baseline {
-			c.InstallRestoreBaseline()
-			run(c, 300)
-		}
-		ck := c.SaveCheckpoint()
-		check := func(what string, want bool) {
-			t.Helper()
-			if got := c.AtCheckpoint(ck); got != want {
-				t.Errorf("baseline %v, %s: AtCheckpoint = %v, want %v", baseline, what, got, want)
-			}
-			c.RestoreCheckpoint(ck)
-			if !c.AtCheckpoint(ck) {
-				t.Fatalf("baseline %v, after %s: not at the checkpoint just restored", baseline, what)
-			}
-		}
-		check("untouched", true)
-		flipGroupBit(t, c, "fxu.t1.gpr", 3, 9)
-		flipGroupBit(t, c, "nest.dma", 0, 0)
-		check("idle latches flipped", true)
-		flipGroupBit(t, c, "ifu.bht", 1000, 1)
-		check("live latch flipped", false)
-		c.nest.l2Data.FlipBit(3, 70)
-		check("array check bit flipped", false)
-		c.Mem().Write32(0x20000, 1)
-		check("memory word written", false)
-		c.Completed++
-		check("completion count moved", false)
-		c.Cycle++
-		check("cycle count moved", false)
-		run(c, 1)
-		check("one cycle later", false)
-		// Bookkeeping the next-state logic never reads does not count.
-		c.Recoveries++
-		c.checkers[ChkIFUPCPar].Fired++
-		c.lsu.dcData.Corrected++
-		check("error bookkeeping moved", true)
-
-		// A checkpoint of another baseline is compared in full.
-		other := newNestLoopedCore(t)
-		other.InstallRestoreBaseline()
-		run(other, 300)
-		if baseline && !other.AtCheckpoint(ck) {
-			t.Error("an identically driven core is not at the checkpoint")
-		}
-		run(other, 1)
-		if other.AtCheckpoint(ck) {
-			t.Error("a core one cycle further is at the checkpoint")
-		}
 	}
 }

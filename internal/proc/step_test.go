@@ -107,25 +107,3 @@ func BenchmarkRestoreCheckpoint(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAtCheckpoint times the comparison an injection makes at a testend
-// to learn that it is back on the fault-free trajectory, in the case that
-// costs most: the model has run a whole testcase since its reload (untimed)
-// and is in the state of the next checkpoint, so every dirty block is read.
-func BenchmarkAtCheckpoint(b *testing.B) {
-	c, _ := newAVPCore(b)
-	c.InstallRestoreBaseline()
-	from := c.SaveCheckpoint()
-	runPass(b, c, 1)
-	next := c.SaveCheckpoint()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c.RestoreCheckpoint(from)
-		runPass(b, c, 1)
-		b.StartTimer()
-		if !c.AtCheckpoint(next) {
-			b.Fatal("a fault-free testcase did not end at the next checkpoint")
-		}
-	}
-}
