@@ -60,7 +60,11 @@ race:
 # FuzzCompiledNetlist decodes arbitrary bytes into a small netlist and a
 # script of stimulus, per-lane flips and forces, and holds awan's compiled
 # program (64-lane and through the scalar facade), its Snapshot/Restore and
-# its Clone to the netlist interpreter kept in oracle_test.go.
+# its Clone to the netlist interpreter kept in oracle_test.go; FuzzScanView
+# runs arbitrary scripts of latch flips, array strikes, held faults, steps and
+# checkpoint restores on a warmed p6lite core, and holds the scan view it
+# caches between scan-generation moves to the view the latches' contents
+# give, after every step, and every array it calls clean to a clean decode.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
@@ -68,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzEarlyExit -fuzztime $(FUZZTIME) ./internal/engine/p6lite
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorRequests -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCompiledNetlist -fuzztime $(FUZZTIME) ./internal/awan
+	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
 
 # bench runs every go benchmark once as a smoke, then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in
@@ -98,11 +103,14 @@ lines:
 		printf "%-28s %7d %7d\n", "~total", nn, tt }' | sort | \
 		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
 
-# cmp holds the working tree's reports to PARENT's byte for byte: it builds
-# sfi from a detached worktree of PARENT (default HEAD: the uncommitted change
-# against its base) and from the working tree, runs both over CMP_SHAPES and
-# names the first shape whose `sfi -json` differs. It is the check a change to
-# the engines, the campaign loop or the transports describes in CHANGES.md.
+# cmp holds the working tree's output to PARENT's byte for byte: it builds
+# sfi and sfi-beam from a `git archive` of PARENT (default HEAD: the
+# uncommitted change against its base) and from the working tree, runs both
+# over CMP_SHAPES (`sfi -json`) and BEAM_SHAPES (sfi-beam, its first line, the
+# wall time, dropped) and names the first shape that differs. It is the check
+# a change to the engines, the model, the campaign loop or the transports
+# describes in CHANGES.md. sfi-beam is the one surface that strikes
+# protected-array cells, so the only one that reads a struck array.
 # Not part of ci: it needs a parent ref. It needs no network. A uniform
 # `-margin N -stop-on-converge` is not on the list: it stops mid-epoch on a
 # live view that lags the worker, so its total moves by one or two between
@@ -126,17 +134,27 @@ CMP_SHAPES = \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 400 -backend awan| \
 	-flips 400 -backend awan -lanes 1
+BEAM_SHAPES = \
+	-strikes 600| \
+	-strikes 400 -nest| \
+	-strikes 300 -array-weight 0.5| \
+	-calibrate -flips 400
 cmp:
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/parent" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	git worktree add -q --detach "$$tmp/parent" $(PARENT); \
-	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/sfi.parent" ./cmd/sfi); \
-	$(GO) build -o "$$tmp/sfi.tree" ./cmd/sfi; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent"; git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam); \
+	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam; \
 	echo '$(CMP_SHAPES)' | tr '|' '\n' | while read -r shape; do \
-		"$$tmp/sfi.parent" $(CMP_FLAGS) $$shape > "$$tmp/parent.json"; \
-		"$$tmp/sfi.tree" $(CMP_FLAGS) $$shape > "$$tmp/tree.json"; \
-		cmp -s "$$tmp/parent.json" "$$tmp/tree.json" || { echo "cmp: sfi $(CMP_FLAGS) $$shape differs from $(PARENT)"; exit 1; }; \
+		"$$tmp/parent-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/parent.out"; \
+		"$$tmp/tree-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/tree.out"; \
+		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi $(CMP_FLAGS) $$shape differs from $(PARENT)"; exit 1; }; \
 		echo "same  sfi $(CMP_FLAGS) $$shape"; \
+	done; \
+	echo '$(BEAM_SHAPES)' | tr '|' '\n' | while read -r shape; do \
+		"$$tmp/parent-bin/sfi-beam" $$shape | tail -n +2 > "$$tmp/parent.out"; \
+		"$$tmp/tree-bin/sfi-beam" $$shape | tail -n +2 > "$$tmp/tree.out"; \
+		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-beam $$shape differs from $(PARENT)"; exit 1; }; \
+		echo "same  sfi-beam $$shape"; \
 	done
 
 # ci holds no wall-clock gate: what observability, lanes, the image cache,

@@ -3,7 +3,7 @@
 // are not part of the latch population — the paper notes that "a large
 // portion of the RUT consists of arrays which are protected" — but the beam
 // experiment strikes them too, so every cell is individually flippable and
-// every read goes through SECDED decode.
+// every read of a struck array goes through SECDED decode.
 package array
 
 import (
@@ -17,11 +17,21 @@ import (
 const blockShift = 3
 
 // Protected is an ECC-protected array of 64-bit words. The raw cells (data
-// and check bits) are a dirty.Store, whose baseline, snapshot, restore and
-// delta methods are the array's; none of them covers the error counters.
+// and check bits) are a dirty.Store, held unexported: the methods that
+// install contents wholesale — restore, baseline — are the array's own, so
+// that the struck flag travels with the contents. None of them covers the
+// error counters.
 type Protected struct {
-	dirty.Store[bits.ECCWord]
-	name string
+	store dirty.Store[bits.ECCWord]
+	name  string
+
+	// struck: some cell may hold an invalid codeword. FlipBit sets it and
+	// nothing else does — Write and read-repair store valid codewords — so
+	// while it is clear every cell decodes clean and Read and ScrubStep skip
+	// the decode. A restore or an adopted baseline installs the flag of what
+	// it installs, computed when that was captured.
+	struck bool
+	base   *Baseline
 
 	// Corrected counts single-bit errors corrected on read or scrub.
 	Corrected uint64
@@ -34,8 +44,8 @@ func New(name string, entries int) *Protected {
 	if entries < 1 {
 		panic(fmt.Sprintf("array: entries %d < 1 for %s", entries, name))
 	}
-	p := &Protected{Store: dirty.New[bits.ECCWord](entries, blockShift), name: name}
-	p.Fill(bits.EncodeSECDED(0))
+	p := &Protected{store: dirty.New[bits.ECCWord](entries, blockShift), name: name}
+	p.store.Fill(bits.EncodeSECDED(0))
 	return p
 }
 
@@ -43,28 +53,40 @@ func New(name string, entries int) *Protected {
 func (p *Protected) Name() string { return p.name }
 
 // Entries returns the number of 64-bit words.
-func (p *Protected) Entries() int { return len(p.Cells) }
+func (p *Protected) Entries() int { return len(p.store.Cells) }
 
 // TotalBits returns the number of storage bits including check bits, the
 // population the beam model samples from.
-func (p *Protected) TotalBits() int { return len(p.Cells) * 72 }
+func (p *Protected) TotalBits() int { return len(p.store.Cells) * 72 }
+
+// Cells returns the raw storage words, data and check bits, for inspection.
+// The caller must not modify them.
+func (p *Protected) Cells() []bits.ECCWord { return p.store.Cells }
+
+// Clean reports whether every cell is known to hold a valid codeword: no
+// strike since the contents were last installed from a clean image.
+func (p *Protected) Clean() bool { return !p.struck }
 
 // Write stores a word with freshly computed check bits.
 func (p *Protected) Write(entry int, data uint64) {
-	p.Cells[entry] = bits.EncodeSECDED(data)
-	p.Touch(entry >> blockShift)
+	p.store.Cells[entry] = bits.EncodeSECDED(data)
+	p.store.Touch(entry >> blockShift)
 }
 
 // Read loads a word through ECC decode. Single-bit errors are corrected
 // in place (read-repair) and counted; uncorrectable errors are counted and
-// reported so the owner can escalate.
+// reported so the owner can escalate. A clean array returns the data bits
+// without decoding them.
 func (p *Protected) Read(entry int) (uint64, bits.ECCResult) {
-	data, res := bits.DecodeSECDED(p.Cells[entry])
+	if !p.struck {
+		return p.store.Cells[entry].Data, bits.ECCClean
+	}
+	data, res := bits.DecodeSECDED(p.store.Cells[entry])
 	switch res {
 	case bits.ECCCorrected:
 		p.Corrected++
-		p.Cells[entry] = bits.EncodeSECDED(data)
-		p.Touch(entry >> blockShift)
+		p.store.Cells[entry] = bits.EncodeSECDED(data)
+		p.store.Touch(entry >> blockShift)
 	case bits.ECCUncorrectable:
 		p.Uncorrectable++
 	}
@@ -78,11 +100,12 @@ func (p *Protected) FlipBit(entry, bit int) {
 		panic(fmt.Sprintf("array: bit %d out of range [0,72) in %s", bit, p.name))
 	}
 	if bit < 64 {
-		p.Cells[entry].Data ^= 1 << uint(bit)
+		p.store.Cells[entry].Data ^= 1 << uint(bit)
 	} else {
-		p.Cells[entry].Check ^= 1 << uint(bit-64)
+		p.store.Cells[entry].Check ^= 1 << uint(bit-64)
 	}
-	p.Touch(entry >> blockShift)
+	p.store.Touch(entry >> blockShift)
+	p.struck = true
 }
 
 // ScrubStep checks one entry (correcting if needed) and returns its result;
@@ -96,4 +119,72 @@ func (p *Protected) ScrubStep(entry int) bits.ECCResult {
 func (p *Protected) ResetCounters() {
 	p.Corrected = 0
 	p.Uncorrectable = 0
+}
+
+// holdsInvalid reports whether a cell holds an invalid codeword now: the flag
+// an image or a baseline records.
+func (p *Protected) holdsInvalid() bool {
+	if !p.struck {
+		return false
+	}
+	for _, w := range p.store.Cells {
+		if _, res := bits.DecodeSECDED(w); res != bits.ECCClean {
+			return true
+		}
+	}
+	return false
+}
+
+// Image is a checkpoint of an array: its cells' image, and whether one of
+// them held an invalid codeword at capture.
+type Image struct {
+	cells  *dirty.Image[bits.ECCWord]
+	struck bool
+}
+
+// Baseline is an array's installed restore baseline and its struck flag,
+// immutable and shared read-only by the arrays that adopt it.
+type Baseline struct {
+	cells  *dirty.Baseline[bits.ECCWord]
+	struck bool
+}
+
+// SetBaseline installs the current contents as the restore baseline (see
+// dirty.Store.SetBaseline).
+func (p *Protected) SetBaseline() {
+	p.store.SetBaseline()
+	p.base = &Baseline{cells: p.store.Baseline(), struck: p.holdsInvalid()}
+}
+
+// Baseline returns the installed baseline (nil without one), for another
+// array of the same size to adopt.
+func (p *Protected) Baseline() *Baseline { return p.base }
+
+// AdoptBaseline shares b and resets the contents to it (see
+// dirty.Store.AdoptBaseline).
+func (p *Protected) AdoptBaseline(b *Baseline) {
+	if b == nil {
+		panic("array: AdoptBaseline from an array without a baseline")
+	}
+	p.store.AdoptBaseline(b.cells)
+	p.base, p.struck = b, b.struck
+}
+
+// Snapshot captures the contents (see dirty.Store.Snapshot).
+func (p *Protected) Snapshot() *Image {
+	return &Image{cells: p.store.Snapshot(), struck: p.holdsInvalid()}
+}
+
+// Restore rewrites the contents to img's, by delta when img was captured
+// against this array's baseline (see dirty.Store.Restore).
+func (p *Protected) Restore(img *Image) {
+	p.store.Restore(img.cells)
+	p.struck = img.struck
+}
+
+// RestoreFull rebuilds all of img, whatever baseline it has (see
+// dirty.Store.RestoreFull).
+func (p *Protected) RestoreFull(img *Image) {
+	p.store.RestoreFull(img.cells)
+	p.struck = img.struck
 }

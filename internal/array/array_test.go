@@ -140,31 +140,32 @@ func TestQuickAnySingleFlipCorrected(t *testing.T) {
 }
 
 // TestDeltaRestoreMatchesSnapshot: a mutation through any public primitive
-// marks its entry, so a delta captures it and a delta restore reverts it.
-// (What the store does with the marks is internal/dirty's test.)
+// marks its entry, so a snapshot against the baseline (a delta image)
+// captures it and restoring one reverts it. (What the store does with the
+// marks is internal/dirty's test.)
 func TestDeltaRestoreMatchesSnapshot(t *testing.T) {
 	p := New("t", 100)
 	p.Write(1, 0x11)
 	p.SetBaseline()
-	if !p.HasBaseline() {
+	if !p.store.HasBaseline() {
 		t.Fatal("baseline not installed")
 	}
-	ckA := p.CaptureDelta()
+	ckA := p.Snapshot()
 	// Advance through every mutation primitive and checkpoint.
 	p.Write(1, 0x22)
 	p.FlipBit(7, 3)
 	p.FlipBit(7, 3) // flip back: entry still marked dirty, value clean
 	p.Write(64, 0x33)
-	ckB := p.CaptureDelta()
-	wantB := slices.Clone(p.Cells)
+	ckB := p.Snapshot()
+	wantB := slices.Clone(p.Cells())
 	for e := 0; e < p.Entries(); e++ {
 		p.Write(e, 0xee)
 	}
-	p.RestoreDelta(ckB)
-	if !slices.Equal(p.Cells, wantB) {
+	p.Restore(ckB)
+	if !slices.Equal(p.Cells(), wantB) {
 		t.Fatal("delta restore to B does not match snapshot")
 	}
-	p.RestoreDelta(ckA)
+	p.Restore(ckA)
 	if v, _ := p.Read(1); v != 0x11 {
 		t.Fatalf("cross-restore to baseline: [1] = %#x", v)
 	}
@@ -176,13 +177,13 @@ func TestDeltaTracksReadRepair(t *testing.T) {
 	p := New("t", 16)
 	p.SetBaseline()
 	p.FlipBit(2, 5)
-	ck := p.CaptureDelta()
-	want := slices.Clone(p.Cells)
+	ck := p.Snapshot()
+	want := slices.Clone(p.Cells())
 	if _, res := p.Read(2); res != bits.ECCCorrected {
 		t.Fatal("expected corrected read")
 	}
-	p.RestoreDelta(ck)
-	if !slices.Equal(p.Cells, want) {
+	p.Restore(ck)
+	if !slices.Equal(p.Cells(), want) {
 		t.Fatal("delta restore did not revert the read-repair")
 	}
 }
@@ -192,15 +193,76 @@ func TestAdoptBaseline(t *testing.T) {
 	src.Write(4, 0xaa)
 	src.SetBaseline()
 	src.Write(5, 0xbb)
-	ck := src.CaptureDelta()
+	ck := src.Snapshot()
 
 	p := New("t", 32)
 	p.AdoptBaseline(src.Baseline())
 	if v, _ := p.Read(4); v != 0xaa {
 		t.Fatalf("adopted baseline [4] = %#x", v)
 	}
-	p.RestoreDelta(ck)
-	if !slices.Equal(p.Cells, src.Cells) {
+	p.Restore(ck)
+	if !slices.Equal(p.Cells(), src.Cells()) {
 		t.Fatal("clone after delta restore does not match source")
+	}
+}
+
+// TestStruckFlag: only FlipBit makes an array unclean; Write and read-repair
+// leave it clean; an image or a baseline records whether a cell held an
+// invalid codeword when it was captured, and restoring or adopting one
+// installs that. A clean array decodes clean at every entry, which is what
+// lets Read skip the decode.
+func TestStruckFlag(t *testing.T) {
+	allValid := func(p *Protected) bool {
+		for _, w := range p.Cells() {
+			if _, res := bits.DecodeSECDED(w); res != bits.ECCClean {
+				return false
+			}
+		}
+		return true
+	}
+	p := New("t", 24)
+	p.Write(3, 0xabc)
+	p.SetBaseline()
+	clean := p.Snapshot()
+	if !p.Clean() || p.Baseline().struck {
+		t.Fatal("a written array is not clean")
+	}
+
+	p.FlipBit(3, 7)
+	if p.Clean() {
+		t.Fatal("a struck array is clean")
+	}
+	struck := p.Snapshot()
+	if v, res := p.Read(3); v != 0xabc || res != bits.ECCCorrected || p.Clean() {
+		t.Fatalf("read-repair: %#x %v clean %v, want the data corrected and the flag held", v, res, p.Clean())
+	}
+	// All cells are valid again: an image taken now records that.
+	repaired := p.Snapshot()
+
+	p.Restore(clean)
+	if !p.Clean() {
+		t.Error("restoring a clean image left the flag set")
+	}
+	p.Restore(struck)
+	if p.Clean() || allValid(p) {
+		t.Error("restoring an image taken after a strike lost the strike")
+	}
+	if v, res := p.Read(3); v != 0xabc || res != bits.ECCCorrected {
+		t.Errorf("read after restoring the strike: %#x %v", v, res)
+	}
+	p.RestoreFull(repaired)
+	if !p.Clean() || !allValid(p) {
+		t.Error("an image captured once every cell was repaired is not clean")
+	}
+
+	p.FlipBit(10, 70)
+	p.SetBaseline()
+	q := New("t", 24)
+	q.AdoptBaseline(p.Baseline())
+	if q.Clean() {
+		t.Error("adopting a baseline with a struck cell made a clean array")
+	}
+	if _, res := q.Read(10); res != bits.ECCCorrected {
+		t.Errorf("the adopted strike read %v, want corrected", res)
 	}
 }

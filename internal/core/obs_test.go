@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -12,8 +13,10 @@ import (
 	"time"
 
 	"sfi/internal/engine"
+	"sfi/internal/engine/p6lite"
 	"sfi/internal/latch"
 	"sfi/internal/obs"
+	"sfi/internal/proc"
 )
 
 // TestCampaignTraceJSONL runs a multi-worker campaign with a trace sink and
@@ -161,20 +164,24 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // overwrites, or never reads, before the run ends, and the delay before any
 // flip is no part of the count). The stepped totals are pinned for three
 // fault shapes, so that a change to the replay rule shows where it moves
-// each: a held fault is clocked on other grounds than a toggle. All are
-// exact and repeat on any host.
+// each: a held fault is clocked on other grounds than a toggle. So is the
+// number of times the clocked cores re-derived their scan view (a scan load,
+// a flip or a restore since the last clocked cycle, on every core the
+// campaign built), so that a change which moves the scan generation on
+// cycles that write no scan state fails here and not only in the benchmark.
+// All are exact and repeat on any host.
 func TestEarlyExitCount(t *testing.T) {
 	for _, tc := range []struct {
-		name              string
-		flips             int
-		seed              uint64
-		mut               func(*RunnerConfig)
-		observed, stepped uint64
+		name                         string
+		flips                        int
+		seed                         uint64
+		mut                          func(*RunnerConfig)
+		observed, stepped, refreshes uint64
 	}{
-		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 32434},
-		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 210900},
-		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 220770},
-		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 614115},
+		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 32434, 85},
+		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 210900, 509},
+		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 220770, 519},
+		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 614115, 2139},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultCampaignConfig()
@@ -182,6 +189,8 @@ func TestEarlyExitCount(t *testing.T) {
 			cfg.Workers = 1
 			cfg.Obs.Metrics = true
 			tc.mut(&cfg.Runner)
+			cores := &coreCounter{}
+			cfg.Runner.Backend = cores.backend()
 			rep, err := RunCampaign(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -197,9 +206,58 @@ func TestEarlyExitCount(t *testing.T) {
 				t.Errorf("stepped %d of %d observed cycles (%.1f%%), want at most 12%%",
 					m.SteppedCycles, m.Cycles, 100*float64(m.SteppedCycles)/float64(m.Cycles))
 			}
+			if got := cores.refreshes(); got != tc.refreshes {
+				t.Errorf("%d scan-view refreshes over %d stepped cycles, want %d", got, m.SteppedCycles, tc.refreshes)
+			}
 		})
 	}
 }
+
+// coreCounter registers a p6lite backend of its own and keeps every core it
+// and its clones build, to count what they did.
+type coreCounter struct {
+	mu    sync.Mutex
+	cores []*proc.Core
+}
+
+// backend registers the counting backend and returns its name.
+func (cc *coreCounter) backend() string {
+	name := fmt.Sprintf("p6lite-counted-%p", cc)
+	engine.Register(name, func(cfg engine.Config) (engine.Backend, error) {
+		cfg.Backend = p6lite.Name
+		be, err := engine.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return cc.keep(be.(*p6lite.Backend)), nil
+	})
+	return name
+}
+
+func (cc *coreCounter) keep(be *p6lite.Backend) engine.Backend {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.cores = append(cc.cores, be.Core())
+	return countedBackend{be, cc}
+}
+
+// refreshes sums the scan-view refreshes of the kept cores.
+func (cc *coreCounter) refreshes() (n uint64) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for _, c := range cc.cores {
+		n += c.ViewRefreshes()
+	}
+	return n
+}
+
+// countedBackend is a p6lite backend whose clones are kept too.
+type countedBackend struct {
+	*p6lite.Backend
+	cc *coreCounter
+}
+
+func (b countedBackend) Clone() engine.Backend { return b.cc.keep(b.Backend.Clone().(*p6lite.Backend)) }
 
 // TestCampaignElidesOnEveryWorker runs a campaign confined to the tracked
 // latch groups (predictor, register files, ERAT, store queue) on four cloned

@@ -203,11 +203,20 @@ func (s *Store[T]) Snapshot() *Image[T] {
 // Restore rewrites the contents to img's: by delta when img was captured
 // against this store's baseline, by full copy otherwise.
 func (s *Store[T]) Restore(img *Image[T]) {
-	if s.base != nil && s.base == img.base {
-		s.RestoreDelta(img.delta)
+	if d := img.DeltaOn(s.base); d != nil {
+		s.RestoreDelta(d)
 		return
 	}
 	s.RestoreFull(img)
+}
+
+// DeltaOn returns img's delta if img was captured against baseline b — what
+// a store holding b restores img by — and nil otherwise.
+func (img *Image[T]) DeltaOn(b *Baseline[T]) *Delta[T] {
+	if b == nil || img.base != b {
+		return nil
+	}
+	return img.delta
 }
 
 // RestoreFull rebuilds all of img in the store, whatever baseline it has, and

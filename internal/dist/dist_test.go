@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,43 +186,36 @@ func TestLoopbackEquivalence(t *testing.T) {
 }
 
 // TestDirectWorkersShareHeartbeats runs workers that call the coordinator
-// directly (Coordinator.RunWorker) on shards long enough, under a lease short
-// enough, that heartbeats carry metric snapshots while the shards run: the
-// coordinator then reads lease, heartbeat and report values the workers
-// built, not JSON copies of them, which `make race` checks. The report must
-// be the one an HTTP fleet produces.
+// directly (Coordinator.RunWorker) under a lease short enough that heartbeats
+// carry metric snapshots while the shards run: the coordinator then reads
+// lease, heartbeat and report values the workers built, not JSON copies of
+// them, which `make race` checks. That a snapshot arrives while a shard runs
+// is not left to the model's speed: the workers' runners hold the campaign's
+// heldInjection-th injection until the coordinator's status shows a shard's
+// live count. The report must be the one an HTTP fleet produces.
 func TestDirectWorkersShareHeartbeats(t *testing.T) {
 	spec := testSpec()
-	spec.Flips = 3000
+	spec.Flips = 400
 	spec.KeepResults = false
 	run := func(direct bool) (rep *core.Report, sawLive bool) {
-		cfg := CoordConfig{Campaign: spec, ShardSize: 1500}
+		cfg := CoordConfig{Campaign: spec, ShardSize: 200}
 		if direct {
 			cfg.LeaseTTL, cfg.MaxAttempts = 90*time.Millisecond, 100
 		}
 		c, srv := startCoord(t, cfg)
-		url := srv.URL
-		if direct {
-			url = ""
+		if !direct {
+			return runStratifiedFleet(t, c, srv.URL, 2), false
 		}
-		stop, polled := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(polled)
-			for {
-				for _, sv := range c.Status().ShardsV {
-					sawLive = sawLive || sv.LiveInjections > 0
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(time.Millisecond):
+		gate := &injectionGate{open: func() bool {
+			for _, sv := range c.Status().ShardsV {
+				if sv.LiveInjections > 0 {
+					return true
 				}
 			}
-		}()
-		rep = runStratifiedFleet(t, c, url, 2)
-		close(stop)
-		<-polled
-		return rep, sawLive
+			return false
+		}}
+		rep = runFleet(t, c, "", 2, WorkerConfig{NewRunner: gate.newRunner()})
+		return rep, gate.opened.Load()
 	}
 	want, _ := run(false)
 	got, sawLive := run(true)
@@ -240,6 +234,63 @@ func TestDirectWorkersShareHeartbeats(t *testing.T) {
 		t.Errorf("direct workers' report differs from the HTTP fleet's:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 }
+
+// heldInjection is the injection an injectionGate holds: late enough that
+// the shard holding it has finished some before it.
+const heldInjection = 8
+
+// injectionGate holds the heldInjection-th injection made through any of the
+// runners it builds (a prototype and its clones) until open reports true, or
+// a deadline passes; opened records which.
+type injectionGate struct {
+	open   func() bool
+	n      atomic.Int64
+	opened atomic.Bool
+}
+
+// newRunner is a WorkerConfig.NewRunner building the campaign's runner on a
+// backend registered for this gate alone, which wraps the configured one.
+func (g *injectionGate) newRunner() func(core.RunnerConfig) (*core.Runner, error) {
+	name := fmt.Sprintf("gated-%p", g)
+	engine.Register(name, func(cfg engine.Config) (engine.Backend, error) {
+		cfg.Backend = ""
+		be, err := engine.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return gatedBackend{be, g}, nil
+	})
+	return func(rc core.RunnerConfig) (*core.Runner, error) {
+		rc.Backend = name
+		return core.NewRunner(rc)
+	}
+}
+
+// wait is called before every injection and holds the gated one.
+func (g *injectionGate) wait() {
+	if g.n.Add(1) != heldInjection {
+		return
+	}
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if g.open() {
+			g.opened.Store(true)
+			return
+		}
+	}
+}
+
+// gatedBackend is a backend whose injections pass its gate first.
+type gatedBackend struct {
+	engine.Backend
+	g *injectionGate
+}
+
+func (b gatedBackend) Inject(inj engine.Injection) error {
+	b.g.wait()
+	return b.Backend.Inject(inj)
+}
+
+func (b gatedBackend) Clone() engine.Backend { return gatedBackend{b.Backend.Clone(), b.g} }
 
 // TestDeadWorkerShardRequeued kills a worker mid-shard (it leases and then
 // vanishes without heartbeats); the lease must expire, the shard must be

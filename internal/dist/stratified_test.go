@@ -31,16 +31,22 @@ func stratifiedSpec() CampaignSpec {
 // merged report.
 func runStratifiedFleet(t *testing.T, c *Coordinator, url string, n int) *core.Report {
 	t.Helper()
+	return runFleet(t, c, url, n, WorkerConfig{})
+}
+
+// runFleet is runStratifiedFleet with every worker configured as base, but
+// for its coordinator, ID and poll period.
+func runFleet(t *testing.T, c *Coordinator, url string, n int, base WorkerConfig) *core.Report {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	workerErr := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			cfg := WorkerConfig{
-				Coordinator: url,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   10 * time.Millisecond,
-			}
+			cfg := base
+			cfg.Coordinator = url
+			cfg.ID = fmt.Sprintf("w%d", i)
+			cfg.PollEvery = 10 * time.Millisecond
 			if url == "" {
 				workerErr <- c.RunWorker(ctx, cfg)
 			} else {

@@ -202,7 +202,7 @@ func captureState(c *proc.Core) fullState {
 		halted:     c.Halted(),
 	}
 	for _, p := range c.Arrays() {
-		st.arrays = append(st.arrays, slices.Clone(p.Cells))
+		st.arrays = append(st.arrays, slices.Clone(p.Cells()))
 	}
 	return st
 }

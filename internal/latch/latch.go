@@ -69,6 +69,10 @@ type Group struct {
 	// Tracked marks a group registered with RegisterTracked: the model's one
 	// handle to it can log every read and overwrite of each of its words.
 	Tracked bool
+	// Scan marks a group registered with RegisterScan: the model's handles
+	// to it are read-only, and its contents change only through
+	// DB.LoadScan, a flip or a restore.
+	Scan bool
 
 	logOff   int // dense logical bit offset of entry 0 bit 0
 	physOff  int // word index of entry 0
@@ -94,7 +98,8 @@ func (g *Group) Offset() int { return g.logOff }
 //
 // The storage words are a dirty.Store: every latch write marks its block of
 // 8 words (one cache line), and the store's baseline, snapshot, restore and
-// delta methods are the database's — see DESIGN.md "Checkpoint restore".
+// delta methods are the database's — see DESIGN.md "Checkpoint restore" —
+// those that rewrite contents wrapped to move the scan generation (scan.go).
 type DB struct {
 	dirty.Store[uint64]
 	groups []*Group
@@ -104,15 +109,17 @@ type DB struct {
 
 	tracked int       // words in tracked groups: the access log's index space
 	rec     recording // the access log being taken, if one is
+	gen     uint64    // the scan generation (ScanGen)
 }
 
 // blockShift: the storage words are dirty-tracked 8 (one cache line) to a
 // block.
 const blockShift = 3
 
-// NewDB returns an empty latch database.
+// NewDB returns an empty latch database. Its scan generation starts at 1, so
+// a view derived at the zero generation is never current.
 func NewDB() *DB {
-	return &DB{Store: dirty.New[uint64](0, blockShift), byName: make(map[string]*Group)}
+	return &DB{Store: dirty.New[uint64](0, blockShift), byName: make(map[string]*Group), gen: 1}
 }
 
 func mask(width int) uint64 {
@@ -277,10 +284,12 @@ func (r BitRef) Set(v bool) {
 	}
 }
 
-// Flip inverts the bit and returns the new value.
+// Flip inverts the bit and returns the new value. It moves the scan
+// generation: the bit may be scan-only.
 func (r BitRef) Flip() bool {
 	r.db.Cells[r.w] ^= r.mask
 	r.db.Touch(r.w >> blockShift)
+	r.db.gen++
 	return r.Get()
 }
 

@@ -96,7 +96,7 @@ func (c *Core) dcUpdate(addr, dw uint64) {
 // eratParity computes an ERAT entry's stored parity under the current LSU
 // polarity configuration.
 func (c *Core) eratParity(vpn, ppn uint64) uint64 {
-	return parity64(vpn) ^ parity64(ppn) ^ c.polarity(c.lsu.mode, 0)
+	return parity64(vpn) ^ parity64(ppn) ^ c.polarity(uLSU, 0)
 }
 
 // eratLookup translates effective address ea. ok=false means no usable

@@ -155,25 +155,25 @@ func (c *Core) fail(id int) bool {
 	return true
 }
 
-// SetCheckersEnabled writes the pervasive checker mask: true restores the
-// power-on mask (all checkers on), false masks every checker, the paper's
-// "Raw" configuration for Table 3.
+// SetCheckersEnabled scan-loads the pervasive checker mask: true restores
+// the power-on mask (all checkers on), false masks every checker, the
+// paper's "Raw" configuration for Table 3.
 func (c *Core) SetCheckersEnabled(on bool) {
+	mask := uint64(0)
 	if on {
-		c.prv.modeChecker.Set(^uint64(0))
-	} else {
-		c.prv.modeChecker.Set(0)
+		mask = ^uint64(0)
 	}
+	c.db.LoadScan(c.prv.modeChecker, mask)
 }
 
-// SetRecoveryEnabled controls the RUT retry enable mode bit; with recovery
+// SetRecoveryEnabled scan-loads the RUT retry enable mode bit; with recovery
 // off, recoverable errors escalate to checkstop (an ablation in DESIGN.md).
 func (c *Core) SetRecoveryEnabled(on bool) {
+	v := c.prv.modeRecovery.Get() &^ 1
 	if on {
-		c.prv.modeRecovery.Set(c.prv.modeRecovery.Get() | 1)
-	} else {
-		c.prv.modeRecovery.Set(c.prv.modeRecovery.Get() &^ 1)
+		v |= 1
 	}
+	c.db.LoadScan(c.prv.modeRecovery, v)
 }
 
 // FIRBit reports whether the FIR bit for checker id is set.

@@ -1,7 +1,7 @@
 package proc
 
 import (
-	"sfi/internal/bits"
+	"sfi/internal/array"
 	"sfi/internal/dirty"
 )
 
@@ -18,7 +18,7 @@ import (
 // rewrites only the state that actually differs — the dirty fast path.
 type ModelCheckpoint struct {
 	latches    *dirty.Image[uint64]
-	arrays     []*dirty.Image[bits.ECCWord]
+	arrays     []*array.Image
 	memory     *dirty.Image[byte]
 	cycle      uint64
 	completed  uint64

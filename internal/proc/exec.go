@@ -132,7 +132,7 @@ func (c *Core) exMiddle(in isa.Inst, busy uint64) {
 // interior cycles.
 func (c *Core) fpuStage(busy uint64) {
 	fpu := &c.fpu
-	pol := c.polarity(fpu.mode, 1)
+	pol := c.polarity(uFPU, 1)
 	switch busy {
 	case 4:
 		if parity64(fpu.p1a.Get())^pol != b2u(fpu.pPar.GetBit(0)) {
@@ -163,7 +163,7 @@ func b2u(b bool) uint64 {
 // false to stall (reload in flight or a squashing checker fire).
 func (c *Core) agenTranslate(in isa.Inst) bool {
 	fxu, lsu := &c.fxu, &c.lsu
-	if parity64(fxu.opA.Get())^c.polarity(fxu.mode, 1) != fxu.opAPar.Get() {
+	if parity64(fxu.opA.Get())^c.polarity(uFXU, 1) != fxu.opAPar.Get() {
 		if c.fail(ChkFXUOpPar) {
 			return false
 		}
@@ -179,14 +179,14 @@ func (c *Core) agenTranslate(in isa.Inst) bool {
 		return false
 	}
 	lsu.ea.Set(pa)
-	lsu.eaPar.Set(parity64(pa) ^ c.polarity(lsu.mode, 2))
+	lsu.eaPar.Set(parity64(pa) ^ c.polarity(uLSU, 2))
 	return true
 }
 
 // stqInsert enqueues the store riding in the EX slot.
 func (c *Core) stqInsert(in isa.Inst) {
 	lsu := &c.lsu
-	pol := c.polarity(lsu.mode, 1)
+	pol := c.polarity(uLSU, 1)
 	t := int(lsu.stqTail.Get()) % stqEntries
 	pa := lsu.ea.Get()
 	data := c.fxu.opB.Get()
@@ -206,12 +206,12 @@ func (c *Core) stqInsert(in isa.Inst) {
 // stall (cache miss, squashing checker).
 func (c *Core) exFinalize(in isa.Inst) bool {
 	fxu := &c.fxu
-	pol := c.polarity(fxu.mode, 1)
+	pol := c.polarity(uFXU, 1)
 
 	// Loads: data-cache access cycle.
 	if isa.ClassOf(in.Op) == isa.ClassLoad {
 		lsu := &c.lsu
-		if parity64(lsu.ea.Get())^c.polarity(lsu.mode, 2) != lsu.eaPar.Get() {
+		if parity64(lsu.ea.Get())^c.polarity(uLSU, 2) != lsu.eaPar.Get() {
 			if c.fail(ChkLSUAgenPar) {
 				return false
 			}
@@ -234,7 +234,7 @@ func (c *Core) exFinalize(in isa.Inst) bool {
 			v &= 0xffffffff
 		}
 		lsu.ldRes.Set(v)
-		lsu.ldPar.Set(parity64(v) ^ c.polarity(lsu.mode, 2))
+		lsu.ldPar.Set(parity64(v) ^ c.polarity(uLSU, 2))
 		lsu.perf.Add(0, 1)
 		return true
 	}
@@ -247,7 +247,7 @@ func (c *Core) exFinalize(in isa.Inst) bool {
 	// FPU pipeline ops: consume p2/p3, produce p4.
 	if fpPipeOp(in.Op) {
 		fpu := &c.fpu
-		polFP := c.polarity(fpu.mode, 1)
+		polFP := c.polarity(uFPU, 1)
 		if parity64(fpu.p2.Get())^polFP != b2u(fpu.pPar.GetBit(2)) ||
 			parity64(fpu.p3.Get())^polFP != b2u(fpu.pPar.GetBit(3)) {
 			if c.fail(ChkFPUPipePar) {
@@ -383,7 +383,7 @@ func (c *Core) verifyBranch(in isa.Inst) {
 // posted checker squashes the move (recovery is imminent).
 func (c *Core) moveToWB(in isa.Inst) bool {
 	fxu := &c.fxu
-	pol := c.polarity(fxu.mode, 1)
+	pol := c.polarity(uFXU, 1)
 
 	if parity64(fxu.exIR.Get()) != fxu.exIRPar.Get() {
 		if c.fail(ChkFXUOpPar) {
@@ -396,7 +396,7 @@ func (c *Core) moveToWB(in isa.Inst) bool {
 	switch {
 	case isa.ClassOf(in.Op) == isa.ClassLoad:
 		lsu := &c.lsu
-		if parity64(lsu.ldRes.Get())^c.polarity(lsu.mode, 2) != lsu.ldPar.Get() {
+		if parity64(lsu.ldRes.Get())^c.polarity(uLSU, 2) != lsu.ldPar.Get() {
 			if c.fail(ChkLSULdPar) {
 				return false
 			}
@@ -455,7 +455,7 @@ func (c *Core) wbCycle() Event {
 	if !c.unitOK(uFXU) || !c.unitOK(uIDU) {
 		return ev // retire logic frozen
 	}
-	pol := c.polarity(fxu.mode, 1)
+	pol := c.polarity(uFXU, 1)
 
 	if parity64(fxu.wbIR.Get()) != fxu.wbIRPar.Get() {
 		if c.fail(ChkFXUWBPar) {
@@ -483,7 +483,7 @@ func (c *Core) wbCycle() Event {
 
 	// Architected register writes + checkpoint.
 	if wrG != 0 {
-		polG := c.polarity(fxu.mode, 0)
+		polG := c.polarity(uFXU, 0)
 		fxu.gpr.Set(int(in.RT), res)
 		fxu.gprPar.Entry(int(in.RT)).Set(parity64(res) ^ polG)
 		c.rut.ckptGPR.Write(int(in.RT), res)
@@ -495,12 +495,12 @@ func (c *Core) wbCycle() Event {
 				return ev
 			}
 		}
-		polF := c.polarity(c.fpu.mode, 0)
+		polF := c.polarity(uFPU, 0)
 		c.fpu.fpr.Set(int(in.RT), fres)
 		c.fpu.fprPar.Entry(int(in.RT)).Set(parity64(fres) ^ polF)
 		c.rut.ckptFPR.Write(int(in.RT), fres)
 	}
-	polS := c.polarity(c.idu.mode, 1)
+	polS := c.polarity(uIDU, 1)
 	if wrS&1 != 0 {
 		c.idu.cr.Set(res & 15)
 		c.idu.crPar.Set(parity64(res&15) ^ polS)
@@ -545,7 +545,7 @@ func (c *Core) wbCycle() Event {
 // present). Returns false when a checker squashed the drain.
 func (c *Core) stqDrain() bool {
 	lsu := &c.lsu
-	pol := c.polarity(lsu.mode, 1)
+	pol := c.polarity(uLSU, 1)
 	h := int(lsu.stqHead.Get()) % stqEntries
 	ctl := lsu.stqCtl.Entry(h).Get()
 	if ctl&1 != (ctl>>1)&1 {

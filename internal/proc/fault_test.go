@@ -117,7 +117,7 @@ func TestSTQValidEntryFlipCaughtByContinuousChecker(t *testing.T) {
 	// with consistent parity, then flip its data. The continuous checker
 	// must catch it even though the entry would never drain.
 	e := (int(c.lsu.stqTail.Get()) + 7) % stqEntries
-	pol := c.polarity(c.lsu.mode, 1)
+	pol := c.polarity(uLSU, 1)
 	c.lsu.stqAddr.Set(e, 0x4000)
 	c.lsu.stqData.Set(e, 99)
 	c.lsu.stqParA.Entry(e).Set(parity64(0x4000) ^ pol)

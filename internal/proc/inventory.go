@@ -59,8 +59,8 @@ type ifuState struct {
 	icCnt  latch.Reg     // refill countdown
 	icAddr latch.Reg     // refill address
 	perf   latch.WriteOnly
-	mode   latch.Reg // MODE scan ring (segment 0; the spare segments are idle)
-	gptr   latch.Array
+	mode   latch.Scan // MODE scan ring (segment 0; the spare segments are idle)
+	gptr   latch.Scan // GPTR ring entry 0 (the rest is unused test data)
 
 	icTag  *array.Protected
 	icData *array.Protected
@@ -89,8 +89,8 @@ type iduState struct {
 	dispFSM latch.Reg // one-hot dispatch state
 	ucSeq   latch.WriteOnly
 	perf    latch.WriteOnly
-	mode    latch.Reg
-	gptr    latch.Array
+	mode    latch.Scan
+	gptr    latch.Scan
 }
 
 type fxuState struct {
@@ -130,8 +130,8 @@ type fxuState struct {
 	wbNPC   latch.Reg // architected next PC for the checkpoint
 
 	perf latch.WriteOnly
-	mode latch.Reg
-	gptr latch.Array
+	mode latch.Scan
+	gptr latch.Scan
 }
 
 type fpuState struct {
@@ -145,8 +145,8 @@ type fpuState struct {
 	p4   latch.Reg
 	pPar latch.Reg // staged parity, one bit per stage
 	fsm  latch.Reg // one-hot pipe state
-	mode latch.Reg
-	gptr latch.Array
+	mode latch.Scan
+	gptr latch.Scan
 }
 
 type lsuState struct {
@@ -176,8 +176,8 @@ type lsuState struct {
 	ldPar latch.Reg
 
 	perf latch.WriteOnly
-	mode latch.Reg
-	gptr latch.Array
+	mode latch.Scan
+	gptr latch.Scan
 
 	dcTag  *array.Protected
 	dcData *array.Protected
@@ -192,8 +192,8 @@ type rutState struct {
 	progress latch.Reg       // completions since last recovery (saturating)
 	capPar   latch.Reg       // parity over the capture/sequencing registers
 	hist     latch.WriteOnly // error-capture history buffer
-	mode     latch.Reg
-	gptr     latch.Array
+	mode     latch.Scan
+	gptr     latch.Scan
 
 	ckptGPR *array.Protected
 	ckptFPR *array.Protected
@@ -209,19 +209,21 @@ type prvState struct {
 	hangCnt   latch.Reg
 	hangArm   latch.Reg // set after a hang recovery; cleared by completion
 
-	modeClock    latch.Reg // per-unit clock enables (bit per unit)
-	modeChecker  latch.Reg // checker enable mask
-	modeRecovery latch.Reg // bit0: RUT retry enable
-	modeHangLim  latch.Reg // watchdog threshold (0 disables)
+	modeClock    latch.Scan // per-unit clock enables (bit per unit)
+	modeChecker  latch.Scan // checker enable mask
+	modeRecovery latch.Scan // bit0: RUT retry enable
+	modeHangLim  latch.Scan // watchdog threshold (0 disables)
 
-	ringPar latch.Array // stored parity for each unit's ring segments
-	scanCtl latch.Reg
-	scanPar latch.Reg
+	// Scan-control and ring-integrity state: functional latches in the
+	// paper's classes, but written only when the rings are loaded.
+	ringPar latch.ScanArray // stored parity for each unit's ring segments
+	scanCtl latch.Scan
+	scanPar latch.Scan
 	trace   latch.Ring // debug trace array of completion PCs, and its cursor
 	thermal latch.WriteOnly
 	perf    latch.WriteOnly
-	mode2   latch.Array // spare pervasive mode bits
-	gptr    latch.Array
+	mode2   latch.Scan // spare pervasive mode bits, entry 0: the PRV ring segment
+	gptr    latch.Scan
 
 	scrubPtr latch.Reg // background array scrub cursor
 
@@ -255,9 +257,9 @@ func (c *Core) buildInventory() {
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
 	db.RegisterIdle(u, latch.Func, "ifu.thr.cnt", 1, 8) // fetch throttle countdown
 	c.ifu.perf = db.RegisterWriteOnly(u, latch.Func, "ifu.perf", 4, 64)
-	c.ifu.mode = db.Register(u, latch.Mode, "ifu.mode", 64)
+	c.ifu.mode = db.RegisterScan(u, latch.Mode, "ifu.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "ifu.mode.spare", 3, 64)
-	c.ifu.gptr = db.RegisterArray(u, latch.GPTR, "ifu.gptr", 2, 64)
+	c.ifu.gptr = db.RegisterScan(u, latch.GPTR, "ifu.gptr", 2, 64).Entry(0)
 	c.ifu.icTag = array.New("ifu.ic.tag", icLines)
 	c.ifu.icData = array.New("ifu.ic.data", icLines*lineWords)
 
@@ -283,9 +285,9 @@ func (c *Core) buildInventory() {
 	db.RegisterIdle(u, latch.Mode, "idu.dac.tbl", 64, 16) // decode-assist patch table (scan-loaded, spare)
 	c.idu.ucSeq = db.RegisterWriteOnly(u, latch.Func, "idu.uc.seq", 1, 16)
 	c.idu.perf = db.RegisterWriteOnly(u, latch.Func, "idu.perf", 2, 64)
-	c.idu.mode = db.Register(u, latch.Mode, "idu.mode", 64)
+	c.idu.mode = db.RegisterScan(u, latch.Mode, "idu.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "idu.mode.spare", 3, 64)
-	c.idu.gptr = db.RegisterArray(u, latch.GPTR, "idu.gptr", 2, 64)
+	c.idu.gptr = db.RegisterScan(u, latch.GPTR, "idu.gptr", 2, 64).Entry(0)
 
 	// ---- FXU ----
 	u = UnitFXU
@@ -316,9 +318,9 @@ func (c *Core) buildInventory() {
 	c.fxu.wbFPar = db.Register(u, latch.Func, "fxu.wb.fpar", 1)
 	c.fxu.wbNPC = db.Register(u, latch.Func, "fxu.wb.npc", 48)
 	c.fxu.perf = db.RegisterWriteOnly(u, latch.Func, "fxu.perf", 2, 64)
-	c.fxu.mode = db.Register(u, latch.Mode, "fxu.mode", 64)
+	c.fxu.mode = db.RegisterScan(u, latch.Mode, "fxu.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "fxu.mode.spare", 2, 64)
-	c.fxu.gptr = db.RegisterArray(u, latch.GPTR, "fxu.gptr", 2, 64)
+	c.fxu.gptr = db.RegisterScan(u, latch.GPTR, "fxu.gptr", 2, 64).Entry(0)
 
 	// ---- FPU ----
 	u = UnitFPU
@@ -332,9 +334,9 @@ func (c *Core) buildInventory() {
 	c.fpu.pPar = db.Register(u, latch.Func, "fpu.p.par", 4)
 	c.fpu.fsm = db.Register(u, latch.Func, "fpu.fsm", 8)
 	db.RegisterIdle(u, latch.Func, "fpu.perf", 2, 64) // no FPU event is counted
-	c.fpu.mode = db.Register(u, latch.Mode, "fpu.mode", 64)
+	c.fpu.mode = db.RegisterScan(u, latch.Mode, "fpu.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "fpu.mode.spare", 1, 64)
-	c.fpu.gptr = db.RegisterArray(u, latch.GPTR, "fpu.gptr", 1, 64)
+	c.fpu.gptr = db.RegisterScan(u, latch.GPTR, "fpu.gptr", 1, 64).Entry(0)
 
 	// ---- LSU ----
 	u = UnitLSU
@@ -361,9 +363,9 @@ func (c *Core) buildInventory() {
 	c.lsu.ldPar = db.Register(u, latch.Func, "lsu.ld.par", 1)
 	db.RegisterIdle(u, latch.Func, "lsu.pf", 4, 64) // prefetch stream registers
 	c.lsu.perf = db.RegisterWriteOnly(u, latch.Func, "lsu.perf", 3, 64)
-	c.lsu.mode = db.Register(u, latch.Mode, "lsu.mode", 64)
+	c.lsu.mode = db.RegisterScan(u, latch.Mode, "lsu.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "lsu.mode.spare", 3, 64)
-	c.lsu.gptr = db.RegisterArray(u, latch.GPTR, "lsu.gptr", 2, 64)
+	c.lsu.gptr = db.RegisterScan(u, latch.GPTR, "lsu.gptr", 2, 64).Entry(0)
 	c.lsu.dcTag = array.New("lsu.dc.tag", dcLines)
 	c.lsu.dcData = array.New("lsu.dc.data", dcLines*lineWords)
 
@@ -377,8 +379,8 @@ func (c *Core) buildInventory() {
 	c.rut.progress = db.Register(u, latch.Func, "rut.progress", 8)
 	c.rut.capPar = db.Register(u, latch.Func, "rut.cap.par", 1)
 	c.rut.hist = db.RegisterWriteOnly(u, latch.Func, "rut.hist", 16, 64)
-	c.rut.mode = db.Register(u, latch.Mode, "rut.mode", 64)
-	c.rut.gptr = db.RegisterArray(u, latch.GPTR, "rut.gptr", 1, 32)
+	c.rut.mode = db.RegisterScan(u, latch.Mode, "rut.mode", 1, 64).Entry(0)
+	c.rut.gptr = db.RegisterScan(u, latch.GPTR, "rut.gptr", 1, 32).Entry(0)
 	c.rut.ckptGPR = array.New("rut.ckpt.gpr", 32)
 	c.rut.ckptFPR = array.New("rut.ckpt.fpr", 32)
 	c.rut.ckptSPR = array.New("rut.ckpt.spr", 4)
@@ -391,19 +393,19 @@ func (c *Core) buildInventory() {
 	c.prv.coreHung = db.Register(u, latch.Func, "prv.core.hung", 1)
 	c.prv.hangCnt = db.Register(u, latch.Func, "prv.hang.cnt", 16)
 	c.prv.hangArm = db.Register(u, latch.Func, "prv.hang.arm", 1)
-	c.prv.modeClock = db.Register(u, latch.Mode, "prv.mode.clock", 8)
-	c.prv.modeChecker = db.Register(u, latch.Mode, "prv.mode.checker", 64)
-	c.prv.modeRecovery = db.Register(u, latch.Mode, "prv.mode.recovery", 8)
-	c.prv.modeHangLim = db.Register(u, latch.Mode, "prv.mode.hanglim", 16)
-	c.prv.ringPar = db.RegisterArray(u, latch.Func, "prv.ring.par", 16, 1)
-	c.prv.scanCtl = db.Register(u, latch.Func, "prv.scan.ctl", 64)
-	c.prv.scanPar = db.Register(u, latch.Func, "prv.scan.par", 1)
+	c.prv.modeClock = db.RegisterScan(u, latch.Mode, "prv.mode.clock", 1, 8).Entry(0)
+	c.prv.modeChecker = db.RegisterScan(u, latch.Mode, "prv.mode.checker", 1, 64).Entry(0)
+	c.prv.modeRecovery = db.RegisterScan(u, latch.Mode, "prv.mode.recovery", 1, 8).Entry(0)
+	c.prv.modeHangLim = db.RegisterScan(u, latch.Mode, "prv.mode.hanglim", 1, 16).Entry(0)
+	c.prv.ringPar = db.RegisterScan(u, latch.Func, "prv.ring.par", 16, 1)
+	c.prv.scanCtl = db.RegisterScan(u, latch.Func, "prv.scan.ctl", 1, 64).Entry(0)
+	c.prv.scanPar = db.RegisterScan(u, latch.Func, "prv.scan.par", 1, 1).Entry(0)
 	db.RegisterIdle(u, latch.Func, "prv.abist", 2, 64)
 	c.prv.trace = db.RegisterRing(u, latch.Func, "prv.trace", "prv.trace.ptr", traceDepth, 64)
 	c.prv.thermal = db.RegisterWriteOnly(u, latch.Func, "prv.thermal", 4, 64)
 	c.prv.perf = db.RegisterWriteOnly(u, latch.Func, "prv.perf", 8, 64)
-	c.prv.mode2 = db.RegisterArray(u, latch.Mode, "prv.mode.spare", 6, 64)
-	c.prv.gptr = db.RegisterArray(u, latch.GPTR, "prv.gptr", 8, 64)
+	c.prv.mode2 = db.RegisterScan(u, latch.Mode, "prv.mode.spare", 6, 64).Entry(0)
+	c.prv.gptr = db.RegisterScan(u, latch.GPTR, "prv.gptr", 8, 64).Entry(0)
 	c.prv.scrubPtr = db.Register(u, latch.Func, "prv.scrub.ptr", 16)
 }
 
@@ -477,43 +479,41 @@ func (c *Core) buildColdInventory() {
 // unitRings returns each unit's (mode ring segment 0, gptr segment 0)
 // handles in Units order, for the pervasive ring-integrity checker. The
 // NEST's rings are appended when the periphery is enabled.
-func (c *Core) unitRings() [][2]latch.Reg {
-	rings := [][2]latch.Reg{
-		{c.ifu.mode, c.ifu.gptr.Entry(0)},
-		{c.idu.mode, c.idu.gptr.Entry(0)},
-		{c.fxu.mode, c.fxu.gptr.Entry(0)},
-		{c.fpu.mode, c.fpu.gptr.Entry(0)},
-		{c.lsu.mode, c.lsu.gptr.Entry(0)},
-		{c.rut.mode, c.rut.gptr.Entry(0)},
-		{c.prv.mode2.Entry(0), c.prv.gptr.Entry(0)},
+func (c *Core) unitRings() [][2]latch.Scan {
+	rings := [][2]latch.Scan{
+		{c.ifu.mode, c.ifu.gptr},
+		{c.idu.mode, c.idu.gptr},
+		{c.fxu.mode, c.fxu.gptr},
+		{c.fpu.mode, c.fpu.gptr},
+		{c.lsu.mode, c.lsu.gptr},
+		{c.rut.mode, c.rut.gptr},
+		{c.prv.mode2, c.prv.gptr},
 	}
 	if c.cfg.EnableNest {
-		rings = append(rings, [2]latch.Reg{c.nest.mode, c.nest.gptr.Entry(0)})
+		rings = append(rings, [2]latch.Scan{c.nest.mode, c.nest.gptr})
 	}
 	return rings
 }
 
 // initScanRings loads the scan-only latches with their functional-mode
-// values, as the scan chains would at power-on.
+// values, as the scan chains would at power-on. Every write goes through
+// DB.LoadScan, the one way into a scan-only latch.
 func (c *Core) initScanRings() {
-	for _, r := range c.unitRings() {
-		m := r[0]
-		m.Set(0)
-		m.SetField(modeIntegrityLo, modeIntegrityHi-modeIntegrityLo, modeIntegrityInit)
-		m.SetField(modeCriticalLo, modeCriticalHi-modeCriticalLo, modeCriticalInit)
-		r[1].Set(0) // GPTR rings idle
+	db := c.db
+	for i, r := range c.rings {
+		mode := uint64(modeIntegrityInit)<<modeIntegrityLo | uint64(modeCriticalInit)<<modeCriticalLo
+		db.LoadScan(r[0], mode)
+		db.LoadScan(r[1], 0) // GPTR rings idle
+		// Stored ring parity for the integrity segments.
+		db.LoadScan(c.prv.ringPar.Entry(2*i), parity64(r[0].Get()&0xffff))
+		db.LoadScan(c.prv.ringPar.Entry(2*i+1), parity64(r[1].Get()>>gptrIntegrityLo&0xff))
 	}
-	// Stored ring parity for the integrity segments.
-	for i, r := range c.unitRings() {
-		c.prv.ringPar.Entry(2 * i).Set(parity64(r[0].Get() & 0xffff))
-		c.prv.ringPar.Entry(2*i + 1).Set(parity64(r[1].Get() >> gptrIntegrityLo & 0xff))
-	}
-	c.prv.modeClock.Set(0xff)
-	c.prv.modeChecker.Set(^uint64(0))
-	c.prv.modeRecovery.Set(1)
-	c.prv.modeHangLim.Set(uint64(c.cfg.HangLimit))
-	c.prv.scanCtl.Set(0x1122334455667788)
-	c.prv.scanPar.Set(parity64(c.prv.scanCtl.Get()))
+	db.LoadScan(c.prv.modeClock, 0xff)
+	db.LoadScan(c.prv.modeChecker, ^uint64(0))
+	db.LoadScan(c.prv.modeRecovery, 1)
+	db.LoadScan(c.prv.modeHangLim, uint64(c.cfg.HangLimit))
+	db.LoadScan(c.prv.scanCtl, 0x1122334455667788)
+	db.LoadScan(c.prv.scanPar, parity64(c.prv.scanCtl.Get()))
 	// FIR parity latches for all-zero FIRs.
 	for i := 0; i < c.prv.fir.Len(); i++ {
 		c.prv.firPar.Entry(i).Set(0)

@@ -182,52 +182,35 @@ func (p *prvState) set() { p.fir.Entry(0).Set(1) }
 	}
 }
 
-// TestTrackedGroupsOnlyThroughTrackedHandles is the reach half of the def-use
-// proof: walking everything a built Core can reach, the storage words of a
-// tracked group sit behind exactly one handle, a latch.Tracked, and behind no
-// Reg, Array or write-only handle that would read or write them without the
-// access log seeing it. (The database itself reaches every word; it is the
-// harness's way in, not the model's.)
-func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EnableNest = true
-	c := New(cfg)
-
+// walkHandles walks everything a built Core can reach and calls visit for
+// every latch handle on the way: its path, its type (Reg, Array, Tracked,
+// Scan or ScanArray — the write-only handles are made of Regs and Arrays) and
+// the group holding its first storage word. The database itself reaches
+// every word; it is the harness's way in, not the model's, and is not
+// walked.
+func walkHandles(t *testing.T, c *Core, visit func(path, handle string, g *latch.Group, h reflect.Value)) {
 	var groupOf []*latch.Group // storage word -> group: one word per entry, registration order
 	for _, g := range c.DB().Groups() {
 		for e := 0; e < g.Entries; e++ {
 			groupOf = append(groupOf, g)
 		}
 	}
-	var (
-		dbType      = reflect.TypeOf((*latch.DB)(nil))
-		regType     = reflect.TypeOf(latch.Reg{})
-		arrayType   = reflect.TypeOf(latch.Array{})
-		trackedType = reflect.TypeOf(latch.Tracked{})
-	)
-	handles := map[string]int{} // tracked group -> Tracked handles reaching it
+	word := map[reflect.Type]func(reflect.Value) int64{
+		reflect.TypeOf(latch.Reg{}):       func(v reflect.Value) int64 { return v.FieldByName("w").Int() },
+		reflect.TypeOf(latch.Array{}):     func(v reflect.Value) int64 { return v.FieldByName("off").Int() },
+		reflect.TypeOf(latch.Tracked{}):   func(v reflect.Value) int64 { return v.FieldByName("lo").Int() },
+		reflect.TypeOf(latch.Scan{}):      func(v reflect.Value) int64 { return v.FieldByName("r").FieldByName("w").Int() },
+		reflect.TypeOf(latch.ScanArray{}): func(v reflect.Value) int64 { return v.FieldByName("a").FieldByName("off").Int() },
+	}
+	dbType := reflect.TypeOf((*latch.DB)(nil))
 	seen := map[uintptr]bool{}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
-		switch v.Type() {
-		case dbType:
+		if v.Type() == dbType {
 			return
-		case trackedType:
-			g := groupOf[v.FieldByName("lo").Int()]
-			if !g.Tracked || int(v.FieldByName("hi").Int()-v.FieldByName("lo").Int()) != g.Entries {
-				t.Errorf("%s: a tracked handle over %s, which is not a tracked group", path, g.Name)
-			}
-			handles[g.Name]++
-			return
-		case regType:
-			if g := groupOf[v.FieldByName("w").Int()]; g.Tracked {
-				t.Errorf("%s: an untracked handle to a word of tracked group %s", path, g.Name)
-			}
-			return
-		case arrayType:
-			if g := groupOf[v.FieldByName("off").Int()]; g.Tracked {
-				t.Errorf("%s: an untracked handle to tracked group %s", path, g.Name)
-			}
+		}
+		if w, ok := word[v.Type()]; ok {
+			visit(path, v.Type().Name(), groupOf[w(v)], v)
 			return
 		}
 		switch v.Kind() {
@@ -257,6 +240,30 @@ func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
 		}
 	}
 	walk(reflect.ValueOf(c), "Core")
+}
+
+// TestTrackedGroupsOnlyThroughTrackedHandles is the reach half of the def-use
+// proof: walking everything a built Core can reach, the storage words of a
+// tracked group sit behind exactly one handle, a latch.Tracked, and behind no
+// Reg, Array, scan or write-only handle that would read or write them without
+// the access log seeing it.
+func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableNest = true
+	c := New(cfg)
+
+	handles := map[string]int{} // tracked group -> Tracked handles reaching it
+	walkHandles(t, c, func(path, handle string, g *latch.Group, h reflect.Value) {
+		switch {
+		case handle == "Tracked":
+			if !g.Tracked || int(h.FieldByName("hi").Int()-h.FieldByName("lo").Int()) != g.Entries {
+				t.Errorf("%s: a tracked handle over %s, which is not a tracked group", path, g.Name)
+			}
+			handles[g.Name]++
+		case g.Tracked:
+			t.Errorf("%s: an untracked handle (%s) to tracked group %s", path, handle, g.Name)
+		}
+	})
 
 	want := []string{"fpu.fpr", "fxu.gpr", "ifu.bht", "lsu.erat.ctl", "lsu.erat.ppn", "lsu.erat.vpn", "lsu.stq.addr", "lsu.stq.data"}
 	var tracked []string
@@ -271,5 +278,56 @@ func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
 	slices.Sort(tracked)
 	if !slices.Equal(tracked, want) {
 		t.Errorf("tracked groups %v, want %v", tracked, want)
+	}
+}
+
+// TestScanOnlyGroups is the reach half of "no cycle writes scan state", which
+// the cached scan view stands on: every MODE and GPTR group is idle,
+// write-only or a scan group, and walking everything a built Core can reach,
+// a scan group's words sit behind latch.Scan and latch.ScanArray handles
+// alone — neither has a method that writes — and behind no Reg, Array,
+// Tracked or write-only handle. So the only writes that reach one are the
+// database's scan load, flips and restores, all of which move the scan
+// generation.
+func TestScanOnlyGroups(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableNest = true
+	c := New(cfg)
+
+	var scan []string
+	for _, g := range c.DB().Groups() {
+		if (g.Kind == latch.Mode || g.Kind == latch.GPTR) && !g.Idle && !g.WriteOnly && !g.Scan {
+			t.Errorf("%s group %s is read and written by the model: register it with RegisterScan, RegisterWriteOnly or RegisterIdle", g.Kind, g.Name)
+		}
+		if g.Scan {
+			scan = append(scan, g.Name)
+		}
+	}
+	slices.Sort(scan)
+	want := []string{
+		"fpu.gptr", "fpu.mode", "fxu.gptr", "fxu.mode", "idu.gptr", "idu.mode", "ifu.gptr", "ifu.mode",
+		"lsu.gptr", "lsu.mode", "nest.gptr", "nest.mode", "prv.gptr", "prv.mode.checker", "prv.mode.clock",
+		"prv.mode.hanglim", "prv.mode.recovery", "prv.mode.spare", "prv.ring.par", "prv.scan.ctl", "prv.scan.par",
+		"rut.gptr", "rut.mode",
+	}
+	if !slices.Equal(scan, want) {
+		t.Errorf("scan groups %v, want %v", scan, want)
+	}
+
+	reached := map[string]bool{}
+	walkHandles(t, c, func(path, handle string, g *latch.Group, _ reflect.Value) {
+		scanHandle := handle == "Scan" || handle == "ScanArray"
+		switch {
+		case scanHandle && !g.Scan:
+			t.Errorf("%s: a scan handle over %s, which is not a scan group", path, g.Name)
+		case !scanHandle && g.Scan:
+			t.Errorf("%s: a writable handle (%s) to scan group %s", path, handle, g.Name)
+		}
+		reached[g.Name] = reached[g.Name] || scanHandle
+	})
+	for _, name := range scan {
+		if !reached[name] {
+			t.Errorf("scan group %s is behind no scan handle: register it with RegisterIdle", name)
+		}
 	}
 }

@@ -32,8 +32,8 @@ type nestState struct {
 
 	credits latch.Reg // memory-channel credit counter
 	perf    latch.WriteOnly
-	mode    latch.Reg
-	gptr    latch.Array
+	mode    latch.Scan
+	gptr    latch.Scan
 
 	l2Tag  *array.Protected
 	l2Data *array.Protected
@@ -50,9 +50,9 @@ func (c *Core) buildNestInventory() {
 	c.nest.credits = db.Register(u, latch.Func, "nest.credits", 8)
 	db.RegisterIdle(u, latch.Func, "nest.seq", 1, 8) // controller sequencing state
 	c.nest.perf = db.RegisterWriteOnly(u, latch.Func, "nest.perf", 4, 64)
-	c.nest.mode = db.Register(u, latch.Mode, "nest.mode", 64)
+	c.nest.mode = db.RegisterScan(u, latch.Mode, "nest.mode", 1, 64).Entry(0)
 	db.RegisterIdle(u, latch.Mode, "nest.mode.spare", 2, 64)
-	c.nest.gptr = db.RegisterArray(u, latch.GPTR, "nest.gptr", 2, 64)
+	c.nest.gptr = db.RegisterScan(u, latch.GPTR, "nest.gptr", 2, 64).Entry(0)
 	// Cold periphery structures: snoop/coherence machinery idle in this
 	// single-core configuration, and DMA engines with no I/O traffic.
 	db.RegisterIdle(u, latch.Func, "nest.snoop", 16, 64)
@@ -131,7 +131,7 @@ func (c *Core) nestAllocRQ(addr uint64, ifetch bool) {
 	line := addr &^ 31
 	c.nest.rqAddr.Entry(i).Set(line)
 	c.nest.rqCtl.Entry(i).Set(ctl)
-	c.nest.rqPar.Entry(i).Set(parity64(line) ^ c.polarity(c.nest.mode, 0))
+	c.nest.rqPar.Entry(i).Set(parity64(line) ^ c.polarity(uNEST, 0))
 	c.nest.rqPtr.Set(uint64(i+1) % rqEntries)
 	if n := c.nest.credits.Get(); n > 0 {
 		c.nest.credits.Set(n - 1)
@@ -166,7 +166,7 @@ func (c *Core) scanRQ() {
 	if c.nest.rqCtl.Entry(i).Get()&1 == 0 {
 		return
 	}
-	if parity64(c.nest.rqAddr.Entry(i).Get())^c.polarity(c.nest.mode, 0) !=
+	if parity64(c.nest.rqAddr.Entry(i).Get())^c.polarity(uNEST, 0) !=
 		c.nest.rqPar.Entry(i).Get() {
 		c.fail(ChkNESTRQPar)
 	}

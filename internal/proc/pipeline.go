@@ -28,20 +28,9 @@ const (
 
 // unitOK reports whether a unit's clocks are running: the pervasive clock
 // enable is set, the MODE critical segment is intact, and no GPTR test
-// engage bit is set. A frozen unit stalls everything that needs it.
-func (c *Core) unitOK(i int) bool {
-	if !c.prv.modeClock.GetBit(i) {
-		return false
-	}
-	ring := c.rings[i]
-	if ring[0].Field(modeCriticalLo, modeCriticalHi-modeCriticalLo) != modeCriticalInit {
-		return false
-	}
-	if ring[1].Field(gptrEngageLo, gptrEngageHi-gptrEngageLo) != 0 {
-		return false
-	}
-	return true
-}
+// engage bit is set (see refreshView). A frozen unit stalls everything that
+// needs it.
+func (c *Core) unitOK(i int) bool { return c.view.unitOK>>uint(i)&1 != 0 }
 
 // execLatency returns the EX occupancy in cycles for an opcode.
 func execLatency(op isa.Opcode) uint64 {
@@ -84,7 +73,7 @@ func execUnit(op isa.Opcode) int {
 // buffer.
 func (c *Core) redirectFetch(target uint64) {
 	c.ifu.pc.Set(target)
-	c.ifu.pcPar.Set(parity64(target) ^ c.polarity(c.ifu.mode, 0))
+	c.ifu.pcPar.Set(parity64(target) ^ c.polarity(uIFU, 0))
 	for i := 0; i < fbEntries; i++ {
 		c.ifu.fbV.Entry(i).Set(0)
 	}
@@ -116,9 +105,9 @@ func (c *Core) fetchCycle() {
 			pc := ifu.fbPC.Entry(h).Get()
 			c.idu.d1IR.Set(ir)
 			c.idu.d1PC.Set(pc)
-			c.idu.d1Par.Set(parity64(ir^pc) ^ c.polarity(c.idu.mode, 0))
+			c.idu.d1Par.Set(parity64(ir^pc) ^ c.polarity(uIDU, 0))
 			// Carry the fetch-buffer parity check to the consume point.
-			want := parity64(ir^pc) ^ c.polarity(ifu.mode, 1)
+			want := parity64(ir^pc) ^ c.polarity(uIFU, 1)
 			if ifu.fbPar.Entry(h).Get() != want {
 				if c.fail(ChkIFUFBPar) {
 					return
@@ -159,7 +148,7 @@ func (c *Core) fetchCycle() {
 			return
 		}
 		pc := ifu.pc.Get()
-		if parity64(pc)^c.polarity(ifu.mode, 0) != ifu.pcPar.Get() {
+		if parity64(pc)^c.polarity(uIFU, 0) != ifu.pcPar.Get() {
 			if c.fail(ChkIFUPCPar) {
 				return
 			}
@@ -177,7 +166,7 @@ func (c *Core) fetchCycle() {
 		pc48 := pc & (1<<48 - 1)
 		ifu.fbIR.Entry(tl).Set(uint64(word))
 		ifu.fbPC.Entry(tl).Set(pc48)
-		ifu.fbPar.Entry(tl).Set(parity64(uint64(word)^pc48) ^ c.polarity(ifu.mode, 1))
+		ifu.fbPar.Entry(tl).Set(parity64(uint64(word)^pc48) ^ c.polarity(uIFU, 1))
 		ifu.fbV.Entry(tl).Set(1)
 		ifu.fbTail.Set(uint64(tl+1) % fbEntries)
 		ifu.fbCnt.Set(ifu.fbCnt.Get() + 1)
@@ -185,7 +174,7 @@ func (c *Core) fetchCycle() {
 
 		npc := pc + 4
 		ifu.pc.Set(npc)
-		ifu.pcPar.Set(parity64(npc) ^ c.polarity(ifu.mode, 0))
+		ifu.pcPar.Set(parity64(npc) ^ c.polarity(uIFU, 0))
 	}
 }
 
@@ -208,7 +197,7 @@ func (c *Core) d1Cycle() {
 	}
 	ir := uint32(idu.d1IR.Get())
 	pc := idu.d1PC.Get()
-	if parity64(uint64(ir)^pc)^c.polarity(idu.mode, 0) != idu.d1Par.Get() {
+	if parity64(uint64(ir)^pc)^c.polarity(uIDU, 0) != idu.d1Par.Get() {
 		if c.fail(ChkIDUD1Par) {
 			return
 		}
@@ -239,7 +228,7 @@ func (c *Core) d1Cycle() {
 
 	idu.d2IR.Set(uint64(ir))
 	idu.d2PC.Set(pc)
-	idu.d2Par.Set(parity64(uint64(ir)^pc) ^ c.polarity(idu.mode, 0))
+	idu.d2Par.Set(parity64(uint64(ir)^pc) ^ c.polarity(uIDU, 0))
 	idu.d2Pred.Set(pred)
 	idu.d2PNPC.Set(pnpc)
 	idu.d2V.Set(1)
@@ -250,7 +239,7 @@ func (c *Core) d1Cycle() {
 // readGPR reads a general purpose register through the parity checker.
 func (c *Core) readGPR(r uint8) uint64 {
 	v := c.fxu.gpr.Get(int(r))
-	if parity64(v)^c.polarity(c.fxu.mode, 0) != c.fxu.gprPar.Entry(int(r)).Get() {
+	if parity64(v)^c.polarity(uFXU, 0) != c.fxu.gprPar.Entry(int(r)).Get() {
 		c.fail(ChkFXUGPRPar)
 	}
 	return v
@@ -259,7 +248,7 @@ func (c *Core) readGPR(r uint8) uint64 {
 // readFPR reads a floating point register through the parity checker.
 func (c *Core) readFPR(r uint8) uint64 {
 	v := c.fpu.fpr.Get(int(r))
-	if parity64(v)^c.polarity(c.fpu.mode, 0) != c.fpu.fprPar.Entry(int(r)).Get() {
+	if parity64(v)^c.polarity(uFPU, 0) != c.fpu.fprPar.Entry(int(r)).Get() {
 		c.fail(ChkFPUFPRPar)
 	}
 	return v
@@ -268,7 +257,7 @@ func (c *Core) readFPR(r uint8) uint64 {
 // readSPR reads CR/LR/CTR through the SPR parity checker.
 func (c *Core) readSPR(reg, par latch.Reg) uint64 {
 	v := reg.Get()
-	if parity64(v)^c.polarity(c.idu.mode, 1) != par.Get() {
+	if parity64(v)^c.polarity(uIDU, 1) != par.Get() {
 		c.fail(ChkIDUSPRPar)
 	}
 	return v
@@ -295,7 +284,7 @@ func (c *Core) d2Cycle() {
 
 	ir := uint32(idu.d2IR.Get())
 	pc := idu.d2PC.Get()
-	if parity64(uint64(ir)^pc)^c.polarity(idu.mode, 0) != idu.d2Par.Get() {
+	if parity64(uint64(ir)^pc)^c.polarity(uIDU, 0) != idu.d2Par.Get() {
 		if c.fail(ChkIDUD2Par) {
 			return
 		}
@@ -357,7 +346,7 @@ func (c *Core) d2Cycle() {
 		opB = c.readFPR(in.RB)
 	}
 
-	polOp := c.polarity(fxu.mode, 1)
+	polOp := c.polarity(uFXU, 1)
 	fxu.opA.Set(opA)
 	fxu.opAPar.Set(parity64(opA) ^ polOp)
 	fxu.opB.Set(opB)
@@ -366,7 +355,7 @@ func (c *Core) d2Cycle() {
 	// Floating-point pipeline intake.
 	if isa.ClassOf(in.Op) == isa.ClassFloat || in.Op == isa.OpFCMP {
 		fpu := &c.fpu
-		polFP := c.polarity(fpu.mode, 1)
+		polFP := c.polarity(uFPU, 1)
 		fpu.p1a.Set(opA)
 		fpu.p1b.Set(opB)
 		fpu.pPar.SetBit(0, parity64(opA)^polFP != 0)

@@ -114,7 +114,11 @@ type Core struct {
 	checkers []*Checker
 
 	// rings caches each unit's (mode, gptr) segment-0 handles, Units order.
-	rings [][2]latch.Reg
+	rings [][2]latch.Scan
+	// view is what the scan-only latches decide, as of the scan generation
+	// it was derived at; viewRefreshes counts its derivations.
+	view          scanView
+	viewRefreshes uint64
 	// arrays caches the protected-array list; arrayEntries is the total
 	// entry count across them (the scrub walk space).
 	arrays       []*array.Protected
@@ -217,6 +221,9 @@ func (c *Core) Step() Event {
 
 func (c *Core) step() Event {
 	var ev Event
+	if c.view.gen != c.db.ScanGen() {
+		c.refreshView()
+	}
 	if c.Checkstopped() || c.halted {
 		return ev
 	}
@@ -404,13 +411,46 @@ func (s *ArchSnapshot) MaskedSignature(gprMask, fprMask uint32, sprMask uint8) u
 func f2b(f float64) uint64 { return math.Float64bits(f) }
 func b2f(b uint64) float64 { return math.Float64frombits(b) }
 
-// polarity reads the k-th parity-polarity configuration bit of a unit's
-// MODE ring (see the ring layout in inventory.go).
-func (c *Core) polarity(modeRing latch.Reg, k int) uint64 {
-	if modeRing.GetBit(modePolarityLo + k) {
-		return 1
+// scanView is what the scan-only latches decide, derived from their contents
+// at scan generation gen: which units' clocks run, each unit's
+// parity-polarity segment, and whether the scan-control and ring-integrity
+// checks pass. No cycle can write scan state — the model reaches it through
+// latch.Scan handles alone — so the view stands until the generation moves:
+// a scan load, a flip or a restore (DESIGN.md "Cost of a cycle").
+type scanView struct {
+	gen    uint64
+	unitOK uint8            // bit i: unit i's clocks run
+	pol    [uNEST + 1]uint8 // unit i's MODE polarity segment
+	scanOK bool             // checkScan passes
+}
+
+// refreshView derives the view from the scan-only latches' contents. Step
+// calls it first thing in a cycle whose generation has moved.
+func (c *Core) refreshView() {
+	v := scanView{gen: c.db.ScanGen(), scanOK: c.checkScan(false)}
+	clock := c.prv.modeClock.Get()
+	for i, r := range c.rings {
+		// A unit's clocks run when the pervasive clock enable is set, the
+		// MODE critical segment is intact and no GPTR test-engage bit is set.
+		if clock>>uint(i)&1 != 0 &&
+			r[0].Field(modeCriticalLo, modeCriticalHi-modeCriticalLo) == modeCriticalInit &&
+			r[1].Field(gptrEngageLo, gptrEngageHi-gptrEngageLo) == 0 {
+			v.unitOK |= 1 << uint(i)
+		}
+		v.pol[i] = uint8(r[0].Field(modePolarityLo, modePolarityHi-modePolarityLo))
 	}
-	return 0
+	c.view = v
+	c.viewRefreshes++
+}
+
+// ViewRefreshes returns how many times the core has derived its scan view
+// from the latches: once per clocked cycle whose scan generation had moved.
+func (c *Core) ViewRefreshes() uint64 { return c.viewRefreshes }
+
+// polarity returns the k-th parity-polarity configuration bit of unit u's
+// MODE ring (see the ring layout in inventory.go).
+func (c *Core) polarity(u, k int) uint64 {
+	return uint64(c.view.pol[u]>>uint(k)) & 1
 }
 
 func parity64(v uint64) uint64 { return uint64(mathbits.OnesCount64(v) & 1) }

@@ -31,20 +31,11 @@ func (c *Core) prvCycle() {
 			break
 		}
 	}
-	// Scan/clock control integrity.
-	if parity64(prv.scanCtl.Get()) != prv.scanPar.Get() {
-		c.fail(ChkPRVScanPar)
-	}
-	// Ring integrity segments per unit.
-	ringChk := [...]int{ChkRingIFU, ChkRingIDU, ChkRingFXU, ChkRingFPU,
-		ChkRingLSU, ChkRingRUT, ChkRingPRV, ChkRingNEST}
-	for i, r := range c.rings {
-		modeSeg := r[0].Field(modeIntegrityLo, modeIntegrityHi-modeIntegrityLo)
-		gptrSeg := r[1].Field(gptrIntegrityLo, gptrIntegrityHi-gptrIntegrityLo)
-		if parity64(modeSeg) != prv.ringPar.Entry(2*i).Get() ||
-			parity64(gptrSeg) != prv.ringPar.Entry(2*i+1).Get() {
-			c.fail(ringChk[i])
-		}
+	// Scan/clock control and ring integrity, over scan-only state: run
+	// every cycle while the view says a check fails, so each failing
+	// checker fires on every cycle its state is corrupt.
+	if !c.view.scanOK {
+		c.checkScan(true)
 	}
 	// One-hot state machines.
 	if mathbits.OnesCount64(c.rut.fsm.Get()) != 1 {
@@ -94,6 +85,36 @@ func (c *Core) prvCycle() {
 	}
 }
 
+// ringChk is the ring-integrity checker of each unit, Units order.
+var ringChk = [...]int{ChkRingIFU, ChkRingIDU, ChkRingFXU, ChkRingFPU,
+	ChkRingLSU, ChkRingRUT, ChkRingPRV, ChkRingNEST}
+
+// checkScan runs the scan-control parity check and each unit's
+// ring-integrity check, posting every failure when post is set, and reports
+// whether all of them passed.
+func (c *Core) checkScan(post bool) (ok bool) {
+	prv := &c.prv
+	ok = true
+	if parity64(prv.scanCtl.Get()) != prv.scanPar.Get() {
+		ok = false
+		if post {
+			c.fail(ChkPRVScanPar)
+		}
+	}
+	for i, r := range c.rings {
+		modeSeg := r[0].Field(modeIntegrityLo, modeIntegrityHi-modeIntegrityLo)
+		gptrSeg := r[1].Field(gptrIntegrityLo, gptrIntegrityHi-gptrIntegrityLo)
+		if parity64(modeSeg) != prv.ringPar.Entry(2*i).Get() ||
+			parity64(gptrSeg) != prv.ringPar.Entry(2*i+1).Get() {
+			ok = false
+			if post {
+				c.fail(ringChk[i])
+			}
+		}
+	}
+	return ok
+}
+
 // scanSTQ is the continuous store-queue checker. Like a hardware scan
 // engine it walks one entry per cycle round-robin, so worst-case detection
 // latency is one sweep.
@@ -109,7 +130,7 @@ func (c *Core) scanSTQ() {
 	if v == 0 {
 		return
 	}
-	pol := c.polarity(lsu.mode, 1)
+	pol := c.polarity(uLSU, 1)
 	if parity64(lsu.stqAddr.Get(i))^pol != lsu.stqParA.Entry(i).Get() ||
 		parity64(lsu.stqData.Get(i))^pol != lsu.stqParD.Entry(i).Get() {
 		c.fail(ChkLSUSTQPar)
@@ -139,7 +160,7 @@ func (c *Core) scanFB() {
 	}
 	ir := ifu.fbIR.Entry(i).Get()
 	pc := ifu.fbPC.Entry(i).Get()
-	pol := c.polarity(ifu.mode, 1)
+	pol := c.polarity(uIFU, 1)
 	if parity64(ir^pc)^pol != ifu.fbPar.Entry(i).Get() {
 		c.fail(ChkIFUFBPar)
 	}

@@ -91,7 +91,7 @@ func (c *Core) restoreCheckpoint() {
 		return v, true
 	}
 
-	polG := c.polarity(c.fxu.mode, 0)
+	polG := c.polarity(uFXU, 0)
 	for i := 0; i < 32; i++ {
 		v, ok := read(rut.ckptGPR, i)
 		if !ok {
@@ -100,7 +100,7 @@ func (c *Core) restoreCheckpoint() {
 		c.fxu.gpr.Set(i, v)
 		c.fxu.gprPar.Entry(i).Set(parity64(v) ^ polG)
 	}
-	polF := c.polarity(c.fpu.mode, 0)
+	polF := c.polarity(uFPU, 0)
 	for i := 0; i < 32; i++ {
 		v, ok := read(rut.ckptFPR, i)
 		if !ok {
@@ -109,7 +109,7 @@ func (c *Core) restoreCheckpoint() {
 		c.fpu.fpr.Set(i, v)
 		c.fpu.fprPar.Entry(i).Set(parity64(v) ^ polF)
 	}
-	polS := c.polarity(c.idu.mode, 1)
+	polS := c.polarity(uIDU, 1)
 	vals := [4]uint64{}
 	for i := 0; i < 4; i++ {
 		v, ok := read(rut.ckptSPR, i)

@@ -68,19 +68,49 @@ func TestStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStep times one fault-free model cycle under the default AVP,
-// the unit every injection's cost is a multiple of.
+// BenchmarkStep times one model cycle under the default AVP, the unit every
+// injection's cost is a multiple of: fault-free, and in the recover loop of
+// a permanent stuck-at on lsu.stq.addr[13] bit 18 (logical bit 14133),
+// re-forced after every step as p6lite does it — the regime that holds most
+// of a sticky campaign's host time (EXPERIMENTS.md "Permanent faults").
 func BenchmarkStep(b *testing.B) {
-	c, _ := newAVPCore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Step()
-	}
-	if c.Checkstopped() {
-		b.Fatal("fault-free run checkstopped")
-	}
+	b.Run("fault-free", func(b *testing.B) {
+		c, _ := newAVPCore(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Step()
+		}
+		if c.Checkstopped() {
+			b.Fatal("fault-free run checkstopped")
+		}
+	})
+	b.Run("recovering", func(b *testing.B) {
+		c, _ := newAVPCore(b)
+		if g, e, bit := c.DB().Locate(stuckBit); g.Name != "lsu.stq.addr" || e != 13 || bit != 18 {
+			b.Fatalf("bit %d is %s[%d] bit %d, want lsu.stq.addr[13] bit 18", stuckBit, g.Name, e, bit)
+		}
+		stuck := c.DB().BitRef(stuckBit)
+		v := stuck.Flip()
+		recov := c.Recoveries
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Step()
+			stuck.Set(v)
+		}
+		b.StopTimer()
+		if c.Checkstopped() || c.HangDetected() {
+			b.Fatal("the recover loop ended in a checkstop or a hang")
+		}
+		if b.N > 20_000 && c.Recoveries == recov {
+			b.Fatalf("%d cycles of a held stq.addr fault recovered nothing", b.N)
+		}
+	})
 }
+
+// stuckBit is BenchmarkStep/recovering's permanently faulty latch bit.
+const stuckBit = 14133
 
 // BenchmarkRestoreCheckpoint times the reload every injection starts with,
 // by the dirty path and by the full copy it is tested against. Each
