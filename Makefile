@@ -30,7 +30,7 @@ fmt:
 # internal/dist (the loopback coordinator+worker integration tests, HTTP
 # leases, fleet aggregation), internal/obs (concurrent metrics collectors,
 # fleet snapshot merging, trace sinks), internal/stats (the lock-free
-# convergence estimator campaign workers feed concurrently), internal/store
+# Estimator, which the benchmark's probes still drive), internal/store
 # (the single-flight image cache cloned into concurrent campaigns) and
 # internal/server (the multi-campaign scheduler and its executors, whose
 # embedded worker hands its coordinator request values, not copies: lease,
@@ -111,11 +111,12 @@ lines:
 # a change to the engines, the model, the campaign loop or the transports
 # describes in CHANGES.md. sfi-beam is the one surface that strikes
 # protected-array cells, so the only one that reads a struck array.
-# Not part of ci: it needs a parent ref. It needs no network. A uniform
-# `-margin N -stop-on-converge` is not on the list: it stops mid-epoch on a
-# live view that lags the worker, so its total moves by one or two between
-# two runs of one binary (with `-allocate neyman` the stop is at an epoch
-# barrier and repeats). The fixed-window shape costs ~20 ms an injection and
+# Not part of ci: it needs a parent ref. It needs no network. Both adaptive
+# stops are on the list: a uniform `-margin N -stop-on-converge` stops at the
+# smallest converged prefix of its dispatch order and a Neyman one at an
+# epoch barrier, so each repeats byte for byte at any worker count (at
+# -flips 600 the uniform rule first holds at the budget; at -flips 3000 it
+# stops at n=596). The fixed-window shape costs ~20 ms an injection and
 # awan's default design has 1,600 bits, so each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
@@ -131,6 +132,8 @@ CMP_SHAPES = \
 	-flips 600 -workers 4| \
 	-flips 600 -dist 4| \
 	-flips 600 -margin 5| \
+	-flips 600 -margin 5 -stop-on-converge| \
+	-flips 3000 -margin 5 -stop-on-converge| \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 400 -backend awan| \
 	-flips 400 -backend awan -lanes 1

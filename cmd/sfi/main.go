@@ -474,8 +474,14 @@ func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc) {
 	// Rates are labeled explicitly: with a bit-parallel backend one model
 	// pass retires many injections, so injections/s and batches/s differ by
 	// the mean lane occupancy.
-	fmt.Printf("campaign: %d injections in %v — %.1f injections/s, %d workers (%.0f%% busy)\n",
-		s.Injections, elapsed.Round(time.Millisecond),
+	// An adaptive stop drops the jobs that finished past the converged
+	// prefix: the rate counts them, the report does not.
+	past := ""
+	if ran := int(s.Injections); ran > rep.Total {
+		past = fmt.Sprintf(" (%d more ran past the stop)", ran-rep.Total)
+	}
+	fmt.Printf("campaign: %d injections%s in %v — %.1f injections/s, %d workers (%.0f%% busy)\n",
+		rep.Total, past, elapsed.Round(time.Millisecond),
 		float64(s.Injections)/elapsed.Seconds(), rep.Workers, 100*util)
 	fmt.Printf("restore:  p50 %v  p95 %v  (%d restores)\n",
 		time.Duration(s.RestoreNs.Quantile(0.5)).Round(time.Microsecond),

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sfi/internal/engine"
@@ -47,9 +48,9 @@ type CampaignConfig struct {
 	Obs ObsConfig
 
 	// Stop configures adaptive statistical early-stop: when enabled, the
-	// campaign streams classified outcomes into a sequential-interval
-	// estimator and (with StopOnConverge) stops dispatching as soon as
-	// every outcome class's confidence interval is within the target
+	// campaign evaluates sequential confidence intervals over its settled
+	// outcome counts and (with StopOnConverge) stops dispatching at the
+	// first point every outcome class's interval is within the target
 	// margin — the paper's "just enough samples" methodology made
 	// operational. The zero value keeps the classic fixed-Flips behavior
 	// bit for bit.
@@ -568,9 +569,18 @@ type draw struct {
 }
 
 // job is the dispatch unit: one batch (positions into d.bits) of one draw.
+// n is its index in the epoch's dispatch order.
 type job struct {
 	d   *draw
 	pos []int
+	n   int
+}
+
+// settledJob reports job n of the epoch settled, with the error that failed
+// it; n is -1 for a worker that failed to start.
+type settledJob struct {
+	n   int
+	err error
 }
 
 // bits returns the latch bits the job injects, in lane order.
@@ -688,10 +698,10 @@ func newSource(first *Runner, cfg CampaignConfig, runSp, sp *obs.Span) (*source,
 // pool and fully drained — the epoch barrier — before its results are
 // folded into the report and anything is evaluated or re-allocated, so stop
 // decisions and allocations read settled counts only and the report is
-// deterministic across worker counts. The one exception is the pooled
-// draw of a uniform StopOnConverge campaign, which may stop mid-epoch: its
-// single epoch is the whole budget, so a barrier-only rule could never stop
-// it early.
+// deterministic across worker counts. A keyless draw (a uniform campaign's
+// single epoch, the whole budget) is decided job by job instead, over the
+// settled prefix in dispatch order: a StopOnConverge campaign stops at the
+// smallest prefix that converges, whatever the worker count.
 func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*Report, error) {
 	if cfg.Flips < 1 {
 		return nil, fmt.Errorf("core: campaign needs at least one flip")
@@ -761,30 +771,19 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// reused prototype (RunCampaignWith) left behind.
 	first.Observe(workerObs(0), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 
-	// Adaptive statistical stop: workers stream every classified outcome
-	// into a shared sequential-interval estimator (per sampling stratum too,
-	// for a Neyman campaign), and the dispatch loop consults it over settled
-	// counts only — a late result can move a class's fraction and re-widen
-	// its interval. That makes the final report's convergence evaluation
-	// agree with the stop decision by construction (the dist coordinator
-	// gets the same property from sealing completed shards only).
-	var est *stats.Estimator
-	// seen dedups convergence events; only the monitor goroutine touches
-	// it while workers run, the final emission only after the monitor has
-	// stopped.
-	seen := make(map[string]bool)
-	if cfg.Stop.Enabled() {
-		est = stats.NewEstimator(outcomeNames(), cfg.Stop.Rule())
-		est.TrackStrata(src.pops)
-	}
-
+	// One reader of outcomes: workers hand each settled job (or a start
+	// failure, which settled's capacity holds) back to the dispatch loop, and
+	// every convergence evaluation is made there over settled counts. latest
+	// is the newest, for the progress goroutine; seen dedups the events.
 	var wg sync.WaitGroup
-	// inflight counts dispatched, unsettled batches. Only the dispatch loop
-	// Adds and Waits, so waiting on it while dispatch is paused is the
-	// settle point.
-	var inflight sync.WaitGroup
 	next := make(chan job)
-	errCh := make(chan error, workers)
+	settled := make(chan settledJob, workers)
+	var latest atomic.Pointer[stats.Convergence]
+	seen := make(map[string]bool)
+	evaluated := func(c *stats.Convergence) {
+		latest.Store(c)
+		emitConvergenceEvents(cfg.Obs.Trace, c, seen)
+	}
 
 	// runJob classifies one batch. A panic below it (PRs 11 and 13 each
 	// found a model indexing a table with injected state) becomes an error
@@ -798,14 +797,11 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		}()
 		d := j.d
 		if !batched {
-			res := r.RunInjection(d.bits[j.pos[0]])
-			d.res[j.pos[0]] = res
-			est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
+			d.res[j.pos[0]] = r.RunInjection(d.bits[j.pos[0]])
 			return nil
 		}
 		for i, res := range r.RunInjectionBatch(j.bits()) {
 			d.res[j.pos[i]] = res
-			est.ObserveStratum(int(res.Outcome), res.Unit, res.LatchType.String(), d.key)
 		}
 		return nil
 	}
@@ -815,9 +811,8 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		defer wg.Done()
 		for j := range next {
 			err := runJob(r, j)
-			inflight.Done()
+			settled <- settledJob{j.n, err}
 			if err != nil {
-				errCh <- err
 				return
 			}
 		}
@@ -847,25 +842,11 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 					return
 				case <-t.C:
 					p := ProgressFrom(mergedSnapshot(), src.total, workers, start)
-					p.Convergence = est.Snapshot(false)
+					p.Convergence = latest.Load()
 					cfg.Obs.Progress(p)
 				}
 			}
 		}()
-	}
-
-	// The convergence monitor exists for the trace sink alone: with one it
-	// records class-level — and, observe-only, campaign-level — convergence
-	// transitions as JSONL events as they happen; without one nothing would
-	// read its evaluations, so it is not started. When StopOnConverge is
-	// armed the campaign-wide stop event is withheld here and emitted by the
-	// final pass over the authoritative evaluation instead, so its n matches
-	// the report exactly.
-	var stopMon, monDone chan struct{}
-	if est != nil && cfg.Obs.Trace != nil {
-		stopMon = make(chan struct{})
-		monDone = make(chan struct{})
-		go watchConvergence(cfg.Obs.Trace, est, seen, !cfg.Stop.StopOnConverge, stopMon, monDone)
 	}
 
 	// Worker start order: Clone reads the prototype's live model state
@@ -884,7 +865,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 			r, err := newWorkerRunner(first, cfg)
 			cloning.Done()
 			if err != nil {
-				errCh <- fmt.Errorf("core: worker %d failed to start: %w", w, err)
+				settled <- settledJob{-1, fmt.Errorf("core: worker %d failed to start: %w", w, err)}
 				wg.Done()
 				return
 			}
@@ -894,75 +875,103 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 
 	// Fail-fast dispatch: stop handing out work the moment a worker
-	// reports a start failure or the context is cancelled. Convergence is
-	// the one *successful* early exit: in-flight batches run to completion
-	// and the report covers exactly what was dispatched.
+	// reports a failure or the context is cancelled; in-flight batches run
+	// to completion either way. Convergence is the one *successful* early
+	// exit.
 	var errs []error
-	stopOnConverge := est != nil && cfg.Stop.StopOnConverge
-	// Re-confirming on the same counts would spin; only re-check after a
-	// failed confirmation once new samples have landed.
-	confirmFailedAt := int64(-1)
-dispatch:
+	rule := cfg.Stop.Rule()
+	cancelled := ctx.Done()
 	for len(jobs) > 0 {
-		midEpochStop := stopOnConverge && epoch[0].key == ""
-		for i := 0; i < len(jobs); {
-			if midEpochStop && est.Total() != confirmFailedAt && est.Converged() {
-				// Tentative hit on the live view, which lags in-flight
-				// batches: let them settle, then confirm over the exact
-				// counts. The rest of the draw stays undispatched.
-				inflight.Wait()
-				if est.Converged() {
-					break
-				}
-				confirmFailedAt = est.Total()
-				continue
+		// A keyless draw, the whole budget, is decided job by job: settled
+		// jobs fold in dispatch order into the pooled prefix, which ends at
+		// cut once it converges. Dispatch never waits for the prefix, so a
+		// stop drops whatever finished past the cut meanwhile.
+		keyless := cfg.Stop.Enabled() && epoch[0].key == ""
+		prefix := Report{Counts: make(map[Outcome]int)}
+		done := make([]bool, len(jobs))
+		sent, folded, running, cut := 0, 0, 0, len(jobs)
+		for (sent < cut && len(errs) == 0) || running > 0 {
+			var out chan<- job // nil, so never ready, once dispatch is over
+			var j job
+			if sent < cut && len(errs) == 0 {
+				out, j = next, jobs[sent]
 			}
-			inflight.Add(1)
 			select {
-			case e := <-errCh:
-				inflight.Done()
-				errs = append(errs, e)
-				break dispatch
-			case <-ctx.Done():
-				inflight.Done()
+			case out <- j:
+				sent++
+				running++
+			case s := <-settled:
+				if s.n >= 0 {
+					running--
+				}
+				if s.err != nil {
+					errs = append(errs, s.err)
+					continue
+				}
+				if !keyless {
+					continue
+				}
+				done[s.n] = true
+				for folded < cut && done[folded] {
+					for _, pos := range jobs[folded].pos {
+						prefix.Total++
+						prefix.Counts[jobs[folded].d.res[pos].Outcome]++
+					}
+					folded++
+					c := prefix.PooledConvergence(rule)
+					evaluated(c)
+					if c.Converged && cfg.Stop.StopOnConverge {
+						cut = folded
+					}
+				}
+			case <-cancelled:
 				errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
-				break dispatch
-			case next <- jobs[i]:
-				i++
+				cancelled = nil
 			}
 		}
-		// The epoch barrier: every dispatched batch settles before counts
-		// are evaluated or re-allocated — the determinism contract.
-		inflight.Wait()
+		if len(errs) > 0 {
+			break
+		}
+		// The epoch barrier: every dispatched batch has settled. Results past
+		// the cut are cleared, so the report covers exactly the prefix the
+		// stop was decided on.
+		for _, j := range jobs[cut:sent] {
+			for _, pos := range j.pos {
+				j.d.res[pos] = Result{}
+			}
+		}
 		for _, d := range epoch {
 			rep.addDraw(d, cfg.KeepResults)
 		}
-		// The barrier is decided over the folded report, by the evaluation
-		// the report prints and a coordinator's epoch boundary uses; the
-		// estimator is the live view and the mid-epoch poll.
-		if stopOnConverge && rep.ComputeConvergence(cfg.Stop.Rule(), src.pops).Converged {
+		if cut < len(jobs) {
 			break
+		}
+		// A planned epoch is decided at its barrier, over the folded report,
+		// by the evaluation the report prints and a coordinator's epoch
+		// boundary uses.
+		if cfg.Stop.Enabled() && !keyless {
+			c := rep.ComputeConvergence(rule, src.pops)
+			evaluated(c)
+			if c.Converged && cfg.Stop.StopOnConverge {
+				break
+			}
 		}
 		epoch = src.next(rep)
 		jobs = epochJobs(epoch)
 	}
 	close(next)
 	wg.Wait()
-	if stopMon != nil {
-		close(stopMon)
-		<-monDone
-	}
 	if stopProg != nil {
 		close(stopProg)
 		<-progDone
 	}
-	// Collect every worker failure (all goroutines have exited, so errCh
-	// holds everything that was reported) and surface the distinct ones.
+	// Collect the start failures reported after the dispatch loop (every
+	// goroutine has exited) and surface the distinct errors.
 drain:
 	for {
 		select {
-		case e := <-errCh:
-			errs = append(errs, e)
+		case s := <-settled:
+			errs = append(errs, s.err)
 		default:
 			break drain
 		}
@@ -986,19 +995,13 @@ drain:
 	mergeSp := cfg.Obs.Tracer.StartSpan("merge", "core", runSp.Context())
 	rep.Workers = workers
 	if collect {
-		rep.Metrics = mergedSnapshot()
+		rep.Metrics = mergedSnapshot() // what workers ran, past a stop too
 	}
 	if cfg.Stop.Enabled() {
-		// The authoritative evaluation: exact aggregate counts (the
-		// monitor's live view lags in-flight batches), with per-unit and
-		// per-type strata — and, for a Neyman campaign, every sampling
-		// stratum of the plan.
-		rep.Convergence = rep.ComputeConvergence(cfg.Stop.Rule(), src.pops)
-		// Final convergence events over that evaluation: a fast campaign
-		// can finish before the monitor's first tick, and the stop event
-		// must carry the settled n. The monitor has stopped, so seen is
-		// ours again; it dedups whatever the ticks already reported.
-		emitConvergenceEvents(cfg.Obs.Trace, rep.Convergence, seen, true)
+		// Over the counts the stop was decided on, with every breakdown; its
+		// events are those no earlier evaluation emitted.
+		rep.Convergence = rep.ComputeConvergence(rule, src.pops)
+		emitConvergenceEvents(cfg.Obs.Trace, rep.Convergence, seen)
 	}
 	mergeSp.AttrInt("injections", int64(rep.Total)).End()
 	if cfg.Obs.Progress != nil {
@@ -1020,7 +1023,7 @@ func epochJobs(draws []*draw) []job {
 	var jobs []job
 	for _, d := range draws {
 		for _, pos := range d.batches {
-			jobs = append(jobs, job{d, pos})
+			jobs = append(jobs, job{d, pos, len(jobs)})
 		}
 	}
 	return jobs
@@ -1028,10 +1031,9 @@ func epochJobs(draws []*draw) []job {
 
 // addDraw folds a settled draw into the report in sequence order, so kept
 // Results stay in the campaign's deterministic dispatch order. Positions
-// never dispatched (a mid-epoch stop) still hold the invalid zero Result
-// and are skipped. A keyed draw also feeds its stratum's ByStratum row —
-// merging stratum-shard reports accumulates those rows into the campaign's
-// per-stratum breakdown.
+// past an adaptive stop hold the invalid zero Result and are skipped. A
+// keyed draw also feeds its stratum's ByStratum row — merging stratum-shard
+// reports accumulates those rows into the campaign's per-stratum breakdown.
 func (r *Report) addDraw(d *draw, keep bool) {
 	var row map[Outcome]int
 	if d.key != "" {
@@ -1054,29 +1056,11 @@ func (r *Report) addDraw(d *draw, keep bool) {
 	}
 }
 
-// watchConvergence polls the estimator on a short ticker (every sampling
-// stratum's intervals on a Neyman campaign) and records the transitions it
-// sees, until stop is closed; it closes done on the way out.
-func watchConvergence(trace *obs.TraceSink, est *stats.Estimator, seen map[string]bool, allowStop bool, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(5 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			emitConvergenceEvents(trace, est.Snapshot(false), seen, allowStop)
-		}
-	}
-}
-
 // emitConvergenceEvents records each class's first margin crossing — and,
 // once, the campaign-wide stop decision — as JSONL convergence events.
 // seen carries the already-reported set between calls ("" = the campaign
-// decision itself); allowStop gates the campaign-wide event, which a
-// StopOnConverge campaign reserves for the final settled evaluation.
-func emitConvergenceEvents(trace *obs.TraceSink, c *stats.Convergence, seen map[string]bool, allowStop bool) {
+// decision itself).
+func emitConvergenceEvents(trace *obs.TraceSink, c *stats.Convergence, seen map[string]bool) {
 	if trace == nil || c == nil {
 		return
 	}
@@ -1090,7 +1074,7 @@ func emitConvergenceEvents(trace *obs.TraceSink, c *stats.Convergence, seen map[
 			})
 		}
 	}
-	if allowStop && c.Converged && !seen[""] {
+	if c.Converged && !seen[""] {
 		seen[""] = true
 		trace.RecordJSON(obs.ConvergenceEvent{
 			Kind: "stop", N: c.Total, Width: c.WidestWidth,

@@ -19,19 +19,21 @@ import (
 // recorded on the executor as it stood before the flat and stratified
 // campaign loops were merged and must only change together with a
 // deliberate change of the sampling, allocation or classification contract.
-// Flat StopOnConverge campaigns are absent on purpose: where exactly they
-// stop depends on worker timing.
+// The uniform-stop rows were recorded when a keyless draw began stopping at
+// the smallest converged prefix of its dispatch order.
 const (
-	goldenP6liteUniform    = "02786f64c5ee9f9712afafff4e1b6515b00e2e36988c2c360e9ba7844177f4f1"
-	goldenP6liteNeyman     = "5964f5e3835cb340ade0f1f2aeddab9b1d6a15237e671837a3b9c389fa5c5733"
-	goldenP6liteNeymanStop = "dacf195911fc0ce2c438f3c1a57aa9578fecb5e44391af5caa23691c40c3f4b9"
-	goldenP6liteStratum    = "f4296f2f0e052962d428a87db9c3224ad7e32362f0c9fd158157896d8d977755"
-	goldenAwanUniform      = "5657b2cf295ff2ff8f9cb01b727888fb867de50eb1bf78a722ef229a04f94293"
-	goldenAwanNeyman       = "75176331862dcf4312f119548d924051355195c5566eaaadd90c41c645788ac4"
-	goldenAwanNeymanStop   = "521d382ac87d1ed78507fd5ff75d2445064cf599e5dbc3e7279bccfdf23d1d63"
-	goldenAllocationEvents = "7cc9bf2dcbfe3f7598572bddf209e288d7e39a445c118019e0f7c4156104f770"
-	goldenAllocateSpans    = "6aa498f1b2fac08de752162d80d9dbfbdfca98d461f27de3fcfbf26da2dfc315"
-	goldenAwanStratum      = "df8e4cfe21c27a021745487e9010057163e161dd2ad15c52e2bf741628a913f3"
+	goldenP6liteUniform     = "02786f64c5ee9f9712afafff4e1b6515b00e2e36988c2c360e9ba7844177f4f1"
+	goldenP6liteNeyman      = "5964f5e3835cb340ade0f1f2aeddab9b1d6a15237e671837a3b9c389fa5c5733"
+	goldenP6liteNeymanStop  = "dacf195911fc0ce2c438f3c1a57aa9578fecb5e44391af5caa23691c40c3f4b9"
+	goldenP6liteStratum     = "f4296f2f0e052962d428a87db9c3224ad7e32362f0c9fd158157896d8d977755"
+	goldenAwanUniform       = "5657b2cf295ff2ff8f9cb01b727888fb867de50eb1bf78a722ef229a04f94293"
+	goldenAwanNeyman        = "75176331862dcf4312f119548d924051355195c5566eaaadd90c41c645788ac4"
+	goldenAwanNeymanStop    = "521d382ac87d1ed78507fd5ff75d2445064cf599e5dbc3e7279bccfdf23d1d63"
+	goldenAllocationEvents  = "7cc9bf2dcbfe3f7598572bddf209e288d7e39a445c118019e0f7c4156104f770"
+	goldenAllocateSpans     = "6aa498f1b2fac08de752162d80d9dbfbdfca98d461f27de3fcfbf26da2dfc315"
+	goldenAwanStratum       = "df8e4cfe21c27a021745487e9010057163e161dd2ad15c52e2bf741628a913f3"
+	goldenP6liteUniformStop = "7fa1cddbba6bd864fd0ad343b46a21751751dd3dbb10f8c0a2037dc0d835ebf7"
+	goldenAwanUniformStop   = "f841081cc7aa2af7ff9cda7bcb35b6b5efbdbe29d6baac1765dd3a7b73282840"
 )
 
 // Digests of the injection modes and machine configurations the toggle rows
@@ -79,6 +81,17 @@ func goldenBase(backend string) CampaignConfig {
 	return fastCampaignConfig()
 }
 
+// uniformStop arms a StopOnConverge rule on a flat campaign of the backend's
+// golden shape that converges well inside the budget.
+func uniformStop(backend string, c *CampaignConfig) {
+	if backend == "awan" {
+		c.Stop = StopConfig{TargetMargin: 0.5, MinPerClass: 10, StopOnConverge: true}
+		return
+	}
+	c.Flips = 400
+	c.Stop = StopConfig{TargetMargin: 0.2, MinPerClass: 25, StopOnConverge: true}
+}
+
 func TestGoldenReportDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name, backend, want string
@@ -118,7 +131,13 @@ func TestGoldenReportDigests(t *testing.T) {
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 8}
 			c.Stop = StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
 		}, true, ""},
+		{"p6lite/uniform-stop", "p6lite", goldenP6liteUniformStop, func(c *CampaignConfig) {
+			uniformStop("p6lite", c)
+		}, true, ""},
 		{"awan/uniform", "awan", goldenAwanUniform, func(c *CampaignConfig) {}, false, ""},
+		{"awan/uniform-stop", "awan", goldenAwanUniformStop, func(c *CampaignConfig) {
+			uniformStop("awan", c)
+		}, true, ""},
 		{"awan/neyman", "awan", goldenAwanNeyman, func(c *CampaignConfig) {
 			c.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 3}
 		}, false, ""},

@@ -103,11 +103,19 @@ func (r *Report) ConfidenceIntervals(z float64) map[Outcome]Interval {
 	return out
 }
 
+// PooledConvergence evaluates the rule over the report's Total and Counts
+// alone, without breakdowns: the keyless stop decision, made over the
+// settled prefix of a local campaign and over the sealed shards of a
+// distributed one. Returns nil for a disabled rule.
+func (r *Report) PooledConvergence(rule stats.StopRule) *stats.Convergence {
+	pooled := Report{Total: r.Total, Counts: r.Counts}
+	return pooled.ComputeConvergence(rule, nil)
+}
+
 // ComputeConvergence evaluates an adaptive stopping rule over the report's
 // exact aggregate counts, with per-unit and per-latch-type strata. It is
-// the authoritative post-campaign evaluation (the live estimator's view
-// lags in-flight work) and the sealed-counts decision basis distributed
-// coordinators stop on. Returns nil for a disabled rule.
+// the evaluation a report carries, and the settled-counts basis every stop
+// decision is made on. Returns nil for a disabled rule.
 //
 // populations is a stratified campaign's per-stratum census (nil for every
 // other campaign): each of its strata is additionally evaluated over the

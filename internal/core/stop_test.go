@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -106,82 +106,76 @@ func TestFixedNReportUnchanged(t *testing.T) {
 	}
 }
 
-// monitorRunning reports whether any goroutine is in the convergence monitor.
-func monitorRunning() bool {
-	buf := make([]byte, 1<<16)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("core.watchConvergence"))
-}
-
 // Adaptive campaigns emit JSONL convergence events: one per class margin
-// crossing plus the stop decision, and the progress view carries the live
-// interval evaluation. The monitor that polls the estimator for those events
-// runs only when there is a sink to write them to.
+// crossing plus the stop decision, all from the dispatcher's settled
+// evaluations, so the stop event's n is the report's total. The progress view
+// carries the newest of those evaluations. The report drops whatever finished
+// past the converged prefix, so the injections workers ran (Metrics) may
+// exceed its total: by at most the one job a lone worker can be handed before
+// its previous job is folded, and by at most the rest of the budget when
+// other workers keep going while the prefix's last job runs.
 func TestAdaptiveConvergenceEventsAndProgress(t *testing.T) {
-	var buf bytes.Buffer
-	sink := obs.NewTraceSink(&buf, obs.TraceOptions{Sample: 1 << 30}) // mute injection events
-	cfg := fastCampaignConfig()
-	cfg.Flips = 6000
-	cfg.Workers = 2
-	// A margin some 700 injections reach: the campaign outlasts many ticks.
-	cfg.Stop = StopConfig{TargetMargin: 0.05, MinPerClass: 25, StopOnConverge: true}
-	var sawConvergence, sawMonitor bool
-	cfg.Obs.Progress = func(p Progress) {
-		if p.Convergence != nil {
-			sawConvergence = true
+	var rep *Report
+	for _, workers := range []int{1, 2} {
+		var buf bytes.Buffer
+		cfg := fastCampaignConfig()
+		cfg.Flips = 6000
+		cfg.Workers = workers
+		// A margin some 700 injections reach: the campaign outlasts many ticks.
+		cfg.Stop = StopConfig{TargetMargin: 0.05, MinPerClass: 25, StopOnConverge: true}
+		var sawConvergence bool
+		cfg.Obs.Progress = func(p Progress) {
+			if p.Convergence != nil {
+				sawConvergence = true
+			}
 		}
-		sawMonitor = sawMonitor || monitorRunning()
-	}
-	cfg.Obs.ProgressEvery = time.Millisecond
-	// The detector finds a monitor when there is one...
-	stop, done := make(chan struct{}), make(chan struct{})
-	go watchConvergence(nil, nil, nil, false, stop, done)
-	for !monitorRunning() {
-		runtime.Gosched() // until it has started
-	}
-	close(stop)
-	<-done
-	// ...and a campaign with no sink never starts one.
-	if _, err := RunCampaign(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if sawMonitor {
-		t.Error("no trace sink, and the convergence monitor was running")
-	}
-	cfg.Obs.Trace = sink
-	rep, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sawConvergence {
-		t.Error("no progress callback carried a convergence view")
-	}
-	if monitorRunning() {
-		t.Error("the convergence monitor outlived its campaign")
-	}
-	var stops, classEvents int
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if line == "" {
-			continue
+		cfg.Obs.ProgressEvery = time.Millisecond
+		cfg.Obs.Trace = obs.NewTraceSink(&buf, obs.TraceOptions{Sample: 1 << 30}) // mute injection events
+		var err error
+		if rep, err = RunCampaign(cfg); err != nil {
+			t.Fatal(err)
 		}
-		var ev struct {
-			Kind  string `json:"convergence"`
-			Class string `json:"class"`
+		if !sawConvergence {
+			t.Errorf("workers=%d: no progress callback carried a convergence view", workers)
 		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
+		// p6lite is scalar: a job is one injection.
+		ran, most := int(rep.Metrics.Injections), cfg.Flips
+		if workers == 1 {
+			most = rep.Total + 1
 		}
-		switch ev.Kind {
-		case "stop":
-			stops++
-		case "class_converged":
-			classEvents++
+		if ran < rep.Total || ran > most {
+			t.Errorf("workers=%d: ran %d injections for a report of %d; want within [%d, %d]",
+				workers, ran, rep.Total, rep.Total, most)
 		}
-	}
-	if stops != 1 {
-		t.Errorf("want exactly one stop event, got %d", stops)
-	}
-	if classEvents == 0 {
-		t.Error("no class_converged events recorded")
+		var stops, classEvents int
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if line == "" {
+				continue
+			}
+			var ev struct {
+				Kind  string `json:"convergence"`
+				Class string `json:"class"`
+				N     int64  `json:"n"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			switch ev.Kind {
+			case "stop":
+				stops++
+				if ev.N != int64(rep.Total) {
+					t.Errorf("workers=%d: stop event at n=%d, report total %d", workers, ev.N, rep.Total)
+				}
+			case "class_converged":
+				classEvents++
+			}
+		}
+		if stops != 1 {
+			t.Errorf("workers=%d: want exactly one stop event, got %d", workers, stops)
+		}
+		if classEvents == 0 {
+			t.Errorf("workers=%d: no class_converged events recorded", workers)
+		}
 	}
 	// The rendered progress line advertises the margin state.
 	p := Progress{Convergence: rep.Convergence, Total: rep.Total, Done: rep.Total}
@@ -191,5 +185,109 @@ func TestAdaptiveConvergenceEventsAndProgress(t *testing.T) {
 	p.Convergence = (stats.StopRule{TargetMargin: 0.01}).Eval([]string{"sdc"}, nil, 10)
 	if line := p.Line(); !strings.Contains(line, "ci sdc") {
 		t.Errorf("outstanding-margin progress line missing widest class: %q", line)
+	}
+}
+
+// A uniform StopOnConverge campaign stops at the smallest prefix of its
+// dispatch order that converges, whatever the worker count: the report and
+// the convergence events repeat byte for byte across workers {1, 2, 4, 8},
+// and one job fewer would not have converged.
+func TestUniformStopIsSmallestConvergedPrefix(t *testing.T) {
+	for _, backend := range []string{"p6lite", "awan"} {
+		t.Run(backend, func(t *testing.T) {
+			var wantReport, wantEvents string
+			for _, workers := range []int{1, 2, 4, 8} {
+				var buf bytes.Buffer
+				cfg := goldenBase(backend)
+				uniformStop(backend, &cfg)
+				cfg.Workers = workers
+				cfg.Obs.Trace = obs.NewTraceSink(&buf, obs.TraceOptions{Sample: 1 << 30}) // mute injection events
+				rep, err := RunCampaign(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := convergenceLines(t, buf.Bytes())
+				if workers == 1 {
+					wantReport, wantEvents = string(data), events
+					checkSmallestPrefix(t, cfg, rep)
+					continue
+				}
+				if string(data) != wantReport {
+					t.Errorf("workers=%d: report differs from workers=1:\n%s\nwant\n%s", workers, data, wantReport)
+				}
+				if events != wantEvents {
+					t.Errorf("workers=%d: convergence events differ from workers=1:\n%s\nwant\n%s", workers, events, wantEvents)
+				}
+			}
+		})
+	}
+}
+
+// convergenceLines returns a trace's convergence events, one per line, with
+// any timestamp stripped.
+func convergenceLines(t *testing.T, trace []byte) string {
+	t.Helper()
+	var out []string
+	for _, line := range bytes.Split(trace, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"convergence":`)) {
+			continue
+		}
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		delete(ev, "ts")
+		b, _ := json.Marshal(ev)
+		out = append(out, string(b))
+	}
+	if len(out) == 0 {
+		t.Fatal("no convergence events recorded")
+	}
+	return strings.Join(out, "\n")
+}
+
+// checkSmallestPrefix replays the campaign's dispatch plan over the kept
+// results: the report must be exactly a prefix of whole jobs, that prefix
+// converged, and the prefix one job shorter not.
+func checkSmallestPrefix(t *testing.T, cfg CampaignConfig, rep *Report) {
+	t.Helper()
+	if rep.Total >= cfg.Flips || !rep.Convergence.Converged {
+		t.Fatalf("ran %d of %d flips, converged=%v; want an early stop", rep.Total, cfg.Flips, rep.Convergence.Converged)
+	}
+	r, err := NewRunner(cfg.Runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := SampleCampaignBits(r.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
+	byBit := make(map[int]Outcome, len(rep.Results))
+	for _, res := range rep.Results {
+		byBit[res.Bit] = res.Outcome
+	}
+	prefix := Report{Counts: make(map[Outcome]int)}
+	var before *Report
+	for _, batch := range planBatches(bits, r.Backend().Phases(), r.BatchSize()) {
+		if prefix.Total == rep.Total {
+			break
+		}
+		before = &Report{Total: prefix.Total, Counts: maps.Clone(prefix.Counts)}
+		for _, pos := range batch {
+			o, ok := byBit[bits[pos]]
+			if !ok {
+				t.Fatalf("bit %d of the converged prefix is not in the report", bits[pos])
+			}
+			prefix.Total++
+			prefix.Counts[o]++
+		}
+	}
+	if prefix.Total != rep.Total || !maps.Equal(prefix.Counts, rep.Counts) {
+		t.Fatalf("report (%d, %v) is not a prefix of whole jobs (reached %d, %v)", rep.Total, rep.Counts, prefix.Total, prefix.Counts)
+	}
+	t.Logf("stopped at n=%d of %d; one job earlier n=%d", rep.Total, cfg.Flips, before.Total)
+	if before.PooledConvergence(cfg.Stop.Rule()).Converged {
+		t.Errorf("the prefix of %d injections, one job shorter than the report's %d, already converged", before.Total, rep.Total)
 	}
 }

@@ -507,8 +507,7 @@ func (c *Coordinator) decideLocked() {
 		var eval *stats.Convergence
 		switch {
 		case c.plan == nil && !settled:
-			pooled := core.Report{Total: c.sealed.Total, Counts: c.sealed.Counts}
-			eval = pooled.ComputeConvergence(stop.Rule(), nil)
+			eval = c.sealed.PooledConvergence(stop.Rule())
 		case c.plan != nil && settled:
 			eval = c.sealed.ComputeConvergence(stop.Rule(), c.strataPops)
 		}

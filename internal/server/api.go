@@ -234,18 +234,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, state := range states {
 		write("sfi_server_campaigns{state=%q} %d\n", state, st.Campaigns[state])
 	}
-	write("# HELP sfi_server_queue_depth Queued campaigns per tenant.\n")
-	write("# TYPE sfi_server_queue_depth gauge\n")
-	write("# HELP sfi_server_tenant_served_total Campaigns served per tenant.\n")
-	write("# TYPE sfi_server_tenant_served_total counter\n")
+	// Each family's HELP, TYPE and samples are one contiguous group, as the
+	// text exposition format requires.
 	tenants := make([]string, 0, len(st.Tenants))
 	for name := range st.Tenants {
 		tenants = append(tenants, name)
 	}
 	sort.Strings(tenants)
+	write("# HELP sfi_server_queue_depth Queued campaigns per tenant.\n")
+	write("# TYPE sfi_server_queue_depth gauge\n")
 	for _, name := range tenants {
 		write("sfi_server_queue_depth{tenant=%q} %d\n", name, st.Tenants[name].Queued)
 	}
+	write("# HELP sfi_server_tenant_served_total Campaigns served per tenant.\n")
+	write("# TYPE sfi_server_tenant_served_total counter\n")
 	for _, name := range tenants {
 		write("sfi_server_tenant_served_total{tenant=%q} %d\n", name, st.Tenants[name].Served)
 	}
