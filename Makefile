@@ -28,8 +28,8 @@ fmt:
 # p6lite/awan models that campaign workers clone concurrently),
 # internal/awan (the gate engine cloned per worker),
 # internal/dist (the loopback coordinator+worker integration tests, HTTP
-# leases, fleet aggregation), internal/obs (concurrent metrics collectors,
-# fleet snapshot merging, trace sinks), internal/stats (the lock-free
+# leases, the ledger's views read while leases move), internal/obs
+# (concurrent metrics collectors, trace sinks), internal/stats (the lock-free
 # Estimator, which the benchmark's probes still drive), internal/store
 # (the single-flight image cache cloned into concurrent campaigns) and
 # internal/server (the multi-campaign scheduler and its executors, whose
@@ -116,8 +116,14 @@ lines:
 # smallest converged prefix of its dispatch order and a Neyman one at an
 # epoch barrier, so each repeats byte for byte at any worker count (at
 # -flips 600 the uniform rule first holds at the budget; at -flips 3000 it
-# stops at n=596). The fixed-window shape costs ~20 ms an injection and
-# awan's default design has 1,600 bits, so each shape sets its own -flips.
+# stops at n=596). A Neyman `-dist` stop is on it too: the coordinator plans
+# each epoch and decides the stop at the barrier, over sealed epochs only, so
+# it repeats whatever order the shards complete in. A uniform `-dist` stop
+# is not: the coordinator decides it after every completion, so it falls at
+# the first converged set of completed shards, and the order shards
+# complete in is not a function of the seed. The fixed-window shape costs
+# ~20 ms an injection and awan's default design has 1,600 bits, so each
+# shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
 CMP_SHAPES = \
@@ -135,6 +141,7 @@ CMP_SHAPES = \
 	-flips 600 -margin 5 -stop-on-converge| \
 	-flips 3000 -margin 5 -stop-on-converge| \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
+	-flips 600 -dist 4 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 400 -backend awan| \
 	-flips 400 -backend awan -lanes 1
 BEAM_SHAPES = \

@@ -7,12 +7,12 @@
 //
 // While the campaign runs the lease address also serves the fleet view:
 // GET /v1/status (per-shard state machine, per-worker rates, live totals,
-// latency attribution), GET /v1/trace (the campaign's causal span tree —
-// coordinator shard spans plus the worker-side spans carried home on shard
-// completions — with the critical path marked), GET /metrics (live
-// fleet-wide Prometheus metrics, merged from worker heartbeat snapshots and
-// completed-shard snapshots, plus per-layer span histograms) and
-// GET /progress.
+// the stop rule's sealed-counts evaluation, latency attribution),
+// GET /v1/trace (the campaign's causal span tree — coordinator shard spans
+// plus the worker-side spans carried home on shard completions — with the
+// critical path marked) and GET /metrics (live fleet-wide Prometheus
+// metrics, merged from worker heartbeat snapshots and completed-shard
+// snapshots, plus per-layer span histograms).
 // Lifecycle events (lease grants, requeues, completions) go to stderr as
 // structured JSON logs; -shard-trace records them as JSONL for post-hoc
 // forensics.
@@ -178,7 +178,7 @@ func run(addr string, a coordArgs) error {
 		srv.Shutdown(sctx) //nolint:errcheck // past the deadline Close semantics apply
 	}()
 	log.Info("coordinator listening", "addr", ln.Addr().String(),
-		"endpoints", "POST /v1/lease, GET /v1/status, GET /v1/trace, GET /progress, GET /metrics")
+		"endpoints", "POST /v1/lease, GET /v1/status, GET /v1/trace, GET /metrics")
 
 	if a.httpAddr != "" {
 		dln, err := net.Listen("tcp", a.httpAddr)
@@ -200,23 +200,7 @@ func run(addr string, a coordArgs) error {
 	defer stop()
 	start := time.Now()
 	if a.progress {
-		go func() {
-			t := time.NewTicker(2 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					p := coord.Progress()
-					fp := sfi.ProgressFrom(coord.FleetSnapshot(), p.Total, 0, start)
-					fp.Convergence = coord.Convergence()
-					line := fmt.Sprintf("%s — shards %d/%d done, %d leased, %d requeued",
-						fp.Line(), p.Done, p.Shards, p.Leased, p.Requeues)
-					fmt.Fprintf(os.Stderr, "\r%-100s", line)
-				}
-			}
-		}()
+		go coord.ShowProgress(ctx, os.Stderr, 2*time.Second)
 	}
 
 	rep, err := coord.Wait(ctx)
@@ -233,7 +217,7 @@ func run(addr string, a coordArgs) error {
 	}
 	log.Info("campaign merged", "injections", rep.Total,
 		"elapsed", time.Since(start).Round(time.Millisecond).String(),
-		"shards", coord.Progress().Shards)
+		"shards", coord.Status().Shards)
 	if doc := coord.TraceDoc(); doc != nil && doc.Root != nil {
 		at := doc.Attribution
 		log.Info("latency attribution", "total_ms", int64(at.TotalMs),

@@ -408,26 +408,7 @@ func runDist(a campaignArgs) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) 
 	}
 	start := time.Now()
 	if a.progress {
-		go func() {
-			t := time.NewTicker(500 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					// The fleet snapshot covers completed shards exactly plus
-					// heartbeat-reported in-flight work, so the line moves
-					// between shard completions too.
-					p := coord.Progress()
-					fp := sfi.ProgressFrom(coord.FleetSnapshot(), p.Total, 0, start)
-					fp.Convergence = coord.Convergence()
-					line := fmt.Sprintf("%s — shards %d/%d done, %d leased",
-						fp.Line(), p.Done, p.Shards, p.Leased)
-					fmt.Fprintf(os.Stderr, "\r%-78s", line)
-				}
-			}
-		}()
+		go coord.ShowProgress(ctx, os.Stderr, 500*time.Millisecond)
 	}
 
 	rep, err := coord.Wait(ctx)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/obs"
+	"sfi/internal/stats"
 )
 
 // adaptiveSpec is testSpec with a loose stopping rule: convergence is
@@ -90,9 +92,9 @@ func TestAdaptiveLoopbackEarlyStop(t *testing.T) {
 	if decision.Total != int64(rep.Total) {
 		t.Errorf("decision over n=%d, merged report total %d", decision.Total, rep.Total)
 	}
-	if p := c.Progress(); !p.StoppedEarly || p.Done >= len(c.shards) {
-		t.Errorf("progress does not show an early stop: done %d/%d, stopped_early %v",
-			p.Done, p.Shards, p.StoppedEarly)
+	if st := c.Status(); !st.StoppedEarly || st.States["completed"] >= st.Shards || !reflect.DeepEqual(st.Convergence, decision) {
+		t.Errorf("status does not show the early stop: done %d/%d, stopped_early %v, convergence %+v",
+			st.States["completed"], st.Shards, st.StoppedEarly, st.Convergence)
 	}
 
 	// Restart over the journal: the recorded stop decision is honored
@@ -118,8 +120,8 @@ func TestAdaptiveLoopbackEarlyStop(t *testing.T) {
 	if d2 := c2.StopDecision(); !reflect.DeepEqual(d2, decision) {
 		t.Errorf("replayed stop decision differs:\nreplay:   %+v\noriginal: %+v", d2, decision)
 	}
-	if p := c2.Progress(); !p.StoppedEarly {
-		t.Error("replayed coordinator does not report the early stop")
+	if st := c2.Status(); !st.StoppedEarly || !reflect.DeepEqual(st.Convergence, decision) {
+		t.Errorf("replayed coordinator does not show the early stop: stopped_early %v, convergence %+v", st.StoppedEarly, st.Convergence)
 	}
 }
 
@@ -173,6 +175,156 @@ func TestConvergenceSealsLedger(t *testing.T) {
 	}
 }
 
+// TestStatusShowsTheDecision: the status, /metrics and the progress line
+// show the evaluation the stop rule decides on — the sealed counts, never a
+// heartbeat snapshot. Two leases beat 12 injections each, which a
+// heartbeat-fed view would call converged under a rule needing 20; the
+// status shows n=0 and not converged until completions seal them, then the
+// stop itself.
+func TestStatusShowsTheDecision(t *testing.T) {
+	spec := testSpec()
+	spec.Stop = core.StopConfig{TargetMargin: 0.999, MinPerClass: 20, StopOnConverge: true}
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12})
+
+	var a, b leaseResponse
+	for _, l := range []*leaseResponse{&a, &b} {
+		if code := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, l); code != http.StatusOK {
+			t.Fatalf("lease: status %d", code)
+		}
+		snap := obs.NewSnapshot()
+		snap.Injections, snap.Outcomes["vanished"], snap.Outcomes["corrected"] = 12, 11, 1
+		if code := rawPost(t, srv.URL+"/v1/heartbeat",
+			heartbeatRequest{Worker: "w", Shard: l.Shard.ID, Metrics: snap}, nil); code != http.StatusOK {
+			t.Fatalf("heartbeat: status %d", code)
+		}
+	}
+	rule := spec.Stop.Rule()
+	shows := func(label string, sealed int) *stats.Convergence {
+		t.Helper()
+		st := c.Status()
+		want := (&core.Report{Total: sealed, Counts: map[core.Outcome]int{
+			core.Vanished: sealed - sealed/12, core.Corrected: sealed / 12}}).PooledConvergence(rule)
+		if !reflect.DeepEqual(st.Convergence, want) {
+			t.Fatalf("%s: status shows %+v, want the sealed-counts evaluation %+v", label, st.Convergence, want)
+		}
+		if st.Injections != 24 {
+			t.Errorf("%s: status counts %d live injections, want the 24 the fleet ran", label, st.Injections)
+		}
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if gauge := fmt.Sprintf("sfi_converged %d\n", map[bool]int{false: 0, true: 1}[want.Converged]); !strings.Contains(string(body), gauge) {
+			t.Errorf("%s: /metrics has no %q", label, gauge)
+		}
+		if line := progressLine(st); strings.Contains(line, "ci ok") != want.Converged {
+			t.Errorf("%s: progress line %q, converged %v", label, line, want.Converged)
+		}
+		return st.Convergence
+	}
+	if shows("two heartbeats", 0).Converged {
+		t.Fatal("heartbeat snapshots converged the evaluation")
+	}
+	complete := func(l leaseResponse) {
+		t.Helper()
+		if code := rawPost(t, srv.URL+"/v1/complete",
+			completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)}, nil); code != http.StatusOK {
+			t.Fatalf("complete: status %d", code)
+		}
+	}
+	complete(a)
+	if shows("one shard sealed", 12).Converged || c.Status().StoppedEarly {
+		t.Fatal("12 sealed injections converged a rule needing 20")
+	}
+	complete(b)
+	eval := shows("two shards sealed", 24)
+	if st := c.Status(); !eval.Converged || !st.StoppedEarly || eval != c.StopDecision() {
+		t.Fatalf("status %+v stopped_early %v, want the stop decision %+v", eval, st.StoppedEarly, c.StopDecision())
+	}
+}
+
+// TestNeymanStatusShowsTheBarrier: a planned campaign decides at its epoch
+// barriers over the sealed counts and sampling strata, so its status carries
+// the per-stratum intervals, moves only when an epoch settles, and never
+// shows a converged rule the coordinator has not stopped on.
+func TestNeymanStatusShowsTheBarrier(t *testing.T) {
+	for _, minPerClass := range []int{1, 2, 3} {
+		t.Run(fmt.Sprint(minPerClass), func(t *testing.T) {
+			cfg := fuzzCoordConfig(true, uint8(minPerClass), "")
+			c, srv := startCoord(t, cfg)
+			prev := c.Status()
+			for {
+				var l leaseResponse
+				if code := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); code == http.StatusGone {
+					break
+				} else if code != http.StatusOK {
+					t.Fatalf("lease: status %d", code)
+				}
+				if code := rawPost(t, srv.URL+"/v1/complete",
+					completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)}, nil); code != http.StatusOK {
+					t.Fatalf("complete: status %d", code)
+				}
+				st := c.Status()
+				if len(st.Convergence.ByStratum) == 0 {
+					t.Fatalf("after shard %d: status evaluation has no sampling strata: %+v", l.Shard.ID, st.Convergence)
+				}
+				if st.Convergence.Converged != st.StoppedEarly {
+					t.Fatalf("after shard %d: status shows converged %v, stopped_early %v", l.Shard.ID, st.Convergence.Converged, st.StoppedEarly)
+				}
+				if st.StoppedEarly && st.Convergence != c.StopDecision() {
+					t.Fatalf("after shard %d: status shows %+v, the coordinator stopped on %+v", l.Shard.ID, st.Convergence, c.StopDecision())
+				}
+				barrier := st.Allocation.Epochs != prev.Allocation.Epochs || st.StoppedEarly
+				if !barrier && !reflect.DeepEqual(st.Convergence, prev.Convergence) {
+					t.Fatalf("after shard %d: the evaluation moved within epoch %d", l.Shard.ID, st.Allocation.Epochs)
+				}
+				prev = st
+			}
+			if !prev.StoppedEarly {
+				t.Errorf("min-per-class %d ran the whole budget: the rule never converged", minPerClass)
+			}
+		})
+	}
+}
+
+// TestFleetProgressLine: ShowProgress draws the local progress line from one
+// status read, with the shard ledger's counts after it — for a Neyman
+// campaign with the widest sampling stratum, as a local Neyman run shows it —
+// and returns once the campaign is over.
+func TestFleetProgressLine(t *testing.T) {
+	c, srv := startCoord(t, fuzzCoordConfig(true, 3, ""))
+	line := progressLine(c.Status())
+	for _, want := range []string{"0/24 (0.0%)", "  ci ", "  st ", " — shards 0/", " done, 0 leased, 0 requeued"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("progress line %q lacks %q", line, want)
+		}
+	}
+	var buf syncBuffer
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	c.ShowProgress(ctx, &buf, time.Millisecond)
+	if drawn := string(buf.bytes()); !strings.HasPrefix(drawn, fmt.Sprintf("\r%-100s", line)) {
+		t.Errorf("ShowProgress drew %q, want %q redrawn", drawn, line)
+	}
+
+	leaseAndComplete(t, srv.URL, -1)
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{})
+	go func() {
+		c.ShowProgress(context.Background(), io.Discard, time.Hour)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ShowProgress kept drawing a finished campaign")
+	}
+}
+
 // TestStatusConvergenceSchema locks the /v1/status convergence block's
 // JSON surface: dashboards key on these names, so the exact key sets are
 // part of the wire contract.
@@ -185,7 +337,7 @@ func TestStatusConvergenceSchema(t *testing.T) {
 	if code := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &lease); code != http.StatusOK {
 		t.Fatalf("lease: status %d", code)
 	}
-	// A heartbeat snapshot feeds the live fleet view the status block reads.
+	// A heartbeat snapshot feeds the live fleet view, not the evaluation.
 	snap := obs.NewSnapshot()
 	snap.Injections = 5
 	snap.Outcomes = map[string]uint64{"vanished": 4, "sdc": 1}
@@ -218,8 +370,8 @@ func TestStatusConvergenceSchema(t *testing.T) {
 		t.Errorf("convergence keys:\ngot  %v\nwant %v", got, wantTop)
 	}
 	var total int64
-	if err := json.Unmarshal(status.Convergence["total"], &total); err != nil || total != 5 {
-		t.Errorf("convergence total = %d (%v), want the heartbeat-reported 5", total, err)
+	if err := json.Unmarshal(status.Convergence["total"], &total); err != nil || total != 0 {
+		t.Errorf("convergence total = %d (%v), want the sealed 0, not the heartbeat-reported 5", total, err)
 	}
 	var classes []map[string]json.RawMessage
 	if err := json.Unmarshal(status.Convergence["classes"], &classes); err != nil {

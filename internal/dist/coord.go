@@ -87,15 +87,20 @@ type shard struct {
 	attempts int // lease grants so far
 	report   *core.Report
 
-	leasedAt time.Time // grant time of the current lease
-	lastBeat time.Time // last heartbeat of the current lease (zero until one arrives)
-	liveInj  uint64    // injections in the newest heartbeat snapshot of this lease
+	leasedAt time.Time     // grant time of the current lease
+	lastBeat time.Time     // last heartbeat of the current lease (zero until one arrives)
+	live     *obs.Snapshot // the current lease's newest heartbeat snapshot (nil before one, and unless leased)
 
 	span *obs.Span // the current lease's "shard" span (nil untraced)
 }
 
-// fleetKey names the shard's stream in the fleet aggregator.
-func (s *shard) fleetKey() string { return fmt.Sprintf("shard-%d", s.ID) }
+// liveInjections is the injection count of the current lease's snapshot.
+func (s *shard) liveInjections() uint64 {
+	if s.live == nil {
+		return 0
+	}
+	return s.live.Injections
+}
 
 // workerStats is the coordinator's per-worker ledger, fed by lease grants,
 // heartbeat snapshots and completions.
@@ -110,17 +115,10 @@ type workerStats struct {
 // Coordinator owns a campaign's shard ledger and answers the lease
 // protocol's calls, from its HTTP handlers or from a worker in the same
 // process (RunWorker). All state transitions happen under one mutex; the
-// calls, the lease reaper and Wait share it.
+// calls, the lease reaper, Wait and every view share it.
 type Coordinator struct {
 	cfg CoordConfig
 	log *slog.Logger
-
-	// fleet is the live fleet-wide metrics view: the newest heartbeat
-	// snapshot of each in-flight shard plus the exact final snapshots of
-	// completed ones.
-	// It has its own lock and is deliberately outside mu — /metrics
-	// scrapes never contend with the lease path.
-	fleet *obs.Fleet
 
 	// Coordinator-side latency histograms (lock-free).
 	completionMs obs.Hist // lease grant → completion, per completed shard
@@ -151,6 +149,14 @@ type Coordinator struct {
 	sealed       *core.Report
 	stoppedEarly bool
 	stopEval     *stats.Convergence // the decision stopped on (nil until then)
+
+	// eval is the stop rule's evaluation at the newest decision point (nil
+	// without a rule): what every view shows, so none runs ahead of the stop.
+	eval *stats.Convergence
+
+	// metrics is the completed shards' snapshots merged; with the leased
+	// shards' heartbeat snapshots it makes the fleet view (FleetSnapshot).
+	metrics *obs.Snapshot
 
 	// The campaign's epochs. Every campaign is a sequence of epochs over the
 	// one shard ledger, and whenever every shard planned so far has settled
@@ -199,13 +205,13 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:        cfg,
 		log:        cfg.Log.With("seed", cfg.Campaign.Seed, "flips", cfg.Campaign.Flips),
-		fleet:      obs.NewFleet(),
 		workers:    make(map[string]*workerStats),
 		started:    time.Now(),
 		finished:   make(chan struct{}),
 		stopReaper: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 		sealed:     &core.Report{},
+		metrics:    obs.NewSnapshot(),
 	}
 	if cfg.Tracer != nil {
 		c.spanParent = cfg.Parent
@@ -267,17 +273,19 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 // allocation extended the per-stratum sequences from the sealed counts
 // before it. Decisions are not re-derived here: a journaled allocation or
 // stop is applied verbatim, and whatever the journal leaves open is decided
-// once, after the replay.
+// once, after the replay. An allocation line restores the evaluation of the
+// barrier it was written at, over the reports journaled before it.
 func (c *Coordinator) replayLocked(entries []replayEntry) error {
 	recovered := 0
 	for _, e := range entries {
 		switch {
 		case e.stop != nil:
-			c.stoppedEarly, c.stopEval = true, e.stop
+			c.stoppedEarly, c.stopEval, c.eval = true, e.stop, e.stop
 		case e.alloc != nil:
 			if c.plan == nil {
 				return fmt.Errorf("dist: journal records an allocation epoch but the campaign is not stratified")
 			}
+			c.eval = c.evalLocked()
 			c.applyAllocLocked(*e.alloc)
 		case e.report != nil:
 			s := c.shardByID(e.shard)
@@ -403,12 +411,9 @@ func (c *Coordinator) requeueLocked(s *shard, why string) {
 	}
 	s.status = shardPending
 	s.owner = ""
+	s.live = nil // its injections will be redone, and counted, by the next lease
 	s.lastBeat = time.Time{}
-	s.liveInj = 0
 	c.requeues++
-	// The abandoned lease's partial metrics would double-count the
-	// injections its replacement will redo.
-	c.fleet.Discard(s.fleetKey())
 	if s.attempts >= c.cfg.MaxAttempts {
 		c.shardEvent(s, "exhausted", func(ev *obs.ShardEvent) { ev.Detail = why })
 		c.failLocked(fmt.Errorf("dist: shard %d [%d,%d) failed %d of %d attempts (last: %s)",
@@ -440,27 +445,44 @@ func (c *Coordinator) finishLocked() {
 
 // covers checks that a report is one of this shard: as many injections as
 // the lease, in its metrics too, attributed to the lease's stratum and to no
-// other. The per-stratum rows feed the allocator and the stratum intervals,
-// so a mis-attributed report would silently bias both.
+// other, and counted once in every outcome breakdown. Those rows feed the
+// allocator and every interval, so a report that miscounts would silently
+// bias both.
 func (s *shard) covers(rep *core.Report) error {
 	if rep.Total != s.Hi-s.Lo {
 		return fmt.Errorf("dist: shard %d report covers %d injections, want %d", s.ID, rep.Total, s.Hi-s.Lo)
 	}
-	rows, attributed := 0, rep.Total // a keyless shard: no row, nothing to attribute
+	type rows = map[string]map[core.Outcome]int
+	want, attributed := 0, rep.Total // a keyless shard: no row, nothing to attribute
 	if s.Stratum != "" {
-		rows, attributed = 1, 0
-		for _, n := range rep.ByStratum[s.Stratum] {
-			attributed += n
-		}
+		want, attributed = 1, tally(rows{s.Stratum: rep.ByStratum[s.Stratum]})
 	}
-	if len(rep.ByStratum) != rows || attributed != rep.Total {
+	if len(rep.ByStratum) != want || attributed != rep.Total {
 		return fmt.Errorf("dist: shard %d report must attribute its %d injections to stratum %q alone", s.ID, rep.Total, s.Stratum)
 	}
-	// Sealed into the fleet view as is, where the status and the rate read it.
+	if tally(rows{"": rep.Counts}) != rep.Total || tally(rep.ByUnit) != rep.Total || tally(rep.ByType) != rep.Total {
+		return fmt.Errorf("dist: shard %d report must count each of its %d injections once per outcome breakdown", s.ID, rep.Total)
+	}
+	// Merged into the fleet view as is, where the status and the rate read it.
 	if m := rep.Metrics; m != nil && m.Injections != uint64(rep.Total) {
 		return fmt.Errorf("dist: shard %d report's metrics count %d injections, the report %d", s.ID, m.Injections, rep.Total)
 	}
 	return nil
+}
+
+// tally sums the counts of an outcome breakdown, -1 if one is negative or
+// the sum overflows.
+func tally[K comparable](rows map[K]map[core.Outcome]int) int {
+	sum := 0
+	for _, row := range rows {
+		for _, n := range row {
+			if n < 0 || sum+n < 0 {
+				return -1
+			}
+			sum += n
+		}
+	}
+	return sum
 }
 
 // settleLocked marks a shard done with its report and seals the report's
@@ -480,7 +502,12 @@ func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 	// Replace the shard's live heartbeat snapshot with its exact final one:
 	// the fleet view now counts this shard's injections exactly once, and
 	// converges to the merged-report snapshot when the campaign completes.
-	c.fleet.Seal(s.fleetKey(), rep.Metrics)
+	// A report without metrics keeps what the heartbeats said.
+	if rep.Metrics != nil {
+		s.live = rep.Metrics
+	}
+	c.metrics.Merge(s.live)
+	s.live = nil
 	c.done++
 	counts := *rep
 	counts.Results, counts.Metrics = nil, nil
@@ -498,21 +525,18 @@ func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 //  2. It is never journaled (NewCoordinator plans it).
 //  3. When its last shard settles the campaign is complete, not stopped
 //     early, even if the rule holds at that instant: nothing was saved.
+//
+// Every decision point's evaluation is the one the views show.
 func (c *Coordinator) decideLocked() {
 	if c.overLocked() {
 		return
 	}
 	settled := c.done == len(c.shards)
-	if stop := c.cfg.Campaign.Stop; stop.StopOnConverge {
-		var eval *stats.Convergence
-		switch {
-		case c.plan == nil && !settled:
-			eval = c.sealed.PooledConvergence(stop.Rule())
-		case c.plan != nil && settled:
-			eval = c.sealed.ComputeConvergence(stop.Rule(), c.strataPops)
-		}
-		if eval != nil && eval.Converged {
-			c.convergeLocked(eval)
+	if c.plan == nil || settled {
+		c.eval = c.evalLocked()
+		mayStop := c.cfg.Campaign.Stop.StopOnConverge && (c.plan != nil || !settled)
+		if mayStop && c.eval.Converged {
+			c.convergeLocked(c.eval)
 			return
 		}
 	}
@@ -538,6 +562,17 @@ func (c *Coordinator) decideLocked() {
 		}
 	}
 	c.applyAllocLocked(*rec)
+}
+
+// evalLocked evaluates the stop rule over the sealed counts, as the
+// campaign's shape decides on them: the pooled classes alone for a keyless
+// campaign, with the sampling strata for a planned one. nil without a rule.
+func (c *Coordinator) evalLocked() *stats.Convergence {
+	rule := c.cfg.Campaign.Stop.Rule()
+	if c.plan == nil {
+		return c.sealed.PooledConvergence(rule)
+	}
+	return c.sealed.ComputeConvergence(rule, c.strataPops)
 }
 
 // nextEpochLocked plans the epoch after a settled ledger: the allocator's
@@ -621,15 +656,6 @@ func (c *Coordinator) overLocked() bool {
 	}
 }
 
-// outcomeClasses is the tracked outcome classes in reporting order.
-func outcomeClasses() []string {
-	names := make([]string, len(core.Outcomes))
-	for i, o := range core.Outcomes {
-		names[i] = o.String()
-	}
-	return names
-}
-
 // Wait blocks until every shard is complete (returning the merged
 // campaign Report, identical to a single-process run), the stopping rule
 // fires (returning the completed shards merged, with the convergence
@@ -660,77 +686,23 @@ func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
 	return rep, nil
 }
 
-// Progress is a point-in-time view of the distributed campaign.
-type Progress struct {
-	Shards     int    `json:"shards"`
-	Done       int    `json:"done"`
-	Leased     int    `json:"leased"`
-	Pending    int    `json:"pending"`
-	Grants     int    `json:"lease_grants"`
-	Requeues   int    `json:"requeues"`
-	Injections int    `json:"injections_done"`
-	Total      int    `json:"injections_total"`
-	Failed     bool   `json:"failed"`
-	Error      string `json:"error,omitempty"`
-	// StoppedEarly reports that the convergence stop rule sealed the
-	// campaign before every shard completed.
-	StoppedEarly bool `json:"stopped_early,omitempty"`
-	// Outcomes is the outcome mix over completed shards.
-	Outcomes map[string]int `json:"outcomes,omitempty"`
-}
-
-// Progress returns the campaign's current state.
-func (c *Coordinator) Progress() Progress {
+// FleetSnapshot returns the live fleet-wide metrics view: the newest
+// heartbeat snapshots of leased shards plus the exact final snapshots of
+// completed shards, merged into a copy. Once the campaign completes it
+// equals the merged Report's snapshot counter for counter.
+func (c *Coordinator) FleetSnapshot() *obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := Progress{
-		Shards:   len(c.shards),
-		Done:     c.done,
-		Grants:   c.grants,
-		Requeues: c.requeues,
-		Total:    c.cfg.Campaign.Flips,
-		Failed:   c.err != nil,
-		Outcomes: make(map[string]int, len(c.sealed.Counts)),
+	return c.fleetSnapshotLocked()
+}
 
-		Injections:   c.sealed.Total,
-		StoppedEarly: c.stoppedEarly,
-	}
-	if c.err != nil {
-		p.Error = c.err.Error()
-	}
-	for o, n := range c.sealed.Counts {
-		p.Outcomes[o.String()] = n
-	}
+func (c *Coordinator) fleetSnapshotLocked() *obs.Snapshot {
+	snap := obs.NewSnapshot()
+	snap.Merge(c.metrics)
 	for _, s := range c.shards {
-		switch s.status {
-		case shardLeased:
-			p.Leased++
-		case shardPending:
-			p.Pending++
-		}
+		snap.Merge(s.live)
 	}
-	return p
-}
-
-// FleetSnapshot returns the live fleet-wide metrics view: the newest
-// heartbeat snapshots of in-flight shards plus the exact final snapshots of
-// completed shards. Once the campaign completes it equals the merged
-// Report's snapshot counter for counter.
-func (c *Coordinator) FleetSnapshot() *obs.Snapshot {
-	return c.fleet.Snapshot()
-}
-
-// Convergence is the live fleet-wide confidence-interval evaluation over
-// the fleet metrics view (sealed completed-shard snapshots plus heartbeat
-// snapshots of in-flight shards). It feeds the progress line, /v1/status and
-// /metrics; the stop *decision* is made over sealed counts only. Nil
-// without a stop rule.
-func (c *Coordinator) Convergence() *stats.Convergence {
-	stop := c.cfg.Campaign.Stop
-	if !stop.Enabled() {
-		return nil
-	}
-	return c.fleet.Convergence(outcomeClasses(), stop.Rule(), false)
+	return snap
 }
 
 // StopDecision returns the sealed-counts convergence evaluation the
@@ -788,7 +760,6 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 	c.grants++
 	s.leasedAt = now
 	s.lastBeat = time.Time{}
-	s.liveInj = 0
 	s.deadline = now.Add(c.cfg.LeaseTTL)
 	s.span = c.cfg.Tracer.StartSpan("shard", "coord", c.spanParent).
 		AttrInt("shard", int64(s.ID)).
@@ -840,10 +811,9 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 	ws := c.touchWorkerLocked(req.Worker, now)
 	// The snapshot is cumulative and the newest one wins, so a heartbeat
 	// replayed, lost or overtaken by a later one miscounts nothing.
-	if m := req.Metrics; m != nil && m.Injections >= s.liveInj {
-		ws.injections += m.Injections - s.liveInj
-		s.liveInj = m.Injections
-		c.fleet.Observe(s.fleetKey(), m)
+	if m := req.Metrics; m != nil && m.Injections >= s.liveInjections() {
+		ws.injections += m.Injections - s.liveInjections()
+		s.live = m
 	}
 	return http.StatusOK, nil
 }
@@ -890,9 +860,9 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	ws.shardsDone++
 	// Credit the completing worker with what the lease's heartbeats hadn't
 	// already reported (the tail of the shard, or all of it when the shard
-	// outran its first heartbeat): covers and the heartbeat bound put
-	// liveInj within the lease.
-	ws.injections += uint64(rep.Total) - s.liveInj
+	// outran its first heartbeat): covers and the heartbeat bound put the
+	// live count within the lease.
+	ws.injections += uint64(rep.Total) - s.liveInjections()
 	var latency time.Duration
 	if s.status == shardLeased && s.owner == req.Worker && !s.leasedAt.IsZero() {
 		latency = now.Sub(s.leasedAt)

@@ -366,9 +366,8 @@ func TestCompleteIdempotent(t *testing.T) {
 					t.Fatalf("complete #%d: status %d", i+1, s)
 				}
 			}
-			p := c.Progress()
-			if p.Done != 1 || p.Injections != size {
-				t.Fatalf("after double complete: done %d, injections %d; want 1, %d", p.Done, p.Injections, size)
+			if l := ledgerOf(c); len(l.Done) != 1 || l.Sealed.Total != size {
+				t.Fatalf("after double complete: done %v, injections %d; want 1 shard, %d", l.Done, l.Sealed.Total, size)
 			}
 
 			// Finish the other shards and confirm the merge counted the first once
@@ -382,6 +381,42 @@ func TestCompleteIdempotent(t *testing.T) {
 				t.Fatalf("merged: total %d corrected %d; want 20, %d", rep.Total, rep.Counts[core.Corrected], 1+len(rest))
 			}
 		})
+	}
+}
+
+// TestCompleteRejectsMiscountedReport: every interval a view shows is
+// computed over a report's outcome breakdowns, so each must count the
+// report's injections once. A negative count, or pooled, per-unit or
+// per-type counts that do not sum to the total, is refused and seals
+// nothing.
+func TestCompleteRejectsMiscountedReport(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 10
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
+	var l leaseResponse
+	if s := rawPost(t, srv.URL+"/v1/lease", leaseRequest{Worker: "w"}, &l); s != http.StatusOK {
+		t.Fatalf("lease: status %d", s)
+	}
+	for name, spoil := range map[string]func(*WireReport){
+		"pooled counts over the total": func(w *WireReport) { w.Counts = map[string]int{"vanished": 100} },
+		"a negative pooled count":      func(w *WireReport) { w.Counts = map[string]int{"vanished": 11, "sdc": -1} },
+		"pooled counts that overflow to the total": func(w *WireReport) {
+			w.Counts = map[string]int{"vanished": 1 << 62, "corrected": 1 << 62, "hang": 1 << 62, "sdc": 1<<62 + 10}
+		},
+		"a short per-unit row":      func(w *WireReport) { w.ByUnit = map[string]map[string]int{"FXU": {"vanished": 9}} },
+		"a negative per-type count": func(w *WireReport) { w.ByType = map[string]map[string]int{"FUNC": {"vanished": 11, "corrected": -1}} },
+	} {
+		w := fakeWire(10)
+		spoil(w)
+		if s := rawPost(t, srv.URL+"/v1/complete", completeRequest{Worker: "w", Shard: l.Shard.ID, Report: w}, nil); s != http.StatusBadRequest {
+			t.Errorf("report with %s: status %d, want 400", name, s)
+		}
+	}
+	if got := ledgerOf(c); len(got.Done) != 0 || got.Sealed.Total != 0 {
+		t.Fatalf("refused reports sealed shards %v, %d injections", got.Done, got.Sealed.Total)
+	}
+	if s := rawPost(t, srv.URL+"/v1/complete", completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWire(10)}, nil); s != http.StatusOK {
+		t.Fatalf("well-counted report: status %d", s)
 	}
 }
 
@@ -410,9 +445,8 @@ func TestJournalRestart(t *testing.T) {
 			c1.Close() // the "kill": no graceful campaign finish
 
 			c2, srv2 := startCoord(t, cfg)
-			p := c2.Progress()
-			if p.Done != 2 || p.Injections != injections {
-				t.Fatalf("restarted coordinator: done %d injections %d; want 2, %d", p.Done, p.Injections, injections)
+			if l := ledgerOf(c2); len(l.Done) != 2 || l.Sealed.Total != injections {
+				t.Fatalf("restarted coordinator: done %v injections %d; want 2 shards, %d", l.Done, l.Sealed.Total, injections)
 			}
 			rest := leaseAndComplete(t, srv2.URL, -1)
 			if got, want := rest[0].ID, 2; got != want {
@@ -453,8 +487,8 @@ func TestJournalTornTailSurvivesRestarts(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := httptest.NewServer(c.Handler())
-		if p := c.Progress(); p.Done != wantDone {
-			t.Fatalf("coordinator over %s replayed %d shards, want %d", journal, p.Done, wantDone)
+		if done := c.Status().States["completed"]; done != wantDone {
+			t.Fatalf("coordinator over %s replayed %d shards, want %d", journal, done, wantDone)
 		}
 		for i := 0; i < n; i++ {
 			var l leaseResponse

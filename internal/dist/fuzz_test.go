@@ -11,6 +11,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/obs"
+	"sfi/internal/stats"
 )
 
 // fuzzPaths are the four POST handlers; a script line's first byte picks one.
@@ -88,18 +89,47 @@ func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
 	return bytes.Join(script, []byte("\n"))
 }
 
+// ledger is what a coordinator's shard ledger holds that outlives the
+// process: the shards planned and done, the sealed counts, the stop
+// decision, and the evaluation every view shows.
+type ledger struct {
+	Shards       int
+	Done         []int
+	Sealed       core.Report
+	StoppedEarly bool
+	Stop, Shown  *stats.Convergence
+}
+
+func ledgerOf(c *Coordinator) ledger {
+	shown := c.Status().Convergence
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l := ledger{Shards: len(c.shards), Sealed: *c.sealed, StoppedEarly: c.stoppedEarly, Stop: c.stopEval, Shown: shown}
+	for _, s := range c.shards {
+		if s.status == shardDone {
+			l.Done = append(l.Done, s.ID)
+		}
+	}
+	return l
+}
+
 // FuzzCoordinatorRequests drives arbitrary request bodies through the four
 // POST handlers of a journaling coordinator. Whatever arrives: no panic,
 // only the protocol's statuses, never more shards done than planned nor
 // more injections in the fleet view than the campaign has flips — and a
 // coordinator restarted over the journal this one wrote reaches the same
-// ledger, so nothing a request made the coordinator decide went unrecorded
-// and nothing it refused was written.
+// ledger and shows the same evaluation, so nothing a request made the
+// coordinator decide went unrecorded and nothing it refused was written.
 func FuzzCoordinatorRequests(f *testing.F) {
 	for _, neyman := range []bool{false, true} {
 		for _, minPerClass := range []uint8{0, 3, 8} {
 			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass))
 		}
+	}
+	// Before any request: a replay must restore the first epoch's
+	// evaluation from the allocation line alone.
+	for _, minPerClass := range []uint8{0, 3} {
+		f.Add(true, minPerClass, []byte{})
 	}
 	f.Fuzz(func(t *testing.T, neyman bool, minPerClass uint8, script []byte) {
 		cfg := fuzzCoordConfig(neyman, minPerClass, filepath.Join(t.TempDir(), "journal"))
@@ -118,23 +148,23 @@ func FuzzCoordinatorRequests(f *testing.F) {
 				t.Errorf("POST %s %q: status %d", path, line[1:], code)
 			}
 		}
-		live, fleet := c.Progress(), c.FleetSnapshot().Injections
+		live, fleet := ledgerOf(c), c.FleetSnapshot().Injections
 		c.Close()
-		if live.Done > live.Shards || live.Injections > cfg.Campaign.Flips || fleet > uint64(cfg.Campaign.Flips) {
+		if len(live.Done) > live.Shards || live.Sealed.Total > cfg.Campaign.Flips || fleet > uint64(cfg.Campaign.Flips) {
 			t.Fatalf("ledger overran its plan: %+v, %d injections in the fleet view", live, fleet)
 		}
+		if (live.Shown == nil) != (minPerClass == 0) {
+			t.Fatalf("a campaign with min-per-class %d shows evaluation %+v", minPerClass, live.Shown)
+		}
 
+		// Grants, requeues, leases and a failure (attempts exhausted) die
+		// with the process; the ledger does not.
 		c2, err := NewCoordinator(cfg)
 		if err != nil {
 			t.Fatalf("the journal this coordinator wrote does not replay: %v", err)
 		}
 		defer c2.Close()
-		replayed := c2.Progress()
-		// Grants, requeues and leases die with the process; a failed campaign
-		// (attempts exhausted) gets its attempts back.
-		live.Grants, live.Requeues, live.Failed, live.Error = 0, 0, false, ""
-		live.Pending, live.Leased = live.Pending+live.Leased, 0
-		if !reflect.DeepEqual(live, replayed) {
+		if replayed := ledgerOf(c2); !reflect.DeepEqual(live, replayed) {
 			t.Errorf("replayed ledger differs:\n  live %+v\nreplay %+v", live, replayed)
 		}
 	})

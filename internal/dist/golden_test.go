@@ -173,8 +173,8 @@ func TestGoldenUniformConvergedAtLastShard(t *testing.T) {
 	if d := c.StopDecision(); d != nil {
 		t.Errorf("complete campaign carries a stop decision: %+v", d)
 	}
-	if p := c.Progress(); p.StoppedEarly || p.Done != p.Shards {
-		t.Errorf("progress %+v, want every shard done and no early stop", p)
+	if st := c.Status(); st.StoppedEarly || st.States["completed"] != st.Shards {
+		t.Errorf("status stopped_early %v, states %v; want every shard done and no early stop", st.StoppedEarly, st.States)
 	}
 	if _, stops := journalLines(t, journal, `{"shard":-1,`); stops != 0 {
 		t.Errorf("complete campaign's journal holds %d stop lines", stops)

@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"sfi/internal/obs"
@@ -21,14 +22,14 @@ import (
 //	POST /v1/complete   deliver a shard report (idempotent)
 //	POST /v1/fail       give a shard back after a worker-side error
 //	GET  /v1/status     full fleet status, JSON (per-shard state machine,
-//	                    per-worker rates, live totals, rate/ETA)
+//	                    per-worker rates, live totals, rate/ETA, the stop
+//	                    rule's evaluation over sealed counts)
 //	GET  /v1/trace      the campaign's causal span tree with critical path
 //	                    and latency attribution, JSON (empty untraced)
-//	GET  /progress      campaign progress, JSON
 //	GET  /metrics       live fleet-wide metrics (in-flight and completed
 //	                    shard snapshots) plus coordinator shard
 //	                    latency histograms and — for adaptive campaigns —
-//	                    per-class confidence-interval gauges, Prometheus text
+//	                    that evaluation's gauges, Prometheus text
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -62,18 +63,12 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.Status())
 	})
-	mux.HandleFunc("GET /progress", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Progress())
-	})
 	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.TraceDoc())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		snap := c.FleetSnapshot()
-		snap.WritePrometheus(w, "sfi")
-		c.writeCoordMetrics(w)
-		obs.WriteConvergencePrometheus(w, "sfi", c.Convergence())
+		c.writeMetrics(w)
 		c.cfg.Tracer.WriteSpanHists(w, "sfi")
 	})
 	return mux
@@ -87,18 +82,30 @@ func (c *Coordinator) TraceDoc() *obs.TraceDoc {
 	return c.cfg.Tracer.Doc()
 }
 
-// writeCoordMetrics appends the coordinator's own shard-ledger metrics to
-// a Prometheus scrape, after the fleet snapshot.
-func (c *Coordinator) writeCoordMetrics(w http.ResponseWriter) {
-	p := c.Progress()
+// writeMetrics renders the ledger's part of a Prometheus scrape (fleet
+// snapshot, shard counts, latency histograms, evaluation) from one read.
+func (c *Coordinator) writeMetrics(w io.Writer) {
+	c.mu.Lock()
+	snap, eval, done, grants, requeues := c.fleetSnapshotLocked(), c.eval, c.done, c.grants, c.requeues
+	leased := 0
+	for _, s := range c.shards {
+		if s.status == shardLeased {
+			leased++
+		}
+	}
+	pending := len(c.shards) - done - leased
+	c.mu.Unlock()
+
+	snap.WritePrometheus(w, "sfi")
 	fmt.Fprintf(w, "# TYPE sfi_coord_shards gauge\n")
-	fmt.Fprintf(w, "sfi_coord_shards{state=\"done\"} %d\n", p.Done)
-	fmt.Fprintf(w, "sfi_coord_shards{state=\"leased\"} %d\n", p.Leased)
-	fmt.Fprintf(w, "sfi_coord_shards{state=\"pending\"} %d\n", p.Pending)
-	fmt.Fprintf(w, "# TYPE sfi_coord_lease_grants_total counter\nsfi_coord_lease_grants_total %d\n", p.Grants)
-	fmt.Fprintf(w, "# TYPE sfi_coord_requeues_total counter\nsfi_coord_requeues_total %d\n", p.Requeues)
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"done\"} %d\n", done)
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"leased\"} %d\n", leased)
+	fmt.Fprintf(w, "sfi_coord_shards{state=\"pending\"} %d\n", pending)
+	fmt.Fprintf(w, "# TYPE sfi_coord_lease_grants_total counter\nsfi_coord_lease_grants_total %d\n", grants)
+	fmt.Fprintf(w, "# TYPE sfi_coord_requeues_total counter\nsfi_coord_requeues_total %d\n", requeues)
 	obs.WriteHistPrometheus(w, "sfi", "coord_shard_completion_ms", c.completionMs.Snapshot())
 	obs.WriteHistPrometheus(w, "sfi", "coord_heartbeat_gap_ms", c.beatGapMs.Snapshot())
+	obs.WriteConvergencePrometheus(w, "sfi", eval)
 }
 
 // decodeRequest reads one request document, answering 400 itself when the

@@ -409,6 +409,139 @@ func TestHeartbeatLastValue(t *testing.T) {
 	}
 }
 
+// snapshotOf is a heartbeat snapshot of n injections, sdc of them SDCs.
+func snapshotOf(n, sdc uint64) *obs.Snapshot {
+	s := obs.NewSnapshot()
+	s.Injections, s.Restores = n, n
+	s.Outcomes["vanished"], s.Outcomes["sdc"] = n-sdc, sdc
+	return s
+}
+
+// merged is the snapshots merged, as the fleet view merges them.
+func merged(snaps ...*obs.Snapshot) *obs.Snapshot {
+	s := obs.NewSnapshot()
+	for _, o := range snaps {
+		s.Merge(o)
+	}
+	return s
+}
+
+// ledgerClient plays workers by hand against a coordinator's HTTP API.
+type ledgerClient struct {
+	t   *testing.T
+	url string
+}
+
+func (lc ledgerClient) lease(worker string) ShardLease {
+	lc.t.Helper()
+	var l leaseResponse
+	if s := rawPost(lc.t, lc.url+"/v1/lease", leaseRequest{Worker: worker}, &l); s != http.StatusOK {
+		lc.t.Fatalf("lease for %s: status %d", worker, s)
+	}
+	return l.Shard
+}
+
+func (lc ledgerClient) post(path string, req any) {
+	lc.t.Helper()
+	if s := rawPost(lc.t, lc.url+path, req, nil); s != http.StatusOK {
+		lc.t.Fatalf("%s %+v: status %d", path, req, s)
+	}
+}
+
+// TestCompletionWithoutMetricsKeepsHeartbeat: a shard report is the
+// exact final word on its shard's metrics and replaces whatever the
+// heartbeats said, but a report carrying no metrics keeps the newest
+// heartbeat snapshot — the best count the ledger has of work that ran.
+func TestCompletionWithoutMetricsKeepsHeartbeat(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 20
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
+	lc := ledgerClient{t, srv.URL}
+
+	a := lc.lease("w")
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "w", Shard: a.ID, Metrics: snapshotOf(3, 0)})
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "w", Shard: a.ID, Metrics: snapshotOf(7, 1)})
+	lc.post("/v1/complete", completeRequest{Worker: "w", Shard: a.ID, Report: fakeWire(10)})
+	if got := c.FleetSnapshot(); !reflect.DeepEqual(got, snapshotOf(7, 1)) {
+		t.Fatalf("after a completion without metrics the fleet view is %+v, want the newest heartbeat's", got)
+	}
+	st := c.Status()
+	if sv := st.ShardsV[a.ID]; sv.State != "completed" || sv.LiveInjections != 0 || st.Injections != 7 {
+		t.Fatalf("shard view %+v, %d fleet injections; want completed, nothing live, 7", sv, st.Injections)
+	}
+
+	// A report with metrics replaces its lease's heartbeats exactly.
+	b := lc.lease("w")
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "w", Shard: b.ID, Metrics: snapshotOf(4, 0)})
+	final := fakeWire(10)
+	final.Metrics = snapshotOf(10, 2)
+	lc.post("/v1/complete", completeRequest{Worker: "w", Shard: b.ID, Report: final})
+	if got, want := c.FleetSnapshot(), merged(snapshotOf(7, 1), snapshotOf(10, 2)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sealed fleet view %+v, want the kept heartbeat plus the final %+v", got, want)
+	}
+}
+
+// TestRequeueDropsLeaseSnapshot: the injections of a lost lease will be
+// redone, and counted, by the next one, so its heartbeat snapshot leaves
+// the fleet view when the shard is requeued.
+func TestRequeueDropsLeaseSnapshot(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 20
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
+	lc := ledgerClient{t, srv.URL}
+
+	a, b := lc.lease("lost"), lc.lease("kept")
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "lost", Shard: a.ID, Metrics: snapshotOf(4, 1)})
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "kept", Shard: b.ID, Metrics: snapshotOf(6, 1)})
+	lc.post("/v1/fail", failRequest{Worker: "lost", Shard: a.ID, Error: "boom"})
+	if got := c.FleetSnapshot(); !reflect.DeepEqual(got, snapshotOf(6, 1)) {
+		t.Fatalf("after the requeue the fleet view is %+v, want the kept lease's snapshot alone", got)
+	}
+	if sv := c.Status().ShardsV[a.ID]; sv.State != "requeued" || sv.LiveInjections != 0 {
+		t.Fatalf("requeued shard view %+v, want requeued with nothing live", sv)
+	}
+
+	// The shard's next lease starts from nothing.
+	if again := lc.lease("next"); again.ID != a.ID {
+		t.Fatalf("re-lease handed shard %d, want the requeued %d", again.ID, a.ID)
+	}
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "next", Shard: a.ID, Metrics: snapshotOf(2, 0)})
+	if got, want := c.FleetSnapshot(), merged(snapshotOf(6, 1), snapshotOf(2, 0)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet view %+v, want %+v", got, want)
+	}
+}
+
+// TestHeartbeatMovesOnlyItsShard: a heartbeat replaces its own lease's
+// snapshot and no other — every shard's live count is its own newest
+// snapshot — and a fleet view handed out is the caller's to change.
+func TestHeartbeatMovesOnlyItsShard(t *testing.T) {
+	spec := testSpec()
+	spec.Flips = 20
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
+	lc := ledgerClient{t, srv.URL}
+
+	a, b := lc.lease("wa"), lc.lease("wb")
+	live := func(label string, wantA, wantB uint64) {
+		t.Helper()
+		st := c.Status()
+		if gotA, gotB := st.ShardsV[a.ID].LiveInjections, st.ShardsV[b.ID].LiveInjections; gotA != wantA || gotB != wantB {
+			t.Fatalf("%s: live injections %d and %d, want %d and %d", label, gotA, gotB, wantA, wantB)
+		}
+	}
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "wa", Shard: a.ID, Metrics: snapshotOf(5, 0)})
+	live("a beat", 5, 0)
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "wb", Shard: b.ID, Metrics: snapshotOf(3, 1)})
+	live("b beat", 5, 3)
+	lc.post("/v1/heartbeat", heartbeatRequest{Worker: "wa", Shard: a.ID, Metrics: snapshotOf(8, 2)})
+	live("a beat again", 8, 3)
+
+	view := c.FleetSnapshot()
+	view.Injections, view.Outcomes["vanished"] = 999, 999
+	if got, want := c.FleetSnapshot(), merged(snapshotOf(8, 2), snapshotOf(3, 1)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet view %+v after a caller changed its copy, want %+v", got, want)
+	}
+}
+
 // TestShardCostIndependentOfSize pins what fleet observability costs the
 // control plane, by count: a shard is one lease, one completion, a
 // heartbeat per TTL/3 it runs for (none here: the TTL outlasts the run) and

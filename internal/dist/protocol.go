@@ -220,12 +220,9 @@ type (
 		// the worker's spans.
 		Traceparent string `json:"traceparent,omitempty"`
 		// Metrics is the shard's cumulative metrics snapshot so far (nil
-		// until the shard's first progress tick). It replaces the shard's
-		// entry in the coordinator's live fleet view, as the completion
-		// report's exact final snapshot will in turn, so heartbeats are
-		// idempotent and a lost one needs no recovery. (Workers before PR 21
-		// sent increments under "delta"; neither side reads the other's
-		// field, which costs that shard's in-flight tier of the live view.)
+		// until the shard's first progress tick). It replaces the lease's
+		// snapshot in the shard ledger, as the report's exact final one will
+		// in turn: heartbeats are idempotent and a lost one needs no recovery.
 		Metrics *obs.Snapshot `json:"metrics,omitempty"`
 	}
 	heartbeatResponse struct {

@@ -1,8 +1,12 @@
 package dist
 
 import (
+	"context"
+	"fmt"
+	"io"
 	"time"
 
+	"sfi/internal/core"
 	"sfi/internal/obs"
 	"sfi/internal/stats"
 )
@@ -53,10 +57,11 @@ type Status struct {
 	Workers map[string]WorkerView `json:"workers,omitempty"`
 	ShardsV []ShardView           `json:"shard_states,omitempty"`
 
-	// Convergence is the live fleet-wide confidence-interval evaluation
-	// (same basis as Injections), present when the campaign runs with a
-	// stopping rule. The stop decision itself is made over sealed
-	// completed-shard counts only; StoppedEarly reports that it fired.
+	// Convergence is the stopping rule's evaluation the coordinator last
+	// decided on (over sealed completed-shard counts; for a planned
+	// campaign at its last epoch barrier, with the sampling strata),
+	// present when the campaign runs with a rule. StoppedEarly reports
+	// that the rule stopped the campaign.
 	Convergence  *stats.Convergence `json:"convergence,omitempty"`
 	StoppedEarly bool               `json:"stopped_early,omitempty"`
 
@@ -122,35 +127,72 @@ type WorkerView struct {
 	LastSeenMs int64   `json:"last_seen_ms"` // milliseconds since last contact
 }
 
-// Status assembles the fleet status.
+// ShowProgress redraws the fleet progress line on w in place every period,
+// until ctx ends or the campaign is over.
+func (c *Coordinator) ShowProgress(ctx context.Context, w io.Writer, every time.Duration) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-c.finished:
+			return
+		case <-t.C:
+			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))
+		}
+	}
+}
+
+// progressLine renders a status as the local progress line followed by the
+// shard ledger's counts.
+func progressLine(st Status) string {
+	p := core.Progress{Done: int(st.Injections), Total: st.Total, Rate: st.Rate,
+		ETA: time.Duration(st.EtaMs) * time.Millisecond, Utilization: st.Utilization,
+		Outcomes: make(map[core.Outcome]uint64), Convergence: st.Convergence}
+	for _, o := range core.Outcomes {
+		p.Outcomes[o] = st.Outcomes[o.String()]
+	}
+	return fmt.Sprintf("%s — shards %d/%d done, %d leased, %d requeued", p.Line(),
+		st.States["completed"], st.Shards, st.States["leased"]+st.States["heartbeating"], st.Requeues)
+}
+
+// Status assembles the fleet status from one read of the shard ledger.
 func (c *Coordinator) Status() Status {
-	now := time.Now()
-	snap := c.fleet.Snapshot()
+	// The span tree has its own lock and is read before the ledger's.
+	var latency *obs.Attribution
+	if t := c.cfg.Tracer; t != nil && t.Total() > 0 {
+		latency = &t.Doc().Attribution
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	elapsed := now.Sub(c.started)
+	snap := c.fleetSnapshotLocked()
+	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, len(c.workers), c.started)
 	st := Status{
-		Shards:    len(c.shards),
-		ShardSize: c.cfg.ShardSize,
-		States:    make(map[string]int),
-		Grants:    c.grants,
-		Requeues:  c.requeues,
-		Total:     c.cfg.Campaign.Flips,
-		ElapsedMs: elapsed.Milliseconds(),
-		Failed:    c.err != nil,
+		Shards:       len(c.shards),
+		ShardSize:    c.cfg.ShardSize,
+		States:       make(map[string]int),
+		Grants:       c.grants,
+		Requeues:     c.requeues,
+		Injections:   snap.Injections,
+		Outcomes:     snap.Outcomes,
+		Total:        p.Total,
+		Rate:         p.Rate,
+		EtaMs:        p.ETA.Milliseconds(),
+		Utilization:  p.Utilization,
+		Convergence:  c.eval,
+		StoppedEarly: c.stoppedEarly,
+		Latency:      latency,
+		ElapsedMs:    p.Elapsed.Milliseconds(),
+		Failed:       c.err != nil,
 	}
 	if c.err != nil {
 		st.Error = c.err.Error()
 	}
-	st.Injections = snap.Injections
-	if len(snap.Outcomes) > 0 {
-		st.Outcomes = snap.Outcomes
+	if sec := p.Elapsed.Seconds(); sec > 0 && snap.Batches > 0 {
+		st.BatchesPerSec = float64(snap.Batches) / sec
 	}
-	if stop := c.cfg.Campaign.Stop; stop.Enabled() {
-		st.Convergence = snap.Convergence(outcomeClasses(), stop.Rule(), false)
-	}
-	st.StoppedEarly = c.stoppedEarly
 	if c.plan != nil {
 		av := &AllocationView{
 			Mode:       c.cfg.Campaign.Alloc.Mode,
@@ -170,22 +212,6 @@ func (c *Coordinator) Status() Status {
 		}
 		st.Allocation = av
 	}
-	if sec := elapsed.Seconds(); sec > 0 {
-		st.Rate = float64(snap.Injections) / sec
-		if snap.Batches > 0 {
-			st.BatchesPerSec = float64(snap.Batches) / sec
-		}
-		if st.Rate > 0 {
-			remaining := float64(st.Total) - float64(snap.Injections)
-			if remaining > 0 {
-				st.EtaMs = int64(remaining / st.Rate * 1000)
-			}
-		}
-	}
-	if t := c.cfg.Tracer; t != nil && t.Total() > 0 {
-		doc := t.Doc()
-		st.Latency = &doc.Attribution
-	}
 
 	st.ShardsV = make([]ShardView, 0, len(c.shards))
 	for _, s := range c.shards {
@@ -195,7 +221,7 @@ func (c *Coordinator) Status() Status {
 			v.State = "completed"
 		case shardLeased:
 			v.Worker = s.owner
-			v.LiveInjections = s.liveInj
+			v.LiveInjections = s.liveInjections()
 			if s.lastBeat.IsZero() {
 				v.State = "leased"
 			} else {
@@ -213,6 +239,7 @@ func (c *Coordinator) Status() Status {
 	}
 
 	if len(c.workers) > 0 {
+		now := time.Now()
 		st.Workers = make(map[string]WorkerView, len(c.workers))
 		for id, ws := range c.workers {
 			v := WorkerView{
@@ -225,9 +252,6 @@ func (c *Coordinator) Status() Status {
 				v.Rate = float64(ws.injections) / sec
 			}
 			st.Workers[id] = v
-		}
-		if denom := float64(len(c.workers)) * float64(elapsed.Nanoseconds()); denom > 0 {
-			st.Utilization = float64(snap.BusyNs) / denom
 		}
 	}
 	return st

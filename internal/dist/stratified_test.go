@@ -247,8 +247,8 @@ func TestStratifiedJournalReplay(t *testing.T) {
 	if d2 := c2.StopDecision(); !reflect.DeepEqual(d2, decision) {
 		t.Errorf("replayed stop decision differs:\nreplay:   %+v\noriginal: %+v", d2, decision)
 	}
-	if p := c2.Progress(); !p.StoppedEarly {
-		t.Error("replayed coordinator does not report the early stop")
+	if st := c2.Status(); !st.StoppedEarly || !reflect.DeepEqual(st.Convergence, decision) {
+		t.Errorf("replayed coordinator does not show the early stop: stopped_early %v, convergence %+v", st.StoppedEarly, st.Convergence)
 	}
 }
 
@@ -315,8 +315,8 @@ func TestCompleteRejectsMisattributedReport(t *testing.T) {
 					t.Errorf("report with %s: status %d, want 400", name, s)
 				}
 			}
-			if p := c.Progress(); p.Done != 0 {
-				t.Fatalf("%d shards done after only refused reports", p.Done)
+			if done := c.Status().States["completed"]; done != 0 {
+				t.Fatalf("%d shards done after only refused reports", done)
 			}
 			if s := rawPost(t, srv.URL+"/v1/complete",
 				completeRequest{Worker: "w", Shard: l.Shard.ID, Report: good}, nil); s != http.StatusOK {

@@ -8,61 +8,9 @@ import (
 	"sfi/internal/stats"
 )
 
-// Statistical-convergence views: any metrics snapshot (one worker, a merged
-// campaign, or the fleet aggregator) already carries the per-class outcome
-// counts a stats.StopRule needs, so the CI derivation is a pure function of
-// the snapshot — the same code serves the live progress line, /metrics
-// gauges, the distributed /v1/status convergence block, and JSONL trace
-// events.
-
-// Convergence evaluates rule over the snapshot's outcome counters. classes
-// lists the tracked outcome classes in reporting order (empty names are
-// code-index padding and skipped); the population size is the snapshot's
-// injection count. strata adds per-unit and per-type breakdowns, each
-// stratum evaluated as its own population. Nil-safe (returns nil).
-func (s *Snapshot) Convergence(classes []string, rule stats.StopRule, strata bool) *stats.Convergence {
-	if s == nil || !rule.Enabled() {
-		return nil
-	}
-	c := rule.Eval(classes, toInt64Counts(s.Outcomes), int64(s.Injections))
-	if strata {
-		c.AddStrata(rule, classes, toStrata(s.ByUnit), toStrata(s.ByType))
-	}
-	return c
-}
-
-// Convergence evaluates rule over the fleet's current aggregate view —
-// sealed (exact) completed-shard snapshots plus the newest heartbeat
-// snapshots of in-flight shards. Nil-safe (returns nil).
-func (f *Fleet) Convergence(classes []string, rule stats.StopRule, strata bool) *stats.Convergence {
-	if f == nil {
-		return nil
-	}
-	return f.Snapshot().Convergence(classes, rule, strata)
-}
-
-func toInt64Counts(m map[string]uint64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = int64(v)
-	}
-	return out
-}
-
-func toStrata(m map[string]map[string]uint64) map[string]stats.StratumCounts {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]stats.StratumCounts, len(m))
-	for name, row := range m {
-		s := stats.StratumCounts{Counts: toInt64Counts(row)}
-		for _, v := range row {
-			s.Total += int64(v)
-		}
-		out[name] = s
-	}
-	return out
-}
+// Statistical-convergence surfaces. Evaluations are made over a report's
+// settled counts (core.Report.ComputeConvergence); obs only renders them —
+// as /metrics gauges and as JSONL trace events.
 
 // WriteConvergencePrometheus renders a convergence evaluation as Prometheus
 // gauges under prefix: per-class interval bounds and widths

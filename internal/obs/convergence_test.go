@@ -7,63 +7,13 @@ import (
 	"sfi/internal/stats"
 )
 
-func TestSnapshotConvergence(t *testing.T) {
-	rule := stats.StopRule{TargetMargin: 0.5, Confidence: 0.95, MinPerClass: 10}
-	classes := []string{"", "vanished", "sdc"}
-
-	var nilSnap *Snapshot
-	if nilSnap.Convergence(classes, rule, true) != nil {
-		t.Error("nil snapshot must yield nil convergence")
-	}
-	s := &Snapshot{Injections: 100, Outcomes: map[string]uint64{"vanished": 95, "sdc": 5}}
-	if s.Convergence(classes, stats.StopRule{}, false) != nil {
-		t.Error("disabled rule must yield nil convergence")
-	}
-
-	c := s.Convergence(classes, rule, false)
-	if c == nil || c.Total != 100 || len(c.Classes) != 2 {
-		t.Fatalf("convergence = %+v", c)
-	}
-	if c.Classes[0].K != 95 || c.Classes[1].K != 5 {
-		t.Errorf("counts not carried over: %+v", c.Classes)
-	}
-
-	// Strata: each unit is its own population with its own total.
-	s.ByUnit = map[string]map[string]uint64{
-		"LSU": {"vanished": 60},
-		"FXU": {"vanished": 35, "sdc": 5},
-	}
-	c = s.Convergence(classes, rule, true)
-	if len(c.ByUnit) != 2 {
-		t.Fatalf("ByUnit = %+v", c.ByUnit)
-	}
-	if n := c.ByUnit["FXU"][0].N; n != 40 {
-		t.Errorf("FXU stratum total = %d, want 40", n)
-	}
-}
-
-func TestFleetConvergence(t *testing.T) {
-	rule := stats.StopRule{TargetMargin: 0.6, Confidence: 0.95, MinPerClass: 10}
-	f := NewFleet()
-	f.Seal("shard-0", &Snapshot{Injections: 50, Outcomes: map[string]uint64{"vanished": 50}})
-	f.Observe("shard-1", &Snapshot{Injections: 25, Outcomes: map[string]uint64{"vanished": 20, "sdc": 5}})
-	c := f.Convergence([]string{"", "vanished", "sdc"}, rule, false)
-	if c == nil || c.Total != 75 {
-		t.Fatalf("fleet convergence = %+v", c)
-	}
-	if c.Classes[0].K != 70 || c.Classes[1].K != 5 {
-		t.Errorf("fleet counts: %+v", c.Classes)
-	}
-}
-
 func TestWriteConvergencePrometheus(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteConvergencePrometheus(&sb, "sfi", nil); err != nil || sb.Len() != 0 {
 		t.Fatalf("nil convergence wrote %q err %v", sb.String(), err)
 	}
 	rule := stats.StopRule{TargetMargin: 0.5, Confidence: 0.95, MinPerClass: 10}
-	s := &Snapshot{Injections: 1000, Outcomes: map[string]uint64{"vanished": 990, "sdc": 10}}
-	c := s.Convergence([]string{"", "vanished", "sdc"}, rule, false)
+	c := rule.Eval([]string{"", "vanished", "sdc"}, map[string]int64{"vanished": 990, "sdc": 10}, 1000)
 	if err := WriteConvergencePrometheus(&sb, "sfi", c); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -289,103 +288,6 @@ func TestSnapshotMergeEmpty(t *testing.T) {
 	s.Merge(m.Snapshot())
 	if s.Outcomes["vanished"] != 1 {
 		t.Error("merge into empty snapshot lost counts")
-	}
-}
-
-// fillSnapshot builds a snapshot with n injections' worth of every
-// counter family, offset by base so successive calls differ.
-func fillSnapshot(n int, base uint64) *Snapshot {
-	m := New([]string{"vanished", "corrected", "hang", "checkstop", "sdc"})
-	for i := 0; i < n; i++ {
-		in := Injection{WallNs: base + uint64(i), RestoreNs: base + uint64(i)/2,
-			Cycles: 100 + base + uint64(i), Stepped: 40 + base + uint64(i), Unit: "FXU", LatchType: "FUNC"}
-		if i%2 == 0 {
-			in.Outcome, in.Unit, in.LatchType = 4, "LSU", "REGFILE"
-			in.Detected, in.DetectLat = true, 7+base
-		}
-		m.Fold(in)
-	}
-	return m.Snapshot()
-}
-
-// TestFleetSealExactness is the no-double-count property the live fleet
-// view depends on: a source's every snapshot replaces the one before, and
-// sealing it with the exact final snapshot replaces the last — the fleet
-// total must equal the finals alone.
-func TestFleetSealExactness(t *testing.T) {
-	f := NewFleet()
-
-	// Source A: two snapshots, the second one twice, then a final that (as
-	// in real shards) covers more than the last one reported.
-	f.Observe("a", fillSnapshot(2, 5))
-	for i := 0; i < 2; i++ {
-		f.Observe("a", fillSnapshot(5, 5))
-		if got := f.Snapshot(); !reflect.DeepEqual(got, fillSnapshot(5, 5)) {
-			t.Fatalf("live fleet view %+v, want source a's newest snapshot", got)
-		}
-	}
-	finalA := fillSnapshot(7, 5)
-	f.Seal("a", finalA)
-
-	// Source B: sealed with no deltas ever observed (shard completed
-	// between heartbeats).
-	finalB := fillSnapshot(4, 100)
-	f.Seal("b", finalB)
-
-	want := fillSnapshot(7, 5)
-	want.Merge(finalB)
-	if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sealed fleet view differs from merged finals:\n%+v\n%+v", got, want)
-	}
-
-	// Seal with nil final keeps the live snapshot (a source whose exact
-	// total never arrives still counts what it reported).
-	f.Observe("c", fillSnapshot(2, 40))
-	f.Seal("c", nil)
-	want.Merge(fillSnapshot(2, 40))
-	if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("nil-final seal dropped the live snapshot:\n%+v\n%+v", got, want)
-	}
-}
-
-func TestFleetDiscard(t *testing.T) {
-	f := NewFleet()
-	f.Observe("a", fillSnapshot(3, 5))
-	f.Observe("b", fillSnapshot(2, 9))
-	f.Discard("a")
-	if got, want := f.Snapshot().Injections, uint64(2); got != want {
-		t.Fatalf("after discard: %d injections, want %d", got, want)
-	}
-	// Discarding an unknown source is a no-op, as is everything on a nil
-	// fleet.
-	f.Discard("ghost")
-	var nilFleet *Fleet
-	nilFleet.Observe("x", fillSnapshot(1, 1))
-	nilFleet.Seal("x", nil)
-	nilFleet.Discard("x")
-	if s := nilFleet.Snapshot(); !reflect.DeepEqual(s, NewSnapshot()) {
-		t.Fatalf("nil fleet snapshot = %+v, want empty", s)
-	}
-}
-
-// TestFleetSourceIsolation: the fleet shares no storage with its sources or
-// its readers. A snapshot mutated after it was observed, and a view mutated
-// after it was handed out, leave the fleet's count alone, and discarding one
-// source leaves another's contribution in place.
-func TestFleetSourceIsolation(t *testing.T) {
-	f := NewFleet()
-	delta := fillSnapshot(3, 5)
-	f.Observe("a", delta)
-	f.Observe("b", fillSnapshot(2, 5))
-	delta.Injections = 999
-	view := f.Snapshot()
-	if view.Injections != 5 {
-		t.Fatalf("fleet corrupted through an observed delta: %d injections", view.Injections)
-	}
-	view.Injections = 999
-	f.Discard("b")
-	if got := f.Snapshot().Injections; got != 3 {
-		t.Fatalf("after discarding b: %d injections, want a's 3", got)
 	}
 }
 
