@@ -64,7 +64,12 @@ race:
 # runs arbitrary scripts of latch flips, array strikes, held faults, steps and
 # checkpoint restores on a warmed p6lite core, and holds the scan view it
 # caches between scan-generation moves to the view the latches' contents
-# give, after every step, and every array it calls clean to a clean decode.
+# give, after every step, and every array it calls clean to a clean decode;
+# FuzzWireReport decodes arbitrary bytes as a shard's wire report (a
+# completion body, a journal line, a stored report document), seeded with
+# the shard lines of internal/dist/testdata's parent journals, and requires
+# every report it decodes to re-encode to an equal one and every report a
+# lease would seal to have marginals that count each injection once.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
@@ -73,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorRequests -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCompiledNetlist -fuzztime $(FUZZTIME) ./internal/awan
 	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
+	$(GO) test -run '^$$' -fuzz FuzzWireReport -fuzztime $(FUZZTIME) ./internal/dist
 
 # bench runs every go benchmark once as a smoke, then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in
@@ -121,9 +127,12 @@ lines:
 # it repeats whatever order the shards complete in. A uniform `-dist` stop
 # is not: the coordinator decides it after every completion, so it falls at
 # the first converged set of completed shards, and the order shards
-# complete in is not a function of the seed. The fixed-window shape costs
-# ~20 ms an injection and awan's default design has 1,600 bits, so each
-# shape sets its own -flips.
+# complete in is not a function of the seed. `-type REGFILE` is the one
+# shape whose report holds a single latch type, so its by_type export is a
+# one-row marginal of the cross; awan under `-allocate neyman` is the one
+# shape that folds awan's keyed (per-stratum) draws. The fixed-window shape
+# costs ~20 ms an injection and awan's default design has 1,600 bits, so
+# each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
 CMP_SHAPES = \
@@ -142,8 +151,10 @@ CMP_SHAPES = \
 	-flips 3000 -margin 5 -stop-on-converge| \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 600 -dist 4 -margin 5 -stop-on-converge -allocate neyman| \
+	-flips 600 -type REGFILE| \
 	-flips 400 -backend awan| \
-	-flips 400 -backend awan -lanes 1
+	-flips 400 -backend awan -lanes 1| \
+	-flips 400 -backend awan -allocate neyman
 BEAM_SHAPES = \
 	-strikes 600| \
 	-strikes 400 -nest| \

@@ -315,9 +315,10 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		}
 	}
 
+	byUnit, byType := rep.Marginals()
 	if a.units {
 		fmt.Println("\nper unit:")
-		for _, u := range reportUnits(rep) {
+		for _, u := range reportUnits(byUnit) {
 			fmt.Printf("  %-5s", u)
 			for _, o := range sfi.Outcomes {
 				fmt.Printf(" %s %6.2f%%", o, 100*rep.UnitFraction(u, o))
@@ -326,8 +327,13 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		}
 	}
 	if a.types {
+		// Only the types the report saw: a type the filter left out would
+		// read as a measured 0.00%.
 		fmt.Println("\nper latch type:")
 		for _, t := range sfi.LatchTypes {
+			if _, ok := byType[t]; !ok {
+				continue
+			}
 			fmt.Printf("  %-8v", t)
 			for _, o := range sfi.Outcomes {
 				fmt.Printf(" %s %6.2f%%", o, 100*rep.TypeFraction(t, o))
@@ -345,17 +351,17 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 // reportUnits lists the units to render in the -units breakdown: the
 // paper's p6lite ordering for units the report actually saw, then any
 // backend-specific units (e.g. awan's ALU bank) in sorted order.
-func reportUnits(rep *sfi.Report) []string {
+func reportUnits(byUnit map[string]map[sfi.Outcome]int) []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, u := range sfi.Units {
-		if _, ok := rep.ByUnit[u]; ok {
+		if _, ok := byUnit[u]; ok {
 			out = append(out, u)
 			seen[u] = true
 		}
 	}
 	var extra []string
-	for u := range rep.ByUnit {
+	for u := range byUnit {
 		if !seen[u] {
 			extra = append(extra, u)
 		}

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sfi/internal/dist"
 )
 
 // TestDistRefusesLocalObservability: -dist wires neither the injection trace
@@ -32,4 +36,53 @@ func TestDistRefusesLocalObservability(t *testing.T) {
 	if _, err := os.Stat(trace); !os.IsNotExist(err) {
 		t.Errorf("refused run left %s behind (stat: %v)", trace, err)
 	}
+}
+
+// TestTypesListsOnlySeenTypes: a -type MODE campaign injects no FUNC,
+// REGFILE or GPTR latch, so -types must print the MODE row alone — a 0.00%
+// row for a type never sampled reads like a measured zero.
+func TestTypesListsOnlySeenTypes(t *testing.T) {
+	fs := flag.NewFlagSet("sfi", flag.ContinueOnError)
+	spec := dist.CampaignFlags(fs, 1000)
+	if err := fs.Parse([]string{"-flips", "12", "-seed", "7", "-type", "MODE"}); err != nil {
+		t.Fatal(err)
+	}
+	a := campaignArgs{workers: 1, types: true}
+	var err error
+	if a.spec, err = spec(); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return run(a) })
+	_, table, ok := strings.Cut(out, "per latch type:\n")
+	if !ok {
+		t.Fatalf("no per-latch-type table in:\n%s", out)
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")
+	if len(rows) != 1 || !strings.HasPrefix(rows[0], "MODE ") {
+		t.Errorf("-types rows for a MODE campaign:\n%s\nwant the MODE row alone", table)
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	err = f()
+	os.Stdout = saved
+	w.Close()
+	out := <-read
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -290,15 +290,18 @@ func ByGroupPrefix(prefix string) latch.Filter {
 type Report struct {
 	Total   int
 	Counts  map[Outcome]int
-	ByUnit  map[string]map[Outcome]int
-	ByType  map[latch.Type]map[Outcome]int
 	Results []Result // per-injection detail when KeepResults
 
-	// ByStratum breaks outcomes down by sampling stratum (SamplePlan key,
-	// "UNIT/latch-class"). Populated only by stratified campaigns and
-	// stratum shards — nil for uniform campaigns, so their report
-	// serializations are unchanged.
+	// ByStratum is the report's one outcome breakdown: the unit × latch-type
+	// cross, keyed StratumKey(unit, type). Per unit and per latch type are
+	// its Marginals.
 	ByStratum map[string]map[Outcome]int
+
+	// Census is the sampling design: the per-stratum population of a
+	// stratified draw (a Neyman plan's strata, a stratum shard's one), nil
+	// for a uniform draw. ComputeConvergence evaluates the strata it names,
+	// and it puts by_stratum in the JSON export.
+	Census map[string]int
 
 	// Workers is the number of concurrent model copies the campaign ran.
 	Workers int
@@ -319,52 +322,73 @@ func (r *Report) Fraction(o Outcome) float64 {
 	return float64(r.Counts[o]) / float64(r.Total)
 }
 
+// Marginals sums the cross over latch types and over units: the per-unit
+// and per-latch-type outcome breakdowns (the paper's Figs. 3-5 and
+// Table 3), as fresh maps.
+func (r *Report) Marginals() (byUnit map[string]map[Outcome]int, byType map[latch.Type]map[Outcome]int) {
+	byUnit, byType = make(map[string]map[Outcome]int), make(map[latch.Type]map[Outcome]int)
+	for key, row := range r.ByStratum {
+		unit, t := splitStratumKey(key)
+		addRow(byUnit, unit, row)
+		addRow(byType, t, row)
+	}
+	return byUnit, byType
+}
+
+// addRow adds an outcome row into rows[k], creating it if needed.
+func addRow[K comparable](rows map[K]map[Outcome]int, k K, row map[Outcome]int) {
+	d := rows[k]
+	if d == nil {
+		d = make(map[Outcome]int, len(row))
+		rows[k] = d
+	}
+	for o, n := range row {
+		d[o] += n
+	}
+}
+
 // UnitFraction returns the fraction of a unit's injections with outcome o.
 func (r *Report) UnitFraction(unit string, o Outcome) float64 {
-	m := r.ByUnit[unit]
-	total := 0
-	for _, n := range m {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(m[o]) / float64(total)
+	byUnit, _ := r.Marginals()
+	return rowFraction(byUnit[unit], o)
 }
 
 // TypeFraction returns the fraction of a latch type's injections with
 // outcome o.
 func (r *Report) TypeFraction(t latch.Type, o Outcome) float64 {
-	m := r.ByType[t]
+	_, byType := r.Marginals()
+	return rowFraction(byType[t], o)
+}
+
+func rowFraction(row map[Outcome]int, o Outcome) float64 {
 	total := 0
-	for _, n := range m {
+	for _, n := range row {
 		total += n
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(m[o]) / float64(total)
+	return float64(row[o]) / float64(total)
 }
 
 func newReport() *Report {
 	return &Report{
-		Counts: make(map[Outcome]int),
-		ByUnit: make(map[string]map[Outcome]int),
-		ByType: make(map[latch.Type]map[Outcome]int),
+		Counts:    make(map[Outcome]int),
+		ByStratum: make(map[string]map[Outcome]int),
 	}
 }
 
 func (r *Report) add(res Result, keep bool) {
 	r.Total++
 	r.Counts[res.Outcome]++
-	if r.ByUnit[res.Unit] == nil {
-		r.ByUnit[res.Unit] = make(map[Outcome]int)
+	// The lookup's key does not escape, so it is built on the stack: only a
+	// new cell allocates its key.
+	row := r.ByStratum[StratumKey(res.Unit, res.LatchType)]
+	if row == nil {
+		row = make(map[Outcome]int)
+		r.ByStratum[StratumKey(res.Unit, res.LatchType)] = row
 	}
-	r.ByUnit[res.Unit][res.Outcome]++
-	if r.ByType[res.LatchType] == nil {
-		r.ByType[res.LatchType] = make(map[Outcome]int)
-	}
-	r.ByType[res.LatchType][res.Outcome]++
+	row[res.Outcome]++
 	if keep {
 		r.Results = append(r.Results, res)
 	}
@@ -602,13 +626,13 @@ func (j job) bits() []int {
 //     epoch's draws at every barrier, over the settled report.
 type source struct {
 	total int                           // injections the campaign can run (Progress.Total)
-	pops  map[string]int                // Neyman campaigns: the plan's per-stratum census
 	next  func(settled *Report) []*draw // the next epoch; returns nil once the campaign is over
 }
 
 // newSource validates cfg's sampling fields and builds the campaign's draw
-// source; attrs describing the sample go on sp.
-func newSource(first *Runner, cfg CampaignConfig, runSp, sp *obs.Span) (*source, error) {
+// source. The sample's census goes on rep, the report its draws fold into;
+// attrs describing the sample go on sp.
+func newSource(first *Runner, cfg CampaignConfig, rep *Report, runSp, sp *obs.Span) (*source, error) {
 	phases, batchSize := first.Backend().Phases(), first.BatchSize()
 	newDraw := func(key string, bits []int) *draw {
 		return &draw{key: key, bits: bits, batches: planBatches(bits, phases, batchSize), res: make([]Result, len(bits))}
@@ -648,7 +672,8 @@ func newSource(first *Runner, cfg CampaignConfig, runSp, sp *obs.Span) (*source,
 			epochNo++
 			return draws
 		}
-		return &source{total: cfg.Flips, pops: plan.Populations(), next: next}, nil
+		rep.Census = plan.Populations()
+		return &source{total: cfg.Flips, next: next}, nil
 	}
 
 	// One epoch over one deterministic sequence — the pooled sample, or one
@@ -663,6 +688,7 @@ func newSource(first *Runner, cfg CampaignConfig, runSp, sp *obs.Span) (*source,
 			return nil, fmt.Errorf("core: unknown sampling stratum %q", cfg.Stratum)
 		}
 		bits, what = stratum.Bits, "bits of stratum "+cfg.Stratum
+		rep.Census = map[string]int{cfg.Stratum: stratum.Population()}
 	} else {
 		bits = SampleCampaignBits(first.DB(), cfg.Seed, cfg.Flips, cfg.Filter)
 	}
@@ -723,13 +749,13 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// untraced path takes no branches beyond these calls themselves.
 	runSp := cfg.Obs.Tracer.StartSpan("campaign.run", "core", cfg.Obs.Parent)
 	sampleSp := cfg.Obs.Tracer.StartSpan("sample", "core", runSp.Context())
-	src, err := newSource(first, cfg, runSp, sampleSp)
+	rep := newReport()
+	src, err := newSource(first, cfg, rep, runSp, sampleSp)
 	if err != nil {
 		return nil, err
 	}
 	sampleSp.End()
 	batched := first.BatchSize() > 1
-	rep := newReport()
 	epoch := src.next(rep)
 	jobs := epochJobs(epoch)
 
@@ -950,7 +976,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		// by the evaluation the report prints and a coordinator's epoch
 		// boundary uses.
 		if cfg.Stop.Enabled() && !keyless {
-			c := rep.ComputeConvergence(rule, src.pops)
+			c := rep.ComputeConvergence(rule)
 			evaluated(c)
 			if c.Converged && cfg.Stop.StopOnConverge {
 				break
@@ -1000,7 +1026,7 @@ drain:
 	if cfg.Stop.Enabled() {
 		// Over the counts the stop was decided on, with every breakdown; its
 		// events are those no earlier evaluation emitted.
-		rep.Convergence = rep.ComputeConvergence(rule, src.pops)
+		rep.Convergence = rep.ComputeConvergence(rule)
 		emitConvergenceEvents(cfg.Obs.Trace, rep.Convergence, seen)
 	}
 	mergeSp.AttrInt("injections", int64(rep.Total)).End()
@@ -1031,27 +1057,11 @@ func epochJobs(draws []*draw) []job {
 
 // addDraw folds a settled draw into the report in sequence order, so kept
 // Results stay in the campaign's deterministic dispatch order. Positions
-// past an adaptive stop hold the invalid zero Result and are skipped. A
-// keyed draw also feeds its stratum's ByStratum row — merging stratum-shard
-// reports accumulates those rows into the campaign's per-stratum breakdown.
+// past an adaptive stop hold the invalid zero Result and are skipped.
 func (r *Report) addDraw(d *draw, keep bool) {
-	var row map[Outcome]int
-	if d.key != "" {
-		if r.ByStratum == nil {
-			r.ByStratum = make(map[string]map[Outcome]int)
-		}
-		if row = r.ByStratum[d.key]; row == nil {
-			row = make(map[Outcome]int)
-			r.ByStratum[d.key] = row
-		}
-	}
 	for _, res := range d.res {
-		if res.Outcome == 0 {
-			continue
-		}
-		r.add(res, keep)
-		if row != nil {
-			row[res.Outcome]++
+		if res.Outcome != 0 {
+			r.add(res, keep)
 		}
 	}
 }

@@ -222,15 +222,18 @@ func TestCampaignAggregates(t *testing.T) {
 	if sum != rep.Total {
 		t.Errorf("outcome counts sum to %d, total %d", sum, rep.Total)
 	}
-	// Unit and type breakdowns must also sum to the total.
-	usum := 0
-	for _, m := range rep.ByUnit {
-		for _, n := range m {
-			usum += n
+	// The cross and its unit marginal must also sum to the total.
+	byUnit, _ := rep.Marginals()
+	for name, rows := range map[string]map[string]map[Outcome]int{"cell": rep.ByStratum, "unit": byUnit} {
+		sum := 0
+		for _, m := range rows {
+			for _, n := range m {
+				sum += n
+			}
 		}
-	}
-	if usum != rep.Total {
-		t.Errorf("unit counts sum to %d", usum)
+		if sum != rep.Total {
+			t.Errorf("%s counts sum to %d", name, sum)
+		}
 	}
 	// Fractions are consistent.
 	var f float64

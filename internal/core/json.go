@@ -10,15 +10,16 @@ import (
 // JSON serialization of campaign reports, for downstream tooling (plotting
 // the figures, regression-tracking resilience across design revisions).
 
-// reportJSON is the stable wire format of a Report.
+// reportJSON is the stable export format of a Report. by_unit and by_type
+// are the cross's marginals.
 type reportJSON struct {
 	Total     int                       `json:"total"`
 	Counts    map[string]int            `json:"counts"`
 	Fractions map[string]float64        `json:"fractions"`
 	ByUnit    map[string]map[string]int `json:"by_unit"`
 	ByType    map[string]map[string]int `json:"by_type"`
-	// ByStratum is present only for stratified campaigns (sampling-stratum
-	// rows keyed "UNIT/latch-class"), so uniform report JSON stays
+	// ByStratum, the cross itself, is present only for a report with a
+	// Census (a stratified draw's), so uniform report JSON stays
 	// byte-identical.
 	ByStratum map[string]map[string]int     `json:"by_stratum,omitempty"`
 	Results   []resultJSON                  `json:"results,omitempty"`
@@ -64,28 +65,17 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 			"lo": cis[o].Lo, "hi": cis[o].Hi,
 		}
 	}
-	for unit, m := range r.ByUnit {
-		um := make(map[string]int)
-		for o, n := range m {
-			um[o.String()] = n
-		}
-		out.ByUnit[unit] = um
+	byUnit, byType := r.Marginals()
+	for unit, m := range byUnit {
+		out.ByUnit[unit] = outcomeRowJSON(m)
 	}
-	for ty, m := range r.ByType {
-		tm := make(map[string]int)
-		for o, n := range m {
-			tm[o.String()] = n
-		}
-		out.ByType[ty.String()] = tm
+	for ty, m := range byType {
+		out.ByType[ty.String()] = outcomeRowJSON(m)
 	}
-	if len(r.ByStratum) > 0 {
+	if r.Census != nil {
 		out.ByStratum = make(map[string]map[string]int, len(r.ByStratum))
 		for key, m := range r.ByStratum {
-			sm := make(map[string]int)
-			for o, n := range m {
-				sm[o.String()] = n
-			}
-			out.ByStratum[key] = sm
+			out.ByStratum[key] = outcomeRowJSON(m)
 		}
 	}
 	var interesting []Result
@@ -112,4 +102,12 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 		})
 	}
 	return json.Marshal(out)
+}
+
+func outcomeRowJSON(row map[Outcome]int) map[string]int {
+	out := make(map[string]int, len(row))
+	for o, n := range row {
+		out[o.String()] = n
+	}
+	return out
 }

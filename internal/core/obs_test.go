@@ -114,7 +114,8 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 				o, snap.Outcomes[o.String()], rep.Counts[o])
 		}
 	}
-	for unit, m := range rep.ByUnit {
+	byUnit, byType := rep.Marginals()
+	for unit, m := range byUnit {
 		for o, n := range m {
 			if int(snap.ByUnit[unit][o.String()]) != n {
 				t.Errorf("unit %s outcome %s: metrics %d, report %d",
@@ -122,7 +123,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 			}
 		}
 	}
-	for ty, m := range rep.ByType {
+	for ty, m := range byType {
 		for o, n := range m {
 			if int(snap.ByType[ty.String()][o.String()]) != n {
 				t.Errorf("type %s outcome %s: metrics %d, report %d",

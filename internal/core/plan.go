@@ -3,6 +3,7 @@ package core
 import (
 	"hash/fnv"
 	"math/rand/v2"
+	"strings"
 
 	"sfi/internal/latch"
 	"sfi/internal/stats"
@@ -53,9 +54,21 @@ func (s *PlanStratum) Population() int { return len(s.Bits) }
 
 // StratumKey names the sampling stratum of a latch: "UNIT/latch-class".
 // It is wire and journal surface (shard leases, allocation records,
-// /v1/status), and matches the keys Report.ByStratum is aggregated under.
+// /v1/status, report rows), and the key of every cell of Report.ByStratum.
 func StratumKey(unit string, t latch.Type) string {
 	return unit + "/" + t.String()
+}
+
+// splitStratumKey is StratumKey's inverse: the unit and the latch type a key
+// names (type 0 for a latch class it does not know).
+func splitStratumKey(key string) (unit string, t latch.Type) {
+	i := strings.LastIndexByte(key, '/')
+	for _, lt := range latch.Types {
+		if lt.String() == key[i+1:] {
+			t = lt
+		}
+	}
+	return key[:max(i, 0)], t
 }
 
 // stratumSeed derives a stratum's sequence seed: the campaign seed mixed

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
-	"sfi/internal/latch"
 	"sfi/internal/obs"
 	"sfi/internal/stats"
 )
@@ -18,11 +18,12 @@ import (
 // Merge folds another report into r — the shard aggregation primitive for
 // distributed campaigns. Merging the Reports of k disjoint shards of one
 // campaign, in shard order, yields exactly the Report of a single-process
-// run over the union: Total, Counts, ByUnit and ByType add; kept Results
+// run over the union: Total, Counts and the cross's cells add; kept Results
 // concatenate (shard order = sample order, so the concatenation is the
 // single-process Results slice); metrics snapshots merge; Workers reports
-// the widest concurrency seen by any constituent. o is not modified and
-// may share no structure with r afterwards (rows are deep-merged).
+// the widest concurrency seen by any constituent; r adopts o's Census when
+// it has none. o is not modified and may share no structure with r
+// afterwards (rows are deep-merged).
 func (r *Report) Merge(o *Report) {
 	if o == nil {
 		return
@@ -34,41 +35,14 @@ func (r *Report) Merge(o *Report) {
 	for oc, n := range o.Counts {
 		r.Counts[oc] += n
 	}
-	mergeRows := func(dst map[string]map[Outcome]int, src map[string]map[Outcome]int) map[string]map[Outcome]int {
-		if len(src) == 0 {
-			return dst
-		}
-		if dst == nil {
-			dst = make(map[string]map[Outcome]int, len(src))
-		}
-		for k, row := range src {
-			d := dst[k]
-			if d == nil {
-				d = make(map[Outcome]int, len(row))
-				dst[k] = d
-			}
-			for oc, n := range row {
-				d[oc] += n
-			}
-		}
-		return dst
+	if r.ByStratum == nil && len(o.ByStratum) > 0 {
+		r.ByStratum = make(map[string]map[Outcome]int, len(o.ByStratum))
 	}
-	r.ByUnit = mergeRows(r.ByUnit, o.ByUnit)
-	r.ByStratum = mergeRows(r.ByStratum, o.ByStratum)
-	if len(o.ByType) > 0 {
-		if r.ByType == nil {
-			r.ByType = make(map[latch.Type]map[Outcome]int, len(o.ByType))
-		}
-		for t, row := range o.ByType {
-			d := r.ByType[t]
-			if d == nil {
-				d = make(map[Outcome]int, len(row))
-				r.ByType[t] = d
-			}
-			for oc, n := range row {
-				d[oc] += n
-			}
-		}
+	for k, row := range o.ByStratum {
+		addRow(r.ByStratum, k, row)
+	}
+	if r.Census == nil {
+		r.Census = maps.Clone(o.Census)
 	}
 	r.Results = append(r.Results, o.Results...)
 	if o.Workers > r.Workers {
@@ -109,21 +83,21 @@ func (r *Report) ConfidenceIntervals(z float64) map[Outcome]Interval {
 // distributed one. Returns nil for a disabled rule.
 func (r *Report) PooledConvergence(rule stats.StopRule) *stats.Convergence {
 	pooled := Report{Total: r.Total, Counts: r.Counts}
-	return pooled.ComputeConvergence(rule, nil)
+	return pooled.ComputeConvergence(rule)
 }
 
 // ComputeConvergence evaluates an adaptive stopping rule over the report's
-// exact aggregate counts, with per-unit and per-latch-type strata. It is
-// the evaluation a report carries, and the settled-counts basis every stop
-// decision is made on. Returns nil for a disabled rule.
+// exact aggregate counts, with per-unit and per-latch-type strata (the
+// cross's Marginals). It is the evaluation a report carries, and the
+// settled-counts basis every stop decision is made on. Returns nil for a
+// disabled rule.
 //
-// populations is a stratified campaign's per-stratum census (nil for every
-// other campaign): each of its strata is additionally evaluated over the
-// report's ByStratum row against the rule (an exhausted stratum is
-// converged whatever its widths), and — when the rule's Strata gate is
-// armed — the stratum verdicts fold into the overall one. Strata the
+// Each stratum of the report's Census (a stratified draw's) is additionally
+// evaluated over its cell of the cross against the rule (an exhausted
+// stratum is converged whatever its widths), and — when the rule's Strata
+// gate is armed — the stratum verdicts fold into the overall one. Strata the
 // campaign never drew from still gate the verdict, with zero counts.
-func (r *Report) ComputeConvergence(rule stats.StopRule, populations map[string]int) *stats.Convergence {
+func (r *Report) ComputeConvergence(rule stats.StopRule) *stats.Convergence {
 	if !rule.Enabled() {
 		return nil
 	}
@@ -133,20 +107,21 @@ func (r *Report) ComputeConvergence(rule stats.StopRule, populations map[string]
 		counts[o.String()] = int64(n)
 	}
 	c := rule.Eval(classes, counts, int64(r.Total))
-	byUnit := make(map[string]stats.StratumCounts, len(r.ByUnit))
-	for unit, row := range r.ByUnit {
-		byUnit[unit] = stratumFromRow(row)
+	byUnit, byType := r.Marginals()
+	units := make(map[string]stats.StratumCounts, len(byUnit))
+	for unit, row := range byUnit {
+		units[unit] = stratumFromRow(row)
 	}
-	byType := make(map[string]stats.StratumCounts, len(r.ByType))
-	for t, row := range r.ByType {
-		byType[t.String()] = stratumFromRow(row)
+	types := make(map[string]stats.StratumCounts, len(byType))
+	for t, row := range byType {
+		types[t.String()] = stratumFromRow(row)
 	}
-	c.AddStrata(rule, classes, byUnit, byType)
-	strata := make(map[string]stats.StratumCounts, len(populations))
-	for key := range populations {
+	c.AddStrata(rule, classes, units, types)
+	strata := make(map[string]stats.StratumCounts, len(r.Census))
+	for key := range r.Census {
 		strata[key] = stratumFromRow(r.ByStratum[key])
 	}
-	c.AddSampleStrata(rule, classes, strata, populations)
+	c.AddSampleStrata(rule, classes, strata, r.Census)
 	return c
 }
 

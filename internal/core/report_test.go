@@ -154,3 +154,28 @@ func TestReportJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldAllocatesPerCell pins what folding a settled draw into a report
+// costs in allocations: a cell's key and row are built once, when the cell
+// first appears, and never per injection — the lookup key of every later
+// result lives on the stack. So a report that has seen every cell folds a
+// draw with no allocation (as the per-unit and per-type rows did before the
+// cross replaced them), and a fresh report folds a draw twice as long, over
+// the same cells, with no more allocations than the draw itself.
+func TestFoldAllocatesPerCell(t *testing.T) {
+	rep := sampleReport(t)
+	d := &draw{res: rep.Results}
+	twice := &draw{res: append(append([]Result(nil), rep.Results...), rep.Results...)}
+
+	seen := newReport()
+	seen.addDraw(d, false)
+	if n := testing.AllocsPerRun(20, func() { seen.addDraw(d, false) }); n != 0 {
+		t.Errorf("folding %d injections over known cells made %.1f allocations, want 0", len(d.res), n)
+	}
+	once := testing.AllocsPerRun(20, func() { newReport().addDraw(d, false) })
+	double := testing.AllocsPerRun(20, func() { newReport().addDraw(twice, false) })
+	if double > once {
+		t.Errorf("a fresh fold of %d injections made %.1f allocations, of %d over the same cells %.1f: some are per injection",
+			len(twice.res), double, len(d.res), once)
+	}
+}

@@ -73,11 +73,8 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	if !reflect.DeepEqual(one.Counts, four.Counts) {
 		t.Errorf("outcome totals differ across worker counts:\n1: %v\n4: %v", one.Counts, four.Counts)
 	}
-	if !reflect.DeepEqual(one.ByUnit, four.ByUnit) {
-		t.Errorf("per-unit totals differ across worker counts")
-	}
-	if !reflect.DeepEqual(one.ByType, four.ByType) {
-		t.Errorf("per-type totals differ across worker counts")
+	if !reflect.DeepEqual(one.ByStratum, four.ByStratum) {
+		t.Errorf("unit × latch-type totals differ across worker counts")
 	}
 	if !reflect.DeepEqual(one.Results, four.Results) {
 		t.Errorf("kept results differ across worker counts")
@@ -86,7 +83,7 @@ func TestCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestReportMergeEqualsUnion: merging the reports of k disjoint shards, in
 // shard order, must reproduce the whole-campaign report exactly — counts,
-// per-unit, per-type and kept results.
+// the unit × latch-type cross and kept results.
 func TestReportMergeEqualsUnion(t *testing.T) {
 	cfg := fastCampaignConfig()
 	cfg.Flips = 60
@@ -121,11 +118,8 @@ func TestReportMergeEqualsUnion(t *testing.T) {
 	if !reflect.DeepEqual(merged.Counts, whole.Counts) {
 		t.Errorf("merged counts differ:\nmerged: %v\nwhole:  %v", merged.Counts, whole.Counts)
 	}
-	if !reflect.DeepEqual(merged.ByUnit, whole.ByUnit) {
-		t.Errorf("merged per-unit counts differ")
-	}
-	if !reflect.DeepEqual(merged.ByType, whole.ByType) {
-		t.Errorf("merged per-type counts differ")
+	if !reflect.DeepEqual(merged.ByStratum, whole.ByStratum) {
+		t.Errorf("merged unit × latch-type counts differ")
 	}
 	if !reflect.DeepEqual(merged.Results, whole.Results) {
 		t.Errorf("merged kept results differ from whole-campaign results")

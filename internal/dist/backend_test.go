@@ -11,6 +11,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/engine"
+	"sfi/internal/latch"
 )
 
 // awanSpec is a small gate-level campaign: an 8-lane bank of 8-bit
@@ -60,7 +61,7 @@ func TestJournalRejectsForeignBackend(t *testing.T) {
 
 // TestAwanLoopbackEquivalence mirrors TestLoopbackEquivalence for the
 // gate-level backend: a 4-worker distributed awan campaign must produce
-// totals, per-unit/per-type rows and kept per-injection results identical
+// totals, unit × latch-type cells and kept per-injection results identical
 // to the same-seed single-process run.
 func TestAwanLoopbackEquivalence(t *testing.T) {
 	spec := awanSpec()
@@ -104,11 +105,8 @@ func TestAwanLoopbackEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got.Counts, want.Counts) {
 		t.Errorf("outcome counts differ:\ndist:   %v\nsingle: %v", got.Counts, want.Counts)
 	}
-	if !reflect.DeepEqual(got.ByUnit, want.ByUnit) {
-		t.Errorf("per-unit counts differ:\ndist:   %v\nsingle: %v", got.ByUnit, want.ByUnit)
-	}
-	if !reflect.DeepEqual(got.ByType, want.ByType) {
-		t.Errorf("per-type counts differ:\ndist:   %v\nsingle: %v", got.ByType, want.ByType)
+	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
+		t.Errorf("unit × latch-type counts differ:\ndist:   %v\nsingle: %v", got.ByStratum, want.ByStratum)
 	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("kept results: distributed %d, single-process %d", len(got.Results), len(want.Results))
@@ -221,4 +219,128 @@ func TestWireReportRoundTripBothBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCrossRecountsResults is the differential for the report's one
+// breakdown: on both backends, for a uniform campaign, a Neyman campaign,
+// two merged stratum shards and -dist loopback runs of both allocations, all
+// keeping their Results, the unit × latch-type cross must equal a recount of
+// the Results by core.StratumKey(unit, type), and the per-unit and
+// per-latch-type breakdowns derived from it — Marginals and the export's
+// by_unit and by_type — recounts by unit and by latch type.
+func TestCrossRecountsResults(t *testing.T) {
+	for _, backend := range []string{"p6lite", "awan"} {
+		t.Run(backend, func(t *testing.T) {
+			spec := testSpec()
+			if backend == "awan" {
+				spec = awanSpec()
+			}
+			neyman := spec
+			neyman.Alloc = core.AllocConfig{Mode: core.AllocNeyman, Epochs: 2}
+			local := func(s CampaignSpec) *core.Report {
+				cfg, err := s.CampaignConfig(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Workers = 2
+				rep, err := core.RunCampaign(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			loopback := func(s CampaignSpec) *core.Report {
+				c, srv := startCoord(t, CoordConfig{Campaign: s, ShardSize: 12})
+				return runStratifiedFleet(t, c, srv.URL, 2)
+			}
+			for name, rep := range map[string]*core.Report{
+				"uniform":        local(spec),
+				"neyman":         local(neyman),
+				"stratum-shards": stratumShards(t, spec),
+				"dist":           loopback(spec),
+				"dist-neyman":    loopback(neyman),
+			} {
+				if len(rep.Results) != rep.Total || rep.Total == 0 {
+					t.Fatalf("%s: %d results kept of %d injections", name, len(rep.Results), rep.Total)
+				}
+				cells := map[string]map[core.Outcome]int{}
+				units := map[string]map[core.Outcome]int{}
+				types := map[latch.Type]map[core.Outcome]int{}
+				named := map[string]map[string]map[string]int{"by_unit": {}, "by_type": {}}
+				for _, res := range rep.Results {
+					count(cells, core.StratumKey(res.Unit, res.LatchType), res.Outcome)
+					count(units, res.Unit, res.Outcome)
+					count(types, res.LatchType, res.Outcome)
+					count(named["by_unit"], res.Unit, res.Outcome.String())
+					count(named["by_type"], res.LatchType.String(), res.Outcome.String())
+				}
+				if !reflect.DeepEqual(rep.ByStratum, cells) {
+					t.Errorf("%s: cross %v, recount of the results %v", name, rep.ByStratum, cells)
+				}
+				byUnit, byType := rep.Marginals()
+				if !reflect.DeepEqual(byUnit, units) || !reflect.DeepEqual(byType, types) {
+					t.Errorf("%s: marginals %v %v, recounts %v %v", name, byUnit, byType, units, types)
+				}
+				data, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var export map[string]json.RawMessage
+				if err := json.Unmarshal(data, &export); err != nil {
+					t.Fatal(err)
+				}
+				for field, want := range named {
+					var got map[string]map[string]int
+					if err := json.Unmarshal(export[field], &got); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: export %s %v, recount %v", name, field, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// count adds one outcome to a breakdown's row.
+func count[K, O comparable](rows map[K]map[O]int, key K, o O) {
+	if rows[key] == nil {
+		rows[key] = map[O]int{}
+	}
+	rows[key][o]++
+}
+
+// stratumShards runs two stratum shards of spec's largest stratum, each
+// half of a prefix of at most 20 bits, and merges them.
+func stratumShards(t *testing.T, spec CampaignSpec) *core.Report {
+	t.Helper()
+	cfg, err := spec.CampaignConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := core.NewRunner(cfg.Runner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest *core.PlanStratum
+	for _, s := range core.BuildSamplePlan(proto.DB(), cfg.Seed, cfg.Filter).Strata {
+		if largest == nil || s.Population() > largest.Population() {
+			largest = s
+		}
+	}
+	n := min(largest.Population(), 20)
+	merged := &core.Report{}
+	for _, r := range []core.ShardRange{{Lo: 0, Hi: n / 2}, {Lo: n / 2, Hi: n}} {
+		cfg, err := spec.CampaignConfig(&ShardLease{Lo: r.Lo, Hi: r.Hi, Stratum: largest.Key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.RunCampaignWith(context.Background(), proto, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(rep)
+	}
+	return merged
 }

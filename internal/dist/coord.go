@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"sync"
 	"time"
@@ -145,7 +146,8 @@ type Coordinator struct {
 	// sealed is the decision basis of every stop and allocation: the counts
 	// of the *completed* shard reports, merged — never heartbeat snapshots
 	// — so each decision is a pure function of which shards completed, and a
-	// journal replay reaches the same one.
+	// journal replay reaches the same one. A planned campaign's carries the
+	// plan's census, as does (a copy) the merged report Wait returns.
 	sealed       *core.Report
 	stoppedEarly bool
 	stopEval     *stats.Convergence // the decision stopped on (nil until then)
@@ -166,7 +168,6 @@ type Coordinator struct {
 	// strata from the sealed per-stratum counts, and the allocation is
 	// journaled before any of its shards can be leased.
 	plan       *core.SamplePlan
-	strataPops map[string]int
 	drawn      map[string]int // per-stratum sequence prefix already planned
 	epoch      int            // next allocation epoch ordinal
 	budgetLeft int            // campaign injections not yet allocated
@@ -235,7 +236,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		if len(c.plan.Strata) == 0 {
 			return nil, fmt.Errorf("dist: stratified campaign over an empty population")
 		}
-		c.strataPops = c.plan.Populations()
+		c.sealed.Census = c.plan.Populations()
 		c.drawn = make(map[string]int, len(c.plan.Strata))
 		c.budgetLeft = cfg.Campaign.Flips
 	} else {
@@ -444,24 +445,19 @@ func (c *Coordinator) finishLocked() {
 }
 
 // covers checks that a report is one of this shard: as many injections as
-// the lease, in its metrics too, attributed to the lease's stratum and to no
-// other, and counted once in every outcome breakdown. Those rows feed the
-// allocator and every interval, so a report that miscounts would silently
-// bias both.
+// the lease, in its metrics too, counted once in the pooled counts and once
+// in the cross, whose cells a stratum shard's report must confine to the
+// lease's stratum. Those cells feed the allocator and every interval, so a
+// report that miscounts would silently bias both.
 func (s *shard) covers(rep *core.Report) error {
 	if rep.Total != s.Hi-s.Lo {
 		return fmt.Errorf("dist: shard %d report covers %d injections, want %d", s.ID, rep.Total, s.Hi-s.Lo)
 	}
-	type rows = map[string]map[core.Outcome]int
-	want, attributed := 0, rep.Total // a keyless shard: no row, nothing to attribute
-	if s.Stratum != "" {
-		want, attributed = 1, tally(rows{s.Stratum: rep.ByStratum[s.Stratum]})
+	if tally(map[string]map[core.Outcome]int{"": rep.Counts}) != rep.Total || tally(rep.ByStratum) != rep.Total {
+		return fmt.Errorf("dist: shard %d report must count each of its %d injections once in its counts and once in its cross", s.ID, rep.Total)
 	}
-	if len(rep.ByStratum) != want || attributed != rep.Total {
+	if _, ok := rep.ByStratum[s.Stratum]; s.Stratum != "" && (!ok || len(rep.ByStratum) != 1) {
 		return fmt.Errorf("dist: shard %d report must attribute its %d injections to stratum %q alone", s.ID, rep.Total, s.Stratum)
-	}
-	if tally(rows{"": rep.Counts}) != rep.Total || tally(rep.ByUnit) != rep.Total || tally(rep.ByType) != rep.Total {
-		return fmt.Errorf("dist: shard %d report must count each of its %d injections once per outcome breakdown", s.ID, rep.Total)
 	}
 	// Merged into the fleet view as is, where the status and the rate read it.
 	if m := rep.Metrics; m != nil && m.Injections != uint64(rep.Total) {
@@ -572,7 +568,7 @@ func (c *Coordinator) evalLocked() *stats.Convergence {
 	if c.plan == nil {
 		return c.sealed.PooledConvergence(rule)
 	}
-	return c.sealed.ComputeConvergence(rule, c.strataPops)
+	return c.sealed.ComputeConvergence(rule)
 }
 
 // nextEpochLocked plans the epoch after a settled ledger: the allocator's
@@ -676,12 +672,12 @@ func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
 	// report — kept Results included — matches the single-process run.
 	// After an early stop only completed shards carry reports; the merge
 	// covers exactly the population the stop decision was evaluated on.
-	rep := &core.Report{}
+	rep := &core.Report{Census: maps.Clone(c.sealed.Census)}
 	for _, s := range c.shards {
 		rep.Merge(s.report)
 	}
 	if stop := c.cfg.Campaign.Stop; stop.Enabled() {
-		rep.Convergence = rep.ComputeConvergence(stop.Rule(), c.strataPops)
+		rep.Convergence = rep.ComputeConvergence(stop.Rule())
 	}
 	return rep, nil
 }

@@ -65,14 +65,15 @@ func rawPost(t *testing.T, url string, body, out any) int {
 	return resp.StatusCode
 }
 
-// fakeWire fabricates a valid wire report for a size-injection shard
-// (protocol tests don't need to run the model).
+// fakeWire fabricates a valid wire report for a size-injection keyless
+// shard (protocol tests don't need to run the model): every injection in
+// one cell of the cross.
 func fakeWire(size int) *WireReport {
+	counts := map[string]int{"vanished": size - 1, "corrected": 1}
 	return &WireReport{
-		Total:  size,
-		Counts: map[string]int{"vanished": size - 1, "corrected": 1},
-		ByUnit: map[string]map[string]int{"FXU": {"vanished": size - 1, "corrected": 1}},
-		ByType: map[string]map[string]int{"FUNC": {"vanished": size - 1, "corrected": 1}},
+		Total:     size,
+		Counts:    counts,
+		ByStratum: map[string]map[string]int{"FXU/FUNC": counts},
 	}
 }
 
@@ -122,8 +123,8 @@ func leaseAndComplete(t *testing.T, url string, n int) []ShardLease {
 }
 
 // TestLoopbackEquivalence is the subsystem's consistency acceptance test:
-// a 4-worker distributed campaign must produce outcome totals — per-unit
-// and per-type included — identical to the same-seed single-process run,
+// a 4-worker distributed campaign must produce outcome totals — the unit ×
+// latch-type cross included — identical to the same-seed single-process run,
 // and the kept per-injection results must match bit for bit.
 func TestLoopbackEquivalence(t *testing.T) {
 	spec := testSpec()
@@ -167,11 +168,8 @@ func TestLoopbackEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got.Counts, want.Counts) {
 		t.Errorf("outcome counts differ:\ndist:   %v\nsingle: %v", got.Counts, want.Counts)
 	}
-	if !reflect.DeepEqual(got.ByUnit, want.ByUnit) {
-		t.Errorf("per-unit counts differ:\ndist:   %v\nsingle: %v", got.ByUnit, want.ByUnit)
-	}
-	if !reflect.DeepEqual(got.ByType, want.ByType) {
-		t.Errorf("per-type counts differ:\ndist:   %v\nsingle: %v", got.ByType, want.ByType)
+	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
+		t.Errorf("unit × latch-type counts differ:\ndist:   %v\nsingle: %v", got.ByStratum, want.ByStratum)
 	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("kept results: distributed %d, single-process %d", len(got.Results), len(want.Results))
@@ -385,10 +383,10 @@ func TestCompleteIdempotent(t *testing.T) {
 }
 
 // TestCompleteRejectsMiscountedReport: every interval a view shows is
-// computed over a report's outcome breakdowns, so each must count the
-// report's injections once. A negative count, or pooled, per-unit or
-// per-type counts that do not sum to the total, is refused and seals
-// nothing.
+// computed over a report's pooled counts or its cross, so each must count the
+// report's injections once. A negative count, or pooled counts or cells that
+// do not sum to the total, is refused and seals nothing, as is a cell whose
+// key names no unit and latch type.
 func TestCompleteRejectsMiscountedReport(t *testing.T) {
 	spec := testSpec()
 	spec.Flips = 10
@@ -403,8 +401,14 @@ func TestCompleteRejectsMiscountedReport(t *testing.T) {
 		"pooled counts that overflow to the total": func(w *WireReport) {
 			w.Counts = map[string]int{"vanished": 1 << 62, "corrected": 1 << 62, "hang": 1 << 62, "sdc": 1<<62 + 10}
 		},
-		"a short per-unit row":      func(w *WireReport) { w.ByUnit = map[string]map[string]int{"FXU": {"vanished": 9}} },
-		"a negative per-type count": func(w *WireReport) { w.ByType = map[string]map[string]int{"FUNC": {"vanished": 11, "corrected": -1}} },
+		"a short cell": func(w *WireReport) { w.ByStratum = map[string]map[string]int{"FXU/FUNC": {"vanished": 9}} },
+		"a negative cell count": func(w *WireReport) {
+			w.ByStratum = map[string]map[string]int{"FXU/FUNC": {"vanished": 11, "corrected": -1}}
+		},
+		"no cross": func(w *WireReport) { w.ByStratum = nil },
+		"a cell of no latch type": func(w *WireReport) {
+			w.ByStratum = map[string]map[string]int{"FXU/BOGUS": w.Counts}
+		},
 	} {
 		w := fakeWire(10)
 		spoil(w)
@@ -639,10 +643,9 @@ func TestShardAttemptsExhausted(t *testing.T) {
 // the merge consumes.
 func TestWireReportRoundTrip(t *testing.T) {
 	rep, err := (&WireReport{
-		Total:  5,
-		Counts: map[string]int{"vanished": 3, "sdc": 2},
-		ByUnit: map[string]map[string]int{"LSU": {"vanished": 3}, "IFU": {"sdc": 2}},
-		ByType: map[string]map[string]int{"REGFILE": {"vanished": 3}, "FUNC": {"sdc": 2}},
+		Total:     5,
+		Counts:    map[string]int{"vanished": 3, "sdc": 2},
+		ByStratum: map[string]map[string]int{"LSU/REGFILE": {"vanished": 3}, "IFU/FUNC": {"sdc": 2}},
 	}).Report()
 	if err != nil {
 		t.Fatal(err)
@@ -664,6 +667,11 @@ func TestWireReportRoundTrip(t *testing.T) {
 	}
 	if _, err := (&WireReport{Counts: map[string]int{"nope": 1}}).Report(); err == nil {
 		t.Fatal("decoded a report with an unknown outcome")
+	}
+	for _, key := range []string{"LSU", "LSU/", "LSU/regfile"} {
+		if _, err := (&WireReport{ByStratum: map[string]map[string]int{key: {"sdc": 1}}}).Report(); err == nil {
+			t.Errorf("decoded a report with a cell keyed %q", key)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -166,6 +167,78 @@ func FuzzCoordinatorRequests(f *testing.F) {
 		defer c2.Close()
 		if replayed := ledgerOf(c2); !reflect.DeepEqual(live, replayed) {
 			t.Errorf("replayed ledger differs:\n  live %+v\nreplay %+v", live, replayed)
+		}
+	})
+}
+
+// FuzzWireReport decodes arbitrary bytes as a shard's wire report — what a
+// completion body, a journal line and a stored report document carry — and
+// converts it to a core.Report. Whatever arrives, the decode returns an
+// error, or its report is refused by covers for every lease it could answer
+// (a keyless one, and one per stratum it names), or it is a report a
+// coordinator seals: then its per-unit and per-latch-type marginals count
+// every injection once, as the cross does. Every decoded report re-encodes
+// to a wire report that decodes to an equal one.
+func FuzzWireReport(f *testing.F) {
+	journals, err := filepath.Glob(filepath.Join("testdata", "parent-*.journal"))
+	if err != nil || len(journals) != 4 {
+		f.Fatalf("parent journals %v (%v), want four", journals, err)
+	}
+	for _, path := range journals {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var e struct {
+				Report json.RawMessage `json:"report"`
+			}
+			if json.Unmarshal(line, &e) == nil && e.Report != nil {
+				f.Add([]byte(e.Report))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w WireReport
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		rep, err := w.Report()
+		if err != nil {
+			return
+		}
+		leases := []ShardLease{{Hi: rep.Total}}
+		for key := range rep.ByStratum {
+			leases = append(leases, ShardLease{Hi: rep.Total, Stratum: key})
+		}
+		for _, l := range leases {
+			if (&shard{ShardLease: l}).covers(rep) != nil {
+				continue
+			}
+			if byUnit, byType := rep.Marginals(); tally(byUnit) != rep.Total || tally(byType) != rep.Total {
+				t.Fatalf("lease %+v seals a report of %d injections whose marginals count %d by unit, %d by type",
+					l, rep.Total, tally(byUnit), tally(byType))
+			}
+		}
+		first, err := json.Marshal(EncodeReport(rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again WireReport
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("re-encoded report does not decode: %v\n%s", err, first)
+		}
+		back, err := again.Report()
+		if err != nil {
+			t.Fatalf("re-encoded report is refused: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(EncodeReport(back))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total != back.Total || rep.Workers != back.Workers || !reflect.DeepEqual(rep.Counts, back.Counts) ||
+			!reflect.DeepEqual(rep.ByStratum, back.ByStratum) || !bytes.Equal(first, second) {
+			t.Fatalf("wire round trip changed the report:\n%s\n%s", first, second)
 		}
 	})
 }

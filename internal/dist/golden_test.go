@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sfi/internal/core"
@@ -201,7 +203,10 @@ func journalSkeleton(data []byte) []byte {
 // settles with no worker to the report its campaign produced live; cut back
 // to its first half — mid-epoch for the Neyman ones, before the stop line for
 // the stopped ones — one worker finishes it to that same report, and to the
-// parent's journal line for line.
+// parent's journal line for line. The uniform journals' shard lines carry no
+// unit × latch-type cross (only the per-unit and per-type rows reports sent
+// before the cross was their one breakdown): a coordinator refuses them,
+// naming the first such shard, rather than seal counts it cannot evaluate.
 func TestParentJournalsResume(t *testing.T) {
 	uniformStop := adaptiveSpec()
 	uniformStop.Stop.TargetMargin = 0.2
@@ -213,11 +218,11 @@ func TestParentJournalsResume(t *testing.T) {
 		name      string
 		spec      CampaignSpec
 		shardSize int
-		want      string
+		want      string // "": the journal is refused
 		stopped   bool
 	}{
-		{"uniform", testSpec(), 12, goldenLoopbackUniform, false},
-		{"uniform-stop", uniformStop, 10, goldenUniformStopReport, true},
+		{"uniform", testSpec(), 12, "", false},
+		{"uniform-stop", uniformStop, 10, "", true},
 		{"neyman", stratifiedSpec(), 10, goldenLoopbackNeyman, false},
 		{"neyman-stop", neymanStop, 10, goldenLoopbackNeymanStop, true},
 	} {
@@ -232,7 +237,23 @@ func TestParentJournalsResume(t *testing.T) {
 				if err := os.WriteFile(journal, bytes.Join(lines[:keep], nil), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				c, srv := startCoord(t, CoordConfig{Campaign: tc.spec, ShardSize: tc.shardSize, Journal: journal})
+				cfg := CoordConfig{Campaign: tc.spec, ShardSize: tc.shardSize, Journal: journal}
+				if tc.want == "" {
+					var first journalEntry
+					if err := json.Unmarshal(lines[1], &first); err != nil || first.Report == nil {
+						t.Fatalf("line 2 is not a shard line (%v): %s", err, lines[1])
+					}
+					c, err := NewCoordinator(cfg)
+					if err == nil {
+						c.Close()
+						t.Fatalf("resumed from %d of %d lines: a journal without the cross was replayed", keep, len(lines))
+					}
+					if shard := fmt.Sprintf("shard %d ", first.Shard); !strings.Contains(err.Error(), shard) {
+						t.Errorf("resumed from %d of %d lines: refusal %q does not name %q", keep, len(lines), err, shard)
+					}
+					continue
+				}
+				c, srv := startCoord(t, cfg)
 				workers := 1
 				if keep == len(lines) {
 					workers = 0 // nothing left to run

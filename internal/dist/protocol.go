@@ -14,6 +14,7 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"sfi/internal/core"
 	"sfi/internal/latch"
@@ -52,16 +53,16 @@ func (f FilterSpec) Filter() (latch.Filter, error) {
 	}
 }
 
-// WireReport is the lossless wire encoding of a core.Report. (The Report
-// type's own MarshalJSON is a human-facing export that drops vanished
-// results and cannot be unmarshalled; shard transport and the journal need
-// exact round-trips.)
+// WireReport is the lossless wire encoding of a core.Report: shard
+// transport, journal lines and the server's stored report document. (The
+// Report type's own MarshalJSON is a human-facing export that drops vanished
+// results and cannot be unmarshalled; these need exact round-trips.) It
+// carries the unit × latch-type cross under by_stratum and no marginals; the
+// Census is not sent, the coordinator holds its own.
 type WireReport struct {
 	Total     int                       `json:"total"`
 	Workers   int                       `json:"workers,omitempty"`
 	Counts    map[string]int            `json:"counts"`
-	ByUnit    map[string]map[string]int `json:"by_unit,omitempty"`
-	ByType    map[string]map[string]int `json:"by_type,omitempty"`
 	ByStratum map[string]map[string]int `json:"by_stratum,omitempty"`
 	Results   []core.Result             `json:"results,omitempty"`
 	Metrics   *obs.Snapshot             `json:"metrics,omitempty"`
@@ -79,43 +80,26 @@ func EncodeReport(r *core.Report) *WireReport {
 	for o, n := range r.Counts {
 		w.Counts[o.String()] = n
 	}
-	if len(r.ByUnit) > 0 {
-		w.ByUnit = make(map[string]map[string]int, len(r.ByUnit))
-		for unit, row := range r.ByUnit {
-			w.ByUnit[unit] = encodeOutcomeRow(row)
-		}
-	}
-	if len(r.ByType) > 0 {
-		w.ByType = make(map[string]map[string]int, len(r.ByType))
-		for t, row := range r.ByType {
-			w.ByType[t.String()] = encodeOutcomeRow(row)
-		}
-	}
 	if len(r.ByStratum) > 0 {
 		w.ByStratum = make(map[string]map[string]int, len(r.ByStratum))
 		for key, row := range r.ByStratum {
-			w.ByStratum[key] = encodeOutcomeRow(row)
+			cell := make(map[string]int, len(row))
+			for o, n := range row {
+				cell[o.String()] = n
+			}
+			w.ByStratum[key] = cell
 		}
 	}
 	return w
 }
 
-func encodeOutcomeRow(row map[core.Outcome]int) map[string]int {
-	out := make(map[string]int, len(row))
-	for o, n := range row {
-		out[o.String()] = n
-	}
-	return out
-}
-
-// Report converts the wire form back to a core.Report.
+// Report converts the wire form back to a core.Report. Every cell must be
+// keyed core.StratumKey(unit, type) of a known latch type.
 func (w *WireReport) Report() (*core.Report, error) {
 	r := &core.Report{
 		Total:   w.Total,
 		Workers: w.Workers,
 		Counts:  make(map[core.Outcome]int, len(w.Counts)),
-		ByUnit:  make(map[string]map[core.Outcome]int, len(w.ByUnit)),
-		ByType:  make(map[latch.Type]map[core.Outcome]int, len(w.ByType)),
 		Results: w.Results,
 		Metrics: w.Metrics,
 	}
@@ -126,52 +110,36 @@ func (w *WireReport) Report() (*core.Report, error) {
 		}
 		r.Counts[o] = n
 	}
-	for unit, row := range w.ByUnit {
-		dec, err := decodeOutcomeRow(row)
-		if err != nil {
-			return nil, err
-		}
-		r.ByUnit[unit] = dec
-	}
-	for name, row := range w.ByType {
-		var typ latch.Type
-		for _, t := range latch.Types {
-			if t.String() == name {
-				typ = t
-			}
-		}
-		if typ == 0 {
-			return nil, fmt.Errorf("dist: unknown latch type %q in report", name)
-		}
-		dec, err := decodeOutcomeRow(row)
-		if err != nil {
-			return nil, err
-		}
-		r.ByType[typ] = dec
-	}
 	if len(w.ByStratum) > 0 {
 		r.ByStratum = make(map[string]map[core.Outcome]int, len(w.ByStratum))
-		for key, row := range w.ByStratum {
-			dec, err := decodeOutcomeRow(row)
+	}
+	for key, row := range w.ByStratum {
+		if !isCellKey(key) {
+			return nil, fmt.Errorf("dist: report cell %q is not a unit/latch-type key", key)
+		}
+		cell := make(map[core.Outcome]int, len(row))
+		for name, n := range row {
+			o, err := outcomeByName(name)
 			if err != nil {
 				return nil, err
 			}
-			r.ByStratum[key] = dec
+			cell[o] = n
 		}
+		r.ByStratum[key] = cell
 	}
 	return r, nil
 }
 
-func decodeOutcomeRow(row map[string]int) (map[core.Outcome]int, error) {
-	out := make(map[core.Outcome]int, len(row))
-	for name, n := range row {
-		o, err := outcomeByName(name)
-		if err != nil {
-			return nil, err
+// isCellKey reports whether key is core.StratumKey of some unit and a known
+// latch type.
+func isCellKey(key string) bool {
+	unit := key[:max(strings.LastIndexByte(key, '/'), 0)]
+	for _, t := range latch.Types {
+		if core.StratumKey(unit, t) == key {
+			return true
 		}
-		out[o] = n
 	}
-	return out, nil
+	return false
 }
 
 func outcomeByName(name string) (core.Outcome, error) {

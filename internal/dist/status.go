@@ -202,7 +202,7 @@ func (c *Coordinator) Status() Status {
 		for _, key := range c.plan.Keys() {
 			row := StratumBudgetView{
 				Stratum:    key,
-				Population: c.strataPops[key],
+				Population: c.sealed.Census[key],
 				Planned:    c.drawn[key],
 			}
 			for _, n := range c.sealed.ByStratum[key] {

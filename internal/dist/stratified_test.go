@@ -97,9 +97,6 @@ func TestStratifiedLoopbackEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
 		t.Errorf("per-stratum counts differ:\ndist:  %v\nlocal: %v", got.ByStratum, want.ByStratum)
 	}
-	if !reflect.DeepEqual(got.ByUnit, want.ByUnit) {
-		t.Errorf("per-unit counts differ:\ndist:  %v\nlocal: %v", got.ByUnit, want.ByUnit)
-	}
 
 	// The /v1/status allocation block reports the settled budget state.
 	resp, err := http.Get(srv.URL + "/v1/status")
@@ -271,11 +268,11 @@ func TestJournalBindsAllocPolicy(t *testing.T) {
 	}
 }
 
-// TestCompleteRejectsMisattributedReport: a shard report's per-stratum rows
-// feed the allocator and the stratum intervals, so a report must attribute
-// its injections to its lease's stratum — all of them, and to no other — and
-// a keyless shard's report to none. Anything else is refused with 400, and a
-// journal holding such a line refuses to replay.
+// TestCompleteRejectsMisattributedReport: a shard report's cross feeds the
+// allocator and the stratum intervals, so it must count every injection of
+// the report once, and a stratum shard's must attribute them to its lease's
+// stratum — all of them, and to no other. Anything else is refused with 400,
+// and a journal holding such a line refuses to replay.
 func TestCompleteRejectsMisattributedReport(t *testing.T) {
 	for _, mode := range ledgerModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -296,8 +293,9 @@ func TestCompleteRejectsMisattributedReport(t *testing.T) {
 			good := fakeWireFor(l.Shard)
 			other := "NOSUCH/FUNC"
 			size := l.Shard.Hi - l.Shard.Lo
+			short := map[string]int{"vanished": size - 2, "corrected": 1}
 			bad := map[string]map[string]map[string]int{
-				"a stratum on a keyless shard": {other: good.Counts},
+				"a cross that misses an injection": {"FXU/FUNC": short},
 			}
 			if key := l.Shard.Stratum; key != "" {
 				bad = map[string]map[string]map[string]int{
@@ -331,7 +329,8 @@ func TestCompleteRejectsMisattributedReport(t *testing.T) {
 			}
 			from, to := `"by_stratum":{"`+l.Shard.Stratum+`"`, `"by_stratum":{"`+other+`"`
 			if l.Shard.Stratum == "" {
-				from, to = `,"by_type":`, `,"by_stratum":{"`+other+`":{"vanished":11,"corrected":1}},"by_type":`
+				from = fmt.Sprintf(`"by_stratum":{"FXU/FUNC":{"corrected":1,"vanished":%d}}`, size-1)
+				to = fmt.Sprintf(`"by_stratum":{"FXU/FUNC":{"corrected":1,"vanished":%d}}`, size-2)
 			}
 			if !strings.Contains(string(data), from) {
 				t.Fatalf("journal has no %s to damage:\n%s", from, data)
@@ -341,7 +340,7 @@ func TestCompleteRejectsMisattributedReport(t *testing.T) {
 			}
 			if c2, err := NewCoordinator(cfg); err == nil {
 				c2.Close()
-				t.Error("a journal line attributing a shard to the wrong stratum was replayed")
+				t.Errorf("a journal line whose cross is damaged (%s) was replayed", to)
 			}
 			if err := os.WriteFile(journal, data, 0o644); err != nil {
 				t.Fatal(err)
