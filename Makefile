@@ -24,14 +24,14 @@ fmt:
 
 # The -race pass targets the packages that exercise concurrent model copies
 # and cross-process coordination: internal/core (campaign fan-out over
-# cloned runners), internal/engine and its backends (the registry plus the
-# p6lite/awan models that campaign workers clone concurrently),
-# internal/awan (the gate engine cloned per worker),
+# cloned runners, and the single-flight image cache concurrent campaigns
+# clone their prototypes from), internal/engine and its backends (the
+# registry plus the p6lite/awan models that campaign workers clone
+# concurrently), internal/awan (the gate engine cloned per worker),
 # internal/dist (the loopback coordinator+worker integration tests, HTTP
 # leases, the ledger's views read while leases move), internal/obs
 # (concurrent metrics collectors, trace sinks), internal/stats (the lock-free
-# Estimator, which the benchmark's probes still drive), internal/store
-# (the single-flight image cache cloned into concurrent campaigns) and
+# Estimator, which the benchmark's probes still drive),
 # internal/server (the multi-campaign scheduler and its executors, whose
 # embedded worker hands its coordinator request values, not copies: lease,
 # heartbeat and shard-report documents are shared across the two), and
@@ -40,7 +40,7 @@ fmt:
 # images and their baseline (p6lite's TestClonesShareTheRecord runs the
 # clones; core's campaign tests fan them out).
 race:
-	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/store ./internal/server ./internal/latch ./internal/dirty ./internal/proc
+	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/server ./internal/latch ./internal/dirty ./internal/proc
 
 # fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED
@@ -80,7 +80,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzWireReport -fuzztime $(FUZZTIME) ./internal/dist
 
-# bench runs every go benchmark once as a smoke, then the repo's one
+# bench runs every go benchmark once as a smoke (core's BenchmarkRunCampaign
+# among them: warm-image campaigns at 1, 2 and 4 workers), then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in
 # benchmark/out/, `go run ./benchmark -compare A B` for a verdict.
 bench:
@@ -110,10 +111,14 @@ lines:
 		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
 
 # cmp holds the working tree's output to PARENT's byte for byte: it builds
-# sfi and sfi-beam from a `git archive` of PARENT (default HEAD: the
-# uncommitted change against its base) and from the working tree, runs both
-# over CMP_SHAPES (`sfi -json`) and BEAM_SHAPES (sfi-beam, its first line, the
-# wall time, dropped) and names the first shape that differs. It is the check
+# sfi, sfi-beam and sfi-tables from a `git archive` of PARENT (default HEAD:
+# the uncommitted change against its base) and from the working tree, runs
+# both over CMP_SHAPES (`sfi -json`), BEAM_SHAPES (sfi-beam, its first line,
+# the wall time, dropped) and TABLE_SHAPES (sfi-tables, its `(… in Xs)`
+# timing lines dropped) and names the first shape that differs. The tables
+# are the compared surfaces that run many campaigns in one process, so they
+# are the byte check of campaigns that clone the process's cached image
+# rather than build their own. It is the check
 # a change to the engines, the model, the campaign loop or the transports
 # describes in CHANGES.md. sfi-beam is the one surface that strikes
 # protected-array cells, so the only one that reads a struck array.
@@ -160,11 +165,12 @@ BEAM_SHAPES = \
 	-strikes 400 -nest| \
 	-strikes 300 -array-weight 0.5| \
 	-calibrate -flips 400
+TABLE_SHAPES = fig2 fig3 fig5 table3
 cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/parent"; git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
-	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam); \
-	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables); \
+	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables; \
 	echo '$(CMP_SHAPES)' | tr '|' '\n' | while read -r shape; do \
 		"$$tmp/parent-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/parent.out"; \
 		"$$tmp/tree-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/tree.out"; \
@@ -176,6 +182,12 @@ cmp:
 		"$$tmp/tree-bin/sfi-beam" $$shape | tail -n +2 > "$$tmp/tree.out"; \
 		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-beam $$shape differs from $(PARENT)"; exit 1; }; \
 		echo "same  sfi-beam $$shape"; \
+	done; \
+	for exp in $(TABLE_SHAPES); do \
+		"$$tmp/parent-bin/sfi-tables" -exp $$exp | grep -v '^(.* in .*)$$' > "$$tmp/parent.out"; \
+		"$$tmp/tree-bin/sfi-tables" -exp $$exp | grep -v '^(.* in .*)$$' > "$$tmp/tree.out"; \
+		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-tables -exp $$exp differs from $(PARENT)"; exit 1; }; \
+		echo "same  sfi-tables -exp $$exp"; \
 	done
 
 # ci holds no wall-clock gate: what observability, lanes, the image cache,

@@ -1,11 +1,10 @@
 package sfi
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"sfi/internal/core"
+	"sfi/internal/engine"
 	"sfi/internal/latch"
 	"sfi/internal/stats"
 )
@@ -213,13 +212,10 @@ type Fig3Result struct {
 // RunFig3 reproduces Figure 3: targeted fault injection into each
 // micro-architectural unit.
 func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
-	// One warmed runner: it is probed for the population, and every unit's
-	// campaign runs on it.
-	probe, err := NewRunner(cfg.Runner)
+	db, err := engine.Census(cfg.Runner)
 	if err != nil {
 		return nil, err
 	}
-	db := probe.DB()
 
 	out := &Fig3Result{}
 	for _, unit := range Units {
@@ -234,7 +230,7 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		if flips > bits {
 			flips = bits
 		}
-		rep, err := core.RunCampaignWith(context.Background(), probe, CampaignConfig{
+		rep, err := RunCampaign(CampaignConfig{
 			Runner:      cfg.Runner,
 			Seed:        cfg.Seed + uint64(len(out.PerUnit)),
 			Flips:       flips,
@@ -365,11 +361,10 @@ type Fig5Result struct {
 // RunFig5 reproduces Figure 5: targeted injection into each latch type's
 // scan chains.
 func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
-	probe, err := NewRunner(cfg.Runner)
+	db, err := engine.Census(cfg.Runner)
 	if err != nil {
 		return nil, err
 	}
-	db := probe.DB()
 
 	out := &Fig5Result{}
 	for i, ty := range LatchTypes {
@@ -381,7 +376,7 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		if flips > bits {
 			flips = bits
 		}
-		rep, err := core.RunCampaignWith(context.Background(), probe, CampaignConfig{
+		rep, err := RunCampaign(CampaignConfig{
 			Runner:      cfg.Runner,
 			Seed:        cfg.Seed + uint64(i),
 			Flips:       flips,

@@ -542,12 +542,12 @@ func SampleCampaignBits(db *latch.DB, seed uint64, flips int, f latch.Filter) []
 
 // RunCampaign executes a campaign: it samples Flips latch bits from the
 // filtered population and classifies every injection, fanning the work out
-// over concurrent model copies. The AVP is generated and warmed once, in
-// the prototype runner; the other workers are warm clones of it. A worker
-// that fails to start aborts the campaign: the dispatcher stops handing out
-// injections as soon as the first failure is reported, and every distinct
-// worker error is surfaced in the returned (joined) error so multi-worker
-// failures aren't masked by the first one.
+// over concurrent model copies. The AVP is generated and warmed once per
+// process and config, in the cached prototype (WarmRunner); every worker is
+// a warm clone of it. A worker that fails to start aborts the campaign: the
+// dispatcher stops handing out injections as soon as the first failure is
+// reported, and every distinct worker error is surfaced in the returned
+// (joined) error so multi-worker failures aren't masked by the first one.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	return RunCampaignContext(context.Background(), cfg)
 }
@@ -559,12 +559,9 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 // coordinator shutting down or a worker losing its shard lease uses this
 // to abandon a shard promptly instead of draining it.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error) {
-	if cfg.Flips < 1 {
-		return nil, fmt.Errorf("core: campaign needs at least one flip")
-	}
 	// The prototype runner: it provides the latch database for sampling,
 	// the warmed checkpoints the clones adopt, and worker 0's model.
-	first, err := NewRunner(cfg.Runner)
+	first, err := WarmRunner(cfg.Runner)
 	if err != nil {
 		return nil, err
 	}

@@ -40,10 +40,10 @@ type WorkerConfig struct {
 	// PollEvery on any successful response.
 	PollEvery time.Duration
 
-	// NewRunner overrides how the worker builds its prototype runner from
-	// a campaign's runner spec (nil = core.NewRunner). A server embedding
-	// workers in-process uses this to serve prototypes from a warm
-	// checkpoint-image cache instead of rebuilding per campaign.
+	// NewRunner overrides how the worker gets its prototype runner from a
+	// campaign's runner spec (nil = core.WarmRunner, a clone of the
+	// process's cached image). A server embedding workers in-process uses
+	// this to serve prototypes from an image cache of its own.
 	NewRunner func(core.RunnerConfig) (*core.Runner, error)
 
 	// Client is the HTTP client ( nil = a default with a 30s timeout).
@@ -88,9 +88,9 @@ type WorkerConfig struct {
 // Worker leases shards from a coordinator and executes them. The
 // expensive part of shard start-up — generating the AVP, warming the
 // model to steady state and capturing the phased checkpoints — is paid
-// once: the first shard builds a prototype Runner and every later shard
-// (and every concurrent model copy, via the usual warm-clone pool) reuses
-// it.
+// once per process: the first shard takes a prototype Runner from the
+// image cache all of the process's workers share, and every later shard
+// (and every concurrent model copy, via the warm-clone pool) reuses it.
 type worker struct {
 	cfg   WorkerConfig
 	coord coordinator
@@ -154,6 +154,9 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 	}
 	if cfg.SpanAttach == 0 {
 		cfg.SpanAttach = 512
+	}
+	if cfg.NewRunner == nil {
+		cfg.NewRunner = core.WarmRunner
 	}
 	w := &worker{
 		cfg:   cfg,
@@ -355,11 +358,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 
 	if w.proto == nil || !reflect.DeepEqual(w.protoCfg, ccfg.Runner) {
 		bsp := tracer.StartSpan("prototype.build", "worker", shardSp.Context())
-		build := w.cfg.NewRunner
-		if build == nil {
-			build = core.NewRunner
-		}
-		proto, err := build(ccfg.Runner)
+		proto, err := w.cfg.NewRunner(ccfg.Runner)
 		if err != nil {
 			bsp.Attr("error", err.Error()).End()
 			cancel(nil)

@@ -157,7 +157,7 @@ type Server struct {
 	cfg     Config
 	st      *store.Store
 	log     *slog.Logger
-	images  *store.ImageCache
+	images  *core.ImageCache
 	started time.Time
 
 	ctx      context.Context
@@ -308,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		st:        st,
 		log:       cfg.Log,
-		images:    store.NewImageCache(cfg.ImageCacheSize),
+		images:    core.NewImageCache(cfg.ImageCacheSize),
 		started:   time.Now(),
 		ctx:       ctx,
 		shutdown:  cancel,
@@ -708,8 +708,8 @@ type Status struct {
 	// per tenant.
 	Tenants map[string]TenantView `json:"tenants,omitempty"`
 	// ImageCache reports warm checkpoint-image reuse across campaigns.
-	ImageCache store.Stats `json:"image_cache"`
-	UptimeMs   int64       `json:"uptime_ms"`
+	ImageCache core.ImageStats `json:"image_cache"`
+	UptimeMs   int64           `json:"uptime_ms"`
 }
 
 // Status assembles the server-wide status.

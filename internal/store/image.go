@@ -1,165 +1,10 @@
 package store
 
-import (
-	"sync"
+import "sfi/internal/core"
 
-	"sfi/internal/core"
-	"sfi/internal/engine"
-	"sfi/internal/obs"
-)
+// ImageCache is core's warm checkpoint-image cache, named here (with
+// NewImageCache) for benchmark/layers.go's store.image_clone_us probe.
+type ImageCache = core.ImageCache
 
-// ImageCache holds warm checkpoint images — built, warmed, checkpointed
-// prototype runners — keyed by engine.ImageDigest of their config. The
-// expensive phase-1/2 boot (AVP generation, warm-up, phased checkpoints)
-// is identical for every campaign on the same (backend, workload, config)
-// digest, so the cache builds it once and serves each campaign a cheap
-// warm clone. Cached prototypes are never run: they exist only to be
-// cloned, which keeps them quiescent and makes concurrent clones safe.
-//
-// Builds are single-flight: concurrent requests for the same digest share
-// one build, and a failed build is evicted so the next request retries.
-type ImageCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*imageEntry
-	order   []string // LRU order, least recently used first
-
-	hits, misses uint64
-
-	// build is the prototype constructor (core.NewRunner); a package
-	// variable-style seam so tests can count and fail builds.
-	build func(core.RunnerConfig) (*core.Runner, error)
-}
-
-type imageEntry struct {
-	ready chan struct{} // closed when the build finished (either way)
-	proto *core.Runner
-	err   error
-}
-
-// NewImageCache returns a cache bounded to max images (≤0 = 4). Eviction
-// is LRU; an evicted image is rebuilt on next use.
-func NewImageCache(max int) *ImageCache {
-	if max <= 0 {
-		max = 4
-	}
-	return &ImageCache{
-		max:     max,
-		entries: make(map[string]*imageEntry),
-		build:   core.NewRunner,
-	}
-}
-
-// Runner returns a warm clone of the checkpoint image for cfg, building
-// the image first if the cache doesn't hold it. hit reports whether the
-// image was already cached (including joining a build in flight — the
-// boot cost is shared either way).
-func (c *ImageCache) Runner(cfg core.RunnerConfig) (proto *core.Runner, hit bool, err error) {
-	digest := engine.ImageDigest(cfg)
-	c.mu.Lock()
-	e := c.entries[digest]
-	if e != nil {
-		c.hits++
-		c.touchLocked(digest)
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			return nil, false, e.err
-		}
-		return e.proto.Clone(), true, nil
-	}
-	c.misses++
-	e = &imageEntry{ready: make(chan struct{})}
-	c.entries[digest] = e
-	c.touchLocked(digest)
-	c.evictLocked()
-	build := c.build
-	c.mu.Unlock()
-
-	// Build outside the lock: a boot takes long enough that holding the
-	// cache closed would serialize unrelated campaigns behind it.
-	e.proto, e.err = build(cfg)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[digest] == e {
-			c.dropLocked(digest)
-		}
-		c.mu.Unlock()
-	}
-	close(e.ready)
-	if e.err != nil {
-		return nil, false, e.err
-	}
-	return e.proto.Clone(), false, nil
-}
-
-// RunnerTraced is Runner with the image acquisition recorded as a span
-// under parent: a cache miss becomes an "image.build" span covering the
-// shared prototype boot, a hit becomes an "image.clone" span covering only
-// the warm clone (including any wait for a build in flight). A nil tracer
-// degrades to plain Runner.
-func (c *ImageCache) RunnerTraced(cfg core.RunnerConfig, tr *obs.Tracer, parent obs.SpanContext) (*core.Runner, bool, error) {
-	if tr == nil {
-		return c.Runner(cfg)
-	}
-	sp := tr.StartSpan("image.build", "store", parent)
-	proto, hit, err := c.Runner(cfg)
-	if hit {
-		sp.Name = "image.clone"
-	}
-	sp.Attr("digest", engine.ImageDigest(cfg))
-	if err != nil {
-		sp.Attr("error", err.Error())
-	}
-	sp.End()
-	return proto, hit, err
-}
-
-// Stats is a point-in-time view of the cache's effectiveness.
-type Stats struct {
-	Images   int     `json:"images"`
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-}
-
-// Stats returns the cache's hit/miss counters.
-func (c *ImageCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Stats{Images: len(c.entries), Hits: c.hits, Misses: c.misses}
-	if total := c.hits + c.misses; total > 0 {
-		st.HitRatio = float64(c.hits) / float64(total)
-	}
-	return st
-}
-
-// touchLocked moves digest to the most-recently-used end.
-func (c *ImageCache) touchLocked(digest string) {
-	for i, d := range c.order {
-		if d == digest {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	c.order = append(c.order, digest)
-}
-
-// dropLocked removes digest entirely.
-func (c *ImageCache) dropLocked(digest string) {
-	delete(c.entries, digest)
-	for i, d := range c.order {
-		if d == digest {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// evictLocked enforces the size bound, evicting least-recently-used images
-// (never the one just inserted — it is at the MRU end).
-func (c *ImageCache) evictLocked() {
-	for len(c.entries) > c.max && len(c.order) > 1 {
-		c.dropLocked(c.order[0])
-	}
-}
+// NewImageCache returns a cache bounded to max images (≤0 = 4).
+func NewImageCache(max int) *ImageCache { return core.NewImageCache(max) }
