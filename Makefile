@@ -69,7 +69,13 @@ race:
 # completion body, a journal line, a stored report document), seeded with
 # the shard lines of internal/dist/testdata's parent journals, and requires
 # every report it decodes to re-encode to an equal one and every report a
-# lease would seal to have marginals that count each injection once.
+# lease would seal to have marginals that count each injection once;
+# FuzzStoredSpans writes arbitrary bytes as a server campaign's events file,
+# the one source of its trace, seeded with a real campaign's file from
+# internal/server/testdata, and requires Server.Trace not to panic, to place
+# each span once under one root with doc.Spans counting them, and to read a
+# torn last line as if it were absent (its inputs are kilobytes too, so
+# minimizing is capped as for FuzzCoordinatorRequests).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
@@ -79,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledNetlist -fuzztime $(FUZZTIME) ./internal/awan
 	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzWireReport -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzStoredSpans -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/server
 
 # bench runs every go benchmark once as a smoke (core's BenchmarkRunCampaign
 # among them: warm-image campaigns at 1, 2 and 4 workers), then the repo's one

@@ -34,9 +34,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -102,7 +102,7 @@ type coordArgs struct {
 	quiet      bool
 }
 
-func run(addr string, a coordArgs) error {
+func run(addr string, a coordArgs) (rerr error) {
 	level, err := obs.ParseLogLevel(a.logLevel)
 	if err != nil {
 		return err
@@ -134,28 +134,21 @@ func run(addr string, a coordArgs) error {
 			a.shardTrace = a.journal + ".trace"
 		}
 	}
-	var traceFlush func() error
 	if a.shardTrace != "" {
-		f, err := os.Create(a.shardTrace)
+		sink, err := obs.OpenTraceFile(a.shardTrace, false, obs.TraceOptions{})
 		if err != nil {
 			return err
 		}
-		bw := bufio.NewWriter(f)
-		sink := obs.NewTraceSink(bw, obs.TraceOptions{})
 		cfg.ShardTrace = sink
-		traceFlush = func() error {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if err := sink.Err(); err != nil {
-				return fmt.Errorf("shard trace write: %w", err)
+		// Closed on every return, once the coordinator is: a campaign that
+		// fails or is stopped keeps its trail, the one -shard-trace is for.
+		defer func() {
+			if cerr := sink.Close(); cerr != nil {
+				rerr = errors.Join(rerr, fmt.Errorf("shard trace write: %w", cerr))
+				return
 			}
 			log.Info("shard trace written", "path", a.shardTrace, "events", sink.Recorded())
-			return nil
-		}
+		}()
 	}
 
 	coord, err := dist.NewCoordinator(cfg)
@@ -209,11 +202,6 @@ func run(addr string, a coordArgs) error {
 	}
 	if err != nil {
 		return err
-	}
-	if traceFlush != nil {
-		if err := traceFlush(); err != nil {
-			return err
-		}
 	}
 	log.Info("campaign merged", "injections", rep.Total,
 		"elapsed", time.Since(start).Round(time.Millisecond).String(),

@@ -34,9 +34,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -50,6 +50,7 @@ import (
 
 	"sfi"
 	"sfi/internal/dist"
+	"sfi/internal/obs"
 )
 
 func main() {
@@ -145,7 +146,7 @@ func (s *liveState) snapshot() *sfi.MetricsSnapshot {
 	return &sfi.MetricsSnapshot{}
 }
 
-func run(a campaignArgs) error {
+func run(a campaignArgs) (rerr error) {
 	// -dist returns through runDist, which wires none of these: say so
 	// instead of exiting 0 with nothing written or served.
 	if a.dist > 0 {
@@ -191,33 +192,25 @@ func run(a campaignArgs) error {
 	tracer := sfi.NewTracer(cfg.Seed)
 	cfg.Obs.Tracer = tracer
 
-	var traceFlush func() error
 	if a.trace != "" {
-		f, err := os.Create(a.trace)
+		sink, err := obs.OpenTraceFile(a.trace, false, obs.TraceOptions{Sample: a.traceSample})
 		if err != nil {
 			return err
 		}
-		bw := bufio.NewWriterSize(f, 1<<20)
-		sink := sfi.NewTraceSink(bw, sfi.TraceOptions{Sample: a.traceSample})
 		cfg.Obs.Trace = sink
 		// Mirror the campaign spans into the same JSONL stream (span lines
 		// carry trace_id/span fields, injection events carry seq/outcome —
 		// the two record shapes coexist).
 		tracer.SetSink(sink)
-		traceFlush = func() error {
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if err := sink.Err(); err != nil {
-				return fmt.Errorf("trace write: %w", err)
+		// Closed on every return: a campaign that fails keeps its trace.
+		defer func() {
+			if cerr := sink.Close(); cerr != nil {
+				rerr = errors.Join(rerr, fmt.Errorf("trace write: %w", cerr))
+				return
 			}
 			fmt.Fprintf(os.Stderr, "trace: %d events to %s (%d sampled out)\n",
 				sink.Recorded(), a.trace, sink.Dropped())
-			return nil
-		}
+		}()
 	}
 
 	live := &liveState{}
@@ -259,12 +252,6 @@ func run(a campaignArgs) error {
 	}
 	if err != nil {
 		return err
-	}
-	if traceFlush != nil {
-		tracer.SetSink(nil)
-		if err := traceFlush(); err != nil {
-			return err
-		}
 	}
 	return emit(a, rep, elapsed, tracer.Doc())
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -248,6 +250,61 @@ func TestTraceSinkWriteError(t *testing.T) {
 	}
 	if s.Err() == nil {
 		t.Error("write error not surfaced")
+	}
+}
+
+// TestTraceFileAppendOrTruncate: a trace file sink writes whole lines on
+// Flush, and a reopen keeps them (appendTo) or starts the file over.
+func TestTraceFileAppendOrTruncate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	lines := func() int {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Count(data, []byte("\n"))
+	}
+	for _, step := range []struct {
+		appendTo bool
+		want     int
+	}{{false, 2}, {true, 4}, {false, 2}} {
+		s, err := OpenTraceFile(path, step.appendTo, TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RecordJSON(&ShardEvent{Kind: "lease"})
+		s.Record(&TraceEvent{Bit: 1})
+		s.Flush()
+		if got := lines(); got != step.want {
+			t.Errorf("appendTo %v: %d lines after Flush, want %d", step.appendTo, got, step.want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTraceFileCloseReturnsLatchedError: Close reports a write error the
+// sink latched while recording, not only its own flush's and close's, and
+// later events are dropped.
+func TestTraceFileCloseReturnsLatchedError(t *testing.T) {
+	s, err := OpenTraceFile(filepath.Join(t.TempDir(), "trace.jsonl"), false, TraceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.file.Close() // the file goes away under the sink
+	pad := strings.Repeat("x", 100<<10)
+	s.RecordJSON(map[string]string{"pad": pad}) // larger than the buffer: written through, and fails
+	latched := s.Err()
+	if latched == nil {
+		t.Fatal("the failed write was not latched")
+	}
+	s.RecordJSON(map[string]string{"pad": pad})
+	if s.Recorded() != 0 || s.Dropped() != 2 {
+		t.Errorf("recorded %d dropped %d, want 0 and 2", s.Recorded(), s.Dropped())
+	}
+	if err := s.Close(); err != latched {
+		t.Errorf("Close = %v, want the latched write error %v", err, latched)
 	}
 }
 

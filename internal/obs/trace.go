@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -61,12 +64,65 @@ type TraceSink struct {
 	mu  sync.Mutex
 	w   io.Writer
 	err error
+
+	buf  *bufio.Writer // OpenTraceFile's: the sink owns the buffer and file
+	file *os.File
 }
 
 // NewTraceSink wraps a writer in a sink. The sink does not buffer or close
-// the writer; wrap a *bufio.Writer (and flush it) for high-rate traces.
+// the writer; a trace file is OpenTraceFile's.
 func NewTraceSink(w io.Writer, opts TraceOptions) *TraceSink {
 	return &TraceSink{w: w, opts: opts}
+}
+
+// OpenTraceFile returns a sink that owns the trace file at path and writes
+// it through a buffer. appendTo writes after what the file holds; otherwise
+// the file is truncated.
+func OpenTraceFile(path string, appendTo bool, opts TraceOptions) (*TraceSink, error) {
+	mode := os.O_TRUNC
+	if appendTo {
+		mode = os.O_APPEND
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	buf := bufio.NewWriter(f)
+	return &TraceSink{w: buf, opts: opts, buf: buf, file: f}, nil
+}
+
+// Flush writes out what the sink has buffered, under its write lock, so
+// the file ends on a line boundary. A failed write is latched.
+func (s *TraceSink) Flush() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.buf != nil && s.err == nil {
+		s.err = s.buf.Flush()
+	}
+}
+
+// Close flushes the sink and closes the file it owns, returning the first
+// error the sink met: a latched write error, the flush's or the close's.
+func (s *TraceSink) Close() error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.buf != nil && s.err == nil {
+		s.err = s.buf.Flush()
+	}
+	err := s.err
+	if s.file != nil {
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	s.err = cmp.Or(err, os.ErrClosed) // events recorded after Close are dropped
+	return err
 }
 
 // Record offers one event to the sink. The event's Seq field is assigned

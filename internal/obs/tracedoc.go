@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -61,35 +62,41 @@ func (n *SpanNode) endNs() int64 { return n.StartNs + n.DurNs }
 
 // BuildTraceDoc reassembles finished spans into a single-rooted tree and
 // computes its critical path. The root is the parentless span that starts
-// earliest; orphans (spans whose parent was overwritten by the ring or is
-// still running) attach under the root so the tree stays connected. When
-// no parentless span exists at all (a mid-run query), a synthetic root
-// covering the observed time range is created.
+// earliest (ties to the least ID); orphans (spans whose parent was
+// overwritten by the ring or is still running) attach under the root so the
+// tree stays connected. When no parentless span exists at all (a mid-run
+// query), a synthetic root covering the observed time range is created. An
+// ID seen twice keeps its last span, and spans whose parents form a cycle
+// are left out: Spans counts the spans the tree holds.
 func BuildTraceDoc(traceID string, spans []Span, dropped int) *TraceDoc {
-	doc := &TraceDoc{TraceID: traceID, Spans: len(spans), Dropped: dropped}
-	if len(spans) == 0 {
-		return doc
-	}
-
+	doc := &TraceDoc{TraceID: traceID, Dropped: dropped}
 	nodes := make(map[string]*SpanNode, len(spans))
+	all := make([]SpanNode, 0, len(spans)) // one allocation: never grown, so its pointers hold
 	for i := range spans {
-		sp := spans[i]
+		sp := &spans[i]
 		if sp.TraceID != "" && traceID != "" && sp.TraceID != traceID {
 			continue // defensive: foreign trace mixed into the ring
 		}
-		nodes[sp.SpanID] = &SpanNode{Span: sp}
+		if n := nodes[sp.SpanID]; n != nil {
+			n.Span = *sp
+			continue
+		}
+		all = append(all, SpanNode{Span: *sp})
+		nodes[sp.SpanID] = &all[len(all)-1]
 	}
 
 	var root *SpanNode
 	var orphans []*SpanNode
-	for _, n := range nodes {
+	for i := range all {
+		n := &all[i]
 		if n.ParentID != "" {
 			if p := nodes[n.ParentID]; p != nil && p != n {
 				p.Children = append(p.Children, n)
 				continue
 			}
 		}
-		if n.ParentID == "" && (root == nil || n.StartNs < root.StartNs) {
+		if n.ParentID == "" && (root == nil || n.StartNs < root.StartNs ||
+			n.StartNs == root.StartNs && n.SpanID < root.SpanID) {
 			if root != nil {
 				orphans = append(orphans, root)
 			}
@@ -99,6 +106,9 @@ func BuildTraceDoc(traceID string, spans []Span, dropped int) *TraceDoc {
 		orphans = append(orphans, n)
 	}
 	if root == nil {
+		if len(orphans) == 0 {
+			return doc // no span, or only cycles
+		}
 		// Mid-run view: no span has finished parentless yet. Synthesize a
 		// root over the observed range so the tree stays queryable.
 		lo, hi := orphans[0].StartNs, orphans[0].endNs()
@@ -111,16 +121,14 @@ func BuildTraceDoc(traceID string, spans []Span, dropped int) *TraceDoc {
 			}
 		}
 		root = &SpanNode{Span: Span{TraceID: traceID, Name: "trace", Layer: "synthetic", StartNs: lo, DurNs: hi - lo}}
+		doc.Spans-- // the synthetic root is no recorded span
 	}
 	root.Children = append(root.Children, orphans...)
 	var sortChildren func(n *SpanNode)
 	sortChildren = func(n *SpanNode) {
-		sort.Slice(n.Children, func(i, j int) bool {
-			a, b := n.Children[i], n.Children[j]
-			if a.StartNs != b.StartNs {
-				return a.StartNs < b.StartNs
-			}
-			return a.SpanID < b.SpanID
+		doc.Spans++
+		slices.SortFunc(n.Children, func(a, b *SpanNode) int {
+			return cmp.Or(cmp.Compare(a.StartNs, b.StartNs), strings.Compare(a.SpanID, b.SpanID))
 		})
 		for _, c := range n.Children {
 			sortChildren(c)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -125,9 +126,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if cs := s.CoordStatus(id); cs != nil {
 		out.Coord = cs
 	}
-	if sum, ok := s.traceSummary(id); ok && sum.spans > 0 {
-		out.TraceID = sum.traceID
-		out.Latency = sum.latency
+	if row, ok := s.traceSummary(id); ok && row.Spans > 0 {
+		out.TraceID = row.TraceID
+		out.Latency = row.Latency
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -173,18 +174,31 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Get(id); !ok {
+	s.mu.Lock()
+	_, ok := s.campaigns[id]
+	ct := s.tracers[id]
+	s.mu.Unlock()
+	if !ok {
 		writeError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
-	f, err := os.Open(s.st.EventsPath(id))
-	if err != nil {
+	path := s.st.EventsPath(id)
+	var n int64 // the file's whole lines
+	if ct != nil {
+		_, n = ct.read(path)
+	} else if fi, err := os.Stat(path); err == nil {
+		n = fi.Size() // a settled campaign's file was closed whole
+	}
+	f, err := os.Open(path)
+	if err == nil {
+		defer f.Close()
+	}
+	if err != nil || n == 0 {
 		writeError(w, http.StatusNotFound, errors.New("server: campaign has no events yet"))
 		return
 	}
-	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	io.Copy(w, f) //nolint:errcheck
+	io.CopyN(w, f, n) //nolint:errcheck
 }
 
 // handleCoord forwards a request to a running campaign's coordinator with
@@ -268,39 +282,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSpanHistSnapshots(bw, "sfi_server", s.spanHists()) //nolint:errcheck
 }
 
-// eventsSink opens the campaign's append-mode shard trace (append so a
-// resumed campaign extends, not clobbers, its event history).
-func (s *Server) eventsSink(id string) (*obs.TraceSink, func(), error) {
-	f, err := os.OpenFile(s.st.EventsPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// readSpans reads a campaign's events file from offset off to its last
+// newline and picks out the spans. n is how many bytes it read.
+func readSpans(path string, off int64) (spans []obs.Span, n int64, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
-	}
-	bw := bufio.NewWriter(f)
-	sink := obs.NewTraceSink(bw, obs.TraceOptions{})
-	flush := func() {
-		bw.Flush() //nolint:errcheck
-		f.Close()  //nolint:errcheck
-	}
-	return sink, flush, nil
-}
-
-// storedSpans reads back the spans mirrored into a campaign's events JSONL
-// (the file interleaves them with shard events, which carry no span ID).
-// A torn last line — a crash mid-write — ends the read.
-func (s *Server) storedSpans(id string) []obs.Span {
-	f, err := os.Open(s.st.EventsPath(id))
-	if err != nil {
-		return nil
+		return nil, 0, err
 	}
 	defer f.Close()
-	var spans []obs.Span
-	for dec := json.NewDecoder(bufio.NewReader(f)); ; {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, 0, err
+	}
+	data, err := io.ReadAll(f)
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	return storedSpans(data), int64(len(data)), err
+}
+
+// storedSpans picks the spans out of events-file lines, which interleave
+// them with shard and injection events (those carry no span ID and are
+// not decoded). A line that does not parse is skipped.
+func storedSpans(data []byte) (spans []obs.Span) {
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
 		var sp obs.Span
-		if err := dec.Decode(&sp); err != nil {
-			return spans
-		}
-		if sp.SpanID != "" {
+		if bytes.Contains(line, []byte(`"span_id"`)) && json.Unmarshal(line, &sp) == nil && sp.SpanID != "" {
 			spans = append(spans, sp)
 		}
 	}
+	return spans
 }

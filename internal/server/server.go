@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -166,7 +167,7 @@ type Server struct {
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
 	tracers   map[string]*campaignTrace // unsettled campaigns only
-	settled   map[string]settledTrace   // what is kept of a settled campaign's trace
+	settled   map[string]TraceSummary   // a settled campaign's trace row
 	spanAgg   map[string]obs.HistSnapshot
 	queue     *fairQueue
 	running   map[string]*execution
@@ -184,85 +185,107 @@ type execution struct {
 	cancel context.CancelCauseFunc
 }
 
-// campaignTrace is one campaign's tracer plus the structural spans the
-// server holds open across scheduling stages: the root "campaign" span
-// (submit to settle) and the "queue.wait" span (submit to start).
+// campaignTrace is one unsettled campaign's tracer plus the structural
+// spans the server holds open across scheduling stages: the root
+// "campaign" span (submit to settle) and the "queue.wait" span (submit to
+// start). Every span ends while events, the campaign's events file, is
+// attached: that file is the campaign's one trace. spans holds the spans
+// in the file's first whole bytes, so a read parses only newer lines.
 type campaignTrace struct {
 	tracer *obs.Tracer
 	root   *obs.Span
 	queue  *obs.Span
+
+	mu     sync.Mutex // guards events, whole and spans
+	events *obs.TraceSink
+	whole  int64
+	spans  []obs.Span
 }
 
-// traceLocked returns the campaign's trace, creating it on first use.
-// Submissions create theirs at submit time; campaigns recovered from a
-// previous process create one lazily with the root span back-dated to the
-// original submission. The tracer seed mixes the submission sequence into
-// the campaign seed so two campaigns with equal specs still get distinct
-// trace IDs, while a replayed submission order reproduces the same IDs.
-func (s *Server) traceLocked(c *Campaign) *campaignTrace {
-	ct := s.tracers[c.ID]
-	if ct == nil {
-		tr := obs.NewTracer(c.Spec.Campaign.Seed ^ engine.Splitmix64(uint64(c.Seq)+1))
-		ct = &campaignTrace{tracer: tr}
-		ct.root = tr.StartSpanAt("campaign", "server", obs.SpanContext{}, c.SubmittedAt).
-			Attr("campaign", c.ID).Attr("tenant", c.Tenant)
-		s.tracers[c.ID] = ct
+// newTraceLocked creates and registers an unsettled campaign's trace, at
+// submission or recovery; its root span and queue wait (a dedup hit has
+// none) start at the original submission. The tracer seed mixes the
+// submission sequence into the campaign seed, so equal specs get distinct
+// trace IDs and a replayed submission order the same ones. stored holds
+// the spans earlier runs left in the events file's first whole bytes: a
+// resumed campaign keeps its trace ID but mixes their count into its span
+// IDs, so it re-mints none of theirs (a first run's do not move).
+func (s *Server) newTraceLocked(c *Campaign, stored []obs.Span, whole int64) *campaignTrace {
+	seed := c.Spec.Campaign.Seed ^ engine.Splitmix64(uint64(c.Seq)+1)
+	tr := obs.NewTracer(seed)
+	if len(stored) > 0 {
+		id := tr.TraceID()
+		tr = obs.NewTracer(seed ^ engine.Splitmix64(uint64(len(stored))))
+		tr.SetTraceID(id)
 	}
+	ct := &campaignTrace{tracer: tr, whole: whole, spans: stored}
+	ct.root = tr.StartSpanAt("campaign", "server", obs.SpanContext{}, c.SubmittedAt).
+		Attr("campaign", c.ID).Attr("tenant", c.Tenant)
+	if !c.Dedup {
+		ct.queue = tr.StartSpanAt("queue.wait", "server", ct.root.Context(), c.SubmittedAt)
+	}
+	s.tracers[c.ID] = ct
 	return ct
 }
 
-// settledTrace is what the server keeps in memory of a settled campaign's
-// trace: its identity and latency attribution, a fixed few hundred bytes
-// against the ~220 KB a 64-flip campaign's live tracer holds. The spans
-// themselves live on in the campaign's events JSONL, and their per-layer
-// histograms in Server.spanAgg.
-type settledTrace struct {
-	traceID string
-	spans   int
-	latency *obs.Attribution
+// read flushes the attached events file and parses the whole lines
+// written since the last read. It returns every span in the file and the
+// length of its whole lines.
+func (ct *campaignTrace) read(path string) ([]obs.Span, int64) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	ct.events.Flush()
+	spans, n, _ := readSpans(path, ct.whole) // no file yet: no spans
+	ct.spans, ct.whole = append(ct.spans, spans...), ct.whole+n
+	return slices.Clip(ct.spans), ct.whole
 }
 
-// summarize reduces a trace document to its settledTrace row.
-func summarize(doc *obs.TraceDoc) settledTrace {
-	st := settledTrace{traceID: doc.TraceID, spans: doc.Spans}
+// summarize reduces a trace document to its TraceSummary row (the caller
+// names the campaign): all a settled campaign keeps in memory of its trace,
+// a few hundred bytes against the ~220 KB of a 64-flip campaign's tracer.
+func summarize(doc *obs.TraceDoc) TraceSummary {
+	row := TraceSummary{TraceID: doc.TraceID, Spans: doc.Spans}
 	if doc.Spans > 0 {
 		latency := doc.Attribution // a copy: a pointer into the doc would pin the whole tree
-		st.latency = &latency
+		row.Latency = &latency
 	}
-	return st
+	return row
 }
 
-// mirrorTrace opens the campaign's events JSONL and points its tracer at
-// it: first the spans that finished before the file was open (the queue
-// wait, or all of a campaign that settles without running), then every
-// later one as it finishes. The JSONL is what serves the trace once the
-// tracer is retired. It returns the sink, for the shard events that share
-// the file, and a stop function that detaches the tracer and closes it.
-func (s *Server) mirrorTrace(id string, tr *obs.Tracer) (*obs.TraceSink, func(), error) {
-	events, closeEvents, err := s.eventsSink(id)
+// attachEvents opens the campaign's events file for append (a resumed
+// campaign extends its history) and points its tracer at it.
+func (s *Server) attachEvents(id string, ct *campaignTrace) error {
+	events, err := obs.OpenTraceFile(s.st.EventsPath(id), true, obs.TraceOptions{})
 	if err != nil {
-		return nil, nil, err
+		s.log.Error("campaign trace persist failed", "campaign", id, "path", s.st.EventsPath(id), "err", err)
+		return err
 	}
-	for _, sp := range tr.Spans() {
-		events.RecordJSON(&sp)
-	}
-	tr.SetSink(events)
-	return events, func() {
-		tr.SetSink(nil)
-		closeEvents()
-	}, nil
+	ct.mu.Lock()
+	ct.events = events
+	ct.mu.Unlock()
+	ct.tracer.SetSink(events)
+	return nil
 }
 
-// retireTrace releases a settled campaign's tracer, keeping its summary
-// row and folding its per-layer histograms into the server-wide aggregate.
-// Every span must already be in the campaign's events JSONL.
+// detachEvents detaches the campaign's events file and closes it.
+func (s *Server) detachEvents(id string, ct *campaignTrace) {
+	ct.tracer.SetSink(nil)
+	ct.mu.Lock()
+	err := ct.events.Close()
+	ct.events = nil
+	ct.mu.Unlock()
+	if err != nil {
+		s.log.Error("campaign trace persist failed", "campaign", id, "path", s.st.EventsPath(id), "err", err)
+	}
+}
+
+// retireTrace releases a settled campaign's tracer, folding its per-layer
+// histograms into the server-wide aggregate.
 func (s *Server) retireTrace(id string, ct *campaignTrace) {
-	sum := summarize(ct.tracer.Doc())
 	hists := ct.tracer.LayerSnapshots()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.tracers, id)
-	s.settled[id] = sum
 	for layer, snap := range hists {
 		m := s.spanAgg[layer]
 		m.Merge(snap)
@@ -270,15 +293,14 @@ func (s *Server) retireTrace(id string, ct *campaignTrace) {
 	}
 }
 
-// retireUnrunTrace retires the trace of a campaign that settled without
-// ever running (a dedup hit, a queued cancel): its few spans never saw an
-// events sink, so they are written out first.
-func (s *Server) retireUnrunTrace(id string, ct *campaignTrace) {
-	if _, stop, err := s.mirrorTrace(id, ct.tracer); err != nil {
-		s.log.Error("campaign trace persist failed", "campaign", id, "err", err)
-	} else {
-		stop()
-	}
+// settleUnrun ends the open spans of a campaign that settled without
+// running (a dedup hit, which has no queue wait, or a queued cancel) with
+// its events file attached, then closes the file and retires the tracer.
+func (s *Server) settleUnrun(id string, ct *campaignTrace, state string) {
+	s.attachEvents(id, ct) //nolint:errcheck // logged; the spans still end
+	ct.queue.End()
+	ct.root.Attr("state", state).End()
+	s.detachEvents(id, ct)
 	s.retireTrace(id, ct)
 }
 
@@ -314,7 +336,7 @@ func New(cfg Config) (*Server, error) {
 		shutdown:  cancel,
 		campaigns: make(map[string]*Campaign),
 		tracers:   make(map[string]*campaignTrace),
-		settled:   make(map[string]settledTrace),
+		settled:   make(map[string]TraceSummary),
 		spanAgg:   make(map[string]obs.HistSnapshot),
 		queue:     newFairQueue(cfg.TenantWeights),
 		running:   make(map[string]*execution),
@@ -357,6 +379,16 @@ func (s *Server) recover() error {
 	}
 	slices.SortFunc(resumed, func(a, b *Campaign) int { return int(a.Seq - b.Seq) })
 	for _, c := range resumed {
+		// The events file is cut back to its whole lines, so what the
+		// resumed run appends starts a line of its own even after a crash
+		// tore the last one (should the cut fail, that merged line is
+		// skipped on read).
+		path := s.st.EventsPath(c.ID)
+		spans, n, err := readSpans(path, 0) // no file: nothing stored
+		if err == nil {
+			os.Truncate(path, n) //nolint:errcheck
+		}
+		s.newTraceLocked(c, spans, n)
 		s.queue.push(c.Tenant, c.ID)
 		if err := s.st.SaveCampaign(c.ID, *c); err != nil {
 			return err
@@ -451,7 +483,6 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	}
 	c.Seq = s.seq
 	s.seq++
-	var unrun *campaignTrace // set when the campaign settles right here, without running
 	if hash, ok := s.st.ReportHash(c.Digest); ok {
 		// Content-addressed dedup: an identical spec already produced a
 		// report; serve it without running a single injection.
@@ -460,21 +491,18 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 		c.Dedup = true
 		c.ReportHash = hash
 		c.FinishedAt = &now
-		unrun = s.traceLocked(c)
-		unrun.root.Attr("dedup", "true").Attr("state", StateDone).End()
-		unrun.root = nil
 	} else {
 		c.State = StateQueued
 		s.queue.push(c.Tenant, c.ID)
-		ct := s.traceLocked(c)
-		ct.queue = ct.tracer.StartSpan("queue.wait", "server", ct.root.Context())
 	}
+	ct := s.newTraceLocked(c, nil, 0)
 	s.campaigns[c.ID] = c
 	snap := *c
 	s.mu.Unlock()
 
-	if unrun != nil {
-		s.retireUnrunTrace(c.ID, unrun)
+	if snap.Dedup {
+		ct.root.Attr("dedup", "true")
+		s.settleUnrun(c.ID, ct, StateDone)
 	}
 	if err := s.st.SaveCampaign(c.ID, snap); err != nil {
 		return Campaign{}, err
@@ -502,21 +530,9 @@ func (s *Server) Cancel(id string) error {
 		c.State = StateCancelled
 		c.FinishedAt = &now
 		ct := s.tracers[id]
-		if ct != nil {
-			if ct.queue != nil {
-				ct.queue.End()
-				ct.queue = nil
-			}
-			if ct.root != nil {
-				ct.root.Attr("state", StateCancelled).End()
-				ct.root = nil
-			}
-		}
 		snap := *c
 		s.mu.Unlock()
-		if ct != nil {
-			s.retireUnrunTrace(id, ct)
-		}
+		s.settleUnrun(id, ct, StateCancelled)
 		s.log.Info("queued campaign cancelled", "campaign", id)
 		return s.st.SaveCampaign(id, snap)
 	case StateRunning:
@@ -588,32 +604,26 @@ func (s *Server) CoordStatus(id string) *dist.Status {
 	return &st
 }
 
-// Trace returns a campaign's span-tree document, assembled into a tree with
-// the critical path marked and latency attribution computed: from the live
-// tracer (the spans recorded so far) until the campaign settles, from the
-// spans mirrored into its events JSONL afterwards — which also serves
-// campaigns that finished under a previous process. ok=false when the
-// campaign is unknown or no span of it was ever recorded.
+// Trace returns a campaign's span tree, critical path marked and latency
+// attributed, from the spans in its events file: queued, running, settled
+// and previous-process campaigns alike. An unsettled campaign's read parses
+// only the lines written since its last one. ok=false when the campaign is
+// unknown, or has no tracer in this process and no span stored.
 func (s *Server) Trace(id string) (*obs.TraceDoc, bool) {
 	s.mu.Lock()
-	known := s.campaigns[id] != nil
+	_, known := s.campaigns[id]
 	ct := s.tracers[id]
-	traceID := s.settled[id].traceID
 	s.mu.Unlock()
+	path := s.st.EventsPath(id)
 	if ct != nil {
-		return ct.tracer.Doc(), true
+		spans, _ := ct.read(path)
+		return obs.BuildTraceDoc(ct.tracer.TraceID(), spans, 0), true
 	}
-	if !known {
+	spans, _, _ := readSpans(path, 0) // no file: no spans
+	if !known || len(spans) == 0 {
 		return nil, false
 	}
-	spans := s.storedSpans(id)
-	if len(spans) == 0 {
-		return nil, false
-	}
-	if traceID == "" {
-		traceID = spans[0].TraceID
-	}
-	return obs.BuildTraceDoc(traceID, spans, 0), true
+	return obs.BuildTraceDoc(spans[0].TraceID, spans, 0), true
 }
 
 // TraceSummary is one row of GET /v1/traces: a campaign's trace identity
@@ -628,31 +638,26 @@ type TraceSummary struct {
 }
 
 // traceSummary returns a campaign's trace identity and latency
-// attribution: computed from the live tracer until the campaign settles,
-// the retained row after. A campaign that settled under a previous process
-// has no row yet: its first query reads the spans back from its events
-// JSONL and keeps their summary. ok=false when no span of it exists.
-func (s *Server) traceSummary(id string) (settledTrace, bool) {
+// attribution, summarize(Trace(id)): kept as the campaign's row once it has
+// settled and its tracer is retired — in this process or a previous one —
+// and computed afresh on every query before. ok=false when Trace has none.
+func (s *Server) traceSummary(id string) (TraceSummary, bool) {
 	s.mu.Lock()
-	ct := s.tracers[id]
 	sum, ok := s.settled[id]
-	c := s.campaigns[id]
-	over := c != nil && c.State != StateQueued && c.State != StateRunning
+	final := s.tracers[id] == nil // known and without a tracer: settled
 	s.mu.Unlock()
-	if ct != nil {
-		return summarize(ct.tracer.Doc()), true
-	}
-	if ok || !over {
-		return sum, ok
+	if ok {
+		return sum, true
 	}
 	doc, ok := s.Trace(id)
 	if !ok {
 		return sum, false
 	}
-	sum = summarize(doc)
-	s.mu.Lock()
-	s.settled[id] = sum
-	s.mu.Unlock()
+	if sum = summarize(doc); final {
+		s.mu.Lock()
+		s.settled[id] = sum
+		s.mu.Unlock()
+	}
 	return sum, true
 }
 
@@ -661,15 +666,9 @@ func (s *Server) Traces() []TraceSummary {
 	campaigns := s.List()
 	out := make([]TraceSummary, 0, len(campaigns))
 	for _, c := range campaigns {
-		if sum, ok := s.traceSummary(c.ID); ok {
-			out = append(out, TraceSummary{
-				Campaign: c.ID,
-				Tenant:   c.Tenant,
-				State:    c.State,
-				TraceID:  sum.traceID,
-				Spans:    sum.spans,
-				Latency:  sum.latency,
-			})
+		if row, ok := s.traceSummary(c.ID); ok {
+			row.Campaign, row.Tenant, row.State = c.ID, c.Tenant, c.State
+			out = append(out, row)
 		}
 	}
 	return out
@@ -768,14 +767,6 @@ func (s *Server) startLocked(c *Campaign) {
 	now := time.Now()
 	c.State = StateRunning
 	c.StartedAt = &now
-	ct := s.traceLocked(c)
-	if ct.queue == nil {
-		// Recovered campaign: its queue wait spans the previous process's
-		// lifetime too, back-dated to the original submission.
-		ct.queue = ct.tracer.StartSpanAt("queue.wait", "server", ct.root.Context(), c.SubmittedAt)
-	}
-	ct.queue.End()
-	ct.queue = nil
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	exec := &execution{cancel: cancel}
 	s.running[c.ID] = exec
@@ -792,15 +783,16 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	s.persist(c)
 	s.log.Info("campaign started", "campaign", c.ID, "tenant", c.Tenant)
 
-	// The events JSONL takes the shard events and a mirror of every span.
-	// It stays open until the root span has settled into it: once the
-	// tracer is retired, that file is the campaign's trace.
+	// The events file takes the shard events and every span. It is
+	// attached before the queue wait ends and stays so until the root span
+	// has settled into it.
 	s.mu.Lock()
-	ct := s.traceLocked(c)
+	ct := s.tracers[c.ID]
 	s.mu.Unlock()
-	events, stopMirror, err := s.mirrorTrace(c.ID, ct.tracer)
+	err := s.attachEvents(c.ID, ct)
+	ct.queue.End()
 	if err == nil {
-		err = s.runCampaign(ctx, c, exec, ct, events)
+		err = s.runCampaign(ctx, c, exec, ct)
 	}
 
 	s.mu.Lock()
@@ -835,9 +827,7 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	snap := *c
 	s.mu.Unlock()
 
-	if stopMirror != nil {
-		stopMirror()
-	}
+	s.detachEvents(c.ID, ct)
 	if settled {
 		s.retireTrace(c.ID, ct)
 	}
@@ -861,7 +851,7 @@ func (s *Server) persist(c *Campaign) {
 // runCampaign executes one campaign: a journal-backed dist coordinator
 // plus one embedded worker making the lease protocol's calls on it
 // directly, with prototypes served from the warm image cache.
-func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, ct *campaignTrace, events *obs.TraceSink) (err error) {
+func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, ct *campaignTrace) (err error) {
 	// The executor span covers this whole function (scheduling overhead
 	// around it is the root's own self-time).
 	tr := ct.tracer
@@ -879,7 +869,7 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 		LeaseTTL:   s.cfg.LeaseTTL,
 		Journal:    s.st.JournalPath(c.ID),
 		Log:        s.log.With("campaign", c.ID),
-		ShardTrace: events,
+		ShardTrace: ct.events,
 		Tracer:     tr,
 		Parent:     execSp.Context(),
 	})
