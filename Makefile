@@ -142,9 +142,12 @@ lines:
 # complete in is not a function of the seed. `-type REGFILE` is the one
 # shape whose report holds a single latch type, so its by_type export is a
 # one-row marginal of the cross; awan under `-allocate neyman` is the one
-# shape that folds awan's keyed (per-stratum) draws. The fixed-window shape
-# costs ~20 ms an injection and awan's default design has 1,600 bits, so
-# each shape sets its own -flips.
+# shape that folds awan's keyed (per-stratum) draws. `-type GPTR` and
+# `-type MODE -sticky` draw scan-ring latches only, whose groups the model
+# reads but many of whose bits lie outside the read sets it declares: they
+# are the shapes where flips move from clocked to replayed, toggled and
+# held. The fixed-window shape costs ~20 ms an injection and awan's default
+# design has 1,600 bits, so each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
 CMP_SHAPES = \
@@ -164,6 +167,8 @@ CMP_SHAPES = \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 600 -dist 4 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 600 -type REGFILE| \
+	-flips 600 -type GPTR| \
+	-flips 600 -type MODE -sticky| \
 	-flips 400 -backend awan| \
 	-flips 400 -backend awan -lanes 1| \
 	-flips 400 -backend awan -allocate neyman

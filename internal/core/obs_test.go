@@ -160,8 +160,9 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // on fixed campaigns of the default configuration. The cycles observed are
 // what they were when every one of them was stepped (the value of the commit
 // before the early exit), so reports cannot have moved; the cycles the model
-// was clocked through are at most 12% of them, which is the saving (a flip no
-// model code can read clocks none, nor does one the fault-free run
+// was clocked through are at most 12% of them, which is the saving (a flip
+// of a bit outside its group's read set clocks none, nor does one the
+// fault-free run
 // overwrites, or never reads, before the run ends, and the delay before any
 // flip is no part of the count). The stepped totals are pinned for three
 // fault shapes, so that a change to the replay rule shows where it moves
@@ -179,10 +180,10 @@ func TestEarlyExitCount(t *testing.T) {
 		mut                          func(*RunnerConfig)
 		observed, stepped, refreshes uint64
 	}{
-		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 32434, 85},
-		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 210900, 509},
-		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 220770, 519},
-		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 614115, 2139},
+		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69},
+		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397},
+		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409},
+		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultCampaignConfig()

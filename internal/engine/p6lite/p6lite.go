@@ -11,13 +11,15 @@
 //
 // The backend clocks no cycle on the fault-free trajectory construction
 // recorded: the delay from a phased checkpoint to the injection instant is
-// observed, not clocked, unless the flip lands on a latch the model can read;
-// a flip confined to never-read latches leaves the model at its checkpoint;
-// a flip in a tracked group (the register files, predictor, ERAT and store
-// queue) stays out of the model until the cycle the recorded run first reads
-// the flipped word, and for good if it overwrites the word first. In each
-// case the recorded barriers are replayed to the caller instead, and a model
-// once off the record stays off it (DESIGN.md "Early exit against golden").
+// observed, not clocked, unless the flip lands on a latch bit the model can
+// read; a flip confined to never-read bits — outside the read set its
+// group's handles declare, so no handle can return them — leaves the model
+// at its checkpoint, toggled or held; a flip in a tracked group (the
+// register files, predictor, ERAT and store queue) stays out of the model
+// until the cycle the recorded run first reads the flipped word, and for
+// good if it overwrites the word first. In each case the recorded barriers
+// are replayed to the caller instead, and a model once off the record stays
+// off it (DESIGN.md "Early exit against golden").
 package p6lite
 
 import (
@@ -67,7 +69,7 @@ type Backend struct {
 	// replayed): the retired testcase is barrier-1 modulo the program's
 	// count, and while golden holds it indexes barriers.
 	barrier int
-	// golden: every latch outside never-read groups, every array cell and
+	// golden: every latch bit inside the read sets, every array cell and
 	// all of memory are on the recorded trajectory at observed cycle Cycle()
 	// and testend count barrier — but for a deferred flip, below. ReloadPhase
 	// alone establishes it and a flip going into a bit the model can read
@@ -77,7 +79,7 @@ type Backend struct {
 	// again before it trusts Step or Run.
 	golden bool
 	// deferred: Inject has kept the toggle fault pend, made at observed cycle
-	// flipAt, out of the model. Every bit of it is in a never-read or a
+	// flipAt, out of the model. Every bit of it is never read or in a
 	// tracked group, and the recorded run reads no flipped word before cycle
 	// liveAt (latch.Never: not at all, or not before overwriting it), so up
 	// to there the faulty run is the recorded one and replay goes on. A run
@@ -340,8 +342,12 @@ func (b *Backend) flip(inj engine.Injection) (first latch.BitRef, v bool) {
 
 // Inject applies a fault at the current observed cycle: the bit (and the rest
 // of its span) is flipped, and in sticky mode the flipped value is re-forced
-// after every subsequent cycle until the duration expires. It also snapshots
-// the recovery count as the quiesce baseline for CheckBarrier's busy test.
+// after every subsequent cycle until the duration expires. It asks each
+// flipped bit whether it is never read (latch.Group.NeverRead: outside its
+// group's read set): a toggle or a held fault confined to such bits goes
+// into the model where it stands, with no catch-up, and the run replays the
+// record to quiesce. It also snapshots the recovery count as the quiesce
+// baseline for CheckBarrier's busy test.
 func (b *Backend) Inject(inj engine.Injection) error {
 	db := b.core.DB()
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
@@ -352,16 +358,16 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	}
 	// A flip commutes with any number of cycles exactly when no cycle reads
 	// it. live is the first cycle whose clocking can tell the faulty run from
-	// the recorded one: never for a bit the model cannot read; for a toggled
-	// bit of a tracked word, on the record, the cycle the record first reads
-	// the word, unless it overwrites it first; the next one for anything
-	// else. The fault is as live as its first-read bit (a held fault holds
-	// the first of them).
+	// the recorded one: never for a bit outside its group's read set, which
+	// no handle returns; for a toggled bit of a tracked word, on the record,
+	// the cycle the record first reads the word, unless it overwrites it
+	// first; the next one for anything else. The fault is as live as its
+	// first-read bit (a held fault holds the first of them).
 	now, live, tracked := b.Cycle(), latch.Never, false
 	for i, n := 0, b.span(inj); i < n && live > now; i++ {
-		g, e, _ := db.Locate(inj.Bit + i)
+		g, e, bit := db.Locate(inj.Bit + i)
 		switch {
-		case g.NeverRead():
+		case g.NeverRead(e, bit):
 		case g.Tracked && inj.Mode == engine.Toggle && b.onRecord():
 			tracked = true
 			live = min(live, b.log.LiveAt(g, e, now))

@@ -738,10 +738,11 @@ func TestRunAfterEarlyExit(t *testing.T) {
 	diffStates(t, liveState(p.fast.Core()), liveState(p.slow.Core()))
 }
 
-// confined reports whether every bit inj flips is in a group sel selects.
-func confined(db *latch.DB, inj engine.Injection, sel func(*latch.Group) bool) bool {
+// confined reports whether sel selects every bit inj flips: bit b of entry e
+// of group g.
+func confined(db *latch.DB, inj engine.Injection, sel func(g *latch.Group, e, b int) bool) bool {
 	for i := 0; i < max(inj.Span, 1) && inj.Bit+i < db.TotalBits(); i++ {
-		if g, _, _ := db.Locate(inj.Bit + i); !sel(g) {
+		if !sel(db.Locate(inj.Bit + i)) {
 			return false
 		}
 	}
@@ -749,12 +750,14 @@ func confined(db *latch.DB, inj engine.Injection, sel func(*latch.Group) bool) b
 }
 
 // TestClockedCycleCount pins what an injection is charged, in the model's
-// own clocked cycles. None at all when every flipped bit is never-read: the
-// model stays at the phased checkpoint from ReloadPhase to after Run. None
-// either when a toggle confined to never-read and tracked groups is not read
-// by the recorded run before the injection's run ends: the flip never goes
-// into the model. Otherwise the delay plus RunStats.Stepped — so Stepped
-// holds no delay cycle, and no cycle is clocked that is neither.
+// own clocked cycles. None at all when every flipped bit is never read —
+// outside its group's read set, in an idle or write-only group or beside the
+// read bits of a scan or tracked one: the model stays at the phased
+// checkpoint from ReloadPhase to after Run. None either when a toggle
+// confined to never-read bits and tracked groups is not read by the recorded
+// run before the injection's run ends: the flip never goes into the model.
+// Otherwise the delay plus RunStats.Stepped — so Stepped holds no delay
+// cycle, and no cycle is clocked that is neither.
 func TestClockedCycleCount(t *testing.T) {
 	bits := 2000
 	if testing.Short() || raceDetector {
@@ -776,7 +779,7 @@ func TestClockedCycleCount(t *testing.T) {
 			moved := b.core.Cycle - b.barriers[phase] // barriers[p] is the cycle of ckpts[p]
 			want := uint64(delay) + o.stats.Stepped
 			deferrable := inj.Mode == engine.Toggle &&
-				confined(b.DB(), inj, func(g *latch.Group) bool { return g.NeverRead() || g.Tracked })
+				confined(b.DB(), inj, func(g *latch.Group, e, b int) bool { return g.NeverRead(e, b) || g.Tracked })
 			if confined(b.DB(), inj, (*latch.Group).NeverRead) || deferrable && moved == 0 {
 				want = 0
 				free++
@@ -942,6 +945,23 @@ func FuzzEarlyExit(f *testing.F) {
 	f.Add(bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))  // tracked into live lsu.erat.par
 	f.Add(bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0)) // tracked into tracked lsu.stq.data
 	f.Add(bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))         // live into tracked ifu.bht
+	// Bits outside the read sets of groups the model reads, toggled and held:
+	// they take the never-read path although their groups are read.
+	for _, unread := range []uint32{
+		bit("ifu.gptr", 64+5),         // a unit GPTR ring's entry past the first
+		bit("prv.gptr", 64*3+9),       // prv.gptr past its first entry
+		bit("prv.mode.spare", 64*3+7), // prv.mode.spare past its first entry
+		bit("lsu.erat.ctl", 4*5+2),    // an ERAT ctl bit beside the valid bit
+		bit("prv.mode.checker", 50),   // a checker enable no checker owns
+		bit("prv.mode.recovery", 3),   // a spare recovery mode bit
+		bit("lsu.gptr", 20),           // past a GPTR ring's fields, in the read entry: read
+		bit("fxu.mode", 40),           // a MODE ring's spare bit, in the read entry: read
+	} {
+		f.Add(unread, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))
+		f.Add(unread, true, uint8(1), uint16(200), uint16(40), uint16(0), uint32(0))
+	}
+	f.Add(bit("prv.gptr", 62), false, uint8(4), uint16(0), uint16(40), uint16(0), uint32(0))   // read bits into unread ones
+	f.Add(bit("ifu.gptr", 128-4), true, uint8(8), uint16(0), uint16(40), uint16(0), uint32(0)) // unread bits into the read idu.d1.ir
 	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
 		total := p.fast.DB().TotalBits()
 		s := shot{
@@ -1017,27 +1037,43 @@ func (b *Backend) signatureBit(group string, in bool) (bit uint32, delay uint16,
 	return 0, 0, false
 }
 
-// liveState is captureState with the never-read latch words blanked: the
+// liveState is captureState with the never-read latch bits blanked: the
 // state the model can read.
 func liveState(c *proc.Core) fullState {
 	st := captureState(c)
 	w := 0
 	for _, g := range c.DB().Groups() {
 		for e := 0; e < g.Entries; e++ {
-			if g.NeverRead() {
-				st.latches[w] = 0
-			}
+			st.latches[w] &= g.ReadMask(e)
 			w++ // storage is one word per entry, in registration order
 		}
 	}
 	return st
 }
 
+// unreadBits returns the never-read bits of db's groups that the model
+// reads (scan and tracked groups with bits outside their read sets) and
+// those of the groups it does not read at all (idle and write-only).
+func unreadBits(db *latch.DB) (beside, whole []int) {
+	for _, g := range db.Groups() {
+		for i := 0; i < g.Bits(); i++ {
+			switch e, b := i/g.Width, i%g.Width; {
+			case !g.NeverRead(e, b):
+			case g.Idle || g.WriteOnly:
+				whole = append(whole, g.Offset()+i)
+			default:
+				beside = append(beside, g.Offset()+i)
+			}
+		}
+	}
+	return beside, whole
+}
+
 // neverReadTrial steps two backends in the same state eagerly, side by side,
 // through two testends past cycle at (or limit cycles, for a machine that
 // stops retiring them), letting disturb loose on a's latch database after
 // cycle at. Every Event, every CheckBarrier and, at the end, Verdict, FIR
-// poll and all state outside never-read groups must be equal; what names the
+// poll and all state inside the read sets must be equal; what names the
 // trial in a failure.
 func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, disturb func(db *latch.DB)) {
 	t.Helper()
@@ -1074,15 +1110,25 @@ func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, dis
 }
 
 // TestIdleMeansIdle is the behavioural half of the never-read contract, one
-// bit at a time: a flip in a never-read group, at any cycle of any phase,
-// leaves every latch outside those groups, every array cell and every memory
-// byte exactly where a fault-free model has them a full testcase later.
+// bit at a time: a flip of a bit outside its group's read set, at any cycle
+// of any phase, leaves every latch bit inside the read sets, every array
+// cell and every memory byte exactly where a fault-free model has them a
+// full testcase later. Each phase samples 20 bits beside the read bits of
+// scan and tracked groups and 20 of idle and write-only groups.
 func TestIdleMeansIdle(t *testing.T) {
 	p := newPair(t, engine.DefaultConfig())
 	db := p.fast.DB()
 	rng := rand.New(rand.NewPCG(18, 7))
+	beside, whole := unreadBits(db)
+	sample := func(pop []int) []int {
+		out := make([]int, 20)
+		for i, k := range rng.Perm(len(pop))[:len(out)] {
+			out[i] = pop[k]
+		}
+		return out
+	}
 	for phase := 0; phase < p.fast.Phases(); phase++ {
-		for _, bit := range db.SampleBits(rng, 40, (*latch.Group).NeverRead) {
+		for _, bit := range append(sample(beside), sample(whole)...) {
 			p.fast.ReloadPhase(phase)
 			p.slow.ReloadPhase(phase)
 			what := fmt.Sprintf("phase %d bit %d", phase, bit)
@@ -1099,9 +1145,10 @@ func TestIdleMeansIdle(t *testing.T) {
 // fault-free trajectory, where the error paths run — recovery, checkstop,
 // hang, silent corruption with the checkers masked, escalation with
 // recovery off, the periphery's queues: both backends carry the same live
-// fault, and one of them has every never-read bit scrambled at a random
-// cycle. If any model code read one of those groups, on any path, the two
-// would part.
+// fault, and one of them has every never-read bit — of the idle and
+// write-only groups and beside the read sets of the scan and tracked ones —
+// scrambled at a random cycle. If any model code read one of those bits, on
+// any path, the two would part.
 func TestNeverReadUnderFaults(t *testing.T) {
 	const hangCycles = 8000 // 3 x HangLimit and the recovery attempts between
 	cases := []struct {
@@ -1114,7 +1161,8 @@ func TestNeverReadUnderFaults(t *testing.T) {
 	}{
 		{"recovery", nil, "fxu.mode", 24, engine.Injection{Mode: engine.Toggle},
 			func(b *Backend) bool { v := b.Verdict(); return v.Recoveries > 0 && !v.Checkstop }},
-		{"recovery-storm", nil, "fxu.gpr", 64*3 + 17, engine.Injection{Mode: engine.Sticky, Duration: 200},
+		// A 200-cycle hold on r0 is detected from every start a trial can draw.
+		{"recovery-storm", nil, "fxu.gpr", 17, engine.Injection{Mode: engine.Sticky, Duration: 200},
 			func(b *Backend) bool { return b.Verdict().Detected }},
 		{"checkstop", nil, "lsu.mode", 5, engine.Injection{Mode: engine.Toggle},
 			func(b *Backend) bool { return b.Verdict().Checkstop }},
@@ -1137,12 +1185,15 @@ func TestNeverReadUnderFaults(t *testing.T) {
 			inj := tc.inj
 			inj.Bit = findBit(t, p.fast, tc.group, tc.bit)
 			rng := rand.New(rand.NewPCG(18, uint64(ci)))
+			// The scramble draws from a stream of its own, so the trials'
+			// schedule does not hang on how many bits are never read.
+			noise := rand.New(rand.NewPCG(19, uint64(ci)))
+			beside, whole := unreadBits(p.fast.DB())
+			unread := append(beside, whole...)
 			scramble := func(db *latch.DB) {
-				for _, g := range db.Groups() {
-					for i := 0; g.NeverRead() && i < g.Bits(); i++ {
-						if rng.Uint64()&1 != 0 {
-							db.Flip(g.Offset() + i)
-						}
+				for _, bit := range unread {
+					if noise.Uint64()&1 != 0 {
+						db.Flip(bit)
 					}
 				}
 			}

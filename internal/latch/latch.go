@@ -69,10 +69,16 @@ type Group struct {
 	// Tracked marks a group registered with RegisterTracked: the model's one
 	// handle to it can log every read and overwrite of each of its words.
 	Tracked bool
-	// Scan marks a group registered with RegisterScan: the model's handles
-	// to it are read-only, and its contents change only through
-	// DB.LoadScan, a flip or a restore.
+	// Scan marks a group registered with RegisterScan or RegisterScanArray:
+	// the model's handles to it are read-only, and its contents change only
+	// through DB.LoadScan, a flip or a restore.
 	Scan bool
+
+	// The read set: bits readMask of entries [0, readEntries) are what the
+	// group's handles can return, fixed when the group is registered. Every
+	// other bit is never read.
+	readEntries int
+	readMask    uint64
 
 	logOff   int // dense logical bit offset of entry 0 bit 0
 	physOff  int // word index of entry 0
@@ -82,11 +88,21 @@ type Group struct {
 // Bits returns the number of latch bits in the group.
 func (g *Group) Bits() int { return g.Entries * g.Width }
 
-// NeverRead reports whether no model code can read the group's bits: it is
-// idle or write-only. What such a group holds decides nothing outside the
-// never-read groups, so a flip there commutes with any number of clocked
-// cycles.
-func (g *Group) NeverRead() bool { return g.Idle || g.WriteOnly }
+// ReadMask returns the bits of entry e that the group's handles can return:
+// none for an idle or write-only group, those declared at registration for a
+// scan or tracked one, every bit for any other.
+func (g *Group) ReadMask(e int) uint64 {
+	if e < g.readEntries {
+		return g.readMask
+	}
+	return 0
+}
+
+// NeverRead reports whether no model code can read bit b of entry e: the bit
+// is outside the group's read set. What such a bit holds decides nothing
+// outside the never-read bits, so a flip there commutes with any number of
+// clocked cycles.
+func (g *Group) NeverRead(e, b int) bool { return g.ReadMask(e)>>uint(b)&1 == 0 }
 
 // Offset returns the group's dense logical bit offset — the logical index
 // of entry 0 bit 0, so the group spans logical bits [Offset, Offset+Bits).
@@ -122,6 +138,10 @@ func NewDB() *DB {
 	return &DB{Store: dirty.New[uint64](0, blockShift), byName: make(map[string]*Group), gen: 1}
 }
 
+// AllBits declares a read set of every bit of an entry (RegisterScan,
+// RegisterTracked): the set is clipped to the group's width.
+const AllBits = ^uint64(0)
+
 func mask(width int) uint64 {
 	if width == 64 {
 		return ^uint64(0)
@@ -151,13 +171,15 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 		panic(fmt.Sprintf("latch: duplicate group %q", name))
 	}
 	g := &Group{
-		Name:    name,
-		Unit:    unit,
-		Kind:    kind,
-		Entries: entries,
-		Width:   width,
-		logOff:  db.total,
-		physOff: len(db.Cells),
+		Name:        name,
+		Unit:        unit,
+		Kind:        kind,
+		Entries:     entries,
+		Width:       width,
+		readEntries: entries,
+		readMask:    mask(width),
+		logOff:      db.total,
+		physOff:     len(db.Cells),
 	}
 	db.groups = append(db.groups, g)
 	db.byName[name] = g
@@ -173,7 +195,8 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 // a flip confined to idle groups cannot change what the model does (see
 // Group.NeverRead).
 func (db *DB) RegisterIdle(unit string, kind Type, name string, entries, width int) {
-	db.RegisterArray(unit, kind, name, entries, width).g.Idle = true
+	g := db.RegisterArray(unit, kind, name, entries, width).g
+	g.Idle, g.readEntries = true, 0
 }
 
 // WriteOnly is a handle to a latch group the model updates but never
@@ -188,7 +211,7 @@ type WriteOnly struct{ a Array }
 // model only writes, and returns its write-only handle.
 func (db *DB) RegisterWriteOnly(unit string, kind Type, name string, entries, width int) WriteOnly {
 	a := db.RegisterArray(unit, kind, name, entries, width)
-	a.g.WriteOnly = true
+	a.g.WriteOnly, a.g.readEntries = true, 0
 	return WriteOnly{a}
 }
 

@@ -495,13 +495,13 @@ func TestWriteOnlyHandles(t *testing.T) {
 		t.Fatalf("ring cursor registered as %+v, want 3 write-only bits", g)
 	}
 	// What a campaign may skip clocking hangs on these three registrations.
-	if g, _ := db.GroupByName("prv.perf"); g.Idle || !g.NeverRead() {
+	if g, _ := db.GroupByName("prv.perf"); g.Idle || g.ReadMask(0) != 0 || g.ReadMask(2) != 0 {
 		t.Fatalf("RegisterWriteOnly made %+v", g)
 	}
-	if g, _ := db.GroupByName("prv.t1.trace"); !g.Idle || !g.NeverRead() || g.Bits() != 4*48 {
+	if g, _ := db.GroupByName("prv.t1.trace"); !g.Idle || g.ReadMask(0) != 0 || g.ReadMask(3) != 0 || g.Bits() != 4*48 {
 		t.Fatalf("RegisterIdle made %+v", g)
 	}
-	if g, _ := db.GroupByName("prv.mode"); g.Idle || g.WriteOnly || g.NeverRead() {
+	if g, _ := db.GroupByName("prv.mode"); g.Idle || g.WriteOnly || g.ReadMask(0) != 0xff || g.NeverRead(0, 7) || !g.NeverRead(0, 8) {
 		t.Fatalf("Register made %+v", g)
 	}
 	if perf.Len() != 3 {

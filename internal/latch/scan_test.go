@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -58,13 +60,13 @@ func TestScanCannotWrite(t *testing.T) {
 // group — do not.
 func TestScanGenMoves(t *testing.T) {
 	db := NewDB()
-	mode := db.RegisterScan("PRV", Mode, "prv.mode", 2, 16)
+	mode := db.RegisterScanArray("PRV", Mode, "prv.mode", 2, 16)
 	pc := db.Register("PRV", Func, "prv.pc", 64)
-	gpr := db.RegisterTracked("PRV", RegFile, "prv.gpr", 4, 64)
+	gpr := db.RegisterTracked("PRV", RegFile, "prv.gpr", 4, 64, AllBits)
 	perf := db.RegisterWriteOnly("PRV", Func, "prv.perf", 1, 64)
 	db.Freeze()
-	if g, _ := db.GroupByName("prv.mode"); !g.Scan || g.NeverRead() || g.Entries != 2 {
-		t.Fatalf("RegisterScan made %+v", g)
+	if g, _ := db.GroupByName("prv.mode"); !g.Scan || g.ReadMask(1) != 0xffff || g.Entries != 2 {
+		t.Fatalf("RegisterScanArray made %+v", g)
 	}
 	if db.ScanGen() == 0 {
 		t.Fatal("a new database is at generation 0, where a zero-valued view claims to be current")
@@ -108,4 +110,94 @@ func TestScanGenMoves(t *testing.T) {
 		}
 	}()
 	other.LoadScan(mode.Entry(0), 1)
+}
+
+// TestReadSets is the latch half of the per-bit never-read proof: a handle
+// returns exactly the bits its group's read set holds. Over a database of
+// scan, tracked and plain groups with random contents, flipping a bit
+// outside the read set changes no handle's Get, GetBit or Field, and
+// flipping one inside it changes some handle's Get. LoadScan and
+// Tracked.Set write the read set and zero beside it.
+func TestReadSets(t *testing.T) {
+	db := NewDB()
+	gptr := db.RegisterScan("IFU", GPTR, "ifu.gptr", 2, 64, 0xfff)
+	recov := db.RegisterScan("PRV", Mode, "prv.mode.recovery", 1, 8, 1)
+	clock := db.RegisterScan("PRV", Mode, "prv.mode.clock", 1, 8, AllBits)
+	par := db.RegisterScanArray("PRV", Func, "prv.ring.par", 4, 1)
+	ctl := db.RegisterTracked("LSU", Func, "lsu.erat.ctl", 8, 4, 1)
+	gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 4, 64, AllBits)
+	pc := db.Register("IFU", Func, "ifu.pc", 48)
+	db.Freeze()
+	for _, c := range []struct {
+		group string
+		masks []uint64 // ReadMask of each entry
+	}{
+		{"ifu.gptr", []uint64{0xfff, 0}},
+		{"prv.mode.recovery", []uint64{1}},
+		{"prv.mode.clock", []uint64{0xff}},
+		{"prv.ring.par", []uint64{1, 1, 1, 1}},
+		{"lsu.erat.ctl", []uint64{1, 1, 1, 1, 1, 1, 1, 1}},
+		{"fxu.gpr", []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}},
+		{"ifu.pc", []uint64{1<<48 - 1}},
+	} {
+		g, _ := db.GroupByName(c.group)
+		for e, want := range c.masks {
+			if got := g.ReadMask(e); got != want {
+				t.Errorf("%s entry %d: read set %#x, want %#x", c.group, e, got, want)
+			}
+		}
+	}
+
+	scans := []Scan{gptr, recov, clock}
+	for i := 0; i < par.a.n; i++ {
+		scans = append(scans, par.Entry(i))
+	}
+	// reads is everything model code holding these handles can learn.
+	reads := func() (out []uint64) {
+		for _, s := range scans {
+			out = append(out, s.Get())
+			for i := 0; i < 64; i++ {
+				out = append(out, uint64(b2u(s.GetBit(i))))
+				for w := 1; i+w <= 64; w++ {
+					out = append(out, s.Field(i, w))
+				}
+			}
+		}
+		for _, tr := range []Tracked{ctl, gpr} {
+			for i := 0; i < tr.Len(); i++ {
+				out = append(out, tr.Get(i))
+			}
+		}
+		return append(out, pc.Get())
+	}
+	rng := rand.New(rand.NewPCG(35, 1))
+	for w := range db.Cells {
+		db.Cells[w] = rng.Uint64()
+	}
+	before := reads()
+	for bit := 0; bit < db.TotalBits(); bit++ {
+		g, e, b := db.Locate(bit)
+		db.Flip(bit)
+		changed := !slices.Equal(reads(), before)
+		db.Flip(bit)
+		if changed == g.NeverRead(e, b) {
+			t.Errorf("%s entry %d bit %d: never read %v, but a flip changed what the handles read: %v", g.Name, e, b, g.NeverRead(e, b), changed)
+		}
+	}
+
+	db.LoadScan(gptr, 0xabc00f)
+	if db.Cells[0] != 0xf {
+		t.Errorf("LoadScan stored %#x, want the read set's 0xf", db.Cells[0])
+	}
+	ctl.Set(2, 0xf)
+	if g, _ := db.GroupByName("lsu.erat.ctl"); db.Cells[g.physOff+2] != 1 {
+		t.Errorf("Tracked.Set stored %#x, want the read set's one bit", db.Cells[g.physOff+2])
+	}
+}
+
+func b2u(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

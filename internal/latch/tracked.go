@@ -12,29 +12,35 @@ import (
 // word it touches. The model holds no other handle to such a group, so "every
 // read is in the log" holds by construction, the way "nothing reads this
 // latch" does for WriteOnly. The hook sits on this handle alone: the generic
-// Reg accessors carry no recording branch.
+// Reg accessors carry no recording branch. Its mask is the read set declared
+// at registration: Get returns only those bits, so a flip of any other bit
+// is never read, whatever the log says of its word, and Set stores only
+// those bits, zero in the rest.
 type Tracked struct {
 	db     *DB
 	lo, hi int    // storage word indices of entry 0 and past the last entry
-	mask   uint64 // low Width bits
+	mask   uint64 // the read set of every entry
 	word   int    // log index of entry 0
 }
 
-// RegisterTracked adds a latch group of entries × width bits and returns its
-// tracked handle. Tracked words are numbered densely in registration order,
-// so an access log recorded on one database indexes any other built from the
-// same registrations.
-func (db *DB) RegisterTracked(unit string, kind Type, name string, entries, width int) Tracked {
+// RegisterTracked adds a latch group of entries × width bits of which the
+// model reads the bits read of every entry (AllBits: all of them), and
+// returns its tracked handle. Tracked words are numbered densely in
+// registration order, so an access log recorded on one database indexes any
+// other built from the same registrations.
+func (db *DB) RegisterTracked(unit string, kind Type, name string, entries, width int, read uint64) Tracked {
 	a := db.RegisterArray(unit, kind, name, entries, width)
 	a.g.Tracked = true
+	a.g.readMask = read & a.mask
 	a.g.trackOff = db.tracked
 	db.tracked += entries
-	return Tracked{db: db, lo: a.off, hi: a.off + entries, mask: a.mask, word: a.g.trackOff}
+	return Tracked{db: db, lo: a.off, hi: a.off + entries, mask: a.g.readMask, word: a.g.trackOff}
 }
 
-// Get reads entry i. It is exactly small enough to inline into the model's
-// read sites: the recording branch is one out-of-line call, and the entry
-// index is range-checked by slicing the storage to the group.
+// Get reads entry i's bits in the read set. It is exactly small enough to
+// inline into the model's read sites: the recording branch is one
+// out-of-line call, and the entry index is range-checked by slicing the
+// storage to the group.
 func (t Tracked) Get(i int) uint64 {
 	if t.db.rec.on {
 		t.noteUse(i)
@@ -42,8 +48,8 @@ func (t Tracked) Get(i int) uint64 {
 	return t.db.Cells[t.lo:t.hi][i] & t.mask
 }
 
-// Set writes entry i: a definition, after which the word holds v whatever it
-// held before.
+// Set writes entry i: a definition, after which the word holds v's bits in
+// the read set, and zero in the rest, whatever it held before.
 func (t Tracked) Set(i int, v uint64) {
 	if t.db.rec.on {
 		t.note(i, defEvent)

@@ -31,14 +31,14 @@ func TestTrackedLog(t *testing.T) {
 	build := func() (*DB, Tracked, Tracked) {
 		db := NewDB()
 		db.Register("IFU", Func, "ifu.pc", 48)
-		bht := db.RegisterTracked("IFU", Func, "ifu.bht", 16, 2)
+		bht := db.RegisterTracked("IFU", Func, "ifu.bht", 16, 2, AllBits)
 		db.RegisterArray("FXU", RegFile, "fxu.gpr.par", 32, 1)
-		gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 32, 64)
+		gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 32, 64, AllBits)
 		db.Freeze()
 		return db, bht, gpr
 	}
 	db, bht, gpr := build()
-	if g, _ := db.GroupByName("fxu.gpr"); !g.Tracked || g.NeverRead() || g.trackOff != 16 {
+	if g, _ := db.GroupByName("fxu.gpr"); !g.Tracked || g.NeverRead(31, 63) || g.trackOff != 16 {
 		t.Fatalf("RegisterTracked made %+v", g)
 	}
 	if g, _ := db.GroupByName("fxu.gpr.par"); g.Tracked {
@@ -162,7 +162,7 @@ func TestTrackedIsGetSetLen(t *testing.T) {
 func BenchmarkTrackedGetSet(b *testing.B) {
 	db := NewDB()
 	pc := db.Register("IFU", Func, "ifu.pc", 48)
-	gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 32, 64)
+	gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 32, 64, AllBits)
 	db.Freeze()
 	db.SetBaseline()
 	for i := 0; i < b.N; i++ {

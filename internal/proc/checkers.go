@@ -169,11 +169,7 @@ func (c *Core) SetCheckersEnabled(on bool) {
 // SetRecoveryEnabled scan-loads the RUT retry enable mode bit; with recovery
 // off, recoverable errors escalate to checkstop (an ablation in DESIGN.md).
 func (c *Core) SetRecoveryEnabled(on bool) {
-	v := c.prv.modeRecovery.Get() &^ 1
-	if on {
-		v |= 1
-	}
-	c.db.LoadScan(c.prv.modeRecovery, v)
+	c.db.LoadScan(c.prv.modeRecovery, b2u(on))
 }
 
 // FIRBit reports whether the FIR bit for checker id is set.

@@ -20,6 +20,9 @@ import (
 //
 // GPTR rings: [0:4) test-engage bits (freeze the unit: hang), [4:12)
 // integrity segment (checkstop), rest unused ABIST seeds/test data.
+//
+// The model reads a ring through one latch.Scan on its first entry, whose
+// read set is that whole word: every entry past the first is never read.
 const (
 	modeIntegrityLo, modeIntegrityHi = 0, 16
 	modeCriticalLo, modeCriticalHi   = 16, 24
@@ -29,6 +32,9 @@ const (
 
 	gptrEngageLo, gptrEngageHi       = 0, 4
 	gptrIntegrityLo, gptrIntegrityHi = 4, 12
+
+	eratValid      = 1 // lsu.erat.ctl's one read bit; bits 1-3 are never read
+	recoveryEnable = 1 // prv.mode.recovery's one read bit; bits 1-7 are spare
 )
 
 // Cache and queue geometry.
@@ -251,15 +257,15 @@ func (c *Core) buildInventory() {
 	c.ifu.fbHead = db.Register(u, latch.Func, "ifu.fb.head", 3)
 	c.ifu.fbTail = db.Register(u, latch.Func, "ifu.fb.tail", 3)
 	c.ifu.fbCnt = db.Register(u, latch.Func, "ifu.fb.cnt", 4)
-	c.ifu.bht = db.RegisterTracked(u, latch.Func, "ifu.bht", bhtEntries, 2)
+	c.ifu.bht = db.RegisterTracked(u, latch.Func, "ifu.bht", bhtEntries, 2, latch.AllBits)
 	c.ifu.icFSM = db.Register(u, latch.Func, "ifu.ic.fsm", 4)
 	c.ifu.icCnt = db.Register(u, latch.Func, "ifu.ic.cnt", 8)
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
 	db.RegisterIdle(u, latch.Func, "ifu.thr.cnt", 1, 8) // fetch throttle countdown
 	c.ifu.perf = db.RegisterWriteOnly(u, latch.Func, "ifu.perf", 4, 64)
-	c.ifu.mode = db.RegisterScan(u, latch.Mode, "ifu.mode", 1, 64).Entry(0)
+	c.ifu.mode = db.RegisterScan(u, latch.Mode, "ifu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "ifu.mode.spare", 3, 64)
-	c.ifu.gptr = db.RegisterScan(u, latch.GPTR, "ifu.gptr", 2, 64).Entry(0)
+	c.ifu.gptr = db.RegisterScan(u, latch.GPTR, "ifu.gptr", 2, 64, latch.AllBits)
 	c.ifu.icTag = array.New("ifu.ic.tag", icLines)
 	c.ifu.icData = array.New("ifu.ic.data", icLines*lineWords)
 
@@ -285,13 +291,13 @@ func (c *Core) buildInventory() {
 	db.RegisterIdle(u, latch.Mode, "idu.dac.tbl", 64, 16) // decode-assist patch table (scan-loaded, spare)
 	c.idu.ucSeq = db.RegisterWriteOnly(u, latch.Func, "idu.uc.seq", 1, 16)
 	c.idu.perf = db.RegisterWriteOnly(u, latch.Func, "idu.perf", 2, 64)
-	c.idu.mode = db.RegisterScan(u, latch.Mode, "idu.mode", 1, 64).Entry(0)
+	c.idu.mode = db.RegisterScan(u, latch.Mode, "idu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "idu.mode.spare", 3, 64)
-	c.idu.gptr = db.RegisterScan(u, latch.GPTR, "idu.gptr", 2, 64).Entry(0)
+	c.idu.gptr = db.RegisterScan(u, latch.GPTR, "idu.gptr", 2, 64, latch.AllBits)
 
 	// ---- FXU ----
 	u = UnitFXU
-	c.fxu.gpr = db.RegisterTracked(u, latch.RegFile, "fxu.gpr", 32, 64)
+	c.fxu.gpr = db.RegisterTracked(u, latch.RegFile, "fxu.gpr", 32, 64, latch.AllBits)
 	c.fxu.gprPar = db.RegisterArray(u, latch.RegFile, "fxu.gpr.par", 32, 1)
 	c.fxu.exIR = db.Register(u, latch.Func, "fxu.ex.ir", 32)
 	c.fxu.exIRPar = db.Register(u, latch.Func, "fxu.ex.ir.par", 1)
@@ -318,13 +324,13 @@ func (c *Core) buildInventory() {
 	c.fxu.wbFPar = db.Register(u, latch.Func, "fxu.wb.fpar", 1)
 	c.fxu.wbNPC = db.Register(u, latch.Func, "fxu.wb.npc", 48)
 	c.fxu.perf = db.RegisterWriteOnly(u, latch.Func, "fxu.perf", 2, 64)
-	c.fxu.mode = db.RegisterScan(u, latch.Mode, "fxu.mode", 1, 64).Entry(0)
+	c.fxu.mode = db.RegisterScan(u, latch.Mode, "fxu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "fxu.mode.spare", 2, 64)
-	c.fxu.gptr = db.RegisterScan(u, latch.GPTR, "fxu.gptr", 2, 64).Entry(0)
+	c.fxu.gptr = db.RegisterScan(u, latch.GPTR, "fxu.gptr", 2, 64, latch.AllBits)
 
 	// ---- FPU ----
 	u = UnitFPU
-	c.fpu.fpr = db.RegisterTracked(u, latch.RegFile, "fpu.fpr", 32, 64)
+	c.fpu.fpr = db.RegisterTracked(u, latch.RegFile, "fpu.fpr", 32, 64, latch.AllBits)
 	c.fpu.fprPar = db.RegisterArray(u, latch.RegFile, "fpu.fpr.par", 32, 1)
 	c.fpu.p1a = db.Register(u, latch.Func, "fpu.p1a", 64)
 	c.fpu.p1b = db.Register(u, latch.Func, "fpu.p1b", 64)
@@ -334,22 +340,22 @@ func (c *Core) buildInventory() {
 	c.fpu.pPar = db.Register(u, latch.Func, "fpu.p.par", 4)
 	c.fpu.fsm = db.Register(u, latch.Func, "fpu.fsm", 8)
 	db.RegisterIdle(u, latch.Func, "fpu.perf", 2, 64) // no FPU event is counted
-	c.fpu.mode = db.RegisterScan(u, latch.Mode, "fpu.mode", 1, 64).Entry(0)
+	c.fpu.mode = db.RegisterScan(u, latch.Mode, "fpu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "fpu.mode.spare", 1, 64)
-	c.fpu.gptr = db.RegisterScan(u, latch.GPTR, "fpu.gptr", 1, 64).Entry(0)
+	c.fpu.gptr = db.RegisterScan(u, latch.GPTR, "fpu.gptr", 1, 64, latch.AllBits)
 
 	// ---- LSU ----
 	u = UnitLSU
-	c.lsu.stqAddr = db.RegisterTracked(u, latch.Func, "lsu.stq.addr", stqEntries, 64)
-	c.lsu.stqData = db.RegisterTracked(u, latch.Func, "lsu.stq.data", stqEntries, 64)
+	c.lsu.stqAddr = db.RegisterTracked(u, latch.Func, "lsu.stq.addr", stqEntries, 64, latch.AllBits)
+	c.lsu.stqData = db.RegisterTracked(u, latch.Func, "lsu.stq.data", stqEntries, 64, latch.AllBits)
 	c.lsu.stqCtl = db.RegisterArray(u, latch.Func, "lsu.stq.ctl", stqEntries, 8)
 	c.lsu.stqParA = db.RegisterArray(u, latch.Func, "lsu.stq.par.a", stqEntries, 1)
 	c.lsu.stqParD = db.RegisterArray(u, latch.Func, "lsu.stq.par.d", stqEntries, 1)
 	c.lsu.stqHead = db.Register(u, latch.Func, "lsu.stq.head", 5)
 	c.lsu.stqTail = db.Register(u, latch.Func, "lsu.stq.tail", 5)
-	c.lsu.eratVPN = db.RegisterTracked(u, latch.Func, "lsu.erat.vpn", eratSize, 28)
-	c.lsu.eratPPN = db.RegisterTracked(u, latch.Func, "lsu.erat.ppn", eratSize, 28)
-	c.lsu.eratCtl = db.RegisterTracked(u, latch.Func, "lsu.erat.ctl", eratSize, 4)
+	c.lsu.eratVPN = db.RegisterTracked(u, latch.Func, "lsu.erat.vpn", eratSize, 28, latch.AllBits)
+	c.lsu.eratPPN = db.RegisterTracked(u, latch.Func, "lsu.erat.ppn", eratSize, 28, latch.AllBits)
+	c.lsu.eratCtl = db.RegisterTracked(u, latch.Func, "lsu.erat.ctl", eratSize, 4, eratValid)
 	c.lsu.eratPar = db.RegisterArray(u, latch.Func, "lsu.erat.par", eratSize, 1)
 	c.lsu.eratPtr = db.Register(u, latch.Func, "lsu.erat.ptr", 6)
 	db.RegisterIdle(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64) // load miss queue
@@ -363,9 +369,9 @@ func (c *Core) buildInventory() {
 	c.lsu.ldPar = db.Register(u, latch.Func, "lsu.ld.par", 1)
 	db.RegisterIdle(u, latch.Func, "lsu.pf", 4, 64) // prefetch stream registers
 	c.lsu.perf = db.RegisterWriteOnly(u, latch.Func, "lsu.perf", 3, 64)
-	c.lsu.mode = db.RegisterScan(u, latch.Mode, "lsu.mode", 1, 64).Entry(0)
+	c.lsu.mode = db.RegisterScan(u, latch.Mode, "lsu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "lsu.mode.spare", 3, 64)
-	c.lsu.gptr = db.RegisterScan(u, latch.GPTR, "lsu.gptr", 2, 64).Entry(0)
+	c.lsu.gptr = db.RegisterScan(u, latch.GPTR, "lsu.gptr", 2, 64, latch.AllBits)
 	c.lsu.dcTag = array.New("lsu.dc.tag", dcLines)
 	c.lsu.dcData = array.New("lsu.dc.data", dcLines*lineWords)
 
@@ -379,8 +385,8 @@ func (c *Core) buildInventory() {
 	c.rut.progress = db.Register(u, latch.Func, "rut.progress", 8)
 	c.rut.capPar = db.Register(u, latch.Func, "rut.cap.par", 1)
 	c.rut.hist = db.RegisterWriteOnly(u, latch.Func, "rut.hist", 16, 64)
-	c.rut.mode = db.RegisterScan(u, latch.Mode, "rut.mode", 1, 64).Entry(0)
-	c.rut.gptr = db.RegisterScan(u, latch.GPTR, "rut.gptr", 1, 32).Entry(0)
+	c.rut.mode = db.RegisterScan(u, latch.Mode, "rut.mode", 1, 64, latch.AllBits)
+	c.rut.gptr = db.RegisterScan(u, latch.GPTR, "rut.gptr", 1, 32, latch.AllBits)
 	c.rut.ckptGPR = array.New("rut.ckpt.gpr", 32)
 	c.rut.ckptFPR = array.New("rut.ckpt.fpr", 32)
 	c.rut.ckptSPR = array.New("rut.ckpt.spr", 4)
@@ -393,19 +399,19 @@ func (c *Core) buildInventory() {
 	c.prv.coreHung = db.Register(u, latch.Func, "prv.core.hung", 1)
 	c.prv.hangCnt = db.Register(u, latch.Func, "prv.hang.cnt", 16)
 	c.prv.hangArm = db.Register(u, latch.Func, "prv.hang.arm", 1)
-	c.prv.modeClock = db.RegisterScan(u, latch.Mode, "prv.mode.clock", 1, 8).Entry(0)
-	c.prv.modeChecker = db.RegisterScan(u, latch.Mode, "prv.mode.checker", 1, 64).Entry(0)
-	c.prv.modeRecovery = db.RegisterScan(u, latch.Mode, "prv.mode.recovery", 1, 8).Entry(0)
-	c.prv.modeHangLim = db.RegisterScan(u, latch.Mode, "prv.mode.hanglim", 1, 16).Entry(0)
-	c.prv.ringPar = db.RegisterScan(u, latch.Func, "prv.ring.par", 16, 1)
-	c.prv.scanCtl = db.RegisterScan(u, latch.Func, "prv.scan.ctl", 1, 64).Entry(0)
-	c.prv.scanPar = db.RegisterScan(u, latch.Func, "prv.scan.par", 1, 1).Entry(0)
+	c.prv.modeClock = db.RegisterScan(u, latch.Mode, "prv.mode.clock", 1, 8, latch.AllBits)
+	c.prv.modeChecker = db.RegisterScan(u, latch.Mode, "prv.mode.checker", 1, 64, 1<<numCheckers-1)
+	c.prv.modeRecovery = db.RegisterScan(u, latch.Mode, "prv.mode.recovery", 1, 8, recoveryEnable)
+	c.prv.modeHangLim = db.RegisterScan(u, latch.Mode, "prv.mode.hanglim", 1, 16, latch.AllBits)
+	c.prv.ringPar = db.RegisterScanArray(u, latch.Func, "prv.ring.par", 16, 1)
+	c.prv.scanCtl = db.RegisterScan(u, latch.Func, "prv.scan.ctl", 1, 64, latch.AllBits)
+	c.prv.scanPar = db.RegisterScan(u, latch.Func, "prv.scan.par", 1, 1, latch.AllBits)
 	db.RegisterIdle(u, latch.Func, "prv.abist", 2, 64)
 	c.prv.trace = db.RegisterRing(u, latch.Func, "prv.trace", "prv.trace.ptr", traceDepth, 64)
 	c.prv.thermal = db.RegisterWriteOnly(u, latch.Func, "prv.thermal", 4, 64)
 	c.prv.perf = db.RegisterWriteOnly(u, latch.Func, "prv.perf", 8, 64)
-	c.prv.mode2 = db.RegisterScan(u, latch.Mode, "prv.mode.spare", 6, 64).Entry(0)
-	c.prv.gptr = db.RegisterScan(u, latch.GPTR, "prv.gptr", 8, 64).Entry(0)
+	c.prv.mode2 = db.RegisterScan(u, latch.Mode, "prv.mode.spare", 6, 64, latch.AllBits)
+	c.prv.gptr = db.RegisterScan(u, latch.GPTR, "prv.gptr", 8, 64, latch.AllBits)
 	c.prv.scrubPtr = db.Register(u, latch.Func, "prv.scrub.ptr", 16)
 }
 

@@ -331,3 +331,48 @@ func TestScanOnlyGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlesReadOnlyTheirReadSets is the reach half of the per-bit
+// never-read proof, which lets p6lite skip clocking a flip of a bit outside
+// its group's read set: walking everything a built Core can reach, every
+// Scan, ScanArray and Tracked handle returns only bits inside the read set of
+// each entry it reaches, and every Reg or Array outside a write-only handle
+// is over entries whose every bit is in the read set.
+func TestHandlesReadOnlyTheirReadSets(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EnableNest = true
+	c := New(cfg)
+	first := map[*latch.Group]int64{} // storage word of entry 0
+	var w int64
+	for _, g := range c.DB().Groups() {
+		first[g] = w
+		w += int64(g.Entries)
+	}
+	walkHandles(t, c, func(path, handle string, g *latch.Group, h reflect.Value) {
+		if g.WriteOnly {
+			return // its Regs and Arrays sit behind methods that return nothing
+		}
+		var lo, n int64 // storage words [lo, lo+n)
+		var read uint64 // the bits the handle returns of each
+		switch handle {
+		case "Scan":
+			r := h.FieldByName("r")
+			lo, n, read = r.FieldByName("w").Int(), 1, r.FieldByName("mask").Uint()
+		case "ScanArray":
+			a := h.FieldByName("a")
+			lo, n, read = a.FieldByName("off").Int(), a.FieldByName("n").Int(), a.FieldByName("mask").Uint()
+		case "Tracked":
+			lo, read = h.FieldByName("lo").Int(), h.FieldByName("mask").Uint()
+			n = h.FieldByName("hi").Int() - lo
+		case "Reg":
+			lo, n, read = h.FieldByName("w").Int(), 1, h.FieldByName("mask").Uint()
+		case "Array":
+			lo, n, read = h.FieldByName("off").Int(), h.FieldByName("n").Int(), h.FieldByName("mask").Uint()
+		}
+		for e := lo - first[g]; e < lo-first[g]+n; e++ {
+			if extra := read &^ g.ReadMask(int(e)); extra != 0 {
+				t.Errorf("%s: a %s handle reads bits %#x of %s entry %d, outside its read set %#x", path, handle, extra, g.Name, e, g.ReadMask(int(e)))
+			}
+		}
+	})
+}

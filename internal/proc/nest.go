@@ -50,9 +50,9 @@ func (c *Core) buildNestInventory() {
 	c.nest.credits = db.Register(u, latch.Func, "nest.credits", 8)
 	db.RegisterIdle(u, latch.Func, "nest.seq", 1, 8) // controller sequencing state
 	c.nest.perf = db.RegisterWriteOnly(u, latch.Func, "nest.perf", 4, 64)
-	c.nest.mode = db.RegisterScan(u, latch.Mode, "nest.mode", 1, 64).Entry(0)
+	c.nest.mode = db.RegisterScan(u, latch.Mode, "nest.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "nest.mode.spare", 2, 64)
-	c.nest.gptr = db.RegisterScan(u, latch.GPTR, "nest.gptr", 2, 64).Entry(0)
+	c.nest.gptr = db.RegisterScan(u, latch.GPTR, "nest.gptr", 2, 64, latch.AllBits)
 	// Cold periphery structures: snoop/coherence machinery idle in this
 	// single-core configuration, and DMA engines with no I/O traffic.
 	db.RegisterIdle(u, latch.Func, "nest.snoop", 16, 64)

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
 	"sfi/internal/bits"
@@ -9,23 +10,30 @@ import (
 
 // viewFromContents is the oracle for the cached scan view: the view derived
 // anew from the scan-only latches, bit by bit, the way unitOK, polarity and
-// prvCycle's scan checks read them every cycle before the view existed.
+// prvCycle's scan checks read them every cycle before the view existed. It
+// reads each latch's whole word from the database, not through the model's
+// handle, so a read set that leaves out a bit the view depends on is a
+// difference here.
 func viewFromContents(c *Core) scanView {
+	word := func(s latch.Scan) uint64 {
+		return c.db.Cells[reflect.ValueOf(s).FieldByName("r").FieldByName("w").Int()]
+	}
+	field := func(s latch.Scan, lo, hi int) uint64 { return word(s) >> uint(lo) & (1<<uint(hi-lo) - 1) }
 	prv := &c.prv
-	v := scanView{gen: c.db.ScanGen(), scanOK: parity64(prv.scanCtl.Get()) == prv.scanPar.Get()}
+	v := scanView{gen: c.db.ScanGen(), scanOK: parity64(word(prv.scanCtl)) == word(prv.scanPar)}
 	for i, r := range c.rings {
-		if prv.modeClock.GetBit(i) &&
-			r[0].Field(modeCriticalLo, modeCriticalHi-modeCriticalLo) == modeCriticalInit &&
-			r[1].Field(gptrEngageLo, gptrEngageHi-gptrEngageLo) == 0 {
+		if word(prv.modeClock)>>uint(i)&1 != 0 &&
+			field(r[0], modeCriticalLo, modeCriticalHi) == modeCriticalInit &&
+			field(r[1], gptrEngageLo, gptrEngageHi) == 0 {
 			v.unitOK |= 1 << uint(i)
 		}
 		for k := 0; k < modePolarityHi-modePolarityLo; k++ {
-			if r[0].GetBit(modePolarityLo + k) {
+			if word(r[0])>>uint(modePolarityLo+k)&1 != 0 {
 				v.pol[i] |= 1 << uint(k)
 			}
 		}
-		if parity64(r[0].Field(modeIntegrityLo, modeIntegrityHi-modeIntegrityLo)) != prv.ringPar.Entry(2*i).Get() ||
-			parity64(r[1].Field(gptrIntegrityLo, gptrIntegrityHi-gptrIntegrityLo)) != prv.ringPar.Entry(2*i+1).Get() {
+		if parity64(field(r[0], modeIntegrityLo, modeIntegrityHi)) != word(prv.ringPar.Entry(2*i)) ||
+			parity64(field(r[1], gptrIntegrityLo, gptrIntegrityHi)) != word(prv.ringPar.Entry(2*i+1)) {
 			v.scanOK = false
 		}
 	}
