@@ -88,7 +88,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoredSpans -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/server
 
 # bench runs every go benchmark once as a smoke (core's BenchmarkRunCampaign
-# among them: warm-image campaigns at 1, 2 and 4 workers), then the repo's one
+# among them: warm-image campaigns at 1, 2 and 4 workers; mem's
+# BenchmarkDigestRange beside p6lite's BenchmarkCheckBarrier, the check of
+# one stepped testend that compares the data area's dirty pages with its
+# phase's image instead of digesting the area), then the repo's one
 # yardstick (benchmark/README.md): six campaign workloads, results in
 # benchmark/out/, `go run ./benchmark -compare A B` for a verdict.
 bench:
@@ -146,7 +149,11 @@ lines:
 # `-type MODE -sticky` draw scan-ring latches only, whose groups the model
 # reads but many of whose bits lie outside the read sets it declares: they
 # are the shapes where flips move from clocked to replayed, toggled and
-# held. The fixed-window shape costs ~20 ms an injection and awan's default
+# held. `-sticky -unit Core` holds faults on the pervasive unit, most of
+# whose bits are its counters, thermal sensor and debug trace: groups the
+# model wrote every cycle and never read, which it now registers idle and
+# does not simulate, so a held fault there must leave the report as it was
+# when the writes ran. The fixed-window shape costs ~20 ms an injection and awan's default
 # design has 1,600 bits, so each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
@@ -169,6 +176,7 @@ CMP_SHAPES = \
 	-flips 600 -type REGFILE| \
 	-flips 600 -type GPTR| \
 	-flips 600 -type MODE -sticky| \
+	-flips 600 -sticky -unit Core| \
 	-flips 400 -backend awan| \
 	-flips 400 -backend awan -lanes 1| \
 	-flips 400 -backend awan -allocate neyman

@@ -239,6 +239,44 @@ func (s *Store[T]) RestoreFull(img *Image[T]) {
 	s.touchAll()
 }
 
+// EqualImage reports whether cells [lo, hi) equal img's, calling eq on the
+// blocks that may differ, each clipped to the range: with img captured
+// against this store's baseline, the blocks marked dirty and img's delta
+// blocks — every other block equals the baseline, and so img — and every
+// block of the range otherwise. It copies nothing.
+func (s *Store[T]) EqualImage(img *Image[T], lo, hi int, eq func(a, b []T) bool) bool {
+	if img.n != len(s.Cells) || lo < 0 || lo > hi || hi > len(s.Cells) {
+		panic(fmt.Sprintf("dirty: range [%d,%d) of an image of %d cells, store of %d", lo, hi, img.n, len(s.Cells)))
+	}
+	sparse := img.base != nil && img.base == s.base
+	var delta []int32
+	if img.delta != nil {
+		delta = img.delta.blocks
+	}
+	for b, k := lo>>s.shift, 0; b<<s.shift < hi; b++ {
+		for k < len(delta) && int(delta[k]) < b {
+			k++
+		}
+		blo, bhi := s.bounds(b)
+		var want []T
+		switch {
+		case k < len(delta) && int(delta[k]) == b:
+			want = img.delta.cells[k<<s.shift:][:bhi-blo]
+		case sparse && s.dirty[b] == 0:
+			continue
+		case img.cells != nil:
+			want = img.cells[blo:bhi]
+		default:
+			want = img.base.cells[blo:bhi]
+		}
+		clo, chi := max(lo, blo), min(hi, bhi)
+		if !eq(s.Cells[clo:chi], want[clo-blo:chi-blo]) {
+			return false
+		}
+	}
+	return true
+}
+
 // equal reports whether a and b, one block of two stores, are equal. A run
 // of 64 cells or more — a memory page — goes 64 cells to a comparison while
 // it is equal (a generic loop over bytes was 2.4 µs a page, this 0.4), and

@@ -105,6 +105,17 @@ func (m *model[T]) check() {
 			}
 		}
 	}
+	// EqualImage, on the whole store and on a range cut inside its blocks,
+	// against every image: on the store's baseline or not.
+	s, live, n := &m.st[m.cur], m.live[m.cur], len(m.live[m.cur])
+	for k, img := range m.imgs {
+		for _, r := range [][2]int{{0, n}, {n / 3, n - n/3}, {n / 2, n / 2}} {
+			want := slices.Equal(live[r[0]:r[1]], m.imgWant[k][r[0]:r[1]])
+			if got := s.EqualImage(img, r[0], r[1], slices.Equal[[]T]); got != want {
+				m.t.Fatalf("store %d: EqualImage(image %d, %d, %d) = %v, want %v", m.cur, k, r[0], r[1], got, want)
+			}
+		}
+	}
 }
 
 // shapes are the three instantiations the model has, each at a size that

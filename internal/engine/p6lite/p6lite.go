@@ -6,8 +6,8 @@
 // checkpoint per testcase boundary. The backend schedules latch-bit faults
 // (toggle and sticky mode) and clocks the model while monitoring the fault
 // isolation registers and machine events; verification barriers are AVP
-// testends, checked against the program's golden signatures and memory
-// digests.
+// testends, checked against the program's golden signatures and the data
+// area of the phased checkpoint the fault-free run is at.
 //
 // The backend clocks no cycle on the fault-free trajectory construction
 // recorded: the delay from a phased checkpoint to the injection instant is
@@ -152,10 +152,14 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	// same cycles the testend cycles and the access log of the tracked
 	// groups. The harness checks the retired testcase's signature at every
 	// testend, as CheckBarrier will, so its reads are in the log beside the
-	// model's. The record ends at testend n+QuiesceExit: a run on it is the
-	// fault-free run, which quiesces QuiesceExit testends after an injection
-	// a campaign makes before testend n+1 (phase n-1 at the latest, less than
-	// a testcase later). A run that wants more is clocked from there on.
+	// model's. It also holds the data area to the testcase's digest and to
+	// the phase's checkpoint, which CheckBarrier compares it with instead:
+	// every residue of the testend count modulo n is checked, so an area
+	// equal to its phase's image has the digest the program recorded. The
+	// record ends at testend n+QuiesceExit: a run on it is the fault-free
+	// run, which quiesces QuiesceExit testends after an injection a campaign
+	// makes before testend n+1 (phase n-1 at the latest, less than a testcase
+	// later). A run that wants more is clocked from there on.
 	b.ckpts = append(b.ckpts, c.SaveCheckpoint())
 	b.barriers = append(b.barriers, c.Cycle)
 	c.DB().Record(&c.Cycle)
@@ -169,6 +173,10 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		}
 		if end < n {
 			b.ckpts = append(b.ckpts, c.SaveCheckpoint())
+		}
+		if c.Mem().DigestRange(prog.DataLo, prog.DataHi) != tc.MemDigest ||
+			!c.MemoryMatches(b.ckpts[end%n], prog.DataLo, prog.DataHi) {
+			return nil, fmt.Errorf("p6lite: the fault-free pass's data area at testend %d is not its testcase's and its phase's", end)
 		}
 		b.barriers = append(b.barriers, c.Cycle)
 	}
@@ -467,10 +475,12 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) (st engine.RunStats)
 }
 
 // CheckBarrier verifies architected state against the retired testcase's
-// golden signature and memory digest, and reports whether recovery
-// activity happened since the previous barrier. A replayed barrier (the
-// model is behind the observed cycle) is a fault-free one: its state is the
-// golden state, and the recovery count cannot have moved.
+// golden signature, and the data area against the phased checkpoint the
+// fault-free run is at (New holds that image to the testcase's memory
+// digest), and reports whether recovery activity happened since the previous
+// barrier. A replayed barrier (the model is behind the observed cycle) is a
+// fault-free one: its state is the golden state, and the recovery count
+// cannot have moved.
 func (b *Backend) CheckBarrier() engine.BarrierCheck {
 	c := b.core
 	ok := b.ahead != 0
@@ -478,7 +488,7 @@ func (b *Backend) CheckBarrier() engine.BarrierCheck {
 		n := len(b.prog.Testcases)
 		tc := b.prog.Testcases[(b.barrier+n-1)%n] // the one Step just retired
 		ok = c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked &&
-			c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
+			c.MemoryMatches(b.ckpts[b.barrier%n], b.prog.DataLo, b.prog.DataHi)
 	}
 	busy := c.Recoveries != b.lastActivity || c.InRecovery()
 	if busy {

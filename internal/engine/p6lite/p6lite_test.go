@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -392,6 +393,9 @@ func observe(t *testing.T, b *Backend, eager bool, s shot, window, quiesce int) 
 	o.stats = run(window, func() bool {
 		o.calls++
 		chk := b.CheckBarrier()
+		if b.ahead == 0 && chk.StateOK != b.digestOK() {
+			t.Fatalf("%+v: CheckBarrier says %v at stepped testend %d, the digest check %v", s, chk.StateOK, b.barrier, !chk.StateOK)
+		}
 		switch {
 		case !chk.StateOK:
 			o.sdc = true
@@ -409,6 +413,17 @@ func observe(t *testing.T, b *Backend, eager bool, s shot, window, quiesce int) 
 	o.endCycle = b.Cycle()
 	o.fir = fmt.Sprint(b.FIRNames())
 	return o
+}
+
+// digestOK is the barrier check as it was before CheckBarrier compared the
+// data area with its phase's image: the retired testcase's masked signature
+// and the area's digest against the program's. It is the oracle
+// CheckBarrier is held to at every stepped testend observe sees.
+func (b *Backend) digestOK() bool {
+	c, n := b.core, len(b.prog.Testcases)
+	tc := b.prog.Testcases[(b.barrier+n-1)%n]
+	return c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) == tc.SigMasked &&
+		c.Mem().DigestRange(b.prog.DataLo, b.prog.DataHi) == tc.MemDigest
 }
 
 // raceDetector is set by race_test.go in -race builds.
@@ -751,7 +766,7 @@ func confined(db *latch.DB, inj engine.Injection, sel func(g *latch.Group, e, b 
 
 // TestClockedCycleCount pins what an injection is charged, in the model's
 // own clocked cycles. None at all when every flipped bit is never read —
-// outside its group's read set, in an idle or write-only group or beside the
+// outside its group's read set, in an idle group or beside the
 // read bits of a scan or tracked one: the model stays at the phased
 // checkpoint from ReloadPhase to after Run. None either when a toggle
 // confined to never-read bits and tracked groups is not read by the recorded
@@ -902,9 +917,9 @@ func FuzzEarlyExit(f *testing.F) {
 	f.Add(uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0)) // span from a sticky bit
 	f.Add(uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0)) // span clipped at the population edge
 	// The lazy delay and the never-read groups.
-	f.Add(bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // write-only, held for 200
+	f.Add(bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // idle, held for 200
 	f.Add(bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0))               // never-read into live prv.mode.spare
-	f.Add(bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into write-only rut.hist
+	f.Add(bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into idle rut.hist
 	f.Add(bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
 	f.Add(bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                  // never-read, delay 196
 	f.Add(bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0)) // live, at a recorded testend
@@ -1053,13 +1068,13 @@ func liveState(c *proc.Core) fullState {
 
 // unreadBits returns the never-read bits of db's groups that the model
 // reads (scan and tracked groups with bits outside their read sets) and
-// those of the groups it does not read at all (idle and write-only).
+// those of the groups it does not read at all (idle).
 func unreadBits(db *latch.DB) (beside, whole []int) {
 	for _, g := range db.Groups() {
 		for i := 0; i < g.Bits(); i++ {
 			switch e, b := i/g.Width, i%g.Width; {
 			case !g.NeverRead(e, b):
-			case g.Idle || g.WriteOnly:
+			case g.Idle:
 				whole = append(whole, g.Offset()+i)
 			default:
 				beside = append(beside, g.Offset()+i)
@@ -1114,7 +1129,7 @@ func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, dis
 // of any phase, leaves every latch bit inside the read sets, every array
 // cell and every memory byte exactly where a fault-free model has them a
 // full testcase later. Each phase samples 20 bits beside the read bits of
-// scan and tracked groups and 20 of idle and write-only groups.
+// scan and tracked groups and 20 of idle groups.
 func TestIdleMeansIdle(t *testing.T) {
 	p := newPair(t, engine.DefaultConfig())
 	db := p.fast.DB()
@@ -1145,8 +1160,8 @@ func TestIdleMeansIdle(t *testing.T) {
 // fault-free trajectory, where the error paths run — recovery, checkstop,
 // hang, silent corruption with the checkers masked, escalation with
 // recovery off, the periphery's queues: both backends carry the same live
-// fault, and one of them has every never-read bit — of the idle and
-// write-only groups and beside the read sets of the scan and tracked ones —
+// fault, and one of them has every never-read bit — of the idle groups and
+// beside the read sets of the scan and tracked ones —
 // scrambled at a random cycle. If any model code read one of those bits, on
 // any path, the two would part.
 func TestNeverReadUnderFaults(t *testing.T) {
@@ -1214,5 +1229,116 @@ func TestNeverReadUnderFaults(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// latchBlocks returns the latch blocks img's delta holds and the latch
+// blocks db marks dirty, and db's block count: what a phased reload
+// rewrites, and what the cycles since the last one left it to rewrite.
+func latchBlocks(ck *proc.ModelCheckpoint, db *latch.DB) (delta, dirty, total int) {
+	delta = reflect.ValueOf(ck).Elem().FieldByName("latches").Elem().FieldByName("delta").Elem().FieldByName("blocks").Len()
+	marks := reflect.ValueOf(db).Elem().FieldByName("Store").FieldByName("dirty")
+	for i := 0; i < marks.Len(); i++ {
+		if marks.Index(i).Uint() != 0 {
+			dirty++
+		}
+	}
+	return delta, dirty, marks.Len()
+}
+
+// TestIdleStateStaysClean pins what the model's state costs a reload, in
+// latch blocks (eight words, one dirty mark): the deltas of the default
+// configuration's twelve phased checkpoints, and the blocks 1,000
+// fault-free cycles from phase 0 leave dirty. Counters, capture buffers and
+// the debug trace are idle groups, which no cycle writes, so neither count
+// holds a block for them (with them written every cycle: 492 and 51).
+func TestIdleStateStaysClean(t *testing.T) {
+	be, err := New(engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := be.(*Backend)
+	sum := 0
+	for _, ck := range b.ckpts {
+		d, _, _ := latchBlocks(ck, b.DB())
+		sum += d
+	}
+	b.ReloadPhase(0)
+	for range 1000 {
+		b.core.Step()
+	}
+	_, dirty, total := latchBlocks(b.ckpts[0], b.DB())
+	t.Logf("%d phased checkpoints: %d latch-delta blocks; 1,000 cycles from phase 0 dirty %d of %d blocks", len(b.ckpts), sum, dirty, total)
+	if len(b.ckpts) != 12 || sum != 349 || dirty != 38 || total != 735 {
+		t.Errorf("%d phased checkpoints hold %d latch-delta blocks, and 1,000 cycles from phase 0 dirty %d of %d blocks; want 12 holding 349, and 38 of 735",
+			len(b.ckpts), sum, dirty, total)
+	}
+}
+
+// TestCheckBarrierSeesEveryDataPage holds CheckBarrier's image comparison to
+// the data area, page by page: at a stepped testend of each phase the check
+// passes; a one-byte poke into any page of the area fails it, at an offset
+// that moves from page to page and phase to phase, and undoing the poke
+// passes it again; a poke at DataHi, the first byte past the area, does not
+// fail it. The digest oracle agrees every time.
+func TestCheckBarrierSeesEveryDataPage(t *testing.T) {
+	be, err := New(engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := be.(*Backend)
+	m := b.core.Mem()
+	poke := func(a uint64) (undo func()) {
+		w := m.Read64(a)
+		m.Write64(a, w^0xff<<(8*(a&7)))
+		return func() { m.Write64(a, w) }
+	}
+	for phase := 0; phase < b.Phases(); phase++ {
+		b.ReloadPhase(phase)
+		for !b.eagerStep().Barrier {
+		}
+		check := func(what string, want bool) {
+			t.Helper()
+			if got, oracle := b.CheckBarrier().StateOK, b.digestOK(); got != want || oracle != want {
+				t.Fatalf("phase %d, %s: CheckBarrier %v, digest check %v, want %v", phase, what, got, oracle, want)
+			}
+		}
+		check("fault-free", true)
+		pages := 0
+		for page := b.prog.DataLo; page < b.prog.DataHi; page += 4096 {
+			a := page + uint64(phase*1031+pages*4093)%4096
+			undo := poke(a)
+			check(fmt.Sprintf("poke at %#x", a), false)
+			undo()
+			check(fmt.Sprintf("poke at %#x undone", a), true)
+			pages++
+		}
+		if pages != 12 {
+			t.Fatalf("the data area spans %d pages, want 12", pages)
+		}
+		undo := poke(b.prog.DataHi)
+		check("poke at DataHi", true)
+		undo()
+	}
+}
+
+// BenchmarkCheckBarrier times the check at one stepped testend of a
+// fault-free run from phase 0: the masked signature and the data area's
+// comparison with its phase's image (BenchmarkDigestRange times the digest
+// it replaces).
+func BenchmarkCheckBarrier(bb *testing.B) {
+	be, err := New(engine.DefaultConfig())
+	if err != nil {
+		bb.Fatal(err)
+	}
+	b := be.(*Backend)
+	b.ReloadPhase(0)
+	for !b.eagerStep().Barrier {
+	}
+	bb.ResetTimer()
+	for i := 0; i < bb.N; i++ {
+		if !b.CheckBarrier().StateOK {
+			bb.Fatal("a fault-free testend fails its check")
+		}
 	}
 }

@@ -62,10 +62,6 @@ type Group struct {
 	// Idle marks a group registered with RegisterIdle: the model holds no
 	// handle to it, so no model code can read or write its bits.
 	Idle bool
-	// WriteOnly marks a group registered with RegisterWriteOnly or
-	// RegisterRing: the model's handle to it has no method that returns its
-	// contents.
-	WriteOnly bool
 	// Tracked marks a group registered with RegisterTracked: the model's one
 	// handle to it can log every read and overwrite of each of its words.
 	Tracked bool
@@ -89,7 +85,7 @@ type Group struct {
 func (g *Group) Bits() int { return g.Entries * g.Width }
 
 // ReadMask returns the bits of entry e that the group's handles can return:
-// none for an idle or write-only group, those declared at registration for a
+// none for an idle group, those declared at registration for a
 // scan or tracked one, every bit for any other.
 func (g *Group) ReadMask(e int) uint64 {
 	if e < g.readEntries {
@@ -189,66 +185,16 @@ func (db *DB) RegisterArray(unit string, kind Type, name string, entries, width 
 }
 
 // RegisterIdle adds a latch group that is architecturally present but that
-// the model never reads or writes. It returns no handle, so "nothing reads
-// this latch" is enforced by the type system rather than by convention: the
-// bits are still part of the population (sampled, flipped, snapshotted), but
-// a flip confined to idle groups cannot change what the model does (see
-// Group.NeverRead).
+// the model never reads or writes: cold structures, and state hardware
+// updates but no outcome can depend on (performance counters, capture
+// buffers, debug traces), which the model does not simulate. It returns no
+// handle, so "nothing reads this latch" is enforced by the type system
+// rather than by convention: the bits are still part of the population
+// (sampled, flipped, snapshotted), but a flip confined to idle groups cannot
+// change what the model does (see Group.NeverRead).
 func (db *DB) RegisterIdle(unit string, kind Type, name string, entries, width int) {
 	g := db.RegisterArray(unit, kind, name, entries, width).g
 	g.Idle, g.readEntries = true, 0
-}
-
-// WriteOnly is a handle to a latch group the model updates but never
-// consults (performance counters, capture buffers, state that rides along
-// for debug). It has no method that returns the group's contents, so
-// "nothing reads this latch" holds by construction, as it does for
-// RegisterIdle: the bits are sampled, flipped and snapshotted, and a flip
-// confined to them cannot change what the model does anywhere else.
-type WriteOnly struct{ a Array }
-
-// RegisterWriteOnly adds a latch group of entries × width bits that the
-// model only writes, and returns its write-only handle.
-func (db *DB) RegisterWriteOnly(unit string, kind Type, name string, entries, width int) WriteOnly {
-	a := db.RegisterArray(unit, kind, name, entries, width)
-	a.g.WriteOnly, a.g.readEntries = true, 0
-	return WriteOnly{a}
-}
-
-// Set writes entry i.
-func (w WriteOnly) Set(i int, v uint64) { w.a.Entry(i).Set(v) }
-
-// Add adds d to entry i, wrapping at the group's width.
-func (w WriteOnly) Add(i int, d uint64) {
-	r := w.a.Entry(i)
-	r.Set(r.Get() + d)
-}
-
-// Len returns the number of entries.
-func (w WriteOnly) Len() int { return w.a.n }
-
-// Ring is a push-only handle to a circular capture buffer and its cursor:
-// two write-only groups, the cursor consulted by Push alone to pick the
-// entry it overwrites.
-type Ring struct {
-	buf Array
-	ptr Reg
-}
-
-// RegisterRing adds a capture buffer of entries × width bits under name and
-// its cursor under ptrName, and returns the push-only handle to both.
-func (db *DB) RegisterRing(unit string, kind Type, name, ptrName string, entries, width int) Ring {
-	buf := db.RegisterWriteOnly(unit, kind, name, entries, width)
-	ptr := db.RegisterWriteOnly(unit, kind, ptrName, 1, bits.Len(uint(entries-1)))
-	return Ring{buf: buf.a, ptr: ptr.a.Entry(0)}
-}
-
-// Push writes v at the cursor and advances it. A cursor corrupted past the
-// last entry wraps.
-func (r Ring) Push(v uint64) {
-	i := int(r.ptr.Get()) % r.buf.n
-	r.buf.Entry(i).Set(v)
-	r.ptr.Set(uint64(i+1) % uint64(r.buf.n))
 }
 
 // Freeze finalizes registration. Further Register calls panic.

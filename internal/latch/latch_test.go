@@ -2,9 +2,6 @@ package latch
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -470,114 +467,4 @@ func BenchmarkRegGetSet(b *testing.B) {
 		pc.Set(pc.Get() + 4)
 	}
 	sinkReg = pc.Get()
-}
-
-// TestWriteOnlyHandles drives the two handle types that cannot read, watching
-// their groups through the database: Set and Add land in the addressed entry
-// and wrap at the width, Push walks the ring and wraps a corrupted cursor,
-// and every write is dirty-tracked.
-func TestWriteOnlyHandles(t *testing.T) {
-	db := NewDB()
-	perf := db.RegisterWriteOnly("PRV", Func, "prv.perf", 3, 8)
-	ring := db.RegisterRing("PRV", Func, "prv.trace", "prv.trace.ptr", 5, 16)
-	db.RegisterIdle("PRV", Func, "prv.t1.trace", 4, 48)
-	db.Register("PRV", Func, "prv.mode", 8)
-	db.Freeze()
-	cell := func(group string, e int) *uint64 {
-		g, ok := db.GroupByName(group)
-		if !ok {
-			t.Fatalf("no group %q", group)
-		}
-		return &db.Cells[g.physOff+e]
-	}
-	word := func(group string, e int) uint64 { return *cell(group, e) }
-	if g, _ := db.GroupByName("prv.trace.ptr"); !g.WriteOnly || g.Bits() != 3 {
-		t.Fatalf("ring cursor registered as %+v, want 3 write-only bits", g)
-	}
-	// What a campaign may skip clocking hangs on these three registrations.
-	if g, _ := db.GroupByName("prv.perf"); g.Idle || g.ReadMask(0) != 0 || g.ReadMask(2) != 0 {
-		t.Fatalf("RegisterWriteOnly made %+v", g)
-	}
-	if g, _ := db.GroupByName("prv.t1.trace"); !g.Idle || g.ReadMask(0) != 0 || g.ReadMask(3) != 0 || g.Bits() != 4*48 {
-		t.Fatalf("RegisterIdle made %+v", g)
-	}
-	if g, _ := db.GroupByName("prv.mode"); g.Idle || g.WriteOnly || g.ReadMask(0) != 0xff || g.NeverRead(0, 7) || !g.NeverRead(0, 8) {
-		t.Fatalf("Register made %+v", g)
-	}
-	if perf.Len() != 3 {
-		t.Errorf("Len = %d", perf.Len())
-	}
-	db.SetBaseline()
-	clean := db.CaptureDelta()
-
-	perf.Set(1, 0x1fe)
-	perf.Add(1, 3)
-	perf.Add(2, 1)
-	if word("prv.perf", 0) != 0 || word("prv.perf", 1) != 1 || word("prv.perf", 2) != 1 {
-		t.Errorf("perf = %#x %#x %#x, want 0 1 1 (8-bit wrap)", word("prv.perf", 0), word("prv.perf", 1), word("prv.perf", 2))
-	}
-	for v := uint64(10); v < 16; v++ { // six pushes into five entries
-		ring.Push(v)
-	}
-	for e, want := range []uint64{15, 11, 12, 13, 14} {
-		if got := word("prv.trace", e); got != want {
-			t.Errorf("trace[%d] = %d, want %d", e, got, want)
-		}
-	}
-	if word("prv.trace.ptr", 0) != 1 {
-		t.Errorf("cursor = %d, want 1", word("prv.trace.ptr", 0))
-	}
-	*cell("prv.trace.ptr", 0) = 7 // a flip past the last entry
-	ring.Push(99)
-	if word("prv.trace", 2) != 99 || word("prv.trace.ptr", 0) != 3 {
-		t.Errorf("corrupted cursor: trace[2] = %d, cursor = %d, want 99 and 3", word("prv.trace", 2), word("prv.trace.ptr", 0))
-	}
-	db.RestoreDelta(clean)
-	if !slices.Equal(db.Cells, make([]uint64, len(db.Cells))) {
-		t.Errorf("a write-only write escaped dirty tracking: %v", db.Cells)
-	}
-}
-
-// TestWriteOnlyCannotRead is the type half of the never-read proof: no
-// method of WriteOnly or Ring, exported or not, returns anything but an
-// entry count, and neither type has a field another package could reach, so
-// model code holding one has no expression that yields the group's contents.
-func TestWriteOnlyCannotRead(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "latch.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods := 0
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Recv == nil {
-				return false
-			}
-			recv, _ := n.Recv.List[0].Type.(*ast.Ident)
-			if recv == nil || recv.Name != "WriteOnly" && recv.Name != "Ring" {
-				return false
-			}
-			methods++
-			if n.Type.Results != nil && n.Name.Name != "Len" {
-				t.Errorf("%s.%s returns a value: a write-only handle must not read", recv.Name, n.Name.Name)
-			}
-		case *ast.TypeSpec:
-			st, ok := n.Type.(*ast.StructType)
-			if !ok || n.Name.Name != "WriteOnly" && n.Name.Name != "Ring" {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				for _, name := range fld.Names {
-					if name.IsExported() {
-						t.Errorf("%s.%s is exported: it hands out a readable handle", n.Name.Name, name.Name)
-					}
-				}
-			}
-		}
-		return true
-	})
-	if methods != 4 {
-		t.Errorf("found %d methods on WriteOnly and Ring, want Set, Add, Len and Push", methods)
-	}
 }

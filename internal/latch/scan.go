@@ -7,7 +7,7 @@ import "sfi/internal/dirty"
 // power-on (MODE and GPTR rings, clock and checker enables) and the
 // pervasive state guarding it. It has Get, GetBit and Field and no Set, so
 // "no cycle writes scan state" holds by construction, as "nothing reads this
-// latch" does for WriteOnly: the contents change only through DB.LoadScan,
+// latch" does for RegisterIdle: the contents change only through DB.LoadScan,
 // a flip or a restore, and each of those moves the database's scan
 // generation (DB.ScanGen). A value derived from scan-only contents may be
 // kept for as long as the generation stands still.

@@ -56,14 +56,13 @@ func TestScanCannotWrite(t *testing.T) {
 
 // TestScanGenMoves holds DB.ScanGen to its contract: every write that can
 // change a scan-only word moves the generation, and the model's own writes —
-// through Reg, Tracked and WriteOnly handles, none of which reaches a scan
+// through Reg and Tracked handles, neither of which reaches a scan
 // group — do not.
 func TestScanGenMoves(t *testing.T) {
 	db := NewDB()
 	mode := db.RegisterScanArray("PRV", Mode, "prv.mode", 2, 16)
 	pc := db.Register("PRV", Func, "prv.pc", 64)
 	gpr := db.RegisterTracked("PRV", RegFile, "prv.gpr", 4, 64, AllBits)
-	perf := db.RegisterWriteOnly("PRV", Func, "prv.perf", 1, 64)
 	db.Freeze()
 	if g, _ := db.GroupByName("prv.mode"); !g.Scan || g.ReadMask(1) != 0xffff || g.Entries != 2 {
 		t.Fatalf("RegisterScanArray made %+v", g)
@@ -90,7 +89,6 @@ func TestScanGenMoves(t *testing.T) {
 		{"Fill", func() { db.Fill(0) }, true},
 		{"Reg.Set", func() { pc.Set(pc.Get() + 1) }, false},
 		{"Tracked.Set", func() { gpr.Set(2, gpr.Get(2)+1) }, false},
-		{"WriteOnly.Add", func() { perf.Add(0, 1) }, false},
 	} {
 		before := db.ScanGen()
 		w.write()
@@ -114,7 +112,7 @@ func TestScanGenMoves(t *testing.T) {
 
 // TestReadSets is the latch half of the per-bit never-read proof: a handle
 // returns exactly the bits its group's read set holds. Over a database of
-// scan, tracked and plain groups with random contents, flipping a bit
+// scan, tracked, plain and idle groups with random contents, flipping a bit
 // outside the read set changes no handle's Get, GetBit or Field, and
 // flipping one inside it changes some handle's Get. LoadScan and
 // Tracked.Set write the read set and zero beside it.
@@ -127,7 +125,11 @@ func TestReadSets(t *testing.T) {
 	ctl := db.RegisterTracked("LSU", Func, "lsu.erat.ctl", 8, 4, 1)
 	gpr := db.RegisterTracked("FXU", RegFile, "fxu.gpr", 4, 64, AllBits)
 	pc := db.Register("IFU", Func, "ifu.pc", 48)
+	db.RegisterIdle("PRV", Func, "prv.trace", 3, 48)
 	db.Freeze()
+	if g, _ := db.GroupByName("prv.trace"); !g.Idle || g.Bits() != 3*48 {
+		t.Fatalf("RegisterIdle made %+v", g)
+	}
 	for _, c := range []struct {
 		group string
 		masks []uint64 // ReadMask of each entry
@@ -139,6 +141,7 @@ func TestReadSets(t *testing.T) {
 		{"lsu.erat.ctl", []uint64{1, 1, 1, 1, 1, 1, 1, 1}},
 		{"fxu.gpr", []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}},
 		{"ifu.pc", []uint64{1<<48 - 1}},
+		{"prv.trace", []uint64{0, 0, 0}},
 	} {
 		g, _ := db.GroupByName(c.group)
 		for e, want := range c.masks {

@@ -11,7 +11,7 @@ import (
 // a recording runs (DB.Record) each one is appended to the access log of the
 // word it touches. The model holds no other handle to such a group, so "every
 // read is in the log" holds by construction, the way "nothing reads this
-// latch" does for WriteOnly. The hook sits on this handle alone: the generic
+// latch" does for RegisterIdle. The hook sits on this handle alone: the generic
 // Reg accessors carry no recording branch. Its mask is the read set declared
 // at registration: Get returns only those bits, so a flip of any other bit
 // is never read, whatever the log says of its word, and Set stores only

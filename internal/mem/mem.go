@@ -85,11 +85,21 @@ func (m *Memory) Equal(o *Memory) bool {
 	return bytes.Equal(m.Cells, o.Cells)
 }
 
+// EqualRange reports whether the doublewords covering [lo, hi) — the range
+// DigestRange folds, which must not wrap here — equal img's. Only the pages
+// that may differ from img are compared (dirty.Store.EqualImage), each with
+// bytes.Equal, so a barrier check costs the pages written since the last
+// restore rather than the range.
+func (m *Memory) EqualRange(img *dirty.Image[byte], lo, hi uint64) bool {
+	return m.EqualImage(img, int(lo&^7), int((hi+7)&^7), bytes.Equal)
+}
+
 // DigestRange hashes the doublewords covering [lo, hi) after wrapping (lo is
-// rounded down to a doubleword, hi up), used to check just a testcase's
-// data area at every verification barrier. It folds one doubleword per
-// step with the xor / multiply-by-odd / xorshift mix of the architected
-// signature (proc.ArchSnapshot.Signature). Each step is a bijection of the
+// rounded down to a doubleword, hi up): the AVP records a testcase's data
+// area digest with it, and the harnesses check the area against that at
+// verification barriers. It folds one doubleword per step with the xor /
+// multiply-by-odd / xorshift mix of the architected signature
+// (proc.ArchSnapshot.Signature). Each step is a bijection of the
 // running state, so two memories that differ in exactly one doubleword of
 // the range never share a digest. The digest is compared only against
 // digests this same function produced and is never stored or exchanged.

@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"sfi/internal/dirty"
 )
 
 func TestNewPanicsOnBadSize(t *testing.T) {
@@ -120,6 +122,44 @@ func TestDigestRangeUnaligned(t *testing.T) {
 	}
 	if m.DigestRange(11, 24) != m.DigestRange(8, 24) {
 		t.Error("lo=11 does not start at the doubleword at 8")
+	}
+}
+
+// EqualRange covers the doublewords DigestRange folds, against an image
+// captured on the memory's baseline (the sparse path, which compares only
+// dirty and delta pages) and against one captured before any baseline (every
+// page of the range).
+func TestEqualRange(t *testing.T) {
+	m := New(4 << 12)
+	m.Write64(0x1010, 7)
+	full := m.Snapshot()
+	m.SetBaseline()
+	m.Write64(0x2ff8, 9) // a delta page
+	sparse := m.Snapshot()
+	for _, c := range []struct {
+		name   string
+		img    *dirty.Image[byte]
+		at, v  uint64 // a write before the comparisons, undone after
+		lo, hi uint64
+		equal  bool
+	}{
+		{"sparse, as captured", sparse, 0x1010, 7, 0x1000, 0x3000, true},
+		{"sparse, its delta page rewritten", sparse, 0x2ff8, 0, 0x1000, 0x3000, false},
+		{"sparse, a clean page of the range", sparse, 0x1800, 1, 0x1000, 0x3000, false},
+		{"sparse, a page outside", sparse, 0x3000, 1, 0x1000, 0x3000, true},
+		{"sparse, hi rounds up to the doubleword", sparse, 0x1808, 1 << 56, 0x1000, 0x1809, false},
+		{"sparse, lo rounds down to the doubleword", sparse, 0x1008, 1, 0x100b, 0x1800, false},
+		{"sparse, hi at the doubleword", sparse, 0x1808, 1, 0x1000, 0x1808, true},
+		{"full, as captured", full, 0x1800, 0, 0x0, 0x2000, true},
+		{"full, a write since", full, 0x2ff8, 9, 0x2000, 0x3000, false},
+		{"full, a clean page of the range", full, 0x1010, 0, 0x1000, 0x2000, false},
+	} {
+		old := m.Read64(c.at)
+		m.Write64(c.at, c.v)
+		if got := m.EqualRange(c.img, c.lo, c.hi); got != c.equal {
+			t.Errorf("%s: EqualRange(%#x, %#x) = %v, want %v", c.name, c.lo, c.hi, got, c.equal)
+		}
+		m.Write64(c.at, old)
 	}
 }
 

@@ -76,6 +76,12 @@ func (c *Core) SaveCheckpoint() *ModelCheckpoint {
 	return ck
 }
 
+// MemoryMatches reports whether memory [lo, hi) equals ck's, comparing only
+// the pages that may differ (mem.Memory.EqualRange).
+func (c *Core) MemoryMatches(ck *ModelCheckpoint, lo, hi uint64) bool {
+	return c.mem.EqualRange(ck.memory, lo, hi)
+}
+
 // RestoreCheckpoint reloads the model from a checkpoint taken on the same
 // configuration, clearing error counters and capture state. A store whose
 // image was captured against its installed baseline rewrites only what

@@ -235,7 +235,6 @@ func (c *Core) exFinalize(in isa.Inst) bool {
 		}
 		lsu.ldRes.Set(v)
 		lsu.ldPar.Set(parity64(v) ^ c.polarity(uLSU, 2))
-		lsu.perf.Add(0, 1)
 		return true
 	}
 
@@ -526,8 +525,6 @@ func (c *Core) wbCycle() Event {
 	if p := c.rut.progress.Get(); p < 255 {
 		c.rut.progress.Set(p + 1)
 	}
-	c.prv.trace.Push(fxu.wbNPC.Get())
-	fxu.perf.Add(0, 1)
 
 	switch in.Op {
 	case isa.OpTESTEND:

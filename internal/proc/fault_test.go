@@ -412,52 +412,100 @@ func TestLatchPopulationShape(t *testing.T) {
 }
 
 // TestIdleInventoryPinned lists the groups no model code can read — those
-// registered with RegisterIdle (no handle) and those behind a write-only
-// handle — and pins their number and their bits, and beside them the bits
-// outside the read sets of the groups the model does read: moving a group
-// into or out of the never-read inventory, or a bit into or out of a read
-// set, changes which flips a campaign may skip clocking, and must show up as
-// a diff here.
+// registered with RegisterIdle, which hands back no handle — and pins their
+// number and their bits, and beside them the bits outside the read sets of
+// the groups the model does read: moving a group into or out of the
+// never-read inventory, or a bit into or out of a read set, changes which
+// flips a campaign may skip clocking, and must show up as a diff here.
 func TestIdleInventoryPinned(t *testing.T) {
-	count := func(cfg Config) (groups, bits, idleBits, unread int) {
+	count := func(cfg Config) (groups, bits, unread int) {
 		for _, g := range New(cfg).DB().Groups() {
-			if !g.Idle && !g.WriteOnly {
+			if !g.Idle {
 				n := 0
 				for e := 0; e < g.Entries; e++ {
 					n += g.Width - mathbits.OnesCount64(g.ReadMask(e))
 				}
 				if n != 0 {
-					t.Logf("%-10s %-4s %-16s %5d of %5d bits", "unread", g.Unit, g.Name, n, g.Bits())
+					t.Logf("%-6s %-4s %-16s %5d of %5d bits", "unread", g.Unit, g.Name, n, g.Bits())
 				}
 				unread += n
 				continue
 			}
 			groups++
 			bits += g.Bits()
-			kind := "write-only"
-			if g.Idle {
-				kind = "idle"
-				idleBits += g.Bits()
-			}
-			t.Logf("%-10s %-4s %-16s %5d bits", kind, g.Unit, g.Name, g.Bits())
+			t.Logf("%-6s %-4s %-16s %5d bits", "idle", g.Unit, g.Name, g.Bits())
 		}
-		return groups, bits, idleBits, unread
+		return groups, bits, unread
 	}
 	// 39 cold groups (44,468 bits), 11 spare or unused groups of the live
-	// units (2,568) and 12 write-only groups (6,647). Outside the read sets
-	// of the groups the model reads, 1,249 bits: the second entries of four
-	// unit GPTR rings (256), prv.gptr and prv.mode.spare past their first
-	// entries (448 and 320), the 26 checker enables no checker owns, the
-	// seven spare recovery bits and lsu.erat.ctl's three bits beside the
-	// valid bit (192).
-	if groups, bits, idle, unread := count(DefaultConfig()); groups != 62 || bits != 53683 || idle != 47036 || unread != 1249 {
-		t.Errorf("default configuration: %d never-read groups holding %d bits (%d idle), %d bits outside the read sets; want 62 holding 53683 (47036 idle), 1249 outside",
-			groups, bits, idle, unread)
+	// units (2,568) and 12 that hardware updates but nothing reads, the
+	// counters, capture buffers and debug trace the model does not simulate
+	// (6,647). Outside the read sets of the groups the model reads, 1,249
+	// bits: the second entries of four unit GPTR rings (256), prv.gptr and
+	// prv.mode.spare past their first entries (448 and 320), the 26 checker
+	// enables no checker owns, the seven spare recovery bits and
+	// lsu.erat.ctl's three bits beside the valid bit (192).
+	if groups, bits, unread := count(DefaultConfig()); groups != 62 || bits != 53683 || unread != 1249 {
+		t.Errorf("default configuration: %d idle groups holding %d bits, %d bits outside the read sets; want 62 holding 53683, 1249 outside",
+			groups, bits, unread)
 	}
-	// The periphery adds three cold groups, nest.seq, nest.mode.spare and
-	// the write-only nest.perf, and the second entry of nest.gptr.
-	if groups, bits, idle, unread := count(nestConfig()); groups != 68 || bits != 57147 || idle != 47036+3*16*64+8+128 || unread != 1249+64 {
-		t.Errorf("with the periphery: %d never-read groups holding %d bits (%d idle), %d bits outside the read sets; want 68 holding 57147 (%d idle), %d outside",
-			groups, bits, idle, unread, 47036+3*16*64+8+128, 1249+64)
+	// The periphery adds six groups — nest.seq, nest.mode.spare, the snoop,
+	// DMA and I/O buffers and the nest.perf counters — and the second entry
+	// of nest.gptr.
+	if groups, bits, unread := count(nestConfig()); groups != 68 || bits != 57147 || unread != 1249+64 {
+		t.Errorf("with the periphery: %d idle groups holding %d bits, %d bits outside the read sets; want 68 holding 57147, %d outside",
+			groups, bits, unread, 1249+64)
+	}
+}
+
+// TestScrubWalk holds the scrubber's cursor to the modulo formula it wrapped
+// by until it wrapped by comparison, kept here as the oracle: each cycle
+// scrubs entry v % total of the walk space, v being the cursor, and leaves
+// the cursor at (v % total + 1) % total. From cursors 0, total-1, total and
+// the corrupted 2^16-1, with no array struck and with one uncorrectable
+// strike on each array's first and last entry, the cursor sequence must be
+// the formula's and the strike found on the cycle the formula reaches it.
+func TestScrubWalk(t *testing.T) {
+	c := New(nestConfig())
+	c.InstallRestoreBaseline()
+	ck := c.SaveCheckpoint()
+	total := c.arrayEntries
+	type strike struct{ array, entry, at int } // at: the entry's index in the walk
+	strikes := []strike{{array: -1}}
+	off := 0
+	for ai, p := range c.arrays {
+		strikes = append(strikes, strike{ai, 0, off}, strike{ai, p.Entries() - 1, off + p.Entries() - 1})
+		off += p.Entries()
+	}
+	for _, start := range []int{0, total - 1, total, 1<<16 - 1} {
+		for _, s := range strikes {
+			c.RestoreCheckpoint(ck)
+			c.prv.scrubPtr.Set(uint64(start))
+			if s.array >= 0 {
+				c.arrays[s.array].FlipBit(s.entry, 0)
+				c.arrays[s.array].FlipBit(s.entry, 1)
+			}
+			v, found, want := start, -1, -1
+			for cycle := 0; cycle <= total; cycle++ {
+				scrubbed := v % total
+				v = (scrubbed + 1) % total
+				if scrubbed == s.at && want < 0 && s.array >= 0 {
+					want = cycle
+				}
+				c.scrubCycle()
+				if got := int(c.prv.scrubPtr.Get()); got != v {
+					t.Fatalf("start %d, strike %+v, cycle %d: cursor %d, the formula says %d", start, s, cycle, got, v)
+				}
+				if found < 0 && s.array >= 0 && c.arrays[s.array].Uncorrectable != 0 {
+					found = cycle
+				}
+			}
+			if found != want {
+				t.Errorf("start %d, strike %+v: the scrubber found it on cycle %d, the formula reaches it on %d", start, s, found, want)
+			}
+			if s.array < 0 && (len(c.pendErr) != 0 || c.ArrayCorrectedCount() != 0) {
+				t.Errorf("start %d: a scrub of clean arrays posted %d errors and %d corrections", start, len(c.pendErr), c.ArrayCorrectedCount())
+			}
+		}
 	}
 }

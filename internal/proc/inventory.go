@@ -64,9 +64,8 @@ type ifuState struct {
 	icFSM  latch.Reg     // icache miss state
 	icCnt  latch.Reg     // refill countdown
 	icAddr latch.Reg     // refill address
-	perf   latch.WriteOnly
-	mode   latch.Scan // MODE scan ring (segment 0; the spare segments are idle)
-	gptr   latch.Scan // GPTR ring entry 0 (the rest is unused test data)
+	mode   latch.Scan    // MODE scan ring (segment 0; the spare segments are idle)
+	gptr   latch.Scan    // GPTR ring entry 0 (the rest is unused test data)
 
 	icTag  *array.Protected
 	icData *array.Protected
@@ -93,8 +92,6 @@ type iduState struct {
 	ctrPar latch.Reg
 
 	dispFSM latch.Reg // one-hot dispatch state
-	ucSeq   latch.WriteOnly
-	perf    latch.WriteOnly
 	mode    latch.Scan
 	gptr    latch.Scan
 }
@@ -122,8 +119,7 @@ type fxuState struct {
 
 	divFSM latch.Reg
 	divCnt latch.Reg
-	exPred latch.WriteOnly // branch predicted-taken bit riding with the EX slot
-	exPNPC latch.Reg       // predicted (then actual) next fetch address
+	exPNPC latch.Reg // predicted (then actual) next fetch address
 
 	// WB stage slot.
 	wbIR    latch.Reg
@@ -135,7 +131,6 @@ type fxuState struct {
 	wbFPar  latch.Reg
 	wbNPC   latch.Reg // architected next PC for the checkpoint
 
-	perf latch.WriteOnly
 	mode latch.Scan
 	gptr latch.Scan
 }
@@ -170,8 +165,6 @@ type lsuState struct {
 	eratPar latch.Array   // entry parity over vpn^ppn
 	eratPtr latch.Reg     // replacement pointer
 
-	lmqCtl latch.WriteOnly // load miss queue control (cleared on recovery)
-
 	dcFSM  latch.Reg
 	dcCnt  latch.Reg
 	dcAddr latch.Reg
@@ -181,7 +174,6 @@ type lsuState struct {
 	ldRes latch.Reg
 	ldPar latch.Reg
 
-	perf latch.WriteOnly
 	mode latch.Scan
 	gptr latch.Scan
 
@@ -193,11 +185,10 @@ type rutState struct {
 	fsm      latch.Reg // one-hot recovery sequencer
 	retryCnt latch.Reg
 	waitCnt  latch.Reg
-	errSrc   latch.Reg       // checker id of the first error of this incident
-	errCycle latch.Reg       // cycle of the first error
-	progress latch.Reg       // completions since last recovery (saturating)
-	capPar   latch.Reg       // parity over the capture/sequencing registers
-	hist     latch.WriteOnly // error-capture history buffer
+	errSrc   latch.Reg // checker id of the first error of this incident
+	errCycle latch.Reg // cycle of the first error
+	progress latch.Reg // completions since last recovery (saturating)
+	capPar   latch.Reg // parity over the capture/sequencing registers
 	mode     latch.Scan
 	gptr     latch.Scan
 
@@ -225,9 +216,6 @@ type prvState struct {
 	ringPar latch.ScanArray // stored parity for each unit's ring segments
 	scanCtl latch.Scan
 	scanPar latch.Scan
-	trace   latch.Ring // debug trace array of completion PCs, and its cursor
-	thermal latch.WriteOnly
-	perf    latch.WriteOnly
 	mode2   latch.Scan // spare pervasive mode bits, entry 0: the PRV ring segment
 	gptr    latch.Scan
 
@@ -262,7 +250,7 @@ func (c *Core) buildInventory() {
 	c.ifu.icCnt = db.Register(u, latch.Func, "ifu.ic.cnt", 8)
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
 	db.RegisterIdle(u, latch.Func, "ifu.thr.cnt", 1, 8) // fetch throttle countdown
-	c.ifu.perf = db.RegisterWriteOnly(u, latch.Func, "ifu.perf", 4, 64)
+	db.RegisterIdle(u, latch.Func, "ifu.perf", 4, 64)
 	c.ifu.mode = db.RegisterScan(u, latch.Mode, "ifu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "ifu.mode.spare", 3, 64)
 	c.ifu.gptr = db.RegisterScan(u, latch.GPTR, "ifu.gptr", 2, 64, latch.AllBits)
@@ -289,8 +277,8 @@ func (c *Core) buildInventory() {
 	c.idu.ctrPar = db.Register(u, latch.RegFile, "idu.ctr.par", 1)
 	c.idu.dispFSM = db.Register(u, latch.Func, "idu.disp.fsm", 8)
 	db.RegisterIdle(u, latch.Mode, "idu.dac.tbl", 64, 16) // decode-assist patch table (scan-loaded, spare)
-	c.idu.ucSeq = db.RegisterWriteOnly(u, latch.Func, "idu.uc.seq", 1, 16)
-	c.idu.perf = db.RegisterWriteOnly(u, latch.Func, "idu.perf", 2, 64)
+	db.RegisterIdle(u, latch.Func, "idu.uc.seq", 1, 16)
+	db.RegisterIdle(u, latch.Func, "idu.perf", 2, 64)
 	c.idu.mode = db.RegisterScan(u, latch.Mode, "idu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "idu.mode.spare", 3, 64)
 	c.idu.gptr = db.RegisterScan(u, latch.GPTR, "idu.gptr", 2, 64, latch.AllBits)
@@ -313,7 +301,7 @@ func (c *Core) buildInventory() {
 	c.fxu.resRsd = db.Register(u, latch.Func, "fxu.res.rsd", 2)
 	c.fxu.divFSM = db.Register(u, latch.Func, "fxu.div.fsm", 8)
 	c.fxu.divCnt = db.Register(u, latch.Func, "fxu.div.cnt", 8)
-	c.fxu.exPred = db.RegisterWriteOnly(u, latch.Func, "fxu.ex.pred", 1, 1)
+	db.RegisterIdle(u, latch.Func, "fxu.ex.pred", 1, 1) // branch predicted-taken bit riding with the EX slot
 	c.fxu.exPNPC = db.Register(u, latch.Func, "fxu.ex.pnpc", 48)
 	c.fxu.wbIR = db.Register(u, latch.Func, "fxu.wb.ir", 32)
 	c.fxu.wbIRPar = db.Register(u, latch.Func, "fxu.wb.ir.par", 1)
@@ -323,7 +311,7 @@ func (c *Core) buildInventory() {
 	c.fxu.wbFRes = db.Register(u, latch.Func, "fxu.wb.fres", 64)
 	c.fxu.wbFPar = db.Register(u, latch.Func, "fxu.wb.fpar", 1)
 	c.fxu.wbNPC = db.Register(u, latch.Func, "fxu.wb.npc", 48)
-	c.fxu.perf = db.RegisterWriteOnly(u, latch.Func, "fxu.perf", 2, 64)
+	db.RegisterIdle(u, latch.Func, "fxu.perf", 2, 64)
 	c.fxu.mode = db.RegisterScan(u, latch.Mode, "fxu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "fxu.mode.spare", 2, 64)
 	c.fxu.gptr = db.RegisterScan(u, latch.GPTR, "fxu.gptr", 2, 64, latch.AllBits)
@@ -359,7 +347,7 @@ func (c *Core) buildInventory() {
 	c.lsu.eratPar = db.RegisterArray(u, latch.Func, "lsu.erat.par", eratSize, 1)
 	c.lsu.eratPtr = db.Register(u, latch.Func, "lsu.erat.ptr", 6)
 	db.RegisterIdle(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64) // load miss queue
-	c.lsu.lmqCtl = db.RegisterWriteOnly(u, latch.Func, "lsu.lmq.ctl", lmqEntries, 8)
+	db.RegisterIdle(u, latch.Func, "lsu.lmq.ctl", lmqEntries, 8)   // load miss queue control
 	c.lsu.dcFSM = db.Register(u, latch.Func, "lsu.dc.fsm", 4)
 	c.lsu.dcCnt = db.Register(u, latch.Func, "lsu.dc.cnt", 8)
 	c.lsu.dcAddr = db.Register(u, latch.Func, "lsu.dc.addr", 64)
@@ -368,7 +356,7 @@ func (c *Core) buildInventory() {
 	c.lsu.ldRes = db.Register(u, latch.Func, "lsu.ld.res", 64)
 	c.lsu.ldPar = db.Register(u, latch.Func, "lsu.ld.par", 1)
 	db.RegisterIdle(u, latch.Func, "lsu.pf", 4, 64) // prefetch stream registers
-	c.lsu.perf = db.RegisterWriteOnly(u, latch.Func, "lsu.perf", 3, 64)
+	db.RegisterIdle(u, latch.Func, "lsu.perf", 3, 64)
 	c.lsu.mode = db.RegisterScan(u, latch.Mode, "lsu.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "lsu.mode.spare", 3, 64)
 	c.lsu.gptr = db.RegisterScan(u, latch.GPTR, "lsu.gptr", 2, 64, latch.AllBits)
@@ -384,7 +372,7 @@ func (c *Core) buildInventory() {
 	c.rut.errCycle = db.Register(u, latch.Func, "rut.err.cycle", 64)
 	c.rut.progress = db.Register(u, latch.Func, "rut.progress", 8)
 	c.rut.capPar = db.Register(u, latch.Func, "rut.cap.par", 1)
-	c.rut.hist = db.RegisterWriteOnly(u, latch.Func, "rut.hist", 16, 64)
+	db.RegisterIdle(u, latch.Func, "rut.hist", 16, 64) // error-capture history buffer
 	c.rut.mode = db.RegisterScan(u, latch.Mode, "rut.mode", 1, 64, latch.AllBits)
 	c.rut.gptr = db.RegisterScan(u, latch.GPTR, "rut.gptr", 1, 32, latch.AllBits)
 	c.rut.ckptGPR = array.New("rut.ckpt.gpr", 32)
@@ -407,9 +395,10 @@ func (c *Core) buildInventory() {
 	c.prv.scanCtl = db.RegisterScan(u, latch.Func, "prv.scan.ctl", 1, 64, latch.AllBits)
 	c.prv.scanPar = db.RegisterScan(u, latch.Func, "prv.scan.par", 1, 1, latch.AllBits)
 	db.RegisterIdle(u, latch.Func, "prv.abist", 2, 64)
-	c.prv.trace = db.RegisterRing(u, latch.Func, "prv.trace", "prv.trace.ptr", traceDepth, 64)
-	c.prv.thermal = db.RegisterWriteOnly(u, latch.Func, "prv.thermal", 4, 64)
-	c.prv.perf = db.RegisterWriteOnly(u, latch.Func, "prv.perf", 8, 64)
+	db.RegisterIdle(u, latch.Func, "prv.trace", traceDepth, 64) // debug trace array of completion PCs
+	db.RegisterIdle(u, latch.Func, "prv.trace.ptr", 1, 6)       // and its cursor over the 64 entries
+	db.RegisterIdle(u, latch.Func, "prv.thermal", 4, 64)
+	db.RegisterIdle(u, latch.Func, "prv.perf", 8, 64)
 	c.prv.mode2 = db.RegisterScan(u, latch.Mode, "prv.mode.spare", 6, 64, latch.AllBits)
 	c.prv.gptr = db.RegisterScan(u, latch.GPTR, "prv.gptr", 8, 64, latch.AllBits)
 	c.prv.scrubPtr = db.Register(u, latch.Func, "prv.scrub.ptr", 16)

@@ -161,16 +161,16 @@ func TestNoDeadLatchHandles(t *testing.T) {
 	// The lint itself, on a model with one handle of each kind.
 	src := `package proc
 type Core struct{ lsu lsuState; prv prvState }
-type lsuState struct{ ea, pf latch.Reg; perf latch.WriteOnly; n int }
+type lsuState struct{ ea, pf, perf latch.Reg; n int }
 type prvState struct{ fir, abist latch.Array }
 func (c *Core) build() {
 	c.lsu.ea = db.Register("ea")
 	c.lsu.pf = db.Register("pf")
-	c.lsu.perf = db.RegisterWriteOnly("perf")
+	c.lsu.perf = db.Register("perf")
 	c.prv.fir = db.RegisterArray("fir")
 	c.prv.abist = db.RegisterArray("abist")
 }
-func (c *Core) cycle() { lsu := &c.lsu; lsu.perf.Add(0, lsu.ea.Get()) }
+func (c *Core) cycle() { lsu := &c.lsu; lsu.perf.Set(lsu.ea.Get()) }
 func (p *prvState) set() { p.fir.Entry(0).Set(1) }
 `
 	f, err := parser.ParseFile(fset, "model.go", src, 0)
@@ -184,7 +184,7 @@ func (p *prvState) set() { p.fir.Entry(0).Set(1) }
 
 // walkHandles walks everything a built Core can reach and calls visit for
 // every latch handle on the way: its path, its type (Reg, Array, Tracked,
-// Scan or ScanArray — the write-only handles are made of Regs and Arrays) and
+// Scan or ScanArray) and
 // the group holding its first storage word. The database itself reaches
 // every word; it is the harness's way in, not the model's, and is not
 // walked.
@@ -245,7 +245,7 @@ func walkHandles(t *testing.T, c *Core, visit func(path, handle string, g *latch
 // TestTrackedGroupsOnlyThroughTrackedHandles is the reach half of the def-use
 // proof: walking everything a built Core can reach, the storage words of a
 // tracked group sit behind exactly one handle, a latch.Tracked, and behind no
-// Reg, Array, scan or write-only handle that would read or write them without
+// Reg, Array or scan handle that would read or write them without
 // the access log seeing it.
 func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
 	cfg := DefaultConfig()
@@ -282,11 +282,11 @@ func TestTrackedGroupsOnlyThroughTrackedHandles(t *testing.T) {
 }
 
 // TestScanOnlyGroups is the reach half of "no cycle writes scan state", which
-// the cached scan view stands on: every MODE and GPTR group is idle,
-// write-only or a scan group, and walking everything a built Core can reach,
-// a scan group's words sit behind latch.Scan and latch.ScanArray handles
-// alone — neither has a method that writes — and behind no Reg, Array,
-// Tracked or write-only handle. So the only writes that reach one are the
+// the cached scan view stands on: every MODE and GPTR group is idle or a
+// scan group, and walking everything a built Core can reach, a scan group's
+// words sit behind latch.Scan and latch.ScanArray handles alone — neither
+// has a method that writes — and behind no Reg, Array or Tracked handle. So
+// the only writes that reach one are the
 // database's scan load, flips and restores, all of which move the scan
 // generation.
 func TestScanOnlyGroups(t *testing.T) {
@@ -296,8 +296,8 @@ func TestScanOnlyGroups(t *testing.T) {
 
 	var scan []string
 	for _, g := range c.DB().Groups() {
-		if (g.Kind == latch.Mode || g.Kind == latch.GPTR) && !g.Idle && !g.WriteOnly && !g.Scan {
-			t.Errorf("%s group %s is read and written by the model: register it with RegisterScan, RegisterWriteOnly or RegisterIdle", g.Kind, g.Name)
+		if (g.Kind == latch.Mode || g.Kind == latch.GPTR) && !g.Idle && !g.Scan {
+			t.Errorf("%s group %s is read and written by the model: register it with RegisterScan or RegisterIdle", g.Kind, g.Name)
 		}
 		if g.Scan {
 			scan = append(scan, g.Name)
@@ -336,8 +336,8 @@ func TestScanOnlyGroups(t *testing.T) {
 // never-read proof, which lets p6lite skip clocking a flip of a bit outside
 // its group's read set: walking everything a built Core can reach, every
 // Scan, ScanArray and Tracked handle returns only bits inside the read set of
-// each entry it reaches, and every Reg or Array outside a write-only handle
-// is over entries whose every bit is in the read set.
+// each entry it reaches, and every Reg or Array is over entries whose every
+// bit is in the read set.
 func TestHandlesReadOnlyTheirReadSets(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableNest = true
@@ -349,9 +349,6 @@ func TestHandlesReadOnlyTheirReadSets(t *testing.T) {
 		w += int64(g.Entries)
 	}
 	walkHandles(t, c, func(path, handle string, g *latch.Group, h reflect.Value) {
-		if g.WriteOnly {
-			return // its Regs and Arrays sit behind methods that return nothing
-		}
 		var lo, n int64 // storage words [lo, lo+n)
 		var read uint64 // the bits the handle returns of each
 		switch handle {

@@ -31,7 +31,6 @@ type nestState struct {
 	rqPtr  latch.Reg   // allocation pointer
 
 	credits latch.Reg // memory-channel credit counter
-	perf    latch.WriteOnly
 	mode    latch.Scan
 	gptr    latch.Scan
 
@@ -49,7 +48,7 @@ func (c *Core) buildNestInventory() {
 	c.nest.rqPtr = db.Register(u, latch.Func, "nest.rq.ptr", 3)
 	c.nest.credits = db.Register(u, latch.Func, "nest.credits", 8)
 	db.RegisterIdle(u, latch.Func, "nest.seq", 1, 8) // controller sequencing state
-	c.nest.perf = db.RegisterWriteOnly(u, latch.Func, "nest.perf", 4, 64)
+	db.RegisterIdle(u, latch.Func, "nest.perf", 4, 64)
 	c.nest.mode = db.RegisterScan(u, latch.Mode, "nest.mode", 1, 64, latch.AllBits)
 	db.RegisterIdle(u, latch.Mode, "nest.mode.spare", 2, 64)
 	c.nest.gptr = db.RegisterScan(u, latch.GPTR, "nest.gptr", 2, 64, latch.AllBits)
@@ -136,7 +135,6 @@ func (c *Core) nestAllocRQ(addr uint64, ifetch bool) {
 	if n := c.nest.credits.Get(); n > 0 {
 		c.nest.credits.Set(n - 1)
 	}
-	c.nest.perf.Add(0, 1)
 }
 
 // nestRetireRQ frees the oldest valid request (called when a refill

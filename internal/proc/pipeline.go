@@ -170,7 +170,6 @@ func (c *Core) fetchCycle() {
 		ifu.fbV.Entry(tl).Set(1)
 		ifu.fbTail.Set(uint64(tl+1) % fbEntries)
 		ifu.fbCnt.Set(ifu.fbCnt.Get() + 1)
-		ifu.perf.Add(0, 1)
 
 		npc := pc + 4
 		ifu.pc.Set(npc)
@@ -233,7 +232,6 @@ func (c *Core) d1Cycle() {
 	idu.d2PNPC.Set(pnpc)
 	idu.d2V.Set(1)
 	idu.d1V.Set(0)
-	idu.perf.Add(0, 1)
 }
 
 // readGPR reads a general purpose register through the parity checker.
@@ -368,7 +366,6 @@ func (c *Core) d2Cycle() {
 	fxu.exPC.Set(pc)
 	fxu.exV.Set(1)
 	fxu.exBusy.Set(execLatency(in.Op))
-	fxu.exPred.Set(0, idu.d2Pred.Get())
 	fxu.exPNPC.Set(idu.d2PNPC.Get())
 	idu.d2V.Set(0)
 }

@@ -287,8 +287,6 @@ func (c *Core) handleErrors() {
 		c.prv.firstErrSeen = true
 		c.rut.errSrc.Set(uint64(worst.ID))
 		c.rut.errCycle.Set(c.Cycle)
-		h := int(c.rut.errCycle.Get()) % c.rut.hist.Len()
-		c.rut.hist.Set(h, uint64(worst.ID)<<32|c.Cycle&0xffffffff)
 	}
 	if worst.Action == ActionCheckstop {
 		c.checkstop()

@@ -77,12 +77,6 @@ func (c *Core) prvCycle() {
 
 	// Background scrub: one array entry per cycle, round-robin.
 	c.scrubCycle()
-
-	// Free-running counters.
-	prv.perf.Add(0, 1)
-	if c.Cycle%16 == 0 {
-		prv.thermal.Add(0, 1)
-	}
 }
 
 // ringChk is the ring-integrity checker of each unit, Units order.
@@ -168,15 +162,27 @@ func (c *Core) scanFB() {
 
 // scrubCycle checks one protected-array entry per cycle. Cache entries with
 // uncorrectable errors are invalidated (line delete); checkpoint corruption
-// is fatal.
+// is fatal. The cursor wraps by comparison; only a corrupted one, past the
+// last entry, pays a modulo. A scrub step finds nothing in a clean array, so
+// while every array is clean the cycle ends with the cursor's advance.
 func (c *Core) scrubCycle() {
 	arrays := c.arrays
 	total := c.arrayEntries
 	if total == 0 {
 		return
 	}
-	ptr := int(c.prv.scrubPtr.Get()) % total
-	c.prv.scrubPtr.Set(uint64((ptr + 1) % total))
+	ptr := int(c.prv.scrubPtr.Get())
+	if ptr >= total {
+		ptr %= total
+	}
+	next := ptr + 1
+	if next == total {
+		next = 0
+	}
+	c.prv.scrubPtr.Set(uint64(next))
+	if c.arraysClean() {
+		return
+	}
 	for ai, p := range arrays {
 		if ptr < p.Entries() {
 			res := p.ScrubStep(ptr)
@@ -211,6 +217,17 @@ func (c *Core) scrubCycle() {
 		}
 		ptr -= p.Entries()
 	}
+}
+
+// arraysClean reports whether every protected array is clean
+// (array.Protected.Clean).
+func (c *Core) arraysClean() bool {
+	for _, p := range c.arrays {
+		if !p.Clean() {
+			return false
+		}
+	}
+	return true
 }
 
 // ArrayCorrectedCount sums the ECC single-bit corrections logged by every

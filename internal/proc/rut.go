@@ -146,7 +146,6 @@ func (c *Core) flushPipeline() {
 	idu.d1V.Set(0)
 	idu.d2V.Set(0)
 	idu.dispFSM.Set(1)
-	idu.ucSeq.Set(0, 0)
 
 	fxu.exV.Set(0)
 	fxu.exBusy.Set(0)
@@ -163,9 +162,6 @@ func (c *Core) flushPipeline() {
 	lsu.stqTail.Set(0)
 	for i := 0; i < eratSize; i++ {
 		lsu.eratCtl.Set(i, 0)
-	}
-	for i := 0; i < lmqEntries; i++ {
-		lsu.lmqCtl.Set(i, 0)
 	}
 	lsu.dcFSM.Set(dcIdle)
 	lsu.dcCnt.Set(0)

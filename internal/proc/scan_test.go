@@ -93,6 +93,15 @@ func FuzzScanView(f *testing.F) {
 		strike = append(strike, scanOp(op[0], op[1])...)
 	}
 	f.Add(strike)
+	// 100 clean cycles, then a strike on the GPR checkpoint array (index 4),
+	// which only the scrubber and a recovery read: the first struck cycle
+	// ends a stretch in which the scrubber walked clean arrays only, and
+	// the scrubber reaches the entry about a thousand cycles on.
+	strike = nil
+	for _, op := range [][2]int{{opStep, 99}, {opStrike + 4*scanOps, 7<<7 | 3}, {opStep, 199}, {opStep, 199}, {opStep, 199}, {opStep, 199}, {opStep, 199}, {opStep, 199}} {
+		strike = append(strike, scanOp(op[0], op[1])...)
+	}
+	f.Add(strike)
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		c.RestoreCheckpoint(ck)
