@@ -75,7 +75,17 @@ race:
 # internal/server/testdata, and requires Server.Trace not to panic, to place
 # each span once under one root with doc.Spans counting them, and to read a
 # torn last line as if it were absent (its inputs are kilobytes too, so
-# minimizing is capped as for FuzzCoordinatorRequests).
+# minimizing is capped as for FuzzCoordinatorRequests); FuzzAdvance runs
+# arbitrary scripts of steps, flips, held bits, array strikes, checker masking
+# and checkpoint restores on two clones of a warmed p6lite core, with and
+# without the periphery, and requires Advance(n) on one and n Steps on the
+# other to leave every latch word, array cell, memory byte, run counter,
+# checker count and event equal after every operation (its seeds reach the
+# countdown thresholds, failing scan entries mid-stall, the watchdog limit and
+# the scrub wrap); FuzzDecode hands Decode arbitrary instruction words, as a
+# flip in an instruction latch does, and requires Decode, ClassOf, RegSets and
+# Disassemble not to panic and every word's disassembly to reassemble to the
+# same instruction.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSECDED -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz FuzzStore -fuzztime $(FUZZTIME) ./internal/dirty
@@ -86,9 +96,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzWireReport -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzStoredSpans -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzAdvance -fuzztime $(FUZZTIME) ./internal/proc
+	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa
 
 # bench runs every go benchmark once as a smoke (core's BenchmarkRunCampaign
-# among them: warm-image campaigns at 1, 2 and 4 workers; mem's
+# among them: warm-image campaigns at 1, 2 and 4 workers; proc's
+# BenchmarkStep: one model cycle fault-free and in a held fault's recover
+# loop, by Step and, in its advance-fault-free and advance-recovering cases,
+# by Core.Advance, in ns per observed cycle; mem's
 # BenchmarkDigestRange beside p6lite's BenchmarkCheckBarrier, the check of
 # one stepped testend that compares the data area's dirty pages with its
 # phase's image instead of digesting the area), then the repo's one

@@ -171,6 +171,9 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // a flip or a restore since the last clocked cycle, on every core the
 // campaign built), so that a change which moves the scan generation on
 // cycles that write no scan state fails here and not only in the benchmark.
+// So is the number of stepped cycles the clocked cores applied by arithmetic
+// (proc.Core.Advance's counter-only stall runs), so that a change which
+// takes the bulk path less, or never, fails here too.
 // All are exact and repeat on any host.
 func TestEarlyExitCount(t *testing.T) {
 	for _, tc := range []struct {
@@ -179,11 +182,12 @@ func TestEarlyExitCount(t *testing.T) {
 		seed                         uint64
 		mut                          func(*RunnerConfig)
 		observed, stepped, refreshes uint64
+		bulk                         uint64
 	}{
-		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69},
-		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397},
-		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409},
-		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027},
+		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69, 12854},
+		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397, 88082},
+		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409, 95177},
+		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027, 259438},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultCampaignConfig()
@@ -211,6 +215,9 @@ func TestEarlyExitCount(t *testing.T) {
 			if got := cores.refreshes(); got != tc.refreshes {
 				t.Errorf("%d scan-view refreshes over %d stepped cycles, want %d", got, m.SteppedCycles, tc.refreshes)
 			}
+			if got := cores.bulk(); got != tc.bulk {
+				t.Errorf("%d of %d stepped cycles advanced in bulk, want %d", got, m.SteppedCycles, tc.bulk)
+			}
 		})
 	}
 }
@@ -220,6 +227,7 @@ func TestEarlyExitCount(t *testing.T) {
 type coreCounter struct {
 	mu    sync.Mutex
 	cores []*proc.Core
+	built []uint64 // each core's BulkCycles when kept: its construction's
 }
 
 // backend registers the counting backend and returns its name.
@@ -240,7 +248,19 @@ func (cc *coreCounter) keep(be *p6lite.Backend) engine.Backend {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	cc.cores = append(cc.cores, be.Core())
+	cc.built = append(cc.built, be.Core().BulkCycles())
 	return countedBackend{be, cc}
+}
+
+// bulk sums the cycles the kept cores advanced in bulk since they were
+// kept: the campaign's, not their construction's warm-up.
+func (cc *coreCounter) bulk() (n uint64) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for i, c := range cc.cores {
+		n += c.BulkCycles() - cc.built[i]
+	}
+	return n
 }
 
 // refreshes sums the scan-view refreshes of the kept cores.

@@ -116,6 +116,9 @@ type Backend struct {
 	stickyBit   latch.BitRef
 	stickyVal   bool
 	stickyUntil uint64 // cycle bound; 0 = forever
+	// stickyTicks: the held bit lies in a word proc.Core.Advance writes by
+	// arithmetic (Core.Ticks), so the force must follow every cycle.
+	stickyTicks bool
 }
 
 // New builds, warms and checkpoints a backend.
@@ -187,12 +190,16 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	return b, nil
 }
 
-// runToTestEnd clocks a fault-free core to its next testend barrier.
+// runToTestEnd clocks a fault-free core to its next testend barrier, its
+// counter-only stall runs in bulk (Core.Advance; none while an access log
+// is being recorded).
 func runToTestEnd(c *proc.Core) error {
-	for guard := 0; guard < 50_000_000; guard++ {
-		if c.Step().TestEnd {
+	for guard := uint64(50_000_000); guard > 0; {
+		k, ev := c.Advance(guard)
+		if ev.TestEnd {
 			return nil
 		}
+		guard -= k
 	}
 	return fmt.Errorf("p6lite: warm-up did not reach a testend")
 }
@@ -283,17 +290,33 @@ func (b *Backend) Step() engine.Event {
 
 // step clocks one cycle and counts the testend it retires.
 func (b *Backend) step() engine.Event {
-	ev := b.clock()
+	_, ev := b.advance(1)
 	if ev.TestEnd {
 		b.barrier++
 	}
 	return engine.Event{Barrier: ev.TestEnd, Halted: ev.Halted}
 }
 
-// clock steps the core, notes a completion and maintains the sticky force.
-func (b *Backend) clock() proc.Event {
+// advance clocks at least one and at most limit cycles through
+// proc.Core.Advance, notes a completion and maintains the sticky force, and
+// returns how many it clocked and the event of the first; the others fire
+// none. A held bit that holds its value and lies outside the words Advance
+// writes by arithmetic is one its counter-only cycles leave as it is, so
+// forcing it after each of them would change nothing: the force follows the
+// call. A held bit inside those words, or one a flip has moved off its value
+// since the last force, is forced after the first cycle, so the call clocks
+// one; and a force that expires does so at its cycle.
+func (b *Backend) advance(limit uint64) (uint64, proc.Event) {
+	if b.stickyOn {
+		switch {
+		case b.stickyTicks || b.stickyBit.Get() != b.stickyVal:
+			limit = 1
+		case b.stickyUntil != 0:
+			limit = min(limit, b.stickyUntil-b.core.Cycle)
+		}
+	}
 	done := b.core.Completed
-	ev := b.core.Step()
+	k, ev := b.core.Advance(limit)
 	if b.core.Completed != done {
 		b.progress = b.core.Cycle
 	}
@@ -304,7 +327,7 @@ func (b *Backend) clock() proc.Event {
 			b.stickyBit.Set(b.stickyVal)
 		}
 	}
-	return ev
+	return k, ev
 }
 
 // catchUp clocks the cycles observed by replay, so that the model itself is
@@ -324,9 +347,10 @@ func (b *Backend) catchUp() {
 
 // clockAhead clocks n of the cycles the model is behind.
 func (b *Backend) clockAhead(n uint64) {
-	for ; n > 0; n-- {
-		b.clock()
-		b.ahead--
+	for n > 0 {
+		k, _ := b.advance(n)
+		n -= k
+		b.ahead -= k
 	}
 }
 
@@ -403,6 +427,7 @@ func (b *Backend) Inject(inj engine.Injection) error {
 		b.stickyOn = true
 		b.stickyBit = first
 		b.stickyVal = v
+		b.stickyTicks = b.core.Ticks(inj.Bit)
 		b.stickyUntil = 0
 		if inj.Duration > 0 {
 			b.stickyUntil = now + uint64(inj.Duration)
@@ -428,6 +453,9 @@ func (b *Backend) Inject(inj engine.Injection) error {
 // sees every barrier and a flip is in the model before anything can read it.
 // What Verdict reads afterwards (FIRs, checkstop, first-error capture,
 // recovery and correction counts) a fault-free continuation does not change.
+// The live loop clocks through proc.Core.Advance, so a stall's counter-only
+// cycles cost their first and the arithmetic for the rest; they are clocked
+// cycles all the same, in RunStats.Stepped as in Cycles.
 func (b *Backend) Run(maxCycles int, onBarrier func() bool) (st engine.RunStats) {
 	defer func() { st.Stepped, b.stepped = b.stepped, 0 }()
 	start, window := b.Cycle(), uint64(max(maxCycles, 0))
@@ -448,10 +476,20 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) (st engine.RunStats)
 	c := b.core
 	harnessLimit := uint64(2 * c.Config().HangLimit)
 	for st.Cycles < window {
-		ev := b.step()
-		b.stepped++
-		st.Cycles++
-		if ev.Barrier {
+		// No cycle but the first of an advance can fire an event or a stop
+		// condition, and none completes an instruction, so the advance
+		// stops short of the cycle the no-progress check fires at. A stop
+		// condition that already holds holds after the first cycle too (a
+		// flip can declare the core hung), so the advance is that cycle.
+		n := uint64(1)
+		if last := max(b.progress, start) + harnessLimit; last >= c.Cycle && !c.HangDetected() {
+			n = min(window-st.Cycles, last+1-c.Cycle)
+		}
+		k, ev := b.advance(n)
+		b.stepped += k
+		st.Cycles += k
+		if ev.TestEnd {
+			b.barrier++
 			st.Barriers++
 			if onBarrier != nil && !onBarrier() {
 				break

@@ -927,6 +927,13 @@ func FuzzEarlyExit(f *testing.F) {
 	f.Add(bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
 	f.Add(bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
 	f.Add(bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
+	// The watchdog past its limit and armed, and the IFU, IDU and FXU
+	// clocks stopped: the core is declared hung in the gap before Run, and
+	// every cycle after only ticks counters. Run stops after its first.
+	f.Add(bit("prv.hang.cnt", 15), false, uint8(5), uint16(0), uint16(40), uint16(14), uint32(0))
+	// A held bit toggled off its value while the force lasts: the next
+	// cycle reads the toggled value and the force puts it back after it.
+	f.Add(uint32(0), true, uint8(1), uint16(3), uint16(87), uint16(1), uint32(0))
 	// The tracked groups: flips placed around the record's own accesses.
 	for _, group := range trackedGroups {
 		// The default AVP issues no floating-point operation and reloads no
@@ -1340,5 +1347,36 @@ func BenchmarkCheckBarrier(bb *testing.B) {
 		if !b.CheckBarrier().StateOK {
 			bb.Fatal("a fault-free testend fails its check")
 		}
+	}
+}
+
+// TestHeldCountdownWords holds a bit of each word proc.Core.Advance writes by
+// arithmetic — the countdown latches and rut.cap.par, over which the parity
+// of one of them is kept — with and without a duration, at several instants
+// of each phase. Such a force must follow every cycle, so Run clocks them one
+// at a time, and it must end exactly as the stepped oracle does: the same
+// RunStats, Verdict, callbacks and end cycle, and the same model state.
+func TestHeldCountdownWords(t *testing.T) {
+	p := newPair(t, engine.DefaultConfig())
+	cfg := p.fast.cfg
+	held := 0
+	for _, g := range p.fast.DB().Groups() {
+		if !p.fast.core.Ticks(g.Offset()) {
+			continue
+		}
+		held++
+		for b := 0; b < g.Width; b += 3 {
+			for _, inj := range []engine.Injection{{Mode: engine.Sticky}, {Mode: engine.Sticky, Duration: 60}} {
+				inj.Bit = g.Offset() + b
+				for phase := 0; phase < p.fast.Phases(); phase += 3 {
+					s := shot{phase: phase, delay: 37 * b % 197, inj: inj}
+					p.same(t, s, cfg.Window, cfg.QuiesceExit)
+					diffStates(t, liveState(p.fast.core), liveState(p.slow.core))
+				}
+			}
+		}
+	}
+	if held != 6 {
+		t.Fatalf("%d groups hold words Advance writes by arithmetic, want 6", held)
 	}
 }

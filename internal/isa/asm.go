@@ -19,7 +19,8 @@ import (
 //	done:
 //	  testend
 //
-// Branch targets may be labels or literal signed word offsets.
+// Branch targets may be labels or literal signed word offsets. A line
+// `.word N` emits the 32-bit word N as it is.
 func Assemble(src string) ([]uint32, error) {
 	return assemble(src)
 }
@@ -43,6 +44,7 @@ func assemble(src string) ([]uint32, error) {
 	labels := make(map[string]int)
 	var insts []Inst
 	var fixups []pending
+	direct := make(map[int]uint32) // pc -> the word a .word line emits
 
 	lines := strings.Split(src, "\n")
 	pc := 0
@@ -74,6 +76,19 @@ func assemble(src string) ([]uint32, error) {
 			continue
 		}
 
+		if f := strings.Fields(line); f[0] == ".word" {
+			if len(f) != 2 {
+				return nil, fmt.Errorf("isa: line %d: .word needs one operand", lineNo+1)
+			}
+			w, err := strconv.ParseUint(f[1], 0, 32)
+			if err != nil {
+				return nil, fmt.Errorf("isa: line %d: bad word %q", lineNo+1, f[1])
+			}
+			direct[pc] = uint32(w)
+			insts = append(insts, Inst{})
+			pc++
+			continue
+		}
 		inst, labelRef, err := parseInst(line)
 		if err != nil {
 			return nil, fmt.Errorf("isa: line %d: %w", lineNo+1, err)
@@ -95,7 +110,11 @@ func assemble(src string) ([]uint32, error) {
 
 	words := make([]uint32, len(insts))
 	for i, in := range insts {
-		words[i] = Encode(in)
+		if w, ok := direct[i]; ok {
+			words[i] = w
+		} else {
+			words[i] = Encode(in)
+		}
 	}
 	return words, nil
 }

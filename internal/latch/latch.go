@@ -69,6 +69,9 @@ type Group struct {
 	// the model's handles to it are read-only, and its contents change only
 	// through DB.LoadScan, a flip or a restore.
 	Scan bool
+	// Counter marks a group registered with RegisterCounter: the model reads
+	// it only through a Counter's threshold-aware ticks.
+	Counter bool
 
 	// The read set: bits readMask of entries [0, readEntries) are what the
 	// group's handles can return, fixed when the group is registered. Every
@@ -122,6 +125,10 @@ type DB struct {
 	tracked int       // words in tracked groups: the access log's index space
 	rec     recording // the access log being taken, if one is
 	gen     uint64    // the scan generation (ScanGen)
+	writes  uint64    // counted latch writes (Writes)
+
+	counters int    // registered counters: each has a mark bit
+	down, up uint64 // the counters that took a unit tick since ClearTicks
 }
 
 // blockShift: the storage words are dirty-tracked 8 (one cache line) to a
@@ -313,13 +320,14 @@ func (db *DB) Units() []string {
 // bits matching the filter (the paper's random latch selection). It panics
 // if fewer than n bits match.
 func (db *DB) SampleBits(rng *rand.Rand, n int, f Filter) []int {
-	// Collect matching logical ranges.
-	type span struct{ off, n int }
-	var spans []span
+	// The matching groups as spans of the filtered population: span i is
+	// its bits [start[i], start[i+1]), logical bits from off[i] on.
+	var off, start []int
 	total := 0
 	for _, g := range db.groups {
 		if f == nil || f(g) {
-			spans = append(spans, span{g.logOff, g.Bits()})
+			off = append(off, g.logOff)
+			start = append(start, total)
 			total += g.Bits()
 		}
 	}
@@ -328,13 +336,8 @@ func (db *DB) SampleBits(rng *rand.Rand, n int, f Filter) []int {
 	}
 	// Floyd's algorithm over the virtual concatenation of spans.
 	pick := func(k int) int { // k-th bit of the filtered population
-		for _, s := range spans {
-			if k < s.n {
-				return s.off + k
-			}
-			k -= s.n
-		}
-		panic("unreachable")
+		i := sort.Search(len(start), func(i int) bool { return start[i] > k }) - 1
+		return off[i] + k - start[i]
 	}
 	chosen := make(map[int]bool, n)
 	out := make([]int, 0, n)
@@ -377,7 +380,15 @@ func (r Reg) Set(v uint64) {
 	}
 	*p = v
 	r.db.Touch(r.w >> blockShift)
+	r.db.writes++
 }
+
+// Writes returns the number of latch writes that changed a word: through a
+// Reg, a Tracked or a Scan load, and a Counter's loads, resets and wraps —
+// everything but a Counter's unit ticks, the flips of BitRef and the
+// wholesale rewrites (Fill, the restores). A cycle that leaves it where it
+// was wrote no latch but by unit ticks.
+func (db *DB) Writes() uint64 { return db.writes }
 
 // GetBit reads one bit of the latch.
 func (r Reg) GetBit(i int) bool { return r.Get()&(1<<uint(i)) != 0 }

@@ -468,3 +468,172 @@ func BenchmarkRegGetSet(b *testing.B) {
 	}
 	sinkReg = pc.Get()
 }
+
+// sampleBitsLinear is SampleBits as it was when pick walked the matching
+// groups linearly on every draw: the oracle its binary search is held to.
+func sampleBitsLinear(db *DB, rng *rand.Rand, n int, f Filter) []int {
+	type span struct{ off, n int }
+	var spans []span
+	total := 0
+	for _, g := range db.groups {
+		if f == nil || f(g) {
+			spans = append(spans, span{g.logOff, g.Bits()})
+			total += g.Bits()
+		}
+	}
+	pick := func(k int) int {
+		for _, s := range spans {
+			if k < s.n {
+				return s.off + k
+			}
+			k -= s.n
+		}
+		panic("unreachable")
+	}
+	chosen := make(map[int]bool, n)
+	out := make([]int, 0, n)
+	for i := total - n; i < total; i++ {
+		k := rng.IntN(i + 1)
+		b := pick(k)
+		if chosen[b] {
+			b = pick(i)
+		}
+		chosen[b] = true
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestSampleBitsMatchesLinearWalk holds SampleBits to the linear-walk oracle:
+// over 180 groups of random shapes, random seeds and sizes up to the whole
+// population, and every filter shape (none, a unit, a type, an arbitrary
+// subset, a single group), both must draw the identical sample.
+func TestSampleBitsMatchesLinearWalk(t *testing.T) {
+	db := NewDB()
+	rng := rand.New(rand.NewPCG(37, 0))
+	units := []string{"IFU", "IDU", "FXU", "FPU", "LSU", "RUT", "Core"}
+	for i := 0; i < 180; i++ {
+		db.RegisterArray(units[rng.IntN(len(units))], Types[rng.IntN(len(Types))],
+			fmt.Sprintf("g%d", i), 1+rng.IntN(64), 1+rng.IntN(64))
+	}
+	db.Freeze()
+	filters := []Filter{nil, ByUnit("LSU"), ByType(GPTR),
+		func(g *Group) bool { return len(g.Name)%3 == 0 },
+		func(g *Group) bool { return g.Name == "g97" }}
+	for fi, f := range filters {
+		pop := db.CountBits(f)
+		for trial := 0; trial < 40; trial++ {
+			seed := rng.Uint64()
+			n := 1 + rng.IntN(min(pop, 600))
+			if trial == 0 {
+				n = pop
+			}
+			got := db.SampleBits(rand.New(rand.NewPCG(seed, 1)), n, f)
+			want := sampleBitsLinear(db, rand.New(rand.NewPCG(seed, 1)), n, f)
+			if !slices.Equal(got, want) {
+				t.Fatalf("filter %d, seed %d, n %d: the sample differs from the linear walk's", fi, seed, n)
+			}
+		}
+	}
+}
+
+// TestCounterTicks holds a Counter's ticks to the plain register updates the
+// model made before counters had a handle of their own, on every count of
+// a 3-bit counter and every limit up to past its width: Down takes one off
+// a non-zero count, Up adds one below limit and resets at it, Wrap walks
+// [0, n) and takes a cursor past the end modulo n first, each writing the
+// result as Reg.Set would (masked to the width). A unit tick is the only
+// write DB.Writes does not count. And Room and Repeat agree with the ticks:
+// after one unit tick since DB.ClearTicks, Repeat(k) for any k within Room
+// leaves what k more ticks leave, each of them a unit tick, and the tick
+// after Room more is not one; with no tick since, Room is unbounded.
+func TestCounterTicks(t *testing.T) {
+	db := NewDB()
+	c := db.RegisterCounter("U", Func, "cnt", 3)
+	ref := db.Register("U", Func, "ref", 3)
+	db.Freeze()
+	type op struct {
+		name  string
+		up    bool // its unit tick adds one (Up, Wrap) rather than taking one off
+		bound uint64
+		tick  func() // the counter's tick
+		plain func() // the register update it stands for
+	}
+	var ops []op
+	ops = append(ops, op{"down", false, 0, func() { c.Down() }, func() {
+		if n := ref.Get(); n > 0 {
+			ref.Set(n - 1)
+		}
+	}})
+	for limit := uint64(0); limit <= 10; limit++ {
+		limit := limit
+		ops = append(ops, op{fmt.Sprintf("up %d", limit), true, limit, func() { c.Up(limit) }, func() {
+			if n := ref.Get(); n+1 >= limit {
+				ref.Set(0)
+			} else {
+				ref.Set(n + 1)
+			}
+		}})
+	}
+	for n := uint64(1); n <= 10; n++ {
+		n := n
+		ops = append(ops, op{fmt.Sprintf("wrap %d", n), true, n, func() { c.Wrap(n) }, func() {
+			ptr := ref.Get()
+			if ptr >= n {
+				ptr %= n
+			}
+			ref.Set((ptr + 1) % n)
+		}})
+	}
+	for _, o := range ops {
+		for v := uint64(0); v < 8; v++ {
+			c.Load(v)
+			ref.Set(v)
+			db.ClearTicks()
+			w := db.Writes()
+			o.tick()
+			counted := db.Writes() != w
+			o.plain()
+			got, want := c.r.Get(), ref.Get()
+			if got != want {
+				t.Fatalf("%s from %d: %d, the register update gives %d", o.name, v, got, want)
+			}
+			unit := o.up && got == v+1 || !o.up && got+1 == v
+			if counted != (got != v && !unit) {
+				t.Fatalf("%s from %d to %d: counted write %v", o.name, v, got, counted)
+			}
+			if !unit {
+				if room := c.Room(o.bound); got == v && room != ^uint64(0) {
+					t.Fatalf("%s from %d: held, with room %d", o.name, v, room)
+				}
+				continue
+			}
+			room := c.Room(o.bound)
+			for k := uint64(0); k <= min(room, 8); k++ {
+				c.Load(got)
+				c.Repeat(k)
+				bulk := c.r.Get()
+				c.Load(got)
+				for i := uint64(0); i < k; i++ {
+					before, w := c.r.Get(), db.Writes()
+					o.tick()
+					if db.Writes() != w || c.r.Get() == before {
+						t.Fatalf("%s from %d: tick %d of Room %d is no unit tick", o.name, v, i+1, room)
+					}
+				}
+				if c.r.Get() != bulk {
+					t.Fatalf("%s from %d: Repeat(%d) leaves %d, %d ticks leave %d", o.name, v, k, bulk, k, c.r.Get())
+				}
+			}
+			if room < 8 {
+				c.Load(got)
+				c.Repeat(room)
+				before, w := c.r.Get(), db.Writes()
+				o.tick()
+				if now := c.r.Get(); db.Writes() == w && now != before {
+					t.Fatalf("%s from %d: the tick after Room %d is a unit tick too", o.name, v, room)
+				}
+			}
+		}
+	}
+}

@@ -103,6 +103,10 @@ func (db *DB) Record(clock *uint64) {
 	db.rec = recording{on: true, clock: clock, first: *clock, words: make([][]uint32, db.tracked)}
 }
 
+// Recording reports whether an access log is being taken: a cycle then has
+// to be clocked to be logged.
+func (db *DB) Recording() bool { return db.rec.on }
+
 // StopRecording ends the recording and returns its log.
 func (db *DB) StopRecording() *AccessLog {
 	r := db.rec

@@ -148,6 +148,7 @@ func (c *Core) checkerEnabled(id int) bool {
 func (c *Core) fail(id int) bool {
 	ch := c.checkers[id]
 	ch.Fired++
+	c.fails++
 	if !c.checkerEnabled(id) {
 		return false
 	}

@@ -35,9 +35,7 @@ func (c *Core) exCycle() {
 	// memory subsystem to be alive).
 	if c.unitOK(uLSU) && c.lsu.dcFSM.Get() != dcIdle &&
 		(c.lsu.dcFSM.Get() != dcRefill || c.nestServicing()) {
-		if n := c.lsu.dcCnt.Get(); n > 0 {
-			c.lsu.dcCnt.Set(n - 1)
-		} else {
+		if !c.lsu.dcCnt.Down() {
 			switch c.lsu.dcFSM.Get() {
 			case dcRefill:
 				c.dcRefill(c.lsu.dcAddr.Get())
@@ -173,7 +171,7 @@ func (c *Core) agenTranslate(in isa.Inst) bool {
 	if !ok {
 		if lsu.dcFSM.Get() == dcIdle {
 			lsu.dcFSM.Set(dcERATReload)
-			lsu.dcCnt.Set(uint64(c.cfg.ERATPenalty))
+			lsu.dcCnt.Load(uint64(c.cfg.ERATPenalty))
 			lsu.dcAddr.Set(ea)
 		}
 		return false
@@ -221,7 +219,7 @@ func (c *Core) exFinalize(in isa.Inst) bool {
 		if !ok {
 			if lsu.dcFSM.Get() == dcIdle {
 				lsu.dcFSM.Set(dcRefill)
-				lsu.dcCnt.Set(c.nestMissLatency(pa, false))
+				lsu.dcCnt.Load(c.nestMissLatency(pa, false))
 				lsu.dcAddr.Set(pa)
 			}
 			return false
@@ -519,7 +517,7 @@ func (c *Core) wbCycle() Event {
 	// Completion.
 	c.rut.ckptSPR.Write(3, fxu.wbNPC.Get())
 	c.Completed++
-	c.prv.hangCnt.Set(0)
+	c.prv.hangCnt.Load(0)
 	c.prv.hangArm.Set(0)
 	c.rut.retryCnt.Set(0)
 	if p := c.rut.progress.Get(); p < 255 {

@@ -480,7 +480,7 @@ func TestScrubWalk(t *testing.T) {
 	for _, start := range []int{0, total - 1, total, 1<<16 - 1} {
 		for _, s := range strikes {
 			c.RestoreCheckpoint(ck)
-			c.prv.scrubPtr.Set(uint64(start))
+			c.prv.scrubPtr.Load(uint64(start))
 			if s.array >= 0 {
 				c.arrays[s.array].FlipBit(s.entry, 0)
 				c.arrays[s.array].FlipBit(s.entry, 1)
@@ -493,7 +493,7 @@ func TestScrubWalk(t *testing.T) {
 					want = cycle
 				}
 				c.scrubCycle()
-				if got := int(c.prv.scrubPtr.Get()); got != v {
+				if got := int(counterValue(c, c.prv.scrubPtr)); got != v {
 					t.Fatalf("start %d, strike %+v, cycle %d: cursor %d, the formula says %d", start, s, cycle, got, v)
 				}
 				if found < 0 && s.array >= 0 && c.arrays[s.array].Uncorrectable != 0 {

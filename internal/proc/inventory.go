@@ -62,7 +62,7 @@ type ifuState struct {
 	fbCnt  latch.Reg
 	bht    latch.Tracked // 2-bit branch history counters (unprotected)
 	icFSM  latch.Reg     // icache miss state
-	icCnt  latch.Reg     // refill countdown
+	icCnt  latch.Counter // refill countdown
 	icAddr latch.Reg     // refill address
 	mode   latch.Scan    // MODE scan ring (segment 0; the spare segments are idle)
 	gptr   latch.Scan    // GPTR ring entry 0 (the rest is unused test data)
@@ -166,7 +166,7 @@ type lsuState struct {
 	eratPtr latch.Reg     // replacement pointer
 
 	dcFSM  latch.Reg
-	dcCnt  latch.Reg
+	dcCnt  latch.Counter // miss or reload countdown
 	dcAddr latch.Reg
 
 	ea    latch.Reg // effective address latch
@@ -184,7 +184,7 @@ type lsuState struct {
 type rutState struct {
 	fsm      latch.Reg // one-hot recovery sequencer
 	retryCnt latch.Reg
-	waitCnt  latch.Reg
+	waitCnt  latch.Counter
 	errSrc   latch.Reg // checker id of the first error of this incident
 	errCycle latch.Reg // cycle of the first error
 	progress latch.Reg // completions since last recovery (saturating)
@@ -203,8 +203,8 @@ type prvState struct {
 
 	checkstop latch.Reg
 	coreHung  latch.Reg
-	hangCnt   latch.Reg
-	hangArm   latch.Reg // set after a hang recovery; cleared by completion
+	hangCnt   latch.Counter // completion watchdog, counting up to the hang limit
+	hangArm   latch.Reg     // set after a hang recovery; cleared by completion
 
 	modeClock    latch.Scan // per-unit clock enables (bit per unit)
 	modeChecker  latch.Scan // checker enable mask
@@ -219,7 +219,7 @@ type prvState struct {
 	mode2   latch.Scan // spare pervasive mode bits, entry 0: the PRV ring segment
 	gptr    latch.Scan
 
-	scrubPtr latch.Reg // background array scrub cursor
+	scrubPtr latch.Counter // background array scrub cursor
 
 	// firstErr caches the first posted checker of the current incident for
 	// cause-effect tracing (also latched into rut.errSrc).
@@ -247,7 +247,7 @@ func (c *Core) buildInventory() {
 	c.ifu.fbCnt = db.Register(u, latch.Func, "ifu.fb.cnt", 4)
 	c.ifu.bht = db.RegisterTracked(u, latch.Func, "ifu.bht", bhtEntries, 2, latch.AllBits)
 	c.ifu.icFSM = db.Register(u, latch.Func, "ifu.ic.fsm", 4)
-	c.ifu.icCnt = db.Register(u, latch.Func, "ifu.ic.cnt", 8)
+	c.ifu.icCnt = db.RegisterCounter(u, latch.Func, "ifu.ic.cnt", 8)
 	c.ifu.icAddr = db.Register(u, latch.Func, "ifu.ic.addr", 64)
 	db.RegisterIdle(u, latch.Func, "ifu.thr.cnt", 1, 8) // fetch throttle countdown
 	db.RegisterIdle(u, latch.Func, "ifu.perf", 4, 64)
@@ -349,7 +349,7 @@ func (c *Core) buildInventory() {
 	db.RegisterIdle(u, latch.Func, "lsu.lmq.addr", lmqEntries, 64) // load miss queue
 	db.RegisterIdle(u, latch.Func, "lsu.lmq.ctl", lmqEntries, 8)   // load miss queue control
 	c.lsu.dcFSM = db.Register(u, latch.Func, "lsu.dc.fsm", 4)
-	c.lsu.dcCnt = db.Register(u, latch.Func, "lsu.dc.cnt", 8)
+	c.lsu.dcCnt = db.RegisterCounter(u, latch.Func, "lsu.dc.cnt", 8)
 	c.lsu.dcAddr = db.Register(u, latch.Func, "lsu.dc.addr", 64)
 	c.lsu.ea = db.Register(u, latch.Func, "lsu.ea", 64)
 	c.lsu.eaPar = db.Register(u, latch.Func, "lsu.ea.par", 1)
@@ -367,7 +367,7 @@ func (c *Core) buildInventory() {
 	u = UnitRUT
 	c.rut.fsm = db.Register(u, latch.Func, "rut.fsm", 8)
 	c.rut.retryCnt = db.Register(u, latch.Func, "rut.retry.cnt", 4)
-	c.rut.waitCnt = db.Register(u, latch.Func, "rut.wait.cnt", 8)
+	c.rut.waitCnt = db.RegisterCounter(u, latch.Func, "rut.wait.cnt", 8)
 	c.rut.errSrc = db.Register(u, latch.Func, "rut.err.src", 8)
 	c.rut.errCycle = db.Register(u, latch.Func, "rut.err.cycle", 64)
 	c.rut.progress = db.Register(u, latch.Func, "rut.progress", 8)
@@ -385,7 +385,7 @@ func (c *Core) buildInventory() {
 	c.prv.firPar = db.RegisterArray(u, latch.Func, "prv.fir.par", 1, 1)
 	c.prv.checkstop = db.Register(u, latch.Func, "prv.checkstop", 1)
 	c.prv.coreHung = db.Register(u, latch.Func, "prv.core.hung", 1)
-	c.prv.hangCnt = db.Register(u, latch.Func, "prv.hang.cnt", 16)
+	c.prv.hangCnt = db.RegisterCounter(u, latch.Func, "prv.hang.cnt", 16)
 	c.prv.hangArm = db.Register(u, latch.Func, "prv.hang.arm", 1)
 	c.prv.modeClock = db.RegisterScan(u, latch.Mode, "prv.mode.clock", 1, 8, latch.AllBits)
 	c.prv.modeChecker = db.RegisterScan(u, latch.Mode, "prv.mode.checker", 1, 64, 1<<numCheckers-1)
@@ -401,7 +401,7 @@ func (c *Core) buildInventory() {
 	db.RegisterIdle(u, latch.Func, "prv.perf", 8, 64)
 	c.prv.mode2 = db.RegisterScan(u, latch.Mode, "prv.mode.spare", 6, 64, latch.AllBits)
 	c.prv.gptr = db.RegisterScan(u, latch.GPTR, "prv.gptr", 8, 64, latch.AllBits)
-	c.prv.scrubPtr = db.Register(u, latch.Func, "prv.scrub.ptr", 16)
+	c.prv.scrubPtr = db.RegisterCounter(u, latch.Func, "prv.scrub.ptr", 16)
 }
 
 // buildColdInventory registers the structures that are architecturally

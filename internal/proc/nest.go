@@ -155,17 +155,9 @@ func (c *Core) nestRetireRQ() {
 	}
 }
 
-// scanRQ is the continuous request-queue checker (one entry per cycle).
-func (c *Core) scanRQ() {
-	if !c.cfg.EnableNest {
-		return
-	}
-	i := int(c.Cycle) % rqEntries
-	if c.nest.rqCtl.Entry(i).Get()&1 == 0 {
-		return
-	}
-	if parity64(c.nest.rqAddr.Entry(i).Get())^c.polarity(uNEST, 0) !=
-		c.nest.rqPar.Entry(i).Get() {
-		c.fail(ChkNESTRQPar)
-	}
+// rqFails reports whether request-queue entry i fails the continuous parity
+// check (one entry per cycle).
+func (c *Core) rqFails(i int) bool {
+	return c.nest.rqCtl.Entry(i).Get()&1 != 0 &&
+		parity64(c.nest.rqAddr.Entry(i).Get())^c.polarity(uNEST, 0) != c.nest.rqPar.Entry(i).Get()
 }

@@ -129,9 +129,7 @@ func (c *Core) fetchCycle() {
 		if !c.nestServicing() {
 			return
 		}
-		n := ifu.icCnt.Get()
-		if n > 0 {
-			ifu.icCnt.Set(n - 1)
+		if ifu.icCnt.Down() {
 			return
 		}
 		c.icRefill(ifu.icAddr.Get())
@@ -157,7 +155,7 @@ func (c *Core) fetchCycle() {
 		if !ok {
 			if ifu.icFSM.Get() == 0 {
 				ifu.icFSM.Set(1)
-				ifu.icCnt.Set(c.nestMissLatency(pc, true))
+				ifu.icCnt.Load(c.nestMissLatency(pc, true))
 				ifu.icAddr.Set(pc)
 			}
 			return

@@ -128,6 +128,17 @@ type Core struct {
 
 	// pending errors posted by checkers during the current cycle
 	pendErr []pendingError
+	// fails counts checker evaluations that failed, enabled or not.
+	fails uint64
+
+	// ticking holds the countdown latches, in the order Advance bounds them
+	// (counterBounds); bulk counts the cycles Advance applied by arithmetic.
+	ticking [numTicking]latch.Counter
+	bulk    uint64
+	// scansPass is the scan generation at which every entry of the
+	// round-robin-scanned structures was last seen to pass its check
+	// (scanRoom).
+	scansPass uint64
 
 	// Cycle counts clocked cycles since reset.
 	Cycle uint64
@@ -157,6 +168,7 @@ func New(cfg Config) *Core {
 	c.db.Freeze()
 	c.buildCheckers()
 	c.rings = c.unitRings()
+	c.ticking = [...]latch.Counter{c.lsu.dcCnt, c.ifu.icCnt, c.rut.waitCnt, c.prv.hangCnt, c.prv.scrubPtr}
 	c.arrays = c.Arrays()
 	for _, p := range c.arrays {
 		c.arrayEntries += p.Entries()
@@ -209,14 +221,149 @@ func (c *Core) InRecovery() bool { return c.rut.fsm.Get() != rutIdle }
 // Step clocks the machine one cycle and reports any machine-visible event.
 func (c *Core) Step() Event {
 	ev := c.step()
+	c.endCycle()
+	return ev
+}
+
+// endCycle is the write-port parity maintenance for the RUT error-capture
+// registers at the end of a cycle: legitimate updates (which all happen
+// inside the cycle) regenerate the stored parity; corruption injected
+// between cycles is caught by the pervasive checker first.
+func (c *Core) endCycle() {
 	if !c.Checkstopped() {
-		// Write-port parity maintenance for the RUT error-capture
-		// registers: legitimate updates (which all happen inside the
-		// cycle) regenerate the stored parity; corruption injected
-		// between cycles is caught by the pervasive checker first.
 		c.rut.capPar.Set(c.rutCaptureParity())
 	}
-	return ev
+}
+
+// Advance clocks the machine through at least one and at most n cycles
+// (n ≥ 1) and returns how many, with the event of the first: exactly what
+// that many Steps would do, the others being event-free. The first cycle is
+// clocked as Step clocks it. If it was counter-only — it fired no checker,
+// posted no event, completed nothing, left the scan generation where it was
+// and wrote no latch but by unit ticks of the countdown latches — the
+// cycles after it repeat it, each ticking counter one further on, for as
+// long as no counter reaches its threshold and no round-robin scan reaches
+// an entry that fails its check: nothing else they read has moved. Advance
+// applies that many of them by arithmetic (DESIGN.md "Cost of a cycle").
+// It clocks one cycle at a time while an access log is recorded or an array
+// is struck: logged reads and the scrub walk are per cycle.
+func (c *Core) Advance(n uint64) (uint64, Event) {
+	if n <= 1 {
+		return 1, c.Step()
+	}
+	c.db.ClearTicks()
+	writes, fails, gen, cycle, done := c.db.Writes(), c.fails, c.db.ScanGen(), c.Cycle, c.Completed
+	ev := c.step()
+	k := uint64(1)
+	if ev == (Event{}) && c.db.Writes() == writes && c.fails == fails &&
+		c.db.ScanGen() == gen && c.Cycle == cycle+1 && c.Completed == done &&
+		!c.db.Recording() && c.arraysClean() {
+		more := n - 1
+		for i, b := range c.counterBounds() {
+			more = min(more, c.ticking[i].Room(b))
+		}
+		more = c.scanRoom(more)
+		for i := range c.ticking {
+			c.ticking[i].Repeat(more)
+		}
+		c.Cycle += more
+		c.bulk += more
+		k += more
+	}
+	c.endCycle()
+	return k, ev
+}
+
+// numTicking is the number of countdown latches: lsu.dc.cnt, ifu.ic.cnt,
+// rut.wait.cnt, prv.hang.cnt and prv.scrub.ptr.
+const numTicking = 5
+
+// counterBounds returns the bound each ticking counter's Room takes:
+// none for the countdowns, the watchdog's limit and the scrub walk's length.
+func (c *Core) counterBounds() [numTicking]uint64 {
+	return [...]uint64{0, 0, 0, c.prv.modeHangLim.Get(), uint64(c.arrayEntries)}
+}
+
+// scanRoom clips more, a number of cycles to follow the current one, to
+// those before the first whose round-robin scans (prvCycle) would visit a
+// failing entry. The structures do not change over those cycles, so it
+// checks each entry they would visit, at most a sweep of each structure.
+//
+// It checks none while the scan generation is one at which every entry
+// passed. A cycle cannot make an entry fail: every write to the scanned
+// structures stores an entry with the parity of what it stores, under the
+// current polarity, or clears its valid bit (stqInsert, eratReloadDone,
+// fetchCycle, nestAllocRQ, and the drains and flushes). Only a flip, a
+// scan load or a restore can, and each moves the generation. FuzzAdvance
+// holds every clocked cycle to that.
+func (c *Core) scanRoom(more uint64) uint64 {
+	if !c.unitOK(uPRV) || c.scansPass == c.db.ScanGen() {
+		return more
+	}
+	if c.scansFail() == noChecker {
+		c.scansPass = c.db.ScanGen()
+		return more
+	}
+	for j := uint64(1); j <= min(more, stqEntries); j++ {
+		if c.stqCheck(int((c.Cycle+j)%stqEntries)) != noChecker {
+			more = j - 1
+		}
+	}
+	for j := uint64(1); j <= min(more, eratSize); j++ {
+		if c.eratFails(int((c.Cycle + j) % eratSize)) {
+			more = j - 1
+		}
+	}
+	for j := uint64(1); j <= min(more, fbEntries); j++ {
+		if c.fbFails(int((c.Cycle + j) % fbEntries)) {
+			more = j - 1
+		}
+	}
+	for j := uint64(1); c.cfg.EnableNest && j <= min(more, rqEntries); j++ {
+		if c.rqFails(int((c.Cycle + j) % rqEntries)) {
+			more = j - 1
+		}
+	}
+	return more
+}
+
+// scansFail returns the checker a failing entry of the round-robin-scanned
+// structures fails, or noChecker when every entry passes.
+func (c *Core) scansFail() int {
+	for i := 0; i < stqEntries; i++ {
+		if id := c.stqCheck(i); id != noChecker {
+			return id
+		}
+	}
+	for i := 0; i < eratSize; i++ {
+		if c.eratFails(i) {
+			return ChkLSUERATPar
+		}
+	}
+	for i := 0; i < fbEntries; i++ {
+		if c.fbFails(i) {
+			return ChkIFUFBPar
+		}
+	}
+	for i := 0; c.cfg.EnableNest && i < rqEntries; i++ {
+		if c.rqFails(i) {
+			return ChkNESTRQPar
+		}
+	}
+	return noChecker
+}
+
+// BulkCycles returns how many cycles Advance has applied by arithmetic
+// rather than clocked.
+func (c *Core) BulkCycles() uint64 { return c.bulk }
+
+// Ticks reports whether latch bit lies in a word Advance writes by
+// arithmetic: a countdown latch, or rut.cap.par, which Step regenerates over
+// one. A caller that holds such a bit after every cycle advances one cycle
+// at a time.
+func (c *Core) Ticks(bit int) bool {
+	g, _, _ := c.db.Locate(bit)
+	return g.Counter || g.Name == "rut.cap.par"
 }
 
 func (c *Core) step() Event {

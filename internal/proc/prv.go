@@ -50,28 +50,31 @@ func (c *Core) prvCycle() {
 	}
 
 	// Continuous structure scans (conservative checking: any corrupt
-	// covered state fires, whether or not it would ever be consumed).
-	c.scanSTQ()
-	c.scanERAT()
-	c.scanFB()
-	c.scanRQ()
+	// covered state fires, whether or not it would ever be consumed). Like
+	// a hardware scan engine each walks one entry per cycle round-robin, so
+	// worst-case detection latency is one sweep.
+	if id := c.stqCheck(int(c.Cycle) % stqEntries); id != noChecker {
+		c.fail(id)
+	}
+	if c.eratFails(int(c.Cycle) % eratSize) {
+		c.fail(ChkLSUERATPar)
+	}
+	if c.fbFails(int(c.Cycle) % fbEntries) {
+		c.fail(ChkIFUFBPar)
+	}
+	if c.cfg.EnableNest && c.rqFails(int(c.Cycle)%rqEntries) {
+		c.fail(ChkNESTRQPar)
+	}
 
-	// Completion watchdog.
-	limit := prv.modeHangLim.Get()
-	if limit != 0 && !c.halted {
-		n := prv.hangCnt.Get()
-		if n+1 >= limit {
-			prv.hangCnt.Set(0)
-			if prv.hangArm.Get() != 0 {
-				// A hang recovery already ran without any completion
-				// since: the core is declared hung.
-				prv.coreHung.Set(1)
-			} else {
-				prv.hangArm.Set(1)
-				c.fail(ChkPRVWatchdog)
-			}
+	// Completion watchdog: the count restarts from zero when it fires.
+	if limit := prv.modeHangLim.Get(); limit != 0 && !c.halted && !prv.hangCnt.Up(limit) {
+		if prv.hangArm.Get() != 0 {
+			// A hang recovery already ran without any completion
+			// since: the core is declared hung.
+			prv.coreHung.Set(1)
 		} else {
-			prv.hangCnt.Set(n + 1)
+			prv.hangArm.Set(1)
+			c.fail(ChkPRVWatchdog)
 		}
 	}
 
@@ -109,77 +112,58 @@ func (c *Core) checkScan(post bool) (ok bool) {
 	return ok
 }
 
-// scanSTQ is the continuous store-queue checker. Like a hardware scan
-// engine it walks one entry per cycle round-robin, so worst-case detection
-// latency is one sweep.
-func (c *Core) scanSTQ() {
+// noChecker is what an entry check returns for an entry that passes.
+const noChecker = -1
+
+// stqCheck returns the checker store-queue entry i fails, if any: the
+// continuous store-queue scan's check of the entry it visits.
+func (c *Core) stqCheck(i int) int {
 	lsu := &c.lsu
-	i := int(c.Cycle) % stqEntries
 	ctl := lsu.stqCtl.Entry(i).Get()
 	v, vd := ctl&1, (ctl>>1)&1
 	if v != vd {
-		c.fail(ChkLSUSTQVDup)
-		return
+		return ChkLSUSTQVDup
 	}
 	if v == 0 {
-		return
+		return noChecker
 	}
 	pol := c.polarity(uLSU, 1)
 	if parity64(lsu.stqAddr.Get(i))^pol != lsu.stqParA.Entry(i).Get() ||
 		parity64(lsu.stqData.Get(i))^pol != lsu.stqParD.Entry(i).Get() {
-		c.fail(ChkLSUSTQPar)
+		return ChkLSUSTQPar
 	}
+	return noChecker
 }
 
-// scanERAT is the continuous ERAT integrity checker (one entry per cycle).
-func (c *Core) scanERAT() {
+// eratFails reports whether ERAT entry i fails the continuous integrity
+// check.
+func (c *Core) eratFails(i int) bool {
 	lsu := &c.lsu
-	i := int(c.Cycle) % eratSize
-	if lsu.eratCtl.Get(i)&1 == 0 {
-		return
-	}
-	vpn := lsu.eratVPN.Get(i)
-	ppn := lsu.eratPPN.Get(i)
-	if c.eratParity(vpn, ppn) != lsu.eratPar.Entry(i).Get() {
-		c.fail(ChkLSUERATPar)
-	}
+	return lsu.eratCtl.Get(i)&1 != 0 &&
+		c.eratParity(lsu.eratVPN.Get(i), lsu.eratPPN.Get(i)) != lsu.eratPar.Entry(i).Get()
 }
 
-// scanFB is the continuous fetch-buffer checker (one entry per cycle).
-func (c *Core) scanFB() {
+// fbFails reports whether fetch-buffer entry i fails the continuous parity
+// check.
+func (c *Core) fbFails(i int) bool {
 	ifu := &c.ifu
-	i := int(c.Cycle) % fbEntries
-	if ifu.fbV.Entry(i).Get() == 0 {
-		return
-	}
-	ir := ifu.fbIR.Entry(i).Get()
-	pc := ifu.fbPC.Entry(i).Get()
-	pol := c.polarity(uIFU, 1)
-	if parity64(ir^pc)^pol != ifu.fbPar.Entry(i).Get() {
-		c.fail(ChkIFUFBPar)
-	}
+	return ifu.fbV.Entry(i).Get() != 0 &&
+		parity64(ifu.fbIR.Entry(i).Get()^ifu.fbPC.Entry(i).Get())^c.polarity(uIFU, 1) != ifu.fbPar.Entry(i).Get()
 }
 
 // scrubCycle checks one protected-array entry per cycle. Cache entries with
 // uncorrectable errors are invalidated (line delete); checkpoint corruption
-// is fatal. The cursor wraps by comparison; only a corrupted one, past the
-// last entry, pays a modulo. A scrub step finds nothing in a clean array, so
-// while every array is clean the cycle ends with the cursor's advance.
+// is fatal. The cursor wraps by comparison (latch.Counter.Wrap); only a
+// corrupted one, past the last entry, pays a modulo. A scrub step finds
+// nothing in a clean array, so while every array is clean the cycle ends
+// with the cursor's advance.
 func (c *Core) scrubCycle() {
 	arrays := c.arrays
 	total := c.arrayEntries
 	if total == 0 {
 		return
 	}
-	ptr := int(c.prv.scrubPtr.Get())
-	if ptr >= total {
-		ptr %= total
-	}
-	next := ptr + 1
-	if next == total {
-		next = 0
-	}
-	c.prv.scrubPtr.Set(uint64(next))
+	ptr := int(c.prv.scrubPtr.Wrap(uint64(total)))
 	if c.arraysClean() {
 		return
 	}

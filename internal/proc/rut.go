@@ -16,8 +16,8 @@ const (
 // sequencing registers, which live in the un-retryable recovery domain.
 func (c *Core) rutCaptureParity() uint64 {
 	r := &c.rut
-	return parity64(r.errSrc.Get() ^ r.errCycle.Get() ^ r.retryCnt.Get() ^
-		r.waitCnt.Get() ^ r.progress.Get())
+	return parity64(r.errSrc.Get()^r.errCycle.Get()^r.retryCnt.Get()^r.progress.Get()) ^
+		r.waitCnt.Parity()
 }
 
 // rutBeginRecovery starts a retry: it escalates to checkstop when the RUT
@@ -37,7 +37,7 @@ func (c *Core) rutBeginRecovery() {
 	c.rut.retryCnt.Set(n + 1)
 	c.rut.progress.Set(0)
 	c.rut.fsm.Set(rutReset)
-	c.rut.waitCnt.Set(uint64(c.cfg.RecoveryCycles))
+	c.rut.waitCnt.Load(uint64(c.cfg.RecoveryCycles))
 	// The pipeline is quenched immediately so that in-flight corruption
 	// cannot re-trigger checkers while the retry sequences.
 	c.flushPipeline()
@@ -51,8 +51,7 @@ func (c *Core) rutCycle() {
 	rut := &c.rut
 	switch rut.fsm.Get() {
 	case rutReset:
-		if n := rut.waitCnt.Get(); n > 0 {
-			rut.waitCnt.Set(n - 1)
+		if rut.waitCnt.Down() {
 			return
 		}
 		rut.fsm.Set(rutRestore)
@@ -60,16 +59,15 @@ func (c *Core) rutCycle() {
 		c.restoreCheckpoint()
 		if !c.Checkstopped() {
 			rut.fsm.Set(rutWait)
-			rut.waitCnt.Set(4)
+			rut.waitCnt.Load(4)
 		}
 	case rutWait:
-		if n := rut.waitCnt.Get(); n > 0 {
-			rut.waitCnt.Set(n - 1)
+		if rut.waitCnt.Down() {
 			return
 		}
 		rut.fsm.Set(rutIdle)
 		c.Recoveries++
-		c.prv.hangCnt.Set(0)
+		c.prv.hangCnt.Load(0)
 	default:
 		// Corrupted FSM state: the one-hot checker (prvCycle) checkstops;
 		// with it masked the machine sits here forever (hang).
@@ -164,7 +162,7 @@ func (c *Core) flushPipeline() {
 		lsu.eratCtl.Set(i, 0)
 	}
 	lsu.dcFSM.Set(dcIdle)
-	lsu.dcCnt.Set(0)
+	lsu.dcCnt.Load(0)
 
 	if c.cfg.EnableNest {
 		for i := 0; i < rqEntries; i++ {

@@ -40,6 +40,12 @@ func viewFromContents(c *Core) scanView {
 	return v
 }
 
+// counterValue reads a countdown latch's word from the database, as a test
+// may and the model cannot: a latch.Counter has no Get.
+func counterValue(c *Core, t latch.Counter) uint64 {
+	return c.db.Cells[reflect.ValueOf(t).FieldByName("r").FieldByName("w").Int()]
+}
+
 // Script operations of FuzzScanView: four bytes each, an opcode and a 24-bit
 // argument.
 const (

@@ -11,6 +11,7 @@ import (
 	"os"
 	"sort"
 
+	"sfi/internal/dist"
 	"sfi/internal/obs"
 )
 
@@ -208,19 +209,22 @@ func (s *Server) handleCoord(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	c := s.campaigns[id]
-	exec := s.running[id]
+	var coord *dist.Coordinator // set by runCampaign under s.mu
+	if exec := s.running[id]; exec != nil {
+		coord = exec.coord
+	}
 	s.mu.Unlock()
 	if c == nil {
 		writeError(w, http.StatusNotFound, ErrNotFound)
 		return
 	}
-	if exec == nil || exec.coord == nil {
+	if coord == nil {
 		writeError(w, http.StatusGone, errors.New("server: campaign is not running"))
 		return
 	}
 	r2 := r.Clone(r.Context())
 	r2.URL.Path = "/" + r.PathValue("rest")
-	exec.coord.Handler().ServeHTTP(w, r2)
+	coord.Handler().ServeHTTP(w, r2)
 }
 
 func (s *Server) handleServerStatus(w http.ResponseWriter, r *http.Request) {
