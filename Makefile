@@ -54,7 +54,8 @@ race:
 # through the oracle that clocks every one and they must be indistinguishable
 # from; FuzzCoordinatorRequests posts
 # scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
-# coordinator and requires a restart over its journal to reach the same
+# coordinator and requires a keyless stop at the smallest converged prefix of
+# the shards it accepted and a restart over its journal to reach the same
 # ledger (its inputs are kilobytes, so minimizing each interesting one is
 # capped at 20 runs — the default minute apiece would be the whole budget);
 # FuzzCompiledNetlist decodes arbitrary bytes into a small netlist and a
@@ -154,12 +155,15 @@ lines:
 # -flips 600 the uniform rule first holds at the budget; at -flips 3000 it
 # stops at n=596). A Neyman `-dist` stop is on it too: the coordinator plans
 # each epoch and decides the stop at the barrier, over sealed epochs only, so
-# it repeats whatever order the shards complete in. A uniform `-dist` stop
-# is not: the coordinator decides it after every completion, so it falls at
-# the first converged set of completed shards, and the order shards
-# complete in is not a function of the seed. `-type REGFILE` is the one
-# shape whose report holds a single latch type, so its by_type export is a
-# one-row marginal of the cross; awan under `-allocate neyman` is the one
+# it repeats whatever order the shards complete in. So does a uniform `-dist`
+# stop: the coordinator folds completed shards in shard order, which is
+# sample order, through the prefix fold the local run folds its jobs with
+# (core.PrefixStop), stops at the smallest converged shard prefix and drops
+# the shards that completed past it (at -flips 3000, n=611: 13 shards of 47).
+# A coordinator that predates the shared fold stopped on whichever shards had
+# completed, so against such a PARENT that shape can differ from run to run.
+# `-type REGFILE` is the one shape whose report holds a single latch type, so
+# its by_type export is a one-row marginal of the cross; awan under `-allocate neyman` is the one
 # shape that folds awan's keyed (per-stratum) draws. `-type GPTR` and
 # `-type MODE -sticky` draw scan-ring latches only, whose groups the model
 # reads but many of whose bits lie outside the read sets it declares: they
@@ -188,6 +192,7 @@ CMP_SHAPES = \
 	-flips 3000 -margin 5 -stop-on-converge| \
 	-flips 600 -margin 5 -stop-on-converge -allocate neyman| \
 	-flips 600 -dist 4 -margin 5 -stop-on-converge -allocate neyman| \
+	-flips 3000 -dist 4 -margin 5 -stop-on-converge| \
 	-flips 600 -type REGFILE| \
 	-flips 600 -type GPTR| \
 	-flips 600 -type MODE -sticky| \

@@ -124,14 +124,6 @@ func (a AllocConfig) Validate() error {
 	return fmt.Errorf("core: unknown allocation mode %q (want %s or %s)", a.Mode, AllocUniform, AllocNeyman)
 }
 
-// epochs returns the epoch count with the default applied.
-func (a AllocConfig) epochs() int {
-	if a.Epochs <= 0 {
-		return DefaultAllocEpochs
-	}
-	return a.Epochs
-}
-
 // StopConfig configures adaptive statistical early-stop for a campaign.
 // The zero value is fully disabled: the campaign runs exactly Flips
 // injections and produces byte-identical reports to builds without the
@@ -619,8 +611,8 @@ func (j job) bits() []int {
 //
 //   - a uniform campaign or pooled shard is one epoch with one keyless draw;
 //   - a stratum shard is one epoch with one keyed draw;
-//   - a Neyman campaign asks the planner (SamplePlan.NextEpoch) for the next
-//     epoch's draws at every barrier, over the settled report.
+//   - a Neyman campaign asks its epoch ledger (Epochs) for the next epoch's
+//     draws at every barrier, over the settled report.
 type source struct {
 	total int                           // injections the campaign can run (Progress.Total)
 	next  func(settled *Report) []*draw // the next epoch; returns nil once the campaign is over
@@ -638,35 +630,32 @@ func newSource(first *Runner, cfg CampaignConfig, rep *Report, runSp, sp *obs.Sp
 		if cfg.Shard != nil {
 			return nil, fmt.Errorf("core: a stratified campaign cannot take a pooled shard range (shards of stratified campaigns carry a stratum)")
 		}
-		plan := BuildSamplePlan(first.DB(), cfg.Seed, cfg.Filter)
-		if len(plan.Strata) == 0 {
-			return nil, fmt.Errorf("core: stratified campaign over an empty population")
+		// Each epoch extends every allocated stratum's prefix of its own
+		// deterministic sequence.
+		epochs, err := NewEpochs(first.DB(), cfg)
+		if err != nil {
+			return nil, err
 		}
+		plan := epochs.Plan
 		sp.AttrInt("flips", int64(cfg.Flips)).
 			AttrInt("strata", int64(len(plan.Strata))).
 			AttrInt("population", int64(plan.TotalBits()))
-		// Each epoch extends every allocated stratum's prefix of its own
-		// deterministic sequence.
-		drawn := make(map[string]int, len(plan.Strata))
-		remaining, epochNo := cfg.Flips, 0
 		next := func(settled *Report) []*draw {
-			shares, allocated := plan.NextEpoch(cfg.Flips, cfg.Alloc, cfg.Stop.Rule(), settled.ByStratum, drawn, remaining)
-			if allocated == 0 {
+			ep := epochs.Next(settled)
+			if ep == nil {
 				return nil
 			}
-			cfg.Obs.Trace.RecordJSON(obs.AllocationEvent{Kind: "allocate", Epoch: epochNo, Budget: allocated, Shares: shares})
+			cfg.Obs.Trace.RecordJSON(obs.AllocationEvent{Kind: "allocate", Epoch: ep.N, Budget: ep.Budget, Shares: ep.Shares})
 			cfg.Obs.Tracer.StartSpan("allocate", "core", runSp.Context()).
-				AttrInt("epoch", int64(epochNo)).AttrInt("budget", int64(allocated)).End()
+				AttrInt("epoch", int64(ep.N)).AttrInt("budget", int64(ep.Budget)).End()
 			var draws []*draw
-			for _, sh := range shares {
+			for _, sh := range ep.Shares {
 				if sh.Next > 0 {
-					lo := drawn[sh.Stratum]
+					lo := epochs.Drawn[sh.Stratum]
 					draws = append(draws, newDraw(sh.Stratum, plan.Stratum(sh.Stratum).Bits[lo:lo+sh.Next]))
-					drawn[sh.Stratum] = lo + sh.Next
 				}
 			}
-			remaining -= allocated
-			epochNo++
+			epochs.Apply(*ep)
 			return draws
 		}
 		rep.Census = plan.Populations()
@@ -722,9 +711,9 @@ func newSource(first *Runner, cfg CampaignConfig, rep *Report, runSp, sp *obs.Sp
 // folded into the report and anything is evaluated or re-allocated, so stop
 // decisions and allocations read settled counts only and the report is
 // deterministic across worker counts. A keyless draw (a uniform campaign's
-// single epoch, the whole budget) is decided job by job instead, over the
-// settled prefix in dispatch order: a StopOnConverge campaign stops at the
-// smallest prefix that converges, whatever the worker count.
+// single epoch, the whole budget) is decided job by job instead, by
+// PrefixStop: a StopOnConverge campaign stops at the smallest prefix of
+// dispatch order that converges, whatever the worker count.
 func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*Report, error) {
 	if cfg.Flips < 1 {
 		return nil, fmt.Errorf("core: campaign needs at least one flip")
@@ -905,14 +894,13 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	rule := cfg.Stop.Rule()
 	cancelled := ctx.Done()
 	for len(jobs) > 0 {
-		// A keyless draw, the whole budget, is decided job by job: settled
-		// jobs fold in dispatch order into the pooled prefix, which ends at
-		// cut once it converges. Dispatch never waits for the prefix, so a
-		// stop drops whatever finished past the cut meanwhile.
+		// A keyless draw, the whole budget, is decided job by job, over the
+		// smallest converged prefix of dispatch order (PrefixStop). Dispatch
+		// never waits for the prefix, so a stop drops whatever finished past
+		// the cut meanwhile.
 		keyless := cfg.Stop.Enabled() && epoch[0].key == ""
-		prefix := Report{Counts: make(map[Outcome]int)}
-		done := make([]bool, len(jobs))
-		sent, folded, running, cut := 0, 0, 0, len(jobs)
+		prefix := NewPrefixStop(len(jobs), cfg.Stop, evaluated)
+		sent, running, cut := 0, 0, len(jobs)
 		for (sent < cut && len(errs) == 0) || running > 0 {
 			var out chan<- job // nil, so never ready, once dispatch is over
 			var j job
@@ -929,23 +917,12 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 				}
 				if s.err != nil {
 					errs = append(errs, s.err)
-					continue
-				}
-				if !keyless {
-					continue
-				}
-				done[s.n] = true
-				for folded < cut && done[folded] {
-					for _, pos := range jobs[folded].pos {
-						prefix.Total++
-						prefix.Counts[jobs[folded].d.res[pos].Outcome]++
+				} else if keyless {
+					counts := make(map[Outcome]int)
+					for _, pos := range jobs[s.n].pos {
+						counts[jobs[s.n].d.res[pos].Outcome]++
 					}
-					folded++
-					c := prefix.PooledConvergence(rule)
-					evaluated(c)
-					if c.Converged && cfg.Stop.StopOnConverge {
-						cut = folded
-					}
+					cut = prefix.Settle(s.n, counts)
 				}
 			case <-cancelled:
 				errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))

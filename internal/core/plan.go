@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
 	"strings"
@@ -169,34 +170,70 @@ func (a AllocConfig) ArmStop(stop StopConfig) StopConfig {
 	return stop
 }
 
-// NextEpoch is the allocation-epoch decision of a stratified campaign — the
-// one copy, shared by the local executor and the distributed coordinator.
-// A flips-injection budget is spent in alloc's epochs of ceil(flips/epochs)
-// injections (the last may be short); at each epoch boundary the Neyman
-// allocator splits the epoch's budget across the plan's strata from their
-// settled outcome counts (settled, keyed like Report.ByStratum), the
-// sequence prefix each has already drawn, and the budget still remaining.
-// It returns the per-stratum shares in plan order and the injections they
-// allocate; allocated == 0 means the campaign is over — the budget is spent
-// or every stratum's population is exhausted. A pure function: nothing but
-// its arguments decides the result, which is what lets a coordinator
-// restarted over its journal re-plan identically.
-func (p *SamplePlan) NextEpoch(flips int, alloc AllocConfig, rule stats.StopRule,
-	settled map[string]map[Outcome]int, drawn map[string]int, remaining int) (shares []stats.StratumShare, allocated int) {
-	budget := min(remaining, (flips+alloc.epochs()-1)/alloc.epochs())
-	if budget <= 0 {
-		return nil, 0
+// Epochs is a stratified campaign's epoch ledger, the one copy both drivers
+// keep: Next decides an epoch over settled counts, Apply advances the ledger
+// past one. The exported fields are read-only.
+type Epochs struct {
+	Plan  *SamplePlan
+	Drawn map[string]int // per-stratum sequence prefix already planned
+	Left  int            // budget not yet allocated
+	N     int            // epochs applied
+	size  int            // an epoch's budget: ceil(flips/epochs)
+	rule  stats.StopRule
+}
+
+// Epoch is one allocation decision: its ordinal, the injections it
+// allocates and their per-stratum shares, in plan order.
+type Epoch struct {
+	N      int                  `json:"epoch"`
+	Budget int                  `json:"budget"`
+	Shares []stats.StratumShare `json:"shares"`
+}
+
+// NewEpochs plans a stratified campaign over db's latches; no epoch is
+// decided yet.
+func NewEpochs(db *latch.DB, cfg CampaignConfig) (*Epochs, error) {
+	plan := BuildSamplePlan(db, cfg.Seed, cfg.Filter)
+	if len(plan.Strata) == 0 {
+		return nil, fmt.Errorf("core: stratified campaign over an empty population")
 	}
-	states := make([]stats.StratumState, len(p.Strata))
-	for i, s := range p.Strata {
-		c := stratumFromRow(settled[s.Key])
+	epochs := cfg.Alloc.Epochs
+	if epochs <= 0 {
+		epochs = DefaultAllocEpochs
+	}
+	return &Epochs{Plan: plan, Drawn: make(map[string]int, len(plan.Strata)), Left: cfg.Flips,
+		size: (cfg.Flips + epochs - 1) / epochs, rule: cfg.Stop.Rule()}, nil
+}
+
+// Next is the Neyman allocator's split of the next epoch's budget across the
+// strata, from their settled cells of the cross and the prefix each has
+// drawn; nil once the budget is spent or every unconverged stratum is
+// exhausted. A pure function of the ledger and settled, so a coordinator
+// restarted over its journal re-plans identically.
+func (e *Epochs) Next(settled *Report) *Epoch {
+	states := make([]stats.StratumState, len(e.Plan.Strata))
+	for i, s := range e.Plan.Strata {
+		c := stratumFromRow(settled.ByStratum[s.Key])
 		states[i] = stats.StratumState{
-			Key: s.Key, Population: len(s.Bits), Drawn: drawn[s.Key], Total: c.Total, Counts: c.Counts,
+			Key: s.Key, Population: len(s.Bits), Drawn: e.Drawn[s.Key], Total: c.Total, Counts: c.Counts,
 		}
 	}
-	shares = rule.Allocate(outcomeNames(), states, budget)
-	for _, sh := range shares {
-		allocated += sh.Next
+	ep := &Epoch{N: e.N, Shares: e.rule.Allocate(outcomeNames(), states, min(e.Left, e.size))}
+	for _, sh := range ep.Shares {
+		ep.Budget += sh.Next
 	}
-	return shares, allocated
+	if ep.Budget == 0 {
+		return nil
+	}
+	return ep
+}
+
+// Apply advances the ledger past an epoch, decided by Next or replayed: each
+// stratum's drawn prefix grows by its share.
+func (e *Epochs) Apply(ep Epoch) {
+	for _, sh := range ep.Shares {
+		e.Drawn[sh.Stratum] += sh.Next
+	}
+	e.Left -= ep.Budget
+	e.N++
 }

@@ -78,13 +78,57 @@ func (r *Report) ConfidenceIntervals(z float64) map[Outcome]Interval {
 }
 
 // PooledConvergence evaluates the rule over the report's Total and Counts
-// alone, without breakdowns: the keyless stop decision, made over the
-// settled prefix of a local campaign and over the sealed shards of a
-// distributed one. Returns nil for a disabled rule.
+// alone, without breakdowns: the keyless stop decision, which PrefixStop
+// makes over each settled prefix of a uniform campaign's units (a local
+// campaign's jobs, a distributed one's shards). Returns nil for a disabled
+// rule.
 func (r *Report) PooledConvergence(rule stats.StopRule) *stats.Convergence {
 	pooled := Report{Total: r.Total, Counts: r.Counts}
 	return pooled.ComputeConvergence(rule)
 }
+
+// PrefixStop is the keyless stop, the one copy both drivers run: the local
+// executor feeds it jobs, a coordinator its keyless shards. Units settle in
+// any order; PrefixStop folds them in unit (sample) order into pooled counts,
+// evaluates the rule after each, and under StopOnConverge cuts the campaign
+// at the smallest converged prefix. Converging at the last unit cuts
+// nothing: the campaign is complete, not stopped.
+type PrefixStop struct {
+	stop      StopConfig
+	evaluated func(*stats.Convergence) // each folded prefix's evaluation
+	settled   []map[Outcome]int        // per unit, nil until it settles
+	prefix    Report
+	folded    int
+	cut       int
+}
+
+// NewPrefixStop returns the rule over a campaign of units units.
+func NewPrefixStop(units int, stop StopConfig, evaluated func(*stats.Convergence)) *PrefixStop {
+	return &PrefixStop{stop: stop, evaluated: evaluated, settled: make([]map[Outcome]int, units),
+		prefix: Report{Counts: make(map[Outcome]int)}, cut: units}
+}
+
+// Settle folds in unit n's outcome counts, with every unit it joins to the
+// prefix, and returns the cut: how many units, from unit 0, the campaign
+// keeps.
+func (p *PrefixStop) Settle(n int, counts map[Outcome]int) int {
+	p.settled[n] = counts
+	for ; p.folded < p.cut && p.settled[p.folded] != nil; p.folded++ {
+		for o, k := range p.settled[p.folded] {
+			p.prefix.Total += k
+			p.prefix.Counts[o] += k
+		}
+		c := p.prefix.PooledConvergence(p.stop.Rule())
+		p.evaluated(c)
+		if p.stop.StopOnConverge && c != nil && c.Converged {
+			p.cut = p.folded + 1
+		}
+	}
+	return p.cut
+}
+
+// Cut returns the cut Settle last returned.
+func (p *PrefixStop) Cut() int { return p.cut }
 
 // ComputeConvergence evaluates an adaptive stopping rule over the report's
 // exact aggregate counts, with per-unit and per-latch-type strata (the

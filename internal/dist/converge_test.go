@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -417,4 +420,194 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
+}
+
+// orderShards is a keyless campaign of 12 shards of 10 injections whose
+// reports, indexed by shard, mix outcomes unevenly: the first four are
+// spread over three classes, the rest all vanished. Any two of the uniform
+// shards converge the rule, the prefix only once enough of it is uniform.
+func orderShards() (CoordConfig, []*WireReport) {
+	spec := testSpec()
+	spec.Flips = 120
+	spec.Stop = core.StopConfig{TargetMargin: 0.35, MinPerClass: 20, StopOnConverge: true}
+	reports := make([]*WireReport, 12)
+	for i := range reports {
+		counts := map[string]int{"vanished": 10}
+		if i < 4 {
+			counts = map[string]int{"vanished": 4, "corrected": 3 - i%2, "sdc": 3 + i%2}
+		}
+		reports[i] = &WireReport{Total: 10, Counts: counts, ByStratum: map[string]map[string]int{"FXU/FUNC": counts}}
+	}
+	return CoordConfig{Campaign: spec, ShardSize: 10}, reports
+}
+
+// pooledOf evaluates the keyless rule over the pooled counts of some shards.
+func pooledOf(rule stats.StopRule, reports []*WireReport, ids ...int) *stats.Convergence {
+	r := core.Report{Counts: make(map[core.Outcome]int)}
+	for _, id := range ids {
+		rep, _ := reports[id].Report()
+		r.Merge(rep)
+	}
+	return r.PooledConvergence(rule)
+}
+
+// finishInOrder leases every shard a direct-call coordinator hands out, then
+// completes them in order (shard ids; the ones it did not lease are
+// skipped) until the campaign is over, and returns Wait's report as JSON.
+func finishInOrder(t *testing.T, c *Coordinator, reports []*WireReport, order []int) []byte {
+	t.Helper()
+	leased := make(map[int]bool)
+	for {
+		l, code, err := c.lease(context.Background(), leaseRequest{Worker: "w"})
+		if code != http.StatusOK {
+			if err != nil || code != http.StatusNoContent && code != http.StatusGone {
+				t.Fatalf("lease: status %d, %v", code, err)
+			}
+			break
+		}
+		leased[l.Shard.ID] = true
+	}
+	for _, id := range order {
+		if !leased[id] {
+			continue
+		}
+		code, err := c.complete(completeRequest{Worker: "w", Shard: id, Report: reports[id]})
+		if code == http.StatusGone {
+			break
+		}
+		if code != http.StatusOK {
+			t.Fatalf("complete shard %d: status %d, %v", id, code, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rep, err := c.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestUniformStopIgnoresCompletionOrder: a keyless campaign stops at the
+// smallest converged prefix of its shards, whatever order they complete in.
+// Over 60 seeded completion orders — most of which complete a converging
+// set of uniform shards before the prefix converges — Wait's report, the
+// stop decision and the journal's header and stop line are byte-identical,
+// and the report covers exactly the prefix. A coordinator restarted over any
+// of those journals, cut after any line, finishes to the same report.
+func TestUniformStopIgnoresCompletionOrder(t *testing.T) {
+	cfg, reports := orderShards()
+	rule := cfg.Campaign.Stop.Rule()
+	var k int
+	for prefix := []int{0}; k == 0 && len(prefix) < len(reports); prefix = append(prefix, len(prefix)) {
+		if pooledOf(rule, reports, prefix...).Converged {
+			k = len(prefix)
+		}
+	}
+	if k <= 4 || k == len(reports) || !pooledOf(rule, reports, 4, 5).Converged {
+		t.Fatalf("the prefix first converges at %d shards: want a set of two uniform shards converged long before", k)
+	}
+
+	var wantReport, wantLines []byte
+	var wantStop *stats.Convergence
+	for seed := uint64(0); seed < 60; seed++ {
+		order := rand.New(rand.NewPCG(seed, 0)).Perm(len(reports))
+		cfg.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := finishInOrder(t, c, reports, order)
+		stop := c.StopDecision()
+		c.Close()
+		lines, _ := journalLines(t, cfg.Journal, `{"v":`, `{"shard":-1,`)
+		if seed == 0 {
+			wantReport, wantLines, wantStop = report, lines, stop
+			var rep struct{ Total int }
+			if err := json.Unmarshal(report, &rep); err != nil || rep.Total != 10*k || stop == nil || stop.Total != int64(10*k) {
+				t.Fatalf("order %v: report of %d injections (%v), stop %+v; want the %d-shard prefix", order, rep.Total, err, stop, k)
+			}
+		}
+		if !bytes.Equal(report, wantReport) || !reflect.DeepEqual(stop, wantStop) || !bytes.Equal(lines, wantLines) {
+			t.Fatalf("order %v: report, stop decision or journal differ from order 0's:\n%s\n%+v\n%s\nwant\n%s\n%+v\n%s",
+				order, report, stop, lines, wantReport, wantStop, wantLines)
+		}
+
+		journal, err := os.ReadFile(cfg.Journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := bytes.SplitAfter(journal, []byte("\n"))
+		for n := 1; n < len(cut); n++ {
+			restart := cfg
+			restart.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(restart.Journal, bytes.Join(cut[:n], nil), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCoordinator(restart)
+			if err != nil {
+				t.Fatalf("order %v, cut after line %d: %v", order, n, err)
+			}
+			again := finishInOrder(t, c, reports, order)
+			c.Close()
+			if !bytes.Equal(again, wantReport) {
+				t.Fatalf("order %v, cut after line %d: finished to\n%s\nwant\n%s", order, n, again, wantReport)
+			}
+		}
+	}
+}
+
+// shardLines returns the journal lines of some shards' reports.
+func shardLines(ids []int, reports []*WireReport) []journalEntry {
+	var out []journalEntry
+	for _, id := range ids {
+		out = append(out, journalEntry{Shard: id, Report: reports[id]})
+	}
+	return out
+}
+
+// TestRacedStopLineRefused: a uniform journal whose stop line is not where
+// the shards journaled before it fold to — it ends no prefix of them, or a
+// longer one than the smallest that converges — was written by a
+// coordinator that stopped on whichever shards had completed. Resuming it is
+// refused, naming the journal, rather than merging a report no coordinator
+// now produces.
+func TestRacedStopLineRefused(t *testing.T) {
+	cfg, reports := orderShards()
+	cfg.Journal = filepath.Join(t.TempDir(), "journal.jsonl")
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	header, err := os.ReadFile(cfg.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sealed := range [][]int{{4, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+		stop := pooledOf(cfg.Campaign.Stop.Rule(), reports, sealed...)
+		if !stop.Converged {
+			t.Fatalf("shards %v do not converge: no coordinator stopped on them", sealed)
+		}
+		journal := bytes.Clone(header)
+		for _, e := range append(shardLines(sealed, reports), journalEntry{Shard: journalShardStop, Stop: stop}) {
+			line, _ := json.Marshal(e)
+			journal = append(append(journal, line...), '\n')
+		}
+		if err := os.WriteFile(cfg.Journal, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCoordinator(cfg)
+		if err == nil {
+			c.Close()
+			t.Fatalf("resumed a journal that stopped on shards %v at n=%d", sealed, stop.Total)
+		}
+		if !strings.Contains(err.Error(), cfg.Journal) {
+			t.Errorf("refusal %q does not name the journal", err)
+		}
+	}
 }

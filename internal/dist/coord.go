@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"maps"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -141,16 +142,15 @@ type Coordinator struct {
 	started  time.Time
 	err      error
 	finished chan struct{} // closed once the campaign completes, the stop rule fires, or err is set
-	journal  *journal
+	journal  *os.File
 
-	// sealed is the decision basis of every stop and allocation: the counts
-	// of the *completed* shard reports, merged — never heartbeat snapshots
-	// — so each decision is a pure function of which shards completed, and a
-	// journal replay reaches the same one. A planned campaign's carries the
+	// sealed is the counts of the *completed* shard reports, merged — never
+	// heartbeat snapshots. It is a planned campaign's decision basis, so each
+	// of its stops and allocations is a pure function of which shards
+	// completed, and a journal replay reaches the same one; it carries the
 	// plan's census, as does (a copy) the merged report Wait returns.
-	sealed       *core.Report
-	stoppedEarly bool
-	stopEval     *stats.Convergence // the decision stopped on (nil until then)
+	sealed   *core.Report
+	stopEval *stats.Convergence // the decision the campaign stopped early on (nil unless it did)
 
 	// eval is the stop rule's evaluation at the newest decision point (nil
 	// without a rule): what every view shows, so none runs ahead of the stop.
@@ -160,17 +160,14 @@ type Coordinator struct {
 	// shards' heartbeat snapshots it makes the fleet view (FleetSnapshot).
 	metrics *obs.Snapshot
 
-	// The campaign's epochs. Every campaign is a sequence of epochs over the
-	// one shard ledger, and whenever every shard planned so far has settled
-	// the next epoch's shards join it (decideLocked). Without a plan the
-	// campaign is one epoch of keyless shards, planned at construction. With
-	// one, the Neyman allocator splits each epoch's budget across the plan's
-	// strata from the sealed per-stratum counts, and the allocation is
-	// journaled before any of its shards can be leased.
-	plan       *core.SamplePlan
-	drawn      map[string]int // per-stratum sequence prefix already planned
-	epoch      int            // next allocation epoch ordinal
-	budgetLeft int            // campaign injections not yet allocated
+	// The campaign's epochs, decided by core's code; exactly one is set. A
+	// uniform campaign is one epoch of keyless shards, planned at construction,
+	// whose prefix (shard order is sample order) stops it. A planned
+	// campaign's epochs join the one shard ledger whenever every shard planned
+	// so far has settled (decideLocked), each journaled before any of its
+	// shards can be leased.
+	prefix *core.PrefixStop
+	epochs *core.Epochs
 
 	stopReaper chan struct{}
 	reaperDone chan struct{}
@@ -231,14 +228,11 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		filter, _ := cfg.Campaign.Filter.Filter() // Validate built it once already
-		c.plan = core.BuildSamplePlan(db, cfg.Campaign.Seed, filter)
-		if len(c.plan.Strata) == 0 {
-			return nil, fmt.Errorf("dist: stratified campaign over an empty population")
+		ccfg, _ := cfg.Campaign.CampaignConfig(nil) // Validate built the filter once already
+		if c.epochs, err = core.NewEpochs(db, ccfg); err != nil {
+			return nil, err
 		}
-		c.sealed.Census = c.plan.Populations()
-		c.drawn = make(map[string]int, len(c.plan.Strata))
-		c.budgetLeft = cfg.Campaign.Flips
+		c.sealed.Census = c.epochs.Plan.Populations()
 	} else {
 		// The keyless epoch is a function of the fields the journal header
 		// binds, so it is planned here, before replay, and never journaled.
@@ -246,6 +240,8 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			c.shards = append(c.shards, &shard{ShardLease: ShardLease{ID: id, Lo: r.Lo, Hi: r.Hi}})
 			c.queue = append(c.queue, id)
 		}
+		c.prefix = core.NewPrefixStop(len(c.shards), cfg.Campaign.Stop, func(e *stats.Convergence) { c.eval = e })
+		c.eval = c.sealed.PooledConvergence(cfg.Campaign.Stop.Rule()) // the empty prefix's
 	}
 	if cfg.Journal != "" {
 		j, entries, err := openJournal(cfg.Journal, cfg.Campaign.journalHeader(cfg.ShardSize), c.log)
@@ -254,7 +250,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.journal = j
 		if err := c.replayLocked(entries); err != nil {
-			j.close()
+			j.Close()
 			return nil, err
 		}
 	}
@@ -275,36 +271,46 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 // before it. Decisions are not re-derived here: a journaled allocation or
 // stop is applied verbatim, and whatever the journal leaves open is decided
 // once, after the replay. An allocation line restores the evaluation of the
-// barrier it was written at, over the reports journaled before it.
-func (c *Coordinator) replayLocked(entries []replayEntry) error {
+// barrier it was written at, over the reports journaled before it. A keyless
+// stop line's total names the shard prefix it kept: the prefix the journaled
+// shards before it fold to.
+func (c *Coordinator) replayLocked(entries []journalEntry) error {
 	recovered := 0
 	for _, e := range entries {
 		switch {
-		case e.stop != nil:
-			c.stoppedEarly, c.stopEval, c.eval = true, e.stop, e.stop
-		case e.alloc != nil:
-			if c.plan == nil {
+		case e.Stop != nil:
+			if p := c.prefix; p != nil && (p.Cut() == len(c.shards) || int64(c.shards[p.Cut()-1].Hi) != e.Stop.Total) {
+				return fmt.Errorf("dist: journal %s: its stop at n=%d is not the smallest converged prefix of the shards completed "+
+					"before it (a coordinator that stopped on whichever shards had completed wrote it); refusing to resume", c.cfg.Journal, e.Stop.Total)
+			}
+			c.stopEval, c.eval = e.Stop, e.Stop
+		case e.Alloc != nil:
+			if c.epochs == nil {
 				return fmt.Errorf("dist: journal records an allocation epoch but the campaign is not stratified")
 			}
-			c.eval = c.evalLocked()
-			c.applyAllocLocked(*e.alloc)
-		case e.report != nil:
-			s := c.shardByID(e.shard)
+			c.eval = c.sealed.ComputeConvergence(c.cfg.Campaign.Stop.Rule())
+			c.applyAllocLocked(*e.Alloc)
+		case e.Report != nil:
+			s := c.shardByID(e.Shard)
 			if s == nil {
-				return fmt.Errorf("dist: journal names shard %d outside the %d-shard plan", e.shard, len(c.shards))
+				return fmt.Errorf("dist: journal names shard %d outside the %d-shard plan", e.Shard, len(c.shards))
 			}
-			if err := s.covers(e.report); err != nil {
+			rep, err := e.Report.Report()
+			if err != nil {
+				return fmt.Errorf("dist: journal %s: shard %d: %w", c.cfg.Journal, e.Shard, err)
+			}
+			if err := s.covers(rep); err != nil {
 				return fmt.Errorf("journal %s: %w", c.cfg.Journal, err)
 			}
-			c.settleLocked(s, e.report)
+			c.settleLocked(s, rep)
 			recovered++
 		}
 	}
-	if recovered > 0 || c.stoppedEarly {
+	if recovered > 0 || c.stopEval != nil {
 		c.log.Info("journal replayed", "path", c.cfg.Journal,
-			"shards_recovered", recovered, "epochs", c.epoch, "stopped_early", c.stoppedEarly)
+			"shards_recovered", recovered, "stopped_early", c.stopEval != nil)
 	}
-	if c.stoppedEarly {
+	if c.stopEval != nil {
 		c.finishLocked()
 	}
 	return nil
@@ -318,7 +324,7 @@ func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal != nil {
-		c.journal.close()
+		c.journal.Close()
 		c.journal = nil
 	}
 }
@@ -481,9 +487,9 @@ func tally[K comparable](rows map[K]map[core.Outcome]int) int {
 	return sum
 }
 
-// settleLocked marks a shard done with its report and seals the report's
-// counts. It decides nothing: live completions call decideLocked next,
-// journal replay does not.
+// settleLocked marks a shard done with its report, seals the report's counts
+// and, for a keyless shard, folds it into the prefix. It decides nothing:
+// live completions call decideLocked next, journal replay does not.
 func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 	if s.status == shardDone {
 		return
@@ -508,111 +514,85 @@ func (c *Coordinator) settleLocked(s *shard, rep *core.Report) {
 	counts := *rep
 	counts.Results, counts.Metrics = nil, nil
 	c.sealed.Merge(&counts)
+	if c.prefix != nil {
+		c.prefix.Settle(s.ID, rep.Counts)
+	}
 }
 
-// decideLocked is the campaign's one decision point, over sealed counts
-// only: stop on convergence, or — once every shard planned so far has
-// settled — plan the next epoch, or finish. A keyless epoch differs from a
-// planned one in three ways that journals and reports depend on:
-//
-//  1. It may stop mid-epoch. It is the whole budget, so a rule consulted at
-//     epoch boundaries only could never stop it; and its stop line has always
-//     carried the pooled classes alone, without breakdowns.
-//  2. It is never journaled (NewCoordinator plans it).
-//  3. When its last shard settles the campaign is complete, not stopped
-//     early, even if the rule holds at that instant: nothing was saved.
-//
-// Every decision point's evaluation is the one the views show.
+// decideLocked is the campaign's one decision point. A keyless campaign
+// stops once its prefix is cut, and is complete once every shard has settled
+// uncut: convergence at the last shard saves nothing, so it is no early stop.
+// A planned one decides at its epoch barrier, once every shard planned so far
+// has settled, over the sealed counts and the sampling strata: stop on
+// convergence, plan the next epoch, or finish. Every decision point's
+// evaluation is the one the views show.
 func (c *Coordinator) decideLocked() {
-	if c.overLocked() {
+	var rec *allocRecord
+	switch {
+	case c.overLocked():
 		return
-	}
-	settled := c.done == len(c.shards)
-	if c.plan == nil || settled {
-		c.eval = c.evalLocked()
-		mayStop := c.cfg.Campaign.Stop.StopOnConverge && (c.plan != nil || !settled)
-		if mayStop && c.eval.Converged {
+	case c.prefix != nil && c.prefix.Cut() < len(c.shards):
+		c.convergeLocked(c.eval)
+		return
+	case c.done < len(c.shards):
+		return
+	case c.epochs != nil:
+		c.eval = c.sealed.ComputeConvergence(c.cfg.Campaign.Stop.Rule())
+		if c.cfg.Campaign.Stop.StopOnConverge && c.eval.Converged {
 			c.convergeLocked(c.eval)
 			return
 		}
+		// The next epoch: each stratum's share cut into ShardSize-bounded
+		// leases that continue the stratum's drawn prefix.
+		if ep := c.epochs.Next(c.sealed); ep != nil {
+			rec = &allocRecord{Epoch: *ep}
+			for _, sh := range ep.Shares {
+				for _, r := range core.PlanStratumShards(c.epochs.Drawn[sh.Stratum], sh.Next, c.cfg.ShardSize) {
+					rec.Shards = append(rec.Shards, ShardLease{
+						ID: len(c.shards) + len(rec.Shards), Lo: r.Lo, Hi: r.Hi, Stratum: sh.Stratum})
+				}
+			}
+		}
 	}
-	if !settled {
-		return
-	}
-	rec := c.nextEpochLocked()
 	if rec == nil {
-		c.log.Info("campaign complete",
-			"shards", len(c.shards), "epochs", c.epoch, "grants", c.grants,
-			"requeues", c.requeues, "budget_left", c.budgetLeft,
-			"elapsed", time.Since(c.started).Round(time.Millisecond))
+		c.log.Info("campaign complete", "shards", len(c.shards), "grants", c.grants,
+			"requeues", c.requeues, "elapsed", time.Since(c.started).Round(time.Millisecond))
 		c.finishLocked()
 		return
 	}
 	// Durable before any of its shards can be leased: a restarted coordinator
 	// extends the same per-stratum sequences instead of re-deriving them
 	// against a half-settled ledger.
-	if c.journal != nil {
-		if err := c.journal.appendAlloc(*rec); err != nil {
-			c.failLocked(fmt.Errorf("dist: journal allocation record: %w", err))
-			return
-		}
+	if c.recordLocked(journalEntry{Shard: journalShardAlloc, Alloc: rec}) == nil {
+		c.applyAllocLocked(*rec)
 	}
-	c.applyAllocLocked(*rec)
 }
 
-// evalLocked evaluates the stop rule over the sealed counts, as the
-// campaign's shape decides on them: the pooled classes alone for a keyless
-// campaign, with the sampling strata for a planned one. nil without a rule.
-func (c *Coordinator) evalLocked() *stats.Convergence {
-	rule := c.cfg.Campaign.Stop.Rule()
-	if c.plan == nil {
-		return c.sealed.PooledConvergence(rule)
-	}
-	return c.sealed.ComputeConvergence(rule)
-}
-
-// nextEpochLocked plans the epoch after a settled ledger: the allocator's
-// split of the next slice of budget over the sealed per-stratum counts, each
-// stratum's share cut into ShardSize-bounded leases that continue the
-// stratum's drawn prefix. nil means the campaign is complete: it has no plan
-// (its keyless epoch was all of it), the budget is spent, or every
-// unconverged stratum's population is exhausted.
-func (c *Coordinator) nextEpochLocked() *allocRecord {
-	if c.plan == nil {
+// recordLocked makes a ledger transition durable before it takes effect,
+// when the campaign is journaled. A journal that cannot take the line fails
+// the campaign.
+func (c *Coordinator) recordLocked(e journalEntry) error {
+	if c.journal == nil {
 		return nil
 	}
-	spec := c.cfg.Campaign
-	shares, allocated := c.plan.NextEpoch(spec.Flips, spec.Alloc, spec.Stop.Rule(),
-		c.sealed.ByStratum, c.drawn, c.budgetLeft)
-	if allocated == 0 {
-		return nil
+	err := writeLine(c.journal, e)
+	if err != nil {
+		c.failLocked(fmt.Errorf("dist: journal: %w", err))
 	}
-	rec := &allocRecord{Epoch: c.epoch, Budget: allocated, Shares: shares}
-	id := len(c.shards)
-	for _, sh := range shares {
-		for _, r := range core.PlanStratumShards(c.drawn[sh.Stratum], sh.Next, c.cfg.ShardSize) {
-			rec.Shards = append(rec.Shards, ShardLease{ID: id, Lo: r.Lo, Hi: r.Hi, Stratum: sh.Stratum})
-			id++
-		}
-	}
-	return rec
+	return err
 }
 
 // applyAllocLocked extends the shard ledger with one allocation epoch's
 // planned shards (freshly allocated or replayed from the journal), queues
-// them and advances each stratum's drawn prefix past them.
+// them and advances the epoch ledger past them.
 func (c *Coordinator) applyAllocLocked(rec allocRecord) {
 	for _, l := range rec.Shards {
 		c.shards = append(c.shards, &shard{ShardLease: l})
 		c.queue = append(c.queue, l.ID)
-		if l.Hi > c.drawn[l.Stratum] {
-			c.drawn[l.Stratum] = l.Hi
-		}
 	}
-	c.budgetLeft -= rec.Budget
-	c.epoch = rec.Epoch + 1
+	c.epochs.Apply(rec.Epoch)
 	c.emit(slog.LevelInfo, "allocation epoch planned", obs.AllocationEvent{
-		Kind: "allocate", Epoch: rec.Epoch, Budget: rec.Budget, Shares: rec.Shares,
+		Kind: "allocate", Epoch: rec.N, Budget: rec.Budget, Shares: rec.Shares,
 	})
 }
 
@@ -623,13 +603,9 @@ func (c *Coordinator) applyAllocLocked(rec allocRecord) {
 // heartbeat and lease polls with 410 Gone, and workers abandon their
 // in-flight shards.
 func (c *Coordinator) convergeLocked(eval *stats.Convergence) {
-	if c.journal != nil {
-		if err := c.journal.appendStop(eval); err != nil {
-			c.failLocked(fmt.Errorf("dist: journal stop record: %w", err))
-			return
-		}
+	if c.recordLocked(journalEntry{Shard: journalShardStop, Stop: eval}) != nil {
+		return
 	}
-	c.stoppedEarly = true
 	c.stopEval = eval
 	c.emit(slog.LevelInfo, "campaign converged, stopping early", obs.ConvergenceEvent{
 		Kind:         "fleet_stop",
@@ -670,10 +646,16 @@ func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
 	}
 	// Merge in shard order: shard order is sample order, so the merged
 	// report — kept Results included — matches the single-process run.
-	// After an early stop only completed shards carry reports; the merge
-	// covers exactly the population the stop decision was evaluated on.
+	// After an early stop the merge covers exactly the population the stop
+	// decision was evaluated on: a planned campaign's completed shards, a
+	// keyless one's converged prefix, without the shards that completed
+	// past it.
 	rep := &core.Report{Census: maps.Clone(c.sealed.Census)}
-	for _, s := range c.shards {
+	kept := c.shards
+	if c.prefix != nil {
+		kept = kept[:c.prefix.Cut()]
+	}
+	for _, s := range kept {
 		rep.Merge(s.report)
 	}
 	if stop := c.cfg.Campaign.Stop; stop.Enabled() {
@@ -843,13 +825,10 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	if err := s.covers(rep); err != nil {
 		return http.StatusBadRequest, err
 	}
-	if c.journal != nil {
-		if err := c.journal.append(s.ID, req.Report); err != nil {
-			// Journal loss is a coordinator-side failure; the worker's
-			// result is fine, so fail the campaign rather than the request.
-			c.failLocked(fmt.Errorf("dist: journal append: %w", err))
-			return http.StatusInternalServerError, err
-		}
+	// Journal loss is a coordinator-side failure; the worker's result is
+	// fine, so the campaign fails rather than the request.
+	if err := c.recordLocked(journalEntry{Shard: s.ID, Report: req.Report}); err != nil {
+		return http.StatusInternalServerError, err
 	}
 	now := time.Now()
 	ws := c.touchWorkerLocked(req.Worker, now)

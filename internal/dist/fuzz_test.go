@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -105,7 +107,7 @@ func ledgerOf(c *Coordinator) ledger {
 	shown := c.Status().Convergence
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := ledger{Shards: len(c.shards), Sealed: *c.sealed, StoppedEarly: c.stoppedEarly, Stop: c.stopEval, Shown: shown}
+	l := ledger{Shards: len(c.shards), Sealed: *c.sealed, StoppedEarly: c.stopEval != nil, Stop: c.stopEval, Shown: shown}
 	for _, s := range c.shards {
 		if s.status == shardDone {
 			l.Done = append(l.Done, s.ID)
@@ -117,9 +119,10 @@ func ledgerOf(c *Coordinator) ledger {
 // FuzzCoordinatorRequests drives arbitrary request bodies through the four
 // POST handlers of a journaling coordinator. Whatever arrives: no panic,
 // only the protocol's statuses, never more shards done than planned nor
-// more injections in the fleet view than the campaign has flips — and a
-// coordinator restarted over the journal this one wrote reaches the same
-// ledger and shows the same evaluation, so nothing a request made the
+// more injections in the fleet view than the campaign has flips; a keyless
+// stop falls at the smallest converged prefix of the shards it accepted —
+// and a coordinator restarted over the journal this one wrote reaches the
+// same ledger and shows the same evaluation, so nothing a request made the
 // coordinator decide went unrecorded and nothing it refused was written.
 func FuzzCoordinatorRequests(f *testing.F) {
 	for _, neyman := range []bool{false, true} {
@@ -157,6 +160,9 @@ func FuzzCoordinatorRequests(f *testing.F) {
 		if (live.Shown == nil) != (minPerClass == 0) {
 			t.Fatalf("a campaign with min-per-class %d shows evaluation %+v", minPerClass, live.Shown)
 		}
+		if !neyman && live.StoppedEarly {
+			checkPrefixStop(t, c, cfg.Campaign.Stop.Rule())
+		}
 
 		// Grants, requeues, leases and a failure (attempts exhausted) die
 		// with the process; the ledger does not.
@@ -169,6 +175,33 @@ func FuzzCoordinatorRequests(f *testing.F) {
 			t.Errorf("replayed ledger differs:\n  live %+v\nreplay %+v", live, replayed)
 		}
 	})
+}
+
+// checkPrefixStop recomputes where a stopped keyless campaign's prefix
+// converged, from the reports the coordinator accepted: the smallest prefix of
+// shards whose pooled counts converge the rule, short of the last shard. Wait's
+// report must cover exactly that prefix.
+func checkPrefixStop(t *testing.T, c *Coordinator, rule stats.StopRule) {
+	t.Helper()
+	c.mu.Lock()
+	prefix, converged, k := core.Report{Counts: make(map[core.Outcome]int)}, false, 0
+	for ; k < len(c.shards) && c.shards[k].report != nil && !converged; k++ {
+		prefix.Merge(&core.Report{Total: c.shards[k].report.Total, Counts: c.shards[k].report.Counts})
+		converged = prefix.PooledConvergence(rule).Converged
+	}
+	shards := len(c.shards)
+	c.mu.Unlock()
+	if !converged || k == shards {
+		t.Fatalf("stopped, but no prefix of the accepted shards short of the last converges (%d of %d folded)", k, shards)
+	}
+	rep, err := c.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != prefix.Total || !maps.Equal(rep.Counts, prefix.Counts) {
+		t.Fatalf("stopped at the %d-shard prefix (%d, %v), but Wait's report covers (%d, %v)",
+			k, prefix.Total, prefix.Counts, rep.Total, rep.Counts)
+	}
 }
 
 // FuzzWireReport decodes arbitrary bytes as a shard's wire report — what a

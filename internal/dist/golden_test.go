@@ -116,39 +116,46 @@ func journalLines(t *testing.T, path string, prefixes ...string) (lines []byte, 
 }
 
 // TestGoldenUniformStop pins a uniform campaign's mid-epoch stop: the report,
-// the decision's n, and the journal's header and stop line byte for byte.
+// the decision's n, and the journal's header and stop line byte for byte. The
+// stop falls at the smallest converged shard prefix, so four HTTP workers,
+// completing shards in whatever order they finish, reach the bytes one worker
+// recorded.
 func TestGoldenUniformStop(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "journal.jsonl")
-	spec := adaptiveSpec()
-	spec.Stop.TargetMargin = 0.2 // tight enough that several shards with a mixed outcome count seal first
-	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
-	rep := runStratifiedFleet(t, c, srv.URL, 1)
-	wire, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := digest(wire); got != goldenUniformStopReport {
-		t.Errorf("report digest %s, want %s (total %d)", got, goldenUniformStopReport, rep.Total)
-	}
-	if d := c.StopDecision(); d == nil || d.Total != goldenUniformStopTotal {
-		t.Errorf("stop decision %+v, want one over n=%d", d, goldenUniformStopTotal)
-	}
-	lines, n := journalLines(t, journal, `{"v":`, `{"shard":-1,`)
-	if n != 2 {
-		t.Errorf("journal holds %d header and stop lines, want one of each", n)
-	}
-	// The header's fault-model binding is the one field newer than the
-	// recorded digest: cut out, the two lines are the recorded bytes.
-	model := `,"model":"` + engine.ImageDigest(spec.Runner) + `"`
-	if !bytes.Contains(lines, []byte(model+"}\n")) {
-		t.Errorf("journal header does not end in %s:\n%s", model, lines)
-	}
-	lines = bytes.Replace(lines, []byte(model), nil, 1)
-	if got := digest(lines); got != goldenUniformStopJournal {
-		t.Errorf("digest of journal header + stop line %s, want %s:\n%s", got, goldenUniformStopJournal, lines)
-	}
-	if _, allocs := journalLines(t, journal, `{"shard":-2,`); allocs != 0 {
-		t.Errorf("uniform journal holds %d allocation lines", allocs)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprint(workers), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "journal.jsonl")
+			spec := adaptiveSpec()
+			spec.Stop.TargetMargin = 0.2 // tight enough that several shards with a mixed outcome count seal first
+			c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
+			rep := runStratifiedFleet(t, c, srv.URL, workers)
+			wire, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(wire); got != goldenUniformStopReport {
+				t.Errorf("report digest %s, want %s (total %d)", got, goldenUniformStopReport, rep.Total)
+			}
+			if d := c.StopDecision(); d == nil || d.Total != goldenUniformStopTotal {
+				t.Errorf("stop decision %+v, want one over n=%d", d, goldenUniformStopTotal)
+			}
+			lines, n := journalLines(t, journal, `{"v":`, `{"shard":-1,`)
+			if n != 2 {
+				t.Errorf("journal holds %d header and stop lines, want one of each", n)
+			}
+			// The header's fault-model binding is the one field newer than the
+			// recorded digest: cut out, the two lines are the recorded bytes.
+			model := `,"model":"` + engine.ImageDigest(spec.Runner) + `"`
+			if !bytes.Contains(lines, []byte(model+"}\n")) {
+				t.Errorf("journal header does not end in %s:\n%s", model, lines)
+			}
+			lines = bytes.Replace(lines, []byte(model), nil, 1)
+			if got := digest(lines); got != goldenUniformStopJournal {
+				t.Errorf("digest of journal header + stop line %s, want %s:\n%s", got, goldenUniformStopJournal, lines)
+			}
+			if _, allocs := journalLines(t, journal, `{"shard":-2,`); allocs != 0 {
+				t.Errorf("uniform journal holds %d allocation lines", allocs)
+			}
+		})
 	}
 }
 

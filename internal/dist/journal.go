@@ -75,10 +75,8 @@ func (h journalHeader) differs(want journalHeader) []string {
 // complete, so a restarted coordinator extends the same per-stratum
 // sequences instead of re-deriving them against a half-settled ledger.
 type allocRecord struct {
-	Epoch  int                  `json:"epoch"`
-	Budget int                  `json:"budget"`
-	Shares []stats.StratumShare `json:"shares"`
-	Shards []ShardLease         `json:"shards"`
+	core.Epoch
+	Shards []ShardLease `json:"shards"`
 }
 
 // journalEntry is one post-header line, discriminated by Shard: >= 0 is a
@@ -96,24 +94,13 @@ const (
 	journalShardAlloc = -2
 )
 
-// replayEntry is one decoded journal line in file order.
-type replayEntry struct {
-	shard  int
-	report *core.Report
-	stop   *stats.Convergence
-	alloc  *allocRecord
-}
-
-type journal struct {
-	f *os.File
-}
-
 // openJournal opens (or creates) the journal at path for the campaign
-// described by hdr, returning the recovered entries in file order. An
-// existing journal whose header does not match hdr is rejected: resuming a
-// different campaign over it would merge unrelated shards.
-func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []replayEntry, error) {
-	var entries []replayEntry
+// described by hdr, returning the file to append to and the recovered lines
+// in file order. An existing journal whose header does not match hdr is
+// rejected: resuming a different campaign over it would merge unrelated
+// shards.
+func openJournal(path string, hdr journalHeader, log *slog.Logger) (*os.File, []journalEntry, error) {
+	var entries []journalEntry
 	// good is the offset just past the last complete, parseable line: what
 	// replay recovered, and where the next append must start.
 	good := 0
@@ -164,15 +151,7 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 				return nil, nil, fmt.Errorf("dist: journal %s: line %d is corrupt but line %d after it is intact; refusing to resume",
 					path, torn, i+2)
 			}
-			re := replayEntry{shard: e.Shard, stop: e.Stop, alloc: e.Alloc}
-			if e.Report != nil {
-				rep, err := e.Report.Report()
-				if err != nil {
-					return nil, nil, fmt.Errorf("dist: journal %s: shard %d: %w", path, e.Shard, err)
-				}
-				re.report = rep
-			}
-			entries = append(entries, re)
+			entries = append(entries, e)
 			good = off
 		}
 		if torn != 0 {
@@ -184,7 +163,6 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: open journal: %w", err)
 	}
-	j := &journal{f: f}
 	// Cut the file back to the last whole line before anything is appended:
 	// a record glued onto a torn fragment would be unreadable on the next
 	// restart, and everything after it with it.
@@ -195,40 +173,23 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 		}
 	}
 	if good == 0 {
-		if err := j.writeLine(hdr); err != nil {
+		if err := writeLine(f, hdr); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
 	}
-	return j, entries, nil
+	return f, entries, nil
 }
 
-func (j *journal) append(shardID int, rep *WireReport) error {
-	return j.writeLine(journalEntry{Shard: shardID, Report: rep})
-}
-
-// appendStop records the convergence decision the coordinator stopped on.
-func (j *journal) appendStop(eval *stats.Convergence) error {
-	return j.writeLine(journalEntry{Shard: journalShardStop, Stop: eval})
-}
-
-// appendAlloc records one allocation epoch's decision and planned shards.
-func (j *journal) appendAlloc(rec allocRecord) error {
-	return j.writeLine(journalEntry{Shard: journalShardAlloc, Alloc: &rec})
-}
-
-func (j *journal) writeLine(v any) error {
+// writeLine appends one line to a journal, durably.
+func writeLine(f *os.File, v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := f.Write(line); err != nil {
 		return err
 	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() {
-	j.f.Close()
+	return f.Sync()
 }

@@ -35,8 +35,8 @@ type CampaignSpec struct {
 	// evaluates convergence, over sealed completed-shard counts, and it
 	// cancels outstanding leases by answering heartbeats with 410 once the
 	// rule fires. Keeping the decision off the workers makes it a pure
-	// function of which shards completed, so a journal replay reaches the
-	// same verdict.
+	// function of the completed shards (a uniform campaign's shard prefix),
+	// so a journal replay reaches the same verdict.
 	Stop core.StopConfig `json:"stop,omitempty"`
 
 	// Alloc selects the campaign's budget allocation across sampling

@@ -58,10 +58,10 @@ type Status struct {
 	ShardsV []ShardView           `json:"shard_states,omitempty"`
 
 	// Convergence is the stopping rule's evaluation the coordinator last
-	// decided on (over sealed completed-shard counts; for a planned
-	// campaign at its last epoch barrier, with the sampling strata),
-	// present when the campaign runs with a rule. StoppedEarly reports
-	// that the rule stopped the campaign.
+	// decided on (over completed shards: a uniform campaign's newest folded
+	// shard prefix, a planned one's last epoch barrier with the sampling
+	// strata), present when the campaign runs with a rule. StoppedEarly
+	// reports that the rule stopped the campaign.
 	Convergence  *stats.Convergence `json:"convergence,omitempty"`
 	StoppedEarly bool               `json:"stopped_early,omitempty"`
 
@@ -182,7 +182,7 @@ func (c *Coordinator) Status() Status {
 		EtaMs:        p.ETA.Milliseconds(),
 		Utilization:  p.Utilization,
 		Convergence:  c.eval,
-		StoppedEarly: c.stoppedEarly,
+		StoppedEarly: c.stopEval != nil,
 		Latency:      latency,
 		ElapsedMs:    p.Elapsed.Milliseconds(),
 		Failed:       c.err != nil,
@@ -193,17 +193,17 @@ func (c *Coordinator) Status() Status {
 	if sec := p.Elapsed.Seconds(); sec > 0 && snap.Batches > 0 {
 		st.BatchesPerSec = float64(snap.Batches) / sec
 	}
-	if c.plan != nil {
+	if e := c.epochs; e != nil {
 		av := &AllocationView{
 			Mode:       c.cfg.Campaign.Alloc.Mode,
-			Epochs:     c.epoch,
-			BudgetLeft: c.budgetLeft,
+			Epochs:     e.N,
+			BudgetLeft: e.Left,
 		}
-		for _, key := range c.plan.Keys() {
+		for _, key := range e.Plan.Keys() {
 			row := StratumBudgetView{
 				Stratum:    key,
 				Population: c.sealed.Census[key],
-				Planned:    c.drawn[key],
+				Planned:    e.Drawn[key],
 			}
 			for _, n := range c.sealed.ByStratum[key] {
 				row.Sealed += int64(n)

@@ -43,6 +43,7 @@ func assemble(src string) ([]uint32, error) {
 
 	labels := make(map[string]int)
 	var insts []Inst
+	var lineNos []int // the source line of each instruction
 	var fixups []pending
 	direct := make(map[int]uint32) // pc -> the word a .word line emits
 
@@ -86,6 +87,7 @@ func assemble(src string) ([]uint32, error) {
 			}
 			direct[pc] = uint32(w)
 			insts = append(insts, Inst{})
+			lineNos = append(lineNos, lineNo+1)
 			pc++
 			continue
 		}
@@ -97,6 +99,7 @@ func assemble(src string) ([]uint32, error) {
 			fixups = append(fixups, pending{lineNo + 1, pc, inst, labelRef})
 		}
 		insts = append(insts, inst)
+		lineNos = append(lineNos, lineNo+1)
 		pc++
 	}
 
@@ -108,13 +111,18 @@ func assemble(src string) ([]uint32, error) {
 		insts[f.pc].Imm = int32(target - f.pc)
 	}
 
+	// Operands are range-checked here, once label offsets are known.
 	words := make([]uint32, len(insts))
 	for i, in := range insts {
 		if w, ok := direct[i]; ok {
 			words[i] = w
-		} else {
-			words[i] = Encode(in)
+			continue
 		}
+		w, err := encode(in)
+		if err != nil {
+			return nil, fmt.Errorf("isa: line %d: %w", lineNos[i], err)
+		}
+		words[i] = w
 	}
 	return words, nil
 }
@@ -281,6 +289,9 @@ func parseInst(line string) (Inst, string, error) {
 		bi, err := parseImm(ops[1])
 		if err != nil {
 			return Inst{}, "", err
+		}
+		if bo < 0 || bo > 1 || bi < 0 || bi > 3 {
+			return Inst{}, "", fmt.Errorf("bc bo=%d bi=%d out of range", bo, bi)
 		}
 		in.BO, in.BI = uint8(bo), uint8(bi)
 		if imm, err := parseImm(ops[2]); err == nil {

@@ -142,3 +142,35 @@ func TestAssembleLabelOnSameLine(t *testing.T) {
 		t.Errorf("b offset = %d, want -1", in.Imm)
 	}
 }
+
+// An operand outside its encoding's range is an error naming the source line,
+// whether it was written as a number or reached through a label, and never a
+// panic from Encode.
+func TestAssembleRejectsOutOfRangeOperands(t *testing.T) {
+	far := "nop\n" + strings.Repeat("nop\n", 40000) + "far: halt"
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{"addi r1, r2, 99999", "line 1: immediate 99999 out of 16-bit range"},
+		{"nop\nld r1, -40000(r2)", "line 2: immediate -40000 out of 16-bit range"},
+		{"b 100000000", "line 1: branch offset 100000000 out of 26-bit range"},
+		{"bl -33554433", "line 1: branch offset -33554433 out of 26-bit range"},
+		{"bc 2, 0, 4", "line 1: bc bo=2 bi=0 out of range"},
+		{"bc 0, 4, 4", "line 1: bc bo=0 bi=4 out of range"},
+		{"bc 257, 0, 4", "line 1: bc bo=257 bi=0 out of range"},
+		{"bc 0, -1, 4", "line 1: bc bo=0 bi=-1 out of range"},
+		{"bc 0, 2, 32768", "line 1: bc offset 32768 out of 16-bit range"},
+		{"bdnz -40000", "line 1: bdnz offset -40000 out of 16-bit range"},
+		{"bc 1, 2, far\n" + far, "line 1: bc offset 40002 out of 16-bit range"},
+		{"x: nop\n" + far + "\nbdnz x", "line 40004: bdnz offset -40003 out of 16-bit range"},
+	} {
+		words, err := Assemble(tc.src)
+		if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("Assemble(%.40q) = %d words, %v; want an error ending %q", tc.src, len(words), err, tc.want)
+		}
+	}
+	// In range, at both ends: the branches reach the label.
+	if _, err := Assemble("addi r1, r2, -32768\nori r1, r1, 65535\nbc 1, 3, 32767\nbdnz -32768\nb 33554431"); err != nil {
+		t.Errorf("in-range operands refused: %v", err)
+	}
+}

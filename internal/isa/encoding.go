@@ -68,59 +68,65 @@ func isXForm(op Opcode) bool {
 
 // Encode packs an instruction into its 32-bit word. It panics on malformed
 // instructions (out-of-range registers or offsets), since instructions are
-// only built by the assembler and the AVP generator, both of which must emit
-// well-formed code.
+// only built by the assembler, which checks them first, and the AVP
+// generator, which must emit well-formed code.
 func Encode(in Inst) uint32 {
-	checkReg := func(name string, v uint8) {
-		if v > 31 {
-			panic(fmt.Sprintf("isa: %s register %d out of range", name, v))
+	w, err := encode(in)
+	if err != nil {
+		panic("isa: " + err.Error())
+	}
+	return w
+}
+
+// encode is Encode returning why an instruction has no word, the first
+// out-of-range field it meets, instead of panicking.
+func encode(in Inst) (w uint32, err error) {
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
 		}
 	}
-	w := uint32(in.Op) << opShift
+	reg := func(name string, v uint8) uint32 {
+		if v > 31 {
+			fail("%s register %d out of range", name, v)
+		}
+		return uint32(v)
+	}
+	offset16 := func() uint32 {
+		if in.Imm < -32768 || in.Imm > 32767 {
+			fail("%s offset %d out of 16-bit range", opNames[in.Op], in.Imm)
+		}
+		return uint32(in.Imm) & imm16Mask
+	}
+	w = uint32(in.Op) << opShift
 	switch {
 	case isDForm(in.Op):
-		checkReg("rt", in.RT)
-		checkReg("ra", in.RA)
+		w |= reg("rt", in.RT)<<rtShift | reg("ra", in.RA)<<raShift
 		if in.Imm < -32768 || in.Imm > 65535 {
-			panic(fmt.Sprintf("isa: immediate %d out of 16-bit range", in.Imm))
+			fail("immediate %d out of 16-bit range", in.Imm)
 		}
-		w |= uint32(in.RT) << rtShift
-		w |= uint32(in.RA) << raShift
 		w |= uint32(in.Imm) & imm16Mask
 	case isXForm(in.Op):
-		checkReg("rt", in.RT)
-		checkReg("ra", in.RA)
-		checkReg("rb", in.RB)
-		w |= uint32(in.RT) << rtShift
-		w |= uint32(in.RA) << raShift
-		w |= uint32(in.RB) << rbShift
+		w |= reg("rt", in.RT)<<rtShift | reg("ra", in.RA)<<raShift | reg("rb", in.RB)<<rbShift
 	case in.Op == OpB || in.Op == OpBL:
 		if in.Imm < -(1<<25) || in.Imm >= (1<<25) {
-			panic(fmt.Sprintf("isa: branch offset %d out of 26-bit range", in.Imm))
+			fail("branch offset %d out of 26-bit range", in.Imm)
 		}
 		w |= uint32(in.Imm) & off26Mask
 	case in.Op == OpBC:
 		if in.BO > 1 || in.BI > 3 {
-			panic(fmt.Sprintf("isa: bc bo=%d bi=%d out of range", in.BO, in.BI))
+			fail("bc bo=%d bi=%d out of range", in.BO, in.BI)
 		}
-		if in.Imm < -32768 || in.Imm > 32767 {
-			panic(fmt.Sprintf("isa: bc offset %d out of 16-bit range", in.Imm))
-		}
-		w |= uint32(in.BO) << rtShift
-		w |= uint32(in.BI) << raShift
-		w |= uint32(in.Imm) & imm16Mask
+		w |= uint32(in.BO)<<rtShift | uint32(in.BI)<<raShift | offset16()
 	case in.Op == OpBDNZ:
-		if in.Imm < -32768 || in.Imm > 32767 {
-			panic(fmt.Sprintf("isa: bdnz offset %d out of 16-bit range", in.Imm))
-		}
-		w |= uint32(in.Imm) & imm16Mask
+		w |= offset16()
 	case in.Op == OpBLR, in.Op == OpNOP, in.Op == OpTESTEND, in.Op == OpHALT,
 		in.Op == OpIllegal:
 		// No operand fields.
 	default:
-		panic(fmt.Sprintf("isa: cannot encode opcode %v", in.Op))
+		fail("cannot encode opcode %v", in.Op)
 	}
-	return w
+	return w, err
 }
 
 // Decode unpacks a 32-bit instruction word. Unknown opcodes decode to an
