@@ -55,9 +55,11 @@ race:
 # from; FuzzCoordinatorRequests posts
 # scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
 # coordinator and requires a keyless stop at the smallest converged prefix of
-# the shards it accepted and a restart over its journal to reach the same
-# ledger (its inputs are kilobytes, so minimizing each interesting one is
-# capped at 20 runs — the default minute apiece would be the whole budget);
+# the shards it accepted, a restart over its journal to reach the same
+# ledger, and a twin sent every completion without its trace lines to answer
+# alike and reach the same ledger and report (its inputs are kilobytes, so
+# minimizing each interesting one is capped at 20 runs — the default minute
+# apiece would be the whole budget);
 # FuzzCompiledNetlist decodes arbitrary bytes into a small netlist and a
 # script of stimulus, per-lane flips and forces, and holds awan's compiled
 # program (64-lane and through the scalar facade), its Snapshot/Restore and

@@ -3,8 +3,9 @@
 // leases, builds and warms the model once, runs each leased shard over the
 // warm-clone worker pool, heartbeats while it works — piggybacking the
 // shard's metrics so far, the coordinator's live fleet view — and posts
-// the shard report (with a sampled trace segment attached) back. It exits
-// cleanly when the coordinator declares the campaign over.
+// the shard report back, with a sampled trace segment attached when the
+// coordinator records a shard trace. It exits cleanly when the coordinator
+// declares the campaign over.
 //
 // Lifecycle events go to stderr as structured JSON logs; -http serves
 // worker-local debug views (/debug/pprof, /debug/vars, /metrics,
@@ -42,8 +43,8 @@ func main() {
 		poll     = flag.Duration("poll", 250*time.Millisecond, "lease poll period when no shard is available")
 		trace    = flag.String("trace", "", "local JSONL injection trace file ('' = off)")
 		sample   = flag.Int("trace-sample", 0, "record every Nth injection to -trace (0 = all)")
-		attach   = flag.Int("trace-attach", 32, "sampled trace lines attached per shard completion (negative = off)")
-		spans    = flag.Int("span-attach", 512, "campaign spans attached per shard completion when the coordinator traces (negative = disable span recording)")
+		attach   = flag.Int("trace-attach", 32, "sampled trace lines attached per shard completion when the coordinator records a shard trace (0 = none)")
+		spans    = flag.Int("span-attach", 512, "campaign spans attached per shard completion when the coordinator traces (0 = none: no span recording)")
 		logLevel = flag.String("log-level", "info", "event log level (debug, info, warn, error)")
 		logText  = flag.Bool("log-text", false, "logfmt-style text event logs instead of JSON")
 		httpAddr = flag.String("http", "", "debug listener: /debug/vars, /debug/pprof, /metrics, /progress")
@@ -103,6 +104,15 @@ func (s *shardProgress) snapshot() *sfi.MetricsSnapshot {
 	return p.Metrics
 }
 
+// attachBound is the WorkerConfig bound of an attach flag: the flag's 0 is
+// none, where the config's zero value is the default.
+func attachBound(n int) int {
+	if n == 0 {
+		return -1
+	}
+	return n
+}
+
 func run(a workerArgs) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -123,8 +133,8 @@ func run(a workerArgs) error {
 		PollEvery:   a.poll,
 		Log:         log,
 		TraceSample: a.sample,
-		TraceAttach: a.attach,
-		SpanAttach:  a.spans,
+		TraceAttach: attachBound(a.attach),
+		SpanAttach:  attachBound(a.spans),
 	}
 
 	var traceFlush func() error

@@ -52,10 +52,11 @@ type CoordConfig struct {
 
 	// ShardTrace, when non-nil, receives one JSONL obs.ShardEvent per
 	// shard-lifecycle transition (lease grant, heartbeat gap, expiry,
-	// requeue with attempt count, completion with latency) plus any
+	// requeue with attempt count, completion with latency) plus the
 	// sampled injection-trace segments workers attach to completions —
 	// the after-the-fact forensics trail for requeue storms and straggler
-	// workers.
+	// workers. Leases ask workers to attach those segments only when it is
+	// set (leaseResponse.AttachTrace).
 	ShardTrace *obs.TraceSink
 
 	// Tracer, when non-nil, records the campaign's causal span tree: one
@@ -750,6 +751,7 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 		Campaign:    c.cfg.Campaign,
 		TTLMs:       c.cfg.LeaseTTL.Milliseconds(),
 		Traceparent: s.span.Context().Traceparent(),
+		AttachTrace: c.cfg.ShardTrace != nil,
 	}, http.StatusOK, nil
 }
 
@@ -848,7 +850,9 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 		ev.LatencyMs = latency.Milliseconds()
 	})
 	// Forward the worker's sampled trace segment into the shard trace,
-	// each line wrapped with its shard/worker provenance.
+	// each line wrapped with its shard/worker provenance. Only a worker
+	// older than the lease's AttachTrace sends lines this coordinator did
+	// not ask for; without a shard trace they are dropped.
 	if c.cfg.ShardTrace != nil {
 		for _, line := range req.Trace {
 			c.cfg.ShardTrace.RecordJSON(attachedTrace{

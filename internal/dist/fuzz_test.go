@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -47,8 +48,10 @@ func fuzzPost(c *Coordinator, path string, body []byte) *httptest.ResponseRecord
 // returns the documents it sent as a script — the exchange of the loopback
 // tests — followed by hostile variants of them: shard ids outside the
 // ledger, a report for the wrong stratum, metrics counting more injections
-// than the lease holds, numerics no field should take.
-func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
+// than the lease holds, numerics no field should take. With attach, each
+// honest completion carries trace lines the lease did not ask for, as a
+// worker older than the lease's attach_trace sends them.
+func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8, attach bool) []byte {
 	c, err := NewCoordinator(fuzzCoordConfig(neyman, minPerClass, filepath.Join(f.TempDir(), "journal")))
 	if err != nil {
 		f.Fatal(err)
@@ -78,7 +81,14 @@ func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
 		wrong = fakeWireFor(l.Shard)
 		wrong.Metrics = &obs.Snapshot{Injections: size + 1}
 		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: wrong})
-		send(2, completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)})
+		done := completeRequest{Worker: "w", Shard: l.Shard.ID, Report: fakeWireFor(l.Shard)}
+		if attach {
+			done.Trace = []json.RawMessage{
+				json.RawMessage(fmt.Sprintf(`{"seq":%d,"bit":42,"outcome":"vanished"}`, l.Shard.Lo)),
+				json.RawMessage(fmt.Sprintf(`{"seq":%d,"bit":77,"outcome":"corrected"}`, l.Shard.Lo+1)),
+			}
+		}
+		send(2, done)
 		rec = send(0, leaseRequest{Worker: "w"})
 	}
 	send(3, failRequest{Worker: "w", Shard: 0, Error: "boom"})
@@ -124,10 +134,13 @@ func ledgerOf(c *Coordinator) ledger {
 // and a coordinator restarted over the journal this one wrote reaches the
 // same ledger and shows the same evaluation, so nothing a request made the
 // coordinator decide went unrecorded and nothing it refused was written.
+// The coordinator records no shard trace, so the trace lines a completion
+// carries change nothing: a twin sent each completion without them answers
+// every request alike and reaches the same ledger and report.
 func FuzzCoordinatorRequests(f *testing.F) {
 	for _, neyman := range []bool{false, true} {
 		for _, minPerClass := range []uint8{0, 3, 8} {
-			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass))
+			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass, false))
 		}
 	}
 	// Before any request: a replay must restore the first epoch's
@@ -135,24 +148,45 @@ func FuzzCoordinatorRequests(f *testing.F) {
 	for _, minPerClass := range []uint8{0, 3} {
 		f.Add(true, minPerClass, []byte{})
 	}
+	// Completions carrying the trace lines an older worker attaches.
+	for _, neyman := range []bool{false, true} {
+		for _, minPerClass := range []uint8{0, 3} {
+			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass, true))
+		}
+	}
 	f.Fuzz(func(t *testing.T, neyman bool, minPerClass uint8, script []byte) {
 		cfg := fuzzCoordConfig(neyman, minPerClass, filepath.Join(t.TempDir(), "journal"))
 		c, err := NewCoordinator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		twin, err := NewCoordinator(fuzzCoordConfig(neyman, minPerClass, filepath.Join(t.TempDir(), "twin")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
 		for _, line := range bytes.Split(script, []byte("\n")) {
 			if len(line) == 0 {
 				continue
 			}
 			path := fuzzPaths[int(line[0])%len(fuzzPaths)]
-			switch code := fuzzPost(c, path, line[1:]).Code; code {
+			code := fuzzPost(c, path, line[1:]).Code
+			switch code {
 			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusConflict, http.StatusGone:
 			default:
 				t.Errorf("POST %s %q: status %d", path, line[1:], code)
 			}
+			if bare := postWithoutTrace(twin, path, line[1:]); bare != code {
+				t.Errorf("POST %s %q: status %d, and %d without its trace lines", path, line[1:], code, bare)
+			}
 		}
 		live, fleet := ledgerOf(c), c.FleetSnapshot().Injections
+		if bare := ledgerOf(twin); !reflect.DeepEqual(live, bare) {
+			t.Errorf("trace lines moved the ledger:\n   with %+v\nwithout %+v", live, bare)
+		}
+		if rep, bare := finalReport(c), finalReport(twin); !reflect.DeepEqual(rep, bare) {
+			t.Errorf("trace lines moved the report:\n   with %+v\nwithout %+v", rep, bare)
+		}
 		c.Close()
 		if len(live.Done) > live.Shards || live.Sealed.Total > cfg.Campaign.Flips || fleet > uint64(cfg.Campaign.Flips) {
 			t.Fatalf("ledger overran its plan: %+v, %d injections in the fleet view", live, fleet)
@@ -175,6 +209,34 @@ func FuzzCoordinatorRequests(f *testing.F) {
 			t.Errorf("replayed ledger differs:\n  live %+v\nreplay %+v", live, replayed)
 		}
 	})
+}
+
+// postWithoutTrace sends a request as fuzzPost does, except that a
+// completion is decoded as the handler decodes it and handed to the
+// coordinator without its trace lines.
+func postWithoutTrace(c *Coordinator, path string, body []byte) int {
+	var req completeRequest
+	if path != "/v1/complete" || json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+		return fuzzPost(c, path, body).Code
+	}
+	req.Trace = nil
+	status, _ := c.complete(req)
+	return status
+}
+
+// finalReport is what Wait returns once the campaign is over (its report or
+// its error), and nil before.
+func finalReport(c *Coordinator) any {
+	select {
+	case <-c.finished:
+	default:
+		return nil
+	}
+	rep, err := c.Wait(context.Background())
+	if err != nil {
+		return err.Error()
+	}
+	return rep
 }
 
 // checkPrefixStop recomputes where a stopped keyless campaign's prefix

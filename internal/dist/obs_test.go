@@ -542,39 +542,89 @@ func TestHeartbeatMovesOnlyItsShard(t *testing.T) {
 	}
 }
 
+// wireCount counts what workers send a coordinator: every request, and the
+// completions that carry a "trace" key with the trace lines under it.
+type wireCount struct {
+	requests, traceKeys, lines atomic.Int64
+}
+
+// run serves cfg's coordinator through the count and runs one worker
+// against it to the campaign's end.
+func (wc *wireCount) run(t *testing.T, cfg CoordConfig, wcfg WorkerConfig) {
+	t.Helper()
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	handler := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wc.requests.Add(1)
+		if r.URL.Path == "/v1/complete" {
+			body, _ := io.ReadAll(r.Body)
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Errorf("completion body %s: %v", body, err)
+			}
+			if trace, ok := doc["trace"]; ok {
+				var lines []json.RawMessage
+				json.Unmarshal(trace, &lines)
+				wc.traceKeys.Add(1)
+				wc.lines.Add(int64(len(lines)))
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	wcfg.Coordinator, wcfg.ID = srv.URL, "w"
+	if err := RunWorker(context.Background(), wcfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardCostIndependentOfSize pins what fleet observability costs the
 // control plane, by count: a shard is one lease, one completion, a
 // heartbeat per TTL/3 it runs for (none here: the TTL outlasts the run) and
-// at most TraceAttach attached trace lines — however many injections it
-// holds. One more request is the lease poll that learns the campaign is over.
+// TraceAttach attached trace lines when the coordinator records a shard
+// trace, none when it does not — however many injections it holds. One more
+// request is the lease poll that learns the campaign is over. A worker's own
+// trace (TraceW) gets a line per injection either way.
 func TestShardCostIndependentOfSize(t *testing.T) {
 	const attach = 4
 	for _, size := range []int{12, 48} {
-		var traceBuf syncBuffer
-		spec := testSpec()
-		spec.Flips = 96
-		c, err := NewCoordinator(CoordConfig{Campaign: spec, ShardSize: size, LeaseTTL: 10 * time.Minute,
-			ShardTrace: obs.NewTraceSink(&traceBuf, obs.TraceOptions{})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var requests atomic.Int64
-		handler := c.Handler()
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			requests.Add(1)
-			handler.ServeHTTP(w, r)
-		}))
-		err = RunWorker(context.Background(), WorkerConfig{Coordinator: srv.URL, ID: "w", TraceAttach: attach})
-		srv.Close()
-		c.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards := spec.Flips / size
-		lines := bytes.Count(traceBuf.bytes(), []byte(`"injection":`))
-		if requests.Load() != int64(2*shards+1) || lines != attach*shards {
-			t.Errorf("%d shards of %d cost %d requests and %d attached trace lines, want %d and %d",
-				shards, size, requests.Load(), lines, 2*shards+1, attach*shards)
+		for _, traced := range []bool{false, true} {
+			for _, local := range []bool{false, true} {
+				var traceBuf syncBuffer
+				spec := testSpec()
+				spec.Flips = 96
+				cfg := CoordConfig{Campaign: spec, ShardSize: size, LeaseTTL: 10 * time.Minute}
+				if traced {
+					cfg.ShardTrace = obs.NewTraceSink(&traceBuf, obs.TraceOptions{})
+				}
+				wcfg := WorkerConfig{TraceAttach: attach}
+				var localBuf bytes.Buffer
+				if local {
+					wcfg.TraceW = &localBuf
+				}
+				var wc wireCount
+				wc.run(t, cfg, wcfg)
+				shards, lines, keys := spec.Flips/size, 0, 0
+				label := fmt.Sprintf("%d shards of %d, shard trace %v, local trace %v", shards, size, traced, local)
+				if traced {
+					lines, keys = attach*shards, shards
+				}
+				recorded := bytes.Count(traceBuf.bytes(), []byte(`"injection":`))
+				if wc.requests.Load() != int64(2*shards+1) || wc.lines.Load() != int64(lines) ||
+					wc.traceKeys.Load() != int64(keys) || recorded != lines {
+					t.Errorf("%s: %d requests, %d completions with a trace key, %d attached lines, %d recorded; want %d, %d, %d, %d",
+						label, wc.requests.Load(), wc.traceKeys.Load(), wc.lines.Load(), recorded,
+						2*shards+1, keys, lines, lines)
+				}
+				if got := bytes.Count(localBuf.Bytes(), []byte("\n")); local && got != spec.Flips {
+					t.Errorf("%s: the worker's local trace has %d lines, want one per injection, %d", label, got, spec.Flips)
+				}
+			}
 		}
 	}
 }

@@ -179,6 +179,12 @@ type (
 		// the core campaign and per-batch engine spans — under it, so the
 		// causal tree stays connected across the process boundary.
 		Traceparent string `json:"traceparent,omitempty"`
+		// AttachTrace asks the worker to attach sampled injection-trace
+		// lines to the shard's completion. The coordinator sets it exactly
+		// when it records a shard trace; a worker leased without it attaches
+		// none, and one older than the field attaches lines anyway, which a
+		// coordinator without a shard trace accepts and drops.
+		AttachTrace bool `json:"attach_trace,omitempty"`
 	}
 	heartbeatRequest struct {
 		Worker string `json:"worker"`
@@ -202,7 +208,9 @@ type (
 		Report *WireReport `json:"report"`
 		// Trace is a bounded, sampled segment of the shard's injection
 		// trace (JSONL lines as emitted by obs.TraceSink), forwarded into
-		// the coordinator's shard trace for post-hoc forensics.
+		// the coordinator's shard trace for post-hoc forensics. Sent only
+		// when the lease set AttachTrace, bounded by the worker's
+		// TraceAttach.
 		Trace []json.RawMessage `json:"trace,omitempty"`
 		// Spans is the shard's finished campaign spans (shard.run, the
 		// core campaign spans, per-batch engine passes), carried home so

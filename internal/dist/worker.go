@@ -64,9 +64,12 @@ type WorkerConfig struct {
 
 	// TraceAttach bounds the sampled injection-trace lines attached to
 	// each shard completion and forwarded into the coordinator's shard
-	// trace (default 32; negative disables attachment). When TraceW is
-	// nil, the worker samples just enough events to fill the attachment
-	// instead of tracing every injection.
+	// trace (default 32; negative disables attachment). Lines are attached
+	// only when the lease asks for them, which a coordinator does exactly
+	// when it records a shard trace: TraceW gets the full local trace
+	// either way. When TraceW is nil, the worker samples just enough
+	// events to fill the attachment instead of tracing every injection,
+	// and traces nothing for a lease that asks for none.
 	TraceAttach int
 
 	// SpanAttach bounds the campaign spans attached to each shard
@@ -221,8 +224,10 @@ func (lc *lineCapture) Write(p []byte) (int, error) {
 
 // shardObs wires a shard's observability: metrics collection, the live
 // snapshot the heartbeat loop sends, the OnProgress hook, and the injection
-// trace (local writer and/or bounded completion attachment).
-func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Duration, live *atomic.Pointer[obs.Snapshot]) *lineCapture {
+// trace (local writer and/or bounded completion attachment, the latter only
+// when the lease asks for it).
+func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse, ttl time.Duration, live *atomic.Pointer[obs.Snapshot]) *lineCapture {
+	sh := lease.Shard
 	// Shard reports always carry metrics: the coordinator's /metrics view
 	// converges on the merge of them, and collecting them allocates nothing
 	// per injection (core's TestObservabilityAllocs).
@@ -240,7 +245,7 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Dur
 	var capture *lineCapture
 	var tw io.Writer
 	opts := obs.TraceOptions{Sample: w.cfg.TraceSample}
-	if w.cfg.TraceAttach > 0 {
+	if lease.AttachTrace && w.cfg.TraceAttach > 0 {
 		capture = &lineCapture{max: w.cfg.TraceAttach}
 		tw = capture
 		if w.cfg.TraceW != nil {
@@ -265,11 +270,11 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, sh ShardLease, ttl time.Dur
 
 // runShard executes one leased shard: heartbeats in the background
 // (piggybacking the shard's metrics so far), runs the shard campaign
-// against the (reused) prototype, and reports the result with a sampled
-// trace segment attached. Losing the lease cancels the shard promptly and returns nil —
-// the shard is someone else's now. A shard execution error is handed back
-// with /v1/fail so the coordinator can re-queue without waiting for the
-// lease to expire.
+// against the (reused) prototype, and reports the result, with a sampled
+// trace segment attached when the lease asks for one. Losing the lease
+// cancels the shard promptly and returns nil — the shard is someone else's
+// now. A shard execution error is handed back with /v1/fail so the
+// coordinator can re-queue without waiting for the lease to expire.
 func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	id, sh := w.cfg.ID, lease.Shard
 	log := w.log.With("shard", sh.ID)
@@ -295,7 +300,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	// live is the shard's latest cumulative metrics snapshot, refreshed by
 	// the campaign's progress goroutine and read by the heartbeat loop.
 	var live atomic.Pointer[obs.Snapshot]
-	capture := w.shardObs(&ccfg, sh, ttl, &live)
+	capture := w.shardObs(&ccfg, lease, ttl, &live)
 
 	// When the lease carries a traceparent, join the coordinator's trace:
 	// a local tracer (ID stream decorrelated from the coordinator's by
