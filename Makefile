@@ -38,9 +38,10 @@ fmt:
 # internal/latch, internal/dirty and internal/proc, where what every clone of
 # a p6lite backend reads at once lives: the access log, the sparse checkpoint
 # images and their baseline (p6lite's TestClonesShareTheRecord runs the
-# clones; core's campaign tests fan them out).
+# clones; core's campaign tests fan them out), and cmd/sfi, whose progress
+# line reads the campaign's core.Live handle beside the running campaign.
 race:
-	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/server ./internal/latch ./internal/dirty ./internal/proc
+	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/server ./internal/latch ./internal/dirty ./internal/proc ./cmd/sfi
 
 # fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED

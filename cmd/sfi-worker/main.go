@@ -76,31 +76,29 @@ type workerArgs struct {
 	quiet          bool
 }
 
-// shardProgress is the worker's live view of its current shard, served at
-// /progress and /metrics on the debug listener.
+// shardProgress holds the worker's current shard and its Live handle, read
+// by /progress and /metrics on the debug listener.
 type shardProgress struct {
 	mu    sync.Mutex
 	shard dist.ShardLease
-	p     sfi.Progress
+	live  *sfi.Live
 }
 
-func (s *shardProgress) set(sh dist.ShardLease, p sfi.Progress) {
+func (s *shardProgress) set(sh dist.ShardLease, live *sfi.Live) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.shard, s.p = sh, p
+	s.shard, s.live = sh, live
 }
 
 func (s *shardProgress) get() (dist.ShardLease, sfi.Progress) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shard, s.p
+	sh, live := s.shard, s.live
+	s.mu.Unlock()
+	return sh, live.Progress()
 }
 
 func (s *shardProgress) snapshot() *sfi.MetricsSnapshot {
 	_, p := s.get()
-	if p.Metrics == nil {
-		return obs.NewSnapshot()
-	}
 	return p.Metrics
 }
 
@@ -153,8 +151,8 @@ func run(a workerArgs) error {
 		}
 	}
 
-	live := &shardProgress{}
-	cfg.OnProgress = live.set
+	live := &shardProgress{live: new(sfi.Live)}
+	cfg.OnShard = live.set
 
 	if a.httpAddr != "" {
 		ln, err := net.Listen("tcp", a.httpAddr)

@@ -45,7 +45,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"sfi"
@@ -120,32 +119,6 @@ type campaignArgs struct {
 	progress    bool
 }
 
-// liveState shares the latest campaign progress between the callback, the
-// stderr renderer and the debug HTTP handlers.
-type liveState struct {
-	mu   sync.Mutex
-	last sfi.Progress
-}
-
-func (s *liveState) set(p sfi.Progress) {
-	s.mu.Lock()
-	s.last = p
-	s.mu.Unlock()
-}
-
-func (s *liveState) get() sfi.Progress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
-func (s *liveState) snapshot() *sfi.MetricsSnapshot {
-	if snap := s.get().Metrics; snap != nil {
-		return snap
-	}
-	return &sfi.MetricsSnapshot{}
-}
-
 func run(a campaignArgs) (rerr error) {
 	// -dist returns through runDist, which wires none of these: say so
 	// instead of exiting 0 with nothing written or served.
@@ -213,14 +186,9 @@ func run(a campaignArgs) (rerr error) {
 		}()
 	}
 
-	live := &liveState{}
-	cfg.Obs.ProgressEvery = 500 * time.Millisecond
-	cfg.Obs.Progress = func(p sfi.Progress) {
-		live.set(p)
-		if a.progress {
-			renderProgress(os.Stderr, p)
-		}
-	}
+	// The progress line and the debug views read the campaign's Live handle.
+	live := new(sfi.Live)
+	cfg.Obs.Live = live
 
 	if a.httpAddr != "" {
 		ln, err := net.Listen("tcp", a.httpAddr)
@@ -229,27 +197,30 @@ func run(a campaignArgs) (rerr error) {
 		}
 		// expvar's /debug/vars and pprof's /debug/pprof are registered on
 		// the default mux by their package inits; add the campaign views.
-		sfi.PublishMetricsExpvar("sfi", live.snapshot)
+		sfi.PublishMetricsExpvar("sfi", func() *sfi.MetricsSnapshot { return live.Progress().Metrics })
 		http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			p := live.Progress()
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			live.snapshot().WritePrometheus(w, "sfi")
-			sfi.WriteConvergencePrometheus(w, "sfi", live.get().Convergence)
+			p.Metrics.WritePrometheus(w, "sfi")
+			sfi.WriteConvergencePrometheus(w, "sfi", p.Convergence)
 		})
 		http.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(live.get())
+			json.NewEncoder(w).Encode(live.Progress())
 		})
 		go http.Serve(ln, nil)
 		fmt.Fprintf(os.Stderr, "debug listener on http://%s (/debug/vars, /debug/pprof, /metrics, /progress)\n",
 			ln.Addr())
 	}
 
+	drawn := func() {}
+	if a.progress {
+		drawn = showProgress(live)
+	}
 	start := time.Now()
 	rep, err := sfi.RunCampaign(cfg)
 	elapsed := time.Since(start)
-	if a.progress {
-		fmt.Fprintln(os.Stderr) // end the \r progress line
-	}
+	drawn()
 	if err != nil {
 		return err
 	}
@@ -400,13 +371,18 @@ func runDist(a campaignArgs) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) 
 		}(i)
 	}
 	start := time.Now()
+	drawn := make(chan struct{})
 	if a.progress {
-		go coord.ShowProgress(ctx, os.Stderr, 500*time.Millisecond)
+		go func() {
+			coord.ShowProgress(ctx, os.Stderr, 500*time.Millisecond)
+			close(drawn)
+		}()
 	}
 
 	rep, err := coord.Wait(ctx)
 	elapsed := time.Since(start)
 	if a.progress {
+		<-drawn // the finished campaign's last line
 		fmt.Fprintln(os.Stderr)
 	}
 	if err != nil {
@@ -425,11 +401,26 @@ func runDist(a campaignArgs) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) 
 	return rep, elapsed, coord.TraceDoc(), nil
 }
 
-// renderProgress draws one live progress line to w (carriage-return
-// overwritten in place). The line itself is Progress.Line, shared with
-// the coordinator's fleet progress.
-func renderProgress(w *os.File, p sfi.Progress) {
-	fmt.Fprintf(w, "\r%-78s", p.Line())
+// showProgress redraws the campaign's progress line on stderr in place
+// every 500ms until the returned function is called, which draws it once
+// more and ends it. The line is Progress.Line, as on the coordinator's.
+func showProgress(live *sfi.Live) (drawn func()) {
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		t := time.NewTicker(500 * time.Millisecond)
+		defer t.Stop()
+		for last := false; !last; {
+			select {
+			case <-stop:
+				last = true
+			case <-t.C:
+			}
+			fmt.Fprintf(os.Stderr, "\r%-78s", live.Progress().Line())
+		}
+		fmt.Fprintln(os.Stderr)
+		close(stopped)
+	}()
+	return func() { close(stop); <-stopped }
 }
 
 // printSummary renders the end-of-run summary from the campaign's metrics

@@ -42,17 +42,8 @@ func TestDistRefusesLocalObservability(t *testing.T) {
 // REGFILE or GPTR latch, so -types must print the MODE row alone — a 0.00%
 // row for a type never sampled reads like a measured zero.
 func TestTypesListsOnlySeenTypes(t *testing.T) {
-	fs := flag.NewFlagSet("sfi", flag.ContinueOnError)
-	spec := dist.CampaignFlags(fs, 1000)
-	if err := fs.Parse([]string{"-flips", "12", "-seed", "7", "-type", "MODE"}); err != nil {
-		t.Fatal(err)
-	}
-	a := campaignArgs{workers: 1, types: true}
-	var err error
-	if a.spec, err = spec(); err != nil {
-		t.Fatal(err)
-	}
-	out := captureStdout(t, func() error { return run(a) })
+	a := campaignArgs{spec: specOf(t, "-flips", "12", "-seed", "7", "-type", "MODE"), workers: 1, types: true}
+	out := capture(t, &os.Stdout, func() error { return run(a) })
 	_, table, ok := strings.Cut(out, "per latch type:\n")
 	if !ok {
 		t.Fatalf("no per-latch-type table in:\n%s", out)
@@ -63,22 +54,59 @@ func TestTypesListsOnlySeenTypes(t *testing.T) {
 	}
 }
 
-// captureStdout runs f with os.Stdout redirected and returns what it wrote.
-func captureStdout(t *testing.T, f func() error) string {
+// TestProgressEndsOnTheLastLine: with progress on, a local campaign and a
+// -dist one each leave the progress line at the finished campaign's count,
+// whatever the redraw period let through before it.
+func TestProgressEndsOnTheLastLine(t *testing.T) {
+	for _, dist := range []int{0, 2} {
+		a := campaignArgs{spec: specOf(t, "-flips", "40", "-seed", "7"), workers: 2, dist: dist, progress: true, jsonOut: true}
+		var stdout string
+		stderr := capture(t, &os.Stderr, func() error {
+			stdout = capture(t, &os.Stdout, func() error { return run(a) })
+			return nil
+		})
+		if !strings.Contains(stdout, `"total": 40,`) {
+			t.Errorf("-dist %d: report %q lacks its 40 injections", dist, stdout)
+		}
+		line := strings.TrimSpace(stderr[strings.LastIndex(stderr, "\r")+1:])
+		if !strings.HasPrefix(line, "40/40 (100.0%)") {
+			t.Errorf("-dist %d: progress ends on %q, want the 40/40 (100.0%%) line\nstderr: %q", dist, line, stderr)
+		}
+	}
+}
+
+// specOf parses a campaign's flags as sfi does.
+func specOf(t *testing.T, args ...string) dist.CampaignSpec {
+	t.Helper()
+	fs := flag.NewFlagSet("sfi", flag.ContinueOnError)
+	spec := dist.CampaignFlags(fs, 1000)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	s, err := spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// capture runs f with *stream (os.Stdout or os.Stderr) redirected and
+// returns what it wrote.
+func capture(t *testing.T, stream **os.File, f func() error) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved := os.Stdout
-	os.Stdout = w
+	saved := *stream
+	*stream = w
 	read := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
 		read <- string(b)
 	}()
 	err = f()
-	os.Stdout = saved
+	*stream = saved
 	w.Close()
 	out := <-read
 	if err != nil {

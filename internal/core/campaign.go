@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sfi/internal/engine"
@@ -230,14 +229,9 @@ type ObsConfig struct {
 	// value makes campaign.run a root span, the standalone-`sfi` case).
 	Parent obs.SpanContext
 
-	// Progress, when non-nil, is called periodically from a dedicated
-	// goroutine while the campaign runs (never concurrently with itself),
-	// and once more after the last injection completes. Setting it
-	// implicitly enables metrics collection.
-	Progress func(Progress)
-
-	// ProgressEvery is the callback period (default 1s).
-	ProgressEvery time.Duration
+	// Live, when non-nil, is the handle the campaign's progress is read
+	// through, while it runs and after. It implies metrics collection.
+	Live *Live
 }
 
 // Progress is a point-in-time view of a running campaign.
@@ -260,6 +254,49 @@ type Progress struct {
 	// present only when the campaign runs with a StopConfig (nil
 	// otherwise). Its widest outstanding margin is what Line renders.
 	Convergence *stats.Convergence
+}
+
+// Live is a read handle on a campaign (ObsConfig.Live): call Progress from
+// any goroutine, while the campaign runs or after it returns. A handle
+// follows one campaign at a time.
+type Live struct {
+	mu  sync.Mutex
+	run liveRun
+}
+
+type liveRun struct {
+	metrics        []*obs.Metrics // the per-worker collectors
+	total, workers int
+	start, end     time.Time // end is zero while the campaign runs
+	conv           *stats.Convergence
+}
+
+// Progress merges the per-worker collectors into a view of the campaign
+// now. Before the run starts it is empty, with a non-nil Metrics; after the
+// run returns it is the final view, its elapsed time frozen. Convergence is
+// the newest evaluation made over settled counts.
+func (l *Live) Progress() Progress {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r, s := l.run, obs.NewSnapshot()
+	for _, m := range r.metrics {
+		s.Merge(m.Snapshot())
+	}
+	if r.start.IsZero() {
+		return Progress{Metrics: s}
+	}
+	if r.end.IsZero() {
+		r.end = time.Now()
+	}
+	p := progressOver(s, r.total, r.workers, r.end.Sub(r.start))
+	p.Convergence = r.conv
+	return p
+}
+
+func (l *Live) set(f func(*liveRun)) {
+	l.mu.Lock()
+	f(&l.run)
+	l.mu.Unlock()
 }
 
 // DefaultCampaignConfig returns a whole-core random campaign configuration.
@@ -386,12 +423,6 @@ func (r *Report) add(res Result, keep bool) {
 	}
 }
 
-// newWorkerRunner builds the model for one extra campaign worker. It is a
-// package variable so tests can force a worker start failure.
-var newWorkerRunner = func(proto *Runner, cfg CampaignConfig) (*Runner, error) {
-	return proto.Clone(), nil
-}
-
 // outcomeNames maps Outcome codes to their reporting names, indexed by the
 // integer code, for obs collectors.
 func outcomeNames() []string {
@@ -409,7 +440,11 @@ func outcomeNames() []string {
 // workers is the concurrent-model-copy count for the utilization estimate
 // (pass 0 when unknown — utilization is then reported as 0).
 func ProgressFrom(s *obs.Snapshot, total, workers int, start time.Time) Progress {
-	elapsed := time.Since(start)
+	return progressOver(s, total, workers, time.Since(start))
+}
+
+// progressOver is ProgressFrom over a given elapsed time.
+func progressOver(s *obs.Snapshot, total, workers int, elapsed time.Duration) Progress {
 	p := Progress{
 		Done:     int(s.Injections),
 		Total:    total,
@@ -536,10 +571,10 @@ func SampleCampaignBits(db *latch.DB, seed uint64, flips int, f latch.Filter) []
 // filtered population and classifies every injection, fanning the work out
 // over concurrent model copies. The AVP is generated and warmed once per
 // process and config, in the cached prototype (WarmRunner); every worker is
-// a warm clone of it. A worker that fails to start aborts the campaign: the
-// dispatcher stops handing out injections as soon as the first failure is
-// reported, and every distinct worker error is surfaced in the returned
-// (joined) error so multi-worker failures aren't masked by the first one.
+// a warm clone of it. A batch that fails (a panic below the model) aborts
+// the campaign: the dispatcher stops handing out injections as soon as the
+// first failure is reported, and every failed batch's error is in the
+// returned (joined) error, so one failure does not mask another.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	return RunCampaignContext(context.Background(), cfg)
 }
@@ -590,7 +625,7 @@ type job struct {
 }
 
 // settledJob reports job n of the epoch settled, with the error that failed
-// it; n is -1 for a worker that failed to start.
+// it.
 type settledJob struct {
 	n   int
 	err error
@@ -705,8 +740,8 @@ func newSource(first *Runner, cfg CampaignConfig, rep *Report, runSp, sp *obs.Sp
 // reset to cfg.Obs on every call.
 //
 // This is the one campaign executor: every shape of campaign (see source)
-// runs through the same worker pool, observability goroutines, dispatch
-// loop, error handling and report build. Each epoch is dispatched over the
+// runs through the same worker pool, dispatch loop, error handling and
+// report build. Each epoch is dispatched over the
 // pool and fully drained — the epoch barrier — before its results are
 // folded into the report and anything is evaluated or re-allocated, so stop
 // decisions and allocations read settled counts only and the report is
@@ -755,9 +790,13 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 
 	// Observability: each worker records into its own collector (no shared
-	// cache lines on the hot path); progress and the final Report merge the
-	// per-worker snapshots. A Progress callback implies metrics.
-	collect := cfg.Obs.Metrics || cfg.Obs.Progress != nil
+	// cache lines on the hot path); a Live handle's reader and the final
+	// Report merge the per-worker snapshots. A Live handle implies metrics.
+	collect := cfg.Obs.Metrics || cfg.Obs.Live != nil
+	live := cfg.Obs.Live
+	if live == nil {
+		live = new(Live)
+	}
 	var metrics []*obs.Metrics
 	if collect {
 		names := outcomeNames()
@@ -772,28 +811,19 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		}
 		return metrics[w]
 	}
-	mergedSnapshot := func() *obs.Snapshot {
-		s := obs.NewSnapshot()
-		for _, m := range metrics {
-			s.Merge(m.Snapshot())
-		}
-		return s
-	}
 	// Unconditional: also detaches any collector a previous campaign on a
 	// reused prototype (RunCampaignWith) left behind.
 	first.Observe(workerObs(0), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 
-	// One reader of outcomes: workers hand each settled job (or a start
-	// failure, which settled's capacity holds) back to the dispatch loop, and
-	// every convergence evaluation is made there over settled counts. latest
-	// is the newest, for the progress goroutine; seen dedups the events.
+	// One reader of outcomes: workers hand each settled job back to the
+	// dispatch loop, and every convergence evaluation is made there over
+	// settled counts, the newest kept on the Live handle; seen dedups events.
 	var wg sync.WaitGroup
 	next := make(chan job)
-	settled := make(chan settledJob, workers)
-	var latest atomic.Pointer[stats.Convergence]
+	settled := make(chan settledJob, workers) // one per worker: a settle never waits
 	seen := make(map[string]bool)
 	evaluated := func(c *stats.Convergence) {
-		latest.Store(c)
+		live.set(func(r *liveRun) { r.conv = c })
 		emitConvergenceEvents(cfg.Obs.Trace, c, seen)
 	}
 
@@ -831,35 +861,9 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 
 	wg.Add(workers)
-	start := time.Now()
-
-	// Live progress: a single reporting goroutine snapshots the per-worker
-	// collectors on a ticker, so the callback never runs concurrently with
-	// itself and workers are never blocked on it.
-	var stopProg, progDone chan struct{}
-	if cfg.Obs.Progress != nil {
-		every := cfg.Obs.ProgressEvery
-		if every <= 0 {
-			every = time.Second
-		}
-		stopProg = make(chan struct{})
-		progDone = make(chan struct{})
-		go func() {
-			defer close(progDone)
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-t.C:
-					p := ProgressFrom(mergedSnapshot(), src.total, workers, start)
-					p.Convergence = latest.Load()
-					cfg.Obs.Progress(p)
-				}
-			}
-		}()
-	}
+	live.set(func(r *liveRun) {
+		*r = liveRun{metrics: metrics, total: src.total, workers: workers, start: time.Now()}
+	})
 
 	// Worker start order: Clone reads the prototype's live model state
 	// (value planes, counters), so the prototype may not start injecting
@@ -874,13 +878,8 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}()
 	for w := 1; w < workers; w++ {
 		go func() {
-			r, err := newWorkerRunner(first, cfg)
+			r := first.Clone()
 			cloning.Done()
-			if err != nil {
-				settled <- settledJob{-1, fmt.Errorf("core: worker %d failed to start: %w", w, err)}
-				wg.Done()
-				return
-			}
 			r.Observe(workerObs(w), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 			worker(r)
 		}()
@@ -912,9 +911,7 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 				sent++
 				running++
 			case s := <-settled:
-				if s.n >= 0 {
-					running--
-				}
+				running--
 				if s.err != nil {
 					errs = append(errs, s.err)
 				} else if keyless {
@@ -961,31 +958,10 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	}
 	close(next)
 	wg.Wait()
-	if stopProg != nil {
-		close(stopProg)
-		<-progDone
-	}
-	// Collect the start failures reported after the dispatch loop (every
-	// goroutine has exited) and surface the distinct errors.
-drain:
-	for {
-		select {
-		case s := <-settled:
-			errs = append(errs, s.err)
-		default:
-			break drain
-		}
-	}
+	live.set(func(r *liveRun) { r.end = time.Now() })
+	// Each failed job names its own bits, and cancellation is appended once.
 	if len(errs) > 0 {
-		seen := make(map[string]bool, len(errs))
-		distinct := errs[:0]
-		for _, e := range errs {
-			if !seen[e.Error()] {
-				seen[e.Error()] = true
-				distinct = append(distinct, e)
-			}
-		}
-		err := errors.Join(distinct...)
+		err := errors.Join(errs...)
 		if runSp != nil {
 			runSp.Attr("error", err.Error()).End()
 		}
@@ -995,22 +971,15 @@ drain:
 	mergeSp := cfg.Obs.Tracer.StartSpan("merge", "core", runSp.Context())
 	rep.Workers = workers
 	if collect {
-		rep.Metrics = mergedSnapshot() // what workers ran, past a stop too
+		rep.Metrics = live.Progress().Metrics // what workers ran, past a stop too
 	}
 	if cfg.Stop.Enabled() {
 		// Over the counts the stop was decided on, with every breakdown; its
 		// events are those no earlier evaluation emitted.
 		rep.Convergence = rep.ComputeConvergence(rule)
-		emitConvergenceEvents(cfg.Obs.Trace, rep.Convergence, seen)
+		evaluated(rep.Convergence)
 	}
 	mergeSp.AttrInt("injections", int64(rep.Total)).End()
-	if cfg.Obs.Progress != nil {
-		// One final, complete update (the ticker goroutine has stopped, so
-		// this never races with a periodic call).
-		p := ProgressFrom(rep.Metrics, src.total, workers, start)
-		p.Convergence = rep.Convergence
-		cfg.Obs.Progress(p)
-	}
 	if runSp != nil {
 		runSp.AttrInt("injections", int64(rep.Total)).AttrInt("workers", int64(workers)).End()
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -435,43 +434,9 @@ func TestRunnerCloneEquivalence(t *testing.T) {
 
 // allocModes are the allocation policies the executor-behaviour tests run
 // under: fail-fast, joined errors, cancellation and the final progress
-// update are one code path and must hold for uniform and Neyman campaigns
+// view are one code path and must hold for uniform and Neyman campaigns
 // alike.
 var allocModes = []AllocConfig{{Mode: AllocUniform}, {Mode: AllocNeyman}}
-
-// TestCampaignWorkerStartFailFast forces a worker constructor error and
-// checks the campaign aborts with it instead of draining all injections.
-func TestCampaignWorkerStartFailFast(t *testing.T) {
-	sentinel := errors.New("forced constructor failure")
-	old := newWorkerRunner
-	newWorkerRunner = func(proto *Runner, cfg CampaignConfig) (*Runner, error) {
-		return nil, sentinel
-	}
-	defer func() { newWorkerRunner = old }()
-
-	for _, alloc := range allocModes {
-		t.Run(alloc.Mode, func(t *testing.T) {
-			cfg := fastCampaignConfig()
-			cfg.Alloc = alloc
-			cfg.Workers = 4
-			cfg.Flips = 4000 // large enough that draining it all would be obvious
-			done := make(chan struct{})
-			var err error
-			go func() {
-				_, err = RunCampaign(cfg)
-				close(done)
-			}()
-			select {
-			case <-done:
-			case <-time.After(60 * time.Second):
-				t.Fatal("campaign did not fail fast")
-			}
-			if !errors.Is(err, sentinel) {
-				t.Fatalf("err = %v, want wrapped sentinel", err)
-			}
-		})
-	}
-}
 
 // panickyBackend plants a model bug on one latch bit: injecting there
 // panics, as a latch indexing a checker table did before PRs 11 and 13.
@@ -523,6 +488,66 @@ func TestCampaignContainsInjectionPanic(t *testing.T) {
 			}
 			if a, b := reportDump(t, again), reportDump(t, clean); a != b {
 				t.Errorf("report after a contained panic differs\nafter:  %s\nbefore: %s", a, b)
+			}
+		})
+	}
+}
+
+// heldPanicBackend panics on two latch bits, and holds each panicking
+// Inject until both have entered: two workers' batches fail while both are
+// in flight.
+type heldPanicBackend struct {
+	engine.Backend
+	bits    map[int]bool
+	entered *atomic.Int32
+	both    chan struct{} // closed by the second to enter
+}
+
+func (b heldPanicBackend) Inject(inj engine.Injection) error {
+	if b.bits[inj.Bit] {
+		if b.entered.Add(1) == 2 {
+			close(b.both)
+		}
+		select {
+		case <-b.both:
+		case <-time.After(30 * time.Second): // fail on the error, not by hanging
+		}
+		panic("index out of range [9] with length 4")
+	}
+	return b.Backend.Inject(inj)
+}
+
+func (b heldPanicBackend) Clone() engine.Backend {
+	return heldPanicBackend{b.Backend.Clone(), b.bits, b.entered, b.both}
+}
+
+// TestCampaignAllWorkerErrorsSurfaced: when two workers' batches fail while
+// both are in flight, the campaign's error names each failure once, so one
+// does not mask the other. The two bits are the first two of the dispatch
+// order, which lie in a Neyman campaign's first epoch too.
+func TestCampaignAllWorkerErrorsSurfaced(t *testing.T) {
+	for _, alloc := range allocModes {
+		t.Run(alloc.Mode, func(t *testing.T) {
+			cfg := fastCampaignConfig()
+			cfg.Alloc, cfg.Workers = alloc, 2
+			proto, err := NewRunner(cfg.Runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean, err := RunCampaignWith(context.Background(), proto, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := clean.Results[0].Bit, clean.Results[1].Bit
+			proto.be = heldPanicBackend{proto.be, map[int]bool{x: true, y: true}, new(atomic.Int32), make(chan struct{})}
+			_, err = RunCampaignWith(context.Background(), proto, cfg)
+			if err == nil {
+				t.Fatal("campaign with two panicking batches succeeded")
+			}
+			for _, bit := range []int{x, y} {
+				if n := strings.Count(err.Error(), fmt.Sprintf("bit(s) [%d] panicked", bit)); n != 1 {
+					t.Errorf("bit %d named %d times in %q, want once", bit, n, err)
+				}
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-	"time"
 
 	"sfi/internal/obs"
 	"sfi/internal/stats"
@@ -123,20 +122,14 @@ func TestAdaptiveConvergenceEventsAndProgress(t *testing.T) {
 		cfg.Workers = workers
 		// A margin some 700 injections reach: the campaign outlasts many ticks.
 		cfg.Stop = StopConfig{TargetMargin: 0.05, MinPerClass: 25, StopOnConverge: true}
-		var sawConvergence bool
-		cfg.Obs.Progress = func(p Progress) {
-			if p.Convergence != nil {
-				sawConvergence = true
-			}
-		}
-		cfg.Obs.ProgressEvery = time.Millisecond
+		cfg.Obs.Live = new(Live)
 		cfg.Obs.Trace = obs.NewTraceSink(&buf, obs.TraceOptions{Sample: 1 << 30}) // mute injection events
 		var err error
 		if rep, err = RunCampaign(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if !sawConvergence {
-			t.Errorf("workers=%d: no progress callback carried a convergence view", workers)
+		if c := cfg.Obs.Live.Progress().Convergence; c != rep.Convergence {
+			t.Errorf("workers=%d: the handle's convergence is %+v, want the report's final evaluation", workers, c)
 		}
 		// p6lite is scalar: a job is one injection.
 		ran, most := int(rep.Metrics.Injections), cfg.Flips

@@ -295,9 +295,11 @@ func TestNeymanStatusShowsTheBarrier(t *testing.T) {
 // TestFleetProgressLine: ShowProgress draws the local progress line from one
 // status read, with the shard ledger's counts after it — for a Neyman
 // campaign with the widest sampling stratum, as a local Neyman run shows it —
-// and returns once the campaign is over.
+// and, once the campaign is over, draws its final line and returns.
 func TestFleetProgressLine(t *testing.T) {
-	c, srv := startCoord(t, fuzzCoordConfig(true, 3, ""))
+	// Min-per-class 25 of 24 flips: the intervals show, but no stop cuts
+	// the campaign short of its 24/24 line.
+	c, srv := startCoord(t, fuzzCoordConfig(true, 25, ""))
 	line := progressLine(c.Status())
 	for _, want := range []string{"0/24 (0.0%)", "  ci ", "  st ", " — shards 0/", " done, 0 leased, 0 requeued"} {
 		if !strings.Contains(line, want) {
@@ -312,19 +314,27 @@ func TestFleetProgressLine(t *testing.T) {
 		t.Errorf("ShowProgress drew %q, want %q redrawn", drawn, line)
 	}
 
-	leaseAndComplete(t, srv.URL, -1)
+	// A real worker: its reports carry the metrics the line counts.
+	if err := RunWorker(context.Background(), WorkerConfig{Coordinator: srv.URL, PollEvery: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	// A finished campaign gets its last line drawn, and no more.
+	var end syncBuffer
 	returned := make(chan struct{})
 	go func() {
-		c.ShowProgress(context.Background(), io.Discard, time.Hour)
+		c.ShowProgress(context.Background(), &end, time.Hour)
 		close(returned)
 	}()
 	select {
 	case <-returned:
 	case <-time.After(10 * time.Second):
 		t.Fatal("ShowProgress kept drawing a finished campaign")
+	}
+	if drawn := string(end.bytes()); !strings.Contains(drawn, "24/24 (100.0%)") {
+		t.Errorf("ShowProgress on a finished campaign drew %q, want its final 24/24 (100.0%%) line", drawn)
 	}
 }
 

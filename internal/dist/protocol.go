@@ -193,8 +193,8 @@ type (
 		// coordinator-side heartbeat forensics (gap events) correlate with
 		// the worker's spans.
 		Traceparent string `json:"traceparent,omitempty"`
-		// Metrics is the shard's cumulative metrics snapshot so far (nil
-		// until the shard's first progress tick). It replaces the lease's
+		// Metrics is the shard's cumulative metrics snapshot as of the beat
+		// (empty until the shard's run starts). It replaces the lease's
 		// snapshot in the shard ledger, as the report's exact final one will
 		// in turn: heartbeats are idempotent and a lost one needs no recovery.
 		Metrics *obs.Snapshot `json:"metrics,omitempty"`

@@ -128,7 +128,8 @@ type WorkerView struct {
 }
 
 // ShowProgress redraws the fleet progress line on w in place every period,
-// until ctx ends or the campaign is over.
+// until ctx ends or the campaign is over; a campaign that is over gets its
+// final line drawn.
 func (c *Coordinator) ShowProgress(ctx context.Context, w io.Writer, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -137,6 +138,7 @@ func (c *Coordinator) ShowProgress(ctx context.Context, w io.Writer, every time.
 		case <-ctx.Done():
 			return
 		case <-c.finished:
+			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))
 			return
 		case <-t.C:
 			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))

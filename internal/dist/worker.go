@@ -12,7 +12,6 @@ import (
 	"os"
 	"reflect"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"sfi/internal/core"
@@ -82,10 +81,10 @@ type WorkerConfig struct {
 	// per-batch spans are shed.
 	SpanAttach int
 
-	// OnProgress, when non-nil, receives periodic progress of the shard
-	// this worker is currently executing — the hook worker-local debug
-	// endpoints hang off.
-	OnProgress func(ShardLease, core.Progress)
+	// OnShard, when non-nil, is called once per shard, before it runs,
+	// with the handle its progress is read through — the hook worker-local
+	// debug endpoints hang off.
+	OnShard func(ShardLease, *core.Live)
 }
 
 // Worker leases shards from a coordinator and executes them. The
@@ -222,24 +221,18 @@ func (lc *lineCapture) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// shardObs wires a shard's observability: metrics collection, the live
-// snapshot the heartbeat loop sends, the OnProgress hook, and the injection
-// trace (local writer and/or bounded completion attachment, the latter only
-// when the lease asks for it).
-func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse, ttl time.Duration, live *atomic.Pointer[obs.Snapshot]) *lineCapture {
+// shardObs wires a shard's observability: the Live handle the heartbeat
+// loop reads the shard's metrics through, the OnShard hook, and the
+// injection trace (local writer and/or bounded completion attachment, the
+// latter only when the lease asks for it).
+func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse) *lineCapture {
 	sh := lease.Shard
-	// Shard reports always carry metrics: the coordinator's /metrics view
-	// converges on the merge of them, and collecting them allocates nothing
-	// per injection (core's TestObservabilityAllocs).
-	ccfg.Obs.Metrics = true
-	// Refresh the live snapshot about twice per heartbeat so the piggybacked
-	// one stays current without per-injection merging.
-	ccfg.Obs.ProgressEvery = ttl / 6
-	ccfg.Obs.Progress = func(p core.Progress) {
-		live.Store(p.Metrics)
-		if w.cfg.OnProgress != nil {
-			w.cfg.OnProgress(sh, p)
-		}
+	// Shard reports always carry metrics (a Live handle implies them): the
+	// coordinator's /metrics view converges on the merge of them, and they
+	// allocate nothing per injection (core's TestObservabilityAllocs).
+	ccfg.Obs.Live = new(core.Live)
+	if w.cfg.OnShard != nil {
+		w.cfg.OnShard(sh, ccfg.Obs.Live)
 	}
 
 	var capture *lineCapture
@@ -297,10 +290,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	}
 	ttl := time.Duration(lease.TTLMs) * time.Millisecond
 
-	// live is the shard's latest cumulative metrics snapshot, refreshed by
-	// the campaign's progress goroutine and read by the heartbeat loop.
-	var live atomic.Pointer[obs.Snapshot]
-	capture := w.shardObs(&ccfg, lease, ttl, &live)
+	capture := w.shardObs(&ccfg, lease)
 
 	// When the lease carries a traceparent, join the coordinator's trace:
 	// a local tracer (ID stream decorrelated from the coordinator's by
@@ -334,9 +324,9 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	// Heartbeat from lease grant until the shard finishes, covering the
 	// (expensive, once-per-process) prototype build below as well as the
 	// run itself; a refused heartbeat (lease lost, campaign over) cancels
-	// the in-flight shard. Each heartbeat carries the shard's newest
-	// cumulative snapshot, which neither side writes to once it is stored:
-	// a coordinator in this process reads the very same value.
+	// the in-flight shard. Each heartbeat carries the shard's cumulative
+	// snapshot, merged as it beats, which neither side writes to once it is
+	// sent: a coordinator in this process reads the very same value.
 	shardCtx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -349,7 +339,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 				return
 			case <-t.C:
 				status, _ := w.coord.heartbeat(heartbeatRequest{
-					Worker: id, Shard: sh.ID, Traceparent: tp, Metrics: live.Load()})
+					Worker: id, Shard: sh.ID, Traceparent: tp, Metrics: ccfg.Obs.Live.Progress().Metrics})
 				if status == 0 {
 					continue // transient; the lease survives until TTL
 				}

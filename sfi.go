@@ -78,9 +78,12 @@ type (
 
 	// ObsConfig selects campaign observability features (zero value = off).
 	ObsConfig = core.ObsConfig
-	// Progress is a point-in-time view of a running campaign, delivered to
-	// the ObsConfig.Progress callback.
+	// Progress is a point-in-time view of a running campaign, read through
+	// a Live handle.
 	Progress = core.Progress
+	// Live is the read handle on a campaign (ObsConfig.Live): its Progress
+	// method merges the workers' metrics when called, from any goroutine.
+	Live = core.Live
 	// MetricsSnapshot is the merged cross-worker metrics view attached to
 	// a Report when metrics are enabled; it serializes to JSON (expvar) and
 	// Prometheus text (WritePrometheus).
@@ -237,8 +240,8 @@ func NewTraceSink(w io.Writer, opts TraceOptions) *TraceSink {
 func NewTracer(seed uint64) *Tracer { return obs.NewTracer(seed) }
 
 // ProgressFrom derives a Progress view (rate, ETA, outcome mix) from a
-// metrics snapshot — the shared derivation behind local campaign progress
-// callbacks and distributed fleet status. Pass workers 0 when the
+// metrics snapshot — the shared derivation behind a local campaign's Live
+// handle and distributed fleet status. Pass workers 0 when the
 // concurrent-copy count is unknown; utilization is then omitted.
 func ProgressFrom(s *MetricsSnapshot, total, workers int, start time.Time) Progress {
 	return core.ProgressFrom(s, total, workers, start)
