@@ -30,8 +30,9 @@ fmt:
 # concurrently), internal/awan (the gate engine cloned per worker),
 # internal/dist (the loopback coordinator+worker integration tests, HTTP
 # leases, the ledger's views read while leases move), internal/obs
-# (concurrent metrics collectors, trace sinks), internal/stats (the lock-free
-# Estimator, which the benchmark's probes still drive),
+# (concurrent metrics collectors, trace sinks), internal/stats (the stop
+# rule and allocator, which concurrent campaigns call; it holds no shared
+# state today, and stays listed so any it gains is raced),
 # internal/server (the multi-campaign scheduler and its executors, whose
 # embedded worker hands its coordinator request values, not copies: lease,
 # heartbeat and shard-report documents are shared across the two), and

@@ -130,20 +130,11 @@ func clientReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep.Convergence = doc.Convergence
 	if doc.StoppedEarly {
 		fmt.Printf("campaign stopped early at %d injections\n", rep.Total)
 	}
 	fmt.Print(rep)
-	if c := rep.Convergence; c != nil {
-		verdict := "converged"
-		if !c.Converged {
-			verdict = "NOT converged"
-		}
-		fmt.Printf("convergence: %s at n=%d — widest margin %s %.2f%% (target %.2f%% at %.0f%% confidence)\n",
-			verdict, c.Total, c.WidestClass, 100*c.WidestWidth,
-			100*c.TargetMargin, 100*c.Confidence)
-	}
+	printConvergence(doc.Convergence)
 	return nil
 }
 

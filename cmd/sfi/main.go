@@ -262,15 +262,7 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		fmt.Print(rep.DetailedString()) // includes the convergence line
 	} else {
 		fmt.Print(rep)
-		if c := rep.Convergence; c != nil {
-			verdict := "converged"
-			if !c.Converged {
-				verdict = "NOT converged"
-			}
-			fmt.Printf("convergence: %s at n=%d — widest margin %s %.2f%% (target %.2f%% at %.0f%% confidence)\n",
-				verdict, c.Total, c.WidestClass, 100*c.WidestWidth,
-				100*c.TargetMargin, 100*c.Confidence)
-		}
+		printConvergence(rep.Convergence)
 	}
 
 	byUnit, byType := rep.Marginals()
@@ -304,6 +296,21 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		fmt.Print(sfi.TraceReport(rep, 50))
 	}
 	return nil
+}
+
+// printConvergence prints a report's convergence line, if it carries an
+// evaluation (sfi -margin, sfi report).
+func printConvergence(c *sfi.Convergence) {
+	if c == nil {
+		return
+	}
+	verdict := "converged"
+	if !c.Converged {
+		verdict = "NOT converged"
+	}
+	fmt.Printf("convergence: %s at n=%d — widest margin %s %.2f%% (target %.2f%% at %.0f%% confidence)\n",
+		verdict, c.Total, c.WidestClass, 100*c.WidestWidth,
+		100*c.TargetMargin, 100*c.Confidence)
 }
 
 // reportUnits lists the units to render in the -units breakdown: the

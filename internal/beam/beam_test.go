@@ -1,6 +1,7 @@
 package beam
 
 import (
+	"math"
 	"testing"
 )
 
@@ -94,5 +95,18 @@ func TestCalibrateAgreement(t *testing.T) {
 	}
 	if p > 0.01 {
 		t.Errorf("mismatched distributions accepted: stat=%f p=%f", stat, p)
+	}
+}
+
+// An outcome class SFI never saw but the beam did is a total mismatch:
+// the statistic is +Inf and the p-value 0 (Table 2 printed p = NaN).
+func TestCalibrateUnseenClass(t *testing.T) {
+	rep := &Report{Strikes: 1000, Vanished: 950, Corrected: 40, Checkstop: 10}
+	stat, p, err := Calibrate(0.99, 0, 0.01, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(stat, 1) || p != 0 {
+		t.Errorf("stat %v, p %v; want +Inf, 0", stat, p)
 	}
 }

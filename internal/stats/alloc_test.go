@@ -187,43 +187,3 @@ func TestAllocateDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// strataEstimator builds a warmed estimator exercising the whole Converged
-// path: overall classes plus a stratified pass over live strata.
-func strataEstimator() *Estimator {
-	est := NewEstimator(allocClasses, StopRule{TargetMargin: 0.9, MinPerClass: 1, Strata: true})
-	est.TrackStrata(map[string]int{"FXU/FUNC": 500, "LSU/FUNC": 500, "IFU/MODE": 500})
-	for i := 0; i < 300; i++ {
-		est.ObserveStratum(1, "FXU", "FUNC", "FXU/FUNC")
-		est.ObserveStratum(2, "LSU", "FUNC", "LSU/FUNC")
-		est.ObserveStratum(1, "IFU", "MODE", "IFU/MODE")
-	}
-	return est
-}
-
-// The convergence monitor polls Converged every few milliseconds for the
-// whole campaign; the poll must not rebuild per-stratum maps each time.
-// After the first (buffer-warming) call the steady-state poll performs no
-// allocation at all.
-func TestConvergedPollAllocationBounded(t *testing.T) {
-	est := strataEstimator()
-	if !est.Converged() { // warm the snapshot buffers
-		t.Fatal("estimator should be converged under the wide test margin")
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		est.Converged()
-	})
-	if avg > 0.5 {
-		t.Errorf("Converged poll allocates %.1f objects/op in steady state, want 0", avg)
-	}
-}
-
-func BenchmarkEstimatorConvergedPoll(b *testing.B) {
-	est := strataEstimator()
-	est.Converged()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Converged()
-	}
-}

@@ -1,61 +1,30 @@
 package stats
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Estimator folds a concurrent stream of classified campaign outcomes into
-// sequential Wilson intervals under a StopRule. Campaign workers call
-// Observe from their injection loops (lock-free: atomic counters, plus one
-// lazily-created row per unit/latch-class stratum); a monitor polls
-// Converged to drive early-stop and Snapshot for the full per-class view.
-// Class names are fixed at construction and indexed by outcome code, so the
-// hot path never touches a map for the global counters; index 0 (and any
-// other empty name) is padding for the invalid zero code, excluded from
-// evaluation.
+// Estimator counts a stream of classified campaign outcomes on one goroutine
+// and evaluates a StopRule over the counts with the one evaluation a
+// campaign report makes (Eval, AddStrata, AddSampleStrata): fed a report's
+// results, its Snapshot is the report's ComputeConvergence. Campaigns stop on
+// settled report counts, not on an Estimator. Class names are fixed at
+// construction and indexed by outcome code; index 0 (and any other empty
+// name) is padding for the invalid zero code, excluded from evaluation.
 type Estimator struct {
 	rule    StopRule
 	classes []string
-	total   atomic.Int64
-	counts  []atomic.Int64
-	byUnit  sync.Map // unit name -> *stratumRow
-	byType  sync.Map // latch-class name -> *stratumRow
-	byCross sync.Map // sample-plan stratum key ("unit/latch-class") -> *stratumRow
-	rows    atomic.Int64
+	all     row
+	byUnit  map[string]*row
+	byType  map[string]*row
+	byCross map[string]*row // sample-plan stratum key ("unit/latch-class") -> row
 
 	// pops maps sample-plan stratum key -> census population; non-nil once
-	// TrackStrata armed stratified tracking.
+	// TrackStrata armed stratified evaluation.
 	pops map[string]int
-
-	// snapMu guards the reusable snapshot buffers below. The convergence
-	// monitor polls every 5 ms when early-stop is armed; rebuilding full
-	// maps per poll made the poll allocation-heavy, so each strata map gets
-	// a cached row list (rebuilt only when a stratum appears — the `rows`
-	// stamp) and per-row count buffers overwritten in place.
-	snapMu sync.Mutex
-	snaps  map[*sync.Map]*strataSnap
 }
 
-type stratumRow struct {
-	total  atomic.Int64
-	counts []atomic.Int64
-}
-
-// strataSnap is the reusable snapshot buffer for one strata map. The out
-// map and each row's counts map are overwritten on every poll, so the
-// value strataCounts returns is valid only until the next poll — callers
-// must consume it (fold it into ClassIntervals) before releasing snapMu.
-type strataSnap struct {
-	stamp int64
-	rows  []snapRow
-	out   map[string]StratumCounts
-}
-
-type snapRow struct {
-	name   string
-	row    *stratumRow
-	counts map[string]int64
+// row is one population's sample total and its per-class counts, indexed by
+// outcome code.
+type row struct {
+	total  int64
+	counts []int64
 }
 
 // NewEstimator builds an estimator tracking the given classes (indexed by
@@ -64,159 +33,91 @@ func NewEstimator(classes []string, rule StopRule) *Estimator {
 	return &Estimator{
 		rule:    rule.normalized(),
 		classes: classes,
-		counts:  make([]atomic.Int64, len(classes)),
-		snaps:   make(map[*sync.Map]*strataSnap),
+		all:     row{counts: make([]int64, len(classes))},
+		byUnit:  make(map[string]*row),
+		byType:  make(map[string]*row),
+		byCross: make(map[string]*row),
 	}
 }
 
-// Rule returns the (normalized) stopping rule the estimator evaluates.
-func (e *Estimator) Rule() StopRule { return e.rule }
-
-// TrackStrata arms stratified tracking: Observe additionally folds each
-// sample into its unit × latch-class cross stratum, Snapshot attaches the
-// ByStratum breakdown, and — when the rule's Strata gate is set — Converged
-// requires every stratum's margins too. populations maps stratum key
-// ("unit/latch-class") to census size so exhausted strata are final. Call
-// before the first Observe; nil-safe.
+// TrackStrata arms stratified evaluation: Snapshot evaluates every stratum
+// of populations (key "unit/latch-class" -> census size), sampled or not,
+// as a report's ComputeConvergence evaluates its Census, so exhausted
+// strata are final and unsampled ones gate the verdict with zero counts.
 func (e *Estimator) TrackStrata(populations map[string]int) {
-	if e == nil {
-		return
-	}
 	e.pops = populations
 }
 
-// Observe folds one classified injection: code is the outcome class index;
-// unit and latchType name the strata the sample belongs to (empty = skip
-// that breakdown). Safe for concurrent use; nil-safe (a nil estimator
-// ignores the call). Out-of-range codes are counted toward the total only.
-func (e *Estimator) Observe(code int, unit, latchType string) {
-	if e == nil {
-		return
-	}
-	stratum := ""
-	if e.pops != nil && unit != "" && latchType != "" {
-		stratum = unit + "/" + latchType
-	}
-	e.observeSample(code, unit, latchType, stratum)
-}
-
-// ObserveStratum is Observe for stratified campaign workers: stratum is the
-// sample's plan key ("unit/latch-class"), precomputed per batch so the hot
-// path does not rebuild it per sample.
+// ObserveStratum folds one classified injection: code is the outcome class
+// index; unit, latchType and stratum (the sample's plan key) name the
+// populations it belongs to, an empty name skipping that breakdown. An
+// out-of-range code counts toward the totals only.
 func (e *Estimator) ObserveStratum(code int, unit, latchType, stratum string) {
-	if e == nil {
+	e.all.observe(code)
+	e.observe(e.byUnit, unit, code)
+	e.observe(e.byType, latchType, code)
+	e.observe(e.byCross, stratum, code)
+}
+
+func (e *Estimator) observe(rows map[string]*row, name string, code int) {
+	if name == "" {
 		return
 	}
-	e.observeSample(code, unit, latchType, stratum)
+	r := rows[name]
+	if r == nil {
+		r = &row{counts: make([]int64, len(e.classes))}
+		rows[name] = r
+	}
+	r.observe(code)
 }
 
-func (e *Estimator) observeSample(code int, unit, latchType, stratum string) {
-	e.total.Add(1)
-	if code >= 0 && code < len(e.counts) {
-		e.counts[code].Add(1)
-	}
-	if unit != "" {
-		e.stratum(&e.byUnit, unit).observe(code)
-	}
-	if latchType != "" {
-		e.stratum(&e.byType, latchType).observe(code)
-	}
-	if stratum != "" {
-		e.stratum(&e.byCross, stratum).observe(code)
+func (r *row) observe(code int) {
+	r.total++
+	if code >= 0 && code < len(r.counts) {
+		r.counts[code]++
 	}
 }
 
-func (e *Estimator) stratum(m *sync.Map, name string) *stratumRow {
-	if row, ok := m.Load(name); ok {
-		return row.(*stratumRow)
+// stratum returns the row's counts by class name; a nil row (a population
+// not sampled yet) has none.
+func (r *row) stratum(classes []string) StratumCounts {
+	if r == nil {
+		return StratumCounts{}
 	}
-	row, loaded := m.LoadOrStore(name, &stratumRow{counts: make([]atomic.Int64, len(e.classes))})
-	if !loaded {
-		// Bumped after the store so a snapshot never caches a stamp that
-		// already covers a row it has not seen; the new row is at worst one
-		// poll late.
-		e.rows.Add(1)
-	}
-	return row.(*stratumRow)
-}
-
-func (s *stratumRow) observe(code int) {
-	s.total.Add(1)
-	if code >= 0 && code < len(s.counts) {
-		s.counts[code].Add(1)
-	}
-}
-
-// Total returns the number of samples observed so far.
-func (e *Estimator) Total() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.total.Load()
-}
-
-// Converged is the monitor's cheap poll: true once every tracked class's
-// interval is within the rule's margin and — for stratified campaigns with
-// the rule's Strata gate armed — every sampling stratum has converged or
-// been exhausted. Counters are read individually; mid-injection skew of a
-// few samples only delays the verdict by one poll. Allocation-bounded: the
-// stratum pass reuses the snapshot buffers.
-func (e *Estimator) Converged() bool {
-	if e == nil || !e.rule.Enabled() {
-		return false
-	}
-	n := e.total.Load()
-	if n < int64(e.rule.MinPerClass) {
-		return false
-	}
-	for i, class := range e.classes {
-		if class == "" {
-			continue
-		}
-		lo, hi := SequentialWilson(int(e.counts[i].Load()), int(n), e.rule.Confidence)
-		if hi-lo > e.rule.TargetMargin {
-			return false
+	s := StratumCounts{Counts: make(map[string]int64, len(classes)), Total: r.total}
+	for i, class := range classes {
+		if class != "" {
+			s.Counts[class] = r.counts[i]
 		}
 	}
-	if e.rule.Strata && e.pops != nil {
-		e.snapMu.Lock()
-		defer e.snapMu.Unlock()
-		strata := e.strataCountsLocked(&e.byCross)
-		for name, pop := range e.pops {
-			if !e.rule.StratumConverged(e.classes, strata[name], pop) {
-				return false
-			}
-		}
-	}
-	return true
+	return s
 }
 
 // Snapshot evaluates the rule over the counts observed so far. strata adds
-// the per-unit and per-type breakdowns; the sampling-stratum breakdown is
-// always attached once TrackStrata armed it. Nil-safe (returns nil).
+// the per-unit and per-type breakdowns; the sampling-stratum breakdown, over
+// every stratum TrackStrata named, is always attached once it was armed.
 func (e *Estimator) Snapshot(strata bool) *Convergence {
-	if e == nil {
-		return nil
-	}
-	counts := make(map[string]int64, len(e.classes))
-	for i, class := range e.classes {
-		if class == "" {
-			continue
-		}
-		counts[class] = e.counts[i].Load()
-	}
-	c := e.rule.Eval(e.classes, counts, e.total.Load())
+	all := e.all.stratum(e.classes)
+	c := e.rule.Eval(e.classes, all.Counts, all.Total)
 	if strata {
-		e.snapMu.Lock()
-		c.AddStrata(e.rule, e.classes, e.strataCountsLocked(&e.byUnit), e.strataCountsLocked(&e.byType))
-		e.snapMu.Unlock()
+		c.AddStrata(e.rule, e.classes, e.strata(e.byUnit), e.strata(e.byType))
 	}
 	if e.pops != nil {
-		e.snapMu.Lock()
-		c.AddSampleStrata(e.rule, e.classes, e.strataCountsLocked(&e.byCross), e.pops)
-		e.snapMu.Unlock()
+		cross := make(map[string]StratumCounts, len(e.pops))
+		for key := range e.pops {
+			cross[key] = e.byCross[key].stratum(e.classes)
+		}
+		c.AddSampleStrata(e.rule, e.classes, cross, e.pops)
 	}
 	return c
+}
+
+func (e *Estimator) strata(rows map[string]*row) map[string]StratumCounts {
+	out := make(map[string]StratumCounts, len(rows))
+	for name, r := range rows {
+		out[name] = r.stratum(e.classes)
+	}
+	return out
 }
 
 // StrataStates returns the allocator's view of every sampling stratum in
@@ -227,66 +128,8 @@ func (e *Estimator) Snapshot(strata bool) *Convergence {
 func (e *Estimator) StrataStates(keys []string, populations map[string]int, drawn map[string]int) []StratumState {
 	out := make([]StratumState, 0, len(keys))
 	for _, key := range keys {
-		st := StratumState{Key: key, Population: populations[key], Drawn: drawn[key]}
-		if e != nil {
-			if row, ok := e.byCross.Load(key); ok {
-				r := row.(*stratumRow)
-				st.Total = r.total.Load()
-				st.Counts = make(map[string]int64, len(e.classes))
-				for i, class := range e.classes {
-					if class == "" {
-						continue
-					}
-					st.Counts[class] = r.counts[i].Load()
-				}
-			}
-		}
-		out = append(out, st)
+		s := e.byCross[key].stratum(e.classes)
+		out = append(out, StratumState{Key: key, Population: populations[key], Drawn: drawn[key], Total: s.Total, Counts: s.Counts})
 	}
 	return out
-}
-
-func (e *Estimator) strataCounts(m *sync.Map) map[string]StratumCounts {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	return e.strataCountsLocked(m)
-}
-
-// strataCountsLocked snapshots one strata map into its reusable buffer.
-// The row list is rebuilt only when the rows stamp moved (a stratum
-// appeared somewhere — strata are few and fixed per campaign, so this is
-// rare); the steady-state poll just overwrites the cached count maps in
-// place and performs no allocation. Callers hold snapMu and must consume
-// the returned map before releasing it.
-func (e *Estimator) strataCountsLocked(m *sync.Map) map[string]StratumCounts {
-	if e.snaps == nil {
-		e.snaps = make(map[*sync.Map]*strataSnap)
-	}
-	snap := e.snaps[m]
-	if snap == nil {
-		snap = &strataSnap{stamp: -1, out: make(map[string]StratumCounts)}
-		e.snaps[m] = snap
-	}
-	if stamp := e.rows.Load(); stamp != snap.stamp {
-		snap.stamp = stamp
-		snap.rows = snap.rows[:0]
-		m.Range(func(key, value any) bool {
-			snap.rows = append(snap.rows, snapRow{
-				name:   key.(string),
-				row:    value.(*stratumRow),
-				counts: make(map[string]int64, len(e.classes)),
-			})
-			return true
-		})
-	}
-	for _, sr := range snap.rows {
-		for i, class := range e.classes {
-			if class == "" {
-				continue
-			}
-			sr.counts[class] = sr.row.counts[i].Load()
-		}
-		snap.out[sr.name] = StratumCounts{Counts: sr.counts, Total: sr.row.total.Load()}
-	}
-	return snap.out
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// This file is the statistical core of adaptive campaigns: any-time-valid
+// This file is the statistical core of adaptive campaigns: sequential
 // Wilson intervals and the stopping rule that decides when a campaign has
 // answered its question. The paper's argument is that fault injection is a
 // statistical estimation problem — run *just enough* samples for a requested
@@ -29,15 +29,17 @@ func ZForConfidence(confidence float64) float64 {
 	return math.Sqrt2 * math.Erfinv(confidence)
 }
 
-// SequentialZ is the any-time-valid critical value for a Wilson interval
-// inspected at sample size n. The total error budget α = 1-confidence is
-// spent continuously over doubling epochs: the look at sample size n is
-// charged α_n = α/((e+1)(e+2)) with e = log₂(n), which telescopes to at
-// most α across all n ≥ 1 — so intervals built with this z hold
-// simultaneously at every n, and a monitor may stop the first time the
-// width target is met without inflating the false-stop rate. The continuous
-// e (rather than ⌊log₂ n⌋ epoch stitching) makes the resulting interval
-// width strictly shrink with n, which the monotone-shrink test locks in.
+// SequentialZ is the critical value for a Wilson interval inspected at
+// sample size n. The look at n is charged α_n = α/((e+1)(e+2)) of the error
+// budget α = 1-confidence, with e = log₂(n). Those charges telescope to at
+// most α over the looks at n = 2^k only (TestSequentialZDoublingBudget), so
+// the intervals hold simultaneously at the doubling sizes. A campaign looks
+// at many more n than those: summed over every n ≤ 20,000 the charges come
+// to 5.13 at α = 0.05, and a stop at the first n whose width meets the
+// target has no proven false-stop rate. ROADMAP item 14(b) replaces this
+// with a bound that holds at every n. The continuous e (rather than
+// ⌊log₂ n⌋ epoch stitching) makes the interval width strictly shrink with
+// n, which the monotone-shrink test locks in.
 func SequentialZ(confidence float64, n int) float64 {
 	if n < 1 {
 		n = 1
@@ -48,10 +50,10 @@ func SequentialZ(confidence float64, n int) float64 {
 	return ZForConfidence(1 - an)
 }
 
-// SequentialWilson returns the any-time-valid Wilson interval for k
-// successes out of n samples at the given confidence: WilsonInterval
-// evaluated at the inflated SequentialZ critical value. For n == 0 it is
-// the vacuous (0, 1).
+// SequentialWilson returns the sequential Wilson interval for k successes
+// out of n samples at the given confidence: WilsonInterval evaluated at the
+// inflated SequentialZ critical value (see there for what it guarantees).
+// For n == 0 it is the vacuous (0, 1).
 func SequentialWilson(k, n int, confidence float64) (lo, hi float64) {
 	if n == 0 {
 		return 0, 1
@@ -209,7 +211,6 @@ func (c *Convergence) AddStrata(r StopRule, classes []string, byUnit, byType map
 // sampling error, whatever its interval widths) or once it has met the
 // MinPerClass floor (capped at the stratum's population, so tiny strata
 // are not unreachable) with every class interval within TargetMargin.
-// Allocation-free — safe on the convergence poll path.
 func (r StopRule) StratumConverged(classes []string, s StratumCounts, population int) bool {
 	r = r.normalized()
 	if population > 0 && s.Total >= int64(population) {

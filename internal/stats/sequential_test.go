@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -154,42 +153,33 @@ func TestStopRuleDefaults(t *testing.T) {
 	}
 }
 
-func TestEstimatorConcurrent(t *testing.T) {
+func TestEstimatorCounts(t *testing.T) {
 	rule := StopRule{TargetMargin: 0.2, Confidence: 0.95, MinPerClass: 50}
 	est := NewEstimator([]string{"", "vanished", "sdc"}, rule)
 
-	const workers, each = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				code := 1
-				if i%10 == 0 {
-					code = 2
-				}
-				unit := "FXU"
-				if w%2 == 0 {
-					unit = "LSU"
-				}
-				est.Observe(code, unit, "functional")
+	const units, each = 8, 500
+	for u := 0; u < units; u++ {
+		for i := 0; i < each; i++ {
+			code := 1
+			if i%10 == 0 {
+				code = 2
 			}
-		}(w)
+			unit := "FXU"
+			if u%2 == 0 {
+				unit = "LSU"
+			}
+			est.ObserveStratum(code, unit, "functional", "")
+		}
 	}
-	wg.Wait()
 
-	if est.Total() != workers*each {
-		t.Fatalf("total = %d, want %d", est.Total(), workers*each)
-	}
 	c := est.Snapshot(true)
-	if c.Total != workers*each {
-		t.Fatalf("snapshot total = %d", c.Total)
+	if c.Total != units*each {
+		t.Fatalf("snapshot total = %d, want %d", c.Total, units*each)
 	}
 	for _, ci := range c.Classes {
-		want := int64(workers * each * 9 / 10)
+		want := int64(units * each * 9 / 10)
 		if ci.Class == "sdc" {
-			want = workers * each / 10
+			want = units * each / 10
 		}
 		if ci.K != want {
 			t.Errorf("%s k = %d, want %d", ci.Class, ci.K, want)
@@ -202,20 +192,32 @@ func TestEstimatorConcurrent(t *testing.T) {
 	for _, cis := range c.ByUnit {
 		unitTotal += cis[0].N
 	}
-	if unitTotal != workers*each {
-		t.Errorf("unit strata totals sum to %d, want %d", unitTotal, workers*each)
+	if unitTotal != units*each {
+		t.Errorf("unit strata totals sum to %d, want %d", unitTotal, units*each)
 	}
-	if !est.Converged() || !c.Converged {
+	if !c.Converged {
 		t.Errorf("estimator not converged at n=%d margin %.2f (widest %s %f)",
 			c.Total, rule.TargetMargin, c.WidestClass, c.WidestWidth)
 	}
 }
 
-func TestEstimatorNilSafe(t *testing.T) {
-	var est *Estimator
-	est.Observe(1, "u", "t")
-	if est.Total() != 0 || est.Converged() || est.Snapshot(true) != nil {
-		t.Error("nil estimator must be inert")
+// TestEstimatorGatesOnUnsampledStrata: every stratum TrackStrata names is
+// evaluated, sampled or not, so one the campaign has not reached yet holds
+// the verdict back under the Strata gate.
+func TestEstimatorGatesOnUnsampledStrata(t *testing.T) {
+	est := NewEstimator([]string{"", "vanished"}, StopRule{TargetMargin: 0.9, MinPerClass: 1, Strata: true})
+	est.TrackStrata(map[string]int{"FXU/FUNC": 500, "IFU/MODE": 500})
+	for i := 0; i < 300; i++ {
+		est.ObserveStratum(1, "FXU", "FUNC", "FXU/FUNC")
+	}
+	c := est.Snapshot(false)
+	if c.Converged || c.WidestStratum != "IFU/MODE" || len(c.ByStratum) != 2 {
+		t.Errorf("unsampled stratum not evaluated: converged %v, widest %q, %d strata",
+			c.Converged, c.WidestStratum, len(c.ByStratum))
+	}
+	est.ObserveStratum(1, "IFU", "MODE", "IFU/MODE")
+	if !est.Snapshot(false).Converged {
+		t.Error("not converged once every stratum met the floor under a wide margin")
 	}
 }
 
@@ -223,14 +225,27 @@ func TestEstimatorMinPerClassFloor(t *testing.T) {
 	// Even a huge margin must not converge before the floor is met.
 	est := NewEstimator([]string{"", "vanished"}, StopRule{TargetMargin: 2, MinPerClass: 100})
 	for i := 0; i < 99; i++ {
-		est.Observe(1, "", "")
+		est.ObserveStratum(1, "", "", "")
 	}
-	if est.Converged() {
+	if est.Snapshot(false).Converged {
 		t.Error("converged below the MinPerClass floor")
 	}
-	est.Observe(1, "", "")
-	if !est.Converged() {
+	est.ObserveStratum(1, "", "", "")
+	if !est.Snapshot(false).Converged {
 		t.Error("not converged at the floor with a vacuously wide margin")
+	}
+}
+
+// TestSequentialZDoublingBudget: what SequentialZ's comment claims — the
+// error charged to the looks at n = 2^k sums to at most α.
+func TestSequentialZDoublingBudget(t *testing.T) {
+	const confidence = 0.95
+	spent := 0.0
+	for k := 0; k <= 62; k++ {
+		spent += math.Erfc(SequentialZ(confidence, 1<<k) / math.Sqrt2)
+	}
+	if spent > 1-confidence {
+		t.Errorf("looks at n = 2^k spend %.4f, over α = %.2f", spent, 1-confidence)
 	}
 }
 

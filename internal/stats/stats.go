@@ -90,10 +90,14 @@ func ChiSquareStat(observed, expected []float64) (float64, error) {
 	return stat, nil
 }
 
-// ChiSquarePValue returns P(X² ≥ stat) for dof degrees of freedom.
+// ChiSquarePValue returns P(X² ≥ stat) for dof degrees of freedom; an
+// infinite statistic (a category expected never but observed) has p = 0.
 func ChiSquarePValue(stat float64, dof int) float64 {
-	if stat <= 0 || dof <= 0 {
+	switch {
+	case stat <= 0 || dof <= 0:
 		return 1
+	case math.IsInf(stat, 1):
+		return 0
 	}
 	return 1 - gammaIncLowerReg(float64(dof)/2, stat/2)
 }

@@ -114,6 +114,14 @@ func TestChiSquarePValueKnownValues(t *testing.T) {
 	}
 }
 
+// An infinite statistic (a category expected never but observed) rejects
+// outright: p = 0, not the NaN of 1 - P(a, +Inf).
+func TestChiSquarePValueInfinite(t *testing.T) {
+	if p := ChiSquarePValue(math.Inf(1), 2); p != 0 {
+		t.Errorf("p(+Inf, 2) = %v, want 0", p)
+	}
+}
+
 func TestQuickPValueMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 5))
