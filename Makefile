@@ -176,12 +176,16 @@ lines:
 # whose bits are its counters, thermal sensor and debug trace: groups the
 # model wrote every cycle and never read, which it now registers idle and
 # does not simulate, so a held fault there must leave the report as it was
-# when the writes ran. The fixed-window shape costs ~20 ms an injection and awan's default
+# when the writes ran. `-flips 73701` is the census, every latch bit of the
+# default configuration injected once (a few seconds a side): a change to the
+# engine is byte-checked on each bit's outcome, not on a few thousand sampled
+# ones. The fixed-window shape costs ~20 ms an injection and awan's default
 # design has 1,600 bits, so each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
 CMP_SHAPES = \
 	-flips 600| \
+	-flips 73701| \
 	-flips 600 -sticky| \
 	-flips 600 -sticky -duration 200| \
 	-flips 600 -span 3| \

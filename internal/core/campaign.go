@@ -136,8 +136,9 @@ type StopConfig struct {
 
 	// Confidence is the two-sided confidence level the margin must hold
 	// at (default stats.DefaultConfidence). Intervals are sequential
-	// (any-time-valid), so the level survives the continuous peeking an
-	// early-stopping monitor does.
+	// (stats.SequentialZ), but the level is proven only over the looks at
+	// n = 2^k, not over every look an early-stopping monitor makes
+	// (ROADMAP 14(b) replaces the bound).
 	Confidence float64 `json:"confidence,omitempty"`
 
 	// MinPerClass is the minimum sample count before convergence may be

@@ -171,7 +171,11 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // cycles that write no scan state fails here and not only in the benchmark.
 // So is the number of stepped cycles the clocked cores applied by arithmetic
 // (proc.Core.Advance's counter-only stall runs), so that a change which
-// takes the bulk path less, or never, fails here too.
+// takes the bulk path less, or never, fails here too. So is the number of
+// phased-checkpoint restores the backends made (the clone's own included):
+// one per injection while every ReloadPhase restored (501, 3001, 3001, 3001),
+// now only for an injection that needs the model — every held fault does —
+// so the restores an injection on the record skips show here.
 // All are exact and repeat on any host.
 func TestEarlyExitCount(t *testing.T) {
 	for _, tc := range []struct {
@@ -180,12 +184,12 @@ func TestEarlyExitCount(t *testing.T) {
 		seed                         uint64
 		mut                          func(*RunnerConfig)
 		observed, stepped, refreshes uint64
-		bulk                         uint64
+		bulk, restores               uint64
 	}{
-		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69, 12854},
-		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397, 88082},
-		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409, 95177},
-		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027, 259438},
+		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69, 12854, 35},
+		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397, 88082, 199},
+		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409, 95177, 205},
+		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027, 259438, 3001},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultCampaignConfig()
@@ -216,6 +220,9 @@ func TestEarlyExitCount(t *testing.T) {
 			if got := cores.bulk(); got != tc.bulk {
 				t.Errorf("%d of %d stepped cycles advanced in bulk, want %d", got, m.SteppedCycles, tc.bulk)
 			}
+			if got := cores.restores(); got != tc.restores {
+				t.Errorf("%d checkpoint restores over %d injections, want %d", got, rep.Total, tc.restores)
+			}
 		})
 	}
 }
@@ -223,9 +230,10 @@ func TestEarlyExitCount(t *testing.T) {
 // coreCounter registers a p6lite backend of its own and keeps every core it
 // and its clones build, to count what they did.
 type coreCounter struct {
-	mu    sync.Mutex
-	cores []*proc.Core
-	built []uint64 // each core's BulkCycles when kept: its construction's
+	mu       sync.Mutex
+	backends []*p6lite.Backend
+	cores    []*proc.Core
+	built    []uint64 // each core's BulkCycles when kept: its construction's
 }
 
 // backend registers the counting backend and returns its name.
@@ -245,6 +253,7 @@ func (cc *coreCounter) backend() string {
 func (cc *coreCounter) keep(be *p6lite.Backend) engine.Backend {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	cc.backends = append(cc.backends, be)
 	cc.cores = append(cc.cores, be.Core())
 	cc.built = append(cc.built, be.Core().BulkCycles())
 	return countedBackend{be, cc}
@@ -257,6 +266,16 @@ func (cc *coreCounter) bulk() (n uint64) {
 	defer cc.mu.Unlock()
 	for i, c := range cc.cores {
 		n += c.BulkCycles() - cc.built[i]
+	}
+	return n
+}
+
+// restores sums the checkpoint restores of the kept backends.
+func (cc *coreCounter) restores() (n uint64) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for _, b := range cc.backends {
+		n += b.Restores()
 	}
 	return n
 }

@@ -234,7 +234,9 @@ func (r *Runner) RunInjection(bit int) Result {
 	ckIdx, delay := injectionSchedule(bit, r.be.Phases())
 
 	// Observability is off (nil) by default; the instrumented path times
-	// the restore and propagation phases for metrics and trace events.
+	// the restore and propagation phases for metrics and trace events. The
+	// restore is the ReloadPhase call: a backend that restores lazily
+	// bills the model's restore to the call that needs it.
 	observed := r.obs != nil || r.trace != nil
 	var t0 time.Time
 	var restoreNs int64

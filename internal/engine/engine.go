@@ -102,7 +102,9 @@ type Backend interface {
 
 	// Phases returns the number of phased checkpoints; ReloadPhase
 	// restores the model (and the backend's workload tracking) to one of
-	// them, clearing any sticky force.
+	// them, clearing any sticky force. Like Step, a backend may put the
+	// restore off until something needs the model, as long as every later
+	// answer is what the restored model would have given.
 	Phases() int
 	ReloadPhase(p int)
 

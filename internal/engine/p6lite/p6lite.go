@@ -20,10 +20,19 @@
 // good if it overwrites the word first. In each case the recorded barriers
 // are replayed to the caller instead, and a model once off the record stays
 // off it (DESIGN.md "Early exit against golden").
+//
+// Nor does the backend restore a checkpoint no cycle is clocked from:
+// ReloadPhase only names the phase, and the model is restored the first time
+// something needs it — a catch-up, a flip into a bit the model can read, a
+// clocked cycle, Core. A toggle confined to never-read bits is deferred like a
+// tracked one, for good, so an injection that stays on the record restores
+// nothing, and until the model is restored the run's reads (Cycle, Verdict,
+// FIRNames, CheckBarrier) are answered from the record.
 package p6lite
 
 import (
 	"fmt"
+	"slices"
 
 	"sfi/internal/avp"
 	"sfi/internal/engine"
@@ -64,6 +73,18 @@ type Backend struct {
 	barriers  []uint64
 	log       *latch.AccessLog
 	baseRecov uint64
+	// polls[p] is what Verdict and FIRNames read off the model at ckpts[p]:
+	// what they answer while the model is stale.
+	polls []poll
+
+	// phase is the checkpoint the last ReloadPhase named. stale: the model
+	// has not been restored from it yet, and holds whatever the injection
+	// before left in it. model restores it; until then nothing reads the
+	// model, and the run is on the record at Cycle() = barriers[phase]+ahead.
+	phase int
+	stale bool
+	// restores counts the checkpoint restores model has made.
+	restores uint64
 
 	// barrier is the number of testends observed since ckpts[0] (stepped or
 	// replayed): the retired testcase is barrier-1 modulo the program's
@@ -81,8 +102,9 @@ type Backend struct {
 	// deferred: Inject has kept the toggle fault pend, made at observed cycle
 	// flipAt, out of the model. Every bit of it is never read or in a
 	// tracked group, and the recorded run reads no flipped word before cycle
-	// liveAt (latch.Never: not at all, or not before overwriting it), so up
-	// to there the faulty run is the recorded one and replay goes on. A run
+	// liveAt (latch.Never: not at all, or not before overwriting it; always,
+	// for a flip confined to never-read bits), so up to there the faulty run
+	// is the recorded one and replay goes on. A run
 	// that wants cycle liveAt, or the end of the record, or another Inject,
 	// has catchUp clock the model to flipAt, flip it there, and go on live.
 	// liveAt is latch.Never when nothing is deferred.
@@ -184,10 +206,21 @@ func New(cfg engine.Config) (engine.Backend, error) {
 		b.barriers = append(b.barriers, c.Cycle)
 	}
 	b.log = c.DB().StopRecording()
-	// Leave the model at phase 0, and not golden: what a caller does to a new
-	// backend's model before its first ReloadPhase is not on the record.
-	c.RestoreCheckpoint(b.ckpts[0])
+	// Poll each checkpoint as Verdict and FIRNames poll the model, ending on
+	// phase 0, where the model is left, and not golden: what a caller does to
+	// a new backend's model before its first ReloadPhase is not on the record.
+	b.polls = make([]poll, len(b.ckpts))
+	for p := len(b.ckpts) - 1; p >= 0; p-- {
+		c.RestoreCheckpoint(b.ckpts[p])
+		b.polls[p] = poll{b.verdict(), b.firNames()}
+	}
 	return b, nil
+}
+
+// poll is what Verdict and FIRNames read off a model.
+type poll struct {
+	verdict engine.Verdict
+	fir     []string
 }
 
 // runToTestEnd clocks a fault-free core to its next testend barrier, its
@@ -223,26 +256,34 @@ func (b *Backend) Clone() engine.Backend {
 		barriers:  b.barriers,
 		log:       b.log,
 		baseRecov: b.baseRecov,
+		polls:     b.polls,
 	}
-	// Synchronize counters and capture state with a (dirty-path) reload.
+	// Synchronize counters and capture state with a (dirty-path) reload: the
+	// model starts at the adopted baseline, which is no checkpoint.
 	nb.ReloadPhase(0)
+	nb.model()
 	return nb
 }
 
 // Core exposes the underlying model (bench and experiment access; the
-// campaign layer stays behind the Backend interface).
-func (b *Backend) Core() *proc.Core { return b.core }
+// campaign layer stays behind the Backend interface), restored from the
+// phased checkpoint ReloadPhase named if it was not yet.
+func (b *Backend) Core() *proc.Core { return b.model() }
 
-// DB exposes the model's latch database.
+// DB exposes the model's latch database without restoring the model: the
+// population and its metadata are the same whatever the model holds, but a
+// latch value read through it is the model's, which Core brings up to date
+// after a ReloadPhase.
 func (b *Backend) DB() *latch.DB { return b.core.DB() }
 
 // Phases returns the phased-checkpoint count (one per AVP testcase).
 func (b *Backend) Phases() int { return len(b.prog.Testcases) }
 
-// ReloadPhase restores phased checkpoint p and its testcase tracking,
-// clearing any sticky force.
+// ReloadPhase resets the testcase tracking to phased checkpoint p, clearing
+// any sticky force. It does not restore the model: model does, the first
+// time something needs it.
 func (b *Backend) ReloadPhase(p int) {
-	b.core.RestoreCheckpoint(b.ckpts[p])
+	b.phase, b.stale = p, true
 	b.stickyOn = false
 	b.barrier = p
 	b.golden = true
@@ -273,6 +314,23 @@ func (b *Backend) replay(limit uint64) (n uint64, testend bool) {
 // onRecord reports whether the model is on the recorded trajectory with a
 // recorded testend still ahead of it.
 func (b *Backend) onRecord() bool { return b.golden && b.barrier+1 < len(b.barriers) }
+
+// model returns the core, first restoring it from the phased checkpoint
+// ReloadPhase named if it is stale.
+func (b *Backend) model() *proc.Core {
+	if b.stale {
+		b.core.RestoreCheckpoint(b.ckpts[b.phase])
+		b.stale = false
+		b.restores++
+	}
+	return b.core
+}
+
+// Restores returns how many times the model has been restored from a phased
+// checkpoint since the backend was built: once for a clone, then at most
+// once per ReloadPhase, and not at all for an injection that stays on the
+// record.
+func (b *Backend) Restores() uint64 { return b.restores }
 
 // Step observes one cycle. While the model is on the record it is not
 // clocked: the cycle is counted, and a recorded testend is reported, exactly
@@ -330,11 +388,12 @@ func (b *Backend) advance(limit uint64) (uint64, proc.Event) {
 	return k, ev
 }
 
-// catchUp clocks the cycles observed by replay, so that the model itself is
-// at Cycle(), putting a deferred flip into it at the cycle it was made — which
-// takes the model off the record. Their testends are already counted; those
-// Run observed are billed to it.
+// catchUp restores a stale model and clocks the cycles observed by replay,
+// so that the model itself is at Cycle(), putting a deferred flip into it at
+// the cycle it was made — which takes the model off the record. Their
+// testends are already counted; those Run observed are billed to it.
 func (b *Backend) catchUp() {
+	b.model()
 	b.stepped += b.ahead - b.unbilled
 	b.unbilled = 0
 	if b.deferred {
@@ -363,7 +422,7 @@ func (b *Backend) span(inj engine.Injection) int {
 // flip inverts inj's bits in the model, as it is, and returns the first bit
 // and its new value.
 func (b *Backend) flip(inj engine.Injection) (first latch.BitRef, v bool) {
-	db := b.core.DB()
+	db := b.model().DB()
 	first = db.BitRef(inj.Bit)
 	v = first.Flip()
 	for i, n := 1, b.span(inj); i < n; i++ {
@@ -376,10 +435,11 @@ func (b *Backend) flip(inj engine.Injection) (first latch.BitRef, v bool) {
 // of its span) is flipped, and in sticky mode the flipped value is re-forced
 // after every subsequent cycle until the duration expires. It asks each
 // flipped bit whether it is never read (latch.Group.NeverRead: outside its
-// group's read set): a toggle or a held fault confined to such bits goes
-// into the model where it stands, with no catch-up, and the run replays the
-// record to quiesce. It also snapshots the recovery count as the quiesce
-// baseline for CheckBarrier's busy test.
+// group's read set): a held fault confined to such bits goes into the model
+// where it stands, with no catch-up, and a toggle on the record stays out of
+// it, as one into a tracked word does; either way the run replays the record
+// to quiesce. It also snapshots the recovery count as the quiesce baseline
+// for CheckBarrier's busy test.
 func (b *Backend) Inject(inj engine.Injection) error {
 	db := b.core.DB()
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
@@ -395,13 +455,12 @@ func (b *Backend) Inject(inj engine.Injection) error {
 	// the cycle the record first reads the word, unless it overwrites it
 	// first; the next one for anything else. The fault is as live as its
 	// first-read bit (a held fault holds the first of them).
-	now, live, tracked := b.Cycle(), latch.Never, false
+	now, live := b.Cycle(), latch.Never
 	for i, n := 0, b.span(inj); i < n && live > now; i++ {
 		g, e, bit := db.Locate(inj.Bit + i)
 		switch {
 		case g.NeverRead(e, bit):
 		case g.Tracked && inj.Mode == engine.Toggle && b.onRecord():
-			tracked = true
 			live = min(live, b.log.LiveAt(g, e, now))
 		default:
 			live = now
@@ -413,11 +472,11 @@ func (b *Backend) Inject(inj engine.Injection) error {
 		// leaves the record.
 		b.catchUp()
 		b.golden = false
-	case tracked:
+	case inj.Mode == engine.Toggle && b.golden:
 		// The model stays on the record up to cycle live, and the flip
-		// stays out of it.
+		// stays out of it. The record's recovery count is the model's.
 		b.deferred, b.pend, b.flipAt, b.liveAt = true, inj, now, live
-		b.lastActivity = b.core.Recoveries
+		b.lastActivity = b.baseRecov + b.polls[b.phase].verdict.Recoveries
 		return nil
 	}
 	// Into the model as it is: a never-read flip need not even find it at
@@ -518,8 +577,11 @@ func (b *Backend) Run(maxCycles int, onBarrier func() bool) (st engine.RunStats)
 // digest), and reports whether recovery activity happened since the previous
 // barrier. A replayed barrier (the model is behind the observed cycle) is a
 // fault-free one: its state is the golden state, and the recovery count
-// cannot have moved.
+// cannot have moved — nor, with the model stale, is the run in recovery.
 func (b *Backend) CheckBarrier() engine.BarrierCheck {
+	if b.stale {
+		return engine.BarrierCheck{StateOK: true}
+	}
 	c := b.core
 	ok := b.ahead != 0
 	if !ok {
@@ -536,8 +598,17 @@ func (b *Backend) CheckBarrier() engine.BarrierCheck {
 }
 
 // Verdict polls the machine-check state: checkstop, first-error trace,
-// recovery count since construction, and correction evidence.
+// recovery count since construction, and correction evidence. A stale model
+// answers what its checkpoint does, which a fault-free run does not change.
 func (b *Backend) Verdict() engine.Verdict {
+	if b.stale {
+		return b.polls[b.phase].verdict
+	}
+	return b.verdict()
+}
+
+// verdict polls the model as it is.
+func (b *Backend) verdict() engine.Verdict {
 	c := b.core
 	v := engine.Verdict{
 		Checkstop:  c.Checkstopped(),
@@ -560,8 +631,17 @@ func (b *Backend) Verdict() engine.Verdict {
 
 // FIRNames returns the names of the checkers whose fault-isolation-register
 // bits are currently set — the FIR poll the paper's host does after each
-// injection, used for structured trace events.
+// injection, used for structured trace events. A stale model answers what
+// its checkpoint does.
 func (b *Backend) FIRNames() []string {
+	if b.stale {
+		return slices.Clone(b.polls[b.phase].fir)
+	}
+	return b.firNames()
+}
+
+// firNames polls the model's FIRs as they are.
+func (b *Backend) firNames() []string {
 	var out []string
 	for _, ch := range b.core.Checkers() {
 		if b.core.FIRBit(ch.ID) {
@@ -572,5 +652,11 @@ func (b *Backend) FIRNames() []string {
 }
 
 // Cycle returns the current machine cycle as observed: the model's own
-// cycle plus the cycles Run replayed without clocking it.
-func (b *Backend) Cycle() uint64 { return b.core.Cycle + b.ahead }
+// cycle plus the cycles Run replayed without clocking it, counted from its
+// checkpoint's while the model is stale.
+func (b *Backend) Cycle() uint64 {
+	if b.stale {
+		return b.barriers[b.phase] + b.ahead
+	}
+	return b.core.Cycle + b.ahead
+}

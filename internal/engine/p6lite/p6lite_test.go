@@ -238,7 +238,8 @@ func diffStates(t *testing.T, a, b fullState) {
 // dirty-tracking restore path is bit-identical to the full Snapshot/CopyFrom
 // path, across toggle, sticky and multi-bit-span injections, including
 // cross-checkpoint reloads (restore to a checkpoint other than the one the
-// machine last reloaded).
+// machine last reloaded). The dirty restore is the one the first Core()
+// after ReloadPhase makes.
 func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 	cases := []struct {
 		name string
@@ -251,7 +252,6 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newBackend(t)
-			c := b.Core()
 			for runIdx, phase := range []int{2, 0, 2} {
 				// Perturb: inject into a latch that is live during the
 				// AVP (a GPR word) and run a window.
@@ -264,12 +264,14 @@ func TestDirtyRestoreMatchesFullRestore(t *testing.T) {
 
 				// Dirty path (RestoreCheckpoint picks it: baselines match).
 				b.ReloadPhase(phase)
+				c := b.Core()
 				dirty := captureState(c)
-				// Full path from an arbitrary dirtied state.
+				// Full path from an arbitrary dirtied state: every cycle
+				// clocked, so a deferred flip is in the model too.
 				if err := b.Inject(engine.Injection{Bit: inj.Bit, Mode: engine.Toggle}); err != nil {
 					t.Fatal(err)
 				}
-				b.Run(500, nil)
+				b.steppedRun(500, nil)
 				c.RestoreCheckpointFull(b.ckpts[phase])
 				full := captureState(c)
 				diffStates(t, dirty, full)
@@ -291,10 +293,11 @@ func (b *Backend) eagerStep() engine.Event {
 
 // steppedRun is Run as it was before the early exit against golden: it
 // clocks every cycle it observes through eagerStep and never replays. It is
-// the oracle Run is compared with.
+// the oracle Run is compared with. Its progress watch starts from the model
+// as ReloadPhase once left it, restored, not from the previous injection's.
 func (b *Backend) steppedRun(maxCycles int, onBarrier func() bool) engine.RunStats {
 	var st engine.RunStats
-	c := b.core
+	c := b.Core()
 	lastCompleted := c.Completed
 	lastProgressCycle := c.Cycle
 	harnessLimit := uint64(2 * c.Config().HangLimit)
@@ -545,11 +548,19 @@ func TestEarlyExitOutlastsRecord(t *testing.T) {
 
 // TestDeferredFlip follows the def-use rule step by step on the flips the
 // fuzz seeds place around the record's own accesses: what Inject decides,
-// when the model is first clocked, and that a flip nothing reads before it is
-// overwritten, or before the run ends, clocks no cycle at all.
+// when the model is first restored and clocked, and that a flip nothing
+// reads before it is overwritten, or before the run ends, restores nothing
+// and clocks no cycle at all.
 func TestDeferredFlip(t *testing.T) {
 	b := newPair(t, engine.DefaultConfig()).fast
-	moved := func(phase int) uint64 { return b.core.Cycle - b.barriers[phase] }
+	// moved is how many cycles the model has been clocked from the phase's
+	// checkpoint: none while it is stale, not restored from it at all.
+	moved := func(phase int) uint64 {
+		if b.stale {
+			return 0
+		}
+		return b.core.Cycle - b.barriers[phase]
+	}
 	inject := func(bit uint32, delay uint16, inj engine.Injection) (phase int) {
 		t.Helper()
 		inj.Bit = int(bit)
@@ -589,19 +600,19 @@ func TestDeferredFlip(t *testing.T) {
 		// model is clocked to the flip, flipped and clocked on.
 		phase := inject(bit, d-2, toggle)
 		readAt := b.barriers[phase] + uint64(d)
-		if !b.deferred || !b.golden || b.liveAt != readAt || moved(phase) != 0 {
-			t.Fatalf("%s: deferred=%v golden=%v liveAt=%d, model %d cycles on, want a deferred flip live at %d and the model at its checkpoint",
-				group, b.deferred, b.golden, b.liveAt, moved(phase), readAt)
+		if !b.deferred || !b.golden || b.liveAt != readAt || !b.stale {
+			t.Fatalf("%s: deferred=%v golden=%v liveAt=%d stale=%v, want a deferred flip live at %d and the model not restored",
+				group, b.deferred, b.golden, b.liveAt, b.stale, readAt)
 		}
 		before := b.DB().Peek(int(bit))
 		b.Step()
-		if !b.deferred || moved(phase) != 0 || b.DB().Peek(int(bit)) != before {
-			t.Fatalf("%s: the cycle before the read clocked the model %d cycles", group, moved(phase))
+		if !b.deferred || !b.stale || b.DB().Peek(int(bit)) != before {
+			t.Fatalf("%s: the cycle before the read restored the model (%v) or clocked it %d cycles", group, !b.stale, moved(phase))
 		}
 		b.Step()
-		if b.deferred || b.golden || moved(phase) != uint64(d) {
-			t.Fatalf("%s: the cycle of the read left deferred=%v golden=%v, model %d cycles on, want %d",
-				group, b.deferred, b.golden, moved(phase), d)
+		if b.deferred || b.golden || b.stale || moved(phase) != uint64(d) {
+			t.Fatalf("%s: the cycle of the read left deferred=%v golden=%v stale=%v, model %d cycles on, want %d",
+				group, b.deferred, b.golden, b.stale, moved(phase), d)
 		}
 		// A held fault is never deferred.
 		inject(bit, d-2, engine.Injection{Mode: engine.Sticky})
@@ -620,8 +631,8 @@ func TestDeferredFlip(t *testing.T) {
 		if !b.deferred || b.liveAt != latch.Never {
 			t.Fatalf("%s: deferred=%v liveAt=%d, want a flip that is never read", group, b.deferred, b.liveAt)
 		}
-		if st := b.Run(b.cfg.Window, quiesce()); st.Stepped != 0 || moved(phase) != 0 || st.Barriers != b.cfg.QuiesceExit {
-			t.Fatalf("%s: %+v with the model clocked %d cycles, want a run replayed whole", group, st, moved(phase))
+		if st := b.Run(b.cfg.Window, quiesce()); st.Stepped != 0 || !b.stale || st.Barriers != b.cfg.QuiesceExit {
+			t.Fatalf("%s: %+v with the model restored (%v) and clocked %d cycles, want a run replayed whole", group, st, !b.stale, moved(phase))
 		}
 		// A second fault puts the first into the model where it was made.
 		phase = inject(bit, d-1, toggle)
@@ -663,8 +674,9 @@ func TestDeferredFlip(t *testing.T) {
 
 // TestClonesShareTheRecord runs the same injections on four clones at once,
 // each on its own goroutine: they share one access log, one set of sparse
-// checkpoint images and one baseline, read-only. Every clone must defer the
-// flips the record lets it defer, and all must see what a lone backend sees.
+// checkpoint images, one baseline and the checkpoints' polls, read-only.
+// Every clone must defer the flips the record lets it defer, restoring
+// nothing for them, and all must see what a lone backend sees.
 func TestClonesShareTheRecord(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	proto := newPair(t, cfg).fast
@@ -681,14 +693,14 @@ func TestClonesShareTheRecord(t *testing.T) {
 	}
 	type outcome struct {
 		obs  []observation
-		free int // injections that clocked nothing
+		free int // injections that restored and clocked nothing
 	}
 	run := func(b *Backend) outcome {
 		var out outcome
 		for _, s := range shots {
 			o := observe(t, b, false, s, cfg.Window, cfg.QuiesceExit)
 			out.obs = append(out.obs, o)
-			if o.stats.Stepped == 0 && b.core.Cycle == b.barriers[s.phase] {
+			if o.stats.Stepped == 0 && b.stale {
 				out.free++
 			}
 		}
@@ -700,7 +712,7 @@ func TestClonesShareTheRecord(t *testing.T) {
 	}
 	want := run(proto)
 	if want.free < 5 {
-		t.Fatalf("%d of %d injections clocked nothing, want at least the five groups' never-accessed words", want.free, len(shots))
+		t.Fatalf("%d of %d injections restored nothing, want at least the five groups' never-accessed words", want.free, len(shots))
 	}
 	got := make([]outcome, len(clones))
 	var wg sync.WaitGroup
@@ -714,7 +726,7 @@ func TestClonesShareTheRecord(t *testing.T) {
 	wg.Wait()
 	for i := range got {
 		if got[i].free != want.free || !slices.Equal(got[i].obs, want.obs) {
-			t.Errorf("clone %d: %d injections clocked nothing, the prototype %d; observations equal: %v",
+			t.Errorf("clone %d: %d injections restored nothing, the prototype %d; observations equal: %v",
 				i, got[i].free, want.free, slices.Equal(got[i].obs, want.obs))
 		}
 	}
@@ -765,12 +777,13 @@ func confined(db *latch.DB, inj engine.Injection, sel func(g *latch.Group, e, b 
 }
 
 // TestClockedCycleCount pins what an injection is charged, in the model's
-// own clocked cycles. None at all when every flipped bit is never read —
-// outside its group's read set, in an idle group or beside the
-// read bits of a scan or tracked one: the model stays at the phased
-// checkpoint from ReloadPhase to after Run. None either when a toggle
-// confined to never-read bits and tracked groups is not read by the recorded
-// run before the injection's run ends: the flip never goes into the model.
+// own clocked cycles and restores. None at all when every flipped bit is
+// never read — outside its group's read set, in an idle group or beside the
+// read bits of a scan or tracked one: a toggle leaves the model stale, not
+// restored from the phased checkpoint at all, and a held fault restores it
+// and clocks nothing. None either when a toggle confined to never-read bits
+// and tracked groups is not read by the recorded run before the injection's
+// run ends: the flip never goes into the model, which is not restored.
 // Otherwise the delay plus RunStats.Stepped — so Stepped holds no delay
 // cycle, and no cycle is clocked that is neither.
 func TestClockedCycleCount(t *testing.T) {
@@ -784,14 +797,18 @@ func TestClockedCycleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := be.(*Backend)
-	free, toggles, freeToggles, all := 0, 0, 0, 0
+	free, toggles, freeToggles, all, restored := 0, 0, 0, 0, 0
 	rng := rand.New(rand.NewPCG(18, 0))
 	for _, bit := range b.DB().SampleBits(rng, bits, nil) {
 		phase, delay := schedule(bit, b.Phases())
 		for _, inj := range injectionShapes {
 			inj.Bit = bit
 			o := observe(t, b, false, shot{phase: phase, delay: delay, inj: inj}, cfg.Window, cfg.QuiesceExit)
-			moved := b.core.Cycle - b.barriers[phase] // barriers[p] is the cycle of ckpts[p]
+			moved := uint64(0) // a stale model has not left the checkpoint: it was not even restored
+			if !b.stale {
+				moved = b.core.Cycle - b.barriers[phase] // barriers[p] is the cycle of ckpts[p]
+				restored++
+			}
 			want := uint64(delay) + o.stats.Stepped
 			deferrable := inj.Mode == engine.Toggle &&
 				confined(b.DB(), inj, func(g *latch.Group, e, b int) bool { return g.NeverRead(e, b) || g.Tracked })
@@ -803,6 +820,9 @@ func TestClockedCycleCount(t *testing.T) {
 				t.Fatalf("bit %d delay %d %+v: the model was clocked %d cycles, Stepped = %d, want %d clocked",
 					bit, delay, inj, moved, o.stats.Stepped, want)
 			}
+			if want == 0 && b.stale != (inj.Mode == engine.Toggle) {
+				t.Fatalf("bit %d delay %d %+v: clocked nothing, and the model was restored: %v", bit, delay, inj, !b.stale)
+			}
 			all++
 			if inj.Mode == engine.Toggle && inj.Span <= 1 {
 				toggles++
@@ -812,7 +832,7 @@ func TestClockedCycleCount(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d injections clocked nothing, %d of %d single-bit toggles", free, all, freeToggles, toggles)
+	t.Logf("%d of %d injections clocked nothing, %d of %d single-bit toggles; %d restored the model", free, all, freeToggles, toggles, restored)
 	if freeToggles*100 < toggles*85 {
 		t.Errorf("%d of %d toggle injections clocked nothing, want at least 85%%", freeToggles, toggles)
 	}
@@ -903,7 +923,11 @@ func TestGoldenSetOnlyByReload(t *testing.T) {
 	}
 }
 
-// FuzzEarlyExit feeds arbitrary shots to the same oracle.
+// FuzzEarlyExit feeds arbitrary shots to the same oracle. Each input first
+// runs one of the leads, a live toggle at delay 0, to completion on both
+// backends, so the shot starts from a model holding another injection's
+// wreckage: whatever the fast side answers before it restores the model
+// must come from the record, not from that.
 func FuzzEarlyExit(f *testing.F) {
 	p := newPair(f, engine.DefaultConfig())
 	bit := func(group string, off int) uint32 { return uint32(findBit(f, p.fast, group, off)) }
@@ -912,61 +936,88 @@ func FuzzEarlyExit(f *testing.F) {
 		return uint16(p.fast.barriers[phase+1] - p.fast.barriers[phase])
 	}
 	toEnd := uint16(p.fast.barriers[len(p.fast.barriers)-1] - p.fast.barriers[0]) // off the record from any phase
-	f.Add(uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint32(21909), true, uint8(1), uint16(0), uint16(17), uint16(0), uint32(0))   // rut.err.cycle, held
-	f.Add(uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0)) // span from a sticky bit
-	f.Add(uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0)) // span clipped at the population edge
+	read, _, ok := p.fast.nearAccess("fxu.gpr", false)
+	if !ok {
+		f.Fatal("the record never reads fxu.gpr")
+	}
+	var leads []shot
+	for _, l := range []struct {
+		bit uint32
+		did func(engine.Verdict) bool
+	}{
+		{read, func(engine.Verdict) bool { return true }},                                              // a register the record reads
+		{bit("lsu.mode", 5), func(v engine.Verdict) bool { return v.Checkstop }},                       // a checkstop
+		{bit("fxu.mode", 24), func(v engine.Verdict) bool { return v.Recoveries > 0 && !v.Checkstop }}, // a recovery
+	} {
+		phase, _ := schedule(int(l.bit), p.fast.Phases())
+		s := shot{phase: phase, inj: engine.Injection{Bit: int(l.bit), Mode: engine.Toggle}}
+		b := p.fast
+		b.ReloadPhase(s.phase)
+		if err := b.Inject(s.inj); err != nil {
+			f.Fatal(err)
+		}
+		b.Run(50_000, nil)
+		if v := b.Verdict(); !l.did(v) || b.stale || b.core.Cycle == b.barriers[s.phase] {
+			f.Fatalf("lead %d: %+v, the model restored %v and at cycle %d: not the live injection it is named for",
+				len(leads), v, !b.stale, b.core.Cycle)
+		}
+		leads = append(leads, s)
+	}
+	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint8(0), uint32(21909), true, uint8(1), uint16(0), uint16(17), uint16(0), uint32(0))   // rut.err.cycle, held
+	f.Add(uint8(0), uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0)) // span from a sticky bit
+	f.Add(uint8(0), uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0)) // span clipped at the population edge
 	// The lazy delay and the never-read groups.
-	f.Add(bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // idle, held for 200
-	f.Add(bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0))               // never-read into live prv.mode.spare
-	f.Add(bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into idle rut.hist
-	f.Add(bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
-	f.Add(bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                  // never-read, delay 196
-	f.Add(bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0)) // live, at a recorded testend
-	f.Add(bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // never-read, same
-	f.Add(bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
-	f.Add(bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
-	f.Add(bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
+	f.Add(uint8(0), bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // idle, held for 200
+	f.Add(uint8(0), bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0))               // never-read into live prv.mode.spare
+	f.Add(uint8(0), bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into idle rut.hist
+	f.Add(uint8(0), bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
+	f.Add(uint8(0), bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                  // never-read, delay 196
+	f.Add(uint8(0), bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0)) // live, at a recorded testend
+	f.Add(uint8(0), bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // never-read, same
+	f.Add(uint8(0), bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
+	f.Add(uint8(0), bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
+	f.Add(uint8(0), bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
 	// The watchdog past its limit and armed, and the IFU, IDU and FXU
 	// clocks stopped: the core is declared hung in the gap before Run, and
 	// every cycle after only ticks counters. Run stops after its first.
-	f.Add(bit("prv.hang.cnt", 15), false, uint8(5), uint16(0), uint16(40), uint16(14), uint32(0))
+	f.Add(uint8(0), bit("prv.hang.cnt", 15), false, uint8(5), uint16(0), uint16(40), uint16(14), uint32(0))
 	// A held bit toggled off its value while the force lasts: the next
 	// cycle reads the toggled value and the force puts it back after it.
-	f.Add(uint32(0), true, uint8(1), uint16(3), uint16(87), uint16(1), uint32(0))
+	f.Add(uint8(0), uint32(0), true, uint8(1), uint16(3), uint16(87), uint16(1), uint32(0))
 	// The tracked groups: flips placed around the record's own accesses.
 	for _, group := range trackedGroups {
 		// The default AVP issues no floating-point operation and reloads no
 		// ERAT entry in steady state: those groups have only some of these.
 		if b, d, ok := p.fast.nearAccess(group, false); ok {
-			f.Add(b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
-			f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // read in the next cycle
-			f.Add(b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // just after the read
-			f.Add(b, true, uint8(1), uint16(0), d-2, uint16(0), uint32(0))  // held: stays on the clocked path
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // read in the next cycle
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // just after the read
+			f.Add(uint8(0), b, true, uint8(1), uint16(0), d-2, uint16(0), uint32(0))  // held: stays on the clocked path
 		}
 		if b, d, ok := p.fast.nearAccess(group, true); ok {
-			f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
-			f.Add(b, false, uint8(2), uint16(0), d-1, uint16(0), uint32(0)) // and the bit beside it
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
+			f.Add(uint8(0), b, false, uint8(2), uint16(0), d-1, uint16(0), uint32(0)) // and the bit beside it
 		}
 		if dead, ok := p.fast.deadBit(group); ok {
-			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                // never read
-			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(300), bit("prv.hang.cnt", 3)) // then a live Inject
-			f.Add(dead, false, uint8(1), uint16(0), uint16(40), uint16(300), dead+1)                 // then another dead one
-			f.Add(dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))             // Steps off the end of the record
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                // never read
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), bit("prv.hang.cnt", 3)) // then a live Inject
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), dead+1)                 // then another dead one
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))             // Steps off the end of the record
 		}
 	}
 	for _, group := range []string{"fxu.gpr", "fpu.fpr"} {
 		for _, in := range []bool{true, false} { // in and out of the retired testcase's signature
 			if b, d, ok := p.fast.signatureBit(group, in); ok {
-				f.Add(b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // the cycle before the testend
-				f.Add(b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // at it, after its check
+				f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // the cycle before the testend
+				f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // at it, after its check
 			}
 		}
 	}
-	f.Add(bit("fxu.gpr", 32*64-2), false, uint8(4), uint16(0), uint16(30), uint16(0), uint32(0))      // tracked into live fxu.gpr.par
-	f.Add(bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))  // tracked into live lsu.erat.par
-	f.Add(bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0)) // tracked into tracked lsu.stq.data
-	f.Add(bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))         // live into tracked ifu.bht
+	f.Add(uint8(0), bit("fxu.gpr", 32*64-2), false, uint8(4), uint16(0), uint16(30), uint16(0), uint32(0))      // tracked into live fxu.gpr.par
+	f.Add(uint8(0), bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))  // tracked into live lsu.erat.par
+	f.Add(uint8(0), bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0)) // tracked into tracked lsu.stq.data
+	f.Add(uint8(0), bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))         // live into tracked ifu.bht
 	// Bits outside the read sets of groups the model reads, toggled and held:
 	// they take the never-read path although their groups are read.
 	for _, unread := range []uint32{
@@ -979,12 +1030,40 @@ func FuzzEarlyExit(f *testing.F) {
 		bit("lsu.gptr", 20),           // past a GPTR ring's fields, in the read entry: read
 		bit("fxu.mode", 40),           // a MODE ring's spare bit, in the read entry: read
 	} {
-		f.Add(unread, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))
-		f.Add(unread, true, uint8(1), uint16(200), uint16(40), uint16(0), uint32(0))
+		f.Add(uint8(0), unread, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))
+		f.Add(uint8(0), unread, true, uint8(1), uint16(200), uint16(40), uint16(0), uint32(0))
 	}
-	f.Add(bit("prv.gptr", 62), false, uint8(4), uint16(0), uint16(40), uint16(0), uint32(0))   // read bits into unread ones
-	f.Add(bit("ifu.gptr", 128-4), true, uint8(8), uint16(0), uint16(40), uint16(0), uint32(0)) // unread bits into the read idu.d1.ir
-	f.Fuzz(func(t *testing.T, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
+	// Never-read and deferred flips after a checkstop and after a recovery:
+	// the model holds a stopped or recovered machine until it is restored.
+	for lead := uint8(1); lead < uint8(len(leads)); lead++ {
+		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
+		f.Add(lead, bit("prv.trace", 70), false, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                 // never-read, delay 196
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // never-read, held
+		f.Add(lead, bit("ifu.gptr", 64+5), false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                 // outside a read set
+		f.Add(lead, bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // at a recorded testend
+		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))               // Steps off the end of the record
+		for _, group := range trackedGroups {
+			if b, d, ok := p.fast.nearAccess(group, false); ok {
+				f.Add(lead, b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
+			}
+			if b, d, ok := p.fast.nearAccess(group, true); ok {
+				f.Add(lead, b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
+			}
+			if dead, ok := p.fast.deadBit(group); ok {
+				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))    // never read
+				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4)) // Steps off the end of the record
+			}
+		}
+	}
+	f.Add(uint8(0), bit("prv.gptr", 62), false, uint8(4), uint16(0), uint16(40), uint16(0), uint32(0))   // read bits into unread ones
+	f.Add(uint8(0), bit("ifu.gptr", 128-4), true, uint8(8), uint16(0), uint16(40), uint16(0), uint32(0)) // unread bits into the read idu.d1.ir
+	// A shot that stops every completion from the leads' first phase, then
+	// that lead: the stepped oracle's progress watch must start from the
+	// restored model, not from the frozen one the shot left behind.
+	f.Add(uint8(0), bit("idu.mode", 16), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
+	f.Fuzz(func(t *testing.T, lead uint8, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
+		p.same(t, leads[int(lead)%len(leads)], 50_000, 2)
 		total := p.fast.DB().TotalBits()
 		s := shot{
 			delay: int(delay % 1024),
@@ -1094,7 +1173,7 @@ func unreadBits(db *latch.DB) (beside, whole []int) {
 // neverReadTrial steps two backends in the same state eagerly, side by side,
 // through two testends past cycle at (or limit cycles, for a machine that
 // stops retiring them), letting disturb loose on a's latch database after
-// cycle at. Every Event, every CheckBarrier and, at the end, Verdict, FIR
+// cycle at — the restored model's, at cycle 0. Every Event, every CheckBarrier and, at the end, Verdict, FIR
 // poll and all state inside the read sets must be equal; what names the
 // trial in a failure.
 func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, disturb func(db *latch.DB)) {
@@ -1107,7 +1186,7 @@ func neverReadTrial(t *testing.T, what string, a, b *Backend, at, limit int, dis
 	ends := 0
 	for cyc := 0; ends < 2 && cyc < limit; cyc++ {
 		if cyc == at {
-			disturb(a.DB())
+			disturb(a.Core().DB())
 		}
 		ev := a.eagerStep()
 		if ev != b.eagerStep() {

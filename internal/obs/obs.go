@@ -75,7 +75,7 @@ func (m *Metrics) vec(mp *sync.Map, key string) []atomic.Uint64 {
 // classified.
 type Injection struct {
 	WallNs    uint64 // wall time charged to the injection, restore to classify
-	RestoreNs uint64 // its checkpoint restore (unused for a Lane)
+	RestoreNs uint64 // its ReloadPhase call (unused for a Lane; see TraceEvent.RestoreNs)
 	Cycles    uint64 // cycles observed in its propagation window
 	Stepped   uint64 // of those, the cycles the model was clocked through
 	Outcome   int    // outcome code

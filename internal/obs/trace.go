@@ -26,7 +26,9 @@ type TraceEvent struct {
 	Checkpoint  int    `json:"checkpoint"`   // phased-checkpoint index restored
 	DelayCycles int    `json:"delay_cycles"` // sub-testcase phase jitter applied
 
-	// Restore and propagate phase latencies.
+	// Restore and propagate phase latencies. RestoreNs times the
+	// ReloadPhase call; a backend that puts the restore itself off (p6lite)
+	// bills it to the call that first needs the model, Inject or Run.
 	RestoreNs   int64  `json:"restore_ns"`
 	PropagateNs int64  `json:"propagate_ns"`
 	Cycles      uint64 `json:"cycles"`   // cycles observed post-flip

@@ -360,8 +360,11 @@ func (s *Server) recover() error {
 			return fmt.Errorf("server: campaign record %s: %w", id, err)
 		}
 		if c.State == StateRunning {
-			// The previous process died mid-campaign. Its journal holds the
-			// completed shards; re-queue and the coordinator replays them.
+			// A store written by a server that saved a campaign's record
+			// when it started, and died mid-campaign: the record is the
+			// submit-time one but for these two fields, which is all this
+			// server saves before the campaign settles. The journal holds
+			// the completed shards; re-queue and the coordinator replays them.
 			c.State = StateQueued
 			c.StartedAt = nil
 		}
@@ -780,7 +783,6 @@ func (s *Server) startLocked(c *Campaign) {
 func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	defer s.wg.Done()
 	defer exec.cancel(nil) // detach ctx from the server's, or each campaign leaves a child behind
-	s.persist(c)
 	s.log.Info("campaign started", "campaign", c.ID, "tenant", c.Tenant)
 
 	// The events file takes the shard events and every span. It is
@@ -837,15 +839,6 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	s.log.Info("campaign settled", "campaign", c.ID, "state", snap.State,
 		"injections", snap.Injections, "err", snap.Error)
 	s.poke()
-}
-
-func (s *Server) persist(c *Campaign) {
-	s.mu.Lock()
-	snap := *c
-	s.mu.Unlock()
-	if err := s.st.SaveCampaign(snap.ID, snap); err != nil {
-		s.log.Error("campaign record persist failed", "campaign", snap.ID, "err", err)
-	}
 }
 
 // runCampaign executes one campaign: a journal-backed dist coordinator

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -494,6 +495,78 @@ func TestServerRestartResumes(t *testing.T) {
 	}
 	if !bytes.Equal(resumedDoc, controlDoc) {
 		t.Fatal("resumed report is not byte-identical to the uninterrupted control run")
+	}
+}
+
+// TestServerCrashResumes copies a server's store mid-campaign — what a crash
+// leaves on disk, a torn journal or events line included — and opens a server
+// over the copy: the campaign's record there is the submit-time one, since
+// starting a campaign saves nothing recovery could use, and the campaign
+// resumes from its journal to the report bytes an uninterrupted run serves.
+func TestServerCrashResumes(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec("t", 67, 240, 8) // 30 shards: wide window to copy in
+	spec.Campaign.Runner.AVP.Testcases = 4
+	spec.Campaign.Runner.AVP.BodyOps = 16
+
+	s1 := newTestServer(t, filepath.Join(dir, "live"), func(c *Config) { c.MaxConcurrent = 1 })
+	c, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := s1.st.JournalPath(c.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if data, err := os.ReadFile(journal); err == nil && bytes.Count(data, []byte("\n")) >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("journal never accumulated sealed shards")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	crashed := filepath.Join(dir, "crashed")
+	err = os.CopyFS(crashed, os.DirFS(filepath.Join(dir, "live")))
+	if cc, _ := s1.Get(c.ID); cc.State != StateRunning {
+		t.Skipf("campaign %s before the copy was complete; nothing to resume", cc.State)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	data, err := os.ReadFile(filepath.Join(crashed, "campaigns", c.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Campaign
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateQueued || rec.StartedAt != nil {
+		t.Fatalf("the record a running campaign left on disk is %q (started %v), want the submit-time queued one", rec.State, rec.StartedAt)
+	}
+
+	s2 := newTestServer(t, crashed, func(c *Config) { c.MaxConcurrent = 1 })
+	resumed := waitState(t, s2, c.ID, StateDone, 60*time.Second)
+	if resumed.Injections != spec.Campaign.Flips {
+		t.Fatalf("resumed campaign ran %d injections, want %d", resumed.Injections, spec.Campaign.Flips)
+	}
+	resumedDoc, _, err := s2.Report(c.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3 := newTestServer(t, t.TempDir(), func(c *Config) { c.MaxConcurrent = 1 })
+	control, err := s3.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s3, control.ID, StateDone, 60*time.Second)
+	controlDoc, _, err := s3.Report(control.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumedDoc, controlDoc) {
+		t.Fatal("the report resumed after a crash is not byte-identical to the uninterrupted control run")
 	}
 }
 

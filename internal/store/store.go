@@ -177,13 +177,18 @@ func (s *Store) LoadCampaigns(fn func(id string, data []byte) error) error {
 }
 
 // writeAtomic writes data via temp-file + rename so readers never observe
-// a torn file.
-func writeAtomic(path string, data []byte) error {
+// a torn file. The temp file is removed on failure only: after a successful
+// rename there is none left to remove.
+func writeAtomic(path string, data []byte) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -120,5 +122,41 @@ func TestJournalAndEventsPaths(t *testing.T) {
 	}
 	if s.EventsPath("c1") == s.JournalPath("c1") {
 		t.Fatal("events and journal paths collide")
+	}
+}
+
+// TestWriteAtomicLeavesNoTemp holds writeAtomic to its files: a successful
+// write leaves the target and nothing else, and one whose rename fails (the
+// target is a directory) leaves no temp file behind.
+func TestWriteAtomicLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	names := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	target := filepath.Join(dir, "record.json")
+	if err := writeAtomic(target, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(); !slices.Equal(got, []string{"record.json"}) {
+		t.Fatalf("after a successful write the directory holds %v, want only the target", got)
+	}
+	sub := filepath.Join(dir, "sub")
+	if err := os.MkdirAll(filepath.Join(sub, "full"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeAtomic(sub, []byte("{}")); err == nil {
+		t.Fatal("a rename onto a non-empty directory succeeded")
+	}
+	if got := names(); !slices.Equal(got, []string{"record.json", "sub"}) {
+		t.Fatalf("after a failed write the directory holds %v, want no temp file", got)
 	}
 }

@@ -117,8 +117,10 @@ type (
 	AllocConfig = core.AllocConfig
 
 	// StopConfig is a campaign's adaptive statistical stopping rule:
-	// sequential (any-time-valid) Wilson intervals per outcome class, with
-	// the campaign stopping once every class is inside the target margin.
+	// sequential Wilson intervals per outcome class, with the campaign
+	// stopping once every class is inside the target margin. The intervals
+	// hold their level over the looks at n = 2^k only (stats.SequentialZ;
+	// ROADMAP 14(b) replaces the bound).
 	// The zero value keeps the classic fixed-Flips behavior bit for bit.
 	StopConfig = core.StopConfig
 	// Convergence is a per-class confidence-interval evaluation of a
