@@ -141,11 +141,15 @@ lines:
 		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
 
 # cmp holds the working tree's output to PARENT's byte for byte: it builds
-# sfi, sfi-beam and sfi-tables from a `git archive` of PARENT (default HEAD:
-# the uncommitted change against its base) and from the working tree, runs
-# both over CMP_SHAPES (`sfi -json`), BEAM_SHAPES (sfi-beam, its first line,
-# the wall time, dropped) and TABLE_SHAPES (sfi-tables, its `(… in Xs)`
-# timing lines dropped) and names the first shape that differs. The tables
+# sfi, sfi-beam, sfi-tables and the examples from a `git archive` of PARENT
+# (default HEAD: the uncommitted change against its base) and from the working
+# tree, runs both over CMP_SHAPES (`sfi -json`), TEXT_SHAPES (sfi's text
+# report), BEAM_SHAPES (sfi-beam, its first line, the wall time, dropped),
+# TABLE_SHAPES (sfi-tables, its `(… in Xs)` timing lines dropped) and
+# EXAMPLES, and names the first shape that differs. Every surface that turns
+# a report's counts into printed fractions or intervals is on one of these
+# lists, so a change to how they are computed is held to the parent's bytes
+# on each. The tables
 # are the compared surfaces that run many campaigns in one process, so they
 # are the byte check of campaigns that clone the process's cached image
 # rather than build their own. It is the check
@@ -213,17 +217,43 @@ BEAM_SHAPES = \
 	-strikes 400 -nest| \
 	-strikes 300 -array-weight 0.5| \
 	-calibrate -flips 400
-TABLE_SHAPES = fig2 fig3 fig5 table3
+# TEXT_SHAPES run sfi without -json: the text report (String, DetailedString,
+# the -units/-types tables) is a surface of its own. Its summary lines
+# (campaign:, restore:, batch:, observe:, detect:, latency:) are metrics of
+# the run, not the report: wall times and rates move between two runs of one
+# binary, and under a stop observe:/detect: also count the injections that ran
+# past the cut, so they are dropped before the compare.
+TEXT_FLAGS = -progress=false -seed 7
+TEXT_SHAPES = \
+	-flips 600 -margin 5 -detail -units -types| \
+	-flips 3000 -workers 4 -margin 5 -stop-on-converge -units| \
+	-flips 600 -allocate neyman -margin 5 -stop-on-converge -detail -types| \
+	-flips 400 -backend awan -detail -units -types| \
+	-flips 600 -dist 4 -detail
+SUMMARY_LINES = ^(campaign|restore|batch|observe|detect|latency)(:| finished)
+# table2 (a campaign beside a beam run and the chi-square between them) and
+# fig4 (Fig. 3's per-unit fractions weighted by population) print what the
+# other tables do not.
+TABLE_SHAPES = fig2 fig3 fig4 fig5 table2 table3
+# EXAMPLES are the examples/* programs, each a fixed campaign printed through
+# the public API; each prints the same bytes on every run.
+EXAMPLES = beamcal checkers latchtypes macroinject periphery quickstart unitstudy
 cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/parent"; git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
-	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables); \
-	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./examples/...); \
+	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./examples/...; \
 	echo '$(CMP_SHAPES)' | tr '|' '\n' | while read -r shape; do \
 		"$$tmp/parent-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/parent.out"; \
 		"$$tmp/tree-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/tree.out"; \
 		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi $(CMP_FLAGS) $$shape differs from $(PARENT)"; exit 1; }; \
 		echo "same  sfi $(CMP_FLAGS) $$shape"; \
+	done; \
+	echo '$(TEXT_SHAPES)' | tr '|' '\n' | while read -r shape; do \
+		"$$tmp/parent-bin/sfi" $(TEXT_FLAGS) $$shape | grep -Ev '$(SUMMARY_LINES)' > "$$tmp/parent.out"; \
+		"$$tmp/tree-bin/sfi" $(TEXT_FLAGS) $$shape | grep -Ev '$(SUMMARY_LINES)' > "$$tmp/tree.out"; \
+		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi $(TEXT_FLAGS) $$shape differs from $(PARENT)"; exit 1; }; \
+		echo "same  sfi $(TEXT_FLAGS) $$shape"; \
 	done; \
 	echo '$(BEAM_SHAPES)' | tr '|' '\n' | while read -r shape; do \
 		"$$tmp/parent-bin/sfi-beam" $$shape | tail -n +2 > "$$tmp/parent.out"; \
@@ -236,6 +266,12 @@ cmp:
 		"$$tmp/tree-bin/sfi-tables" -exp $$exp | grep -v '^(.* in .*)$$' > "$$tmp/tree.out"; \
 		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-tables -exp $$exp differs from $(PARENT)"; exit 1; }; \
 		echo "same  sfi-tables -exp $$exp"; \
+	done; \
+	for ex in $(EXAMPLES); do \
+		"$$tmp/parent-bin/$$ex" > "$$tmp/parent.out"; \
+		"$$tmp/tree-bin/$$ex" > "$$tmp/tree.out"; \
+		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: examples/$$ex differs from $(PARENT)"; exit 1; }; \
+		echo "same  examples/$$ex"; \
 	done
 
 # ci holds no wall-clock gate: what observability, lanes, the image cache,
