@@ -24,9 +24,9 @@
 // Nor does the backend restore a checkpoint no cycle is clocked from:
 // ReloadPhase only names the phase, and the model is restored the first time
 // something needs it — a catch-up, a flip into a bit the model can read, a
-// clocked cycle, Core. A toggle confined to never-read bits is deferred like a
-// tracked one, for good, so an injection that stays on the record restores
-// nothing, and until the model is restored the run's reads (Cycle, Verdict,
+// clocked cycle, Core. A fault confined to never-read bits, toggled or held,
+// is deferred like a tracked toggle, for good, so an injection that stays on
+// the record restores nothing, and until the model is restored the run's reads (Cycle, Verdict,
 // FIRNames, CheckBarrier) are answered from the record.
 package p6lite
 
@@ -99,14 +99,15 @@ type Backend struct {
 	// writes the model through DB() or Core() after a ReloadPhase must reload
 	// again before it trusts Step or Run.
 	golden bool
-	// deferred: Inject has kept the toggle fault pend, made at observed cycle
-	// flipAt, out of the model. Every bit of it is never read or in a
-	// tracked group, and the recorded run reads no flipped word before cycle
+	// deferred: Inject has kept the fault pend, made at observed cycle
+	// flipAt, out of the model. Every bit of it is never read or (a toggle's)
+	// in a tracked group, and the recorded run reads no flipped word before cycle
 	// liveAt (latch.Never: not at all, or not before overwriting it; always,
 	// for a flip confined to never-read bits), so up to there the faulty run
 	// is the recorded one and replay goes on. A run
 	// that wants cycle liveAt, or the end of the record, or another Inject,
-	// has catchUp clock the model to flipAt, flip it there, and go on live.
+	// has catchUp clock the model to flipAt, put it there (arming a held
+	// fault's force as Inject would have), and go on live.
 	// liveAt is latch.Never when nothing is deferred.
 	deferred       bool
 	pend           engine.Injection
@@ -398,7 +399,7 @@ func (b *Backend) catchUp() {
 	b.unbilled = 0
 	if b.deferred {
 		b.clockAhead(b.flipAt - b.core.Cycle)
-		b.flip(b.pend)
+		b.put(b.pend, b.flipAt)
 		b.deferred, b.liveAt, b.golden = false, latch.Never, false
 	}
 	b.clockAhead(b.ahead)
@@ -419,27 +420,37 @@ func (b *Backend) span(inj engine.Injection) int {
 	return min(max(inj.Span, 1), b.core.DB().TotalBits()-inj.Bit)
 }
 
-// flip inverts inj's bits in the model, as it is, and returns the first bit
-// and its new value.
-func (b *Backend) flip(inj engine.Injection) (first latch.BitRef, v bool) {
+// put puts inj, made at cycle now, into the model as it is: it inverts the
+// fault's bits and, for a held fault, arms the force that holds the first of
+// them at its new value until the duration, counted from now, expires.
+func (b *Backend) put(inj engine.Injection, now uint64) {
 	db := b.model().DB()
-	first = db.BitRef(inj.Bit)
-	v = first.Flip()
+	first := db.BitRef(inj.Bit)
+	v := first.Flip()
 	for i, n := 1, b.span(inj); i < n; i++ {
 		db.Flip(inj.Bit + i)
 	}
-	return first, v
+	if inj.Mode != engine.Sticky {
+		return
+	}
+	b.stickyOn = true
+	b.stickyBit = first
+	b.stickyVal = v
+	b.stickyTicks = b.core.Ticks(inj.Bit)
+	b.stickyUntil = 0
+	if inj.Duration > 0 {
+		b.stickyUntil = now + uint64(inj.Duration)
+	}
 }
 
 // Inject applies a fault at the current observed cycle: the bit (and the rest
 // of its span) is flipped, and in sticky mode the flipped value is re-forced
 // after every subsequent cycle until the duration expires. It asks each
 // flipped bit whether it is never read (latch.Group.NeverRead: outside its
-// group's read set): a held fault confined to such bits goes into the model
-// where it stands, with no catch-up, and a toggle on the record stays out of
-// it, as one into a tracked word does; either way the run replays the record
-// to quiesce. It also snapshots the recovery count as the quiesce baseline
-// for CheckBarrier's busy test.
+// group's read set): on the record, a fault confined to such bits, held or
+// toggled, stays out of the model, as a toggle into a tracked word does, and
+// the run replays the record to quiesce. It also snapshots the recovery
+// count as the quiesce baseline for CheckBarrier's busy test.
 func (b *Backend) Inject(inj engine.Injection) error {
 	db := b.core.DB()
 	if inj.Bit < 0 || inj.Bit >= db.TotalBits() {
@@ -472,26 +483,17 @@ func (b *Backend) Inject(inj engine.Injection) error {
 		// leaves the record.
 		b.catchUp()
 		b.golden = false
-	case inj.Mode == engine.Toggle && b.golden:
-		// The model stays on the record up to cycle live, and the flip
-		// stays out of it. The record's recovery count is the model's.
+	case b.golden:
+		// The model stays on the record up to cycle live, and the fault
+		// stays out of it: catchUp puts it in, held or not, if anything
+		// takes the model off the record first. The record's recovery
+		// count is the model's.
 		b.deferred, b.pend, b.flipAt, b.liveAt = true, inj, now, live
 		b.lastActivity = b.baseRecov + b.polls[b.phase].verdict.Recoveries
 		return nil
 	}
-	// Into the model as it is: a never-read flip need not even find it at
-	// the injection instant.
-	first, v := b.flip(inj)
-	if inj.Mode == engine.Sticky {
-		b.stickyOn = true
-		b.stickyBit = first
-		b.stickyVal = v
-		b.stickyTicks = b.core.Ticks(inj.Bit)
-		b.stickyUntil = 0
-		if inj.Duration > 0 {
-			b.stickyUntil = now + uint64(inj.Duration)
-		}
-	}
+	// Off the record, a never-read fault goes into the model as it is.
+	b.put(inj, now)
 	b.lastActivity = b.core.Recoveries
 	return nil
 }

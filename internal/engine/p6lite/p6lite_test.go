@@ -360,6 +360,9 @@ type shot struct {
 	phase, delay int
 	inj          engine.Injection
 	gap, then    int
+	// read reads the model through Core after the gap, before the second
+	// flip: the model is restored, and nothing deferred is put into it.
+	read bool
 }
 
 // observe drives the scalar injection protocol of core.Runner on b: reload,
@@ -385,8 +388,11 @@ func observe(t *testing.T, b *Backend, eager bool, s shot, window, quiesce int) 
 	if err := b.Inject(s.inj); err != nil {
 		t.Fatal(err)
 	}
+	steps(s.gap)
+	if s.read {
+		b.Core()
+	}
 	if s.gap > 0 {
-		steps(s.gap)
 		if err := b.Inject(engine.Injection{Bit: s.then, Mode: engine.Toggle}); err != nil {
 			t.Fatal(err)
 		}
@@ -779,9 +785,8 @@ func confined(db *latch.DB, inj engine.Injection, sel func(g *latch.Group, e, b 
 // TestClockedCycleCount pins what an injection is charged, in the model's
 // own clocked cycles and restores. None at all when every flipped bit is
 // never read — outside its group's read set, in an idle group or beside the
-// read bits of a scan or tracked one: a toggle leaves the model stale, not
-// restored from the phased checkpoint at all, and a held fault restores it
-// and clocks nothing. None either when a toggle confined to never-read bits
+// read bits of a scan or tracked one: toggled or held, the fault leaves the
+// model stale, not restored from the phased checkpoint at all. None either when a toggle confined to never-read bits
 // and tracked groups is not read by the recorded run before the injection's
 // run ends: the flip never goes into the model, which is not restored.
 // Otherwise the delay plus RunStats.Stepped — so Stepped holds no delay
@@ -820,7 +825,7 @@ func TestClockedCycleCount(t *testing.T) {
 				t.Fatalf("bit %d delay %d %+v: the model was clocked %d cycles, Stepped = %d, want %d clocked",
 					bit, delay, inj, moved, o.stats.Stepped, want)
 			}
-			if want == 0 && b.stale != (inj.Mode == engine.Toggle) {
+			if want == 0 && !b.stale {
 				t.Fatalf("bit %d delay %d %+v: clocked nothing, and the model was restored: %v", bit, delay, inj, !b.stale)
 			}
 			all++
@@ -963,61 +968,71 @@ func FuzzEarlyExit(f *testing.F) {
 		}
 		leads = append(leads, s)
 	}
-	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint8(0), uint32(21909), true, uint8(1), uint16(0), uint16(17), uint16(0), uint32(0))   // rut.err.cycle, held
-	f.Add(uint8(0), uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0)) // span from a sticky bit
-	f.Add(uint8(0), uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0)) // span clipped at the population edge
+	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)
+	f.Add(uint8(0), uint32(21909), true, uint8(1), uint16(0), uint16(17), uint16(0), uint32(0), false)   // rut.err.cycle, held
+	f.Add(uint8(0), uint32(40000), true, uint8(3), uint16(200), uint16(90), uint16(0), uint32(0), false) // span from a sticky bit
+	f.Add(uint8(0), uint32(73700), false, uint8(9), uint16(0), uint16(196), uint16(0), uint32(0), false) // span clipped at the population edge
 	// The lazy delay and the never-read groups.
-	f.Add(uint8(0), bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // idle, held for 200
-	f.Add(uint8(0), bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0))               // never-read into live prv.mode.spare
-	f.Add(uint8(0), bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0))                 // live into idle rut.hist
-	f.Add(uint8(0), bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
-	f.Add(uint8(0), bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                  // never-read, delay 196
-	f.Add(uint8(0), bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0)) // live, at a recorded testend
-	f.Add(uint8(0), bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // never-read, same
-	f.Add(uint8(0), bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130))   // a live Inject after lazy Steps
-	f.Add(uint8(0), bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1))     // a never-read Inject after clocked ones
-	f.Add(uint8(0), bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4))              // Steps off the end of the record
+	f.Add(uint8(0), bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0), false)                  // idle, held for 200
+	f.Add(uint8(0), bit("prv.perf", 8*64-3), false, uint8(6), uint16(0), uint16(60), uint16(0), uint32(0), false)               // never-read into live prv.mode.spare
+	f.Add(uint8(0), bit("rut.cap.par", 0), false, uint8(3), uint16(0), uint16(60), uint16(0), uint32(0), false)                 // live into idle rut.hist
+	f.Add(uint8(0), bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)                   // never-read, delay 0
+	f.Add(uint8(0), bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0), false)                  // never-read, delay 196
+	f.Add(uint8(0), bit("fxu.gpr", 70), false, uint8(1), uint16(0), onTestend(bit("fxu.gpr", 70)), uint16(0), uint32(0), false) // live, at a recorded testend
+	f.Add(uint8(0), bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0), false) // never-read, same
+	f.Add(uint8(0), bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130), false)   // a live Inject after lazy Steps
+	f.Add(uint8(0), bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1), false)     // a never-read Inject after clocked ones
+	f.Add(uint8(0), bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4), false)              // Steps off the end of the record
+	// A held fault confined to never-read bits stays out of the model until
+	// something needs it: a second flip, live or not, puts it in and arms its
+	// force at the cycle it was made; a Core read restores the model and
+	// leaves it out.
+	for lead := uint8(0); lead < uint8(len(leads)); lead++ {
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(300), bit("fxu.gpr", 130), false) // then a live flip
+		f.Add(lead, bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(40), uint16(90), bit("prv.trace", 75), false)  // then a never-read one
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0), true)              // then a Core read
+		f.Add(lead, bit("prv.trace", 70), true, uint8(1), uint16(0), uint16(40), uint16(300), bit("fxu.gpr", 130), true)   // then a Core read and a live flip
+	}
 	// The watchdog past its limit and armed, and the IFU, IDU and FXU
 	// clocks stopped: the core is declared hung in the gap before Run, and
 	// every cycle after only ticks counters. Run stops after its first.
-	f.Add(uint8(0), bit("prv.hang.cnt", 15), false, uint8(5), uint16(0), uint16(40), uint16(14), uint32(0))
+	f.Add(uint8(0), bit("prv.hang.cnt", 15), false, uint8(5), uint16(0), uint16(40), uint16(14), uint32(0), false)
 	// A held bit toggled off its value while the force lasts: the next
 	// cycle reads the toggled value and the force puts it back after it.
-	f.Add(uint8(0), uint32(0), true, uint8(1), uint16(3), uint16(87), uint16(1), uint32(0))
+	f.Add(uint8(0), uint32(0), true, uint8(1), uint16(3), uint16(87), uint16(1), uint32(0), false)
 	// The tracked groups: flips placed around the record's own accesses.
 	for _, group := range trackedGroups {
 		// The default AVP issues no floating-point operation and reloads no
 		// ERAT entry in steady state: those groups have only some of these.
 		if b, d, ok := p.fast.nearAccess(group, false); ok {
-			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
-			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // read in the next cycle
-			f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // just after the read
-			f.Add(uint8(0), b, true, uint8(1), uint16(0), d-2, uint16(0), uint32(0))  // held: stays on the clocked path
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0), false) // deferred one cycle, then read
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0), false) // read in the next cycle
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0), false)   // just after the read
+			f.Add(uint8(0), b, true, uint8(1), uint16(0), d-2, uint16(0), uint32(0), false)  // held: stays on the clocked path
 		}
 		if b, d, ok := p.fast.nearAccess(group, true); ok {
-			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
-			f.Add(uint8(0), b, false, uint8(2), uint16(0), d-1, uint16(0), uint32(0)) // and the bit beside it
+			f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0), false) // overwritten in the next cycle
+			f.Add(uint8(0), b, false, uint8(2), uint16(0), d-1, uint16(0), uint32(0), false) // and the bit beside it
 		}
 		if dead, ok := p.fast.deadBit(group); ok {
-			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                // never read
-			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), bit("prv.hang.cnt", 3)) // then a live Inject
-			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), dead+1)                 // then another dead one
-			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))             // Steps off the end of the record
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0), false)                // never read
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), bit("prv.hang.cnt", 3), false) // then a live Inject
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), uint16(300), dead+1, false)                 // then another dead one
+			f.Add(uint8(0), dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4), false)             // Steps off the end of the record
 		}
 	}
 	for _, group := range []string{"fxu.gpr", "fpu.fpr"} {
 		for _, in := range []bool{true, false} { // in and out of the retired testcase's signature
 			if b, d, ok := p.fast.signatureBit(group, in); ok {
-				f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // the cycle before the testend
-				f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0))   // at it, after its check
+				f.Add(uint8(0), b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0), false) // the cycle before the testend
+				f.Add(uint8(0), b, false, uint8(1), uint16(0), d, uint16(0), uint32(0), false)   // at it, after its check
 			}
 		}
 	}
-	f.Add(uint8(0), bit("fxu.gpr", 32*64-2), false, uint8(4), uint16(0), uint16(30), uint16(0), uint32(0))      // tracked into live fxu.gpr.par
-	f.Add(uint8(0), bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))  // tracked into live lsu.erat.par
-	f.Add(uint8(0), bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0)) // tracked into tracked lsu.stq.data
-	f.Add(uint8(0), bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0))         // live into tracked ifu.bht
+	f.Add(uint8(0), bit("fxu.gpr", 32*64-2), false, uint8(4), uint16(0), uint16(30), uint16(0), uint32(0), false)      // tracked into live fxu.gpr.par
+	f.Add(uint8(0), bit("lsu.erat.ctl", 64*4-1), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0), false)  // tracked into live lsu.erat.par
+	f.Add(uint8(0), bit("lsu.stq.addr", 24*64-1), false, uint8(2), uint16(0), uint16(30), uint16(0), uint32(0), false) // tracked into tracked lsu.stq.data
+	f.Add(uint8(0), bit("ifu.fb.cnt", 3), false, uint8(3), uint16(0), uint16(30), uint16(0), uint32(0), false)         // live into tracked ifu.bht
 	// Bits outside the read sets of groups the model reads, toggled and held:
 	// they take the never-read path although their groups are read.
 	for _, unread := range []uint32{
@@ -1030,39 +1045,39 @@ func FuzzEarlyExit(f *testing.F) {
 		bit("lsu.gptr", 20),           // past a GPTR ring's fields, in the read entry: read
 		bit("fxu.mode", 40),           // a MODE ring's spare bit, in the read entry: read
 	} {
-		f.Add(uint8(0), unread, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))
-		f.Add(uint8(0), unread, true, uint8(1), uint16(200), uint16(40), uint16(0), uint32(0))
+		f.Add(uint8(0), unread, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0), false)
+		f.Add(uint8(0), unread, true, uint8(1), uint16(200), uint16(40), uint16(0), uint32(0), false)
 	}
 	// Never-read and deferred flips after a checkstop and after a recovery:
 	// the model holds a stopped or recovered machine until it is restored.
 	for lead := uint8(1); lead < uint8(len(leads)); lead++ {
-		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))                   // never-read, delay 0
-		f.Add(lead, bit("prv.trace", 70), false, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0))                 // never-read, delay 196
-		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0))                  // never-read, held
-		f.Add(lead, bit("ifu.gptr", 64+5), false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))                 // outside a read set
-		f.Add(lead, bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0)) // at a recorded testend
-		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4))               // Steps off the end of the record
+		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)                   // never-read, delay 0
+		f.Add(lead, bit("prv.trace", 70), false, uint8(2), uint16(0), uint16(196), uint16(0), uint32(0), false)                 // never-read, delay 196
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0), false)                  // never-read, held
+		f.Add(lead, bit("ifu.gptr", 64+5), false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0), false)                 // outside a read set
+		f.Add(lead, bit("rut.hist", 9), false, uint8(1), uint16(0), onTestend(bit("rut.hist", 9)), uint16(0), uint32(0), false) // at a recorded testend
+		f.Add(lead, bit("prv.trace", 70), false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4), false)               // Steps off the end of the record
 		for _, group := range trackedGroups {
 			if b, d, ok := p.fast.nearAccess(group, false); ok {
-				f.Add(lead, b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0)) // deferred one cycle, then read
+				f.Add(lead, b, false, uint8(1), uint16(0), d-2, uint16(0), uint32(0), false) // deferred one cycle, then read
 			}
 			if b, d, ok := p.fast.nearAccess(group, true); ok {
-				f.Add(lead, b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0)) // overwritten in the next cycle
+				f.Add(lead, b, false, uint8(1), uint16(0), d-1, uint16(0), uint32(0), false) // overwritten in the next cycle
 			}
 			if dead, ok := p.fast.deadBit(group); ok {
-				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0))    // never read
-				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4)) // Steps off the end of the record
+				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), uint16(0), uint32(0), false)    // never read
+				f.Add(lead, dead, false, uint8(1), uint16(0), uint16(40), toEnd, bit("lsu.pf", 4), false) // Steps off the end of the record
 			}
 		}
 	}
-	f.Add(uint8(0), bit("prv.gptr", 62), false, uint8(4), uint16(0), uint16(40), uint16(0), uint32(0))   // read bits into unread ones
-	f.Add(uint8(0), bit("ifu.gptr", 128-4), true, uint8(8), uint16(0), uint16(40), uint16(0), uint32(0)) // unread bits into the read idu.d1.ir
+	f.Add(uint8(0), bit("prv.gptr", 62), false, uint8(4), uint16(0), uint16(40), uint16(0), uint32(0), false)   // read bits into unread ones
+	f.Add(uint8(0), bit("ifu.gptr", 128-4), true, uint8(8), uint16(0), uint16(40), uint16(0), uint32(0), false) // unread bits into the read idu.d1.ir
 	// A shot that stops every completion from the leads' first phase, then
 	// that lead: the stepped oracle's progress watch must start from the
 	// restored model, not from the frozen one the shot left behind.
-	f.Add(uint8(0), bit("idu.mode", 16), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0))
-	f.Fuzz(func(t *testing.T, lead uint8, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32) {
+	f.Add(uint8(0), bit("idu.mode", 16), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)
+	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)
+	f.Fuzz(func(t *testing.T, lead uint8, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32, read bool) {
 		p.same(t, leads[int(lead)%len(leads)], 50_000, 2)
 		total := p.fast.DB().TotalBits()
 		s := shot{
@@ -1075,6 +1090,7 @@ func FuzzEarlyExit(f *testing.F) {
 			},
 			gap:  int(gap % 8192),
 			then: int(then) % total,
+			read: read,
 		}
 		if sticky {
 			s.inj.Mode = engine.Sticky
