@@ -69,8 +69,8 @@ func BenchmarkTable2BeamCalibration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.SFI.Fraction(Vanished) < 0.85 {
-			b.Fatalf("implausible vanish fraction %.3f", r.SFI.Fraction(Vanished))
+		if frac(r.SFI, Vanished) < 0.85 {
+			b.Fatalf("implausible vanish fraction %.3f", frac(r.SFI, Vanished))
 		}
 	}
 }
@@ -143,9 +143,9 @@ func BenchmarkTable3Checkers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Raw.Fraction(Vanished) < r.Check.Fraction(Vanished) {
+		if frac(r.Raw, Vanished) < frac(r.Check, Vanished) {
 			b.Logf("note: raw vanish %.3f < check vanish %.3f (shape inversion)",
-				r.Raw.Fraction(Vanished), r.Check.Fraction(Vanished))
+				frac(r.Raw, Vanished), frac(r.Check, Vanished))
 		}
 	}
 }
@@ -169,8 +169,8 @@ func BenchmarkAblationToggleVsSticky(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Stuck-at faults must be at least as fatal as transients.
-		if stk.Fraction(Checkstop)+stk.Fraction(Hang) <
-			tog.Fraction(Checkstop)+tog.Fraction(Hang) {
+		if frac(stk, Checkstop)+frac(stk, Hang) <
+			frac(tog, Checkstop)+frac(tog, Hang) {
 			b.Logf("note: sticky fatality below toggle fatality")
 		}
 	}
@@ -220,7 +220,7 @@ func BenchmarkAblationCheckerPolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*(r.Fraction(Vanished)-a.Fraction(Vanished)), "vanish-delta-pp")
+		b.ReportMetric(100*(frac(r, Vanished)-frac(a, Vanished)), "vanish-delta-pp")
 	}
 }
 
@@ -239,10 +239,10 @@ func BenchmarkAblationRecoveryOff(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Fraction(Checkstop) < a.Fraction(Checkstop) {
+		if frac(r, Checkstop) < frac(a, Checkstop) {
 			b.Logf("note: recovery-off checkstop rate below baseline")
 		}
-		b.ReportMetric(100*r.Fraction(Checkstop), "checkstop-pct")
+		b.ReportMetric(100*frac(r, Checkstop), "checkstop-pct")
 	}
 }
 
@@ -262,7 +262,7 @@ func BenchmarkAblationMultiBitUpset(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			corr[span] = rep.Fraction(Corrected)
+			corr[span] = frac(rep, Corrected)
 		}
 		if corr[2] > corr[1] {
 			b.Logf("note: even span detected more than single (%.3f vs %.3f)", corr[2], corr[1])

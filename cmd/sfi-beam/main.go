@@ -59,8 +59,7 @@ func main() {
 	}
 	fmt.Println("\nmatching SFI campaign:")
 	fmt.Print(srep)
-	stat, p, err := sfi.CalibrateBeam(srep.Fraction(sfi.Vanished),
-		srep.Fraction(sfi.Corrected), srep.Fraction(sfi.Checkstop), rep)
+	stat, p, err := sfi.CalibrateBeam(srep, rep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sfi-beam:", err)
 		os.Exit(1)

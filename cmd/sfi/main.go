@@ -44,6 +44,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -265,15 +266,12 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		printConvergence(rep.Convergence)
 	}
 
-	byUnit, byType := rep.Marginals()
+	est := rep.Estimate()
 	if a.units {
 		fmt.Println("\nper unit:")
-		for _, u := range reportUnits(byUnit) {
+		for _, u := range reportUnits(est.ByUnit) {
 			fmt.Printf("  %-5s", u)
-			for _, o := range sfi.Outcomes {
-				fmt.Printf(" %s %6.2f%%", o, 100*rep.UnitFraction(u, o))
-			}
-			fmt.Println()
+			printRows(est.ByUnit[u])
 		}
 	}
 	if a.types {
@@ -281,14 +279,10 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		// read as a measured 0.00%.
 		fmt.Println("\nper latch type:")
 		for _, t := range sfi.LatchTypes {
-			if _, ok := byType[t]; !ok {
-				continue
+			if rows, ok := est.ByType[t.String()]; ok {
+				fmt.Printf("  %-8v", t)
+				printRows(rows)
 			}
-			fmt.Printf("  %-8v", t)
-			for _, o := range sfi.Outcomes {
-				fmt.Printf(" %s %6.2f%%", o, 100*rep.TypeFraction(t, o))
-			}
-			fmt.Println()
 		}
 	}
 	if a.causes {
@@ -296,6 +290,14 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		fmt.Print(sfi.TraceReport(rep, 50))
 	}
 	return nil
+}
+
+// printRows ends a -units/-types line with one population's fractions.
+func printRows(rows []sfi.ClassInterval) {
+	for _, ci := range rows {
+		fmt.Printf(" %s %6.2f%%", ci.Class, 100*ci.Fraction)
+	}
+	fmt.Println()
 }
 
 // printConvergence prints a report's convergence line, if it carries an
@@ -316,18 +318,15 @@ func printConvergence(c *sfi.Convergence) {
 // reportUnits lists the units to render in the -units breakdown: the
 // paper's p6lite ordering for units the report actually saw, then any
 // backend-specific units (e.g. awan's ALU bank) in sorted order.
-func reportUnits(byUnit map[string]map[sfi.Outcome]int) []string {
-	var out []string
-	seen := make(map[string]bool)
+func reportUnits(byUnit map[string][]sfi.ClassInterval) []string {
+	var out, extra []string
 	for _, u := range sfi.Units {
 		if _, ok := byUnit[u]; ok {
 			out = append(out, u)
-			seen[u] = true
 		}
 	}
-	var extra []string
 	for u := range byUnit {
-		if !seen[u] {
+		if !slices.Contains(sfi.Units, u) {
 			extra = append(extra, u)
 		}
 	}
@@ -455,7 +454,7 @@ func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc) {
 	fmt.Printf("campaign: %d injections%s in %v — %.1f injections/s, %d workers (%.0f%% busy)\n",
 		rep.Total, past, elapsed.Round(time.Millisecond),
 		float64(s.Injections)/elapsed.Seconds(), rep.Workers, 100*util)
-	fmt.Printf("restore:  p50 %v  p95 %v  (%d restores)\n",
+	fmt.Printf("restore:  p50 %v  p95 %v  (%d phase reloads)\n",
 		time.Duration(s.RestoreNs.Quantile(0.5)).Round(time.Microsecond),
 		time.Duration(s.RestoreNs.Quantile(0.95)).Round(time.Microsecond),
 		s.Restores)

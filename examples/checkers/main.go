@@ -25,10 +25,11 @@ func main() {
 	fmt.Println("Effect of the hardware checkers (Table 3):")
 	fmt.Print(r)
 
+	frac := func(rep *sfi.Report, o sfi.Outcome) float64 { return sfi.Row(rep.Estimate().Pooled, o).Fraction }
 	fmt.Printf("\nEnabling the checkers moved %.1f points of \"vanished\" into "+
 		"machine-visible events,\nand suppressed SDC from %.2f%% to %.2f%%.\n",
-		100*(r.Raw.Fraction(sfi.Vanished)-r.Check.Fraction(sfi.Vanished)),
-		100*r.Raw.Fraction(sfi.SDC), 100*r.Check.Fraction(sfi.SDC))
+		100*(frac(r.Raw, sfi.Vanished)-frac(r.Check, sfi.Vanished)),
+		100*frac(r.Raw, sfi.SDC), 100*frac(r.Check, sfi.SDC))
 
 	// Ablation: recovery unit disabled — detected errors escalate.
 	ccfg := sfi.DefaultCampaignConfig()
@@ -41,7 +42,7 @@ func main() {
 	}
 	fmt.Printf("\nWith the recovery unit disabled, the same sample gives:\n")
 	fmt.Printf("  corrected %.2f%% (was %.2f%%), checkstop %.2f%% (was %.2f%%)\n",
-		100*noRec.Fraction(sfi.Corrected), 100*r.Check.Fraction(sfi.Corrected),
-		100*noRec.Fraction(sfi.Checkstop), 100*r.Check.Fraction(sfi.Checkstop))
+		100*frac(noRec, sfi.Corrected), 100*frac(r.Check, sfi.Corrected),
+		100*frac(noRec, sfi.Checkstop), 100*frac(r.Check, sfi.Checkstop))
 	fmt.Println("  — every detected error becomes fatal without retry.")
 }

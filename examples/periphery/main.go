@@ -36,7 +36,8 @@ func main() {
 	fmt.Print(core)
 
 	fmt.Printf("\nPeriphery derating: %.1f%% vanished (LSU: %.1f%%).\n",
-		100*nest.Fraction(sfi.Vanished), 100*core.Fraction(sfi.Vanished))
+		100*sfi.Row(nest.Estimate().Pooled, sfi.Vanished).Fraction,
+		100*sfi.Row(core.Estimate().Pooled, sfi.Vanished).Fraction)
 	fmt.Println("Most periphery state is idle coherence/DMA machinery in this")
 	fmt.Println("configuration; the live request queue is parity-protected, so its")
 	fmt.Println("corruption recovers. Scan-ring hits remain fatal, as in the core.")

@@ -23,15 +23,13 @@ func main() {
 	fmt.Println("Whole-core random SFI campaign:")
 	fmt.Print(report)
 
+	est := report.Estimate().Pooled
+	pct := func(o sfi.Outcome) float64 { return 100 * sfi.Row(est, o).Fraction }
 	fmt.Println("\nDerating summary:")
-	fmt.Printf("  %.1f%% of injected bit flips were architecturally masked.\n",
-		100*report.Fraction(sfi.Vanished))
-	fmt.Printf("  %.1f%% were detected and corrected by the RAS hardware.\n",
-		100*report.Fraction(sfi.Corrected))
+	fmt.Printf("  %.1f%% of injected bit flips were architecturally masked.\n", pct(sfi.Vanished))
+	fmt.Printf("  %.1f%% were detected and corrected by the RAS hardware.\n", pct(sfi.Corrected))
 	fmt.Printf("  %.2f%% escalated to checkstop, %.2f%% hung the core, %.2f%% corrupted architected state.\n",
-		100*report.Fraction(sfi.Checkstop),
-		100*report.Fraction(sfi.Hang),
-		100*report.Fraction(sfi.SDC))
+		pct(sfi.Checkstop), pct(sfi.Hang), pct(sfi.SDC))
 
 	fmt.Println("\nFirst few cause-effect traces:")
 	fmt.Print(sfi.TraceReport(report, 8))

@@ -149,8 +149,7 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	stat, p, err := CalibrateBeam(rep.Fraction(Vanished), rep.Fraction(Corrected),
-		rep.Fraction(Checkstop), brep)
+	stat, p, err := CalibrateBeam(rep, brep)
 	if err != nil {
 		return nil, err
 	}
@@ -160,12 +159,13 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 // String renders Table 2 in the paper's layout.
 func (r *Table2Result) String() string {
 	bv, bc, bk := r.Beam.Fractions()
+	f := fractions(r.SFI)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %10s %12s\n", "Category", "SFI", "Proton Beam")
 	fmt.Fprintf(&sb, "%-12s %10d %12d\n", "Total flips", r.SFI.Total, r.Beam.Strikes)
-	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Vanished", 100*r.SFI.Fraction(Vanished), 100*bv)
-	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Corrected", 100*r.SFI.Fraction(Corrected), 100*bc)
-	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Checkstop", 100*r.SFI.Fraction(Checkstop), 100*bk)
+	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Vanished", 100*f[Vanished], 100*bv)
+	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Corrected", 100*f[Corrected], 100*bc)
+	fmt.Fprintf(&sb, "%-12s %9.2f%% %11.2f%%\n", "Checkstop", 100*f[Checkstop], 100*bk)
 	fmt.Fprintf(&sb, "chi-square %.3f (p = %.3f)\n", r.ChiSquare, r.PValue)
 	return sb.String()
 }
@@ -241,18 +241,24 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		uo := UnitOutcome{
+		out.PerUnit = append(out.PerUnit, UnitOutcome{
 			Unit:      unit,
 			LatchBits: bits,
 			Flips:     flips,
-			Fractions: make(map[Outcome]float64),
-		}
-		for _, o := range Outcomes {
-			uo.Fractions[o] = rep.Fraction(o)
-		}
-		out.PerUnit = append(out.PerUnit, uo)
+			Fractions: fractions(rep),
+		})
 	}
 	return out, nil
+}
+
+// fractions is a campaign's estimated outcome fractions: its Estimate's
+// pooled rows by outcome.
+func fractions(rep *Report) map[Outcome]float64 {
+	est, out := rep.Estimate().Pooled, make(map[Outcome]float64, len(Outcomes))
+	for _, o := range Outcomes {
+		out[o] = Row(est, o).Fraction
+	}
+	return out
 }
 
 // String renders Figure 3 as a table.
@@ -387,16 +393,12 @@ func RunFig5(cfg Fig5Config) (*Fig5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		to := TypeOutcome{
+		out.PerType = append(out.PerType, TypeOutcome{
 			Type:      ty,
 			LatchBits: bits,
 			Flips:     flips,
-			Fractions: make(map[Outcome]float64),
-		}
-		for _, o := range Outcomes {
-			to.Fractions[o] = rep.Fraction(o)
-		}
-		out.PerType = append(out.PerType, to)
+			Fractions: fractions(rep),
+		})
 	}
 	return out, nil
 }
@@ -473,10 +475,9 @@ func (r *Table3Result) String() string {
 	fmt.Fprintf(&sb, "%-6s %8s %8s %8s %8s %8s\n",
 		"Type", "Vanish", "Rec", "Hangs", "Chk", "SDC")
 	row := func(name string, rep *Report) {
+		f := fractions(rep)
 		fmt.Fprintf(&sb, "%-6s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", name,
-			100*rep.Fraction(Vanished), 100*rep.Fraction(Corrected),
-			100*rep.Fraction(Hang), 100*rep.Fraction(Checkstop),
-			100*rep.Fraction(SDC))
+			100*f[Vanished], 100*f[Corrected], 100*f[Hang], 100*f[Checkstop], 100*f[SDC])
 	}
 	row("Raw", r.Raw)
 	row("Check", r.Check)

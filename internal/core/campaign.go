@@ -344,14 +344,6 @@ type Report struct {
 	Convergence *stats.Convergence
 }
 
-// Fraction returns the fraction of injections with outcome o.
-func (r *Report) Fraction(o Outcome) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Counts[o]) / float64(r.Total)
-}
-
 // Marginals sums the cross over latch types and over units: the per-unit
 // and per-latch-type outcome breakdowns (the paper's Figs. 3-5 and
 // Table 3), as fresh maps.
@@ -375,30 +367,6 @@ func addRow[K comparable](rows map[K]map[Outcome]int, k K, row map[Outcome]int) 
 	for o, n := range row {
 		d[o] += n
 	}
-}
-
-// UnitFraction returns the fraction of a unit's injections with outcome o.
-func (r *Report) UnitFraction(unit string, o Outcome) float64 {
-	byUnit, _ := r.Marginals()
-	return rowFraction(byUnit[unit], o)
-}
-
-// TypeFraction returns the fraction of a latch type's injections with
-// outcome o.
-func (r *Report) TypeFraction(t latch.Type, o Outcome) float64 {
-	_, byType := r.Marginals()
-	return rowFraction(byType[t], o)
-}
-
-func rowFraction(row map[Outcome]int, o Outcome) float64 {
-	total := 0
-	for _, n := range row {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(row[o]) / float64(total)
 }
 
 func newReport() *Report {
@@ -1041,8 +1009,8 @@ func emitConvergenceEvents(trace *obs.TraceSink, c *stats.Convergence, seen map[
 func (r *Report) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "total flips: %d\n", r.Total)
-	for _, o := range Outcomes {
-		fmt.Fprintf(&sb, "  %-10s %6d  (%6.2f%%)\n", o, r.Counts[o], 100*r.Fraction(o))
+	for _, ci := range r.Estimate().Pooled {
+		fmt.Fprintf(&sb, "  %-10s %6d  (%6.2f%%)\n", ci.Class, ci.K, 100*ci.Fraction)
 	}
 	return sb.String()
 }

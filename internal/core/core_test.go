@@ -236,8 +236,8 @@ func TestCampaignAggregates(t *testing.T) {
 	}
 	// Fractions are consistent.
 	var f float64
-	for _, o := range Outcomes {
-		f += rep.Fraction(o)
+	for _, ci := range rep.Estimate().Pooled {
+		f += ci.Fraction
 	}
 	if f < 0.999 || f > 1.001 {
 		t.Errorf("fractions sum to %f", f)
@@ -327,9 +327,8 @@ func TestRawModeCampaignHasNoMachineVisibleEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Fraction(Vanished) < chk.Fraction(Vanished) {
-		t.Errorf("raw vanish %.3f < checked vanish %.3f",
-			rep.Fraction(Vanished), chk.Fraction(Vanished))
+	if raw, checked := Row(rep.Estimate().Pooled, Vanished).Fraction, Row(chk.Estimate().Pooled, Vanished).Fraction; raw < checked {
+		t.Errorf("raw vanish %.3f < checked vanish %.3f", raw, checked)
 	}
 }
 
@@ -376,10 +375,11 @@ func TestMultiBitUpsetParityBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if erep.Fraction(Corrected) > srep.Fraction(Corrected) {
+	corrected := func(rep *Report) float64 { return Row(rep.Estimate().Pooled, Corrected).Fraction }
+	if corrected(erep) > corrected(srep) {
 		t.Errorf("2-bit clusters detected more than single flips: %.3f vs %.3f "+
 			"(parity should be blind to even-weight corruption)",
-			erep.Fraction(Corrected), srep.Fraction(Corrected))
+			corrected(erep), corrected(srep))
 	}
 	// Odd spans flip the parity and stay detectable.
 	odd := single
@@ -388,9 +388,9 @@ func TestMultiBitUpsetParityBlindSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orep.Fraction(Corrected)+0.01 < erep.Fraction(Corrected) {
+	if corrected(orep)+0.01 < corrected(erep) {
 		t.Errorf("3-bit clusters (%.3f corrected) below 2-bit (%.3f): odd spans must stay detectable",
-			orep.Fraction(Corrected), erep.Fraction(Corrected))
+			corrected(orep), corrected(erep))
 	}
 }
 
@@ -408,8 +408,8 @@ func TestNestCampaignThroughFramework(t *testing.T) {
 			t.Fatalf("hit unit %s", res.Unit)
 		}
 	}
-	if rep.Fraction(Vanished) < 0.8 {
-		t.Errorf("NEST vanish %.2f implausibly low", rep.Fraction(Vanished))
+	if v := Row(rep.Estimate().Pooled, Vanished).Fraction; v < 0.8 {
+		t.Errorf("NEST vanish %.2f implausibly low", v)
 	}
 }
 

@@ -57,13 +57,10 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 		Intervals: make(map[string]map[string]float64),
 	}
 	out.Convergence = r.Convergence
-	cis := r.ConfidenceIntervals(1.96)
-	for _, o := range Outcomes {
-		out.Counts[o.String()] = r.Counts[o]
-		out.Fractions[o.String()] = r.Fraction(o)
-		out.Intervals[o.String()] = map[string]float64{
-			"lo": cis[o].Lo, "hi": cis[o].Hi,
-		}
+	for _, ci := range r.Estimate().Pooled {
+		out.Counts[ci.Class] = int(ci.K)
+		out.Fractions[ci.Class] = ci.Fraction
+		out.Intervals[ci.Class] = map[string]float64{"lo": ci.Lo, "hi": ci.Hi}
 	}
 	byUnit, byType := r.Marginals()
 	for unit, m := range byUnit {

@@ -10,10 +10,10 @@ import (
 	"sfi/internal/stats"
 )
 
-// Statistical and diagnostic views over a campaign Report: confidence
-// intervals on the outcome proportions (the error bars behind the paper's
-// Figure 2 argument), detection-latency statistics, and the per-checker
-// coverage table designers use to evaluate their RAS hardware.
+// Statistical and diagnostic views over a campaign Report: its estimate, the
+// outcome proportions and their confidence intervals (the error bars behind
+// the paper's Figure 2 argument), detection-latency statistics, and the
+// per-checker coverage table designers use to evaluate their RAS hardware.
 
 // Merge folds another report into r — the shard aggregation primitive for
 // distributed campaigns. Merging the Reports of k disjoint shards of one
@@ -60,21 +60,68 @@ func (r *Report) Merge(o *Report) {
 	r.Convergence = nil
 }
 
-// Interval is a binomial confidence interval on an outcome proportion.
-type Interval struct {
-	Fraction float64
-	Lo, Hi   float64
+// Estimate is a report's numbers. For each population the report defines it
+// holds one row per outcome class, in Outcomes order (Row picks one out):
+// the class's count K out of the population's N, the point estimate
+// Fraction and a 95% interval [Lo, Hi].
+type Estimate struct {
+	// Pooled is the whole sample.
+	Pooled []stats.ClassInterval
+	// ByUnit and ByType, keyed by unit and latch-type name, are the cross's
+	// Marginals.
+	ByUnit, ByType map[string][]stats.ClassInterval
+	// ByStratum is each stratum of the report's Census, those the campaign
+	// never drew from included with zero counts; nil without a Census.
+	ByStratum map[string][]stats.ClassInterval
 }
 
-// ConfidenceIntervals returns the Wilson score interval for each outcome at
-// confidence z (1.96 ≈ 95%).
-func (r *Report) ConfidenceIntervals(z float64) map[Outcome]Interval {
-	out := make(map[Outcome]Interval, len(Outcomes))
-	for _, o := range Outcomes {
-		lo, hi := stats.WilsonInterval(r.Counts[o], r.Total, z)
-		out[o] = Interval{Fraction: r.Fraction(o), Lo: lo, Hi: hi}
+// Estimate is the one place a report's counts become numbers: every surface
+// that prints a fraction or an interval reads it, and ComputeConvergence
+// evaluates the stop rule over its populations. The report's design (its
+// Census) decides which populations there are; in each, the estimate is the
+// sample proportion K/N with the fixed-n Wilson score interval at z = 1.96.
+func (r *Report) Estimate() *Estimate {
+	classes := outcomeNames()
+	rows := func(s stats.StratumCounts) []stats.ClassInterval {
+		return stats.ClassIntervals(classes, s.Counts, s.Total, func(k, n int) (lo, hi float64) {
+			return stats.WilsonInterval(k, n, 1.96)
+		})
 	}
-	return out
+	pooled := stratumFromRow(r.Counts)
+	pooled.Total = int64(r.Total)
+	byUnit, byType := r.Marginals()
+	e := &Estimate{
+		Pooled: rows(pooled),
+		ByUnit: make(map[string][]stats.ClassInterval, len(byUnit)),
+		ByType: make(map[string][]stats.ClassInterval, len(byType)),
+	}
+	for unit, row := range byUnit {
+		e.ByUnit[unit] = rows(stratumFromRow(row))
+	}
+	for t, row := range byType {
+		e.ByType[t.String()] = rows(stratumFromRow(row))
+	}
+	if r.Census != nil {
+		e.ByStratum = make(map[string][]stats.ClassInterval, len(r.Census))
+		for key := range r.Census {
+			e.ByStratum[key] = rows(stratumFromRow(r.ByStratum[key]))
+		}
+	}
+	return e
+}
+
+// Row returns outcome o's row of one of an Estimate's populations.
+func Row(rows []stats.ClassInterval, o Outcome) stats.ClassInterval { return rows[int(o)-1] }
+
+// stratumFromRow is an outcome row as stats counts it: by class name, with
+// the row's sum as its total.
+func stratumFromRow(row map[Outcome]int) stats.StratumCounts {
+	s := stats.StratumCounts{Counts: make(map[string]int64, len(row))}
+	for o, n := range row {
+		s.Counts[o.String()] = int64(n)
+		s.Total += int64(n)
+	}
+	return s
 }
 
 // PooledConvergence evaluates the rule over the report's Total and Counts
@@ -130,11 +177,11 @@ func (p *PrefixStop) Settle(n int, counts map[Outcome]int) int {
 // Cut returns the cut Settle last returned.
 func (p *PrefixStop) Cut() int { return p.cut }
 
-// ComputeConvergence evaluates an adaptive stopping rule over the report's
-// exact aggregate counts, with per-unit and per-latch-type strata (the
-// cross's Marginals). It is the evaluation a report carries, and the
-// settled-counts basis every stop decision is made on. Returns nil for a
-// disabled rule.
+// ComputeConvergence evaluates an adaptive stopping rule over the
+// populations of the report's Estimate: the pooled sample, with per-unit and
+// per-latch-type strata (the cross's Marginals). It is the evaluation a
+// report carries, and the settled-counts basis every stop decision is made
+// on. Returns nil for a disabled rule.
 //
 // Each stratum of the report's Census (a stratified draw's) is additionally
 // evaluated over its cell of the cross against the rule (an exhausted
@@ -145,37 +192,21 @@ func (r *Report) ComputeConvergence(rule stats.StopRule) *stats.Convergence {
 	if !rule.Enabled() {
 		return nil
 	}
-	classes := outcomeNames()
-	counts := make(map[string]int64, len(r.Counts))
-	for o, n := range r.Counts {
-		counts[o.String()] = int64(n)
-	}
-	c := rule.Eval(classes, counts, int64(r.Total))
-	byUnit, byType := r.Marginals()
-	units := make(map[string]stats.StratumCounts, len(byUnit))
-	for unit, row := range byUnit {
-		units[unit] = stratumFromRow(row)
-	}
-	types := make(map[string]stats.StratumCounts, len(byType))
-	for t, row := range byType {
-		types[t.String()] = stratumFromRow(row)
-	}
-	c.AddStrata(rule, classes, units, types)
-	strata := make(map[string]stats.StratumCounts, len(r.Census))
-	for key := range r.Census {
-		strata[key] = stratumFromRow(r.ByStratum[key])
-	}
-	c.AddSampleStrata(rule, classes, strata, r.Census)
+	classes, e := outcomeNames(), r.Estimate()
+	all := stats.CountsOf(e.Pooled)
+	c := rule.Eval(classes, all.Counts, all.Total)
+	c.AddStrata(rule, classes, countsOf(e.ByUnit), countsOf(e.ByType))
+	c.AddSampleStrata(rule, classes, countsOf(e.ByStratum), r.Census)
 	return c
 }
 
-func stratumFromRow(row map[Outcome]int) stats.StratumCounts {
-	s := stats.StratumCounts{Counts: make(map[string]int64, len(row))}
-	for o, n := range row {
-		s.Counts[o.String()] = int64(n)
-		s.Total += int64(n)
+// countsOf returns the counts each population's rows were evaluated over.
+func countsOf(pops map[string][]stats.ClassInterval) map[string]stats.StratumCounts {
+	out := make(map[string]stats.StratumCounts, len(pops))
+	for name, rows := range pops {
+		out[name] = stats.CountsOf(rows)
 	}
-	return s
+	return out
 }
 
 // LatencyStats summarizes detection latency over the detected injections.
@@ -257,11 +288,9 @@ func (r *Report) CoverageTable() []CheckerCoverage {
 func (r *Report) DetailedString() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "total flips: %d\n", r.Total)
-	cis := r.ConfidenceIntervals(1.96)
-	for _, o := range Outcomes {
-		ci := cis[o]
+	for _, ci := range r.Estimate().Pooled {
 		fmt.Fprintf(&sb, "  %-10s %6d  %6.2f%%  [%.2f%%, %.2f%%]\n",
-			o, r.Counts[o], 100*ci.Fraction, 100*ci.Lo, 100*ci.Hi)
+			ci.Class, ci.K, 100*ci.Fraction, 100*ci.Lo, 100*ci.Hi)
 	}
 	if c := r.Convergence; c != nil {
 		verdict := "converged"

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sfi/internal/latch"
+	"sfi/internal/stats"
 )
 
 func sampleReport(t *testing.T) *Report {
@@ -19,27 +20,122 @@ func sampleReport(t *testing.T) *Report {
 	return rep
 }
 
-func TestConfidenceIntervalsBracketFractions(t *testing.T) {
-	rep := sampleReport(t)
-	cis := rep.ConfidenceIntervals(1.96)
-	for _, o := range Outcomes {
-		ci := cis[o]
-		if ci.Lo > ci.Fraction || ci.Fraction > ci.Hi {
-			t.Errorf("%v: fraction %.3f outside [%.3f, %.3f]", o, ci.Fraction, ci.Lo, ci.Hi)
-		}
-		if ci.Lo < 0 || ci.Hi > 1 {
-			t.Errorf("%v: interval out of [0,1]", o)
+func TestEstimateBracketsFractions(t *testing.T) {
+	e := sampleReport(t).Estimate()
+	pops := map[string][]stats.ClassInterval{"pooled": e.Pooled}
+	for unit, rows := range e.ByUnit {
+		pops[unit] = rows
+	}
+	for ty, rows := range e.ByType {
+		pops[ty] = rows
+	}
+	for name, rows := range pops {
+		for _, ci := range rows {
+			if ci.Lo > ci.Fraction || ci.Fraction > ci.Hi {
+				t.Errorf("%s %s: fraction %.3f outside [%.3f, %.3f]", name, ci.Class, ci.Fraction, ci.Lo, ci.Hi)
+			}
+			if ci.Lo < 0 || ci.Hi > 1 {
+				t.Errorf("%s %s: interval out of [0,1]", name, ci.Class)
+			}
 		}
 	}
 }
 
-func TestConfidenceIntervalsShrinkWithN(t *testing.T) {
+func TestEstimateShrinksWithN(t *testing.T) {
 	small := &Report{Total: 50, Counts: map[Outcome]int{Vanished: 47}}
 	big := &Report{Total: 5000, Counts: map[Outcome]int{Vanished: 4700}}
-	sci := small.ConfidenceIntervals(1.96)[Vanished]
-	bci := big.ConfidenceIntervals(1.96)[Vanished]
-	if bci.Hi-bci.Lo >= sci.Hi-sci.Lo {
-		t.Errorf("interval did not shrink: %f vs %f", bci.Hi-bci.Lo, sci.Hi-sci.Lo)
+	sci := Row(small.Estimate().Pooled, Vanished)
+	bci := Row(big.Estimate().Pooled, Vanished)
+	if bci.Width >= sci.Width {
+		t.Errorf("interval did not shrink: %f vs %f", bci.Width, sci.Width)
+	}
+}
+
+// TestEstimatePopulations holds Report.Estimate to its definition. Each row
+// is k out of its population's n, the fraction k/n and the fixed-n Wilson
+// interval at z = 1.96; an empty report's are 0 in (0, 1). The pooled
+// population is the report's Counts over its Total; the unit and type
+// populations are a recount of the kept Results; and stratum populations
+// appear only with a Census, one per census stratum, those the campaign
+// never drew from with zero counts.
+func TestEstimatePopulations(t *testing.T) {
+	wantRows := func(name string, rows []stats.ClassInterval, counts map[Outcome]int) {
+		t.Helper()
+		n := 0
+		for _, k := range counts {
+			n += k
+		}
+		if len(rows) != len(Outcomes) {
+			t.Fatalf("%s: %d rows, want one per outcome", name, len(rows))
+		}
+		for i, o := range Outcomes {
+			k := counts[o]
+			want := stats.ClassInterval{Class: o.String(), K: int64(k), N: int64(n)}
+			want.Lo, want.Hi = stats.WilsonInterval(k, n, 1.96)
+			want.Width = want.Hi - want.Lo
+			if n > 0 {
+				want.Fraction = float64(k) / float64(n)
+			}
+			if rows[i] != want || Row(rows, o) != want {
+				t.Errorf("%s %v: row %+v, want %+v", name, o, rows[i], want)
+			}
+		}
+	}
+	empty := (&Report{}).Estimate()
+	wantRows("empty", empty.Pooled, nil)
+	if ci := Row(empty.Pooled, Vanished); ci.Fraction != 0 || ci.Lo != 0 || ci.Hi != 1 {
+		t.Errorf("empty report: %+v, want fraction 0 in (0, 1)", ci)
+	}
+	if len(empty.ByUnit)+len(empty.ByType)+len(empty.ByStratum) != 0 {
+		t.Errorf("empty report has populations: %+v", empty)
+	}
+
+	uniform := sampleReport(t)
+	stratified := fastCampaignConfig()
+	stratified.Seed, stratified.Flips, stratified.KeepResults = 3, 40, true
+	stratified.Alloc = AllocConfig{Mode: AllocNeyman, Epochs: 2}
+	stratified.Stop = StopConfig{TargetMargin: 0.10, Strata: true}
+	neyman, err := RunCampaign(stratified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rep := range map[string]*Report{"uniform": uniform, "neyman": neyman} {
+		if len(rep.Results) != rep.Total {
+			t.Fatalf("%s: %d results kept of %d", name, len(rep.Results), rep.Total)
+		}
+		e := rep.Estimate()
+		wantRows(name+" pooled", e.Pooled, rep.Counts)
+		units, types, cells := map[string]map[Outcome]int{}, map[string]map[Outcome]int{}, map[string]map[Outcome]int{}
+		for _, res := range rep.Results {
+			one := map[Outcome]int{res.Outcome: 1}
+			addRow(units, res.Unit, one)
+			addRow(types, res.LatchType.String(), one)
+			addRow(cells, StratumKey(res.Unit, res.LatchType), one)
+		}
+		for pop, p := range map[string]struct {
+			got  map[string][]stats.ClassInterval
+			want map[string]map[Outcome]int
+		}{"unit": {e.ByUnit, units}, "type": {e.ByType, types}} {
+			if len(p.got) != len(p.want) {
+				t.Errorf("%s: %d %s populations, the results have %d", name, len(p.got), pop, len(p.want))
+			}
+			for key, counts := range p.want {
+				wantRows(name+" "+pop+" "+key, p.got[key], counts)
+			}
+		}
+		if rep.Census == nil {
+			if e.ByStratum != nil {
+				t.Errorf("%s: stratum populations without a census: %v", name, e.ByStratum)
+			}
+			continue
+		}
+		if len(e.ByStratum) != len(rep.Census) || len(cells) >= len(rep.Census) {
+			t.Fatalf("%s: %d stratum populations, %d drawn, census of %d: want every census stratum, some never drawn",
+				name, len(e.ByStratum), len(cells), len(rep.Census))
+		}
+		for key := range rep.Census {
+			wantRows(name+" stratum "+key, e.ByStratum[key], cells[key])
+		}
 	}
 }
 

@@ -983,16 +983,6 @@ func FuzzEarlyExit(f *testing.F) {
 	f.Add(uint8(0), bit("prv.trace.ptr", 2), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("fxu.gpr", 130), false)   // a live Inject after lazy Steps
 	f.Add(uint8(0), bit("fxu.gpr", 130), false, uint8(1), uint16(0), uint16(50), uint16(300), bit("prv.thermal", 1), false)     // a never-read Inject after clocked ones
 	f.Add(uint8(0), bit("idu.dac.tbl", 33), true, uint8(1), uint16(0), uint16(10), toEnd, bit("lsu.pf", 4), false)              // Steps off the end of the record
-	// A held fault confined to never-read bits stays out of the model until
-	// something needs it: a second flip, live or not, puts it in and arms its
-	// force at the cycle it was made; a Core read restores the model and
-	// leaves it out.
-	for lead := uint8(0); lead < uint8(len(leads)); lead++ {
-		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(300), bit("fxu.gpr", 130), false) // then a live flip
-		f.Add(lead, bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(40), uint16(90), bit("prv.trace", 75), false)  // then a never-read one
-		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0), true)              // then a Core read
-		f.Add(lead, bit("prv.trace", 70), true, uint8(1), uint16(0), uint16(40), uint16(300), bit("fxu.gpr", 130), true)   // then a Core read and a live flip
-	}
 	// The watchdog past its limit and armed, and the IFU, IDU and FXU
 	// clocks stopped: the core is declared hung in the gap before Run, and
 	// every cycle after only ticks counters. Run stops after its first.
@@ -1077,6 +1067,16 @@ func FuzzEarlyExit(f *testing.F) {
 	// restored model, not from the frozen one the shot left behind.
 	f.Add(uint8(0), bit("idu.mode", 16), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)
 	f.Add(uint8(0), uint32(0), false, uint8(1), uint16(0), uint16(0), uint16(0), uint32(0), false)
+	// A held fault confined to never-read bits stays out of the model until
+	// something needs it: a second flip, live or not, puts it in and arms its
+	// force at the cycle it was made; a Core read restores the model and
+	// leaves it out.
+	for lead := uint8(0); lead < uint8(len(leads)); lead++ {
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(300), bit("fxu.gpr", 130), false) // then a live flip
+		f.Add(lead, bit("prv.trace", 70), true, uint8(2), uint16(0), uint16(40), uint16(90), bit("prv.trace", 75), false)  // then a never-read one
+		f.Add(lead, bit("prv.perf", 5), true, uint8(1), uint16(200), uint16(120), uint16(0), uint32(0), true)              // then a Core read
+		f.Add(lead, bit("prv.trace", 70), true, uint8(1), uint16(0), uint16(40), uint16(300), bit("fxu.gpr", 130), true)   // then a Core read and a live flip
+	}
 	f.Fuzz(func(t *testing.T, lead uint8, bit uint32, sticky bool, span uint8, duration, delay, gap uint16, then uint32, read bool) {
 		p.same(t, leads[int(lead)%len(leads)], 50_000, 2)
 		total := p.fast.DB().TotalBits()

@@ -184,8 +184,13 @@ func (m *Metrics) Snapshot() *Snapshot {
 // typed struct campaign reports carry and the exporters serialize.
 type Snapshot struct {
 	Injections uint64 `json:"injections"`
-	Restores   uint64 `json:"restores"`
-	Cycles     uint64 `json:"cycles"`
+	// Restores counts phase reloads, engine.Backend.ReloadPhase calls: one
+	// per scalar injection and one per batched pass, timed by RestoreNs. A
+	// backend may put the restore itself off: p6lite restores its model only
+	// for an injection that needs it, so on p6lite this is more than the
+	// checkpoint restores it made. The name is the wire format's.
+	Restores uint64 `json:"restores"`
+	Cycles   uint64 `json:"cycles"`
 	// SteppedCycles is the part of Cycles a model was clocked through: all
 	// of them on awan, fewer on p6lite (see Metrics.Fold).
 	SteppedCycles uint64 `json:"stepped_cycles"`

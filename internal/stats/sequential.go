@@ -102,10 +102,13 @@ func (r StopRule) normalized() StopRule {
 	return r
 }
 
-// ClassInterval is one outcome class's sequential Wilson interval at a
-// point in a campaign. The JSON field names are API surface (the /v1/status
-// convergence block and JSONL convergence events) — locked by a golden
-// test; change them only with a wire-version bump.
+// ClassInterval is one outcome class's row of a population: its count K
+// out of the population's N, the fraction K/N and an interval on it — the
+// sequential Wilson interval in a Convergence, the fixed-n one in a
+// campaign report's estimate (core.Report.Estimate). The JSON field names
+// are API surface (the /v1/status convergence block and JSONL convergence
+// events) — locked by a golden test; change them only with a wire-version
+// bump.
 type ClassInterval struct {
 	Class     string  `json:"class"`
 	K         int64   `json:"k"`
@@ -147,12 +150,11 @@ type Convergence struct {
 	WidestStratumWidth float64                    `json:"widest_stratum_width,omitempty"`
 }
 
-// Intervals evaluates one population: for each class name (in order, empty
-// names skipped — they are code-index padding), the sequential Wilson
-// interval of counts[class] out of total, converged when the population has
-// met the MinPerClass floor and the width is within TargetMargin.
-func (r StopRule) Intervals(classes []string, counts map[string]int64, total int64) []ClassInterval {
-	r = r.normalized()
+// ClassIntervals evaluates one population: for each class name (in order,
+// empty names skipped — they are code-index padding), the row of
+// counts[class] out of total, its interval the one bound gives for k out of
+// n. Converged is left false.
+func ClassIntervals(classes []string, counts map[string]int64, total int64, bound func(k, n int) (lo, hi float64)) []ClassInterval {
 	out := make([]ClassInterval, 0, len(classes))
 	for _, class := range classes {
 		if class == "" {
@@ -160,13 +162,37 @@ func (r StopRule) Intervals(classes []string, counts map[string]int64, total int
 		}
 		k := counts[class]
 		ci := ClassInterval{Class: class, K: k, N: total}
-		ci.Lo, ci.Hi = SequentialWilson(int(k), int(total), r.Confidence)
+		ci.Lo, ci.Hi = bound(int(k), int(total))
 		ci.Width = ci.Hi - ci.Lo
 		if total > 0 {
 			ci.Fraction = float64(k) / float64(total)
 		}
-		ci.Converged = total >= int64(r.MinPerClass) && ci.Width <= r.TargetMargin
 		out = append(out, ci)
+	}
+	return out
+}
+
+// CountsOf returns the per-class counts and the total a population's rows
+// were evaluated over.
+func CountsOf(rows []ClassInterval) StratumCounts {
+	s := StratumCounts{Counts: make(map[string]int64, len(rows))}
+	for _, ci := range rows {
+		s.Counts[ci.Class], s.Total = ci.K, ci.N
+	}
+	return s
+}
+
+// Intervals evaluates one population: for each class name (in order, empty
+// names skipped — they are code-index padding), the sequential Wilson
+// interval of counts[class] out of total, converged when the population has
+// met the MinPerClass floor and the width is within TargetMargin.
+func (r StopRule) Intervals(classes []string, counts map[string]int64, total int64) []ClassInterval {
+	r = r.normalized()
+	out := ClassIntervals(classes, counts, total, func(k, n int) (lo, hi float64) {
+		return SequentialWilson(k, n, r.Confidence)
+	})
+	for i := range out {
+		out[i].Converged = total >= int64(r.MinPerClass) && out[i].Width <= r.TargetMargin
 	}
 	return out
 }

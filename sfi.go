@@ -127,8 +127,11 @@ type (
 	// campaign against a stopping rule, attached to adaptive Reports and
 	// carried live in Progress.
 	Convergence = stats.Convergence
-	// ClassInterval is one outcome class's sequential Wilson interval.
+	// ClassInterval is one outcome class's row of a population: count, size,
+	// fraction and interval (a Report's Estimate, a Convergence's).
 	ClassInterval = stats.ClassInterval
+	// Estimate is a report's numbers, per population: Report.Estimate.
+	Estimate = core.Estimate
 )
 
 // Outcome categories (the paper's Figure 1 vocabulary).
@@ -203,6 +206,9 @@ const UnitNEST = proc.UnitNEST
 // LatchTypes lists the latch types in Figure 5 order.
 var LatchTypes = latch.Types
 
+// Row returns outcome o's row of one of an Estimate's populations.
+func Row(rows []ClassInterval, o Outcome) ClassInterval { return core.Row(rows, o) }
+
 // DefaultCampaignConfig returns a whole-core random campaign configuration.
 func DefaultCampaignConfig() CampaignConfig { return core.DefaultCampaignConfig() }
 
@@ -271,10 +277,11 @@ func DefaultBeamConfig() BeamConfig { return beam.DefaultConfig() }
 // RunBeam executes a simulated proton-beam experiment.
 func RunBeam(cfg BeamConfig) (*BeamReport, error) { return beam.Run(cfg) }
 
-// CalibrateBeam compares SFI proportions against a beam report (Table 2),
-// returning the chi-square statistic and p-value.
-func CalibrateBeam(vanished, corrected, checkstop float64, rep *BeamReport) (stat, p float64, err error) {
-	return beam.Calibrate(vanished, corrected, checkstop, rep)
+// CalibrateBeam compares a campaign's estimated outcome proportions with a
+// beam report (Table 2), returning the chi-square statistic and p-value.
+func CalibrateBeam(rep *Report, b *BeamReport) (stat, p float64, err error) {
+	f := fractions(rep)
+	return beam.Calibrate(f[Vanished], f[Corrected], f[Checkstop], b)
 }
 
 // Table1 is the AVP-versus-SPECInt comparison result.

@@ -15,6 +15,9 @@ func testRunner() RunnerConfig {
 	return cfg
 }
 
+// frac is the estimated fraction of rep's injections with outcome o.
+func frac(rep *Report, o Outcome) float64 { return Row(rep.Estimate().Pooled, o).Fraction }
+
 func TestFacadeCampaign(t *testing.T) {
 	cfg := DefaultCampaignConfig()
 	cfg.Runner = testRunner()
@@ -26,8 +29,8 @@ func TestFacadeCampaign(t *testing.T) {
 	if rep.Total != 200 {
 		t.Fatalf("total = %d", rep.Total)
 	}
-	if rep.Fraction(Vanished) < 0.7 {
-		t.Errorf("vanished %.2f implausibly low", rep.Fraction(Vanished))
+	if frac(rep, Vanished) < 0.7 {
+		t.Errorf("vanished %.2f implausibly low", frac(rep, Vanished))
 	}
 }
 
@@ -101,7 +104,7 @@ func TestTable2Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := r.SFI.Fraction(Vanished)
+	sv := frac(r.SFI, Vanished)
 	bv, _, _ := r.Beam.Fractions()
 	if sv < 0.85 || bv < 0.85 {
 		t.Errorf("vanish fractions sfi %.2f beam %.2f", sv, bv)
@@ -201,9 +204,9 @@ func TestTable3Shape(t *testing.T) {
 	}
 	// Table 3's shape: Raw mode vanishes more, has no recoveries or
 	// checkstops; Check mode converts some of that into visible events.
-	if r.Raw.Fraction(Vanished) < r.Check.Fraction(Vanished) {
+	if frac(r.Raw, Vanished) < frac(r.Check, Vanished) {
 		t.Errorf("raw vanish %.3f < check vanish %.3f",
-			r.Raw.Fraction(Vanished), r.Check.Fraction(Vanished))
+			frac(r.Raw, Vanished), frac(r.Check, Vanished))
 	}
 	if r.Raw.Counts[Corrected] != 0 || r.Raw.Counts[Checkstop] != 0 {
 		t.Error("raw mode has machine-visible events")
@@ -260,7 +263,7 @@ func TestFig2MeansStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fracs = append(fracs, rep.Fraction(Vanished))
+		fracs = append(fracs, frac(rep, Vanished))
 	}
 	lo, hi := fracs[0], fracs[0]
 	for _, f := range fracs {
