@@ -260,7 +260,8 @@ func TestNeymanBeatsUniformToStratumCoverage(t *testing.T) {
 		t.Fatalf("Neyman campaign missed stratum coverage within its %d-injection budget", cfg.Flips)
 	}
 	for key, pop := range pops {
-		if counts := stratumFromRow(rep.ByStratum[key]); !rule.StratumConverged(names, counts, pop) {
+		counts := stratumFromRow(rep.ByStratum[key])
+		if !rule.StratumConverged(stats.ClassIntervals(names, counts.Counts, counts.Total, rule.Bound()), pop) {
 			t.Errorf("Neyman campaign stopped with stratum %s uncovered (%d of %d drawn)", key, counts.Total, pop)
 		}
 	}

@@ -60,32 +60,27 @@ func (r *Report) Merge(o *Report) {
 	r.Convergence = nil
 }
 
-// Estimate is a report's numbers. For each population the report defines it
-// holds one row per outcome class, in Outcomes order (Row picks one out):
-// the class's count K out of the population's N, the point estimate
-// Fraction and a 95% interval [Lo, Hi].
-type Estimate struct {
-	// Pooled is the whole sample.
-	Pooled []stats.ClassInterval
-	// ByUnit and ByType, keyed by unit and latch-type name, are the cross's
-	// Marginals.
-	ByUnit, ByType map[string][]stats.ClassInterval
-	// ByStratum is each stratum of the report's Census, those the campaign
-	// never drew from included with zero counts; nil without a Census.
-	ByStratum map[string][]stats.ClassInterval
-}
+// Estimate is a report's numbers: per population, one row per outcome class
+// in Outcomes order (Row picks one out). ByUnit and ByType are the cross's
+// Marginals, ByStratum each stratum of the report's Census.
+type Estimate = stats.Estimate
 
 // Estimate is the one place a report's counts become numbers: every surface
-// that prints a fraction or an interval reads it, and ComputeConvergence
-// evaluates the stop rule over its populations. The report's design (its
-// Census) decides which populations there are; in each, the estimate is the
-// sample proportion K/N with the fixed-n Wilson score interval at z = 1.96.
+// that prints a fraction or an interval reads it. In each population the
+// estimate is the sample proportion K/N with the fixed-n Wilson score
+// interval at z = 1.96.
 func (r *Report) Estimate() *Estimate {
+	return r.estimate(func(k, n int) (lo, hi float64) { return stats.WilsonInterval(k, n, 1.96) })
+}
+
+// estimate is the population builder: the report's design (its Census)
+// decides which populations there are, and bound gives each row's interval.
+// Estimate builds them under the fixed-n bound, ComputeConvergence under the
+// stop rule's.
+func (r *Report) estimate(bound func(k, n int) (lo, hi float64)) *Estimate {
 	classes := outcomeNames()
 	rows := func(s stats.StratumCounts) []stats.ClassInterval {
-		return stats.ClassIntervals(classes, s.Counts, s.Total, func(k, n int) (lo, hi float64) {
-			return stats.WilsonInterval(k, n, 1.96)
-		})
+		return stats.ClassIntervals(classes, s.Counts, s.Total, bound)
 	}
 	pooled := stratumFromRow(r.Counts)
 	pooled.Total = int64(r.Total)
@@ -177,36 +172,22 @@ func (p *PrefixStop) Settle(n int, counts map[Outcome]int) int {
 // Cut returns the cut Settle last returned.
 func (p *PrefixStop) Cut() int { return p.cut }
 
-// ComputeConvergence evaluates an adaptive stopping rule over the
-// populations of the report's Estimate: the pooled sample, with per-unit and
-// per-latch-type strata (the cross's Marginals). It is the evaluation a
-// report carries, and the settled-counts basis every stop decision is made
-// on. Returns nil for a disabled rule.
+// ComputeConvergence is the stop rule's judgement of the report's
+// populations, built under the rule's Bound: the pooled sample, with
+// per-unit and per-latch-type strata (the cross's Marginals). It is the
+// evaluation a report carries, and the settled-counts basis every stop
+// decision is made on. Returns nil for a disabled rule.
 //
 // Each stratum of the report's Census (a stratified draw's) is additionally
-// evaluated over its cell of the cross against the rule (an exhausted
-// stratum is converged whatever its widths), and — when the rule's Strata
-// gate is armed — the stratum verdicts fold into the overall one. Strata the
-// campaign never drew from still gate the verdict, with zero counts.
+// judged against its census size (an exhausted stratum is converged
+// whatever its widths), and — when the rule's Strata gate is armed — the
+// stratum verdicts fold into the overall one. Strata the campaign never
+// drew from still gate the verdict, with zero counts.
 func (r *Report) ComputeConvergence(rule stats.StopRule) *stats.Convergence {
 	if !rule.Enabled() {
 		return nil
 	}
-	classes, e := outcomeNames(), r.Estimate()
-	all := stats.CountsOf(e.Pooled)
-	c := rule.Eval(classes, all.Counts, all.Total)
-	c.AddStrata(rule, classes, countsOf(e.ByUnit), countsOf(e.ByType))
-	c.AddSampleStrata(rule, classes, countsOf(e.ByStratum), r.Census)
-	return c
-}
-
-// countsOf returns the counts each population's rows were evaluated over.
-func countsOf(pops map[string][]stats.ClassInterval) map[string]stats.StratumCounts {
-	out := make(map[string]stats.StratumCounts, len(pops))
-	for name, rows := range pops {
-		out[name] = stats.CountsOf(rows)
-	}
-	return out
+	return rule.Judge(r.estimate(rule.Bound()), r.Census)
 }
 
 // LatencyStats summarizes detection latency over the detected injections.

@@ -66,6 +66,7 @@ func NeymanScore(classes []string, s StratumState) float64 {
 // replay.
 func (r StopRule) Allocate(classes []string, strata []StratumState, budget int) []StratumShare {
 	r = r.normalized()
+	bound := r.Bound()
 	shares := make([]StratumShare, len(strata))
 	caps := make([]int, len(strata))
 	weights := make([]float64, len(strata))
@@ -79,7 +80,7 @@ func (r StopRule) Allocate(classes []string, strata []StratumState, budget int) 
 		if caps[i] == 0 {
 			continue
 		}
-		if r.Enabled() && r.StratumConverged(classes, StratumCounts{Counts: s.Counts, Total: s.Total}, s.Population) {
+		if r.Enabled() && r.StratumConverged(ClassIntervals(classes, s.Counts, s.Total, bound), s.Population) {
 			continue
 		}
 		w := NeymanScore(classes, s)

@@ -131,7 +131,7 @@ func TestAllocateSkipsConverged(t *testing.T) {
 		Key: "settled", Population: 10000, Drawn: 2000, Total: 2000,
 		Counts: map[string]int64{"vanished": 2000},
 	}
-	if !rule.StratumConverged(allocClasses, StratumCounts{Counts: converged.Counts, Total: converged.Total}, converged.Population) {
+	if !rule.StratumConverged(ClassIntervals(allocClasses, converged.Counts, converged.Total, rule.Bound()), converged.Population) {
 		t.Fatal("fixture stratum should be converged under the rule")
 	}
 	fresh := StratumState{Key: "fresh", Population: 10000, Drawn: 10, Total: 10}

@@ -1,9 +1,9 @@
 package stats
 
-// Estimator counts a stream of classified campaign outcomes on one goroutine
-// and evaluates a StopRule over the counts with the one evaluation a
-// campaign report makes (Eval, AddStrata, AddSampleStrata): fed a report's
-// results, its Snapshot is the report's ComputeConvergence. Campaigns stop on
+// Estimator counts a stream of classified campaign outcomes on one goroutine:
+// its Snapshot builds an Estimate of the counts under the rule's Bound and
+// has the rule Judge it, as a campaign report's ComputeConvergence does, so
+// fed a report's results it is the report's evaluation. Campaigns stop on
 // settled report counts, not on an Estimator. Class names are fixed at
 // construction and indexed by outcome code; index 0 (and any other empty
 // name) is padding for the invalid zero code, excluded from evaluation.
@@ -93,29 +93,34 @@ func (r *row) stratum(classes []string) StratumCounts {
 	return s
 }
 
-// Snapshot evaluates the rule over the counts observed so far. strata adds
-// the per-unit and per-type breakdowns; the sampling-stratum breakdown, over
-// every stratum TrackStrata named, is always attached once it was armed.
-func (e *Estimator) Snapshot(strata bool) *Convergence {
-	all := e.all.stratum(e.classes)
-	c := e.rule.Eval(e.classes, all.Counts, all.Total)
-	if strata {
-		c.AddStrata(e.rule, e.classes, e.strata(e.byUnit), e.strata(e.byType))
-	}
-	if e.pops != nil {
-		cross := make(map[string]StratumCounts, len(e.pops))
-		for key := range e.pops {
-			cross[key] = e.byCross[key].stratum(e.classes)
-		}
-		c.AddSampleStrata(e.rule, e.classes, cross, e.pops)
-	}
-	return c
+// rows is the row's population under bound.
+func (r *row) rows(classes []string, bound func(k, n int) (lo, hi float64)) []ClassInterval {
+	s := r.stratum(classes)
+	return ClassIntervals(classes, s.Counts, s.Total, bound)
 }
 
-func (e *Estimator) strata(rows map[string]*row) map[string]StratumCounts {
-	out := make(map[string]StratumCounts, len(rows))
+// Snapshot judges the counts observed so far. strata adds the per-unit and
+// per-type populations; the sampling strata, every one TrackStrata named,
+// are always judged once it was armed.
+func (e *Estimator) Snapshot(strata bool) *Convergence {
+	bound := e.rule.Bound()
+	est := &Estimate{Pooled: e.all.rows(e.classes, bound)}
+	if strata {
+		est.ByUnit, est.ByType = e.rows(e.byUnit, bound), e.rows(e.byType, bound)
+	}
+	if e.pops != nil {
+		est.ByStratum = make(map[string][]ClassInterval, len(e.pops))
+		for key := range e.pops {
+			est.ByStratum[key] = e.byCross[key].rows(e.classes, bound)
+		}
+	}
+	return e.rule.Judge(est, e.pops)
+}
+
+func (e *Estimator) rows(rows map[string]*row, bound func(k, n int) (lo, hi float64)) map[string][]ClassInterval {
+	out := make(map[string][]ClassInterval, len(rows))
 	for name, r := range rows {
-		out[name] = r.stratum(e.classes)
+		out[name] = r.rows(e.classes, bound)
 	}
 	return out
 }

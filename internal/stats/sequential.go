@@ -120,10 +120,10 @@ type ClassInterval struct {
 	Converged bool    `json:"converged"`
 }
 
-// Convergence is a point-in-time evaluation of a StopRule over a campaign's
-// per-class counts: the tracked classes' intervals, the overall verdict,
-// and the widest outstanding margin (what the progress line shows). JSON
-// field names are API surface — see ClassInterval.
+// Convergence is a StopRule's judgement of an Estimate (Judge): the tracked
+// classes' rows, the overall verdict, and the widest outstanding margin
+// (what the progress line shows). JSON field names are API surface — see
+// ClassInterval.
 type Convergence struct {
 	Confidence   float64         `json:"confidence"`
 	TargetMargin float64         `json:"target_margin"`
@@ -172,129 +172,20 @@ func ClassIntervals(classes []string, counts map[string]int64, total int64, boun
 	return out
 }
 
-// CountsOf returns the per-class counts and the total a population's rows
-// were evaluated over.
-func CountsOf(rows []ClassInterval) StratumCounts {
-	s := StratumCounts{Counts: make(map[string]int64, len(rows))}
-	for _, ci := range rows {
-		s.Counts[ci.Class], s.Total = ci.K, ci.N
-	}
-	return s
-}
-
-// Intervals evaluates one population: for each class name (in order, empty
-// names skipped — they are code-index padding), the sequential Wilson
-// interval of counts[class] out of total, converged when the population has
-// met the MinPerClass floor and the width is within TargetMargin.
-func (r StopRule) Intervals(classes []string, counts map[string]int64, total int64) []ClassInterval {
-	r = r.normalized()
-	out := ClassIntervals(classes, counts, total, func(k, n int) (lo, hi float64) {
-		return SequentialWilson(k, n, r.Confidence)
-	})
-	for i := range out {
-		out[i].Converged = total >= int64(r.MinPerClass) && out[i].Width <= r.TargetMargin
-	}
-	return out
-}
-
-// Eval evaluates the rule over a campaign's per-class counts: the campaign
-// has converged when every tracked class's interval has. Strata, when
-// non-nil, adds per-unit and per-type breakdowns (informational — they do
-// not gate the verdict; allocate more samples there if their margins
-// matter).
-func (r StopRule) Eval(classes []string, counts map[string]int64, total int64) *Convergence {
-	r = r.normalized()
-	c := &Convergence{
-		Confidence:   r.Confidence,
-		TargetMargin: r.TargetMargin,
-		MinPerClass:  r.MinPerClass,
-		Total:        total,
-		Converged:    true,
-		Classes:      r.Intervals(classes, counts, total),
-	}
-	for _, ci := range c.Classes {
-		if !ci.Converged {
-			c.Converged = false
-		}
-		if ci.Width > c.WidestWidth {
-			c.WidestWidth = ci.Width
-			c.WidestClass = ci.Class
-		}
-	}
-	return c
-}
-
-// AddStrata attaches per-stratum breakdowns, each stratum evaluated as its
-// own population via Intervals. The maps are keyed by stratum name; values
-// are per-class counts and the stratum's sample total.
-func (c *Convergence) AddStrata(r StopRule, classes []string, byUnit, byType map[string]StratumCounts) {
-	c.ByUnit = strataIntervals(r, classes, byUnit)
-	c.ByType = strataIntervals(r, classes, byType)
-}
-
-// StratumConverged evaluates one sampling stratum as its own population:
-// converged once it is exhausted (Total ≥ population — a census has no
-// sampling error, whatever its interval widths) or once it has met the
-// MinPerClass floor (capped at the stratum's population, so tiny strata
-// are not unreachable) with every class interval within TargetMargin.
-func (r StopRule) StratumConverged(classes []string, s StratumCounts, population int) bool {
-	r = r.normalized()
-	if population > 0 && s.Total >= int64(population) {
-		return true
-	}
-	floor := int64(r.MinPerClass)
-	if population > 0 && int64(population) < floor {
-		floor = int64(population)
-	}
-	if s.Total < floor {
-		return false
-	}
-	for _, class := range classes {
-		if class == "" {
-			continue
-		}
-		lo, hi := SequentialWilson(int(s.Counts[class]), int(s.Total), r.Confidence)
-		if hi-lo > r.TargetMargin {
-			return false
-		}
-	}
-	return true
-}
-
-// AddSampleStrata attaches the sampling-stratum breakdown of a stratified
-// campaign: per-stratum intervals under ByStratum, the widest unconverged
-// stratum for the progress line, and — when the rule's Strata gate is
-// armed — each stratum's verdict folded into Converged. populations maps
-// stratum key → census size so exhausted strata count as converged.
-func (c *Convergence) AddSampleStrata(r StopRule, classes []string, strata map[string]StratumCounts, populations map[string]int) {
-	if len(strata) == 0 {
-		return
-	}
-	r = r.normalized()
-	c.ByStratum = strataIntervals(r, classes, strata)
-	names := make([]string, 0, len(strata))
-	for name := range strata {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if r.StratumConverged(classes, strata[name], populations[name]) {
-			continue
-		}
-		if r.Strata {
-			c.Converged = false
-		}
-		widest := 0.0
-		for _, ci := range c.ByStratum[name] {
-			if ci.Width > widest {
-				widest = ci.Width
-			}
-		}
-		if widest > c.WidestStratumWidth {
-			c.WidestStratumWidth = widest
-			c.WidestStratum = name
-		}
-	}
+// Estimate is a sample's numbers. For each population it holds one row per
+// outcome class, in class order: the class's count K out of the
+// population's N, the point estimate Fraction and an interval [Lo, Hi], all
+// rows built by ClassIntervals under one bound — the fixed-n Wilson interval
+// at 95% in a campaign report's estimate (core.Report.Estimate), a StopRule's
+// Bound when the rule judges it.
+type Estimate struct {
+	// Pooled is the whole sample.
+	Pooled []ClassInterval
+	// ByUnit and ByType are keyed by unit and latch-type name.
+	ByUnit, ByType map[string][]ClassInterval
+	// ByStratum is each sampling stratum of a stratified design, those the
+	// draw never reached included with zero counts; nil for a uniform draw.
+	ByStratum map[string][]ClassInterval
 }
 
 // StratumCounts is one stratum's per-class counts and sample total.
@@ -303,19 +194,123 @@ type StratumCounts struct {
 	Total  int64
 }
 
-func strataIntervals(r StopRule, classes []string, strata map[string]StratumCounts) map[string][]ClassInterval {
-	if len(strata) == 0 {
-		return nil
+// Bound is the interval the rule judges a population's rows by: the
+// sequential Wilson interval at the rule's Confidence. An Estimate the rule
+// judges is built under it.
+func (r StopRule) Bound() func(k, n int) (lo, hi float64) {
+	confidence := r.normalized().Confidence
+	return func(k, n int) (lo, hi float64) { return SequentialWilson(k, n, confidence) }
+}
+
+// Eval judges one population of per-class counts, with no breakdowns.
+func (r StopRule) Eval(classes []string, counts map[string]int64, total int64) *Convergence {
+	return r.Judge(&Estimate{Pooled: ClassIntervals(classes, counts, total, r.Bound())}, nil)
+}
+
+// Judge is the rule's verdict on an estimate built under its Bound. A row
+// has converged once its population has met the MinPerClass floor and its
+// width is within TargetMargin, and the estimate once every pooled row has;
+// the per-unit and per-type rows are informational. Each sampling stratum
+// is judged by StratumConverged, populations giving its census size: the
+// widest unconverged one is named for the progress line and, when the
+// rule's Strata gate is armed, holds the verdict back. Judge marks the
+// estimate's rows, and the Convergence holds them.
+func (r StopRule) Judge(e *Estimate, populations map[string]int) *Convergence {
+	r = r.normalized()
+	c := &Convergence{
+		Confidence:   r.Confidence,
+		TargetMargin: r.TargetMargin,
+		MinPerClass:  r.MinPerClass,
+		Total:        total(e.Pooled),
+		Converged:    r.mark(e.Pooled),
+		Classes:      e.Pooled,
+		ByUnit:       orNil(e.ByUnit),
+		ByType:       orNil(e.ByType),
+		ByStratum:    orNil(e.ByStratum),
 	}
-	out := make(map[string][]ClassInterval, len(strata))
-	names := make([]string, 0, len(strata))
-	for name := range strata {
+	for _, pop := range []map[string][]ClassInterval{e.ByUnit, e.ByType, e.ByStratum} {
+		for _, rows := range pop {
+			r.mark(rows)
+		}
+	}
+	for _, ci := range c.Classes {
+		if ci.Width > c.WidestWidth {
+			c.WidestWidth = ci.Width
+			c.WidestClass = ci.Class
+		}
+	}
+	names := make([]string, 0, len(e.ByStratum))
+	for name := range e.ByStratum {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s := strata[name]
-		out[name] = r.Intervals(classes, s.Counts, s.Total)
+		rows := e.ByStratum[name]
+		if r.StratumConverged(rows, populations[name]) {
+			continue
+		}
+		if r.Strata {
+			c.Converged = false
+		}
+		for _, ci := range rows {
+			if ci.Width > c.WidestStratumWidth {
+				c.WidestStratumWidth = ci.Width
+				c.WidestStratum = name
+			}
+		}
 	}
-	return out
+	return c
+}
+
+// StratumConverged judges one sampling stratum's rows, built under the
+// rule's Bound: converged once it is exhausted (its N has reached its census
+// population — a census has no sampling error, whatever its interval
+// widths) or once every row has met the MinPerClass floor with its width
+// within TargetMargin. A stratum whose population is below the floor is
+// reachable only by exhaustion.
+func (r StopRule) StratumConverged(rows []ClassInterval, population int) bool {
+	r = r.normalized()
+	if population > 0 && total(rows) >= int64(population) {
+		return true
+	}
+	for _, ci := range rows {
+		if !r.met(ci) {
+			return false
+		}
+	}
+	return true
+}
+
+// met reports whether one row meets the normalized rule: its population has
+// met the MinPerClass floor and its width is within TargetMargin.
+func (r StopRule) met(ci ClassInterval) bool {
+	return ci.N >= int64(r.MinPerClass) && ci.Width <= r.TargetMargin
+}
+
+// mark sets each row's Converged by the normalized rule and reports whether
+// every row has converged.
+func (r StopRule) mark(rows []ClassInterval) bool {
+	all := true
+	for i := range rows {
+		rows[i].Converged = r.met(rows[i])
+		all = all && rows[i].Converged
+	}
+	return all
+}
+
+// orNil is pops, or nil when it holds no population: a Convergence is the
+// same value before and after a JSON round trip (the journal's stop record).
+func orNil(pops map[string][]ClassInterval) map[string][]ClassInterval {
+	if len(pops) == 0 {
+		return nil
+	}
+	return pops
+}
+
+// total is the sample total a population's rows were built over.
+func total(rows []ClassInterval) int64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	return rows[0].N
 }

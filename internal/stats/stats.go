@@ -1,7 +1,9 @@
 // Package stats provides the statistical machinery behind SFI's sampling
 // methodology: descriptive statistics for the Figure 2 sample-size study,
-// Wilson confidence intervals for outcome proportions, and a chi-square
-// goodness-of-fit test for the SFI-versus-beam calibration (Table 2).
+// Wilson confidence intervals for outcome proportions, a chi-square
+// goodness-of-fit test for the SFI-versus-beam calibration (Table 2), and
+// for adaptive campaigns the stop rule, which judges an Estimate built under
+// its own sequential bound (StopRule.Judge), and Neyman allocation.
 package stats
 
 import (
