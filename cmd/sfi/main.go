@@ -258,7 +258,13 @@ func emit(a campaignArgs, rep *sfi.Report, elapsed time.Duration, doc *sfi.Trace
 		return nil
 	}
 
-	printSummary(rep, elapsed, doc)
+	// A fleet runs every worker's copies at once; the report counts one
+	// shard's.
+	copies := rep.Workers
+	if a.dist > 0 {
+		copies *= a.dist
+	}
+	printSummary(rep, elapsed, doc, copies)
 	if a.detail {
 		fmt.Print(rep.DetailedString()) // includes the convergence line
 	} else {
@@ -430,8 +436,10 @@ func showProgress(live *sfi.Live) (drawn func()) {
 }
 
 // printSummary renders the end-of-run summary from the campaign's metrics
-// snapshot and, when a span tree exists, its latency attribution.
-func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc) {
+// snapshot and, when a span tree exists, its latency attribution. copies is
+// the number of model copies that ran the campaign at once, what busy time
+// is divided by.
+func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc, copies int) {
 	s := rep.Metrics
 	if s == nil {
 		fmt.Printf("campaign finished in %v (%d injections)\n",
@@ -439,8 +447,8 @@ func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc) {
 		return
 	}
 	util := 0.0
-	if rep.Workers > 0 && elapsed > 0 {
-		util = float64(s.BusyNs) / (float64(rep.Workers) * float64(elapsed.Nanoseconds()))
+	if copies > 0 && elapsed > 0 {
+		util = float64(s.BusyNs) / (float64(copies) * float64(elapsed.Nanoseconds()))
 	}
 	// Rates are labeled explicitly: with a bit-parallel backend one model
 	// pass retires many injections, so injections/s and batches/s differ by
@@ -453,7 +461,7 @@ func printSummary(rep *sfi.Report, elapsed time.Duration, doc *sfi.TraceDoc) {
 	}
 	fmt.Printf("campaign: %d injections%s in %v — %.1f injections/s, %d workers (%.0f%% busy)\n",
 		rep.Total, past, elapsed.Round(time.Millisecond),
-		float64(s.Injections)/elapsed.Seconds(), rep.Workers, 100*util)
+		float64(s.Injections)/elapsed.Seconds(), copies, 100*util)
 	fmt.Printf("restore:  p50 %v  p95 %v  (%d phase reloads)\n",
 		time.Duration(s.RestoreNs.Quantile(0.5)).Round(time.Microsecond),
 		time.Duration(s.RestoreNs.Quantile(0.95)).Round(time.Microsecond),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -72,6 +73,26 @@ func TestProgressEndsOnTheLastLine(t *testing.T) {
 		if !strings.HasPrefix(line, "40/40 (100.0%)") {
 			t.Errorf("-dist %d: progress ends on %q, want the 40/40 (100.0%%) line\nstderr: %q", dist, line, stderr)
 		}
+	}
+}
+
+// TestDistSummaryCountsTheFleet: a -dist 2 campaign at one model copy per
+// shard runs two copies at once, and its summary line divides busy time by
+// both, as the fleet's progress line does.
+func TestDistSummaryCountsTheFleet(t *testing.T) {
+	a := campaignArgs{spec: specOf(t, "-flips", "40", "-seed", "7"), workers: 1, dist: 2}
+	var stdout string
+	capture(t, &os.Stderr, func() error {
+		stdout = capture(t, &os.Stdout, func() error { return run(a) })
+		return nil
+	})
+	line, _, _ := strings.Cut(stdout, "\n")
+	var busy float64
+	if !strings.HasPrefix(line, "campaign: 40 injections") || !strings.Contains(line, ", 2 workers (") {
+		t.Fatalf("-dist 2 summary %q, want 40 injections on 2 workers", line)
+	}
+	if _, err := fmt.Sscanf(line[strings.LastIndex(line, "(")+1:], "%f%% busy)", &busy); err != nil || busy > 100 {
+		t.Errorf("-dist 2 summary %q: busy %.0f%% (%v), want at most 100%%", line, busy, err)
 	}
 }
 
