@@ -75,6 +75,12 @@ race:
 # the shard lines of internal/dist/testdata's parent journals, and requires
 # every report it decodes to re-encode to an equal one and every report a
 # lease would seal to have marginals that count each injection once;
+# FuzzJournal replays arbitrary bytes as the lines after the header of each
+# of internal/dist/testdata's parent journals, seeded with their lines whole,
+# torn mid-line and corrupted ahead of intact ones, and requires
+# NewCoordinator not to panic but to refuse the journal or resume, and a
+# second coordinator over the file the first one left to reach the same
+# ledger (minimizing is capped as for FuzzCoordinatorRequests);
 # FuzzStoredSpans writes arbitrary bytes as a server campaign's events file,
 # the one source of its trace, seeded with a real campaign's file from
 # internal/server/testdata, and requires Server.Trace not to panic, to place
@@ -100,6 +106,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledNetlist -fuzztime $(FUZZTIME) ./internal/awan
 	$(GO) test -run '^$$' -fuzz FuzzScanView -fuzztime $(FUZZTIME) ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzWireReport -fuzztime $(FUZZTIME) ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzStoredSpans -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzAdvance -fuzztime $(FUZZTIME) ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa

@@ -337,3 +337,53 @@ func FuzzWireReport(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJournal replays arbitrary bytes as the lines after a parent journal's
+// header (testdata/parent-*.journal, the campaign each was written for),
+// seeded with each journal's lines whole, torn mid-line and with a line
+// corrupted ahead of intact ones. Whatever follows the header, NewCoordinator
+// does not panic: it refuses the journal with an error or resumes, and a
+// second coordinator over the file the first one left reaches the same
+// ledger and shows the same evaluation.
+func FuzzJournal(f *testing.F) {
+	journals := parentJournals()
+	headers := make([][]byte, len(journals))
+	for i, pj := range journals {
+		data, err := os.ReadFile(filepath.Join("testdata", "parent-"+pj.name+".journal"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		header, body, _ := bytes.Cut(data, []byte("\n"))
+		headers[i] = append(header, '\n')
+		lines := bytes.SplitAfter(body, []byte("\n"))
+		mid := len(lines) / 2
+		f.Add(uint8(i), body)
+		f.Add(uint8(i), bytes.Join(lines[:mid], nil))
+		f.Add(uint8(i), append(bytes.Join(lines[:mid], nil), lines[mid][:len(lines[mid])/2]...))
+		corrupt := bytes.Clone(body)
+		corrupt[len(bytes.Join(lines[:mid], nil))+1] = '#'
+		f.Add(uint8(i), corrupt)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		i := int(which) % len(journals)
+		path := filepath.Join(t.TempDir(), "journal")
+		if err := os.WriteFile(path, append(bytes.Clone(headers[i]), body...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := CoordConfig{Campaign: journals[i].spec, ShardSize: journals[i].shardSize, Journal: path}
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			return
+		}
+		live := ledgerOf(c)
+		c.Close()
+		c2, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatalf("resumed once, but not over the journal it left: %v", err)
+		}
+		defer c2.Close()
+		if replayed := ledgerOf(c2); !reflect.DeepEqual(live, replayed) {
+			t.Errorf("replayed ledger differs:\n  first %+v\n second %+v", live, replayed)
+		}
+	})
+}

@@ -204,6 +204,31 @@ func journalSkeleton(data []byte) []byte {
 	return out
 }
 
+// parentJournal is one of testdata's parent journals: the campaign it was
+// written for, and the report it settles to.
+type parentJournal struct {
+	name      string
+	spec      CampaignSpec
+	shardSize int
+	want      string // "": the journal is refused
+	stopped   bool
+}
+
+func parentJournals() []parentJournal {
+	uniformStop := adaptiveSpec()
+	uniformStop.Stop.TargetMargin = 0.2
+	neymanStop := stratifiedSpec()
+	neymanStop.Flips = 180
+	neymanStop.Alloc.Epochs = 6
+	neymanStop.Stop = core.StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
+	return []parentJournal{
+		{"uniform", testSpec(), 12, "", false},
+		{"uniform-stop", uniformStop, 10, "", true},
+		{"neyman", stratifiedSpec(), 10, goldenLoopbackNeyman, false},
+		{"neyman-stop", neymanStop, 10, goldenLoopbackNeymanStop, true},
+	}
+}
+
 // TestParentJournalsResume resumes journals written by the commit before the
 // coordinator's epoch refactor (98f5ed4; testdata/parent-*.journal, one
 // worker each, specs as in the golden tests above). Replayed whole, each
@@ -215,24 +240,7 @@ func journalSkeleton(data []byte) []byte {
 // before the cross was their one breakdown): a coordinator refuses them,
 // naming the first such shard, rather than seal counts it cannot evaluate.
 func TestParentJournalsResume(t *testing.T) {
-	uniformStop := adaptiveSpec()
-	uniformStop.Stop.TargetMargin = 0.2
-	neymanStop := stratifiedSpec()
-	neymanStop.Flips = 180
-	neymanStop.Alloc.Epochs = 6
-	neymanStop.Stop = core.StopConfig{TargetMargin: 0.9, MinPerClass: 3, StopOnConverge: true}
-	for _, tc := range []struct {
-		name      string
-		spec      CampaignSpec
-		shardSize int
-		want      string // "": the journal is refused
-		stopped   bool
-	}{
-		{"uniform", testSpec(), 12, "", false},
-		{"uniform-stop", uniformStop, 10, "", true},
-		{"neyman", stratifiedSpec(), 10, goldenLoopbackNeyman, false},
-		{"neyman-stop", neymanStop, 10, goldenLoopbackNeymanStop, true},
-	} {
+	for _, tc := range parentJournals() {
 		t.Run(tc.name, func(t *testing.T) {
 			parent, err := os.ReadFile(filepath.Join("testdata", "parent-"+tc.name+".journal"))
 			if err != nil {
