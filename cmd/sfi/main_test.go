@@ -78,7 +78,7 @@ func TestProgressEndsOnTheLastLine(t *testing.T) {
 
 // TestDistSummaryCountsTheFleet: a -dist 2 campaign at one model copy per
 // shard runs two copies at once, and its summary line divides busy time by
-// both, as the fleet's progress line does.
+// both, as the fleet's progress line does at one copy per worker.
 func TestDistSummaryCountsTheFleet(t *testing.T) {
 	a := campaignArgs{spec: specOf(t, "-flips", "40", "-seed", "7"), workers: 1, dist: 2}
 	var stdout string
