@@ -113,6 +113,7 @@ type workerStats struct {
 	injections uint64 // classified injections credited to this worker
 	shardsDone int
 	failures   int // /v1/fail reports
+	copies     int // the model copies it last said it runs (0: not said)
 }
 
 // Coordinator owns a campaign's shard ledger and answers the lease
@@ -706,6 +707,31 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerStats {
 	return ws
 }
 
+// setCopies records the model copies a worker's request says it runs, if it
+// says.
+func (ws *workerStats) setCopies(copies int) {
+	if copies > 0 {
+		ws.copies = copies
+	}
+}
+
+// copiesLocked returns how many model copies the workers seen run at once:
+// what each said, else the campaign's ShardWorkers, else one.
+func (c *Coordinator) copiesLocked() int {
+	n := 0
+	for _, ws := range c.workers {
+		switch {
+		case ws.copies > 0:
+			n += ws.copies
+		case c.cfg.Campaign.ShardWorkers > 0:
+			n += c.cfg.Campaign.ShardWorkers
+		default:
+			n++
+		}
+	}
+	return n
+}
+
 // The four calls of the lease protocol (the coordinator interface in
 // worker.go). The HTTP handlers and a worker running in this process call
 // the same methods; each answers with the protocol's status code and, when
@@ -715,7 +741,7 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	c.touchWorkerLocked(req.Worker, now)
+	c.touchWorkerLocked(req.Worker, now).setCopies(req.Copies)
 	c.sweepLocked(now)
 	if c.overLocked() {
 		return nil, http.StatusGone, nil
@@ -789,6 +815,7 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 	s.lastBeat = now
 	s.deadline = now.Add(c.cfg.LeaseTTL)
 	ws := c.touchWorkerLocked(req.Worker, now)
+	ws.setCopies(req.Copies)
 	// The snapshot is cumulative and the newest one wins, so a heartbeat
 	// replayed, lost or overtaken by a later one miscounts nothing.
 	if m := req.Metrics; m != nil && m.Injections >= s.liveInjections() {

@@ -233,6 +233,47 @@ func TestDirectWorkersShareHeartbeats(t *testing.T) {
 	}
 }
 
+// TestFleetUtilizationCountsCopies runs two direct workers that override
+// the campaign's one model copy a shard with two each, and reads the status
+// while they run: its utilization divides the fleet's busy time by the four
+// copies the workers said they run, so it never exceeds one, and once the
+// campaign is over it is the merged report's busy time over four copies and
+// the status's elapsed time.
+func TestFleetUtilizationCountsCopies(t *testing.T) {
+	spec := testSpec()
+	spec.Flips, spec.KeepResults, spec.ShardWorkers = 400, false, 1
+	c, _ := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 100})
+	stop, peak := make(chan struct{}), make(chan float64)
+	go func() {
+		most := 0.0
+		for {
+			select {
+			case <-stop:
+				peak <- most
+				return
+			case <-time.After(time.Millisecond):
+				most = max(most, c.Status().Utilization)
+			}
+		}
+	}()
+	rep := runFleet(t, c, "", 2, WorkerConfig{Workers: 2})
+	close(stop)
+	if most := <-peak; most > 1 {
+		t.Errorf("utilization read %.2f while the fleet ran", most)
+	}
+	if rep.Workers != 2 {
+		t.Fatalf("the report ran %d model copies a shard, want 2", rep.Workers)
+	}
+	// The status's elapsed time is cut to whole milliseconds: the time the
+	// utilization was taken over lies in [ElapsedMs, ElapsedMs+1) ms.
+	st := c.Status()
+	over := func(ms int64) float64 { return float64(rep.Metrics.BusyNs) / (4 * float64(ms) * 1e6) }
+	if st.Utilization > 1 || st.Utilization <= over(st.ElapsedMs+1) || st.Utilization > over(st.ElapsedMs) {
+		t.Errorf("utilization %.3f after the campaign, want %.3f: busy %v over 4 copies × %d ms",
+			st.Utilization, over(st.ElapsedMs), time.Duration(rep.Metrics.BusyNs), st.ElapsedMs)
+	}
+}
+
 // heldInjection is the injection an injectionGate holds: late enough that
 // the shard holding it has finished some before it.
 const heldInjection = 8

@@ -168,6 +168,10 @@ type ShardLease struct {
 type (
 	leaseRequest struct {
 		Worker string `json:"worker"`
+		// Copies is the number of model copies the worker runs a shard
+		// over when it overrides the campaign's ShardWorkers (0: it does
+		// not). The fleet's utilization divides busy time by the copies.
+		Copies int `json:"copies,omitempty"`
 	}
 	leaseResponse struct {
 		Shard    ShardLease   `json:"shard"`
@@ -193,6 +197,8 @@ type (
 		// coordinator-side heartbeat forensics (gap events) correlate with
 		// the worker's spans.
 		Traceparent string `json:"traceparent,omitempty"`
+		// Copies is the number of model copies running the shard.
+		Copies int `json:"copies,omitempty"`
 		// Metrics is the shard's cumulative metrics snapshot as of the beat
 		// (empty until the shard's run starts). It replaces the lease's
 		// snapshot in the shard ledger, as the report's exact final one will

@@ -45,8 +45,9 @@ type Status struct {
 	EtaMs         int64   `json:"eta_ms,omitempty"`
 
 	// Utilization is the fleet-wide fraction of worker-model wall time
-	// spent injecting, busy-nanoseconds over (workers × elapsed). It
-	// undercounts slightly between a shard's last heartbeat and its
+	// spent injecting, busy-nanoseconds over (model copies × elapsed): the
+	// copies each worker says it runs, else the campaign's ShardWorkers.
+	// It undercounts slightly between a shard's last heartbeat and its
 	// completion.
 	Utilization float64 `json:"utilization,omitempty"`
 
@@ -170,7 +171,7 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := c.fleetSnapshotLocked()
-	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, len(c.workers), c.started)
+	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, c.copiesLocked(), c.started)
 	st := Status{
 		Shards:       len(c.shards),
 		ShardSize:    c.cfg.ShardSize,

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -167,7 +168,7 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 		retry: newBackoff(cfg.PollEvery, pollBackoffCap*cfg.PollEvery),
 	}
 	for {
-		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID})
+		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID, Copies: cfg.Workers})
 		if status != 0 {
 			// Any response — even 204 no-work — means the coordinator is
 			// back; drop the backoff to the base poll period.
@@ -288,6 +289,10 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 	if w.cfg.Workers > 0 {
 		ccfg.Workers = w.cfg.Workers
 	}
+	copies := ccfg.Workers // what core.RunCampaign runs the shard over
+	if copies <= 0 {
+		copies = runtime.GOMAXPROCS(0)
+	}
 	ttl := time.Duration(lease.TTLMs) * time.Millisecond
 
 	capture := w.shardObs(&ccfg, lease)
@@ -339,7 +344,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 				return
 			case <-t.C:
 				status, _ := w.coord.heartbeat(heartbeatRequest{
-					Worker: id, Shard: sh.ID, Traceparent: tp, Metrics: ccfg.Obs.Live.Progress().Metrics})
+					Worker: id, Shard: sh.ID, Traceparent: tp, Copies: copies, Metrics: ccfg.Obs.Live.Progress().Metrics})
 				if status == 0 {
 					continue // transient; the lease survives until TTL
 				}
