@@ -93,7 +93,18 @@ race:
 # other to leave every latch word, array cell, memory byte, run counter,
 # checker count and event equal after every operation (its seeds reach the
 # countdown thresholds, failing scan entries mid-stall, the watchdog limit and
-# the scrub wrap); FuzzDecode hands Decode arbitrary instruction words, as a
+# the scrub wrap); FuzzPervasiveGate runs the same scripts on two clones of
+# the warmed core, one gated — its pervasive checks run once a scan
+# generation while they pass, its capture parity regenerated only when a
+# covered register moved — and one under an access log, which runs every
+# check and regenerates the parity every cycle, and requires the two to
+# leave every latch word, array cell, memory byte, run counter, failure and
+# checker count and event equal after every operation (its seeds flip each
+# structure the gate skips, with the checkers on and masked, and hold a
+# store-queue word through its recover loop; an input clocks thousands of
+# cycles, so minimizing is capped as for FuzzCoordinatorRequests: in 20 s
+# the capped run found 29 new inputs, the uncapped one 1); FuzzDecode hands
+# Decode arbitrary instruction words, as a
 # flip in an instruction latch does, and requires Decode, ClassOf, RegSets and
 # Disassemble not to panic and every word's disassembly to reassemble to the
 # same instruction.
@@ -109,6 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzStoredSpans -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzAdvance -fuzztime $(FUZZTIME) ./internal/proc
+	$(GO) test -run '^$$' -fuzz FuzzPervasiveGate -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/proc
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/isa
 
 # bench runs every go benchmark once as a smoke (core's BenchmarkRunCampaign

@@ -32,6 +32,8 @@ type Protected struct {
 	// it installs, computed when that was captured.
 	struck bool
 	base   *Baseline
+	// tally, when set, counts this array while it is struck (Attach).
+	tally *Struck
 
 	// Corrected counts single-bit errors corrected on read or scrub.
 	Corrected uint64
@@ -66,6 +68,38 @@ func (p *Protected) Cells() []bits.ECCWord { return p.store.Cells }
 // Clean reports whether every cell is known to hold a valid codeword: no
 // strike since the contents were last installed from a clean image.
 func (p *Protected) Clean() bool { return !p.struck }
+
+// Struck counts the struck arrays among those attached to it
+// (Protected.Attach), so that the owner of many asks whether all are clean
+// with one load.
+type Struck struct{ n int }
+
+// Clean reports whether every attached array is clean.
+func (s *Struck) Clean() bool { return s.n == 0 }
+
+// Attach counts the array in s from now on, while it is struck. An array is
+// attached to one Struck at most.
+func (p *Protected) Attach(s *Struck) {
+	if p.tally != nil {
+		panic(fmt.Sprintf("array: %s attached twice", p.name))
+	}
+	p.tally = s
+	if p.struck {
+		s.n++
+	}
+}
+
+// setStruck sets the struck flag, keeping the attached count.
+func (p *Protected) setStruck(v bool) {
+	if p.tally != nil && v != p.struck {
+		if v {
+			p.tally.n++
+		} else {
+			p.tally.n--
+		}
+	}
+	p.struck = v
+}
 
 // Write stores a word with freshly computed check bits.
 func (p *Protected) Write(entry int, data uint64) {
@@ -105,7 +139,7 @@ func (p *Protected) FlipBit(entry, bit int) {
 		p.store.Cells[entry].Check ^= 1 << uint(bit-64)
 	}
 	p.store.Touch(entry >> blockShift)
-	p.struck = true
+	p.setStruck(true)
 }
 
 // ScrubStep checks one entry (correcting if needed) and returns its result;
@@ -167,7 +201,8 @@ func (p *Protected) AdoptBaseline(b *Baseline) {
 		panic("array: AdoptBaseline from an array without a baseline")
 	}
 	p.store.AdoptBaseline(b.cells)
-	p.base, p.struck = b, b.struck
+	p.base = b
+	p.setStruck(b.struck)
 }
 
 // Snapshot captures the contents (see dirty.Store.Snapshot).
@@ -179,12 +214,12 @@ func (p *Protected) Snapshot() *Image {
 // against this array's baseline (see dirty.Store.Restore).
 func (p *Protected) Restore(img *Image) {
 	p.store.Restore(img.cells)
-	p.struck = img.struck
+	p.setStruck(img.struck)
 }
 
 // RestoreFull rebuilds all of img, whatever baseline it has (see
 // dirty.Store.RestoreFull).
 func (p *Protected) RestoreFull(img *Image) {
 	p.store.RestoreFull(img.cells)
-	p.struck = img.struck
+	p.setStruck(img.struck)
 }

@@ -266,3 +266,55 @@ func TestStruckFlag(t *testing.T) {
 		t.Errorf("the adopted strike read %v, want corrected", res)
 	}
 }
+
+// TestStruckCount: a Struck counts exactly the attached arrays that are not
+// clean, through strikes, restores, full restores and adopted baselines, and
+// an array attached struck counts from the start.
+func TestStruckCount(t *testing.T) {
+	var s Struck
+	a, b := New("a", 16), New("b", 16)
+	a.SetBaseline()
+	clean := a.Snapshot()
+	b.FlipBit(2, 5)
+	b.SetBaseline()
+	struck := b.Snapshot()
+	a.Attach(&s)
+	b.Attach(&s)
+	check := func(what string) {
+		t.Helper()
+		want := 0
+		for _, p := range []*Protected{a, b} {
+			if !p.Clean() {
+				want++
+			}
+		}
+		if s.n != want || s.Clean() != (want == 0) {
+			t.Fatalf("%s: Struck counts %d (clean %v), %d arrays are struck", what, s.n, s.Clean(), want)
+		}
+	}
+	check("attached")
+	a.FlipBit(1, 70)
+	a.FlipBit(3, 0) // a second strike of a struck array counts once
+	check("a struck")
+	b.Restore(struck)
+	check("b restored struck")
+	a.Restore(clean)
+	check("a restored clean")
+	b.RestoreFull(b.Snapshot())
+	check("b restored full")
+	b.AdoptBaseline(a.Baseline())
+	check("b adopted a clean baseline")
+	a.AdoptBaseline(b.Baseline())
+	a.FlipBit(0, 0)
+	b.FlipBit(0, 0)
+	a.Restore(clean)
+	check("one of two restored")
+	b.AdoptBaseline(a.Baseline())
+	check("both clean")
+	defer func() {
+		if recover() == nil {
+			t.Error("attaching an array twice did not panic")
+		}
+	}()
+	a.Attach(&s)
+}

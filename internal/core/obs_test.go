@@ -176,7 +176,11 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 // one per injection while every ReloadPhase restored (501, 3001, 3001, 3001),
 // now only for an injection that needs the model — a held fault confined to
 // never-read bits does not (sticky-200 restored 3001 while it did) — so the
-// restores an injection on the record skips show here.
+// restores an injection on the record skips show here. So is the number of
+// clocked cycles that ran the pervasive checks a cycle cannot make fail
+// (proc.Core.PervasivePasses): every cycle prvCycle ran did (17,863,
+// 102,323, 106,231 and 390,131) until they ran once a scan generation while
+// they pass, so a change that runs them on cycles that need not fails here.
 // All are exact and repeat on any host.
 func TestEarlyExitCount(t *testing.T) {
 	for _, tc := range []struct {
@@ -186,11 +190,12 @@ func TestEarlyExitCount(t *testing.T) {
 		mut                          func(*RunnerConfig)
 		observed, stepped, refreshes uint64
 		bulk, restores               uint64
+		passes                       uint64
 	}{
-		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69, 12854, 35},
-		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397, 88082, 199},
-		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409, 95177, 205},
-		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027, 259438, 766},
+		{"toggle-500", 500, 18, func(*RunnerConfig) {}, 348668, 26911, 69, 12854, 35, 331},
+		{"toggle", 3000, 7, func(*RunnerConfig) {}, 0, 171438, 397, 88082, 199, 2089},
+		{"span-3", 3000, 7, func(r *RunnerConfig) { r.SpanBits = 3 }, 0, 181965, 409, 95177, 205, 2235},
+		{"sticky-200", 3000, 7, func(r *RunnerConfig) { r.Mode, r.StickyCycles = engine.Sticky, 200 }, 0, 574653, 2027, 259438, 766, 4693},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultCampaignConfig()
@@ -221,6 +226,9 @@ func TestEarlyExitCount(t *testing.T) {
 			if got := cores.bulk(); got != tc.bulk {
 				t.Errorf("%d of %d stepped cycles advanced in bulk, want %d", got, m.SteppedCycles, tc.bulk)
 			}
+			if got := cores.passes(); got != tc.passes {
+				t.Errorf("%d pervasive passes over %d stepped cycles, want %d", got, m.SteppedCycles, tc.passes)
+			}
 			if got := cores.restores(); got != tc.restores {
 				t.Errorf("%d checkpoint restores over %d injections, want %d", got, rep.Total, tc.restores)
 			}
@@ -234,7 +242,7 @@ type coreCounter struct {
 	mu       sync.Mutex
 	backends []*p6lite.Backend
 	cores    []*proc.Core
-	built    []uint64 // each core's BulkCycles when kept: its construction's
+	built    [][2]uint64 // each core's BulkCycles and PervasivePasses when kept: its construction's
 }
 
 // backend registers the counting backend and returns its name.
@@ -256,7 +264,7 @@ func (cc *coreCounter) keep(be *p6lite.Backend) engine.Backend {
 	defer cc.mu.Unlock()
 	cc.backends = append(cc.backends, be)
 	cc.cores = append(cc.cores, be.Core())
-	cc.built = append(cc.built, be.Core().BulkCycles())
+	cc.built = append(cc.built, [2]uint64{be.Core().BulkCycles(), be.Core().PervasivePasses()})
 	return countedBackend{be, cc}
 }
 
@@ -266,7 +274,18 @@ func (cc *coreCounter) bulk() (n uint64) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for i, c := range cc.cores {
-		n += c.BulkCycles() - cc.built[i]
+		n += c.BulkCycles() - cc.built[i][0]
+	}
+	return n
+}
+
+// passes sums the cycles the kept cores ran their pervasive checks on since
+// they were kept.
+func (cc *coreCounter) passes() (n uint64) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for i, c := range cc.cores {
+		n += c.PervasivePasses() - cc.built[i][1]
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	mathbits "math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,6 +16,13 @@ type advancePair struct {
 	adv, step *Core
 	ck        *ModelCheckpoint
 	testcases int // the AVP's: a pass is as many testends
+
+	// record keeps step under an access log (restarted at every restore),
+	// so that it clocks every cycle on the ungated path: each pervasive
+	// check every cycle, the capture parity regenerated every cycle.
+	record bool
+	// most caps the cycles adv takes in one Advance (0: no cap; 1: Step).
+	most uint64
 }
 
 // newAdvancePair warms a core of configuration cfg under the AVP, takes its
@@ -52,18 +60,26 @@ type stamped struct {
 // flip has moved the held bit off its value. It returns the events each
 // side saw.
 //
-// On the stepped core it also holds each cycle to what scanRoom's cache
-// relies on: a cycle that starts with every scanned entry passing and moves
-// no scan generation ends with every entry passing.
+// On the stepped core it also holds each cycle to what the pervasive gate
+// (prvCycle) relies on: a cycle that moves no scan generation makes no
+// scanned entry fail that passed, and, unless it checkstops, leaves the
+// register checks passing if they passed.
 func (p advancePair) clock(t *testing.T, n int, h *held) (adv, step []stamped) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		gen, pass := p.step.db.ScanGen(), p.step.scansFail() == noChecker
+		gen, entries, regs := p.step.db.ScanGen(), entryFailures(p.step), regsFail(p.step)
 		if ev := p.step.Step(); ev != (Event{}) {
 			step = append(step, stamped{i, ev})
 		}
-		if id := p.step.scansFail(); pass && id != noChecker && p.step.db.ScanGen() == gen {
-			t.Fatalf("cycle %d made a scanned entry fail %s without moving the scan generation", p.step.Cycle, p.step.checkers[id].Name)
+		if p.step.db.ScanGen() == gen {
+			for k, f := range entryFailures(p.step) {
+				if e := f &^ entries[k]; e != 0 {
+					t.Fatalf("cycle %d made entry %d of %s fail without moving the scan generation", p.step.Cycle, mathbits.TrailingZeros64(e), scanned[k])
+				}
+			}
+			if !regs && regsFail(p.step) && !p.step.Checkstopped() {
+				t.Fatalf("cycle %d made a pervasive register check fail without moving the scan generation", p.step.Cycle)
+			}
 		}
 		if h.on {
 			h.sref.Set(h.v)
@@ -71,6 +87,9 @@ func (p advancePair) clock(t *testing.T, n int, h *held) (adv, step []stamped) {
 	}
 	for i := 0; i < n; {
 		limit := uint64(n - i)
+		if p.most != 0 {
+			limit = min(limit, p.most)
+		}
 		if h.on && (p.adv.Ticks(h.bit) || h.ref.Get() != h.v) {
 			limit = 1
 		}
@@ -98,9 +117,9 @@ func (p advancePair) same(t *testing.T, what string, adv, step []stamped) {
 	if !slices.Equal(adv, step) {
 		t.Fatalf("%s: events %v by Advance, %v by Step", what, adv, step)
 	}
-	if a.Cycle != s.Cycle || a.Completed != s.Completed || a.Recoveries != s.Recoveries || a.halted != s.halted {
-		t.Fatalf("%s: cycle/completed/recoveries/halted %d/%d/%d/%v by Advance, %d/%d/%d/%v by Step", what,
-			a.Cycle, a.Completed, a.Recoveries, a.halted, s.Cycle, s.Completed, s.Recoveries, s.halted)
+	if a.Cycle != s.Cycle || a.Completed != s.Completed || a.Recoveries != s.Recoveries || a.halted != s.halted || a.fails != s.fails {
+		t.Fatalf("%s: cycle/completed/recoveries/halted/fails %d/%d/%d/%v/%d by Advance, %d/%d/%d/%v/%d by Step", what,
+			a.Cycle, a.Completed, a.Recoveries, a.halted, a.fails, s.Cycle, s.Completed, s.Recoveries, s.halted, s.fails)
 	}
 	if i := firstDiff(a.db.Cells, s.db.Cells); i >= 0 {
 		g, e, b := a.db.Locate(latchBitOfWord(a.db, i))
@@ -251,50 +270,57 @@ func FuzzAdvance(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, nest bool, script []byte) {
-		p := pairs[0]
-		if nest {
-			p = pairs[1]
-		}
-		db := p.adv.DB()
-		var h held
+		pairs[b2i(nest)].run(t, script)
+	})
+}
+
+// run restores both cores to the checkpoint and runs script on them, a
+// FuzzAdvance script of four-byte operations, holding them to same after
+// every one.
+func (p advancePair) run(t *testing.T, script []byte) {
+	db := p.adv.DB()
+	var h held
+	restore := func() {
 		for _, c := range []*Core{p.adv, p.step} {
 			c.RestoreCheckpoint(p.ck)
 		}
-		for ; len(script) >= 4; script = script[4:] {
-			op := int(script[0])
-			arg := int(script[1]) | int(script[2])<<8 | int(script[3])<<16
-			switch op % advOps {
-			case advStep:
-				adv, step := p.clock(t, arg%400+1, &h)
-				p.same(t, "after a step", adv, step)
-				continue
-			case advFlip:
-				for _, c := range []*Core{p.adv, p.step} {
-					c.DB().Flip(arg % db.TotalBits())
-				}
-			case advStick:
-				h = held{on: true, bit: arg % db.TotalBits()}
-				h.ref, h.sref = db.BitRef(h.bit), p.step.DB().BitRef(h.bit)
-				h.v = h.ref.Flip()
-				h.sref.Flip()
-			case advStrike:
-				for _, c := range []*Core{p.adv, p.step} {
-					a := c.arrays[op/advOps%len(c.arrays)]
-					a.FlipBit(arg>>7%a.Entries(), arg&127%72)
-				}
-			case advRestore:
-				for _, c := range []*Core{p.adv, p.step} {
-					c.RestoreCheckpoint(p.ck)
-				}
-				h.on = false
-			case advMask:
-				for _, c := range []*Core{p.adv, p.step} {
-					c.SetCheckersEnabled(arg%2 == 0)
-				}
-			}
-			p.same(t, "after a script operation", nil, nil)
+		if p.record {
+			p.step.DB().Record(&p.step.Cycle)
 		}
-	})
+		h.on = false
+	}
+	restore()
+	for ; len(script) >= 4; script = script[4:] {
+		op := int(script[0])
+		arg := int(script[1]) | int(script[2])<<8 | int(script[3])<<16
+		switch op % advOps {
+		case advStep:
+			adv, step := p.clock(t, arg%400+1, &h)
+			p.same(t, "after a step", adv, step)
+			continue
+		case advFlip:
+			for _, c := range []*Core{p.adv, p.step} {
+				c.DB().Flip(arg % db.TotalBits())
+			}
+		case advStick:
+			h = held{on: true, bit: arg % db.TotalBits()}
+			h.ref, h.sref = db.BitRef(h.bit), p.step.DB().BitRef(h.bit)
+			h.v = h.ref.Flip()
+			h.sref.Flip()
+		case advStrike:
+			for _, c := range []*Core{p.adv, p.step} {
+				a := c.arrays[op/advOps%len(c.arrays)]
+				a.FlipBit(arg>>7%a.Entries(), arg&127%72)
+			}
+		case advRestore:
+			restore()
+		case advMask:
+			for _, c := range []*Core{p.adv, p.step} {
+				c.SetCheckersEnabled(arg%2 == 0)
+			}
+		}
+		p.same(t, "after a script operation", nil, nil)
+	}
 }
 
 // stallAt returns how many cycles from p's checkpoint the core first sits

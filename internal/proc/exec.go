@@ -519,9 +519,13 @@ func (c *Core) wbCycle() Event {
 	c.Completed++
 	c.prv.hangCnt.Load(0)
 	c.prv.hangArm.Set(0)
-	c.rut.retryCnt.Set(0)
+	if c.rut.retryCnt.Get() != 0 {
+		c.rut.retryCnt.Set(0)
+		c.capStale = true
+	}
 	if p := c.rut.progress.Get(); p < 255 {
 		c.rut.progress.Set(p + 1)
+		c.capStale = true
 	}
 
 	switch in.Op {

@@ -120,9 +120,11 @@ type Core struct {
 	view          scanView
 	viewRefreshes uint64
 	// arrays caches the protected-array list; arrayEntries is the total
-	// entry count across them (the scrub walk space).
+	// entry count across them (the scrub walk space); struck counts those
+	// not clean (array.Protected.Clean).
 	arrays       []*array.Protected
 	arrayEntries int
+	struck       array.Struck
 
 	halted bool
 
@@ -136,9 +138,19 @@ type Core struct {
 	ticking [numTicking]latch.Counter
 	bulk    uint64
 	// scansPass is the scan generation at which every entry of the
-	// round-robin-scanned structures was last seen to pass its check
-	// (scanRoom).
-	scansPass uint64
+	// round-robin-scanned structures was last seen to pass its check,
+	// scansSwept the last one at which they were swept and scansFrom the
+	// first cycle of the run of passing visits since (scansPassing);
+	// regsPass is the generation at which prvCycle's register checks last
+	// passed. prvPasses counts the cycles prvCycle ran either.
+	scansPass, scansSwept, scansFrom uint64
+	regsPass                         uint64
+	prvPasses                        uint64
+	// capStale is set by a cycle that writes a register rut.cap.par covers
+	// (rutCaptureParity); capGen is the scan generation at which endCycle
+	// last regenerated the parity.
+	capStale bool
+	capGen   uint64
 
 	// Cycle counts clocked cycles since reset.
 	Cycle uint64
@@ -172,6 +184,7 @@ func New(cfg Config) *Core {
 	c.arrays = c.Arrays()
 	for _, p := range c.arrays {
 		c.arrayEntries += p.Entries()
+		p.Attach(&c.struck)
 	}
 	c.Reset()
 	return c
@@ -228,10 +241,18 @@ func (c *Core) Step() Event {
 // endCycle is the write-port parity maintenance for the RUT error-capture
 // registers at the end of a cycle: legitimate updates (which all happen
 // inside the cycle) regenerate the stored parity; corruption injected
-// between cycles is caught by the pervasive checker first.
+// between cycles is caught by the pervasive checker first. The parity is
+// regenerated only when the registers may have moved since it last was: a
+// cycle that wrote one (capStale) or a move of the scan generation (a flip,
+// a restore). While an access log is recorded it is regenerated every
+// cycle, the oracle FuzzPervasiveGate holds the skip to.
 func (c *Core) endCycle() {
+	if !c.capStale && c.capGen == c.db.ScanGen() && !c.db.Recording() {
+		return
+	}
 	if !c.Checkstopped() {
 		c.rut.capPar.Set(c.rutCaptureParity())
+		c.capStale, c.capGen = false, c.db.ScanGen()
 	}
 }
 
@@ -257,7 +278,7 @@ func (c *Core) Advance(n uint64) (uint64, Event) {
 	k := uint64(1)
 	if ev == (Event{}) && c.db.Writes() == writes && c.fails == fails &&
 		c.db.ScanGen() == gen && c.Cycle == cycle+1 && c.Completed == done &&
-		!c.db.Recording() && c.arraysClean() {
+		!c.db.Recording() && c.struck.Clean() {
 		more := n - 1
 		for i, b := range c.counterBounds() {
 			more = min(more, c.ticking[i].Room(b))
@@ -289,19 +310,9 @@ func (c *Core) counterBounds() [numTicking]uint64 {
 // failing entry. The structures do not change over those cycles, so it
 // checks each entry they would visit, at most a sweep of each structure.
 //
-// It checks none while the scan generation is one at which every entry
-// passed. A cycle cannot make an entry fail: every write to the scanned
-// structures stores an entry with the parity of what it stores, under the
-// current polarity, or clears its valid bit (stqInsert, eratReloadDone,
-// fetchCycle, nestAllocRQ, and the drains and flushes). Only a flip, a
-// scan load or a restore can, and each moves the generation. FuzzAdvance
-// holds every clocked cycle to that.
+// It checks none while every entry passes (scansPassing).
 func (c *Core) scanRoom(more uint64) uint64 {
-	if !c.unitOK(uPRV) || c.scansPass == c.db.ScanGen() {
-		return more
-	}
-	if c.scansFail() == noChecker {
-		c.scansPass = c.db.ScanGen()
+	if !c.unitOK(uPRV) || c.scansPassing() {
 		return more
 	}
 	for j := uint64(1); j <= min(more, stqEntries); j++ {
@@ -325,6 +336,54 @@ func (c *Core) scanRoom(more uint64) uint64 {
 		}
 	}
 	return more
+}
+
+// scansPassing reports whether every entry of the round-robin-scanned
+// structures passes its check, sweeping them at most once a scan
+// generation. A cycle cannot make an entry fail: every write to the scanned
+// structures stores an entry with the parity of what it stores, under the
+// current polarity, or clears its valid bit (stqInsert, eratReloadDone,
+// fetchCycle, nestAllocRQ, and the drains and flushes). Only a flip, a scan
+// load or a restore can, and each moves the generation, so entries that
+// pass at a generation pass until it moves. FuzzAdvance holds every clocked
+// cycle to that, entry by entry. A sweep that finds a failing entry is not
+// repeated at its generation; the cycles' own visits establish the mark
+// instead (scansVisited).
+func (c *Core) scansPassing() bool {
+	gen := c.db.ScanGen()
+	if c.scansPass == gen {
+		return true
+	}
+	if c.scansSwept == gen {
+		return false
+	}
+	c.scansSwept, c.scansFrom = gen, c.Cycle
+	if c.scansFail() != noChecker {
+		return false
+	}
+	c.scansPass = gen
+	return true
+}
+
+// scanSweep is the most cycles a round-robin scan takes to visit every
+// entry of its structure.
+const scanSweep = max(stqEntries, eratSize, fbEntries, rqEntries)
+
+// scansVisited takes whether the entries this cycle's scans visited passed,
+// at a generation whose sweep found a failing one. A failing entry stops
+// failing when a cycle rewrites it or clears its valid bit, and an entry
+// that passes stays passing until the generation moves (scansPassing).
+// So once scanSweep consecutive cycles have visited only passing entries,
+// each entry passed at its last visit and passes now: the mark is set.
+// Cycles Advance applies in bulk count among them, since scanRoom lets it
+// apply none that would visit a failing entry.
+func (c *Core) scansVisited(pass bool) {
+	switch {
+	case !pass:
+		c.scansFrom = c.Cycle + 1
+	case c.Cycle+1-c.scansFrom >= scanSweep:
+		c.scansPass = c.db.ScanGen()
+	}
 }
 
 // scansFail returns the checker a failing entry of the round-robin-scanned
@@ -356,6 +415,11 @@ func (c *Core) scansFail() int {
 // BulkCycles returns how many cycles Advance has applied by arithmetic
 // rather than clocked.
 func (c *Core) BulkCycles() uint64 { return c.bulk }
+
+// PervasivePasses returns how many clocked cycles ran prvCycle's register
+// checks or its structure scans: with nothing failing, one a scan
+// generation.
+func (c *Core) PervasivePasses() uint64 { return c.prvPasses }
 
 // Ticks reports whether latch bit lies in a word Advance writes by
 // arithmetic: a countdown latch, or rut.cap.par, which Step regenerates over
@@ -417,6 +481,7 @@ func (c *Core) handleErrors() {
 	if len(c.pendErr) == 0 {
 		return
 	}
+	c.capStale = true // the error capture and rutBeginRecovery
 	// Log the first error's FIR bit; severity: any checkstop-class error
 	// wins over recoverable ones.
 	worst := c.pendErr[0].checker

@@ -18,17 +18,41 @@ func (p *prvState) setFIR(id int) {
 
 // prvCycle runs the pervasive logic: continuous checkers, the completion
 // watchdog, background array scrubbing and the always-on counters.
+//
+// Its state checks — FIR parity, the one-hot state machines, the capture
+// parity and the round-robin structure scans — check what no cycle can
+// make fail: every write keeps its parity or one-hot value (setFIR, the
+// FSM transitions, endCycle's regeneration, and the writes scansPassing
+// lists). Only a flip, a scan load or a restore can, and each moves the
+// scan generation.
+// So they run in two groups, the register checks and the scans, and once a
+// group passes at a generation it is skipped until the generation moves
+// (PervasivePasses counts the cycles either runs). While one of its checks
+// fails a group runs every cycle, so each failing checker fires on the
+// cycles it always did. While an access log is recorded both run every
+// cycle: the scans' reads of tracked words decide when a deferred toggle
+// goes live.
 func (c *Core) prvCycle() {
 	if !c.unitOK(uPRV) {
 		return // pervasive clocks off: no supervision, core still runs
 	}
 	prv := &c.prv
+	rec := c.db.Recording()
+	regs := rec || c.regsPass != c.db.ScanGen()
+	scans := rec || !c.scansPassing()
+	if regs || scans {
+		c.prvPasses++
+	}
+	ok := true
 
-	// FIR integrity.
-	for i := 0; i < prv.fir.Len(); i++ {
-		if parity64(prv.fir.Entry(i).Get()) != prv.firPar.Entry(i).Get() {
-			c.fail(ChkPRVFIRPar)
-			break
+	if regs {
+		// FIR integrity.
+		for i := 0; i < prv.fir.Len(); i++ {
+			if parity64(prv.fir.Entry(i).Get()) != prv.firPar.Entry(i).Get() {
+				c.fail(ChkPRVFIRPar)
+				ok = false
+				break
+			}
 		}
 	}
 	// Scan/clock control and ring integrity, over scan-only state: run
@@ -37,33 +61,51 @@ func (c *Core) prvCycle() {
 	if !c.view.scanOK {
 		c.checkScan(true)
 	}
-	// One-hot state machines.
-	if mathbits.OnesCount64(c.rut.fsm.Get()) != 1 {
-		c.fail(ChkRUTFSM)
-	}
-	// Recovery-domain capture-register integrity.
-	if c.rutCaptureParity() != c.rut.capPar.Get() {
-		c.fail(ChkRUTCapPar)
-	}
-	if mathbits.OnesCount64(c.fpu.fsm.Get()) != 1 {
-		c.fail(ChkFPUFSM)
+	if regs {
+		// One-hot state machines.
+		if mathbits.OnesCount64(c.rut.fsm.Get()) != 1 {
+			c.fail(ChkRUTFSM)
+			ok = false
+		}
+		// Recovery-domain capture-register integrity.
+		if c.rutCaptureParity() != c.rut.capPar.Get() {
+			c.fail(ChkRUTCapPar)
+			ok = false
+		}
+		if mathbits.OnesCount64(c.fpu.fsm.Get()) != 1 {
+			c.fail(ChkFPUFSM)
+			ok = false
+		}
+		if ok {
+			c.regsPass = c.db.ScanGen()
+		}
 	}
 
 	// Continuous structure scans (conservative checking: any corrupt
 	// covered state fires, whether or not it would ever be consumed). Like
 	// a hardware scan engine each walks one entry per cycle round-robin, so
 	// worst-case detection latency is one sweep.
-	if id := c.stqCheck(int(c.Cycle) % stqEntries); id != noChecker {
-		c.fail(id)
-	}
-	if c.eratFails(int(c.Cycle) % eratSize) {
-		c.fail(ChkLSUERATPar)
-	}
-	if c.fbFails(int(c.Cycle) % fbEntries) {
-		c.fail(ChkIFUFBPar)
-	}
-	if c.cfg.EnableNest && c.rqFails(int(c.Cycle)%rqEntries) {
-		c.fail(ChkNESTRQPar)
+	if scans {
+		pass := true
+		if id := c.stqCheck(int(c.Cycle) % stqEntries); id != noChecker {
+			c.fail(id)
+			pass = false
+		}
+		if c.eratFails(int(c.Cycle) % eratSize) {
+			c.fail(ChkLSUERATPar)
+			pass = false
+		}
+		if c.fbFails(int(c.Cycle) % fbEntries) {
+			c.fail(ChkIFUFBPar)
+			pass = false
+		}
+		if c.cfg.EnableNest && c.rqFails(int(c.Cycle)%rqEntries) {
+			c.fail(ChkNESTRQPar)
+			pass = false
+		}
+		if !rec {
+			c.scansVisited(pass)
+		}
 	}
 
 	// Completion watchdog: the count restarts from zero when it fires.
@@ -164,7 +206,7 @@ func (c *Core) scrubCycle() {
 		return
 	}
 	ptr := int(c.prv.scrubPtr.Wrap(uint64(total)))
-	if c.arraysClean() {
+	if c.struck.Clean() {
 		return
 	}
 	for ai, p := range arrays {
@@ -201,17 +243,6 @@ func (c *Core) scrubCycle() {
 		}
 		ptr -= p.Entries()
 	}
-}
-
-// arraysClean reports whether every protected array is clean
-// (array.Protected.Clean).
-func (c *Core) arraysClean() bool {
-	for _, p := range c.arrays {
-		if !p.Clean() {
-			return false
-		}
-	}
-	return true
 }
 
 // ArrayCorrectedCount sums the ECC single-bit corrections logged by every

@@ -49,6 +49,7 @@ func (c *Core) rutCycle() {
 		return // frozen recovery unit: the retry never completes (hang)
 	}
 	rut := &c.rut
+	c.capStale = true // the wait count
 	switch rut.fsm.Get() {
 	case rutReset:
 		if rut.waitCnt.Down() {
