@@ -160,12 +160,13 @@ lines:
 		awk 'BEGIN { printf "%-28s %7s %7s\n", "package", "code", "test" } { sub("^~", ""); print }'
 
 # cmp holds the working tree's output to PARENT's byte for byte: it builds
-# sfi, sfi-beam, sfi-tables and the examples from a `git archive` of PARENT
-# (default HEAD: the uncommitted change against its base) and from the working
-# tree, runs both over CMP_SHAPES (`sfi -json`), TEXT_SHAPES (sfi's text
-# report), BEAM_SHAPES (sfi-beam, its first line, the wall time, dropped),
-# TABLE_SHAPES (sfi-tables, its `(… in Xs)` timing lines dropped) and
-# EXAMPLES, and names the first shape that differs. Every surface that turns
+# sfi, sfi-beam, sfi-tables, sfi-avp and the examples from a `git archive` of
+# PARENT (default HEAD: the uncommitted change against its base) and from the
+# working tree, runs both over CMP_SHAPES (`sfi -json`), TEXT_SHAPES (sfi's
+# text report), BEAM_SHAPES (sfi-beam, its first line, the wall time,
+# dropped), TABLE_SHAPES (sfi-tables, its `(… in Xs)` timing lines dropped),
+# sfi-avp's default output and EXAMPLES, and names the first shape that
+# differs. Every surface that turns
 # a report's counts into printed fractions or intervals is on one of these
 # lists, so a change to how they are computed is held to the parent's bytes
 # on each. The tables
@@ -252,16 +253,18 @@ TEXT_SHAPES = \
 SUMMARY_LINES = ^(campaign|restore|batch|observe|detect|latency)(:| finished)
 # table2 (a campaign beside a beam run and the chi-square between them) and
 # fig4 (Fig. 3's per-unit fractions weighted by population) print what the
-# other tables do not.
-TABLE_SHAPES = fig2 fig3 fig4 fig5 table2 table3
+# other tables do not; table1 is the one surface that prints the core's
+# measured CPI (workload.MeasureCPI), and sfi-avp the one that checks every
+# barrier's register signature on a fault-free core.
+TABLE_SHAPES = fig2 fig3 fig4 fig5 table1 table2 table3
 # EXAMPLES are the examples/* programs, each a fixed campaign printed through
 # the public API; each prints the same bytes on every run.
 EXAMPLES = beamcal checkers latchtypes macroinject periphery quickstart unitstudy
 cmp:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/parent"; git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
-	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./examples/...); \
-	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./examples/...; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./cmd/sfi-avp ./examples/...); \
+	$(GO) build -o "$$tmp/tree-bin/" ./cmd/sfi ./cmd/sfi-beam ./cmd/sfi-tables ./cmd/sfi-avp ./examples/...; \
 	echo '$(CMP_SHAPES)' | tr '|' '\n' | while read -r shape; do \
 		"$$tmp/parent-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/parent.out"; \
 		"$$tmp/tree-bin/sfi" $(CMP_FLAGS) $$shape > "$$tmp/tree.out"; \
@@ -286,6 +289,10 @@ cmp:
 		cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-tables -exp $$exp differs from $(PARENT)"; exit 1; }; \
 		echo "same  sfi-tables -exp $$exp"; \
 	done; \
+	"$$tmp/parent-bin/sfi-avp" > "$$tmp/parent.out"; \
+	"$$tmp/tree-bin/sfi-avp" > "$$tmp/tree.out"; \
+	cmp -s "$$tmp/parent.out" "$$tmp/tree.out" || { echo "cmp: sfi-avp differs from $(PARENT)"; exit 1; }; \
+	echo "same  sfi-avp"; \
 	for ex in $(EXAMPLES); do \
 		"$$tmp/parent-bin/$$ex" > "$$tmp/parent.out"; \
 		"$$tmp/tree-bin/$$ex" > "$$tmp/tree.out"; \

@@ -57,17 +57,12 @@ func run(seed uint64, testcases, bodyOps, passes int) error {
 	// Run the AVP on the core, checking every barrier.
 	c := proc.New(proc.DefaultConfig())
 	c.Mem().LoadProgram(0, prog.Words)
-	ends, checked, bad := 0, 0, 0
+	checked, bad := 0, 0
 	warm := 2 * testcases
-	for ends < (2+passes)*testcases {
-		ev := c.Step()
-		if c.Checkstopped() {
-			return fmt.Errorf("core checkstopped at cycle %d", c.Cycle)
+	for ends := 1; ends <= (2+passes)*testcases; ends++ {
+		if err := c.RunToTestEnd(); err != nil {
+			return err
 		}
-		if !ev.TestEnd {
-			continue
-		}
-		ends++
 		if ends <= warm {
 			continue
 		}

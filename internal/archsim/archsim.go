@@ -53,24 +53,10 @@ type State struct {
 func (s *State) Equal(o *State) bool { return *s == *o }
 
 // Signature folds the architected register state into one 64-bit word, the
-// value the AVP checks at every testend barrier.
+// value the AVP checks at every testend barrier: MaskedSignature with every
+// register in the masks.
 func (s *State) Signature() uint64 {
-	sig := uint64(0x9e3779b97f4a7c15)
-	mix := func(v uint64) {
-		sig ^= v
-		sig *= 0x100000001b3
-		sig ^= sig >> 29
-	}
-	for _, g := range s.GPR {
-		mix(g)
-	}
-	for _, f := range s.FPR {
-		mix(f)
-	}
-	mix(uint64(s.CR0))
-	mix(s.LR)
-	mix(s.CTR)
-	return sig
+	return s.MaskedSignature(^uint32(0), ^uint32(0), ^uint8(0))
 }
 
 // MaskedSignature folds only the registers named by the masks (GPR/FPR by

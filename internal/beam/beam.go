@@ -103,9 +103,9 @@ func Run(cfg Config) (*Report, error) {
 	// Warm to steady state and checkpoint (the "system restart" image
 	// used after fatal events, as the real rig power-cycled the machine).
 	ends := 0
-	for ends < 2*cfg.AVP.Testcases {
-		if c.Step().TestEnd {
-			ends++
+	for ; ends < 2*cfg.AVP.Testcases; ends++ {
+		if err := c.RunToTestEnd(); err != nil {
+			return nil, fmt.Errorf("beam: warm-up: %w", err)
 		}
 	}
 	ckpt := c.SaveCheckpoint()

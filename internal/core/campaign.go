@@ -289,7 +289,7 @@ func (l *Live) Progress() Progress {
 	if r.end.IsZero() {
 		r.end = time.Now()
 	}
-	p := progressOver(s, r.total, r.workers, r.end.Sub(r.start))
+	p := ProgressFrom(s, r.total, r.workers, r.end.Sub(r.start))
 	p.Convergence = r.conv
 	return p
 }
@@ -403,17 +403,13 @@ func outcomeNames() []string {
 }
 
 // ProgressFrom derives a Progress view from a merged metrics snapshot —
-// rate, ETA and outcome mix over whatever the snapshot covers. It is the
-// shared derivation for local campaigns (per-worker collectors merged) and
-// fleet views (a distributed coordinator's aggregated worker snapshots);
-// workers is the concurrent-model-copy count for the utilization estimate
-// (pass 0 when unknown — utilization is then reported as 0).
-func ProgressFrom(s *obs.Snapshot, total, workers int, start time.Time) Progress {
-	return progressOver(s, total, workers, time.Since(start))
-}
-
-// progressOver is ProgressFrom over a given elapsed time.
-func progressOver(s *obs.Snapshot, total, workers int, elapsed time.Duration) Progress {
+// rate, ETA and outcome mix over whatever the snapshot covers, which took
+// elapsed. It is the shared derivation for local campaigns (per-worker
+// collectors merged) and fleet views (a distributed coordinator's
+// aggregated worker snapshots); workers is the concurrent-model-copy count
+// for the utilization estimate (pass 0 when unknown — utilization is then
+// reported as 0).
+func ProgressFrom(s *obs.Snapshot, total, workers int, elapsed time.Duration) Progress {
 	p := Progress{
 		Done:     int(s.Injections),
 		Total:    total,
@@ -541,19 +537,18 @@ func SampleCampaignBits(db *latch.DB, seed uint64, flips int, f latch.Filter) []
 // over concurrent model copies. The AVP is generated and warmed once per
 // process and config, in the cached prototype (WarmRunner); every worker is
 // a warm clone of it. A batch that fails (a panic below the model) aborts
-// the campaign: the dispatcher stops handing out injections as soon as the
-// first failure is reported, and every failed batch's error is in the
-// returned (joined) error, so one failure does not mask another.
+// the campaign: no worker takes another batch once a failure has settled,
+// and every failed batch's error is in the returned (joined) error, so one
+// failure does not mask another.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	return RunCampaignContext(context.Background(), cfg)
 }
 
-// RunCampaignContext is RunCampaign with cancellation: when ctx is
-// cancelled the dispatcher stops handing out injections, in-flight
-// injections run to completion (each is sub-millisecond to
-// low-millisecond), and the campaign returns ctx's error. A distributed
-// coordinator shutting down or a worker losing its shard lease uses this
-// to abandon a shard promptly instead of draining it.
+// RunCampaignContext is RunCampaign with cancellation: once ctx is done no
+// worker takes another batch, in-flight injections run to completion (each
+// is sub-millisecond to low-millisecond), and the campaign returns ctx's
+// error. A distributed coordinator shutting down or a worker losing its
+// shard lease uses this to abandon a shard promptly instead of draining it.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*Report, error) {
 	// The prototype runner: it provides the latch database for sampling,
 	// the warmed checkpoints the clones adopt, and worker 0's model.
@@ -586,18 +581,9 @@ type draw struct {
 }
 
 // job is the dispatch unit: one batch (positions into d.bits) of one draw.
-// n is its index in the epoch's dispatch order.
 type job struct {
 	d   *draw
 	pos []int
-	n   int
-}
-
-// settledJob reports job n of the epoch settled, with the error that failed
-// it.
-type settledJob struct {
-	n   int
-	err error
 }
 
 // bits returns the latch bits the job injects, in lane order.
@@ -709,15 +695,17 @@ func newSource(first *Runner, cfg CampaignConfig, rep *Report, runSp, sp *obs.Sp
 // reset to cfg.Obs on every call.
 //
 // This is the one campaign executor: every shape of campaign (see source)
-// runs through the same worker pool, dispatch loop, error handling and
-// report build. Each epoch is dispatched over the
-// pool and fully drained — the epoch barrier — before its results are
-// folded into the report and anything is evaluated or re-allocated, so stop
-// decisions and allocations read settled counts only and the report is
-// deterministic across worker counts. A keyless draw (a uniform campaign's
-// single epoch, the whole budget) is decided job by job instead, by
-// PrefixStop: a StopOnConverge campaign stops at the smallest prefix of
-// dispatch order that converges, whatever the worker count.
+// runs through the same worker pool, error handling and report build. The
+// pool is one goroutine per model copy per epoch, under one lock: a worker
+// takes the epoch's next job in dispatch order under it, runs the job
+// outside it, and settles the job under it. Each epoch is fully drained —
+// the epoch barrier — before its results are folded into the report and
+// anything is evaluated or re-allocated, so stop decisions and allocations
+// read settled counts only and the report is deterministic across worker
+// counts. A keyless draw (a uniform campaign's single epoch, the whole
+// budget) is decided job by job instead, by PrefixStop as each job settles:
+// a StopOnConverge campaign stops at the smallest prefix of dispatch order
+// that converges, whatever the worker count.
 func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*Report, error) {
 	if cfg.Flips < 1 {
 		return nil, fmt.Errorf("core: campaign needs at least one flip")
@@ -784,12 +772,12 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 	// reused prototype (RunCampaignWith) left behind.
 	first.Observe(workerObs(0), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 
-	// One reader of outcomes: workers hand each settled job back to the
-	// dispatch loop, and every convergence evaluation is made there over
-	// settled counts, the newest kept on the Live handle; seen dedups events.
-	var wg sync.WaitGroup
-	next := make(chan job)
-	settled := make(chan settledJob, workers) // one per worker: a settle never waits
+	// One lock over the pool's traffic: a worker takes the next job in
+	// dispatch order under it and settles the job under it, so every
+	// convergence evaluation is made over settled counts, the newest kept on
+	// the Live handle; seen dedups events.
+	var mu sync.Mutex
+	var errs []error
 	seen := make(map[string]bool)
 	evaluated := func(c *stats.Convergence) {
 		live.set(func(r *liveRun) { r.conv = c })
@@ -816,92 +804,78 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		}
 		return nil
 	}
-	// A failed job still settles, so no barrier waits on it; it ends its
-	// worker (the model's state is unknown) and fails the campaign.
-	worker := func(r *Runner) {
-		defer wg.Done()
-		for j := range next {
-			err := runJob(r, j)
-			settled <- settledJob{j.n, err}
-			if err != nil {
-				return
-			}
-		}
-	}
 
-	wg.Add(workers)
 	live.set(func(r *liveRun) {
 		*r = liveRun{metrics: metrics, total: src.total, workers: workers, start: time.Now()}
 	})
-
-	// Worker start order: Clone reads the prototype's live model state
-	// (value planes, counters), so the prototype may not start injecting
-	// until every extra worker has finished cloning from it. Clones are
-	// still taken concurrently with each other — they only read the
-	// prototype.
-	var cloning sync.WaitGroup
-	cloning.Add(workers - 1)
-	go func() {
-		cloning.Wait()
-		worker(first)
-	}()
+	// Every model copy is cloned before any injection: Clone reads the
+	// prototype's live model state (value planes, counters). The clones are
+	// taken concurrently — they only read the prototype.
+	runners := make([]*Runner, workers)
+	runners[0] = first
+	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			r := first.Clone()
-			cloning.Done()
-			r.Observe(workerObs(w), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
-			worker(r)
+			defer wg.Done()
+			runners[w] = first.Clone()
+			runners[w].Observe(workerObs(w), cfg.Obs.Trace, cfg.Obs.Tracer, runSp.Context())
 		}()
 	}
+	wg.Wait()
 
-	// Fail-fast dispatch: stop handing out work the moment a worker
-	// reports a failure or the context is cancelled; in-flight batches run
-	// to completion either way. Convergence is the one *successful* early
-	// exit.
-	var errs []error
 	rule := cfg.Stop.Rule()
-	cancelled := ctx.Done()
 	for len(jobs) > 0 {
 		// A keyless draw, the whole budget, is decided job by job, over the
-		// smallest converged prefix of dispatch order (PrefixStop). Dispatch
-		// never waits for the prefix, so a stop drops whatever finished past
-		// the cut meanwhile.
+		// smallest converged prefix of dispatch order (PrefixStop). No worker
+		// waits for the prefix, so a stop drops whatever finished past the
+		// cut meanwhile.
 		keyless := cfg.Stop.Enabled() && epoch[0].key == ""
 		prefix := NewPrefixStop(len(jobs), cfg.Stop, evaluated)
-		sent, running, cut := 0, 0, len(jobs)
-		for (sent < cut && len(errs) == 0) || running > 0 {
-			var out chan<- job // nil, so never ready, once dispatch is over
-			var j job
-			if sent < cut && len(errs) == 0 {
-				out, j = next, jobs[sent]
-			}
-			select {
-			case out <- j:
-				sent++
-				running++
-			case s := <-settled:
-				running--
-				if s.err != nil {
-					errs = append(errs, s.err)
-				} else if keyless {
-					counts := make(map[Outcome]int)
-					for _, pos := range jobs[s.n].pos {
-						counts[jobs[s.n].d.res[pos].Outcome]++
-					}
-					cut = prefix.Settle(s.n, counts)
+		taken, cut := 0, len(jobs)
+		// Fail-fast: no job is taken once one has failed or the context is
+		// done; jobs already taken run to completion either way. A failed
+		// job ends its worker (the model's state is unknown). Convergence is
+		// the one *successful* early exit.
+		work := func(r *Runner) {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			for taken < cut && len(errs) == 0 {
+				if ctx.Err() != nil {
+					errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
+					return
 				}
-			case <-cancelled:
-				errs = append(errs, fmt.Errorf("core: campaign cancelled: %w", context.Cause(ctx)))
-				cancelled = nil
+				n := taken
+				taken++
+				mu.Unlock()
+				err := runJob(r, jobs[n])
+				mu.Lock()
+				if err != nil {
+					errs = append(errs, err)
+					return
+				}
+				if keyless {
+					counts := make(map[Outcome]int)
+					for _, pos := range jobs[n].pos {
+						counts[jobs[n].d.res[pos].Outcome]++
+					}
+					cut = prefix.Settle(n, counts)
+				}
 			}
 		}
+		wg.Add(workers)
+		for _, r := range runners {
+			go work(r)
+		}
+		wg.Wait()
 		if len(errs) > 0 {
 			break
 		}
-		// The epoch barrier: every dispatched batch has settled. Results past
-		// the cut are cleared, so the report covers exactly the prefix the
-		// stop was decided on.
-		for _, j := range jobs[cut:sent] {
+		// The epoch barrier: every taken batch has settled. Results past the
+		// cut are cleared, so the report covers exactly the prefix the stop
+		// was decided on.
+		for _, j := range jobs[cut:taken] {
 			for _, pos := range j.pos {
 				j.d.res[pos] = Result{}
 			}
@@ -925,10 +899,8 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 		epoch = src.next(rep)
 		jobs = epochJobs(epoch)
 	}
-	close(next)
-	wg.Wait()
 	live.set(func(r *liveRun) { r.end = time.Now() })
-	// Each failed job names its own bits, and cancellation is appended once.
+	// Each failed job names its own bits; cancellation is named once.
 	if len(errs) > 0 {
 		err := errors.Join(errs...)
 		if runSp != nil {
@@ -961,7 +933,7 @@ func epochJobs(draws []*draw) []job {
 	var jobs []job
 	for _, d := range draws {
 		for _, pos := range d.batches {
-			jobs = append(jobs, job{d, pos, len(jobs)})
+			jobs = append(jobs, job{d, pos})
 		}
 	}
 	return jobs

@@ -142,6 +142,7 @@ type Coordinator struct {
 	requeues int // total shard requeues (expiry + explicit fails)
 	workers  map[string]*workerStats
 	started  time.Time
+	ended    time.Time // set by finishLocked; zero while the campaign runs
 	err      error
 	finished chan struct{} // closed once the campaign completes, the stop rule fires, or err is set
 	journal  *os.File
@@ -445,6 +446,7 @@ func (c *Coordinator) failLocked(err error) {
 // stop and failure all funnel through it, each once and only while the
 // campaign is not yet over (overLocked).
 func (c *Coordinator) finishLocked() {
+	c.ended = time.Now()
 	if c.rootSp != nil {
 		c.rootSp.AttrInt("shards_done", int64(c.done)).End()
 		c.rootSp = nil

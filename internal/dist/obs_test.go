@@ -691,3 +691,24 @@ func TestCompleteAttachesTrace(t *testing.T) {
 		t.Errorf("first attached injection = %s, want bit 42 (err %v)", attached[0].Injection, err)
 	}
 }
+
+// TestFinishedStatusHoldsStill: once Wait returns, the status is measured
+// up to the campaign's end, so elapsed time, rates, utilization and the
+// worker rows read the same however long after it is read.
+func TestFinishedStatusHoldsStill(t *testing.T) {
+	c, srv := startCoord(t, fuzzCoordConfig(false, 0, ""))
+	if err := RunWorker(context.Background(), WorkerConfig{Coordinator: srv.URL, PollEvery: 20 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	first := c.Status()
+	if first.Rate <= 0 || len(first.Workers) != 1 {
+		t.Fatalf("finished status shows rate %v and %d workers, want a rate and one worker", first.Rate, len(first.Workers))
+	}
+	time.Sleep(120 * time.Millisecond)
+	if later := c.Status(); !reflect.DeepEqual(later, first) {
+		t.Errorf("finished status moved:\nfirst: %+v\nlater: %+v", first, later)
+	}
+}

@@ -33,7 +33,9 @@ type Status struct {
 	Injections uint64 `json:"injections"`
 	Total      int    `json:"injections_total"`
 
-	// Rate is fleet-wide *injections* per second since coordinator start;
+	// Rate is fleet-wide *injections* per second since coordinator start
+	// (up to the campaign's end once it is over, as every rate and elapsed
+	// time in the status is, so a finished campaign's status holds still);
 	// EtaMs extrapolates it over the remaining injections (0 when the
 	// rate is still unknown). With a bit-parallel backend one model pass
 	// retires many injections, so the injection rate and the pass rate
@@ -125,7 +127,7 @@ type WorkerView struct {
 	Rate       float64 `json:"rate_per_sec"`
 	ShardsDone int     `json:"shards_done"`
 	Failures   int     `json:"failures,omitempty"`
-	LastSeenMs int64   `json:"last_seen_ms"` // milliseconds since last contact
+	LastSeenMs int64   `json:"last_seen_ms"` // milliseconds from last contact to now, or to the campaign's end
 }
 
 // ShowProgress redraws the fleet progress line on w in place every period,
@@ -171,7 +173,12 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := c.fleetSnapshotLocked()
-	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, c.copiesLocked(), c.started)
+	// A finished campaign's view is measured up to its end, so it holds still.
+	now := c.ended
+	if now.IsZero() {
+		now = time.Now()
+	}
+	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, c.copiesLocked(), now.Sub(c.started))
 	st := Status{
 		Shards:       len(c.shards),
 		ShardSize:    c.cfg.ShardSize,
@@ -242,7 +249,6 @@ func (c *Coordinator) Status() Status {
 	}
 
 	if len(c.workers) > 0 {
-		now := time.Now()
 		st.Workers = make(map[string]WorkerView, len(c.workers))
 		for id, ws := range c.workers {
 			v := WorkerView{

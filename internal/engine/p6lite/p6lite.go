@@ -160,8 +160,8 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	// in their periodic regime).
 	n := cfg.AVP.Testcases
 	for ends := 0; ends < 2*n; ends++ {
-		if err := runToTestEnd(c); err != nil {
-			return nil, err
+		if err := c.RunToTestEnd(); err != nil {
+			return nil, fmt.Errorf("p6lite: warm-up: %w", err)
 		}
 	}
 	// Install the dirty-tracking restore baseline at steady state: the
@@ -190,8 +190,8 @@ func New(cfg engine.Config) (engine.Backend, error) {
 	b.barriers = append(b.barriers, c.Cycle)
 	c.DB().Record(&c.Cycle)
 	for end := 1; end <= n+cfg.QuiesceExit; end++ {
-		if err := runToTestEnd(c); err != nil {
-			return nil, err
+		if err := c.RunToTestEnd(); err != nil {
+			return nil, fmt.Errorf("p6lite: checkpoint pass: %w", err)
 		}
 		tc := prog.Testcases[(end-1)%n]
 		if c.MaskedSignature(tc.GPRMask, tc.FPRMask, tc.SPRMask) != tc.SigMasked {
@@ -222,20 +222,6 @@ func New(cfg engine.Config) (engine.Backend, error) {
 type poll struct {
 	verdict engine.Verdict
 	fir     []string
-}
-
-// runToTestEnd clocks a fault-free core to its next testend barrier, its
-// counter-only stall runs in bulk (Core.Advance; none while an access log
-// is being recorded).
-func runToTestEnd(c *proc.Core) error {
-	for guard := uint64(50_000_000); guard > 0; {
-		k, ev := c.Advance(guard)
-		if ev.TestEnd {
-			return nil
-		}
-		guard -= k
-	}
-	return fmt.Errorf("p6lite: warm-up did not reach a testend")
 }
 
 // Clone duplicates a warmed backend without re-generating the AVP or

@@ -99,7 +99,7 @@ func (m *Memory) EqualRange(img *dirty.Image[byte], lo, hi uint64) bool {
 // area digest with it, and the harnesses check the area against that at
 // verification barriers. It folds one doubleword per step with the xor /
 // multiply-by-odd / xorshift mix of the architected signature
-// (proc.ArchSnapshot.Signature). Each step is a bijection of the
+// (archsim.State.Signature). Each step is a bijection of the
 // running state, so two memories that differ in exactly one doubleword of
 // the range never share a digest. The digest is compared only against
 // digests this same function produced and is never stored or exchanged.

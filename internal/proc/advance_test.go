@@ -4,6 +4,7 @@ import (
 	mathbits "math/bits"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sfi/internal/latch"
@@ -430,4 +431,26 @@ func TestAdvanceWhileRecording(t *testing.T) {
 		t.Fatal("the access log recorded through Advance differs from Step's")
 	}
 	p.same(t, "a recorded pass", nil, nil)
+}
+
+// TestRunToTestEnd: RunToTestEnd stops on the cycle a Step loop sees each
+// testend of a pass, in the same architected state, and fails on a
+// checkstopped core.
+func TestRunToTestEnd(t *testing.T) {
+	p := newAdvancePair(t, DefaultConfig())
+	for end := 1; end <= p.testcases; end++ {
+		if err := p.adv.RunToTestEnd(); err != nil {
+			t.Fatalf("testend %d: %v", end, err)
+		}
+		for !p.step.Step().TestEnd {
+		}
+		if p.adv.Cycle != p.step.Cycle || p.adv.Completed != p.step.Completed || p.adv.ArchState() != p.step.ArchState() {
+			t.Fatalf("testend %d: run to cycle %d (%d completed), stepped to cycle %d (%d completed)",
+				end, p.adv.Cycle, p.adv.Completed, p.step.Cycle, p.step.Completed)
+		}
+	}
+	p.adv.checkstop()
+	if err := p.adv.RunToTestEnd(); err == nil || !strings.Contains(err.Error(), "checkstopped") {
+		t.Errorf("RunToTestEnd on a checkstopped core: err = %v", err)
+	}
 }

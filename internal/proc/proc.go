@@ -17,6 +17,7 @@ import (
 	"math"
 	mathbits "math/bits"
 
+	"sfi/internal/archsim"
 	"sfi/internal/array"
 	"sfi/internal/latch"
 	"sfi/internal/mem"
@@ -295,6 +296,28 @@ func (c *Core) Advance(n uint64) (uint64, Event) {
 	return k, ev
 }
 
+// testEndGuard bounds the cycles RunToTestEnd clocks looking for a testend.
+const testEndGuard = 50_000_000
+
+// RunToTestEnd clocks the core to its next testend barrier, its
+// counter-only stall runs in bulk (Advance). It fails on a checkstop, on a
+// halt, and when no testend comes within testEndGuard cycles.
+func (c *Core) RunToTestEnd() error {
+	for guard := uint64(testEndGuard); guard > 0; {
+		k, ev := c.Advance(guard)
+		switch {
+		case c.Checkstopped():
+			return fmt.Errorf("proc: core checkstopped at cycle %d", c.Cycle)
+		case ev.TestEnd:
+			return nil
+		case ev.Halted:
+			return fmt.Errorf("proc: core halted at cycle %d before a testend", c.Cycle)
+		}
+		guard -= k
+	}
+	return fmt.Errorf("proc: no testend within %d cycles", testEndGuard)
+}
+
 // numTicking is the number of countdown latches: lsu.dc.cnt, ifu.ic.cnt,
 // rut.wait.cnt, prv.hang.cnt and prv.scrub.ptr.
 const numTicking = 5
@@ -519,8 +542,8 @@ func (c *Core) checkstop() {
 
 // ArchState assembles the architected state visible in the latches, in the
 // golden model's representation, for SDC comparison.
-func (c *Core) ArchState() ArchSnapshot {
-	var s ArchSnapshot
+func (c *Core) ArchState() archsim.State {
+	var s archsim.State
 	for i := 0; i < 32; i++ {
 		s.GPR[i] = c.fxu.gpr.Get(i)
 		s.FPR[i] = c.fpu.fpr.Get(i)
@@ -539,7 +562,7 @@ func (c *Core) ArchState() ArchSnapshot {
 // model's, so a register the retired testcase's signature leaves out is one
 // no reader saw there.
 func (c *Core) MaskedSignature(gprMask, fprMask uint32, sprMask uint8) uint64 {
-	var s ArchSnapshot
+	var s archsim.State
 	for i := 0; i < 32; i++ {
 		if gprMask&(1<<uint(i)) != 0 {
 			s.GPR[i] = c.fxu.gpr.Get(i)
@@ -552,70 +575,6 @@ func (c *Core) MaskedSignature(gprMask, fprMask uint32, sprMask uint8) uint64 {
 	s.LR = c.idu.lr.Get()
 	s.CTR = c.idu.ctr.Get()
 	return s.MaskedSignature(gprMask, fprMask, sprMask)
-}
-
-// ArchSnapshot mirrors archsim.State's register content without importing
-// it (proc is a substrate below the golden model in the dependency order).
-type ArchSnapshot struct {
-	GPR [32]uint64
-	FPR [32]uint64
-	CR0 uint8
-	LR  uint64
-	CTR uint64
-	PC  uint64
-}
-
-// Signature folds the architected register state exactly the way
-// archsim.State.Signature does, so the two can be compared directly.
-func (s *ArchSnapshot) Signature() uint64 {
-	sig := uint64(0x9e3779b97f4a7c15)
-	mix := func(v uint64) {
-		sig ^= v
-		sig *= 0x100000001b3
-		sig ^= sig >> 29
-	}
-	for _, g := range s.GPR {
-		mix(g)
-	}
-	for _, f := range s.FPR {
-		mix(f)
-	}
-	mix(uint64(s.CR0))
-	mix(s.LR)
-	mix(s.CTR)
-	return sig
-}
-
-// MaskedSignature folds only the masked register subset, exactly the way
-// archsim.State.MaskedSignature does (GPR/FPR by register-number bit; SPR
-// bit 0 = CR0, 1 = LR, 2 = CTR).
-func (s *ArchSnapshot) MaskedSignature(gprMask, fprMask uint32, sprMask uint8) uint64 {
-	sig := uint64(0x9e3779b97f4a7c15)
-	mix := func(v uint64) {
-		sig ^= v
-		sig *= 0x100000001b3
-		sig ^= sig >> 29
-	}
-	for i, g := range s.GPR {
-		if gprMask&(1<<uint(i)) != 0 {
-			mix(g)
-		}
-	}
-	for i, f := range s.FPR {
-		if fprMask&(1<<uint(i)) != 0 {
-			mix(f)
-		}
-	}
-	if sprMask&1 != 0 {
-		mix(uint64(s.CR0))
-	}
-	if sprMask&2 != 0 {
-		mix(s.LR)
-	}
-	if sprMask&4 != 0 {
-		mix(s.CTR)
-	}
-	return sig
 }
 
 func f2b(f float64) uint64 { return math.Float64bits(f) }

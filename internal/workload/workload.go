@@ -130,27 +130,15 @@ func MeasureCPI(prog *avp.Program, testcases int) (float64, error) {
 	pcfg := proc.DefaultConfig()
 	c := proc.New(pcfg)
 	c.Mem().LoadProgram(0, prog.Words)
-	ends := 0
-	warm := 2 * testcases
-	const guard = 50_000_000
-	for i := 0; ends < warm; i++ {
-		if i > guard {
-			return 0, fmt.Errorf("workload: CPI warm-up did not converge")
-		}
-		if c.Step().TestEnd {
-			ends++
-		}
-		if c.Checkstopped() {
-			return 0, fmt.Errorf("workload: core checkstopped")
+	for ends := 0; ends < 2*testcases; ends++ {
+		if err := c.RunToTestEnd(); err != nil {
+			return 0, fmt.Errorf("workload: CPI warm-up: %w", err)
 		}
 	}
 	startCycles, startInsts := c.Cycle, c.Completed
-	for i := 0; ends < warm+testcases; i++ {
-		if i > guard {
-			return 0, fmt.Errorf("workload: CPI measurement did not converge")
-		}
-		if c.Step().TestEnd {
-			ends++
+	for ends := 0; ends < testcases; ends++ {
+		if err := c.RunToTestEnd(); err != nil {
+			return 0, fmt.Errorf("workload: CPI measurement: %w", err)
 		}
 	}
 	insts := c.Completed - startInsts

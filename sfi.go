@@ -249,10 +249,11 @@ func NewTracer(seed uint64) *Tracer { return obs.NewTracer(seed) }
 
 // ProgressFrom derives a Progress view (rate, ETA, outcome mix) from a
 // metrics snapshot — the shared derivation behind a local campaign's Live
-// handle and distributed fleet status. Pass workers 0 when the
-// concurrent-copy count is unknown; utilization is then omitted.
-func ProgressFrom(s *MetricsSnapshot, total, workers int, start time.Time) Progress {
-	return core.ProgressFrom(s, total, workers, start)
+// handle and distributed fleet status, over the elapsed time the snapshot
+// covers. Pass workers 0 when the concurrent-copy count is unknown;
+// utilization is then omitted.
+func ProgressFrom(s *MetricsSnapshot, total, workers int, elapsed time.Duration) Progress {
+	return core.ProgressFrom(s, total, workers, elapsed)
 }
 
 // PublishMetricsExpvar registers a live metrics view under name in the
