@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sfi/internal/core"
 	"sfi/internal/engine"
@@ -295,5 +296,58 @@ func TestParentJournalsResume(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Recorded with one HTTP worker over a fixed-N campaign of 20 shards (the
+// benchmark's dist_loopback shape on the test model): the merged report, and
+// the journal with each shard line's metrics cut off (they hold wall-clock
+// histograms), so header and shard lines, in the order they were written,
+// are pinned byte for byte.
+const (
+	goldenLoneWorkerReport  = "ad6c03562e0096fd029fc7c239f93d9e66c266e405417a09c52972b6c5d74957"
+	goldenLoneWorkerJournal = "fb4c0c12b1de83947a8ef55d25ba0004edeab858e2b189ff751b02c187aa1e66"
+)
+
+// journalWithoutMetrics is a journal with the metrics object that ends every
+// shard report cut out of its line.
+func journalWithoutMetrics(data []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if i := bytes.LastIndex(line, []byte(`,"metrics":{`)); i >= 0 && bytes.HasPrefix(line, []byte(`{"shard":`)) {
+			line = append(bytes.Clone(line[:i]), "}}\n"...)
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestGoldenLoneWorkerJournal pins what one HTTP worker leaves behind over a
+// 500-flip campaign cut into 25-injection shards: the report and the
+// journal's bytes, whatever the worker's lease holds at a time.
+func TestGoldenLoneWorkerJournal(t *testing.T) {
+	spec := testSpec()
+	spec.Flips, spec.ShardWorkers = 500, 1
+	journal := filepath.Join(t.TempDir(), "journal.jsonl")
+	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 25, LeaseTTL: time.Minute, Journal: journal})
+	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	wire, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digest(wire); got != goldenLoneWorkerReport {
+		t.Errorf("report digest %s, want %s (total %d)", got, goldenLoneWorkerReport, rep.Total)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := journalWithoutMetrics(data)
+	if n := bytes.Count(stripped, []byte(`,"metrics":`)); n != 0 || bytes.Count(stripped, []byte("\n")) != 21 {
+		t.Fatalf("journal of %d lines keeps %d metrics objects, want a header and 20 shard lines without any:\n%s",
+			bytes.Count(stripped, []byte("\n")), n, stripped)
+	}
+	if got := digest(stripped); got != goldenLoneWorkerJournal {
+		t.Errorf("journal digest %s, want %s", got, goldenLoneWorkerJournal)
 	}
 }
