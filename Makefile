@@ -56,7 +56,10 @@ race:
 # through the oracle that clocks every one and they must be indistinguishable
 # from; FuzzCoordinatorRequests posts
 # scripts of arbitrary lease/heartbeat/complete/fail bodies to a journaling
-# coordinator and requires a keyless stop at the smallest converged prefix of
+# coordinator, between which every lease may expire (its seeds lease runs of
+# shards, heartbeat over them, deliver them in one completion, again, after
+# one of their shards was re-granted to another worker, and fail in the
+# middle of one), and requires a keyless stop at the smallest converged prefix of
 # the shards it accepted, a restart over its journal to reach the same
 # ledger, and a twin sent every completion without its trace lines to answer
 # alike and reach the same ledger and report (its inputs are kilobytes, so
@@ -203,7 +206,11 @@ lines:
 # when the writes ran. `-flips 73701` is the census, every latch bit of the
 # default configuration injected once (a few seconds a side): a change to the
 # engine is byte-checked on each bit's outcome, not on a few thousand sampled
-# ones. The fixed-window shape costs ~20 ms an injection and awan's default
+# ones. `-flips 500 -dist 1 -shard-size 25` is the benchmark's dist_loopback
+# campaign through one HTTP worker: a lone worker leases the longest runs of
+# shards (10, 5, 3, 1 and 1 of 20), so it is the shape that holds a report
+# assembled from multi-shard completions to the parent's bytes. The
+# fixed-window shape costs ~20 ms an injection and awan's default
 # design has 1,600 bits, so each shape sets its own -flips.
 PARENT ?= HEAD
 CMP_FLAGS = -json -progress=false -seed 7
@@ -219,6 +226,7 @@ CMP_SHAPES = \
 	-flips 100 -fixed-window -window 20000| \
 	-flips 600 -workers 4| \
 	-flips 600 -dist 4| \
+	-flips 500 -dist 1 -shard-size 25| \
 	-flips 600 -margin 5| \
 	-flips 600 -margin 5 -stop-on-converge| \
 	-flips 3000 -margin 5 -stop-on-converge| \

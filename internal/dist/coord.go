@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,7 @@ import (
 	"log/slog"
 	"maps"
 	"net/http"
-	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,9 +25,12 @@ type CoordConfig struct {
 	Campaign CampaignSpec
 
 	// ShardSize is the number of injections per shard (the last shard may
-	// be short). 0 picks a default that yields ~64 shards — small enough
-	// to balance load and bound re-done work on worker death, large
-	// enough to amortize per-shard overhead.
+	// be short). 0 picks a default that yields ~64 shards. A shard is the
+	// grain of the ledger, the journal and the stop decisions: small enough
+	// to balance load, bound re-done work on worker death and place a stop
+	// close to where the rule first holds. The control plane's grain is the
+	// run: a lease may hold several shards, and a worker pays one lease, one
+	// completion and one journal sync per run.
 	ShardSize int
 
 	// LeaseTTL is how long a worker holds a shard without heartbeating
@@ -40,9 +44,10 @@ type CoordConfig struct {
 	MaxAttempts int
 
 	// Journal is the path of the completed-shard journal. When set, every
-	// completed shard is appended (and fsync'd) as one JSONL record, and a
-	// coordinator restarted over the same journal resumes with those
-	// shards already done. "" disables journaling.
+	// completed shard is appended as one JSONL record, and a coordinator
+	// restarted over the same journal resumes with those shards already
+	// done. The journal is fsync'd once per completion — a worker's whole
+	// run — before the worker is answered. "" disables journaling.
 	Journal string
 
 	// Log receives structured coordinator lifecycle events (lease grants,
@@ -145,7 +150,7 @@ type Coordinator struct {
 	ended    time.Time // set by finishLocked; zero while the campaign runs
 	err      error
 	finished chan struct{} // closed once the campaign completes, the stop rule fires, or err is set
-	journal  *os.File
+	journal  *journal
 
 	// sealed is the counts of the *completed* shard reports, merged — never
 	// heartbeat snapshots. It is a planned campaign's decision basis, so each
@@ -253,7 +258,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		}
 		c.journal = j
 		if err := c.replayLocked(entries); err != nil {
-			j.Close()
+			j.f.Close()
 			return nil, err
 		}
 	}
@@ -327,7 +332,7 @@ func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal != nil {
-		c.journal.Close()
+		c.journal.f.Close()
 		c.journal = nil
 	}
 }
@@ -572,14 +577,14 @@ func (c *Coordinator) decideLocked() {
 	}
 }
 
-// recordLocked makes a ledger transition durable before it takes effect,
-// when the campaign is journaled. A journal that cannot take the line fails
-// the campaign.
-func (c *Coordinator) recordLocked(e journalEntry) error {
+// recordLocked makes ledger transitions durable before they take effect,
+// when the campaign is journaled: one journalEntry line each, under one
+// sync. A journal that cannot take the lines fails the campaign.
+func (c *Coordinator) recordLocked(lines ...any) error {
 	if c.journal == nil {
 		return nil
 	}
-	err := writeLine(c.journal, e)
+	err := c.journal.append(lines...)
 	if err != nil {
 		c.failLocked(fmt.Errorf("dist: journal: %w", err))
 	}
@@ -748,21 +753,58 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 	if c.overLocked() {
 		return nil, http.StatusGone, nil
 	}
-	// Pop the next shard that is still pending (a queued shard can have
+	n := 1
+	if req.Run {
+		n = c.runLenLocked()
+	}
+	// Pop the next shards that are still pending (a queued shard can have
 	// been settled out of band, e.g. a stale owner's late completion).
-	var s *shard
-	for s == nil {
-		if len(c.queue) == 0 {
-			return nil, http.StatusNoContent, nil
-		}
-		s = c.shards[c.queue[0]]
+	var run []shardGrant
+	for len(run) < n && len(c.queue) > 0 {
+		s := c.shards[c.queue[0]]
 		c.queue = c.queue[1:]
-		if s.status != shardPending {
-			s = nil
+		if s.status == shardPending {
+			run = append(run, c.grantLocked(s, req.Worker, now))
 		}
 	}
+	if len(run) == 0 {
+		return nil, http.StatusNoContent, nil
+	}
+	return &leaseResponse{
+		Shard:       run[0].ShardLease,
+		Rest:        run[1:],
+		Campaign:    c.cfg.Campaign,
+		TTLMs:       c.cfg.LeaseTTL.Milliseconds(),
+		Traceparent: run[0].Traceparent,
+		AttachTrace: c.cfg.ShardTrace != nil,
+	}, http.StatusOK, nil
+}
+
+// runLenLocked is how many shards a lease that asks for a run gets, by
+// guided self-scheduling (Polychronopoulos & Kuck, IEEE TC 1987): half the
+// pending shards' even share among the workers heard from, rounded up, so
+// runs shrink as the campaign drains and the last shards are spread one at a
+// time. A keyless campaign that stops on convergence is leased one shard at
+// a time: its stop falls at a shard prefix, and a lone worker holding a run
+// would run past it.
+func (c *Coordinator) runLenLocked() int {
+	if c.prefix != nil && c.cfg.Campaign.Stop.StopOnConverge {
+		return 1
+	}
+	pending := 0
+	for _, s := range c.shards {
+		if s.status == shardPending {
+			pending++
+		}
+	}
+	share := 2 * len(c.workers)
+	return max((pending+share-1)/share, 1)
+}
+
+// grantLocked leases one pending shard to a worker.
+func (c *Coordinator) grantLocked(s *shard, worker string, now time.Time) shardGrant {
 	s.status = shardLeased
-	s.owner = req.Worker
+	s.owner = worker
 	s.attempts++
 	c.grants++
 	s.leasedAt = now
@@ -771,16 +813,21 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 	s.span = c.cfg.Tracer.StartSpan("shard", "coord", c.spanParent).
 		AttrInt("shard", int64(s.ID)).
 		AttrInt("lo", int64(s.Lo)).AttrInt("hi", int64(s.Hi)).
-		Attr("worker", req.Worker).
+		Attr("worker", worker).
 		AttrInt("attempt", int64(s.attempts))
 	c.shardEvent(s, "lease", nil)
-	return &leaseResponse{
-		Shard:       s.ShardLease,
-		Campaign:    c.cfg.Campaign,
-		TTLMs:       c.cfg.LeaseTTL.Milliseconds(),
-		Traceparent: s.span.Context().Traceparent(),
-		AttachTrace: c.cfg.ShardTrace != nil,
-	}, http.StatusOK, nil
+	return shardGrant{s.ShardLease, s.span.Context().Traceparent()}
+}
+
+// heldLocked returns the shards a worker holds, in ledger order.
+func (c *Coordinator) heldLocked(worker string) []*shard {
+	var held []*shard
+	for _, s := range c.shards {
+		if s.status == shardLeased && s.owner == worker {
+			held = append(held, s)
+		}
+	}
+	return held
 }
 
 func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
@@ -814,8 +861,10 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 			ev.Detail = req.Traceparent
 		})
 	}
-	s.lastBeat = now
-	s.deadline = now.Add(c.cfg.LeaseTTL)
+	for _, h := range c.heldLocked(req.Worker) {
+		h.lastBeat = now
+		h.deadline = now.Add(c.cfg.LeaseTTL)
+	}
 	ws := c.touchWorkerLocked(req.Worker, now)
 	ws.setCopies(req.Copies)
 	// The snapshot is cumulative and the newest one wins, so a heartbeat
@@ -828,23 +877,37 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 }
 
 func (c *Coordinator) complete(req completeRequest) (int, error) {
-	if req.Report == nil {
-		return http.StatusBadRequest, errors.New("dist: complete without report")
-	}
-	rep, err := req.Report.Report()
-	if err != nil {
-		return http.StatusBadRequest, err
+	run := req.run()
+	reps := make([]*core.Report, len(run))
+	for i, r := range run {
+		if r.Report == nil {
+			return http.StatusBadRequest, errors.New("dist: complete without report")
+		}
+		rep, err := r.Report.Report()
+		if err != nil {
+			return http.StatusBadRequest, err
+		}
+		reps[i] = rep
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.shardByID(req.Shard)
-	if s == nil {
-		return http.StatusBadRequest, fmt.Errorf("dist: unknown shard %d", req.Shard)
+	// The shards the run settles, in shard order. Idempotent: a shard
+	// already completed (a worker retrying a completion whose response it
+	// lost, a stale owner finishing after its lease was re-granted, a shard
+	// named twice) is acknowledged and discarded.
+	var todo []int // indices into run
+	for i, r := range run {
+		s := c.shardByID(r.Shard)
+		if s == nil {
+			return http.StatusBadRequest, fmt.Errorf("dist: unknown shard %d", r.Shard)
+		}
+		if s.status != shardDone {
+			todo = append(todo, i)
+		}
 	}
-	// Idempotent: re-delivery of a completed shard (worker retrying a
-	// complete whose response it lost, or a stale owner finishing after
-	// its lease was re-granted) is acknowledged and discarded.
-	if s.status == shardDone {
+	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(run[a].Shard, run[b].Shard) })
+	todo = slices.CompactFunc(todo, func(a, b int) bool { return run[a].Shard == run[b].Shard })
+	if len(todo) == 0 {
 		return http.StatusOK, nil
 	}
 	// A late completion after the campaign failed or converged must not
@@ -853,41 +916,51 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	if c.overLocked() {
 		return http.StatusGone, nil
 	}
-	if err := s.covers(rep); err != nil {
-		return http.StatusBadRequest, err
+	lines := make([]any, len(todo))
+	for k, i := range todo {
+		if err := c.shards[run[i].Shard].covers(reps[i]); err != nil {
+			return http.StatusBadRequest, err
+		}
+		lines[k] = journalEntry{Shard: run[i].Shard, Report: run[i].Report}
 	}
-	// Journal loss is a coordinator-side failure; the worker's result is
-	// fine, so the campaign fails rather than the request.
-	if err := c.recordLocked(journalEntry{Shard: s.ID, Report: req.Report}); err != nil {
+	// Every line of the run is durable, under one sync, before any of its
+	// shards settles and before the worker hears back. Journal loss is a
+	// coordinator-side failure; the worker's result is fine, so the campaign
+	// fails rather than the request.
+	if err := c.recordLocked(lines...); err != nil {
 		return http.StatusInternalServerError, err
 	}
 	now := time.Now()
 	ws := c.touchWorkerLocked(req.Worker, now)
-	ws.shardsDone++
-	// Credit the completing worker with what the lease's heartbeats hadn't
-	// already reported (the tail of the shard, or all of it when the shard
-	// outran its first heartbeat): covers and the heartbeat bound put the
-	// live count within the lease.
-	ws.injections += uint64(rep.Total) - s.liveInjections()
-	var latency time.Duration
-	if s.status == shardLeased && s.owner == req.Worker && !s.leasedAt.IsZero() {
-		latency = now.Sub(s.leasedAt)
-		c.completionMs.Observe(uint64(latency.Milliseconds()))
-	}
-	c.shardEvent(s, "completed", func(ev *obs.ShardEvent) {
-		ev.Worker = req.Worker
-		ev.LatencyMs = latency.Milliseconds()
-	})
-	// Forward the worker's sampled trace segment into the shard trace,
-	// each line wrapped with its shard/worker provenance. Only a worker
-	// older than the lease's AttachTrace sends lines this coordinator did
-	// not ask for; without a shard trace they are dropped.
-	if c.cfg.ShardTrace != nil {
-		for _, line := range req.Trace {
-			c.cfg.ShardTrace.RecordJSON(attachedTrace{
-				Shard: s.ID, Worker: req.Worker, Injection: line,
-			})
+	for _, i := range todo {
+		s, rep := c.shards[run[i].Shard], reps[i]
+		ws.shardsDone++
+		// Credit the completing worker with what the lease's heartbeats
+		// hadn't already reported (the tail of the shard, or all of it when
+		// the shard outran its first heartbeat): covers and the heartbeat
+		// bound put the live count within the lease.
+		ws.injections += uint64(rep.Total) - s.liveInjections()
+		var latency time.Duration
+		if s.status == shardLeased && s.owner == req.Worker && !s.leasedAt.IsZero() {
+			latency = now.Sub(s.leasedAt)
+			c.completionMs.Observe(uint64(latency.Milliseconds()))
 		}
+		c.shardEvent(s, "completed", func(ev *obs.ShardEvent) {
+			ev.Worker = req.Worker
+			ev.LatencyMs = latency.Milliseconds()
+		})
+		// Forward the worker's sampled trace segment into the shard trace,
+		// each line wrapped with its shard/worker provenance. Only a worker
+		// older than the lease's AttachTrace sends lines this coordinator
+		// did not ask for; without a shard trace they are dropped.
+		if c.cfg.ShardTrace != nil {
+			for _, line := range run[i].Trace {
+				c.cfg.ShardTrace.RecordJSON(attachedTrace{
+					Shard: s.ID, Worker: req.Worker, Injection: line,
+				})
+			}
+		}
+		c.settleLocked(s, rep)
 	}
 	// Import the worker's finished spans: they already carry the trace ID
 	// and parent chain (lease traceparent → shard.run → core → engine), so
@@ -895,7 +968,6 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	for _, sp := range req.Spans {
 		c.cfg.Tracer.Add(sp)
 	}
-	c.settleLocked(s, rep)
 	c.decideLocked()
 	return http.StatusOK, nil
 }
@@ -922,6 +994,11 @@ func (c *Coordinator) fail(req failRequest) (int, error) {
 	ws := c.touchWorkerLocked(req.Worker, time.Now())
 	ws.failures++
 	c.requeueLocked(s, fmt.Sprintf("worker %q reported: %s", req.Worker, req.Error))
+	for _, h := range c.heldLocked(req.Worker) {
+		if !c.overLocked() {
+			c.requeueLocked(h, fmt.Sprintf("worker %q gave up its run with shard %d", req.Worker, s.ID))
+		}
+	}
 	return http.StatusOK, nil
 }
 

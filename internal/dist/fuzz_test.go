@@ -11,15 +11,28 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"sfi/internal/core"
 	"sfi/internal/obs"
 	"sfi/internal/stats"
 )
 
-// fuzzPaths are the four POST handlers; a script line's first byte picks one.
-var fuzzPaths = []string{"/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/fail"}
+// fuzzPaths are the four POST handlers and, last, fuzzExpire: the passing of
+// every lease's TTL. A script line's first byte picks one.
+var fuzzPaths = []string{"/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/fail", fuzzExpire}
+
+const fuzzExpire = "expire"
+
+// expireLeases sweeps the ledger as the reaper would once every lease now
+// granted has gone a TTL without a heartbeat.
+func expireLeases(c *Coordinator) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sweepLocked(time.Now().Add(c.cfg.LeaseTTL + time.Nanosecond))
+}
 
 // fuzzCoordConfig is a small journaling campaign over one unit's latches
 // (a handful of strata, so a Neyman ledger can settle whole epochs and meet
@@ -102,6 +115,80 @@ func fuzzSeedScript(f *testing.F, neyman bool, minPerClass uint8, attach bool) [
 	return bytes.Join(script, []byte("\n"))
 }
 
+// fuzzRunScript plays workers that lease runs against a coordinator by hand
+// and returns the documents they sent as a script: a fail in the middle of a
+// run; a run heartbeated shard by shard and delivered in one completion, with
+// trace lines on every shard, and then delivered again; a run whose lease
+// expires and one of whose shards is re-granted to another worker and
+// completed there before the run is delivered whole; and runs to the
+// campaign's end.
+func fuzzRunScript(f *testing.F, neyman bool, minPerClass uint8) []byte {
+	c, err := NewCoordinator(fuzzCoordConfig(neyman, minPerClass, filepath.Join(f.TempDir(), "journal")))
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer c.Close()
+	var script [][]byte
+	send := func(path int, doc any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		script = append(script, append([]byte{byte(path)}, body...))
+		return fuzzPost(c, fuzzPaths[path], body)
+	}
+	lease := func(worker string, run bool) []ShardLease {
+		rec := send(0, leaseRequest{Worker: worker, Run: run})
+		if rec.Code != http.StatusOK {
+			return nil
+		}
+		var l leaseResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &l); err != nil {
+			f.Fatal(err)
+		}
+		var shards []ShardLease
+		for _, g := range l.run() {
+			shards = append(shards, g.ShardLease)
+		}
+		return shards
+	}
+
+	if run := lease("w", true); len(run) > 1 {
+		send(3, failRequest{Worker: "w", Shard: run[1].ID, Error: "boom"})
+	}
+	if run := lease("w", true); run != nil {
+		for _, l := range run {
+			send(1, heartbeatRequest{Worker: "w", Shard: l.ID, Metrics: &obs.Snapshot{Injections: uint64(l.Hi - l.Lo - 1)}})
+		}
+		done := runCompletion("w", run)
+		done.Trace = []json.RawMessage{json.RawMessage(`{"seq":0,"bit":42,"outcome":"vanished"}`)}
+		for i := range done.Rest {
+			done.Rest[i].Trace = []json.RawMessage{json.RawMessage(fmt.Sprintf(`{"seq":%d,"bit":7,"outcome":"vanished"}`, i))}
+		}
+		send(2, done)
+		send(2, done)
+	}
+	if run := lease("w", true); run != nil {
+		script = append(script, []byte{4})
+		expireLeases(c)
+		for {
+			l := lease("v", false)
+			if l == nil {
+				break
+			}
+			send(2, runCompletion("v", l))
+			if slices.Contains(run, l[0]) {
+				break
+			}
+		}
+		send(2, runCompletion("w", run))
+	}
+	for run := lease("w", true); run != nil; run = lease("w", true) {
+		send(2, runCompletion("w", run))
+	}
+	return bytes.Join(script, []byte("\n"))
+}
+
 // ledger is what a coordinator's shard ledger holds that outlives the
 // process: the shards planned and done, the sealed counts, the stop
 // decision, and the evaluation every view shows.
@@ -127,7 +214,8 @@ func ledgerOf(c *Coordinator) ledger {
 }
 
 // FuzzCoordinatorRequests drives arbitrary request bodies through the four
-// POST handlers of a journaling coordinator. Whatever arrives: no panic,
+// POST handlers of a journaling coordinator, between which every lease may
+// expire. Whatever arrives: no panic,
 // only the protocol's statuses, never more shards done than planned nor
 // more injections in the fleet view than the campaign has flips; a keyless
 // stop falls at the smallest converged prefix of the shards it accepted —
@@ -154,6 +242,12 @@ func FuzzCoordinatorRequests(f *testing.F) {
 			f.Add(neyman, minPerClass, fuzzSeedScript(f, neyman, minPerClass, true))
 		}
 	}
+	// Workers that lease runs.
+	for _, neyman := range []bool{false, true} {
+		for _, minPerClass := range []uint8{0, 3} {
+			f.Add(neyman, minPerClass, fuzzRunScript(f, neyman, minPerClass))
+		}
+	}
 	f.Fuzz(func(t *testing.T, neyman bool, minPerClass uint8, script []byte) {
 		cfg := fuzzCoordConfig(neyman, minPerClass, filepath.Join(t.TempDir(), "journal"))
 		c, err := NewCoordinator(cfg)
@@ -170,6 +264,11 @@ func FuzzCoordinatorRequests(f *testing.F) {
 				continue
 			}
 			path := fuzzPaths[int(line[0])%len(fuzzPaths)]
+			if path == fuzzExpire {
+				expireLeases(c)
+				expireLeases(twin)
+				continue
+			}
 			code := fuzzPost(c, path, line[1:]).Code
 			switch code {
 			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusConflict, http.StatusGone:
@@ -213,13 +312,16 @@ func FuzzCoordinatorRequests(f *testing.F) {
 
 // postWithoutTrace sends a request as fuzzPost does, except that a
 // completion is decoded as the handler decodes it and handed to the
-// coordinator without its trace lines.
+// coordinator without the trace lines of any of its shards.
 func postWithoutTrace(c *Coordinator, path string, body []byte) int {
 	var req completeRequest
 	if path != "/v1/complete" || json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
 		return fuzzPost(c, path, body).Code
 	}
 	req.Trace = nil
+	for i := range req.Rest {
+		req.Rest[i].Trace = nil
+	}
 	status, _ := c.complete(req)
 	return status
 }

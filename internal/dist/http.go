@@ -15,21 +15,25 @@ import (
 
 // Handler returns the coordinator's HTTP API:
 //
-//	POST /v1/lease      lease the next pending shard (204 = none pending,
-//	                    410 = campaign over)
-//	POST /v1/heartbeat  extend a held lease, optionally carrying the shard's
-//	                    metrics snapshot so far (409 = lease lost)
-//	POST /v1/complete   deliver a shard report (idempotent)
-//	POST /v1/fail       give a shard back after a worker-side error
+//	POST /v1/lease      lease the next pending shard, or a run of them when
+//	                    the request asks (204 = none pending, 410 = campaign
+//	                    over)
+//	POST /v1/heartbeat  extend every shard the worker holds, optionally
+//	                    carrying the running shard's metrics snapshot so far
+//	                    (409 = lease lost)
+//	POST /v1/complete   deliver a run's shard reports (idempotent per shard),
+//	                    answered once their journal lines are synced
+//	POST /v1/fail       give a run back after a worker-side error
 //	GET  /v1/status     full fleet status, JSON (per-shard state machine,
 //	                    per-worker rates, live totals, rate/ETA, the stop
 //	                    rule's evaluation over sealed counts)
 //	GET  /v1/trace      the campaign's causal span tree with critical path
 //	                    and latency attribution, JSON (empty untraced)
 //	GET  /metrics       live fleet-wide metrics (in-flight and completed
-//	                    shard snapshots) plus coordinator shard
-//	                    latency histograms and — for adaptive campaigns —
-//	                    that evaluation's gauges, Prometheus text
+//	                    shard snapshots) plus coordinator shard counts,
+//	                    journal syncs, latency histograms and — for
+//	                    adaptive campaigns — that evaluation's gauges,
+//	                    Prometheus text
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -87,6 +91,10 @@ func (c *Coordinator) TraceDoc() *obs.TraceDoc {
 func (c *Coordinator) writeMetrics(w io.Writer) {
 	c.mu.Lock()
 	snap, eval, done, grants, requeues := c.fleetSnapshotLocked(), c.eval, c.done, c.grants, c.requeues
+	syncs := 0
+	if c.journal != nil {
+		syncs = c.journal.syncs
+	}
 	leased := 0
 	for _, s := range c.shards {
 		if s.status == shardLeased {
@@ -103,6 +111,7 @@ func (c *Coordinator) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "sfi_coord_shards{state=\"pending\"} %d\n", pending)
 	fmt.Fprintf(w, "# TYPE sfi_coord_lease_grants_total counter\nsfi_coord_lease_grants_total %d\n", grants)
 	fmt.Fprintf(w, "# TYPE sfi_coord_requeues_total counter\nsfi_coord_requeues_total %d\n", requeues)
+	fmt.Fprintf(w, "# TYPE sfi_coord_journal_syncs_total counter\nsfi_coord_journal_syncs_total %d\n", syncs)
 	obs.WriteHistPrometheus(w, "sfi", "coord_shard_completion_ms", c.completionMs.Snapshot())
 	obs.WriteHistPrometheus(w, "sfi", "coord_heartbeat_gap_ms", c.beatGapMs.Snapshot())
 	obs.WriteConvergencePrometheus(w, "sfi", eval)

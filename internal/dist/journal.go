@@ -19,7 +19,8 @@ import (
 // convergence evaluation the coordinator stopped on, and — for stratified
 // campaigns — one allocation line per epoch recording the budget split and
 // the exact shard leases it planned. Lines are appended and fsync'd as the
-// decisions happen, so a coordinator killed at any point can be restarted
+// decisions happen (a completed run's shard lines together, under one
+// fsync), so a coordinator killed at any point can be restarted
 // over the same journal and resume with every durably completed shard
 // already marked done, every recorded allocation re-applied verbatim (in
 // order — an allocation is a function of the sealed counts before it), and
@@ -94,12 +95,18 @@ const (
 	journalShardAlloc = -2
 )
 
+// journal is the append side of a campaign journal.
+type journal struct {
+	f     *os.File
+	syncs int // fsyncs of the file so far, the header's included
+}
+
 // openJournal opens (or creates) the journal at path for the campaign
-// described by hdr, returning the file to append to and the recovered lines
-// in file order. An existing journal whose header does not match hdr is
-// rejected: resuming a different campaign over it would merge unrelated
+// described by hdr, returning the journal to append to and the recovered
+// lines in file order. An existing journal whose header does not match hdr
+// is rejected: resuming a different campaign over it would merge unrelated
 // shards.
-func openJournal(path string, hdr journalHeader, log *slog.Logger) (*os.File, []journalEntry, error) {
+func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []journalEntry, error) {
 	var entries []journalEntry
 	// good is the offset just past the last complete, parseable line: what
 	// replay recovered, and where the next append must start.
@@ -172,24 +179,30 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*os.File, []
 			return nil, nil, fmt.Errorf("dist: truncate journal torn tail: %w", err)
 		}
 	}
+	j := &journal{f: f}
 	if good == 0 {
-		if err := writeLine(f, hdr); err != nil {
+		if err := j.append(hdr); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
 	}
-	return f, entries, nil
+	return j, entries, nil
 }
 
-// writeLine appends one line to a journal, durably.
-func writeLine(f *os.File, v any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
+// append writes one line per value, in order, and makes them durable with
+// one sync.
+func (j *journal) append(vs ...any) error {
+	var buf []byte
+	for _, v := range vs {
+		line, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if _, err := j.f.Write(buf); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
-		return err
-	}
-	return f.Sync()
+	j.syncs++
+	return j.f.Sync()
 }

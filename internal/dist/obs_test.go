@@ -543,9 +543,20 @@ func TestHeartbeatMovesOnlyItsShard(t *testing.T) {
 }
 
 // wireCount counts what workers send a coordinator: every request, and the
-// completions that carry a "trace" key with the trace lines under it.
+// shards of a completion that carry a "trace" key with the trace lines under
+// it.
 type wireCount struct {
 	requests, traceKeys, lines atomic.Int64
+}
+
+// countTrace counts one completion shard's trace key and lines.
+func (wc *wireCount) countTrace(doc map[string]json.RawMessage) {
+	if trace, ok := doc["trace"]; ok {
+		var lines []json.RawMessage
+		json.Unmarshal(trace, &lines)
+		wc.traceKeys.Add(1)
+		wc.lines.Add(int64(len(lines)))
+	}
 }
 
 // run serves cfg's coordinator through the count and runs one worker
@@ -563,14 +574,17 @@ func (wc *wireCount) run(t *testing.T, cfg CoordConfig, wcfg WorkerConfig) {
 		if r.URL.Path == "/v1/complete" {
 			body, _ := io.ReadAll(r.Body)
 			var doc map[string]json.RawMessage
+			var rest []map[string]json.RawMessage
 			if err := json.Unmarshal(body, &doc); err != nil {
 				t.Errorf("completion body %s: %v", body, err)
 			}
-			if trace, ok := doc["trace"]; ok {
-				var lines []json.RawMessage
-				json.Unmarshal(trace, &lines)
-				wc.traceKeys.Add(1)
-				wc.lines.Add(int64(len(lines)))
+			if r, ok := doc["rest"]; ok {
+				if err := json.Unmarshal(r, &rest); err != nil {
+					t.Errorf("completion body %s: %v", body, err)
+				}
+			}
+			for _, d := range append(rest, doc) {
+				wc.countTrace(d)
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
@@ -584,15 +598,17 @@ func (wc *wireCount) run(t *testing.T, cfg CoordConfig, wcfg WorkerConfig) {
 }
 
 // TestShardCostIndependentOfSize pins what fleet observability costs the
-// control plane, by count: a shard is one lease, one completion, a
-// heartbeat per TTL/3 it runs for (none here: the TTL outlasts the run) and
-// TraceAttach attached trace lines when the coordinator records a shard
-// trace, none when it does not — however many injections it holds. One more
-// request is the lease poll that learns the campaign is over. A worker's own
-// trace (TraceW) gets a line per injection either way.
+// control plane, by count: a run of shards is one lease, one completion and
+// a heartbeat per TTL/3 it runs for (none here: the TTL outlasts the run); a
+// shard in it carries TraceAttach attached trace lines when the coordinator
+// records a shard trace, none when it does not — however many injections it
+// holds. A lone worker's runs are half the pending shards, rounded up: 4, 2,
+// 1 and 1 of 8, 1 and 1 of 2. One more request is the lease poll that
+// learns the campaign is over. A worker's own trace (TraceW) gets a line per
+// injection either way.
 func TestShardCostIndependentOfSize(t *testing.T) {
 	const attach = 4
-	for _, size := range []int{12, 48} {
+	for size, runs := range map[int]int{12: 4, 48: 2} {
 		for _, traced := range []bool{false, true} {
 			for _, local := range []bool{false, true} {
 				var traceBuf syncBuffer
@@ -615,11 +631,11 @@ func TestShardCostIndependentOfSize(t *testing.T) {
 					lines, keys = attach*shards, shards
 				}
 				recorded := bytes.Count(traceBuf.bytes(), []byte(`"injection":`))
-				if wc.requests.Load() != int64(2*shards+1) || wc.lines.Load() != int64(lines) ||
+				if wc.requests.Load() != int64(2*runs+1) || wc.lines.Load() != int64(lines) ||
 					wc.traceKeys.Load() != int64(keys) || recorded != lines {
-					t.Errorf("%s: %d requests, %d completions with a trace key, %d attached lines, %d recorded; want %d, %d, %d, %d",
+					t.Errorf("%s: %d requests, %d completed shards with a trace key, %d attached lines, %d recorded; want %d, %d, %d, %d",
 						label, wc.requests.Load(), wc.traceKeys.Load(), wc.lines.Load(), recorded,
-						2*shards+1, keys, lines, lines)
+						2*runs+1, keys, lines, lines)
 				}
 				if got := bytes.Count(localBuf.Bytes(), []byte("\n")); local && got != spec.Flips {
 					t.Errorf("%s: the worker's local trace has %d lines, want one per injection, %d", label, got, spec.Flips)

@@ -1,8 +1,8 @@
 // Package dist is the distributed campaign execution subsystem: a
 // coordinator shards a campaign into deterministic injection-index ranges
-// and leases them over HTTP+JSON to worker processes, which execute each
-// shard with the ordinary warm-clone campaign machinery and post back the
-// shard Report. TTL leases with heartbeats detect worker death; expired
+// and leases them, a run of shards at a time, over HTTP+JSON to worker
+// processes, which execute each shard with the ordinary warm-clone campaign
+// machinery and post back the run's shard Reports. TTL leases with heartbeats detect worker death; expired
 // shards are re-queued with bounded retries; completed shards are logged
 // to an on-disk journal so a restarted coordinator resumes instead of
 // redoing finished work. Because a campaign's sample is a pure function of
@@ -172,9 +172,17 @@ type (
 		// over when it overrides the campaign's ShardWorkers (0: it does
 		// not). The fleet's utilization divides busy time by the copies.
 		Copies int `json:"copies,omitempty"`
+		// Run says the worker can take a run of shards in one lease, run
+		// them one after another and deliver them in one completion. A
+		// request without it is leased one shard.
+		Run bool `json:"run,omitempty"`
 	}
+	// A lease is a run of shards: Shard and Traceparent are its first, Rest
+	// the ones after it in the order the worker runs them. A run of one is
+	// the lease a worker that does not ask for runs has always been sent.
 	leaseResponse struct {
 		Shard    ShardLease   `json:"shard"`
+		Rest     []shardGrant `json:"rest,omitempty"`
 		Campaign CampaignSpec `json:"campaign"`
 		TTLMs    int64        `json:"ttl_ms"`
 		// Traceparent is the W3C-style trace context of the coordinator's
@@ -190,6 +198,9 @@ type (
 		// coordinator without a shard trace accepts and drops.
 		AttachTrace bool `json:"attach_trace,omitempty"`
 	}
+	// A heartbeat names the shard its worker is running and extends the
+	// lease of every shard the worker holds: the rest of its run waits on
+	// the one running.
 	heartbeatRequest struct {
 		Worker string `json:"worker"`
 		Shard  int    `json:"shard"`
@@ -208,6 +219,9 @@ type (
 	heartbeatResponse struct {
 		TTLMs int64 `json:"ttl_ms"`
 	}
+	// A completion delivers a run: Shard, Report and Trace are its first
+	// shard's, Rest the others'. A completion of one shard is the one a
+	// worker that does not ask for runs has always sent.
 	completeRequest struct {
 		Worker string      `json:"worker"`
 		Shard  int         `json:"shard"`
@@ -218,15 +232,43 @@ type (
 		// when the lease set AttachTrace, bounded by the worker's
 		// TraceAttach.
 		Trace []json.RawMessage `json:"trace,omitempty"`
-		// Spans is the shard's finished campaign spans (shard.run, the
-		// core campaign spans, per-batch engine passes), carried home so
-		// the coordinator's trace ring holds the whole cross-process tree.
-		// Bounded by the worker's SpanAttach.
+		Rest  []shardReport     `json:"rest,omitempty"`
+		// Spans is the run's finished campaign spans (shard.run, the core
+		// campaign spans, per-batch engine passes), carried home so the
+		// coordinator's trace ring holds the whole cross-process tree.
+		// Bounded by the worker's SpanAttach per shard.
 		Spans []obs.Span `json:"spans,omitempty"`
 	}
+	// A fail gives back every shard its worker holds: the named one failed,
+	// and the rest of its run goes with it.
 	failRequest struct {
 		Worker string `json:"worker"`
 		Shard  int    `json:"shard"`
 		Error  string `json:"error"`
 	}
 )
+
+// shardGrant is one shard of a lease, with the trace context of its
+// coordinator span (leaseResponse.Traceparent).
+type shardGrant struct {
+	ShardLease
+	Traceparent string `json:"traceparent,omitempty"`
+}
+
+// shardReport is one shard of a completion (completeRequest's Shard, Report
+// and Trace).
+type shardReport struct {
+	Shard  int               `json:"shard"`
+	Report *WireReport       `json:"report"`
+	Trace  []json.RawMessage `json:"trace,omitempty"`
+}
+
+// run is the lease's shards in the order the worker runs them.
+func (l *leaseResponse) run() []shardGrant {
+	return append([]shardGrant{{l.Shard, l.Traceparent}}, l.Rest...)
+}
+
+// run is the completion's shards in the order the worker sent them.
+func (r *completeRequest) run() []shardReport {
+	return append([]shardReport{{r.Shard, r.Report, r.Trace}}, r.Rest...)
+}

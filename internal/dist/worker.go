@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"sfi/internal/core"
@@ -168,7 +169,7 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 		retry: newBackoff(cfg.PollEvery, pollBackoffCap*cfg.PollEvery),
 	}
 	for {
-		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID, Copies: cfg.Workers})
+		lease, status, err := coord.lease(ctx, leaseRequest{Worker: cfg.ID, Copies: cfg.Workers, Run: true})
 		if status != 0 {
 			// Any response — even 204 no-work — means the coordinator is
 			// back; drop the backoff to the base poll period.
@@ -193,7 +194,7 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 				return context.Cause(ctx)
 			}
 		case status == http.StatusOK:
-			if err := w.runShard(ctx, lease); err != nil {
+			if err := w.runLease(ctx, lease); err != nil {
 				if ctx.Err() != nil {
 					return context.Cause(ctx)
 				}
@@ -226,8 +227,7 @@ func (lc *lineCapture) Write(p []byte) (int, error) {
 // loop reads the shard's metrics through, the OnShard hook, and the
 // injection trace (local writer and/or bounded completion attachment, the
 // latter only when the lease asks for it).
-func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse) *lineCapture {
-	sh := lease.Shard
+func (w *worker) shardObs(ccfg *core.CampaignConfig, attach bool, sh ShardLease) *lineCapture {
 	// Shard reports always carry metrics (a Live handle implies them): the
 	// coordinator's /metrics view converges on the merge of them, and they
 	// allocate nothing per injection (core's TestObservabilityAllocs).
@@ -239,7 +239,7 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse) *line
 	var capture *lineCapture
 	var tw io.Writer
 	opts := obs.TraceOptions{Sample: w.cfg.TraceSample}
-	if lease.AttachTrace && w.cfg.TraceAttach > 0 {
+	if attach && w.cfg.TraceAttach > 0 {
 		capture = &lineCapture{max: w.cfg.TraceAttach}
 		tw = capture
 		if w.cfg.TraceW != nil {
@@ -262,77 +262,42 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, lease *leaseResponse) *line
 	return capture
 }
 
-// runShard executes one leased shard: heartbeats in the background
-// (piggybacking the shard's metrics so far), runs the shard campaign
-// against the (reused) prototype, and reports the result, with a sampled
-// trace segment attached when the lease asks for one. Losing the lease
-// cancels the shard promptly and returns nil — the shard is someone else's
-// now. A shard execution error is handed back with /v1/fail so the
-// coordinator can re-queue without waiting for the lease to expire.
-func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
-	id, sh := w.cfg.ID, lease.Shard
-	log := w.log.With("shard", sh.ID)
-	log.Info("shard leased", "lo", sh.Lo, "hi", sh.Hi, "stratum", sh.Stratum)
+// beat is what the heartbeat loop sends for the shard running now: the
+// request but its metrics, and the handle the metrics are read through.
+type beat struct {
+	req  heartbeatRequest
+	live *core.Live
+}
 
+// runLease executes one lease, a run of shards, one after another against
+// the (reused) prototype: heartbeats in the background, each naming the
+// shard running and piggybacking its metrics so far, and then one completion
+// that delivers the run's reports, each with a sampled trace segment when
+// the lease asks for one. A run is delivered whole or not at all. Losing the
+// lease cancels the run promptly and returns nil — its shards are someone
+// else's now. A shard execution error is handed back with /v1/fail, which
+// gives back the whole run, so the coordinator can re-queue it without
+// waiting for the lease to expire.
+func (w *worker) runLease(ctx context.Context, lease *leaseResponse) error {
+	id, run := w.cfg.ID, lease.run()
 	// The TTL comes off the network and paces the heartbeat ticker, which
 	// panics on a non-positive interval.
 	if lease.TTLMs < 1 {
-		err := fmt.Errorf("dist: worker %s: lease for shard %d carries ttl_ms %d", id, sh.ID, lease.TTLMs)
-		w.fail(sh.ID, err)
+		err := fmt.Errorf("dist: worker %s: lease for shard %d carries ttl_ms %d", id, run[0].ID, lease.TTLMs)
+		w.fail(run[0].ID, err)
 		return err
-	}
-	ccfg, err := lease.Campaign.CampaignConfig(&sh)
-	if err != nil {
-		w.fail(sh.ID, err)
-		return err
-	}
-	if w.cfg.Workers > 0 {
-		ccfg.Workers = w.cfg.Workers
-	}
-	copies := ccfg.Workers // what core.RunCampaign runs the shard over
-	if copies <= 0 {
-		copies = runtime.GOMAXPROCS(0)
 	}
 	ttl := time.Duration(lease.TTLMs) * time.Millisecond
 
-	capture := w.shardObs(&ccfg, lease)
-
-	// When the lease carries a traceparent, join the coordinator's trace:
-	// a local tracer (ID stream decorrelated from the coordinator's by
-	// mixing the shard ID into the seed) minting spans under the adopted
-	// trace ID, with the shard.run span parented on the coordinator's
-	// shard span. The finished spans ride home on the completion message.
-	var tracer *obs.Tracer
-	var shardSp *obs.Span
-	tp := ""
-	if pctx, ok := obs.ParseTraceparent(lease.Traceparent); ok && w.cfg.SpanAttach > 0 {
-		// Seed the local ID stream from the propagated parent span ID: the
-		// coordinator drew it from its own stream, so it is unique per shard
-		// and already decorrelated from every other tracer in the trace
-		// (a shard ordinal would collide with the coordinator's own
-		// seq-derived stream whenever the ordinals coincide).
-		pid, err := strconv.ParseUint(pctx.SpanID, 16, 64)
-		if err != nil { // unreachable: ParseTraceparent admits 16 hex digits only
-			err = fmt.Errorf("dist: worker %s: lease traceparent span id: %w", id, err)
-			w.fail(sh.ID, err)
-			return err
-		}
-		tracer = obs.NewTracer(lease.Campaign.Seed ^ engine.Splitmix64(pid))
-		tracer.SetTraceID(pctx.TraceID)
-		shardSp = tracer.StartSpan("shard.run", "worker", pctx).
-			Attr("worker", id).AttrInt("lo", int64(sh.Lo)).AttrInt("hi", int64(sh.Hi))
-		ccfg.Obs.Tracer = tracer
-		ccfg.Obs.Parent = shardSp.Context()
-		tp = shardSp.Context().Traceparent()
-	}
-
-	// Heartbeat from lease grant until the shard finishes, covering the
-	// (expensive, once-per-process) prototype build below as well as the
-	// run itself; a refused heartbeat (lease lost, campaign over) cancels
-	// the in-flight shard. Each heartbeat carries the shard's cumulative
-	// snapshot, merged as it beats, which neither side writes to once it is
-	// sent: a coordinator in this process reads the very same value.
-	shardCtx, cancel := context.WithCancelCause(ctx)
+	// Heartbeat from lease grant until the run finishes, covering the
+	// (expensive, once-per-process) prototype build as well as the shards;
+	// every beat extends the whole run, and a refused one (lease lost,
+	// campaign over) cancels it. Each beat carries the running shard's
+	// cumulative snapshot, merged as it beats, which neither side writes to
+	// once it is sent: a coordinator in this process reads the very same
+	// value.
+	var cur atomic.Pointer[beat]
+	runCtx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -340,11 +305,16 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 		defer t.Stop()
 		for {
 			select {
-			case <-shardCtx.Done():
+			case <-runCtx.Done():
 				return
 			case <-t.C:
-				status, _ := w.coord.heartbeat(heartbeatRequest{
-					Worker: id, Shard: sh.ID, Traceparent: tp, Copies: copies, Metrics: ccfg.Obs.Live.Progress().Metrics})
+				b := cur.Load()
+				if b == nil {
+					continue // the first shard is not set up yet
+				}
+				req := b.req
+				req.Metrics = b.live.Progress().Metrics
+				status, _ := w.coord.heartbeat(req)
 				if status == 0 {
 					continue // transient; the lease survives until TTL
 				}
@@ -356,58 +326,118 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse) error {
 		}
 	}()
 
+	done := completeRequest{Worker: id}
+	for i, g := range run {
+		sr, spans, err := w.runShard(runCtx, lease, g, &cur)
+		if err != nil {
+			cancel(nil)
+			<-hbDone
+			switch {
+			case errors.Is(context.Cause(runCtx), errLeaseLost):
+				w.log.Warn("lease lost, abandoning run", "shard", g.ID, "run", len(run))
+				return nil
+			case ctx.Err() != nil:
+				return context.Cause(ctx)
+			}
+			w.fail(g.ID, err)
+			return fmt.Errorf("dist: worker %s: shard %d: %w", id, g.ID, err)
+		}
+		if i == 0 {
+			done.Shard, done.Report, done.Trace = sr.Shard, sr.Report, sr.Trace
+		} else {
+			done.Rest = append(done.Rest, sr)
+		}
+		done.Spans = append(done.Spans, spans...)
+	}
+	cancel(nil)
+	<-hbDone
+	return w.complete(done)
+}
+
+// runShard runs one shard of a run, with the trace context of its
+// coordinator span, and returns its part of the run's completion and its
+// finished spans, at most SpanAttach of them.
+func (w *worker) runShard(ctx context.Context, lease *leaseResponse, g shardGrant, cur *atomic.Pointer[beat]) (shardReport, []obs.Span, error) {
+	id, sh := w.cfg.ID, g.ShardLease
+	log := w.log.With("shard", sh.ID)
+	log.Info("shard started", "lo", sh.Lo, "hi", sh.Hi, "stratum", sh.Stratum)
+	ccfg, err := lease.Campaign.CampaignConfig(&sh)
+	if err != nil {
+		return shardReport{}, nil, err
+	}
+	if w.cfg.Workers > 0 {
+		ccfg.Workers = w.cfg.Workers
+	}
+	copies := ccfg.Workers // what core.RunCampaign runs the shard over
+	if copies <= 0 {
+		copies = runtime.GOMAXPROCS(0)
+	}
+
+	capture := w.shardObs(&ccfg, lease.AttachTrace, sh)
+
+	// When the grant carries a traceparent, join the coordinator's trace: a
+	// local tracer minting spans under the adopted trace ID, with the
+	// shard.run span parented on the coordinator's shard span. The finished
+	// spans ride home on the completion message.
+	var tracer *obs.Tracer
+	var shardSp *obs.Span
+	tp := ""
+	if pctx, ok := obs.ParseTraceparent(g.Traceparent); ok && w.cfg.SpanAttach > 0 {
+		// Seed the local ID stream from the propagated parent span ID: the
+		// coordinator drew it from its own stream, so it is unique per shard
+		// and already decorrelated from every other tracer in the trace
+		// (a shard ordinal would collide with the coordinator's own
+		// seq-derived stream whenever the ordinals coincide).
+		pid, err := strconv.ParseUint(pctx.SpanID, 16, 64)
+		if err != nil { // unreachable: ParseTraceparent admits 16 hex digits only
+			return shardReport{}, nil, fmt.Errorf("lease traceparent span id: %w", err)
+		}
+		tracer = obs.NewTracer(lease.Campaign.Seed ^ engine.Splitmix64(pid))
+		tracer.SetTraceID(pctx.TraceID)
+		shardSp = tracer.StartSpan("shard.run", "worker", pctx).
+			Attr("worker", id).AttrInt("lo", int64(sh.Lo)).AttrInt("hi", int64(sh.Hi))
+		ccfg.Obs.Tracer = tracer
+		ccfg.Obs.Parent = shardSp.Context()
+		tp = shardSp.Context().Traceparent()
+	}
+	cur.Store(&beat{heartbeatRequest{Worker: id, Shard: sh.ID, Traceparent: tp, Copies: copies}, ccfg.Obs.Live})
+
 	if w.proto == nil || !reflect.DeepEqual(w.protoCfg, ccfg.Runner) {
 		bsp := tracer.StartSpan("prototype.build", "worker", shardSp.Context())
 		proto, err := w.cfg.NewRunner(ccfg.Runner)
 		if err != nil {
 			bsp.Attr("error", err.Error()).End()
-			cancel(nil)
-			<-hbDone
-			w.fail(sh.ID, err)
-			return fmt.Errorf("dist: worker %s: build runner: %w", id, err)
+			return shardReport{}, nil, fmt.Errorf("build runner: %w", err)
 		}
 		bsp.End()
 		w.proto, w.protoCfg = proto, ccfg.Runner
 	}
 
 	start := time.Now()
-	rep, runErr := core.RunCampaignWith(shardCtx, w.proto, ccfg)
-	cancel(nil)
-	<-hbDone
-
-	switch {
-	case runErr == nil:
-		shardSp.AttrInt("injections", int64(rep.Total)).End()
-		log.Info("shard complete", "injections", rep.Total,
-			"elapsed", time.Since(start).Round(time.Millisecond))
-		return w.complete(sh.ID, rep, capture, tracer)
-	case errors.Is(context.Cause(shardCtx), errLeaseLost):
-		log.Warn("lease lost, abandoning shard")
-		return nil
-	case ctx.Err() != nil:
-		return context.Cause(ctx)
-	default:
-		w.fail(sh.ID, runErr)
-		return fmt.Errorf("dist: worker %s: shard %d: %w", id, sh.ID, runErr)
+	rep, err := core.RunCampaignWith(ctx, w.proto, ccfg)
+	if err != nil {
+		return shardReport{}, nil, err
 	}
+	shardSp.AttrInt("injections", int64(rep.Total)).End()
+	log.Info("shard complete", "injections", rep.Total,
+		"elapsed", time.Since(start).Round(time.Millisecond))
+	sr := shardReport{Shard: sh.ID, Report: EncodeReport(rep)}
+	if capture != nil {
+		sr.Trace = capture.lines
+	}
+	spans := tracer.Spans() // none untraced, where SpanAttach may be negative
+	if len(spans) > 0 && len(spans) > w.cfg.SpanAttach {
+		spans = spans[len(spans)-w.cfg.SpanAttach:]
+	}
+	return sr, spans, nil
 }
 
 var errLeaseLost = errors.New("dist: shard lease lost")
 
-// complete delivers a shard report, retrying transient transport errors —
+// complete delivers a run's reports, retrying transient transport errors —
 // completion is idempotent on the coordinator, so re-sending after a lost
 // response is safe.
-func (w *worker) complete(shardID int, rep *core.Report, capture *lineCapture, tracer *obs.Tracer) error {
-	req := completeRequest{Worker: w.cfg.ID, Shard: shardID, Report: EncodeReport(rep)}
-	if capture != nil {
-		req.Trace = capture.lines
-	}
-	if spans := tracer.Spans(); len(spans) > 0 {
-		if len(spans) > w.cfg.SpanAttach {
-			spans = spans[len(spans)-w.cfg.SpanAttach:]
-		}
-		req.Spans = spans
-	}
+func (w *worker) complete(req completeRequest) error {
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		status, err := w.coord.complete(req)
@@ -418,10 +448,10 @@ func (w *worker) complete(shardID int, rep *core.Report, capture *lineCapture, t
 		case http.StatusOK, http.StatusGone:
 			return nil
 		default:
-			return fmt.Errorf("dist: worker %s: complete shard %d: status %d", w.cfg.ID, shardID, status)
+			return fmt.Errorf("dist: worker %s: complete shard %d: status %d", w.cfg.ID, req.Shard, status)
 		}
 	}
-	return fmt.Errorf("dist: worker %s: complete shard %d: %w", w.cfg.ID, shardID, lastErr)
+	return fmt.Errorf("dist: worker %s: complete shard %d: %w", w.cfg.ID, req.Shard, lastErr)
 }
 
 // fail gives a shard back early (best-effort; lease expiry covers us if
@@ -474,7 +504,13 @@ func (h httpCoordinator) post(ctx context.Context, path string, body, out any) (
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	// Read to the end whatever the reply holds (a document the caller does
+	// not want, a refusal's reason): a body closed unread drops the
+	// keep-alive connection, and the next call dials a new one.
+	defer func() {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // the reply is already in hand
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusOK && out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return 0, err

@@ -11,9 +11,15 @@
 //	journals/<id>.journal   dist coordinator journals (resume)
 //	events/<id>.jsonl       shard-lifecycle and convergence event traces
 //
-// Objects and index entries are written via temp-file + rename, so a
-// crashed writer never leaves a torn blob behind; re-putting identical
-// content is an idempotent no-op.
+// Objects, index entries and campaign records are written via temp-file +
+// rename, so a crashed writer never leaves a torn blob behind; re-putting
+// identical content is an idempotent no-op. The rename is atomic but not
+// durable: neither the temp file nor its directory is synced, so after a
+// power loss (a process crash is not one) a record, report object or index
+// entry may be missing or hold its previous version. The dist journals are
+// the store's only durable files: the coordinator syncs each line before it
+// acknowledges what the line records. Syncing here as well would put
+// file-system waits on every campaign's path.
 package store
 
 import (
