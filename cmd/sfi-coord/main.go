@@ -192,14 +192,17 @@ func run(addr string, a coordArgs) (rerr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	start := time.Now()
-	if a.progress {
-		go coord.ShowProgress(ctx, os.Stderr, 2*time.Second)
-	}
+	drawn := make(chan struct{})
+	go func() {
+		if a.progress {
+			coord.ShowProgress(ctx, os.Stderr, 2*time.Second)
+			fmt.Fprintln(os.Stderr)
+		}
+		close(drawn)
+	}()
 
 	rep, err := coord.Wait(ctx)
-	if a.progress {
-		fmt.Fprintln(os.Stderr)
-	}
+	<-drawn // Wait and ShowProgress end together: at the campaign's end or ctx's
 	if err != nil {
 		return err
 	}

@@ -157,12 +157,10 @@ func run(a campaignArgs) (rerr error) {
 		return err
 	}
 
-	// Observability: metrics are always collected (the end-of-run summary
-	// is rendered from the snapshot; measured overhead is <5%, see
-	// EXPERIMENTS.md), and so are campaign spans — they are per-batch, not
-	// per-injection, so the ring costs microseconds per campaign and feeds
-	// the end-of-run latency attribution line.
-	cfg.Obs.Metrics = true
+	// Observability: metrics are always collected (by the Live handle below;
+	// the end-of-run summary is rendered from the snapshot; measured overhead
+	// is <5%, see EXPERIMENTS.md), and so are campaign spans — per-batch, not
+	// per-injection, they cost microseconds and feed the latency line.
 	tracer := sfi.NewTracer(cfg.Seed)
 	cfg.Obs.Tracer = tracer
 
@@ -370,45 +368,32 @@ func runDist(a campaignArgs) (*sfi.Report, time.Duration, *sfi.TraceDoc, error) 
 	fmt.Fprintf(os.Stderr, "distributed smoke: coordinator on http://%s, %d loopback workers × %d model copies\n",
 		ln.Addr(), a.dist, spec.ShardWorkers)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	workerErr := make(chan error, a.dist)
-	for i := 0; i < a.dist; i++ {
-		go func(i int) {
-			workerErr <- dist.RunWorker(ctx, dist.WorkerConfig{
-				Coordinator: "http://" + ln.Addr().String(),
-				ID:          fmt.Sprintf("loopback-%d", i),
-				PollEvery:   50 * time.Millisecond,
-			})
-		}(i)
-	}
 	start := time.Now()
+	progress, stopProgress := context.WithCancel(context.Background())
 	drawn := make(chan struct{})
-	if a.progress {
-		go func() {
-			coord.ShowProgress(ctx, os.Stderr, 500*time.Millisecond)
-			close(drawn)
-		}()
-	}
-
-	rep, err := coord.Wait(ctx)
+	go func() {
+		if a.progress {
+			coord.ShowProgress(progress, os.Stderr, 500*time.Millisecond)
+			fmt.Fprintln(os.Stderr)
+		}
+		close(drawn)
+	}()
+	rep, err := coord.Run(context.Background(), a.dist, func(ctx context.Context, i int) error {
+		return dist.RunWorker(ctx, dist.WorkerConfig{
+			Coordinator: "http://" + ln.Addr().String(),
+			ID:          fmt.Sprintf("loopback-%d", i),
+			PollEvery:   50 * time.Millisecond,
+		})
+	})
 	elapsed := time.Since(start)
-	if a.progress {
-		<-drawn // the finished campaign's last line
-		fmt.Fprintln(os.Stderr)
-	}
+	stopProgress() // a fleet that gave up leaves its campaign open
+	<-drawn
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	if d := coord.StopDecision(); d != nil {
 		fmt.Fprintf(os.Stderr, "converged early: %d of %d injections (widest class %s at %.2f%%, target %.2f%%)\n",
 			d.Total, spec.Flips, d.WidestClass, 100*d.WidestWidth, 100*d.TargetMargin)
-	}
-	// Workers exit on their own once the coordinator answers 410.
-	for i := 0; i < a.dist; i++ {
-		if werr := <-workerErr; werr != nil {
-			return nil, 0, nil, werr
-		}
 	}
 	return rep, elapsed, coord.TraceDoc(), nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -8,8 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sfi/internal/dist"
+	"sfi/internal/engine"
+	"sfi/internal/latch"
 )
 
 // TestDistRefusesLocalObservability: -dist wires neither the injection trace
@@ -93,6 +97,34 @@ func TestDistSummaryCountsTheFleet(t *testing.T) {
 	}
 	if _, err := fmt.Sscanf(line[strings.LastIndex(line, "(")+1:], "%f%% busy)", &busy); err != nil || busy > 100 {
 		t.Errorf("-dist 2 summary %q: busy %.0f%% (%v), want at most 100%%", line, busy, err)
+	}
+}
+
+func init() {
+	// A backend the flags pass (its census is p6lite's) whose build panics.
+	engine.Register("sfi-test-panics", func(engine.Config) (engine.Backend, error) { panic("sfi-test-panics builds no model") })
+	engine.RegisterCensus("sfi-test-panics", func(cfg engine.Config) (*latch.DB, error) { cfg.Backend = ""; return engine.Census(cfg) })
+}
+
+// TestDistFailsWhenEveryWorkerDoes: a -dist campaign whose every shard fails
+// ends, progress line on, in an error naming the failure: each loopback
+// worker stops on its first failed shard, and a fleet of stopped workers is
+// over, whatever attempts its shards have left.
+func TestDistFailsWhenEveryWorkerDoes(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		a := campaignArgs{spec: specOf(t, "-flips", "40", "-backend", "sfi-test-panics"), workers: 1, dist: n, progress: true}
+		done, err := make(chan error, 1), errors.New("still running after 30 s")
+		capture(t, &os.Stderr, func() error {
+			go func() { done <- run(a) }()
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "builds no model") {
+			t.Errorf("-dist %d over a model whose build panics: %v, want an error naming the panic", n, err)
+		}
 	}
 }
 

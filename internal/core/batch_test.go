@@ -104,7 +104,7 @@ func TestOneFlipBatchPath(t *testing.T) {
 	cfg := awanCampaignConfig()
 	cfg.Flips = 1
 	cfg.Workers = 1
-	cfg.Obs.Metrics = true
+	cfg.Obs.Live = new(Live)
 
 	batchRep, err := RunCampaign(cfg)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestOneFlipBatchPath(t *testing.T) {
 	}
 
 	scalarCfg := cfg
-	scalarCfg.Obs.Metrics = false
+	scalarCfg.Obs.Live = nil
 	scalarCfg.Runner.BatchLanes = 1
 	scalarRep, err := RunCampaign(scalarCfg)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestOneFlipBatchPath(t *testing.T) {
 // and per-pass occupancy, and occupancy totals the injection count.
 func TestBatchLaneOccupancyMetrics(t *testing.T) {
 	cfg := awanCampaignConfig()
-	cfg.Obs.Metrics = true
+	cfg.Obs.Live = new(Live)
 	cfg.Obs.Tracer = obs.NewTracer(cfg.Seed)
 	rep, err := RunCampaign(cfg)
 	if err != nil {

@@ -210,10 +210,6 @@ func PlanShards(flips, shardSize int) []ShardRange {
 // ObsConfig selects which observability features a campaign runs with. The
 // zero value disables everything.
 type ObsConfig struct {
-	// Metrics collects per-worker metrics (outcome counters, latency and
-	// cycle histograms) and attaches the merged snapshot to the Report.
-	Metrics bool
-
 	// Trace, when non-nil, receives one structured lifecycle event per
 	// injection (subject to the sink's own sampling/bounding).
 	Trace *obs.TraceSink
@@ -231,7 +227,8 @@ type ObsConfig struct {
 	Parent obs.SpanContext
 
 	// Live, when non-nil, is the handle the campaign's progress is read
-	// through, while it runs and after. It implies metrics collection.
+	// through, while it runs and after, and puts the merged metrics snapshot
+	// (outcome counters, latency and cycle histograms) on the Report.
 	Live *Live
 }
 
@@ -748,8 +745,8 @@ func RunCampaignWith(ctx context.Context, first *Runner, cfg CampaignConfig) (*R
 
 	// Observability: each worker records into its own collector (no shared
 	// cache lines on the hot path); a Live handle's reader and the final
-	// Report merge the per-worker snapshots. A Live handle implies metrics.
-	collect := cfg.Obs.Metrics || cfg.Obs.Live != nil
+	// Report merge the per-worker snapshots. A Live handle asks for them.
+	collect := cfg.Obs.Live != nil
 	live := cfg.Obs.Live
 	if live == nil {
 		live = new(Live)

@@ -28,7 +28,7 @@ func TestCampaignTraceJSONL(t *testing.T) {
 	cfg.Flips = 80
 	cfg.Workers = 3
 	cfg.Obs.Trace = sink
-	cfg.Obs.Metrics = true
+	cfg.Obs.Live = new(Live)
 	rep, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestCampaignMetricsMatchReport(t *testing.T) {
 	cfg := fastCampaignConfig()
 	cfg.Flips = 100
 	cfg.Workers = 4
-	cfg.Obs.Metrics = true
+	cfg.Obs.Live = new(Live)
 	cfg.Obs.Tracer = obs.NewTracer(cfg.Seed)
 	rep, err := RunCampaign(cfg)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestEarlyExitCount(t *testing.T) {
 			cfg := DefaultCampaignConfig()
 			cfg.Flips, cfg.Seed = tc.flips, tc.seed
 			cfg.Workers = 1
-			cfg.Obs.Metrics = true
+			cfg.Obs.Live = new(Live)
 			tc.mut(&cfg.Runner)
 			cores := &coreCounter{}
 			cfg.Runner.Backend = cores.backend()
@@ -329,7 +329,7 @@ func TestCampaignElidesOnEveryWorker(t *testing.T) {
 	cfg.Flips = 400
 	cfg.Seed = 25
 	cfg.Filter = func(g *latch.Group) bool { return g.Tracked }
-	cfg.Obs.Metrics = true
+	cfg.Obs.Live = new(Live)
 	cfg.Workers = 1
 	want, err := RunCampaign(cfg)
 	if err != nil {

@@ -3,11 +3,9 @@ package dist
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"sfi/internal/core"
 	"sfi/internal/engine"
@@ -67,57 +65,9 @@ func TestAwanLoopbackEquivalence(t *testing.T) {
 	spec := awanSpec()
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	workerErr := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
-				Coordinator: srv.URL,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   20 * time.Millisecond,
-			})
-		}(i)
-	}
-	got, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
+	got := runFleet(t, c, srv.URL, 4, WorkerConfig{})
 
-	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg.Workers = 2
-	want, err := core.RunCampaign(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Total != want.Total {
-		t.Fatalf("total: distributed %d, single-process %d", got.Total, want.Total)
-	}
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		t.Errorf("outcome counts differ:\ndist:   %v\nsingle: %v", got.Counts, want.Counts)
-	}
-	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
-		t.Errorf("unit × latch-type counts differ:\ndist:   %v\nsingle: %v", got.ByStratum, want.ByStratum)
-	}
-	if len(got.Results) != len(want.Results) {
-		t.Fatalf("kept results: distributed %d, single-process %d", len(got.Results), len(want.Results))
-	}
-	for i := range got.Results {
-		g, w := got.Results[i], want.Results[i]
-		if g.Bit != w.Bit || g.Outcome != w.Outcome {
-			t.Fatalf("result %d differs: dist bit %d %v, single bit %d %v",
-				i, g.Bit, g.Outcome, w.Bit, w.Outcome)
-		}
-	}
+	sameAsLocal(t, got, localReport(t, spec))
 }
 
 // TestAwanDistBatchScalarEquivalence: a 4-worker distributed awan
@@ -129,40 +79,10 @@ func TestAwanDistBatchScalarEquivalence(t *testing.T) {
 	spec := awanSpec()
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	workerErr := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
-				Coordinator: srv.URL,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   20 * time.Millisecond,
-			})
-		}(i)
-	}
-	got, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
+	got := runFleet(t, c, srv.URL, 4, WorkerConfig{})
 
-	scalarSpec := spec
-	scalarSpec.Runner.BatchLanes = 1
-	ccfg, err := scalarSpec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg.Workers = 2
-	want, err := core.RunCampaign(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	spec.Runner.BatchLanes = 1
+	want := localReport(t, spec)
 	if !reflect.DeepEqual(got.Counts, want.Counts) {
 		t.Errorf("outcome counts differ:\ndist/batch: %v\nscalar:     %v", got.Counts, want.Counts)
 	}
@@ -185,16 +105,7 @@ func TestWireReportRoundTripBothBackends(t *testing.T) {
 				spec = testSpec()
 			}
 			spec.Flips = 16
-			ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ccfg.Workers = 2
-			rep, err := core.RunCampaign(ccfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
+			rep := localReport(t, spec)
 			first, err := json.Marshal(EncodeReport(rep))
 			if err != nil {
 				t.Fatal(err)
@@ -251,7 +162,7 @@ func TestCrossRecountsResults(t *testing.T) {
 			}
 			loopback := func(s CampaignSpec) *core.Report {
 				c, srv := startCoord(t, CoordConfig{Campaign: s, ShardSize: 12})
-				return runStratifiedFleet(t, c, srv.URL, 2)
+				return runFleet(t, c, srv.URL, 2, WorkerConfig{})
 			}
 			for name, rep := range map[string]*core.Report{
 				"uniform":        local(spec),

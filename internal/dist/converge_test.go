@@ -50,27 +50,7 @@ func TestAdaptiveLoopbackEarlyStop(t *testing.T) {
 	cfg := CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}
 	c, srv := startCoord(t, cfg)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	workerErr := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
-				Coordinator: srv.URL,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   10 * time.Millisecond,
-			})
-		}(i)
-	}
-	rep, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
+	rep := runFleet(t, c, srv.URL, 4, WorkerConfig{})
 
 	if rep.Total >= spec.Flips {
 		t.Fatalf("adaptive campaign ran the whole budget: %d/%d", rep.Total, spec.Flips)

@@ -673,6 +673,33 @@ func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
 	return rep, nil
 }
 
+// Run drives the campaign with an in-process fleet of n workers, worker(ctx,
+// i) each on a goroutine of its own (a RunWorker loop), and returns once all
+// have, for none comes back: Wait's report if the campaign is over and no
+// worker failed, their joined errors if any did, ctx's cause if ctx ended.
+// A coordinator whose workers are other processes, which may come back, Waits.
+func (c *Coordinator) Run(ctx context.Context, n int, worker func(ctx context.Context, i int) error) (*core.Report, error) {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = worker(ctx, i)
+		}()
+	}
+	wg.Wait()
+	switch err := errors.Join(errs...); {
+	case ctx.Err() != nil:
+		return nil, context.Cause(ctx)
+	case err != nil:
+		return nil, err
+	case !c.overLocked(): // it reads only the finished channel
+		return nil, fmt.Errorf("dist: all %d workers returned with the campaign still open", n)
+	}
+	return c.Wait(ctx)
+}
+
 // FleetSnapshot returns the live fleet-wide metrics view: the newest
 // heartbeat snapshots of leased shards plus the exact final snapshots of
 // completed shards, merged into a copy. Once the campaign completes it

@@ -130,55 +130,41 @@ func TestLoopbackEquivalence(t *testing.T) {
 	spec := testSpec()
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	workerErr := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
-				Coordinator: srv.URL,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   20 * time.Millisecond,
-			})
-		}(i)
-	}
-	got, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
+	got := runFleet(t, c, srv.URL, 4, WorkerConfig{})
 
+	sameAsLocal(t, got, localReport(t, spec))
+}
+
+// localReport runs spec whole in this process, on two model copies and with
+// metrics: the report a fleet's merged one must equal.
+func localReport(t *testing.T, spec CampaignSpec) *core.Report {
+	t.Helper()
 	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ccfg.Workers = 2
-	want, err := core.RunCampaign(ccfg)
+	ccfg.Obs.Live = new(core.Live)
+	rep, err := core.RunCampaign(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
 
-	if got.Total != want.Total {
-		t.Fatalf("total: distributed %d, single-process %d", got.Total, want.Total)
-	}
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		t.Errorf("outcome counts differ:\ndist:   %v\nsingle: %v", got.Counts, want.Counts)
-	}
-	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
-		t.Errorf("unit × latch-type counts differ:\ndist:   %v\nsingle: %v", got.ByStratum, want.ByStratum)
+// sameAsLocal holds a fleet's report to the local one: totals, the unit ×
+// latch-type cross, and the kept results bit for bit in sample order.
+func sameAsLocal(t *testing.T, got, want *core.Report) {
+	t.Helper()
+	if got.Total != want.Total || !reflect.DeepEqual(got.Counts, want.Counts) || !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
+		t.Fatalf("distributed %d %v\n%v\nsingle-process %d %v\n%v", got.Total, got.Counts, got.ByStratum, want.Total, want.Counts, want.ByStratum)
 	}
 	if len(got.Results) != len(want.Results) {
 		t.Fatalf("kept results: distributed %d, single-process %d", len(got.Results), len(want.Results))
 	}
-	for i := range got.Results {
-		g, w := got.Results[i], want.Results[i]
-		if g.Bit != w.Bit || g.Outcome != w.Outcome {
-			t.Fatalf("result %d differs: dist bit %d %v, single bit %d %v",
-				i, g.Bit, g.Outcome, w.Bit, w.Outcome)
+	for i, g := range got.Results {
+		if w := want.Results[i]; g.Bit != w.Bit || g.Outcome != w.Outcome {
+			t.Fatalf("result %d differs: dist bit %d %v, single bit %d %v", i, g.Bit, g.Outcome, w.Bit, w.Outcome)
 		}
 	}
 }
@@ -202,7 +188,7 @@ func TestDirectWorkersShareHeartbeats(t *testing.T) {
 		}
 		c, srv := startCoord(t, cfg)
 		if !direct {
-			return runStratifiedFleet(t, c, srv.URL, 2), false
+			return runFleet(t, c, srv.URL, 2, WorkerConfig{}), false
 		}
 		gate := &injectionGate{open: func() bool {
 			for _, sv := range c.Status().ShardsV {
@@ -353,21 +339,7 @@ func TestDeadWorkerShardRequeued(t *testing.T) {
 				t.Fatalf("zombie lease: status %d", s)
 			}
 
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			done := make(chan error, 1)
-			go func() {
-				done <- RunWorker(ctx, WorkerConfig{
-					Coordinator: srv.URL, ID: "survivor", PollEvery: 20 * time.Millisecond,
-				})
-			}()
-			rep, err := c.Wait(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("survivor: %v", err)
-			}
+			rep := runFleet(t, c, srv.URL, 1, WorkerConfig{}) // the survivor
 			if rep.Total != spec.Flips {
 				t.Fatalf("campaign total %d, want %d", rep.Total, spec.Flips)
 			}

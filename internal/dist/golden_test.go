@@ -76,7 +76,7 @@ func TestGoldenLoopbackDigests(t *testing.T) {
 					if transport == "direct" {
 						url = ""
 					}
-					rep := runStratifiedFleet(t, c, url, 3)
+					rep := runFleet(t, c, url, 3, WorkerConfig{})
 					wire, err := json.Marshal(rep)
 					if err != nil {
 						t.Fatal(err)
@@ -128,7 +128,7 @@ func TestGoldenUniformStop(t *testing.T) {
 			spec := adaptiveSpec()
 			spec.Stop.TargetMargin = 0.2 // tight enough that several shards with a mixed outcome count seal first
 			c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal})
-			rep := runStratifiedFleet(t, c, srv.URL, workers)
+			rep := runFleet(t, c, srv.URL, workers, WorkerConfig{})
 			wire, err := json.Marshal(rep)
 			if err != nil {
 				t.Fatal(err)
@@ -169,7 +169,7 @@ func TestGoldenUniformConvergedAtLastShard(t *testing.T) {
 	spec.Stop = core.StopConfig{TargetMargin: 0.999, MinPerClass: 24, StopOnConverge: true}
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 12, Journal: journal})
-	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	rep := runFleet(t, c, srv.URL, 1, WorkerConfig{})
 	if rep.Total != spec.Flips || rep.Convergence == nil || !rep.Convergence.Converged {
 		t.Fatalf("report total %d convergence %+v, want the whole budget and a converged rule", rep.Total, rep.Convergence)
 	}
@@ -274,7 +274,7 @@ func TestParentJournalsResume(t *testing.T) {
 				if keep == len(lines) {
 					workers = 0 // nothing left to run
 				}
-				rep := runStratifiedFleet(t, c, srv.URL, workers)
+				rep := runFleet(t, c, srv.URL, workers, WorkerConfig{})
 				wire, err := json.Marshal(rep)
 				if err != nil {
 					t.Fatal(err)
@@ -330,7 +330,7 @@ func TestGoldenLoneWorkerJournal(t *testing.T) {
 	spec.Flips, spec.ShardWorkers = 500, 1
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 25, LeaseTTL: time.Minute, Journal: journal})
-	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	rep := runFleet(t, c, srv.URL, 1, WorkerConfig{})
 	wire, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

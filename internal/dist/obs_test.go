@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"sfi/internal/core"
 	"sfi/internal/obs"
 )
 
@@ -37,41 +36,12 @@ func TestLoopbackSnapshotEquivalence(t *testing.T) {
 		LeaseTTL: 300 * time.Millisecond,
 	})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	workerErr := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			workerErr <- RunWorker(ctx, WorkerConfig{
-				Coordinator: srv.URL,
-				ID:          fmt.Sprintf("w%d", i),
-				PollEvery:   20 * time.Millisecond,
-			})
-		}(i)
-	}
-	got, err := c.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
+	got := runFleet(t, c, srv.URL, 4, WorkerConfig{})
 	if got.Metrics == nil {
 		t.Fatal("merged distributed report has no metrics snapshot")
 	}
 
-	ccfg, err := spec.CampaignConfig(&ShardLease{Lo: 0, Hi: spec.Flips})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg.Workers = 2
-	ccfg.Obs.Metrics = true
-	want, err := core.RunCampaign(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := localReport(t, spec)
 
 	assertSnapshotCountersEqual(t, "merged report", got.Metrics, want.Metrics)
 	// The converged fleet view (sealed finals for every shard) must show
@@ -169,20 +139,7 @@ func TestDeadWorkerRequeueTraced(t *testing.T) {
 		t.Fatalf("zombie lease: status %d", s)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunWorker(ctx, WorkerConfig{
-			Coordinator: srv.URL, ID: "survivor", PollEvery: 20 * time.Millisecond,
-		})
-	}()
-	if _, err := c.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("survivor: %v", err)
-	}
+	runFleet(t, c, srv.URL, 1, WorkerConfig{}) // w0, the survivor
 
 	events := shardTraceEvents(t, traceBuf.bytes())
 	var zombieLease bool
@@ -211,8 +168,8 @@ func TestDeadWorkerRequeueTraced(t *testing.T) {
 		t.Errorf("completed events: %d, want 2 (one per shard)", len(events["completed"]))
 	}
 	for _, ev := range events["completed"] {
-		if ev.Worker != "survivor" {
-			t.Errorf("shard %d completed by %q, want survivor", ev.Shard, ev.Worker)
+		if ev.Worker != "w0" {
+			t.Errorf("shard %d completed by %q, want the survivor w0", ev.Shard, ev.Worker)
 		}
 		if ev.LatencyMs < 0 {
 			t.Errorf("shard %d completion latency %dms < 0", ev.Shard, ev.LatencyMs)

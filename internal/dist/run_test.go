@@ -90,7 +90,7 @@ func TestRunLeaseCounts(t *testing.T) {
 		handler.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	rep := runStratifiedFleet(t, c, srv.URL, 1)
+	rep := runFleet(t, c, srv.URL, 1, WorkerConfig{})
 	if rep.Total != spec.Flips {
 		t.Fatalf("report covers %d of %d flips", rep.Total, spec.Flips)
 	}

@@ -125,17 +125,18 @@ func CampaignFlags(fs *flag.FlagSet, defaultFlips int) func() (CampaignSpec, err
 		if err := spec.Validate(); err != nil {
 			return spec, err
 		}
-		if *unit != "" {
-			// A mistyped unit would otherwise surface as an empty population
-			// once a runner is built; the census knows the names without one.
-			db, err := engine.Census(spec.Runner)
-			if err != nil {
-				return spec, err
-			}
-			if !slices.Contains(db.Units(), *unit) {
-				return spec, fmt.Errorf("unknown unit %q (the %s backend has %v; p6lite's NEST needs -nest)",
-					*unit, engine.Resolve(*backend), db.Units())
-			}
+		// The census knows a unit's name and a filter's population, no runner built.
+		db, err := engine.Census(spec.Runner)
+		if err != nil {
+			return spec, err
+		}
+		if *unit != "" && !slices.Contains(db.Units(), *unit) {
+			return spec, fmt.Errorf("unknown unit %q (the %s backend has %v; p6lite's NEST needs -nest)",
+				*unit, engine.Resolve(*backend), db.Units())
+		}
+		f, _ := spec.Filter.Filter() // Validate built it once already
+		if total := db.CountBits(f); spec.Flips > total {
+			return spec, fmt.Errorf("campaign of %d flips exceeds the filtered population of %d bits", spec.Flips, total)
 		}
 		return spec, nil
 	}

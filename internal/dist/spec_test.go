@@ -30,7 +30,7 @@ func specFromFlags(t *testing.T, defaultFlips int, args ...string) (CampaignSpec
 // campaign flag sets exactly the spec field listed here and nothing else,
 // and a flag registered without a row fails the test.
 func TestCampaignFlags(t *testing.T) {
-	def := CampaignSpec{Runner: core.DefaultRunnerConfig(), Seed: 1, Flips: 10000}
+	def := CampaignSpec{Runner: core.DefaultRunnerConfig(), Seed: 1, Flips: 1000}
 	rows := map[string]struct {
 		args []string
 		set  func(*CampaignSpec)
@@ -71,7 +71,7 @@ func TestCampaignFlags(t *testing.T) {
 		}
 		want := def
 		row.set(&want)
-		got, err := specFromFlags(t, 10000, row.args...)
+		got, err := specFromFlags(t, 1000, row.args...)
 		if err != nil {
 			t.Errorf("%v: %v", row.args, err)
 		} else if !reflect.DeepEqual(got, want) {
@@ -85,7 +85,7 @@ func TestCampaignFlags(t *testing.T) {
 
 	// Values that mean "as the default" leave the spec — and with it the
 	// wire form, the journal header and the report's digest — untouched.
-	got, err := specFromFlags(t, 10000, "-allocate", "uniform", "-alloc-epochs", "8", "-span", "1",
+	got, err := specFromFlags(t, 1000, "-allocate", "uniform", "-alloc-epochs", "8", "-span", "1",
 		"-lanes", "0", "-window", "0", "-duration", "200", "-confidence", "0.5")
 	if err != nil || !reflect.DeepEqual(got, def) {
 		t.Errorf("default-valued flags gave %+v (err %v), want the default spec", got, err)
@@ -152,6 +152,33 @@ func TestCampaignFlagsRefuse(t *testing.T) {
 	}
 }
 
+// TestCampaignFlagsBoundFlips: sampling is without replacement, so the flags
+// refuse a -flips past the population their filter leaves, whichever filter
+// it is, naming that population: before any command builds a runner (or, in
+// a fleet, every worker builds one and fails its shard).
+func TestCampaignFlagsBoundFlips(t *testing.T) {
+	db, err := engine.Census(core.DefaultRunnerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpu, _ := FilterSpec{Kind: "unit", Arg: "FPU"}.Filter()
+	pop, all := db.CountBits(fpu), db.CountBits(nil)
+	for _, tc := range []struct {
+		args []string
+		want string // "" = accepted
+	}{
+		{[]string{"-macro", "zzz", "-flips", "10"}, "campaign of 10 flips exceeds the filtered population of 0 bits"},
+		{[]string{"-unit", "FPU", "-flips", fmt.Sprint(pop + 1)}, fmt.Sprintf("exceeds the filtered population of %d bits", pop)},
+		{[]string{"-unit", "FPU", "-flips", fmt.Sprint(pop)}, ""},
+		{[]string{"-type", "MODE", "-flips", "12"}, ""},
+		{[]string{"-flips", fmt.Sprint(all + 1)}, fmt.Sprintf("filtered population of %d bits", all)},
+	} {
+		if _, err := specFromFlags(t, 1000, tc.args...); (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q (empty: none)", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestValidateIsTheOneCheck: a spec Validate refuses is refused by
 // NewCoordinator with the same error, and one it accepts is one
 // NewCoordinator builds — neither keeps a check list of its own.
@@ -213,7 +240,7 @@ func TestFlagSpecsRunTheSameEverywhere(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 16})
-		fleet := runStratifiedFleet(t, c, srv.URL, 2)
+		fleet := runFleet(t, c, srv.URL, 2, WorkerConfig{})
 		want, _ := json.Marshal(local)
 		got, _ := json.Marshal(fleet)
 		if string(got) != string(want) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sfi/internal/core"
-	"sfi/internal/obs"
 	"sfi/internal/stats"
 )
 
@@ -74,11 +73,6 @@ type Status struct {
 	// campaigns.
 	Allocation *AllocationView `json:"allocation,omitempty"`
 
-	// Latency is the campaign's critical-path latency attribution, derived
-	// from the coordinator's span tree (present only when the coordinator
-	// runs with a Tracer and spans have been recorded).
-	Latency *obs.Attribution `json:"latency,omitempty"`
-
 	ElapsedMs int64  `json:"elapsed_ms"`
 	Failed    bool   `json:"failed"`
 	Error     string `json:"error,omitempty"`
@@ -131,21 +125,23 @@ type WorkerView struct {
 }
 
 // ShowProgress redraws the fleet progress line on w in place every period,
-// until ctx ends or the campaign is over; a campaign that is over gets its
-// final line drawn.
+// until ctx ends or the campaign is over; a campaign that is over by then
+// gets its final line drawn.
 func (c *Coordinator) ShowProgress(ctx context.Context, w io.Writer, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return
 		case <-c.finished:
-			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))
-			return
 		case <-t.C:
 			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))
+			continue
 		}
+		if c.overLocked() { // it reads only the finished channel
+			fmt.Fprintf(w, "\r%-100s", progressLine(c.Status()))
+		}
+		return
 	}
 }
 
@@ -164,12 +160,6 @@ func progressLine(st Status) string {
 
 // Status assembles the fleet status from one read of the shard ledger.
 func (c *Coordinator) Status() Status {
-	// The span tree has its own lock and is read before the ledger's.
-	var latency *obs.Attribution
-	if t := c.cfg.Tracer; t != nil && t.Total() > 0 {
-		latency = &t.Doc().Attribution
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := c.fleetSnapshotLocked()
@@ -193,7 +183,6 @@ func (c *Coordinator) Status() Status {
 		Utilization:  p.Utilization,
 		Convergence:  c.eval,
 		StoppedEarly: c.stopEval != nil,
-		Latency:      latency,
 		ElapsedMs:    p.Elapsed.Milliseconds(),
 		Failed:       c.err != nil,
 	}

@@ -26,42 +26,25 @@ func stratifiedSpec() CampaignSpec {
 	return spec
 }
 
-// runStratifiedFleet drives a distributed campaign to its end with n workers
-// — over HTTP to url, or calling c directly when url is "" — and returns the
-// merged report.
-func runStratifiedFleet(t *testing.T, c *Coordinator, url string, n int) *core.Report {
-	t.Helper()
-	return runFleet(t, c, url, n, WorkerConfig{})
-}
-
-// runFleet is runStratifiedFleet with every worker configured as base, but
-// for its coordinator, ID and poll period.
+// runFleet drives a distributed campaign to its end through Run with n
+// workers configured as base but for their ID and poll period — over HTTP to
+// url, or calling c directly when url is "" — and returns the merged report.
 func runFleet(t *testing.T, c *Coordinator, url string, n int, base WorkerConfig) *core.Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	workerErr := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			cfg := base
-			cfg.Coordinator = url
-			cfg.ID = fmt.Sprintf("w%d", i)
-			cfg.PollEvery = 10 * time.Millisecond
-			if url == "" {
-				workerErr <- c.RunWorker(ctx, cfg)
-			} else {
-				workerErr <- RunWorker(ctx, cfg)
-			}
-		}(i)
-	}
-	rep, err := c.Wait(ctx)
+	rep, err := c.Run(ctx, n, func(ctx context.Context, i int) error {
+		cfg := base
+		cfg.Coordinator = url
+		cfg.ID = fmt.Sprintf("w%d", i)
+		cfg.PollEvery = 10 * time.Millisecond
+		if url == "" {
+			return c.RunWorker(ctx, cfg)
+		}
+		return RunWorker(ctx, cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := <-workerErr; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
 	}
 	return rep
 }
@@ -74,7 +57,7 @@ func runFleet(t *testing.T, c *Coordinator, url string, n int, base WorkerConfig
 func TestStratifiedLoopbackEquivalence(t *testing.T) {
 	spec := stratifiedSpec()
 	c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 10})
-	got := runStratifiedFleet(t, c, srv.URL, 3)
+	got := runFleet(t, c, srv.URL, 3, WorkerConfig{})
 
 	local := core.CampaignConfig{
 		Runner:  spec.Runner,
@@ -88,15 +71,10 @@ func TestStratifiedLoopbackEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got.Total != spec.Flips || got.Total != want.Total {
-		t.Fatalf("total: distributed %d, local stratified %d, budget %d", got.Total, want.Total, spec.Flips)
+	if got.Total != spec.Flips {
+		t.Fatalf("distributed total %d, budget %d", got.Total, spec.Flips)
 	}
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
-		t.Errorf("outcome counts differ:\ndist:  %v\nlocal: %v", got.Counts, want.Counts)
-	}
-	if !reflect.DeepEqual(got.ByStratum, want.ByStratum) {
-		t.Errorf("per-stratum counts differ:\ndist:  %v\nlocal: %v", got.ByStratum, want.ByStratum)
-	}
+	sameAsLocal(t, got, want)
 
 	// The /v1/status allocation block reports the settled budget state.
 	resp, err := http.Get(srv.URL + "/v1/status")
@@ -172,7 +150,7 @@ func TestStratifiedJournalReplay(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 	cfg := CoordConfig{Campaign: spec, ShardSize: 10, Journal: journal}
 	c, srv := startCoord(t, cfg)
-	rep := runStratifiedFleet(t, c, srv.URL, 3)
+	rep := runFleet(t, c, srv.URL, 3, WorkerConfig{})
 
 	decision := c.StopDecision()
 	if decision == nil || !decision.Converged {

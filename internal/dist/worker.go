@@ -201,7 +201,7 @@ func runWorker(ctx context.Context, cfg WorkerConfig, coord coordinator) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("dist: worker %s: unexpected lease status %d", cfg.ID, status)
+			return fmt.Errorf("dist: worker %s: unexpected lease %w", cfg.ID, refused(status, err))
 		}
 	}
 }
@@ -448,7 +448,7 @@ func (w *worker) complete(req completeRequest) error {
 		case http.StatusOK, http.StatusGone:
 			return nil
 		default:
-			return fmt.Errorf("dist: worker %s: complete shard %d: status %d", w.cfg.ID, req.Shard, status)
+			return fmt.Errorf("dist: worker %s: complete shard %d: %w", w.cfg.ID, req.Shard, refused(status, err))
 		}
 	}
 	return fmt.Errorf("dist: worker %s: complete shard %d: %w", w.cfg.ID, req.Shard, lastErr)
@@ -511,12 +511,25 @@ func (h httpCoordinator) post(ctx context.Context, path string, body, out any) (
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck // the reply is already in hand
 		resp.Body.Close()
 	}()
-	if resp.StatusCode == http.StatusOK && out != nil {
+	if resp.StatusCode != http.StatusOK {
+		// A refusal's reason (its first 4 KiB), as a direct caller gets it.
+		if reason, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10)); len(bytes.TrimSpace(reason)) > 0 {
+			err = errors.New(string(bytes.TrimSpace(reason)))
+		}
+	} else if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return 0, err
+			return 0, err // a reply that is no answer
 		}
 	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, err
+}
+
+// refused says what a coordinator that refused a call answered.
+func refused(status int, reason error) error {
+	if reason == nil {
+		return fmt.Errorf("status %d", status)
+	}
+	return fmt.Errorf("status %d: %w", status, reason)
 }
 
 // sleep waits d or until ctx is done, reporting whether the full wait

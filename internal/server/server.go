@@ -892,26 +892,14 @@ func (s *Server) runCampaign(ctx context.Context, c *Campaign, exec *execution, 
 		return r, nil
 	}
 
-	// A worker-side error (bad backend, shard failure retries exhausted
-	// locally) must not leave Wait blocked on a fleet of zero workers.
-	waitCtx, cancelWait := context.WithCancelCause(ctx)
-	defer cancelWait(nil)
-	workerDone := make(chan error, 1)
-	go func() {
-		werr := coord.RunWorker(ctx, dist.WorkerConfig{
+	rep, err := coord.Run(ctx, 1, func(ctx context.Context, _ int) error {
+		return coord.RunWorker(ctx, dist.WorkerConfig{
 			ID:        "server-" + c.ID,
 			PollEvery: pollEvery,
 			NewRunner: factory,
 			Log:       s.log.With("campaign", c.ID),
 		})
-		if werr != nil && ctx.Err() == nil {
-			cancelWait(fmt.Errorf("server: embedded worker: %w", werr))
-		}
-		workerDone <- werr
-	}()
-
-	rep, err := coord.Wait(waitCtx)
-	<-workerDone
+	})
 	if err != nil {
 		return err
 	}

@@ -604,15 +604,10 @@ func TestServerMatchesDistLoopback(t *testing.T) {
 			defer ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
-			workerErr := make(chan error, 1)
-			go func() {
-				workerErr <- dist.RunWorker(ctx, dist.WorkerConfig{Coordinator: ts.URL, PollEvery: time.Millisecond})
-			}()
-			rep, err := coord.Wait(ctx)
+			rep, err := coord.Run(ctx, 1, func(ctx context.Context, _ int) error {
+				return dist.RunWorker(ctx, dist.WorkerConfig{Coordinator: ts.URL, PollEvery: time.Millisecond})
+			})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-workerErr; err != nil {
 				t.Fatal(err)
 			}
 			stopped := coord.StopDecision() != nil
