@@ -77,7 +77,10 @@ race:
 # completion body, a journal line, a stored report document), seeded with
 # the shard lines of internal/dist/testdata's parent journals, and requires
 # every report it decodes to re-encode to an equal one and every report a
-# lease would seal to have marginals that count each injection once;
+# lease would seal to have marginals that count each injection once, and
+# holds the shard-report codec to encoding/json on the same bytes (read as a
+# report and as a completion: what its reader accepts it reads alike, and it
+# writes what json.Marshal writes);
 # FuzzJournal replays arbitrary bytes as the lines after the header of each
 # of internal/dist/testdata's parent journals, seeded with their lines whole,
 # torn mid-line and corrupted ahead of intact ones, and requires

@@ -193,7 +193,11 @@ type Epoch struct {
 // NewEpochs plans a stratified campaign over db's latches; no epoch is
 // decided yet.
 func NewEpochs(db *latch.DB, cfg CampaignConfig) (*Epochs, error) {
-	plan := BuildSamplePlan(db, cfg.Seed, cfg.Filter)
+	return newEpochs(BuildSamplePlan(db, cfg.Seed, cfg.Filter), cfg)
+}
+
+// newEpochs is NewEpochs over a plan already built.
+func newEpochs(plan *SamplePlan, cfg CampaignConfig) (*Epochs, error) {
 	if len(plan.Strata) == 0 {
 		return nil, fmt.Errorf("core: stratified campaign over an empty population")
 	}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -90,4 +91,37 @@ func BenchmarkLedgerViews(b *testing.B) {
 		close(stop)
 		<-done
 	})
+}
+
+// BenchmarkWireReport times one 25-injection shard's completion (results,
+// metrics with per-unit rows and histograms) through encoding/json and
+// through the shard-report codec, written and read: what a worker pays to
+// send a shard and a coordinator to take it.
+func BenchmarkWireReport(b *testing.B) {
+	done := completeRequest{Worker: "w0", Shard: 3, Report: shardWire(b)}
+	data, err := json.Marshal(done)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := readComplete(data); !ok {
+		b.Fatal("the codec does not read a worker's completion")
+	}
+	for _, bc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"encode/std", func() error { _, err := json.Marshal(done); return err }},
+		{"encode/codec", func() error { _, err := encodeComplete(&done); return err }},
+		{"decode/std", func() error { var req completeRequest; return json.Unmarshal(data, &req) }},
+		{"decode/codec", func() error { var req completeRequest; return decodeComplete(data, &req) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for b.Loop() {
+				if err := bc.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/engine"
+	"sfi/internal/obs"
 )
 
 // Golden digests of distributed campaigns, recorded before the coordinator's
@@ -350,4 +351,61 @@ func TestGoldenLoneWorkerJournal(t *testing.T) {
 	if got := digest(stripped); got != goldenLoneWorkerJournal {
 		t.Errorf("journal digest %s, want %s", got, goldenLoneWorkerJournal)
 	}
+}
+
+// TestWorkerDrawsOnce pins what a worker pays once per campaign rather than
+// once per shard: one HTTP worker over TestGoldenLoneWorkerJournal's
+// 20-shard uniform campaign draws its sequence once (one "sequence.draw"
+// span in the coordinator's trace beside 20 "shard.run" spans) and leaves
+// that test's report and journal digests, and one worker over a stratified
+// campaign of many stratum shards builds its sample plan once.
+func TestWorkerDrawsOnce(t *testing.T) {
+	count := func(tr *obs.Tracer) map[string]int {
+		if len(tr.Spans()) != tr.Total() {
+			t.Fatalf("the trace ring dropped %d spans", tr.Total()-len(tr.Spans()))
+		}
+		n := make(map[string]int)
+		for _, sp := range tr.Spans() {
+			n[sp.Name]++
+		}
+		return n
+	}
+	t.Run("uniform", func(t *testing.T) {
+		spec := testSpec()
+		spec.Flips, spec.ShardWorkers = 500, 1
+		journal := filepath.Join(t.TempDir(), "journal.jsonl")
+		tr := obs.NewTracer(1)
+		c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 25, LeaseTTL: time.Minute, Journal: journal, Tracer: tr})
+		rep := runFleet(t, c, srv.URL, 1, WorkerConfig{})
+		if n := count(tr); n["sequence.draw"] != 1 || n["shard.run"] != 20 {
+			t.Errorf("one worker over 20 shards drew its sequence %d times over %d shard.run spans, want once over 20",
+				n["sequence.draw"], n["shard.run"])
+		}
+		wire, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(wire); got != goldenLoneWorkerReport {
+			t.Errorf("report digest %s, want %s", got, goldenLoneWorkerReport)
+		}
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digest(journalWithoutMetrics(data)); got != goldenLoneWorkerJournal {
+			t.Errorf("journal digest %s, want %s", got, goldenLoneWorkerJournal)
+		}
+	})
+	t.Run("stratified", func(t *testing.T) {
+		spec := stratifiedSpec()
+		spec.ShardWorkers = 1
+		tr := obs.NewTracer(1)
+		c, srv := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 5, LeaseTTL: time.Minute, Tracer: tr})
+		runFleet(t, c, srv.URL, 1, WorkerConfig{})
+		n := count(tr)
+		if n["sequence.draw"] != 1 || n["shard.run"] < 10 {
+			t.Errorf("one worker over %d stratum shards built its plan %d times, want once over at least 10",
+				n["shard.run"], n["sequence.draw"])
+		}
+	})
 }

@@ -98,7 +98,8 @@ const (
 // journal is the append side of a campaign journal.
 type journal struct {
 	f     *os.File
-	syncs int // fsyncs of the file so far, the header's included
+	syncs int    // fsyncs of the file so far, the header's included
+	buf   []byte // the lines of the append being written, kept for the next
 }
 
 // openJournal opens (or creates) the journal at path for the campaign
@@ -146,7 +147,7 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 				continue
 			}
 			var e journalEntry
-			if !bytes.HasSuffix(line, nl) || json.Unmarshal(line, &e) != nil {
+			if !bytes.HasSuffix(line, nl) || decodeJournalLine(line[:len(line)-1], &e) != nil {
 				if torn == 0 {
 					torn = i + 2
 				}
@@ -192,14 +193,15 @@ func openJournal(path string, hdr journalHeader, log *slog.Logger) (*journal, []
 // append writes one line per value, in order, and makes them durable with
 // one sync.
 func (j *journal) append(vs ...any) error {
-	var buf []byte
+	buf := j.buf[:0]
 	for _, v := range vs {
-		line, err := json.Marshal(v)
-		if err != nil {
+		var err error
+		if buf, err = appendJournalLine(buf, v); err != nil {
 			return err
 		}
-		buf = append(append(buf, line...), '\n')
+		buf = append(buf, '\n')
 	}
+	j.buf = buf
 	if _, err := j.f.Write(buf); err != nil {
 		return err
 	}

@@ -439,11 +439,15 @@ func (s *Server) specDigest(spec Spec) string {
 const pollEvery = 2 * time.Millisecond
 
 // minShardSize is the smallest shard the server cuts on its own. A shard
-// costs a lease, a completion and a journal fsync whatever it holds, about
-// as much as three p6lite injections. The floor only binds under 1024
+// costs its own campaign set-up, report and journal line, and its share of
+// its run's lease, completion and journal fsync, whatever it holds: about
+// as much as a dozen p6lite injections (one embedded worker over 1,024
+// flips, journaled: ~0.37 ms a shard beyond one shard's run, against
+// ~27 µs an injection, on a 2-vCPU host). The floor only binds under 1024
 // flips, where the embedded worker runs the campaign alone, so finer
 // shards would buy no balance: they would move the campaign's time from
-// the model to the disk, and make it as unsteady as the disk is.
+// the model to the control plane and the disk, and make it as unsteady as
+// the disk is.
 const minShardSize = 16
 
 // shardSize resolves a spec's effective injections-per-shard: the spec's,
