@@ -650,8 +650,9 @@ func init() {
 
 // TestUnbuildableRunnerCostsOneCampaign: a runner config off the wire that
 // no model can be built from is a 400 naming the field, and one whose build
-// panics anyway fails its own campaign; either way the server goes on to
-// finish another tenant's campaign.
+// panics anyway fails its own campaign, as does one of more flips than its
+// filter's population; either way the server goes on to finish another
+// tenant's campaign.
 func TestUnbuildableRunnerCostsOneCampaign(t *testing.T) {
 	s := newTestServer(t, t.TempDir(), nil)
 	h := s.Handler()
@@ -687,6 +688,19 @@ func TestUnbuildableRunnerCostsOneCampaign(t *testing.T) {
 	}
 	if c = waitState(t, s, c.ID, StateFailed, 30*time.Second); !strings.Contains(c.Error, "panicked") {
 		t.Errorf("failed campaign's error = %q, want the build's panic", c.Error)
+	}
+
+	// No census stands behind Validate, so a campaign of more flips than
+	// its filter's population is queued; its worker must refuse it, with
+	// the campaign's own error, rather than draw and panic.
+	over := tinySpec("a", 4, 8, 8)
+	over.Campaign.Filter = dist.FilterSpec{Kind: "prefix", Arg: "zzz"}
+	body, _ = json.Marshal(over)
+	if code, c, msg = postSpec(t, h, string(body)); code != http.StatusCreated {
+		t.Fatalf("submit answered %d %q, want 201", code, msg)
+	}
+	if c = waitState(t, s, c.ID, StateFailed, 30*time.Second); !strings.Contains(c.Error, "exceeds the filtered population of 0 bits") {
+		t.Errorf("failed campaign's error = %q, want the population's refusal", c.Error)
 	}
 
 	good, _ := json.Marshal(tinySpec("b", 3, 8, 8))
