@@ -33,16 +33,19 @@ fmt:
 # (concurrent metrics collectors, trace sinks), internal/stats (the stop
 # rule and allocator, which concurrent campaigns call; it holds no shared
 # state today, and stays listed so any it gains is raced),
-# internal/server (the multi-campaign scheduler and its executors, whose
-# embedded worker hands its coordinator request values, not copies: lease,
-# heartbeat and shard-report documents are shared across the two), and
+# internal/server (concurrent campaign executions, each of which starts the
+# next queued campaign as it frees its slot, and whose embedded worker hands
+# its coordinator request values, not copies: lease, heartbeat and
+# shard-report documents are shared across the two), and
 # internal/latch, internal/dirty and internal/proc, where what every clone of
 # a p6lite backend reads at once lives: the access log, the sparse checkpoint
 # images and their baseline (p6lite's TestClonesShareTheRecord runs the
-# clones; core's campaign tests fan them out), and cmd/sfi, whose progress
-# line reads the campaign's core.Live handle beside the running campaign.
+# clones; core's campaign tests fan them out), cmd/sfi, whose progress
+# line reads the campaign's core.Live handle beside the running campaign, and
+# cmd/sfi-coord and cmd/sfi-worker, whose tests drive a coordinator and HTTP
+# workers: lease expiry there happens in the calls and in Wait's sweeps.
 race:
-	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/server ./internal/latch ./internal/dirty ./internal/proc ./cmd/sfi
+	$(GO) test -race ./internal/core ./internal/engine/... ./internal/awan ./internal/dist ./internal/obs ./internal/stats ./internal/server ./internal/latch ./internal/dirty ./internal/proc ./cmd/sfi ./cmd/sfi-coord ./cmd/sfi-worker
 
 # fuzz runs the tree's fuzz targets for $(FUZZTIME) each (plain `go test`
 # only replays their seed corpora). FuzzSECDED checks the word-wise SECDED

@@ -117,14 +117,17 @@ type workerStats struct {
 	lastSeen   time.Time
 	injections uint64 // classified injections credited to this worker
 	shardsDone int
-	failures   int // /v1/fail reports
-	copies     int // the model copies it last said it runs (0: not said)
+	failures   int  // /v1/fail reports
+	copies     int  // the model copies it runs (0: not known)
+	ran        bool // copies was counted by a heartbeat or a shard report, not claimed by a lease
 }
 
 // Coordinator owns a campaign's shard ledger and answers the lease
 // protocol's calls, from its HTTP handlers or from a worker in the same
-// process (RunWorker). All state transitions happen under one mutex; the
-// calls, the lease reaper, Wait and every view share it.
+// process (RunWorker). It runs no goroutine of its own: all state
+// transitions happen under one mutex, in the calls, Wait and the views.
+// Each of them but a completion first expires the leases whose deadline has
+// passed (sweepLocked).
 type Coordinator struct {
 	cfg CoordConfig
 	log *slog.Logger
@@ -176,14 +179,10 @@ type Coordinator struct {
 	// shards can be leased.
 	prefix *core.PrefixStop
 	epochs *core.Epochs
-
-	stopReaper chan struct{}
-	reaperDone chan struct{}
 }
 
-// NewCoordinator plans the campaign's shards, replays the journal if one
-// is configured and present, and starts the lease reaper. Callers must
-// Close it.
+// NewCoordinator plans the campaign's shards and replays the journal if one
+// is configured and present. Callers must Close it.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err := cfg.Campaign.Validate(); err != nil {
 		return nil, err
@@ -209,15 +208,13 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg.Log = obs.NopLogger()
 	}
 	c := &Coordinator{
-		cfg:        cfg,
-		log:        cfg.Log.With("seed", cfg.Campaign.Seed, "flips", cfg.Campaign.Flips),
-		workers:    make(map[string]*workerStats),
-		started:    time.Now(),
-		finished:   make(chan struct{}),
-		stopReaper: make(chan struct{}),
-		reaperDone: make(chan struct{}),
-		sealed:     &core.Report{},
-		metrics:    obs.NewSnapshot(),
+		cfg:      cfg,
+		log:      cfg.Log.With("seed", cfg.Campaign.Seed, "flips", cfg.Campaign.Flips),
+		workers:  make(map[string]*workerStats),
+		started:  time.Now(),
+		finished: make(chan struct{}),
+		sealed:   &core.Report{},
+		metrics:  obs.NewSnapshot(),
 	}
 	if cfg.Tracer != nil {
 		c.spanParent = cfg.Parent
@@ -269,7 +266,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		"shards", len(c.shards), "shard_size", cfg.ShardSize,
 		"pending", len(c.shards)-c.done, "lease_ttl", cfg.LeaseTTL,
 		"alloc", cfg.Campaign.Alloc.Mode)
-	go c.reaper()
 	return c, nil
 }
 
@@ -324,35 +320,14 @@ func (c *Coordinator) replayLocked(entries []journalEntry) error {
 	return nil
 }
 
-// Close stops the reaper and closes the journal. It does not interrupt
-// Wait; cancel Wait's context to abandon a campaign.
+// Close closes the journal; a second call does nothing. It does not
+// interrupt Wait; cancel Wait's context to abandon a campaign.
 func (c *Coordinator) Close() {
-	close(c.stopReaper)
-	<-c.reaperDone
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal != nil {
 		c.journal.f.Close()
 		c.journal = nil
-	}
-}
-
-// reaper periodically re-queues shards whose lease expired (worker death
-// without a parting /v1/fail). Sweeps also run inline on every lease poll,
-// so the reaper only matters when no worker is polling.
-func (c *Coordinator) reaper() {
-	defer close(c.reaperDone)
-	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopReaper:
-			return
-		case <-tick.C:
-			c.mu.Lock()
-			c.sweepLocked(time.Now())
-			c.mu.Unlock()
-		}
 	}
 }
 
@@ -395,9 +370,11 @@ func (c *Coordinator) shardEvent(s *shard, kind string, mut func(*obs.ShardEvent
 	c.emit(level, "shard "+kind, ev)
 }
 
-// sweepLocked expires overdue leases. A shard that has used all its
-// attempts fails the campaign; otherwise it goes back on the queue for
-// another worker.
+// sweepLocked expires overdue leases (worker death without a parting
+// /v1/fail). A shard that has used all its attempts fails the campaign;
+// otherwise it goes back on the queue for another worker. Every call and
+// view of the ledger but a completion (a late one is still accepted) sweeps
+// first, so a lease is lost at its deadline whoever asks.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, s := range c.shards {
 		if s.status != shardLeased || now.Before(s.deadline) {
@@ -641,12 +618,22 @@ func (c *Coordinator) overLocked() bool {
 // campaign Report, identical to a single-process run), the stopping rule
 // fires (returning the completed shards merged, with the convergence
 // evaluation attached), the campaign fails (a shard exhausted its
-// attempts) or ctx is cancelled.
+// attempts) or ctx is cancelled. While it blocks it sweeps expired leases
+// every quarter TTL, so a campaign whose last workers died without a word
+// still fails once its shards run out of attempts.
 func (c *Coordinator) Wait(ctx context.Context) (*core.Report, error) {
-	select {
-	case <-ctx.Done():
-		return nil, context.Cause(ctx)
-	case <-c.finished:
+	tick := time.NewTicker(c.cfg.LeaseTTL / 4)
+	defer tick.Stop()
+	for !c.overLocked() { // it reads only the finished channel
+		select {
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		case <-c.finished:
+		case <-tick.C:
+			c.mu.Lock()
+			c.sweepLocked(time.Now())
+			c.mu.Unlock()
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -707,6 +694,7 @@ func (c *Coordinator) Run(ctx context.Context, n int, worker func(ctx context.Co
 func (c *Coordinator) FleetSnapshot() *obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.sweepLocked(time.Now())
 	return c.fleetSnapshotLocked()
 }
 
@@ -741,16 +729,18 @@ func (c *Coordinator) touchWorkerLocked(id string, now time.Time) *workerStats {
 	return ws
 }
 
-// setCopies records the model copies a worker's request says it runs, if it
-// says.
-func (ws *workerStats) setCopies(copies int) {
-	if copies > 0 {
-		ws.copies = copies
+// setCopies records the model copies a worker runs, if the request says:
+// what its core pool ran (ran: a heartbeat's or a shard report's count), or
+// what its lease request claims, which holds only until a count arrives.
+// Core caps a shard's pool at its injections, so the two can differ.
+func (ws *workerStats) setCopies(copies int, ran bool) {
+	if copies > 0 && (ran || !ws.ran) {
+		ws.copies, ws.ran = copies, ran
 	}
 }
 
 // copiesLocked returns how many model copies the workers seen run at once:
-// what each said, else the campaign's ShardWorkers, else one.
+// what each counted or claimed, else the campaign's ShardWorkers, else one.
 func (c *Coordinator) copiesLocked() int {
 	n := 0
 	for _, ws := range c.workers {
@@ -775,7 +765,7 @@ func (c *Coordinator) lease(_ context.Context, req leaseRequest) (*leaseResponse
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	c.touchWorkerLocked(req.Worker, now).setCopies(req.Copies)
+	c.touchWorkerLocked(req.Worker, now).setCopies(req.Copies, false)
 	c.sweepLocked(now)
 	if c.overLocked() {
 		return nil, http.StatusGone, nil
@@ -860,6 +850,8 @@ func (c *Coordinator) heldLocked(worker string) []*shard {
 func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now()
+	c.sweepLocked(now)
 	if c.overLocked() {
 		return http.StatusGone, nil
 	}
@@ -876,7 +868,6 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 		return http.StatusBadRequest, fmt.Errorf("dist: heartbeat for shard %d reports %d injections, its lease covers %d",
 			s.ID, m.Injections, s.Hi-s.Lo)
 	}
-	now := time.Now()
 	// A heartbeat that arrives far later than the worker's TTL/3 schedule
 	// marks a struggling worker or a congested path — record the gap
 	// before it grows into a lease expiry.
@@ -893,7 +884,7 @@ func (c *Coordinator) heartbeat(req heartbeatRequest) (int, error) {
 		h.deadline = now.Add(c.cfg.LeaseTTL)
 	}
 	ws := c.touchWorkerLocked(req.Worker, now)
-	ws.setCopies(req.Copies)
+	ws.setCopies(req.Copies, true)
 	// The snapshot is cumulative and the newest one wins, so a heartbeat
 	// replayed, lost or overtaken by a later one miscounts nothing.
 	if m := req.Metrics; m != nil && m.Injections >= s.liveInjections() {
@@ -962,6 +953,7 @@ func (c *Coordinator) complete(req completeRequest) (int, error) {
 	for _, i := range todo {
 		s, rep := c.shards[run[i].Shard], reps[i]
 		ws.shardsDone++
+		ws.setCopies(rep.Workers, true)
 		// Credit the completing worker with what the lease's heartbeats
 		// hadn't already reported (the tail of the shard, or all of it when
 		// the shard outran its first heartbeat): covers and the heartbeat
@@ -1010,6 +1002,8 @@ type attachedTrace struct {
 func (c *Coordinator) fail(req failRequest) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now()
+	c.sweepLocked(now)
 	if c.overLocked() {
 		return http.StatusGone, nil
 	}
@@ -1018,7 +1012,7 @@ func (c *Coordinator) fail(req failRequest) (int, error) {
 		return http.StatusConflict, nil
 	}
 	c.shardEvent(s, "failed", func(ev *obs.ShardEvent) { ev.Detail = req.Error })
-	ws := c.touchWorkerLocked(req.Worker, time.Now())
+	ws := c.touchWorkerLocked(req.Worker, now)
 	ws.failures++
 	c.requeueLocked(s, fmt.Sprintf("worker %q reported: %s", req.Worker, req.Error))
 	for _, h := range c.heldLocked(req.Worker) {

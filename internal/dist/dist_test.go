@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 
 	"sfi/internal/core"
 	"sfi/internal/engine"
+	"sfi/internal/obs"
 )
 
 // testSpec is a real (model-executing) campaign small enough for tests.
@@ -257,6 +259,26 @@ func TestFleetUtilizationCountsCopies(t *testing.T) {
 	if st.Utilization > 1 || st.Utilization <= over(st.ElapsedMs+1) || st.Utilization > over(st.ElapsedMs) {
 		t.Errorf("utilization %.3f after the campaign, want %.3f: busy %v over 4 copies × %d ms",
 			st.Utilization, over(st.ElapsedMs), time.Duration(rep.Metrics.BusyNs), st.ElapsedMs)
+	}
+}
+
+// TestFleetUtilizationCountsCopiesRun: a worker that asks for more model
+// copies than a shard has injections runs as many as core's pool does, one
+// an injection, and the status counts those: what the worker's shard reports
+// and heartbeats counted, not what its lease request claimed.
+func TestFleetUtilizationCountsCopiesRun(t *testing.T) {
+	spec := testSpec()
+	spec.Flips, spec.KeepResults, spec.ShardWorkers = 16, false, 1
+	c, _ := startCoord(t, CoordConfig{Campaign: spec, ShardSize: 4})
+	rep := runFleet(t, c, "", 1, WorkerConfig{Workers: 8})
+	if rep.Workers != 4 {
+		t.Fatalf("the report ran %d model copies a 4-injection shard, want 4", rep.Workers)
+	}
+	c.mu.Lock()
+	copies := c.copiesLocked()
+	c.mu.Unlock()
+	if copies != 4 {
+		t.Errorf("the status divides busy time by %d copies, want the 4 the shards ran", copies)
 	}
 }
 
@@ -649,6 +671,74 @@ func TestShardAttemptsExhausted(t *testing.T) {
 				t.Fatalf("campaign did not fail before timeout: %v", err)
 			}
 		})
+	}
+}
+
+// TestLeaseLostAtItsDeadline: a lease is lost the moment its deadline
+// passes, with no worker polling: the first call or view made after it,
+// whichever it is, finds the shard requeued. A heartbeat with metrics first
+// gives the fleet snapshot something to lose.
+func TestLeaseLostAtItsDeadline(t *testing.T) {
+	const shards = 12
+	for _, tc := range []struct {
+		name string
+		lost func(c *Coordinator, id int) bool
+	}{
+		{"status", func(c *Coordinator, id int) bool { return c.Status().ShardsV[id].State == "requeued" }},
+		{"metrics", func(c *Coordinator, id int) bool {
+			var b strings.Builder
+			c.writeMetrics(&b)
+			return strings.Contains(b.String(), fmt.Sprintf("sfi_coord_shards{state=\"pending\"} %d\n", shards))
+		}},
+		{"fleet", func(c *Coordinator, id int) bool { return c.FleetSnapshot().Injections == 0 }},
+		{"heartbeat", func(c *Coordinator, id int) bool {
+			status, _ := c.heartbeat(heartbeatRequest{Worker: "silent", Shard: id})
+			return status == http.StatusConflict
+		}},
+		{"fail", func(c *Coordinator, id int) bool {
+			status, _ := c.fail(failRequest{Worker: "silent", Shard: id, Error: "late"})
+			return status == http.StatusConflict
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := startCoord(t, CoordConfig{Campaign: testSpec(), ShardSize: 48 / shards, LeaseTTL: 100 * time.Millisecond})
+			l, status, _ := c.lease(context.Background(), leaseRequest{Worker: "silent"})
+			if status != http.StatusOK {
+				t.Fatalf("lease: status %d", status)
+			}
+			beat := obs.NewSnapshot()
+			beat.Injections = 2
+			if status, err := c.heartbeat(heartbeatRequest{Worker: "silent", Shard: l.Shard.ID, Metrics: beat}); status != http.StatusOK {
+				t.Fatalf("heartbeat: status %d (%v)", status, err)
+			}
+			c.mu.Lock()
+			deadline := c.shards[l.Shard.ID].deadline
+			c.mu.Unlock()
+			time.Sleep(time.Until(deadline) + time.Millisecond)
+			if !tc.lost(c, l.Shard.ID) {
+				t.Errorf("the %s still holds the lease 1 ms past its deadline", tc.name)
+			}
+		})
+	}
+}
+
+// TestCoordinatorRunsNoGoroutine: a coordinator, journaled or not, starts no
+// goroutine of its own, and closing it twice is closing it once.
+func TestCoordinatorRunsNoGoroutine(t *testing.T) {
+	for _, journal := range []string{"", filepath.Join(t.TempDir(), "campaign.journal")} {
+		base := runtime.NumGoroutine()
+		c, err := NewCoordinator(CoordConfig{Campaign: testSpec(), Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("journal %q: %d goroutines after NewCoordinator, %d before", journal, n, base)
+		}
+		c.Close()
+		c.Close()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("journal %q: %d goroutines after Close, %d before", journal, n, base)
+		}
 	}
 }
 

@@ -26,8 +26,8 @@ var fuzzPaths = []string{"/v1/lease", "/v1/heartbeat", "/v1/complete", "/v1/fail
 
 const fuzzExpire = "expire"
 
-// expireLeases sweeps the ledger as the reaper would once every lease now
-// granted has gone a TTL without a heartbeat.
+// expireLeases sweeps the ledger as the next call or view would once every
+// lease now granted has gone a TTL without a heartbeat.
 func expireLeases(c *Coordinator) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"sfi/internal/obs"
 )
@@ -91,6 +92,7 @@ func (c *Coordinator) TraceDoc() *obs.TraceDoc {
 // snapshot, shard counts, latency histograms, evaluation) from one read.
 func (c *Coordinator) writeMetrics(w io.Writer) {
 	c.mu.Lock()
+	c.sweepLocked(time.Now())
 	snap, eval, done, grants, requeues := c.fleetSnapshotLocked(), c.eval, c.done, c.grants, c.requeues
 	syncs := 0
 	if c.journal != nil {

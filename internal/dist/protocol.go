@@ -170,7 +170,8 @@ type (
 		Worker string `json:"worker"`
 		// Copies is the number of model copies the worker runs a shard
 		// over when it overrides the campaign's ShardWorkers (0: it does
-		// not). The fleet's utilization divides busy time by the copies.
+		// not). The fleet's utilization divides busy time by the copies
+		// until the worker's heartbeats or shard reports count them.
 		Copies int `json:"copies,omitempty"`
 		// Run says the worker can take a run of shards in one lease, run
 		// them one after another and deliver them in one completion. A
@@ -208,7 +209,8 @@ type (
 		// coordinator-side heartbeat forensics (gap events) correlate with
 		// the worker's spans.
 		Traceparent string `json:"traceparent,omitempty"`
-		// Copies is the number of model copies running the shard.
+		// Copies is the number of model copies running the shard, as its
+		// core pool counts them (0 before the pool starts).
 		Copies int `json:"copies,omitempty"`
 		// Metrics is the shard's cumulative metrics snapshot as of the beat
 		// (empty until the shard's run starts). It replaces the lease's

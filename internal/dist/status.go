@@ -47,7 +47,8 @@ type Status struct {
 
 	// Utilization is the fleet-wide fraction of worker-model wall time
 	// spent injecting, busy-nanoseconds over (model copies × elapsed): the
-	// copies each worker says it runs, else the campaign's ShardWorkers.
+	// copies each worker's heartbeats and shard reports counted (what its
+	// lease request claimed until one did), else the campaign's ShardWorkers.
 	// It undercounts slightly between a shard's last heartbeat and its
 	// completion.
 	Utilization float64 `json:"utilization,omitempty"`
@@ -162,11 +163,12 @@ func progressLine(st Status) string {
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now()
+	c.sweepLocked(now)
 	snap := c.fleetSnapshotLocked()
 	// A finished campaign's view is measured up to its end, so it holds still.
-	now := c.ended
-	if now.IsZero() {
-		now = time.Now()
+	if !c.ended.IsZero() {
+		now = c.ended
 	}
 	p := core.ProgressFrom(snap, c.cfg.Campaign.Flips, c.copiesLocked(), now.Sub(c.started))
 	st := Status{

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"os"
 	"reflect"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -271,7 +270,7 @@ func (w *worker) shardObs(ccfg *core.CampaignConfig, attach bool, sh ShardLease)
 }
 
 // beat is what the heartbeat loop sends for the shard running now: the
-// request but its metrics, and the handle the metrics are read through.
+// request but its metrics and copies, and the handle both are read through.
 type beat struct {
 	req  heartbeatRequest
 	live *core.Live
@@ -320,8 +319,8 @@ func (w *worker) runLease(ctx context.Context, lease *leaseResponse) error {
 				if b == nil {
 					continue // the first shard is not set up yet
 				}
-				req := b.req
-				req.Metrics = b.live.Progress().Metrics
+				req, p := b.req, b.live.Progress()
+				req.Metrics, req.Copies = p.Metrics, p.Workers
 				status, _ := w.coord.heartbeat(req)
 				if status == 0 {
 					continue // transient; the lease survives until TTL
@@ -378,10 +377,6 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse, campaign st
 	if w.cfg.Workers > 0 {
 		ccfg.Workers = w.cfg.Workers
 	}
-	copies := ccfg.Workers // what core.RunCampaign runs the shard over
-	if copies <= 0 {
-		copies = runtime.GOMAXPROCS(0)
-	}
 
 	capture := w.shardObs(&ccfg, lease.AttachTrace, sh)
 
@@ -410,7 +405,7 @@ func (w *worker) runShard(ctx context.Context, lease *leaseResponse, campaign st
 		ccfg.Obs.Parent = shardSp.Context()
 		tp = shardSp.Context().Traceparent()
 	}
-	cur.Store(&beat{heartbeatRequest{Worker: id, Shard: sh.ID, Traceparent: tp, Copies: copies}, ccfg.Obs.Live})
+	cur.Store(&beat{heartbeatRequest{Worker: id, Shard: sh.ID, Traceparent: tp}, ccfg.Obs.Live})
 
 	if w.proto == nil || !reflect.DeepEqual(w.protoCfg, ccfg.Runner) {
 		bsp := tracer.StartSpan("prototype.build", "worker", shardSp.Context())

@@ -171,12 +171,10 @@ type Server struct {
 	spanAgg   map[string]obs.HistSnapshot
 	queue     *fairQueue
 	running   map[string]*execution
-	active    int
 	seq       int64
 	closed    bool
-	wake      chan struct{}
 
-	wg sync.WaitGroup // scheduler + campaign executors
+	wg sync.WaitGroup // campaign executions
 }
 
 // execution is the server's handle on one running campaign.
@@ -307,7 +305,7 @@ func (s *Server) settleUnrun(id string, ct *campaignTrace, state string) {
 // New opens (or reopens) a campaign server over a store directory,
 // recovers persisted campaigns — queued and interrupted-running ones
 // re-enter the queue in submission order and resume from their journals —
-// and starts the scheduler.
+// and starts as many of them as there are free slots.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("server: Config.Dir is required")
@@ -340,14 +338,14 @@ func New(cfg Config) (*Server, error) {
 		spanAgg:   make(map[string]obs.HistSnapshot),
 		queue:     newFairQueue(cfg.TenantWeights),
 		running:   make(map[string]*execution),
-		wake:      make(chan struct{}, 1),
 	}
 	if err := s.recover(); err != nil {
 		cancel(errClosing)
 		return nil, err
 	}
-	s.wg.Add(1)
-	go s.scheduler()
+	s.mu.Lock()
+	s.startQueuedLocked()
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -403,9 +401,9 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// Close drains the server: running campaigns are interrupted (their
-// journals keep their completed shards; a reopened server resumes them),
-// the scheduler stops, and all records are persisted.
+// Close drains the server: no campaign starts after it, running ones are
+// interrupted (their journals keep their completed shards; a reopened server
+// resumes them), and it returns once their records are persisted.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -415,15 +413,7 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.shutdown(errClosing)
-	s.poke()
 	s.wg.Wait()
-}
-
-func (s *Server) poke() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
 }
 
 // specDigest is the spec's content address at its effective shard size, so
@@ -516,7 +506,9 @@ func (s *Server) Submit(spec Spec) (Campaign, error) {
 	}
 	s.log.Info("campaign submitted", "campaign", c.ID, "tenant", c.Tenant,
 		"state", snap.State, "digest", c.Digest[:12], "image", c.ImageDigest[:12])
-	s.poke()
+	s.mu.Lock()
+	s.startQueuedLocked()
+	s.mu.Unlock()
 	return snap, nil
 }
 
@@ -740,46 +732,29 @@ func (s *Server) Status() Status {
 	return st
 }
 
-// scheduler pops queued campaigns under the fair-share policy whenever a
-// concurrency slot is free.
-func (s *Server) scheduler() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+// startQueuedLocked starts queued campaigns in fair-share order while a
+// concurrency slot is free, unless the server is closing. It runs wherever
+// a campaign can become startable: after recovery, after a submission is
+// saved and when an execution frees its slot.
+func (s *Server) startQueuedLocked() {
+	for !s.closed && len(s.running) < s.cfg.MaxConcurrent {
+		id, ok := s.queue.pop()
+		if !ok {
 			return
 		}
-		for s.active < s.cfg.MaxConcurrent {
-			id, ok := s.queue.pop()
-			if !ok {
-				break
-			}
-			c := s.campaigns[id]
-			if c == nil || c.State != StateQueued {
-				continue // settled out of band (e.g. cancelled while queued)
-			}
-			s.startLocked(c)
+		c := s.campaigns[id]
+		if c == nil || c.State != StateQueued {
+			continue // settled out of band (e.g. cancelled while queued)
 		}
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-s.ctx.Done():
-			return
-		}
+		now := time.Now()
+		c.State = StateRunning
+		c.StartedAt = &now
+		ctx, cancel := context.WithCancelCause(s.ctx)
+		exec := &execution{cancel: cancel}
+		s.running[c.ID] = exec
+		s.wg.Add(1)
+		go s.execute(ctx, c, exec)
 	}
-}
-
-func (s *Server) startLocked(c *Campaign) {
-	now := time.Now()
-	c.State = StateRunning
-	c.StartedAt = &now
-	ctx, cancel := context.WithCancelCause(s.ctx)
-	exec := &execution{cancel: cancel}
-	s.running[c.ID] = exec
-	s.active++
-	s.wg.Add(1)
-	go s.execute(ctx, c, exec)
 }
 
 // execute runs one campaign to a terminal state (or back to queued on
@@ -829,7 +804,7 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 		ct.root = nil
 	}
 	delete(s.running, c.ID)
-	s.active--
+	s.startQueuedLocked()
 	snap := *c
 	s.mu.Unlock()
 
@@ -842,7 +817,6 @@ func (s *Server) execute(ctx context.Context, c *Campaign, exec *execution) {
 	}
 	s.log.Info("campaign settled", "campaign", c.ID, "state", snap.State,
 		"injections", snap.Injections, "err", snap.Error)
-	s.poke()
 }
 
 // runCampaign executes one campaign: a journal-backed dist coordinator

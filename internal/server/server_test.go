@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -319,6 +320,24 @@ func TestImageCacheShared(t *testing.T) {
 	}
 	if st := s.Status(); st.ImageCache.Hits < 1 || st.ImageCache.Images < 1 {
 		t.Fatalf("image cache stats %+v, want a recorded hit", st.ImageCache)
+	}
+}
+
+// TestIdleServerRunsNoGoroutine: a server with nothing to run starts no
+// goroutine (campaigns start in the calls that make them startable), and
+// has none left once closed.
+func TestIdleServerRunsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after New over an empty store, %d before", n, base)
+	}
+	s.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, %d before", n, base)
 	}
 }
 
